@@ -135,10 +135,9 @@ type Options struct {
 	ReconfigDelay types.Round
 	// SparseEdges enables the metadata-lean DAG mode: each proposal keeps
 	// strong edges to the previous round's leader vertices and a
-	// deterministic 2f+1-sized sample of the remaining parents, and the
-	// redundant echo-certificate rebroadcast is suppressed. Cuts
-	// per-round metadata from O(n^2) toward near-linear at large n; see
-	// core.Config.SparseEdges.
+	// deterministic 2f+1-sized sample of the remaining parents. Cuts
+	// per-round edge metadata from O(n^2) toward near-linear at large n;
+	// see core.Config.SparseEdges.
 	SparseEdges bool
 	// LeaderReputation enables the reputation-driven leader schedule:
 	// committed timeout/no-vote evidence demotes repeat offenders from
@@ -188,6 +187,88 @@ func PlanMultiClanFailure(n, q int) float64 {
 	return committee.Float(committee.MultiClanFailureProb(n, f, committee.EqualPartitionSizes(n, q)))
 }
 
+// sampleClans draws the epoch-0 clan composition the options describe (nil
+// for ModeSailfish): a pure function of the options, so every party of a
+// deployment lands on the same clans.
+func (o *Options) sampleClans() [][]types.NodeID {
+	switch o.Mode {
+	case ModeSingleClan:
+		size := o.ClanSize
+		if size == 0 {
+			size = PlanClanSize(o.N, o.FailureProb)
+		}
+		if o.Members != nil {
+			return [][]types.NodeID{committee.SampleClanMembers(o.Members, min(size, len(o.Members)), o.Seed+2)}
+		}
+		return [][]types.NodeID{committee.SampleClan(o.N, size, o.Seed+2)}
+	case ModeMultiClan:
+		if o.Members != nil {
+			return committee.PartitionMembers(o.Members, o.NumClans, o.Seed+2)
+		}
+		return committee.PartitionClans(o.N, o.NumClans, o.Seed+2)
+	}
+	return nil
+}
+
+// nodeConfig is the core.Config NewCluster and NewTCPNode both start from:
+// every protocol option is passed in this one place, so neither constructor
+// can drop one. Callers add what is theirs: block source, store, delivery
+// and reconfiguration hooks.
+func (o *Options) nodeConfig(self NodeID, key *crypto.KeyPair, reg *crypto.Registry, clans [][]types.NodeID, vpool *crypto.VerifyPool) core.Config {
+	verifyCores := 0
+	if vpool != nil {
+		verifyCores = vpool.Workers()
+	}
+	return core.Config{
+		Self:             self,
+		N:                o.N,
+		Mode:             o.Mode,
+		Clans:            clans,
+		Key:              key,
+		Reg:              reg,
+		Costs:            crypto.ZeroCosts(),
+		LeadersPerRound:  o.LeadersPerRound,
+		RoundTimeout:     o.RoundTimeout,
+		VerifyCores:      verifyCores,
+		ExecQueue:        o.ExecQueue,
+		SparseEdges:      o.SparseEdges,
+		SparseSeed:       uint64(o.Seed),
+		Members:          o.Members,
+		ReconfigDelay:    o.ReconfigDelay,
+		LeaderReputation: o.LeaderReputation,
+		ReputationWindow: o.ReputationWindow,
+		AnchorWait:       o.AnchorWait,
+	}
+}
+
+// deliverTo is the batch-delivery hook over a node's registered callbacks:
+// per-commit callbacks see each vertex in order, then batch callbacks get
+// the whole consecutive run (with ExecQueue > 0 a run is everything queued
+// since the previous delivery — the parallel execution engine's cross-block
+// window).
+func deliverTo(onCommit *[]func(Commit), onBatch *[]func([]Commit)) func([]core.CommittedVertex) {
+	return func(cvs []core.CommittedVertex) {
+		for _, cv := range cvs {
+			for _, fn := range *onCommit {
+				fn(cv)
+			}
+		}
+		for _, fn := range *onBatch {
+			fn(cvs)
+		}
+	}
+}
+
+// newVerifyPool returns the GOMAXPROCS-wide pool that pre-verifies inbound
+// signatures so the serialized handler goroutine is never the verification
+// bottleneck, or nil when checking is off or forced inline.
+func (o *Options) newVerifyPool(reg *crypto.Registry) *crypto.VerifyPool {
+	if !reg.CheckSigs || o.SerialVerify {
+		return nil
+	}
+	return crypto.NewVerifyPool(0, 0)
+}
+
 // Cluster is an in-process cluster of consensus nodes connected by
 // channels, running on the wall clock. It is intended for applications that
 // embed replicated state machines, for tests, and for the examples; use
@@ -222,85 +303,26 @@ func NewCluster(o Options) (*Cluster, error) {
 		pools:         make([]*mempool.Pool, o.N),
 	}
 	c.reg = crypto.NewRegistry(c.keys, !o.NoCheckSigs)
-
-	switch o.Mode {
-	case ModeSingleClan:
-		size := o.ClanSize
-		if size == 0 {
-			size = PlanClanSize(o.N, o.FailureProb)
-		}
-		if o.Members != nil {
-			c.clans = [][]types.NodeID{committee.SampleClanMembers(o.Members, min(size, len(o.Members)), o.Seed+2)}
-		} else {
-			c.clans = [][]types.NodeID{committee.SampleClan(o.N, size, o.Seed+2)}
-		}
-	case ModeMultiClan:
-		if o.Members != nil {
-			c.clans = committee.PartitionMembers(o.Members, o.NumClans, o.Seed+2)
-		} else {
-			c.clans = committee.PartitionClans(o.N, o.NumClans, o.Seed+2)
-		}
-	}
-
-	// With real signature checking on, front every node's mailbox with a
-	// shared verification pool: signatures verify in parallel across
-	// cores, handlers apply already-verified messages in order.
-	verifyCores := 0
-	if c.reg.CheckSigs && !o.SerialVerify {
-		c.vpool = crypto.NewVerifyPool(0, 0)
-		verifyCores = c.vpool.Workers()
-	}
+	c.clans = o.sampleClans()
+	// One pool fronts every node's mailbox: signatures verify in parallel
+	// across cores, handlers apply already-verified messages in order.
+	c.vpool = o.newVerifyPool(c.reg)
 
 	for i := 0; i < o.N; i++ {
-		i := i
 		id := types.NodeID(i)
 		c.pools[i] = mempool.NewPool(o.MaxTxPerBlock)
-		var st store.Store
+		cfg := o.nodeConfig(id, &c.keys[i], c.reg, c.clans, c.vpool)
+		cfg.Blocks = c.pools[i]
+		cfg.DeliverBatch = deliverTo(&c.onCommit[i], &c.onCommitBatch[i])
 		if o.StoreDir != "" {
 			disk, err := store.Open(fmt.Sprintf("%s/node%03d", o.StoreDir, i), store.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("clanbft: open store: %w", err)
 			}
-			st = disk
+			cfg.Store = disk
 			c.stores = append(c.stores, disk)
 		}
-		node := core.New(core.Config{
-			Self:             id,
-			N:                o.N,
-			Mode:             o.Mode,
-			Clans:            c.clans,
-			Key:              &c.keys[i],
-			Reg:              c.reg,
-			Costs:            crypto.ZeroCosts(),
-			Store:            st,
-			Blocks:           c.pools[i],
-			LeadersPerRound:  o.LeadersPerRound,
-			RoundTimeout:     o.RoundTimeout,
-			VerifyCores:      verifyCores,
-			ExecQueue:        o.ExecQueue,
-			SparseEdges:      o.SparseEdges,
-			SparseSeed:       uint64(o.Seed),
-			Members:          o.Members,
-			ReconfigDelay:    o.ReconfigDelay,
-			LeaderReputation: o.LeaderReputation,
-			ReputationWindow: o.ReputationWindow,
-			AnchorWait:       o.AnchorWait,
-			// Batch delivery: per-commit callbacks see each vertex in
-			// order, then batch callbacks get the whole consecutive
-			// run (with ExecQueue > 0 a run is everything queued since
-			// the previous delivery — the parallel execution engine's
-			// cross-block window).
-			DeliverBatch: func(cvs []core.CommittedVertex) {
-				for _, cv := range cvs {
-					for _, fn := range c.onCommit[i] {
-						fn(cv)
-					}
-				}
-				for _, fn := range c.onCommitBatch[i] {
-					fn(cvs)
-				}
-			},
-		}, c.net.Endpoint(id), c.net.Clock(id))
+		node := core.New(cfg, c.net.Endpoint(id), c.net.Clock(id))
 		c.nodes = append(c.nodes, node)
 		if c.vpool != nil {
 			if ve, ok := c.net.Endpoint(id).(transport.VerifyingEndpoint); ok {

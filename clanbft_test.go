@@ -177,30 +177,7 @@ func TestClusterPersistence(t *testing.T) {
 
 func TestTCPNodesReachConsensus(t *testing.T) {
 	const n = 4
-	// Bind each node on a dynamic port, then share the address book.
-	addrs := map[NodeID]string{}
-	var nodes []*TCPNode
-	base := Options{N: n, Seed: 5, RoundTimeout: 2 * time.Second}
-	for i := 0; i < n; i++ {
-		book := map[NodeID]string{}
-		for j := 0; j < n; j++ {
-			book[NodeID(j)] = "127.0.0.1:0"
-		}
-		// Real deployments know their address book up front; the test
-		// binds lazily: create with a self-only book first.
-		nd, err := NewTCPNode(TCPNodeOptions{Self: NodeID(i), Addrs: book, Options: base})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[NodeID(i)] = nd.Addr()
-		nodes = append(nodes, nd)
-	}
-	// Exchange the real bound ports before starting.
-	for _, nd := range nodes {
-		for id, a := range addrs {
-			nd.SetPeerAddr(id, a)
-		}
-	}
+	nodes := bootTCP(t, Options{N: n, Seed: 5, RoundTimeout: 2 * time.Second})
 	var mu sync.Mutex
 	seen := map[string]bool{}
 	nodes[0].OnCommit(func(cv Commit) {

@@ -52,7 +52,7 @@ func main() {
 		peers    = flag.String("peers", "", "address book file: one 'id host:port' per line")
 		seed     = flag.Int64("seed", 7, "shared deployment seed")
 		storeDir = flag.String("store", "", "persistence directory")
-		sparse   = flag.Bool("sparse", false, "sparse strong-edge mode (2f+1 sampled parents, suppressed cert relay)")
+		sparse   = flag.Bool("sparse", false, "sparse strong-edge mode (2f+1 sampled parents)")
 	)
 	flag.Parse()
 

@@ -122,8 +122,8 @@ func WithholdBlocks() Mutator {
 	}
 }
 
-// SuppressCerts drops every echo certificate this party would send,
-// including its forwarding duty.
+// SuppressCerts drops every echo certificate this party would send: its
+// announcement as a source and the one it ships ahead of a pulled vertex.
 func SuppressCerts() Mutator {
 	return func(to types.NodeID, m types.Message) []Send {
 		if _, ok := m.(*types.EchoCertMsg); ok {

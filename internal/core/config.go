@@ -228,11 +228,8 @@ type Config struct {
 	// (the commit rules depend on those) and fill up to 2f+1 with a
 	// deterministic seed-derived sample of the remaining delivered
 	// parents; the unselected parents are weak-edged by a later proposal
-	// unless already transitively reachable. Sparse mode also suppresses
-	// the redundant echo-certificate broadcast: every honest node
-	// assembles the same certificate locally from the echo flood, so only
-	// the vertex's own source announces it (stragglers recover it via the
-	// vertex pull path, which ships the certificate first).
+	// unless already transitively reachable. It selects edges and nothing
+	// else: the RBC's message pattern is the same in both modes.
 	SparseEdges bool
 	// SparseSeed diversifies the sparse parent sample across deployments.
 	// The per-round draw also mixes the round number and proposer ID, so

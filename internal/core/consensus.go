@@ -259,7 +259,12 @@ func (n *Node) enterRound(r types.Round) {
 	}
 	n.stopAnchorTimer()
 	n.round = r
-	round := r
+	n.armRoundTimer(r)
+}
+
+// armRoundTimer starts the leader timer for round r; it re-arms itself for
+// as long as the round stays stuck (see onRoundTimeout).
+func (n *Node) armRoundTimer(r types.Round) {
 	n.roundTimer = n.clk.After(n.cfg.RoundTimeout, func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
@@ -267,7 +272,7 @@ func (n *Node) enterRound(r types.Round) {
 			return
 		}
 		n.roundTimer = nil
-		n.onRoundTimeout(round)
+		n.onRoundTimeout(r)
 	})
 }
 
@@ -381,39 +386,10 @@ func (n *Node) propose(r types.Round) {
 	// Write-ahead record of this proposal: a recovered node must never
 	// propose twice in one round (equivocation).
 	n.persistProposal(r, d)
-	var sig types.SigBytes
-	if n.cfg.Key != nil {
-		sig = n.cfg.Reg.SignFor(n.cfg.Key, vertexCtx(d))
-		n.clk.Charge(n.cfg.Costs.EdSign)
-	}
 	n.Metrics.VerticesProposed++
+	n.sendVal(v, blk)
 
-	full := &types.ValMsg{Vertex: v, Block: blk, Sig: sig}
-	lean := &types.ValMsg{Vertex: v, Sig: sig}
-	ep := n.epochOf(r)
-	clan := n.blockClanAt(r, n.cfg.Self)
-	// Vertices go to the whole universe — observers track the DAG so they
-	// can join at a fence without a cold start; blocks stay clan-confined.
-	for i := 0; i < n.cfg.N; i++ {
-		id := types.NodeID(i)
-		if blk != nil && clan != types.NoClan && ep.inClan[clan][id] {
-			n.ep.Send(id, full)
-		} else {
-			n.ep.Send(id, lean)
-		}
-	}
-
-	// Arm the leader timer for the new round.
-	round := r
-	n.roundTimer = n.clk.After(n.cfg.RoundTimeout, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if n.stopped {
-			return
-		}
-		n.roundTimer = nil
-		n.onRoundTimeout(round)
-	})
+	n.armRoundTimer(r)
 }
 
 // ---------------------------------------------------------------------------
@@ -448,7 +424,8 @@ func (n *Node) onRoundTimeout(r types.Round) {
 	// Re-drive the stuck round's RBCs. Under message loss the one-shot
 	// VAL/ECHO sends may have reached too few parties for any certificate
 	// to exist, so retransmit this party's own contributions (both are
-	// idempotent at receivers) and pull what peers already certified.
+	// idempotent at receivers; for its own position the VAL is the echo)
+	// and pull what peers already certified.
 	for src := 0; src < n.cfg.N; src++ {
 		if !n.epochOf(r).isMember[src] {
 			continue // no vertex to re-drive from a non-member
@@ -459,25 +436,14 @@ func (n *Node) onRoundTimeout(r types.Round) {
 			continue
 		}
 		if pos.Source == n.cfg.Self && in.vertex != nil {
-			n.resendProposal(in.vertex)
+			n.sendVal(in.vertex, n.rbc.blocks[in.vertex.BlockDigest])
 		}
 		if in.echoSent && in.vertex != nil {
-			d := in.vertex.DigestCached()
-			sig := n.cfg.Reg.SignFor(n.cfg.Key, echoCtx(pos, d))
-			n.ep.Broadcast(&types.VoteMsg{K: types.KindEcho, Pos: pos, Digest: d, Voter: n.cfg.Self, Sig: sig})
+			n.ep.Broadcast(n.signedEcho(pos, in.vertex.DigestCached()))
 		}
 		n.maybeStartVtxPull(pos, in)
 	}
-	// Re-arm while stuck.
-	n.roundTimer = n.clk.After(n.cfg.RoundTimeout, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if n.stopped {
-			return
-		}
-		n.roundTimer = nil
-		n.onRoundTimeout(r)
-	})
+	n.armRoundTimer(r) // still stuck
 }
 
 func (n *Node) onTimeout(from types.NodeID, m *types.TimeoutMsg) {
@@ -558,24 +524,40 @@ func (n *Node) onNoVote(from types.NodeID, m *types.NoVoteMsg) {
 	}
 }
 
-// resendProposal retransmits this party's own VAL for a stuck round (block
-// to the clan, lean vertex to the rest), exactly as propose() sent it.
-func (n *Node) resendProposal(v *types.Vertex) {
-	sig := n.cfg.Reg.SignFor(n.cfg.Key, vertexCtx(v.DigestCached()))
-	var blk *types.Block
-	if !v.BlockDigest.IsZero() {
-		blk = n.rbc.blocks[v.BlockDigest]
+// sendVal signs v and sends this party's VAL: the vertex to the whole
+// universe — observers track the DAG so they can join at a fence without a
+// cold start — and the block only to the proposer's clan. Each of the two
+// variants is one Multicast, so the transport encodes it once however many
+// peers receive it. The timeout re-drive calls it again for a stuck round;
+// receivers treat the repeat as idempotent.
+func (n *Node) sendVal(v *types.Vertex, blk *types.Block) {
+	var sig types.SigBytes
+	if n.cfg.Key != nil {
+		var buf ctxBuf
+		sig = n.cfg.Reg.SignFor(n.cfg.Key, vertexCtx(&buf, v.DigestCached()))
+		n.clk.Charge(n.cfg.Costs.EdSign)
 	}
-	full := &types.ValMsg{Vertex: v, Block: blk, Sig: sig}
-	lean := &types.ValMsg{Vertex: v, Sig: sig}
-	ep := n.epochOf(v.Round)
-	clan := n.blockClanAt(v.Round, n.cfg.Self)
+	// One backing array, two ascending runs: block recipients, then the rest.
+	var inClan map[types.NodeID]bool
+	if clan := n.blockClanAt(v.Round, n.cfg.Self); blk != nil && clan != types.NoClan {
+		inClan = n.epochOf(v.Round).inClan[clan]
+	}
+	ids := make([]types.NodeID, 0, n.cfg.N)
 	for i := 0; i < n.cfg.N; i++ {
-		id := types.NodeID(i)
-		if blk != nil && clan != types.NoClan && ep.inClan[clan][id] {
-			n.ep.Send(id, full)
-		} else {
-			n.ep.Send(id, lean)
+		if inClan[types.NodeID(i)] {
+			ids = append(ids, types.NodeID(i))
 		}
+	}
+	full := len(ids)
+	for i := 0; i < n.cfg.N; i++ {
+		if !inClan[types.NodeID(i)] {
+			ids = append(ids, types.NodeID(i))
+		}
+	}
+	if full > 0 {
+		n.ep.Multicast(ids[:full], &types.ValMsg{Vertex: v, Block: blk, Sig: sig})
+	}
+	if full < len(ids) {
+		n.ep.Multicast(ids[full:], &types.ValMsg{Vertex: v, Sig: sig})
 	}
 }

@@ -7,7 +7,9 @@ import (
 
 	"clanbft/internal/committee"
 	"clanbft/internal/crypto"
+	"clanbft/internal/faults"
 	"clanbft/internal/simnet"
+	"clanbft/internal/transport"
 	"clanbft/internal/types"
 )
 
@@ -56,6 +58,7 @@ type topt struct {
 	rep     bool           // reputation-driven leader schedule
 	repWin  types.Round    // ReputationWindow override
 	anchor  time.Duration  // AnchorWait (pipelined-anchor pause cap)
+	fnet    *faults.Net    // wraps every endpoint (fault rules, message tap)
 }
 
 func newTCluster(t *testing.T, n int, o topt) *tcluster {
@@ -84,6 +87,10 @@ func newTCluster(t *testing.T, n int, o topt) *tcluster {
 	for i := 0; i < n; i++ {
 		i := i
 		id := types.NodeID(i)
+		var ep transport.Endpoint = c.net.Endpoint(id)
+		if o.fnet != nil {
+			ep = o.fnet.Wrap(ep, c.net.Clock(id))
+		}
 		node := New(Config{
 			Self:             id,
 			N:                n,
@@ -103,7 +110,7 @@ func newTCluster(t *testing.T, n int, o topt) *tcluster {
 			Deliver: func(cv CommittedVertex) {
 				c.orders[i] = append(c.orders[i], cv)
 			},
-		}, c.net.Endpoint(id), c.net.Clock(id))
+		}, ep, c.net.Clock(id))
 		c.nodes = append(c.nodes, node)
 		if !o.mute[id] {
 			node.Start()
@@ -341,8 +348,8 @@ func TestEquivocatingProposerSafety(t *testing.T) {
 	vb := &types.Vertex{Round: 0, Source: 6, BlockDigest: (&types.Block{Round: 0, Source: 6, Txs: [][]byte{{2}}}).Digest()}
 	blkA := &types.Block{Round: 0, Source: 6, Txs: [][]byte{{1}}}
 	blkB := &types.Block{Round: 0, Source: 6, Txs: [][]byte{{2}}}
-	sa := crypto.Sign(&c.keys[6], vertexCtx(va.DigestCached()))
-	sb := crypto.Sign(&c.keys[6], vertexCtx(vb.DigestCached()))
+	sa := crypto.Sign(&c.keys[6], vertexCtx(new(ctxBuf), va.DigestCached()))
+	sb := crypto.Sign(&c.keys[6], vertexCtx(new(ctxBuf), vb.DigestCached()))
 	ep := c.net.Endpoint(6)
 	for i := 0; i < 6; i++ {
 		if i%2 == 0 {
@@ -389,7 +396,7 @@ func TestNonClanBlockProposalRejected(t *testing.T) {
 		mute: mute, timeout: 700 * time.Millisecond,
 	})
 	bad := &types.Vertex{Round: 0, Source: outsider, BlockDigest: types.HashBytes([]byte("illegal"))}
-	sig := crypto.Sign(&c.keys[outsider], vertexCtx(bad.DigestCached()))
+	sig := crypto.Sign(&c.keys[outsider], vertexCtx(new(ctxBuf), bad.DigestCached()))
 	c.net.Endpoint(outsider).Broadcast(&types.ValMsg{Vertex: bad, Sig: sig})
 	c.net.Run(15 * time.Second)
 	if got := c.minOrdered(mute); got < n {
@@ -735,7 +742,7 @@ func TestEchoDigestFloodBounded(t *testing.T) {
 		d[0], d[1] = byte(i), byte(i>>8)
 		ep.Send(0, &types.VoteMsg{
 			K: types.KindEcho, Pos: pos, Digest: d, Voter: 1,
-			Sig: crypto.Sign(&c.keys[1], echoCtx(pos, d)),
+			Sig: crypto.Sign(&c.keys[1], echoCtx(new(ctxBuf), pos, d)),
 		})
 	}
 	c.net.Run(200 * time.Millisecond)
@@ -1038,7 +1045,7 @@ func TestPhantomEdgeVertexNeverCertified(t *testing.T) {
 	}
 	bad.StrongEdges = strong1[:5]
 	bad.NormalizeEdges()
-	sig := crypto.Sign(&c.keys[6], vertexCtx(bad.DigestCached()))
+	sig := crypto.Sign(&c.keys[6], vertexCtx(new(ctxBuf), bad.DigestCached()))
 	c.net.Endpoint(6).Broadcast(&types.ValMsg{Vertex: bad, Sig: sig})
 	c.net.Run(15 * time.Second)
 

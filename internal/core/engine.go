@@ -15,13 +15,17 @@ import (
 // Signing contexts. Every signed artifact binds a domain tag so signatures
 // cannot be replayed across message types.
 
-func vertexCtx(d types.Hash) []byte {
-	return append([]byte{'V'}, d[:]...)
+// ctxBuf backs a vertex or echo context: a tag byte, two uvarints and a
+// digest at most. Callers declare one on their stack and pass its address,
+// so building a context allocates nothing.
+type ctxBuf [1 + 2*binary.MaxVarintLen64 + len(types.Hash{})]byte
+
+func vertexCtx(buf *ctxBuf, d types.Hash) []byte {
+	return append(append(buf[:0], 'V'), d[:]...)
 }
 
-func echoCtx(pos types.Position, d types.Hash) []byte {
-	b := make([]byte, 0, 48)
-	b = append(b, 'E')
+func echoCtx(buf *ctxBuf, pos types.Position, d types.Hash) []byte {
+	b := append(buf[:0], 'E')
 	b = types.PutUvarint(b, uint64(pos.Round))
 	b = types.PutUvarint(b, uint64(pos.Source))
 	return append(b, d[:]...)
@@ -57,16 +61,7 @@ func (n *Node) Start() {
 		// Resume: advance if the recovered state already holds the next
 		// quorum; otherwise catch up from peers (vertex pulls + the
 		// round-jump rule in tryAdvance).
-		round := n.round
-		n.roundTimer = n.clk.After(n.cfg.RoundTimeout, func() {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			if n.stopped {
-				return
-			}
-			n.roundTimer = nil
-			n.onRoundTimeout(round)
-		})
+		n.armRoundTimer(n.round)
 		n.drainCommits()
 		n.tryAdvance()
 		return

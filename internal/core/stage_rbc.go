@@ -28,15 +28,11 @@ type rbcState struct {
 
 // vinst is the merged vertex+block RBC instance state for one position.
 type vinst struct {
-	vertex   *types.Vertex
-	valFrom  bool // first VAL processed (vote counted, echo considered)
-	block    *types.Block
-	hasBlock bool
+	vertex  *types.Vertex
+	valFrom bool // first VAL processed (vote and the source's echo counted)
 
-	echoSent       bool
-	echoRegistered bool // parked in echoWait until parents deliver
-	certSent       bool
-	echoes         map[types.Hash]*echoTally
+	echoSent bool
+	echoes   map[types.Hash]*echoTally
 	// echoVoted tracks which voters' echoes were already counted at this
 	// position, across ALL candidate digests. A Byzantine voter gets
 	// exactly one echo per position; without this bound it could mint a
@@ -133,13 +129,17 @@ func (n *Node) onVal(from types.NodeID, m *types.ValMsg) {
 		return // only the sender's first proposal counts (non-equivocation)
 	}
 	d := v.DigestCached()
-	// The transport's verify pool may have pre-checked the signature (the
-	// mark is set only after a successful Reg.Verify over this exact
-	// context); verify inline otherwise.
-	if n.cfg.Reg.CheckSigs && !m.PreVerified() && !n.cfg.Reg.Verify(v.Source, vertexCtx(d), m.Sig) {
-		return
+	if from != n.cfg.Self {
+		// The transport's verify pool may have pre-checked the signature
+		// (the mark is set only after a successful Reg.Verify over this
+		// exact context); verify inline otherwise. A party's own proposal
+		// needs no check at all.
+		var buf ctxBuf
+		if n.cfg.Reg.CheckSigs && !m.PreVerified() && !n.cfg.Reg.Verify(v.Source, vertexCtx(&buf, d), m.Sig) {
+			return
+		}
+		n.clk.Charge(n.vcosts.EdVerify)
 	}
-	n.clk.Charge(n.vcosts.EdVerify)
 	in.valFrom = true
 	in.vertex = v
 
@@ -151,6 +151,13 @@ func (n *Node) onVal(from types.NodeID, m *types.ValMsg) {
 	// Stash the block if we are entitled to it and it matches.
 	if m.Block != nil {
 		n.acceptBlock(v, m.Block)
+	}
+	// The VAL is its proposer's ECHO: a proposer holds its own vertex,
+	// block and parents by construction, so the signed proposal already
+	// says everything a separate echo would. Only this path counts it — a
+	// vertex that arrives by pull (onVtxRsp) carries no vote.
+	if !in.hasCert {
+		n.countEcho(pos, in, v.Source, d)
 	}
 	n.maybeEcho(pos, in)
 }
@@ -205,8 +212,9 @@ func (n *Node) acceptBlock(v *types.Vertex, blk *types.Block) {
 // paper's implementation performs the same per-parent delivery lookups);
 // and, for clan members of the proposer's clan, the block too (Section 5:
 // "Members of C send an ECHO message only after receiving both v and b").
+// A party never echoes its own position: its VAL is that echo (see onVal).
 func (n *Node) maybeEcho(pos types.Position, in *vinst) {
-	if in.echoSent || in.vertex == nil {
+	if in.echoSent || in.vertex == nil || pos.Source == n.cfg.Self {
 		return
 	}
 	if !n.activeAt(pos.Round) {
@@ -223,15 +231,18 @@ func (n *Node) maybeEcho(pos types.Position, in *vinst) {
 		}
 	}
 	in.echoSent = true
-	in.echoRegistered = false
-	d := v.DigestCached()
-	ctx := echoCtx(pos, d)
+	n.ep.Broadcast(n.signedEcho(pos, v.DigestCached()))
+}
+
+// signedEcho builds this party's ECHO for digest d at pos.
+func (n *Node) signedEcho(pos types.Position, d types.Hash) *types.VoteMsg {
 	var sig types.SigBytes
 	if n.cfg.Key != nil {
-		sig = n.cfg.Reg.SignFor(n.cfg.Key, ctx)
+		var buf ctxBuf
+		sig = n.cfg.Reg.SignFor(n.cfg.Key, echoCtx(&buf, pos, d))
 		n.clk.Charge(n.cfg.Costs.EdSign)
 	}
-	n.ep.Broadcast(&types.VoteMsg{K: types.KindEcho, Pos: pos, Digest: d, Voter: n.cfg.Self, Sig: sig})
+	return &types.VoteMsg{K: types.KindEcho, Pos: pos, Digest: d, Voter: n.cfg.Self, Sig: sig}
 }
 
 // ---------------------------------------------------------------------------
@@ -271,11 +282,6 @@ func (n *Node) parentsDelivered(pos types.Position, v *types.Vertex) bool {
 	}
 	for _, e := range v.WeakEdges {
 		check(e)
-	}
-	if !ok {
-		if in := n.instIfAny(pos); in != nil {
-			in.echoRegistered = true
-		}
 	}
 	return ok
 }
@@ -323,36 +329,43 @@ func (n *Node) onEcho(from types.NodeID, m *types.VoteMsg) {
 	if in.echoVoted != nil && types.BitmapHas(in.echoVoted, m.Voter) {
 		return
 	}
-	tally, ok := in.echoes[m.Digest]
-	if !ok {
-		tally = &echoTally{agg: crypto.NewAggregator(n.cfg.N)}
-		in.echoes[m.Digest] = tally
-	}
-	if types.BitmapHas(tally.agg.Bitmap(), m.Voter) {
-		return
-	}
-	var tag [32]byte
-	if n.cfg.Reg.CheckSigs {
-		ctx := echoCtx(m.Pos, m.Digest)
-		if !m.PreVerified() && !n.cfg.Reg.Verify(m.Voter, ctx, m.Sig) {
+	if from != n.cfg.Self {
+		var buf ctxBuf
+		if n.cfg.Reg.CheckSigs && !m.PreVerified() && !n.cfg.Reg.Verify(m.Voter, echoCtx(&buf, m.Pos, m.Digest), m.Sig) {
 			return
 		}
-		// The partial tag (aggregation input) is recomputed inline either
-		// way: aggregation is single-threaded, as in the paper.
-		tag = n.cfg.Reg.PartialFor(m.Voter, ctx)
+		n.clk.Charge(n.vcosts.EdVerify)
 	}
-	n.clk.Charge(n.vcosts.EdVerify)
-	if err := tally.agg.Add(m.Voter, tag); err != nil {
-		return
-	}
+	n.countEcho(m.Pos, in, m.Voter, m.Digest)
+}
+
+// countEcho folds voter's echo for digest into pos's tally — an explicit
+// ECHO whose signature checked out, or the proposer's VAL standing in for
+// its echo — and, when that completes the quorum, assembles and accepts the
+// certificate. Each voter counts once per position.
+func (n *Node) countEcho(pos types.Position, in *vinst, voter types.NodeID, digest types.Hash) {
 	if in.echoVoted == nil {
 		in.echoVoted = make([]byte, (n.cfg.N+7)/8)
+	} else if types.BitmapHas(in.echoVoted, voter) {
+		return
 	}
-	types.BitmapSet(in.echoVoted, m.Voter)
+	tally, ok := in.echoes[digest]
+	if !ok {
+		tally = &echoTally{agg: crypto.NewAggregator(n.cfg.N)}
+		in.echoes[digest] = tally
+	}
+	// The partial tag (aggregation input) is computed inline: aggregation
+	// is single-threaded, as in the paper.
+	var buf ctxBuf
+	if err := tally.agg.Add(voter, n.cfg.Reg.PartialFor(voter, echoCtx(&buf, pos, digest))); err != nil {
+		return
+	}
+	types.BitmapSet(in.echoVoted, voter)
 	n.clk.Charge(n.cfg.Costs.AggFold)
 	tally.total++
-	clan := n.echoClan(m.Pos, m.Digest, in)
-	if clan != types.NoClan && ep.inClan[clan][m.Voter] {
+	ep := n.epochOf(pos.Round)
+	clan := n.echoClan(pos, digest, in)
+	if clan != types.NoClan && ep.inClan[clan][voter] {
 		tally.clanVotes++
 	}
 
@@ -363,25 +376,19 @@ func (n *Node) onEcho(from types.NodeID, m *types.VoteMsg) {
 		return
 	}
 	// Quorum: >= f_c+1 clan members hold the block, so a missing payload
-	// is now retrievable; start pulling early (before delivery), as the
-	// paper prescribes for keeping execution close behind consensus.
-	n.maybeStartBlockPull(m.Pos, in)
-
-	if in.certSent {
-		return
-	}
-	in.certSent = true
-	cert := &types.EchoCertMsg{Pos: m.Pos, Digest: m.Digest, Agg: tally.agg.Sig()}
+	// is now retrievable; acceptCert starts pulling early (before
+	// delivery), as the paper prescribes for keeping execution close
+	// behind consensus.
+	cert := &types.EchoCertMsg{Pos: pos, Digest: digest, Agg: tally.agg.Sig()}
 	in.cert = cert
-	n.acceptCert(m.Pos, in, m.Digest)
-	// Sparse mode: the echo flood already puts every honest node in a
-	// position to assemble this exact certificate locally, so the n-wide
-	// cert broadcast is redundant — an O(n^3)-per-round term at tribe
-	// scale. Only the vertex's own source announces it (cheap insurance
-	// for nodes that missed echoes); everyone else relies on local
-	// assembly, with the pull path (which ships the certificate before
-	// the vertex) covering stragglers.
-	if !n.cfg.SparseEdges || m.Pos.Source == n.cfg.Self {
+	n.acceptCert(pos, in, digest)
+	// The echo flood puts every honest node in a position to assemble this
+	// exact certificate locally, so relaying it n-wide would be an O(n^3)
+	// term per round that buys nothing. Only the vertex's own source
+	// announces it (cheap insurance for nodes that missed echoes); everyone
+	// else keeps it for the pull path, which ships the certificate before
+	// the vertex and so covers stragglers.
+	if pos.Source == n.cfg.Self {
 		n.ep.Broadcast(cert)
 	}
 }
@@ -428,13 +435,18 @@ func (n *Node) validCert(m *types.EchoCertMsg) bool {
 	if clan != types.NoClan && clanCnt < ep.fcOf[clan]+1 {
 		return false
 	}
-	if n.cfg.Reg.CheckSigs && !m.PreVerified() && !n.cfg.Reg.VerifyAgg(echoCtx(m.Pos, m.Digest), m.Agg) {
+	var buf ctxBuf
+	if n.cfg.Reg.CheckSigs && !m.PreVerified() && !n.cfg.Reg.VerifyAgg(echoCtx(&buf, m.Pos, m.Digest), m.Agg) {
 		return false
 	}
 	n.clk.Charge(n.vcosts.AggVerify)
 	return true
 }
 
+// onCert adopts a certificate announced by the vertex's source or shipped
+// ahead of a pulled vertex. It is kept for this party's own pull replies and
+// never forwarded: totality rests on local assembly from the echo flood plus
+// the certificate-first pull path, not on a relay.
 func (n *Node) onCert(from types.NodeID, m *types.EchoCertMsg) {
 	if int(m.Pos.Source) >= n.cfg.N || n.gcd(m.Pos) {
 		return
@@ -447,17 +459,6 @@ func (n *Node) onCert(from types.NodeID, m *types.EchoCertMsg) {
 		return
 	}
 	in.cert = m
-	if !in.certSent {
-		// Forward once so every party obtains the certificate even if
-		// its original assembler was faulty (totality). Sparse mode skips
-		// the blind forward — totality holds through local assembly from
-		// the echo flood plus the cert-first pull path — and keeps the
-		// certificate only for pull responses.
-		in.certSent = true
-		if !n.cfg.SparseEdges {
-			n.ep.Broadcast(m)
-		}
-	}
 	n.acceptCert(m.Pos, in, m.Digest)
 }
 
@@ -506,7 +507,6 @@ func (n *Node) maybeDeliver(pos types.Position, in *vinst) {
 		delete(n.rbc.echoWait, pos)
 		for _, kid := range kids {
 			if kin := n.instIfAny(kid); kin != nil {
-				kin.echoRegistered = false
 				n.maybeEcho(kid, kin)
 			}
 		}

@@ -16,9 +16,10 @@ import (
 // touches only immutable state: the key registry and the message itself.
 // It performs pure signature checks — every structural, clan, and quorum
 // rule stays in the handler. Returning false drops the message (the handler
-// would have rejected it for the same bad signature). Message types it does
-// not recognize (pull requests/responses, READY votes) pass through unmarked
-// and are handled exactly as before.
+// would have rejected it for the same bad signature). READY votes pass
+// through unmarked; pull requests/responses and snapshots never get here (the
+// transport routes unsigned kinds and self-sends around the pool), and the
+// handlers skip the check for a message this party sent to itself.
 //
 // Certificates embedded inside vertices (TC/NVC justifications) are still
 // verified inline: they appear only on timeout paths, far off the throughput
@@ -29,6 +30,7 @@ func (n *Node) Verifier() transport.Verifier {
 		if !reg.CheckSigs {
 			return true
 		}
+		var buf ctxBuf
 		switch msg := m.(type) {
 		case *types.ValMsg:
 			v := msg.Vertex
@@ -38,7 +40,7 @@ func (n *Node) Verifier() transport.Verifier {
 			// DigestCached is safe here: under TCP each receiver decodes
 			// a private copy, and in-process transports share vertices
 			// whose digest the proposer already cached before sending.
-			if !reg.Verify(v.Source, vertexCtx(v.DigestCached()), msg.Sig) {
+			if !reg.Verify(v.Source, vertexCtx(&buf, v.DigestCached()), msg.Sig) {
 				return false
 			}
 			msg.MarkVerified()
@@ -46,12 +48,12 @@ func (n *Node) Verifier() transport.Verifier {
 			if msg.K != types.KindEcho {
 				return true
 			}
-			if !reg.Verify(msg.Voter, echoCtx(msg.Pos, msg.Digest), msg.Sig) {
+			if !reg.Verify(msg.Voter, echoCtx(&buf, msg.Pos, msg.Digest), msg.Sig) {
 				return false
 			}
 			msg.MarkVerified()
 		case *types.EchoCertMsg:
-			if !reg.VerifyAgg(echoCtx(msg.Pos, msg.Digest), msg.Agg) {
+			if !reg.VerifyAgg(echoCtx(&buf, msg.Pos, msg.Digest), msg.Agg) {
 				return false
 			}
 			msg.MarkVerified()

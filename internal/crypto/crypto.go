@@ -143,12 +143,33 @@ func PartialTag(kp *KeyPair, msg []byte) [32]byte {
 	return partial(kp.TagKey, msg)
 }
 
+// partial is HMAC-SHA256(key, msg). Every signing context is a few dozen
+// bytes, so the short case spells the construction out over sha256.Sum256 in
+// stack buffers: crypto/hmac builds two hash.Hash values per call and makes
+// msg escape through them, eight allocations for every vote folded.
 func partial(key [32]byte, msg []byte) [32]byte {
-	mac := hmac.New(sha256.New, key[:])
-	mac.Write(msg)
-	var out [32]byte
-	copy(out[:], mac.Sum(nil))
-	return out
+	const block = sha256.BlockSize
+	var inner [2 * block]byte
+	if len(msg) > len(inner)-block {
+		// Copies, so that only this path pays for what escapes into hmac.
+		k := key
+		mac := hmac.New(sha256.New, k[:])
+		mac.Write(append([]byte(nil), msg...))
+		var out [32]byte
+		mac.Sum(out[:0])
+		return out
+	}
+	var outer [block + sha256.Size]byte
+	for i := 0; i < block; i++ {
+		inner[i], outer[i] = 0x36, 0x5c
+	}
+	for i, k := range key {
+		inner[i] ^= k
+		outer[i] ^= k
+	}
+	sum := sha256.Sum256(inner[:block+copy(inner[block:], msg)])
+	copy(outer[block:], sum[:])
+	return sha256.Sum256(outer[:])
 }
 
 // Aggregator incrementally folds partial tags into an AggSig, mirroring how

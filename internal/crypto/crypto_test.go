@@ -1,6 +1,9 @@
 package crypto
 
 import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"testing"
 	"testing/quick"
 
@@ -222,5 +225,31 @@ func TestSignForSkipsWhenUnchecked(t *testing.T) {
 	}
 	if off.PartialFor(0, msg) != ([32]byte{}) {
 		t.Fatal("unchecked partials must be zero")
+	}
+}
+
+// TestPartialMatchesHMAC pins the hand-rolled short-message path of partial
+// to crypto/hmac on both sides of its length cut-off, and its zero-allocation
+// promise for a context-sized message built on the caller's stack.
+func TestPartialMatchesHMAC(t *testing.T) {
+	keys := GenerateKeys(1, 5)
+	msg := make([]byte, 200)
+	for i := range msg {
+		msg[i] = byte(i*31 + 7)
+	}
+	for n := 0; n <= len(msg); n++ {
+		mac := hmac.New(sha256.New, keys[0].TagKey[:])
+		mac.Write(msg[:n])
+		if got := PartialTag(&keys[0], msg[:n]); !bytes.Equal(got[:], mac.Sum(nil)) {
+			t.Fatalf("partial over %d bytes differs from HMAC-SHA256", n)
+		}
+	}
+	reg := NewRegistry(keys, true)
+	if a := testing.AllocsPerRun(100, func() {
+		var ctx [51]byte
+		ctx[0] = 'E'
+		_ = reg.PartialFor(0, ctx[:])
+	}); a != 0 {
+		t.Fatalf("PartialFor allocates %v times per call, want 0", a)
 	}
 }

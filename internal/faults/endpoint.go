@@ -40,6 +40,7 @@ type linkRule struct {
 	dup     float64
 	delay   time.Duration
 	reorder time.Duration // max extra uniform delay
+	match   func(types.Message) bool
 }
 
 func (r *linkRule) empty() bool {
@@ -119,6 +120,7 @@ func (f *Net) Apply(at time.Duration, ev Event) {
 			case KindReorder:
 				r.reorder = ev.Delay
 			}
+			r.match = ev.Match
 			if r.empty() {
 				delete(f.rules, link)
 			}
@@ -200,7 +202,7 @@ type verdict struct {
 // judge decides one message's fate. RNG draws happen only for links with a
 // probabilistic rule installed, keeping the stream stable across schedule
 // variations elsewhere.
-func (f *Net) judge(from, to types.NodeID) verdict {
+func (f *Net) judge(from, to types.NodeID, m types.Message) verdict {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.crashed[from] || f.crashed[to] {
@@ -212,7 +214,7 @@ func (f *Net) judge(from, to types.NodeID) verdict {
 		}
 	}
 	r := f.rules[[2]types.NodeID{from, to}]
-	if r == nil {
+	if r == nil || (r.match != nil && !r.match(m)) {
 		return verdict{}
 	}
 	var v verdict
@@ -298,7 +300,7 @@ func (e *Endpoint) Send(to types.NodeID, m types.Message) {
 		e.inner.Send(to, m)
 		return
 	}
-	v := e.net.judge(self, to)
+	v := e.net.judge(self, to, m)
 	if v.drop {
 		e.dropped.Add(1)
 		return

@@ -120,6 +120,11 @@ type Event struct {
 	P float64
 	// Delay parameterizes KindDelay (fixed) and KindReorder (uniform max).
 	Delay time.Duration
+	// Match, when set, narrows the link rule(s) this event touches to the
+	// messages it accepts (one position's echoes, say); everything else
+	// crosses those links as if they had no rule. Nil matches every message.
+	// It replaces the link's previous Match, and is cleared with the rule.
+	Match func(types.Message) bool
 
 	// Name identifies a partition (KindPartition/KindHeal).
 	Name string

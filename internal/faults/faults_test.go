@@ -54,6 +54,18 @@ func TestDropRuleAndAccounting(t *testing.T) {
 	if recv[1] != 1 {
 		t.Fatalf("recv = %d after clearing rule, want 1", recv[1])
 	}
+
+	// A Match narrows the rule to the messages it accepts.
+	f.Apply(0, Event{Kind: KindDrop, From: 0, To: 1, P: 1, Match: func(m types.Message) bool {
+		return m.(*types.BcastMsg).Seq%2 == 0
+	}})
+	for i := 0; i < 10; i++ {
+		eps[0].Send(1, msg(uint64(i)))
+	}
+	net.Run(time.Second)
+	if recv[1] != 6 {
+		t.Fatalf("recv = %d under an even-seq drop, want 1+5", recv[1])
+	}
 }
 
 func TestDupAndDelay(t *testing.T) {
@@ -164,7 +176,7 @@ func TestJudgeDeterminism(t *testing.T) {
 		f.Apply(0, Event{Kind: KindReorder, From: 0, To: 2, Delay: time.Millisecond})
 		var out []verdict
 		for i := 0; i < 200; i++ {
-			out = append(out, f.judge(0, 1), f.judge(0, 2))
+			out = append(out, f.judge(0, 1, nil), f.judge(0, 2, nil))
 		}
 		return out
 	}

@@ -92,8 +92,8 @@ type Config struct {
 	KVConflictPct int
 
 	// SparseEdges runs every node in the metadata-lean DAG mode: sampled
-	// 2f+1 strong parents (leaders always kept) and suppressed redundant
-	// certificate broadcasts. See core.Config.SparseEdges.
+	// 2f+1 strong parents (leaders always kept). See
+	// core.Config.SparseEdges.
 	SparseEdges bool
 
 	// LeaderReputation enables the reputation-driven leader schedule

@@ -40,6 +40,11 @@ type TCPEndpoint struct {
 	accepted map[net.Conn]struct{}
 	closed   bool
 	wg       sync.WaitGroup
+	// everyone is the address book's ids in ascending order, built on first
+	// use and dropped when AddPeer may have grown the book (SetPeerAddr only
+	// rebinds an id already in it). A built slice is never written again,
+	// so Broadcast reads it outside mu.
+	everyone []types.NodeID
 
 	verify atomic.Pointer[verifyStage]
 
@@ -153,6 +158,7 @@ func (e *TCPEndpoint) AddPeer(id types.NodeID, addr string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.addrs[id] = addr
+	e.everyone = nil
 }
 
 // addrOf reads a peer's dial address under the lock (writer goroutines call
@@ -190,7 +196,7 @@ func (e *TCPEndpoint) SetVerifier(v Verifier, pool *crypto.VerifyPool) {
 
 func (e *TCPEndpoint) Send(to types.NodeID, m types.Message) {
 	if to == e.id {
-		dispatchInbound(e.mb, e.verify.Load(), &e.vc, e.id, m)
+		e.mb.push(task{from: e.id, msg: m})
 		return
 	}
 	e.enqueue(to, encodeFrame(m, 1))
@@ -213,7 +219,7 @@ func (e *TCPEndpoint) Multicast(tos []types.NodeID, m types.Message) {
 	}
 	for _, to := range tos {
 		if to == e.id {
-			dispatchInbound(e.mb, e.verify.Load(), &e.vc, e.id, m)
+			e.mb.push(task{from: e.id, msg: m})
 			continue
 		}
 		e.enqueue(to, f)
@@ -226,12 +232,16 @@ func (e *TCPEndpoint) Multicast(tos []types.NodeID, m types.Message) {
 // otherwise-reproducible runs diverge.
 func (e *TCPEndpoint) Broadcast(m types.Message) {
 	e.mu.Lock()
-	ids := make([]types.NodeID, 0, len(e.addrs))
-	for id := range e.addrs {
-		ids = append(ids, id)
+	if e.everyone == nil {
+		ids := make([]types.NodeID, 0, len(e.addrs))
+		for id := range e.addrs {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		e.everyone = ids
 	}
+	ids := e.everyone
 	e.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	e.Multicast(ids, m)
 }
 
@@ -512,8 +522,11 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 		return
 	}
 	from := types.NodeID(binary.BigEndian.Uint16(hello[:]))
-	if !e.knownPeer(from) {
-		return // unknown peer
+	if from == e.id || !e.knownPeer(from) {
+		// Unknown peer, or one claiming this party's own id: handlers
+		// trust from == Self as a local self-send, so it must never
+		// come off a socket.
+		return
 	}
 	// Zero-copy receive: frames are sliced out of pooled chunks and decoded
 	// in place. Messages that borrow payload bytes retain the chunk; the

@@ -25,7 +25,9 @@ type Handler func(from types.NodeID, m types.Message)
 // Verifier pre-verifies one inbound message on a crypto.VerifyPool worker,
 // before the message enters the node's serialized mailbox. It returns false
 // to drop the message (bad signature); on success it marks the message (see
-// types.VerifyMark) so the handler can skip its inline verification. A
+// types.VerifyMark) so the handler can skip its inline verification. It is
+// offered only messages from peers that can carry the mark: what a node sends
+// to itself, and kinds with nothing to verify, go straight to the mailbox. A
 // Verifier runs concurrently with the node's handler and with other Verifier
 // calls, so it must only read immutable state (the key registry and the
 // message itself).
@@ -46,7 +48,9 @@ type Endpoint interface {
 	// Self returns the node's own ID.
 	Self() types.NodeID
 	// Send transmits m to one party. Sending to self delivers locally
-	// (serialized with other inbound events) without touching the wire.
+	// (serialized with other inbound events) without touching the wire or
+	// the verify stage — a node has no use for checking its own signature
+	// — and is the only way a handler sees from == Self.
 	Send(to types.NodeID, m types.Message)
 	// Multicast transmits m to each listed party (self allowed).
 	Multicast(tos []types.NodeID, m types.Message)
@@ -135,17 +139,21 @@ type task struct {
 	// mailbox loop waits on it before invoking the handler (preserving
 	// arrival order while verification proceeds in parallel) and drops the
 	// message on false.
-	gate chan bool
+	gate *verdict
 }
 
 // mailbox runs tasks one at a time in a dedicated goroutine.
 type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []task
+	queue   []task // pending tasks; push appends under mu
+	spare   []task // the loop's previous batch, emptied, for the next swap
 	closed  bool
 	started bool
 	handler func(types.NodeID, types.Message)
+	// pending counts tasks pushed and not yet run, including the batch the
+	// loop is working through outside the lock.
+	pending atomic.Int64
 }
 
 func newMailbox() *mailbox {
@@ -165,61 +173,70 @@ func (m *mailbox) start() {
 	go m.loop()
 }
 
+// loop takes everything queued in one swap per wake-up and runs it outside
+// the lock, so a burst of n messages costs one lock round-trip instead of n
+// and the two backing arrays are reused forever instead of creeping forward.
 func (m *mailbox) loop() {
 	for {
 		m.mu.Lock()
 		for len(m.queue) == 0 && !m.closed {
 			m.cond.Wait()
 		}
-		if m.closed && len(m.queue) == 0 {
+		if len(m.queue) == 0 {
 			m.mu.Unlock()
-			return
+			return // closed and drained
 		}
-		t := m.queue[0]
-		m.queue = m.queue[1:]
+		batch := m.queue
+		m.queue = m.spare
 		h := m.handler
 		m.mu.Unlock()
-		if t.gate != nil && !<-t.gate {
-			types.ReleaseMsg(t.msg) // signature rejected by the verify pool
-			continue
+		for i := range batch {
+			m.run(batch[i], h)
+			batch[i] = task{} // drop references before the array is reused
+			m.pending.Add(-1)
 		}
-		if t.fn != nil {
-			t.fn()
-		} else if h != nil {
-			h(t.from, t.msg)
-		}
-		// The handler is done with the message: return any receive buffer it
-		// borrows to the pool. Handlers that keep payload bytes must have
-		// deep-copied (Block.Detach / BcastMsg.DetachData) before returning.
-		if t.msg != nil {
-			types.ReleaseMsg(t.msg)
-		}
+		m.spare = batch[:0] // only this goroutine touches spare
 	}
 }
 
-func (m *mailbox) push(t task) {
-	m.mu.Lock()
-	if !m.closed {
-		m.queue = append(m.queue, t)
-		m.cond.Signal()
-		m.mu.Unlock()
+func (m *mailbox) run(t task, h func(types.NodeID, types.Message)) {
+	if t.gate != nil && !t.gate.wait() {
+		types.ReleaseMsg(t.msg) // signature rejected by the verify pool
 		return
 	}
-	m.mu.Unlock()
-	// Mailbox closed: the task will never run, so its message's borrowed
-	// receive buffer (if any) must be returned here.
+	if t.fn != nil {
+		t.fn()
+	} else if h != nil {
+		h(t.from, t.msg)
+	}
+	// The handler is done with the message: return any receive buffer it
+	// borrows to the pool. Handlers that keep payload bytes must have
+	// deep-copied (Block.Detach / BcastMsg.DetachData) before returning.
 	if t.msg != nil {
 		types.ReleaseMsg(t.msg)
 	}
 }
 
-// depth returns the instantaneous queue length (intake backlog).
-func (m *mailbox) depth() int {
+// push queues t and reports whether it will run. On a closed mailbox it will
+// not, so the message's borrowed receive buffer (if any) is returned here.
+func (m *mailbox) push(t task) bool {
 	m.mu.Lock()
-	d := len(m.queue)
+	if !m.closed {
+		m.queue = append(m.queue, t)
+		m.pending.Add(1)
+		m.cond.Signal()
+		m.mu.Unlock()
+		return true
+	}
 	m.mu.Unlock()
-	return d
+	if t.msg != nil {
+		types.ReleaseMsg(t.msg)
+	}
+	return false
 }
+
+// depth returns the instantaneous intake backlog.
+func (m *mailbox) depth() int { return int(m.pending.Load()) }
 
 func (m *mailbox) setHandler(h Handler) {
 	m.mu.Lock()
@@ -264,31 +281,68 @@ func (c *verifyCounters) fill(s *Stats) {
 	}
 }
 
-// dispatchInbound routes one inbound message to the mailbox, through the
-// verify stage when one is installed. The task is pushed immediately with a
-// gate channel — keeping per-sender FIFO order intact — while a pool worker
-// verifies the signature; the mailbox loop blocks on the gate only if the
-// verdict has not arrived by the time the message reaches the queue head.
+// verdict is one message's trip through the verify pool: the job a worker
+// runs and the slot the mailbox loop reads the answer from. Verdicts are
+// pooled, with the channel and the bound method value built once per object,
+// so the steady state allocates nothing per message.
+type verdict struct {
+	vs    *verifyStage
+	vc    *verifyCounters
+	from  types.NodeID
+	msg   types.Message
+	start time.Time
+	ok    chan bool // capacity 1: the worker never blocks on a slow mailbox
+	run   func()    // v.verify, bound once
+}
+
+var verdictPool = sync.Pool{New: func() any {
+	v := &verdict{ok: make(chan bool, 1)}
+	v.run = v.verify
+	return v
+}}
+
+// verify runs on a pool worker. The send is its last touch of v: the mailbox
+// recycles the verdict as soon as it has the answer.
+func (v *verdict) verify() {
+	ok := v.vs.verifier(v.from, v.msg)
+	v.vc.latencyNs.Add(int64(time.Since(v.start)))
+	v.vc.verdicts.Add(1)
+	v.vc.pending.Add(-1)
+	if !ok {
+		v.vc.rejected.Add(1)
+	}
+	v.ok <- ok
+}
+
+// wait blocks until the worker has answered, then recycles the verdict.
+func (v *verdict) wait() bool {
+	ok := <-v.ok
+	v.vs, v.vc, v.msg = nil, nil, nil
+	verdictPool.Put(v)
+	return ok
+}
+
+// dispatchInbound routes one message from a peer to the mailbox, through the
+// verify stage when one is installed and the message can carry its mark: the
+// kinds that embed no types.VerifyMark (block and vertex pulls, snapshots)
+// have nothing a Verifier could check or record, so they skip the pool. The
+// task is pushed immediately with its verdict attached — keeping per-sender
+// FIFO order intact — while a pool worker verifies the signature; the mailbox
+// loop blocks on the verdict only if it has not arrived by the time the
+// message reaches the queue head.
 func dispatchInbound(mb *mailbox, vs *verifyStage, vc *verifyCounters, from types.NodeID, m types.Message) {
-	if vs == nil {
+	if _, signed := m.(types.PreVerifiable); vs == nil || !signed {
 		mb.push(task{from: from, msg: m})
 		return
 	}
-	gate := make(chan bool, 1)
-	mb.push(task{from: from, msg: m, gate: gate})
+	v := verdictPool.Get().(*verdict)
+	v.vs, v.vc, v.from, v.msg, v.start = vs, vc, from, m, time.Now()
+	if !mb.push(task{from: from, msg: m, gate: v}) {
+		return // closed: the message is already released, nothing to verify
+	}
 	vc.queued.Add(1)
 	vc.pending.Add(1)
-	start := time.Now()
-	vs.pool.Submit(func() {
-		ok := vs.verifier(from, m)
-		vc.latencyNs.Add(int64(time.Since(start)))
-		vc.verdicts.Add(1)
-		vc.pending.Add(-1)
-		if !ok {
-			vc.rejected.Add(1)
-		}
-		gate <- ok
-	})
+	vs.pool.Submit(v.run)
 }
 
 // ---------------------------------------------------------------------------
@@ -401,7 +455,7 @@ func (e *chanEndpoint) SetVerifier(v Verifier, pool *crypto.VerifyPool) {
 
 func (e *chanEndpoint) Send(to types.NodeID, m types.Message) {
 	if to == e.id {
-		dispatchInbound(e.mb, e.verify.Load(), &e.vc, e.id, m)
+		e.mb.push(task{from: e.id, msg: m})
 		return
 	}
 	e.sendSized(to, m, uint64(m.WireSize()))
@@ -431,7 +485,7 @@ func (e *chanEndpoint) Multicast(tos []types.NodeID, m types.Message) {
 	size := uint64(m.WireSize())
 	for _, to := range tos {
 		if to == e.id {
-			dispatchInbound(e.mb, e.verify.Load(), &e.vc, e.id, m)
+			e.mb.push(task{from: e.id, msg: m})
 			continue
 		}
 		e.sendSized(to, m, size)
@@ -444,7 +498,7 @@ func (e *chanEndpoint) Broadcast(m types.Message) {
 	size := uint64(m.WireSize())
 	for i := range e.net.eps {
 		if types.NodeID(i) == e.id {
-			dispatchInbound(e.mb, e.verify.Load(), &e.vc, e.id, m)
+			e.mb.push(task{from: e.id, msg: m})
 			continue
 		}
 		e.sendSized(types.NodeID(i), m, size)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -350,4 +351,109 @@ func BenchmarkTCPSend(b *testing.B) {
 		b.Logf("delivered %d of %d (drops allowed under overload)", count.Load(), b.N)
 	}
 	_ = fmt.Sprintf
+}
+
+// TestMailboxBatchDrain: tasks queued behind a slow one are taken in one swap
+// and run in order; the backlog gauge covers the batch being worked through;
+// and the two backing arrays are reused across bursts instead of growing.
+func TestMailboxBatchDrain(t *testing.T) {
+	mb := newMailbox()
+	defer mb.close()
+	var mu sync.Mutex
+	var got []uint64
+	mb.setHandler(func(_ types.NodeID, m types.Message) {
+		mu.Lock()
+		got = append(got, m.(*types.BcastMsg).Seq)
+		mu.Unlock()
+	})
+	mb.start()
+	const bursts, burst = 50, 100
+	for b := 0; b < bursts; b++ {
+		gate := make(chan struct{})
+		mb.push(task{fn: func() { <-gate }})
+		for i := 0; i < burst; i++ {
+			mb.push(task{msg: ping(uint64(b*burst + i))})
+		}
+		if d := mb.depth(); d < burst {
+			t.Fatalf("depth %d with %d tasks parked behind a blocked one", d, burst)
+		}
+		close(gate)
+		waitFor(t, func() bool { return mb.depth() == 0 })
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != bursts*burst {
+		t.Fatalf("ran %d tasks, want %d", len(got), bursts*burst)
+	}
+	for i, seq := range got {
+		if seq != uint64(i) {
+			t.Fatalf("task %d ran out of order (seq %d)", i, seq)
+		}
+	}
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	if c := cap(mb.queue) + cap(mb.spare); c > 4*(burst+1) {
+		t.Fatalf("queue arrays hold %d slots after %d bursts of %d: not reused", c, bursts, burst)
+	}
+}
+
+// TestTCPBroadcastReachesAddedPeer: the cached broadcast list is rebuilt when
+// AddPeer grows the address book.
+func TestTCPBroadcastReachesAddedPeer(t *testing.T) {
+	a, err := NewTCPEndpoint(0, map[types.NodeID]string{0: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewTCPEndpoint(1, map[types.NodeID]string{1: "127.0.0.1:0", 0: a.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a.SetHandler(func(types.NodeID, types.Message) {})
+	mu, got := collect(b)
+	a.Broadcast(ping(1)) // book holds only a itself: builds the cached list
+	a.AddPeer(1, b.Addr())
+	a.Broadcast(ping(2))
+	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(*got) == 1 })
+	mu.Lock()
+	defer mu.Unlock()
+	if seq := (*got)[0].(*types.BcastMsg).Seq; seq != 2 {
+		t.Fatalf("added peer received seq %d, want 2", seq)
+	}
+}
+
+// TestTCPRejectsOwnIDFromSocket: handlers trust from == Self as a local
+// self-send, so a connection whose handshake claims the listener's own id is
+// closed before any of its frames is dispatched.
+func TestTCPRejectsOwnIDFromSocket(t *testing.T) {
+	a, err := NewTCPEndpoint(0, map[types.NodeID]string{0: "127.0.0.1:0", 1: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	var mu sync.Mutex
+	var froms []types.NodeID
+	a.SetHandler(func(from types.NodeID, _ types.Message) {
+		mu.Lock()
+		froms = append(froms, from)
+		mu.Unlock()
+	})
+	for _, claimed := range []byte{0, 1} {
+		c, err := net.Dial("tcp", a.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Write(append([]byte{0, claimed}, frameStream(ping(uint64(claimed)))...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(froms) > 0 })
+	time.Sleep(20 * time.Millisecond) // let a wrongly accepted frame land
+	mu.Lock()
+	defer mu.Unlock()
+	if len(froms) != 1 || froms[0] != 1 {
+		t.Fatalf("handler saw senders %v, want only peer 1", froms)
+	}
 }

@@ -276,3 +276,55 @@ func benchVerifyPath(b *testing.B, pooled bool) {
 
 func BenchmarkVerifySerialInline(b *testing.B) { benchVerifyPath(b, false) }
 func BenchmarkVerifyPooled(b *testing.B)       { benchVerifyPath(b, true) }
+
+// TestVerifyStageSkipsSelfSendsAndUnsignedKinds: what a node sends to itself,
+// and the kinds that carry no verify mark (pulls, snapshots), reach the
+// handler in order without ever being queued on the verify pool; a signed
+// message from a peer still is.
+func TestVerifyStageSkipsSelfSendsAndUnsignedKinds(t *testing.T) {
+	keys := crypto.GenerateKeys(2, 4)
+	reg := crypto.NewRegistry(keys, true)
+	net := NewChanNet(2, 0)
+	defer net.Close()
+	pool := crypto.NewVerifyPool(0, 0)
+	defer pool.Close()
+
+	var mu sync.Mutex
+	var kinds []types.MsgKind
+	var marked int
+	rx := net.Endpoint(1)
+	rx.SetHandler(func(from types.NodeID, m types.Message) {
+		mu.Lock()
+		kinds = append(kinds, m.Kind())
+		if pv, ok := m.(types.PreVerifiable); ok && pv.PreVerified() {
+			marked++
+		}
+		mu.Unlock()
+	})
+	rx.(VerifyingEndpoint).SetVerifier(voteVerifier(reg), pool)
+
+	forged := signedVote(keys, 1, 1)
+	forged.Sig[0] ^= 0xff // a self-send is trusted, not checked
+	rx.Send(1, forged)
+	rx.Broadcast(signedVote(keys, 1, 2))
+	net.Endpoint(0).Send(1, &types.VtxReqMsg{Pos: types.Position{Round: 3}})
+	net.Endpoint(0).Send(1, &types.BlockReqMsg{Pos: types.Position{Round: 3}})
+	net.Endpoint(0).Send(1, &types.SnapReqMsg{})
+	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(kinds) == 5 })
+	if st := rx.Stats(); st.VerifyQueued != 0 {
+		t.Fatalf("VerifyQueued = %d after self-sends and pull kinds, want 0", st.VerifyQueued)
+	}
+	net.Endpoint(0).Send(1, signedVote(keys, 0, 3))
+	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(kinds) == 6 })
+	mu.Lock()
+	defer mu.Unlock()
+	want := []types.MsgKind{types.KindEcho, types.KindEcho, types.KindVtxReq, types.KindBlockReq, types.KindSnapReq, types.KindEcho}
+	for i := range want {
+		if kinds[i] != want[i] {
+			t.Fatalf("handler saw kinds %v, want %v", kinds, want)
+		}
+	}
+	if st := rx.Stats(); st.VerifyQueued != 1 || marked != 1 {
+		t.Fatalf("VerifyQueued = %d, marked = %d after one signed message from a peer, want 1 and 1", st.VerifyQueued, marked)
+	}
+}

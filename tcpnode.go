@@ -36,6 +36,7 @@ type TCPNode struct {
 	clans    [][]types.NodeID
 	opts     TCPNodeOptions
 	onCommit []func(Commit)
+	onBatch  []func([]Commit)
 	started  bool
 }
 
@@ -65,80 +66,33 @@ func NewTCPNode(o TCPNodeOptions) (*TCPNode, error) {
 	}
 	keys := crypto.GenerateKeys(o.N, uint64(o.Seed)+1)
 	reg := crypto.NewRegistry(keys, !o.NoCheckSigs)
-
-	var clans [][]types.NodeID
-	switch o.Mode {
-	case ModeSingleClan:
-		size := o.ClanSize
-		if size == 0 {
-			size = PlanClanSize(o.N, o.FailureProb)
-		}
-		if o.Members != nil {
-			clans = [][]types.NodeID{committee.SampleClanMembers(o.Members, min(size, len(o.Members)), o.Seed+2)}
-		} else {
-			clans = [][]types.NodeID{committee.SampleClan(o.N, size, o.Seed+2)}
-		}
-	case ModeMultiClan:
-		if o.Members != nil {
-			clans = committee.PartitionMembers(o.Members, o.NumClans, o.Seed+2)
-		} else {
-			clans = committee.PartitionClans(o.N, o.NumClans, o.Seed+2)
-		}
-	}
-
 	ep, err := transport.NewTCPEndpoint(o.Self, o.Addrs)
 	if err != nil {
 		return nil, err
 	}
-	n := &TCPNode{ep: ep, clans: clans, opts: o, pool: mempool.NewPool(o.MaxTxPerBlock)}
-	var st store.Store
+	n := &TCPNode{ep: ep, clans: o.sampleClans(), opts: o, pool: mempool.NewPool(o.MaxTxPerBlock)}
 	if o.StoreDir != "" {
 		disk, err := store.Open(o.StoreDir, store.Options{})
 		if err != nil {
 			ep.Close()
 			return nil, err
 		}
-		st = disk
 		n.st = disk
 	}
-	// Pre-verify inbound signatures on a GOMAXPROCS-wide pool so the
-	// serialized handler goroutine is never the verification bottleneck.
-	verifyCores := 0
-	if reg.CheckSigs && !o.SerialVerify {
-		n.vpool = crypto.NewVerifyPool(0, 0)
-		verifyCores = n.vpool.Workers()
+	n.vpool = o.newVerifyPool(reg)
+	cfg := o.nodeConfig(o.Self, &keys[o.Self], reg, n.clans, n.vpool)
+	cfg.Blocks, cfg.Store = n.pool, n.st
+	cfg.DeliverBatch = deliverTo(&n.onCommit, &n.onBatch)
+	// Installed epochs admit joined peers to the transport layer so
+	// Broadcast reaches them and their handshakes are accepted.
+	cfg.OnReconfig = func(info core.EpochInfo) {
+		for id, addr := range info.Joins {
+			if id != o.Self {
+				ep.AddPeer(id, addr)
+			}
+		}
 	}
-	n.node = core.New(core.Config{
-		Self:            o.Self,
-		N:               o.N,
-		Mode:            o.Mode,
-		Clans:           clans,
-		Key:             &keys[o.Self],
-		Reg:             reg,
-		Costs:           crypto.ZeroCosts(),
-		Store:           st,
-		Blocks:          n.pool,
-		LeadersPerRound: o.LeadersPerRound,
-		RoundTimeout:    o.RoundTimeout,
-		VerifyCores:     verifyCores,
-		ExecQueue:       o.ExecQueue,
-		Members:         o.Members,
-		ReconfigDelay:   o.ReconfigDelay,
-		// Installed epochs admit joined peers to the transport layer so
-		// Broadcast reaches them and their handshakes are accepted.
-		OnReconfig: func(info core.EpochInfo) {
-			for id, addr := range info.Joins {
-				if id != o.Self {
-					ep.AddPeer(id, addr)
-				}
-			}
-		},
-		Deliver: func(cv core.CommittedVertex) {
-			for _, fn := range n.onCommit {
-				fn(cv)
-			}
-		},
-	}, ep, ep.Clock())
+	n.node = core.New(cfg, ep, ep.Clock())
 	if n.vpool != nil {
 		ep.SetVerifier(n.node.Verifier(), n.vpool)
 	}
@@ -154,6 +108,15 @@ func (n *TCPNode) OnCommit(fn func(Commit)) {
 		panic("clanbft: OnCommit after Start")
 	}
 	n.onCommit = append(n.onCommit, fn)
+}
+
+// OnCommitBatch registers a callback receiving the total order in
+// consecutive runs; see (*Cluster).OnCommitBatch. Must precede Start.
+func (n *TCPNode) OnCommitBatch(fn func([]Commit)) {
+	if n.started {
+		panic("clanbft: OnCommitBatch after Start")
+	}
+	n.onBatch = append(n.onBatch, fn)
 }
 
 // Start begins participating in consensus.

@@ -18,30 +18,13 @@ import (
 func runTCPCluster(t *testing.T, zerocopy bool, seed int64, minCommits int) [][]string {
 	t.Helper()
 	const n = 4
-	addrs := map[NodeID]string{}
-	var nodes []*TCPNode
-	base := Options{N: n, Seed: seed, RoundTimeout: 2 * time.Second}
-	for i := 0; i < n; i++ {
-		book := map[NodeID]string{}
-		for j := 0; j < n; j++ {
-			book[NodeID(j)] = "127.0.0.1:0"
-		}
-		nd, err := NewTCPNode(TCPNodeOptions{Self: NodeID(i), Addrs: book, Options: base})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !zerocopy {
-			// White-box: flip the transport back to the copying decode path
-			// and one-writev-per-frame before any traffic flows.
+	nodes := bootTCP(t, Options{N: n, Seed: seed, RoundTimeout: 2 * time.Second})
+	if !zerocopy {
+		// White-box: flip the transport back to the copying decode path
+		// and one-writev-per-frame before any traffic flows.
+		for _, nd := range nodes {
 			nd.ep.SetAliasDecode(false)
 			nd.ep.SetCoalescing(transport.CoalesceConfig{})
-		}
-		addrs[NodeID(i)] = nd.Addr()
-		nodes = append(nodes, nd)
-	}
-	for _, nd := range nodes {
-		for id, a := range addrs {
-			nd.SetPeerAddr(id, a)
 		}
 	}
 	var mu sync.Mutex
