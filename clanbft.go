@@ -88,9 +88,13 @@ type Options struct {
 	// MaxTxPerBlock bounds how many queued transactions one proposal
 	// drains (default 1000).
 	MaxTxPerBlock int
-	// LeadersPerRound enables multi-leader Sailfish (default 1): more
-	// leader vertices commit directly at 3-delta per round, lowering
-	// average commit latency.
+	// LeadersPerRound bounds how many vertices of a round are anchors,
+	// committed directly one reliable broadcast plus one message delay
+	// (3-delta) after they are proposed. Zero, the default, makes every
+	// leader-eligible member's vertex one, so every vertex commits at
+	// 3-delta instead of only the leader's (the rest wait for the next
+	// round's leader, 5-delta); with SparseEdges zero means the primary
+	// alone. 1 is single-leader Sailfish as the paper evaluates it.
 	LeadersPerRound int
 	// RoundTimeout bounds the wait for a round leader (default 3 s).
 	RoundTimeout time.Duration
@@ -130,8 +134,10 @@ type Options struct {
 	// track the DAG until a fence admits them.
 	Members []NodeID
 	// ReconfigDelay is the round gap between a committed ReconfigTx and
-	// its epoch fence (default 32; tests use smaller values to cross
-	// fences quickly).
+	// its epoch fence (default 32, or 2f+2 where that is more; tests use
+	// smaller values to cross fences quickly). With more than one anchor
+	// a round a value below 2f+2, f = (N-1)/3, is rejected at
+	// construction: see core.Config.ReconfigDelay.
 	ReconfigDelay types.Round
 	// SparseEdges enables the metadata-lean DAG mode: each proposal keeps
 	// strong edges to the previous round's leader vertices and a
@@ -147,9 +153,11 @@ type Options struct {
 	LeaderReputation bool
 	// ReputationWindow is the demotion length in rounds (default 64).
 	ReputationWindow types.Round
-	// AnchorWait caps the adaptive pause for the remaining leader
-	// anchors once a round's quorum (incl. the primary) is delivered;
-	// 0 disables the pipelined-anchor wait.
+	// AnchorWait caps how long a node holds its next proposal for the
+	// round's remaining anchors once the quorum (incl. the primary) is
+	// delivered, so that every anchor collects every vote. The hold ends
+	// as soon as they are all in. Zero means 5 ms; negative turns the
+	// hold off.
 	AnchorWait time.Duration
 }
 

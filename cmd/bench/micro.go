@@ -114,6 +114,14 @@ func compareBaseline(rows []perfbench.Row, path string) error {
 			// RoundTimeout — a multiple of the baseline, not a few percent.
 			check(r.Name, "commit_latency_p50", r.Extra["commit_latency_p50"], want, 0)
 		}
+		if want, ok := b.Extra["order_work/vertex"]; ok {
+			// Structural ordering work per delivered vertex with every
+			// member an anchor at n=100 (edges tallied, fates evaluated,
+			// DAG edges walked — counts, deterministic). A per-slot scan or
+			// a per-anchor rescan of the round creeping back in is a
+			// multiple of n, not a few percent.
+			check(r.Name, "order_work/vertex", r.Extra["order_work/vertex"], want, 0)
+		}
 		if want, ok := b.Extra["bytes/commit"]; ok {
 			// The sparse-edge metadata claim: wire bytes per committed
 			// vertex must not creep back up. The number is deterministic

@@ -37,6 +37,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -128,7 +130,12 @@ type Config struct {
 	// at round L+D+1. It doubles as the propose throttle — no party
 	// proposes round r before processing a leader commit at round >= r-D —
 	// which is what guarantees every proposer past a fence has already
-	// installed the fence's epoch. Default 32.
+	// installed the fence's epoch. Default 32, or 2f+2 where that is more.
+	// With more than one anchor a round a value below 2f+2 is rejected
+	// (anchorFenceFloor): a slot without a vote quorum is decided by an
+	// anchor two rounds above it, so the commit frontier trails the
+	// proposals it needs, and a tighter throttle stops the rounds that
+	// would move it.
 	ReconfigDelay types.Round
 	// OnReconfig, when non-nil, is invoked each time an epoch is installed
 	// (freshly scheduled or recovered from the store). It runs on the
@@ -190,11 +197,18 @@ type Config struct {
 	// per-stage queue depths, occupancy, and latency histograms.
 	Metrics *metrics.Registry
 
-	// LeadersPerRound enables multi-leader Sailfish: the paper's baseline
-	// implementation commits multiple leader vertices per round, all with
-	// 3-delta latency. The first leader of each round remains the one that
-	// gates round advancement (timeouts / no-vote certificates); the rest
-	// commit opportunistically under the same 2f+1-votes rule. Default 1.
+	// LeadersPerRound bounds how many vertices of a round are anchors —
+	// vertices the commit rule applies to directly, 1 RBC + δ after their
+	// proposal. Zero, the default, makes every leader-eligible member of
+	// round r an anchor of round r, so every vertex commits on the 3δ path
+	// (with SparseEdges the zero value means the primary alone: sampling
+	// drops exactly the edges the vote rule counts). The count is clamped
+	// per round to the eligible set. Slot 0, the primary, rotates one member
+	// per round and alone gates round advancement (timeouts / no-vote
+	// certificates); the other slots commit opportunistically under the same
+	// 2f+1-votes rule and are ordered fate-driven (stage_order.go). An
+	// explicit 1 is single-leader Sailfish with its certificate-backed chain
+	// walk — the configuration the paper's figures use.
 	LeadersPerRound int
 
 	// LeaderReputation enables the Shoal++-style reputation schedule:
@@ -205,12 +219,13 @@ type Config struct {
 	LeaderReputation bool
 	// ReputationWindow is the demotion length in rounds (default 64).
 	ReputationWindow types.Round
-	// AnchorWait, when positive, bounds the extra time tryAdvance waits
-	// for the remaining reputable leader slots of the current round after
-	// the 2f+1 quorum (including the primary) is already in. The actual
-	// wait adapts: twice the observed quorum→anchor delivery gap, capped
-	// at AnchorWait. Zero disables the wait (advance on quorum+primary,
-	// the pre-reputation behavior).
+	// AnchorWait bounds the extra time tryAdvance holds the next proposal
+	// for the round's remaining anchors after the 2f+1 quorum (including
+	// the primary) is already in, so that they too collect a vote from
+	// every proposer. The hold ends as soon as they have all delivered;
+	// members that delivered nothing the round before are not waited for.
+	// Zero means the default cap of 5 ms; negative disables the hold
+	// (advance on quorum+primary).
 	AnchorWait time.Duration
 
 	// RoundTimeout bounds the wait for a round's leader vertex
@@ -245,6 +260,21 @@ type Config struct {
 	VerifyCores int
 }
 
+// anchorFenceFloor is the smallest ReconfigDelay multi-anchor ordering is
+// live with in a universe of n parties, f = (n-1)/3 of them faulty: 2f+2. A
+// slot of round c whose quorum never forms is decided by slot 0 of round c+2
+// (decideSlot); if that is a crashed member's, by slot 0 of round c+4; and so
+// on through at most f of them, primaries two rounds apart. Meanwhile the
+// commit frontier stands at c-1 or c, and leaving the last crashed primary's
+// round, c+2f, on a timeout certificate needs round c+2f+1 inside the
+// propose throttle, frontier+ReconfigDelay (rounds with a live primary pass
+// on quorum evidence instead). Below the floor the throttle stops the very
+// rounds whose proposals would move the frontier, for good.
+// TestAnchorFenceFloor measures it: f members crashing mid-run, two apart in
+// the rotation, stall n=5 at a ReconfigDelay of 2, n=7 at 4 and n=10 at 5;
+// each runs on at its floor (4, 6, 8).
+func anchorFenceFloor(n int) types.Round { return types.Round(2*((n-1)/3) + 2) }
+
 func (c *Config) fill() {
 	if c.N <= 0 {
 		panic("core: N must be positive")
@@ -266,9 +296,6 @@ func (c *Config) fill() {
 	if c.F == 0 {
 		c.F = (len(c.Members) - 1) / 3
 	}
-	if c.ReconfigDelay == 0 {
-		c.ReconfigDelay = 32
-	}
 	if c.RoundTimeout == 0 {
 		c.RoundTimeout = 3 * time.Second
 	}
@@ -279,13 +306,28 @@ func (c *Config) fill() {
 		c.GCDepth = 64
 	}
 	if c.LeadersPerRound <= 0 {
-		c.LeadersPerRound = 1
+		// Every eligible member anchors (anchorsAt clamps N to the round's
+		// eligible set) — except under sparse edges, see LeadersPerRound.
+		c.LeadersPerRound = c.N
+		if c.SparseEdges {
+			c.LeadersPerRound = 1
+		}
+	}
+	floor := types.Round(1)
+	if c.LeadersPerRound > 1 {
+		floor = anchorFenceFloor(c.N)
+	}
+	if c.ReconfigDelay == 0 {
+		c.ReconfigDelay = max(32, floor)
+	} else if c.ReconfigDelay < floor {
+		panic(fmt.Sprintf("core: ReconfigDelay %d is below %d, the least that %d anchors a round order under with N=%d (see anchorFenceFloor); raise it or set LeadersPerRound to 1",
+			c.ReconfigDelay, floor, c.LeadersPerRound, c.N))
+	}
+	if c.AnchorWait == 0 {
+		c.AnchorWait = 5 * time.Millisecond
 	}
 	if c.ReputationWindow == 0 {
 		c.ReputationWindow = 64
-	}
-	if c.LeadersPerRound > c.N {
-		c.LeadersPerRound = c.N
 	}
 	switch c.Mode {
 	case ModeSingleClan:
@@ -362,19 +404,16 @@ type Node struct {
 	// rep is the committed-evidence reputation table (reputation.go).
 	rep repState
 
-	// Pipelined-anchor pacing state (AnchorWait > 0): quorumAt records
-	// when each round first reached 2f+1 delivered including the primary;
-	// anchorEWMA smooths the quorum→secondary-anchor delivery gap;
-	// anchorWaived marks rounds whose pacing timer expired (advance
-	// without the missing anchors).
-	quorumAt         map[types.Round]time.Duration
-	anchorEWMA       time.Duration
-	anchorWaived     map[types.Round]bool
+	// Pipelined-anchor pacing state (AnchorWait > 0): anchorWaived is 1 +
+	// the round whose pacing timer expired (advance without the missing
+	// anchors; only the frontier round is ever held, so one suffices);
+	// anchorHeldAt is when the running hold began (order.anchor_hold
+	// observes it when the hold ends).
+	anchorWaived     types.Round
 	anchorTimer      transport.Timer
 	anchorTimerRound types.Round
-
-	// scratchSeen is a reusable N-sized buffer for validateVertex.
-	scratchSeen []bool
+	anchorHolding    bool
+	anchorHeldAt     time.Duration
 
 	// wb is the reusable write batch for store persistence. Writes go
 	// through Batch.PutOwned with freshly marshaled buffers (ownership
@@ -395,6 +434,10 @@ type Node struct {
 	mOrderLat     *metrics.Histogram
 	mCommitLat    *metrics.Histogram
 	mAnchorGap    *metrics.Histogram
+	mAnchorHold   *metrics.Histogram
+	mSlotsDirect  *metrics.Counter
+	mSlotsIndir   *metrics.Counter
+	mSlotsSkipped *metrics.Counter
 	mExecDone     *metrics.Counter
 	mExecTxs      *metrics.Counter
 	mExecDeliver  *metrics.Histogram
@@ -413,7 +456,7 @@ type Node struct {
 type leaderCommit struct {
 	pos    types.Position
 	direct bool
-	seq    uint64 // slot sequence: round*LeadersPerRound + leader index
+	seq    uint64 // slot sequence: round*N + slot index (see slotSeq)
 }
 
 // Metrics exposes counters the harness reads after a run.
@@ -427,7 +470,15 @@ type Metrics struct {
 	TxsOrdered        int
 	DirectCommits     int
 	IndirectCommits   int
-	Timeouts          int
+	// SlotsDirect/SlotsIndirect/SlotsSkipped classify every anchor slot the
+	// total order has passed, exactly once each: ordered on its own vote
+	// quorum, ordered by the indirect rule (a strong path from a later
+	// anchor), or passed over. A skipped slot and a late one look the same
+	// in the latency tail; these tell them apart.
+	SlotsDirect   int
+	SlotsIndirect int
+	SlotsSkipped  int
+	Timeouts      int
 	// ReputationOffenses counts committed timeout/no-vote evidence folded
 	// into the leader schedule (0 unless LeaderReputation is on).
 	ReputationOffenses int
@@ -449,10 +500,9 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 		},
 		ord: orderState{
 			deliveredByRound: map[types.Round][]*types.Vertex{},
-			leaderDelivered:  map[types.Round]bool{},
-			slotDelivered:    map[types.Round]uint64{},
-			votes:            map[types.Position]map[types.NodeID]bool{},
-			committedDirect:  map[types.Position]bool{},
+			anchors:          map[types.Round]*anchorRound{},
+			memo:             map[uint64]slotDecision{},
+			late:             make([]types.Round, cfg.N),
 			pendingInsert:    map[types.Position]*types.Vertex{},
 			waitingChild:     map[types.Position][]types.Position{},
 			commitWait:       map[types.Position]bool{},
@@ -464,9 +514,6 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 		tcs:           map[types.Round]*types.TimeoutCert{},
 		novoteAggs:    map[types.Round]*crypto.Aggregator{},
 		nvcs:          map[types.Round]*types.NoVoteCert{},
-		quorumAt:      map[types.Round]time.Duration{},
-		anchorWaived:  map[types.Round]bool{},
-		scratchSeen:   make([]bool, cfg.N),
 	}
 	n.rep.offenseSeen = map[types.Round]bool{}
 	n.vcosts = cfg.Costs
@@ -513,6 +560,13 @@ func (n *Node) initMetrics() {
 	// gaps = pipelined anchors, RoundTimeout-sized gaps = stalls).
 	n.mCommitLat = reg.Histogram("order.commit_latency")
 	n.mAnchorGap = reg.Histogram("order.anchor_gap")
+	// Slot outcomes (see Metrics.SlotsDirect) and how long tryAdvance
+	// actually held proposals for late anchors.
+	n.mSlotsDirect = reg.Counter("order.slots_direct")
+	n.mSlotsIndir = reg.Counter("order.slots_indirect")
+	n.mSlotsSkipped = reg.Counter("order.slots_skipped")
+	n.mAnchorHold = reg.Histogram("order.anchor_hold")
+	reg.Counter("order.work")
 	// The full exec metric schema is registered here, once, for BOTH
 	// wirings — the synchronous inline path and the async execStage share
 	// one set of names, so snapshots are comparable across modes.
@@ -567,7 +621,10 @@ func (n *Node) initMetrics() {
 		}
 		s.SetGauge(types.StageRBC.Metric("queue_depth"), int64(live))
 		s.SetGauge(types.StageOrder.Metric("queue_depth"),
-			int64(len(n.ord.outQueue)+len(n.ord.pendingInsert)+len(n.ord.pendingLeaders)))
+			int64(n.ord.out.len()+len(n.ord.pendingInsert)+len(n.ord.pendingLeaders)))
+		// Structural ordering work: edges tallied, fates evaluated, DAG
+		// edges walked. Machine-independent, so perfbench can gate it.
+		s.SetCounter("order.work", n.ord.work+n.dag.Steps)
 		n.mu.Unlock()
 		if n.cfg.Store != nil {
 			if d, ok := n.cfg.Store.(*store.Disk); ok {
@@ -601,48 +658,67 @@ func (n *Node) blockClanAt(r types.Round, proposer types.NodeID) types.ClanID {
 	}
 }
 
-// leaderAt returns round r's k-th leader (k < LeadersPerRound). The schedule
-// is round-robin over the round's leader-eligible members — the epoch member
-// list minus parties demoted by committed reputation evidence (identical to
-// the plain member list when LeaderReputation is off). Every member proposes
-// vertices in every mode, so every eligible member can anchor.
+// anchorsAt returns how many anchor slots round r has: LeadersPerRound,
+// clamped to the round's leader-eligible set (the epoch member list minus
+// parties demoted by committed reputation evidence). It is a function of the
+// round, not a constant: a demotion or a smaller epoch shrinks it, and slots
+// at or past it do not exist.
+func (n *Node) anchorsAt(r types.Round) int {
+	return min(n.cfg.LeadersPerRound, len(n.eligibleAt(r)))
+}
+
+// leaderAt returns the member in slot k of round r (k < anchorsAt(r)). Slot
+// k of round r is eligible member (r+k) mod M: the primary advances one
+// member per round whatever the slot count — so a crashed member is primary
+// once per M rounds, never pinned there — and the round's slots are M-distinct
+// members. Every member proposes vertices in every mode, so every eligible
+// member can anchor.
 func (n *Node) leaderAt(r types.Round, k int) types.NodeID {
 	ms := n.eligibleAt(r)
-	return ms[(uint64(r)*uint64(n.cfg.LeadersPerRound)+uint64(k))%uint64(len(ms))]
+	return ms[(uint64(r)+uint64(k))%uint64(len(ms))]
 }
 
 // leader returns round r's primary leader — the one gating round
 // advancement, timeouts, and no-vote certificates.
 func (n *Node) leader(r types.Round) types.NodeID { return n.leaderAt(r, 0) }
 
-// leaderIdx returns which leader slot (0..L-1) the position occupies, or -1
-// if it is not a leader position.
+// leaderIdx returns which anchor slot of its round the position occupies, or
+// -1 if it is not an anchor.
 func (n *Node) leaderIdx(pos types.Position) int {
 	ms := n.eligibleAt(pos.Round)
-	mi := sort.Search(len(ms), func(i int) bool { return ms[i] >= pos.Source })
-	if mi == len(ms) || ms[mi] != pos.Source {
+	mi, ok := slices.BinarySearch(ms, pos.Source)
+	if !ok {
 		return -1
 	}
-	L := n.cfg.LeadersPerRound
 	M := uint64(len(ms))
-	base := uint64(pos.Round) * uint64(L) % M
-	k := (uint64(mi) + M - base) % M
-	if k < uint64(L) {
+	k := (uint64(mi) + M - uint64(pos.Round)%M) % M
+	if k < uint64(n.anchorsAt(pos.Round)) {
 		return int(k)
 	}
 	return -1
 }
 
-// slotSeq linearizes leader slots: round-major, slot-minor.
+// slotSeq linearizes anchor slots round-major, slot-minor, with the fixed
+// stride N: a round never has more than N slots, so sequence numbers stay
+// comparable across rounds whose slot counts differ.
 func (n *Node) slotSeq(pos types.Position, idx int) uint64 {
-	return uint64(pos.Round)*uint64(n.cfg.LeadersPerRound) + uint64(idx)
+	return uint64(pos.Round)*uint64(n.cfg.N) + uint64(idx)
 }
 
-// slotPos inverts slotSeq.
+// slotPos inverts slotSeq for an existing slot.
 func (n *Node) slotPos(seq uint64) types.Position {
-	L := uint64(n.cfg.LeadersPerRound)
-	r := types.Round(seq / L)
-	return types.Position{Round: r, Source: n.leaderAt(r, int(seq%L))}
+	r := types.Round(seq / uint64(n.cfg.N))
+	return types.Position{Round: r, Source: n.leaderAt(r, int(seq%uint64(n.cfg.N)))}
+}
+
+// nextSlot returns the first existing slot at or after seq: seq itself, or
+// slot 0 of the following round when seq's index is past its round's anchors.
+func (n *Node) nextSlot(seq uint64) uint64 {
+	N := uint64(n.cfg.N)
+	if r := seq / N; seq%N >= uint64(n.anchorsAt(types.Round(r))) {
+		return (r + 1) * N
+	}
+	return seq
 }
 
 // Round returns the highest round this party has proposed in.

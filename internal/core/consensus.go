@@ -13,8 +13,9 @@ import (
 // validateVertex checks the structural rules a round-r vertex must satisfy
 // before this party echoes it:
 //
-//   - >= 2f+1 strong edges, all to distinct round r-1 positions (round 0
-//     vertices carry none);
+//   - >= 2f+1 strong edges, all to round r-1 positions in strictly ascending
+//     source order — the canonical order, the one the wire bitmap decodes
+//     to, which also makes them distinct (round 0 vertices carry none);
 //   - a strong edge to round r-1's leader vertex, OR a valid timeout
 //     certificate for round r-1 justifying progress without it;
 //   - if the vertex IS round r's leader vertex and lacks the leader edge, a
@@ -54,24 +55,11 @@ func (n *Node) validateVertex(v *types.Vertex, certified bool) bool {
 	if len(v.StrongEdges) < 2*pep.f+1 {
 		return false
 	}
-	// Distinct-source check via a reusable scratch buffer (vertices are
-	// shared between simulated nodes and must not be mutated).
-	seen := n.scratchSeen
-	bad := false
-	cnt := 0
-	for _, e := range v.StrongEdges {
-		if e.Round != v.Round-1 || int(e.Source) >= n.cfg.N || !pep.isMember[e.Source] || seen[e.Source] {
-			bad = true
-			break
+	for i, e := range v.StrongEdges {
+		if e.Round != v.Round-1 || int(e.Source) >= n.cfg.N || !pep.isMember[e.Source] ||
+			(i > 0 && e.Source <= v.StrongEdges[i-1].Source) {
+			return false
 		}
-		seen[e.Source] = true
-		cnt++
-	}
-	for _, e := range v.StrongEdges[:cnt] {
-		seen[e.Source] = false
-	}
-	if bad {
-		return false
 	}
 	for _, e := range v.WeakEdges {
 		if e.Round >= v.Round-1 {
@@ -143,17 +131,17 @@ func (n *Node) tryAdvance() {
 	for {
 		r := n.round
 		if len(n.ord.deliveredByRound[r]) >= n.quorum(r) {
-			ok := n.ord.leaderDelivered[r]
+			ok := n.primaryIn(r)
 			// Pipelined-anchor pacing: with the quorum and the primary in,
-			// briefly hold the next proposal for the remaining leader slots
-			// — a vote for every anchor keeps them all on the 3-delta
-			// direct-commit path. The hold is adaptive (twice the observed
-			// quorum→anchor gap, capped at AnchorWait) and applies only at
-			// the frontier: during catch-up the missing anchors are not
-			// coming, and after a waiver or timeout the round advances as
-			// before.
+			// hold the next proposal for the remaining anchors — a vote for
+			// every anchor keeps them all on the 3-delta direct-commit path,
+			// and an anchor that misses its quorum holds up the slots behind
+			// it for two rounds (decideSlot). The hold ends the moment they
+			// are all in, AnchorWait at the latest, and applies only at the
+			// frontier: during catch-up the missing anchors are not coming,
+			// and after a waiver or timeout the round advances as before.
 			if ok && n.cfg.AnchorWait > 0 && r >= n.maxQuorumRound &&
-				!n.anchorWaived[r] && !n.allAnchorsIn(r) {
+				n.anchorWaived != r+1 && !n.allAnchorsIn(r) {
 				n.armAnchorTimer(r)
 				return
 			}
@@ -184,27 +172,25 @@ func (n *Node) tryAdvance() {
 	}
 }
 
-// allAnchorsIn reports whether every leader slot of round r has delivered.
-// Slots beyond 64 are not tracked (slotDelivered is a bitmask); such
-// configurations fall back to the primary-only gate.
+// allAnchorsIn reports whether every anchor of round r worth waiting for has
+// delivered (the caller has checked the primary). A member that delivered
+// nothing in round r-1 either is not waited for: it is down, and holding
+// every round for it would tax the whole run. This is pacing only — each
+// party may judge it differently.
 func (n *Node) allAnchorsIn(r types.Round) bool {
-	L := n.cfg.LeadersPerRound
-	if L <= 1 || L > 64 {
-		return true
+	in := func(row []*vinst, src types.NodeID) bool { return row != nil && row[src] != nil && row[src].delivered }
+	cur, prev := n.rbc.insts[r], n.rbc.insts[r-1] // no round -1: a nil row
+	for k := n.anchorsAt(r) - 1; k > 0; k-- {
+		src := n.leaderAt(r, k)
+		if !in(cur, src) && (r == 0 || in(prev, src)) {
+			return false
+		}
 	}
-	var full uint64
-	if L == 64 {
-		full = ^uint64(0)
-	} else {
-		full = uint64(1)<<uint(L) - 1
-	}
-	return n.ord.slotDelivered[r]&full == full
+	return true
 }
 
 // armAnchorTimer bounds the pipelined-anchor wait for round r: when it fires
 // the round is waived and advancement proceeds without the missing anchors.
-// The duration adapts to the observed quorum→anchor delivery gap so a crashed
-// (not yet demoted) leader costs far less than a RoundTimeout.
 func (n *Node) armAnchorTimer(r types.Round) {
 	if n.anchorTimer != nil {
 		if n.anchorTimerRound == r {
@@ -212,19 +198,17 @@ func (n *Node) armAnchorTimer(r types.Round) {
 		}
 		n.anchorTimer.Stop()
 	}
-	d := n.cfg.AnchorWait
-	if n.anchorEWMA > 0 && 2*n.anchorEWMA < d {
-		d = 2 * n.anchorEWMA
-	}
 	n.anchorTimerRound = r
-	n.anchorTimer = n.clk.After(d, func() {
+	n.anchorHolding, n.anchorHeldAt = true, n.clk.Now()
+	n.anchorTimer = n.clk.After(n.cfg.AnchorWait, func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		if n.stopped {
 			return
 		}
 		n.anchorTimer = nil
-		n.anchorWaived[r] = true
+		n.endAnchorHold()
+		n.anchorWaived = r + 1
 		n.tryAdvance()
 	})
 }
@@ -235,6 +219,16 @@ func (n *Node) stopAnchorTimer() {
 	if n.anchorTimer != nil {
 		n.anchorTimer.Stop()
 		n.anchorTimer = nil
+	}
+	n.endAnchorHold()
+}
+
+// endAnchorHold closes the running hold, if any, and records how long the
+// proposal was actually held (order.anchor_hold).
+func (n *Node) endAnchorHold() {
+	if n.anchorHolding {
+		n.anchorHolding = false
+		n.mAnchorHold.Observe(n.clk.Now() - n.anchorHeldAt)
 	}
 }
 
@@ -305,7 +299,7 @@ func (n *Node) propose(r types.Round) {
 		for _, pv := range parents {
 			v.StrongEdges = append(v.StrongEdges, pv.Ref())
 		}
-		if !n.ord.leaderDelivered[prev] {
+		if !n.primaryIn(prev) {
 			tc := n.tcs[prev]
 			if tc == nil {
 				panic("core: propose without leader or TC")
@@ -399,7 +393,7 @@ func (n *Node) onRoundTimeout(r types.Round) {
 	if r != n.round {
 		return
 	}
-	if !n.timedOutRound[r] && !n.ord.leaderDelivered[r] {
+	if !n.timedOutRound[r] && !n.primaryIn(r) {
 		n.timedOutRound[r] = true
 		n.Metrics.Timeouts++
 	}
@@ -409,7 +403,7 @@ func (n *Node) onRoundTimeout(r types.Round) {
 	// round's vertices, so re-broadcast until the round advances.
 	// Observers never sign view-change artifacts (their partials would not
 	// count toward any quorum); they still run the pull re-drive below.
-	if n.cfg.Key != nil && n.activeAt(r) && !n.ord.leaderDelivered[r] {
+	if n.cfg.Key != nil && n.activeAt(r) && !n.primaryIn(r) {
 		if tc := n.tcs[r]; tc != nil {
 			n.ep.Broadcast(&types.TCMsg{TC: *tc})
 		} else {

@@ -305,19 +305,8 @@ func (n *Node) installEpoch(es *epochState, persist bool) {
 			}
 		}
 		n.ord.deliveredByRound[r] = kept
-		delete(n.ord.leaderDelivered, r)
-		delete(n.ord.slotDelivered, r)
-		for _, v := range kept {
-			if idx := n.leaderIdx(v.Pos()); idx >= 0 {
-				if idx == 0 {
-					n.ord.leaderDelivered[r] = true
-				}
-				if idx < 64 {
-					n.ord.slotDelivered[r] |= uint64(1) << uint(idx)
-				}
-			}
-		}
 	}
+	n.recountVotes(es.startRound)
 	for r := range n.timeoutAggs {
 		if r >= es.startRound {
 			delete(n.timeoutAggs, r)

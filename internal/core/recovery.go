@@ -157,14 +157,6 @@ func (n *Node) recoverFromStore() bool {
 		in.certDigest = v.DigestCached()
 		in.delivered = true
 		n.ord.deliveredByRound[v.Round] = append(n.ord.deliveredByRound[v.Round], v)
-		if idx := n.leaderIdx(pos); idx >= 0 {
-			if idx == 0 {
-				n.ord.leaderDelivered[v.Round] = true
-			}
-			if idx < 64 {
-				n.ord.slotDelivered[v.Round] |= uint64(1) << uint(idx)
-			}
-		}
 		n.dag.Insert(v)
 		// Votes re-derived from recovered proposals keep the commit rule
 		// working across the restart boundary.

@@ -48,8 +48,8 @@ type repState struct {
 	cacheElig  []types.NodeID
 
 	// retally marks that an event applied at or below already-delivered
-	// rounds, so vote tallies and leader-delivery marks for rounds >=
-	// retallyFrom were derived under a stale table and must be re-derived.
+	// rounds, so the commit rule was applied to rounds >= retallyFrom under
+	// a stale table and must be re-applied (retallyVotes).
 	// Steady-state nodes never trip this (evidence applies beyond the
 	// delivery frontier); a node catching up after a crash delivers far
 	// ahead of its commit frontier and does.
@@ -188,48 +188,22 @@ func (n *Node) noteOffense(timedOut, commitRound types.Round) {
 	}
 }
 
-// retallyVotes re-derives schedule-dependent delivery state for every
-// delivered round at or past `from`: the leader/slot delivery marks and the
-// implicit vote tallies, both of which were computed against the table in
-// force at delivery time. Called from drainCommits between head commits,
-// after new evidence moved the table under already-delivered rounds (the
-// catch-up path — a recovering node delivers the frontier long before it
-// orders the evidence committed in between). countVote and checkCommit are
-// idempotent, and checkCommit defers to the running drain, so re-tallying
-// mid-drain is safe.
+// retallyVotes re-applies the commit rule to every round at or past `from`.
+// Called from drainCommits between head commits, after new evidence moved the
+// table under already-delivered rounds (the catch-up path — a recovering node
+// delivers the frontier long before it orders the evidence committed in
+// between). The vote tallies are per source and schedule-independent
+// (anchorRound), and primaryIn reads the current table, so nothing is
+// recounted or re-marked: the positions that are anchors under the new table
+// are simply checked against the tallies they already have. checkCommit is
+// idempotent and defers to the running drain, so this is safe mid-drain.
 func (n *Node) retallyVotes(from types.Round) {
-	for r, verts := range n.ord.deliveredByRound {
+	for r := range n.ord.anchors {
 		if r < from {
 			continue
 		}
-		delete(n.ord.leaderDelivered, r)
-		delete(n.ord.slotDelivered, r)
-		for _, v := range verts {
-			if idx := n.leaderIdx(v.Pos()); idx >= 0 {
-				if idx == 0 {
-					n.ord.leaderDelivered[r] = true
-				}
-				if idx < 64 {
-					n.ord.slotDelivered[r] |= uint64(1) << uint(idx)
-				}
-			}
-		}
-	}
-	// Votes are cast when a vertex is first seen (VAL receipt or a pull
-	// reply), which can be well before its delivery — so the re-count must
-	// cover every vertex-bearing RBC instance, not just the delivered set.
-	// A catch-up burst routinely holds hundreds of seen-but-undelivered
-	// vertices whose votes were tallied against the pre-evidence table;
-	// missing them here leaves the true leader slots short of quorum and
-	// the drain skips their sequence numbers for good.
-	for r, row := range n.rbc.insts {
-		if r <= from { // a round-r vertex votes for round r-1 leaders
-			continue
-		}
-		for _, in := range row {
-			if in != nil && in.vertex != nil {
-				n.countVote(in.vertex)
-			}
+		for k := n.anchorsAt(r) - 1; k >= 0; k-- {
+			n.checkCommit(types.Position{Round: r, Source: n.leaderAt(r, k)})
 		}
 	}
 }

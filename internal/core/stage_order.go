@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"clanbft/internal/types"
@@ -15,36 +16,38 @@ import (
 
 // orderState is the ordering stage's state, owned by the serialized handler.
 type orderState struct {
-	// Per-round delivery tracking (round quorum + leader arrival).
+	// Per-round delivery tracking (round quorum).
 	deliveredByRound map[types.Round][]*types.Vertex
-	leaderDelivered  map[types.Round]bool
-	// slotDelivered is a bitmask of delivered leader slots per round
-	// (bit k = leader slot k), driving the pipelined-anchor wait in
-	// tryAdvance. Only maintained for LeadersPerRound <= 64; beyond that
-	// the anchor wait degrades to the primary-only gate.
-	slotDelivered map[types.Round]uint64
+	// anchors is the per-round anchor ledger (vote tallies, commit marks);
+	// anchorFree recycles the ledgers gc retires.
+	anchors    map[types.Round]*anchorRound
+	anchorFree []*anchorRound
 
 	// Anchor resolution spacing for the order.anchor_gap histogram.
 	lastAnchorAt  time.Duration
 	haveAnchorGap bool
 
-	// Vote tracking for the leader commit rule: votes[lp] = sources of
-	// round lp.Round+1 proposals with a strong edge to leader vertex lp.
-	votes           map[types.Position]map[types.NodeID]bool
-	committedDirect map[types.Position]bool
-	// lastOrderedSeq is the highest leader slot (round*L + idx) already
-	// enqueued for ordering.
-	lastOrderedSeq uint64
-	haveOrdered    bool
+	// cursor is the first anchor slot (slotSeq) whose fate is still open:
+	// every slot below it has been ordered or passed over, in sequence.
+	cursor uint64
 	// draining marks an active drainCommits loop: checkCommit calls made
 	// from inside it (the reputation re-tally path) must only enqueue, not
 	// recurse into a second drain over the same head.
 	draining bool
+	// memo and chain are drainCommits scratch, reused across passes.
+	memo  map[uint64]slotDecision
+	chain []chainEnt
+	// work counts the ordering stage's structural steps outside the DAG
+	// walks (edges tallied, slot fates evaluated); see order.work.
+	work uint64
+	// late[s] is 1 + the last round member s's vertex was judged late (0 =
+	// never): judgeLate writes it, slotLive reads it.
+	late []types.Round
 
 	// Deferred work.
 	pendingInsert  map[types.Position]*types.Vertex // delivered, awaiting parents
 	waitingChild   map[types.Position][]types.Position
-	pendingLeaders []leaderCommit          // committed, awaiting complete history
+	pendingLeaders []leaderCommit          // committed, awaiting complete history; sorted by seq
 	commitWait     map[types.Position]bool // ancestors the head commit waits for
 	// commitWaitFor is the head the wait set was derived for. During
 	// catch-up, commits arrive out of order: a lower-sequence head can be
@@ -52,8 +55,7 @@ type orderState struct {
 	// set stale — it is discarded (and re-derived later) when the queue
 	// head no longer matches.
 	commitWaitFor types.Position
-	outQueue      []CommittedVertex // ordered, awaiting blocks
-	outQueuedAt   []time.Duration   // clock reading at outQueue append
+	out           outFIFO // ordered, awaiting blocks
 	// lateVertices collects vertices that missed strong-edge inclusion and
 	// must be weak-edged by the next proposal (guarantees BAB validity).
 	lateVertices map[types.Position]*types.Vertex
@@ -61,6 +63,151 @@ type orderState struct {
 	// so buffered-vertex retries never re-request the same parent. Cleared
 	// on insert; swept by gc.
 	pulls map[types.Position]bool
+}
+
+// anchorRound is everything the ordering stage tracks about round r's
+// anchors. The vote tally is kept per source, not per slot, and is updated
+// once per seen round r+1 proposal from that proposal's strong edges: which
+// sources are anchors is a lookup at read time (leaderIdx), so a reputation
+// change re-reads the tally instead of recounting it, and a slot's direct
+// verdict is one comparison, votes[source] >= 2f+1. Invariant: each round
+// r+1 member is counted at most once (counted), so votes[s] only grows and
+// never exceeds the number of members seen — a quorum, once observed, stays.
+//
+// ordVotes is the same tally taken over ORDERED round r+1 vertices only — a
+// function of the total-order prefix, hence identical at every party at the
+// same point of the slot sequence, which the seen tally is not. judgeLate
+// reads it.
+type anchorRound struct {
+	votes     []uint16 // votes[s]: seen round r+1 proposals with a strong edge to (r, s)
+	ordVotes  []uint16 // ordVotes[s]: ordered round r+1 vertices with a strong edge to (r, s)
+	counted   []byte   // bitmap: round r+1 sources already tallied
+	committed []byte   // bitmap: sources whose slot is enqueued for ordering
+	entered   bool     // the ordering cursor has reached this round (judgeLate)
+}
+
+// anchorState returns round r's ledger, creating it — from a retired one
+// when gc has left any — on first use.
+func (n *Node) anchorState(r types.Round) *anchorRound {
+	a := n.ord.anchors[r]
+	if a != nil {
+		return a
+	}
+	if k := len(n.ord.anchorFree); k > 0 {
+		a = n.ord.anchorFree[k-1]
+		n.ord.anchorFree = n.ord.anchorFree[:k-1]
+		clear(a.votes)
+		clear(a.ordVotes)
+		clear(a.counted)
+		clear(a.committed)
+		a.entered = false
+	} else {
+		N, bm := n.cfg.N, (n.cfg.N+7)/8
+		a = &anchorRound{
+			votes: make([]uint16, N), ordVotes: make([]uint16, N),
+			counted: make([]byte, bm), committed: make([]byte, bm),
+		}
+	}
+	n.ord.anchors[r] = a
+	return a
+}
+
+// primaryIn reports whether round r's primary vertex has delivered — under
+// the schedule as it stands now, so a reputation or epoch change needs no
+// re-marking.
+func (n *Node) primaryIn(r types.Round) bool {
+	return n.delivered(types.Position{Round: r, Source: n.leader(r)})
+}
+
+// Slot liveness. When the ordering cursor enters round r it judges round
+// r-liveLag: three is the nearest round whose voters — round r-2 — are all
+// ordered by then, anchors or not (round r-1's anchors order them). A member
+// found late sits out of the anchor set for the liveSpan rounds from r on, so
+// one that is late at least every fourth round stays out and any other is
+// back at once. Sitting out costs the member's own vertices a round; a live
+// slot that misses its quorum costs everyone's two. The value is measured
+// (EXPERIMENTS.md, "Slot liveness, A/B"): below 3 a five-region WAN loses a
+// fifth and more, above 4 the rounds after a primary's timeout — when many
+// vertices miss a quorum at once — leave most members out for the window and
+// the median a third of a round slower.
+const (
+	liveLag  = 3
+	liveSpan = 4
+)
+
+// judgeLate runs once per round, the first time the ordering cursor reaches
+// one of round r's slots — the same point of the slot sequence at every
+// party, with the same ordered prefix behind it. It judges round r-liveLag:
+// a member whose vertex there was not strong-edged by 2f+1 of the next
+// round's ordered vertices (it would not have committed directly, or never
+// existed) is marked late as of that round. The ordVotes tally is a function
+// of the prefix alone, so the marks are as much a function of the total
+// order as the order itself.
+func (n *Node) judgeLate(r types.Round) {
+	if r < liveLag {
+		return
+	}
+	a := n.anchorState(r)
+	if a.entered {
+		return
+	}
+	a.entered = true
+	j := r - liveLag
+	q := n.quorum(j + 1)
+	t := n.ord.anchors[j]
+	for _, m := range n.epochOf(r).members {
+		if t == nil || int(t.ordVotes[m]) < q {
+			n.ord.late[m] = j + 1
+		}
+	}
+}
+
+// slotLive reports whether slot idx of round r, held by src, takes part in
+// ordering. The primary's always does; any other does unless the member was
+// found late (judgeLate) within the last liveSpan rounds. So a crashed
+// member's slots, and those of a member whose vertices keep arriving after
+// the quorum has moved on, stop being waited for within a few rounds, and
+// come back, with no probing, as soon as its vertices are timely again. This
+// does not go through the reputation table: that one is what the primary
+// rotation runs over, is consulted when proposals are validated and so
+// applies a fence late, and is opt-in; this one is read at ordering time
+// only, at a fixed point of the prefix. Call it only for the cursor's round,
+// after judgeLate. The pacing hold (tryAdvance) deliberately does not consult
+// it and waits for every slot's vertex: were it to wait for live slots only,
+// a cluster in which everyone has been marked late — a chaotic start is
+// enough — would stop holding, reference only the first 2f+1 arrivals, and so
+// keep finding everyone late.
+func (n *Node) slotLive(r types.Round, idx int, src types.NodeID) bool {
+	if idx == 0 || r < liveLag {
+		return true
+	}
+	at := n.ord.late[src]
+	return at == 0 || r-liveLag+1 >= at+liveSpan
+}
+
+// outFIFO is the queue of ordered vertices awaiting emission. Pops advance a
+// head index and the slice rewinds once it drains, so the backing array is
+// reused instead of creeping forward with every commit.
+type outFIFO struct {
+	items []outEntry
+	head  int
+}
+
+type outEntry struct {
+	cv       CommittedVertex
+	queuedAt time.Duration // clock reading at push
+}
+
+func (q *outFIFO) len() int { return len(q.items) - q.head }
+
+func (q *outFIFO) push(e outEntry) { q.items = append(q.items, e) }
+
+func (q *outFIFO) pop() {
+	q.items[q.head] = outEntry{} // release the vertex and block
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
 }
 
 // onDelivered runs when the merged RBC completes for a vertex: insert into
@@ -186,56 +333,98 @@ func binaryPutPos(b []byte, pos types.Position) {
 // ---------------------------------------------------------------------------
 // Commit rule and total ordering.
 
-// countVote records the implicit votes a round r+1 proposal casts for round
-// r's leader vertices via its strong edges (all LeadersPerRound of them).
+// countVote tallies the implicit votes a round r+1 proposal casts, through
+// its strong edges, for round r's vertices — once per proposer, however often
+// the vertex is seen again (retransmit, pull reply, recovery replay). Every
+// edge is tallied, not only those to current anchors, which keeps the tally
+// independent of the reputation schedule (see anchorRound).
 func (n *Node) countVote(v *types.Vertex) {
 	if v.Round == 0 {
 		return
 	}
 	prev := v.Round - 1
-	for k := 0; k < n.cfg.LeadersPerRound; k++ {
-		lp := types.Position{Round: prev, Source: n.leaderAt(prev, k)}
-		if !v.HasStrongEdgeTo(lp) {
-			continue
+	a := n.anchorState(prev)
+	if types.BitmapHas(a.counted, v.Source) {
+		return
+	}
+	types.BitmapSet(a.counted, v.Source)
+	n.ord.work += uint64(len(v.StrongEdges))
+	for _, e := range v.StrongEdges {
+		a.votes[e.Source]++
+	}
+	// Second pass, so that every slot this proposal completes is already at
+	// quorum when the first of them starts the drain.
+	q := n.quorum(v.Round)
+	for _, e := range v.StrongEdges {
+		if int(a.votes[e.Source]) >= q && !types.BitmapHas(a.committed, e.Source) {
+			n.checkCommit(e.Pos())
 		}
-		set, ok := n.ord.votes[lp]
-		if !ok {
-			set = map[types.NodeID]bool{}
-			n.ord.votes[lp] = set
-		}
-		set[v.Source] = true
-		n.checkCommit(lp)
 	}
 }
 
-// checkCommit applies the direct commit rule for a leader vertex: 2f+1
+// recountVotes rebuilds the tallies fed by proposals of rounds >= from out
+// of the vertices the RBC stage currently holds. An epoch installing at
+// `from` calls it: instances of parties that are not members of the new
+// epoch were just dropped, and their votes must go with them.
+func (n *Node) recountVotes(from types.Round) {
+	for r, a := range n.ord.anchors {
+		if r+1 >= from {
+			clear(a.votes)
+			clear(a.counted)
+		}
+	}
+	for r, row := range n.rbc.insts {
+		if r < from {
+			continue
+		}
+		for _, in := range row {
+			if in != nil && in.vertex != nil {
+				n.countVote(in.vertex)
+			}
+		}
+	}
+}
+
+// checkCommit applies the direct commit rule for an anchor vertex: 2f+1
 // next-round proposals with a strong edge to it.
 func (n *Node) checkCommit(lp types.Position) {
 	// Votes are round lp.Round+1 proposals, so the quorum threshold is that
 	// round's epoch (the fence between lp and its voters, if any, raises or
 	// lowers the bar with the new membership).
-	if n.ord.committedDirect[lp] || len(n.ord.votes[lp]) < n.quorum(lp.Round+1) {
+	a := n.ord.anchors[lp.Round]
+	if a == nil || types.BitmapHas(a.committed, lp.Source) || int(a.votes[lp.Source]) < n.quorum(lp.Round+1) {
 		return
 	}
 	idx := n.leaderIdx(lp)
 	if idx < 0 {
 		return
 	}
-	n.ord.committedDirect[lp] = true
+	types.BitmapSet(a.committed, lp.Source)
 	n.Metrics.DirectCommits++
-	n.ord.pendingLeaders = append(n.ord.pendingLeaders, leaderCommit{pos: lp, direct: true, seq: n.slotSeq(lp, idx)})
-	sort.Slice(n.ord.pendingLeaders, func(i, j int) bool {
-		return n.ord.pendingLeaders[i].seq < n.ord.pendingLeaders[j].seq
-	})
+	n.insertPending(leaderCommit{pos: lp, direct: true, seq: n.slotSeq(lp, idx)})
 	if n.ord.draining {
 		return // the running drain picks the new entry up on its next pass
 	}
 	n.drainCommits()
 }
 
+// insertPending adds lc to pendingLeaders at its place in sequence order.
+func (n *Node) insertPending(lc leaderCommit) {
+	i, _ := slices.BinarySearchFunc(n.ord.pendingLeaders, lc.seq, func(e leaderCommit, seq uint64) int {
+		return cmp.Compare(e.seq, seq)
+	})
+	n.ord.pendingLeaders = slices.Insert(n.ord.pendingLeaders, i, lc)
+}
+
+// popPending removes the head of pendingLeaders in place, so the backing
+// array is reused (the queue is a handful of entries outside catch-up).
+func (n *Node) popPending() {
+	n.ord.pendingLeaders = slices.Delete(n.ord.pendingLeaders, 0, 1)
+}
+
 // recomputePending re-derives the sequence number of every queued leader
 // commit against the current reputation table, dropping entries whose
-// position is no longer a leader slot. No-op with reputation disabled (the
+// position is no longer an anchor slot. No-op with reputation disabled (the
 // static schedule never moves a slot).
 func (n *Node) recomputePending() {
 	if !n.cfg.LeaderReputation || len(n.ord.pendingLeaders) == 0 {
@@ -251,95 +440,70 @@ func (n *Node) recomputePending() {
 		kept = append(kept, lc)
 	}
 	n.ord.pendingLeaders = kept
-	sort.Slice(n.ord.pendingLeaders, func(i, j int) bool {
-		return n.ord.pendingLeaders[i].seq < n.ord.pendingLeaders[j].seq
-	})
+	slices.SortFunc(kept, func(a, b leaderCommit) int { return cmp.Compare(a.seq, b.seq) })
 }
 
 type slotVerdict int
 
 const (
 	slotUndecided slotVerdict = iota // fate still open: hold ordering here
-	slotSkips                        // can never reach quorum anywhere
-	slotCommits                      // quorum of next-round edges exists
+	slotSkips                        // no party can ever observe a vote quorum
+	slotCommits                      // ordered as an anchor
 )
-
-// slotFate decides a leader slot's fate from the next round's seen proposals
-// (seen, not delivered: a proposal is the implicit vote, cast on the first
-// message of its RBC). The thresholds are chosen so no two parties can
-// disagree no matter which subsets they have seen: 2f+1 proposals with the
-// strong edge commit the slot — the direct-commit quorum itself — and the
-// slot is skipped once no extension of the local tally can reach that
-// quorum. The sum votes+unseen is monotonically non-increasing (a newly
-// seen proposal either votes, keeping the sum, or shrinks it), and by RBC
-// non-equivocation each member contributes one fixed proposal, so any other
-// party's count is bounded by this party's votes plus its unseen members:
-// once votes+unseen < 2f+1 holds anywhere, no party can ever observe a
-// quorum. A crashed member that never proposes the round leaves its slot in
-// the unseen term forever, which is exactly why the skip rule must tolerate
-// an incomplete tally rather than wait for one proposal per member.
-func (n *Node) slotFate(p types.Position) slotVerdict {
-	next := p.Round + 1
-	q := n.quorum(next)
-	members := n.epochOf(next).members
-	seen, votes := 0, 0
-	for _, m := range members {
-		in := n.instIfAny(types.Position{Round: next, Source: m})
-		if in == nil || in.vertex == nil {
-			continue
-		}
-		seen++
-		if in.vertex.HasStrongEdgeTo(p) {
-			votes++
-		}
-	}
-	switch {
-	case votes >= q:
-		return slotCommits
-	case votes+(len(members)-seen) < q:
-		return slotSkips // no extension of this tally reaches quorum
-	}
-	return slotUndecided
-}
 
 type slotDecision struct {
 	v      slotVerdict
 	direct bool // verdict came from a real vote quorum, not the indirect rule
 }
 
-// decideSlot resolves the fate of multi-leader slot ss: the threshold verdict
-// when the next round's tally has settled, otherwise the indirect rule — find
-// the first slot above ss, in sequence order, whose own fate is commit and
-// whose round is at least two above the slot's, with every slot in between
-// decided; the slot commits iff a strong path from that deciding slot reaches
-// it. The two-round gap makes the deciding slot's verdict authoritative in
-// both directions: a slot with a direct-commit quorum (2f+1 strong edges from
-// round r+1) is reached by a strong path from EVERY certified vertex two or
-// more rounds above it — each level's 2f+1 strong edges intersect the voter
-// quorum — so a missing path proves no party can ever observe the quorum.
-// Every input is a stable, eventually-global fact: threshold verdicts never
-// flip once decided (the tally bound is monotone), the deciding slot is the
-// same at every party because its selection reads only those verdicts, and
-// the path is evaluated over the deciding slot's complete causal history. A
-// party missing an input returns undecided and holds; vertex arrivals
-// re-trigger the drain. A slot whose tally straddles the quorum forever — a
-// crashed member's proposal is the deciding unseen vote — is the case the
-// indirect rule exists for: the threshold alone would hold the drain
-// indefinitely.
-func (n *Node) decideSlot(ss uint64, memo map[uint64]slotDecision) (slotVerdict, bool) {
-	if d, ok := memo[ss]; ok {
+// decideSlot resolves the fate of anchor slot ss, the same way at every
+// party whatever each has seen so far.
+//
+// Direct rule: 2f+1 seen round r+1 proposals with a strong edge to the slot's
+// vertex commit it (seen, not delivered: a proposal is the implicit vote, cast
+// on the first message of its RBC — the 1 RBC + δ path). The tally is the
+// round's ledger entry (anchorRound): no scan.
+//
+// Indirect rule, for a slot without a local quorum: find the first slot, in
+// sequence order from slot 0 of round r+2, whose own fate is commit, every
+// slot before it from there on being decided skip; the slot commits iff a
+// strong path leads from that deciding vertex to it. The two-round gap makes
+// the verdict authoritative in both directions. A slot some party commits
+// directly has at least f+1 honest voters, and every certified vertex two or
+// more rounds above it has 2f+1 strong edges per level, which intersect them:
+// the path exists, so nobody skips what anybody committed. And a slot is only
+// ever skipped by this rule — there is no skip threshold on the tally: one
+// certified voter is enough for some later anchor to reach the slot, so no
+// count of proposals seen NOT voting can prove that none will (behind a
+// partition one party would skip a slot that others commit by path; see
+// DESIGN.md, "Latency compression"). Agreement on which slot decides follows by
+// descent: two parties using different deciding slots disagree on the fate of
+// the lower one, a strictly higher slot than ss, and fates bottom out in
+// direct commits.
+//
+// Every input is a stable, eventually-global fact: a quorum once seen stays,
+// and the path is evaluated over the deciding vertex's complete causal
+// history. A party missing an input returns undecided and holds; arrivals
+// re-trigger the drain. The cost of having no early skip: a slot whose vertex
+// never comes (a crashed member's) holds the slots behind it until slot 0 of
+// round r+2 commits — two rounds — which is why such a member's slots stop
+// being live (slotLive) a few rounds after its vertices stop coming.
+func (n *Node) decideSlot(ss uint64) (slotVerdict, bool) {
+	if d, ok := n.ord.memo[ss]; ok {
 		return d.v, d.direct
 	}
+	n.ord.work++
 	p := n.slotPos(ss)
-	v := n.slotFate(p)
-	direct := v == slotCommits
-	if v == slotUndecided {
+	v, direct := slotUndecided, false
+	if a := n.ord.anchors[p.Round]; a != nil && int(a.votes[p.Source]) >= n.quorum(p.Round+1) {
+		v, direct = slotCommits, true
+	} else {
 		var maxSeq uint64
 		if k := len(n.ord.pendingLeaders); k > 0 {
 			maxSeq = n.ord.pendingLeaders[k-1].seq
 		}
-		for s2 := ss + 1; s2 <= maxSeq; s2++ {
-			f2, _ := n.decideSlot(s2, memo)
+		for s2 := uint64(p.Round+2) * uint64(n.cfg.N); s2 <= maxSeq; s2 = n.nextSlot(s2 + 1) {
+			f2, _ := n.decideSlot(s2)
 			if f2 == slotUndecided {
 				break // an open fate below the deciding slot: hold
 			}
@@ -347,12 +511,12 @@ func (n *Node) decideSlot(ss uint64, memo map[uint64]slotDecision) (slotVerdict,
 				continue
 			}
 			fp := n.slotPos(s2)
-			if fp.Round < p.Round+2 {
-				continue // too close: its strong edges need not intersect
-				// the slot's voters, so its verdict proves nothing here
-			}
-			if len(n.dag.MissingAncestors(fp)) > 0 {
-				break // path not yet evaluable: hold until history completes
+			if !n.dag.Has(fp) {
+				// Path not yet evaluable: hold until the deciding vertex is
+				// in the DAG. That is all it takes — a vertex is inserted
+				// only over its complete ancestry (tryInsert), so its causal
+				// history needs no second walk.
+				break
 			}
 			if n.dag.StrongPath(fp, p) {
 				v = slotCommits
@@ -362,15 +526,44 @@ func (n *Node) decideSlot(ss uint64, memo map[uint64]slotDecision) (slotVerdict,
 			break
 		}
 	}
-	memo[ss] = slotDecision{v, direct}
+	n.ord.memo[ss] = slotDecision{v, direct}
 	return v, direct
+}
+
+// passSlot moves the cursor past slot ss without ordering it: skipped by the
+// indirect rule, not live, or stepped over by the single-leader walk.
+func (n *Node) passSlot(ss uint64) {
+	n.ord.cursor = ss + 1
+	n.Metrics.SlotsSkipped++
+	n.mSlotsSkipped.Inc()
+}
+
+// tallyOrdered folds a vertex just appended to the total order into the
+// ordered vote tally of the round below it (see slotLive). Multi-anchor
+// ordering only: the single-leader walk never asks.
+func (n *Node) tallyOrdered(v *types.Vertex) {
+	if n.cfg.LeadersPerRound == 1 || v.Round == 0 || v.Round-1 < n.dag.MinRound() {
+		return
+	}
+	n.ord.work += uint64(len(v.StrongEdges))
+	a := n.anchorState(v.Round - 1)
+	for _, e := range v.StrongEdges {
+		a.ordVotes[e.Source]++
+	}
+}
+
+// chainEnt is one anchor a drainCommits pass is about to order.
+type chainEnt struct {
+	pos types.Position
+	seq uint64
 }
 
 // drainCommits resolves committed leaders into the total order as soon as
 // their causal histories are locally complete, committing skipped leaders
-// indirectly along strong paths. When the head leader's history has gaps,
-// the missing positions are recorded in commitWait and the scan resumes only
-// once they are inserted (avoiding a full-history walk on every insert).
+// indirectly along strong paths, then emits what was ordered. When the head
+// leader's history has gaps, the missing positions are recorded in commitWait
+// and the scan resumes only once they are inserted (avoiding a full-history
+// walk on every insert).
 func (n *Node) drainCommits() {
 	if n.ord.draining {
 		return
@@ -382,7 +575,28 @@ func (n *Node) drainCommits() {
 		clear(n.ord.commitWait) // stale: recorded for a head that moved
 	}
 	n.ord.draining = true
-	defer func() { n.ord.draining = false }()
+	waiting := n.orderPending()
+	n.ord.draining = false
+	if waiting {
+		return // insertNow re-triggers, and emits, once the ancestors are in
+	}
+	// Whatever the pass ordered is emitted even when it ended on an open
+	// fate: with an anchor in every slot there is nearly always a later
+	// commit queued behind one, so "the queue ran empty" cannot be the trigger.
+	n.drainOut()
+	// Processing a leader commit raises the propose throttle; re-check
+	// round advancement unless this drain runs inside the recovery replay
+	// (the recovered round highwater is not restored yet at that point).
+	if !n.recovering {
+		n.tryAdvance()
+	}
+}
+
+// orderPending is drainCommits' ordering loop: it pops pendingLeaders in
+// sequence order, deciding every slot below each head, and returns when the
+// queue is empty, a slot's fate is open, or — reported as true — the head
+// waits for ancestors.
+func (n *Node) orderPending() bool {
 	// With a reputation-mutable schedule, the slot recorded at vote time may
 	// be stale: evidence ordered since can demote a leader and shift the
 	// rotation. Re-derive every queued entry against the current table —
@@ -390,70 +604,60 @@ func (n *Node) drainCommits() {
 	// current sequence numbers (a stale high seq must not outrank the true
 	// head, and a stale low seq must not be mistaken for already-ordered).
 	n.recomputePending()
+	stride := uint64(n.cfg.N)
 	for len(n.ord.pendingLeaders) > 0 {
 		lc := n.ord.pendingLeaders[0]
-		if n.ord.haveOrdered && lc.seq <= n.ord.lastOrderedSeq {
-			n.ord.pendingLeaders = n.ord.pendingLeaders[1:]
+		if lc.seq < n.ord.cursor {
+			n.popPending()
 			continue
-		}
-		if missing := n.dag.MissingAncestors(lc.pos); len(missing) > 0 {
-			for _, p := range missing {
-				if p.Round >= n.dag.MinRound() {
-					n.ord.commitWait[p] = true
-				}
-			}
-			if len(n.ord.commitWait) > 0 {
-				n.ord.commitWaitFor = lc.pos
-				return // wait for ancestors to be inserted
-			}
 		}
 		// Indirect commits. The two modes resolve skipped slots differently,
 		// because a slot ordered by one party must be provably skippable or
 		// provably committed at every other, no matter the arrival timing.
 		//
-		// Single-leader rounds carry a certificate: a committed round-r+1
-		// leader either strong-edges round r's leader — the chain walk finds
-		// it — or carries an NVC proving 2f+1 no-votes, so a slot the walk
-		// skips can never commit anywhere.
+		// Single-leader rounds (an explicit LeadersPerRound of 1) carry a
+		// certificate: a committed round-r+1 leader either strong-edges round
+		// r's leader — the chain walk finds it — or carries an NVC proving
+		// 2f+1 no-votes, so a slot the walk skips can never commit anywhere.
 		//
-		// Multi-leader slots have no such certificate, and a path-from-the-
+		// Multi-anchor slots have no such certificate, and a path-from-the-
 		// nearest-anchor walk is not canonical (which committed anchor sits
 		// nearest a slot depends on local commit timing), so ordering is
-		// fate-driven instead: every slot below the head is decided by
-		// decideSlot — the settled threshold verdict, or the indirect rule
-		// against the first committed slot two rounds up — and the drain
-		// holds while any slot's fate is still open (more arrivals
+		// fate-driven instead: the cursor passes every slot up to the head
+		// in sequence — a slot that is not live at once (slotLive), a live
+		// one on decideSlot's verdict, the direct quorum or the indirect
+		// rule against the first committed slot two rounds up — and the
+		// drain holds while a live slot's fate is still open (more arrivals
 		// re-trigger). A slot that commits below the head is enqueued and
 		// the loop restarts with it at the head, so the usual history
 		// completeness check runs before it is ordered.
-		type chainEnt struct {
-			pos types.Position
-			seq uint64
-		}
-		var start uint64
-		if n.ord.haveOrdered {
-			start = n.ord.lastOrderedSeq + 1
-		}
-		chain := []chainEnt{{lc.pos, lc.seq}}
 		if n.cfg.LeadersPerRound > 1 {
 			restart, hold := false, false
-			memo := make(map[uint64]slotDecision)
-			for ss := start; ss < lc.seq; ss++ {
-				v, direct := n.decideSlot(ss, memo)
+			if len(n.ord.memo) > 0 {
+				clear(n.ord.memo)
+			}
+			for ss := n.nextSlot(n.ord.cursor); ss <= lc.seq; ss = n.nextSlot(ss + 1) {
+				p := n.slotPos(ss)
+				n.judgeLate(p.Round)
+				if !n.slotLive(p.Round, int(ss%stride), p.Source) {
+					n.passSlot(ss)
+					continue
+				}
+				if ss == lc.seq {
+					break // the head itself: live and committed
+				}
+				v, direct := n.decideSlot(ss)
 				if v == slotSkips {
+					n.passSlot(ss)
 					continue
 				}
 				if v == slotCommits {
-					p := n.slotPos(ss)
-					if !n.ord.committedDirect[p] {
-						n.ord.committedDirect[p] = true
+					if a := n.anchorState(p.Round); !types.BitmapHas(a.committed, p.Source) {
+						types.BitmapSet(a.committed, p.Source)
 						if direct {
 							n.Metrics.DirectCommits++
 						}
-						n.ord.pendingLeaders = append(n.ord.pendingLeaders, leaderCommit{pos: p, direct: direct, seq: ss})
-						sort.Slice(n.ord.pendingLeaders, func(i, j int) bool {
-							return n.ord.pendingLeaders[i].seq < n.ord.pendingLeaders[j].seq
-						})
+						n.insertPending(leaderCommit{pos: p, direct: direct, seq: ss})
 					}
 					restart = true
 				} else {
@@ -465,24 +669,43 @@ func (n *Node) drainCommits() {
 				continue
 			}
 			if hold {
-				return
+				return false
 			}
-		} else if lc.seq > 0 {
+			if n.ord.cursor > lc.seq {
+				n.popPending() // the head's own slot was not live
+				continue
+			}
+		}
+		// The head is next in sequence. Its history must be complete before
+		// it is ordered (checked only now: every slot above was an O(1)
+		// verdict, this is a walk).
+		if missing := n.dag.MissingAncestors(lc.pos); len(missing) > 0 {
+			for _, p := range missing {
+				if p.Round >= n.dag.MinRound() {
+					n.ord.commitWait[p] = true
+				}
+			}
+			if len(n.ord.commitWait) > 0 {
+				n.ord.commitWaitFor = lc.pos
+				return true // wait for ancestors to be inserted
+			}
+		}
+		chain := append(n.ord.chain[:0], chainEnt{lc.pos, lc.seq})
+		if n.cfg.LeadersPerRound == 1 {
+			// One slot per round: walk the rounds between the last ordered
+			// leader and this one, newest first.
+			startRound := types.Round((n.ord.cursor + stride - 1) / stride)
 			cur := lc.pos
-			for ss := lc.seq - 1; ; ss-- {
-				if ss < start {
-					break
-				}
-				prevLeader := n.slotPos(ss)
+			for r := lc.pos.Round; r > startRound; {
+				r--
+				prevLeader := types.Position{Round: r, Source: n.leader(r)}
 				if n.dag.Has(prevLeader) && n.dag.StrongPath(cur, prevLeader) {
-					chain = append(chain, chainEnt{prevLeader, ss})
+					chain = append(chain, chainEnt{prevLeader, uint64(r) * stride})
 					cur = prevLeader
-				}
-				if ss == 0 {
-					break
 				}
 			}
 		}
+		n.ord.chain = chain
 		// Order oldest first, each anchor's committed membership transactions
 		// scheduled against that anchor's round. The anchor a vertex is
 		// ordered under is a function of the total-order prefix alone (unlike
@@ -494,9 +717,20 @@ func (n *Node) drainCommits() {
 		for i := len(chain) - 1; i >= 0; i-- {
 			lp := chain[i].pos
 			direct := lc.direct && lp == lc.pos
-			if !direct {
+			if direct {
+				n.Metrics.SlotsDirect++
+				n.mSlotsDirect.Inc()
+			} else {
 				n.Metrics.IndirectCommits++
+				n.Metrics.SlotsIndirect++
+				n.mSlotsIndir.Inc()
 			}
+			// Every slot still between the cursor and this anchor (the
+			// rounds the single-leader walk stepped over) is passed for good.
+			for s := n.nextSlot(n.ord.cursor); s < chain[i].seq; s = n.nextSlot(s + 1) {
+				n.passSlot(s)
+			}
+			n.ord.cursor = chain[i].seq + 1
 			n.mOrderCommits.Inc()
 			if n.ord.haveAnchorGap {
 				n.mAnchorGap.Observe(now - n.ord.lastAnchorAt)
@@ -505,14 +739,14 @@ func (n *Node) drainCommits() {
 			n.ord.haveAnchorGap = true
 			var rtxs []types.ReconfigTx
 			for _, v := range n.dag.OrderCausalHistory(lp) {
-				n.ord.outQueue = append(n.ord.outQueue, CommittedVertex{
+				n.ord.out.push(outEntry{CommittedVertex{
 					Vertex:      v,
 					LeaderRound: lp.Round,
 					Direct:      direct,
-				})
-				n.ord.outQueuedAt = append(n.ord.outQueuedAt, now)
+				}, now})
 				n.Metrics.VerticesOrdered++
 				n.mOrderVerts.Inc()
+				n.tallyOrdered(v)
 				rtxs = append(rtxs, v.Reconfig...)
 				// Committed view-change evidence feeds the reputation
 				// schedule: a TC or NVC ordered through the DAG charges
@@ -526,8 +760,6 @@ func (n *Node) drainCommits() {
 					}
 				}
 			}
-			n.ord.lastOrderedSeq = chain[i].seq
-			n.ord.haveOrdered = true
 			n.Metrics.LastOrderedRound = lp.Round
 			if lp.Round > n.lastCommitRound {
 				n.lastCommitRound = lp.Round
@@ -536,12 +768,12 @@ func (n *Node) drainCommits() {
 				n.scheduleEpoch(lp.Round, rtxs)
 			}
 			// Evidence just ordered may apply at rounds this node has
-			// already delivered (catch-up after a crash): re-derive the vote
-			// tallies and leader marks for those rounds under the updated
-			// table. When the chain still has anchors above this one, their
-			// slots — and the skipped-slot walk itself — were derived under
-			// the pre-evidence table, so abort and recompute from the head;
-			// lastOrderedSeq already covers the anchors ordered so far.
+			// already delivered (catch-up after a crash): re-derive the
+			// anchor marks and commit checks for those rounds under the
+			// updated table. When the chain still has anchors above this one,
+			// their slots — and the skipped-slot walk itself — were derived
+			// under the pre-evidence table, so abort and recompute from the
+			// head; the cursor already covers the anchors ordered so far.
 			if n.rep.retally {
 				from := n.rep.retallyFrom
 				n.rep.retally = false
@@ -556,16 +788,10 @@ func (n *Node) drainCommits() {
 		if rederive {
 			continue
 		}
-		n.ord.pendingLeaders = n.ord.pendingLeaders[1:]
+		n.popPending()
 		n.gc()
 	}
-	n.drainOut()
-	// Processing a leader commit raises the propose throttle; re-check
-	// round advancement unless this drain runs inside the recovery replay
-	// (the recovered round highwater is not restored yet at that point).
-	if !n.recovering {
-		n.tryAdvance()
-	}
+	return false
 }
 
 // drainOut emits ordered vertices in sequence, holding at any vertex whose
@@ -574,8 +800,9 @@ func (n *Node) drainCommits() {
 // stamped with OrderedAt and handed to the execution stage — inline when
 // ExecQueue is 0, via the bounded async handoff otherwise.
 func (n *Node) drainOut() {
-	for len(n.ord.outQueue) > 0 {
-		cv := n.ord.outQueue[0]
+	for n.ord.out.len() > 0 {
+		ent := &n.ord.out.items[n.ord.out.head]
+		cv := ent.cv
 		v := cv.Vertex
 		var blk *types.Block
 		ep := n.epochOf(v.Round)
@@ -604,9 +831,8 @@ func (n *Node) drainOut() {
 				n.mCommitLat.Observe(d)
 			}
 		}
-		n.mOrderLat.Observe(now - n.ord.outQueuedAt[0])
-		n.ord.outQueue = n.ord.outQueue[1:]
-		n.ord.outQueuedAt = n.ord.outQueuedAt[1:]
+		n.mOrderLat.Observe(now - ent.queuedAt)
+		n.ord.out.pop()
 		n.emitCommitted(cv)
 	}
 }
@@ -618,7 +844,7 @@ func (n *Node) drainOut() {
 // populates it while it is empty and the horizon only advances when it is
 // empty again, so nothing in it can be below the horizon.
 func (n *Node) gc() {
-	lastRound := types.Round(n.ord.lastOrderedSeq / uint64(n.cfg.LeadersPerRound))
+	lastRound := n.lastCommitRound // the last ordered anchor's round
 	if lastRound < types.Round(n.cfg.GCDepth) {
 		return
 	}
@@ -629,14 +855,10 @@ func (n *Node) gc() {
 	n.dag.GC(horizon)
 	n.gcRBC(horizon)
 	n.gcEpochs(horizon)
-	for lp := range n.ord.votes {
-		if lp.Round < horizon {
-			delete(n.ord.votes, lp)
-		}
-	}
-	for lp := range n.ord.committedDirect {
-		if lp.Round < horizon {
-			delete(n.ord.committedDirect, lp)
+	for r, a := range n.ord.anchors {
+		if r < horizon {
+			delete(n.ord.anchors, r)
+			n.ord.anchorFree = append(n.ord.anchorFree, a)
 		}
 	}
 	for r := range n.tcs {
@@ -687,22 +909,6 @@ func (n *Node) gc() {
 	for r := range n.ord.deliveredByRound {
 		if r < horizon {
 			delete(n.ord.deliveredByRound, r)
-			delete(n.ord.leaderDelivered, r)
-		}
-	}
-	for r := range n.ord.slotDelivered {
-		if r < horizon {
-			delete(n.ord.slotDelivered, r)
-		}
-	}
-	for r := range n.quorumAt {
-		if r < horizon {
-			delete(n.quorumAt, r)
-		}
-	}
-	for r := range n.anchorWaived {
-		if r < horizon {
-			delete(n.anchorWaived, r)
 		}
 	}
 	n.gcReputation(horizon)
@@ -738,17 +944,9 @@ func (n *Node) selectParents(r types.Round) (sel, deferred []*types.Vertex) {
 	if !n.cfg.SparseEdges || len(delivered) <= q {
 		return delivered, nil
 	}
-	isLeader := func(src types.NodeID) bool {
-		for k := 0; k < n.cfg.LeadersPerRound; k++ {
-			if src == n.leaderAt(r-1, k) {
-				return true
-			}
-		}
-		return false
-	}
 	var rest []*types.Vertex
 	for _, pv := range delivered {
-		if isLeader(pv.Source) {
+		if n.leaderIdx(pv.Pos()) >= 0 {
 			sel = append(sel, pv)
 		} else {
 			rest = append(rest, pv)

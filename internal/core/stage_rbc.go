@@ -80,6 +80,12 @@ func (n *Node) inst(pos types.Position) *vinst {
 	return in
 }
 
+// delivered reports whether pos's merged RBC has completed here.
+func (n *Node) delivered(pos types.Position) bool {
+	in := n.instIfAny(pos)
+	return in != nil && in.delivered
+}
+
 // instIfAny returns the instance at pos without creating it.
 func (n *Node) instIfAny(pos types.Position) *vinst {
 	if row, ok := n.rbc.insts[pos.Round]; ok && int(pos.Source) < len(row) {
@@ -513,33 +519,7 @@ func (n *Node) maybeDeliver(pos types.Position, in *vinst) {
 	}
 	v := in.vertex
 	n.ord.deliveredByRound[v.Round] = append(n.ord.deliveredByRound[v.Round], v)
-	now := n.clk.Now()
-	if idx := n.leaderIdx(v.Pos()); idx >= 0 {
-		if idx == 0 {
-			n.ord.leaderDelivered[v.Round] = true
-		}
-		if idx < 64 {
-			if n.ord.slotDelivered == nil {
-				n.ord.slotDelivered = map[types.Round]uint64{}
-			}
-			n.ord.slotDelivered[v.Round] |= uint64(1) << uint(idx)
-		}
-		// Feed the adaptive anchor-wait: how long after the round's quorum
-		// did this anchor land? (EWMA, alpha=1/4.)
-		if qa, ok := n.quorumAt[v.Round]; ok {
-			sample := now - qa
-			if n.anchorEWMA == 0 {
-				n.anchorEWMA = sample
-			} else {
-				n.anchorEWMA += (sample - n.anchorEWMA) / 4
-			}
-		}
-	}
-	if _, ok := n.quorumAt[v.Round]; !ok &&
-		len(n.ord.deliveredByRound[v.Round]) >= n.quorum(v.Round) {
-		n.quorumAt[v.Round] = now
-	}
-	if v.Round > n.maxQuorumRound && n.ord.leaderDelivered[v.Round] &&
+	if v.Round > n.maxQuorumRound && n.primaryIn(v.Round) &&
 		len(n.ord.deliveredByRound[v.Round]) >= n.quorum(v.Round) {
 		n.maxQuorumRound = v.Round
 	}

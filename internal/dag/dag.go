@@ -12,8 +12,9 @@
 package dag
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"clanbft/internal/types"
 )
@@ -22,6 +23,7 @@ import (
 type row struct {
 	verts   []*types.Vertex
 	ordered []bool
+	mark    []uint32 // visited stamps, see DAG.mark; allocated on first walk
 	count   int
 }
 
@@ -33,6 +35,19 @@ type DAG struct {
 	rounds   map[types.Round]*row
 	minRound types.Round // rounds below this are garbage collected
 	maxRound types.Round
+
+	// Walk scratch, reused across calls: the visited generation (see mark),
+	// the frontier stack, and the result buffers of OrderCausalHistory and
+	// MissingAncestors.
+	gen     uint32
+	stack   []*types.Vertex
+	batch   []*types.Vertex
+	missing []types.Position
+
+	// Steps counts the edges examined by StrongPath, OrderCausalHistory and
+	// MissingAncestors: the structural measure of ordering work (it does not
+	// depend on the machine, only on what was walked).
+	Steps uint64
 }
 
 // New creates an empty DAG for an n-party system.
@@ -130,6 +145,34 @@ func (d *DAG) Len() int {
 	return total
 }
 
+// mark stamps pos as visited by the current walk and reports whether it was
+// unvisited before. Stamps live in the rows (one uint32 per position, compared
+// against the walk's generation), so a walk allocates no visited set.
+func (d *DAG) mark(pos types.Position) bool {
+	rw := d.row(pos.Round)
+	if rw.mark == nil {
+		rw.mark = make([]uint32, d.n)
+	}
+	if rw.mark[pos.Source] == d.gen {
+		return false
+	}
+	rw.mark[pos.Source] = d.gen
+	return true
+}
+
+// beginWalk opens a new visited generation and hands back the emptied
+// frontier stack.
+func (d *DAG) beginWalk() []*types.Vertex {
+	d.gen++
+	if d.gen == 0 { // wrapped: stale stamps could alias the new generation
+		for _, rw := range d.rounds {
+			clear(rw.mark)
+		}
+		d.gen = 1
+	}
+	return d.stack[:0]
+}
+
 // StrongPath reports whether a path of strong edges leads from the vertex at
 // `from` to the vertex at `to`. Both endpoints must be present; a vertex has
 // a trivial strong path to itself.
@@ -144,27 +187,29 @@ func (d *DAG) StrongPath(from, to types.Position) bool {
 	if !ok || !d.Has(to) {
 		return false
 	}
-	// BFS backwards over strong edges, pruned by round.
-	frontier := []*types.Vertex{start}
-	visited := map[types.Position]bool{from: true}
-	for len(frontier) > 0 {
-		var next []*types.Vertex
-		for _, v := range frontier {
-			for _, e := range v.StrongEdges {
-				p := e.Pos()
-				if p == to {
-					return true
-				}
-				if p.Round < to.Round || visited[p] {
-					continue
-				}
-				visited[p] = true
-				if pv, ok := d.Get(p); ok {
-					next = append(next, pv)
-				}
+	// Depth-first backwards over strong edges (which only ever step one
+	// round down). One round above the target a vertex either has the edge
+	// or ends its branch: a binary search over its ordered edge list, not a
+	// scan.
+	stack := append(d.beginWalk(), start)
+	defer func() { d.stack = stack[:0] }()
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if v.Round == to.Round+1 {
+			d.Steps++
+			if v.HasStrongEdgeTo(to) {
+				return true
+			}
+			continue
+		}
+		d.Steps += uint64(len(v.StrongEdges))
+		for _, e := range v.StrongEdges {
+			p := e.Pos()
+			if pv, ok := d.Get(p); ok && d.mark(p) {
+				stack = append(stack, pv)
 			}
 		}
-		frontier = next
 	}
 	return false
 }
@@ -230,43 +275,41 @@ func (d *DAG) markOrdered(pos types.Position) {
 //
 // Edges below the GC horizon or pointing at vertices this party has not yet
 // inserted are skipped: callers must only order a leader once its history is
-// locally complete (see MissingAncestors).
+// locally complete (see MissingAncestors). The returned slice is scratch,
+// valid until the next OrderCausalHistory call.
 func (d *DAG) OrderCausalHistory(pos types.Position) []*types.Vertex {
 	start, ok := d.Get(pos)
-	if !ok {
+	if !ok || d.IsOrdered(pos) {
 		return nil
 	}
-	var batch []*types.Vertex
-	visited := map[types.Position]bool{}
-	var visit func(v *types.Vertex)
-	visit = func(v *types.Vertex) {
-		p := v.Pos()
-		if visited[p] || d.IsOrdered(p) {
-			return
-		}
-		visited[p] = true
-		for _, e := range v.StrongEdges {
-			if pv, ok := d.Get(e.Pos()); ok {
-				visit(pv)
-			}
-		}
-		for _, e := range v.WeakEdges {
-			if pv, ok := d.Get(e.Pos()); ok {
-				visit(pv)
-			}
-		}
+	stack := d.beginWalk()
+	batch := d.batch[:0]
+	d.mark(pos)
+	stack = append(stack, start)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		batch = append(batch, v)
-	}
-	visit(start)
-	sort.Slice(batch, func(i, j int) bool {
-		if batch[i].Round != batch[j].Round {
-			return batch[i].Round < batch[j].Round
+		d.Steps += uint64(len(v.StrongEdges) + len(v.WeakEdges))
+		for _, edges := range [2][]types.VertexRef{v.StrongEdges, v.WeakEdges} {
+			for _, e := range edges {
+				p := e.Pos()
+				if pv, ok := d.Get(p); ok && !d.IsOrdered(p) && d.mark(p) {
+					stack = append(stack, pv)
+				}
+			}
 		}
-		return batch[i].Source < batch[j].Source
+	}
+	slices.SortFunc(batch, func(a, b *types.Vertex) int {
+		if a.Round != b.Round {
+			return cmp.Compare(a.Round, b.Round)
+		}
+		return cmp.Compare(a.Source, b.Source)
 	})
 	for _, v := range batch {
 		d.markOrdered(v.Pos())
 	}
+	d.stack, d.batch = stack[:0], batch
 	return batch
 }
 
@@ -280,35 +323,37 @@ func (d *DAG) Complete(pos types.Position) bool {
 // MissingAncestors returns the positions referenced (transitively) from pos
 // that are not yet inserted, treating ordered and GC'd vertices as
 // satisfied. An empty result means Complete(pos). If pos itself is absent,
-// it is the single missing position.
+// it is the single missing position. The returned slice is scratch, valid
+// until the next MissingAncestors call.
 func (d *DAG) MissingAncestors(pos types.Position) []types.Position {
+	missing := d.missing[:0]
 	start, ok := d.Get(pos)
 	if !ok {
-		return []types.Position{pos}
+		d.missing = append(missing, pos)
+		return d.missing
 	}
-	var missing []types.Position
-	frontier := []*types.Vertex{start}
-	visited := map[types.Position]bool{pos: true}
-	for len(frontier) > 0 {
-		var next []*types.Vertex
-		for _, v := range frontier {
-			for _, edges := range [2][]types.VertexRef{v.StrongEdges, v.WeakEdges} {
-				for _, e := range edges {
-					p := e.Pos()
-					if visited[p] || d.IsOrdered(p) || p.Round < d.minRound {
-						continue
-					}
-					visited[p] = true
-					if pv, ok := d.Get(p); ok {
-						next = append(next, pv)
-					} else {
-						missing = append(missing, p)
-					}
+	stack := d.beginWalk()
+	d.mark(pos)
+	stack = append(stack, start)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		d.Steps += uint64(len(v.StrongEdges) + len(v.WeakEdges))
+		for _, edges := range [2][]types.VertexRef{v.StrongEdges, v.WeakEdges} {
+			for _, e := range edges {
+				p := e.Pos()
+				if p.Round < d.minRound || d.IsOrdered(p) || !d.mark(p) {
+					continue
+				}
+				if pv, ok := d.Get(p); ok {
+					stack = append(stack, pv)
+				} else {
+					missing = append(missing, p)
 				}
 			}
 		}
-		frontier = next
 	}
+	d.stack, d.missing = stack[:0], missing
 	return missing
 }
 

@@ -66,14 +66,17 @@ type Options struct {
 	// property checks are identical: safety and liveness must hold in
 	// both edge modes under the same schedules.
 	Sparse bool
-	// LeadersPerRound enables multi-leader rounds (core default when 0).
+	// LeadersPerRound bounds the anchors per round: zero is core's default
+	// (every eligible member; the primary alone with Sparse), 1 pins the
+	// single-leader chain walk.
 	LeadersPerRound int
 	// LeaderReputation enables the reputation-driven leader schedule:
 	// committed timeout evidence demotes offenders from the rotation.
 	// The property checks are unchanged — safety and liveness must hold
 	// with the mutable schedule under the same fault mixes.
 	LeaderReputation bool
-	// AnchorWait caps the adaptive pipelined-anchor pause (0 = off).
+	// AnchorWait caps the pipelined-anchor hold (0 = core's 5 ms default,
+	// negative = off).
 	AnchorWait time.Duration
 	// GCDepth overrides how many rounds behind the commit frontier each
 	// node retains (core's default when zero). Scenarios that keep nodes

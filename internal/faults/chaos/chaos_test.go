@@ -44,27 +44,37 @@ func chaosSeedBase(t *testing.T) int64 {
 // TestChaosMixedFaults sweeps seeded mixed-fault scenarios — drops,
 // duplicates, reorder delays, a partition with heal, and up to f
 // crash/restart cycles with torn WAL tails — over single-clan and multi-clan
-// modes, asserting safety and post-heal liveness for every seed.
+// modes, asserting safety and post-heal liveness for every seed. The sweep
+// runs the default ordering path, every eligible member an anchor: seed 10 in
+// single-clan mode is the schedule on which PR 10's skip threshold let two
+// partitioned nodes skip a slot the others committed by path. A shorter sweep
+// pins LeadersPerRound to 1 so the single-leader chain walk stays covered.
 func TestChaosMixedFaults(t *testing.T) {
 	seeds := 10
 	if testing.Short() {
 		seeds = 2
 	}
 	base := chaosSeedBase(t)
-	for _, mode := range []core.Mode{core.ModeSingleClan, core.ModeMultiClan} {
-		for s := int64(0); s < int64(seeds); s++ {
-			seed := base + s
-			t.Run(fmt.Sprintf("%s/seed=%d", mode, seed), func(t *testing.T) {
-				// Crashes, restarts, and torn WAL tails exercise every
-				// buffer-release path (dropped frames, aborted batches); the
-				// pool must still balance once the run shuts down.
-				pc := types.StartPoolCheck()
-				r := Run(Options{Seed: seed, Mode: mode, Dir: t.TempDir()})
-				if r.Failed() {
-					dumpFailure(t, r)
-				}
-				pc.AssertBalanced(t)
-			})
+	for _, leaders := range []int{0, 1} {
+		prefix := ""
+		if leaders == 1 {
+			prefix, seeds = "single-leader/", min(seeds, 3)
+		}
+		for _, mode := range []core.Mode{core.ModeSingleClan, core.ModeMultiClan} {
+			for s := int64(0); s < int64(seeds); s++ {
+				seed := base + s
+				t.Run(fmt.Sprintf("%s%s/seed=%d", prefix, mode, seed), func(t *testing.T) {
+					// Crashes, restarts, and torn WAL tails exercise every
+					// buffer-release path (dropped frames, aborted batches); the
+					// pool must still balance once the run shuts down.
+					pc := types.StartPoolCheck()
+					r := Run(Options{Seed: seed, Mode: mode, Dir: t.TempDir(), LeadersPerRound: leaders})
+					if r.Failed() {
+						dumpFailure(t, r)
+					}
+					pc.AssertBalanced(t)
+				})
+			}
 		}
 	}
 }
@@ -195,24 +205,28 @@ func churnSchedule() *faults.Schedule {
 // consistent across both fences (no fork), every node — the joiner
 // included — must make post-heal progress, and every node must finish in
 // the final epoch. Covered in dense and sparse edge modes under the
-// identical schedule.
+// identical schedule, dense both on the default (every eligible member an
+// anchor: the slot count of a round follows the membership across each
+// fence) and with LeadersPerRound pinned to 1.
 func TestChaosMembershipChurn(t *testing.T) {
 	members := []types.NodeID{0, 1, 2, 3, 4, 5, 6}
-	for _, sparse := range []bool{false, true} {
-		name := "dense"
-		if sparse {
-			name = "sparse"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		sparse  bool
+		leaders int
+	}{{"dense", false, 0}, {"dense/single-leader", false, 1}, {"sparse", true, 0}} {
+		sparse := tc.sparse
+		t.Run(tc.name, func(t *testing.T) {
 			pc := types.StartPoolCheck()
 			r := Run(Options{
-				Seed:          41,
-				N:             8,
-				Dir:           t.TempDir(),
-				Schedule:      churnSchedule(),
-				Sparse:        sparse,
-				Members:       members,
-				ReconfigDelay: 12,
+				Seed:            41,
+				N:               8,
+				Dir:             t.TempDir(),
+				Schedule:        churnSchedule(),
+				Sparse:          sparse,
+				LeadersPerRound: tc.leaders,
+				Members:         members,
+				ReconfigDelay:   12,
 				Reconfigs: []Reconfig{
 					{At: 800 * time.Millisecond, Action: types.ReconfigJoin, Node: 7, Addr: "sim://7"},
 					{At: 2500 * time.Millisecond, Action: types.ReconfigLeave, Node: 6},
@@ -272,9 +286,9 @@ func TestChaosSparseMixedFaults(t *testing.T) {
 }
 
 // reputationSchedule crashes one of the five parties for a three-second
-// stretch. With LeadersPerRound=2 the primary slot (2r mod 5) visits every
-// party once per five rounds, so with the static schedule every rotation
-// pass costs a 700ms leader timeout until the restart. The window is kept
+// stretch. The primary slot (r mod 5) visits every party once per five
+// rounds, so with the static schedule every rotation pass costs a 700ms
+// leader timeout until the restart. The window is kept
 // short: the simulated cluster catches restarted nodes up through per-round
 // vertex pulls (one RTT per DAG level), so the healthy majority must not
 // get more than a few seconds ahead.
@@ -291,20 +305,35 @@ func reputationSchedule() *faults.Schedule {
 // timeout evidence (offenses observed at the never-crashed node 0) and pay
 // strictly fewer leader-timeout rounds — after the first committed timeout
 // certificate the crashed leaders are demoted out of the rotation instead of
-// stalling every pass.
+// stalling every pass. Run with every eligible member an anchor (the
+// default: the demotion shrinks the round's slot count), with two anchors a
+// round, and with the single leader pinned.
 func TestChaosMultiLeaderReputation(t *testing.T) {
+	for _, leaders := range []int{0, 2, 1} {
+		t.Run(fmt.Sprintf("L=%d", leaders), func(t *testing.T) {
+			testChaosReputation(t, leaders)
+		})
+	}
+}
+
+func testChaosReputation(t *testing.T, leaders int) {
+	delay := types.Round(4)
+	if leaders == 1 {
+		delay = 2
+	}
 	run := func(rep bool) Result {
 		return Run(Options{
 			Seed:             42,
 			N:                5,
 			Dir:              t.TempDir(),
 			Schedule:         reputationSchedule(),
-			LeadersPerRound:  2,
+			LeadersPerRound:  leaders,
 			LeaderReputation: rep,
 			// Short evidence->apply distance so demotion engages within the
 			// crash window (the default 32-round gap is tuned for epoch
-			// fences, not an 11-second scenario).
-			ReconfigDelay: 2,
+			// fences, not an 11-second scenario): the least each ordering
+			// path takes at n=5 (core.Config.ReconfigDelay).
+			ReconfigDelay: delay,
 			// With the crashed leaders demoted the survivors run at full
 			// speed, so by the restart they are far past the default
 			// 64-round retention; keep everything so the victims' vertex

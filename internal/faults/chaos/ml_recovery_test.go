@@ -22,7 +22,7 @@ import (
 func TestMultiLeaderReputationCatchup(t *testing.T) {
 	r := Run(Options{
 		Seed: 7, N: 5, Dir: t.TempDir(),
-		LeadersPerRound: 2, ReconfigDelay: 2, LeaderReputation: true, GCDepth: 4096,
+		LeadersPerRound: 2, ReconfigDelay: 4, LeaderReputation: true, GCDepth: 4096,
 		Schedule: &faults.Schedule{Seed: 7, Events: []faults.Event{
 			{At: 1 * time.Second, Kind: faults.KindCrash, Node: 3},
 			{At: 4 * time.Second, Kind: faults.KindRestart, Node: 3},

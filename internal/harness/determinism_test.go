@@ -21,19 +21,30 @@ import (
 // harness does share with the real transport is the buffer pool, so each run
 // is bracketed by a pool-leak check: every pooled buffer a run takes (WAL
 // batches, encode scratch) must be returned by shutdown.
+//
+// Each mode runs on the default ordering path (every eligible member an
+// anchor) and with LeadersPerRound pinned to 1, the single-leader chain walk
+// the paper-figure experiments keep.
 func TestCommitOrderDeterminism(t *testing.T) {
-	cases := []struct {
+	type tcase struct {
 		name string
 		cfg  Config
-	}{
-		{"single-clan", Config{
-			Mode: core.ModeSingleClan, N: 12, TxPerProposal: 50,
-			Warmup: 2 * time.Second, Measure: 4 * time.Second, Seed: 9,
-		}},
-		{"multi-clan", Config{
-			Mode: core.ModeMultiClan, N: 12, NumClans: 2, TxPerProposal: 50,
-			Warmup: 2 * time.Second, Measure: 4 * time.Second, Seed: 9,
-		}},
+	}
+	var cases []tcase
+	for _, leaders := range []int{0, 1} {
+		suffix := ""
+		if leaders == 1 {
+			suffix = "/single-leader"
+		}
+		cases = append(cases,
+			tcase{"single-clan" + suffix, Config{
+				Mode: core.ModeSingleClan, N: 12, TxPerProposal: 50, LeadersPerRound: leaders,
+				Warmup: 2 * time.Second, Measure: 4 * time.Second, Seed: 9,
+			}},
+			tcase{"multi-clan" + suffix, Config{
+				Mode: core.ModeMultiClan, N: 12, NumClans: 2, TxPerProposal: 50, LeadersPerRound: leaders,
+				Warmup: 2 * time.Second, Measure: 4 * time.Second, Seed: 9,
+			}})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,21 +14,25 @@ import (
 // epoch tables — same fence rounds, same membership, same re-sampled clan
 // assignments. Reconfiguration is ordered state-machine input, so it
 // inherits the determinism of the order itself. Covered in both the dense
-// and sparse edge modes.
+// and sparse edge modes; dense runs on the default ordering path (every
+// eligible member an anchor — sparse defaults to the primary alone) and once
+// more with LeadersPerRound pinned to 1.
 func TestEpochFenceDeterminism(t *testing.T) {
 	members := []types.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	for _, sparse := range []bool{false, true} {
-		name := "dense"
-		if sparse {
-			name = "sparse"
-		}
+	for _, tc := range []struct {
+		name    string
+		sparse  bool
+		leaders int
+	}{{"dense", false, 0}, {"dense/single-leader", false, 1}, {"sparse", true, 0}} {
+		name, sparse := tc.name, tc.sparse
 		t.Run(name, func(t *testing.T) {
 			cfg := Config{
 				Mode: core.ModeMultiClan, N: 12, NumClans: 2, TxPerProposal: 20,
 				Warmup: 2 * time.Second, Measure: 5 * time.Second, Seed: 33,
-				SparseEdges:   sparse,
-				Members:       members,
-				ReconfigDelay: 8,
+				SparseEdges:     sparse,
+				LeadersPerRound: tc.leaders,
+				Members:         members,
+				ReconfigDelay:   8,
 				Reconfigs: []Reconfig{
 					{At: 1 * time.Second, Action: types.ReconfigJoin, Node: 10, Addr: "sim://10"},
 					{At: 3 * time.Second, Action: types.ReconfigLeave, Node: 9},

@@ -77,6 +77,12 @@ func PrintTable1(w io.Writer) {
 	}
 }
 
+// paperLeaders pins the experiments that reproduce the paper's figures and
+// tables to the protocol the paper evaluates: Sailfish with one leader a
+// round. Everything else in the repository runs the default, every eligible
+// member an anchor (core.Config.LeadersPerRound).
+const paperLeaders = 1
+
 // SweepConfig parameterizes a throughput/latency sweep (Figures 5 and 6).
 type SweepConfig struct {
 	N       int
@@ -104,12 +110,13 @@ func Figure5(cfg SweepConfig) []Result {
 	for _, mode := range cfg.Modes {
 		for _, load := range cfg.Loads {
 			out = append(out, Run(Config{
-				Mode:          mode,
-				N:             cfg.N,
-				TxPerProposal: load,
-				Warmup:        cfg.Warmup,
-				Measure:       cfg.Measure,
-				Seed:          cfg.Seed,
+				Mode:            mode,
+				N:               cfg.N,
+				LeadersPerRound: paperLeaders,
+				TxPerProposal:   load,
+				Warmup:          cfg.Warmup,
+				Measure:         cfg.Measure,
+				Seed:            cfg.Seed,
 			}))
 		}
 	}
@@ -161,7 +168,7 @@ func CommComplexity(n, load int, seed int64) []CommRow {
 	var rows []CommRow
 	for _, mode := range []core.Mode{core.ModeBaseline, core.ModeSingleClan, core.ModeMultiClan} {
 		r := Run(Config{
-			Mode: mode, N: n, TxPerProposal: load,
+			Mode: mode, N: n, TxPerProposal: load, LeadersPerRound: paperLeaders,
 			Warmup: 2 * time.Second, Measure: 6 * time.Second, Seed: seed,
 		})
 		row := CommRow{Mode: mode, N: n, ClanSize: r.ClanSize, Rounds: r.Rounds}
@@ -219,8 +226,9 @@ func AblateClanSize(n, load int, sizes []int, seed int64) []Result {
 	for _, size := range sizes {
 		out = append(out, Run(Config{
 			Mode: core.ModeSingleClan, N: n, ClanSize: size,
-			TxPerProposal: load,
-			Warmup:        2 * time.Second, Measure: 6 * time.Second,
+			LeadersPerRound: paperLeaders,
+			TxPerProposal:   load,
+			Warmup:          2 * time.Second, Measure: 6 * time.Second,
 			Seed: seed,
 		}))
 	}
@@ -258,6 +266,9 @@ func SparseDagScale(ns []int, warm, meas time.Duration, seed int64) []SparseRow 
 				Mode: core.ModeMultiClan, N: n, TxPerProposal: 8,
 				Warmup: warm, Measure: meas, Seed: seed,
 				SparseEdges: sparse,
+				// One leader on both sides: sparse runs the primary alone
+				// anyway, and the comparison is about edges, not anchors.
+				LeadersPerRound: paperLeaders,
 			})
 			row := SparseRow{N: n, Sparse: sparse, Rounds: r.Rounds, TotalBytes: r.TotalBytes}
 			if commits := len(r.Order); commits > 0 {

@@ -42,7 +42,10 @@ type Config struct {
 	ClanSize int
 	// NumClans partitions the tribe (ModeMultiClan, default 2).
 	NumClans int
-	// LeadersPerRound enables multi-leader Sailfish (default 1).
+	// LeadersPerRound bounds the anchors per round (zero: every eligible
+	// member, or the primary alone with SparseEdges; 1: single-leader
+	// Sailfish, what the paper-figure experiments pin). See
+	// core.Config.LeadersPerRound.
 	LeadersPerRound int
 
 	// TxPerProposal transactions of TxSize bytes per proposal.
@@ -102,8 +105,8 @@ type Config struct {
 	LeaderReputation bool
 	// ReputationWindow overrides the demotion window (default 64 rounds).
 	ReputationWindow types.Round
-	// AnchorWait caps the adaptive pipelined-anchor pause
-	// (core.Config.AnchorWait); 0 disables it.
+	// AnchorWait caps the pipelined-anchor hold (core.Config.AnchorWait):
+	// zero is the 5 ms default, negative turns it off.
 	AnchorWait time.Duration
 
 	// Faults, when non-nil, wraps every endpoint in the deterministic
@@ -119,7 +122,8 @@ type Config struct {
 	// Parties outside it run as observers — tracking the DAG without
 	// proposing — until a committed join admits them at an epoch fence.
 	Members []types.NodeID
-	// ReconfigDelay overrides the fence distance (core.Config.ReconfigDelay).
+	// ReconfigDelay overrides the fence distance (core.Config.ReconfigDelay;
+	// at least 2f+2 with more than one anchor a round).
 	ReconfigDelay types.Round
 	// Reconfigs schedules signed membership transactions over the run:
 	// each is built under the deployment key universe and submitted to

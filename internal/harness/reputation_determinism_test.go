@@ -16,24 +16,28 @@ import (
 // sequences. This is the harness-level face of the schedule-determinism
 // contract: demotions, re-admissions, the mid-stream re-tally a recovering
 // node performs, and the epoch-fence reputation reset all replay exactly.
-// Covered in both the dense and sparse edge modes.
+// Covered in both the dense and sparse edge modes with two anchors a round,
+// and dense on the default (every eligible member an anchor, so a demotion
+// changes the slot count of a round, not only who fills the slots) and with
+// LeadersPerRound pinned to 1.
 func TestReputationScheduleDeterminism(t *testing.T) {
-	for _, sparse := range []bool{false, true} {
-		name := "dense"
-		if sparse {
-			name = "sparse"
-		}
+	for _, tc := range []struct {
+		name    string
+		sparse  bool
+		leaders int
+	}{{"dense", false, 2}, {"sparse", true, 2}, {"dense/all-anchors", false, 0}, {"dense/single-leader", false, 1}} {
+		name, sparse := tc.name, tc.sparse
 		t.Run(name, func(t *testing.T) {
 			cfg := Config{
 				Mode: core.ModeSingleClan, N: 12, TxPerProposal: 30,
 				Warmup: 2 * time.Second, Measure: 5 * time.Second, Seed: 29,
 				RoundTimeout:     700 * time.Millisecond,
 				SparseEdges:      sparse,
-				LeadersPerRound:  2,
+				LeadersPerRound:  tc.leaders,
 				LeaderReputation: true,
 				ReputationWindow: 24,
 				Members:          []types.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
-				ReconfigDelay:    6,
+				ReconfigDelay:    8,
 				Reconfigs: []Reconfig{
 					// A join fences a new epoch mid-run: reputation events
 					// reset at the fence and the rotation re-derives over
@@ -41,7 +45,7 @@ func TestReputationScheduleDeterminism(t *testing.T) {
 					{At: 3 * time.Second, Action: types.ReconfigJoin, Node: 11, Addr: "sim://11"},
 				},
 				Faults: &faults.Schedule{Seed: 29, Events: []faults.Event{
-					// Node 4 sits on the L=2 primary rotation; crashing it
+					// Node 4 takes its turn as primary; crashing it
 					// forces timeouts whose certificates become the
 					// committed offense evidence, and the restart exercises
 					// catch-up under a schedule that moved while it was

@@ -359,7 +359,15 @@ func (r *Registry) OnSnapshot(fn func(*Snapshot)) {
 // Snapshot copies every instrument and runs the registered collectors.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
-	s := NewSnapshot()
+	// Sized up front — the registered names plus room for what collectors add
+	// — so a poller (the gateway refreshes its admission view from a snapshot)
+	// does not pay for the maps growing step by step on every call.
+	const collectorKeys = 24
+	s := Snapshot{
+		Counters: make(map[string]uint64, len(r.counters)+collectorKeys),
+		Gauges:   make(map[string]int64, len(r.gauges)+collectorKeys),
+		Hists:    make(map[string]HistSnapshot, len(r.hists)),
+	}
 	for k, c := range r.counters {
 		s.Counters[k] = c.Load()
 	}

@@ -315,15 +315,14 @@ func PipelineE2E(b *testing.B) {
 }
 
 // CommitLatencyUnderFaults drives the latency-compression scenario — a
-// nine-party, three-leader cluster whose primary rotation cycles only three
-// parties, with one of them crashed before the measurement window — under
-// the reputation-driven schedule with pipelined-anchor pacing, and reports
+// nine-party cluster, every member an anchor, with one member crashed before
+// the measurement window — under the reputation-driven schedule, and reports
 // the committed vertices' creation-to-ordering p50 as commit_latency_p50
 // (milliseconds, lower is better; compareBaseline in cmd/bench gates it).
-// Without the reputation schedule the static rotation re-elects the dead
-// primary every third round and the p50 sits at roughly the RoundTimeout;
-// the gate pins the compressed schedule's p50 so a regression in offense
-// detection, the apply fence, or the slot-fate rules shows up as a latency
+// Without the reputation schedule the static rotation hands the dead member
+// the primary slot every ninth round and a RoundTimeout with it; the gate
+// pins the compressed schedule's p50 so a regression in offense detection,
+// the apply fence, slot liveness or the slot-fate rule shows up as a latency
 // cliff rather than a silent stall. Deterministic: virtual time, fixed seed.
 // The static-vs-compressed comparison itself lives in cmd/bench -exp latency.
 func CommitLatencyUnderFaults(b *testing.B) {
@@ -333,11 +332,9 @@ func CommitLatencyUnderFaults(b *testing.B) {
 			Mode: core.ModeBaseline, N: 9, TxPerProposal: 30,
 			Warmup: 2 * time.Second, Measure: 4 * time.Second, Seed: 42,
 			RoundTimeout:     1200 * time.Millisecond,
-			LeadersPerRound:  3,
-			ReconfigDelay:    4,
+			ReconfigDelay:    8,
 			LeaderReputation: true,
 			ReputationWindow: 256,
-			AnchorWait:       5 * time.Millisecond,
 			Faults: &faults.Schedule{Seed: 42, Events: []faults.Event{
 				{At: 500 * time.Millisecond, Kind: faults.KindCrash, Node: 3},
 			}},
@@ -351,6 +348,44 @@ func CommitLatencyUnderFaults(b *testing.B) {
 	}
 	b.ReportMetric(float64(res.CommitP50)/float64(time.Millisecond), "commit_latency_p50")
 	b.ReportMetric(float64(len(res.Order))/6, "commits/sec")
+}
+
+// OrderWorkPerVertex is the all-anchors cost gate at the paper's scale: a
+// hundred-party simulated cluster run once with every member an anchor and
+// once with the single leader pinned, comparing the ordering stage's
+// structural work — edges tallied, slot fates evaluated, DAG edges walked
+// (the order.work counter) — per delivered vertex. Ordering n anchors a round
+// must not cost a multiple of ordering one: the per-round vote tally is
+// updated once per seen proposal whatever the anchor count, a slot's verdict
+// is one comparison, and each anchor's history walk covers one round where
+// the single leader's covers two. The row reports the all-anchors figure as
+// order_work/vertex (lower is better; compareBaseline gates it) and fails
+// outright if it exceeds 1.5x the single-leader figure. Counts, not time:
+// deterministic under the simulator's fixed seed.
+func OrderWorkPerVertex(b *testing.B, n int) {
+	measure := func(leaders int) float64 {
+		res := harness.Run(harness.Config{
+			Mode: core.ModeBaseline, N: n, TxPerProposal: 1, LeadersPerRound: leaders,
+			// One region: the modeled CPU, not the WAN, paces the rounds
+			// (about ten in this window), which is all a count needs.
+			Regions: make([]int, n),
+			Warmup:  300 * time.Millisecond, Measure: 700 * time.Millisecond, Seed: 42,
+		})
+		verts := res.Pipeline.Counters["rbc.delivered"]
+		if verts == 0 || len(res.Order) == 0 {
+			b.Fatalf("L=%d: nothing delivered or ordered", leaders)
+		}
+		return float64(res.Pipeline.Counters["order.work"]) / float64(verts)
+	}
+	var all, single float64
+	for i := 0; i < b.N; i++ {
+		all, single = measure(0), measure(1)
+	}
+	if all > 1.5*single {
+		b.Fatalf("ordering work per delivered vertex: %.1f with every member an anchor, %.1f with one leader — more than 1.5x", all, single)
+	}
+	b.ReportMetric(all, "order_work/vertex")
+	b.ReportMetric(all/single, "vs_single_leader")
 }
 
 // SparseDagScale drives one cell of the sparse-edge scaling experiment (a
@@ -369,6 +404,9 @@ func SparseDagScale(b *testing.B, n int, sparse bool) {
 		res = harness.Run(harness.Config{
 			Mode: core.ModeMultiClan, N: n, TxPerProposal: 8,
 			Warmup: warm, Measure: meas, Seed: 42, SparseEdges: sparse,
+			// One leader on both sides, as in harness.SparseDagScale: the
+			// cell compares edge modes, not anchor counts.
+			LeadersPerRound: 1,
 		})
 	}
 	commits := len(res.Order)
@@ -491,7 +529,8 @@ func Suite(verbose io.Writer) []Row {
 		Run("DiskGroupCommit/writers=8", func(b *testing.B) { DiskGroupCommit(b, 8) }),
 		Run("DiskGroupCommit/writers=16", func(b *testing.B) { DiskGroupCommit(b, 16) }),
 		Run("PipelineE2E/n=12/single-clan", PipelineE2E),
-		Run("CommitLatencyUnderFaults/n=9/L=3/reputation", CommitLatencyUnderFaults),
+		Run("CommitLatencyUnderFaults/n=9/reputation", CommitLatencyUnderFaults),
+		Run("OrderWorkPerVertex/n=100/all-anchors", func(b *testing.B) { OrderWorkPerVertex(b, 100) }),
 		Run("ParallelExecTxRate/workers=1/conflict=0", func(b *testing.B) { ParallelExecTxRate(b, 1, 0) }),
 		Run("ParallelExecTxRate/workers=8/conflict=0", func(b *testing.B) { ParallelExecTxRate(b, 8, 0) }),
 		Run("ParallelExecTxRate/workers=8/conflict=10", func(b *testing.B) { ParallelExecTxRate(b, 8, 10) }),

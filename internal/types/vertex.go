@@ -2,7 +2,9 @@ package types
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -134,14 +136,18 @@ func (v *Vertex) NormalizeEdges() {
 	sort.Slice(v.WeakEdges, func(i, j int) bool { return v.WeakEdges[i].Less(v.WeakEdges[j]) })
 }
 
-// HasStrongEdgeTo reports whether v has a strong edge to position p.
+// HasStrongEdgeTo reports whether v has a strong edge to position p. Strong
+// edges all target round v.Round-1 in ascending source order — the order the
+// wire bitmap decodes to, NormalizeEdges produces, and the consensus engine's
+// vertex validation demands — so this is a binary search.
 func (v *Vertex) HasStrongEdgeTo(p Position) bool {
-	for _, e := range v.StrongEdges {
-		if e.Pos() == p {
-			return true
-		}
+	if p.Round+1 != v.Round {
+		return false
 	}
-	return false
+	_, ok := slices.BinarySearchFunc(v.StrongEdges, p.Source, func(e VertexRef, src NodeID) int {
+		return cmp.Compare(e.Source, src)
+	})
+	return ok
 }
 
 // Marshal appends the canonical encoding of v to b.
