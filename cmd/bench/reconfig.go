@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"clanbft"
-	"clanbft/internal/perfbench"
 	"clanbft/internal/types"
 )
 
@@ -18,9 +17,10 @@ import (
 // from a donor snapshot plus WAL suffix (FetchSnapshot), recovers, and is
 // observed proposing — its vertices ordered by the original members. The
 // headline number is join_to_serving_ms: submit-of-tx to first committed
-// vertex authored by the joiner. Results go to results/reconfig.txt; with
-// -baseline the number gates against the checked-in artifact.
-func runReconfig(seed int64, baseline string) error {
+// vertex authored by the joiner — wall clock, so recorded and not gated; what
+// fails the run is a fork across the fence or a joiner that never serves.
+// Results go to results/reconfig.txt.
+func runReconfig(seed int64) error {
 	const (
 		universe = 5 // key universe: 4 founding members + 1 joiner
 		members  = 4
@@ -206,13 +206,5 @@ func runReconfig(seed int64, baseline string) error {
 		return err
 	}
 	fmt.Println("wrote results/reconfig.txt")
-
-	if baseline != "" {
-		rows := []perfbench.Row{{
-			Name:  "reconfig/join-4to5-tcp",
-			Extra: map[string]float64{"join_to_serving_ms": joinMs},
-		}}
-		return compareBaseline(rows, baseline)
-	}
 	return nil
 }

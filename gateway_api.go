@@ -42,7 +42,8 @@ type GatewayOptions struct {
 	ReadTimeout time.Duration
 	// MaxTx caps one transaction's size in bytes (default 64 KiB).
 	MaxTx int
-	// WriteQueue is the per-connection outbound frame queue (default 1024).
+	// WriteQueue bounds a connection's unwritten backlog, in units of
+	// 512 bytes (default 1024: 512 KiB); frames beyond it are dropped.
 	WriteQueue int
 }
 

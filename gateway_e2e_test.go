@@ -9,6 +9,7 @@ import (
 	"clanbft/internal/execution"
 	"clanbft/internal/gateway"
 	"clanbft/internal/gateway/load"
+	"clanbft/internal/types"
 )
 
 // buildGatewayCluster wires a 4-node in-process cluster with one executor
@@ -154,4 +155,62 @@ func TestGatewayLoadGeneratorSmoke(t *testing.T) {
 	if rep.E2E.Count() == 0 || rep.E2E.Quantile(0.99) == 0 {
 		t.Fatalf("no latency samples: %s", rep)
 	}
+}
+
+// TestTCPTxPathPoolBalanced runs the whole transaction path over real
+// sockets — client frames, gateway admission and write buffers, mempool,
+// blocks, wire, alias decode, execution, COMMIT frames — for at least fifty
+// rounds and then demands the buffer pool's books balance: every pooled
+// buffer the path took (receive chunks, frames, per-connection write
+// buffers) came back, so nothing pooled is still reachable from the block
+// cache, the DAG or the state.
+func TestTCPTxPathPoolBalanced(t *testing.T) {
+	const writes = 400
+	pc := types.StartPoolCheck()
+	nodes := bootTCP(t, Options{N: 4, Seed: 5, ExecQueue: 64, RoundTimeout: 2 * time.Second})
+	execs := make([]*execution.Executor, len(nodes))
+	for i, nd := range nodes {
+		ex := execution.NewExecutor(NodeID(i), nil)
+		execs[i] = ex
+		nd.OnCommit(ex.Apply)
+	}
+	gw, err := nodes[0].ServeGateway(GatewayOptions{Addr: "127.0.0.1:0", Limits: GatewayLimits{ClientRate: 1e6}})
+	if err != nil {
+		t.Fatalf("ServeGateway: %v", err)
+	}
+	for _, nd := range nodes {
+		nd.Start()
+	}
+	var commits atomic.Int64
+	cl, err := gateway.Dial(gw.Addr(), func(ev gateway.ServerEvent) {
+		if ev.Kind == gateway.MsgCommit {
+			commits.Add(1)
+		}
+	})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	for seq := uint64(0); seq < writes; seq++ {
+		tx := execution.EncodeTx(execution.Tx{Op: execution.OpSet,
+			Key: []byte{'k', byte(seq % 32)}, Value: []byte{byte(seq), byte(seq >> 8), 1, 2, 3, 4}})
+		if err := cl.Submit(seq%8, seq, tx); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		if seq%50 == 49 {
+			time.Sleep(20 * time.Millisecond) // spread the writes over several blocks
+		}
+	}
+	waitFor(t, 30*time.Second, func() bool { return commits.Load() == writes })
+	if !nodes[0].WaitRound(50, 30*time.Second) {
+		t.Fatalf("only %d rounds", nodes[0].Round())
+	}
+	cl.Close()
+	gw.Close()
+	for _, nd := range nodes {
+		nd.Close()
+	}
+	if got := execs[0].Executed; got < writes {
+		t.Fatalf("node 0 executed %d of %d writes", got, writes)
+	}
+	pc.AssertBalanced(t)
 }

@@ -494,20 +494,19 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 		clk: clk,
 		dag: dag.New(cfg.N),
 		rbc: rbcState{
-			insts:    map[types.Round][]*vinst{},
+			insts:    map[types.Round]*rbcRow{},
 			blocks:   map[types.Hash]*types.Block{},
 			echoWait: map[types.Position][]types.Position{},
 		},
 		ord: orderState{
-			deliveredByRound: map[types.Round][]*types.Vertex{},
-			anchors:          map[types.Round]*anchorRound{},
-			memo:             map[uint64]slotDecision{},
-			late:             make([]types.Round, cfg.N),
-			pendingInsert:    map[types.Position]*types.Vertex{},
-			waitingChild:     map[types.Position][]types.Position{},
-			commitWait:       map[types.Position]bool{},
-			lateVertices:     map[types.Position]*types.Vertex{},
-			pulls:            map[types.Position]bool{},
+			anchors:       map[types.Round]*anchorRound{},
+			memo:          map[uint64]slotDecision{},
+			late:          make([]types.Round, cfg.N),
+			pendingInsert: map[types.Position]*types.Vertex{},
+			waitingChild:  map[types.Position][]types.Position{},
+			commitWait:    map[types.Position]bool{},
+			lateVertices:  map[types.Position]*types.Vertex{},
+			pulls:         map[types.Position]bool{},
 		},
 		timedOutRound: map[types.Round]bool{},
 		timeoutAggs:   map[types.Round]*crypto.Aggregator{},
@@ -613,8 +612,8 @@ func (n *Node) initMetrics() {
 		n.mu.Lock()
 		live := 0
 		for _, row := range n.rbc.insts {
-			for _, in := range row {
-				if in != nil {
+			for i := range row.at {
+				if row.at[i].live {
 					live++
 				}
 			}

@@ -130,7 +130,7 @@ func (n *Node) tryAdvance() {
 	}
 	for {
 		r := n.round
-		if len(n.ord.deliveredByRound[r]) >= n.quorum(r) {
+		if len(n.deliveredIn(r)) >= n.quorum(r) {
 			ok := n.primaryIn(r)
 			// Pipelined-anchor pacing: with the quorum and the primary in,
 			// hold the next proposal for the remaining anchors — a vote for
@@ -178,7 +178,7 @@ func (n *Node) tryAdvance() {
 // every round for it would tax the whole run. This is pacing only — each
 // party may judge it differently.
 func (n *Node) allAnchorsIn(r types.Round) bool {
-	in := func(row []*vinst, src types.NodeID) bool { return row != nil && row[src] != nil && row[src].delivered }
+	in := func(row *rbcRow, src types.NodeID) bool { v := row.get(src); return v != nil && v.delivered }
 	cur, prev := n.rbc.insts[r], n.rbc.insts[r-1] // no round -1: a nil row
 	for k := n.anchorsAt(r) - 1; k > 0; k-- {
 		src := n.leaderAt(r, k)
@@ -296,6 +296,7 @@ func (n *Node) propose(r types.Round) {
 	if r > 0 {
 		prev := r - 1
 		parents, deferred := n.selectParents(r)
+		v.StrongEdges = make([]types.VertexRef, 0, len(parents))
 		for _, pv := range parents {
 			v.StrongEdges = append(v.StrongEdges, pv.Ref())
 		}

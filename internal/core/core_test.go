@@ -531,8 +531,8 @@ func TestFloodFarFutureIgnored(t *testing.T) {
 	c.net.Run(500 * time.Millisecond)
 	before := 0
 	for _, row := range c.nodes[0].rbc.insts {
-		for _, in := range row {
-			if in != nil {
+		for i := range row.at {
+			if row.at[i].live {
 				before++
 			}
 		}
@@ -547,8 +547,8 @@ func TestFloodFarFutureIgnored(t *testing.T) {
 	c.net.Run(500 * time.Millisecond)
 	after := 0
 	for _, row := range c.nodes[0].rbc.insts {
-		for _, in := range row {
-			if in != nil {
+		for i := range row.at {
+			if row.at[i].live {
 				after++
 			}
 		}
@@ -757,7 +757,7 @@ func TestEchoDigestFloodBounded(t *testing.T) {
 	}
 	// Voter 1's flood contributes at most one tally; honest echoes for the
 	// real digest may add one more.
-	if got := len(in.echoes); got > 2 {
+	if got := len(in.others); got > 1 {
 		t.Fatalf("echo tally map grew to %d digests under one-voter flood", got)
 	}
 }

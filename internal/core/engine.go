@@ -89,18 +89,8 @@ func (n *Node) Stop() {
 	}
 	n.stopAnchorTimer()
 	for _, row := range n.rbc.insts {
-		for _, in := range row {
-			if in == nil {
-				continue
-			}
-			if in.blockPull != nil {
-				in.blockPull.Stop()
-				in.blockPull = nil
-			}
-			if in.vtxPull != nil {
-				in.vtxPull.Stop()
-				in.vtxPull = nil
-			}
+		for i := range row.at {
+			row.at[i].stopPulls()
 		}
 	}
 	n.mu.Unlock()
@@ -126,6 +116,7 @@ func (n *Node) handle(from types.NodeID, m types.Message) {
 	if n.stopped {
 		return
 	}
+	n.reclaimRows()
 	switch msg := m.(type) {
 	case *types.ValMsg:
 		n.onVal(from, msg)

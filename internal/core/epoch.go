@@ -281,30 +281,20 @@ func (n *Node) installEpoch(es *epochState, persist bool) {
 		if r < es.startRound {
 			continue
 		}
-		for src, in := range row {
-			if in == nil || es.isMember[src] {
-				continue
+		for src := range row.at {
+			if in := &row.at[src]; in.live && !es.isMember[src] {
+				in.stopPulls()
+				*in = vinst{}
 			}
-			if in.blockPull != nil {
-				in.blockPull.Stop()
-			}
-			if in.vtxPull != nil {
-				in.vtxPull.Stop()
-			}
-			row[src] = nil
 		}
-	}
-	for r, vs := range n.ord.deliveredByRound {
-		if r < es.startRound {
-			continue
-		}
-		kept := vs[:0]
-		for _, v := range vs {
+		kept := row.delivered[:0]
+		for _, v := range row.delivered {
 			if es.isMember[v.Source] {
 				kept = append(kept, v)
 			}
 		}
-		n.ord.deliveredByRound[r] = kept
+		clear(row.delivered[len(kept):])
+		row.delivered = kept
 	}
 	n.recountVotes(es.startRound)
 	for r := range n.timeoutAggs {

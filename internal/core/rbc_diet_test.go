@@ -144,7 +144,7 @@ func TestImplicitEchoUnderEquivocation(t *testing.T) {
 	// votes reports how many echoes node i has counted for digest d at pos,
 	// and whether the source is among them.
 	votes := func(i int, d types.Hash) (int, bool) {
-		tally := c.nodes[i].inst(pos).echoes[d]
+		tally := c.nodes[i].inst(pos).tallyOf(d)
 		if tally == nil {
 			return 0, false
 		}
@@ -292,4 +292,12 @@ func TestProposalEncodesAtMostTwoFrames(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tallyOf returns the instance's tally for digest, or nil.
+func (in *vinst) tallyOf(digest types.Hash) *echoTally {
+	if in.hasFirst && in.firstDigest == digest {
+		return &in.first
+	}
+	return in.others[digest]
 }

@@ -156,7 +156,8 @@ func (n *Node) recoverFromStore() bool {
 		in.hasCert = true // persisted only after RBC delivery
 		in.certDigest = v.DigestCached()
 		in.delivered = true
-		n.ord.deliveredByRound[v.Round] = append(n.ord.deliveredByRound[v.Round], v)
+		row := n.rbc.insts[v.Round]
+		row.delivered = append(row.delivered, v)
 		n.dag.Insert(v)
 		// Votes re-derived from recovered proposals keep the commit rule
 		// working across the restart boundary.

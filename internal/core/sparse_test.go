@@ -22,8 +22,10 @@ func mkSelectNode(t *testing.T, n int, seed uint64) *Node {
 
 func fillDelivered(nd *Node, r types.Round, n int) {
 	for s := 0; s < n; s++ {
-		nd.ord.deliveredByRound[r] = append(nd.ord.deliveredByRound[r],
-			&types.Vertex{Round: r, Source: types.NodeID(s)})
+		pos := types.Position{Round: r, Source: types.NodeID(s)}
+		nd.inst(pos)
+		row := nd.rbc.insts[r]
+		row.delivered = append(row.delivered, &types.Vertex{Round: r, Source: pos.Source})
 	}
 }
 

@@ -16,8 +16,6 @@ import (
 
 // orderState is the ordering stage's state, owned by the serialized handler.
 type orderState struct {
-	// Per-round delivery tracking (round quorum).
-	deliveredByRound map[types.Round][]*types.Vertex
 	// anchors is the per-round anchor ledger (vote tallies, commit marks);
 	// anchorFree recycles the ledgers gc retires.
 	anchors    map[types.Round]*anchorRound
@@ -377,9 +375,9 @@ func (n *Node) recountVotes(from types.Round) {
 		if r < from {
 			continue
 		}
-		for _, in := range row {
-			if in != nil && in.vertex != nil {
-				n.countVote(in.vertex)
+		for i := range row.at {
+			if v := row.at[i].vertex; v != nil {
+				n.countVote(v)
 			}
 		}
 	}
@@ -906,11 +904,6 @@ func (n *Node) gc() {
 			delete(n.ord.pulls, pos)
 		}
 	}
-	for r := range n.ord.deliveredByRound {
-		if r < horizon {
-			delete(n.ord.deliveredByRound, r)
-		}
-	}
 	n.gcReputation(horizon)
 }
 
@@ -939,7 +932,7 @@ func splitmix64(x *uint64) uint64 {
 // proposal weak-edges whatever is not already transitively covered, so every
 // delivered vertex still reaches the total order (BAB validity).
 func (n *Node) selectParents(r types.Round) (sel, deferred []*types.Vertex) {
-	delivered := n.ord.deliveredByRound[r-1]
+	delivered := n.deliveredIn(r - 1)
 	q := n.quorum(r - 1)
 	if !n.cfg.SparseEdges || len(delivered) <= q {
 		return delivered, nil

@@ -17,8 +17,12 @@ import (
 
 // rbcState is the RBC stage's state, owned by the serialized handler.
 type rbcState struct {
-	// insts holds RBC instance state, round-sliced: insts[r][source].
-	insts map[types.Round][]*vinst
+	// insts holds RBC instance state, one row per round.
+	insts map[types.Round]*rbcRow
+	// free holds rows gc retired, for inst to reuse. A row retired inside a
+	// handler waits in retired until the next handler begins: frames up the
+	// stack may still hold (and harmlessly touch) one of its instances.
+	free, retired []*rbcRow
 	// blocks caches payloads this party is entitled to, keyed by digest.
 	blocks map[types.Hash]*types.Block
 	// echoWait parks children whose echo awaits a parent's delivery:
@@ -26,18 +30,57 @@ type rbcState struct {
 	echoWait map[types.Position][]types.Position
 }
 
+// rbcRow is one round's instance state in one slab: an instance per source
+// and the bitmap bytes their echo tallies need. Nothing that outlives the
+// round is carved from it — vertices, certificates and blocks are the heap's
+// — so a recycled row never aliases the DAG, the block cache or a message.
+type rbcRow struct {
+	at      []vinst // by source; at[s].live marks the ones in use
+	bitmaps []byte  // two signer bitmaps per instance: echoVoted, the tally's
+	// delivered lists the round's delivered vertices in delivery order (the
+	// round quorum counts them, the next proposal's strong edges name them).
+	delivered []*types.Vertex
+}
+
+// get returns the live instance of src, or nil.
+func (r *rbcRow) get(src types.NodeID) *vinst {
+	if r == nil || int(src) >= len(r.at) || !r.at[src].live {
+		return nil
+	}
+	return &r.at[src]
+}
+
+// release stops the instances' timers and zeroes the row, dropping every
+// pointer it held (vertices, certificates, equivocation tallies).
+func (r *rbcRow) release() {
+	for i := range r.at {
+		r.at[i].stopPulls()
+	}
+	clear(r.at)
+	clear(r.bitmaps)
+	clear(r.delivered)
+	r.delivered = r.delivered[:0]
+}
+
 // vinst is the merged vertex+block RBC instance state for one position.
 type vinst struct {
+	live    bool
 	vertex  *types.Vertex
 	valFrom bool // first VAL processed (vote and the source's echo counted)
 
 	echoSent bool
-	echoes   map[types.Hash]*echoTally
+	// Echo tallies per candidate digest. The first digest seen is tallied
+	// in place; only an equivocating proposer produces another, and those
+	// go to the map.
+	first       echoTally
+	firstDigest types.Hash
+	hasFirst    bool
+	others      map[types.Hash]*echoTally
 	// echoVoted tracks which voters' echoes were already counted at this
 	// position, across ALL candidate digests. A Byzantine voter gets
 	// exactly one echo per position; without this bound it could mint a
-	// fresh digest per echo and grow `echoes` (each tally carrying an
-	// N-sized aggregator) without limit.
+	// fresh digest per echo and grow the tallies (each carrying an N-sized
+	// aggregator) without limit.
 	echoVoted []byte
 
 	certDigest types.Hash
@@ -56,28 +99,82 @@ type vinst struct {
 	pullCursor int
 }
 
+// stopPulls cancels the instance's pull timers.
+func (in *vinst) stopPulls() {
+	if in.blockPull != nil {
+		in.blockPull.Stop()
+		in.blockPull = nil
+	}
+	if in.vtxPull != nil {
+		in.vtxPull.Stop()
+		in.vtxPull = nil
+	}
+}
+
 // echoTally folds echo votes for one candidate digest incrementally: the
 // aggregator holds the signer bitmap plus the XOR-folded tag (becoming the
 // certificate when the quorum completes), clanVotes counts voters from the
 // proposer's block clan.
 type echoTally struct {
-	agg       *crypto.Aggregator
+	agg       crypto.Aggregator
 	total     int
 	clanVotes int
 }
 
+// tally returns the instance's tally for digest, starting it if new.
+func (n *Node) tally(in *vinst, digest types.Hash) *echoTally {
+	switch {
+	case !in.hasFirst:
+		in.hasFirst, in.firstDigest = true, digest
+		return &in.first
+	case in.firstDigest == digest:
+		return &in.first
+	}
+	t := in.others[digest]
+	if t == nil {
+		t = &echoTally{}
+		t.agg.Init(n.cfg.N, types.NewBitmap(n.cfg.N))
+		if in.others == nil {
+			in.others = map[types.Hash]*echoTally{}
+		}
+		in.others[digest] = t
+	}
+	return t
+}
+
 func (n *Node) inst(pos types.Position) *vinst {
-	row, ok := n.rbc.insts[pos.Round]
-	if !ok {
-		row = make([]*vinst, n.cfg.N)
+	row := n.rbc.insts[pos.Round]
+	if row == nil {
+		if k := len(n.rbc.free); k > 0 {
+			row = n.rbc.free[k-1]
+			n.rbc.free = n.rbc.free[:k-1]
+			row.release() // whatever a stale frame wrote after gc
+		} else {
+			N := n.cfg.N
+			row = &rbcRow{at: make([]vinst, N), bitmaps: make([]byte, 2*N*((N+7)/8)),
+				delivered: make([]*types.Vertex, 0, N)}
+		}
 		n.rbc.insts[pos.Round] = row
 	}
-	in := row[pos.Source]
-	if in == nil {
-		in = &vinst{echoes: map[types.Hash]*echoTally{}, born: n.clk.Now()}
-		row[pos.Source] = in
+	in := &row.at[pos.Source]
+	if !in.live {
+		bm := (n.cfg.N + 7) / 8
+		bits := row.bitmaps[2*bm*int(pos.Source):][:2*bm]
+		clear(bits) // an epoch fence may have dropped an earlier instance here
+		*in = vinst{live: true, born: n.clk.Now(), echoVoted: bits[:bm:bm]}
+		in.first.agg.Init(n.cfg.N, bits[bm:])
 	}
 	return in
+}
+
+// reclaimRows makes the rows retired by earlier handlers reusable.
+func (n *Node) reclaimRows() {
+	if len(n.rbc.retired) == 0 {
+		return
+	}
+	n.rbc.free = append(n.rbc.free, n.rbc.retired...)
+	clear(n.rbc.retired)
+	n.rbc.retired = n.rbc.retired[:0]
 }
 
 // delivered reports whether pos's merged RBC has completed here.
@@ -88,8 +185,13 @@ func (n *Node) delivered(pos types.Position) bool {
 
 // instIfAny returns the instance at pos without creating it.
 func (n *Node) instIfAny(pos types.Position) *vinst {
-	if row, ok := n.rbc.insts[pos.Round]; ok && int(pos.Source) < len(row) {
-		return row[pos.Source]
+	return n.rbc.insts[pos.Round].get(pos.Source)
+}
+
+// deliveredIn returns round r's delivered vertices, in delivery order.
+func (n *Node) deliveredIn(r types.Round) []*types.Vertex {
+	if row := n.rbc.insts[r]; row != nil {
+		return row.delivered
 	}
 	return nil
 }
@@ -332,7 +434,7 @@ func (n *Node) onEcho(from types.NodeID, m *types.VoteMsg) {
 	// One counted echo per voter per position, across all candidate
 	// digests: a duplicate (honest retransmit) or an equivocating echo for
 	// a second digest is dropped before any allocation or crypto.
-	if in.echoVoted != nil && types.BitmapHas(in.echoVoted, m.Voter) {
+	if types.BitmapHas(in.echoVoted, m.Voter) {
 		return
 	}
 	if from != n.cfg.Self {
@@ -350,16 +452,10 @@ func (n *Node) onEcho(from types.NodeID, m *types.VoteMsg) {
 // its echo — and, when that completes the quorum, assembles and accepts the
 // certificate. Each voter counts once per position.
 func (n *Node) countEcho(pos types.Position, in *vinst, voter types.NodeID, digest types.Hash) {
-	if in.echoVoted == nil {
-		in.echoVoted = make([]byte, (n.cfg.N+7)/8)
-	} else if types.BitmapHas(in.echoVoted, voter) {
-		return
+	if !in.live || types.BitmapHas(in.echoVoted, voter) {
+		return // !live: the caller's own delivery cascade retired the row
 	}
-	tally, ok := in.echoes[digest]
-	if !ok {
-		tally = &echoTally{agg: crypto.NewAggregator(n.cfg.N)}
-		in.echoes[digest] = tally
-	}
+	tally := n.tally(in, digest)
 	// The partial tag (aggregation input) is computed inline: aggregation
 	// is single-threaded, as in the paper.
 	var buf ctxBuf
@@ -476,8 +572,7 @@ func (n *Node) acceptCert(pos types.Position, in *vinst, digest types.Hash) {
 	}
 	in.hasCert = true
 	in.certDigest = digest
-	in.echoes = nil // the certificate supersedes individual votes
-	in.echoVoted = nil
+	in.others = nil // the certificate supersedes individual votes
 	if in.vertex != nil && in.vertex.DigestCached() != digest {
 		// The sender equivocated and the quorum certified the other
 		// proposal; ours is garbage. Fetch the certified one.
@@ -518,9 +613,10 @@ func (n *Node) maybeDeliver(pos types.Position, in *vinst) {
 		}
 	}
 	v := in.vertex
-	n.ord.deliveredByRound[v.Round] = append(n.ord.deliveredByRound[v.Round], v)
+	row := n.rbc.insts[v.Round]
+	row.delivered = append(row.delivered, v)
 	if v.Round > n.maxQuorumRound && n.primaryIn(v.Round) &&
-		len(n.ord.deliveredByRound[v.Round]) >= n.quorum(v.Round) {
+		len(row.delivered) >= n.quorum(v.Round) {
 		n.maxQuorumRound = v.Round
 	}
 	n.onDelivered(v)
@@ -536,17 +632,8 @@ func (n *Node) gcRBC(horizon types.Round) {
 		if r >= horizon {
 			continue
 		}
-		for _, in := range row {
-			if in == nil {
-				continue
-			}
-			if in.blockPull != nil {
-				in.blockPull.Stop()
-			}
-			if in.vtxPull != nil {
-				in.vtxPull.Stop()
-			}
-		}
+		row.release()
+		n.rbc.retired = append(n.rbc.retired, row)
 		delete(n.rbc.insts, r)
 	}
 	for d, blk := range n.rbc.blocks {
@@ -614,8 +701,8 @@ func (n *Node) sendBlockPull(pos types.Position, in *vinst) {
 	in.blockPull = n.clk.After(n.cfg.PullRetry, func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		if n.stopped {
-			return
+		if n.stopped || n.instIfAny(pos) != in {
+			return // the row was retired (and maybe reused) while this fired
 		}
 		in.blockPull = nil
 		n.sendBlockPull(pos, in)
@@ -673,8 +760,8 @@ func (n *Node) sendVtxPull(pos types.Position, in *vinst) {
 	in.vtxPull = n.clk.After(n.cfg.PullRetry, func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		if n.stopped {
-			return
+		if n.stopped || n.instIfAny(pos) != in {
+			return // as in sendBlockPull
 		}
 		in.vtxPull = nil
 		n.sendVtxPull(pos, in)

@@ -182,7 +182,16 @@ type Aggregator struct {
 
 // NewAggregator prepares an aggregator for an n-party system.
 func NewAggregator(n int) *Aggregator {
-	return &Aggregator{agg: types.AggSig{Bitmap: types.NewBitmap(n)}, n: n}
+	a := &Aggregator{}
+	a.Init(n, types.NewBitmap(n))
+	return a
+}
+
+// Init prepares an aggregator in place over caller-provided, zeroed bitmap
+// storage of (n+7)/8 bytes, for callers that embed aggregators in a slab.
+// Sig copies, so the storage never escapes through a certificate.
+func (a *Aggregator) Init(n int, bitmap []byte) {
+	*a = Aggregator{agg: types.AggSig{Bitmap: bitmap}, n: n}
 }
 
 // Add folds party id's partial tag in. Adding the same party twice is a

@@ -19,6 +19,7 @@ package execution
 import (
 	"crypto/sha256"
 	"fmt"
+	"hash"
 	"sort"
 	"time"
 
@@ -95,6 +96,14 @@ func (t Tx) Access() AccessSet {
 	return AccessSet{}
 }
 
+// Results that do not depend on the state are shared: executing a write
+// allocates nothing for its result. Callers treat results as read-only.
+var (
+	resultOK = []byte("OK")
+	// ResultMalformed is the result of a transaction DecodeTx rejects.
+	ResultMalformed = []byte("ERR malformed")
+)
+
 // TxID identifies a transaction by content hash.
 type TxID = types.Hash
 
@@ -132,6 +141,8 @@ type Executor struct {
 
 	state *kvState
 	root  types.Hash
+	// hasher folds the root chain; Seal resets and reuses it.
+	hasher hash.Hash
 	// Executed counts applied transactions.
 	Executed int
 	// Emit receives a signed response per executed transaction (nil to
@@ -149,15 +160,17 @@ type Executor struct {
 
 // NewExecutor creates an executor with an empty state.
 func NewExecutor(self types.NodeID, key *crypto.KeyPair) *Executor {
-	return &Executor{Self: self, Key: key, state: newKVState()}
+	return &Executor{Self: self, Key: key, state: newKVState(), hasher: sha256.New()}
 }
 
 // StateRoot returns the current running root.
 func (e *Executor) StateRoot() types.Hash { return e.root }
 
 // Get reads a key from local state (for serving reads outside consensus).
+// The value is a copy: the state overwrites stored values in place.
 func (e *Executor) Get(key []byte) ([]byte, bool) {
-	return e.state.peek(key)
+	value, _, ok := e.state.read(nil, key)
+	return value, ok
 }
 
 // GetVersioned reads a key plus the version of the write that produced its
@@ -166,11 +179,7 @@ func (e *Executor) Get(key []byte) ([]byte, bool) {
 // write still cannot masquerade as current. The value is a copy; ok=false
 // means the key is absent (version 0).
 func (e *Executor) GetVersioned(key []byte) (value []byte, version uint64, ok bool) {
-	value, version = e.state.get(key)
-	if value == nil && version == 0 {
-		return nil, 0, false
-	}
-	return value, version, true
+	return e.state.read(nil, key)
 }
 
 // Len returns the number of live keys.
@@ -188,11 +197,8 @@ func (e *Executor) Apply(cv core.CommittedVertex) {
 }
 
 func (e *Executor) applyTx(raw []byte) {
-	var result []byte
-	tx, ok := DecodeTx(raw)
-	if !ok {
-		result = []byte("ERR malformed")
-	} else {
+	result := ResultMalformed
+	if tx, ok := DecodeTx(raw); ok {
 		result, _ = e.ExecVersioned(tx, uint64(e.Executed)+1)
 	}
 	r, emit := e.Seal(raw, result)
@@ -213,19 +219,23 @@ func (e *Executor) applyTx(raw []byte) {
 // Safe for concurrent use on transactions with disjoint access sets; the
 // caller (the engine's level scheduler) guarantees disjointness. The root
 // fold does NOT happen here — call Seal afterwards, in committed order.
+//
+// t.Key and t.Value are only read: the state copies what it keeps, so they
+// may alias a block or a pooled buffer. The result of a SET or DEL is the
+// shared resultOK, which callers must not modify.
 func (e *Executor) ExecVersioned(t Tx, ver uint64) (result []byte, observed uint64) {
 	if e.ValidateCost > 0 {
 		time.Sleep(e.ValidateCost)
 	}
 	switch t.Op {
 	case OpSet:
-		observed = e.state.put(t.Key, append([]byte(nil), t.Value...), ver)
-		result = []byte("OK")
+		observed = e.state.put(t.Key, t.Value, ver)
+		result = resultOK
 	case OpGet:
 		result, observed = e.state.get(t.Key)
 	case OpDel:
 		observed = e.state.del(t.Key)
-		result = []byte("OK")
+		result = resultOK
 	default:
 		result = []byte(fmt.Sprintf("ERR op %d", t.Op))
 	}
@@ -238,11 +248,12 @@ func (e *Executor) ExecVersioned(t Tx, ver uint64) (result []byte, observed uint
 // makes replica divergence detectable. Returns the unsigned response and
 // whether the caller should sign/emit it (Emit set).
 func (e *Executor) Seal(raw, result []byte) (Response, bool) {
-	h := sha256.New()
+	h := e.hasher
+	h.Reset()
 	h.Write(e.root[:])
 	h.Write(raw)
 	h.Write(result)
-	copy(e.root[:], h.Sum(nil))
+	h.Sum(e.root[:0]) // the old root is already absorbed; the new one lands in its array
 	e.Executed++
 	if e.Emit == nil {
 		return Response{}, false
@@ -348,12 +359,13 @@ func (e *Executor) Snapshot() []byte {
 	b = append(b, e.root[:]...)
 	b = types.PutUvarint(b, uint64(e.Executed))
 	b = types.PutUvarint(b, uint64(len(keys)))
+	var val []byte
 	for _, k := range keys {
 		b = types.PutUvarint(b, uint64(len(k)))
 		b = append(b, k...)
-		v, _ := e.state.peek([]byte(k))
-		b = types.PutUvarint(b, uint64(len(v)))
-		b = append(b, v...)
+		val, _, _ = e.state.read(val[:0], []byte(k))
+		b = types.PutUvarint(b, uint64(len(val)))
+		b = append(b, val...)
 	}
 	return b
 }
@@ -401,7 +413,7 @@ func (e *Executor) Restore(snap []byte) bool {
 		}
 		// Restored values carry version 0: the snapshot predates this
 		// executor's local sequence numbering.
-		state.put(k, append([]byte(nil), b[:vl]...), 0)
+		state.put(k, b[:vl], 0)
 		b = b[vl:]
 	}
 	if len(b) != 0 {

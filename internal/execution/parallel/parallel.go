@@ -256,7 +256,7 @@ func (g *Engine) ApplyBatch(cvs []core.CommittedVertex) {
 	run := func(i int) {
 		e := &es[i]
 		if !e.ok {
-			e.result = []byte("ERR malformed")
+			e.result = execution.ResultMalformed
 			return
 		}
 		var observed uint64

@@ -12,8 +12,16 @@ import "sync"
 // same-level transactions touched one key (see Engine's conflict_violations
 // accounting). Versions never influence results or the state root; they are
 // purely a cross-check on the conflict leveling.
+//
+// Ownership: the state owns every byte it stores and nothing else does. put
+// copies the value in — into the key's existing array when it fits, so an
+// overwrite allocates nothing — and read copies it out under the shard lock,
+// so no caller ever holds memory a later write will change, and the state
+// never aliases a block's or a pooled buffer's memory.
 const stateShards = 64
 
+// versioned is one key's entry. Shards hold pointers so that an overwrite
+// updates the entry without a map assignment, which would allocate the key.
 type versioned struct {
 	val []byte
 	ver uint64 // sequence of the writing transaction (1-based)
@@ -21,7 +29,7 @@ type versioned struct {
 
 type kvShard struct {
 	mu sync.Mutex
-	m  map[string]versioned
+	m  map[string]*versioned
 }
 
 type kvState struct {
@@ -31,7 +39,7 @@ type kvState struct {
 func newKVState() *kvState {
 	s := &kvState{}
 	for i := range s.shards {
-		s.shards[i].m = map[string]versioned{}
+		s.shards[i].m = map[string]*versioned{}
 	}
 	return s
 }
@@ -46,41 +54,48 @@ func (s *kvState) shardOf(key []byte) *kvShard {
 	return &s.shards[h%stateShards]
 }
 
-// get returns a copy of the stored value (nil when absent) plus the version
-// of the write it observed (0 = never written, or written before this
-// executor's history began). The copy happens under the shard lock, so a
-// mis-scheduled concurrent writer can corrupt determinism but never memory.
+// read appends the stored value to dst and returns it with the version of
+// the write it observed (0 = written before this executor's history began).
+// The copy happens under the shard lock, so a mis-scheduled concurrent
+// writer can corrupt determinism but never memory.
+func (s *kvState) read(dst, key []byte) (val []byte, ver uint64, ok bool) {
+	sh := s.shardOf(key)
+	sh.mu.Lock()
+	e := sh.m[string(key)]
+	if e != nil {
+		dst, ver, ok = append(dst, e.val...), e.ver, true
+	}
+	sh.mu.Unlock()
+	return dst, ver, ok
+}
+
+// get returns a copy of the stored value (nil when absent or empty) plus the
+// version of the write it observed (0 when absent).
 func (s *kvState) get(key []byte) ([]byte, uint64) {
-	sh := s.shardOf(key)
-	sh.mu.Lock()
-	e, ok := sh.m[string(key)]
-	var val []byte
-	if ok {
-		val = append([]byte(nil), e.val...)
-	}
-	sh.mu.Unlock()
-	if !ok {
-		return nil, 0
-	}
-	return val, e.ver
+	val, ver, _ := s.read(nil, key)
+	return val, ver
 }
 
-// peek reports whether the key exists without copying (read-your-state API).
-func (s *kvState) peek(key []byte) ([]byte, bool) {
-	sh := s.shardOf(key)
-	sh.mu.Lock()
-	e, ok := sh.m[string(key)]
-	sh.mu.Unlock()
-	return e.val, ok
-}
-
-// put stores val (already owned by the state — callers copy) stamped with
-// ver, returning the version it overwrote (0 for a fresh key).
+// put copies val into the state stamped with ver, returning the version it
+// overwrote (0 for a fresh key). The key's old array is reused when the new
+// value fits and fills at least half of it; a fresh key costs its map key,
+// its entry and its value.
 func (s *kvState) put(key, val []byte, ver uint64) uint64 {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
-	prev := sh.m[string(key)].ver
-	sh.m[string(key)] = versioned{val: val, ver: ver}
+	e := sh.m[string(key)]
+	if e == nil {
+		e = &versioned{}
+		sh.m[string(key)] = e
+	}
+	prev := e.ver
+	if len(val) <= cap(e.val) && cap(e.val) <= 2*len(val) {
+		e.val = e.val[:len(val)]
+	} else {
+		e.val = make([]byte, len(val))
+	}
+	copy(e.val, val)
+	e.ver = ver
 	sh.mu.Unlock()
 	return prev
 }
@@ -89,8 +104,11 @@ func (s *kvState) put(key, val []byte, ver uint64) uint64 {
 func (s *kvState) del(key []byte) uint64 {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
-	prev := sh.m[string(key)].ver
-	delete(sh.m, string(key))
+	var prev uint64
+	if e := sh.m[string(key)]; e != nil {
+		prev = e.ver
+		delete(sh.m, string(key))
+	}
 	sh.mu.Unlock()
 	return prev
 }

@@ -48,15 +48,17 @@ type Config struct {
 	// connections alike (default 2 min; clients that only await commit
 	// notifications must submit or re-HELLO within it).
 	ReadTimeout time.Duration
-	// WriteQueue is the per-connection outbound frame queue (default 1024).
-	// A client that cannot drain its queue loses frames (counted in
-	// gateway.slow_drops) rather than stalling the consensus callback.
+	// WriteQueue bounds a connection's unwritten backlog (default 1024), in
+	// units of writeQueueUnit bytes. A client whose backlog is over the
+	// bound loses frames (counted in gateway.slow_drops) rather than
+	// stalling the consensus callback; one that is merely bursty loses
+	// nothing.
 	WriteQueue int
 }
 
 // Gateway is the client front door: one TCP listener, one reader goroutine
 // per connection (reusing the transport's pooled-chunk FrameReader), one
-// writer goroutine per connection draining pooled outbound frames, a sharded
+// writer goroutine per connection draining its write buffer, a sharded
 // pending table matching commits back to submitters, and the two-layer
 // admission control from admission.go / backpressure.go.
 type Gateway struct {
@@ -73,6 +75,7 @@ type Gateway struct {
 	wg      sync.WaitGroup
 	closing chan struct{}
 	once    sync.Once
+	start   time.Time // origin of now
 
 	// hot-path instruments, resolved once
 	mSubmitted  *metrics.Counter
@@ -94,51 +97,90 @@ const pendingShards = 16
 
 type pendingShard struct {
 	mu   sync.Mutex
-	subs map[[32]byte][]pendingSub
+	subs map[[32]byte]pendingEntry
+}
+
+// pendingEntry is who awaits one transaction's commit. The entry lives in
+// the map by value with its usual single submitter inline, so registering a
+// transaction allocates nothing; more holds further submitters of
+// byte-identical transactions. The map's buckets outlive every burst (Go
+// maps do not shrink), so the entry is kept to 40 bytes: a pointer for the
+// rare list, a clock reading rather than a time.Time.
+type pendingEntry struct {
+	first pendingSub
+	more  *[]pendingSub
 }
 
 type pendingSub struct {
 	conn   *gwConn
 	client uint64
 	seq    uint64
-	at     time.Time
+	at     time.Duration // admitted, on the gateway's clock (Gateway.now)
 }
 
-// gwConn is one client connection. send is safe from any goroutine; the
-// writer goroutine owns the socket's write side and recycles pooled frames.
+const (
+	// writeQueueUnit converts Config.WriteQueue into the byte bound on a
+	// connection's backlog: the buffer pool's smallest class, so the
+	// default of 1024 allows 512 KiB.
+	writeQueueUnit = 512
+	// connBufSize is a write buffer's capacity at rest: a block's worth of
+	// COMMIT frames (~15 B each) fits. A buffer a burst grew past it goes
+	// back to the pool once written, so an idle connection holds 8 KiB.
+	connBufSize = 4 << 10
+)
+
+// gwConn is one client connection. Frames for the client are appended to
+// wbuf under mu from any goroutine; the writer goroutine swaps wbuf for its
+// empty spare and writes the full one, so a frame costs no buffer of its own
+// and a burst costs one socket write. Both buffers are pooled: wbuf belongs
+// to the connection (returned by close), the spare to the writer.
 type gwConn struct {
-	c      net.Conn
-	out    chan []byte
+	c     net.Conn
+	limit int           // bytes of backlog beyond which frames are dropped
+	wake  chan struct{} // buffered 1: wbuf went from empty to non-empty
+
 	mu     sync.Mutex
+	wbuf   []byte
 	closed bool
 }
 
-// send enqueues a pooled frame for the writer, taking ownership. Returns
-// false (and recycles the frame) when the connection is closed or its queue
-// is full — callers on the consensus notification path must never block.
-func (c *gwConn) send(frame []byte) bool {
+// send appends one frame for the writer. Returns false when the connection
+// is closed or its backlog is over the bound — callers on the consensus
+// notification path must never block.
+func (c *gwConn) send(ev ServerEvent) bool {
 	c.mu.Lock()
+	ok := c.sendLocked(&ev)
+	c.mu.Unlock()
+	return ok
+}
+
+// sendLocked is send with mu held.
+func (c *gwConn) sendLocked(ev *ServerEvent) bool {
 	if c.closed {
-		c.mu.Unlock()
-		types.PutBuf(frame)
 		return false
 	}
-	select {
-	case c.out <- frame:
-		c.mu.Unlock()
-		return true
-	default:
-		c.mu.Unlock()
-		types.PutBuf(frame)
+	n := len(c.wbuf)
+	c.wbuf = appendEvent(c.wbuf, ev)
+	if len(c.wbuf) > c.limit {
+		c.wbuf = c.wbuf[:n]
 		return false
 	}
+	if n == 0 {
+		select {
+		case c.wake <- struct{}{}:
+		default:
+		}
+	}
+	return true
 }
 
 func (c *gwConn) close() {
 	c.mu.Lock()
 	if !c.closed {
 		c.closed = true
-		close(c.out)
+		close(c.wake)
+		types.PutBuf(c.wbuf)
+		c.wbuf = nil
 	}
 	c.mu.Unlock()
 	c.c.Close()
@@ -176,9 +218,10 @@ func New(cfg Config) (*Gateway, error) {
 		monitor: newOverloadMonitor(cfg.Snapshot, cfg.Limits),
 		conns:   map[*gwConn]struct{}{},
 		closing: make(chan struct{}),
+		start:   time.Now(),
 	}
 	for i := range g.pending {
-		g.pending[i].subs = map[[32]byte][]pendingSub{}
+		g.pending[i].subs = map[[32]byte]pendingEntry{}
 	}
 	r := cfg.Metrics
 	g.mSubmitted = r.Counter("gateway.submissions")
@@ -202,6 +245,9 @@ func New(cfg Config) (*Gateway, error) {
 	go g.acceptLoop()
 	return g, nil
 }
+
+// now reads the gateway's monotonic clock.
+func (g *Gateway) now() time.Duration { return time.Since(g.start) }
 
 // Addr returns the bound listen address (resolves ":0" configs).
 func (g *Gateway) Addr() string { return g.ln.Addr().String() }
@@ -234,7 +280,8 @@ func (g *Gateway) acceptLoop() {
 			}
 			return
 		}
-		gc := &gwConn{c: c, out: make(chan []byte, g.cfg.WriteQueue)}
+		gc := &gwConn{c: c, limit: g.cfg.WriteQueue * writeQueueUnit,
+			wake: make(chan struct{}, 1), wbuf: types.GetBuf(connBufSize)}
 		g.connMu.Lock()
 		g.conns[gc] = struct{}{}
 		g.connMu.Unlock()
@@ -255,21 +302,34 @@ func (g *Gateway) dropConn(gc *gwConn) {
 	g.connMu.Unlock()
 }
 
-// writeLoop drains the connection's outbound queue onto the socket and
-// recycles each pooled frame after the write.
+// writeLoop writes the connection's buffered frames: each wake-up it swaps
+// the write buffer for its empty spare until nothing is left. A failed write
+// closes the connection.
 func (g *Gateway) writeLoop(gc *gwConn) {
 	defer g.wg.Done()
-	for frame := range gc.out {
-		_, err := gc.c.Write(frame)
-		types.PutBuf(frame)
-		if err != nil {
-			break
+	spare := types.GetBuf(connBufSize)
+	defer func() { types.PutBuf(spare) }()
+	for range gc.wake {
+		for {
+			gc.mu.Lock()
+			if gc.closed || len(gc.wbuf) == 0 {
+				gc.mu.Unlock()
+				break
+			}
+			out := gc.wbuf
+			gc.wbuf = spare[:0]
+			gc.mu.Unlock()
+			_, err := gc.c.Write(out)
+			if cap(out) > connBufSize {
+				types.PutBuf(out)
+				out = types.GetBuf(connBufSize)
+			}
+			spare = out
+			if err != nil {
+				gc.close()
+				return
+			}
 		}
-	}
-	// Drain anything enqueued between the failed write and close so pooled
-	// frames are not leaked.
-	for frame := range gc.out {
-		types.PutBuf(frame)
 	}
 }
 
@@ -297,8 +357,8 @@ func (g *Gateway) readLoop(gc *gwConn) {
 		}
 		switch msg.kind {
 		case MsgHello:
-			fc := uint64(g.cfg.Read.FaultBound)
-			gc.send(encHelloAck(fc, uint64(g.cfg.MaxTx)))
+			gc.send(ServerEvent{Kind: MsgHelloAck, Version: ProtoVersion,
+				Fc: uint64(g.cfg.Read.FaultBound), MaxTx: uint64(g.cfg.MaxTx)})
 		case MsgSubmit:
 			g.handleSubmit(gc, msg)
 		case MsgRead:
@@ -316,37 +376,34 @@ func (g *Gateway) readLoop(gc *gwConn) {
 // matters: cheap shape checks, then the per-client bucket (so one client's
 // flood spends its own budget before touching global state), then the global
 // overload signals. Only an admitted transaction is copied out of the
-// receive chunk.
+// receive chunk, and that copy — the bytes the mempool, the block and the
+// DAG will share — is the one allocation an admission makes.
 func (g *Gateway) handleSubmit(gc *gwConn, msg clientMsg) {
 	g.mSubmitted.Inc()
-	if len(msg.payload) == 0 {
+	reply := ServerEvent{Kind: MsgReject, Client: msg.client, Seq: msg.seq}
+	switch {
+	case len(msg.payload) == 0:
 		g.mRejMalform.Inc()
-		gc.send(encReject(msg.client, msg.seq, RejectMalformed))
-		return
-	}
-	if len(msg.payload) > g.cfg.MaxTx {
+		reply.Reason = RejectMalformed
+	case len(msg.payload) > g.cfg.MaxTx:
 		g.mRejLarge.Inc()
-		gc.send(encReject(msg.client, msg.seq, RejectTooLarge))
-		return
-	}
-	now := time.Now()
-	if !g.admit.TryAdmit(msg.client, now.UnixNano()) {
+		reply.Reason = RejectTooLarge
+	case !g.admit.TryAdmit(msg.client, time.Now().UnixNano()):
 		g.mRejRate.Inc()
-		gc.send(encReject(msg.client, msg.seq, RejectRateLimit))
-		return
-	}
-	if g.cfg.Depth() > g.cfg.Limits.MempoolHigh ||
+		reply.Reason = RejectRateLimit
+	case g.cfg.Depth() > g.cfg.Limits.MempoolHigh ||
 		int(g.mPending.Load()) >= g.cfg.Limits.MaxPending ||
-		g.monitor.Overloaded() {
+		g.monitor.Overloaded():
 		g.mRejLoad.Inc()
-		gc.send(encReject(msg.client, msg.seq, RejectOverload))
-		return
+		reply.Reason = RejectOverload
+	default:
+		tx := append([]byte(nil), msg.payload...)
+		g.registerPending(tx, pendingSub{conn: gc, client: msg.client, seq: msg.seq, at: g.now()})
+		g.cfg.Submit(tx)
+		g.mAdmitted.Inc()
+		reply.Kind = MsgAck
 	}
-	tx := append([]byte(nil), msg.payload...)
-	g.registerPending(tx, pendingSub{conn: gc, client: msg.client, seq: msg.seq, at: now})
-	g.cfg.Submit(tx)
-	g.mAdmitted.Inc()
-	gc.send(encAck(msg.client, msg.seq))
+	gc.send(reply)
 }
 
 func (g *Gateway) handleRead(gc *gwConn, client, seq uint64, key []byte) {
@@ -355,37 +412,48 @@ func (g *Gateway) handleRead(gc *gwConn, client, seq uint64, key []byte) {
 	res := aggregateRead(g.cfg.Read, key)
 	g.mReadLat.Observe(time.Since(start))
 	if res.errCode != 0 {
-		gc.send(encReadErr(client, seq, res.errCode))
+		gc.send(ServerEvent{Kind: MsgReadErr, Client: client, Seq: seq, Reason: res.errCode})
 		return
 	}
 	val := res.value
 	if !res.found {
 		val = nil
 	}
-	gc.send(encValue(client, seq, byte(res.quorum), val))
+	gc.send(ServerEvent{Kind: MsgValue, Client: client, Seq: seq, Quorum: byte(res.quorum), Value: val})
 }
 
 func (g *Gateway) registerPending(tx []byte, sub pendingSub) {
 	d := sha256.Sum256(tx)
 	sh := &g.pending[d[0]&(pendingShards-1)]
 	sh.mu.Lock()
-	sh.subs[d] = append(sh.subs[d], sub)
+	e, dup := sh.subs[d]
+	switch {
+	case !dup:
+		e.first = sub
+	case e.more == nil:
+		e.more = &[]pendingSub{sub}
+	default:
+		*e.more = append(*e.more, sub)
+	}
+	sh.subs[d] = e
 	sh.mu.Unlock()
 	g.mPending.Add(1)
 }
 
 // NotifyCommitted is the host's bridge from the consensus commit callback:
 // for every transaction in a committed block, the gateway resolves waiting
-// submitters by digest, streams MsgCommit frames, and records end-to-end
-// latency (client submit seen → commit notified). Safe to call from the
-// pipeline's delivery goroutine: sends never block (slow consumers drop).
+// submitters by digest, appends MsgCommit frames to their connections' write
+// buffers, and records end-to-end latency (client submit seen → commit
+// notified). Safe to call from the pipeline's delivery goroutine: it never
+// blocks on a client (a backlog over the bound drops).
 func (g *Gateway) NotifyCommitted(round uint64, txs [][]byte) {
-	now := time.Now()
+	now := g.now()
+	var held *gwConn
 	for _, tx := range txs {
 		d := sha256.Sum256(tx)
 		sh := &g.pending[d[0]&(pendingShards-1)]
 		sh.mu.Lock()
-		subs, ok := sh.subs[d]
+		e, ok := sh.subs[d]
 		if ok {
 			delete(sh.subs, d)
 		}
@@ -393,15 +461,38 @@ func (g *Gateway) NotifyCommitted(round uint64, txs [][]byte) {
 		if !ok {
 			continue // generator traffic or a tx admitted by another gateway
 		}
-		g.mPending.Add(-int64(len(subs)))
-		for _, sub := range subs {
-			lat := now.Sub(sub.at)
-			g.mE2E.Observe(lat)
-			if !sub.conn.send(encCommit(sub.client, sub.seq, round, uint64(lat))) {
-				g.mSlowDrops.Inc()
+		g.mPending.Add(-1)
+		held = g.notify(held, &e.first, round, now)
+		if e.more != nil {
+			g.mPending.Add(-int64(len(*e.more)))
+			for i := range *e.more {
+				held = g.notify(held, &(*e.more)[i], round, now)
 			}
 		}
 	}
+	if held != nil {
+		held.mu.Unlock()
+	}
+}
+
+// notify appends sub's COMMIT frame to its connection and returns that
+// connection with its lock still held, releasing held first if it is another:
+// a block's frames for one connection are one critical section and wake its
+// writer once.
+func (g *Gateway) notify(held *gwConn, sub *pendingSub, round uint64, now time.Duration) *gwConn {
+	if sub.conn != held {
+		if held != nil {
+			held.mu.Unlock()
+		}
+		held = sub.conn
+		held.mu.Lock()
+	}
+	lat := now - sub.at
+	g.mE2E.Observe(lat)
+	if !held.sendLocked(&ServerEvent{Kind: MsgCommit, Client: sub.client, Seq: sub.seq, Round: round, Latency: uint64(lat)}) {
+		g.mSlowDrops.Inc()
+	}
+	return held
 }
 
 // PendingCount reports transactions awaiting commit notification (tests).

@@ -152,17 +152,24 @@ func TestDuplicateTxNotifiesAllSubmitters(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer cl.Close()
-	// Two logical clients submit byte-identical transactions; one commit
-	// must resolve both digests.
+	// Three logical clients submit byte-identical transactions (the inline
+	// subscriber, then the list's first and second); one commit must
+	// notify all of them.
 	if err := cl.Submit(1, 0, []byte("same-bytes")); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.Submit(2, 0, []byte("same-bytes")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "2 acks", func() bool { return evs.count(MsgAck) == 2 })
+	if err := cl.Submit(3, 0, []byte("same-bytes")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "3 acks", func() bool { return evs.count(MsgAck) == 3 })
 	h.gw.NotifyCommitted(5, [][]byte{[]byte("same-bytes")})
-	waitFor(t, "2 commits", func() bool { return evs.count(MsgCommit) == 2 })
+	waitFor(t, "3 commits", func() bool { return evs.count(MsgCommit) == 3 })
+	if got := h.gw.PendingCount(); got != 0 {
+		t.Fatalf("pending after commit = %d, want 0", got)
+	}
 }
 
 func TestRejectRateLimit(t *testing.T) {

@@ -16,8 +16,6 @@ package gateway
 import (
 	"encoding/binary"
 	"fmt"
-
-	"clanbft/internal/types"
 )
 
 // ProtoVersion is the client protocol version carried in HELLO/HELLO_ACK.
@@ -121,80 +119,6 @@ func parseClientMsg(body []byte) (clientMsg, error) {
 	}
 }
 
-// Server-side frame encoders. Each returns a pooled buffer holding the
-// complete wire frame (4-byte length prefix included); ownership passes to
-// the connection's writer, which recycles it with types.PutBuf after the
-// socket write — the same pooled-buffer discipline as the peer transport.
-
-// beginFrame takes a pooled buffer sized for a body of n bytes and reserves
-// the length prefix; endFrame back-fills it.
-func beginFrame(n int) []byte {
-	b := types.GetBuf(4 + n)
-	return append(b, 0, 0, 0, 0)
-}
-
-func endFrame(b []byte) []byte {
-	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
-	return b
-}
-
-func encHelloAck(faultBound, maxTx uint64) []byte {
-	b := beginFrame(1 + 1 + 2*binary.MaxVarintLen64)
-	b = append(b, MsgHelloAck, ProtoVersion)
-	b = binary.AppendUvarint(b, faultBound)
-	b = binary.AppendUvarint(b, maxTx)
-	return endFrame(b)
-}
-
-func encAck(client, seq uint64) []byte {
-	b := beginFrame(1 + 2*binary.MaxVarintLen64)
-	b = append(b, MsgAck)
-	b = binary.AppendUvarint(b, client)
-	b = binary.AppendUvarint(b, seq)
-	return endFrame(b)
-}
-
-func encReject(client, seq uint64, reason byte) []byte {
-	b := beginFrame(2 + 2*binary.MaxVarintLen64)
-	b = append(b, MsgReject)
-	b = binary.AppendUvarint(b, client)
-	b = binary.AppendUvarint(b, seq)
-	b = append(b, reason)
-	return endFrame(b)
-}
-
-// encCommit carries the gateway-observed submit→commit latency (nanoseconds)
-// so clients see the server-side number next to their own e2e measurement —
-// the gap between the two is queueing and wire time outside consensus.
-func encCommit(client, seq, round, latencyNs uint64) []byte {
-	b := beginFrame(1 + 4*binary.MaxVarintLen64)
-	b = append(b, MsgCommit)
-	b = binary.AppendUvarint(b, client)
-	b = binary.AppendUvarint(b, seq)
-	b = binary.AppendUvarint(b, round)
-	b = binary.AppendUvarint(b, latencyNs)
-	return endFrame(b)
-}
-
-func encValue(client, seq uint64, quorum byte, value []byte) []byte {
-	b := beginFrame(2 + 2*binary.MaxVarintLen64 + len(value))
-	b = append(b, MsgValue)
-	b = binary.AppendUvarint(b, client)
-	b = binary.AppendUvarint(b, seq)
-	b = append(b, quorum)
-	b = append(b, value...)
-	return endFrame(b)
-}
-
-func encReadErr(client, seq uint64, reason byte) []byte {
-	b := beginFrame(2 + 2*binary.MaxVarintLen64)
-	b = append(b, MsgReadErr)
-	b = binary.AppendUvarint(b, client)
-	b = binary.AppendUvarint(b, seq)
-	b = append(b, reason)
-	return endFrame(b)
-}
-
 // ServerEvent is one decoded gateway→client message, surfaced by the Client
 // helper (and the load generator built on it).
 type ServerEvent struct {
@@ -209,6 +133,39 @@ type ServerEvent struct {
 	Version byte   // MsgHelloAck
 	Fc      uint64 // MsgHelloAck
 	MaxTx   uint64 // MsgHelloAck
+}
+
+// appendEvent appends ev's wire frame, 4-byte length prefix included, to b:
+// the server-side encoder and the inverse of parseServerEvent. Frames are
+// appended straight into the connection's write buffer (gwConn), so encoding
+// one costs no buffer of its own.
+func appendEvent(b []byte, ev *ServerEvent) []byte {
+	start := len(b)
+	b = append(b, 0, 0, 0, 0, ev.Kind)
+	if ev.Kind == MsgHelloAck {
+		b = append(b, ev.Version)
+		b = binary.AppendUvarint(b, ev.Fc)
+		b = binary.AppendUvarint(b, ev.MaxTx)
+	} else {
+		b = binary.AppendUvarint(b, ev.Client)
+		b = binary.AppendUvarint(b, ev.Seq)
+		switch ev.Kind {
+		case MsgReject, MsgReadErr:
+			b = append(b, ev.Reason)
+		case MsgCommit:
+			// The gateway-observed submit→commit latency (nanoseconds) rides
+			// along so clients see the server-side number next to their own
+			// e2e measurement — the gap is queueing and wire time outside
+			// consensus.
+			b = binary.AppendUvarint(b, ev.Round)
+			b = binary.AppendUvarint(b, ev.Latency)
+		case MsgValue:
+			b = append(b, ev.Quorum)
+			b = append(b, ev.Value...)
+		}
+	}
+	binary.BigEndian.PutUint32(b[start:], uint32(len(b)-start-4))
+	return b
 }
 
 // parseServerEvent decodes one gateway→client frame body (client side).

@@ -49,75 +49,130 @@ type readResp struct {
 	value   []byte
 	version uint64
 	ok      bool
-	timeout bool
 }
 
+// readAnswer is responder from's reply to one poll.
+type readAnswer struct {
+	from int
+	readResp
+}
+
+func askResponder(r StateReader, key []byte, from int, ch chan<- readAnswer) {
+	v, ver, ok := r.ReadKey(key)
+	ch <- readAnswer{from, readResp{value: v, version: ver, ok: ok}}
+}
+
+// repollEvery paces the re-polls of a read whose responders straddle a
+// commit: the laggards are at most an execution hand-off behind.
+const repollEvery = 2 * time.Millisecond
+
 // aggregateRead fans the key out to every responder and returns as soon as
-// f_c+1 responses agree on (found, version, value). Responders run on their
-// own goroutines so one slow replica cannot stall the read past Timeout.
+// f_c+1 of them agree on (found, version, value). Responders run on their own
+// goroutines so one slow replica cannot stall the read past Timeout.
+//
+// A key with a write in flight splits honest responders across the commit.
+// So when every responder has answered and no group has f_c+1, the ones below
+// the highest version seen are asked again, until f_c+1 agree or Timeout
+// expires (ReadNoQuorum). And "absent" is never the answer while any
+// responder reports the key present: the f_c+1 that have not executed the
+// write yet must not outvote the one that has.
 func aggregateRead(cfg ReadConfig, key []byte) readResult {
-	need := cfg.FaultBound + 1
-	if need > len(cfg.Responders) {
+	need, n := cfg.FaultBound+1, len(cfg.Responders)
+	if need > n {
 		return readResult{errCode: ReadNoQuorum}
 	}
 	timeout := cfg.Timeout
 	if timeout == 0 {
 		timeout = time.Second
 	}
-	ch := make(chan readResp, len(cfg.Responders))
+	// A responder has at most one call in flight, so sends never block.
+	ch := make(chan readAnswer, n)
+	latest := make([]readResp, n) // each responder's most recent answer
+	answered := make([]bool, n)
+	inflight := 0
+	poll := func(i int) {
+		inflight++
+		go askResponder(cfg.Responders[i], key, i, ch)
+	}
+	for i := range cfg.Responders {
+		poll(i)
+	}
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
-	for _, r := range cfg.Responders {
-		go func(r StateReader) {
-			v, ver, ok := r.ReadKey(key)
-			ch <- readResp{value: v, version: ver, ok: ok}
-		}(r)
-	}
-
-	// Group responses by (found, version, value). With small quorums (f_c is
-	// 1–2 in every deployment the paper sizes) a linear scan over groups is
-	// cheaper than hashing the values.
-	type group struct {
-		resp  readResp
-		count int
-	}
-	var groups []group
-	answered := 0
-	for answered < len(cfg.Responders) {
-		var resp readResp
+	var repoll <-chan time.Time // armed while every responder has answered without a quorum
+	for {
 		select {
-		case resp = <-ch:
-		case <-deadline.C:
-			return readResult{errCode: ReadTimeout}
-		}
-		answered++
-		matched := false
-		for i := range groups {
-			g := &groups[i]
-			if g.resp.ok == resp.ok && g.resp.version == resp.version &&
-				(!resp.ok || bytes.Equal(g.resp.value, resp.value)) {
-				g.count++
-				matched = true
-				if g.count >= need {
-					return readResult{
-						value:   g.resp.value,
-						version: g.resp.version,
-						found:   g.resp.ok,
-						quorum:  g.count,
-					}
+		case a := <-ch:
+			inflight--
+			latest[a.from], answered[a.from] = a.readResp, true
+			if res, ok := readQuorum(latest, answered, need); ok {
+				return res
+			}
+			if inflight == 0 {
+				repoll = time.After(repollEvery)
+			}
+		case <-repoll:
+			var top uint64
+			for i := range latest {
+				if latest[i].ok && latest[i].version > top {
+					top = latest[i].version
 				}
-				break
 			}
-		}
-		if !matched {
-			groups = append(groups, group{resp: resp, count: 1})
-			if need == 1 {
-				return readResult{value: resp.value, version: resp.version, found: resp.ok, quorum: 1}
+			for i := range latest {
+				if !latest[i].ok || latest[i].version < top {
+					poll(i)
+				}
 			}
+			if inflight == 0 {
+				// Same version everywhere, different bytes: asking again
+				// cannot change it.
+				return readResult{errCode: ReadNoQuorum}
+			}
+		case <-deadline.C:
+			for _, ok := range answered {
+				if !ok {
+					return readResult{errCode: ReadTimeout}
+				}
+			}
+			return readResult{errCode: ReadNoQuorum}
 		}
 	}
-	// Everyone answered but no group reached f_c+1: replicas are split across
-	// versions (e.g. a read raced a commit and responders straddle it). The
-	// client retries; unlike writes there is no state to clean up.
-	return readResult{errCode: ReadNoQuorum}
+}
+
+// readQuorum looks for need matching answers among those in: the group at
+// the highest version that has them, else "absent" when need responders say
+// so and none says otherwise. With small quorums (f_c is 1–2 in every
+// deployment the paper sizes) comparing every pair is cheaper than hashing
+// the values.
+func readQuorum(latest []readResp, answered []bool, need int) (readResult, bool) {
+	var best readResult
+	absent, present := 0, false
+	for i := range latest {
+		if !answered[i] {
+			continue
+		}
+		r := &latest[i]
+		if !r.ok {
+			absent++
+			continue
+		}
+		present = true
+		count := 0
+		for j := range latest {
+			o := &latest[j]
+			if answered[j] && o.ok && o.version == r.version && bytes.Equal(o.value, r.value) {
+				count++
+			}
+		}
+		if count >= need && (best.quorum == 0 || r.version > best.version) {
+			best = readResult{value: r.value, version: r.version, found: true, quorum: count}
+		}
+	}
+	if best.quorum > 0 {
+		return best, true
+	}
+	if !present && absent >= need {
+		return readResult{quorum: absent}, true
+	}
+	return readResult{}, false
 }

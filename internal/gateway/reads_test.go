@@ -74,6 +74,7 @@ func TestReadNoQuorumWhenSplit(t *testing.T) {
 	cfg := ReadConfig{
 		Responders: []StateReader{fresh("a", 1), fresh("b", 2), fresh("c", 3)},
 		FaultBound: 1,
+		Timeout:    50 * time.Millisecond,
 	}
 	res := aggregateRead(cfg, []byte("k"))
 	if res.errCode != ReadNoQuorum {

@@ -3,7 +3,7 @@
 // normal (non-test) package so the same code runs two ways: as ordinary
 // `go test -bench` benchmarks via thin wrappers in the transport and store
 // test packages, and from cmd/bench via testing.Benchmark to emit the
-// BENCH_PR2.json artifact.
+// BENCH_PRn.json artifact.
 package perfbench
 
 import (
@@ -478,7 +478,8 @@ func ParallelExecTxRate(b *testing.B, workers, conflictPct int) {
 	}
 }
 
-// Row is one benchmark result in the BENCH_PR2.json artifact.
+// Row is one benchmark result as measured. Split sorts its fields into the
+// artifact's two sections.
 type Row struct {
 	Name        string             `json:"name"`
 	Iterations  int                `json:"iterations"`
@@ -506,6 +507,59 @@ func Run(name string, fn func(b *testing.B)) Row {
 	return row
 }
 
+// Artifact is the micro-benchmark file (BENCH_PRn.json). Counters are
+// properties of the code path — allocations, bytes, syscalls per message,
+// virtual-time rates — and are what CI gates on. WallClock is what this
+// machine's clock read while taking them: kept for the record, never gated,
+// so a trajectory of artifacts does not carry one runner's noise.
+type Artifact struct {
+	Counters  []CounterRow `json:"counters"`
+	WallClock []TimingRow  `json:"wall_clock"`
+}
+
+// CounterRow is a benchmark's machine-independent half.
+type CounterRow struct {
+	Name        string             `json:"name"`
+	AllocsPerOp int64              `json:"allocs_per_op"`
+	BytesPerOp  int64              `json:"alloc_bytes_per_op"`
+	Extra       map[string]float64 `json:"extra,omitempty"`
+}
+
+// TimingRow is a benchmark's wall-clock half.
+type TimingRow struct {
+	Name       string             `json:"name"`
+	Iterations int                `json:"iterations"`
+	NsPerOp    float64            `json:"ns_per_op"`
+	MBPerSec   float64            `json:"mb_per_sec,omitempty"`
+	Extra      map[string]float64 `json:"extra,omitempty"`
+}
+
+// wallClockExtras are the reported metrics that read the wall clock; every
+// other extra is a count (or a virtual-time rate) and goes with the counters.
+var wallClockExtras = map[string]bool{"p50_ms": true, "p99_ms": true, "tx/s": true}
+
+// Split sorts measured rows into the artifact's two sections.
+func Split(rows []Row) Artifact {
+	var a Artifact
+	for _, r := range rows {
+		c := CounterRow{Name: r.Name, AllocsPerOp: r.AllocsPerOp, BytesPerOp: r.BytesPerOp}
+		t := TimingRow{Name: r.Name, Iterations: r.Iterations, NsPerOp: r.NsPerOp, MBPerSec: r.MBPerSec}
+		for k, v := range r.Extra {
+			dst := &c.Extra
+			if wallClockExtras[k] {
+				dst = &t.Extra
+			}
+			if *dst == nil {
+				*dst = map[string]float64{}
+			}
+			(*dst)[k] = v
+		}
+		a.Counters = append(a.Counters, c)
+		a.WallClock = append(a.WallClock, t)
+	}
+	return a
+}
+
 // Suite runs the gating micro-benchmarks: the multicast at two peer counts
 // (allocs/op must match — the encode-once invariant), group commit at two
 // writer counts (fsyncs/op must stay below one), the end-to-end pipeline
@@ -516,8 +570,10 @@ func Run(name string, fn func(b *testing.B)) Row {
 // cell at n=50 in both edge modes (bytes/commit must not rise, commits/sec
 // must not fall), and the serving front door: admission-control throughput
 // (allocs/op must stay zero, admit_share must hold its deterministic value)
-// and client end-to-end latency through the gateway protocol (p99_ms with
-// generous slack).
+// and client end-to-end latency through the gateway protocol (wall clock,
+// recorded only), and the transaction path's allocation counts layer by layer
+// (TxPath/*: allocs/op must stay at zero, or at one per transaction through
+// the gateway).
 func Suite(verbose io.Writer) []Row {
 	rows := []Row{
 		Run("MulticastEncodeOnce/peers=4/payload=1MiB", func(b *testing.B) { MulticastEncodeOnce(b, 4, 1<<20) }),
@@ -539,6 +595,10 @@ func Suite(verbose io.Writer) []Row {
 		Run("SparseDagScale/n=50/sparse", func(b *testing.B) { SparseDagScale(b, 50, true) }),
 		Run("GatewayAdmitRate/clients=1024", func(b *testing.B) { GatewayAdmitRate(b, 1024) }),
 		Run("ClientE2ELatency/stub-consensus", ClientE2ELatency),
+		Run("TxPath/apply/overwrites=1000", TxPathApply),
+		Run("TxPath/digest/txs=1000", TxPathDigest),
+		Run("TxPath/gateway/batch=256", TxPathGateway),
+		Run("TxPath/bufpool/roundtrip", TxPathBufpool),
 	}
 	if verbose != nil {
 		for _, r := range rows {

@@ -1,8 +1,11 @@
 package types
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
+	"sync"
 )
 
 // Block carries the transaction payload referenced by a vertex (Figure 4).
@@ -31,9 +34,11 @@ type Block struct {
 	// borrowed marks Txs as aliasing a pooled receive buffer (alias-mode
 	// decode). Detach must be called before the block outlives the buffer.
 	borrowed bool
-	// dig caches the digest. Valid only while the block is immutable, which
-	// protocol blocks are from creation (Detach preserves content).
-	dig *Hash
+	// dig caches the digest once hasDig is set. Valid only while the block
+	// is immutable, which protocol blocks are from creation (Detach
+	// preserves content).
+	dig    Hash
+	hasDig bool
 }
 
 // IsSynthetic reports whether the payload is described rather than stored.
@@ -42,11 +47,10 @@ func (b *Block) IsSynthetic() bool { return b.SynthCount > 0 }
 // DigestCached returns the digest, computing it at most once. Callers must
 // not mutate the block afterwards (Detach is fine: it preserves content).
 func (b *Block) DigestCached() Hash {
-	if b.dig == nil {
-		d := b.Digest()
-		b.dig = &d
+	if !b.hasDig {
+		b.dig, b.hasDig = b.Digest(), true
 	}
-	return *b.dig
+	return b.dig
 }
 
 // Detach deep-copies Txs out of the pooled receive buffer the block was
@@ -98,26 +102,43 @@ func (b *Block) PayloadBytes() int {
 // for synthetic blocks it covers the deterministic descriptor, which pins
 // the payload just as strongly for simulation purposes.
 func (b *Block) Digest() Hash {
-	var hdr [8 + 2 + 4 + 4 + 8 + 8 + 1]byte
+	d := digesters.Get().(*digester)
+	defer digesters.Put(d)
+	hdr := d.hdr[:]
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(b.Round))
 	binary.LittleEndian.PutUint16(hdr[8:], uint16(b.Source))
 	binary.LittleEndian.PutUint32(hdr[10:], b.SynthCount)
 	binary.LittleEndian.PutUint32(hdr[14:], b.SynthSize)
 	binary.LittleEndian.PutUint64(hdr[18:], b.SynthSeed)
 	binary.LittleEndian.PutUint64(hdr[26:], uint64(b.CreatedAt))
+	hdr[34] = 0
 	if b.IsSynthetic() {
 		hdr[34] = 1
-		return HashBytes(hdr[:])
+		return HashBytes(hdr)
 	}
-	buf := make([]byte, 0, 64+b.PayloadBytes())
-	buf = append(buf, hdr[:]...)
-	buf = PutUvarint(buf, uint64(len(b.Txs)))
+	// Stream header, count and length-prefixed transactions through the
+	// hasher: the bytes a marshalled copy would hold, never copied.
+	d.h.Reset()
+	d.h.Write(hdr)
+	d.h.Write(binary.AppendUvarint(d.prefix[:0], uint64(len(b.Txs))))
 	for _, tx := range b.Txs {
-		buf = PutUvarint(buf, uint64(len(tx)))
-		buf = append(buf, tx...)
+		d.h.Write(binary.AppendUvarint(d.prefix[:0], uint64(len(tx))))
+		d.h.Write(tx)
 	}
-	return HashBytes(buf)
+	d.h.Sum(d.out[:0])
+	return d.out
 }
+
+// digester is a reusable hasher plus the scratch Digest feeds it from (local
+// arrays would escape through the hash.Hash interface).
+type digester struct {
+	h      hash.Hash
+	hdr    [8 + 2 + 4 + 4 + 8 + 8 + 1]byte
+	prefix [binary.MaxVarintLen64]byte
+	out    Hash
+}
+
+var digesters = sync.Pool{New: func() any { return &digester{h: sha256.New()} }}
 
 // Marshal appends the encoding of b to buf. Synthetic blocks encode only the
 // descriptor (the simulator never puts them on a real wire; WireSize still

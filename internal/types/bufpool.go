@@ -28,7 +28,13 @@ const (
 	maxBufClass = 26
 )
 
-var bufPools [maxBufClass + 1]sync.Pool
+// bufPools hold *[]byte so a Put does not box a slice header. The headers
+// themselves circulate through bufHeaders: GetBuf parks the one it emptied,
+// PutBuf takes it back, so a Get/Put round trip allocates nothing.
+var (
+	bufPools   [maxBufClass + 1]sync.Pool
+	bufHeaders sync.Pool
+)
 
 // bufGets/bufPuts count GetBuf and PutBuf calls. Every GetBuf must eventually
 // be balanced by exactly one PutBuf (directly, or through the last Release of
@@ -49,7 +55,11 @@ func GetBuf(size int) []byte {
 		return make([]byte, 0, size) // beyond the largest class: unpooled
 	}
 	if p := bufPools[c].Get(); p != nil {
-		return (*p.(*[]byte))[:0]
+		h := p.(*[]byte)
+		b := (*h)[:0]
+		*h = nil
+		bufHeaders.Put(h)
+		return b
 	}
 	return make([]byte, 0, 1<<c)
 }
@@ -70,8 +80,12 @@ func PutBuf(b []byte) {
 	if c > maxBufClass {
 		c = maxBufClass
 	}
-	b = b[:0]
-	bufPools[c].Put(&b)
+	h, _ := bufHeaders.Get().(*[]byte)
+	if h == nil {
+		h = new([]byte)
+	}
+	*h = b[:0]
+	bufPools[c].Put(h)
 }
 
 // bufClass returns the smallest class whose buffers hold size bytes.

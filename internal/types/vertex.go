@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // VertexRef identifies a vertex in the DAG by position and content digest.
@@ -101,9 +100,11 @@ type Vertex struct {
 	// latency (the order.commit_latency histogram). Zero means unstamped.
 	CreatedAt int64
 
-	// dig caches the digest. Valid only while the vertex is immutable —
-	// protocol code finalizes a vertex (NormalizeEdges) before first use.
-	dig *Hash
+	// dig caches the digest once hasDig is set. Valid only while the vertex
+	// is immutable — protocol code finalizes a vertex (NormalizeEdges)
+	// before first use.
+	dig    Hash
+	hasDig bool
 }
 
 // Ref returns the canonical reference to v.
@@ -114,11 +115,10 @@ func (v *Vertex) Ref() VertexRef {
 // DigestCached returns the digest, computing it at most once. Callers must
 // not mutate the vertex afterwards.
 func (v *Vertex) DigestCached() Hash {
-	if v.dig == nil {
-		d := v.Digest()
-		v.dig = &d
+	if !v.hasDig {
+		v.dig, v.hasDig = v.Digest(), true
 	}
-	return *v.dig
+	return v.dig
 }
 
 // Pos returns v's (round, source) position.
@@ -126,14 +126,21 @@ func (v *Vertex) Pos() Position { return Position{v.Round, v.Source} }
 
 // Digest hashes the canonical encoding of the vertex.
 func (v *Vertex) Digest() Hash {
-	return HashBytes(v.Marshal(nil))
+	var buf [256]byte // a dense vertex without certificates fits; larger ones grow onto the heap
+	return HashBytes(v.Marshal(buf[:0]))
 }
 
 // NormalizeEdges sorts edge lists so encoding is deterministic regardless of
 // the order edges were accumulated in.
 func (v *Vertex) NormalizeEdges() {
-	sort.Slice(v.StrongEdges, func(i, j int) bool { return v.StrongEdges[i].Less(v.StrongEdges[j]) })
-	sort.Slice(v.WeakEdges, func(i, j int) bool { return v.WeakEdges[i].Less(v.WeakEdges[j]) })
+	byPosition := func(a, b VertexRef) int {
+		if c := cmp.Compare(a.Round, b.Round); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Source, b.Source)
+	}
+	slices.SortFunc(v.StrongEdges, byPosition)
+	slices.SortFunc(v.WeakEdges, byPosition)
 }
 
 // HasStrongEdgeTo reports whether v has a strong edge to position p. Strong
@@ -209,82 +216,89 @@ func (v *Vertex) Marshal(b []byte) []byte {
 // UnmarshalVertex decodes a vertex and returns the remaining bytes.
 func UnmarshalVertex(b []byte) (*Vertex, []byte, error) {
 	v := &Vertex{}
+	b, err := unmarshalVertexInto(v, b)
+	if err != nil {
+		return nil, nil, err
+	}
+	return v, b, nil
+}
+
+// unmarshalVertexInto decodes into caller-provided zeroed storage, so a
+// message that always carries a vertex can hold it in its own allocation.
+func unmarshalVertexInto(v *Vertex, b []byte) ([]byte, error) {
 	var u uint64
 	var err error
 	if u, b, err = Uvarint(b); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	v.Round = Round(u)
 	if u, b, err = Uvarint(b); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	v.Source = NodeID(u)
 	if len(b) < 32 {
-		return nil, nil, fmt.Errorf("types: short vertex digest")
+		return nil, fmt.Errorf("types: short vertex digest")
 	}
 	copy(v.BlockDigest[:], b[:32])
 	b = b[32:]
-	if v.StrongEdges, b, err = unmarshalStrong(b, v.Round); err != nil {
-		return nil, nil, err
-	}
-	if v.WeakEdges, b, err = unmarshalWeak(b, v.Round); err != nil {
-		return nil, nil, err
+	if v.StrongEdges, v.WeakEdges, b, err = unmarshalEdges(b, v.Round); err != nil {
+		return nil, err
 	}
 	if len(b) < 1 {
-		return nil, nil, fmt.Errorf("types: short vertex nvc flag")
+		return nil, fmt.Errorf("types: short vertex nvc flag")
 	}
 	if b[0] == 1 {
 		b = b[1:]
 		nvc := &NoVoteCert{}
 		if u, b, err = Uvarint(b); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		nvc.Round = Round(u)
 		if nvc.Agg, b, err = unmarshalAgg(b); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		v.NVC = nvc
 	} else {
 		b = b[1:]
 	}
 	if len(b) < 1 {
-		return nil, nil, fmt.Errorf("types: short vertex tc flag")
+		return nil, fmt.Errorf("types: short vertex tc flag")
 	}
 	if b[0] == 1 {
 		b = b[1:]
 		tc := &TimeoutCert{}
 		if u, b, err = Uvarint(b); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		tc.Round = Round(u)
 		if tc.Agg, b, err = unmarshalAgg(b); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		v.TC = tc
 	} else {
 		b = b[1:]
 	}
 	if v.Epoch, b, err = Uvarint(b); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if u, b, err = Uvarint(b); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if u > MaxReconfigPerVertex {
-		return nil, nil, fmt.Errorf("types: %d reconfig txs exceed per-vertex bound", u)
+		return nil, fmt.Errorf("types: %d reconfig txs exceed per-vertex bound", u)
 	}
 	for i := uint64(0); i < u; i++ {
 		var tx ReconfigTx
 		if tx, b, err = UnmarshalReconfigTx(b); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		v.Reconfig = append(v.Reconfig, tx)
 	}
 	if u, b, err = Uvarint(b); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	v.CreatedAt = int64(u)
-	return v, b, nil
+	return b, nil
 }
 
 // WireSize returns the exact encoded size of v.
@@ -328,52 +342,49 @@ func (v *Vertex) Equal(o *Vertex) bool {
 // honest encoder ever emits more than 2^16/8 bytes.
 const maxBitmapBytes = 8192
 
-// unmarshalStrong decodes the strong-edge signer bitmap. Every decoded edge
-// targets round-1 (the only round validateVertex accepts); digests are not
-// on the wire — RBC pins the vertex behind each position.
-func unmarshalStrong(b []byte, round Round) ([]VertexRef, []byte, error) {
+// unmarshalEdges decodes both edge lists into one backing array. Strong
+// edges are a signer bitmap whose every bit targets round-1 (the only round
+// validateVertex accepts); weak edges are (round delta, source) varint pairs.
+// Digests are not on the wire — RBC pins the vertex behind each position.
+func unmarshalEdges(b []byte, round Round) (strong, weak []VertexRef, rest []byte, err error) {
 	width, b, err := Uvarint(b)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if width > maxBitmapBytes || width > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("types: strong-edge bitmap width %d exceeds buffer", width)
+		return nil, nil, nil, fmt.Errorf("types: strong-edge bitmap width %d exceeds buffer", width)
 	}
 	bm := b[:width]
 	b = b[width:]
-	refs := make([]VertexRef, 0, BitmapCount(bm))
+	cnt, b, err := Uvarint(b)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if cnt > uint64(len(b)) {
+		return nil, nil, nil, fmt.Errorf("types: weak-edge count %d exceeds buffer", cnt)
+	}
+	ns := BitmapCount(bm)
+	refs := make([]VertexRef, 0, ns+int(cnt))
 	prev := Round(uint64(round) - 1)
 	BitmapForEach(bm, func(id NodeID) bool {
 		refs = append(refs, VertexRef{Round: prev, Source: id})
 		return true
 	})
-	return refs, b, nil
-}
-
-// unmarshalWeak decodes weak edges as (round delta, source) varint pairs.
-func unmarshalWeak(b []byte, round Round) ([]VertexRef, []byte, error) {
-	cnt, b, err := Uvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cnt > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("types: weak-edge count %d exceeds buffer", cnt)
-	}
-	refs := make([]VertexRef, 0, cnt)
 	for i := uint64(0); i < cnt; i++ {
 		var delta, src uint64
 		if delta, b, err = Uvarint(b); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		if src, b, err = Uvarint(b); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		if src > 0xFFFF {
-			return nil, nil, fmt.Errorf("types: weak-edge source %d out of range", src)
+			return nil, nil, nil, fmt.Errorf("types: weak-edge source %d out of range", src)
 		}
 		refs = append(refs, VertexRef{Round: Round(uint64(round) - delta), Source: NodeID(src)})
 	}
-	return refs, b, nil
+	// Capped, so growing either list later never writes into the other.
+	return refs[:ns:ns], refs[ns:], b, nil
 }
 
 func marshalAgg(b []byte, a AggSig) []byte {
