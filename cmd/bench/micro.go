@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 
 	"clanbft/internal/perfbench"
 )
@@ -11,7 +12,8 @@ import (
 // runMicro executes the gating micro-benchmarks (encode-once multicast,
 // zero-copy receive, small-message coalescing, group-commit WAL, end-to-end
 // pipeline, the parallel execution engine's dependency-rate sweep, gateway
-// admission, and the transaction path's per-layer allocation counts) and
+// admission, the transaction path's per-layer allocation counts, and the
+// echo frames, signatures and verify jobs one round costs per drain) and
 // writes the results as JSON in two sections: the counters CI gates on —
 // allocs/op, bytes/op and extras such as fsyncs/op and flushes/msg, so the
 // encode-once (allocs/op flat across peer counts), zero-copy (rx allocs/op a
@@ -41,7 +43,8 @@ func runMicro(path, baseline string) error {
 // allocs/op (the encode-once, zero-copy-receive and transaction-path
 // claims), flushes/msg (the coalescing claim: writev syscalls per small
 // message), fsyncs/op (the group-commit claim), and end-to-end commits/sec
-// (the pipeline claim; simulated time, so deterministic). All are properties
+// (the pipeline claim; simulated time, so deterministic), and EchoDrain's
+// frames, signatures and verify jobs per drain (exact). All are properties
 // of the code path. What reads the wall clock — ns/op, MB/s, p99_ms, the
 // execution engine's tx/s — sits in the artifact's other section and is
 // never compared: it measures the runner. The tolerance is ±20% plus a
@@ -140,6 +143,19 @@ func compareBaseline(rows []perfbench.CounterRow, path string) error {
 			}
 			fmt.Printf("  %s %-45s %-11s %.3f (baseline %.3f, limit %.3f)\n",
 				status, r.Name, "bytes/commit", got, want, limit)
+		}
+		for k, want := range b.Extra {
+			// EchoDrain's frames, signatures and verify jobs per number of
+			// drains are exact counts: any rise is a regression.
+			if !strings.Contains(k, "/drains=") {
+				continue
+			}
+			got, status := r.Extra[k], "ok  "
+			if got > want {
+				status = "FAIL"
+				regressions++
+			}
+			fmt.Printf("  %s %-45s %-11s %.3f (baseline %.3f, limit %.3f)\n", status, r.Name, k, got, want, want)
 		}
 		if want, ok := b.Extra["admit_share"]; ok {
 			// The admission benchmark's virtual clock makes the share a

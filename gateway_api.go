@@ -48,14 +48,13 @@ type GatewayOptions struct {
 }
 
 func buildGateway(o GatewayOptions, submit func([]byte), depth func() int,
-	snap func() metrics.Snapshot, reg *metrics.Registry, faultBound int) (*Gateway, error) {
+	reg *metrics.Registry, faultBound int) (*Gateway, error) {
 	return gateway.New(gateway.Config{
-		Addr:     o.Addr,
-		Submit:   submit,
-		Depth:    depth,
-		Snapshot: snap,
-		Metrics:  reg,
-		Limits:   o.Limits,
+		Addr:    o.Addr,
+		Submit:  submit,
+		Depth:   depth,
+		Metrics: reg,
+		Limits:  o.Limits,
 		Read: gateway.ReadConfig{
 			Responders: o.Responders,
 			FaultBound: faultBound,
@@ -85,7 +84,6 @@ func (c *Cluster) ServeGateway(i int, o GatewayOptions) (*Gateway, error) {
 	gw, err := buildGateway(o,
 		func(tx []byte) { c.pools[i].Submit(tx) },
 		c.pools[i].Depth,
-		func() metrics.Snapshot { return c.nodes[i].PipelineSnapshot() },
 		c.nodes[i].PipelineMetrics(),
 		fb)
 	if err != nil {
@@ -109,7 +107,6 @@ func (n *TCPNode) ServeGateway(o GatewayOptions) (*Gateway, error) {
 	gw, err := buildGateway(o,
 		n.pool.Submit,
 		n.pool.Depth,
-		func() metrics.Snapshot { return n.node.PipelineSnapshot() },
 		n.node.PipelineMetrics(),
 		fb)
 	if err != nil {

@@ -122,12 +122,12 @@ func WithholdBlocks() Mutator {
 	}
 }
 
-// SuppressCerts drops every echo certificate this party would send: its
-// announcement as a source and the one it ships ahead of a pulled vertex.
+// SuppressCerts strips every echo certificate this party would send: the
+// one it ships with a pulled vertex.
 func SuppressCerts() Mutator {
 	return func(to types.NodeID, m types.Message) []Send {
-		if _, ok := m.(*types.EchoCertMsg); ok {
-			return nil
+		if rsp, ok := m.(*types.VtxRspMsg); ok && rsp.Cert != nil {
+			m = &types.VtxRspMsg{Vertex: rsp.Vertex, Block: rsp.Block}
 		}
 		return []Send{{To: to, Msg: m}}
 	}
@@ -137,7 +137,7 @@ func SuppressCerts() Mutator {
 // never helps quorums).
 func LazyVoter() Mutator {
 	return func(to types.NodeID, m types.Message) []Send {
-		if vm, ok := m.(*types.VoteMsg); ok && vm.K == types.KindEcho {
+		if _, ok := m.(*types.EchoMsg); ok {
 			return nil
 		}
 		return []Send{{To: to, Msg: m}}
@@ -153,9 +153,8 @@ func Flood(extra int) Mutator {
 		for i := 0; i <= extra; i++ {
 			out = append(out, Send{To: to, Msg: m})
 		}
-		out = append(out, Send{To: to, Msg: &types.VoteMsg{
-			K:   types.KindEcho,
-			Pos: types.Position{Round: 1 << 40, Source: 0},
+		out = append(out, Send{To: to, Msg: &types.EchoMsg{
+			Entries: []types.EchoEntry{{Pos: types.Position{Round: 1 << 40, Source: 0}}},
 		}})
 		return out
 	}

@@ -357,6 +357,9 @@ type Node struct {
 	cfg Config
 	ep  transport.Endpoint
 	clk transport.Clock
+	// drainHook records that ep calls endDrain (see Start); without it
+	// handle flushes the echo queue itself on every return.
+	drainHook bool
 
 	// vcosts carries the verification charge rates: cfg.Costs divided
 	// across cfg.VerifyCores when the verify pool is active (the paper

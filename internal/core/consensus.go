@@ -406,14 +406,14 @@ func (n *Node) onRoundTimeout(r types.Round) {
 	// count toward any quorum); they still run the pull re-drive below.
 	if n.cfg.Key != nil && n.activeAt(r) && !n.primaryIn(r) {
 		if tc := n.tcs[r]; tc != nil {
-			n.ep.Broadcast(&types.TCMsg{TC: *tc})
+			n.broadcast(&types.TCMsg{TC: *tc})
 		} else {
 			tsig := n.cfg.Reg.SignFor(n.cfg.Key, timeoutCtx(r))
 			n.clk.Charge(n.cfg.Costs.EdSign)
-			n.ep.Broadcast(&types.TimeoutMsg{TO: types.Timeout{Round: r, Voter: n.cfg.Self, Sig: tsig}})
+			n.broadcast(&types.TimeoutMsg{TO: types.Timeout{Round: r, Voter: n.cfg.Self, Sig: tsig}})
 			nsig := n.cfg.Reg.SignFor(n.cfg.Key, novoteCtx(r))
 			n.clk.Charge(n.cfg.Costs.EdSign)
-			n.ep.Send(n.leader(r+1), &types.NoVoteMsg{NV: types.NoVote{Round: r, Voter: n.cfg.Self, Sig: nsig}})
+			n.send(n.leader(r+1), &types.NoVoteMsg{NV: types.NoVote{Round: r, Voter: n.cfg.Self, Sig: nsig}})
 		}
 	}
 	// Re-drive the stuck round's RBCs. Under message loss the one-shot
@@ -434,10 +434,11 @@ func (n *Node) onRoundTimeout(r types.Round) {
 			n.sendVal(in.vertex, n.rbc.blocks[in.vertex.BlockDigest])
 		}
 		if in.echoSent && in.vertex != nil {
-			n.ep.Broadcast(n.signedEcho(pos, in.vertex.DigestCached()))
+			n.queueEcho(pos, in.vertex.DigestCached())
 		}
 		n.maybeStartVtxPull(pos, in)
 	}
+	n.flushEchoes()    // a timer is not always part of a drain
 	n.armRoundTimer(r) // still stuck
 }
 
@@ -468,7 +469,7 @@ func (n *Node) onTimeout(from types.NodeID, m *types.TimeoutMsg) {
 		tc := &types.TimeoutCert{Round: r, Agg: agg.Sig()}
 		n.tcs[r] = tc
 		delete(n.timeoutAggs, r)
-		n.ep.Broadcast(&types.TCMsg{TC: *tc})
+		n.broadcast(&types.TCMsg{TC: *tc})
 		n.tryAdvance()
 	}
 }
@@ -550,9 +551,9 @@ func (n *Node) sendVal(v *types.Vertex, blk *types.Block) {
 		}
 	}
 	if full > 0 {
-		n.ep.Multicast(ids[:full], &types.ValMsg{Vertex: v, Block: blk, Sig: sig})
+		n.multicast(ids[:full], &types.ValMsg{Vertex: v, Block: blk, Sig: sig})
 	}
 	if full < len(ids) {
-		n.ep.Multicast(ids[full:], &types.ValMsg{Vertex: v, Sig: sig})
+		n.multicast(ids[full:], &types.ValMsg{Vertex: v, Sig: sig})
 	}
 }

@@ -539,10 +539,9 @@ func TestFloodFarFutureIgnored(t *testing.T) {
 	}
 	var d types.Hash
 	for i := 0; i < 100; i++ {
-		c.net.Endpoint(1).Send(0, &types.VoteMsg{
-			K: types.KindEcho, Pos: types.Position{Round: 1 << 40, Source: 1},
-			Digest: d, Voter: 1,
-		})
+		c.net.Endpoint(1).Send(0, &types.EchoMsg{Voter: 1, Entries: []types.EchoEntry{
+			{Pos: types.Position{Round: 1 << 40, Source: 1}, Digest: d},
+		}})
 	}
 	c.net.Run(500 * time.Millisecond)
 	after := 0
@@ -745,10 +744,7 @@ func TestEchoDigestFloodBounded(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		var d types.Hash
 		d[0], d[1] = byte(i), byte(i>>8)
-		ep.Send(0, &types.VoteMsg{
-			K: types.KindEcho, Pos: pos, Digest: d, Voter: 1,
-			Sig: crypto.Sign(&c.keys[1], echoCtx(new(ctxBuf), pos, d)),
-		})
+		ep.Send(0, signedEchoes(&c.keys[1], 1, types.EchoEntry{Pos: pos, Digest: d}))
 	}
 	c.net.Run(200 * time.Millisecond)
 	in := c.nodes[0].instIfAny(pos)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"time"
 
+	"clanbft/internal/transport"
 	"clanbft/internal/types"
 )
 
@@ -25,10 +26,31 @@ func vertexCtx(buf *ctxBuf, d types.Hash) []byte {
 }
 
 func echoCtx(buf *ctxBuf, pos types.Position, d types.Hash) []byte {
-	b := append(buf[:0], 'E')
+	return appendEchoCtx(buf[:0], pos, d)
+}
+
+func appendEchoCtx(b []byte, pos types.Position, d types.Hash) []byte {
+	b = append(b, 'E')
 	b = types.PutUvarint(b, uint64(pos.Round))
 	b = types.PutUvarint(b, uint64(pos.Source))
 	return append(b, d[:]...)
+}
+
+// echoFrameBuf backs the signing context of an ECHO frame of up to eight
+// entries on its caller's stack; a longer frame spills to the heap.
+type echoFrameBuf [8 * len(ctxBuf{})]byte
+
+// echoFrameCtx is what the voter of an ECHO frame signs: its entries' echo
+// contexts back to back. Each is self-delimiting (a tag, two uvarints, a
+// fixed-size digest), so the concatenation parses one way only and a
+// signature over k entries verifies for no other list; over one entry it is
+// that entry's echoCtx.
+func echoFrameCtx(buf *echoFrameBuf, entries []types.EchoEntry) []byte {
+	b := buf[:0]
+	for i := range entries {
+		b = appendEchoCtx(b, entries[i].Pos, entries[i].Digest)
+	}
+	return b
 }
 
 func timeoutCtx(r types.Round) []byte {
@@ -54,6 +76,13 @@ func (n *Node) Start() {
 		panic("core: Start called twice")
 	}
 	n.started = true
+	// An endpoint that says where its mailbox drains end lets the echoes of
+	// one drain share a frame; on one that does not (the simulator calls the
+	// handler straight from its event loop) every handler call is a drain.
+	// Settled before the handler is installed, so no handler call sees it
+	// change.
+	d, ok := n.ep.(transport.DrainNotifier)
+	n.drainHook = ok && d.SetDrainHook(n.endDrain)
 	n.ep.SetHandler(n.handle)
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -101,6 +130,14 @@ func (n *Node) Stop() {
 	}
 }
 
+// endDrain is the endpoint's drain hook (transport.DrainNotifier): the handler
+// is about to idle, so what the drain queued leaves now.
+func (n *Node) endDrain() {
+	n.mu.Lock()
+	n.flushEchoes()
+	n.mu.Unlock()
+}
+
 // handle dispatches inbound messages. It runs in the endpoint's serialized
 // context. The intake.latency histogram observes per-message handler
 // occupancy — wall time, including the wait for the node lock — which is
@@ -109,6 +146,9 @@ func (n *Node) handle(from types.NodeID, m types.Message) {
 	start := time.Now()
 	n.mu.Lock()
 	defer func() {
+		if !n.drainHook {
+			n.flushEchoes()
+		}
 		n.mu.Unlock()
 		n.mIntakeMsgs.Inc()
 		n.mIntakeLat.Observe(time.Since(start))
@@ -120,12 +160,8 @@ func (n *Node) handle(from types.NodeID, m types.Message) {
 	switch msg := m.(type) {
 	case *types.ValMsg:
 		n.onVal(from, msg)
-	case *types.VoteMsg:
-		if msg.K == types.KindEcho {
-			n.onEcho(from, msg)
-		}
-	case *types.EchoCertMsg:
-		n.onCert(from, msg)
+	case *types.EchoMsg:
+		n.onEcho(from, msg)
 	case *types.BlockReqMsg:
 		n.onBlockReq(from, msg)
 	case *types.BlockRspMsg:

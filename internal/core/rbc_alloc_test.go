@@ -49,11 +49,10 @@ func rbcInstanceMallocs(t *testing.T) uint64 {
 		v := &types.Vertex{Round: 0, Source: src, CreatedAt: 1}
 		d := v.DigestCached()
 		val := &types.ValMsg{Vertex: v, Sig: crypto.Sign(&keys[src], vertexCtx(new(ctxBuf), d))}
-		var echoes []*types.VoteMsg
+		var echoes []*types.EchoMsg
 		for voter := types.NodeID(1); voter < n; voter++ {
 			if voter != src {
-				echoes = append(echoes, &types.VoteMsg{K: types.KindEcho, Pos: pos, Digest: d, Voter: voter,
-					Sig: crypto.Sign(&keys[voter], echoCtx(new(ctxBuf), pos, d))})
+				echoes = append(echoes, signedEchoes(&keys[voter], voter, types.EchoEntry{Pos: pos, Digest: d}))
 			}
 		}
 		var before, after runtime.MemStats

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,15 +13,15 @@ import (
 	"clanbft/internal/types"
 )
 
-// The merged RBC's message diet: no certificate relay in any mode, and the
-// VAL standing in for its proposer's ECHO. These tests pin the count, the
+// The merged RBC's message diet: no certificate on the wire outside a pull
+// reply, and the VAL standing in for its proposer's ECHO. These tests pin the count, the
 // totality argument that replaces the relay, and the vote-counting rules
 // that keep the implicit echo from being counted twice.
 
 // TestRBCMessageComplexity pins the wire cost of one fault-free round: every
-// node sends n-1 VALs (its own vertex), (n-1)^2 ECHOs (one per foreign
-// position, to everyone else — never for its own), n-1 CERTs (its own
-// position's, as the source) and nothing else. Uniform latency without
+// node sends n-1 VAL frames (its own vertex), (n-1)^2 echo entries (one per
+// foreign position, to everyone else — never for its own) in at most that
+// many ECHO frames, no certificate and nothing else. Uniform latency without
 // jitter makes every echo reach every assembler before the child proposal
 // that needs it, so no pull is ever sent.
 func TestRBCMessageComplexity(t *testing.T) {
@@ -28,20 +29,26 @@ func TestRBCMessageComplexity(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			type key struct {
 				from  types.NodeID
-				kind  types.MsgKind
 				round types.Round
 			}
-			sent := map[key]int{}
+			// An ECHO frame counts toward every round it has an entry of.
+			vals, entries, frames := map[key]int{}, map[key]int{}, map[key]int{}
+			inFrame := map[types.Round]bool{}
 			other := map[types.MsgKind]int{}
 			fnet := faults.NewNet(n, 1, nil)
 			fnet.SetTap(func(from, to types.NodeID, m types.Message) {
 				switch msg := m.(type) {
 				case *types.ValMsg:
-					sent[key{from, types.KindVal, msg.Vertex.Round}]++
-				case *types.VoteMsg:
-					sent[key{from, msg.K, msg.Pos.Round}]++
-				case *types.EchoCertMsg:
-					sent[key{from, types.KindEchoCert, msg.Pos.Round}]++
+					vals[key{from, msg.Vertex.Round}]++
+				case *types.EchoMsg:
+					clear(inFrame)
+					for _, e := range msg.Entries {
+						entries[key{from, e.Pos.Round}]++
+						if !inFrame[e.Pos.Round] {
+							inFrame[e.Pos.Round] = true
+							frames[key{from, e.Pos.Round}]++
+						}
+					}
 				default:
 					other[m.Kind()]++
 				}
@@ -49,7 +56,7 @@ func TestRBCMessageComplexity(t *testing.T) {
 			c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, fnet: fnet})
 			c.net.Run(3 * time.Second)
 			if len(other) != 0 {
-				t.Fatalf("fault-free run sent messages outside VAL/ECHO/CERT: %v", other)
+				t.Fatalf("fault-free run sent messages outside VAL/ECHO: %v", other)
 			}
 			last := c.nodes[0].Round()
 			for _, nd := range c.nodes {
@@ -63,13 +70,10 @@ func TestRBCMessageComplexity(t *testing.T) {
 			// Rounds every node has left behind are complete on the wire.
 			for r := types.Round(0); r+2 < last; r++ {
 				for i := 0; i < n; i++ {
-					id := types.NodeID(i)
-					val := sent[key{id, types.KindVal, r}]
-					echo := sent[key{id, types.KindEcho, r}]
-					cert := sent[key{id, types.KindEchoCert, r}]
-					if val != n-1 || echo != (n-1)*(n-1) || cert != n-1 {
-						t.Fatalf("round %d node %d sent %d VAL + %d ECHO + %d CERT, want %d + %d + %d",
-							r, i, val, echo, cert, n-1, (n-1)*(n-1), n-1)
+					k := key{types.NodeID(i), r}
+					if vals[k] != n-1 || entries[k] != (n-1)*(n-1) || frames[k] > entries[k] || frames[k] == 0 {
+						t.Fatalf("round %d node %d sent %d VAL + %d echo entries in %d frames, want %d + %d in at most as many",
+							r, i, vals[k], entries[k], frames[k], n-1, (n-1)*(n-1))
 					}
 				}
 			}
@@ -79,39 +83,40 @@ func TestRBCMessageComplexity(t *testing.T) {
 }
 
 // TestDenseTotalityWithoutCertRelay drops, toward one honest node, every
-// ECHO of one position and its source's CERT announcement: the victim can
-// neither assemble the certificate nor hear it announced, and nobody relays.
-// It must still deliver the vertex, through the pull that a child's
-// reference to the position starts and the certificate the responder ships
-// ahead of it.
+// ECHO frame with an entry for one position: the victim cannot assemble the
+// certificate, and nobody announces or relays one. It must still deliver the
+// vertex, through the pull that a child's reference to the position starts
+// and the certificate the responder ships with it.
 func TestDenseTotalityWithoutCertRelay(t *testing.T) {
 	const n, victim = 4, 2
 	lost := types.Position{Round: 5, Source: 1}
-	echoes := func(m types.Message) bool {
-		vote, ok := m.(*types.VoteMsg)
-		return ok && vote.Pos == lost
-	}
 	fnet := faults.NewNet(n, 7, nil)
-	fnet.Apply(0, faults.Event{Kind: faults.KindDrop, From: faults.All, To: victim, P: 1, Match: echoes})
-	fnet.Apply(0, faults.Event{Kind: faults.KindDrop, From: lost.Source, To: victim, P: 1,
+	fnet.Apply(0, faults.Event{Kind: faults.KindDrop, From: faults.All, To: victim, P: 1,
 		Match: func(m types.Message) bool {
-			cert, ok := m.(*types.EchoCertMsg)
-			return echoes(m) || (ok && cert.Pos == lost)
+			echo, ok := m.(*types.EchoMsg)
+			return ok && slices.ContainsFunc(echo.Entries, func(e types.EchoEntry) bool { return e.Pos == lost })
 		}})
-	pulled := 0
+	pulled, certified := 0, 0
 	fnet.SetTap(func(from, to types.NodeID, m types.Message) {
-		if req, ok := m.(*types.VtxReqMsg); ok && from == victim && req.Pos == lost {
-			pulled++
+		switch msg := m.(type) {
+		case *types.VtxReqMsg:
+			if from == victim && msg.Pos == lost {
+				pulled++
+			}
+		case *types.VtxRspMsg:
+			if to == victim && msg.Vertex.Pos() == lost && msg.Cert != nil {
+				certified++
+			}
 		}
 	})
 	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, fnet: fnet})
 	c.net.Run(3 * time.Second)
-	if pulled == 0 {
-		t.Fatal("victim never pulled the position whose echoes and certificate it lost")
+	if pulled == 0 || certified == 0 {
+		t.Fatalf("victim sent %d pulls for the position whose echoes it lost and got %d certified replies", pulled, certified)
 	}
 	in := c.nodes[victim].instIfAny(lost)
 	if in == nil || !in.delivered || in.cert == nil {
-		t.Fatalf("victim did not deliver %v by certificate-first pull: %+v", lost, in)
+		t.Fatalf("victim did not deliver %v by certified pull: %+v", lost, in)
 	}
 	c.checkConsistentOrder(nil)
 	checkFullInclusion(t, c)
@@ -137,9 +142,8 @@ func TestImplicitEchoUnderEquivocation(t *testing.T) {
 	val := func(v *types.Vertex) *types.ValMsg {
 		return &types.ValMsg{Vertex: v, Sig: crypto.Sign(&c.keys[byz], vertexCtx(new(ctxBuf), v.DigestCached()))}
 	}
-	echo := func(d types.Hash) *types.VoteMsg {
-		return &types.VoteMsg{K: types.KindEcho, Pos: pos, Digest: d, Voter: byz,
-			Sig: crypto.Sign(&c.keys[byz], echoCtx(new(ctxBuf), pos, d))}
+	echo := func(d types.Hash) *types.EchoMsg {
+		return signedEchoes(&c.keys[byz], byz, types.EchoEntry{Pos: pos, Digest: d})
 	}
 	// votes reports how many echoes node i has counted for digest d at pos,
 	// and whether the source is among them.

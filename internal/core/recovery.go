@@ -190,7 +190,7 @@ func (n *Node) onSnapReq(from types.NodeID, _ *types.SnapReqMsg) {
 		return
 	}
 	n.clk.Charge(n.cfg.Costs.StoreRead)
-	n.ep.Send(from, &types.SnapRspMsg{Data: buf.Bytes()})
+	n.send(from, &types.SnapRspMsg{Data: buf.Bytes()})
 }
 
 // persistProposal records this party's round-r proposal digest before the

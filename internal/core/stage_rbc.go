@@ -28,6 +28,11 @@ type rbcState struct {
 	// echoWait parks children whose echo awaits a parent's delivery:
 	// parent -> children.
 	echoWait map[types.Position][]types.Position
+	// echoQ holds this party's echoes since the last flush, at most N. It
+	// is the used head of a block whose unused tail is its capacity: a
+	// flushed frame keeps its slice of the block and the queue restarts
+	// behind it, so queueing allocates once per block, not per frame.
+	echoQ []types.EchoEntry
 }
 
 // rbcRow is one round's instance state in one slab: an instance per source
@@ -339,18 +344,65 @@ func (n *Node) maybeEcho(pos types.Position, in *vinst) {
 		}
 	}
 	in.echoSent = true
-	n.ep.Broadcast(n.signedEcho(pos, v.DigestCached()))
+	n.queueEcho(pos, v.DigestCached())
 }
 
-// signedEcho builds this party's ECHO for digest d at pos.
-func (n *Node) signedEcho(pos types.Position, d types.Hash) *types.VoteMsg {
-	var sig types.SigBytes
+// echoBlockMin is the least number of entries an echo block is made for.
+const echoBlockMin = 64
+
+// queueEcho queues this party's ECHO for digest d at pos. It leaves with the
+// rest of the queue in one signed frame when the mailbox drain that produced
+// it ends (endDrain; without a drain hook, when the handler returns), ahead of
+// any other frame this party sends (send, multicast, broadcast), and at once
+// when the queue holds N entries — the most a receiver accepts in one frame.
+func (n *Node) queueEcho(pos types.Position, d types.Hash) {
+	q := n.rbc.echoQ
+	if len(q) == cap(q) {
+		q = make([]types.EchoEntry, len(q), max(n.cfg.N, echoBlockMin))
+		copy(q, n.rbc.echoQ)
+	}
+	n.rbc.echoQ = append(q, types.EchoEntry{Pos: pos, Digest: d})
+	if len(n.rbc.echoQ) >= n.cfg.N {
+		n.flushEchoes()
+	}
+}
+
+// flushEchoes signs the queued echoes once and broadcasts them as one frame.
+func (n *Node) flushEchoes() {
+	q := n.rbc.echoQ
+	if len(q) == 0 {
+		return
+	}
+	n.rbc.echoQ = q[len(q):]
+	if n.stopped {
+		return
+	}
+	m := &types.EchoMsg{Entries: q[:len(q):len(q)], Voter: n.cfg.Self}
 	if n.cfg.Key != nil {
-		var buf ctxBuf
-		sig = n.cfg.Reg.SignFor(n.cfg.Key, echoCtx(&buf, pos, d))
+		var buf echoFrameBuf
+		m.Sig = n.cfg.Reg.SignFor(n.cfg.Key, echoFrameCtx(&buf, m.Entries))
 		n.clk.Charge(n.cfg.Costs.EdSign)
 	}
-	return &types.VoteMsg{K: types.KindEcho, Pos: pos, Digest: d, Voter: n.cfg.Self, Sig: sig}
+	n.ep.Broadcast(m)
+}
+
+// send, multicast and broadcast are how every frame but the echo frame leaves
+// this party: behind the echoes queued before it, so the order of one
+// sender's frames on the wire is the order in which the handler produced
+// them.
+func (n *Node) send(to types.NodeID, m types.Message) {
+	n.flushEchoes()
+	n.ep.Send(to, m)
+}
+
+func (n *Node) multicast(tos []types.NodeID, m types.Message) {
+	n.flushEchoes()
+	n.ep.Multicast(tos, m)
+}
+
+func (n *Node) broadcast(m types.Message) {
+	n.flushEchoes()
+	n.ep.Broadcast(m)
 }
 
 // ---------------------------------------------------------------------------
@@ -419,32 +471,57 @@ func (n *Node) echoClan(pos types.Position, digest types.Hash, in *vinst) types.
 	return n.blockClanAt(pos.Round, pos.Source)
 }
 
-func (n *Node) onEcho(from types.NodeID, m *types.VoteMsg) {
-	if from != m.Voter || int(m.Pos.Source) >= n.cfg.N || n.gcd(m.Pos) {
-		return
+// onEcho handles one voter's ECHO frame: one signature over all its entries,
+// then each entry on its own — a bad one is skipped, not the frame.
+func (n *Node) onEcho(from types.NodeID, m *types.EchoMsg) {
+	if from != m.Voter || len(m.Entries) > n.cfg.N {
+		return // flushEchoes never queues more than N: not an honest frame
 	}
-	ep := n.epochOf(m.Pos.Round)
-	if !ep.isMember[m.Voter] || !ep.isMember[m.Pos.Source] {
-		return // echoes count only from/for members of the round's epoch
+	// A frame none of whose entries can count — duplicates, echoes for
+	// decided or out-of-window positions — is dropped before any crypto.
+	counts := false
+	for i := range m.Entries {
+		if n.echoCounts(m.Voter, &m.Entries[i]) {
+			counts = true
+			break
+		}
 	}
-	in := n.inst(m.Pos)
-	if in.hasCert {
-		return // decided; late echoes carry no information
-	}
-	// One counted echo per voter per position, across all candidate
-	// digests: a duplicate (honest retransmit) or an equivocating echo for
-	// a second digest is dropped before any allocation or crypto.
-	if types.BitmapHas(in.echoVoted, m.Voter) {
+	if !counts {
 		return
 	}
 	if from != n.cfg.Self {
-		var buf ctxBuf
-		if n.cfg.Reg.CheckSigs && !m.PreVerified() && !n.cfg.Reg.Verify(m.Voter, echoCtx(&buf, m.Pos, m.Digest), m.Sig) {
+		var buf echoFrameBuf
+		if n.cfg.Reg.CheckSigs && !m.PreVerified() && !n.cfg.Reg.Verify(m.Voter, echoFrameCtx(&buf, m.Entries), m.Sig) {
 			return
 		}
 		n.clk.Charge(n.vcosts.EdVerify)
 	}
-	n.countEcho(m.Pos, in, m.Voter, m.Digest)
+	for i := range m.Entries {
+		// Checked again: an earlier entry may have taken this voter's one
+		// echo at the position, or its delivery moved the window.
+		if e := &m.Entries[i]; n.echoCounts(m.Voter, e) {
+			n.countEcho(e.Pos, n.inst(e.Pos), m.Voter, e.Digest)
+		}
+	}
+}
+
+// echoCounts reports whether voter's echo e would be tallied now. It creates
+// no state: the source is in range and its round inside the window this party
+// tracks, voter and source are members of the round's epoch (echoes count
+// only from and for those), the position is undecided (late echoes carry no
+// information), and the voter has no echo counted there yet — one per voter
+// per position across all candidate digests, so a duplicate (an honest
+// retransmit) or an equivocating echo for a second digest stops here.
+func (n *Node) echoCounts(voter types.NodeID, e *types.EchoEntry) bool {
+	if int(e.Pos.Source) >= n.cfg.N || n.gcd(e.Pos) {
+		return false
+	}
+	ep := n.epochOf(e.Pos.Round)
+	if !ep.isMember[voter] || !ep.isMember[e.Pos.Source] {
+		return false
+	}
+	in := n.instIfAny(e.Pos)
+	return in == nil || !(in.hasCert || types.BitmapHas(in.echoVoted, voter))
 }
 
 // countEcho folds voter's echo for digest into pos's tally — an explicit
@@ -481,18 +558,12 @@ func (n *Node) countEcho(pos types.Position, in *vinst, voter types.NodeID, dige
 	// is now retrievable; acceptCert starts pulling early (before
 	// delivery), as the paper prescribes for keeping execution close
 	// behind consensus.
-	cert := &types.EchoCertMsg{Pos: pos, Digest: digest, Agg: tally.agg.Sig()}
-	in.cert = cert
-	n.acceptCert(pos, in, digest)
 	// The echo flood puts every honest node in a position to assemble this
-	// exact certificate locally, so relaying it n-wide would be an O(n^3)
-	// term per round that buys nothing. Only the vertex's own source
-	// announces it (cheap insurance for nodes that missed echoes); everyone
-	// else keeps it for the pull path, which ships the certificate before
-	// the vertex and so covers stragglers.
-	if pos.Source == n.cfg.Self {
-		n.ep.Broadcast(cert)
-	}
+	// exact certificate locally, so nobody announces or relays it: it is
+	// kept for the pull path, which ships it with the vertex and so covers
+	// whoever missed echoes.
+	in.cert = &types.EchoCertMsg{Pos: pos, Digest: digest, Agg: tally.agg.Sig()}
+	n.acceptCert(pos, in, digest)
 }
 
 // validCert structurally verifies an echo certificate against the epoch of
@@ -538,30 +609,11 @@ func (n *Node) validCert(m *types.EchoCertMsg) bool {
 		return false
 	}
 	var buf ctxBuf
-	if n.cfg.Reg.CheckSigs && !m.PreVerified() && !n.cfg.Reg.VerifyAgg(echoCtx(&buf, m.Pos, m.Digest), m.Agg) {
+	if n.cfg.Reg.CheckSigs && !n.cfg.Reg.VerifyAgg(echoCtx(&buf, m.Pos, m.Digest), m.Agg) {
 		return false
 	}
 	n.clk.Charge(n.vcosts.AggVerify)
 	return true
-}
-
-// onCert adopts a certificate announced by the vertex's source or shipped
-// ahead of a pulled vertex. It is kept for this party's own pull replies and
-// never forwarded: totality rests on local assembly from the echo flood plus
-// the certificate-first pull path, not on a relay.
-func (n *Node) onCert(from types.NodeID, m *types.EchoCertMsg) {
-	if int(m.Pos.Source) >= n.cfg.N || n.gcd(m.Pos) {
-		return
-	}
-	in := n.inst(m.Pos)
-	if in.hasCert {
-		return
-	}
-	if !n.validCert(m) {
-		return
-	}
-	in.cert = m
-	n.acceptCert(m.Pos, in, m.Digest)
 }
 
 // acceptCert finalizes the RBC's digest decision for pos and tries to
@@ -697,7 +749,7 @@ func (n *Node) sendBlockPull(pos types.Position, in *vinst) {
 	if target == n.cfg.Self {
 		return
 	}
-	n.ep.Send(target, &types.BlockReqMsg{Pos: pos, Digest: v.BlockDigest})
+	n.send(target, &types.BlockReqMsg{Pos: pos, Digest: v.BlockDigest})
 	in.blockPull = n.clk.After(n.cfg.PullRetry, func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
@@ -715,7 +767,7 @@ func (n *Node) onBlockReq(from types.NodeID, m *types.BlockReqMsg) {
 		return
 	}
 	n.clk.Charge(n.cfg.Costs.StoreRead)
-	n.ep.Send(from, &types.BlockRspMsg{Block: blk})
+	n.send(from, &types.BlockRspMsg{Block: blk})
 }
 
 func (n *Node) onBlockRsp(from types.NodeID, m *types.BlockRspMsg) {
@@ -756,7 +808,13 @@ func (n *Node) sendVtxPull(pos types.Position, in *vinst) {
 			break
 		}
 	}
-	n.ep.Send(target, &types.VtxReqMsg{Pos: pos, Have: n.lastCommitRound})
+	// Have is the top of what this party holds connected — the DAG admits a
+	// vertex only behind its ancestors — so a reply streams ancestors only
+	// to a party that lacks them. (The commit frontier, which sits a round
+	// or two below the top of a party that is keeping up, made nearly every
+	// pull at the frontier drag a batch of vertices, blocks included, that
+	// the requester already held.)
+	n.send(target, &types.VtxReqMsg{Pos: pos, Have: max(n.lastCommitRound, n.dag.MaxRound())})
 	in.vtxPull = n.clk.After(n.cfg.PullRetry, func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
@@ -773,14 +831,8 @@ func (n *Node) onVtxReq(from types.NodeID, m *types.VtxReqMsg) {
 	if in == nil || in.vertex == nil {
 		return
 	}
-	// Ship the certificate first: the requester can only accept a pulled
-	// vertex that a certificate pins (and a certificate alone lets it
-	// count the delivery once the vertex follows).
-	if in.cert != nil {
-		n.ep.Send(from, in.cert)
-	}
-	n.sendVtxRsp(from, in.vertex)
-	// A requester whose commit frontier (Have) sits below the requested
+	n.sendVtxRsp(from, in)
+	// A requester whose connected DAG (Have) ends below the requested
 	// round is catching up level-by-level, one RTT per DAG level — too slow
 	// to close a large gap while the cluster keeps advancing at full speed
 	// (acute under the reputation schedule, which stops stalling on the
@@ -791,17 +843,20 @@ func (n *Node) onVtxReq(from types.NodeID, m *types.VtxReqMsg) {
 	}
 }
 
-// sendVtxRsp ships one vertex (plus its block, when the requester's clan
-// entitles it to the payload) as a pull response.
-func (n *Node) sendVtxRsp(from types.NodeID, v *types.Vertex) {
-	rsp := &types.VtxRspMsg{Vertex: v}
+// sendVtxRsp ships one instance's vertex as a pull response, with its
+// certificate — the requester can only accept a pulled vertex that a
+// certificate pins — and its block, when the requester's clan entitles it to
+// the payload.
+func (n *Node) sendVtxRsp(from types.NodeID, in *vinst) {
+	v := in.vertex
+	rsp := &types.VtxRspMsg{Vertex: v, Cert: in.cert}
 	if !v.BlockDigest.IsZero() && n.blockClanAt(v.Round, v.Source) == n.epochOf(v.Round).clanOf[from] {
 		if blk, ok := n.rbc.blocks[v.BlockDigest]; ok {
 			rsp.Block = blk
 			n.clk.Charge(n.cfg.Costs.StoreRead)
 		}
 	}
-	n.ep.Send(from, rsp)
+	n.send(from, rsp)
 }
 
 // catchupBatchMax bounds the ancestors streamed alongside one pull reply.
@@ -838,10 +893,7 @@ func (n *Node) sendAncestorBatch(to types.NodeID, v *types.Vertex, have types.Ro
 		if pin == nil || !pin.delivered || pin.vertex == nil {
 			continue
 		}
-		if pin.cert != nil {
-			n.ep.Send(to, pin.cert)
-		}
-		n.sendVtxRsp(to, pin.vertex)
+		n.sendVtxRsp(to, pin)
 		sent++
 		for _, e := range pin.vertex.StrongEdges {
 			push(e)
@@ -862,6 +914,15 @@ func (n *Node) onVtxRsp(from types.NodeID, m *types.VtxRspMsg) {
 		return
 	}
 	in := n.instIfAny(pos)
+	// The certificate before the vertex: it is what pins a pulled vertex.
+	// A valid one is adopted — kept for this party's own pull replies — and
+	// makes the instance if there is none: an ancestor batch ships positions
+	// this party has not touched yet.
+	if c := m.Cert; c != nil && c.Pos == pos && (in == nil || !in.hasCert) && n.validCert(c) {
+		in = n.inst(pos)
+		in.cert = c
+		n.acceptCert(pos, in, c.Digest)
+	}
 	if in == nil || in.delivered {
 		return
 	}

@@ -16,16 +16,17 @@ import (
 // touches only immutable state: the key registry and the message itself.
 // It performs pure signature checks — every structural, clan, and quorum
 // rule stays in the handler. Returning false drops the message (the handler
-// would have rejected it for the same bad signature). READY votes pass
-// through unmarked; pull requests/responses and snapshots never get here (the
-// transport routes unsigned kinds and self-sends around the pool), and the
-// handlers skip the check for a message this party sent to itself.
+// would have rejected it for the same bad signature). Pull requests/responses
+// and snapshots never get here (the transport routes unsigned kinds and
+// self-sends around the pool), and the handlers skip the check for a message
+// this party sent to itself.
 //
-// Certificates embedded inside vertices (TC/NVC justifications) are still
-// verified inline: they appear only on timeout paths, far off the throughput
-// hot path.
+// Certificates embedded inside other messages (TC/NVC justifications in
+// vertices, the echo certificate in a pull reply) are still verified inline:
+// they appear only on timeout and catch-up paths, far off the throughput hot
+// path.
 func (n *Node) Verifier() transport.Verifier {
-	reg := n.cfg.Reg
+	reg, maxEchoes := n.cfg.Reg, n.cfg.N
 	return func(from types.NodeID, m types.Message) bool {
 		if !reg.CheckSigs {
 			return true
@@ -44,16 +45,11 @@ func (n *Node) Verifier() transport.Verifier {
 				return false
 			}
 			msg.MarkVerified()
-		case *types.VoteMsg:
-			if msg.K != types.KindEcho {
-				return true
-			}
-			if !reg.Verify(msg.Voter, echoCtx(&buf, msg.Pos, msg.Digest), msg.Sig) {
-				return false
-			}
-			msg.MarkVerified()
-		case *types.EchoCertMsg:
-			if !reg.VerifyAgg(echoCtx(&buf, msg.Pos, msg.Digest), msg.Agg) {
+		case *types.EchoMsg:
+			// One signature covers every entry. A frame longer than the
+			// handler accepts is not worth hashing.
+			var fbuf echoFrameBuf
+			if len(msg.Entries) > maxEchoes || !reg.Verify(msg.Voter, echoFrameCtx(&fbuf, msg.Entries), msg.Sig) {
 				return false
 			}
 			msg.MarkVerified()

@@ -26,12 +26,11 @@ type Config struct {
 	// Depth reports the mempool's true queued depth; consulted inline on
 	// every submission for the overload watermark. Required.
 	Depth func() int
-	// Snapshot exposes the node's pipeline metrics for the exec queue-wait
-	// overload monitor. Optional: nil disables that signal.
-	Snapshot func() metrics.Snapshot
-	// Metrics receives the gateway's instruments (gateway.* namespace).
-	// Pass the node's pipeline registry so PipelineSnapshot carries them;
-	// nil uses a private registry.
+	// Metrics receives the gateway's instruments (gateway.* namespace) and
+	// is where the overload monitor reads the node's exec queue-wait. Pass
+	// the node's pipeline registry, so PipelineSnapshot carries the former
+	// and the latter exists; nil uses a private registry, which leaves the
+	// queue-wait signal idle.
 	Metrics *metrics.Registry
 	// Limits is the admission-control configuration (zero value = defaults).
 	Limits Limits
@@ -215,7 +214,7 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:     cfg,
 		ln:      ln,
 		admit:   NewAdmitter(cfg.Limits),
-		monitor: newOverloadMonitor(cfg.Snapshot, cfg.Limits),
+		monitor: newOverloadMonitor(cfg.Metrics, cfg.Limits),
 		conns:   map[*gwConn]struct{}{},
 		closing: make(chan struct{}),
 		start:   time.Now(),

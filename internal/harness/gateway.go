@@ -152,11 +152,10 @@ func GatewayOverload(cfg GatewayOverloadConfig) (*GatewayOverloadResult, error) 
 	}
 
 	gw, err := gateway.New(gateway.Config{
-		Addr:     "127.0.0.1:0",
-		Submit:   func(tx []byte) { pools[0].Submit(tx) },
-		Depth:    pools[0].Depth,
-		Snapshot: nodes[0].PipelineSnapshot,
-		Metrics:  nodes[0].PipelineMetrics(),
+		Addr:    "127.0.0.1:0",
+		Submit:  func(tx []byte) { pools[0].Submit(tx) },
+		Depth:   pools[0].Depth,
+		Metrics: nodes[0].PipelineMetrics(),
 		Limits: gateway.Limits{
 			// Per-client buckets out of the way: this experiment measures
 			// the global backpressure layer.

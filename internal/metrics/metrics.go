@@ -199,6 +199,20 @@ func (s *HistSnapshot) merge(other HistSnapshot) {
 	}
 }
 
+// snapshot copies the histogram's current state.
+func (h *Histogram) snapshot() HistSnapshot {
+	hs := HistSnapshot{
+		Count:   h.count.Load(),
+		Sum:     time.Duration(h.sumNs.Load()),
+		Max:     time.Duration(h.maxNs.Load()),
+		Buckets: make([]uint64, numBuckets),
+	}
+	for i := range h.buckets {
+		hs.Buckets[i] = h.buckets[i].Load()
+	}
+	return hs
+}
+
 // Snapshot is a consistent copy of a registry's instruments. Counters and
 // gauges are plain values; collectors may add further entries via the Set*
 // methods.
@@ -356,6 +370,19 @@ func (r *Registry) OnSnapshot(fn func(*Snapshot)) {
 	r.mu.Unlock()
 }
 
+// HistSnapshot returns a snapshot of the one named histogram, the zero value
+// when there is none. It is for a poller that watches a single distribution:
+// Snapshot copies every instrument and runs every collector.
+func (r *Registry) HistSnapshot(name string) HistSnapshot {
+	r.mu.Lock()
+	h := r.hists[name]
+	r.mu.Unlock()
+	if h == nil {
+		return HistSnapshot{}
+	}
+	return h.snapshot()
+}
+
 // Snapshot copies every instrument and runs the registered collectors.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
@@ -375,16 +402,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[k] = g.Load()
 	}
 	for k, h := range r.hists {
-		hs := HistSnapshot{
-			Count:   h.count.Load(),
-			Sum:     time.Duration(h.sumNs.Load()),
-			Max:     time.Duration(h.maxNs.Load()),
-			Buckets: make([]uint64, numBuckets),
-		}
-		for i := range h.buckets {
-			hs.Buckets[i] = h.buckets[i].Load()
-		}
-		s.Hists[k] = hs
+		s.Hists[k] = h.snapshot()
 	}
 	collectors := append([]func(*Snapshot){}, r.collectors...)
 	r.mu.Unlock()

@@ -127,3 +127,30 @@ func TestMergeAndCollectors(t *testing.T) {
 		}
 	}
 }
+
+// TestHistSnapshotOfOne: the one-histogram snapshot equals that histogram's
+// entry in the full one, runs no collector, and reports a name the registry
+// does not hold as empty without creating it.
+func TestHistSnapshotOfOne(t *testing.T) {
+	r := New()
+	h := r.Histogram("exec.queue_wait")
+	for i := 1; i <= 50; i++ {
+		h.Observe(time.Duration(i) * time.Millisecond)
+	}
+	ran := 0
+	r.OnSnapshot(func(*Snapshot) { ran++ })
+	one := r.HistSnapshot("exec.queue_wait")
+	if ran != 0 {
+		t.Fatal("a one-histogram snapshot ran the collectors")
+	}
+	full := r.Snapshot().Hist("exec.queue_wait")
+	if one.Count != full.Count || one.Sum != full.Sum || one.Max != full.Max || one.Quantile(0.95) != full.Quantile(0.95) {
+		t.Fatalf("one-histogram snapshot %+v differs from the full snapshot's %+v", one, full)
+	}
+	if got := r.HistSnapshot("no.such"); got.Count != 0 || got.Buckets != nil {
+		t.Fatalf("absent histogram snapshots as %+v", got)
+	}
+	if _, ok := r.Snapshot().Hists["no.such"]; ok {
+		t.Fatal("asking for an absent histogram created it")
+	}
+}

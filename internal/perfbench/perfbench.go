@@ -106,22 +106,22 @@ func MulticastEncodeOnce(b *testing.B, peers, payloadBytes int) {
 	b.ReportMetric(float64(st.MsgsDropped)/float64(b.N), "drops/op")
 }
 
-// rxBatch is how many framed votes one RxDecodeZeroCopy op decodes — sized
-// to the Decoder's vote arena so the zero-copy path shows its steady state
-// (one arena allocation amortized over the whole batch).
+// rxBatch is how many framed echoes one RxDecodeZeroCopy op decodes: two of
+// the Decoder's message blocks, so the zero-copy path shows its steady state
+// (an arena allocation amortized over a block's worth of frames).
 const rxBatch = 64
 
-// RxDecodeZeroCopy measures decoding a chunk of framed ECHO votes — the
+// RxDecodeZeroCopy measures decoding a chunk of one-entry ECHO frames — the
 // highest-volume message class — either the pre-zero-copy way (one
 // make([]byte) per frame + types.Decode) or through the pooled
 // RecvBuf + alias Decoder path the TCP read loop now uses. One op decodes
-// rxBatch messages, so allocs/op ≈ allocations per 64 votes: the copying
-// path pays ≥ 2 per vote (frame copy + struct), the zero-copy path amortizes
-// a pooled chunk and one vote arena across the batch.
+// rxBatch messages, so allocs/op ≈ allocations per 64 echoes: the copying
+// path pays 3 per echo (frame copy, struct, entry list), the zero-copy path
+// amortizes a pooled chunk and the echo arena's blocks across the batch.
 func RxDecodeZeroCopy(b *testing.B, zerocopy bool) {
-	vote := &types.VoteMsg{K: types.KindEcho, Pos: types.Position{Round: 912, Source: 37}, Voter: 41}
-	for i := range vote.Digest {
-		vote.Digest[i] = byte(i * 7)
+	vote := &types.EchoMsg{Entries: []types.EchoEntry{{Pos: types.Position{Round: 912, Source: 37}}}, Voter: 41}
+	for i := range vote.Entries[0].Digest {
+		vote.Entries[0].Digest[i] = byte(i * 7)
 	}
 	for i := range vote.Sig {
 		vote.Sig[i] = byte(i * 3)
@@ -211,7 +211,7 @@ func SmallMsgCoalesce(b *testing.B, coalesce bool) {
 		ep.SetCoalescing(transport.CoalesceConfig{})
 	}
 
-	msg := &types.VoteMsg{K: types.KindEcho, Pos: types.Position{Round: 3, Source: 1}, Voter: 0}
+	msg := &types.EchoMsg{Entries: []types.EchoEntry{{Pos: types.Position{Round: 3, Source: 1}}}, Voter: 0}
 	// wireOut computes the bytes the sink should eventually see: frame
 	// bodies + 4-byte prefixes + the 2-byte dial handshake.
 	wireOut := func(st transport.Stats) int64 {
@@ -573,7 +573,9 @@ func Split(rows []Row) Artifact {
 // and client end-to-end latency through the gateway protocol (wall clock,
 // recorded only), and the transaction path's allocation counts layer by layer
 // (TxPath/*: allocs/op must stay at zero, or at one per transaction through
-// the gateway).
+// the gateway), and what one round's VALs cost in ECHO frames, signatures and
+// verify jobs by the number of mailbox drains they arrive in (EchoDrain:
+// each must stay equal to the number of drains).
 func Suite(verbose io.Writer) []Row {
 	rows := []Row{
 		Run("MulticastEncodeOnce/peers=4/payload=1MiB", func(b *testing.B) { MulticastEncodeOnce(b, 4, 1<<20) }),
@@ -599,6 +601,7 @@ func Suite(verbose io.Writer) []Row {
 		Run("TxPath/digest/txs=1000", TxPathDigest),
 		Run("TxPath/gateway/batch=256", TxPathGateway),
 		Run("TxPath/bufpool/roundtrip", TxPathBufpool),
+		Run("EchoDrain/n=7", func(b *testing.B) { EchoDrain(b, 7) }),
 	}
 	if verbose != nil {
 		for _, r := range rows {

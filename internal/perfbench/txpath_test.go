@@ -9,3 +9,8 @@ func BenchmarkTxPathApply(b *testing.B)   { TxPathApply(b) }
 func BenchmarkTxPathDigest(b *testing.B)  { TxPathDigest(b) }
 func BenchmarkTxPathBufpool(b *testing.B) { TxPathBufpool(b) }
 func BenchmarkTxPathGateway(b *testing.B) { TxPathGateway(b) }
+
+// One round's VALs at n=7 in 1, 2 and n-1 mailbox drains: ECHO frames,
+// signatures and verify jobs per drain count (cmd/bench -exp micro gates
+// them exactly).
+func BenchmarkEchoDrain(b *testing.B) { EchoDrain(b, 7) }

@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"clanbft/internal/types"
 )
@@ -111,4 +114,70 @@ func TestTCPMulticastSharedFrame(t *testing.T) {
 	if st.MsgsDropped != 0 {
 		t.Fatalf("unexpected drops: %d", st.MsgsDropped)
 	}
+}
+
+// TestMulticastSteadyStateAllocs: a Multicast of a pooled-size message to two
+// socket peers allocates nothing once the pools are warm — the frame's bytes
+// and the refcount header guarding them both come back with the last release.
+// The peers are bare listeners that discard what they read, so the count is
+// the sender's and its writers' alone. sync.Pool sheds Puts under the race
+// detector, so the count is asserted in a plain build only; the body runs,
+// and is race-checked, in both.
+func TestMulticastSteadyStateAllocs(t *testing.T) {
+	pc := types.StartPoolCheck()
+	var sunk atomic.Int64
+	addrs := map[types.NodeID]string{0: "127.0.0.1:0"}
+	for id := types.NodeID(1); id <= 2; id++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		addrs[id] = ln.Addr().String()
+		go func() {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			buf := make([]byte, 64<<10)
+			for {
+				n, err := c.Read(buf)
+				sunk.Add(int64(n))
+				if err != nil {
+					return
+				}
+			}
+		}()
+	}
+	ep, err := NewTCPEndpoint(0, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tos := []types.NodeID{1, 2}
+	msg := &types.BcastMsg{K: types.KindBEcho, Sender: 0, Seq: 1, HasData: true, Data: make([]byte, 1500)}
+	// What the listeners should have read: per peer, the two-byte handshake,
+	// then a four-byte length prefix and the frame for every message sent.
+	wire := func() int64 {
+		st := ep.Stats()
+		return int64(st.BytesSent) + 4*int64(st.MsgsSent) + 2*int64(len(tos))
+	}
+	send := func() {
+		ep.Multicast(tos, msg)
+		for sunk.Load() < wire() { // one message in flight at a time
+			time.Sleep(20 * time.Microsecond)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		send() // dial, handshake, and warm every pool on the path
+	}
+	allocs := testing.AllocsPerRun(500, send)
+	if st := ep.Stats(); st.MsgsDropped != 0 {
+		t.Fatalf("%d frames dropped", st.MsgsDropped)
+	}
+	if allocs != 0 && !raceEnabled {
+		t.Fatalf("steady-state Multicast allocates %.1f per call, want 0", allocs)
+	}
+	ep.Close()
+	pc.AssertBalanced(t)
 }

@@ -78,10 +78,9 @@ func TestFrameReaderChunkStraddle(t *testing.T) {
 			}
 			msgs = append(msgs, &types.BcastMsg{K: types.KindBVal, Sender: 1, Seq: uint64(i), HasData: true, Data: big})
 		}
-		msgs = append(msgs, &types.VoteMsg{
-			K: types.KindEcho, Pos: types.Position{Round: types.Round(i), Source: 1},
-			Digest: types.HashBytes([]byte{byte(i)}), Voter: 2,
-		})
+		msgs = append(msgs, &types.EchoMsg{Voter: 2, Entries: []types.EchoEntry{
+			{Pos: types.Position{Round: types.Round(i), Source: 1}, Digest: types.HashBytes([]byte{byte(i)})},
+		}})
 	}
 	stream := frameStream(msgs...)
 	if len(stream) < 3*rxChunk {
@@ -122,7 +121,7 @@ func TestFrameReaderChunkStraddle(t *testing.T) {
 // refcount zero once the reader and all decoded messages release.
 func FuzzFrameReader(f *testing.F) {
 	f.Add(frameStream(ping(1), ping(2)))
-	f.Add(frameStream(&types.VoteMsg{K: types.KindEcho, Voter: 3})[:10]) // mid-frame EOF
+	f.Add(frameStream(&types.EchoMsg{Entries: make([]types.EchoEntry, 1), Voter: 3})[:10]) // mid-frame EOF
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x00})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -239,10 +238,9 @@ func TestCoalesceByteIdentity(t *testing.T) {
 				data := bytes.Repeat([]byte{byte(i)}, 100+i*7)
 				msgs = append(msgs, &types.BcastMsg{K: types.KindBVal, Sender: 0, Seq: uint64(i), HasData: true, Data: data})
 			} else {
-				msgs = append(msgs, &types.VoteMsg{
-					K: types.KindEcho, Pos: types.Position{Round: types.Round(i), Source: 0},
-					Digest: types.HashBytes([]byte{byte(i)}), Voter: 1,
-				})
+				msgs = append(msgs, &types.EchoMsg{Voter: 1, Entries: []types.EchoEntry{
+					{Pos: types.Position{Round: types.Round(i), Source: 0}, Digest: types.HashBytes([]byte{byte(i)})},
+				}})
 			}
 		}
 		return msgs

@@ -194,6 +194,9 @@ func (e *TCPEndpoint) SetVerifier(v Verifier, pool *crypto.VerifyPool) {
 	e.verify.Store(&verifyStage{verifier: v, pool: pool})
 }
 
+// SetDrainHook implements DrainNotifier.
+func (e *TCPEndpoint) SetDrainHook(fn func()) bool { e.mb.setDrainHook(fn); return true }
+
 func (e *TCPEndpoint) Send(to types.NodeID, m types.Message) {
 	if to == e.id {
 		e.mb.push(task{from: e.id, msg: m})

@@ -43,6 +43,21 @@ type VerifyingEndpoint interface {
 	SetVerifier(v Verifier, pool *crypto.VerifyPool)
 }
 
+// DrainNotifier is implemented by endpoints that run the handler off a
+// mailbox and can tell its owner where one drain of that mailbox ends.
+type DrainNotifier interface {
+	// SetDrainHook installs fn and reports whether the endpoint will call it
+	// (a wrapper forwards the question to what it wraps). fn runs in the
+	// handler's serialized context whenever the handler is about to go idle:
+	// after the last task of the batch the mailbox loop took in one swap, and
+	// before the loop blocks on a verify verdict that is not in yet. What the
+	// handler's owner holds back across the calls of one drain — to sign and
+	// frame it once — is therefore never held while the handler waits. Call
+	// it before SetHandler installs the handler the hook serves; a later call
+	// replaces the hook.
+	SetDrainHook(fn func()) bool
+}
+
 // Endpoint is one node's handle on the network.
 type Endpoint interface {
 	// Self returns the node's own ID.
@@ -151,6 +166,7 @@ type mailbox struct {
 	closed  bool
 	started bool
 	handler func(types.NodeID, types.Message)
+	drained func() // see DrainNotifier; nil until an owner asks
 	// pending counts tasks pushed and not yet run, including the batch the
 	// loop is working through outside the lock.
 	pending atomic.Int64
@@ -188,19 +204,22 @@ func (m *mailbox) loop() {
 		}
 		batch := m.queue
 		m.queue = m.spare
-		h := m.handler
+		h, drained := m.handler, m.drained
 		m.mu.Unlock()
 		for i := range batch {
-			m.run(batch[i], h)
+			m.run(batch[i], h, drained)
 			batch[i] = task{} // drop references before the array is reused
 			m.pending.Add(-1)
 		}
 		m.spare = batch[:0] // only this goroutine touches spare
+		if drained != nil {
+			drained()
+		}
 	}
 }
 
-func (m *mailbox) run(t task, h func(types.NodeID, types.Message)) {
-	if t.gate != nil && !t.gate.wait() {
+func (m *mailbox) run(t task, h func(types.NodeID, types.Message), drained func()) {
+	if t.gate != nil && !t.gate.wait(drained) {
 		types.ReleaseMsg(t.msg) // signature rejected by the verify pool
 		return
 	}
@@ -241,6 +260,12 @@ func (m *mailbox) depth() int { return int(m.pending.Load()) }
 func (m *mailbox) setHandler(h Handler) {
 	m.mu.Lock()
 	m.handler = h
+	m.mu.Unlock()
+}
+
+func (m *mailbox) setDrainHook(fn func()) {
+	m.mu.Lock()
+	m.drained = fn
 	m.mu.Unlock()
 }
 
@@ -314,9 +339,19 @@ func (v *verdict) verify() {
 	v.ok <- ok
 }
 
-// wait blocks until the worker has answered, then recycles the verdict.
-func (v *verdict) wait() bool {
-	ok := <-v.ok
+// wait blocks until the worker has answered, then recycles the verdict. When
+// the answer is not in yet the mailbox is about to idle: idle (if any) runs
+// first.
+func (v *verdict) wait(idle func()) bool {
+	var ok bool
+	select {
+	case ok = <-v.ok:
+	default:
+		if idle != nil {
+			idle()
+		}
+		ok = <-v.ok
+	}
 	v.vs, v.vc, v.msg = nil, nil, nil
 	verdictPool.Put(v)
 	return ok
@@ -452,6 +487,9 @@ func (e *chanEndpoint) SetHandler(h Handler) {
 func (e *chanEndpoint) SetVerifier(v Verifier, pool *crypto.VerifyPool) {
 	e.verify.Store(&verifyStage{verifier: v, pool: pool})
 }
+
+// SetDrainHook implements DrainNotifier.
+func (e *chanEndpoint) SetDrainHook(fn func()) bool { e.mb.setDrainHook(fn); return true }
 
 func (e *chanEndpoint) Send(to types.NodeID, m types.Message) {
 	if to == e.id {

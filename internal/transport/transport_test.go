@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -394,6 +395,53 @@ func TestMailboxBatchDrain(t *testing.T) {
 	defer mb.mu.Unlock()
 	if c := cap(mb.queue) + cap(mb.spare); c > 4*(burst+1) {
 		t.Fatalf("queue arrays hold %d slots after %d bursts of %d: not reused", c, bursts, burst)
+	}
+}
+
+// TestMailboxDrainHook: the drain hook runs after the last task of each batch
+// the loop took in one swap — never between two tasks of a batch whose
+// verdicts are in — and before the loop blocks on a verdict that is not.
+func TestMailboxDrainHook(t *testing.T) {
+	mb := newMailbox()
+	defer mb.close()
+	var mu sync.Mutex
+	var log []string
+	note := func(s string) { mu.Lock(); log = append(log, s); mu.Unlock() }
+	logged := func() string { mu.Lock(); defer mu.Unlock(); return strings.Join(log, " ") }
+	mb.setHandler(func(_ types.NodeID, m types.Message) { note(fmt.Sprint(m.(*types.BcastMsg).Seq)) })
+	mb.setDrainHook(func() { note("|") })
+	mb.start()
+	// hold parks the loop inside a task, alone in its batch, until release:
+	// what is pushed meanwhile is taken in one swap.
+	hold := func() (release func()) {
+		running, gate := make(chan struct{}), make(chan struct{})
+		mb.push(task{fn: func() { close(running); <-gate }})
+		<-running
+		return func() { close(gate) }
+	}
+
+	release := hold()
+	for i := 1; i <= 3; i++ {
+		mb.push(task{msg: ping(uint64(i))})
+	}
+	release()
+	waitFor(t, func() bool { return mb.depth() == 0 && strings.HasSuffix(logged(), "3 |") })
+	if got := logged(); got != "| 1 2 3 |" {
+		t.Fatalf("one burst ran as %q, want the hook after the blocked task's batch and after the burst's", got)
+	}
+
+	// A batch whose second verdict is late: the hook runs before the wait.
+	in, late := verdictPool.Get().(*verdict), verdictPool.Get().(*verdict) // wait recycles them
+	in.ok <- true
+	release = hold()
+	mb.push(task{msg: ping(4), gate: in})
+	mb.push(task{msg: ping(5), gate: late})
+	release()
+	waitFor(t, func() bool { return strings.HasSuffix(logged(), "4 |") })
+	late.ok <- true
+	waitFor(t, func() bool { return mb.depth() == 0 && strings.HasSuffix(logged(), "5 |") })
+	if got := logged(); got != "| 1 2 3 | | 4 | 5 |" {
+		t.Fatalf("a batch with a late verdict ran as %q", got)
 	}
 }
 

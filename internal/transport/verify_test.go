@@ -10,15 +10,15 @@ import (
 	"clanbft/internal/types"
 )
 
-// voteVerifier returns a Verifier that checks a VoteMsg's Ed25519 signature
-// over its digest and marks it, mirroring what core.Node.Verifier does.
+// voteVerifier returns a Verifier that checks a one-entry EchoMsg's Ed25519
+// signature over its digest and marks it, mirroring what core.Node.Verifier does.
 func voteVerifier(reg *crypto.Registry) Verifier {
 	return func(from types.NodeID, m types.Message) bool {
-		vm, ok := m.(*types.VoteMsg)
+		vm, ok := m.(*types.EchoMsg)
 		if !ok {
 			return true
 		}
-		if !reg.Verify(vm.Voter, vm.Digest[:], vm.Sig) {
+		if !reg.Verify(vm.Voter, vm.Entries[0].Digest[:], vm.Sig) {
 			return false
 		}
 		vm.MarkVerified()
@@ -26,17 +26,15 @@ func voteVerifier(reg *crypto.Registry) Verifier {
 	}
 }
 
-func signedVote(keys []crypto.KeyPair, voter, seq int) *types.VoteMsg {
+func signedVote(keys []crypto.KeyPair, voter, seq int) *types.EchoMsg {
 	var digest types.Hash
 	for i := range digest {
 		digest[i] = byte(i * 7)
 	}
-	return &types.VoteMsg{
-		K:      types.KindEcho,
-		Pos:    types.Position{Round: types.Round(seq), Source: 0},
-		Digest: digest,
-		Voter:  types.NodeID(voter),
-		Sig:    crypto.Sign(&keys[voter], digest[:]),
+	return &types.EchoMsg{
+		Entries: []types.EchoEntry{{Pos: types.Position{Round: types.Round(seq), Source: 0}, Digest: digest}},
+		Voter:   types.NodeID(voter),
+		Sig:     crypto.Sign(&keys[voter], digest[:]),
 	}
 }
 
@@ -56,9 +54,9 @@ func TestVerifyPipelineFiltersAndPreservesOrder(t *testing.T) {
 	var got []types.Round
 	unmarked := 0
 	net.Endpoint(1).SetHandler(func(from types.NodeID, m types.Message) {
-		vm := m.(*types.VoteMsg)
+		vm := m.(*types.EchoMsg)
 		mu.Lock()
-		got = append(got, vm.Pos.Round)
+		got = append(got, vm.Entries[0].Pos.Round)
 		if !vm.PreVerified() {
 			unmarked++
 		}
@@ -73,7 +71,7 @@ func TestVerifyPipelineFiltersAndPreservesOrder(t *testing.T) {
 		if i%5 == 4 {
 			m.Sig[3] ^= 0xff // corrupt: must be dropped
 		} else {
-			want = append(want, m.Pos.Round)
+			want = append(want, m.Entries[0].Pos.Round)
 		}
 		net.Endpoint(0).Send(1, m)
 	}
@@ -123,7 +121,7 @@ func TestVerifyPipelineConcurrentSubmission(t *testing.T) {
 		if inHandler.Add(1) != 1 {
 			overlap.Add(1)
 		}
-		if !m.(*types.VoteMsg).PreVerified() {
+		if !m.(*types.EchoMsg).PreVerified() {
 			t.Error("handler saw an unverified message")
 		}
 		inHandler.Add(-1)
@@ -186,7 +184,7 @@ func TestTCPVerifyPipeline(t *testing.T) {
 	var good, bad atomic.Int64
 	a.SetHandler(func(types.NodeID, types.Message) {})
 	b.SetHandler(func(from types.NodeID, m types.Message) {
-		if m.(*types.VoteMsg).PreVerified() {
+		if m.(*types.EchoMsg).PreVerified() {
 			good.Add(1)
 		} else {
 			bad.Add(1)
@@ -241,18 +239,18 @@ func benchVerifyPath(b *testing.B, pooled bool) {
 	for i := range sigs {
 		sigs[i] = crypto.Sign(&keys[i], digest[:])
 	}
-	msgs := make([]*types.VoteMsg, b.N)
+	msgs := make([]*types.EchoMsg, b.N)
 	for i := range msgs {
 		v := i % signers
-		msgs[i] = &types.VoteMsg{K: types.KindEcho, Digest: digest, Voter: types.NodeID(v), Sig: sigs[v]}
+		msgs[i] = &types.EchoMsg{Entries: []types.EchoEntry{{Digest: digest}}, Voter: types.NodeID(v), Sig: sigs[v]}
 	}
 
 	net := NewChanNet(2, 0)
 	defer net.Close()
 	var done atomic.Int64
 	net.Endpoint(1).SetHandler(func(from types.NodeID, m types.Message) {
-		vm := m.(*types.VoteMsg)
-		if !vm.PreVerified() && !reg.Verify(vm.Voter, vm.Digest[:], vm.Sig) {
+		vm := m.(*types.EchoMsg)
+		if !vm.PreVerified() && !reg.Verify(vm.Voter, vm.Entries[0].Digest[:], vm.Sig) {
 			b.Error("signature rejected")
 		}
 		done.Add(1)

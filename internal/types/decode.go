@@ -2,15 +2,20 @@ package types
 
 import "fmt"
 
-// voteArenaSize is the batch size for arena-allocated VoteMsg structs. Votes
-// are the highest-volume message class (2n per vertex per round), so the
-// decoder hands out slots from blocks of this many structs: one allocation
-// amortized over 64 messages instead of one per message.
-const voteArenaSize = 64
+// Echoes are the highest-volume message class ((n-1)^2 entries per vertex per
+// round), so the decoder hands out their structs and entry lists from blocks
+// of this many: one allocation amortized over a block instead of two per
+// frame. A decoder lives as long as its connection, and so does its current
+// pair of blocks: together they are sized to the 8 KiB the single-position
+// vote arena they replace held per connection.
+const (
+	echoArenaSize  = 32
+	entryArenaSize = 96
+)
 
 // Decoder parses framed messages with optional zero-copy aliasing. A Decoder
 // belongs to a single read loop (it is not safe for concurrent use); its
-// arena amortizes vote allocations and, with Alias set, payload-bearing
+// arena amortizes echo allocations and, with Alias set, payload-bearing
 // messages borrow their byte slices from the caller's receive buffer instead
 // of copying.
 type Decoder struct {
@@ -19,20 +24,38 @@ type Decoder struct {
 	// ReleaseMsg. With Alias false DecodeFrom behaves exactly like Decode.
 	Alias bool
 
-	votes []VoteMsg
-	nv    int
+	echoes  []EchoMsg   // unused tail of the current message block
+	entries []EchoEntry // zero length; its capacity is the current entry block's unused tail
 }
 
-// nextVote hands out a zeroed VoteMsg slot from the arena.
-func (d *Decoder) nextVote() *VoteMsg {
-	if d.nv == len(d.votes) {
-		d.votes = make([]VoteMsg, voteArenaSize)
-		d.nv = 0
+// decodeEcho parses an ECHO frame into arena storage: the message from the
+// message block, its entries carved off the entry block. A frame that could
+// hold more entries than a whole block lets append find it room on the heap
+// instead: the arena is never sized after a peer's bytes.
+func (d *Decoder) decodeEcho(body []byte) (*EchoMsg, error) {
+	if len(d.echoes) == 0 {
+		d.echoes = make([]EchoMsg, echoArenaSize)
 	}
-	m := &d.votes[d.nv]
-	d.nv++
-	*m = VoteMsg{} // slots are fresh from make, but keep the contract explicit
-	return m
+	m := &d.echoes[0] // a rejected frame leaves it untouched, to be handed out again
+	most := len(body) / echoEntryMin
+	arena := most <= entryArenaSize
+	var buf []EchoEntry
+	if arena {
+		if cap(d.entries) < most {
+			d.entries = make([]EchoEntry, 0, entryArenaSize)
+		}
+		buf = d.entries
+	}
+	if err := unmarshalEchoInto(m, buf, body); err != nil {
+		return nil, err
+	}
+	d.echoes = d.echoes[1:]
+	if arena {
+		k := len(m.Entries)
+		m.Entries = m.Entries[:k:k] // a holder's append must not reach the next frame's entries
+		d.entries = d.entries[k:k]
+	}
+	return m, nil
 }
 
 // DecodeFrom parses the framed message in b, which must alias rb's bytes.
@@ -46,9 +69,9 @@ func (d *Decoder) DecodeFrom(rb *RecvBuf, b []byte) (Message, error) {
 	kind, body := MsgKind(b[0]), b[1:]
 	alias := d.Alias
 	switch kind {
-	case KindEcho, KindReady:
-		m := d.nextVote()
-		if err := unmarshalVoteInto(m, body, kind); err != nil {
+	case KindEcho:
+		m, err := d.decodeEcho(body)
+		if err != nil {
 			return nil, err
 		}
 		return m, nil

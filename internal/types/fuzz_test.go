@@ -33,8 +33,8 @@ func FuzzDecode(f *testing.F) {
 		&ValMsg{Vertex: vWide, Sig: sig},
 		&VtxRspMsg{Vertex: vWide},
 		&ValMsg{Vertex: v, Block: &Block{Round: 3, Source: 1, Txs: [][]byte{{1, 2}}}, Sig: sig},
-		&VoteMsg{K: KindEcho, Pos: Position{3, 1}, Digest: digest, Voter: 2, Sig: sig},
-		&EchoCertMsg{Pos: Position{3, 1}, Digest: digest, Agg: AggSig{Bitmap: []byte{7}}},
+		&EchoMsg{Entries: []EchoEntry{{Position{3, 1}, digest}}, Voter: 2, Sig: sig},
+		&EchoMsg{Entries: []EchoEntry{{Position{3, 1}, digest}, {Position{3, 2}, digest}}, Voter: 2, Sig: sig},
 		&BlockReqMsg{Pos: Position{3, 1}, Digest: digest},
 		&NoVoteMsg{NV: NoVote{Round: 5, Voter: 1, Sig: sig}},
 		&TimeoutMsg{TO: Timeout{Round: 5, Voter: 1, Sig: sig}},
@@ -51,6 +51,20 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x00})
+	// ECHO frames have no count: the entries run up to the tail. A full
+	// frame at n=7 with a three-byte voter, then the malformed neighbours of
+	// a two-entry frame — an entry cut short, a tail one byte short and one
+	// byte long — and a pull reply with its certificate inside.
+	full := &EchoMsg{Voter: 40000, Sig: sig}
+	for s := 0; s < 7; s++ {
+		full.Entries = append(full.Entries, EchoEntry{Position{1 << 30, NodeID(s)}, digest})
+	}
+	f.Add(Encode(full, nil))
+	two := Encode(seeds[5], nil)
+	f.Add(append(append([]byte{}, two[:1+34+20]...), two[1+68:]...))
+	f.Add(two[:len(two)-1])
+	f.Add(append(append([]byte{}, two...), 0))
+	f.Add(Encode(&VtxRspMsg{Vertex: vWide, Cert: &EchoCertMsg{Pos: Position{9, 11}, Digest: digest, Agg: AggSig{Bitmap: []byte{7}}}}, nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
@@ -171,6 +185,14 @@ func TestWireSizeMatchesMarshal(t *testing.T) {
 		return Position{Round: Round(rng.Uint64() >> rng.Intn(60)), Source: NodeID(rng.Intn(1 << 14))}
 	}
 
+	randEcho := func(k int) *EchoMsg {
+		m := &EchoMsg{Voter: NodeID(rng.Intn(1 << 16)), Sig: randSig()}
+		for ; k > 0; k-- {
+			m.Entries = append(m.Entries, EchoEntry{randPos(), randHash()})
+		}
+		return m
+	}
+
 	const iters = 400
 	for i := 0; i < iters; i++ {
 		var valBlock *Block
@@ -192,9 +214,10 @@ func TestWireSizeMatchesMarshal(t *testing.T) {
 		}
 		msgs := []Message{
 			&ValMsg{Vertex: randVertex(), Block: valBlock, Sig: randSig()},
-			&VoteMsg{K: KindEcho, Pos: randPos(), Digest: randHash(), Voter: NodeID(rng.Intn(256)), Sig: randSig()},
-			&VoteMsg{K: KindReady, Pos: randPos(), Digest: randHash(), Voter: NodeID(rng.Intn(256)), Sig: randSig()},
-			&EchoCertMsg{Pos: randPos(), Digest: randHash(), Agg: randAgg()},
+			randEcho(1),
+			randEcho(2),
+			randEcho(1 + rng.Intn(200)),
+			&VtxRspMsg{Vertex: randVertex(), Cert: &EchoCertMsg{Pos: randPos(), Digest: randHash(), Agg: randAgg()}, Block: valBlock},
 			&BlockReqMsg{Pos: randPos(), Digest: randHash()},
 			&BlockRspMsg{Block: randBlock()},
 			&NoVoteMsg{NV: NoVote{Round: Round(rng.Intn(1 << 20)), Voter: NodeID(rng.Intn(256)), Sig: randSig()}},

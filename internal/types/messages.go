@@ -8,9 +8,7 @@ type MsgKind uint8
 const (
 	// Consensus-path messages (merged vertex+block RBC, Section 5).
 	KindVal      MsgKind = 1 // vertex proposal, optionally with block
-	KindEcho     MsgKind = 2
-	KindReady    MsgKind = 3
-	KindEchoCert MsgKind = 4
+	KindEcho     MsgKind = 2 // one voter's echoes for 1..n positions
 	KindBlockReq MsgKind = 5
 	KindBlockRsp MsgKind = 6
 	KindNoVote   MsgKind = 7
@@ -61,11 +59,8 @@ func Decode(b []byte) (Message, error) {
 	case KindVal:
 		m, err = unmarshalVal(body, false)
 	case KindEcho:
-		m, err = unmarshalVote(body, KindEcho)
-	case KindReady:
-		m, err = unmarshalVote(body, KindReady)
-	case KindEchoCert:
-		m, err = unmarshalEchoCert(body)
+		e := &EchoMsg{}
+		m, err = e, unmarshalEchoInto(e, nil, body)
 	case KindBlockReq:
 		m, err = unmarshalBlockReq(body)
 	case KindBlockRsp:
@@ -179,111 +174,135 @@ func unmarshalVal(b []byte, alias bool) (*ValMsg, error) {
 	return m, nil
 }
 
-// VoteMsg carries an ECHO or READY for the RBC instance at Pos. Digest is
-// the digest of the vertex being echoed. Voter+Sig authenticate the vote so
-// it can be folded into an aggregate certificate.
-type VoteMsg struct {
-	VerifyMark
-	K      MsgKind // KindEcho or KindReady
+// EchoEntry is one ECHO vote: the digest of the vertex echoed at Pos.
+type EchoEntry struct {
 	Pos    Position
 	Digest Hash
-	Voter  NodeID
-	Sig    SigBytes
 }
 
-func (m *VoteMsg) Kind() MsgKind { return m.K }
+// EchoMsg carries one voter's ECHOs for the RBC instances at 1..n positions
+// under a single signature: the voter signs the concatenation of its entries'
+// signing contexts, so one signature check authenticates every vote in the
+// frame and each can be folded into its position's aggregate certificate.
+//
+// On the wire the entries run back to back up to the tail — the voter and the
+// signature — with no count: a frame with one entry is byte for byte the
+// single-position frame it replaces.
+type EchoMsg struct {
+	VerifyMark
+	Entries []EchoEntry
+	Voter   NodeID
+	Sig     SigBytes
+}
 
-func (m *VoteMsg) Marshal(b []byte) []byte {
-	b = PutUvarint(b, uint64(m.Pos.Round))
-	b = PutUvarint(b, uint64(m.Pos.Source))
-	b = append(b, m.Digest[:]...)
+// echoTailMax bounds the tail after the last entry: the voter's uvarint (a
+// NodeID takes at most three bytes) and the signature. An entry is at least
+// echoEntryMin bytes, so a frame that runs past the bound holds another one.
+const (
+	echoTailMax  = 3 + 64
+	echoEntryMin = 1 + 1 + 32
+)
+
+func (m *EchoMsg) Kind() MsgKind { return KindEcho }
+
+func (m *EchoMsg) Marshal(b []byte) []byte {
+	for i := range m.Entries {
+		e := &m.Entries[i]
+		b = PutUvarint(b, uint64(e.Pos.Round))
+		b = PutUvarint(b, uint64(e.Pos.Source))
+		b = append(b, e.Digest[:]...)
+	}
 	b = PutUvarint(b, uint64(m.Voter))
 	return append(b, m.Sig[:]...)
 }
 
-func (m *VoteMsg) WireSize() int {
-	return uvarintLen(uint64(m.Pos.Round)) + uvarintLen(uint64(m.Pos.Source)) + 32 +
-		uvarintLen(uint64(m.Voter)) + 64
-}
-
-func unmarshalVote(b []byte, k MsgKind) (*VoteMsg, error) {
-	m := &VoteMsg{}
-	if err := unmarshalVoteInto(m, b, k); err != nil {
-		return nil, err
+func (m *EchoMsg) WireSize() int {
+	n := uvarintLen(uint64(m.Voter)) + 64
+	for i := range m.Entries {
+		e := &m.Entries[i]
+		n += uvarintLen(uint64(e.Pos.Round)) + uvarintLen(uint64(e.Pos.Source)) + 32
 	}
-	return m, nil
+	return n
 }
 
-// unmarshalVoteInto decodes into caller-provided storage, letting the
-// Decoder batch-allocate vote structs (the highest-volume message class).
-func unmarshalVoteInto(m *VoteMsg, b []byte, k MsgKind) error {
-	m.K = k
+// unmarshalEchoInto decodes an ECHO frame into caller-provided storage — m,
+// and entries appended to buf — letting the Decoder carve both from its arena
+// (echoes are the highest-volume message class). The entry count is bounded
+// by the bytes actually present, never by a declared length.
+func unmarshalEchoInto(m *EchoMsg, buf []EchoEntry, b []byte) error {
+	if len(b) <= echoTailMax {
+		return fmt.Errorf("types: echo frame without an entry")
+	}
+	for len(b) > echoTailMax {
+		var e EchoEntry
+		u, rest, err := Uvarint(b)
+		if err != nil {
+			return err
+		}
+		e.Pos.Round = Round(u)
+		if u, rest, err = Uvarint(rest); err != nil {
+			return err
+		}
+		e.Pos.Source = NodeID(u)
+		if len(rest) < 32 {
+			return fmt.Errorf("types: short echo digest")
+		}
+		copy(e.Digest[:], rest[:32])
+		b = rest[32:]
+		buf = append(buf, e)
+	}
 	u, b, err := Uvarint(b)
 	if err != nil {
 		return err
 	}
-	m.Pos.Round = Round(u)
-	if u, b, err = Uvarint(b); err != nil {
-		return err
-	}
-	m.Pos.Source = NodeID(u)
-	if len(b) < 32 {
-		return fmt.Errorf("types: short vote digest")
-	}
-	copy(m.Digest[:], b[:32])
-	b = b[32:]
-	if u, b, err = Uvarint(b); err != nil {
-		return err
-	}
-	m.Voter = NodeID(u)
 	if len(b) != 64 {
-		return fmt.Errorf("types: vote sig length %d", len(b))
+		return fmt.Errorf("types: echo sig length %d", len(b))
 	}
+	m.Entries, m.Voter = buf, NodeID(u)
 	copy(m.Sig[:], b)
 	return nil
 }
 
-// EchoCertMsg carries EC_r(m): an aggregate over 2f+1 ECHO votes with at
-// least f_c+1 clan votes (Figure 3). Receiving it lets a party deliver.
+// EchoCertMsg is EC_r(m): an aggregate over 2f+1 ECHO votes with at least
+// f_c+1 clan votes (Figure 3). Every node assembles it locally from the echo
+// flood and keeps it; it travels only inside a VtxRspMsg, where it is what
+// authenticates a pulled vertex.
 type EchoCertMsg struct {
-	VerifyMark
 	Pos    Position
 	Digest Hash
 	Agg    AggSig
 }
 
-func (m *EchoCertMsg) Kind() MsgKind { return KindEchoCert }
-
-func (m *EchoCertMsg) Marshal(b []byte) []byte {
+func (m *EchoCertMsg) marshal(b []byte) []byte {
 	b = PutUvarint(b, uint64(m.Pos.Round))
 	b = PutUvarint(b, uint64(m.Pos.Source))
 	b = append(b, m.Digest[:]...)
 	return marshalAgg(b, m.Agg)
 }
 
-func (m *EchoCertMsg) WireSize() int {
+func (m *EchoCertMsg) wireSize() int {
 	return uvarintLen(uint64(m.Pos.Round)) + uvarintLen(uint64(m.Pos.Source)) + 32 + m.Agg.WireSize()
 }
 
-func unmarshalEchoCert(b []byte) (*EchoCertMsg, error) {
+func unmarshalEchoCert(b []byte) (*EchoCertMsg, []byte, error) {
 	m := &EchoCertMsg{}
 	u, b, err := Uvarint(b)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m.Pos.Round = Round(u)
 	if u, b, err = Uvarint(b); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m.Pos.Source = NodeID(u)
 	if len(b) < 32 {
-		return nil, fmt.Errorf("types: short cert digest")
+		return nil, nil, fmt.Errorf("types: short cert digest")
 	}
 	copy(m.Digest[:], b[:32])
-	if m.Agg, _, err = unmarshalAgg(b[32:]); err != nil {
-		return nil, err
+	if m.Agg, b, err = unmarshalAgg(b[32:]); err != nil {
+		return nil, nil, err
 	}
-	return m, nil
+	return m, b, nil
 }
 
 // BlockReqMsg asks a clan peer for the block with the given digest (the pull
@@ -448,10 +467,11 @@ func unmarshalTCMsg(b []byte) (*TCMsg, error) {
 
 // VtxReqMsg asks a peer for a missing vertex (proposals are downloaded off
 // the critical path instead of being forwarded, per the paper's Section 7
-// implementation notes). Have is the requester's commit frontier round: when
-// it sits far below the requested position, the responder streams a bounded
-// batch of the vertex's ancestors above Have alongside the reply, so a
-// catching-up party covers many DAG levels per round trip instead of one.
+// implementation notes). Have is the top round of the requester's connected
+// DAG (at least its commit frontier): when it sits below the round under the
+// requested position, the responder streams a bounded batch of the vertex's
+// ancestors above Have alongside the reply, so a catching-up party covers
+// many DAG levels per round trip instead of one.
 type VtxReqMsg struct {
 	Pos  Position
 	Have Round
@@ -488,27 +508,45 @@ func unmarshalVtxReq(b []byte) (*VtxReqMsg, error) {
 	return m, nil
 }
 
-// VtxRspMsg answers a VtxReqMsg with the vertex and, when the requester is
-// entitled to it and the responder holds it, the block.
+// VtxRspMsg answers a VtxReqMsg with the vertex, the echo certificate that
+// pins it (when the responder holds one: a requester accepts a pulled vertex
+// only against a certificate) and, when the requester is entitled to it and
+// the responder holds it, the block.
 type VtxRspMsg struct {
 	Borrowed
 	Vertex *Vertex
-	Block  *Block // nil unless available and the requester is a clan member
+	Cert   *EchoCertMsg // nil while the responder has not certified the position
+	Block  *Block       // nil unless available and the requester is a clan member
 }
+
+// The flag byte after the vertex says which optional parts follow, in order.
+const (
+	vtxRspBlock = 1 << iota
+	vtxRspCert
+)
 
 func (m *VtxRspMsg) Kind() MsgKind { return KindVtxRsp }
 
 func (m *VtxRspMsg) Marshal(b []byte) []byte {
 	b = m.Vertex.Marshal(b)
-	if m.Block != nil {
-		b = append(b, 1)
-		return m.Block.Marshal(b)
+	flags := len(b)
+	b = append(b, 0)
+	if m.Cert != nil {
+		b[flags] |= vtxRspCert
+		b = m.Cert.marshal(b)
 	}
-	return append(b, 0)
+	if m.Block != nil {
+		b[flags] |= vtxRspBlock
+		b = m.Block.Marshal(b)
+	}
+	return b
 }
 
 func (m *VtxRspMsg) WireSize() int {
 	n := m.Vertex.WireSize() + 1
+	if m.Cert != nil {
+		n += m.Cert.wireSize()
+	}
 	if m.Block != nil {
 		n += m.Block.WireSize()
 	}
@@ -521,11 +559,17 @@ func unmarshalVtxRsp(b []byte, alias bool) (*VtxRspMsg, error) {
 		return nil, err
 	}
 	m := &VtxRspMsg{Vertex: v}
-	if len(b) < 1 {
-		return nil, fmt.Errorf("types: short vtxrsp flag")
+	if len(b) < 1 || b[0] > vtxRspBlock|vtxRspCert {
+		return nil, fmt.Errorf("types: bad vtxrsp flags")
 	}
-	if b[0] == 1 {
-		if m.Block, _, err = unmarshalBlock(b[1:], alias); err != nil {
+	flags, b := b[0], b[1:]
+	if flags&vtxRspCert != 0 {
+		if m.Cert, b, err = unmarshalEchoCert(b); err != nil {
+			return nil, err
+		}
+	}
+	if flags&vtxRspBlock != 0 {
+		if m.Block, _, err = unmarshalBlock(b, alias); err != nil {
 			return nil, err
 		}
 	}

@@ -158,9 +158,8 @@ func TestDecoderMatchesDecode(t *testing.T) {
 	msgs := []Message{
 		&ValMsg{Vertex: v, Sig: sig},
 		&ValMsg{Vertex: v, Block: &Block{Round: 3, Source: 1, Txs: [][]byte{{1, 2}}}, Sig: sig},
-		&VoteMsg{K: KindEcho, Pos: Position{3, 1}, Digest: digest, Voter: 2, Sig: sig},
-		&VoteMsg{K: KindReady, Pos: Position{3, 1}, Digest: digest, Voter: 2, Sig: sig},
-		&EchoCertMsg{Pos: Position{3, 1}, Digest: digest, Agg: AggSig{Bitmap: []byte{7}}},
+		&EchoMsg{Entries: []EchoEntry{{Position{3, 1}, digest}}, Voter: 2, Sig: sig},
+		&EchoMsg{Entries: []EchoEntry{{Position{3, 1}, digest}, {Position{3, 2}, digest}, {Position{4, 0}, digest}}, Voter: 300, Sig: sig},
 		&BlockReqMsg{Pos: Position{3, 1}, Digest: digest},
 		&BlockRspMsg{Block: &Block{Round: 3, Source: 1, Txs: [][]byte{{9, 9}}}},
 		&NoVoteMsg{NV: NoVote{Round: 5, Voter: 1, Sig: sig}},
@@ -168,6 +167,8 @@ func TestDecoderMatchesDecode(t *testing.T) {
 		&TCMsg{TC: TimeoutCert{Round: 5, Agg: AggSig{Bitmap: []byte{7}}}},
 		&VtxReqMsg{Pos: Position{3, 1}},
 		&VtxRspMsg{Vertex: v, Block: &Block{Round: 3, Source: 1, Txs: [][]byte{{8}}}},
+		&VtxRspMsg{Vertex: v, Cert: &EchoCertMsg{Pos: Position{3, 1}, Digest: digest, Agg: AggSig{Bitmap: []byte{7}}},
+			Block: &Block{Round: 3, Source: 1, Txs: [][]byte{{8}}}},
 		&BcastMsg{K: KindBVal, Sender: 1, Seq: 2, Digest: digest, Data: []byte("d"), HasData: true},
 		&BcastMsg{K: KindBCert, Sender: 1, Seq: 2, Digest: digest, Agg: AggSig{Bitmap: []byte{3}}},
 	}
@@ -200,7 +201,7 @@ func TestDecoderMatchesDecode(t *testing.T) {
 // what the copying decode allocates (≥ 80% reduction).
 func TestRxDecodeZeroCopyAllocs(t *testing.T) {
 	const batch = 64
-	vote := &VoteMsg{K: KindEcho, Pos: Position{Round: 12, Source: 3}, Voter: 7}
+	vote := &EchoMsg{Entries: []EchoEntry{{Pos: Position{Round: 12, Source: 3}}}, Voter: 7}
 	body := Encode(vote, nil)
 	var stream []byte
 	for i := 0; i < batch; i++ {

@@ -213,9 +213,10 @@ func TestMessageRoundTrips(t *testing.T) {
 	msgs := []Message{
 		&ValMsg{Vertex: vert, Block: blk, Sig: sig},
 		&ValMsg{Vertex: vert, Sig: sig},
-		&VoteMsg{K: KindEcho, Pos: Position{3, 7}, Digest: digest, Voter: 9, Sig: sig},
-		&VoteMsg{K: KindReady, Pos: Position{3, 7}, Digest: digest, Voter: 9, Sig: sig},
-		&EchoCertMsg{Pos: Position{4, 1}, Digest: digest, Agg: agg},
+		&EchoMsg{Entries: []EchoEntry{{Position{3, 7}, digest}}, Voter: 9, Sig: sig},
+		&EchoMsg{Entries: []EchoEntry{{Position{3, 7}, digest}, {Position{1 << 40, 300}, digest}}, Voter: 9, Sig: sig},
+		&VtxRspMsg{Vertex: vert, Cert: &EchoCertMsg{Pos: Position{4, 1}, Digest: digest, Agg: agg}},
+		&VtxRspMsg{Vertex: vert, Cert: &EchoCertMsg{Pos: Position{4, 1}, Digest: digest, Agg: agg}, Block: blk},
 		&BlockReqMsg{Pos: Position{8, 2}, Digest: digest},
 		&BlockRspMsg{Block: blk},
 		&NoVoteMsg{NV: NoVote{Round: 11, Voter: 4, Sig: sig}},
