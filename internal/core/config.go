@@ -446,6 +446,10 @@ type Node struct {
 	mExecDeliver  *metrics.Histogram
 	mDagVerts     *metrics.Counter
 	mDagEdges     *metrics.Counter
+	// Block cache exits: evicted once executed here and held by the whole
+	// clan, expired at the GC horizon.
+	mBlocksEvicted *metrics.Counter
+	mBlocksExpired *metrics.Counter
 
 	// syncBatch is the single-element scratch synchronous-mode
 	// emitCommitted hands to DeliverBatch.
@@ -497,9 +501,10 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 		clk: clk,
 		dag: dag.New(cfg.N),
 		rbc: rbcState{
-			insts:    map[types.Round]*rbcRow{},
-			blocks:   map[types.Hash]*types.Block{},
-			echoWait: map[types.Position][]types.Position{},
+			insts:     map[types.Round]*rbcRow{},
+			blocks:    map[types.Hash]cachedBlock{},
+			echoWait:  map[types.Position][]types.Position{},
+			batchSeen: map[types.Position]bool{},
 		},
 		ord: orderState{
 			anchors:       map[types.Round]*anchorRound{},
@@ -553,6 +558,10 @@ func (n *Node) initMetrics() {
 	n.mIntakeLat = reg.Histogram(types.StageIntake.Metric("latency"))
 	n.mRBCDelivered = reg.Counter(types.StageRBC.Metric("delivered"))
 	n.mRBCLat = reg.Histogram(types.StageRBC.Metric("latency"))
+	n.mBlocksEvicted = reg.Counter(types.StageRBC.Metric("blocks_evicted"))
+	n.mBlocksExpired = reg.Counter(types.StageRBC.Metric("blocks_expired"))
+	reg.Gauge(types.StageRBC.Metric("blocks_cached"))
+	reg.Gauge(types.StageRBC.Metric("block_bytes_cached"))
 	n.mOrderCommits = reg.Counter(types.StageOrder.Metric("commits"))
 	n.mOrderVerts = reg.Counter(types.StageOrder.Metric("vertices"))
 	n.mOrderLat = reg.Histogram(types.StageOrder.Metric("latency"))
@@ -622,6 +631,8 @@ func (n *Node) initMetrics() {
 			}
 		}
 		s.SetGauge(types.StageRBC.Metric("queue_depth"), int64(live))
+		s.SetGauge(types.StageRBC.Metric("blocks_cached"), int64(len(n.rbc.blocks)))
+		s.SetGauge(types.StageRBC.Metric("block_bytes_cached"), int64(n.rbc.blockBytes))
 		s.SetGauge(types.StageOrder.Metric("queue_depth"),
 			int64(n.ord.out.len()+len(n.ord.pendingInsert)+len(n.ord.pendingLeaders)))
 		// Structural ordering work: edges tallied, fates evaluated, DAG

@@ -66,6 +66,9 @@ func (n *Node) validateVertex(v *types.Vertex, certified bool) bool {
 			return false
 		}
 	}
+	if !v.LacksValid() {
+		return false // the decoder refuses it too; in-process transports do not decode
+	}
 	if !certified {
 		prev := v.Round - 1
 		if !v.HasStrongEdgeTo(types.Position{Round: prev, Source: n.leader(prev)}) {
@@ -351,6 +354,19 @@ func (n *Node) propose(r types.Round) {
 		for _, pv := range deferred {
 			n.ord.lateVertices[pv.Pos()] = pv
 		}
+		// Blocks an earlier proposal listed as lacking and that have arrived
+		// since: an edge without the exception tells the clan so.
+		owed := n.rbc.owed[:0]
+		for _, ref := range n.rbc.owed {
+			switch {
+			case ref.Round < n.dag.MinRound(): // the horizon has released it
+			case ref.Round+1 < r:
+				v.WeakEdges = append(v.WeakEdges, ref)
+			default:
+				owed = append(owed, ref) // too recent for a weak edge
+			}
+		}
+		n.rbc.owed = owed
 	}
 
 	// Attach the payload if this party proposes blocks in round r's epoch.
@@ -364,7 +380,7 @@ func (n *Node) propose(r types.Round) {
 			}
 			n.clk.Charge(n.cfg.Costs.HashCost(blk.PayloadBytes()))
 			v.BlockDigest = blk.DigestCached()
-			n.rbc.blocks[v.BlockDigest] = blk
+			n.cacheBlock(v.BlockDigest, blk)
 			if n.cfg.Store != nil {
 				// Staged only: persistProposal flushes the block and the
 				// proposal record as one atomic batch below.
@@ -377,6 +393,15 @@ func (n *Node) propose(r types.Round) {
 	}
 
 	v.NormalizeEdges()
+	// The clan reads this vertex as "I hold the block of every vertex of ours
+	// I reference"; name the ones that would make it untrue.
+	for i, k := 0, v.NumEdges(); i < k; i++ {
+		if in := n.instIfAny(v.Edge(i).Pos()); in != nil && in.vertex != nil &&
+			n.wantsBlock(in.vertex) && !n.holdsBlock(in.vertex) {
+			v.Lacks = append(v.Lacks, uint32(i))
+			in.lacked = true
+		}
+	}
 	d := v.DigestCached()
 	// Write-ahead record of this proposal: a recovered node must never
 	// propose twice in one round (equivocation).
@@ -431,7 +456,7 @@ func (n *Node) onRoundTimeout(r types.Round) {
 			continue
 		}
 		if pos.Source == n.cfg.Self && in.vertex != nil {
-			n.sendVal(in.vertex, n.rbc.blocks[in.vertex.BlockDigest])
+			n.sendVal(in.vertex, n.blockFor(in.vertex.BlockDigest))
 		}
 		if in.echoSent && in.vertex != nil {
 			n.queueEcho(pos, in.vertex.DigestCached())

@@ -9,6 +9,7 @@ import (
 	"clanbft/internal/crypto"
 	"clanbft/internal/faults"
 	"clanbft/internal/simnet"
+	"clanbft/internal/store"
 	"clanbft/internal/transport"
 	"clanbft/internal/types"
 )
@@ -60,6 +61,7 @@ type topt struct {
 	repWin  types.Round    // ReputationWindow override
 	anchor  time.Duration  // AnchorWait (pipelined-anchor pause cap)
 	fnet    *faults.Net    // wraps every endpoint (fault rules, message tap)
+	store   bool           // every node persists to its own in-memory store
 }
 
 func newTCluster(t *testing.T, n int, o topt) *tcluster {
@@ -95,7 +97,12 @@ func newTCluster(t *testing.T, n int, o topt) *tcluster {
 		if o.fnet != nil {
 			ep = o.fnet.Wrap(ep, c.net.Clock(id))
 		}
+		var st store.Store
+		if o.store {
+			st = store.NewMem()
+		}
 		node := New(Config{
+			Store:            st,
 			Self:             id,
 			N:                n,
 			Mode:             o.mode,

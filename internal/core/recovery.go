@@ -16,7 +16,8 @@ import (
 //	v/<pos>     every vertex whose merged RBC delivered locally;
 //	b/<digest>  every block payload this party stored.
 //
-// Recover rebuilds the DAG, block cache, and round state from those records.
+// Recover rebuilds the DAG and round state from those records; blocks stay in
+// the store, where blockFor finds them when the replay or a peer asks.
 // Ordering state (the last ordered leader) is intentionally NOT persisted:
 // after recovery the engine re-derives commits from the DAG, so the Deliver
 // callback re-emits previously delivered vertices — at-least-once delivery
@@ -112,20 +113,6 @@ func (n *Node) recoverFromStore() bool {
 			highwater = r
 		}
 		proposed = true
-		return true
-	})
-
-	// Blocks.
-	st.Scan([]byte("b/"), func(key, value []byte) bool {
-		blk, _, err := types.UnmarshalBlock(value)
-		if err != nil {
-			return true
-		}
-		var d types.Hash
-		if len(key) == 2+32 {
-			copy(d[:], key[2:])
-			n.rbc.blocks[d] = blk
-		}
 		return true
 	})
 

@@ -290,7 +290,8 @@ func (n *Node) insertNow(v *types.Vertex) {
 	delete(n.ord.pendingInsert, pos)
 	delete(n.ord.pulls, pos)
 	n.mDagVerts.Inc()
-	n.mDagEdges.Add(uint64(len(v.StrongEdges) + len(v.WeakEdges)))
+	n.mDagEdges.Add(uint64(v.NumEdges()))
+	n.noteHeld(v)
 
 	// Vertices that already missed strong-edge inclusion get weak edges in
 	// our next proposal so they are eventually ordered (BAB validity).
@@ -803,21 +804,16 @@ func (n *Node) drainOut() {
 		cv := ent.cv
 		v := cv.Vertex
 		var blk *types.Block
-		ep := n.epochOf(v.Round)
-		if !v.BlockDigest.IsZero() && ep.selfClan != types.NoClan && n.blockClanAt(v.Round, v.Source) == ep.selfClan {
-			b, ok := n.rbc.blocks[v.BlockDigest]
-			if !ok {
+		if n.wantsBlock(v) {
+			if blk = n.blockFor(v.BlockDigest); blk == nil {
 				if in := n.instIfAny(v.Pos()); in != nil {
 					n.maybeStartBlockPull(v.Pos(), in)
 				}
 				return
 			}
-			blk = b
-		}
-		cv.Block = blk
-		if blk != nil {
 			n.Metrics.TxsOrdered += blk.TxCount()
 		}
+		cv.Block = blk
 		now := n.clk.Now()
 		cv.OrderedAt = now
 		if v.CreatedAt > 0 {
@@ -832,6 +828,9 @@ func (n *Node) drainOut() {
 		n.mOrderLat.Observe(now - ent.queuedAt)
 		n.ord.out.pop()
 		n.emitCommitted(cv)
+		if blk != nil {
+			n.blockEmitted(v)
+		}
 	}
 }
 

@@ -23,8 +23,18 @@ type rbcState struct {
 	// handler waits in retired until the next handler begins: frames up the
 	// stack may still hold (and harmlessly touch) one of its instances.
 	free, retired []*rbcRow
-	// blocks caches payloads this party is entitled to, keyed by digest.
-	blocks map[types.Hash]*types.Block
+	// blocks caches payloads this party is entitled to, keyed by digest, for
+	// as long as cachedBlock says. Read it through blockFor.
+	blocks map[types.Hash]cachedBlock
+	// blockBytes is the payload the cache holds (rbc.block_bytes_cached).
+	blockBytes int
+	// heldBits is the unused tail of the slab the entries' held bitmaps are
+	// carved from, N at a time: about a round's blocks per allocation.
+	heldBits []byte
+	// owed lists vertices this party referenced while lacking their block
+	// (Vertex.Lacks) and whose block it has obtained since: its next proposal
+	// weak-edges them, which is how it takes the exception back.
+	owed []types.VertexRef
 	// echoWait parks children whose echo awaits a parent's delivery:
 	// parent -> children.
 	echoWait map[types.Position][]types.Position
@@ -33,6 +43,21 @@ type rbcState struct {
 	// flushed frame keeps its slice of the block and the queue restarts
 	// behind it, so queueing allocates once per block, not per frame.
 	echoQ []types.EchoEntry
+	// batchSeen and batchQueue are sendAncestorBatch's scratch.
+	batchSeen  map[types.Position]bool
+	batchQueue []types.Position
+}
+
+// cachedBlock is a block-cache entry. A block stays cached until this party
+// has handed it to its execution stage (vinst.emitted) and every other member
+// of its clan is known to hold it — whichever comes last evicts it — and in
+// any case no longer than the GC horizon, which is all that bounds the cache
+// when a member stays silent.
+type cachedBlock struct {
+	blk *types.Block
+	// held marks the other clan members known to hold the block: its
+	// proposer, and every member one of whose vertices said so (noteHeld).
+	held []byte
 }
 
 // rbcRow is one round's instance state in one slab: an instance per source
@@ -93,7 +118,11 @@ type vinst struct {
 	cert       *types.EchoCertMsg // retained for peer catch-up (VtxReq)
 
 	delivered bool // vertex + cert complete (counts toward round quorum)
-	inserted  bool // in the DAG (or pending parent buffer)
+	// emitted: this party's execution stage has the vertex, and its block
+	// with it — the cache is free to drop it and must not take it back.
+	emitted bool
+	// lacked: a proposal of this party lists the vertex in its Lacks.
+	lacked bool
 
 	// born is the local clock when this instance was first touched; the
 	// rbc.latency histogram observes born -> delivered.
@@ -255,6 +284,9 @@ func (n *Node) onVal(from types.NodeID, m *types.ValMsg) {
 	}
 	in.valFrom = true
 	in.vertex = v
+	// The vertex stays; a decoded message shares its allocation, so the
+	// block must leave the message for the cache alone to decide its life.
+	blk := m.TakeBlock()
 
 	// The proposal is the implicit vote for the previous round's leader
 	// (Sailfish's 1RBC+1delta commit path: votes are observed on the
@@ -262,8 +294,8 @@ func (n *Node) onVal(from types.NodeID, m *types.ValMsg) {
 	n.countVote(v)
 
 	// Stash the block if we are entitled to it and it matches.
-	if m.Block != nil {
-		n.acceptBlock(v, m.Block)
+	if blk != nil {
+		n.acceptBlock(v, blk)
 	}
 	// The VAL is its proposer's ECHO: a proposer holds its own vertex,
 	// block and parents by construction, so the signed proposal already
@@ -279,8 +311,8 @@ func (n *Node) onVal(from types.NodeID, m *types.ValMsg) {
 // Entitlement is per-epoch: the clan that receives v's payload is the clan
 // assignment of the epoch owning v.Round.
 func (n *Node) acceptBlock(v *types.Vertex, blk *types.Block) {
-	ep := n.epochOf(v.Round)
-	if ep.selfClan == types.NoClan || n.blockClanAt(v.Round, v.Source) != ep.selfClan {
+	pos := v.Pos()
+	if !n.inBlockClan(n.cfg.Self, pos) {
 		return // parties outside the proposer's clan never store payloads
 	}
 	if blk.Round != v.Round || blk.Source != v.Source {
@@ -290,7 +322,10 @@ func (n *Node) acceptBlock(v *types.Vertex, blk *types.Block) {
 		// otherwise pin its memory past the GC horizon).
 		return
 	}
-	if _, ok := n.rbc.blocks[v.BlockDigest]; ok {
+	in := n.instIfAny(pos)
+	if _, ok := n.rbc.blocks[v.BlockDigest]; ok || (in != nil && in.emitted) {
+		// Held, or executed and let go: a duplicate VAL, a late BLOCKRSP or
+		// a pull reply must not bring an evicted block back.
 		return
 	}
 	n.clk.Charge(n.cfg.Costs.HashCost(blk.PayloadBytes()))
@@ -300,21 +335,146 @@ func (n *Node) acceptBlock(v *types.Vertex, blk *types.Block) {
 	// The block outlives this handler (block cache, WAL, exec stage): stop
 	// aliasing the pooled receive buffer it was zero-copy decoded from.
 	blk.Detach()
-	n.rbc.blocks[v.BlockDigest] = blk
+	n.cacheBlock(v.BlockDigest, blk)
 	n.Metrics.BlocksReceived++
 	if n.cfg.Store != nil {
 		n.putOwned(blockKey(v.BlockDigest), blk.Marshal(nil))
 	}
 	n.clk.Charge(n.cfg.Costs.StoreWrite)
-	pos := v.Pos()
-	if in := n.instIfAny(pos); in != nil {
+	if in != nil {
 		if in.blockPull != nil {
 			in.blockPull.Stop()
 			in.blockPull = nil
 		}
+		if in.lacked {
+			in.lacked = false
+			n.rbc.owed = append(n.rbc.owed, v.Ref())
+		}
 		n.maybeEcho(pos, in)
 	}
 	n.drainOut()
+}
+
+// inBlockClan reports whether id belongs to the clan that receives the block
+// of the vertex at pos, in the epoch of pos's round: the parties entitled to
+// that payload.
+func (n *Node) inBlockClan(id types.NodeID, pos types.Position) bool {
+	clan := n.blockClanAt(pos.Round, pos.Source)
+	return clan != types.NoClan && n.epochOf(pos.Round).clanOf[id] == clan
+}
+
+// wantsBlock reports whether v carries a block this party is entitled to.
+func (n *Node) wantsBlock(v *types.Vertex) bool {
+	return !v.BlockDigest.IsZero() && n.inBlockClan(n.cfg.Self, v.Pos())
+}
+
+// blockFor is the one way to read a block: the cache, then the store when
+// there is one. A party with a store can therefore always serve and always
+// execute what it once accepted; the cache's eviction rule only has to be
+// right for those without.
+func (n *Node) blockFor(d types.Hash) *types.Block {
+	if e, ok := n.rbc.blocks[d]; ok {
+		return e.blk
+	}
+	if n.cfg.Store == nil {
+		return nil
+	}
+	val, ok, err := n.cfg.Store.Get(blockKey(d))
+	if err != nil || !ok {
+		return nil
+	}
+	blk, _, err := types.UnmarshalBlock(val)
+	if err != nil {
+		return nil
+	}
+	return blk
+}
+
+// cacheBlock starts blk's cache entry. Its proposer holds it by construction.
+func (n *Node) cacheBlock(d types.Hash, blk *types.Block) {
+	bm := (n.cfg.N + 7) / 8
+	if len(n.rbc.heldBits) < bm {
+		n.rbc.heldBits = make([]byte, n.cfg.N*bm)
+	}
+	held := n.rbc.heldBits[:bm:bm]
+	n.rbc.heldBits = n.rbc.heldBits[bm:]
+	if blk.Source != n.cfg.Self {
+		types.BitmapSet(held, blk.Source)
+	}
+	n.rbc.blocks[d] = cachedBlock{blk: blk, held: held}
+	n.rbc.blockBytes += blk.PayloadBytes()
+}
+
+// uncacheBlock removes the entry e of digest d.
+func (n *Node) uncacheBlock(d types.Hash, e cachedBlock) {
+	delete(n.rbc.blocks, d)
+	n.rbc.blockBytes -= e.blk.PayloadBytes()
+}
+
+// maybeEvict drops the cached block of digest d once nobody can need it from
+// this party: its own execution stage has it, and every other member of its
+// clan holds it.
+func (n *Node) maybeEvict(d types.Hash, e cachedBlock) {
+	pos := types.Position{Round: e.blk.Round, Source: e.blk.Source}
+	if in := n.instIfAny(pos); in == nil || !in.emitted {
+		return
+	}
+	clan := n.epochOf(pos.Round).clans[n.blockClanAt(pos.Round, pos.Source)]
+	if types.BitmapCount(e.held) < len(clan)-1 {
+		return
+	}
+	n.uncacheBlock(d, e)
+	n.mBlocksEvicted.Inc()
+}
+
+// noteHeld reads the statement a clan member makes with its vertex v, just
+// inserted: it holds the block of every vertex of its clan that v references,
+// except at the edges v.Lacks lists. The list is what makes it a statement:
+// an edge alone says nothing about payload, since a vertex is delivered, and
+// so referenced, without its block (maybeDeliver). Only blocks this party
+// caches are tracked, so nothing is recorded outside a block's clan.
+func (n *Node) noteHeld(v *types.Vertex) {
+	if v.Source == n.cfg.Self || len(n.rbc.blocks) == 0 {
+		return
+	}
+	lacks := v.Lacks
+	for i, k := 0, v.NumEdges(); i < k; i++ {
+		if len(lacks) > 0 && int(lacks[0]) == i {
+			lacks = lacks[1:]
+			continue
+		}
+		pos := v.Edge(i).Pos()
+		if !n.inBlockClan(n.cfg.Self, pos) || !n.inBlockClan(v.Source, pos) {
+			continue
+		}
+		pv, ok := n.dag.Get(pos)
+		if !ok {
+			continue
+		}
+		if e, ok := n.rbc.blocks[pv.BlockDigest]; ok {
+			types.BitmapSet(e.held, v.Source)
+			n.maybeEvict(pv.BlockDigest, e)
+		}
+	}
+}
+
+// blockEmitted records that v and its block went to the execution stage.
+func (n *Node) blockEmitted(v *types.Vertex) {
+	if in := n.instIfAny(v.Pos()); in != nil {
+		in.emitted = true
+		if e, ok := n.rbc.blocks[v.BlockDigest]; ok {
+			n.maybeEvict(v.BlockDigest, e)
+		}
+	}
+}
+
+// holdsBlock reports whether this party holds v's block, or has executed it.
+func (n *Node) holdsBlock(v *types.Vertex) bool {
+	if _, ok := n.rbc.blocks[v.BlockDigest]; ok {
+		return true
+	}
+	in := n.instIfAny(v.Pos())
+	return in != nil && in.emitted
 }
 
 // maybeEcho sends this party's ECHO once its preconditions hold: the vertex
@@ -337,11 +497,8 @@ func (n *Node) maybeEcho(pos types.Position, in *vinst) {
 	if !n.parentsDelivered(pos, v) {
 		return // re-tried when the missing parents deliver
 	}
-	ep := n.epochOf(v.Round)
-	if !v.BlockDigest.IsZero() && n.blockClanAt(v.Round, v.Source) == ep.selfClan && ep.selfClan != types.NoClan {
-		if _, ok := n.rbc.blocks[v.BlockDigest]; !ok {
-			return // wait for the block (push or pull)
-		}
+	if n.wantsBlock(v) && n.blockFor(v.BlockDigest) == nil {
+		return // wait for the block (push or pull)
 	}
 	in.echoSent = true
 	n.queueEcho(pos, v.DigestCached())
@@ -675,10 +832,10 @@ func (n *Node) maybeDeliver(pos types.Position, in *vinst) {
 }
 
 // gcRBC prunes RBC-stage state below the GC horizon: instance rows, parked
-// echo waiters, and the block cache (swept by the round each block commits
-// to — acceptBlock guarantees it matches the vertex round, so nothing below
-// the horizon survives, including blocks whose instance lost its vertex to
-// equivocation replacement).
+// echo waiters, and what is left of the block cache (swept by the round each
+// block commits to — acceptBlock guarantees it matches the vertex round, so
+// nothing below the horizon survives, including blocks whose instance lost
+// its vertex to equivocation replacement).
 func (n *Node) gcRBC(horizon types.Round) {
 	for r, row := range n.rbc.insts {
 		if r >= horizon {
@@ -688,9 +845,10 @@ func (n *Node) gcRBC(horizon types.Round) {
 		n.rbc.retired = append(n.rbc.retired, row)
 		delete(n.rbc.insts, r)
 	}
-	for d, blk := range n.rbc.blocks {
-		if blk.Round < horizon {
-			delete(n.rbc.blocks, d)
+	for d, e := range n.rbc.blocks {
+		if e.blk.Round < horizon {
+			n.uncacheBlock(d, e)
+			n.mBlocksExpired.Inc()
 		}
 	}
 	for pos := range n.rbc.echoWait {
@@ -709,12 +867,7 @@ func (n *Node) maybeStartBlockPull(pos types.Position, in *vinst) {
 	if in.blockPull != nil || in.vertex == nil {
 		return
 	}
-	v := in.vertex
-	ep := n.epochOf(v.Round)
-	if v.BlockDigest.IsZero() || ep.selfClan == types.NoClan || n.blockClanAt(v.Round, v.Source) != ep.selfClan {
-		return
-	}
-	if _, ok := n.rbc.blocks[v.BlockDigest]; ok {
+	if v := in.vertex; !n.wantsBlock(v) || n.holdsBlock(v) {
 		return
 	}
 	n.sendBlockPull(pos, in)
@@ -726,7 +879,7 @@ func (n *Node) sendBlockPull(pos types.Position, in *vinst) {
 		in.blockPull = nil
 		return
 	}
-	if _, ok := n.rbc.blocks[v.BlockDigest]; ok {
+	if n.holdsBlock(v) {
 		in.blockPull = nil
 		return
 	}
@@ -762,8 +915,14 @@ func (n *Node) sendBlockPull(pos types.Position, in *vinst) {
 }
 
 func (n *Node) onBlockReq(from types.NodeID, m *types.BlockReqMsg) {
-	blk, ok := n.rbc.blocks[m.Digest]
-	if !ok {
+	// Payload stays inside its clan: only a member of the clan of the
+	// position the request names is answered, and only with that position's
+	// block.
+	if int(m.Pos.Source) >= n.cfg.N || !n.inBlockClan(from, m.Pos) {
+		return
+	}
+	blk := n.blockFor(m.Digest)
+	if blk == nil || blk.Round != m.Pos.Round || blk.Source != m.Pos.Source {
 		return
 	}
 	n.clk.Charge(n.cfg.Costs.StoreRead)
@@ -850,9 +1009,8 @@ func (n *Node) onVtxReq(from types.NodeID, m *types.VtxReqMsg) {
 func (n *Node) sendVtxRsp(from types.NodeID, in *vinst) {
 	v := in.vertex
 	rsp := &types.VtxRspMsg{Vertex: v, Cert: in.cert}
-	if !v.BlockDigest.IsZero() && n.blockClanAt(v.Round, v.Source) == n.epochOf(v.Round).clanOf[from] {
-		if blk, ok := n.rbc.blocks[v.BlockDigest]; ok {
-			rsp.Block = blk
+	if !v.BlockDigest.IsZero() && n.inBlockClan(from, v.Pos()) {
+		if rsp.Block = n.blockFor(v.BlockDigest); rsp.Block != nil {
 			n.clk.Charge(n.cfg.Costs.StoreRead)
 		}
 	}
@@ -870,38 +1028,30 @@ const catchupBatchMax = 64
 // Duplicates across overlapping batches are dropped by the receiver's
 // delivered check; the bound keeps the overlap cost modest.
 func (n *Node) sendAncestorBatch(to types.NodeID, v *types.Vertex, have types.Round) {
-	seen := make(map[types.Position]bool, 2*catchupBatchMax)
-	var queue []types.Position
-	push := func(e types.VertexRef) {
-		p := e.Pos()
-		if p.Round <= have || seen[p] {
-			return
+	// The walk's set and queue are the node's, cleared here: the handler is
+	// serialized, and a pull should cost the frames it sends, no more.
+	seen := n.rbc.batchSeen
+	clear(seen)
+	queue := n.rbc.batchQueue[:0]
+	push := func(v *types.Vertex) {
+		for i, k := 0, v.NumEdges(); i < k; i++ {
+			if p := v.Edge(i).Pos(); p.Round > have && !seen[p] {
+				seen[p] = true
+				queue = append(queue, p)
+			}
 		}
-		seen[p] = true
-		queue = append(queue, p)
 	}
-	for _, e := range v.StrongEdges {
-		push(e)
-	}
-	for _, e := range v.WeakEdges {
-		push(e)
-	}
-	for sent := 0; len(queue) > 0 && sent < catchupBatchMax; {
-		p := queue[0]
-		queue = queue[1:]
-		pin := n.instIfAny(p)
+	push(v)
+	for head, sent := 0, 0; head < len(queue) && sent < catchupBatchMax; head++ {
+		pin := n.instIfAny(queue[head])
 		if pin == nil || !pin.delivered || pin.vertex == nil {
 			continue
 		}
 		n.sendVtxRsp(to, pin)
 		sent++
-		for _, e := range pin.vertex.StrongEdges {
-			push(e)
-		}
-		for _, e := range pin.vertex.WeakEdges {
-			push(e)
-		}
+		push(pin.vertex)
 	}
+	n.rbc.batchQueue = queue
 }
 
 func (n *Node) onVtxRsp(from types.NodeID, m *types.VtxRspMsg) {

@@ -65,6 +65,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add(two[:len(two)-1])
 	f.Add(append(append([]byte{}, two...), 0))
 	f.Add(Encode(&VtxRspMsg{Vertex: vWide, Cert: &EchoCertMsg{Pos: Position{9, 11}, Digest: digest, Agg: AggSig{Bitmap: []byte{7}}}}, nil))
+	// Vertices whose proposer lacked the block behind one edge, and behind
+	// every edge (Vertex.Lacks).
+	vLacks := *vWide
+	vLacks.Lacks = []uint32{4}
+	f.Add(Encode(&ValMsg{Vertex: &vLacks, Sig: sig}, nil))
+	vLacks.Lacks = []uint32{0, 1, 2, 3, 4}
+	f.Add(Encode(&ValMsg{Vertex: &vLacks, Sig: sig}, nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
@@ -165,6 +172,16 @@ func TestWireSizeMatchesMarshal(t *testing.T) {
 			}
 		}
 		v.NormalizeEdges()
+		// No listed position, one, or all of them.
+		switch k := v.NumEdges(); {
+		case k == 0 || rng.Intn(3) == 0:
+		case rng.Intn(2) == 0:
+			v.Lacks = []uint32{uint32(rng.Intn(k))}
+		default:
+			for i := 0; i < k; i++ {
+				v.Lacks = append(v.Lacks, uint32(i))
+			}
+		}
 		return v
 	}
 	randBlock := func() *Block {

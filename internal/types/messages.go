@@ -120,6 +120,22 @@ type ValMsg struct {
 	Vertex *Vertex
 	Block  *Block // nil outside the clan
 	Sig    SigBytes
+	// decoded marks a message that came off a socket: its one receiver holds
+	// the only reference. An in-process transport hands one ValMsg to every
+	// receiver, and those must never be written to.
+	decoded bool
+}
+
+// TakeBlock returns the block and, on a decoded message, forgets it: the
+// decoder puts the message and its vertex in one allocation, so a block left
+// in the message would stay reachable for as long as the vertex sits in the
+// receiver's DAG, whatever the receiver's block cache does.
+func (m *ValMsg) TakeBlock() *Block {
+	blk := m.Block
+	if m.decoded {
+		m.Block = nil
+	}
+	return blk
 }
 
 func (m *ValMsg) Kind() MsgKind { return KindVal }
@@ -152,7 +168,7 @@ func unmarshalVal(b []byte, alias bool) (*ValMsg, error) {
 		v Vertex
 	}{}
 	m := &d.m
-	m.Vertex = &d.v
+	m.Vertex, m.decoded = &d.v, true
 	b, err := unmarshalVertexInto(m.Vertex, b)
 	if err != nil {
 		return nil, err

@@ -99,6 +99,13 @@ type Vertex struct {
 	// digest. OrderedAt minus this is the vertex's end-to-end consensus
 	// latency (the order.commit_latency histogram). Zero means unstamped.
 	CreatedAt int64
+	// Lacks lists, ascending, the edges — indexed through StrongEdges, then
+	// on through WeakEdges — whose block the proposer is entitled to and did
+	// not hold when it built the vertex. A clan member's vertex is its
+	// statement to the clan that it holds the payload of every same-clan
+	// vertex it references, these excepted: what lets a holder drop a block
+	// before the GC horizon. Empty unless a VAL was lost or withheld.
+	Lacks []uint32
 
 	// dig caches the digest once hasDig is set. Valid only while the vertex
 	// is immutable — protocol code finalizes a vertex (NormalizeEdges)
@@ -157,6 +164,35 @@ func (v *Vertex) HasStrongEdgeTo(p Position) bool {
 	return ok
 }
 
+// Bits of the presence byte that follows the edges.
+const (
+	vtxHasNVC = 1 << iota
+	vtxHasLacks
+)
+
+// NumEdges counts v's edges, strong and weak.
+func (v *Vertex) NumEdges() int { return len(v.StrongEdges) + len(v.WeakEdges) }
+
+// Edge returns v's i-th edge: the strong edges, then the weak ones — the
+// numbering Lacks uses.
+func (v *Vertex) Edge(i int) VertexRef {
+	if i < len(v.StrongEdges) {
+		return v.StrongEdges[i]
+	}
+	return v.WeakEdges[i-len(v.StrongEdges)]
+}
+
+// LacksValid reports whether Lacks is strictly ascending and inside the edge
+// lists — the only form the decoder accepts and an honest proposer builds.
+func (v *Vertex) LacksValid() bool {
+	for k, i := range v.Lacks {
+		if int(i) >= v.NumEdges() || (k > 0 && i <= v.Lacks[k-1]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Marshal appends the canonical encoding of v to b.
 //
 // Edges travel compressed. Strong edges always target round v.Round-1
@@ -190,12 +226,21 @@ func (v *Vertex) Marshal(b []byte) []byte {
 		b = PutUvarint(b, uint64(v.Round)-uint64(e.Round))
 		b = PutUvarint(b, uint64(e.Source))
 	}
+	// One presence byte for the no-vote certificate and the Lacks list, so a
+	// vertex without the list encodes as it did before the list existed.
+	flags := len(b)
+	b = append(b, 0)
 	if v.NVC != nil {
-		b = append(b, 1)
+		b[flags] |= vtxHasNVC
 		b = PutUvarint(b, uint64(v.NVC.Round))
 		b = marshalAgg(b, v.NVC.Agg)
-	} else {
-		b = append(b, 0)
+	}
+	if len(v.Lacks) > 0 {
+		b[flags] |= vtxHasLacks
+		b = PutUvarint(b, uint64(len(v.Lacks)))
+		for _, i := range v.Lacks {
+			b = PutUvarint(b, uint64(i))
+		}
 	}
 	if v.TC != nil {
 		b = append(b, 1)
@@ -244,11 +289,11 @@ func unmarshalVertexInto(v *Vertex, b []byte) ([]byte, error) {
 	if v.StrongEdges, v.WeakEdges, b, err = unmarshalEdges(b, v.Round); err != nil {
 		return nil, err
 	}
-	if len(b) < 1 {
-		return nil, fmt.Errorf("types: short vertex nvc flag")
+	if len(b) < 1 || b[0] > vtxHasNVC|vtxHasLacks {
+		return nil, fmt.Errorf("types: bad vertex nvc flags")
 	}
-	if b[0] == 1 {
-		b = b[1:]
+	flags, b := b[0], b[1:]
+	if flags&vtxHasNVC != 0 {
 		nvc := &NoVoteCert{}
 		if u, b, err = Uvarint(b); err != nil {
 			return nil, err
@@ -258,8 +303,28 @@ func unmarshalVertexInto(v *Vertex, b []byte) ([]byte, error) {
 			return nil, err
 		}
 		v.NVC = nvc
-	} else {
-		b = b[1:]
+	}
+	if flags&vtxHasLacks != 0 {
+		if u, b, err = Uvarint(b); err != nil {
+			return nil, err
+		}
+		// Bounded by the edges just decoded, never by the declared count.
+		if u == 0 || u > uint64(v.NumEdges()) {
+			return nil, fmt.Errorf("types: %d lacked blocks for %d edges", u, v.NumEdges())
+		}
+		v.Lacks = make([]uint32, u)
+		for i := range v.Lacks {
+			if u, b, err = Uvarint(b); err != nil {
+				return nil, err
+			}
+			if u >= uint64(v.NumEdges()) {
+				return nil, fmt.Errorf("types: lacked block at edge %d of %d", u, v.NumEdges())
+			}
+			v.Lacks[i] = uint32(u)
+		}
+		if !v.LacksValid() {
+			return nil, fmt.Errorf("types: lacked-block list not ascending")
+		}
 	}
 	if len(b) < 1 {
 		return nil, fmt.Errorf("types: short vertex tc flag")
@@ -315,9 +380,15 @@ func (v *Vertex) WireSize() int {
 	for _, e := range v.WeakEdges {
 		n += uvarintLen(uint64(v.Round)-uint64(e.Round)) + uvarintLen(uint64(e.Source))
 	}
-	n += 2 // nvc + tc flags
+	n += 2 // nvc/lacks + tc flags
 	if v.NVC != nil {
 		n += uvarintLen(uint64(v.NVC.Round)) + v.NVC.Agg.WireSize()
+	}
+	if len(v.Lacks) > 0 {
+		n += uvarintLen(uint64(len(v.Lacks)))
+		for _, i := range v.Lacks {
+			n += uvarintLen(uint64(i))
+		}
 	}
 	if v.TC != nil {
 		n += uvarintLen(uint64(v.TC.Round)) + v.TC.Agg.WireSize()
