@@ -14,7 +14,7 @@
 //	bench -exp comm      # communication-complexity accounting
 //	bench -exp ablate    # single-clan throughput vs clan size
 //	bench -exp sparse    # sparse-edge DAG scaling: n=50/100/200, dense vs sparse
-//	bench -exp micro     # transport/WAL/pipeline/parallel-exec/gateway/tx-path micro-benchmarks -> BENCH_PR17.json
+//	bench -exp micro     # transport/WAL/pipeline/parallel-exec/gateway/tx-path micro-benchmarks -> BENCH_BASELINE.json
 //	bench -exp chaos     # seeded mixed-fault property runner (safety+liveness)
 //	bench -exp gateway   # serving front door under overload: TCP gateway + open-loop load -> results/gateway.txt
 //	bench -exp reconfig  # live membership change: 4->5 node TCP cluster, join via committed ReconfigTx -> results/reconfig.txt
@@ -59,7 +59,7 @@ func main() {
 		quick = flag.Bool("quick", false, "short windows and fewer load points")
 		full  = flag.Bool("full", false, "the paper's full 13-point load sweep (hours)")
 		seed  = flag.Int64("seed", 1, "simulation seed")
-		mout  = flag.String("micro-out", "BENCH_PR17.json", "output path for -exp micro results")
+		mout  = flag.String("micro-out", "BENCH_BASELINE.json", "output path for -exp micro results")
 		mbase = flag.String("baseline", "", "baseline JSON whose counters gate -exp micro (allocs/op, fsyncs/op, commits/sec)")
 		nchao = flag.Int("chaos-scenarios", 10, "seeds per clan mode for -exp chaos")
 		warmF = flag.Duration("warmup", 4*time.Second, "simulated warmup window")

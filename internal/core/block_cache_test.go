@@ -358,7 +358,7 @@ func TestBlockCacheNotRefilled(t *testing.T) {
 	node := c.nodes[0]
 	for pos, val := range vals {
 		if in := node.instIfAny(pos); in != nil && in.emitted && !cachedAt(node, pos) {
-			rsps[pos] = &types.VtxRspMsg{Vertex: val.Vertex, Cert: in.cert, Block: val.Block}
+			rsps[pos] = &types.VtxRspMsg{Vertex: val.Vertex, Cert: in.certMsg(pos), Block: val.Block}
 		}
 	}
 	if len(rsps) < 10 {

@@ -396,7 +396,11 @@ type Node struct {
 	started        bool
 	stopped        bool // Stop called: ignore handlers and late timer fires
 	roundTimer     transport.Timer
-	timedOutRound  map[types.Round]bool
+	// roundFired and anchorFired are the two timers' callbacks, bound once;
+	// valTo is sendVal's recipient scratch.
+	roundFired, anchorFired func()
+	valTo                   []types.NodeID
+	timedOutRound           map[types.Round]bool
 
 	// Timeout/no-vote certificate assembly.
 	timeoutAggs map[types.Round]*crypto.Aggregator
@@ -510,7 +514,7 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 			anchors:       map[types.Round]*anchorRound{},
 			memo:          map[uint64]slotDecision{},
 			late:          make([]types.Round, cfg.N),
-			pendingInsert: map[types.Position]*types.Vertex{},
+			pendingInsert: map[types.Position]pendingVertex{},
 			waitingChild:  map[types.Position][]types.Position{},
 			commitWait:    map[types.Position]bool{},
 			lateVertices:  map[types.Position]*types.Vertex{},
@@ -523,6 +527,7 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 		nvcs:          map[types.Round]*types.NoVoteCert{},
 	}
 	n.rep.offenseSeen = map[types.Round]bool{}
+	n.roundFired, n.anchorFired = n.roundTimerFired, n.anchorTimerFired
 	n.vcosts = cfg.Costs
 	if cfg.VerifyCores > 1 {
 		n.vcosts = cfg.Costs.Parallel(cfg.VerifyCores)

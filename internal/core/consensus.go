@@ -203,17 +203,21 @@ func (n *Node) armAnchorTimer(r types.Round) {
 	}
 	n.anchorTimerRound = r
 	n.anchorHolding, n.anchorHeldAt = true, n.clk.Now()
-	n.anchorTimer = n.clk.After(n.cfg.AnchorWait, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if n.stopped {
-			return
-		}
-		n.anchorTimer = nil
-		n.endAnchorHold()
-		n.anchorWaived = r + 1
-		n.tryAdvance()
-	})
+	n.anchorTimer = n.clk.After(n.cfg.AnchorWait, n.anchorFired)
+}
+
+// anchorTimerFired is the anchor timer's one callback (n.anchorFired): the
+// round it waives is the one the timer was last armed for.
+func (n *Node) anchorTimerFired() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.stopped || n.anchorTimer == nil {
+		return
+	}
+	n.anchorTimer = nil
+	n.endAnchorHold()
+	n.anchorWaived = n.anchorTimerRound + 1
+	n.tryAdvance()
 }
 
 // stopAnchorTimer disarms any pending pipelined-anchor wait (the round is
@@ -256,21 +260,25 @@ func (n *Node) enterRound(r types.Round) {
 	}
 	n.stopAnchorTimer()
 	n.round = r
-	n.armRoundTimer(r)
+	n.armRoundTimer()
 }
 
-// armRoundTimer starts the leader timer for round r; it re-arms itself for
-// as long as the round stays stuck (see onRoundTimeout).
-func (n *Node) armRoundTimer(r types.Round) {
-	n.roundTimer = n.clk.After(n.cfg.RoundTimeout, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if n.stopped {
-			return
-		}
-		n.roundTimer = nil
-		n.onRoundTimeout(r)
-	})
+// armRoundTimer starts the leader timer for the current round; it re-arms
+// itself for as long as the round stays stuck (see onRoundTimeout).
+func (n *Node) armRoundTimer() {
+	n.roundTimer = n.clk.After(n.cfg.RoundTimeout, n.roundFired)
+}
+
+// roundTimerFired is the round timer's one callback (n.roundFired). The timer
+// is stopped before the round moves, so the round it fires for is n.round.
+func (n *Node) roundTimerFired() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.stopped || n.roundTimer == nil {
+		return
+	}
+	n.roundTimer = nil
+	n.onRoundTimeout()
 }
 
 // propose emits this party's vertex for round r: strong edges to the
@@ -409,16 +417,14 @@ func (n *Node) propose(r types.Round) {
 	n.Metrics.VerticesProposed++
 	n.sendVal(v, blk)
 
-	n.armRoundTimer(r)
+	n.armRoundTimer()
 }
 
 // ---------------------------------------------------------------------------
 // Timeouts, no-votes, certificates.
 
-func (n *Node) onRoundTimeout(r types.Round) {
-	if r != n.round {
-		return
-	}
+func (n *Node) onRoundTimeout() {
+	r := n.round
 	if !n.timedOutRound[r] && !n.primaryIn(r) {
 		n.timedOutRound[r] = true
 		n.Metrics.Timeouts++
@@ -463,8 +469,8 @@ func (n *Node) onRoundTimeout(r types.Round) {
 		}
 		n.maybeStartVtxPull(pos, in)
 	}
-	n.flushEchoes()    // a timer is not always part of a drain
-	n.armRoundTimer(r) // still stuck
+	n.flushEchoes()   // a timer is not always part of a drain
+	n.armRoundTimer() // still stuck
 }
 
 func (n *Node) onTimeout(from types.NodeID, m *types.TimeoutMsg) {
@@ -563,7 +569,7 @@ func (n *Node) sendVal(v *types.Vertex, blk *types.Block) {
 	if clan := n.blockClanAt(v.Round, n.cfg.Self); blk != nil && clan != types.NoClan {
 		inClan = n.epochOf(v.Round).inClan[clan]
 	}
-	ids := make([]types.NodeID, 0, n.cfg.N)
+	ids := n.valTo[:0]
 	for i := 0; i < n.cfg.N; i++ {
 		if inClan[types.NodeID(i)] {
 			ids = append(ids, types.NodeID(i))
@@ -581,4 +587,5 @@ func (n *Node) sendVal(v *types.Vertex, blk *types.Block) {
 	if full < len(ids) {
 		n.multicast(ids[full:], &types.ValMsg{Vertex: v, Sig: sig})
 	}
+	n.valTo = ids
 }

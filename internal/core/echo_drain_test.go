@@ -126,10 +126,10 @@ func TestEchoFramingEquivalence(t *testing.T) {
 		}
 		for _, e := range all {
 			in := node.instIfAny(e.Pos)
-			if in == nil || in.cert == nil {
+			if in == nil || in.certAgg.Bitmap == nil {
 				t.Fatalf("%v not certified", e.Pos)
 			}
-			o.aggs[e.Pos], o.totals[e.Pos] = in.cert.Agg, in.first.total
+			o.aggs[e.Pos], o.totals[e.Pos] = in.certAgg, in.first.total
 		}
 		return o
 	}

@@ -90,7 +90,7 @@ func (n *Node) Start() {
 		// Resume: advance if the recovered state already holds the next
 		// quorum; otherwise catch up from peers (vertex pulls + the
 		// round-jump rule in tryAdvance).
-		n.armRoundTimer(n.round)
+		n.armRoundTimer()
 		n.drainCommits()
 		n.tryAdvance()
 		return

@@ -63,7 +63,7 @@ func rbcInstanceMallocs(t *testing.T) uint64 {
 		}
 		runtime.ReadMemStats(&after)
 		in := node.instIfAny(pos)
-		if in == nil || !in.delivered || in.cert == nil {
+		if in == nil || !in.delivered || in.certAgg.Bitmap == nil {
 			t.Fatalf("instance %v did not deliver: %+v", pos, in)
 		}
 		return after.Mallocs - before.Mallocs

@@ -115,7 +115,7 @@ func TestDenseTotalityWithoutCertRelay(t *testing.T) {
 		t.Fatalf("victim sent %d pulls for the position whose echoes it lost and got %d certified replies", pulled, certified)
 	}
 	in := c.nodes[victim].instIfAny(lost)
-	if in == nil || !in.delivered || in.cert == nil {
+	if in == nil || !in.delivered || in.certAgg.Bitmap == nil {
 		t.Fatalf("victim did not deliver %v by certified pull: %+v", lost, in)
 	}
 	c.checkConsistentOrder(nil)

@@ -189,7 +189,8 @@ func (n *Node) persistProposal(r types.Round, digest types.Hash) {
 	if n.cfg.Store == nil {
 		return
 	}
-	n.wb.PutOwned(proposalKey(r), digest[:])
+	d := digest // the batch's, from here: without a store nothing escapes
+	n.wb.PutOwned(proposalKey(r), d[:])
 	n.cfg.Store.Apply(&n.wb)
 	n.wb.Reset()
 	n.clk.Charge(n.cfg.Costs.StoreWrite)

@@ -43,7 +43,7 @@ type orderState struct {
 	late []types.Round
 
 	// Deferred work.
-	pendingInsert  map[types.Position]*types.Vertex // delivered, awaiting parents
+	pendingInsert  map[types.Position]pendingVertex // delivered, awaiting parents
 	waitingChild   map[types.Position][]types.Position
 	pendingLeaders []leaderCommit          // committed, awaiting complete history; sorted by seq
 	commitWait     map[types.Position]bool // ancestors the head commit waits for
@@ -225,51 +225,65 @@ func (n *Node) onDelivered(v *types.Vertex) {
 	n.tryAdvance()
 }
 
-// tryInsert adds v to the DAG once all parents are present; otherwise it
-// buffers v and retries when parents land.
-func (n *Node) tryInsert(v *types.Vertex) {
-	pos := v.Pos()
-	if n.dag.Has(pos) || n.gcd(pos) {
-		return
-	}
-	missing := n.missingParents(v)
-	if len(missing) > 0 {
-		n.ord.pendingInsert[pos] = v
-		for _, p := range missing {
-			n.ord.waitingChild[p] = append(n.ord.waitingChild[p], pos)
-			// A parent that was never pushed to us must be pulled:
-			// its RBC may have completed at others while our VAL
-			// was lost pre-GST. One in-flight pull per position —
-			// other children waiting on the same parent ride along.
-			if n.ord.pulls[p] {
-				continue
-			}
-			if in := n.inst(p); !in.delivered {
-				n.ord.pulls[p] = true
-				n.maybeStartVtxPull(p, in)
-			}
-		}
-		return
-	}
-	n.insertNow(v)
+// pendingVertex is a delivered vertex awaiting parents: missing counts its
+// entries in waitingChild, one per edge to a parent absent when it was
+// buffered, and each parent's arrival (or retirement by gc) takes one off.
+type pendingVertex struct {
+	v       *types.Vertex
+	missing int
 }
 
-func (n *Node) missingParents(v *types.Vertex) []types.Position {
-	var missing []types.Position
-	check := func(e types.VertexRef) {
-		p := e.Pos()
+// tryInsert adds v to the DAG once all parents are present; otherwise it
+// buffers v until the last of them lands.
+func (n *Node) tryInsert(v *types.Vertex) {
+	pos := v.Pos()
+	if _, pending := n.ord.pendingInsert[pos]; pending || n.dag.Has(pos) || n.gcd(pos) {
+		return // pending: a repeat must not wait on its parents twice
+	}
+	missing := 0
+	for i, k := 0, v.NumEdges(); i < k; i++ {
+		p := v.Edge(i).Pos()
 		if p.Round < n.dag.MinRound() || n.dag.Has(p) {
-			return
+			continue
 		}
-		missing = append(missing, p)
+		missing++
+		n.ord.waitingChild[p] = append(n.ord.waitingChild[p], pos)
+		// A parent that was never pushed to us must be pulled: its RBC may
+		// have completed at others while our VAL was lost pre-GST. One
+		// in-flight pull per position — other children waiting on the same
+		// parent ride along.
+		if n.ord.pulls[p] {
+			continue
+		}
+		if in := n.inst(p); !in.delivered {
+			n.ord.pulls[p] = true
+			n.maybeStartVtxPull(p, in)
+		}
 	}
-	for _, e := range v.StrongEdges {
-		check(e)
+	if missing == 0 {
+		n.insertNow(v)
+		return
 	}
-	for _, e := range v.WeakEdges {
-		check(e)
+	n.ord.pendingInsert[pos] = pendingVertex{v, missing}
+}
+
+// parentIn takes parent off the count of each child waiting on it, then
+// inserts the ones that wait for nothing more — by then, not before: a child
+// a sibling's insertion completes goes in with that sibling.
+func (n *Node) parentIn(parent types.Position) {
+	kids := n.ord.waitingChild[parent]
+	delete(n.ord.waitingChild, parent)
+	for _, kid := range kids {
+		if pend, ok := n.ord.pendingInsert[kid]; ok {
+			pend.missing--
+			n.ord.pendingInsert[kid] = pend
+		}
 	}
-	return missing
+	for _, kid := range kids {
+		if pend, ok := n.ord.pendingInsert[kid]; ok && pend.missing == 0 {
+			n.insertNow(pend.v)
+		}
+	}
 }
 
 func (n *Node) insertNow(v *types.Vertex) {
@@ -299,15 +313,7 @@ func (n *Node) insertNow(v *types.Vertex) {
 		n.ord.lateVertices[pos] = v
 	}
 
-	// Unblock buffered children.
-	if kids := n.ord.waitingChild[pos]; len(kids) > 0 {
-		delete(n.ord.waitingChild, pos)
-		for _, kid := range kids {
-			if pend, ok := n.ord.pendingInsert[kid]; ok && len(n.missingParents(pend)) == 0 {
-				n.insertNow(pend)
-			}
-		}
-	}
+	n.parentIn(pos) // unblock buffered children
 	// Newly present ancestors may complete a committed leader's history.
 	if len(n.ord.commitWait) > 0 {
 		if n.ord.commitWait[pos] {
@@ -890,7 +896,7 @@ func (n *Node) gc() {
 	}
 	for pos := range n.ord.waitingChild {
 		if pos.Round < horizon {
-			delete(n.ord.waitingChild, pos)
+			n.parentIn(pos) // below the horizon a parent counts as present
 		}
 	}
 	for pos := range n.ord.lateVertices {

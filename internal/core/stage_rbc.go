@@ -61,9 +61,11 @@ type cachedBlock struct {
 }
 
 // rbcRow is one round's instance state in one slab: an instance per source
-// and the bitmap bytes their echo tallies need. Nothing that outlives the
-// round is carved from it — vertices, certificates and blocks are the heap's
-// — so a recycled row never aliases the DAG, the block cache or a message.
+// and the bitmap bytes their echo tallies — and so their certificates — need.
+// Nothing carved from it may be reachable from a message, the DAG or the block
+// cache: rows are recycled, and the in-process transports hand a receiver the
+// sender's pointers. Vertices and blocks are the heap's; a certificate is
+// copied out when a pull reply ships it (certMsg).
 type rbcRow struct {
 	at      []vinst // by source; at[s].live marks the ones in use
 	bitmaps []byte  // two signer bitmaps per instance: echoVoted, the tally's
@@ -115,7 +117,11 @@ type vinst struct {
 
 	certDigest types.Hash
 	hasCert    bool
-	cert       *types.EchoCertMsg // retained for peer catch-up (VtxReq)
+	// certAgg is the certificate's aggregate, kept for peer catch-up (VtxReq):
+	// the frozen tally, row memory, or an adopted one. No bitmap: none held (a
+	// position recovered from the store). certCopy is what certMsg made of it.
+	certAgg  types.AggSig
+	certCopy *types.EchoCertMsg
 
 	delivered bool // vertex + cert complete (counts toward round quorum)
 	// emitted: this party's execution stage has the vertex, and its block
@@ -131,6 +137,15 @@ type vinst struct {
 	blockPull  transport.Timer
 	vtxPull    transport.Timer
 	pullCursor int
+}
+
+// certMsg returns the instance's certificate as a message may carry it — a
+// copy on the heap, made for the first pull reply — or nil when it holds none.
+func (in *vinst) certMsg(pos types.Position) *types.EchoCertMsg {
+	if in.certCopy == nil && in.certAgg.Bitmap != nil {
+		in.certCopy = &types.EchoCertMsg{Pos: pos, Digest: in.certDigest, Agg: in.certAgg.Clone()}
+	}
+	return in.certCopy
 }
 
 // stopPulls cancels the instance's pull timers.
@@ -719,7 +734,7 @@ func (n *Node) countEcho(pos types.Position, in *vinst, voter types.NodeID, dige
 	// exact certificate locally, so nobody announces or relays it: it is
 	// kept for the pull path, which ships it with the vertex and so covers
 	// whoever missed echoes.
-	in.cert = &types.EchoCertMsg{Pos: pos, Digest: digest, Agg: tally.agg.Sig()}
+	in.certAgg = tally.agg.Sig() // no echo counts once the certificate is in
 	n.acceptCert(pos, in, digest)
 }
 
@@ -1008,7 +1023,7 @@ func (n *Node) onVtxReq(from types.NodeID, m *types.VtxReqMsg) {
 // the payload.
 func (n *Node) sendVtxRsp(from types.NodeID, in *vinst) {
 	v := in.vertex
-	rsp := &types.VtxRspMsg{Vertex: v, Cert: in.cert}
+	rsp := &types.VtxRspMsg{Vertex: v, Cert: in.certMsg(v.Pos())}
 	if !v.BlockDigest.IsZero() && n.inBlockClan(from, v.Pos()) {
 		if rsp.Block = n.blockFor(v.BlockDigest); rsp.Block != nil {
 			n.clk.Charge(n.cfg.Costs.StoreRead)
@@ -1070,7 +1085,7 @@ func (n *Node) onVtxRsp(from types.NodeID, m *types.VtxRspMsg) {
 	// this party has not touched yet.
 	if c := m.Cert; c != nil && c.Pos == pos && (in == nil || !in.hasCert) && n.validCert(c) {
 		in = n.inst(pos)
-		in.cert = c
+		in.certAgg, in.certCopy = c.Agg, c
 		n.acceptCert(pos, in, c.Digest)
 	}
 	if in == nil || in.delivered {

@@ -189,7 +189,6 @@ func NewAggregator(n int) *Aggregator {
 
 // Init prepares an aggregator in place over caller-provided, zeroed bitmap
 // storage of (n+7)/8 bytes, for callers that embed aggregators in a slab.
-// Sig copies, so the storage never escapes through a certificate.
 func (a *Aggregator) Init(n int, bitmap []byte) {
 	*a = Aggregator{agg: types.AggSig{Bitmap: bitmap}, n: n}
 }
@@ -214,8 +213,9 @@ func (a *Aggregator) Count() int { return types.BitmapCount(a.agg.Bitmap) }
 // mutate it.
 func (a *Aggregator) Bitmap() []byte { return a.agg.Bitmap }
 
-// Sig returns a copy of the current aggregate.
-func (a *Aggregator) Sig() types.AggSig { return a.agg.Clone() }
+// Sig returns the aggregate, sharing the aggregator's bitmap: take it when
+// folding is over, and Clone it before it outlives the bitmap's storage.
+func (a *Aggregator) Sig() types.AggSig { return a.agg }
 
 // VerifyAgg checks an aggregate signature over msg against its bitmap. It is
 // the analogue of a single pairing check over the aggregated BLS signature.

@@ -23,7 +23,7 @@ import (
 type row struct {
 	verts   []*types.Vertex
 	ordered []bool
-	mark    []uint32 // visited stamps, see DAG.mark; allocated on first walk
+	mark    []uint32 // visited stamps, see DAG.mark
 	count   int
 }
 
@@ -33,6 +33,7 @@ type row struct {
 type DAG struct {
 	n        int
 	rounds   map[types.Round]*row
+	free     []*row      // retired by GC, zeroed, for row to reuse
 	minRound types.Round // rounds below this are garbage collected
 	maxRound types.Round
 
@@ -61,7 +62,11 @@ func New(n int) *DAG {
 func (d *DAG) row(r types.Round) *row {
 	rw, ok := d.rounds[r]
 	if !ok {
-		rw = &row{verts: make([]*types.Vertex, d.n), ordered: make([]bool, d.n)}
+		if k := len(d.free); k > 0 {
+			rw, d.free = d.free[k-1], d.free[:k-1]
+		} else {
+			rw = &row{verts: make([]*types.Vertex, d.n), ordered: make([]bool, d.n), mark: make([]uint32, d.n)}
+		}
 		d.rounds[r] = rw
 	}
 	return rw
@@ -150,9 +155,6 @@ func (d *DAG) Len() int {
 // against the walk's generation), so a walk allocates no visited set.
 func (d *DAG) mark(pos types.Position) bool {
 	rw := d.row(pos.Round)
-	if rw.mark == nil {
-		rw.mark = make([]uint32, d.n)
-	}
 	if rw.mark[pos.Source] == d.gen {
 		return false
 	}
@@ -364,7 +366,14 @@ func (d *DAG) GC(r types.Round) {
 		return
 	}
 	for round := d.minRound; round < r; round++ {
-		delete(d.rounds, round)
+		if rw := d.rounds[round]; rw != nil {
+			clear(rw.verts)
+			clear(rw.ordered)
+			clear(rw.mark)
+			rw.count = 0
+			d.free = append(d.free, rw)
+			delete(d.rounds, round)
+		}
 	}
 	d.minRound = r
 }

@@ -22,6 +22,8 @@ const stateShards = 64
 
 // versioned is one key's entry. Shards hold pointers so that an overwrite
 // updates the entry without a map assignment, which would allocate the key.
+// Entries are carved from slabs (newEntry) and die only in del, which keeps
+// them for the next fresh key.
 type versioned struct {
 	val []byte
 	ver uint64 // sequence of the writing transaction (1-based)
@@ -34,6 +36,26 @@ type kvShard struct {
 
 type kvState struct {
 	shards [stateShards]kvShard
+
+	entryMu sync.Mutex
+	// slab is the unused tail of the newest entry slab: 255 entries, which
+	// with the allocator's header fill the 8 KiB size class exactly.
+	slab []versioned
+	free []*versioned // entries del retired
+}
+
+func (s *kvState) newEntry() (e *versioned) {
+	s.entryMu.Lock()
+	defer s.entryMu.Unlock()
+	if k := len(s.free); k > 0 {
+		e, s.free = s.free[k-1], s.free[:k-1]
+		return e
+	}
+	if len(s.slab) == 0 {
+		s.slab = make([]versioned, 255)
+	}
+	e, s.slab = &s.slab[0], s.slab[1:]
+	return e
 }
 
 func newKVState() *kvState {
@@ -78,14 +100,14 @@ func (s *kvState) get(key []byte) ([]byte, uint64) {
 
 // put copies val into the state stamped with ver, returning the version it
 // overwrote (0 for a fresh key). The key's old array is reused when the new
-// value fits and fills at least half of it; a fresh key costs its map key,
-// its entry and its value.
+// value fits and fills at least half of it; a fresh key costs its map key and
+// its value.
 func (s *kvState) put(key, val []byte, ver uint64) uint64 {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
 	e := sh.m[string(key)]
 	if e == nil {
-		e = &versioned{}
+		e = s.newEntry()
 		sh.m[string(key)] = e
 	}
 	prev := e.ver
@@ -108,6 +130,10 @@ func (s *kvState) del(key []byte) uint64 {
 	if e := sh.m[string(key)]; e != nil {
 		prev = e.ver
 		delete(sh.m, string(key))
+		*e = versioned{}
+		s.entryMu.Lock()
+		s.free = append(s.free, e)
+		s.entryMu.Unlock()
 	}
 	sh.mu.Unlock()
 	return prev

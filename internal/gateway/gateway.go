@@ -141,6 +141,27 @@ type gwConn struct {
 	mu     sync.Mutex
 	wbuf   []byte
 	closed bool
+	// reads holds the connection's idle read operations, of the readsMade it
+	// has made: at most maxConnReads, which bounds its reads — serving, or
+	// awaiting a late poll — and their goroutines in flight.
+	reads     []*readOp
+	readsMade int
+}
+
+const maxConnReads = 256
+
+// getReadOp hands out a read operation, or nil when maxConnReads are out.
+func (c *gwConn) getReadOp(g *Gateway) (op *readOp) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if k := len(c.reads); k > 0 {
+		op, c.reads = c.reads[k-1], c.reads[:k-1]
+	} else if c.readsMade < maxConnReads {
+		c.readsMade++
+		op = newReadOp(g.cfg.Read)
+		op.g, op.conn = g, c
+	}
+	return op
 }
 
 // send appends one frame for the writer. Returns false when the connection
@@ -362,11 +383,22 @@ func (g *Gateway) readLoop(gc *gwConn) {
 			g.handleSubmit(gc, msg)
 		case MsgRead:
 			g.mReads.Inc()
+			// Reads are admitted like submissions: the key bounded, the
+			// client's bucket charged, the connection's reads in flight capped.
+			var op *readOp
+			if len(msg.payload) <= g.cfg.MaxTx && g.admit.TryAdmit(msg.client, time.Now().UnixNano()) {
+				op = gc.getReadOp(g)
+			}
+			if op == nil {
+				gc.send(ServerEvent{Kind: MsgReadErr, Client: msg.client, Seq: msg.seq, Reason: ReadOverload})
+				continue
+			}
 			// Aggregation can block up to Read.Timeout; keep the reader
 			// loop (and this client's submissions) flowing meanwhile.
-			key := append([]byte(nil), msg.payload...)
+			op.client, op.seq, op.key = msg.client, msg.seq, append(op.key[:0], msg.payload...)
+			op.refs.Store(1)
 			g.wg.Add(1)
-			go g.handleRead(gc, msg.client, msg.seq, key)
+			go op.serve()
 		}
 	}
 }
@@ -405,20 +437,23 @@ func (g *Gateway) handleSubmit(gc *gwConn, msg clientMsg) {
 	gc.send(reply)
 }
 
-func (g *Gateway) handleRead(gc *gwConn, client, seq uint64, key []byte) {
+// handle serves the read op was started for, on its own goroutine. The
+// answer is in the connection's buffer before the operation is let go.
+func (op *readOp) handle() {
+	g := op.g
 	defer g.wg.Done()
+	defer op.unref()
 	start := time.Now()
-	res := aggregateRead(g.cfg.Read, key)
+	res := op.aggregate()
 	g.mReadLat.Observe(time.Since(start))
-	if res.errCode != 0 {
-		gc.send(ServerEvent{Kind: MsgReadErr, Client: client, Seq: seq, Reason: res.errCode})
-		return
+	ev := ServerEvent{Kind: MsgValue, Client: op.client, Seq: op.seq, Quorum: byte(res.quorum)}
+	switch {
+	case res.errCode != 0:
+		ev.Kind, ev.Reason = MsgReadErr, res.errCode
+	case res.found:
+		ev.Value = res.value
 	}
-	val := res.value
-	if !res.found {
-		val = nil
-	}
-	gc.send(ServerEvent{Kind: MsgValue, Client: client, Seq: seq, Quorum: byte(res.quorum), Value: val})
+	op.conn.send(ev)
 }
 
 func (g *Gateway) registerPending(tx []byte, sub pendingSub) {

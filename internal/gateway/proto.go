@@ -50,6 +50,7 @@ const (
 const (
 	ReadNoQuorum = 1 // responders disagree beyond f_c+1 matching
 	ReadTimeout  = 2 // not enough responders answered in time
+	ReadOverload = 3 // shed at admission: client over its rate, too many reads in flight, or an oversized key
 )
 
 // RejectReason renders a reject code for reports and logs.

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"sync/atomic"
 	"time"
 )
 
@@ -57,16 +58,72 @@ type readAnswer struct {
 	readResp
 }
 
-func askResponder(r StateReader, key []byte, from int, ch chan<- readAnswer) {
-	v, ver, ok := r.ReadKey(key)
-	ch <- readAnswer{from, readResp{value: v, version: ver, ok: ok}}
-}
-
 // repollEvery paces the re-polls of a read whose responders straddle a
 // commit: the laggards are at most an execution hand-off behind.
 const repollEvery = 2 * time.Millisecond
 
-// aggregateRead fans the key out to every responder and returns as soon as
+// readOp is one READ's working state, made once and recycled. Its aggregator
+// and every poll in flight hold a reference, and it goes back to its
+// connection when the last lets go: a quorum reached on two answers must not
+// hand the third responder's late answer to the next read.
+type readOp struct {
+	g           *Gateway // nil under a bare aggregateRead
+	conn        *gwConn
+	client, seq uint64
+	cfg         ReadConfig
+	key         []byte
+	ch          chan readAnswer // a responder has at most one call in flight, so sends never block
+	latest      []readResp      // each responder's most recent answer
+	answered    []bool
+	asks        []func() // asks[i] polls responder i
+	serve       func()   // op.handle
+	deadline    *time.Timer
+	refs        atomic.Int32
+}
+
+func newReadOp(cfg ReadConfig) *readOp {
+	n := len(cfg.Responders)
+	op := &readOp{cfg: cfg, ch: make(chan readAnswer, n), latest: make([]readResp, n),
+		answered: make([]bool, n), asks: make([]func(), n)}
+	for i := range op.asks {
+		op.asks[i] = func() {
+			v, ver, ok := cfg.Responders[i].ReadKey(op.key)
+			op.ch <- readAnswer{i, readResp{value: v, version: ver, ok: ok}}
+			op.unref()
+		}
+	}
+	op.serve = op.handle
+	return op
+}
+
+// unref drops one reference; the last one empties the operation, answers that
+// came after the quorum included, and recycles it.
+func (op *readOp) unref() {
+	if op.refs.Add(-1) != 0 {
+		return
+	}
+	for len(op.ch) > 0 {
+		<-op.ch
+	}
+	clear(op.latest)
+	clear(op.answered)
+	if c := op.conn; c != nil {
+		c.mu.Lock()
+		c.reads = append(c.reads, op)
+		c.mu.Unlock()
+	}
+}
+
+// aggregateRead is one read on an operation of its own.
+func aggregateRead(cfg ReadConfig, key []byte) readResult {
+	op := newReadOp(cfg)
+	op.key = key
+	op.refs.Store(1)
+	defer op.unref()
+	return op.aggregate()
+}
+
+// aggregate fans the key out to every responder and returns as soon as
 // f_c+1 of them agree on (found, version, value). Responders run on their own
 // goroutines so one slow replica cannot stall the read past Timeout.
 //
@@ -76,33 +133,40 @@ const repollEvery = 2 * time.Millisecond
 // expires (ReadNoQuorum). And "absent" is never the answer while any
 // responder reports the key present: the f_c+1 that have not executed the
 // write yet must not outvote the one that has.
-func aggregateRead(cfg ReadConfig, key []byte) readResult {
-	need, n := cfg.FaultBound+1, len(cfg.Responders)
-	if need > n {
+func (op *readOp) aggregate() readResult {
+	need, latest, answered := op.cfg.FaultBound+1, op.latest, op.answered
+	if need > len(latest) {
 		return readResult{errCode: ReadNoQuorum}
 	}
-	timeout := cfg.Timeout
+	timeout := op.cfg.Timeout
 	if timeout == 0 {
 		timeout = time.Second
 	}
-	// A responder has at most one call in flight, so sends never block.
-	ch := make(chan readAnswer, n)
-	latest := make([]readResp, n) // each responder's most recent answer
-	answered := make([]bool, n)
 	inflight := 0
 	poll := func(i int) {
 		inflight++
-		go askResponder(cfg.Responders[i], key, i, ch)
+		op.refs.Add(1)
+		go op.asks[i]()
 	}
-	for i := range cfg.Responders {
+	for i := range latest {
 		poll(i)
 	}
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
+	if op.deadline == nil {
+		op.deadline = time.NewTimer(timeout)
+	} else {
+		op.deadline.Reset(timeout)
+	}
+	expired := false
+	defer func() {
+		// go.mod says go 1.22: a timer that fired unread keeps its tick.
+		if !expired && !op.deadline.Stop() {
+			<-op.deadline.C
+		}
+	}()
 	var repoll <-chan time.Time // armed while every responder has answered without a quorum
 	for {
 		select {
-		case a := <-ch:
+		case a := <-op.ch:
 			inflight--
 			latest[a.from], answered[a.from] = a.readResp, true
 			if res, ok := readQuorum(latest, answered, need); ok {
@@ -128,7 +192,8 @@ func aggregateRead(cfg ReadConfig, key []byte) readResult {
 				// cannot change it.
 				return readResult{errCode: ReadNoQuorum}
 			}
-		case <-deadline.C:
+		case <-op.deadline.C:
+			expired = true
 			for _, ok := range answered {
 				if !ok {
 					return readResult{errCode: ReadTimeout}

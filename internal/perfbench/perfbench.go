@@ -3,7 +3,7 @@
 // normal (non-test) package so the same code runs two ways: as ordinary
 // `go test -bench` benchmarks via thin wrappers in the transport and store
 // test packages, and from cmd/bench via testing.Benchmark to emit the
-// BENCH_PRn.json artifact.
+// BENCH_BASELINE.json artifact.
 package perfbench
 
 import (
@@ -507,7 +507,7 @@ func Run(name string, fn func(b *testing.B)) Row {
 	return row
 }
 
-// Artifact is the micro-benchmark file (BENCH_PRn.json). Counters are
+// Artifact is the micro-benchmark file (BENCH_BASELINE.json). Counters are
 // properties of the code path — allocations, bytes, syscalls per message,
 // virtual-time rates — and are what CI gates on. WallClock is what this
 // machine's clock read while taking them: kept for the record, never gated,

@@ -383,40 +383,79 @@ func dispatchInbound(mb *mailbox, vs *verifyStage, vc *verifyCounters, from type
 // ---------------------------------------------------------------------------
 // RealClock: wall-clock time with callbacks serialized through a mailbox.
 
-// realClock implements Clock over the wall clock for one endpoint.
+// realClock implements Clock over the wall clock for one endpoint. Its timers
+// are recycled: a timer object, its time.Timer and its callbacks are made
+// once, and what an arm allocates is its handle.
 type realClock struct {
 	epoch time.Time
 	mb    *mailbox
+
+	mu   sync.Mutex   // guards idle and every timer's gen and fn
+	idle []*realTimer // fired or stopped, for After to re-arm
 }
 
 func (c *realClock) Now() time.Duration { return time.Since(c.epoch) }
 
 func (c *realClock) After(d time.Duration, fn func()) Timer {
-	rt := &realTimer{}
-	rt.t = time.AfterFunc(d, func() {
-		rt.mu.Lock()
-		stopped := rt.stopped
-		rt.mu.Unlock()
-		if !stopped {
-			c.mb.push(task{fn: fn})
-		}
-	})
-	return rt
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var t *realTimer
+	if k := len(c.idle); k > 0 {
+		t, c.idle = c.idle[k-1], c.idle[:k-1]
+		t.t.Reset(d)
+	} else {
+		t = &realTimer{c: c}
+		run := t.run
+		t.t = time.AfterFunc(d, func() { c.mb.push(task{fn: run}) })
+	}
+	t.gen++
+	t.fn = fn
+	return &timerArm{t, t.gen}
 }
 
 func (c *realClock) Charge(time.Duration) {}
 
+// realTimer is one recycled timer. gen counts its arms and their ends (Stop,
+// or the callback taken to run), so a stale handle (timerArm) matches nothing.
 type realTimer struct {
-	mu      sync.Mutex
-	t       *time.Timer
-	stopped bool
+	c   *realClock
+	t   *time.Timer
+	gen uint64
+	fn  func() // the armed callback; nil once stopped or taken
 }
 
-func (t *realTimer) Stop() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.stopped = true
-	return t.t.Stop()
+type timerArm struct {
+	t   *realTimer
+	gen uint64
+}
+
+// run is the expired timer's mailbox task: Stop works until it begins.
+func (t *realTimer) run() {
+	c := t.c
+	c.mu.Lock()
+	fn := t.fn
+	t.fn = nil
+	t.gen++
+	c.idle = append(c.idle, t)
+	c.mu.Unlock()
+	if fn != nil {
+		fn()
+	}
+}
+
+func (a *timerArm) Stop() bool {
+	t, c := a.t, a.t.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t.gen != a.gen {
+		return false // fired, stopped or re-armed since
+	}
+	t.gen++
+	t.fn = nil
+	if t.t.Stop() {
+		c.idle = append(c.idle, t)
+	} // else run is queued, or about to be, and does it
+	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -507,16 +546,17 @@ func (e *chanEndpoint) sendSized(to types.NodeID, m types.Message, size uint64) 
 	e.msgsSent.Add(1)
 	e.bytesSent.Add(size)
 	dst := e.net.eps[to]
-	deliver := func() {
-		dst.msgsRecv.Add(1)
-		dst.bytesRecv.Add(size)
-		dispatchInbound(dst.mb, dst.verify.Load(), &dst.vc, e.id, m)
-	}
 	if e.net.latency > 0 {
-		time.AfterFunc(e.net.latency, deliver)
-	} else {
-		deliver()
+		time.AfterFunc(e.net.latency, func() { dst.receive(e.id, m, size) })
+		return
 	}
+	dst.receive(e.id, m, size) // no closure: an undelayed send allocates nothing
+}
+
+func (e *chanEndpoint) receive(from types.NodeID, m types.Message, size uint64) {
+	e.msgsRecv.Add(1)
+	e.bytesRecv.Add(size)
+	dispatchInbound(e.mb, e.verify.Load(), &e.vc, from, m)
 }
 
 func (e *chanEndpoint) Multicast(tos []types.NodeID, m types.Message) {
