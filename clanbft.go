@@ -153,11 +153,12 @@ type Options struct {
 	LeaderReputation bool
 	// ReputationWindow is the demotion length in rounds (default 64).
 	ReputationWindow types.Round
-	// AnchorWait caps how long a node holds its next proposal for the
-	// round's remaining anchors once the quorum (incl. the primary) is
-	// delivered, so that every anchor collects every vote. The hold ends
-	// as soon as they are all in. Zero means 5 ms; negative turns the
-	// hold off.
+	// AnchorWait caps the two holds that wait out a round's stragglers: a
+	// node keeps its echoes for a round until the round's last expected VAL
+	// is in, so that they leave as one frame, and its next proposal until
+	// the round's remaining anchors deliver, so that every anchor collects
+	// every vote. Each hold ends as soon as what it waits for is in. Zero
+	// means 5 ms; negative turns both holds off.
 	AnchorWait time.Duration
 }
 

@@ -97,16 +97,23 @@ func runLatency(seed int64, quick bool) error {
 	if rc.ReputationOffenses == 0 {
 		return fmt.Errorf("latency: no committed offense evidence; the schedule never engaged")
 	}
+	// Two claims need the full window; -quick prints them ungated. In 5 s the
+	// compressed schedule has less time to pull ahead (+14 %), and PR 22's
+	// crash+recover p95 already read 0.9–3.2 % above static on 8 of seeds 1–10.
 	gain := float64(len(rc.Order))/float64(len(rs.Order)) - 1
-	fmt.Printf("  vertices ordered under crash: static %d, compressed %d: +%.0f%% (claim: >= +25%%)\n",
-		len(rs.Order), len(rc.Order), gain*100)
+	gated := ""
+	if quick {
+		gated = ", gated at full length only"
+	}
+	fmt.Printf("  vertices ordered under crash: static %d, compressed %d: +%.0f%% (claim: >= +25%%%s)\n",
+		len(rs.Order), len(rc.Order), gain*100, gated)
 	fmt.Printf("  commit p95 under crash: static %v, compressed %v (claim: compressed lower)\n",
 		rs.CommitP95.Round(time.Millisecond), rc.CommitP95.Round(time.Millisecond))
 	fmt.Printf("  clean-run commits: static %d, compressed %d (claim: parity within 10%%)\n",
 		len(cs.Order), len(cc.Order))
-	fmt.Printf("  crash+recover p95: static %v, compressed %v (claim: compressed not higher)\n\n",
-		vs.CommitP95.Round(time.Millisecond), vc.CommitP95.Round(time.Millisecond))
-	if gain < 0.25 {
+	fmt.Printf("  crash+recover p95: static %v, compressed %v (claim: compressed not higher%s)\n\n",
+		vs.CommitP95.Round(time.Millisecond), vc.CommitP95.Round(time.Millisecond), gated)
+	if gain < 0.25 && !quick {
 		return fmt.Errorf("latency: compressed ordered %d vertices vs static %d — +%.0f%% < +25%%",
 			len(rc.Order), len(rs.Order), gain*100)
 	}
@@ -117,7 +124,7 @@ func runLatency(seed int64, quick bool) error {
 		return fmt.Errorf("latency: clean-run commit parity broken — compressed %d vs static %d (floor %.0f)",
 			len(cc.Order), len(cs.Order), lo)
 	}
-	if vc.CommitP95 > vs.CommitP95 {
+	if vc.CommitP95 > vs.CommitP95 && !quick {
 		return fmt.Errorf("latency: crash+recover compressed p95 %v above static %v",
 			vc.CommitP95, vs.CommitP95)
 	}

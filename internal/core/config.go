@@ -219,13 +219,16 @@ type Config struct {
 	LeaderReputation bool
 	// ReputationWindow is the demotion length in rounds (default 64).
 	ReputationWindow types.Round
-	// AnchorWait bounds the extra time tryAdvance holds the next proposal
-	// for the round's remaining anchors after the 2f+1 quorum (including
-	// the primary) is already in, so that they too collect a vote from
-	// every proposer. The hold ends as soon as they have all delivered;
-	// members that delivered nothing the round before are not waited for.
-	// Zero means the default cap of 5 ms; negative disables the hold
-	// (advance on quorum+primary).
+	// AnchorWait caps the two holds that wait out a round's stragglers;
+	// members that delivered nothing the round before are waited for by
+	// neither. The echo hold keeps this party's echoes for its frontier
+	// round queued until the round's last expected VAL is in, so that they
+	// leave as one frame; the anchor hold keeps the next proposal back, once
+	// the 2f+1 quorum (including the primary) is in, for the round's
+	// remaining anchors, so that they too collect a vote from every proposer.
+	// Each ends as soon as what it waits for is in. Zero means the default
+	// of 5 ms; negative disables both (echoes leave at every drain end, the
+	// round advances on quorum+primary).
 	AnchorWait time.Duration
 
 	// RoundTimeout bounds the wait for a round's leader vertex
@@ -396,11 +399,11 @@ type Node struct {
 	started        bool
 	stopped        bool // Stop called: ignore handlers and late timer fires
 	roundTimer     transport.Timer
-	// roundFired and anchorFired are the two timers' callbacks, bound once;
-	// valTo is sendVal's recipient scratch.
-	roundFired, anchorFired func()
-	valTo                   []types.NodeID
-	timedOutRound           map[types.Round]bool
+	// roundFired, anchorFired and echoFired are the three timers' callbacks,
+	// bound once; valTo is sendVal's recipient scratch.
+	roundFired, anchorFired, echoFired func()
+	valTo                              []types.NodeID
+	timedOutRound                      map[types.Round]bool
 
 	// Timeout/no-vote certificate assembly.
 	timeoutAggs map[types.Round]*crypto.Aggregator
@@ -421,6 +424,10 @@ type Node struct {
 	anchorTimerRound types.Round
 	anchorHolding    bool
 	anchorHeldAt     time.Duration
+	// echoTimer bounds the running echo hold (stage_rbc.go), which began at
+	// echoHeldAt.
+	echoTimer  transport.Timer
+	echoHeldAt time.Duration
 
 	// wb is the reusable write batch for store persistence. Writes go
 	// through Batch.PutOwned with freshly marshaled buffers (ownership
@@ -442,6 +449,7 @@ type Node struct {
 	mCommitLat    *metrics.Histogram
 	mAnchorGap    *metrics.Histogram
 	mAnchorHold   *metrics.Histogram
+	mEchoHold     *metrics.Histogram
 	mSlotsDirect  *metrics.Counter
 	mSlotsIndir   *metrics.Counter
 	mSlotsSkipped *metrics.Counter
@@ -527,7 +535,7 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 		nvcs:          map[types.Round]*types.NoVoteCert{},
 	}
 	n.rep.offenseSeen = map[types.Round]bool{}
-	n.roundFired, n.anchorFired = n.roundTimerFired, n.anchorTimerFired
+	n.roundFired, n.anchorFired, n.echoFired = n.roundTimerFired, n.anchorTimerFired, n.echoTimerFired
 	n.vcosts = cfg.Costs
 	if cfg.VerifyCores > 1 {
 		n.vcosts = cfg.Costs.Parallel(cfg.VerifyCores)
@@ -565,6 +573,7 @@ func (n *Node) initMetrics() {
 	n.mRBCLat = reg.Histogram(types.StageRBC.Metric("latency"))
 	n.mBlocksEvicted = reg.Counter(types.StageRBC.Metric("blocks_evicted"))
 	n.mBlocksExpired = reg.Counter(types.StageRBC.Metric("blocks_expired"))
+	n.mEchoHold = reg.Histogram(types.StageRBC.Metric("echo_hold"))
 	reg.Gauge(types.StageRBC.Metric("blocks_cached"))
 	reg.Gauge(types.StageRBC.Metric("block_bytes_cached"))
 	n.mOrderCommits = reg.Counter(types.StageOrder.Metric("commits"))

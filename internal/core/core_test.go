@@ -62,6 +62,7 @@ type topt struct {
 	anchor  time.Duration  // AnchorWait (pipelined-anchor pause cap)
 	fnet    *faults.Net    // wraps every endpoint (fault rules, message tap)
 	store   bool           // every node persists to its own in-memory store
+	gcDepth int            // GCDepth (0: the default)
 }
 
 func newTCluster(t *testing.T, n int, o topt) *tcluster {
@@ -118,6 +119,7 @@ func newTCluster(t *testing.T, n int, o topt) *tcluster {
 			LeaderReputation: o.rep,
 			ReputationWindow: o.repWin,
 			AnchorWait:       o.anchor,
+			GCDepth:          o.gcDepth,
 			Deliver: func(cv CommittedVertex) {
 				c.orders[i] = append(c.orders[i], cv)
 			},

@@ -173,7 +173,10 @@ type drainNode struct {
 	heard [][]types.Message // per peer, in arrival order
 }
 
-func newDrainNode(t *testing.T, n int) *drainNode {
+func newDrainNode(t *testing.T, n int) *drainNode { return newDrainNodeWait(t, n, -1) }
+
+// newDrainNodeWait is newDrainNode with the given AnchorWait.
+func newDrainNodeWait(t *testing.T, n int, wait time.Duration) *drainNode {
 	d := &drainNode{t: t, net: transport.NewChanNet(n, 0), keys: crypto.GenerateKeys(n, 9), heard: make([][]types.Message, n)}
 	t.Cleanup(d.net.Close)
 	d.reg = crypto.NewRegistry(d.keys, true)
@@ -186,7 +189,7 @@ func newDrainNode(t *testing.T, n int) *drainNode {
 		})
 	}
 	d.clk = &signClock{Clock: d.net.Clock(0)}
-	d.node = New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &d.keys[0], Reg: d.reg, AnchorWait: -1,
+	d.node = New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &d.keys[0], Reg: d.reg, AnchorWait: wait,
 		RoundTimeout: time.Hour, Costs: crypto.Costs{EdSign: signCost}}, d.net.Endpoint(0), d.clk)
 	d.node.Start()
 	t.Cleanup(d.node.Stop)

@@ -117,6 +117,7 @@ func (n *Node) Stop() {
 		n.roundTimer = nil
 	}
 	n.stopAnchorTimer()
+	n.flushEchoes() // stopped: ends the echo hold, sends nothing
 	for _, row := range n.rbc.insts {
 		for i := range row.at {
 			row.at[i].stopPulls()
@@ -131,10 +132,11 @@ func (n *Node) Stop() {
 }
 
 // endDrain is the endpoint's drain hook (transport.DrainNotifier): the handler
-// is about to idle, so what the drain queued leaves now.
+// is about to idle, so what the drain queued leaves now, unless the echo hold
+// keeps it for the round's last VALs.
 func (n *Node) endDrain() {
 	n.mu.Lock()
-	n.flushEchoes()
+	n.drainEchoes()
 	n.mu.Unlock()
 }
 
@@ -147,7 +149,7 @@ func (n *Node) handle(from types.NodeID, m types.Message) {
 	n.mu.Lock()
 	defer func() {
 		if !n.drainHook {
-			n.flushEchoes()
+			n.drainEchoes()
 		}
 		n.mu.Unlock()
 		n.mIntakeMsgs.Inc()

@@ -19,61 +19,37 @@ import (
 // that keep the implicit echo from being counted twice.
 
 // TestRBCMessageComplexity pins the wire cost of one fault-free round: every
-// node sends n-1 VAL frames (its own vertex), (n-1)^2 echo entries (one per
-// foreign position, to everyone else — never for its own) in at most that
-// many ECHO frames, no certificate and nothing else. Uniform latency without
+// node sends n-1 VAL frames (its own vertex) and (n-1)^2 echo entries (one per
+// foreign position, to everyone else — never for its own) in n-1 ECHO frames,
+// one to each peer, and no certificate and nothing else. Round 0 has no echo
+// hold, so its entries may take up to one frame each. Uniform latency without
 // jitter makes every echo reach every assembler before the child proposal
 // that needs it, so no pull is ever sent.
 func TestRBCMessageComplexity(t *testing.T) {
 	for _, n := range []int{4, 7} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			type key struct {
-				from  types.NodeID
-				round types.Round
-			}
-			// An ECHO frame counts toward every round it has an entry of.
-			vals, entries, frames := map[key]int{}, map[key]int{}, map[key]int{}
-			inFrame := map[types.Round]bool{}
-			other := map[types.MsgKind]int{}
 			fnet := faults.NewNet(n, 1, nil)
-			fnet.SetTap(func(from, to types.NodeID, m types.Message) {
-				switch msg := m.(type) {
-				case *types.ValMsg:
-					vals[key{from, msg.Vertex.Round}]++
-				case *types.EchoMsg:
-					clear(inFrame)
-					for _, e := range msg.Entries {
-						entries[key{from, e.Pos.Round}]++
-						if !inFrame[e.Pos.Round] {
-							inFrame[e.Pos.Round] = true
-							frames[key{from, e.Pos.Round}]++
-						}
-					}
-				default:
-					other[m.Kind()]++
-				}
-			})
+			tp := newEchoTap(fnet)
 			c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, fnet: fnet})
 			c.net.Run(3 * time.Second)
-			if len(other) != 0 {
-				t.Fatalf("fault-free run sent messages outside VAL/ECHO: %v", other)
+			if len(tp.other) != 0 {
+				t.Fatalf("fault-free run sent messages outside VAL/ECHO: %v", tp.other)
 			}
-			last := c.nodes[0].Round()
-			for _, nd := range c.nodes {
-				if r := nd.Round(); r < last {
-					last = r
-				}
-			}
+			last := c.minRound()
 			if last < 12 {
 				t.Fatalf("only %d rounds in 3 s", last)
 			}
 			// Rounds every node has left behind are complete on the wire.
-			for r := types.Round(0); r+2 < last; r++ {
+			for r := 0; r+2 < int(last); r++ {
 				for i := 0; i < n; i++ {
-					k := key{types.NodeID(i), r}
-					if vals[k] != n-1 || entries[k] != (n-1)*(n-1) || frames[k] > entries[k] || frames[k] == 0 {
-						t.Fatalf("round %d node %d sent %d VAL + %d echo entries in %d frames, want %d + %d in at most as many",
-							r, i, vals[k], entries[k], frames[k], n-1, (n-1)*(n-1))
+					k := [2]int{i, r}
+					frames := tp.frames[k] == n-1
+					if r == 0 {
+						frames = tp.frames[k] >= n-1 && tp.frames[k] <= (n-1)*(n-1)
+					}
+					if tp.vals[k] != n-1 || tp.entries[k] != (n-1)*(n-1) || !frames {
+						t.Fatalf("round %d node %d sent %d VAL + %d echo entries in %d frames, want %d + %d in %d",
+							r, i, tp.vals[k], tp.entries[k], tp.frames[k], n-1, (n-1)*(n-1), n-1)
 					}
 				}
 			}

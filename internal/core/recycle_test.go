@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+	"time"
 
 	"clanbft/internal/crypto"
+	"clanbft/internal/faults"
 	"clanbft/internal/store"
 	"clanbft/internal/types"
 )
@@ -222,4 +225,78 @@ func TestPendingInsertCounts(t *testing.T) {
 		t.Fatalf("after the horizon passed its last missing parent: child in DAG %v, %d buffered, %d awaited",
 			node.dag.Has(child.Pos()), len(node.ord.pendingInsert), len(node.ord.waitingChild))
 	}
+}
+
+// TestHorizonReleasesBufferedVertex reaches gc's insertion of a buffered
+// vertex on the simulator. Node 2's round-11 vertex P is late everywhere
+// (375 ms), so the round-16 proposals of nodes 1-3 reference it by weak edge,
+// and node 0 never gets it: every frame that carries P toward node 0 is
+// dropped. Node 0 buffers those round-16 vertices for P until its horizon,
+// four rounds behind its last commit, passes round 11 — which the commit of
+// its own round-16 vertex, round 16's primary slot, does. The commit of the
+// buffered vertices must follow within two rounds, in the order everyone else
+// emits, and without P, which the horizon released everywhere at that point.
+func TestHorizonReleasesBufferedVertex(t *testing.T) {
+	const n, gcDepth, x = 4, 4, types.NodeID(0)
+	late := types.Position{Round: 11, Source: 2}
+	aboutLate := func(m types.Message) bool {
+		switch msg := m.(type) {
+		case *types.ValMsg:
+			return msg.Vertex.Pos() == late
+		case *types.EchoMsg:
+			return slices.ContainsFunc(msg.Entries, func(e types.EchoEntry) bool { return e.Pos == late })
+		case *types.VtxRspMsg:
+			return msg.Vertex.Pos() == late
+		}
+		return false
+	}
+	fnet := faults.NewNet(n, 1, nil)
+	for id := types.NodeID(1); id < n; id++ {
+		fnet.Apply(0, faults.Event{Kind: faults.KindDrop, From: id, To: x, P: 1, Match: aboutLate})
+		if id != late.Source {
+			fnet.Apply(0, faults.Event{Kind: faults.KindDelay, From: late.Source, To: id, Delay: 375 * time.Millisecond,
+				Match: func(m types.Message) bool { v, ok := m.(*types.ValMsg); return ok && v.Vertex.Pos() == late }})
+		}
+	}
+	refs := map[types.Position]bool{} // vertices with a weak edge to P
+	fnet.SetTap(func(from, to types.NodeID, m types.Message) {
+		if v, ok := m.(*types.ValMsg); ok && to == x &&
+			slices.ContainsFunc(v.Vertex.WeakEdges, func(e types.VertexRef) bool { return e.Pos() == late }) {
+			refs[v.Vertex.Pos()] = true
+		}
+	})
+	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, fnet: fnet, gcDepth: gcDepth})
+	nd := c.nodes[x]
+	var buffered, swept, emitted types.Round
+	for c.net.Now() < 4*time.Second {
+		c.net.Run(time.Millisecond)
+		for pos := range refs {
+			if _, ok := nd.ord.pendingInsert[pos]; ok && buffered == 0 {
+				buffered = nd.round
+			}
+			if nd.dag.Has(pos) && swept == 0 {
+				swept = nd.round
+				if buffered == 0 || nd.dag.MinRound() <= late.Round || nd.dag.Has(late) {
+					t.Fatalf("%v entered node 0's DAG at round %d (buffered at %d, horizon %d), want it released by the horizon passing %v",
+						pos, swept, buffered, nd.dag.MinRound(), late)
+				}
+			}
+		}
+		if emitted == 0 && slices.ContainsFunc(c.orders[x], func(cv CommittedVertex) bool { return refs[cv.Vertex.Pos()] }) {
+			emitted = nd.round
+		}
+	}
+	if len(refs) == 0 || swept == 0 || emitted == 0 || emitted > swept+2 {
+		t.Fatalf("weak edges to %v from %v; node 0 buffered one at round %d, the horizon released it at %d, its commit was emitted at %d",
+			late, refs, buffered, swept, emitted)
+	}
+	for i := range c.nodes {
+		if slices.ContainsFunc(c.orders[i], func(cv CommittedVertex) bool { return cv.Vertex.Pos() == late }) {
+			t.Fatalf("node %d ordered %v, which the horizon had released", i, late)
+		}
+		if len(c.orders[i]) != len(c.orders[x]) {
+			t.Fatalf("node %d ordered %d vertices, node 0 %d", i, len(c.orders[i]), len(c.orders[x]))
+		}
+	}
+	c.checkConsistentOrder(nil)
 }

@@ -523,10 +523,11 @@ func (n *Node) maybeEcho(pos types.Position, in *vinst) {
 const echoBlockMin = 64
 
 // queueEcho queues this party's ECHO for digest d at pos. It leaves with the
-// rest of the queue in one signed frame when the mailbox drain that produced
-// it ends (endDrain; without a drain hook, when the handler returns), ahead of
-// any other frame this party sends (send, multicast, broadcast), and at once
-// when the queue holds N entries — the most a receiver accepts in one frame.
+// rest of the queue in one signed frame when a mailbox drain ends (endDrain;
+// without a drain hook, when the handler returns) and the echo hold does not
+// keep it (drainEchoes), ahead of any other frame this party sends (send,
+// multicast, broadcast), and at once when the queue holds N entries — the
+// most a receiver accepts in one frame.
 func (n *Node) queueEcho(pos types.Position, d types.Hash) {
 	q := n.rbc.echoQ
 	if len(q) == cap(q) {
@@ -539,8 +540,62 @@ func (n *Node) queueEcho(pos types.Position, d types.Hash) {
 	}
 }
 
-// flushEchoes signs the queued echoes once and broadcasts them as one frame.
+// drainEchoes ends a drain: the queue leaves unless the echo hold keeps it
+// (echoHeld), AnchorWait at the longest.
+func (n *Node) drainEchoes() {
+	switch {
+	case !n.echoHeld(n.round):
+		n.flushEchoes()
+	case n.echoTimer == nil:
+		n.echoHeldAt = n.clk.Now()
+		n.echoTimer = n.clk.After(n.cfg.AnchorWait, n.echoFired)
+	}
+}
+
+// echoHeld reports whether the queue may wait past a drain end: every entry
+// is for the frontier round r ≥ 1 (catch-up is never held), and the round-r
+// VAL of a member allAnchorsIn would wait for — one whose round r−1 vertex
+// delivered here — has not been processed yet. The round cannot advance
+// before its anchors deliver, so an echo sent ahead of the round's last VAL
+// only costs a frame, a signature and n−1 verifications.
+func (n *Node) echoHeld(r types.Round) bool {
+	if len(n.rbc.echoQ) == 0 || r == 0 || n.cfg.AnchorWait < 0 {
+		return false
+	}
+	for _, e := range n.rbc.echoQ {
+		if e.Pos.Round != r {
+			return false
+		}
+	}
+	cur, prev := n.rbc.insts[r], n.rbc.insts[r-1]
+	for _, src := range n.epochOf(r).members {
+		if p := prev.get(src); src != n.cfg.Self && p != nil && p.delivered {
+			if v := cur.get(src); v == nil || !v.valFrom {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// echoTimerFired is the echo timer's one callback (n.echoFired): the hold is
+// over, and the queue leaves.
+func (n *Node) echoTimerFired() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.stopped && n.echoTimer != nil {
+		n.flushEchoes()
+	}
+}
+
+// flushEchoes ends the echo hold, if one runs, then signs the queued echoes
+// once and broadcasts them as one frame.
 func (n *Node) flushEchoes() {
+	if n.echoTimer != nil {
+		n.echoTimer.Stop()
+		n.echoTimer = nil
+		n.mEchoHold.Observe(n.clk.Now() - n.echoHeldAt)
+	}
 	q := n.rbc.echoQ
 	if len(q) == 0 {
 		return

@@ -75,8 +75,8 @@ type Options struct {
 	// The property checks are unchanged — safety and liveness must hold
 	// with the mutable schedule under the same fault mixes.
 	LeaderReputation bool
-	// AnchorWait caps the pipelined-anchor hold (0 = core's 5 ms default,
-	// negative = off).
+	// AnchorWait caps the echo and anchor holds (0 = core's 5 ms default,
+	// negative = both off).
 	AnchorWait time.Duration
 	// GCDepth overrides how many rounds behind the commit frontier each
 	// node retains (core's default when zero). Scenarios that keep nodes

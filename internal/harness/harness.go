@@ -105,8 +105,8 @@ type Config struct {
 	LeaderReputation bool
 	// ReputationWindow overrides the demotion window (default 64 rounds).
 	ReputationWindow types.Round
-	// AnchorWait caps the pipelined-anchor hold (core.Config.AnchorWait):
-	// zero is the 5 ms default, negative turns it off.
+	// AnchorWait caps the echo and anchor holds (core.Config.AnchorWait):
+	// zero is the 5 ms default, negative turns both off.
 	AnchorWait time.Duration
 
 	// Faults, when non-nil, wraps every endpoint in the deterministic

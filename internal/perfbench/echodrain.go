@@ -13,21 +13,27 @@ import (
 
 // drainEndpoint is an endpoint a benchmark drives by hand: it keeps the
 // node's handler and drain hook for the benchmark to call, and records the
-// ECHO frames the node broadcasts.
+// node's ECHO frames and proposals.
 type drainEndpoint struct {
 	self    types.NodeID
 	handler transport.Handler
 	drained func()
 	echoes  []*types.EchoMsg
+	vals    []*types.ValMsg
 }
 
-func (e *drainEndpoint) Self() types.NodeID                      { return e.self }
-func (e *drainEndpoint) Send(types.NodeID, types.Message)        {}
-func (e *drainEndpoint) Multicast([]types.NodeID, types.Message) {}
-func (e *drainEndpoint) SetHandler(h transport.Handler)          { e.handler = h }
-func (e *drainEndpoint) SetDrainHook(fn func()) bool             { e.drained = fn; return true }
-func (e *drainEndpoint) Stats() transport.Stats                  { return transport.Stats{} }
-func (e *drainEndpoint) Close() error                            { return nil }
+func (e *drainEndpoint) Self() types.NodeID               { return e.self }
+func (e *drainEndpoint) Send(types.NodeID, types.Message) {}
+func (e *drainEndpoint) SetHandler(h transport.Handler)   { e.handler = h }
+func (e *drainEndpoint) SetDrainHook(fn func()) bool      { e.drained = fn; return true }
+func (e *drainEndpoint) Stats() transport.Stats           { return transport.Stats{} }
+func (e *drainEndpoint) Close() error                     { return nil }
+
+func (e *drainEndpoint) Multicast(_ []types.NodeID, m types.Message) {
+	if v, ok := m.(*types.ValMsg); ok {
+		e.vals = append(e.vals, v)
+	}
+}
 
 func (e *drainEndpoint) Broadcast(m types.Message) {
 	if f, ok := m.(*types.EchoMsg); ok {
@@ -57,11 +63,15 @@ func (c *stillClock) Charge(d time.Duration) {
 // EchoDrain counts what one round's VALs cost a node in echoes, by how many
 // mailbox drains they reach it in. One op hands the n-1 round-0 VALs of an
 // n-party tribe to three fresh nodes — in one drain, in two, and one VAL per
-// drain — and hands every ECHO frame a node broadcasts to a receiver's
-// pre-verifier. Frames sent, signatures made and verify jobs at a receiver
-// all equal the number of drains, not the number of positions; the counts
-// are deterministic, and allocs/op covers all three nodes' handling (their
-// construction and the VALs' signatures are outside the timer).
+// drain — and the n-1 round-1 VALs, one per drain, to a node whose round 0
+// is complete; it hands every ECHO frame a node broadcasts to a receiver's
+// pre-verifier. Round 0 is never held, so there frames sent, signatures made
+// and verify jobs at a receiver all equal the number of drains, not the
+// number of positions; at round 1, the node's frontier, the echo hold keeps
+// the queue until the round's last VAL, and each costs one. The counts are
+// deterministic, and allocs/op covers all four nodes' handling (their
+// construction, the VALs' signatures and the round 0 that brings the fourth
+// node to round 1 are outside the timer).
 func EchoDrain(b *testing.B, n int) {
 	keys := crypto.GenerateKeys(n, 3)
 	reg := crypto.NewRegistry(keys, true)
@@ -74,25 +84,62 @@ func EchoDrain(b *testing.B, n int) {
 	node := func(self types.NodeID) (*core.Node, *drainEndpoint, *stillClock) {
 		ep, clk := &drainEndpoint{self: self}, &stillClock{}
 		nd := core.New(core.Config{Self: self, N: n, Mode: core.ModeBaseline, Key: &keys[self], Reg: reg,
-			AnchorWait: -1, Costs: crypto.Costs{EdSign: echoDrainSign}}, ep, clk)
+			Costs: crypto.Costs{EdSign: echoDrainSign}}, ep, clk)
 		nd.Start()
 		clk.signs = 0 // the round-0 proposal's
 		return nd, ep, clk
 	}
-	splits := []int{1, 2, n - 1}
+	// atRound1 runs round 0 of n nodes — every VAL to everyone in one drain,
+	// then every ECHO frame to everyone else in another — and returns node 0,
+	// at round 1, and the others' round-1 VALs.
+	atRound1 := func() (*drainEndpoint, *stillClock, []*types.ValMsg) {
+		eps, clks := make([]*drainEndpoint, n), make([]*stillClock, n)
+		for i := range eps {
+			_, eps[i], clks[i] = node(types.NodeID(i))
+		}
+		for _, to := range eps {
+			for j, from := range eps {
+				to.handler(types.NodeID(j), from.vals[0])
+			}
+			to.drained()
+		}
+		for i, to := range eps {
+			for j, from := range eps {
+				if i != j {
+					to.handler(types.NodeID(j), from.echoes[0])
+				}
+			}
+			to.drained()
+		}
+		next := make([]*types.ValMsg, 0, n)
+		for i, ep := range eps {
+			if len(ep.vals) != 2 {
+				b.Fatalf("node %d proposed %d rounds, want 2", i, len(ep.vals))
+			}
+			next = append(next, ep.vals[1])
+		}
+		eps[0].handler(0, next[0])
+		eps[0].echoes, clks[0].signs = nil, 0
+		return eps[0], clks[0], next[1:]
+	}
 	counts := map[string]float64{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, drains := range splits {
+		for _, drains := range []int{1, 2, n - 1, -(n - 1)} { // negative: at round 1
 			b.StopTimer()
+			key, in := fmt.Sprintf("drains=%d", drains), vals
 			_, ep, clk := node(0)
+			if drains < 0 {
+				drains, key = -drains, fmt.Sprintf("drains=%d,round=1", -drains)
+				ep, clk, in = atRound1()
+			}
 			receiver, _, _ := node(types.NodeID(n - 1))
 			verify, jobs := receiver.Verifier(), 0
 			b.StartTimer()
-			for k, val := range vals {
+			for k, val := range in {
 				ep.handler(val.Vertex.Source, val)
-				if (k+1)*drains/len(vals) > k*drains/len(vals) {
+				if (k+1)*drains/len(in) > k*drains/len(in) {
 					ep.drained() // the drain ends after this VAL
 				}
 			}
@@ -103,12 +150,12 @@ func EchoDrain(b *testing.B, n int) {
 					b.Fatal("receiver rejected an ECHO frame")
 				}
 			}
-			if entries != len(vals) {
-				b.Fatalf("%d VALs in %d drains produced %d echo entries", len(vals), drains, entries)
+			if entries != len(in) {
+				b.Fatalf("%d VALs (%s) produced %d echo entries", len(in), key, entries)
 			}
-			counts[fmt.Sprintf("frames/drains=%d", drains)] = float64(len(ep.echoes))
-			counts[fmt.Sprintf("signs/drains=%d", drains)] = float64(clk.signs)
-			counts[fmt.Sprintf("verify_jobs/drains=%d", drains)] = float64(jobs)
+			counts["frames/"+key] = float64(len(ep.echoes))
+			counts["signs/"+key] = float64(clk.signs)
+			counts["verify_jobs/"+key] = float64(jobs)
 		}
 	}
 	for k, v := range counts {

@@ -575,7 +575,8 @@ func Split(rows []Row) Artifact {
 // (TxPath/*: allocs/op must stay at zero, or at one per transaction through
 // the gateway), and what one round's VALs cost in ECHO frames, signatures and
 // verify jobs by the number of mailbox drains they arrive in (EchoDrain:
-// each must stay equal to the number of drains).
+// each must stay equal to the number of drains at round 0, and at one for a
+// frontier round's VALs in n-1 drains).
 func Suite(verbose io.Writer) []Row {
 	rows := []Row{
 		Run("MulticastEncodeOnce/peers=4/payload=1MiB", func(b *testing.B) { MulticastEncodeOnce(b, 4, 1<<20) }),
