@@ -192,6 +192,50 @@ func TestImplicitEchoUnderEquivocation(t *testing.T) {
 	}
 }
 
+// TestPulledCertRules: a pulled vertex is accepted only against a
+// certificate with 2f+1 member signers, at least f_c+1 of them from the
+// proposer's clan, whose aggregate verifies for the vertex's digest. A pull
+// reply carrying any other certificate creates no instance and inserts
+// nothing; the same reply with a valid one inserts the vertex.
+func TestPulledCertRules(t *testing.T) {
+	// f = 2, so a certificate needs 5 signers; f_c = 1, so 2 of them from
+	// the clan.
+	const n = 7
+	clan := []types.NodeID{0, 1, 2}
+	keys := crypto.GenerateKeys(n, 5)
+	reg := crypto.NewRegistry(keys, true)
+	v := &types.Vertex{Round: 0, Source: 1, BlockDigest: types.HashBytes([]byte("block")), CreatedAt: 1}
+	pos, d := v.Pos(), v.DigestCached()
+	agg := func(digest types.Hash, signers ...types.NodeID) types.AggSig {
+		a := crypto.NewAggregator(n)
+		for _, id := range signers {
+			a.Add(id, crypto.PartialTag(&keys[id], echoCtx(new(ctxBuf), pos, digest)))
+		}
+		return a.Sig()
+	}
+	badTag := agg(d, 0, 1, 3, 4, 5)
+	badTag.Tag[0] ^= 1
+	for _, tc := range []struct {
+		name  string
+		agg   types.AggSig
+		valid bool
+	}{
+		{"bad tag", badTag, false},
+		{"f_c clan signers", agg(d, 0, 3, 4, 5, 6), false},
+		{"other digest", agg(types.HashBytes([]byte("other")), 0, 1, 3, 4, 5), false},
+		{"valid", agg(d, 0, 1, 3, 4, 5), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			recv := New(Config{Self: 6, N: n, Mode: ModeSingleClan, Clans: [][]types.NodeID{clan},
+				Key: &keys[6], Reg: reg, AnchorWait: -1}, &recEndpoint{}, frozenClock{})
+			recv.handle(3, &types.VtxRspMsg{Vertex: v, Cert: &types.EchoCertMsg{Pos: pos, Digest: d, Agg: tc.agg}})
+			if in, has := recv.instIfAny(pos), recv.dag.Has(pos); tc.valid != has || !tc.valid && in != nil {
+				t.Fatalf("instance %v, in the DAG %v; want the vertex inserted: %v", in != nil, has, tc.valid)
+			}
+		})
+	}
+}
+
 // TestSigningContextsStayOnStack: building a vertex or echo context and
 // signing, verifying or folding over it allocates nothing.
 func TestSigningContextsStayOnStack(t *testing.T) {

@@ -300,3 +300,54 @@ func TestHorizonReleasesBufferedVertex(t *testing.T) {
 	}
 	c.checkConsistentOrder(nil)
 }
+
+// TestHorizonWaitsForEmission: the scenario above with node 1 cut off from P
+// for the whole run. Nodes 0, 2 and 3 do get P, late, and order it under an
+// anchor whose causal history reaches more than GCDepth rounds below it.
+// Ordering runs ahead of emission: if the horizon passed P before drainOut
+// handed it to execution, P's block and RBC instance would be collected
+// while P still waited in the out queue, and every later vertex would wait
+// behind it for good. Each of those nodes must emit every vertex it orders.
+// Node 1 stops at round 15, for want of P: that is the injected fault.
+func TestHorizonWaitsForEmission(t *testing.T) {
+	const n, gcDepth, x = 4, 4, types.NodeID(1)
+	late := types.Position{Round: 11, Source: 2}
+	aboutLate := func(m types.Message) bool {
+		switch msg := m.(type) {
+		case *types.ValMsg:
+			return msg.Vertex.Pos() == late
+		case *types.EchoMsg:
+			return slices.ContainsFunc(msg.Entries, func(e types.EchoEntry) bool { return e.Pos == late })
+		case *types.VtxRspMsg:
+			return msg.Vertex.Pos() == late
+		}
+		return false
+	}
+	for _, delay := range []time.Duration{350 * time.Millisecond, 375 * time.Millisecond} {
+		t.Run(delay.String(), func(t *testing.T) {
+			fnet := faults.NewNet(n, 1, nil)
+			for id := types.NodeID(0); id < n; id++ {
+				if id == x {
+					continue
+				}
+				fnet.Apply(0, faults.Event{Kind: faults.KindDrop, From: id, To: x, P: 1, Match: aboutLate})
+				if id != late.Source {
+					fnet.Apply(0, faults.Event{Kind: faults.KindDelay, From: late.Source, To: id, Delay: delay,
+						Match: func(m types.Message) bool { v, ok := m.(*types.ValMsg); return ok && v.Vertex.Pos() == late }})
+				}
+			}
+			c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, fnet: fnet, gcDepth: gcDepth})
+			c.net.Run(4 * time.Second)
+			for i, nd := range c.nodes {
+				if types.NodeID(i) == x {
+					continue
+				}
+				if ordered := nd.Metrics.VerticesOrdered; ordered < 100 || len(c.orders[i]) != ordered {
+					t.Fatalf("node %d ordered %d vertices and emitted %d; %d wait in its out queue",
+						i, ordered, len(c.orders[i]), nd.ord.out.len())
+				}
+			}
+			c.checkConsistentOrder(nil)
+		})
+	}
+}

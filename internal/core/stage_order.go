@@ -846,12 +846,20 @@ func (n *Node) drainOut() {
 // certificates/aggregators. commitWait needs no sweep: drainCommits only
 // populates it while it is empty and the horizon only advances when it is
 // empty again, so nothing in it can be below the horizon.
+//
+// The horizon never passes a vertex still waiting in the out queue: its block
+// and the RBC instance that would pull it must outlive its emission. That
+// bound, the lowest round not yet handed to execution, is the executed-prefix
+// watermark that checkpoint pruning will reuse.
 func (n *Node) gc() {
 	lastRound := n.lastCommitRound // the last ordered anchor's round
 	if lastRound < types.Round(n.cfg.GCDepth) {
 		return
 	}
 	horizon := lastRound - types.Round(n.cfg.GCDepth)
+	for _, ent := range n.ord.out.items[n.ord.out.head:] {
+		horizon = min(horizon, ent.cv.Vertex.Round)
+	}
 	if horizon <= n.dag.MinRound() {
 		return
 	}

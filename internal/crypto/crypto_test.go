@@ -81,7 +81,8 @@ func TestAggregateRoundTrip(t *testing.T) {
 	if !reg.VerifyAgg(msg, sig) {
 		t.Fatal("valid aggregate rejected")
 	}
-	got := types.BitmapMembers(sig.Bitmap)
+	var got []types.NodeID
+	types.BitmapForEach(sig.Bitmap, func(id types.NodeID) bool { got = append(got, id); return true })
 	for i, id := range signers {
 		if got[i] != id {
 			t.Fatalf("bitmap members %v != %v", got, signers)
@@ -161,8 +162,9 @@ func TestAggregateProperty(t *testing.T) {
 		if any {
 			// Dropping one claimed signer without unfolding must fail.
 			bad := sig.Clone()
-			m := types.BitmapMembers(bad.Bitmap)
-			bad.Bitmap[m[0]/8] &^= 1 << (m[0] % 8)
+			var first types.NodeID
+			types.BitmapForEach(bad.Bitmap, func(id types.NodeID) bool { first = id; return false })
+			bad.Bitmap[first/8] &^= 1 << (first % 8)
 			if reg.VerifyAgg(msg, bad) {
 				return false
 			}

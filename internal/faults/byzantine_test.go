@@ -1,4 +1,4 @@
-package adversary
+package faults
 
 import (
 	"testing"
@@ -30,12 +30,12 @@ func runAttack(t *testing.T, n, bad int, mode core.Mode, clans [][]types.NodeID,
 		orders: make([][]types.Position, n),
 		n:      n, bad: bad,
 	}
+	fnet := NewNet(n, 1, nil)
 	for i := 0; i < n; i++ {
 		i := i
 		id := types.NodeID(i)
-		var ep = c.net.Endpoint(id)
 		if i >= n-bad {
-			ep = Wrap(ep, n, mutate(i, &keys[i], reg)...)
+			fnet.SetByzantine(id, mutate(i, &keys[i], reg)...)
 		}
 		node := core.New(core.Config{
 			Self: id, N: n, Mode: mode, Clans: clans,
@@ -45,7 +45,7 @@ func runAttack(t *testing.T, n, bad int, mode core.Mode, clans [][]types.NodeID,
 			Deliver: func(cv core.CommittedVertex) {
 				c.orders[i] = append(c.orders[i], cv.Vertex.Pos())
 			},
-		}, ep, c.net.Clock(id))
+		}, fnet.Wrap(c.net.Endpoint(id), c.net.Clock(id)), c.net.Clock(id))
 		c.nodes = append(c.nodes, node)
 		node.Start()
 	}
@@ -81,9 +81,9 @@ func (c *attackCluster) assertSafeAndLive(t *testing.T, minOrdered int) {
 	}
 }
 
-// TestAttackMatrix runs every behaviour against every mode with f
+// TestChaosAttackMatrix runs every behaviour against every mode with f
 // adversaries and asserts honest safety + liveness throughout.
-func TestAttackMatrix(t *testing.T) {
+func TestChaosAttackMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
@@ -125,24 +125,22 @@ func TestAttackMatrix(t *testing.T) {
 	}
 }
 
-// TestWithholdBlocksSingleClan: a Byzantine clan proposer withholds blocks
-// from half the clan; the pull path must keep every honest clan member's
-// execution stream complete.
-func TestWithholdBlocksSingleClan(t *testing.T) {
+// TestChaosWithholdBlocksSingleClan: a Byzantine clan proposer withholds
+// blocks from half the clan; the pull path must keep every honest clan
+// member's execution stream complete.
+func TestChaosWithholdBlocksSingleClan(t *testing.T) {
 	n := 10
 	clan := []types.NodeID{0, 1, 2, 3, 4, 5, 9} // includes the adversary (9)
 	keys := crypto.GenerateKeys(n, 13)
 	reg := crypto.NewRegistry(keys, true)
 	net := simnet.New(simnet.Config{N: n, Regions: simnet.EvenRegions(n, 5), Seed: 4})
+	fnet := NewNet(n, 1, nil)
+	fnet.SetByzantine(9, WithholdBlocks())
 	blocksSeen := make([]int, n)
 	orders := make([][]types.Position, n)
 	for i := 0; i < n; i++ {
 		i := i
 		id := types.NodeID(i)
-		var ep = net.Endpoint(id)
-		if i == 9 {
-			ep = Wrap(ep, n, WithholdBlocks())
-		}
 		node := core.New(core.Config{
 			Self: id, N: n, Mode: core.ModeSingleClan,
 			Clans: [][]types.NodeID{clan},
@@ -155,7 +153,7 @@ func TestWithholdBlocksSingleClan(t *testing.T) {
 					blocksSeen[i]++
 				}
 			},
-		}, ep, net.Clock(id))
+		}, fnet.Wrap(net.Endpoint(id), net.Clock(id)), net.Clock(id))
 		node.Start()
 	}
 	net.Run(20 * time.Second)

@@ -14,8 +14,9 @@ import (
 )
 
 // Net is the shared fault state for one cluster: per-link rules, active
-// partitions, and the crashed set. Every node's endpoint is wrapped via
-// Wrap; the wrappers consult the Net on each outbound message.
+// partitions, the crashed set and the Byzantine parties' mutators. Every
+// node's endpoint is wrapped via Wrap; the wrappers consult the Net on each
+// outbound message.
 //
 // All decisions draw from one seeded RNG under a mutex: on the
 // single-threaded simulator the draw order is deterministic, making whole
@@ -28,6 +29,7 @@ type Net struct {
 	rules      map[[2]types.NodeID]*linkRule
 	partitions map[string][]int8 // name -> side per node (-1 = unlisted)
 	crashed    []bool
+	byzantine  [][]Mutator // per node; see SetByzantine
 
 	// tap, when set, observes every message that passed the fault layer
 	// (after drop/partition/crash filtering, before duplication). Used by
@@ -59,6 +61,7 @@ func NewNet(n int, seed int64, trace *Trace) *Net {
 		rules:      map[[2]types.NodeID]*linkRule{},
 		partitions: map[string][]int8{},
 		crashed:    make([]bool, n),
+		byzantine:  make([][]Mutator, n),
 	}
 }
 
@@ -244,9 +247,9 @@ func (f *Net) dropInbound(to types.NodeID) bool {
 // Endpoint wrapper.
 
 // Endpoint wraps a transport.Endpoint with the Net's fault rules. Outbound
-// messages are judged per recipient (Multicast/Broadcast fan out through
-// Send); inbound delivery is suppressed while the node is crashed. Dropped
-// messages are counted in Stats().MsgsDropped so accounting stays exact
+// messages are mutated and judged per recipient (Multicast/Broadcast fan out
+// through Send); inbound delivery is suppressed while the node is crashed.
+// Dropped messages are counted in Stats().MsgsDropped so accounting stays exact
 // under partitions — a peer endlessly retrying a dead node shows up as
 // drops, not sends.
 type Endpoint struct {
@@ -291,11 +294,22 @@ func (e *Endpoint) RegisterMetrics(reg *metrics.Registry) {
 // Self returns the wrapped endpoint's ID.
 func (e *Endpoint) Self() types.NodeID { return e.inner.Self() }
 
-// Send judges m against the fault state, then forwards, drops, delays, or
-// duplicates it. Self-sends bypass fault injection (a node always reaches
-// itself; crashes silence it via the handler gate instead).
+// Send runs m through the node's Byzantine mutators, if any, then judges each
+// resulting message against the fault state and forwards, drops, delays, or
+// duplicates it. Self-sends bypass link faults (a node always reaches itself;
+// crashes silence it via the handler gate instead).
 func (e *Endpoint) Send(to types.NodeID, m types.Message) {
 	self := e.inner.Self()
+	if out, ok := e.net.mutate(self, to, m); ok {
+		for _, o := range out {
+			e.send(self, o.To, o.Msg)
+		}
+		return
+	}
+	e.send(self, to, m)
+}
+
+func (e *Endpoint) send(self, to types.NodeID, m types.Message) {
 	if to == self {
 		e.inner.Send(to, m)
 		return

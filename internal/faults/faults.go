@@ -1,9 +1,10 @@
 // Package faults is a seeded, deterministic fault-injection layer for
-// testing clanbft under benign failures: per-link message drop, duplication,
-// reordering and delay, named network partitions with heal events, and
-// whole-node crash/restart. It composes with every transport the same way
-// internal/adversary does — a wrapping transport.Endpoint — so the honest
-// code path under test is exactly the production one.
+// testing clanbft: per-link message drop, duplication, reordering and delay,
+// named network partitions with heal events, whole-node crash/restart, and
+// Byzantine parties whose outbound traffic a chain of mutators rewrites
+// (Net.SetByzantine). It composes with every transport as one wrapping
+// transport.Endpoint, so the code path under test is exactly the production
+// one.
 //
 // Determinism contract: a Net seeded with the same value, driven by the same
 // Schedule over the deterministic simulator (internal/simnet), makes exactly
@@ -186,13 +187,6 @@ func (t *Trace) Len() int {
 // ---------------------------------------------------------------------------
 // WAL tail analysis (format-level, store-independent).
 
-// TornTailPoints walks a CRC-framed WAL image (8-byte headers: 4-byte CRC,
-// 4-byte little-endian body length) and returns every record boundary
-// offset in ascending order, starting with 0. The last element is the end of
-// the final complete record — anything past it is a torn tail. The walk is
-// structural (lengths only, no CRC verification), matching how
-// internal/store frames its WAL; fuzz corpora and torn-tail schedules are
-// generated from these points (every boundary, +-1 byte).
 // DamageWALTail applies one torn-tail mode to the WAL file at path, between
 // a simulated crash and the subsequent store reopen. TornAppend models power
 // loss mid-write of an unacknowledged record (arg garbage bytes, default 8);
@@ -240,6 +234,13 @@ func DamageWALTail(path string, torn int, arg int64) error {
 	return fmt.Errorf("faults: unknown torn mode %d", torn)
 }
 
+// TornTailPoints walks a CRC-framed WAL image (8-byte headers: 4-byte CRC,
+// 4-byte little-endian body length) and returns every record boundary
+// offset in ascending order, starting with 0. The last element is the end of
+// the final complete record — anything past it is a torn tail. The walk is
+// structural (lengths only, no CRC verification), matching how
+// internal/store frames its WAL; fuzz corpora and torn-tail schedules are
+// generated from these points (every boundary, +-1 byte).
 func TornTailPoints(wal []byte) []int64 {
 	points := []int64{0}
 	off := int64(0)

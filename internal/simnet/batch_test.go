@@ -15,11 +15,11 @@ func TestBatchingCoalesces(t *testing.T) {
 	var got []uint64
 	var at []time.Duration
 	n.Endpoint(1).SetHandler(func(from types.NodeID, m types.Message) {
-		got = append(got, m.(*types.BcastMsg).Seq)
+		got = append(got, seqOf(m))
 		at = append(at, n.Now())
 	})
 	for i := 0; i < 10; i++ {
-		n.Endpoint(0).Send(1, &types.BcastMsg{K: types.KindBEcho, Seq: uint64(i)})
+		n.Endpoint(0).Send(1, numbered(uint64(i), 0))
 	}
 	n.Run(100 * time.Millisecond)
 	if len(got) != 10 {
@@ -45,11 +45,11 @@ func TestBatchBypassKeepsFIFO(t *testing.T) {
 	n := New(Config{N: 2, Seed: 1, JitterPct: -1, BatchWindow: 5 * time.Millisecond})
 	var got []uint64
 	n.Endpoint(1).SetHandler(func(from types.NodeID, m types.Message) {
-		got = append(got, m.(*types.BcastMsg).Seq)
+		got = append(got, seqOf(m))
 	})
-	n.Endpoint(0).Send(1, &types.BcastMsg{K: types.KindBEcho, Seq: 1})
-	n.Endpoint(0).Send(1, &types.BcastMsg{K: types.KindBVal, Seq: 2, HasData: true, Data: make([]byte, 64<<10)})
-	n.Endpoint(0).Send(1, &types.BcastMsg{K: types.KindBEcho, Seq: 3})
+	n.Endpoint(0).Send(1, numbered(1, 0))
+	n.Endpoint(0).Send(1, numbered(2, 64<<10))
+	n.Endpoint(0).Send(1, numbered(3, 0))
 	n.Run(100 * time.Millisecond)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("order %v, want [1 2 3]", got)
@@ -65,7 +65,7 @@ func TestBatchingByteAccounting(t *testing.T) {
 			n.Endpoint(types.NodeID(i)).SetHandler(func(types.NodeID, types.Message) {})
 		}
 		for i := 0; i < 20; i++ {
-			n.Endpoint(0).Broadcast(&types.BcastMsg{K: types.KindBEcho, Seq: uint64(i)})
+			n.Endpoint(0).Broadcast(numbered(uint64(i), 0))
 		}
 		n.Run(time.Second)
 		return n.Endpoint(0).Stats().BytesSent

@@ -7,9 +7,21 @@ import (
 	"clanbft/internal/types"
 )
 
-func msg(size int) types.Message {
-	return &types.BcastMsg{K: types.KindBVal, HasData: true, Data: make([]byte, size)}
+// msg is a test message carrying size payload bytes.
+func msg(size int) types.Message { return numbered(0, size) }
+
+// numbered is a block response numbered by its block's round, carrying size
+// payload bytes.
+func numbered(seq uint64, size int) *types.BlockRspMsg {
+	blk := &types.Block{Round: types.Round(seq)}
+	if size > 0 {
+		blk.Txs = [][]byte{make([]byte, size)}
+	}
+	return &types.BlockRspMsg{Block: blk}
 }
+
+// seqOf is the number a numbered message carries.
+func seqOf(m types.Message) uint64 { return uint64(m.(*types.BlockRspMsg).Block.Round) }
 
 type rcv struct {
 	at   time.Duration
@@ -124,14 +136,12 @@ func TestDeterminism(t *testing.T) {
 			n.Endpoint(id).SetHandler(func(from types.NodeID, m types.Message) {
 				got = append(got, rcv{at: n.Now(), from: from})
 				// Ping-pong a little extra traffic.
-				if m.(*types.BcastMsg).Seq < 3 {
-					n.Endpoint(id).Broadcast(&types.BcastMsg{
-						K: types.KindBEcho, Seq: m.(*types.BcastMsg).Seq + 1,
-					})
+				if seq := seqOf(m); seq < 3 {
+					n.Endpoint(id).Broadcast(numbered(seq+1, 0))
 				}
 			})
 		}
-		n.Endpoint(0).Broadcast(&types.BcastMsg{K: types.KindBVal, Seq: 0})
+		n.Endpoint(0).Broadcast(numbered(0, 0))
 		n.Run(2 * time.Second)
 		return got
 	}
@@ -318,12 +328,12 @@ func TestByteAccounting(t *testing.T) {
 	m := msg(1000)
 	n.Endpoint(0).Multicast([]types.NodeID{1, 2}, m)
 	n.Run(100 * time.Millisecond)
-	if n.TotalMsgs()[types.KindBVal] != 2 {
-		t.Fatalf("msgs = %d", n.TotalMsgs()[types.KindBVal])
+	if n.TotalMsgs()[types.KindBlockRsp] != 2 {
+		t.Fatalf("msgs = %d", n.TotalMsgs()[types.KindBlockRsp])
 	}
 	want := uint64(2 * m.WireSize())
-	if n.TotalBytes()[types.KindBVal] != want {
-		t.Fatalf("bytes = %d, want %d", n.TotalBytes()[types.KindBVal], want)
+	if n.TotalBytes()[types.KindBlockRsp] != want {
+		t.Fatalf("bytes = %d, want %d", n.TotalBytes()[types.KindBlockRsp], want)
 	}
 	st := n.Endpoint(1).Stats()
 	if st.MsgsRecv != 1 || st.BytesRecv != uint64(m.WireSize()) {

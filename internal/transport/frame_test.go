@@ -21,7 +21,7 @@ func TestFrameRefcountRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.(*types.BcastMsg).Seq != 42 {
+	if seqOf(got) != 42 {
 		t.Fatalf("round-trip corrupted: %+v", got)
 	}
 	f.release()
@@ -83,7 +83,7 @@ func TestTCPMulticastSharedFrame(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	m := &types.BcastMsg{K: types.KindBEcho, Sender: 0, Seq: 9, HasData: true, Data: payload}
+	m := &types.BlockRspMsg{Block: &types.Block{Round: 9, Txs: [][]byte{payload}}}
 	wire := uint64(len(types.Encode(m, nil)))
 
 	eps[0].Broadcast(m)
@@ -91,13 +91,13 @@ func TestTCPMulticastSharedFrame(t *testing.T) {
 		i := i
 		waitFor(t, func() bool { mus[i].Lock(); defer mus[i].Unlock(); return len(*gots[i]) == 1 })
 		mus[i].Lock()
-		got, ok := (*gots[i])[0].(*types.BcastMsg)
+		got, ok := (*gots[i])[0].(*types.BlockRspMsg)
 		mus[i].Unlock()
-		if !ok || got.Seq != 9 || len(got.Data) != len(payload) {
+		if !ok || seqOf(got) != 9 || len(got.Block.Txs[0]) != len(payload) {
 			t.Fatalf("peer %d: wrong delivery %T", i, (*gots[i])[0])
 		}
-		for j := range got.Data {
-			if got.Data[j] != payload[j] {
+		for j, b := range got.Block.Txs[0] {
+			if b != payload[j] {
 				t.Fatalf("peer %d: payload corrupted at byte %d", i, j)
 			}
 		}
@@ -155,7 +155,7 @@ func TestMulticastSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	tos := []types.NodeID{1, 2}
-	msg := &types.BcastMsg{K: types.KindBEcho, Sender: 0, Seq: 1, HasData: true, Data: make([]byte, 1500)}
+	msg := &types.BlockRspMsg{Block: &types.Block{Round: 1, Txs: [][]byte{make([]byte, 1500)}}}
 	// What the listeners should have read: per peer, the two-byte handshake,
 	// then a four-byte length prefix and the frame for every message sent.
 	wire := func() int64 {

@@ -76,7 +76,7 @@ func TestFrameReaderChunkStraddle(t *testing.T) {
 			for j := range big {
 				big[j] = byte(j)
 			}
-			msgs = append(msgs, &types.BcastMsg{K: types.KindBVal, Sender: 1, Seq: uint64(i), HasData: true, Data: big})
+			msgs = append(msgs, &types.BlockRspMsg{Block: &types.Block{Round: types.Round(i), Txs: [][]byte{big}}})
 		}
 		msgs = append(msgs, &types.EchoMsg{Voter: 2, Entries: []types.EchoEntry{
 			{Pos: types.Position{Round: types.Round(i), Source: 1}, Digest: types.HashBytes([]byte{byte(i)})},
@@ -89,7 +89,7 @@ func TestFrameReaderChunkStraddle(t *testing.T) {
 
 	var allocs atomic.Uint64
 	fr := newFrameReader(bytes.NewReader(stream), &allocs)
-	dec := types.Decoder{Alias: true}
+	var dec types.Decoder
 	for i, want := range msgs {
 		frame, rb, err := fr.next()
 		if err != nil {
@@ -116,7 +116,7 @@ func TestFrameReaderChunkStraddle(t *testing.T) {
 	pc.AssertBalanced(t)
 }
 
-// FuzzFrameReader drives the reader plus alias decoder with arbitrary bytes:
+// FuzzFrameReader drives the reader plus decoder with arbitrary bytes:
 // no input may panic, and every receive chunk the reader touched must end at
 // refcount zero once the reader and all decoded messages release.
 func FuzzFrameReader(f *testing.F) {
@@ -127,7 +127,7 @@ func FuzzFrameReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var allocs atomic.Uint64
 		fr := newFrameReader(bytes.NewReader(data), &allocs)
-		dec := types.Decoder{Alias: true}
+		var dec types.Decoder
 		seen := map[*types.RecvBuf]struct{}{}
 		for {
 			frame, rb, err := fr.next()
@@ -225,104 +225,75 @@ func TestReadLoopMalformedFrames(t *testing.T) {
 	pc.AssertBalanced(t)
 }
 
-// TestCoalesceByteIdentity proves the coalescing invariant: the byte stream a
-// peer receives, and the endpoint's send-side accounting, are identical with
-// coalescing on or off — only the number of flushes (syscall boundaries)
-// changes.
+// TestCoalesceByteIdentity: a burst the writer gathers into shared writevs
+// reaches the peer as exactly the frames built one by one — a length prefix,
+// then types.Encode — and the send-side accounting counts every frame.
 func TestCoalesceByteIdentity(t *testing.T) {
 	// A deterministic mixed burst of vote-sized and payload-carrying frames.
-	burst := func() []types.Message {
-		var msgs []types.Message
-		for i := 0; i < 200; i++ {
-			if i%5 == 0 {
-				data := bytes.Repeat([]byte{byte(i)}, 100+i*7)
-				msgs = append(msgs, &types.BcastMsg{K: types.KindBVal, Sender: 0, Seq: uint64(i), HasData: true, Data: data})
-			} else {
-				msgs = append(msgs, &types.EchoMsg{Voter: 1, Entries: []types.EchoEntry{
-					{Pos: types.Position{Round: types.Round(i), Source: 0}, Digest: types.HashBytes([]byte{byte(i)})},
-				}})
-			}
+	var burst []types.Message
+	for i := 0; i < 200; i++ {
+		if i%5 == 0 {
+			tx := bytes.Repeat([]byte{byte(i)}, 100+i*7)
+			burst = append(burst, &types.BlockRspMsg{Block: &types.Block{Round: types.Round(i), Txs: [][]byte{tx}}})
+		} else {
+			burst = append(burst, &types.EchoMsg{Voter: 1, Entries: []types.EchoEntry{
+				{Pos: types.Position{Round: types.Round(i), Source: 0}, Digest: types.HashBytes([]byte{byte(i)})},
+			}})
 		}
-		return msgs
-	}()
-	var wantBytes int
-	for _, m := range burst {
-		wantBytes += 4 + len(types.Encode(m, nil))
 	}
+	want := frameStream(burst...)
 
-	run := func(coalesce bool) ([]byte, Stats) {
-		t.Helper()
-		// Raw capturing sink in place of a peer endpoint: we want the exact
-		// bytes on the wire, not the decoded messages.
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	// Raw capturing sink in place of a peer endpoint: we want the exact bytes
+	// on the wire, not the decoded messages.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	captured := make(chan []byte, 1)
+	go func() {
+		c, err := ln.Accept()
 		if err != nil {
-			t.Fatal(err)
+			return
 		}
-		defer ln.Close()
-		captured := make(chan []byte, 1)
-		go func() {
-			c, err := ln.Accept()
+		defer c.Close()
+		io.ReadFull(c, make([]byte, 2)) // discard the hello
+		buf := make([]byte, 0, len(want))
+		tmp := make([]byte, 32<<10)
+		for len(buf) < len(want) {
+			c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			n, err := c.Read(tmp)
+			buf = append(buf, tmp[:n]...)
 			if err != nil {
-				return
+				break
 			}
-			defer c.Close()
-			io.ReadFull(c, make([]byte, 2)) // discard the hello
-			buf := make([]byte, 0, wantBytes)
-			tmp := make([]byte, 32<<10)
-			for len(buf) < wantBytes {
-				c.SetReadDeadline(time.Now().Add(5 * time.Second))
-				n, err := c.Read(tmp)
-				buf = append(buf, tmp[:n]...)
-				if err != nil {
-					break
-				}
-			}
-			captured <- buf
-		}()
+		}
+		captured <- buf
+	}()
 
-		addrs := map[types.NodeID]string{0: "127.0.0.1:0", 1: ln.Addr().String()}
-		ep, err := NewTCPEndpoint(0, addrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !coalesce {
-			ep.SetCoalescing(CoalesceConfig{})
-		}
-		for _, m := range burst {
-			ep.Send(1, m)
-		}
-		var stream []byte
-		select {
-		case stream = <-captured:
-		case <-time.After(10 * time.Second):
-			t.Fatal("sink never received the burst")
-		}
-		st := ep.Stats()
-		ep.Close()
-		return stream, st
+	ep, err := NewTCPEndpoint(0, map[types.NodeID]string{0: "127.0.0.1:0", 1: ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	offStream, offStats := run(false)
-	onStream, onStats := run(true)
-
-	if !bytes.Equal(offStream, onStream) {
-		t.Fatalf("wire bytes differ: coalesce=off %d bytes, coalesce=on %d bytes",
-			len(offStream), len(onStream))
+	defer ep.Close()
+	for _, m := range burst {
+		ep.Send(1, m)
 	}
-	if len(onStream) != wantBytes {
-		t.Fatalf("captured %d bytes, want %d", len(onStream), wantBytes)
+	var stream []byte
+	select {
+	case stream = <-captured:
+	case <-time.After(10 * time.Second):
+		t.Fatal("sink never received the burst")
 	}
-	if offStats.MsgsSent != onStats.MsgsSent || offStats.BytesSent != onStats.BytesSent {
-		t.Fatalf("send accounting differs: off=%d/%d on=%d/%d",
-			offStats.MsgsSent, offStats.BytesSent, onStats.MsgsSent, onStats.BytesSent)
+	if !bytes.Equal(stream, want) {
+		t.Fatalf("wire bytes differ from the frames built one by one: captured %d bytes, want %d", len(stream), len(want))
 	}
-	if offStats.MsgsDropped != 0 || onStats.MsgsDropped != 0 {
-		t.Fatalf("unexpected drops: off=%d on=%d", offStats.MsgsDropped, onStats.MsgsDropped)
+	st := ep.Stats()
+	if st.MsgsSent != uint64(len(burst)) || st.BytesSent != uint64(len(want)-4*len(burst)) || st.MsgsDropped != 0 {
+		t.Fatalf("send accounting: %d sent, %d bytes, %d dropped; want %d, %d, 0",
+			st.MsgsSent, st.BytesSent, st.MsgsDropped, len(burst), len(want)-4*len(burst))
 	}
-	if onStats.Flushes >= offStats.Flushes {
-		t.Fatalf("coalescing did not reduce flushes: on=%d off=%d", onStats.Flushes, offStats.Flushes)
-	}
-	if onStats.CoalescedFrames == 0 {
-		t.Fatal("coalescing on but no frames were batched")
+	if st.CoalescedFrames == 0 || st.Flushes >= st.MsgsSent {
+		t.Fatalf("the writer batched nothing: %d flushes, %d frames coalesced", st.Flushes, st.CoalescedFrames)
 	}
 }

@@ -48,11 +48,6 @@ type TCPEndpoint struct {
 
 	verify atomic.Pointer[verifyStage]
 
-	// aliasDecode enables zero-copy (borrowing) decode on read loops;
-	// coalesce holds the writer-side batching knobs. Both default on.
-	aliasDecode atomic.Bool
-	coalesce    atomic.Pointer[CoalesceConfig]
-
 	msgsSent        atomic.Uint64
 	bytesSent       atomic.Uint64
 	msgsRecv        atomic.Uint64
@@ -64,23 +59,16 @@ type TCPEndpoint struct {
 	vc              verifyCounters
 }
 
-// CoalesceConfig tunes sender-side small-message coalescing. A writer that
-// finds multiple frames queued gathers them into one writev; gathering stops
-// at MaxFrames frames or once MaxBytes of frame payload are batched, and a
-// drained queue flushes immediately unless Window is set, in which case the
-// writer lingers up to Window for more frames before flushing. Wire bytes
-// are identical with coalescing on or off — every frame keeps its own length
+// A writer that finds several frames queued gathers them into one writev,
+// up to batchFrames frames or until batchBytes of frame payload are batched,
+// and flushes as soon as the queue runs dry: vote bursts collapse into one
+// syscall while an idle queue still sends immediately. The wire bytes are
+// those of writing each frame alone — every frame keeps its own length
 // prefix — only syscall boundaries change.
-type CoalesceConfig struct {
-	Enabled   bool
-	MaxBytes  int
-	MaxFrames int
-	Window    time.Duration
-}
-
-// defaultCoalesce flushes on queue drain (no added latency): vote bursts
-// collapse into one syscall while an idle queue still sends immediately.
-var defaultCoalesce = CoalesceConfig{Enabled: true, MaxBytes: 64 << 10, MaxFrames: 64}
+const (
+	batchFrames = 64
+	batchBytes  = 64 << 10
+)
 
 type peerConn struct {
 	out    chan *frame
@@ -115,23 +103,10 @@ func NewTCPEndpoint(self types.NodeID, addrs map[types.NodeID]string) (*TCPEndpo
 		accepted: map[net.Conn]struct{}{},
 	}
 	e.clock = &realClock{epoch: time.Now(), mb: e.mb}
-	e.aliasDecode.Store(true)
-	cfg := defaultCoalesce
-	e.coalesce.Store(&cfg)
 	e.wg.Add(1)
 	go e.acceptLoop()
 	return e, nil
 }
-
-// SetAliasDecode toggles zero-copy decoding on read loops. Call before
-// traffic arrives; with false, every inbound frame is decoded with full
-// copies (the pre-zero-copy behavior, kept for A/B tests and benchmarks).
-func (e *TCPEndpoint) SetAliasDecode(on bool) { e.aliasDecode.Store(on) }
-
-// SetCoalescing replaces the writer-side coalescing configuration. Call
-// before traffic arrives. SetCoalescing(CoalesceConfig{}) disables batching:
-// every frame costs its own writev.
-func (e *TCPEndpoint) SetCoalescing(cfg CoalesceConfig) { e.coalesce.Store(&cfg) }
 
 // Addr returns the endpoint's bound listen address (useful with ":0").
 func (e *TCPEndpoint) Addr() string { return e.ln.Addr().String() }
@@ -382,38 +357,18 @@ func (e *TCPEndpoint) writeLoop(id types.NodeID, p *peerConn) {
 		case <-p.closed:
 			return
 		case f := <-p.out:
-			cfg := e.coalesce.Load()
 			batch = append(batch[:0], f)
 			bytes := len(f.b)
-			// Gather: greedily drain queued frames into the batch. Stop at
-			// the frame/byte caps or when the queue runs dry — unless a
-			// flush window is configured, in which case linger once for up
-			// to Window so trickling small messages still coalesce.
-			lingered := false
+			// Gather: greedily drain queued frames into the batch, up to the
+			// frame/byte caps or until the queue runs dry.
 		gather:
-			for cfg.Enabled && len(batch) < cfg.MaxFrames && bytes < cfg.MaxBytes {
+			for len(batch) < batchFrames && bytes < batchBytes {
 				select {
 				case f2 := <-p.out:
 					batch = append(batch, f2)
 					bytes += len(f2.b)
 				default:
-					if cfg.Window <= 0 || lingered {
-						break gather
-					}
-					lingered = true
-					t := time.NewTimer(cfg.Window)
-					select {
-					case f2 := <-p.out:
-						t.Stop()
-						batch = append(batch, f2)
-						bytes += len(f2.b)
-					case <-t.C:
-						break gather
-					case <-p.closed:
-						t.Stop()
-						releaseBatch()
-						return
-					}
+					break gather
 				}
 			}
 			for conn == nil {
@@ -537,7 +492,7 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 	// a vote-heavy round costs zero per-frame allocations.
 	fr := newFrameReader(c, &e.rxAllocBytes)
 	defer fr.close()
-	dec := types.Decoder{Alias: e.aliasDecode.Load()}
+	var dec types.Decoder
 	for {
 		frame, rb, err := fr.next()
 		if err != nil {

@@ -230,7 +230,7 @@ func (m *mailbox) run(t task, h func(types.NodeID, types.Message), drained func(
 	}
 	// The handler is done with the message: return any receive buffer it
 	// borrows to the pool. Handlers that keep payload bytes must have
-	// deep-copied (Block.Detach / BcastMsg.DetachData) before returning.
+	// deep-copied (Block.Detach) before returning.
 	if t.msg != nil {
 		types.ReleaseMsg(t.msg)
 	}

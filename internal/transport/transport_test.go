@@ -12,9 +12,14 @@ import (
 	"clanbft/internal/types"
 )
 
+// ping is a small payload-carrying message: a block response whose one
+// transaction reads "ping", numbered by its block's round.
 func ping(seq uint64) types.Message {
-	return &types.BcastMsg{K: types.KindBVal, Sender: 0, Seq: seq, HasData: true, Data: []byte("ping")}
+	return &types.BlockRspMsg{Block: &types.Block{Round: types.Round(seq), Txs: [][]byte{[]byte("ping")}}}
 }
+
+// seqOf is the number a ping carries.
+func seqOf(m types.Message) uint64 { return uint64(m.(*types.BlockRspMsg).Block.Round) }
 
 func collect(ep Endpoint) (*sync.Mutex, *[]types.Message) {
 	var mu sync.Mutex
@@ -161,7 +166,7 @@ func TestTCPEndpointRoundTrip(t *testing.T) {
 	eps[0].Send(1, ping(1))
 	waitFor(t, func() bool { mus[1].Lock(); defer mus[1].Unlock(); return len(*gots[1]) == 1 })
 	mus[1].Lock()
-	if m := (*gots[1])[0].(*types.BcastMsg); string(m.Data) != "ping" || m.Seq != 1 {
+	if m := (*gots[1])[0].(*types.BlockRspMsg); string(m.Block.Txs[0]) != "ping" || seqOf(m) != 1 {
 		t.Fatalf("payload corrupted: %+v", m)
 	}
 	mus[1].Unlock()
@@ -206,12 +211,12 @@ func TestTCPLargeMessage(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	a.Send(1, &types.BcastMsg{K: types.KindBRsp, Sender: 0, Seq: 9, HasData: true, Data: data})
+	a.Send(1, &types.BlockRspMsg{Block: &types.Block{Round: 9, Txs: [][]byte{data}}})
 	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(*got) == 1 })
 	mu.Lock()
-	m := (*got)[0].(*types.BcastMsg)
+	m := (*got)[0].(*types.BlockRspMsg).Block.Txs[0]
 	mu.Unlock()
-	if len(m.Data) != len(data) || m.Data[12345] != data[12345] {
+	if len(m) != len(data) || m[12345] != data[12345] {
 		t.Fatal("large payload corrupted")
 	}
 }
@@ -364,7 +369,7 @@ func TestMailboxBatchDrain(t *testing.T) {
 	var got []uint64
 	mb.setHandler(func(_ types.NodeID, m types.Message) {
 		mu.Lock()
-		got = append(got, m.(*types.BcastMsg).Seq)
+		got = append(got, seqOf(m))
 		mu.Unlock()
 	})
 	mb.start()
@@ -408,7 +413,7 @@ func TestMailboxDrainHook(t *testing.T) {
 	var log []string
 	note := func(s string) { mu.Lock(); log = append(log, s); mu.Unlock() }
 	logged := func() string { mu.Lock(); defer mu.Unlock(); return strings.Join(log, " ") }
-	mb.setHandler(func(_ types.NodeID, m types.Message) { note(fmt.Sprint(m.(*types.BcastMsg).Seq)) })
+	mb.setHandler(func(_ types.NodeID, m types.Message) { note(fmt.Sprint(seqOf(m))) })
 	mb.setDrainHook(func() { note("|") })
 	mb.start()
 	// hold parks the loop inside a task, alone in its batch, until release:
@@ -466,7 +471,7 @@ func TestTCPBroadcastReachesAddedPeer(t *testing.T) {
 	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(*got) == 1 })
 	mu.Lock()
 	defer mu.Unlock()
-	if seq := (*got)[0].(*types.BcastMsg).Seq; seq != 2 {
+	if seq := seqOf((*got)[0]); seq != 2 {
 		t.Fatalf("added peer received seq %d, want 2", seq)
 	}
 }

@@ -102,7 +102,7 @@ func TestValDecodeAllocs(t *testing.T) {
 	}
 	v.BlockDigest = blk.Digest()
 	body := Encode(&ValMsg{Vertex: v, Block: blk}, nil)
-	dec := Decoder{Alias: true}
+	var dec Decoder
 	rb := NewRecvBuf(len(body))
 	defer rb.Release()
 	frame := rb.Bytes()[:copy(rb.Bytes(), body)]

@@ -13,17 +13,11 @@ const (
 	entryArenaSize = 96
 )
 
-// Decoder parses framed messages with optional zero-copy aliasing. A Decoder
-// belongs to a single read loop (it is not safe for concurrent use); its
-// arena amortizes echo allocations and, with Alias set, payload-bearing
-// messages borrow their byte slices from the caller's receive buffer instead
-// of copying.
+// Decoder parses framed messages without copying payloads: payload-bearing
+// messages borrow their byte slices from the caller's receive buffer. A
+// Decoder belongs to a single read loop (it is not safe for concurrent use);
+// its arena amortizes echo allocations. Decode is the copying parser.
 type Decoder struct {
-	// Alias enables borrow-mode decoding: Block.Txs and BcastMsg.Data slices
-	// point into the frame, and the decoded message retains the RecvBuf until
-	// ReleaseMsg. With Alias false DecodeFrom behaves exactly like Decode.
-	Alias bool
-
 	echoes  []EchoMsg   // unused tail of the current message block
 	entries []EchoEntry // zero length; its capacity is the current entry block's unused tail
 }
@@ -59,15 +53,14 @@ func (d *Decoder) decodeEcho(body []byte) (*EchoMsg, error) {
 }
 
 // DecodeFrom parses the framed message in b, which must alias rb's bytes.
-// When the decoded message borrows slices from the frame (alias mode only),
-// it retains rb; the dispatch layer releases it via ReleaseMsg after the
-// handler returns. rb may be nil when Alias is false.
+// When the decoded message borrows slices from the frame it retains rb; the
+// dispatch layer releases it via ReleaseMsg after the handler returns. rb may
+// be nil only for kinds that carry no payload.
 func (d *Decoder) DecodeFrom(rb *RecvBuf, b []byte) (Message, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("types: empty message")
 	}
 	kind, body := MsgKind(b[0]), b[1:]
-	alias := d.Alias
 	switch kind {
 	case KindEcho:
 		m, err := d.decodeEcho(body)
@@ -76,7 +69,7 @@ func (d *Decoder) DecodeFrom(rb *RecvBuf, b []byte) (Message, error) {
 		}
 		return m, nil
 	case KindVal:
-		m, err := unmarshalVal(body, alias)
+		m, err := unmarshalVal(body, true)
 		if err != nil {
 			return nil, err
 		}
@@ -85,7 +78,7 @@ func (d *Decoder) DecodeFrom(rb *RecvBuf, b []byte) (Message, error) {
 		}
 		return m, nil
 	case KindBlockRsp:
-		m, err := unmarshalBlockRsp(body, alias)
+		m, err := unmarshalBlockRsp(body, true)
 		if err != nil {
 			return nil, err
 		}
@@ -94,20 +87,11 @@ func (d *Decoder) DecodeFrom(rb *RecvBuf, b []byte) (Message, error) {
 		}
 		return m, nil
 	case KindVtxRsp:
-		m, err := unmarshalVtxRsp(body, alias)
+		m, err := unmarshalVtxRsp(body, true)
 		if err != nil {
 			return nil, err
 		}
 		if m.Block != nil && m.Block.borrowed {
-			m.attachFrame(rb)
-		}
-		return m, nil
-	case KindBVal, KindBEcho, KindBReady, KindBCert, KindBReq, KindBRsp:
-		m, err := unmarshalBcast(body, kind, alias)
-		if err != nil {
-			return nil, err
-		}
-		if alias && len(m.Data) > 0 {
 			m.attachFrame(rb)
 		}
 		return m, nil

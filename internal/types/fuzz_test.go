@@ -44,7 +44,7 @@ func FuzzDecode(f *testing.F) {
 		&ValMsg{Vertex: vEpoch, Sig: sig},
 		&SnapReqMsg{},
 		&SnapRspMsg{Data: []byte("wal-bytes")},
-		&BcastMsg{K: KindBVal, Sender: 1, Seq: 2, Digest: digest, Data: []byte("d"), HasData: true},
+		&BlockRspMsg{Block: &Block{Round: 3, Source: 1, Txs: [][]byte{{1, 2}}}},
 	}
 	for _, m := range seeds {
 		f.Add(Encode(m, nil))
@@ -106,8 +106,6 @@ func syntheticMsg(m Message) bool {
 		return v.Block.IsSynthetic()
 	case *VtxRspMsg:
 		return v.Block != nil && v.Block.IsSynthetic()
-	case *BcastMsg:
-		return v.HasData && v.Data == nil && v.SynthSize > 0
 	}
 	return false
 }
@@ -216,19 +214,6 @@ func TestWireSizeMatchesMarshal(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			valBlock = randBlock()
 		}
-		bcast := &BcastMsg{
-			K: KindBVal, Sender: NodeID(rng.Intn(256)), Seq: rng.Uint64() >> rng.Intn(60),
-			Digest: randHash(), Voter: NodeID(rng.Intn(256)), Sig: randSig(),
-		}
-		if rng.Intn(2) == 0 {
-			bcast.HasData = true
-			bcast.Data = make([]byte, rng.Intn(500))
-			rng.Read(bcast.Data)
-		}
-		cert := &BcastMsg{
-			K: KindBCert, Sender: NodeID(rng.Intn(256)), Seq: rng.Uint64() >> rng.Intn(60),
-			Digest: randHash(), Voter: NodeID(rng.Intn(256)), Sig: randSig(), Agg: randAgg(),
-		}
 		msgs := []Message{
 			&ValMsg{Vertex: randVertex(), Block: valBlock, Sig: randSig()},
 			randEcho(1),
@@ -244,8 +229,6 @@ func TestWireSizeMatchesMarshal(t *testing.T) {
 			&VtxRspMsg{Vertex: randVertex(), Block: valBlock},
 			&SnapReqMsg{},
 			&SnapRspMsg{Data: func() []byte { d := make([]byte, rng.Intn(600)); rng.Read(d); return d }()},
-			bcast,
-			cert,
 		}
 		for _, m := range msgs {
 			enc := m.Marshal(nil)

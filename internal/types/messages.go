@@ -19,15 +19,6 @@ const (
 	// Snapshot state-sync (join / catch-up bootstrap, epoch reconfig).
 	KindSnapReq MsgKind = 12
 	KindSnapRsp MsgKind = 13
-
-	// Generic reliable-broadcast messages (internal/rbc baselines and the
-	// standalone tribe-assisted RBC of Sections 3-4).
-	KindBVal   MsgKind = 16
-	KindBEcho  MsgKind = 17
-	KindBReady MsgKind = 18
-	KindBCert  MsgKind = 19
-	KindBReq   MsgKind = 20
-	KindBRsp   MsgKind = 21
 )
 
 // Message is anything that can travel between parties. WireSize must equal
@@ -79,8 +70,6 @@ func Decode(b []byte) (Message, error) {
 		m, err = unmarshalSnapReq(body)
 	case KindSnapRsp:
 		m, err = unmarshalSnapRsp(body)
-	case KindBVal, KindBEcho, KindBReady, KindBCert, KindBReq, KindBRsp:
-		m, err = unmarshalBcast(body, kind, false)
 	default:
 		return nil, fmt.Errorf("types: unknown message kind %d", kind)
 	}
@@ -88,10 +77,10 @@ func Decode(b []byte) (Message, error) {
 }
 
 // DetachMsg deep-copies any payload bytes of m that alias a pooled receive
-// buffer (see Decoder's alias mode), making the message safe to hold past
-// its handler. It is the generic escape hatch over Block.Detach and
-// BcastMsg.DetachData; a no-op for owned or non-borrowing messages. The
-// buffer itself is still released by the dispatch layer (ReleaseMsg).
+// buffer (see Decoder), making the message safe to hold past its handler. It
+// is the generic escape hatch over Block.Detach; a no-op for owned or
+// non-borrowing messages. The buffer itself is still released by the
+// dispatch layer (ReleaseMsg).
 func DetachMsg(m Message) {
 	switch v := m.(type) {
 	case *ValMsg:
@@ -106,8 +95,6 @@ func DetachMsg(m Message) {
 		if v.Block != nil {
 			v.Block.Detach()
 		}
-	case *BcastMsg:
-		v.DetachData()
 	}
 }
 
@@ -586,136 +573,6 @@ func unmarshalVtxRsp(b []byte, alias bool) (*VtxRspMsg, error) {
 	}
 	if flags&vtxRspBlock != 0 {
 		if m.Block, _, err = unmarshalBlock(b, alias); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
-// BcastMsg is the shared shape of the generic reliable-broadcast messages
-// used by the Bracha and two-round RBC baselines (internal/rbc) and by the
-// standalone tribe-assisted RBC (Sections 3-4). An instance is identified by
-// (Sender, Seq).
-//
-//	KindBVal:   Data = payload (clan / full recipients) or nil (digest-only)
-//	KindBEcho:  vote on Digest
-//	KindBReady: vote on Digest
-//	KindBCert:  Agg holds the echo certificate
-//	KindBReq:   pull request for the payload
-//	KindBRsp:   pull response, Data = payload
-type BcastMsg struct {
-	VerifyMark
-	Borrowed
-	K       MsgKind
-	Sender  NodeID // instance sender
-	Seq     uint64 // instance sequence number (round)
-	Digest  Hash
-	Data    []byte // nil unless KindBVal full / KindBRsp
-	HasData bool
-	Voter   NodeID
-	Sig     SigBytes
-	Agg     AggSig // only for KindBCert
-	// SynthSize models a payload of this many bytes without storing it
-	// (used by simulator-scale benchmarks). Nonzero only when Data is nil
-	// and HasData is true.
-	SynthSize uint32
-}
-
-func (m *BcastMsg) Kind() MsgKind { return m.K }
-
-// DetachData deep-copies Data out of the pooled receive buffer the message
-// was alias-decoded from. Handlers that store the payload past their own
-// return (the RBC instance table) must call it first; the buffer itself is
-// still released by the dispatch layer.
-func (m *BcastMsg) DetachData() {
-	if m.BorrowsFrame() && len(m.Data) > 0 {
-		d := make([]byte, len(m.Data))
-		copy(d, m.Data)
-		m.Data = d
-	}
-}
-
-func (m *BcastMsg) Marshal(b []byte) []byte {
-	b = PutUvarint(b, uint64(m.Sender))
-	b = PutUvarint(b, m.Seq)
-	b = append(b, m.Digest[:]...)
-	if m.HasData {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = PutUvarint(b, uint64(len(m.Data)))
-	b = append(b, m.Data...)
-	b = PutUvarint(b, uint64(m.SynthSize))
-	b = PutUvarint(b, uint64(m.Voter))
-	b = append(b, m.Sig[:]...)
-	if m.K == KindBCert {
-		b = marshalAgg(b, m.Agg)
-	}
-	return b
-}
-
-func (m *BcastMsg) WireSize() int {
-	n := uvarintLen(uint64(m.Sender)) + uvarintLen(m.Seq) + 32 + 1 +
-		uvarintLen(uint64(len(m.Data))) + len(m.Data) +
-		uvarintLen(uint64(m.SynthSize)) +
-		uvarintLen(uint64(m.Voter)) + 64
-	if m.HasData {
-		n += int(m.SynthSize)
-	}
-	if m.K == KindBCert {
-		n += m.Agg.WireSize()
-	}
-	return n
-}
-
-func unmarshalBcast(b []byte, k MsgKind, alias bool) (*BcastMsg, error) {
-	m := &BcastMsg{K: k}
-	u, b, err := Uvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Sender = NodeID(u)
-	if m.Seq, b, err = Uvarint(b); err != nil {
-		return nil, err
-	}
-	if len(b) < 33 {
-		return nil, fmt.Errorf("types: short bcast msg")
-	}
-	copy(m.Digest[:], b[:32])
-	m.HasData = b[32] == 1
-	b = b[33:]
-	var n uint64
-	if n, b, err = Uvarint(b); err != nil {
-		return nil, err
-	}
-	if n > uint64(len(b)) {
-		return nil, fmt.Errorf("types: bcast data length %d exceeds buffer", n)
-	}
-	if n > 0 {
-		if alias {
-			m.Data = b[:n:n]
-		} else {
-			m.Data = make([]byte, n)
-			copy(m.Data, b[:n])
-		}
-	}
-	b = b[n:]
-	if u, b, err = Uvarint(b); err != nil {
-		return nil, err
-	}
-	m.SynthSize = uint32(u)
-	if u, b, err = Uvarint(b); err != nil {
-		return nil, err
-	}
-	m.Voter = NodeID(u)
-	if len(b) < 64 {
-		return nil, fmt.Errorf("types: short bcast sig")
-	}
-	copy(m.Sig[:], b[:64])
-	b = b[64:]
-	if k == KindBCert {
-		if m.Agg, _, err = unmarshalAgg(b); err != nil {
 			return nil, err
 		}
 	}

@@ -19,7 +19,7 @@ import "sync/atomic"
 // Between the first Retain and the final Release the bytes are immutable:
 // the reader must never reuse a chunk that still has borrowers (it swaps to
 // a fresh RecvBuf instead), and borrowers that outlive their handler call
-// must deep-copy first (Block.Detach, BcastMsg.DetachData).
+// must deep-copy first (Block.Detach).
 type RecvBuf struct {
 	b    []byte
 	refs atomic.Int32
@@ -60,7 +60,7 @@ func (rb *RecvBuf) Refs() int32 { return rb.refs.Load() }
 // The borrow mark embedded in messages that may alias a receive buffer.
 
 // Borrowed is embedded (like VerifyMark) in the wire messages whose decoded
-// form can alias a pooled RecvBuf: ValMsg, BlockRspMsg, VtxRspMsg, BcastMsg.
+// form can alias a pooled RecvBuf: ValMsg, BlockRspMsg, VtxRspMsg.
 // It is non-wire state — Marshal ignores it — recording which buffer the
 // message borrows from so the dispatch layer can return the buffer once the
 // message has been handled.
@@ -69,8 +69,7 @@ type Borrowed struct {
 }
 
 // attachFrame records (and retains) the receive buffer the message borrows
-// from. Called by the Decoder only when alias decoding actually aliased
-// something.
+// from. Called by the Decoder only when decoding actually aliased something.
 func (bo *Borrowed) attachFrame(rb *RecvBuf) {
 	rb.Retain()
 	bo.frame = rb

@@ -78,25 +78,24 @@ func frameStream(msgs []Message) (*RecvBuf, [][]byte) {
 	return rb, frames
 }
 
-// TestDecoderAliasContract: alias-decoded payload-bearing messages must
-// borrow from the frame (retaining it), equal the copying decode, and detach
-// into self-owned memory on demand.
+// TestDecoderAliasContract: decoded payload-bearing messages must borrow from
+// the frame (retaining it), equal the copying decode, and detach into
+// self-owned memory on demand.
 func TestDecoderAliasContract(t *testing.T) {
 	pc := StartPoolCheck()
 	blk := &Block{Round: 7, Source: 2, Txs: [][]byte{{1, 2, 3}, {4, 5}}, CreatedAt: 99}
 	val := &ValMsg{Vertex: &Vertex{Round: 7, Source: 2, BlockDigest: blk.Digest()}, Block: blk}
-	bc := &BcastMsg{K: KindBRsp, Sender: 1, Seq: 3, Digest: HashBytes([]byte("x")),
-		Data: []byte("payload-bytes"), HasData: true}
-	rb, frames := frameStream([]Message{val, bc})
+	rsp := &BlockRspMsg{Block: &Block{Round: 3, Source: 1, Txs: [][]byte{[]byte("payload-bytes")}}}
+	rb, frames := frameStream([]Message{val, rsp})
 
-	dec := Decoder{Alias: true}
+	var dec Decoder
 	m0, err := dec.DecodeFrom(rb, frames[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	gotVal := m0.(*ValMsg)
 	if !gotVal.BorrowsFrame() || !gotVal.Block.Borrowed() {
-		t.Fatal("alias-decoded ValMsg with block does not borrow")
+		t.Fatal("decoded ValMsg with block does not borrow")
 	}
 	if rb.Refs() != 2 {
 		t.Fatalf("refs = %d, want 2 after one borrow", rb.Refs())
@@ -106,7 +105,7 @@ func TestDecoderAliasContract(t *testing.T) {
 	orig := gotVal.Block.Txs[0][0]
 	gotVal.Block.Txs[0][0] ^= 0xFF
 	if !bytes.Contains(frames[0], gotVal.Block.Txs[0]) {
-		t.Fatal("alias-decoded Txs do not alias the frame")
+		t.Fatal("decoded Txs do not alias the frame")
 	}
 	gotVal.Block.Txs[0][0] = orig
 	gotVal.Block.Detach()
@@ -124,16 +123,16 @@ func TestDecoderAliasContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBc := m1.(*BcastMsg)
-	if !gotBc.BorrowsFrame() {
-		t.Fatal("alias-decoded BcastMsg with data does not borrow")
+	gotRsp := m1.(*BlockRspMsg)
+	if !gotRsp.BorrowsFrame() {
+		t.Fatal("decoded BlockRspMsg with a block does not borrow")
 	}
-	if !bytes.Equal(gotBc.Data, bc.Data) {
-		t.Fatalf("aliased data = %q, want %q", gotBc.Data, bc.Data)
+	if got := gotRsp.Block.Txs[0]; !bytes.Equal(got, rsp.Block.Txs[0]) {
+		t.Fatalf("aliased tx = %q, want %q", got, rsp.Block.Txs[0])
 	}
-	gotBc.DetachData()
-	if !bytes.Equal(gotBc.Data, bc.Data) {
-		t.Fatal("DetachData changed content")
+	gotRsp.Block.Detach()
+	if !bytes.Equal(gotRsp.Block.Txs[0], rsp.Block.Txs[0]) {
+		t.Fatal("Detach changed content")
 	}
 
 	// Release: the mailbox's job, then the reader's.
@@ -143,13 +142,13 @@ func TestDecoderAliasContract(t *testing.T) {
 	pc.AssertBalanced(t)
 
 	// Detached memory survives the buffer's return to the pool.
-	if gotVal.Block.Txs[1][1] != 5 || !bytes.Equal(gotBc.Data, []byte("payload-bytes")) {
+	if gotVal.Block.Txs[1][1] != 5 || !bytes.Equal(gotRsp.Block.Txs[0], []byte("payload-bytes")) {
 		t.Fatal("detached bytes corrupted after buffer release")
 	}
 }
 
-// TestDecoderMatchesDecode: with and without aliasing, DecodeFrom must agree
-// with the plain copying Decode for every message kind.
+// TestDecoderMatchesDecode: the borrowing DecodeFrom must agree with the
+// copying Decode for every message kind.
 func TestDecoderMatchesDecode(t *testing.T) {
 	var sig SigBytes
 	digest := HashBytes([]byte("seed"))
@@ -169,31 +168,27 @@ func TestDecoderMatchesDecode(t *testing.T) {
 		&VtxRspMsg{Vertex: v, Block: &Block{Round: 3, Source: 1, Txs: [][]byte{{8}}}},
 		&VtxRspMsg{Vertex: v, Cert: &EchoCertMsg{Pos: Position{3, 1}, Digest: digest, Agg: AggSig{Bitmap: []byte{7}}},
 			Block: &Block{Round: 3, Source: 1, Txs: [][]byte{{8}}}},
-		&BcastMsg{K: KindBVal, Sender: 1, Seq: 2, Digest: digest, Data: []byte("d"), HasData: true},
-		&BcastMsg{K: KindBCert, Sender: 1, Seq: 2, Digest: digest, Agg: AggSig{Bitmap: []byte{3}}},
 	}
-	for _, alias := range []bool{false, true} {
-		pc := StartPoolCheck()
-		rb, frames := frameStream(msgs)
-		dec := Decoder{Alias: alias}
-		for i, m := range msgs {
-			plain, err := Decode(frames[i])
-			if err != nil {
-				t.Fatalf("Decode(%T): %v", m, err)
-			}
-			got, err := dec.DecodeFrom(rb, frames[i])
-			if err != nil {
-				t.Fatalf("DecodeFrom(%T, alias=%v): %v", m, alias, err)
-			}
-			// Re-encoding both must agree byte for byte.
-			if !bytes.Equal(Encode(plain, nil), Encode(got, nil)) {
-				t.Fatalf("%T alias=%v: DecodeFrom disagrees with Decode", m, alias)
-			}
-			ReleaseMsg(got)
+	pc := StartPoolCheck()
+	rb, frames := frameStream(msgs)
+	var dec Decoder
+	for i, m := range msgs {
+		plain, err := Decode(frames[i])
+		if err != nil {
+			t.Fatalf("Decode(%T): %v", m, err)
 		}
-		rb.Release()
-		pc.AssertBalanced(t)
+		got, err := dec.DecodeFrom(rb, frames[i])
+		if err != nil {
+			t.Fatalf("DecodeFrom(%T): %v", m, err)
+		}
+		// Re-encoding both must agree byte for byte.
+		if !bytes.Equal(Encode(plain, nil), Encode(got, nil)) {
+			t.Fatalf("%T: DecodeFrom disagrees with Decode", m)
+		}
+		ReleaseMsg(got)
 	}
+	rb.Release()
+	pc.AssertBalanced(t)
 }
 
 // TestRxDecodeZeroCopyAllocs pins the tentpole acceptance criterion: the
@@ -221,7 +216,7 @@ func TestRxDecodeZeroCopyAllocs(t *testing.T) {
 			off += 4 + n
 		}
 	})
-	dec := Decoder{Alias: true}
+	var dec Decoder
 	zerocopy := testing.AllocsPerRun(200, func() {
 		rb := NewRecvBuf(len(stream))
 		chunk := rb.Bytes()[:copy(rb.Bytes(), stream)]

@@ -81,19 +81,6 @@ func BitmapCount(bm []byte) int {
 	return c
 }
 
-// BitmapMembers lists the NodeIDs whose bits are set, in ascending order.
-func BitmapMembers(bm []byte) []NodeID {
-	var out []NodeID
-	for i, b := range bm {
-		for j := 0; j < 8; j++ {
-			if b&(1<<j) != 0 {
-				out = append(out, NodeID(i*8+j))
-			}
-		}
-	}
-	return out
-}
-
 // BitmapForEach calls fn for every set bit in ascending NodeID order without
 // allocating. fn returning false stops the walk; the return value reports
 // whether every set bit was visited.

@@ -24,7 +24,8 @@ func TestBitmapOps(t *testing.T) {
 	if BitmapHas(bm, 1) || BitmapHas(bm, 98) {
 		t.Fatal("unexpected bit set")
 	}
-	members := BitmapMembers(bm)
+	var members []NodeID
+	BitmapForEach(bm, func(id NodeID) bool { members = append(members, id); return true })
 	if len(members) != len(ids) {
 		t.Fatalf("members = %v", members)
 	}
@@ -222,12 +223,6 @@ func TestMessageRoundTrips(t *testing.T) {
 		&NoVoteMsg{NV: NoVote{Round: 11, Voter: 4, Sig: sig}},
 		&TimeoutMsg{TO: Timeout{Round: 12, Voter: 5, Sig: sig}},
 		&TCMsg{TC: TimeoutCert{Round: 13, Agg: agg}},
-		&BcastMsg{K: KindBVal, Sender: 1, Seq: 2, Digest: digest, Data: []byte("payload"), HasData: true, Voter: 1, Sig: sig},
-		&BcastMsg{K: KindBEcho, Sender: 1, Seq: 2, Digest: digest, Voter: 3, Sig: sig},
-		&BcastMsg{K: KindBReady, Sender: 1, Seq: 2, Digest: digest, Voter: 3, Sig: sig},
-		&BcastMsg{K: KindBCert, Sender: 1, Seq: 2, Digest: digest, Voter: 3, Sig: sig, Agg: agg},
-		&BcastMsg{K: KindBReq, Sender: 1, Seq: 2, Digest: digest, Voter: 3, Sig: sig},
-		&BcastMsg{K: KindBRsp, Sender: 1, Seq: 2, Digest: digest, Data: []byte("x"), HasData: true, Voter: 3, Sig: sig},
 	}
 	for i, m := range msgs {
 		enc := Encode(m, nil)
