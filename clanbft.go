@@ -93,13 +93,13 @@ type Options struct {
 	// (3-delta) after they are proposed. Zero, the default, makes every
 	// leader-eligible member's vertex one, so every vertex commits at
 	// 3-delta instead of only the leader's (the rest wait for the next
-	// round's leader, 5-delta); with SparseEdges zero means the primary
-	// alone. 1 is single-leader Sailfish as the paper evaluates it.
+	// round's leader, 5-delta). 1 is single-leader Sailfish as the paper
+	// evaluates it.
 	LeadersPerRound int
 	// RoundTimeout bounds the wait for a round leader (default 3 s).
 	RoundTimeout time.Duration
-	// CheckSigs enables real signature verification (default on —
-	// simulation harnesses turn it off and model CPU costs instead).
+	// NoCheckSigs disables real signature verification (default off, so
+	// signatures are checked; simulation harnesses model CPU costs instead).
 	NoCheckSigs bool
 	// SerialVerify disables the parallel verification pipeline, forcing
 	// every signature check back onto the node's serialized handler
@@ -116,13 +116,6 @@ type Options struct {
 	// callbacks inline on the handler goroutine, where they must not
 	// block.
 	ExecQueue int
-	// ExecWorkers is the worker count for parallel execution engines
-	// created via NewParallelExecutor (0 = GOMAXPROCS, 1 = serial). The
-	// engine executes dependency-independent transactions concurrently
-	// while producing bit-identical state to serial execution; pair it
-	// with OnCommitBatch and ExecQueue > 0 so batches form behind the
-	// async exec stage.
-	ExecWorkers int
 	// StoreDir persists consensus state under this directory (one
 	// subdirectory per node); empty keeps everything in memory.
 	StoreDir string
@@ -139,12 +132,6 @@ type Options struct {
 	// a round a value below 2f+2, f = (N-1)/3, is rejected at
 	// construction: see core.Config.ReconfigDelay.
 	ReconfigDelay types.Round
-	// SparseEdges enables the metadata-lean DAG mode: each proposal keeps
-	// strong edges to the previous round's leader vertices and a
-	// deterministic 2f+1-sized sample of the remaining parents. Cuts
-	// per-round edge metadata from O(n^2) toward near-linear at large n;
-	// see core.Config.SparseEdges.
-	SparseEdges bool
 	// LeaderReputation enables the reputation-driven leader schedule:
 	// committed timeout/no-vote evidence demotes repeat offenders from
 	// the rotation for ReputationWindow rounds (default 64), keeping the
@@ -221,9 +208,10 @@ func (o *Options) sampleClans() [][]types.NodeID {
 
 // nodeConfig is the core.Config NewCluster and NewTCPNode both start from:
 // every protocol option is passed in this one place, so neither constructor
-// can drop one. Callers add what is theirs: block source, store, delivery
-// and reconfiguration hooks.
-func (o *Options) nodeConfig(self NodeID, key *crypto.KeyPair, reg *crypto.Registry, clans [][]types.NodeID, vpool *crypto.VerifyPool) core.Config {
+// can drop one. Deliver fans each committed vertex out to the callbacks
+// registered in *onCommit, in registration order. Callers add what is
+// theirs: block source, store and reconfiguration hook.
+func (o *Options) nodeConfig(self NodeID, key *crypto.KeyPair, reg *crypto.Registry, clans [][]types.NodeID, vpool *crypto.VerifyPool, onCommit *[]func(Commit)) core.Config {
 	verifyCores := 0
 	if vpool != nil {
 		verifyCores = vpool.Workers()
@@ -240,31 +228,16 @@ func (o *Options) nodeConfig(self NodeID, key *crypto.KeyPair, reg *crypto.Regis
 		RoundTimeout:     o.RoundTimeout,
 		VerifyCores:      verifyCores,
 		ExecQueue:        o.ExecQueue,
-		SparseEdges:      o.SparseEdges,
-		SparseSeed:       uint64(o.Seed),
 		Members:          o.Members,
 		ReconfigDelay:    o.ReconfigDelay,
 		LeaderReputation: o.LeaderReputation,
 		ReputationWindow: o.ReputationWindow,
 		AnchorWait:       o.AnchorWait,
-	}
-}
-
-// deliverTo is the batch-delivery hook over a node's registered callbacks:
-// per-commit callbacks see each vertex in order, then batch callbacks get
-// the whole consecutive run (with ExecQueue > 0 a run is everything queued
-// since the previous delivery — the parallel execution engine's cross-block
-// window).
-func deliverTo(onCommit *[]func(Commit), onBatch *[]func([]Commit)) func([]core.CommittedVertex) {
-	return func(cvs []core.CommittedVertex) {
-		for _, cv := range cvs {
+		Deliver: func(cv core.CommittedVertex) {
 			for _, fn := range *onCommit {
 				fn(cv)
 			}
-		}
-		for _, fn := range *onBatch {
-			fn(cvs)
-		}
+		},
 	}
 }
 
@@ -283,19 +256,18 @@ func (o *Options) newVerifyPool(reg *crypto.Registry) *crypto.VerifyPool {
 // embed replicated state machines, for tests, and for the examples; use
 // NewTCPNode for multi-process deployments.
 type Cluster struct {
-	opts          Options
-	net           *transport.ChanNet
-	nodes         []*core.Node
-	pools         []*mempool.Pool
-	clans         [][]types.NodeID
-	keys          []crypto.KeyPair
-	reg           *crypto.Registry
-	stores        []store.Store
-	vpool         *crypto.VerifyPool
-	onCommit      [][]func(Commit)
-	onCommitBatch [][]func([]Commit)
-	started       bool
-	submitCursor  int
+	opts         Options
+	net          *transport.ChanNet
+	nodes        []*core.Node
+	pools        []*mempool.Pool
+	clans        [][]types.NodeID
+	keys         []crypto.KeyPair
+	reg          *crypto.Registry
+	stores       []store.Store
+	vpool        *crypto.VerifyPool
+	onCommit     [][]func(Commit)
+	started      bool
+	submitCursor int
 }
 
 // NewCluster builds (but does not start) an in-process cluster.
@@ -304,12 +276,11 @@ func NewCluster(o Options) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{
-		opts:          o,
-		net:           transport.NewChanNet(o.N, 0),
-		keys:          crypto.GenerateKeys(o.N, uint64(o.Seed)+1),
-		onCommit:      make([][]func(Commit), o.N),
-		onCommitBatch: make([][]func([]Commit), o.N),
-		pools:         make([]*mempool.Pool, o.N),
+		opts:     o,
+		net:      transport.NewChanNet(o.N, 0),
+		keys:     crypto.GenerateKeys(o.N, uint64(o.Seed)+1),
+		onCommit: make([][]func(Commit), o.N),
+		pools:    make([]*mempool.Pool, o.N),
 	}
 	c.reg = crypto.NewRegistry(c.keys, !o.NoCheckSigs)
 	c.clans = o.sampleClans()
@@ -320,9 +291,8 @@ func NewCluster(o Options) (*Cluster, error) {
 	for i := 0; i < o.N; i++ {
 		id := types.NodeID(i)
 		c.pools[i] = mempool.NewPool(o.MaxTxPerBlock)
-		cfg := o.nodeConfig(id, &c.keys[i], c.reg, c.clans, c.vpool)
+		cfg := o.nodeConfig(id, &c.keys[i], c.reg, c.clans, c.vpool, &c.onCommit[i])
 		cfg.Blocks = c.pools[i]
-		cfg.DeliverBatch = deliverTo(&c.onCommit[i], &c.onCommitBatch[i])
 		if o.StoreDir != "" {
 			disk, err := store.Open(fmt.Sprintf("%s/node%03d", o.StoreDir, i), store.Options{})
 			if err != nil {
@@ -351,20 +321,6 @@ func (c *Cluster) OnCommit(i int, fn func(Commit)) {
 		panic("clanbft: OnCommit after Start")
 	}
 	c.onCommit[i] = append(c.onCommit[i], fn)
-}
-
-// OnCommitBatch registers a callback receiving node i's total order in
-// consecutive runs. Must be called before Start. With ExecQueue > 0 each
-// call carries every vertex committed since the previous delivery — the
-// window a ParallelExecutor parallelizes across — otherwise every batch is
-// a singleton. How the order partitions into batches is timing-dependent;
-// only the concatenation is deterministic. The slice is reused: do not
-// retain it past the call.
-func (c *Cluster) OnCommitBatch(i int, fn func([]Commit)) {
-	if c.started {
-		panic("clanbft: OnCommitBatch after Start")
-	}
-	c.onCommitBatch[i] = append(c.onCommitBatch[i], fn)
 }
 
 // Start launches every node.

@@ -13,12 +13,12 @@
 //	bench -exp sec62     # Section 6.2 concrete probabilities
 //	bench -exp comm      # communication-complexity accounting
 //	bench -exp ablate    # single-clan throughput vs clan size
-//	bench -exp sparse    # sparse-edge DAG scaling: n=50/100/200, dense vs sparse
-//	bench -exp micro     # transport/WAL/pipeline/parallel-exec/gateway/tx-path micro-benchmarks -> BENCH_BASELINE.json
+//	bench -exp micro     # transport/WAL/pipeline/DAG/gateway/tx-path micro-benchmarks -> BENCH_BASELINE.json
 //	bench -exp chaos     # seeded mixed-fault property runner (safety+liveness)
 //	bench -exp gateway   # serving front door under overload: TCP gateway + open-loop load -> results/gateway.txt
 //	bench -exp reconfig  # live membership change: 4->5 node TCP cluster, join via committed ReconfigTx -> results/reconfig.txt
-//	bench -exp all       # every simulator experiment (micro/chaos/gateway/reconfig run only when named)
+//	bench -exp latency   # latency compression: static vs reputation schedule under a crashed member
+//	bench -exp all       # every simulator experiment (micro/chaos/gateway/reconfig/latency run only when named)
 //
 // -baseline compares the counters of -exp micro against a checked-in JSON
 // artifact and fails on regressions beyond tolerance: allocs/op and
@@ -55,7 +55,7 @@ import (
 
 func main() {
 	var (
-		exp   = flag.String("exp", "all", "experiment id (fig1|table1|fig5a|fig5b|fig5c|fig6|sec62|comm|ablate|all)")
+		exp   = flag.String("exp", "all", "experiment id (fig1|table1|fig5a|fig5b|fig5c|fig6|sec62|comm|ablate|micro|chaos|gateway|reconfig|latency|all)")
 		quick = flag.Bool("quick", false, "short windows and fewer load points")
 		full  = flag.Bool("full", false, "the paper's full 13-point load sweep (hours)")
 		seed  = flag.Int64("seed", 1, "simulation seed")
@@ -250,21 +250,6 @@ func main() {
 		fmt.Println()
 		printPipeline(rs)
 	}
-	// The sparse-edge scaling sweep runs only when named: n=200 clusters
-	// cost minutes of host CPU per row even with short windows.
-	if *exp == "sparse" {
-		ns := []int{50, 100, 200}
-		sw, sm := 1*time.Second, 3*time.Second
-		if *quick {
-			ns = []int{50, 100}
-		}
-		rows := harness.SparseDagScale(ns, sw, sm, *seed)
-		harness.PrintSparse(os.Stdout, "Sparse-edge DAG scaling — multi-clan, dense vs sparse", rows)
-		fmt.Fprintf(os.Stderr, "total wall time: %v\n", time.Since(start).Round(time.Second))
-		finishProfiles()
-		return
-	}
-
 	if run("comm") {
 		n, load := 40, 1000
 		if *quick {

@@ -11,9 +11,9 @@ import (
 
 // runMicro executes the gating micro-benchmarks (encode-once multicast,
 // zero-copy receive, small-message coalescing, group-commit WAL, end-to-end
-// pipeline, the parallel execution engine's dependency-rate sweep, gateway
-// admission, the transaction path's per-layer allocation counts, and the
-// echo frames, signatures and verify jobs one round costs per drain) and
+// pipeline, the DAG's bytes per commit, gateway admission, the transaction
+// path's per-layer allocation counts, and the echo frames, signatures and
+// verify jobs one round costs per drain) and
 // writes the results as JSON in two sections: the counters CI gates on —
 // allocs/op, bytes/op and extras such as fsyncs/op and flushes/msg, so the
 // encode-once (allocs/op flat across peer counts), zero-copy (rx allocs/op a
@@ -45,12 +45,13 @@ func runMicro(path, baseline string) error {
 // message), fsyncs/op (the group-commit claim), and end-to-end commits/sec
 // (the pipeline claim; simulated time, so deterministic), and EchoDrain's
 // frames, signatures and verify jobs per drain (exact). All are properties
-// of the code path. What reads the wall clock — ns/op, MB/s, p99_ms, the
-// execution engine's tx/s — sits in the artifact's other section and is
-// never compared: it measures the runner. The tolerance is ±20% plus a
-// one-allocation absolute slack (testing.Benchmark rounds allocs to
-// integers). commits/sec is higher-is-better: the gate fails on decreases.
-// Only regressions fail; improvements just print.
+// of the code path. What reads the wall clock — ns/op, MB/s, p99_ms — sits in
+// the artifact's other section and is never compared: it measures the
+// runner. The tolerance is ±20% plus a one-allocation absolute slack
+// (testing.Benchmark rounds allocs to integers). commits/sec is
+// higher-is-better: the gate fails on decreases. Only regressions fail;
+// improvements just print. A baseline row the suite no longer produces
+// fails too: a gate that is deleted must be deleted from the baseline.
 func compareBaseline(rows []perfbench.CounterRow, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -88,6 +89,17 @@ func compareBaseline(rows []perfbench.CounterRow, path string) error {
 		}
 		fmt.Printf("  %s %-45s %-11s %.3f (baseline %.3f, floor %.3f)\n",
 			status, name, metric, got, want, limit)
+	}
+	ran := make(map[string]bool, len(rows))
+	for _, r := range rows {
+		ran[r.Name] = true
+	}
+	missing := 0
+	for _, b := range base {
+		if !ran[b.Name] {
+			fmt.Printf("  FAIL %-45s (baseline row missing from the suite)\n", b.Name)
+			missing++
+		}
 	}
 	for _, r := range rows {
 		b, ok := byName[r.Name]
@@ -130,8 +142,8 @@ func compareBaseline(rows []perfbench.CounterRow, path string) error {
 			check(r.Name, "order_work/vertex", r.Extra["order_work/vertex"], want, 0)
 		}
 		if want, ok := b.Extra["bytes/commit"]; ok {
-			// The sparse-edge metadata claim: wire bytes per committed
-			// vertex must not creep back up. The number is deterministic
+			// The DAG's metadata cost: wire bytes per committed vertex
+			// must not creep back up. The number is deterministic
 			// (virtual time, fixed seed, analytic byte accounting), so the
 			// limit is the baseline plus 2% headroom — any protocol change
 			// that raises it must re-record the baseline deliberately.
@@ -166,8 +178,8 @@ func compareBaseline(rows []perfbench.CounterRow, path string) error {
 			checkMin(r.Name, "admit_share", r.Extra["admit_share"], want)
 		}
 	}
-	if regressions > 0 {
-		return fmt.Errorf("%d metric(s) regressed beyond tolerance", regressions)
+	if regressions > 0 || missing > 0 {
+		return fmt.Errorf("%d metric(s) regressed beyond tolerance, %d baseline row(s) missing from the suite", regressions, missing)
 	}
 	return nil
 }

@@ -52,7 +52,6 @@ func main() {
 		peers    = flag.String("peers", "", "address book file: one 'id host:port' per line")
 		seed     = flag.Int64("seed", 7, "shared deployment seed")
 		storeDir = flag.String("store", "", "persistence directory")
-		sparse   = flag.Bool("sparse", false, "sparse strong-edge mode (2f+1 sampled parents)")
 	)
 	flag.Parse()
 
@@ -61,10 +60,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	// OnCommit callbacks run on each node's execution goroutine behind a
+	// 256-deep queue, as in cmd/loadgen and the benchmark, never inline on
+	// the consensus handler.
 	opts := clanbft.Options{
 		N: *n, Mode: mode, ClanSize: *clanSize, NumClans: *numClans,
 		Seed: *seed, StoreDir: *storeDir, RoundTimeout: 3 * time.Second,
-		SparseEdges: *sparse,
+		ExecQueue: 256,
 	}
 
 	if *local {

@@ -5,11 +5,8 @@
 // executors return matching signed responses — enough to guarantee at least
 // one honest executor stands behind the answer.
 //
-// Each clan member executes through the dependency-aware parallel engine:
-// committed batches form behind the async exec stage (ExecQueue), the engine
-// levels their conflict graph, and independent transactions run on
-// ExecWorkers workers — with responses and state bit-identical to serial
-// execution, so the f_c+1 matching-response guarantee is unaffected.
+// Each clan member executes the committed order serially on its async exec
+// stage (ExecQueue), one committed vertex per OnCommit call.
 package main
 
 import (
@@ -22,12 +19,11 @@ import (
 
 func main() {
 	cluster, err := clanbft.NewCluster(clanbft.Options{
-		N:           10,
-		Mode:        clanbft.ModeSingleClan,
-		ClanSize:    6,
-		Seed:        7,
-		ExecQueue:   64, // async exec stage: commit batches form behind it
-		ExecWorkers: 4,  // parallel engine width per clan member
+		N:         10,
+		Mode:      clanbft.ModeSingleClan,
+		ClanSize:  6,
+		Seed:      7,
+		ExecQueue: 64, // execution runs off the consensus handler
 	})
 	if err != nil {
 		panic(err)
@@ -45,15 +41,15 @@ func main() {
 	collector.Accepted = func(tx clanbft.TxID, result []byte) {}
 
 	for _, id := range clan {
-		eng := cluster.NewParallelExecutor(int(id))
-		eng.Executor().Emit = func(r clanbft.Response) {
+		ex := cluster.NewExecutor(int(id))
+		ex.Emit = func(r clanbft.Response) {
 			// In a deployment this response travels to the client;
 			// here the "network" is a function call.
 			mu.Lock()
 			collector.Add(r)
 			mu.Unlock()
 		}
-		cluster.OnCommitBatch(int(id), eng.ApplyBatch)
+		cluster.OnCommit(int(id), ex.Apply)
 	}
 
 	cluster.Start()

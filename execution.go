@@ -2,7 +2,6 @@ package clanbft
 
 import (
 	"clanbft/internal/execution"
-	"clanbft/internal/execution/parallel"
 	"clanbft/internal/types"
 )
 
@@ -38,31 +37,10 @@ func EncodeTx(t Tx) []byte { return execution.EncodeTx(t) }
 // TxIDOf hashes a raw transaction into its identifier.
 func TxIDOf(raw []byte) types.Hash { return execution.TxIDOf(raw) }
 
-// ParallelExecutor wraps an Executor in the dependency-aware parallel
-// execution engine: it extracts read/write sets from each committed batch,
-// levels the resulting conflict graph, and executes independent transactions
-// concurrently — producing state roots and signed responses bit-identical to
-// serial execution at any worker count.
-type ParallelExecutor = parallel.Engine
-
 // NewExecutor creates a KV executor for party i of the cluster, emitting
 // signed responses.
 func (c *Cluster) NewExecutor(i int) *Executor {
 	return execution.NewExecutor(types.NodeID(i), c.Keys(i))
-}
-
-// NewParallelExecutor creates a parallel execution engine for party i with
-// Options.ExecWorkers workers (0 = GOMAXPROCS), recording into the node's
-// pipeline metrics registry. Feed it the total order via OnCommitBatch:
-//
-//	eng := cluster.NewParallelExecutor(0)
-//	cluster.OnCommitBatch(0, eng.ApplyBatch)
-//
-// The engine is not concurrency-safe across callers; with ExecQueue > 0 the
-// node's exec goroutine is its single caller.
-func (c *Cluster) NewParallelExecutor(i int) *ParallelExecutor {
-	return parallel.New(execution.NewExecutor(types.NodeID(i), c.Keys(i)),
-		parallel.Config{Workers: c.opts.ExecWorkers, Metrics: c.nodes[i].PipelineMetrics()})
 }
 
 // NewCollector creates a client-side response collector for clan ci.

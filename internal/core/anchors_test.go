@@ -142,15 +142,6 @@ func TestPrimaryRotationVisitsEveryMember(t *testing.T) {
 			}
 		}
 	})
-	t.Run("sparse keeps the primary alone", func(t *testing.T) {
-		net := simnet.New(simnet.Config{N: 4, Seed: 1})
-		keys := crypto.GenerateKeys(4, 21)
-		nd := New(Config{Self: 0, N: 4, Key: &keys[0], Reg: crypto.NewRegistry(keys, false), SparseEdges: true},
-			net.Endpoint(0), net.Clock(0))
-		if nd.cfg.LeadersPerRound != 1 {
-			t.Fatalf("sparse default resolved to %d anchors a round, want 1", nd.cfg.LeadersPerRound)
-		}
-	})
 }
 
 // latencyCluster runs n nodes on uniform links (one-way delay delta, no
@@ -446,7 +437,6 @@ func TestAnchorFenceFloor(t *testing.T) {
 	for _, ok := range []Config{
 		{N: 7, ReconfigDelay: 6},
 		{N: 10, LeadersPerRound: 1, ReconfigDelay: 2}, // the single-leader walk has no such lag
-		{N: 10, SparseEdges: true, ReconfigDelay: 2},  // zero value under sparse edges: primary only
 	} {
 		ok.fill()
 	}

@@ -158,17 +158,6 @@ type Config struct {
 	OnUnhandled func(from types.NodeID, m types.Message)
 	// Deliver receives the total order, one committed vertex at a time.
 	Deliver func(CommittedVertex)
-	// DeliverBatch, when non-nil, receives the total order in consecutive
-	// runs and takes precedence over Deliver. With an async exec stage
-	// (ExecQueue > 0) each invocation carries every vertex queued since
-	// the previous one — the hook that lets a dependency-aware execution
-	// engine parallelize across block boundaries. How the order is
-	// partitioned into batches is timing-dependent and NOT deterministic;
-	// only the concatenation of all batches is. Consumers must therefore
-	// be batch-partitioning-invariant, and must not retain the slice
-	// past the call (it is reused). In synchronous mode every batch is a
-	// singleton.
-	DeliverBatch func([]CommittedVertex)
 
 	// ExecQueue selects the execution/commit stage's handoff:
 	//
@@ -200,15 +189,14 @@ type Config struct {
 	// LeadersPerRound bounds how many vertices of a round are anchors —
 	// vertices the commit rule applies to directly, 1 RBC + δ after their
 	// proposal. Zero, the default, makes every leader-eligible member of
-	// round r an anchor of round r, so every vertex commits on the 3δ path
-	// (with SparseEdges the zero value means the primary alone: sampling
-	// drops exactly the edges the vote rule counts). The count is clamped
-	// per round to the eligible set. Slot 0, the primary, rotates one member
-	// per round and alone gates round advancement (timeouts / no-vote
-	// certificates); the other slots commit opportunistically under the same
-	// 2f+1-votes rule and are ordered fate-driven (stage_order.go). An
-	// explicit 1 is single-leader Sailfish with its certificate-backed chain
-	// walk — the configuration the paper's figures use.
+	// round r an anchor of round r, so every vertex commits on the 3δ path.
+	// The count is clamped per round to the eligible set. Slot 0, the
+	// primary, rotates one member per round and alone gates round
+	// advancement (timeouts / no-vote certificates); the other slots commit
+	// opportunistically under the same 2f+1-votes rule and are ordered
+	// fate-driven (stage_order.go). An explicit 1 is single-leader Sailfish
+	// with its certificate-backed chain walk — the configuration the paper's
+	// figures use.
 	LeadersPerRound int
 
 	// LeaderReputation enables the Shoal++-style reputation schedule:
@@ -240,19 +228,6 @@ type Config struct {
 	// GCDepth is how many rounds behind the last ordered leader round the
 	// DAG retains (default 64).
 	GCDepth int
-
-	// SparseEdges enables the metadata-lean DAG mode: proposals keep
-	// strong edges to every delivered leader vertex of the previous round
-	// (the commit rules depend on those) and fill up to 2f+1 with a
-	// deterministic seed-derived sample of the remaining delivered
-	// parents; the unselected parents are weak-edged by a later proposal
-	// unless already transitively reachable. It selects edges and nothing
-	// else: the RBC's message pattern is the same in both modes.
-	SparseEdges bool
-	// SparseSeed diversifies the sparse parent sample across deployments.
-	// The per-round draw also mixes the round number and proposer ID, so
-	// zero is a fine default.
-	SparseSeed uint64
 
 	// VerifyCores declares how many cores verify inbound signatures in
 	// parallel. When > 1, signature-verification work (EdVerify, AggVerify)
@@ -310,11 +285,8 @@ func (c *Config) fill() {
 	}
 	if c.LeadersPerRound <= 0 {
 		// Every eligible member anchors (anchorsAt clamps N to the round's
-		// eligible set) — except under sparse edges, see LeadersPerRound.
+		// eligible set).
 		c.LeadersPerRound = c.N
-		if c.SparseEdges {
-			c.LeadersPerRound = 1
-		}
 	}
 	floor := types.Round(1)
 	if c.LeadersPerRound > 1 {
@@ -463,10 +435,6 @@ type Node struct {
 	mBlocksEvicted *metrics.Counter
 	mBlocksExpired *metrics.Counter
 
-	// syncBatch is the single-element scratch synchronous-mode
-	// emitCommitted hands to DeliverBatch.
-	syncBatch [1]CommittedVertex
-
 	// Metrics is the legacy counter struct, retained as a compatibility
 	// view; PipelineSnapshot is the unified interface.
 	Metrics Metrics
@@ -552,7 +520,7 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 	n.epochs = []*epochState{es0}
 	n.initMetrics()
 	if cfg.ExecQueue > 0 {
-		n.exec = newExecStage(cfg.Deliver, cfg.DeliverBatch, cfg.ExecQueue, n.reg)
+		n.exec = newExecStage(cfg.Deliver, cfg.ExecQueue, n.reg)
 	}
 	return n
 }
@@ -606,8 +574,8 @@ func (n *Node) initMetrics() {
 	reg.Gauge(types.StageExec.Metric("queue_depth"))
 	// DAG shape: exact edge/vertex counters incremented on insert, plus two
 	// snapshot-derived ratio gauges. parents_per_vertex is scaled x100
-	// (integer gauge; 5012 means 50.12 parents on average) so the dense/
-	// sparse difference survives integer truncation. bytes_per_commit
+	// (integer gauge; 5012 means 50.12 parents on average) so fractions
+	// survive integer truncation. bytes_per_commit
 	// divides total transport bytes sent by vertices ordered on this node;
 	// both ratios are per-node views (merging snapshots across a cluster
 	// sums them, so read them from single-node snapshots).

@@ -281,10 +281,9 @@ func (n *Node) roundTimerFired() {
 	n.onRoundTimeout()
 }
 
-// propose emits this party's vertex for round r: strong edges to the
-// selected round r-1 parents (everything delivered, or the sparse sample —
-// see selectParents), weak edges to late vertices, the block to the party's
-// clan, the vertex to everyone.
+// propose emits this party's vertex for round r: strong edges to every
+// delivered round r-1 vertex, weak edges to late vertices, the block to the
+// party's clan, the vertex to everyone.
 func (n *Node) propose(r types.Round) {
 	if n.roundTimer != nil {
 		n.roundTimer.Stop()
@@ -306,7 +305,7 @@ func (n *Node) propose(r types.Round) {
 
 	if r > 0 {
 		prev := r - 1
-		parents, deferred := n.selectParents(r)
+		parents := n.deliveredIn(prev)
 		v.StrongEdges = make([]types.VertexRef, 0, len(parents))
 		for _, pv := range parents {
 			v.StrongEdges = append(v.StrongEdges, pv.Ref())
@@ -325,42 +324,13 @@ func (n *Node) propose(r types.Round) {
 				v.NVC = nvc
 			}
 		}
-		// Sparse mode prunes weak-edge candidates the chosen strong parents
-		// already cover transitively: the edge would be redundant for
-		// ordering (OrderCausalHistory reaches them through the parents).
-		// The BFS is bounded below by the oldest candidate round, so it
-		// spans one or two rounds in the steady state.
-		var covered map[types.Position]bool
-		if n.cfg.SparseEdges && len(n.ord.lateVertices) > 0 {
-			low := r
-			for pos := range n.ord.lateVertices {
-				if pos.Round >= n.dag.MinRound() && pos.Round < low {
-					low = pos.Round
-				}
-			}
-			starts := make([]types.Position, 0, len(v.StrongEdges))
-			for _, e := range v.StrongEdges {
-				starts = append(starts, e.Pos())
-			}
-			covered = n.dag.ReachableFrom(starts, low)
-		}
 		for pos, lv := range n.ord.lateVertices {
 			if pos.Round < n.dag.MinRound() || n.dag.IsOrdered(pos) || pos.Round >= r-1 {
 				delete(n.ord.lateVertices, pos)
 				continue
 			}
-			if covered[pos] {
-				delete(n.ord.lateVertices, pos)
-				continue
-			}
 			v.WeakEdges = append(v.WeakEdges, lv.Ref())
 			delete(n.ord.lateVertices, pos)
-		}
-		// Parents sampled out of the strong set stay this node's
-		// responsibility: queue them for weak edges in a later proposal
-		// (they are round r-1, so they become eligible at round r+1).
-		for _, pv := range deferred {
-			n.ord.lateVertices[pv.Pos()] = pv
 		}
 		// Blocks an earlier proposal listed as lacking and that have arrived
 		// since: an edge without the exception tells the clan so.

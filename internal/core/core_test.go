@@ -54,7 +54,6 @@ type topt struct {
 	uniform bool    // single-region topology for latency math
 	jitter  float64 // with uniform: one-way delays vary by +-jitter (default none)
 	seed    int64
-	sparse  bool           // sparse-edge DAG mode on every node
 	members []types.NodeID // epoch-0 members (nil = all n)
 	rdelay  types.Round    // ReconfigDelay override
 	rep     bool           // reputation-driven leader schedule
@@ -112,8 +111,6 @@ func newTCluster(t *testing.T, n int, o topt) *tcluster {
 			Reg:              c.reg,
 			Blocks:           &testSource{id: id, txCount: o.txCount, txSize: 64},
 			RoundTimeout:     o.timeout,
-			SparseEdges:      o.sparse,
-			SparseSeed:       uint64(o.seed),
 			Members:          o.members,
 			ReconfigDelay:    o.rdelay,
 			LeaderReputation: o.rep,

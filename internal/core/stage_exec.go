@@ -10,7 +10,7 @@ import (
 
 // Stage 4 of the commit pipeline: execution/commit. The ordering stage emits
 // a deterministic sequence of CommittedVertex values; this stage runs the
-// application's Deliver (or DeliverBatch) callback over them.
+// application's Deliver callback over them, one vertex at a time.
 //
 // Two wirings, selected by Config.ExecQueue:
 //
@@ -27,13 +27,6 @@ import (
 //     the producer side takes no clock-dependent action, so under the
 //     discrete-event simulator the message schedule — and therefore the
 //     committed sequence — is identical whether the stage is sync or async.
-//
-// With DeliverBatch set, each wakeup of the exec goroutine drains everything
-// already queued (channel first, then spill — that is commit order) and
-// hands the run to the application in one call. How the order is partitioned
-// into batches depends on timing and is NOT deterministic; consumers must be
-// batch-partitioning-invariant (the parallel execution engine is: its output
-// depends only on the concatenation of its inputs).
 //
 // The stage is the only part of the node that runs application code, so it
 // measures with real wall time (time.Now), never the node's virtual clock —
@@ -66,9 +59,8 @@ const (
 // execStage runs the delivery callback on a dedicated goroutine behind a
 // bounded channel.
 type execStage struct {
-	deliver      func(CommittedVertex)
-	deliverBatch func([]CommittedVertex)
-	ch           chan execItem
+	deliver func(CommittedVertex)
+	ch      chan execItem
 
 	mu sync.Mutex
 	// Spill ring: the live region is overflow[spillHead:]. push appends,
@@ -84,12 +76,6 @@ type execStage struct {
 	quit chan struct{}
 	wg   sync.WaitGroup
 
-	// Reusable batch scratch, owned by the exec goroutine. cvs is the
-	// slice handed to deliverBatch; both are zeroed after each batch so
-	// delivered blocks are not pinned until the next wakeup.
-	batch []execItem
-	cvs   []CommittedVertex
-
 	depth *metrics.Gauge
 	spill *metrics.Counter
 	done  *metrics.Counter
@@ -98,18 +84,17 @@ type execStage struct {
 	dlat  *metrics.Histogram
 }
 
-func newExecStage(deliver func(CommittedVertex), deliverBatch func([]CommittedVertex), queue int, reg *metrics.Registry) *execStage {
+func newExecStage(deliver func(CommittedVertex), queue int, reg *metrics.Registry) *execStage {
 	e := &execStage{
-		deliver:      deliver,
-		deliverBatch: deliverBatch,
-		ch:           make(chan execItem, queue),
-		quit:         make(chan struct{}),
-		depth:        reg.Gauge(types.StageExec.Metric("queue_depth")),
-		spill:        reg.Counter(types.StageExec.Metric("backpressure")),
-		done:         reg.Counter(types.StageExec.Metric("committed")),
-		txs:          reg.Counter(types.StageExec.Metric("txs")),
-		qwait:        reg.Histogram(types.StageExec.Metric("queue_wait")),
-		dlat:         reg.Histogram(types.StageExec.Metric("deliver")),
+		deliver: deliver,
+		ch:      make(chan execItem, queue),
+		quit:    make(chan struct{}),
+		depth:   reg.Gauge(types.StageExec.Metric("queue_depth")),
+		spill:   reg.Counter(types.StageExec.Metric("backpressure")),
+		done:    reg.Counter(types.StageExec.Metric("committed")),
+		txs:     reg.Counter(types.StageExec.Metric("txs")),
+		qwait:   reg.Histogram(types.StageExec.Metric("queue_wait")),
+		dlat:    reg.Histogram(types.StageExec.Metric("deliver")),
 	}
 	e.idle.L = &e.mu
 	e.wg.Add(1)
@@ -193,11 +178,7 @@ func (e *execStage) loop() {
 		case <-e.quit:
 			return
 		case it := <-e.ch:
-			if e.deliverBatch != nil {
-				e.runBatch(it)
-			} else {
-				e.run(it)
-			}
+			e.run(it)
 		}
 	}
 }
@@ -213,62 +194,14 @@ func (e *execStage) run(it execItem) {
 	if it.cv.Block != nil {
 		e.txs.Add(uint64(it.cv.Block.TxCount()))
 	}
-	e.finish(1)
+	e.finish()
 }
 
-// runBatch gathers every vertex already queued behind first — channel first,
-// then spill, which is exactly commit order (push only uses the channel while
-// the spill is empty, and only this goroutine refills the channel) — and
-// delivers the run in one DeliverBatch call.
-func (e *execStage) runBatch(first execItem) {
-	e.batch = append(e.batch[:0], first)
-drain:
-	for {
-		select {
-		case it := <-e.ch:
-			e.batch = append(e.batch, it)
-		default:
-			break drain
-		}
-	}
-	e.mu.Lock()
-	for e.spillLen() > 0 {
-		e.batch = append(e.batch, e.popSpill())
-	}
-	e.mu.Unlock()
-
-	now := time.Now()
-	e.cvs = e.cvs[:0]
-	for i := range e.batch {
-		e.qwait.Observe(now.Sub(e.batch[i].enq))
-		e.cvs = append(e.cvs, e.batch[i].cv)
-	}
-	start := time.Now()
-	e.deliverBatch(e.cvs)
-	e.dlat.Observe(time.Since(start))
-	e.done.Add(uint64(len(e.batch)))
-	for i := range e.batch {
-		if b := e.batch[i].cv.Block; b != nil {
-			e.txs.Add(uint64(b.TxCount()))
-		}
-	}
-	n := uint64(len(e.batch))
-	for i := range e.cvs {
-		e.cvs[i] = CommittedVertex{}
-	}
-	e.cvs = e.cvs[:0]
-	for i := range e.batch {
-		e.batch[i] = execItem{}
-	}
-	e.batch = e.batch[:0]
-	e.finish(n)
-}
-
-// finish retires n delivered vertices: advances the completion counter,
+// finish retires one delivered vertex: advances the completion counter,
 // refills the channel from the spill ring, and wakes flush waiters.
-func (e *execStage) finish(n uint64) {
+func (e *execStage) finish() {
 	e.mu.Lock()
-	e.completed += n
+	e.completed++
 	e.depth.Set(int64(e.enqueued - e.completed))
 	e.refillLocked()
 	if e.completed == e.enqueued {
@@ -311,15 +244,7 @@ func (n *Node) emitCommitted(cv CommittedVertex) {
 		return
 	}
 	start := time.Now()
-	switch {
-	case n.cfg.DeliverBatch != nil:
-		// Synchronous mode delivers batches of one: the batch contract
-		// promises only consecutive runs, and inline delivery makes
-		// every run a singleton.
-		n.syncBatch[0] = cv
-		n.cfg.DeliverBatch(n.syncBatch[:])
-		n.syncBatch[0] = CommittedVertex{}
-	case n.cfg.Deliver != nil:
+	if n.cfg.Deliver != nil {
 		n.cfg.Deliver(cv)
 	}
 	n.mExecDeliver.Observe(time.Since(start))

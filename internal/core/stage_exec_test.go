@@ -8,7 +8,7 @@ import (
 	"clanbft/internal/types"
 )
 
-// Unit tests for execStage's spill ring and batch drain, exercised directly
+// Unit tests for execStage's spill ring and drain, exercised directly
 // (no cluster) so the capacity accounting is observable.
 
 func vertexAt(r types.Round, src types.NodeID) *types.Vertex {
@@ -55,7 +55,7 @@ func (g *gate) release() {
 func TestSpillReleasesCapacityAfterDrain(t *testing.T) {
 	const burst = 5000
 	g := newGate()
-	e := newExecStage(g.deliver, nil, 1, metrics.New())
+	e := newExecStage(g.deliver, 1, metrics.New())
 	defer e.stop()
 
 	for i := 0; i < burst; i++ {
@@ -145,46 +145,28 @@ func TestSpillCompactionSlidesLiveRegion(t *testing.T) {
 	}
 }
 
-// TestBatchDrainPreservesOrder: with DeliverBatch wired, a spilled burst must
-// arrive as consecutive runs whose concatenation is exactly push order.
+// TestBatchDrainPreservesOrder: a spilled burst is delivered one vertex per
+// Deliver call, in push order.
 func TestBatchDrainPreservesOrder(t *testing.T) {
 	const total = 2000
-	var mu sync.Mutex
-	var got []types.Round
-	var batches int
-	block := make(chan struct{})
-	first := true
-	e := newExecStage(nil, func(cvs []CommittedVertex) {
-		if first {
-			first = false
-			<-block // hold the first batch so the rest piles up
-		}
-		mu.Lock()
-		for _, cv := range cvs {
-			got = append(got, cv.Vertex.Round)
-		}
-		batches++
-		mu.Unlock()
-	}, 4, metrics.New())
+	g := newGate() // holds the first delivery so the rest piles up
+	e := newExecStage(g.deliver, 4, metrics.New())
 	defer e.stop()
 
 	for i := 0; i < total; i++ {
 		e.push(CommittedVertex{Vertex: vertexAt(types.Round(i), 0)})
 	}
-	close(block)
+	g.release()
 	e.flush()
 
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != total {
-		t.Fatalf("delivered %d of %d", len(got), total)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.delivers != total || len(g.rounds) != total {
+		t.Fatalf("%d Deliver calls carried %d vertices, want %d of each", g.delivers, len(g.rounds), total)
 	}
-	for i := range got {
-		if got[i] != types.Round(i) {
-			t.Fatalf("position %d delivered round %d: batch drain broke FIFO", i, got[i])
+	for i, r := range g.rounds {
+		if r != types.Round(i) {
+			t.Fatalf("position %d delivered round %d: the drain broke FIFO", i, r)
 		}
-	}
-	if batches >= total {
-		t.Fatalf("%d batches for %d vertices — batching never coalesced", batches, total)
 	}
 }

@@ -919,59 +919,3 @@ func (n *Node) gc() {
 	}
 	n.gcReputation(horizon)
 }
-
-// ---------------------------------------------------------------------------
-// Sparse parent selection.
-
-// splitmix64 steps the sparse-selection PRNG (SplitMix64, Steele et al.;
-// public-domain constants). A tiny inline generator keeps the draw
-// deterministic across platforms and free of math/rand state.
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// selectParents chooses the strong-edge targets for a round-r proposal.
-// Dense mode (and any round with at most 2f+1 delivered parents) references
-// everything delivered in round r-1. Sparse mode always keeps the previous
-// round's delivered leader vertices — the direct-commit rule counts strong
-// edges to them, and StrongPath walks run through them — then fills up to
-// 2f+1 with a deterministic sample of the rest, drawn from
-// (SparseSeed, round, self) so peers can reproduce and audit the choice.
-// The unselected remainder is returned for deferral to lateVertices: a later
-// proposal weak-edges whatever is not already transitively covered, so every
-// delivered vertex still reaches the total order (BAB validity).
-func (n *Node) selectParents(r types.Round) (sel, deferred []*types.Vertex) {
-	delivered := n.deliveredIn(r - 1)
-	q := n.quorum(r - 1)
-	if !n.cfg.SparseEdges || len(delivered) <= q {
-		return delivered, nil
-	}
-	var rest []*types.Vertex
-	for _, pv := range delivered {
-		if n.leaderIdx(pv.Pos()) >= 0 {
-			sel = append(sel, pv)
-		} else {
-			rest = append(rest, pv)
-		}
-	}
-	need := q - len(sel)
-	if need < 0 {
-		need = 0
-	}
-	if need > len(rest) {
-		need = len(rest)
-	}
-	// Partial Fisher-Yates: the first `need` slots of rest become the
-	// sample, the tail is deferred.
-	st := n.cfg.SparseSeed ^ uint64(r)*0xd1342543de82ef95 ^ uint64(n.cfg.Self)*0xaf251af3b0f025b5
-	for i := 0; i < need; i++ {
-		j := i + int(splitmix64(&st)%uint64(len(rest)-i))
-		rest[i], rest[j] = rest[j], rest[i]
-	}
-	sel = append(sel, rest[:need]...)
-	return sel, rest[need:]
-}

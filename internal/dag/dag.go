@@ -216,44 +216,6 @@ func (d *DAG) StrongPath(from, to types.Position) bool {
 	return false
 }
 
-// ReachableFrom returns every position reachable from the start positions by
-// following strong and weak edges, visiting only rounds >= stop. Present
-// start positions are themselves included. Sparse parent selection uses this
-// to prune weak-edge candidates already covered transitively by the chosen
-// strong parents.
-func (d *DAG) ReachableFrom(starts []types.Position, stop types.Round) map[types.Position]bool {
-	visited := map[types.Position]bool{}
-	var frontier []*types.Vertex
-	for _, p := range starts {
-		if p.Round < stop || visited[p] {
-			continue
-		}
-		if v, ok := d.Get(p); ok {
-			visited[p] = true
-			frontier = append(frontier, v)
-		}
-	}
-	for len(frontier) > 0 {
-		var next []*types.Vertex
-		for _, v := range frontier {
-			for _, edges := range [2][]types.VertexRef{v.StrongEdges, v.WeakEdges} {
-				for _, e := range edges {
-					p := e.Pos()
-					if p.Round < stop || visited[p] {
-						continue
-					}
-					visited[p] = true
-					if pv, ok := d.Get(p); ok {
-						next = append(next, pv)
-					}
-				}
-			}
-		}
-		frontier = next
-	}
-	return visited
-}
-
 // IsOrdered reports whether pos has already been emitted in the total order.
 func (d *DAG) IsOrdered(pos types.Position) bool {
 	if int(pos.Source) >= d.n {

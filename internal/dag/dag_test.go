@@ -376,54 +376,3 @@ func TestOrderingPartitionProperty(t *testing.T) {
 		}
 	}
 }
-
-// TestReachableFrom builds a three-round DAG with a deliberately sparse
-// middle layer and checks the transitive-coverage set: reachable positions
-// (via strong or weak edges) are found, unreferenced ones are not, and the
-// stop round bounds the walk.
-func TestReachableFrom(t *testing.T) {
-	d := New(8)
-	r0 := buildRound(t, d, 0, 4, nil)
-	// Round 1: vertex 0 references only r0[0], r0[1]; vertex 1 references
-	// r0[2] strongly and r0[3] weakly... r0[3] reachable only via the weak
-	// edge.
-	v10 := &types.Vertex{Round: 1, Source: 0,
-		StrongEdges: []types.VertexRef{r0[0].Ref(), r0[1].Ref()}}
-	v11 := &types.Vertex{Round: 1, Source: 1,
-		StrongEdges: []types.VertexRef{r0[2].Ref()},
-		WeakEdges:   []types.VertexRef{r0[3].Ref()}}
-	for _, v := range []*types.Vertex{v10, v11} {
-		v.NormalizeEdges()
-		if err := d.Insert(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	got := d.ReachableFrom([]types.Position{v10.Pos(), v11.Pos()}, 0)
-	for _, want := range []types.Position{v10.Pos(), v11.Pos(), r0[0].Pos(), r0[1].Pos(), r0[2].Pos(), r0[3].Pos()} {
-		if !got[want] {
-			t.Fatalf("%v not reachable", want)
-		}
-	}
-	if len(got) != 6 {
-		t.Fatalf("reachable set has %d positions, want 6", len(got))
-	}
-
-	// From v10 alone, r0[2] and r0[3] are invisible.
-	got = d.ReachableFrom([]types.Position{v10.Pos()}, 0)
-	if got[r0[2].Pos()] || got[r0[3].Pos()] {
-		t.Fatal("unreferenced vertices reported reachable")
-	}
-
-	// The stop round excludes round 0 entirely.
-	got = d.ReachableFrom([]types.Position{v10.Pos(), v11.Pos()}, 1)
-	if len(got) != 2 {
-		t.Fatalf("stop-bounded set has %d positions, want 2", len(got))
-	}
-
-	// Absent start positions contribute nothing.
-	got = d.ReachableFrom([]types.Position{{Round: 9, Source: 0}}, 0)
-	if len(got) != 0 {
-		t.Fatal("phantom start produced reachability")
-	}
-}

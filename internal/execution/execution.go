@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"hash"
 	"sort"
-	"time"
 
 	"clanbft/internal/core"
 	"clanbft/internal/crypto"
@@ -75,27 +74,6 @@ func DecodeTx(b []byte) (Tx, bool) {
 	return t, true
 }
 
-// AccessSet names the keys a decoded transaction reads and writes — the
-// input to the parallel engine's conflict DAG (execution/parallel). Every
-// current op touches at most one key; nil means "none". Ops outside the
-// known set (bad op byte) access nothing: their result is a constant, so
-// they conflict with no one.
-type AccessSet struct {
-	Read  []byte
-	Write []byte
-}
-
-// Access extracts the transaction's read/write set.
-func (t Tx) Access() AccessSet {
-	switch t.Op {
-	case OpSet, OpDel:
-		return AccessSet{Write: t.Key}
-	case OpGet:
-		return AccessSet{Read: t.Key}
-	}
-	return AccessSet{}
-}
-
 // Results that do not depend on the state are shared: executing a write
 // allocates nothing for its result. Callers treat results as read-only.
 var (
@@ -141,21 +119,13 @@ type Executor struct {
 
 	state *kvState
 	root  types.Hash
-	// hasher folds the root chain; Seal resets and reuses it.
+	// hasher folds the root chain; applyTx resets and reuses it.
 	hasher hash.Hash
 	// Executed counts applied transactions.
 	Executed int
 	// Emit receives a signed response per executed transaction (nil to
 	// disable, e.g. for pure state-machine use).
 	Emit func(Response)
-	// ValidateCost models per-transaction validation work (VSCC-style
-	// signature checks, endorsement policy evaluation) for throughput
-	// experiments, exactly as the Fabric dependency-aware committer
-	// exemplar does with its simulated 500µs verify. It is spent inside
-	// ExecVersioned, so the parallel engine overlaps it across workers
-	// while the serial path pays it per transaction. Zero (the default)
-	// for production and correctness-test paths.
-	ValidateCost time.Duration
 }
 
 // NewExecutor creates an executor with an empty state.
@@ -196,58 +166,14 @@ func (e *Executor) Apply(cv core.CommittedVertex) {
 	}
 }
 
+// applyTx executes one raw transaction and folds it into the running root,
+// in committed order: the root chain is the serial spine of execution and is
+// what makes replica divergence detectable.
 func (e *Executor) applyTx(raw []byte) {
 	result := ResultMalformed
 	if tx, ok := DecodeTx(raw); ok {
-		result, _ = e.ExecVersioned(tx, uint64(e.Executed)+1)
+		result = e.exec(tx, uint64(e.Executed)+1)
 	}
-	r, emit := e.Seal(raw, result)
-	if emit {
-		e.SignResponse(&r)
-		e.Emit(r)
-	}
-}
-
-// ExecVersioned applies one decoded transaction to the shared state and
-// returns its result bytes. ver stamps writes with the transaction's 1-based
-// sequence number in the committed order (the serial path passes Executed+1;
-// the parallel engine passes batchBase+index+1, which is the same number by
-// construction). observed is the version of the value a read or overwrite
-// saw — 0 for a fresh/absent key — which the parallel engine cross-checks
-// against its conflict leveling.
-//
-// Safe for concurrent use on transactions with disjoint access sets; the
-// caller (the engine's level scheduler) guarantees disjointness. The root
-// fold does NOT happen here — call Seal afterwards, in committed order.
-//
-// t.Key and t.Value are only read: the state copies what it keeps, so they
-// may alias a block or a pooled buffer. The result of a SET or DEL is the
-// shared resultOK, which callers must not modify.
-func (e *Executor) ExecVersioned(t Tx, ver uint64) (result []byte, observed uint64) {
-	if e.ValidateCost > 0 {
-		time.Sleep(e.ValidateCost)
-	}
-	switch t.Op {
-	case OpSet:
-		observed = e.state.put(t.Key, t.Value, ver)
-		result = resultOK
-	case OpGet:
-		result, observed = e.state.get(t.Key)
-	case OpDel:
-		observed = e.state.del(t.Key)
-		result = resultOK
-	default:
-		result = []byte(fmt.Sprintf("ERR op %d", t.Op))
-	}
-	return result, observed
-}
-
-// Seal folds one executed transaction into the running root and counts it.
-// MUST be called exactly once per transaction, in committed order, from one
-// goroutine — the root chain is the serial spine of execution and is what
-// makes replica divergence detectable. Returns the unsigned response and
-// whether the caller should sign/emit it (Emit set).
-func (e *Executor) Seal(raw, result []byte) (Response, bool) {
 	h := e.hasher
 	h.Reset()
 	h.Write(e.root[:])
@@ -256,24 +182,35 @@ func (e *Executor) Seal(raw, result []byte) (Response, bool) {
 	h.Sum(e.root[:0]) // the old root is already absorbed; the new one lands in its array
 	e.Executed++
 	if e.Emit == nil {
-		return Response{}, false
+		return
 	}
-	return Response{
-		Tx:        TxIDOf(raw),
-		Executor:  e.Self,
-		Result:    result,
-		StateRoot: e.root,
-	}, true
+	r := Response{Tx: TxIDOf(raw), Executor: e.Self, Result: result, StateRoot: e.root}
+	if e.Key != nil {
+		r.Sig = crypto.Sign(e.Key, respCtx(&r))
+	}
+	e.Emit(r)
 }
 
-// SignResponse signs a sealed response (no-op without a key). Ed25519 is
-// deterministic, so signing is order-independent and safe to parallelize —
-// the engine signs a whole batch's responses across workers and still emits
-// byte-identical responses to the serial path.
-func (e *Executor) SignResponse(r *Response) {
-	if e.Key != nil {
-		r.Sig = crypto.Sign(e.Key, respCtx(r))
+// exec applies one decoded transaction to the state and returns its result
+// bytes. ver stamps writes with the transaction's 1-based sequence number in
+// the committed order, which gateway reads match responders on.
+//
+// t.Key and t.Value are only read: the state copies what it keeps, so they
+// may alias a block or a pooled buffer. The result of a SET or DEL is the
+// shared resultOK, which callers must not modify.
+func (e *Executor) exec(t Tx, ver uint64) []byte {
+	switch t.Op {
+	case OpSet:
+		e.state.put(t.Key, t.Value, ver)
+		return resultOK
+	case OpGet:
+		val, _, _ := e.state.read(nil, t.Key)
+		return val
+	case OpDel:
+		e.state.del(t.Key)
+		return resultOK
 	}
+	return []byte(fmt.Sprintf("ERR op %d", t.Op))
 }
 
 // ---------------------------------------------------------------------------

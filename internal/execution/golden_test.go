@@ -48,6 +48,15 @@ func goldenScript() []*types.Block {
 	return blocks
 }
 
+// splitmix64 is the script's PRNG step (SplitMix64): tiny and stable across
+// Go versions, unlike math/rand's stream.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // goldenRoot is the state root after goldenScript, taken from the commit
 // before the transaction path stopped allocating (PR 15).
 const goldenRoot = "74680a3275d3e0c18c9c47944a8932d5769a9918142777fd2b9a3032649d0589"

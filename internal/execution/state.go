@@ -2,16 +2,16 @@ package execution
 
 import "sync"
 
-// Sharded, versioned key-value state. The serial executor could live with a
-// plain map, but the dependency-aware parallel engine (execution/parallel)
-// applies non-conflicting transactions from worker goroutines concurrently:
-// distinct keys may still collide on one Go map, so the state is split into
-// mutex-guarded shards keyed by a key hash. Every stored value carries the
-// sequence number of the transaction that wrote it — the "version" — which
-// is what lets the engine detect, at run time, a scheduling bug where two
-// same-level transactions touched one key (see Engine's conflict_violations
-// accounting). Versions never influence results or the state root; they are
-// purely a cross-check on the conflict leveling.
+// Sharded, versioned key-value state. The executor writes from its one
+// goroutine while the gateway's read goroutines call Get and GetVersioned
+// concurrently, so every access takes a lock; splitting the keys over
+// mutex-guarded shards keyed by a key hash keeps those readers from queueing
+// behind the writer on one lock. The split also stays because the executor's
+// state is the largest thing on the heap of a 2 KiB-value workload (tens of
+// megabytes), and one map in place of 64 is an unmeasured change to it.
+// Every stored value carries the sequence number of the transaction that
+// wrote it — the "version" — which gateway reads match responders on.
+// Versions never influence results or the state root.
 //
 // Ownership: the state owns every byte it stores and nothing else does. put
 // copies the value in — into the key's existing array when it fits, so an
@@ -78,8 +78,8 @@ func (s *kvState) shardOf(key []byte) *kvShard {
 
 // read appends the stored value to dst and returns it with the version of
 // the write it observed (0 = written before this executor's history began).
-// The copy happens under the shard lock, so a mis-scheduled concurrent
-// writer can corrupt determinism but never memory.
+// The copy happens under the shard lock, so a reader never sees a value
+// half-overwritten by the executor.
 func (s *kvState) read(dst, key []byte) (val []byte, ver uint64, ok bool) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
@@ -91,18 +91,10 @@ func (s *kvState) read(dst, key []byte) (val []byte, ver uint64, ok bool) {
 	return dst, ver, ok
 }
 
-// get returns a copy of the stored value (nil when absent or empty) plus the
-// version of the write it observed (0 when absent).
-func (s *kvState) get(key []byte) ([]byte, uint64) {
-	val, ver, _ := s.read(nil, key)
-	return val, ver
-}
-
-// put copies val into the state stamped with ver, returning the version it
-// overwrote (0 for a fresh key). The key's old array is reused when the new
-// value fits and fills at least half of it; a fresh key costs its map key and
-// its value.
-func (s *kvState) put(key, val []byte, ver uint64) uint64 {
+// put copies val into the state stamped with ver. The key's old array is
+// reused when the new value fits and fills at least half of it; a fresh key
+// costs its map key and its value.
+func (s *kvState) put(key, val []byte, ver uint64) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
 	e := sh.m[string(key)]
@@ -110,7 +102,6 @@ func (s *kvState) put(key, val []byte, ver uint64) uint64 {
 		e = s.newEntry()
 		sh.m[string(key)] = e
 	}
-	prev := e.ver
 	if len(val) <= cap(e.val) && cap(e.val) <= 2*len(val) {
 		e.val = e.val[:len(val)]
 	} else {
@@ -119,16 +110,13 @@ func (s *kvState) put(key, val []byte, ver uint64) uint64 {
 	copy(e.val, val)
 	e.ver = ver
 	sh.mu.Unlock()
-	return prev
 }
 
-// del removes the key, returning the version it deleted (0 when absent).
-func (s *kvState) del(key []byte) uint64 {
+// del removes the key.
+func (s *kvState) del(key []byte) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
-	var prev uint64
 	if e := sh.m[string(key)]; e != nil {
-		prev = e.ver
 		delete(sh.m, string(key))
 		*e = versioned{}
 		s.entryMu.Lock()
@@ -136,7 +124,6 @@ func (s *kvState) del(key []byte) uint64 {
 		s.entryMu.Unlock()
 	}
 	sh.mu.Unlock()
-	return prev
 }
 
 // length counts live keys.

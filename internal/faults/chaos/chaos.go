@@ -61,14 +61,8 @@ type Options struct {
 	// CheckSigs enables real signature verification (slower; chaos sweeps
 	// default to modeled crypto since the fault layer never forges).
 	CheckSigs bool
-	// Sparse runs every node in the sparse-edge DAG mode (sampled 2f+1
-	// strong parents, suppressed redundant certificate broadcasts). The
-	// property checks are identical: safety and liveness must hold in
-	// both edge modes under the same schedules.
-	Sparse bool
 	// LeadersPerRound bounds the anchors per round: zero is core's default
-	// (every eligible member; the primary alone with Sparse), 1 pins the
-	// single-leader chain walk.
+	// (every eligible member), 1 pins the single-leader chain walk.
 	LeadersPerRound int
 	// LeaderReputation enables the reputation-driven leader schedule:
 	// committed timeout evidence demotes offenders from the rotation.
@@ -265,8 +259,6 @@ func (c *cluster) startNode(i int) {
 		RoundTimeout:     700 * time.Millisecond,
 		ExecQueue:        execQueue,
 		Metrics:          c.regs[i],
-		SparseEdges:      c.opts.Sparse,
-		SparseSeed:       uint64(c.opts.Seed),
 		LeadersPerRound:  c.opts.LeadersPerRound,
 		LeaderReputation: c.opts.LeaderReputation,
 		AnchorWait:       c.opts.AnchorWait,

@@ -204,18 +204,15 @@ func churnSchedule() *faults.Schedule {
 // partitioned, and crash/restarted. All incarnations must stay prefix
 // consistent across both fences (no fork), every node — the joiner
 // included — must make post-heal progress, and every node must finish in
-// the final epoch. Covered in dense and sparse edge modes under the
-// identical schedule, dense both on the default (every eligible member an
-// anchor: the slot count of a round follows the membership across each
-// fence) and with LeadersPerRound pinned to 1.
+// the final epoch. Covered on the default (every eligible member an anchor:
+// the slot count of a round follows the membership across each fence) and
+// with LeadersPerRound pinned to 1, under the identical schedule.
 func TestChaosMembershipChurn(t *testing.T) {
 	members := []types.NodeID{0, 1, 2, 3, 4, 5, 6}
 	for _, tc := range []struct {
 		name    string
-		sparse  bool
 		leaders int
-	}{{"dense", false, 0}, {"dense/single-leader", false, 1}, {"sparse", true, 0}} {
-		sparse := tc.sparse
+	}{{"dense", 0}, {"dense/single-leader", 1}} {
 		t.Run(tc.name, func(t *testing.T) {
 			pc := types.StartPoolCheck()
 			r := Run(Options{
@@ -223,7 +220,6 @@ func TestChaosMembershipChurn(t *testing.T) {
 				N:               8,
 				Dir:             t.TempDir(),
 				Schedule:        churnSchedule(),
-				Sparse:          sparse,
 				LeadersPerRound: tc.leaders,
 				Members:         members,
 				ReconfigDelay:   12,
@@ -251,37 +247,6 @@ func TestChaosMembershipChurn(t *testing.T) {
 					r.OrderedAtCheck, r.OrderedAtEnd)
 			}
 		})
-	}
-}
-
-// TestChaosSparseMixedFaults is the sparse-edge safety sweep: the same
-// generated fault schedules run in dense and sparse edge modes, and both
-// must uphold every property — prefix-consistent commit sequences across
-// honest nodes, no double commits, no equivocation, and post-heal progress.
-// Sparse parent selection changes which strong edges exist, so this is the
-// end-to-end check that the commit rules (leader votes, strong-path
-// walks, causal-history ordering) still cover everything under drops,
-// partitions, and crash/restart cycles. The per-seed schedule is identical
-// across the two modes (it derives from the seed alone), making every
-// failure a clean dense-vs-sparse bisect.
-func TestChaosSparseMixedFaults(t *testing.T) {
-	seeds := 6
-	if testing.Short() {
-		seeds = 2
-	}
-	base := chaosSeedBase(t)
-	for _, mode := range []core.Mode{core.ModeSingleClan, core.ModeMultiClan} {
-		for s := int64(0); s < int64(seeds); s++ {
-			seed := base + s
-			t.Run(fmt.Sprintf("%s/seed=%d", mode, seed), func(t *testing.T) {
-				for _, sparse := range []bool{false, true} {
-					r := Run(Options{Seed: seed, Mode: mode, Dir: t.TempDir(), Sparse: sparse})
-					if r.Failed() {
-						dumpFailure(t, r)
-					}
-				}
-			})
-		}
 	}
 }
 

@@ -13,23 +13,19 @@ import (
 // byte-identical commit order across the fence AND identical post-fence
 // epoch tables — same fence rounds, same membership, same re-sampled clan
 // assignments. Reconfiguration is ordered state-machine input, so it
-// inherits the determinism of the order itself. Covered in both the dense
-// and sparse edge modes; dense runs on the default ordering path (every
-// eligible member an anchor — sparse defaults to the primary alone) and once
-// more with LeadersPerRound pinned to 1.
+// inherits the determinism of the order itself. Covered on the default
+// ordering path (every eligible member an anchor) and once more with
+// LeadersPerRound pinned to 1.
 func TestEpochFenceDeterminism(t *testing.T) {
 	members := []types.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	for _, tc := range []struct {
 		name    string
-		sparse  bool
 		leaders int
-	}{{"dense", false, 0}, {"dense/single-leader", false, 1}, {"sparse", true, 0}} {
-		name, sparse := tc.name, tc.sparse
-		t.Run(name, func(t *testing.T) {
+	}{{"dense", 0}, {"dense/single-leader", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{
 				Mode: core.ModeMultiClan, N: 12, NumClans: 2, TxPerProposal: 20,
 				Warmup: 2 * time.Second, Measure: 5 * time.Second, Seed: 33,
-				SparseEdges:     sparse,
 				LeadersPerRound: tc.leaders,
 				Members:         members,
 				ReconfigDelay:   8,
@@ -98,7 +94,7 @@ func TestEpochFenceDeterminism(t *testing.T) {
 				t.Fatalf("final membership %d, want %d", got, wantMembers)
 			}
 			t.Logf("%s: %d commits, %d epochs reproduced identically (final fence r%d)",
-				name, len(a.Order), len(a.Epochs), last.StartRound)
+				tc.name, len(a.Order), len(a.Epochs), last.StartRound)
 		})
 	}
 }

@@ -234,75 +234,3 @@ func AblateClanSize(n, load int, sizes []int, seed int64) []Result {
 	}
 	return out
 }
-
-// SparseRow is one SparseDagScale measurement: one tribe size in one
-// edge mode.
-type SparseRow struct {
-	N      int
-	Sparse bool
-	// CommitsPerSec is node 0's committed vertices per simulated second
-	// over the full run; BytesPerCommit divides total cluster wire bytes
-	// by the same count.
-	CommitsPerSec  float64
-	BytesPerCommit float64
-	// ParentsPerVtx is the cluster-wide average DAG in-degree
-	// (dag.edges / dag.vertices from the metrics spine).
-	ParentsPerVtx float64
-	Rounds        int
-	TotalBytes    uint64
-}
-
-// SparseDagScale sweeps tribe sizes under the multi-clan simulator, dense
-// vs sparse, reporting commits/sec and bytes/commit. This is the
-// metadata-scaling experiment for the sparse-edge mode: per-commit wire
-// cost must drop sharply at large n (the O(n^2) vertex references and the
-// O(n^3)-per-round certificate rebroadcasts are the terms being cut) while
-// commit throughput holds.
-func SparseDagScale(ns []int, warm, meas time.Duration, seed int64) []SparseRow {
-	var rows []SparseRow
-	for _, n := range ns {
-		for _, sparse := range []bool{false, true} {
-			r := Run(Config{
-				Mode: core.ModeMultiClan, N: n, TxPerProposal: 8,
-				Warmup: warm, Measure: meas, Seed: seed,
-				SparseEdges: sparse,
-				// One leader on both sides: sparse runs the primary alone
-				// anyway, and the comparison is about edges, not anchors.
-				LeadersPerRound: paperLeaders,
-			})
-			row := SparseRow{N: n, Sparse: sparse, Rounds: r.Rounds, TotalBytes: r.TotalBytes}
-			if commits := len(r.Order); commits > 0 {
-				row.CommitsPerSec = float64(commits) / (warm + meas).Seconds()
-				row.BytesPerCommit = float64(r.TotalBytes) / float64(commits)
-			}
-			if verts := r.Pipeline.Counters["dag.vertices"]; verts > 0 {
-				row.ParentsPerVtx = float64(r.Pipeline.Counters["dag.edges"]) / float64(verts)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows
-}
-
-// PrintSparse renders the sparse-edge scaling sweep with the per-n
-// reduction factor.
-func PrintSparse(w io.Writer, title string, rows []SparseRow) {
-	fmt.Fprintln(w, title)
-	fmt.Fprintf(w, "%6s %-7s %12s %16s %15s %8s\n",
-		"n", "edges", "commits/sec", "bytes/commit", "parents/vertex", "rounds")
-	dense := map[int]float64{}
-	for _, r := range rows {
-		mode := "dense"
-		if r.Sparse {
-			mode = "sparse"
-		}
-		fmt.Fprintf(w, "%6d %-7s %12.1f %16.0f %15.1f %8d",
-			r.N, mode, r.CommitsPerSec, r.BytesPerCommit, r.ParentsPerVtx, r.Rounds)
-		if !r.Sparse {
-			dense[r.N] = r.BytesPerCommit
-		} else if d := dense[r.N]; d > 0 {
-			fmt.Fprintf(w, "   (-%.0f%% bytes/commit)", 100*(1-r.BytesPerCommit/d))
-		}
-		fmt.Fprintln(w)
-	}
-}

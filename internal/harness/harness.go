@@ -14,8 +14,6 @@ import (
 	"clanbft/internal/committee"
 	"clanbft/internal/core"
 	"clanbft/internal/crypto"
-	"clanbft/internal/execution"
-	"clanbft/internal/execution/parallel"
 	"clanbft/internal/faults"
 	"clanbft/internal/mempool"
 	"clanbft/internal/metrics"
@@ -43,9 +41,8 @@ type Config struct {
 	// NumClans partitions the tribe (ModeMultiClan, default 2).
 	NumClans int
 	// LeadersPerRound bounds the anchors per round (zero: every eligible
-	// member, or the primary alone with SparseEdges; 1: single-leader
-	// Sailfish, what the paper-figure experiments pin). See
-	// core.Config.LeadersPerRound.
+	// member; 1: single-leader Sailfish, what the paper-figure experiments
+	// pin). See core.Config.LeadersPerRound.
 	LeadersPerRound int
 
 	// TxPerProposal transactions of TxSize bytes per proposal.
@@ -73,31 +70,6 @@ type Config struct {
 	CheckSigs bool
 	// Regions overrides the even 5-region split.
 	Regions []int
-
-	// ExecWorkers, when > 0, attaches the dependency-aware parallel
-	// execution engine (internal/execution/parallel) behind each node's
-	// async exec stage: committed vertices are delivered in batches and
-	// executed on this many workers, with per-node state roots reported
-	// in Result.StateRoots. Parallelism is strictly downstream of the
-	// total order — the simulator schedule, Result.Order, and the state
-	// roots are identical for 1 and N workers. Incompatible with Faults
-	// (executor state does not survive the crash/restart path).
-	ExecWorkers int
-	// KVWorkload switches the block source from the opaque mempool
-	// generator to the deterministic KV workload
-	// (execution.Workload): TxPerProposal SET transactions per proposal
-	// whose keys conflict with probability KVConflictPct percent.
-	// Implied by ExecWorkers > 0; TxSize is ignored (the workload's
-	// value size applies).
-	KVWorkload bool
-	// KVConflictPct is the hot-key probability, 0-100 (the
-	// dependency-rate knob of the tx/s-vs-conflict sweep).
-	KVConflictPct int
-
-	// SparseEdges runs every node in the metadata-lean DAG mode: sampled
-	// 2f+1 strong parents (leaders always kept). See
-	// core.Config.SparseEdges.
-	SparseEdges bool
 
 	// LeaderReputation enables the reputation-driven leader schedule
 	// (core.Config.LeaderReputation): committed timeout evidence demotes
@@ -194,11 +166,6 @@ type Result struct {
 	// byte for byte, async execution included.
 	Order []types.Position
 
-	// StateRoots holds each node's final KV state root when ExecWorkers
-	// is set — the execution-determinism witness: identical across nodes
-	// holding the blocks, and invariant under the worker count.
-	StateRoots []types.Hash
-
 	// Epochs is node 0's final epoch table (oldest retained first): the
 	// reconfiguration witness — membership, fence rounds, and re-sampled
 	// clan assignments must reproduce byte-identically per seed.
@@ -241,9 +208,6 @@ func (c *Config) fill() {
 	}
 	if c.RoundTimeout == 0 {
 		c.RoundTimeout = 10 * time.Second
-	}
-	if c.ExecWorkers > 0 {
-		c.KVWorkload = true
 	}
 	if c.Mode == core.ModeSingleClan && c.ClanSize == 0 {
 		c.ClanSize = PaperClanSize(c.N)
@@ -355,26 +319,10 @@ func Run(cfg Config) Result {
 		}
 	}
 
-	// Parallel execution engines, one per node (ExecWorkers > 0). The
-	// engine is attached via DeliverBatch and owns that node's KV state; it
-	// must survive for the whole run, so it is incompatible with the
-	// crash/restart fault path (which rebuilds nodes from stores).
-	var engines []*parallel.Engine
-	if cfg.ExecWorkers > 0 {
-		if cfg.Faults != nil {
-			panic("harness: ExecWorkers is incompatible with Faults (executor state does not survive restarts)")
-		}
-		engines = make([]*parallel.Engine, cfg.N)
-		for i := range engines {
-			engines[i] = parallel.New(execution.NewExecutor(types.NodeID(i), nil),
-				parallel.Config{Workers: cfg.ExecWorkers, Metrics: regs[i]})
-		}
-	}
-
-	// measure is the per-vertex measurement body, shared by the Deliver
-	// and DeliverBatch wirings. It runs on the exec-stage goroutine; the
-	// virtual clock belongs to the simulator goroutine and must not be
-	// read here — OrderedAt was stamped in handler context.
+	// measure is the per-vertex measurement body, each node's Deliver. It
+	// runs on the exec-stage goroutine; the virtual clock belongs to the
+	// simulator goroutine and must not be read here — OrderedAt was stamped
+	// in handler context.
 	measure := func(i int, cv core.CommittedVertex) {
 		v := cv.Vertex
 		if i == 0 {
@@ -433,11 +381,7 @@ func Run(cfg Config) Result {
 		if stores != nil {
 			st = stores[i]
 		}
-		var blocks core.BlockSource = mempool.NewGenerator(id, cfg.TxPerProposal, cfg.TxSize, true)
-		if cfg.KVWorkload {
-			blocks = execution.NewWorkload(id, cfg.TxPerProposal, cfg.KVConflictPct, cfg.Seed)
-		}
-		ncfg := core.Config{
+		return core.New(core.Config{
 			Self:             id,
 			N:                cfg.N,
 			Mode:             cfg.Mode,
@@ -445,7 +389,7 @@ func Run(cfg Config) Result {
 			Key:              &keys[i],
 			Reg:              reg,
 			Costs:            costs,
-			Blocks:           blocks,
+			Blocks:           mempool.NewGenerator(id, cfg.TxPerProposal, cfg.TxSize, true),
 			LeadersPerRound:  cfg.LeadersPerRound,
 			RoundTimeout:     cfg.RoundTimeout,
 			Members:          cfg.Members,
@@ -454,24 +398,11 @@ func Run(cfg Config) Result {
 			Store:            st,
 			ExecQueue:        ExecQueue,
 			Metrics:          regs[i],
-			SparseEdges:      cfg.SparseEdges,
-			SparseSeed:       uint64(cfg.Seed),
 			LeaderReputation: cfg.LeaderReputation,
 			ReputationWindow: cfg.ReputationWindow,
 			AnchorWait:       cfg.AnchorWait,
-		}
-		if engines != nil {
-			eng := engines[i]
-			ncfg.DeliverBatch = func(cvs []core.CommittedVertex) {
-				for _, cv := range cvs {
-					measure(i, cv)
-				}
-				eng.ApplyBatch(cvs)
-			}
-		} else {
-			ncfg.Deliver = func(cv core.CommittedVertex) { measure(i, cv) }
-		}
-		return core.New(ncfg, endpoints[i], clk)
+			Deliver:          func(cv core.CommittedVertex) { measure(i, cv) },
+		}, endpoints[i], clk)
 	}
 	for i := 0; i < cfg.N; i++ {
 		nodes[i] = mkNode(i)
@@ -580,14 +511,6 @@ func Run(cfg Config) Result {
 	res.Epochs = nodes[0].EpochTable()
 	for _, nd := range nodes {
 		res.ReputationOffenses += nd.MetricsSnapshot().ReputationOffenses
-	}
-	if engines != nil {
-		// Safe to read: every exec stage was flushed above, so the
-		// engines are quiescent.
-		res.StateRoots = make([]types.Hash, cfg.N)
-		for i, eng := range engines {
-			res.StateRoots[i] = eng.Executor().StateRoot()
-		}
 	}
 	return res
 }

@@ -16,23 +16,19 @@ import (
 // sequences. This is the harness-level face of the schedule-determinism
 // contract: demotions, re-admissions, the mid-stream re-tally a recovering
 // node performs, and the epoch-fence reputation reset all replay exactly.
-// Covered in both the dense and sparse edge modes with two anchors a round,
-// and dense on the default (every eligible member an anchor, so a demotion
-// changes the slot count of a round, not only who fills the slots) and with
-// LeadersPerRound pinned to 1.
+// Covered with two anchors a round, on the default (every eligible member an
+// anchor, so a demotion changes the slot count of a round, not only who fills
+// the slots) and with LeadersPerRound pinned to 1.
 func TestReputationScheduleDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		sparse  bool
 		leaders int
-	}{{"dense", false, 2}, {"sparse", true, 2}, {"dense/all-anchors", false, 0}, {"dense/single-leader", false, 1}} {
-		name, sparse := tc.name, tc.sparse
-		t.Run(name, func(t *testing.T) {
+	}{{"dense", 2}, {"dense/all-anchors", 0}, {"dense/single-leader", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{
 				Mode: core.ModeSingleClan, N: 12, TxPerProposal: 30,
 				Warmup: 2 * time.Second, Measure: 5 * time.Second, Seed: 29,
 				RoundTimeout:     700 * time.Millisecond,
-				SparseEdges:      sparse,
 				LeadersPerRound:  tc.leaders,
 				LeaderReputation: true,
 				ReputationWindow: 24,
@@ -85,7 +81,7 @@ func TestReputationScheduleDeterminism(t *testing.T) {
 					a.ReputationOffenses, b.ReputationOffenses)
 			}
 			t.Logf("%s: %d commits, %d offenses reproduced identically",
-				name, len(a.Order), a.ReputationOffenses)
+				tc.name, len(a.Order), a.ReputationOffenses)
 		})
 	}
 }

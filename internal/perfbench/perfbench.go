@@ -18,8 +18,6 @@ import (
 	"time"
 
 	"clanbft/internal/core"
-	"clanbft/internal/execution"
-	"clanbft/internal/execution/parallel"
 	"clanbft/internal/faults"
 	"clanbft/internal/harness"
 	"clanbft/internal/store"
@@ -368,93 +366,29 @@ func OrderWorkPerVertex(b *testing.B, n int) {
 	b.ReportMetric(all/single, "vs_single_leader")
 }
 
-// SparseDagScale drives one cell of the sparse-edge scaling experiment (a
-// multi-clan cluster of n nodes, dense or sparse edge mode) and reports
-// commits/sec plus bytes/commit and parents/vertex. bytes/commit — total
-// cluster wire bytes over node 0's committed vertices — is the metadata-
-// compression claim and gates lower-is-better; commits/sec floor-checks
-// that sparse parent sampling costs no commit throughput. Deterministic:
-// virtual time, fixed seed. The full n=50/100/200 sweep lives in
-// harness.SparseDagScale (cmd/bench -exp sparse); the gated cell uses n=50
-// to keep CI wall time sane.
-func SparseDagScale(b *testing.B, n int, sparse bool) {
+// DagScale drives a multi-clan cluster of n nodes with the single leader
+// pinned and reports commits/sec plus bytes/commit and parents/vertex.
+// bytes/commit — total cluster wire bytes over node 0's committed vertices —
+// gates the DAG's metadata cost lower-is-better; commits/sec is floor-checked.
+// Deterministic: virtual time, fixed seed.
+func DagScale(b *testing.B, n int) {
 	const warm, meas = 1 * time.Second, 3 * time.Second
 	var res harness.Result
 	for i := 0; i < b.N; i++ {
 		res = harness.Run(harness.Config{
 			Mode: core.ModeMultiClan, N: n, TxPerProposal: 8,
-			Warmup: warm, Measure: meas, Seed: 42, SparseEdges: sparse,
-			// One leader on both sides, as in harness.SparseDagScale: the
-			// cell compares edge modes, not anchor counts.
+			Warmup: warm, Measure: meas, Seed: 42,
 			LeadersPerRound: 1,
 		})
 	}
 	commits := len(res.Order)
 	if commits == 0 {
-		b.Fatal("sparse-dag pipeline committed nothing")
+		b.Fatal("dag-scale pipeline committed nothing")
 	}
 	b.ReportMetric(float64(commits)/(warm+meas).Seconds(), "commits/sec")
 	b.ReportMetric(float64(res.TotalBytes)/float64(commits), "bytes/commit")
 	if verts := res.Pipeline.Counters["dag.vertices"]; verts > 0 {
 		b.ReportMetric(float64(res.Pipeline.Counters["dag.edges"])/float64(verts), "parents/vertex")
-	}
-}
-
-// execValidateCost is the simulated per-transaction validation cost in
-// ParallelExecTxRate — the component the dependency-aware engine
-// parallelizes. Modeled as a sleep (like Fabric's VSCC delay in the
-// literature this engine follows) so the speedup is visible on any core
-// count: wall time per level is one validation, not level-size validations.
-const execValidateCost = 50 * time.Microsecond
-
-// ParallelExecTxRate measures the dependency-aware parallel execution engine
-// over a committed stream of KV blocks whose keys conflict with probability
-// conflictPct percent, reporting sustained tx/s (higher is better; the gate
-// floor-checks it). Each op replays the same 4-block × 256-tx stream through
-// a fresh executor, so ops are identical and deterministic in content. At
-// conflict=0 the dependency DAG levels into wide independent layers and
-// workers divide the validation cost; at conflict=100 (not in the suite, but
-// covered by tests) the engine degrades to the serial chain. Before
-// measuring, the parallel state root is checked bit-for-bit against a serial
-// reference — the rate is only meaningful if the result is right.
-func ParallelExecTxRate(b *testing.B, workers, conflictPct int) {
-	const blocks, txPerBlock = 4, 256
-	w := execution.NewWorkload(1, txPerBlock, conflictPct, 99)
-	cvs := make([]core.CommittedVertex, blocks)
-	for i := range cvs {
-		cvs[i] = core.CommittedVertex{Block: w.NextBlock(types.Round(i))}
-	}
-
-	// Untimed correctness check: serial reference root (validation cost
-	// does not influence state, so skip the sleeps).
-	ref := execution.NewExecutor(0, nil)
-	for _, cv := range cvs {
-		ref.Apply(cv)
-	}
-	ex := execution.NewExecutor(0, nil)
-	ex.ValidateCost = execValidateCost
-	eng := parallel.New(ex, parallel.Config{Workers: workers})
-	eng.ApplyBatch(cvs)
-	if ex.StateRoot() != ref.StateRoot() {
-		b.Fatalf("parallel state root diverged from serial reference (workers=%d conflict=%d%%)", workers, conflictPct)
-	}
-
-	var elapsed time.Duration
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		ex := execution.NewExecutor(0, nil)
-		ex.ValidateCost = execValidateCost
-		eng := parallel.New(ex, parallel.Config{Workers: workers})
-		b.StartTimer()
-		start := time.Now()
-		eng.ApplyBatch(cvs)
-		elapsed += time.Since(start)
-	}
-	b.StopTimer()
-	if elapsed > 0 {
-		b.ReportMetric(float64(blocks*txPerBlock)*float64(b.N)/elapsed.Seconds(), "tx/s")
 	}
 }
 
@@ -516,7 +450,7 @@ type TimingRow struct {
 
 // wallClockExtras are the reported metrics that read the wall clock; every
 // other extra is a count (or a virtual-time rate) and goes with the counters.
-var wallClockExtras = map[string]bool{"p50_ms": true, "p99_ms": true, "tx/s": true}
+var wallClockExtras = map[string]bool{"p50_ms": true, "p99_ms": true}
 
 // Split sorts measured rows into the artifact's two sections.
 func Split(rows []Row) Artifact {
@@ -544,13 +478,11 @@ func Split(rows []Row) Artifact {
 // (allocs/op must match — the encode-once invariant), group commit at two
 // writer counts (fsyncs/op must stay below one), the end-to-end pipeline
 // (commits/sec must not fall), the faulted latency-compression cell
-// (commit_latency_p50 must not rise), the parallel execution engine's
-// tx/s-vs-dependency-rate sweep (tx/s must not fall; 8 workers at 0%
-// conflict must stay well above the serial row), the sparse-edge DAG
-// cell at n=50 in both edge modes (bytes/commit must not rise, commits/sec
-// must not fall), and the serving front door: admission-control throughput
-// (allocs/op must stay zero, admit_share must hold its deterministic value)
-// and client end-to-end latency through the gateway protocol (wall clock,
+// (commit_latency_p50 must not rise), the DAG's metadata cost at n=50
+// (bytes/commit must not rise, commits/sec must not fall), and the serving
+// front door: admission-control throughput (allocs/op must stay zero,
+// admit_share must hold its deterministic value) and client end-to-end
+// latency through the gateway protocol (wall clock,
 // recorded only), and the transaction path's allocation counts layer by layer
 // (TxPath/*: allocs/op must stay at zero, or at one per transaction through
 // the gateway), and what one round's VALs cost in ECHO frames, signatures and
@@ -568,12 +500,7 @@ func Suite(verbose io.Writer) []Row {
 		Run("PipelineE2E/n=12/single-clan", PipelineE2E),
 		Run("CommitLatencyUnderFaults/n=9/reputation", CommitLatencyUnderFaults),
 		Run("OrderWorkPerVertex/n=100/all-anchors", func(b *testing.B) { OrderWorkPerVertex(b, 100) }),
-		Run("ParallelExecTxRate/workers=1/conflict=0", func(b *testing.B) { ParallelExecTxRate(b, 1, 0) }),
-		Run("ParallelExecTxRate/workers=8/conflict=0", func(b *testing.B) { ParallelExecTxRate(b, 8, 0) }),
-		Run("ParallelExecTxRate/workers=8/conflict=10", func(b *testing.B) { ParallelExecTxRate(b, 8, 10) }),
-		Run("ParallelExecTxRate/workers=8/conflict=50", func(b *testing.B) { ParallelExecTxRate(b, 8, 50) }),
-		Run("SparseDagScale/n=50/dense", func(b *testing.B) { SparseDagScale(b, 50, false) }),
-		Run("SparseDagScale/n=50/sparse", func(b *testing.B) { SparseDagScale(b, 50, true) }),
+		Run("DagScale/n=50", func(b *testing.B) { DagScale(b, 50) }),
 		Run("GatewayAdmitRate/clients=1024", func(b *testing.B) { GatewayAdmitRate(b, 1024) }),
 		Run("ClientE2ELatency/stub-consensus", ClientE2ELatency),
 		Run("TxPath/apply/overwrites=1000", TxPathApply),

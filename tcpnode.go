@@ -36,7 +36,6 @@ type TCPNode struct {
 	clans    [][]types.NodeID
 	opts     TCPNodeOptions
 	onCommit []func(Commit)
-	onBatch  []func([]Commit)
 	started  bool
 }
 
@@ -80,9 +79,8 @@ func NewTCPNode(o TCPNodeOptions) (*TCPNode, error) {
 		n.st = disk
 	}
 	n.vpool = o.newVerifyPool(reg)
-	cfg := o.nodeConfig(o.Self, &keys[o.Self], reg, n.clans, n.vpool)
+	cfg := o.nodeConfig(o.Self, &keys[o.Self], reg, n.clans, n.vpool, &n.onCommit)
 	cfg.Blocks, cfg.Store = n.pool, n.st
-	cfg.DeliverBatch = deliverTo(&n.onCommit, &n.onBatch)
 	// Installed epochs admit joined peers to the transport layer so
 	// Broadcast reaches them and their handshakes are accepted.
 	cfg.OnReconfig = func(info core.EpochInfo) {
@@ -108,15 +106,6 @@ func (n *TCPNode) OnCommit(fn func(Commit)) {
 		panic("clanbft: OnCommit after Start")
 	}
 	n.onCommit = append(n.onCommit, fn)
-}
-
-// OnCommitBatch registers a callback receiving the total order in
-// consecutive runs; see (*Cluster).OnCommitBatch. Must precede Start.
-func (n *TCPNode) OnCommitBatch(fn func([]Commit)) {
-	if n.started {
-		panic("clanbft: OnCommitBatch after Start")
-	}
-	n.onBatch = append(n.onBatch, fn)
 }
 
 // Start begins participating in consensus.

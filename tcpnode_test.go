@@ -75,7 +75,7 @@ func TestTCPNodeVerifyQueueExcludesSelfAndPulls(t *testing.T) {
 		t.Run(fmt.Sprintf("serial=%v", serial), func(t *testing.T) {
 			nodes := bootTCP(t, Options{N: 4, Seed: 12, SerialVerify: serial})
 			var commits atomic.Int64
-			nodes[0].OnCommitBatch(func(cvs []Commit) { commits.Add(int64(len(cvs))) })
+			nodes[0].OnCommit(func(Commit) { commits.Add(1) })
 			for _, nd := range nodes {
 				nd.Start()
 				defer nd.Close()
