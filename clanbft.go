@@ -78,36 +78,16 @@ type Options struct {
 	// Mode selects the protocol (default ModeSailfish).
 	Mode Mode
 	// ClanSize overrides the single clan's size; zero solves for the
-	// smallest clan with dishonest-majority probability <= FailureProb.
+	// smallest clan whose dishonest-majority probability is at most 1e-6,
+	// the paper's setting (see PlanClanSize).
 	ClanSize int
 	// NumClans partitions the tribe in ModeMultiClan (default 2).
 	NumClans int
-	// FailureProb bounds the probability of a dishonest-majority clan
-	// (default 1e-6, the paper's evaluation setting).
-	FailureProb float64
 	// MaxTxPerBlock bounds how many queued transactions one proposal
 	// drains (default 1000).
 	MaxTxPerBlock int
-	// LeadersPerRound bounds how many vertices of a round are anchors,
-	// committed directly one reliable broadcast plus one message delay
-	// (3-delta) after they are proposed. Zero, the default, makes every
-	// leader-eligible member's vertex one, so every vertex commits at
-	// 3-delta instead of only the leader's (the rest wait for the next
-	// round's leader, 5-delta). 1 is single-leader Sailfish as the paper
-	// evaluates it.
-	LeadersPerRound int
 	// RoundTimeout bounds the wait for a round leader (default 3 s).
 	RoundTimeout time.Duration
-	// NoCheckSigs disables real signature verification (default off, so
-	// signatures are checked; simulation harnesses model CPU costs instead).
-	NoCheckSigs bool
-	// SerialVerify disables the parallel verification pipeline, forcing
-	// every signature check back onto the node's serialized handler
-	// goroutine (benchmarking/debugging only; default off). With
-	// verification enabled, nodes normally pre-verify inbound signatures
-	// on a GOMAXPROCS-wide crypto.VerifyPool so one core can no longer
-	// bottleneck the whole node.
-	SerialVerify bool
 	// ExecQueue decouples commit delivery from the consensus handler:
 	// when > 0, OnCommit callbacks run on a dedicated execution goroutine
 	// behind a bounded queue of this capacity, so an expensive callback
@@ -128,9 +108,9 @@ type Options struct {
 	Members []NodeID
 	// ReconfigDelay is the round gap between a committed ReconfigTx and
 	// its epoch fence (default 32, or 2f+2 where that is more; tests use
-	// smaller values to cross fences quickly). With more than one anchor
-	// a round a value below 2f+2, f = (N-1)/3, is rejected at
-	// construction: see core.Config.ReconfigDelay.
+	// smaller values to cross fences quickly). A value below 2f+2,
+	// f = (N-1)/3, is rejected at construction: see
+	// core.Config.ReconfigDelay.
 	ReconfigDelay types.Round
 	// LeaderReputation enables the reputation-driven leader schedule:
 	// committed timeout/no-vote evidence demotes repeat offenders from
@@ -140,21 +120,15 @@ type Options struct {
 	LeaderReputation bool
 	// ReputationWindow is the demotion length in rounds (default 64).
 	ReputationWindow types.Round
-	// AnchorWait caps the two holds that wait out a round's stragglers: a
-	// node keeps its echoes for a round until the round's last expected VAL
-	// is in, so that they leave as one frame, and its next proposal until
-	// the round's remaining anchors deliver, so that every anchor collects
-	// every vote. Each hold ends as soon as what it waits for is in. Zero
-	// means 5 ms; negative turns both holds off.
-	AnchorWait time.Duration
 }
+
+// clanFailureProb bounds the probability that a sampled single clan has a
+// dishonest majority: 1e-6, the paper's evaluation setting.
+const clanFailureProb = 1e-6
 
 func (o *Options) fill() error {
 	if o.N < 4 {
 		return fmt.Errorf("clanbft: need at least 4 parties, got %d", o.N)
-	}
-	if o.FailureProb == 0 {
-		o.FailureProb = 1e-6
 	}
 	if o.MaxTxPerBlock == 0 {
 		o.MaxTxPerBlock = 1000
@@ -191,7 +165,7 @@ func (o *Options) sampleClans() [][]types.NodeID {
 	case ModeSingleClan:
 		size := o.ClanSize
 		if size == 0 {
-			size = PlanClanSize(o.N, o.FailureProb)
+			size = PlanClanSize(o.N, clanFailureProb)
 		}
 		if o.Members != nil {
 			return [][]types.NodeID{committee.SampleClanMembers(o.Members, min(size, len(o.Members)), o.Seed+2)}
@@ -208,14 +182,11 @@ func (o *Options) sampleClans() [][]types.NodeID {
 
 // nodeConfig is the core.Config NewCluster and NewTCPNode both start from:
 // every protocol option is passed in this one place, so neither constructor
-// can drop one. Deliver fans each committed vertex out to the callbacks
-// registered in *onCommit, in registration order. Callers add what is
-// theirs: block source, store and reconfiguration hook.
+// can drop one. Anchors, holds and pull pacing are core's defaults. Deliver
+// fans each committed vertex out to the callbacks registered in *onCommit, in
+// registration order. Callers add what is theirs: block source, store and
+// reconfiguration hook.
 func (o *Options) nodeConfig(self NodeID, key *crypto.KeyPair, reg *crypto.Registry, clans [][]types.NodeID, vpool *crypto.VerifyPool, onCommit *[]func(Commit)) core.Config {
-	verifyCores := 0
-	if vpool != nil {
-		verifyCores = vpool.Workers()
-	}
 	return core.Config{
 		Self:             self,
 		N:                o.N,
@@ -224,31 +195,19 @@ func (o *Options) nodeConfig(self NodeID, key *crypto.KeyPair, reg *crypto.Regis
 		Key:              key,
 		Reg:              reg,
 		Costs:            crypto.ZeroCosts(),
-		LeadersPerRound:  o.LeadersPerRound,
 		RoundTimeout:     o.RoundTimeout,
-		VerifyCores:      verifyCores,
+		VerifyCores:      vpool.Workers(),
 		ExecQueue:        o.ExecQueue,
 		Members:          o.Members,
 		ReconfigDelay:    o.ReconfigDelay,
 		LeaderReputation: o.LeaderReputation,
 		ReputationWindow: o.ReputationWindow,
-		AnchorWait:       o.AnchorWait,
 		Deliver: func(cv core.CommittedVertex) {
 			for _, fn := range *onCommit {
 				fn(cv)
 			}
 		},
 	}
-}
-
-// newVerifyPool returns the GOMAXPROCS-wide pool that pre-verifies inbound
-// signatures so the serialized handler goroutine is never the verification
-// bottleneck, or nil when checking is off or forced inline.
-func (o *Options) newVerifyPool(reg *crypto.Registry) *crypto.VerifyPool {
-	if !reg.CheckSigs || o.SerialVerify {
-		return nil
-	}
-	return crypto.NewVerifyPool(0, 0)
 }
 
 // Cluster is an in-process cluster of consensus nodes connected by
@@ -282,11 +241,12 @@ func NewCluster(o Options) (*Cluster, error) {
 		onCommit: make([][]func(Commit), o.N),
 		pools:    make([]*mempool.Pool, o.N),
 	}
-	c.reg = crypto.NewRegistry(c.keys, !o.NoCheckSigs)
+	c.reg = crypto.NewRegistry(c.keys, true)
 	c.clans = o.sampleClans()
-	// One pool fronts every node's mailbox: signatures verify in parallel
-	// across cores, handlers apply already-verified messages in order.
-	c.vpool = o.newVerifyPool(c.reg)
+	// One GOMAXPROCS-wide pool fronts every node's mailbox: signatures
+	// verify in parallel across cores, handlers apply already-verified
+	// messages in order.
+	c.vpool = crypto.NewVerifyPool(0, 0)
 
 	for i := 0; i < o.N; i++ {
 		id := types.NodeID(i)
@@ -303,11 +263,7 @@ func NewCluster(o Options) (*Cluster, error) {
 		}
 		node := core.New(cfg, c.net.Endpoint(id), c.net.Clock(id))
 		c.nodes = append(c.nodes, node)
-		if c.vpool != nil {
-			if ve, ok := c.net.Endpoint(id).(transport.VerifyingEndpoint); ok {
-				ve.SetVerifier(node.Verifier(), c.vpool)
-			}
-		}
+		c.net.Endpoint(id).(transport.VerifyingEndpoint).SetVerifier(node.Verifier(), c.vpool)
 	}
 	return c, nil
 }
@@ -370,7 +326,6 @@ func (c *Cluster) Proposers() []NodeID {
 // commits; EpochTable shows the resulting membership and clans.
 func (c *Cluster) SubmitReconfig(action types.ReconfigAction, id NodeID, addr string) {
 	tx := ReconfigTx{Action: action, Node: id, Addr: addr}
-	copy(tx.PubKey[:], c.keys[id].Pub)
 	core.SignReconfig(c.reg, &c.keys[id], &tx)
 	for _, n := range c.nodes {
 		n.SubmitReconfig(tx)
@@ -458,9 +413,7 @@ func (c *Cluster) Stop() {
 		n.Stop()
 	}
 	c.net.Close()
-	if c.vpool != nil {
-		c.vpool.Close()
-	}
+	c.vpool.Close()
 	for _, st := range c.stores {
 		st.Close()
 	}

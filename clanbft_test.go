@@ -210,8 +210,10 @@ func TestTCPNodesReachConsensus(t *testing.T) {
 	}
 }
 
-func TestMultiLeaderClusterOption(t *testing.T) {
-	c, err := NewCluster(Options{N: 4, Seed: 9, LeadersPerRound: 2})
+// TestClusterAnchorsEveryMember: a cluster's default ordering path makes every
+// member's vertex an anchor, so several commit directly each round.
+func TestClusterAnchorsEveryMember(t *testing.T) {
+	c, err := NewCluster(Options{N: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package clanbft
 
 import (
-	"time"
-
 	"clanbft/internal/gateway"
 	"clanbft/internal/metrics"
 )
@@ -26,7 +24,9 @@ type GatewayStateReader = gateway.StateReader
 // GatewayReaderFunc adapts a closure to GatewayStateReader.
 type GatewayReaderFunc = gateway.StateReaderFunc
 
-// GatewayOptions configures a gateway serving one node.
+// GatewayOptions configures a gateway serving one node. Read deadlines and the
+// transaction size cap are the gateway's defaults: an aggregated read waits
+// 1 s, a frame's bytes 2 min, and a transaction is at most 64 KiB.
 type GatewayOptions struct {
 	// Addr is the client-facing TCP listen address ("127.0.0.1:0" in
 	// tests; the bound address is Gateway.Addr()).
@@ -36,12 +36,6 @@ type GatewayOptions struct {
 	// Responders serve the f_c+1 read path, conventionally one per clan
 	// member's executor, the local node's first. Nil disables reads.
 	Responders []GatewayStateReader
-	// ReadQuorumTimeout bounds one aggregated read (default 1s).
-	ReadQuorumTimeout time.Duration
-	// ReadTimeout is the per-frame socket read deadline (default 2 min).
-	ReadTimeout time.Duration
-	// MaxTx caps one transaction's size in bytes (default 64 KiB).
-	MaxTx int
 	// WriteQueue bounds a connection's unwritten backlog, in units of
 	// 512 bytes (default 1024: 512 KiB); frames beyond it are dropped.
 	WriteQueue int
@@ -58,11 +52,8 @@ func buildGateway(o GatewayOptions, submit func([]byte), depth func() int,
 		Read: gateway.ReadConfig{
 			Responders: o.Responders,
 			FaultBound: faultBound,
-			Timeout:    o.ReadQuorumTimeout,
 		},
-		MaxTx:       o.MaxTx,
-		ReadTimeout: o.ReadTimeout,
-		WriteQueue:  o.WriteQueue,
+		WriteQueue: o.WriteQueue,
 	})
 }
 

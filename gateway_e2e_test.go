@@ -17,7 +17,7 @@ import (
 // three executors (f_c = 1 for n = 4 → quorum of 2).
 func buildGatewayCluster(t *testing.T, o GatewayOptions) (*Cluster, *Gateway) {
 	t.Helper()
-	c, err := NewCluster(Options{N: 4, NoCheckSigs: true, ExecQueue: 64, MaxTxPerBlock: 256})
+	c, err := NewCluster(Options{N: 4, ExecQueue: 64, MaxTxPerBlock: 256})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}

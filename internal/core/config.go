@@ -111,7 +111,6 @@ type CommittedVertex struct {
 type Config struct {
 	Self types.NodeID
 	N    int
-	F    int // defaults to (N-1)/3
 
 	Mode Mode
 	// Clans lists clan memberships: exactly one clan for ModeSingleClan,
@@ -153,9 +152,6 @@ type Config struct {
 
 	// Blocks supplies proposal payloads (nil proposes empty vertices).
 	Blocks BlockSource
-	// OnUnhandled receives messages the consensus engine does not consume
-	// (e.g. a co-resident dissemination layer's traffic). Nil drops them.
-	OnUnhandled func(from types.NodeID, m types.Message)
 	// Deliver receives the total order, one committed vertex at a time.
 	Deliver func(CommittedVertex)
 
@@ -222,9 +218,6 @@ type Config struct {
 	// RoundTimeout bounds the wait for a round's leader vertex
 	// (default 3 s).
 	RoundTimeout time.Duration
-	// PullRetry is the re-request interval for missing blocks/vertices
-	// (default 200 ms).
-	PullRetry time.Duration
 	// GCDepth is how many rounds behind the last ordered leader round the
 	// DAG retains (default 64).
 	GCDepth int
@@ -271,14 +264,8 @@ func (c *Config) fill() {
 			}
 		}
 	}
-	if c.F == 0 {
-		c.F = (len(c.Members) - 1) / 3
-	}
 	if c.RoundTimeout == 0 {
 		c.RoundTimeout = 3 * time.Second
-	}
-	if c.PullRetry == 0 {
-		c.PullRetry = 200 * time.Millisecond
 	}
 	if c.GCDepth == 0 {
 		c.GCDepth = 64
@@ -453,7 +440,6 @@ type Metrics struct {
 	VerticesOrdered   int
 	BlocksProposed    int
 	BlocksReceived    int
-	BlocksPulled      int
 	TxsOrdered        int
 	DirectCommits     int
 	IndirectCommits   int
@@ -515,9 +501,7 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 	if cfg.Mode == ModeBaseline {
 		clans = [][]types.NodeID{n.cfg.Members}
 	}
-	es0 := n.buildEpochState(0, 0, 0, n.cfg.Members, clans)
-	es0.f = n.cfg.F // honor an explicitly configured epoch-0 F
-	n.epochs = []*epochState{es0}
+	n.epochs = []*epochState{n.buildEpochState(0, 0, 0, n.cfg.Members, clans)}
 	n.initMetrics()
 	if cfg.ExecQueue > 0 {
 		n.exec = newExecStage(cfg.Deliver, cfg.ExecQueue, n.reg)

@@ -180,9 +180,5 @@ func (n *Node) handle(from types.NodeID, m types.Message) {
 		n.onTCMsg(from, msg)
 	case *types.SnapReqMsg:
 		n.onSnapReq(from, msg)
-	default:
-		if n.cfg.OnUnhandled != nil {
-			n.cfg.OnUnhandled(from, m)
-		}
 	}
 }

@@ -164,9 +164,11 @@ func reconfigCtx(tx *types.ReconfigTx) []byte {
 	return tx.SigningBytes([]byte{'R'})
 }
 
-// SignReconfig signs a membership transaction with the affected node's key.
-// The signature binds the action, node, address, and public key.
+// SignReconfig signs a membership transaction with the affected node's key,
+// first setting tx.PubKey to that key's public half. The signature binds the
+// action, node, address, and public key.
 func SignReconfig(reg *crypto.Registry, key *crypto.KeyPair, tx *types.ReconfigTx) {
+	copy(tx.PubKey[:], key.Pub)
 	tx.Sig = reg.SignFor(key, reconfigCtx(tx))
 }
 

@@ -12,7 +12,6 @@ import (
 // party's key (the tcluster key universe).
 func signedReconfig(c *tcluster, action types.ReconfigAction, id types.NodeID, addr string) types.ReconfigTx {
 	tx := types.ReconfigTx{Action: action, Node: id, Addr: addr}
-	copy(tx.PubKey[:], c.keys[id].Pub)
 	SignReconfig(c.reg, &c.keys[id], &tx)
 	return tx
 }

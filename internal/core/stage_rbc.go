@@ -931,6 +931,9 @@ func (n *Node) gcRBC(horizon types.Round) {
 // ---------------------------------------------------------------------------
 // Pull paths.
 
+// pullRetry is the re-request interval for a missing block or vertex.
+const pullRetry = 200 * time.Millisecond
+
 // maybeStartBlockPull requests the block for pos's vertex if this party
 // needs it and lacks it.
 func (n *Node) maybeStartBlockPull(pos types.Position, in *vinst) {
@@ -973,7 +976,7 @@ func (n *Node) sendBlockPull(pos types.Position, in *vinst) {
 		return
 	}
 	n.send(target, &types.BlockReqMsg{Pos: pos, Digest: v.BlockDigest})
-	in.blockPull = n.clk.After(n.cfg.PullRetry, func() {
+	in.blockPull = n.clk.After(pullRetry, func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		if n.stopped || n.instIfAny(pos) != in {
@@ -1044,7 +1047,7 @@ func (n *Node) sendVtxPull(pos types.Position, in *vinst) {
 	// pull at the frontier drag a batch of vertices, blocks included, that
 	// the requester already held.)
 	n.send(target, &types.VtxReqMsg{Pos: pos, Have: max(n.lastCommitRound, n.dag.MaxRound())})
-	in.vtxPull = n.clk.After(n.cfg.PullRetry, func() {
+	in.vtxPull = n.clk.After(pullRetry, func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		if n.stopped || n.instIfAny(pos) != in {

@@ -69,9 +69,6 @@ type Options struct {
 	// The property checks are unchanged — safety and liveness must hold
 	// with the mutable schedule under the same fault mixes.
 	LeaderReputation bool
-	// AnchorWait caps the echo and anchor holds (0 = core's 5 ms default,
-	// negative = both off).
-	AnchorWait time.Duration
 	// GCDepth overrides how many rounds behind the commit frontier each
 	// node retains (core's default when zero). Scenarios that keep nodes
 	// down for long stretches raise it so the survivors can still serve
@@ -261,7 +258,6 @@ func (c *cluster) startNode(i int) {
 		Metrics:          c.regs[i],
 		LeadersPerRound:  c.opts.LeadersPerRound,
 		LeaderReputation: c.opts.LeaderReputation,
-		AnchorWait:       c.opts.AnchorWait,
 		GCDepth:          c.opts.GCDepth,
 		Deliver: func(cv core.CommittedVertex) {
 			c.orders[i] = append(c.orders[i], cv.Vertex.Pos())
@@ -363,7 +359,6 @@ func Run(opts Options) Result {
 		rc := rc
 		c.net.Clock(0).After(rc.At, func() {
 			tx := types.ReconfigTx{Action: rc.Action, Node: rc.Node, Addr: rc.Addr}
-			copy(tx.PubKey[:], c.keys[rc.Node].Pub)
 			core.SignReconfig(c.reg, &c.keys[rc.Node], &tx)
 			c.trace.Logf(c.net.Now(), "reconfig submitted: action=%d node=%d", rc.Action, rc.Node)
 			for i := range c.nodes {

@@ -328,3 +328,47 @@ func testChaosReputation(t *testing.T, leaders int) {
 			static.Timeouts[0], reput.Timeouts[0], static.Timeouts, reput.Timeouts)
 	}
 }
+
+// TestChaosBlockPulledPastHorizon holds one vertex's block away from one
+// member of its clan for longer than GCDepth rounds, in every mode. Node 0 is
+// an observer: it holds every vertex and no block, so the victim's first pull
+// of P's vertex, which goes to node 0, brings the vertex alone. The victim's
+// copies of P's VAL and of every pull reply that carries P's block are delayed
+// by a second. So the victim orders P, executes nothing past it, and orders on
+// more than GCDepth rounds ahead while P's block is still being pulled. The
+// horizon must not pass P before P is emitted: that would retire P's RBC
+// instance with the block pull in it, the block never reaches the store, and
+// the victim's execution halts for good — the liveness property's violation.
+func TestChaosBlockPulledPastHorizon(t *testing.T) {
+	const victim = types.NodeID(1)
+	late := types.Position{Round: 20, Source: 2}
+	carriesBlock := func(m types.Message) bool {
+		switch msg := m.(type) {
+		case *types.ValMsg:
+			return msg.Vertex.Pos() == late
+		case *types.BlockRspMsg:
+			return msg.Block != nil && msg.Block.Round == late.Round && msg.Block.Source == late.Source
+		case *types.VtxRspMsg:
+			return msg.Block != nil && msg.Vertex.Pos() == late
+		}
+		return false
+	}
+	for _, mode := range []core.Mode{core.ModeBaseline, core.ModeSingleClan, core.ModeMultiClan} {
+		t.Run(mode.String(), func(t *testing.T) {
+			r := Run(Options{
+				Seed:    3,
+				Mode:    mode,
+				N:       8,
+				Members: []types.NodeID{1, 2, 3, 4, 5, 6, 7},
+				Dir:     t.TempDir(),
+				GCDepth: 4,
+				Schedule: &faults.Schedule{Seed: 3, Events: []faults.Event{
+					{Kind: faults.KindDelay, From: faults.All, To: victim, Delay: time.Second, Match: carriesBlock},
+				}},
+			})
+			if r.Failed() {
+				dumpFailure(t, r)
+			}
+		})
+	}
+}

@@ -8,7 +8,7 @@
 // so when the server slows down the offered load does NOT politely slow with
 // it — queues grow, rejects appear, and tail latency tells the truth. A
 // closed-loop generator (submit, wait, repeat) self-throttles and hides
-// exactly the overload behavior harness.GatewayOverload exists to measure
+// exactly the overload behavior `bench -exp gateway` exists to measure
 // (coordinated omission).
 //
 // Clients are simulated: Config.Clients logical client IDs are multiplexed

@@ -10,7 +10,7 @@
 // admission control: per-client token buckets plus global backpressure keyed
 // off the true mempool depth and the exec stage's queue-wait signal, so that
 // under overload the gateway sheds load at the edge and the consensus core
-// keeps committing at its sustainable rate (see harness.GatewayOverload).
+// keeps committing at its sustainable rate (see `bench -exp gateway`).
 package gateway
 
 import (

@@ -52,13 +52,10 @@ func Figure1() []Figure1Row {
 func PrintFigure1(w io.Writer) {
 	fmt.Fprintln(w, "Figure 1 — clan size ensuring honest majority (failure < 1e-9)")
 	fmt.Fprintf(w, "%8s %8s %10s %14s\n", "n", "f", "clan", "failure prob")
-	for _, r := range Figure1Row_All() {
+	for _, r := range Figure1() {
 		fmt.Fprintf(w, "%8d %8d %10d %14.3g\n", r.N, r.F, r.ClanSize, r.FailureProb)
 	}
 }
-
-// Figure1Row_All is Figure1 (named for symmetry with the printers).
-func Figure1Row_All() []Figure1Row { return Figure1() }
 
 // PrintTable1 renders the Table 1 latency matrix the simulator uses.
 func PrintTable1(w io.Writer) {

@@ -31,6 +31,19 @@ import (
 // executor before reading samples.
 const ExecQueue = 256
 
+// The simulated deployment's fixed parameters. Every transaction is txSize
+// bytes. Each node sustains bandwidthBps of goodput: the e2-standard-32 line
+// rate is 16 Gbps, but sustained cross-region TCP goodput (window scaling,
+// congestion control, framing, GCP inter-region throttling) lands far below
+// it, and 2 Gbps reproduces the paper's saturation region. Each TCP flow is
+// capped at perFlowWindow/RTT, a typical Linux autotuned sender window.
+// Signatures are not checked: the simulation charges modelled CPU costs.
+const (
+	txSize        = 512
+	bandwidthBps  = 2e9
+	perFlowWindow = 2_621_440 // 2.5 MiB
+)
+
 // Config is one experiment data point.
 type Config struct {
 	Mode core.Mode
@@ -45,29 +58,15 @@ type Config struct {
 	// pin). See core.Config.LeadersPerRound.
 	LeadersPerRound int
 
-	// TxPerProposal transactions of TxSize bytes per proposal.
+	// TxPerProposal transactions of txSize bytes per proposal.
 	TxPerProposal int
-	TxSize        int // default 512
 
 	// Warmup is excluded from measurement; Measure is the sampled window.
 	Warmup  time.Duration // default 5 s
 	Measure time.Duration // default 15 s
 
-	Seed int64
-	// BandwidthBps is the effective sustained per-node goodput. Default
-	// 2e9: the e2-standard-32 line rate is 16 Gbps, but sustained
-	// cross-region TCP goodput (window scaling, congestion control,
-	// framing, GCP inter-region throttling) lands far below it; 2 Gbps
-	// reproduces the paper's saturation region. Set 16e9 to model raw
-	// line rate.
-	BandwidthBps float64
-	// PerFlowWindow caps each TCP flow at window/RTT (default 2.5 MiB,
-	// typical Linux autotuned sender window). <0 disables.
-	PerFlowWindow int
-	RoundTimeout  time.Duration // default 10 s (never fires failure-free)
-	// CheckSigs enables real cryptography (slow; simulations rely on the
-	// modeled CPU costs instead).
-	CheckSigs bool
+	Seed         int64
+	RoundTimeout time.Duration // default 10 s (never fires failure-free)
 	// Regions overrides the even 5-region split.
 	Regions []int
 
@@ -77,9 +76,6 @@ type Config struct {
 	LeaderReputation bool
 	// ReputationWindow overrides the demotion window (default 64 rounds).
 	ReputationWindow types.Round
-	// AnchorWait caps the echo and anchor holds (core.Config.AnchorWait):
-	// zero is the 5 ms default, negative turns both off.
-	AnchorWait time.Duration
 
 	// Faults, when non-nil, wraps every endpoint in the deterministic
 	// fault layer and drives the schedule over the run: link drop/dup/
@@ -189,22 +185,11 @@ func PaperClanSize(n int) int {
 }
 
 func (c *Config) fill() {
-	if c.TxSize == 0 {
-		c.TxSize = 512
-	}
 	if c.Warmup == 0 {
 		c.Warmup = 5 * time.Second
 	}
 	if c.Measure == 0 {
 		c.Measure = 15 * time.Second
-	}
-	if c.BandwidthBps == 0 {
-		c.BandwidthBps = 2e9
-	}
-	if c.PerFlowWindow == 0 {
-		c.PerFlowWindow = 2_621_440 // 2.5 MiB
-	} else if c.PerFlowWindow < 0 {
-		c.PerFlowWindow = 0
 	}
 	if c.RoundTimeout == 0 {
 		c.RoundTimeout = 10 * time.Second
@@ -227,13 +212,13 @@ func Run(cfg Config) Result {
 	net := simnet.New(simnet.Config{
 		N:             cfg.N,
 		Regions:       regions,
-		BandwidthBps:  cfg.BandwidthBps,
-		PerFlowWindow: cfg.PerFlowWindow,
+		BandwidthBps:  bandwidthBps,
+		PerFlowWindow: perFlowWindow,
 		Seed:          cfg.Seed + 1,
 		BatchWindow:   2 * time.Millisecond,
 	})
 	keys := crypto.GenerateKeys(cfg.N, uint64(cfg.Seed)+99)
-	reg := crypto.NewRegistry(keys, cfg.CheckSigs)
+	reg := crypto.NewRegistry(keys, false)
 	// e2-standard-32: 32 vCPUs; parallelizable verification work scales
 	// across ~16 physical cores (paper Section 7 implementation notes).
 	costs := crypto.DefaultCosts().Parallel(16)
@@ -389,7 +374,7 @@ func Run(cfg Config) Result {
 			Key:              &keys[i],
 			Reg:              reg,
 			Costs:            costs,
-			Blocks:           mempool.NewGenerator(id, cfg.TxPerProposal, cfg.TxSize, true),
+			Blocks:           mempool.NewGenerator(id, cfg.TxPerProposal, txSize, true),
 			LeadersPerRound:  cfg.LeadersPerRound,
 			RoundTimeout:     cfg.RoundTimeout,
 			Members:          cfg.Members,
@@ -400,7 +385,6 @@ func Run(cfg Config) Result {
 			Metrics:          regs[i],
 			LeaderReputation: cfg.LeaderReputation,
 			ReputationWindow: cfg.ReputationWindow,
-			AnchorWait:       cfg.AnchorWait,
 			Deliver:          func(cv core.CommittedVertex) { measure(i, cv) },
 		}, endpoints[i], clk)
 	}
@@ -417,7 +401,6 @@ func Run(cfg Config) Result {
 		rc := rc
 		net.Clock(0).After(rc.At, func() {
 			tx := types.ReconfigTx{Action: rc.Action, Node: rc.Node, Addr: rc.Addr}
-			copy(tx.PubKey[:], keys[rc.Node].Pub)
 			core.SignReconfig(reg, &keys[rc.Node], &tx)
 			for i := range nodes {
 				nodes[i].SubmitReconfig(tx)

@@ -64,7 +64,7 @@ func NewTCPNode(o TCPNodeOptions) (*TCPNode, error) {
 		}
 	}
 	keys := crypto.GenerateKeys(o.N, uint64(o.Seed)+1)
-	reg := crypto.NewRegistry(keys, !o.NoCheckSigs)
+	reg := crypto.NewRegistry(keys, true)
 	ep, err := transport.NewTCPEndpoint(o.Self, o.Addrs)
 	if err != nil {
 		return nil, err
@@ -78,7 +78,7 @@ func NewTCPNode(o TCPNodeOptions) (*TCPNode, error) {
 		}
 		n.st = disk
 	}
-	n.vpool = o.newVerifyPool(reg)
+	n.vpool = crypto.NewVerifyPool(0, 0)
 	cfg := o.nodeConfig(o.Self, &keys[o.Self], reg, n.clans, n.vpool, &n.onCommit)
 	cfg.Blocks, cfg.Store = n.pool, n.st
 	// Installed epochs admit joined peers to the transport layer so
@@ -91,9 +91,7 @@ func NewTCPNode(o TCPNodeOptions) (*TCPNode, error) {
 		}
 	}
 	n.node = core.New(cfg, ep, ep.Clock())
-	if n.vpool != nil {
-		ep.SetVerifier(n.node.Verifier(), n.vpool)
-	}
+	ep.SetVerifier(n.node.Verifier(), n.vpool)
 	return n, nil
 }
 
@@ -161,10 +159,8 @@ func (n *TCPNode) Close() error {
 	n.node.Flush()
 	n.node.Stop()
 	err := n.ep.Close()
-	if n.vpool != nil {
-		// After the endpoint: read loops must stop submitting first.
-		n.vpool.Close()
-	}
+	// After the endpoint: read loops must stop submitting first.
+	n.vpool.Close()
 	if n.st != nil {
 		if cerr := n.st.Close(); err == nil {
 			err = cerr
@@ -205,7 +201,6 @@ func SignReconfigTx(n int, seed int64, action types.ReconfigAction, id NodeID, a
 	keys := crypto.GenerateKeys(n, uint64(seed)+1)
 	reg := crypto.NewRegistry(keys, true)
 	tx := ReconfigTx{Action: action, Node: id, Addr: addr}
-	copy(tx.PubKey[:], keys[id].Pub)
 	core.SignReconfig(reg, &keys[id], &tx)
 	return tx
 }

@@ -1,7 +1,6 @@
 package clanbft
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -66,33 +65,28 @@ func TestTCPNodeReputationSchedule(t *testing.T) {
 	}
 }
 
-// TestTCPNodeVerifyQueueExcludesSelfAndPulls: with the verify pipeline on,
-// only signed messages from peers are queued on the pool — never more than
-// the node received, which self-sends used to push it past — and with
-// SerialVerify the pool is bypassed entirely and the cluster still commits.
+// TestTCPNodeVerifyQueueExcludesSelfAndPulls: only signed messages from peers
+// are queued on the verify pool — never more than the node received, which
+// self-sends used to push it past. The subtest keeps the name of the pooled
+// case from when a pool-bypassing serial variant existed beside it.
 func TestTCPNodeVerifyQueueExcludesSelfAndPulls(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		t.Run(fmt.Sprintf("serial=%v", serial), func(t *testing.T) {
-			nodes := bootTCP(t, Options{N: 4, Seed: 12, SerialVerify: serial})
-			var commits atomic.Int64
-			nodes[0].OnCommit(func(Commit) { commits.Add(1) })
-			for _, nd := range nodes {
-				nd.Start()
-				defer nd.Close()
+	t.Run("serial=false", func(t *testing.T) {
+		nodes := bootTCP(t, Options{N: 4, Seed: 12})
+		var commits atomic.Int64
+		nodes[0].OnCommit(func(Commit) { commits.Add(1) })
+		for _, nd := range nodes {
+			nd.Start()
+			defer nd.Close()
+		}
+		nodes[1].Submit([]byte("queued"))
+		waitFor(t, 20*time.Second, func() bool { return commits.Load() >= 40 })
+		for i, nd := range nodes {
+			// VerifyQueued is read first: both counters only grow, and
+			// every queued message was counted as received before it.
+			queued, recv := nd.Stats().VerifyQueued, nd.Stats().MsgsRecv
+			if queued == 0 || queued > recv {
+				t.Fatalf("node %d queued %d messages for verification out of %d received", i, queued, recv)
 			}
-			nodes[1].Submit([]byte("queued"))
-			waitFor(t, 20*time.Second, func() bool { return commits.Load() >= 40 })
-			for i, nd := range nodes {
-				// VerifyQueued is read first: both counters only grow, and
-				// every queued message was counted as received before it.
-				queued, recv := nd.Stats().VerifyQueued, nd.Stats().MsgsRecv
-				switch {
-				case serial && queued != 0:
-					t.Fatalf("node %d queued %d messages on a verify pool it does not have", i, queued)
-				case !serial && (queued == 0 || queued > recv):
-					t.Fatalf("node %d queued %d messages for verification out of %d received", i, queued, recv)
-				}
-			}
-		})
-	}
+		}
+	})
 }
