@@ -186,7 +186,7 @@ func (o *Options) sampleClans() [][]types.NodeID {
 // fans each committed vertex out to the callbacks registered in *onCommit, in
 // registration order. Callers add what is theirs: block source, store and
 // reconfiguration hook.
-func (o *Options) nodeConfig(self NodeID, key *crypto.KeyPair, reg *crypto.Registry, clans [][]types.NodeID, vpool *crypto.VerifyPool, onCommit *[]func(Commit)) core.Config {
+func (o *Options) nodeConfig(self NodeID, key *crypto.KeyPair, reg *crypto.Registry, clans [][]types.NodeID, onCommit *[]func(Commit)) core.Config {
 	return core.Config{
 		Self:             self,
 		N:                o.N,
@@ -196,7 +196,6 @@ func (o *Options) nodeConfig(self NodeID, key *crypto.KeyPair, reg *crypto.Regis
 		Reg:              reg,
 		Costs:            crypto.ZeroCosts(),
 		RoundTimeout:     o.RoundTimeout,
-		VerifyCores:      vpool.Workers(),
 		ExecQueue:        o.ExecQueue,
 		Members:          o.Members,
 		ReconfigDelay:    o.ReconfigDelay,
@@ -251,7 +250,7 @@ func NewCluster(o Options) (*Cluster, error) {
 	for i := 0; i < o.N; i++ {
 		id := types.NodeID(i)
 		c.pools[i] = mempool.NewPool(o.MaxTxPerBlock)
-		cfg := o.nodeConfig(id, &c.keys[i], c.reg, c.clans, c.vpool, &c.onCommit[i])
+		cfg := o.nodeConfig(id, &c.keys[i], c.reg, c.clans, &c.onCommit[i])
 		cfg.Blocks = c.pools[i]
 		if o.StoreDir != "" {
 			disk, err := store.Open(fmt.Sprintf("%s/node%03d", o.StoreDir, i), store.Options{})

@@ -10,14 +10,14 @@ import (
 )
 
 // runMicro executes the gating micro-benchmarks (encode-once multicast,
-// zero-copy receive, small-message coalescing, group-commit WAL, end-to-end
+// echo-arena receive decode, small-message coalescing, group-commit WAL, end-to-end
 // pipeline, the DAG's bytes per commit, gateway admission, the transaction
 // path's per-layer allocation counts, and the echo frames, signatures and
 // verify jobs one round costs per drain) and
 // writes the results as JSON in two sections: the counters CI gates on —
 // allocs/op, bytes/op and extras such as fsyncs/op and flushes/msg, so the
-// encode-once (allocs/op flat across peer counts), zero-copy (rx allocs/op a
-// small fraction of the copying path), coalescing (flushes/msg well under
+// encode-once (allocs/op flat across peer counts), receive decode (a few
+// allocs/op per 64 echoes, from the arena), coalescing (flushes/msg well under
 // one), group-commit (fsyncs/op < 1) and allocation-free transaction path
 // (TxPath/* at zero) claims are checkable from the file alone — and the
 // wall-clock readings taken alongside, which nothing gates.
@@ -40,7 +40,7 @@ func runMicro(path, baseline string) error {
 }
 
 // compareBaseline gates CI on the counters of the micro-benchmark suite:
-// allocs/op (the encode-once, zero-copy-receive and transaction-path
+// allocs/op (the encode-once, receive-decode and transaction-path
 // claims), flushes/msg (the coalescing claim: writev syscalls per small
 // message), fsyncs/op (the group-commit claim), and end-to-end commits/sec
 // (the pipeline claim; simulated time, so deterministic), and EchoDrain's

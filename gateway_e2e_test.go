@@ -159,9 +159,9 @@ func TestGatewayLoadGeneratorSmoke(t *testing.T) {
 
 // TestTCPTxPathPoolBalanced runs the whole transaction path over real
 // sockets — client frames, gateway admission and write buffers, mempool,
-// blocks, wire, alias decode, execution, COMMIT frames — for at least fifty
+// blocks, wire, decode, execution, COMMIT frames — for at least fifty
 // rounds and then demands the buffer pool's books balance: every pooled
-// buffer the path took (receive chunks, frames, per-connection write
+// buffer the path took (read buffers, frames, per-connection write
 // buffers) came back, so nothing pooled is still reachable from the block
 // cache, the DAG or the state.
 func TestTCPTxPathPoolBalanced(t *testing.T) {

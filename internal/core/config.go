@@ -221,14 +221,6 @@ type Config struct {
 	// GCDepth is how many rounds behind the last ordered leader round the
 	// DAG retains (default 64).
 	GCDepth int
-
-	// VerifyCores declares how many cores verify inbound signatures in
-	// parallel. When > 1, signature-verification work (EdVerify, AggVerify)
-	// is charged to the clock at Costs.Parallel(VerifyCores) rates — the
-	// accounting counterpart of running a crypto.VerifyPool in front of the
-	// mailbox (wire one up via transport.VerifyingEndpoint + Verifier).
-	// 0 or 1 models the serial inline path.
-	VerifyCores int
 }
 
 // anchorFenceFloor is the smallest ReconfigDelay multi-anchor ordering is
@@ -322,11 +314,6 @@ type Node struct {
 	// drainHook records that ep calls endDrain (see Start); without it
 	// handle flushes the echo queue itself on every return.
 	drainHook bool
-
-	// vcosts carries the verification charge rates: cfg.Costs divided
-	// across cfg.VerifyCores when the verify pool is active (the paper
-	// parallelizes aggregate verification), cfg.Costs itself otherwise.
-	vcosts crypto.Costs
 
 	// epochs is the membership/clan topology table, oldest first. Entry 0
 	// covers the oldest retained round; every quorum, leader, and clan
@@ -490,10 +477,6 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 	}
 	n.rep.offenseSeen = map[types.Round]bool{}
 	n.roundFired, n.anchorFired, n.echoFired = n.roundTimerFired, n.anchorTimerFired, n.echoTimerFired
-	n.vcosts = cfg.Costs
-	if cfg.VerifyCores > 1 {
-		n.vcosts = cfg.Costs.Parallel(cfg.VerifyCores)
-	}
 	// Epoch 0: the configured clans over the configured member set
 	// (ModeBaseline gets one implicit clan containing every member). Later
 	// epochs re-sample clans from the committed member set.

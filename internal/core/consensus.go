@@ -94,7 +94,7 @@ func (n *Node) validTC(tc *types.TimeoutCert, preVerified bool) bool {
 		return false
 	}
 	ok := preVerified || n.cfg.Reg.VerifyAgg(timeoutCtx(tc.Round), tc.Agg)
-	n.clk.Charge(n.vcosts.AggVerify)
+	n.clk.Charge(n.cfg.Costs.AggVerify)
 	return ok
 }
 
@@ -104,7 +104,7 @@ func (n *Node) validNVC(nvc *types.NoVoteCert) bool {
 		return false
 	}
 	ok := n.cfg.Reg.VerifyAgg(novoteCtx(nvc.Round), nvc.Agg)
-	n.clk.Charge(n.vcosts.AggVerify)
+	n.clk.Charge(n.cfg.Costs.AggVerify)
 	return ok
 }
 
@@ -455,7 +455,7 @@ func (n *Node) onTimeout(from types.NodeID, m *types.TimeoutMsg) {
 	if !m.PreVerified() && !n.cfg.Reg.Verify(m.TO.Voter, ctx, m.TO.Sig) {
 		return
 	}
-	n.clk.Charge(n.vcosts.EdVerify)
+	n.clk.Charge(n.cfg.Costs.EdVerify)
 	agg, ok := n.timeoutAggs[r]
 	if !ok {
 		agg = crypto.NewAggregator(n.cfg.N)
@@ -503,7 +503,7 @@ func (n *Node) onNoVote(from types.NodeID, m *types.NoVoteMsg) {
 	if !m.PreVerified() && !n.cfg.Reg.Verify(m.NV.Voter, ctx, m.NV.Sig) {
 		return
 	}
-	n.clk.Charge(n.vcosts.EdVerify)
+	n.clk.Charge(n.cfg.Costs.EdVerify)
 	agg, ok := n.novoteAggs[r]
 	if !ok {
 		agg = crypto.NewAggregator(n.cfg.N)

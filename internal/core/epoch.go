@@ -197,7 +197,7 @@ func (n *Node) validReconfigTx(tx *types.ReconfigTx, base *epochState, members [
 	if !n.cfg.Reg.Verify(tx.Node, reconfigCtx(tx), tx.Sig) {
 		return false
 	}
-	n.clk.Charge(n.vcosts.EdVerify)
+	n.clk.Charge(n.cfg.Costs.EdVerify)
 	return true
 }
 

@@ -295,7 +295,7 @@ func (n *Node) onVal(from types.NodeID, m *types.ValMsg) {
 		if n.cfg.Reg.CheckSigs && !m.PreVerified() && !n.cfg.Reg.Verify(v.Source, vertexCtx(&buf, d), m.Sig) {
 			return
 		}
-		n.clk.Charge(n.vcosts.EdVerify)
+		n.clk.Charge(n.cfg.Costs.EdVerify)
 	}
 	in.valFrom = true
 	in.vertex = v
@@ -347,9 +347,6 @@ func (n *Node) acceptBlock(v *types.Vertex, blk *types.Block) {
 	if blk.DigestCached() != v.BlockDigest {
 		return // payload does not match the vertex's commitment
 	}
-	// The block outlives this handler (block cache, WAL, exec stage): stop
-	// aliasing the pooled receive buffer it was zero-copy decoded from.
-	blk.Detach()
 	n.cacheBlock(v.BlockDigest, blk)
 	n.Metrics.BlocksReceived++
 	if n.cfg.Store != nil {
@@ -721,7 +718,7 @@ func (n *Node) onEcho(from types.NodeID, m *types.EchoMsg) {
 		if n.cfg.Reg.CheckSigs && !m.PreVerified() && !n.cfg.Reg.Verify(m.Voter, echoFrameCtx(&buf, m.Entries), m.Sig) {
 			return
 		}
-		n.clk.Charge(n.vcosts.EdVerify)
+		n.clk.Charge(n.cfg.Costs.EdVerify)
 	}
 	for i := range m.Entries {
 		// Checked again: an earlier entry may have taken this voter's one
@@ -839,7 +836,7 @@ func (n *Node) validCert(m *types.EchoCertMsg) bool {
 	if n.cfg.Reg.CheckSigs && !n.cfg.Reg.VerifyAgg(echoCtx(&buf, m.Pos, m.Digest), m.Agg) {
 		return false
 	}
-	n.clk.Charge(n.vcosts.AggVerify)
+	n.clk.Charge(n.cfg.Costs.AggVerify)
 	return true
 }
 

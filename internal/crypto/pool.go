@@ -64,10 +64,6 @@ func NewVerifyPool(workers, queueLen int) *VerifyPool {
 	return p
 }
 
-// Workers returns the pool's worker count (the parallelism the cost model
-// should assume via Costs.Parallel).
-func (p *VerifyPool) Workers() int { return p.workers }
-
 // Submit enqueues fn for execution on a pool worker. It blocks while the
 // queue is full; on a closed pool it runs fn inline.
 func (p *VerifyPool) Submit(fn func()) {

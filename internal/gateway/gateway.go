@@ -56,10 +56,10 @@ type Config struct {
 }
 
 // Gateway is the client front door: one TCP listener, one reader goroutine
-// per connection (reusing the transport's pooled-chunk FrameReader), one
-// writer goroutine per connection draining its write buffer, a sharded
-// pending table matching commits back to submitters, and the two-layer
-// admission control from admission.go / backpressure.go.
+// per connection (reusing the transport's FrameReader), one writer goroutine
+// per connection draining its write buffer, a sharded pending table matching
+// commits back to submitters, and the two-layer admission control from
+// admission.go / backpressure.go.
 type Gateway struct {
 	cfg     Config
 	ln      net.Listener
@@ -366,7 +366,7 @@ func (g *Gateway) readLoop(gc *gwConn) {
 		// takes, its bytes must land within ReadTimeout — a trickling
 		// slow-loris sender is cut off, not accommodated.
 		gc.c.SetReadDeadline(time.Now().Add(g.cfg.ReadTimeout))
-		body, _, err := fr.Next()
+		body, err := fr.Next()
 		if err != nil {
 			return
 		}
@@ -407,8 +407,8 @@ func (g *Gateway) readLoop(gc *gwConn) {
 // matters: cheap shape checks, then the per-client bucket (so one client's
 // flood spends its own budget before touching global state), then the global
 // overload signals. Only an admitted transaction is copied out of the
-// receive chunk, and that copy — the bytes the mempool, the block and the
-// DAG will share — is the one allocation an admission makes.
+// connection's read buffer, and that copy — the bytes the mempool, the block
+// and the DAG will share — is the one allocation an admission makes.
 func (g *Gateway) handleSubmit(gc *gwConn, msg clientMsg) {
 	g.mSubmitted.Inc()
 	reply := ServerEvent{Kind: MsgReject, Client: msg.client, Seq: msg.seq}

@@ -69,9 +69,9 @@ func RejectReason(r byte) string {
 }
 
 // clientMsg is one decoded client→gateway message. Payload aliases the
-// receive chunk the frame was sliced from and is only valid until the next
-// frame is read — retain by copying (the submit path must copy anyway: the
-// mempool keeps transaction bytes for the proposal's lifetime).
+// connection's read buffer the frame was sliced from and is only valid until
+// the next frame is read — retain by copying (the submit path must copy
+// anyway: the mempool keeps transaction bytes for the proposal's lifetime).
 type clientMsg struct {
 	kind    byte
 	client  uint64

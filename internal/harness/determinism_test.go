@@ -15,7 +15,7 @@ import (
 // schedule — the exec handoff takes no clock-dependent action. Both
 // clan-confined dissemination modes are covered.
 //
-// The zero-copy receive path and sender-side coalescing are TCP-only knobs:
+// The frame reader and sender-side coalescing are TCP-only machinery:
 // the simulator never encodes messages (it bills bandwidth analytically via
 // WireSize), so they cannot perturb this schedule by construction. What the
 // harness does share with the real transport is the buffer pool, so each run

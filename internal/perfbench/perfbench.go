@@ -105,15 +105,15 @@ func MulticastEncodeOnce(b *testing.B, peers, payloadBytes int) {
 }
 
 // rxBatch is how many framed echoes one RxDecodeZeroCopy op decodes: two of
-// the Decoder's message blocks, so the zero-copy path shows its steady state
-// (an arena allocation amortized over a block's worth of frames).
+// the Decoder's message blocks, so the decode shows its steady state (an
+// arena allocation amortized over a block's worth of frames).
 const rxBatch = 64
 
-// RxDecodeZeroCopy measures decoding a chunk of one-entry ECHO frames — the
-// highest-volume message class — through the pooled RecvBuf + Decoder path
-// the TCP read loop uses. One op decodes rxBatch messages, so allocs/op ≈
-// allocations per 64 echoes: a pooled chunk and the echo arena's blocks,
-// amortized across the batch.
+// RxDecodeZeroCopy measures decoding a buffer of one-entry ECHO frames — the
+// highest-volume message class — with Decoder.Decode, as the TCP read loop
+// does: each op refills one reused buffer with the frames and decodes them.
+// One op decodes rxBatch messages, so allocs/op ≈ allocations per 64 echoes:
+// the echo arena's blocks, amortized across the batch.
 // The bool is unused; benchmark/ passes it and keeps it until that module drops it.
 func RxDecodeZeroCopy(b *testing.B, _ bool) {
 	vote := &types.EchoMsg{Entries: []types.EchoEntry{{Pos: types.Position{Round: 912, Source: 37}}}, Voter: 41}
@@ -129,24 +129,21 @@ func RxDecodeZeroCopy(b *testing.B, _ bool) {
 		stream = binary.BigEndian.AppendUint32(stream, uint32(len(one)))
 		stream = append(stream, one...)
 	}
+	buf := make([]byte, len(stream))
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	var dec types.Decoder
 	for i := 0; i < b.N; i++ {
-		rb := types.NewRecvBuf(len(stream))
-		chunk := rb.Bytes()[:copy(rb.Bytes(), stream)]
+		copy(buf, stream)
 		off := 0
 		for j := 0; j < rxBatch; j++ {
-			n := int(binary.BigEndian.Uint32(chunk[off:]))
-			m, err := dec.DecodeFrom(rb, chunk[off+4:off+4+n])
-			if err != nil {
+			n := int(binary.BigEndian.Uint32(buf[off:]))
+			if _, err := dec.Decode(buf[off+4 : off+4+n]); err != nil {
 				b.Fatal(err)
 			}
-			types.ReleaseMsg(m)
 			off += 4 + n
 		}
-		rb.Release()
 	}
 }
 

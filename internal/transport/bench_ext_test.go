@@ -19,8 +19,8 @@ func BenchmarkMulticastEncodeOnce(b *testing.B) {
 	}
 }
 
-// BenchmarkRxDecodeZeroCopy measures the receive path's decode: pooled
-// chunks and the echo arena amortize allocations across a batch of votes
+// BenchmarkRxDecodeZeroCopy measures the receive path's decode: the echo
+// arena amortizes allocations across a batch of votes
 // (TestRxDecodeZeroCopyAllocs in internal/types gates the count).
 func BenchmarkRxDecodeZeroCopy(b *testing.B) {
 	perfbench.RxDecodeZeroCopy(b, true)

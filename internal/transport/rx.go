@@ -9,69 +9,89 @@ import (
 	"clanbft/internal/types"
 )
 
-// rxChunk is the target size of a pooled receive chunk. One chunk absorbs
-// many small frames per Read syscall; a vote-heavy round decodes dozens of
-// messages out of a single pooled buffer with zero per-frame allocations.
+// rxChunk is the size of a connection's read buffer. One buffer absorbs many
+// small frames per Read syscall.
 const rxChunk = 64 << 10
 
-// frameReader slices length-prefixed frames out of pooled, refcounted
-// receive chunks. It is the inbound half of the zero-copy path:
+// FrameReader slices `uint32 length | body` frames out of one pooled read
+// buffer per connection, reused in place. A frame is valid until the next
+// call to Next: its caller decodes it, copying what it keeps, before asking
+// for another. The peer transport's read loops and the client gateway both
+// read through it.
 //
-//   - The reader holds one reference on the current chunk and only ever
-//     appends new bytes at the fill offset, so slices already handed out
-//     (frames being alias-decoded, messages in flight to the mailbox) are
-//     never overwritten.
-//   - When a frame straddles the end of a chunk the unconsumed tail is
-//     copied into a fresh chunk and the old one is released; borrowers keep
-//     it alive until their messages are released. The copied tail bytes are
-//     the receive path's only steady-state copies and are charged to
-//     allocBytes (transport.rx_alloc_bytes).
-//   - Frames larger than a chunk get a dedicated buffer sized to the frame
-//     (beyond the pool's largest class this is a plain allocation, also
-//     charged to allocBytes).
-type frameReader struct {
+//   - A frame that straddles the buffer's end has its tail moved to the
+//     front. The moved bytes are charged to allocBytes
+//     (transport.rx_alloc_bytes).
+//   - A frame larger than the buffer is read into a pooled buffer that grows
+//     with the bytes actually received, never with the bytes its length
+//     prefix promises, and that goes back to the pool at the next call. Its
+//     size is charged to allocBytes.
+type FrameReader struct {
 	r          io.Reader
-	buf        *types.RecvBuf
-	off        int // consume offset into buf
-	end        int // fill offset into buf
-	limit      int // max accepted frame length (maxFrame unless overridden)
+	buf        []byte // the connection's buffer; len == cap
+	off        int    // consume offset into buf
+	end        int    // fill offset into buf
+	big        []byte // the last oversized frame's buffer, until the next call
+	limit      int    // max accepted frame length (maxFrame unless lowered)
 	allocBytes *atomic.Uint64
 }
 
-func newFrameReader(r io.Reader, allocBytes *atomic.Uint64) *frameReader {
-	return &frameReader{r: r, buf: types.NewRecvBuf(rxChunk), limit: maxFrame, allocBytes: allocBytes}
+// NewFrameReader wraps r. allocBytes, when non-nil, accrues the reader's
+// tail moves and oversized-frame buffers; nil uses a private counter.
+func NewFrameReader(r io.Reader, allocBytes *atomic.Uint64) *FrameReader {
+	if allocBytes == nil {
+		allocBytes = new(atomic.Uint64)
+	}
+	buf := types.GetBuf(rxChunk)
+	return &FrameReader{r: r, buf: buf[:cap(buf)], limit: maxFrame, allocBytes: allocBytes}
 }
 
-// next returns the body of the next frame, aliasing the current chunk, plus
-// the chunk itself for the decoder's Retain/Release bookkeeping. The slice
-// is valid until the reader or a borrowing message releases the chunk past
-// refcount zero. Errors (short read, zero or oversized length prefix) are
-// terminal: the caller must close the connection.
-func (fr *frameReader) next() ([]byte, *types.RecvBuf, error) {
-	if err := fr.ensure(4); err != nil {
-		return nil, nil, err
+// SetMaxFrame lowers the accepted frame length (default: the transport-wide
+// 64 MiB bound). A length prefix above the limit is a terminal protocol
+// error; client-facing listeners set a much smaller cap.
+func (fr *FrameReader) SetMaxFrame(n int) {
+	if n > 0 && n <= maxFrame {
+		fr.limit = n
 	}
-	n := binary.BigEndian.Uint32(fr.buf.Bytes()[fr.off:])
+}
+
+// Next returns the body of the next frame, valid until the next call. Errors
+// (short read, zero or oversized length prefix) are terminal: the caller must
+// close the connection.
+func (fr *FrameReader) Next() ([]byte, error) {
+	if fr.big != nil {
+		types.PutBuf(fr.big)
+		fr.big = nil
+	}
+	if err := fr.ensure(4); err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(fr.buf[fr.off:])
 	if n == 0 || n > uint32(fr.limit) {
-		return nil, nil, fmt.Errorf("transport: frame length %d out of range", n)
+		return nil, fmt.Errorf("transport: frame length %d out of range", n)
 	}
 	fr.off += 4
-	if err := fr.ensure(int(n)); err != nil {
-		return nil, nil, err
+	if int(n) > len(fr.buf) {
+		return fr.readBig(int(n))
 	}
-	frame := fr.buf.Bytes()[fr.off : fr.off+int(n) : fr.off+int(n)]
+	if err := fr.ensure(int(n)); err != nil {
+		return nil, err
+	}
+	frame := fr.buf[fr.off : fr.off+int(n) : fr.off+int(n)]
 	fr.off += int(n)
-	return frame, fr.buf, nil
+	return frame, nil
 }
 
-// ensure buffers at least n contiguous unconsumed bytes, swapping to a fresh
-// chunk (tail-carry) when the current one cannot hold them.
-func (fr *frameReader) ensure(n int) error {
+// ensure buffers at least n <= len(buf) contiguous unconsumed bytes, moving
+// the unconsumed tail to the front when they would run past the buffer's end.
+func (fr *FrameReader) ensure(n int) error {
+	if fr.off+n > len(fr.buf) {
+		tail := copy(fr.buf, fr.buf[fr.off:fr.end])
+		fr.allocBytes.Add(uint64(tail))
+		fr.off, fr.end = 0, tail
+	}
 	for fr.end-fr.off < n {
-		if need := fr.off + n; need > len(fr.buf.Bytes()) {
-			fr.swap(n)
-		}
-		m, err := fr.r.Read(fr.buf.Bytes()[fr.end:])
+		m, err := fr.r.Read(fr.buf[fr.end:])
 		fr.end += m
 		if fr.end-fr.off >= n {
 			return nil
@@ -86,67 +106,39 @@ func (fr *frameReader) ensure(n int) error {
 	return nil
 }
 
-// swap moves the unconsumed tail into a fresh chunk large enough for n bytes
-// and drops the reader's reference on the old one. The old chunk is never
-// reused in place: frames already decoded from it may still be borrowed.
-func (fr *frameReader) swap(n int) {
-	size := rxChunk
-	if n > size {
-		size = n // oversized frame: dedicated buffer
-		fr.allocBytes.Add(uint64(n))
+// readBig reads an n-byte frame that does not fit the connection's buffer.
+// Its buffer starts at twice the connection's and doubles only when full, so
+// a length prefix that promises more than the peer sends costs twice what it
+// did send at most, or twice the connection's buffer. Reads stop at the
+// frame's end: the connection's buffer is empty afterwards.
+func (fr *FrameReader) readBig(n int) ([]byte, error) {
+	big := append(types.GetBuf(2*rxChunk), fr.buf[fr.off:fr.end]...)
+	fr.off, fr.end = 0, 0
+	for len(big) < n {
+		if len(big) == cap(big) {
+			grown := append(types.GetBuf(min(2*cap(big), n)), big...)
+			types.PutBuf(big)
+			big = grown
+		}
+		m, err := fr.r.Read(big[len(big):min(cap(big), n)])
+		big = big[:len(big)+m]
+		if err != nil && len(big) < n {
+			fr.allocBytes.Add(uint64(len(big)))
+			types.PutBuf(big)
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
 	}
-	fresh := types.NewRecvBuf(size)
-	tail := copy(fresh.Bytes(), fr.buf.Bytes()[fr.off:fr.end])
-	fr.allocBytes.Add(uint64(tail))
-	fr.buf.Release()
-	fr.buf, fr.off, fr.end = fresh, 0, tail
+	fr.allocBytes.Add(uint64(n))
+	fr.big = big
+	return big[:n:n], nil
 }
 
-// close drops the reader's chunk reference. Borrowing messages still in
-// flight keep the chunk alive until the mailbox releases them.
-func (fr *frameReader) close() {
-	if fr.buf != nil {
-		fr.buf.Release()
-		fr.buf = nil
-	}
+// Close returns the reader's buffers to the pool.
+func (fr *FrameReader) Close() {
+	types.PutBuf(fr.buf)
+	types.PutBuf(fr.big)
+	fr.buf, fr.big = nil, nil
 }
-
-// FrameReader is the exported face of the zero-copy length-prefixed frame
-// reader, shared with subsystems that speak the same `uint32 length | body`
-// framing over their own sockets — the client gateway's front door reuses it
-// so client submissions flow through the identical pooled-chunk plumbing as
-// peer traffic. See frameReader for the aliasing/refcount contract.
-type FrameReader struct {
-	fr frameReader
-}
-
-// NewFrameReader wraps r in a pooled-chunk frame reader. allocBytes, when
-// non-nil, accrues the reader's off-pool copies (tail carries and oversized
-// dedicated buffers) exactly like the transport's rx_alloc_bytes accounting;
-// nil uses a private counter.
-func NewFrameReader(r io.Reader, allocBytes *atomic.Uint64) *FrameReader {
-	if allocBytes == nil {
-		allocBytes = new(atomic.Uint64)
-	}
-	return &FrameReader{fr: frameReader{r: r, buf: types.NewRecvBuf(rxChunk), limit: maxFrame, allocBytes: allocBytes}}
-}
-
-// SetMaxFrame lowers the accepted frame length (default: the transport-wide
-// 64 MiB bound). A length prefix above the limit is a terminal protocol
-// error — client-facing listeners set a much smaller cap so a hostile
-// 4-byte prefix cannot make the server commit to buffering megabytes.
-func (r *FrameReader) SetMaxFrame(n int) {
-	if n > 0 && n <= maxFrame {
-		r.fr.limit = n
-	}
-}
-
-// Next returns the next frame body aliasing the current pooled chunk, plus
-// the chunk for Retain/Release bookkeeping. The slice is valid until the
-// reader swaps chunks or Close runs; callers that hand the bytes to another
-// goroutine must Retain the chunk (or copy). Errors are terminal: close the
-// connection.
-func (r *FrameReader) Next() ([]byte, *types.RecvBuf, error) { return r.fr.next() }
-
-// Close drops the reader's chunk reference.
-func (r *FrameReader) Close() { r.fr.close() }

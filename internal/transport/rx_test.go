@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"clanbft/internal/types"
@@ -27,7 +29,7 @@ func frameStream(msgs ...types.Message) []byte {
 // TestFrameReaderMalformedInputs feeds the frame reader the stream-level
 // corruptions a Byzantine or crashing peer can produce. Every case must
 // surface a terminal error (the read loop closes the connection) without
-// panicking or leaking a pooled chunk.
+// panicking or leaking a pooled buffer.
 func TestFrameReaderMalformedInputs(t *testing.T) {
 	huge := binary.BigEndian.AppendUint32(nil, maxFrame+1)
 	cases := []struct {
@@ -44,31 +46,52 @@ func TestFrameReaderMalformedInputs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pc := types.StartPoolCheck()
-			var allocs atomic.Uint64
-			fr := newFrameReader(bytes.NewReader(tc.in), &allocs)
-			_, _, err := fr.next()
+			fr := NewFrameReader(bytes.NewReader(tc.in), nil)
+			_, err := fr.Next()
 			if err == nil {
 				t.Fatal("expected a terminal error")
 			}
 			if tc.wantEOF && err != io.ErrUnexpectedEOF {
 				t.Fatalf("want io.ErrUnexpectedEOF, got %v", err)
 			}
-			fr.close()
+			fr.Close()
 			pc.AssertBalanced(t)
 		})
 	}
 }
 
-// TestFrameReaderChunkStraddle pushes several chunks' worth of small frames —
-// plus one frame larger than a chunk — through the reader and checks that
-// every frame decodes to its original bytes, tail-carry and oversized copies
-// are charged to the alloc counter, and the pool balances after release.
+// TestFrameReaderAllocatesForBytesReceived: a length prefix is a promise, not
+// bytes. A peer that claims a maximal frame and then sends 1 KiB of it must
+// not make the reader allocate the 64 MiB it claimed.
+func TestFrameReaderAllocatesForBytesReceived(t *testing.T) {
+	pc := types.StartPoolCheck()
+	in := append(binary.BigEndian.AppendUint32(nil, maxFrame), make([]byte, 1<<10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fr := NewFrameReader(bytes.NewReader(in), nil)
+	_, err := fr.Next()
+	fr.Close()
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("want io.ErrUnexpectedEOF, got %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("reading a 64 MiB header and 1 KiB of body allocated %d bytes, want < 1 MiB", got)
+	}
+	pc.AssertBalanced(t)
+}
+
+// TestFrameReaderChunkStraddle pushes several buffers' worth of small frames —
+// plus one frame larger than two buffers — through the reader in short reads,
+// and checks that every frame decodes to its original bytes, tail moves and
+// the oversized frame are charged to the alloc counter, and the pool balances
+// after Close.
 func TestFrameReaderChunkStraddle(t *testing.T) {
 	pc := types.StartPoolCheck()
 
 	const nSmall = 2000
 	const bigAt = 1000
-	const bigSize = 100_000 // > rxChunk: takes the dedicated-buffer path
+	const bigSize = 300_000 // > 2*rxChunk: the oversized buffer grows twice
 	var msgs []types.Message
 	for i := 0; i < nSmall; i++ {
 		if i == bigAt {
@@ -84,70 +107,64 @@ func TestFrameReaderChunkStraddle(t *testing.T) {
 	}
 	stream := frameStream(msgs...)
 	if len(stream) < 3*rxChunk {
-		t.Fatalf("stream too short to straddle chunks: %d bytes", len(stream))
+		t.Fatalf("stream too short to straddle buffers: %d bytes", len(stream))
 	}
 
 	var allocs atomic.Uint64
-	fr := newFrameReader(bytes.NewReader(stream), &allocs)
+	fr := NewFrameReader(iotest.HalfReader(bytes.NewReader(stream)), &allocs)
 	var dec types.Decoder
 	for i, want := range msgs {
-		frame, rb, err := fr.next()
+		frame, err := fr.Next()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		m, err := dec.DecodeFrom(rb, frame)
+		m, err := dec.Decode(frame)
 		if err != nil {
 			t.Fatalf("decode %d: %v", i, err)
 		}
-		// Compare while any borrowed bytes are still alive.
 		if !bytes.Equal(types.Encode(m, nil), types.Encode(want, nil)) {
 			t.Fatalf("frame %d decoded to different bytes", i)
 		}
-		types.ReleaseMsg(m)
 	}
-	if _, _, err := fr.next(); err != io.EOF {
+	if _, err := fr.Next(); err != io.EOF {
 		t.Fatalf("want clean EOF after last frame, got %v", err)
 	}
-	fr.close()
+	fr.Close()
 
 	if got := allocs.Load(); got < bigSize {
-		t.Fatalf("rx alloc accounting %d; want >= %d (oversized frame + tail carries)", got, bigSize)
+		t.Fatalf("rx alloc accounting %d; want >= %d (oversized frame + tail moves)", got, bigSize)
 	}
 	pc.AssertBalanced(t)
 }
 
-// FuzzFrameReader drives the reader plus decoder with arbitrary bytes:
-// no input may panic, and every receive chunk the reader touched must end at
-// refcount zero once the reader and all decoded messages release.
+// FuzzFrameReader drives the reader plus decoder with arbitrary bytes: no
+// input may panic, and a decoded message must re-encode to the same bytes
+// after the next frame has been read into the buffer it was decoded from.
 func FuzzFrameReader(f *testing.F) {
 	f.Add(frameStream(ping(1), ping(2)))
 	f.Add(frameStream(&types.EchoMsg{Entries: make([]types.EchoEntry, 1), Voter: 3})[:10]) // mid-frame EOF
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x00})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var allocs atomic.Uint64
-		fr := newFrameReader(bytes.NewReader(data), &allocs)
+		fr := NewFrameReader(bytes.NewReader(data), nil)
+		defer fr.Close()
 		var dec types.Decoder
-		seen := map[*types.RecvBuf]struct{}{}
+		var prev types.Message
+		var prevEnc []byte
 		for {
-			frame, rb, err := fr.next()
-			if err != nil {
-				break
+			frame, err := fr.Next()
+			if prev != nil && !bytes.Equal(types.Encode(prev, nil), prevEnc) {
+				t.Fatalf("%T changed when the next frame was read", prev)
 			}
-			seen[rb] = struct{}{}
-			m, err := dec.DecodeFrom(rb, frame)
 			if err != nil {
+				return
+			}
+			prev, err = dec.Decode(frame)
+			if err != nil {
+				prev = nil
 				continue
 			}
-			types.ReleaseMsg(m)
-		}
-		fr.close()
-		// Refcount discipline is checked per-buffer rather than via the
-		// global pool counters, which parallel fuzz workers share.
-		for rb := range seen {
-			if rb.Refs() != 0 {
-				t.Fatalf("chunk leaked with %d refs", rb.Refs())
-			}
+			prevEnc = types.Encode(prev, nil)
 		}
 	})
 }

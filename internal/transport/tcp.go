@@ -486,23 +486,19 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 		// come off a socket.
 		return
 	}
-	// Zero-copy receive: frames are sliced out of pooled chunks and decoded
-	// in place. Messages that borrow payload bytes retain the chunk; the
-	// mailbox releases them after their handler runs (types.ReleaseMsg), so
-	// a vote-heavy round costs zero per-frame allocations.
-	fr := newFrameReader(c, &e.rxAllocBytes)
-	defer fr.close()
+	// Frames are sliced out of the connection's read buffer and decoded
+	// before the next read overwrites it: decoded messages own their bytes.
+	fr := NewFrameReader(c, &e.rxAllocBytes)
+	defer fr.Close()
 	var dec types.Decoder
 	for {
-		frame, rb, err := fr.next()
+		frame, err := fr.Next()
 		if err != nil {
 			// Truncated header, out-of-range length prefix, or mid-frame
-			// EOF: the stream is unrecoverable — close the connection. The
-			// reader's deferred close returns its chunk; frames already
-			// dispatched keep theirs until released.
+			// EOF: the stream is unrecoverable — close the connection.
 			return
 		}
-		m, err := dec.DecodeFrom(rb, frame)
+		m, err := dec.Decode(frame)
 		if err != nil {
 			continue // malformed message from a (possibly Byzantine) peer
 		}

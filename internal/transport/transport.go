@@ -94,13 +94,14 @@ type Stats struct {
 	// failed socket write.
 	MsgsDropped uint64
 
-	// Zero-copy receive-path counters (TCP endpoints only; the channel and
-	// simulated networks never touch wire bytes).
+	// Framing counters (TCP endpoints only; the channel and simulated
+	// networks never touch wire bytes).
 	//
-	// RxAllocBytes counts receive-side bytes that fell outside the steady
-	// pooled-chunk flow: tail bytes copied across a chunk swap plus
-	// dedicated buffers for frames larger than a chunk. Near-zero means the
-	// receive path ran copy-free.
+	// RxAllocBytes counts receive-side bytes the frame reader handled outside
+	// a connection's read buffer's steady flow: tail bytes moved to the
+	// buffer's front when a frame straddled its end, plus the buffers of
+	// frames larger than it. It does not count what decoding copies out of a
+	// frame (a block's transactions).
 	RxAllocBytes uint64
 	// CoalescedFrames counts outbound frames that shared another frame's
 	// flush instead of costing their own syscall.
@@ -220,38 +221,27 @@ func (m *mailbox) loop() {
 
 func (m *mailbox) run(t task, h func(types.NodeID, types.Message), drained func()) {
 	if t.gate != nil && !t.gate.wait(drained) {
-		types.ReleaseMsg(t.msg) // signature rejected by the verify pool
-		return
+		return // signature rejected by the verify pool
 	}
 	if t.fn != nil {
 		t.fn()
 	} else if h != nil {
 		h(t.from, t.msg)
 	}
-	// The handler is done with the message: return any receive buffer it
-	// borrows to the pool. Handlers that keep payload bytes must have
-	// deep-copied (Block.Detach) before returning.
-	if t.msg != nil {
-		types.ReleaseMsg(t.msg)
-	}
 }
 
-// push queues t and reports whether it will run. On a closed mailbox it will
-// not, so the message's borrowed receive buffer (if any) is returned here.
+// push queues t and reports whether it will run: on a closed mailbox it will
+// not.
 func (m *mailbox) push(t task) bool {
 	m.mu.Lock()
-	if !m.closed {
-		m.queue = append(m.queue, t)
-		m.pending.Add(1)
-		m.cond.Signal()
-		m.mu.Unlock()
-		return true
+	defer m.mu.Unlock()
+	if m.closed {
+		return false
 	}
-	m.mu.Unlock()
-	if t.msg != nil {
-		types.ReleaseMsg(t.msg)
-	}
-	return false
+	m.queue = append(m.queue, t)
+	m.pending.Add(1)
+	m.cond.Signal()
+	return true
 }
 
 // depth returns the instantaneous intake backlog.
@@ -373,7 +363,7 @@ func dispatchInbound(mb *mailbox, vs *verifyStage, vc *verifyCounters, from type
 	v := verdictPool.Get().(*verdict)
 	v.vs, v.vc, v.from, v.msg, v.start = vs, vc, from, m, time.Now()
 	if !mb.push(task{from: from, msg: m, gate: v}) {
-		return // closed: the message is already released, nothing to verify
+		return // closed: nothing to verify
 	}
 	vc.queued.Add(1)
 	vc.pending.Add(1)

@@ -31,12 +31,8 @@ type Block struct {
 	SynthSeed  uint64
 	CreatedAt  int64
 
-	// borrowed marks Txs as aliasing a pooled receive buffer (alias-mode
-	// decode). Detach must be called before the block outlives the buffer.
-	borrowed bool
 	// dig caches the digest once hasDig is set. Valid only while the block
-	// is immutable, which protocol blocks are from creation (Detach
-	// preserves content).
+	// is immutable, which protocol blocks are from creation.
 	dig    Hash
 	hasDig bool
 }
@@ -45,38 +41,13 @@ type Block struct {
 func (b *Block) IsSynthetic() bool { return b.SynthCount > 0 }
 
 // DigestCached returns the digest, computing it at most once. Callers must
-// not mutate the block afterwards (Detach is fine: it preserves content).
+// not mutate the block afterwards.
 func (b *Block) DigestCached() Hash {
 	if !b.hasDig {
 		b.dig, b.hasDig = b.Digest(), true
 	}
 	return b.dig
 }
-
-// Detach deep-copies Txs out of the pooled receive buffer the block was
-// alias-decoded from, into one fresh backing array. It must be called before
-// the block outlives its message handler (DAG/block-cache inserts, WAL
-// batches); it is a no-op for blocks that own their memory.
-func (b *Block) Detach() {
-	if !b.borrowed {
-		return
-	}
-	total := 0
-	for _, tx := range b.Txs {
-		total += len(tx)
-	}
-	backing := make([]byte, total)
-	off := 0
-	for i, tx := range b.Txs {
-		n := copy(backing[off:], tx)
-		b.Txs[i] = backing[off : off+n : off+n]
-		off += n
-	}
-	b.borrowed = false
-}
-
-// Borrowed reports whether Txs still alias a pooled receive buffer.
-func (b *Block) Borrowed() bool { return b.borrowed }
 
 // TxCount returns the number of transactions the block carries or describes.
 func (b *Block) TxCount() int {
@@ -159,14 +130,9 @@ func (b *Block) Marshal(buf []byte) []byte {
 }
 
 // UnmarshalBlock decodes a block and returns the remaining bytes. The block
-// owns its memory (transaction bytes are copied out of buf).
+// owns its memory: its transactions are copied out of buf into one backing
+// array.
 func UnmarshalBlock(buf []byte) (*Block, []byte, error) {
-	return unmarshalBlock(buf, false)
-}
-
-// unmarshalBlock decodes a block; in alias mode the transaction slices
-// borrow from buf instead of copying, and the block is marked borrowed.
-func unmarshalBlock(buf []byte, alias bool) (*Block, []byte, error) {
 	b := &Block{}
 	var u uint64
 	var err error
@@ -204,6 +170,9 @@ func unmarshalBlock(buf []byte, alias bool) (*Block, []byte, error) {
 	if cnt > 0 {
 		b.Txs = make([][]byte, 0, cnt)
 	}
+	// The transactions alias buf until every length is checked, then move
+	// into one backing array together.
+	total := 0
 	for i := uint64(0); i < cnt; i++ {
 		var n uint64
 		if n, buf, err = Uvarint(buf); err != nil {
@@ -212,17 +181,17 @@ func unmarshalBlock(buf []byte, alias bool) (*Block, []byte, error) {
 		if n > uint64(len(buf)) {
 			return nil, nil, fmt.Errorf("types: tx length %d exceeds buffer", n)
 		}
-		var tx []byte
-		if alias {
-			tx = buf[:n:n]
-		} else {
-			tx = make([]byte, n)
-			copy(tx, buf[:n])
-		}
-		b.Txs = append(b.Txs, tx)
+		b.Txs = append(b.Txs, buf[:n:n])
+		total += int(n)
 		buf = buf[n:]
 	}
-	b.borrowed = alias && len(b.Txs) > 0
+	backing := make([]byte, total)
+	off := 0
+	for i, tx := range b.Txs {
+		n := copy(backing[off:], tx)
+		b.Txs[i] = backing[off : off+n : off+n]
+		off += n
+	}
 	return b, buf, nil
 }
 

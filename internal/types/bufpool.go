@@ -37,8 +37,8 @@ var (
 )
 
 // bufGets/bufPuts count GetBuf and PutBuf calls. Every GetBuf must eventually
-// be balanced by exactly one PutBuf (directly, or through the last Release of
-// a refcounted frame/RecvBuf built on it); the pair therefore doubles as a
+// be balanced by exactly one PutBuf (directly, or through the last release of
+// a refcounted frame built on it); the pair therefore doubles as a
 // leak detector for the pooled-buffer ownership contract — see PoolCheck.
 var (
 	bufGets atomic.Uint64
@@ -100,7 +100,7 @@ func bufClass(size int) int {
 // Pool leak checking.
 
 // PoolCheck snapshots the pool's Get/Put counters so a test harness can prove
-// that a run returned every buffer it took (no leaked frames or receive
+// that a run returned every buffer it took (no leaked frames or read
 // buffers). Usage: pc := StartPoolCheck(); ...run...; pc.AssertBalanced(t).
 type PoolCheck struct {
 	gets, puts uint64

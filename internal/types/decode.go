@@ -1,7 +1,5 @@
 package types
 
-import "fmt"
-
 // Echoes are the highest-volume message class ((n-1)^2 entries per vertex per
 // round), so the decoder hands out their structs and entry lists from blocks
 // of this many: one allocation amortized over a block instead of two per
@@ -13,10 +11,10 @@ const (
 	entryArenaSize = 96
 )
 
-// Decoder parses framed messages without copying payloads: payload-bearing
-// messages borrow their byte slices from the caller's receive buffer. A
-// Decoder belongs to a single read loop (it is not safe for concurrent use);
-// its arena amortizes echo allocations. Decode is the copying parser.
+// Decoder parses framed messages like Decode, handing out ECHO messages from
+// an arena. A Decoder belongs to a single read loop (it is not safe for
+// concurrent use). What it returns owns its bytes: the caller may overwrite
+// the frame as soon as Decode returns.
 type Decoder struct {
 	echoes  []EchoMsg   // unused tail of the current message block
 	entries []EchoEntry // zero length; its capacity is the current entry block's unused tail
@@ -52,51 +50,15 @@ func (d *Decoder) decodeEcho(body []byte) (*EchoMsg, error) {
 	return m, nil
 }
 
-// DecodeFrom parses the framed message in b, which must alias rb's bytes.
-// When the decoded message borrows slices from the frame it retains rb; the
-// dispatch layer releases it via ReleaseMsg after the handler returns. rb may
-// be nil only for kinds that carry no payload.
-func (d *Decoder) DecodeFrom(rb *RecvBuf, b []byte) (Message, error) {
-	if len(b) == 0 {
-		return nil, fmt.Errorf("types: empty message")
+// Decode parses the framed message in b: ECHO frames into the arena, every
+// other kind through the package Decode.
+func (d *Decoder) Decode(b []byte) (Message, error) {
+	if len(b) > 0 && MsgKind(b[0]) == KindEcho {
+		m, err := d.decodeEcho(b[1:])
+		if err != nil {
+			return nil, err
+		}
+		return m, nil
 	}
-	kind, body := MsgKind(b[0]), b[1:]
-	switch kind {
-	case KindEcho:
-		m, err := d.decodeEcho(body)
-		if err != nil {
-			return nil, err
-		}
-		return m, nil
-	case KindVal:
-		m, err := unmarshalVal(body, true)
-		if err != nil {
-			return nil, err
-		}
-		if m.Block != nil && m.Block.borrowed {
-			m.attachFrame(rb)
-		}
-		return m, nil
-	case KindBlockRsp:
-		m, err := unmarshalBlockRsp(body, true)
-		if err != nil {
-			return nil, err
-		}
-		if m.Block != nil && m.Block.borrowed {
-			m.attachFrame(rb)
-		}
-		return m, nil
-	case KindVtxRsp:
-		m, err := unmarshalVtxRsp(body, true)
-		if err != nil {
-			return nil, err
-		}
-		if m.Block != nil && m.Block.borrowed {
-			m.attachFrame(rb)
-		}
-		return m, nil
-	default:
-		// Remaining kinds never alias; share the plain path.
-		return Decode(b)
-	}
+	return Decode(b)
 }

@@ -55,7 +55,7 @@ func TestEchoRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("k=%d voter=%d: %v", k, voter, err)
 			}
-			arena, err := dec.DecodeFrom(nil, enc)
+			arena, err := dec.Decode(enc)
 			if err != nil {
 				t.Fatalf("k=%d voter=%d (arena): %v", k, voter, err)
 			}
@@ -94,16 +94,16 @@ func TestEchoDecodeBounds(t *testing.T) {
 			t.Errorf("%s: decoded as %d entries from voter %d", name, len(m.(*EchoMsg).Entries), m.(*EchoMsg).Voter)
 		}
 		var dec Decoder
-		if _, err := dec.DecodeFrom(nil, b); err == nil {
+		if _, err := dec.Decode(b); err == nil {
 			t.Errorf("%s: the arena decoder accepted it", name)
 		}
 	}
 	// A rejected frame does not use up or dirty its arena slot.
 	var dec Decoder
-	if _, err := dec.DecodeFrom(nil, bad["tail 1 short"]); err == nil {
+	if _, err := dec.Decode(bad["tail 1 short"]); err == nil {
 		t.Fatal("short tail accepted")
 	}
-	m, err := dec.DecodeFrom(nil, Encode(testEcho(rng, 1, 5), nil))
+	m, err := dec.Decode(Encode(testEcho(rng, 1, 5), nil))
 	if err != nil || len(m.(*EchoMsg).Entries) != 1 || m.(*EchoMsg).PreVerified() {
 		t.Fatalf("decode after a rejected frame: %v %+v", err, m)
 	}
@@ -117,11 +117,11 @@ func TestEchoArena(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	a, b := testEcho(rng, 3, 1), testEcho(rng, 2, 2)
 	var dec Decoder
-	ma, err := dec.DecodeFrom(nil, Encode(a, nil))
+	ma, err := dec.Decode(Encode(a, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, err := dec.DecodeFrom(nil, Encode(b, nil))
+	mb, err := dec.Decode(Encode(b, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestEchoArena(t *testing.T) {
 	const batch = 64
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < batch; i++ {
-			if _, err := dec.DecodeFrom(nil, frames[i%len(frames)]); err != nil {
+			if _, err := dec.Decode(frames[i%len(frames)]); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -48,14 +48,14 @@ func Decode(b []byte) (Message, error) {
 	)
 	switch kind {
 	case KindVal:
-		m, err = unmarshalVal(body, false)
+		m, err = unmarshalVal(body)
 	case KindEcho:
 		e := &EchoMsg{}
 		m, err = e, unmarshalEchoInto(e, nil, body)
 	case KindBlockReq:
 		m, err = unmarshalBlockReq(body)
 	case KindBlockRsp:
-		m, err = unmarshalBlockRsp(body, false)
+		m, err = unmarshalBlockRsp(body)
 	case KindNoVote:
 		m, err = unmarshalNoVote(body)
 	case KindTimeout:
@@ -65,7 +65,7 @@ func Decode(b []byte) (Message, error) {
 	case KindVtxReq:
 		m, err = unmarshalVtxReq(body)
 	case KindVtxRsp:
-		m, err = unmarshalVtxRsp(body, false)
+		m, err = unmarshalVtxRsp(body)
 	case KindSnapReq:
 		m, err = unmarshalSnapReq(body)
 	case KindSnapRsp:
@@ -76,34 +76,11 @@ func Decode(b []byte) (Message, error) {
 	return m, err
 }
 
-// DetachMsg deep-copies any payload bytes of m that alias a pooled receive
-// buffer (see Decoder), making the message safe to hold past its handler. It
-// is the generic escape hatch over Block.Detach; a no-op for owned or
-// non-borrowing messages. The buffer itself is still released by the
-// dispatch layer (ReleaseMsg).
-func DetachMsg(m Message) {
-	switch v := m.(type) {
-	case *ValMsg:
-		if v.Block != nil {
-			v.Block.Detach()
-		}
-	case *BlockRspMsg:
-		if v.Block != nil {
-			v.Block.Detach()
-		}
-	case *VtxRspMsg:
-		if v.Block != nil {
-			v.Block.Detach()
-		}
-	}
-}
-
 // ValMsg is the first message of the merged RBC: the vertex goes to the whole
 // tribe, the block only to the proposer's clan (Block == nil elsewhere). Sig
 // covers the vertex digest, binding the proposal to its sender.
 type ValMsg struct {
 	VerifyMark
-	Borrowed
 	Vertex *Vertex
 	Block  *Block // nil outside the clan
 	Sig    SigBytes
@@ -146,7 +123,7 @@ func (m *ValMsg) WireSize() int {
 	return n
 }
 
-func unmarshalVal(b []byte, alias bool) (*ValMsg, error) {
+func unmarshalVal(b []byte) (*ValMsg, error) {
 	// One allocation for the message and the vertex it always carries. The
 	// vertex outlives the message (DAG), keeping the message's ~100 bytes
 	// with it: cheaper than a second object per proposal.
@@ -166,7 +143,7 @@ func unmarshalVal(b []byte, alias bool) (*ValMsg, error) {
 	hasBlock := b[0] == 1
 	b = b[1:]
 	if hasBlock {
-		if m.Block, b, err = unmarshalBlock(b, alias); err != nil {
+		if m.Block, b, err = UnmarshalBlock(b); err != nil {
 			return nil, err
 		}
 	}
@@ -347,7 +324,6 @@ func unmarshalBlockReq(b []byte) (*BlockReqMsg, error) {
 
 // BlockRspMsg answers a BlockReqMsg.
 type BlockRspMsg struct {
-	Borrowed
 	Block *Block
 }
 
@@ -357,8 +333,8 @@ func (m *BlockRspMsg) Marshal(b []byte) []byte { return m.Block.Marshal(b) }
 
 func (m *BlockRspMsg) WireSize() int { return m.Block.WireSize() }
 
-func unmarshalBlockRsp(b []byte, alias bool) (*BlockRspMsg, error) {
-	blk, _, err := unmarshalBlock(b, alias)
+func unmarshalBlockRsp(b []byte) (*BlockRspMsg, error) {
+	blk, _, err := UnmarshalBlock(b)
 	if err != nil {
 		return nil, err
 	}
@@ -516,7 +492,6 @@ func unmarshalVtxReq(b []byte) (*VtxReqMsg, error) {
 // only against a certificate) and, when the requester is entitled to it and
 // the responder holds it, the block.
 type VtxRspMsg struct {
-	Borrowed
 	Vertex *Vertex
 	Cert   *EchoCertMsg // nil while the responder has not certified the position
 	Block  *Block       // nil unless available and the requester is a clan member
@@ -556,7 +531,7 @@ func (m *VtxRspMsg) WireSize() int {
 	return n
 }
 
-func unmarshalVtxRsp(b []byte, alias bool) (*VtxRspMsg, error) {
+func unmarshalVtxRsp(b []byte) (*VtxRspMsg, error) {
 	v, b, err := UnmarshalVertex(b)
 	if err != nil {
 		return nil, err
@@ -572,7 +547,7 @@ func unmarshalVtxRsp(b []byte, alias bool) (*VtxRspMsg, error) {
 		}
 	}
 	if flags&vtxRspBlock != 0 {
-		if m.Block, _, err = unmarshalBlock(b, alias); err != nil {
+		if m.Block, _, err = UnmarshalBlock(b); err != nil {
 			return nil, err
 		}
 	}

@@ -346,3 +346,46 @@ func TestHashHelpers(t *testing.T) {
 		t.Fatal("hash not functional")
 	}
 }
+
+// TestDigestCachedOneHash: DigestCached must hash exactly once per object
+// lifetime — the second call must not allocate (Digest marshals into a fresh
+// buffer, so zero allocations means zero recomputation).
+func TestDigestCachedOneHash(t *testing.T) {
+	blk := &Block{Round: 4, Source: 1, Txs: [][]byte{make([]byte, 600)}}
+	want := blk.Digest()
+	if got := blk.DigestCached(); got != want {
+		t.Fatal("DigestCached disagrees with Digest")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = blk.DigestCached() }); allocs != 0 {
+		t.Fatalf("cached block digest allocates %.0f/op, want 0", allocs)
+	}
+
+	v := &Vertex{Round: 4, Source: 1, BlockDigest: want}
+	v.NormalizeEdges()
+	wantV := v.Digest()
+	if v.DigestCached() != wantV {
+		t.Fatal("vertex DigestCached disagrees with Digest")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = v.DigestCached() }); allocs != 0 {
+		t.Fatalf("cached vertex digest allocates %.0f/op, want 0", allocs)
+	}
+}
+
+// BenchmarkDigestCached compares recomputing the digest per call with
+// hitting the cache.
+func BenchmarkDigestCached(b *testing.B) {
+	blk := &Block{Round: 4, Source: 1, Txs: [][]byte{make([]byte, 4096)}}
+	b.Run("recompute", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = blk.Digest()
+		}
+	})
+	b.Run("cached", func(b *testing.B) {
+		blk.DigestCached()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = blk.DigestCached()
+		}
+	})
+}

@@ -79,7 +79,7 @@ func NewTCPNode(o TCPNodeOptions) (*TCPNode, error) {
 		n.st = disk
 	}
 	n.vpool = crypto.NewVerifyPool(0, 0)
-	cfg := o.nodeConfig(o.Self, &keys[o.Self], reg, n.clans, n.vpool, &n.onCommit)
+	cfg := o.nodeConfig(o.Self, &keys[o.Self], reg, n.clans, &n.onCommit)
 	cfg.Blocks, cfg.Store = n.pool, n.st
 	// Installed epochs admit joined peers to the transport layer so
 	// Broadcast reaches them and their handshakes are accepted.
