@@ -3,19 +3,22 @@ package main
 import (
 	"fmt"
 	"os"
+	"time"
 
 	"clanbft/internal/core"
 	"clanbft/internal/faults/chaos"
+	"clanbft/internal/harness"
 	"clanbft/internal/metrics"
 )
 
 // runChaos executes `perMode` seeded mixed-fault scenarios in each clan mode
-// — the same property runner the chaos tests use: random drop/dup/reorder
-// rules, a partition with heal, and crash/restart cycles with torn WAL
-// tails, asserting prefix-consistent commits and post-heal liveness. Any
-// violation prints the reproduction seed plus the full event trace and makes
-// the run fail; re-running with `-seed <printed seed> -chaos-scenarios 1`
-// (and the printed mode) replays the identical schedule.
+// — the same runs TestChaosMixedFaults makes: a chaos.GenSchedule driven
+// through harness.Run at n=7 (random drop/dup/reorder rules, a partition
+// with heal, and crash/restart cycles with torn WAL tails), then chaos.Check
+// for prefix-consistent commits and post-heal liveness. Any violation prints
+// the reproduction seed plus the full event trace and makes the run fail;
+// re-running with `-seed <printed seed> -chaos-scenarios 1` (and the printed
+// mode) replays the identical schedule.
 func runChaos(base int64, perMode int, showMetrics bool) error {
 	fmt.Printf("Chaos — %d seeded mixed-fault scenarios per mode (base seed %d)\n\n", perMode, base)
 	failures := 0
@@ -23,20 +26,25 @@ func runChaos(base int64, perMode int, showMetrics bool) error {
 	for _, mode := range []core.Mode{core.ModeSingleClan, core.ModeMultiClan} {
 		for s := int64(0); s < int64(perMode); s++ {
 			seed := base + s
-			dir, err := os.MkdirTemp("", "clanbft-chaos-")
-			if err != nil {
-				return err
-			}
-			r := chaos.Run(chaos.Options{Seed: seed, Mode: mode, Dir: dir})
-			os.RemoveAll(dir)
+			sched := chaos.GenSchedule(seed, 7, 2)
+			r := harness.Run(harness.Config{
+				Mode: mode, N: 7, Seed: seed, TxPerProposal: 3,
+				RoundTimeout: 700 * time.Millisecond,
+				// The generated schedule heals at 7 s.
+				Warmup: 8500 * time.Millisecond, Measure: 4500 * time.Millisecond,
+				Faults: &sched,
+			})
 			snaps = append(snaps, r.Pipeline)
-			if r.Failed() {
+			if v := chaos.Check(r); v != nil {
 				failures++
-				fmt.Printf("FAIL %-12s seed=%d\n  violations: %v\n  trace:\n%s\n",
-					mode, seed, r.Violations, r.Trace)
-			} else {
-				fmt.Printf("ok   %-12s seed=%d ordered=%v\n", mode, seed, r.OrderedAtEnd)
+				fmt.Printf("FAIL %-12s seed=%d\n  violations: %v\n  trace:\n%s\n", mode, seed, v, r.FaultTrace)
+				continue
 			}
+			ordered := make([]int, len(r.Nodes))
+			for i, nd := range r.Nodes {
+				ordered[i] = len(nd.Order)
+			}
+			fmt.Printf("ok   %-12s seed=%d ordered=%v\n", mode, seed, ordered)
 		}
 	}
 	if showMetrics {

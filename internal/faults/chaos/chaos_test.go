@@ -4,26 +4,58 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"clanbft/internal/core"
 	"clanbft/internal/faults"
+	"clanbft/internal/harness"
 	"clanbft/internal/types"
 )
+
+// scenario is the configuration every chaos test starts from: the harness's
+// own deployment (the Table 1 matrix over even regions, modelled costs) at
+// n=7 with three transactions per proposal and a 700 ms round timeout,
+// driving sched. Warmup ends 1.5 s after the schedule's last event, and
+// Measure is the 4.5 s window over which every node's order must grow.
+func scenario(seed int64, mode core.Mode, sched *faults.Schedule) harness.Config {
+	var last time.Duration
+	for _, ev := range sched.Events {
+		last = max(last, ev.At)
+	}
+	return harness.Config{
+		Mode: mode, N: 7, Seed: seed, TxPerProposal: 3,
+		RoundTimeout: 700 * time.Millisecond,
+		Warmup:       last + 1500*time.Millisecond,
+		Measure:      4500 * time.Millisecond,
+		Faults:       sched,
+	}
+}
+
+// run runs cfg and fails t on every violation Check reports.
+func run(t *testing.T, cfg harness.Config) harness.Result {
+	t.Helper()
+	r := harness.Run(cfg)
+	if v := Check(r); v != nil {
+		dumpFailure(t, cfg, r, v)
+	}
+	return r
+}
 
 // dumpFailure prints the reproduction seed and event trace, and uploads the
 // trace as a CI artifact when CHAOS_TRACE_DIR is set (the cron chaos job
 // collects that directory on failure).
-func dumpFailure(t *testing.T, r Result) {
+func dumpFailure(t *testing.T, cfg harness.Config, r harness.Result, violations []string) {
 	t.Helper()
 	t.Errorf("chaos violation (reproduce with seed=%d mode=%s):\n%s\ntrace:\n%s",
-		r.Seed, r.Mode, r.Violations, r.Trace)
+		cfg.Seed, cfg.Mode, violations, r.FaultTrace)
 	if dir := os.Getenv("CHAOS_TRACE_DIR"); dir != "" {
 		os.MkdirAll(dir, 0o755)
-		name := filepath.Join(dir, fmt.Sprintf("chaos-seed%d-%s.trace", r.Seed, r.Mode))
-		os.WriteFile(name, []byte(r.Trace), 0o644)
+		name := filepath.Join(dir, fmt.Sprintf("chaos-seed%d-%s.trace", cfg.Seed, cfg.Mode))
+		os.WriteFile(name, []byte(r.FaultTrace), 0o644)
 	}
 }
 
@@ -68,15 +100,26 @@ func TestChaosMixedFaults(t *testing.T) {
 					// buffer-release path (dropped frames, aborted batches); the
 					// pool must still balance once the run shuts down.
 					pc := types.StartPoolCheck()
-					r := Run(Options{Seed: seed, Mode: mode, Dir: t.TempDir(), LeadersPerRound: leaders})
-					if r.Failed() {
-						dumpFailure(t, r)
-					}
+					sched := GenSchedule(seed, 7, 2)
+					cfg := scenario(seed, mode, &sched)
+					cfg.LeadersPerRound = leaders
+					run(t, cfg)
 					pc.AssertBalanced(t)
 				})
 			}
 		}
 	}
+}
+
+// TestChaosPaperScale runs one generated schedule at the paper's scale: n=50
+// over the Table 1 regions, one clan of the paper's size, up to f=16
+// crash/restart cycles.
+func TestChaosPaperScale(t *testing.T) {
+	seed := chaosSeedBase(t)
+	sched := GenSchedule(seed, 50, 16)
+	cfg := scenario(seed, core.ModeSingleClan, &sched)
+	cfg.N, cfg.ClanSize = 50, harness.PaperClanSize(50)
+	run(t, cfg)
 }
 
 // scriptedCrashSchedule is the scripted crash → WAL-tail-damage → restart
@@ -104,81 +147,74 @@ func TestChaosScriptedCrashRecovery(t *testing.T) {
 		{"torn-boundary", faults.TornLastBoundary, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := Run(Options{
-				Seed:      7,
-				Dir:       t.TempDir(),
-				Schedule:  scriptedCrashSchedule(tc.torn),
-				CheckSigs: tc.sigs,
-			})
-			if r.Failed() {
-				dumpFailure(t, r)
-			}
+			cfg := scenario(7, core.ModeBaseline, scriptedCrashSchedule(tc.torn))
+			cfg.CheckSigs = tc.sigs
+			r := run(t, cfg)
 			// The restarted node must actually participate post-heal, not
 			// merely replay its old prefix.
-			if r.OrderedAtEnd[3] <= r.OrderedAtCheck[3] {
-				t.Fatalf("recovered node made no progress: %v -> %v", r.OrderedAtCheck, r.OrderedAtEnd)
+			if nd := r.Nodes[3]; len(nd.Order) <= nd.OrderedAtWarmup {
+				t.Fatalf("recovered node made no progress: %d -> %d", nd.OrderedAtWarmup, len(nd.Order))
 			}
 		})
 	}
 }
 
 // TestChaosDetectsSkippedRecovery is the control for the scripted scenario:
-// restarting from a wiped store (exactly what the pre-fault-layer code did —
+// restarting from an emptied WAL (exactly what the pre-fault-layer code did —
 // crash tests never re-started nodes, and a node rebuilt without store
 // recovery forgets its write-ahead proposal records) must trip the
-// equivocation monitor. This proves the scripted test fails when recovery is
+// equivocation tap. This proves the scripted test fails when recovery is
 // skipped.
 func TestChaosDetectsSkippedRecovery(t *testing.T) {
-	r := Run(Options{
-		Seed:                7,
-		Dir:                 t.TempDir(),
-		Schedule:            scriptedCrashSchedule(faults.TornNone),
-		FreshStoreOnRestart: true,
-	})
-	if !r.Failed() {
-		t.Fatal("skipped recovery went undetected: no violation reported")
-	}
-	found := false
-	for _, v := range r.Violations {
-		if len(v) >= 12 && v[:12] == "equivocation" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("expected an equivocation violation, got %v", r.Violations)
+	violations := Check(harness.Run(scenario(7, core.ModeBaseline, scriptedCrashSchedule(faults.TornAll))))
+	if !slices.ContainsFunc(violations, func(v string) bool { return strings.HasPrefix(v, "equivocation") }) {
+		t.Fatalf("skipped recovery went undetected: expected an equivocation violation, got %v", violations)
 	}
 }
 
 // TestChaosTornLastRecordSurvivorsStaySafe destroys the last ACKNOWLEDGED
 // record of the crashed node's WAL — beyond the durability contract. The
 // recovered node may have lost its newest write-ahead proposal record and is
-// excused from the equivocation monitor; the survivors must stay prefix
+// excused from the equivocation check; the survivors must stay prefix
 // consistent and live regardless.
 func TestChaosTornLastRecordSurvivorsStaySafe(t *testing.T) {
-	r := Run(Options{
-		Seed:              7,
-		Dir:               t.TempDir(),
-		Schedule:          scriptedCrashSchedule(faults.TornLastRecord),
-		AllowEquivocation: map[types.NodeID]bool{3: true},
+	cfg := scenario(7, core.ModeBaseline, scriptedCrashSchedule(faults.TornLastRecord))
+	r := harness.Run(cfg)
+	violations := slices.DeleteFunc(Check(r), func(v string) bool {
+		return strings.HasPrefix(v, "equivocation: node 3 ")
 	})
-	if r.Failed() {
-		dumpFailure(t, r)
+	if violations != nil {
+		dumpFailure(t, cfg, r, violations)
 	}
 }
 
 // TestChaosTraceDeterminism is the reproducibility contract: identical seed
-// and schedule produce byte-identical event traces, so a CI failure replays
-// exactly from the printed seed.
+// and schedule produce byte-identical event traces, per-node orders and drop
+// counts, so a CI failure replays exactly from the printed seed. The run must
+// also make progress and the schedule must bite (messages dropped).
 func TestChaosTraceDeterminism(t *testing.T) {
-	run := func() Result {
-		return Run(Options{Seed: 5, Mode: core.ModeMultiClan, Dir: t.TempDir()})
+	sched := GenSchedule(5, 7, 2)
+	cfg := scenario(5, core.ModeMultiClan, &sched)
+	a, b := run(t, cfg), harness.Run(cfg)
+	if a.FaultTrace != b.FaultTrace {
+		t.Fatalf("traces diverged across identical runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a.FaultTrace, b.FaultTrace)
 	}
-	a, b := run(), run()
-	if a.Trace != b.Trace {
-		t.Fatalf("traces diverged across identical runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a.Trace, b.Trace)
-	}
-	if a.Trace == "" {
+	if a.FaultTrace == "" {
 		t.Fatal("empty trace")
+	}
+	for i := range a.Nodes {
+		if !slices.Equal(a.Nodes[i].Order, b.Nodes[i].Order) {
+			t.Fatalf("node %d's order diverged: %d vs %d positions", i, len(a.Nodes[i].Order), len(b.Nodes[i].Order))
+		}
+	}
+	if a.FaultsDropped != b.FaultsDropped {
+		t.Fatalf("drop counts diverged: %d vs %d", a.FaultsDropped, b.FaultsDropped)
+	}
+	if a.FaultsDropped == 0 {
+		t.Fatal("schedule did not bite: zero messages dropped")
+	}
+	if a.TPS <= 0 || a.Rounds < 5 {
+		t.Fatalf("no progress under faults: tps=%.0f rounds=%d", a.TPS, a.Rounds)
 	}
 }
 
@@ -208,43 +244,34 @@ func churnSchedule() *faults.Schedule {
 // the slot count of a round follows the membership across each fence) and
 // with LeadersPerRound pinned to 1, under the identical schedule.
 func TestChaosMembershipChurn(t *testing.T) {
-	members := []types.NodeID{0, 1, 2, 3, 4, 5, 6}
 	for _, tc := range []struct {
 		name    string
 		leaders int
 	}{{"dense", 0}, {"dense/single-leader", 1}} {
 		t.Run(tc.name, func(t *testing.T) {
 			pc := types.StartPoolCheck()
-			r := Run(Options{
-				Seed:            41,
-				N:               8,
-				Dir:             t.TempDir(),
-				Schedule:        churnSchedule(),
-				LeadersPerRound: tc.leaders,
-				Members:         members,
-				ReconfigDelay:   12,
-				Reconfigs: []Reconfig{
-					{At: 800 * time.Millisecond, Action: types.ReconfigJoin, Node: 7, Addr: "sim://7"},
-					{At: 2500 * time.Millisecond, Action: types.ReconfigLeave, Node: 6},
-				},
-			})
-			if r.Failed() {
-				dumpFailure(t, r)
+			cfg := scenario(41, core.ModeBaseline, churnSchedule())
+			cfg.N = 8
+			cfg.LeadersPerRound = tc.leaders
+			cfg.Members = []types.NodeID{0, 1, 2, 3, 4, 5, 6}
+			cfg.ReconfigDelay = 12
+			cfg.Reconfigs = []harness.Reconfig{
+				{At: 800 * time.Millisecond, Action: types.ReconfigJoin, Node: 7, Addr: "sim://7"},
+				{At: 2500 * time.Millisecond, Action: types.ReconfigLeave, Node: 6},
 			}
+			r := run(t, cfg)
 			pc.AssertBalanced(t)
-			for i, e := range r.EpochAtEnd {
-				if e < 2 {
-					t.Fatalf("node %d finished in epoch %d, want >= 2 (join and leave fences): %v",
-						i, e, r.EpochAtEnd)
+			for i, nd := range r.Nodes {
+				if nd.Epoch < 2 {
+					t.Fatalf("node %d finished in epoch %d, want >= 2 (join and leave fences)", i, nd.Epoch)
 				}
 			}
 			// The joiner must be an active participant, not a spectator:
-			// post-heal it orders new vertices like everyone else (the
-			// runner's liveness check already asserts strict progress; this
-			// pins it to the joined node explicitly).
-			if r.OrderedAtEnd[7] <= r.OrderedAtCheck[7] {
-				t.Fatalf("joined node made no post-heal progress: %v -> %v",
-					r.OrderedAtCheck, r.OrderedAtEnd)
+			// post-heal it orders new vertices like everyone else (Check's
+			// liveness property already asserts strict progress; this pins
+			// it to the joined node explicitly).
+			if nd := r.Nodes[7]; len(nd.Order) <= nd.OrderedAtWarmup {
+				t.Fatalf("joined node made no post-heal progress: %d -> %d", nd.OrderedAtWarmup, len(nd.Order))
 			}
 		})
 	}
@@ -286,46 +313,37 @@ func testChaosReputation(t *testing.T, leaders int) {
 	if leaders == 1 {
 		delay = 2
 	}
-	run := func(rep bool) Result {
-		return Run(Options{
-			Seed:             42,
-			N:                5,
-			Dir:              t.TempDir(),
-			Schedule:         reputationSchedule(),
-			LeadersPerRound:  leaders,
-			LeaderReputation: rep,
-			// Short evidence->apply distance so demotion engages within the
-			// crash window (the default 32-round gap is tuned for epoch
-			// fences, not an 11-second scenario): the least each ordering
-			// path takes at n=5 (core.Config.ReconfigDelay).
-			ReconfigDelay: delay,
-			// With the crashed leaders demoted the survivors run at full
-			// speed, so by the restart they are far past the default
-			// 64-round retention; keep everything so the victims' vertex
-			// pulls can catch them back up.
-			GCDepth: 4096,
-		})
+	runRep := func(rep bool) harness.Result {
+		cfg := scenario(42, core.ModeBaseline, reputationSchedule())
+		cfg.N = 5
+		cfg.LeadersPerRound = leaders
+		cfg.LeaderReputation = rep
+		// Short evidence->apply distance so demotion engages within the
+		// crash window (the default 32-round gap is tuned for epoch
+		// fences, not a short scenario): the least each ordering path
+		// takes at n=5 (core.Config.ReconfigDelay).
+		cfg.ReconfigDelay = delay
+		// With the crashed leaders demoted the survivors run at full
+		// speed, so by the restart they are far past the harness's
+		// 16-round retention; keep everything so the victims' vertex
+		// pulls can catch them back up.
+		cfg.GCDepth = 4096
+		return run(t, cfg)
 	}
-	static := run(false)
-	reput := run(true)
-	if static.Failed() {
-		dumpFailure(t, static)
+	static := runRep(false).Nodes[0]
+	reput := runRep(true).Nodes[0]
+	if static.Offenses != 0 {
+		t.Fatalf("reputation off but node 0 recorded %d offenses", static.Offenses)
 	}
-	if reput.Failed() {
-		dumpFailure(t, reput)
-	}
-	if static.Offenses[0] != 0 {
-		t.Fatalf("reputation off but node 0 recorded %d offenses", static.Offenses[0])
-	}
-	if reput.Offenses[0] == 0 {
+	if reput.Offenses == 0 {
 		t.Fatal("reputation on but no committed timeout evidence was folded into the schedule")
 	}
-	if static.Timeouts[0] == 0 {
-		t.Fatalf("control run saw no leader timeouts; schedule is not exercising the rotation (timeouts=%v)", static.Timeouts)
+	if static.Timeouts == 0 {
+		t.Fatal("control run saw no leader timeouts; schedule is not exercising the rotation")
 	}
-	if reput.Timeouts[0] >= static.Timeouts[0] {
-		t.Fatalf("reputation did not reduce leader timeouts: static=%d reputation=%d (per-node static=%v reputation=%v)",
-			static.Timeouts[0], reput.Timeouts[0], static.Timeouts, reput.Timeouts)
+	if reput.Timeouts >= static.Timeouts {
+		t.Fatalf("reputation did not reduce leader timeouts: static=%d reputation=%d",
+			static.Timeouts, reput.Timeouts)
 	}
 }
 
@@ -339,6 +357,7 @@ func testChaosReputation(t *testing.T, leaders int) {
 // horizon must not pass P before P is emitted: that would retire P's RBC
 // instance with the block pull in it, the block never reaches the store, and
 // the victim's execution halts for good — the liveness property's violation.
+// On the Table 1 matrix round 20 lands at about 4 s, so Warmup ends at 6 s.
 func TestChaosBlockPulledPastHorizon(t *testing.T) {
 	const victim = types.NodeID(1)
 	late := types.Position{Round: 20, Source: 2}
@@ -355,19 +374,20 @@ func TestChaosBlockPulledPastHorizon(t *testing.T) {
 	}
 	for _, mode := range []core.Mode{core.ModeBaseline, core.ModeSingleClan, core.ModeMultiClan} {
 		t.Run(mode.String(), func(t *testing.T) {
-			r := Run(Options{
-				Seed:    3,
-				Mode:    mode,
-				N:       8,
-				Members: []types.NodeID{1, 2, 3, 4, 5, 6, 7},
-				Dir:     t.TempDir(),
-				GCDepth: 4,
-				Schedule: &faults.Schedule{Seed: 3, Events: []faults.Event{
-					{Kind: faults.KindDelay, From: faults.All, To: victim, Delay: time.Second, Match: carriesBlock},
-				}},
-			})
-			if r.Failed() {
-				dumpFailure(t, r)
+			cfg := scenario(3, mode, &faults.Schedule{Seed: 3, Events: []faults.Event{
+				{Kind: faults.KindDelay, From: faults.All, To: victim, Delay: time.Second, Match: carriesBlock},
+			}})
+			cfg.N = 8
+			cfg.Members = []types.NodeID{1, 2, 3, 4, 5, 6, 7}
+			cfg.GCDepth = 4
+			cfg.Warmup = 6 * time.Second
+			r := run(t, cfg)
+			// The victim must want P's block: in a clan mode it shares P's
+			// source's clan.
+			for _, clan := range r.Epochs[0].Clans {
+				if slices.Contains(clan, late.Source) && !slices.Contains(clan, victim) {
+					t.Fatalf("victim %d is outside the clan of %v: %v", victim, late, r.Epochs[0].Clans)
+				}
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"clanbft/internal/core"
 	"clanbft/internal/faults"
 )
 
@@ -20,19 +21,13 @@ import (
 // arrival timing. Safety here means the recovered node's total order is
 // position-for-position identical to the survivors'.
 func TestMultiLeaderReputationCatchup(t *testing.T) {
-	r := Run(Options{
-		Seed: 7, N: 5, Dir: t.TempDir(),
-		LeadersPerRound: 2, ReconfigDelay: 4, LeaderReputation: true, GCDepth: 4096,
-		Schedule: &faults.Schedule{Seed: 7, Events: []faults.Event{
-			{At: 1 * time.Second, Kind: faults.KindCrash, Node: 3},
-			{At: 4 * time.Second, Kind: faults.KindRestart, Node: 3},
-		}},
-	})
-	if r.Failed() {
-		dumpFailure(t, r)
-	}
-	if r.Offenses[0] < 2 {
-		t.Fatalf("expected at least two reputation events at node 0, got %d",
-			r.Offenses[0])
+	cfg := scenario(7, core.ModeBaseline, &faults.Schedule{Seed: 7, Events: []faults.Event{
+		{At: 1 * time.Second, Kind: faults.KindCrash, Node: 3},
+		{At: 4 * time.Second, Kind: faults.KindRestart, Node: 3},
+	}})
+	cfg.N, cfg.LeadersPerRound, cfg.ReconfigDelay, cfg.LeaderReputation, cfg.GCDepth = 5, 2, 4, true, 4096
+	r := run(t, cfg)
+	if r.Nodes[0].Offenses < 2 {
+		t.Fatalf("expected at least two reputation events at node 0, got %d", r.Nodes[0].Offenses)
 	}
 }

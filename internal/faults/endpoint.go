@@ -32,8 +32,8 @@ type Net struct {
 	byzantine  [][]Mutator // per node; see SetByzantine
 
 	// tap, when set, observes every message that passed the fault layer
-	// (after drop/partition/crash filtering, before duplication). Used by
-	// the chaos runner's equivocation monitor.
+	// (after drop/partition/crash filtering, before duplication). The
+	// harness's equivocation tap uses it.
 	tap func(from, to types.NodeID, m types.Message)
 }
 

@@ -104,6 +104,10 @@ const (
 	// write — outside the SyncEvery durability contract — and exercises
 	// how the cluster tolerates a recovered node with a lost suffix.
 	TornLastRecord
+	// TornAll truncates the whole WAL: the node restarts with an empty
+	// store, as if it skipped recovery. It forgets its write-ahead proposal
+	// records, so the equivocation tap must catch it proposing again.
+	TornAll
 )
 
 // Event is one scheduled fault. Fields are interpreted per Kind; zero values
@@ -135,8 +139,8 @@ type Event struct {
 	// Node is the crash/restart target.
 	Node types.NodeID
 	// Torn selects the WAL-tail damage applied before a restart
-	// (TornNone/TornAppend/TornLastBoundary/TornLastRecord); Arg is its
-	// parameter.
+	// (TornNone/TornAppend/TornLastBoundary/TornLastRecord/TornAll); Arg is
+	// its parameter.
 	Torn int
 	Arg  int64
 }
@@ -191,8 +195,9 @@ func (t *Trace) Len() int {
 // a simulated crash and the subsequent store reopen. TornAppend models power
 // loss mid-write of an unacknowledged record (arg garbage bytes, default 8);
 // TornLastBoundary discards any partial tail; TornLastRecord truncates one
-// byte into the final complete record, destroying an acknowledged write. A
-// missing file is a no-op (the node crashed before its first write).
+// byte into the final complete record, destroying an acknowledged write;
+// TornAll truncates everything. A missing file is a no-op (the node crashed
+// before its first write).
 func DamageWALTail(path string, torn int, arg int64) error {
 	if torn == TornNone {
 		return nil
@@ -230,6 +235,8 @@ func DamageWALTail(path string, torn int, arg int64) error {
 			end--
 		}
 		return os.Truncate(path, end)
+	case TornAll:
+		return os.Truncate(path, 0)
 	}
 	return fmt.Errorf("faults: unknown torn mode %d", torn)
 }

@@ -23,7 +23,7 @@ func faultSchedule() *faults.Schedule {
 }
 
 // TestHarnessFaultRecovery runs an experiment with the fault layer active:
-// node 3 crashes mid-warmup and restarts from its in-memory store. The run
+// node 3 crashes mid-warmup and restarts from its on-disk store. The run
 // must still make progress after the heal, the schedule must actually bite
 // (drops observed), and the trace must be populated for reproduction.
 func TestHarnessFaultRecovery(t *testing.T) {

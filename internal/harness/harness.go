@@ -8,6 +8,11 @@
 package harness
 
 import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -37,7 +42,8 @@ const ExecQueue = 256
 // congestion control, framing, GCP inter-region throttling) lands far below
 // it, and 2 Gbps reproduces the paper's saturation region. Each TCP flow is
 // capped at perFlowWindow/RTT, a typical Linux autotuned sender window.
-// Signatures are not checked: the simulation charges modelled CPU costs.
+// The simulation charges modelled CPU costs; signatures are checked for real
+// only with Config.CheckSigs.
 const (
 	txSize        = 512
 	bandwidthBps  = 2e9
@@ -80,11 +86,22 @@ type Config struct {
 	// Faults, when non-nil, wraps every endpoint in the deterministic
 	// fault layer and drives the schedule over the run: link drop/dup/
 	// reorder/delay rules, named partitions with heal, and crash/restart
-	// cycles. Crashed nodes are torn down with Node.Stop and rebuilt from
-	// a per-node in-memory store (recovery path), so re-emitted commits
-	// are deduplicated in the measurements. The schedule's virtual times
-	// are relative to the run start (warmup included).
+	// cycles. Each node then keeps its store on disk, in a temporary
+	// directory the run creates and removes. A crash stops the node and
+	// closes its store; a restart applies the event's WAL-tail damage
+	// (faults.Torn*), reopens the store and rebuilds the node through store
+	// recovery, so re-emitted commits are deduplicated in the measurements.
+	// The run also taps every VAL for equivocation and reports per-node
+	// facts in Result.Nodes. The schedule's virtual times are relative to
+	// the run start (warmup included).
 	Faults *faults.Schedule
+	// GCDepth is how many rounds behind the commit frontier each node
+	// retains (default 16). Scenarios that keep a node down for long raise
+	// it so the survivors can still serve the victim's vertex pulls: the
+	// simulator has no snapshot state-sync.
+	GCDepth int
+	// CheckSigs verifies signatures for real, on top of the modelled costs.
+	CheckSigs bool
 
 	// Members is the epoch-0 active member set (nil = all N parties).
 	// Parties outside it run as observers — tracking the DAG without
@@ -166,6 +183,29 @@ type Result struct {
 	// reconfiguration witness — membership, fence rounds, and re-sampled
 	// clan assignments must reproduce byte-identically per seed.
 	Epochs []core.EpochInfo
+
+	// Nodes holds each node's facts at the end of the run (nil unless
+	// Config.Faults is set); internal/faults/chaos checks them.
+	Nodes []NodeResult
+	// Err reports the store failures of a run with Config.Faults set: the
+	// temp directory, a store open or close, or WAL damage. A node whose
+	// store failed at restart stays down.
+	Err error
+}
+
+// NodeResult is one node's view of a run with Config.Faults set.
+type NodeResult struct {
+	// Order is the current incarnation's delivered sequence. A restart
+	// empties it, because recovery re-emits the order from round 0.
+	Order []types.Position
+	// OrderedAtWarmup is how much of Order was ordered by the end of Warmup.
+	OrderedAtWarmup int
+	Epoch           uint64
+	Timeouts        int // leader timeouts, current incarnation
+	Offenses        int // reputation evidence folded into the schedule
+	// Equivocations are the positions this node sent VALs with two
+	// different vertex digests for.
+	Equivocations []types.Position
 }
 
 // PaperClanSize returns the clan sizes used in Section 7 (failure
@@ -194,6 +234,9 @@ func (c *Config) fill() {
 	if c.RoundTimeout == 0 {
 		c.RoundTimeout = 10 * time.Second
 	}
+	if c.GCDepth == 0 {
+		c.GCDepth = 16
+	}
 	if c.Mode == core.ModeSingleClan && c.ClanSize == 0 {
 		c.ClanSize = PaperClanSize(c.N)
 	}
@@ -218,7 +261,7 @@ func Run(cfg Config) Result {
 		BatchWindow:   2 * time.Millisecond,
 	})
 	keys := crypto.GenerateKeys(cfg.N, uint64(cfg.Seed)+99)
-	reg := crypto.NewRegistry(keys, false)
+	reg := crypto.NewRegistry(keys, cfg.CheckSigs)
 	// e2-standard-32: 32 vCPUs; parallelizable verification work scales
 	// across ~16 physical cores (paper Section 7 implementation notes).
 	costs := crypto.DefaultCosts().Parallel(16)
@@ -271,22 +314,43 @@ func Run(cfg Config) Result {
 
 	// Fault layer: wrap every endpoint so the schedule's link rules,
 	// partitions and crash gates apply on the exact production send path.
-	// Crashed nodes keep state in a per-node in-memory store and are rebuilt
-	// through the normal recovery path on restart; recovery re-emits the
-	// committed order from scratch, so measurement dedupes per position.
+	// Each node keeps a disk store, so a restart recovers from a real WAL
+	// with the scripted tail damage; recovery re-emits the committed order
+	// from round 0, so measurement dedupes per position.
 	var fnet *faults.Net
 	endpoints := make([]transport.Endpoint, cfg.N)
 	var feps []*faults.Endpoint
-	var stores []store.Store
+	var stores []*store.Disk
+	var dirs []string
+	var nodeRes []NodeResult
+	var storeErr error
 	if cfg.Faults != nil {
+		tmp, err := os.MkdirTemp("", "clanbft-harness-")
+		if err != nil {
+			return Result{Err: err}
+		}
+		defer os.RemoveAll(tmp)
+		defer func() {
+			for _, s := range stores {
+				if s != nil {
+					s.Close()
+				}
+			}
+		}()
 		fnet = faults.NewNet(cfg.N, cfg.Faults.Seed, &faults.Trace{})
+		nodeRes = make([]NodeResult, cfg.N)
+		fnet.SetTap(equivocationTap(nodeRes))
 		feps = make([]*faults.Endpoint, cfg.N)
-		stores = make([]store.Store, cfg.N)
+		stores = make([]*store.Disk, cfg.N)
+		dirs = make([]string, cfg.N)
 		for i := 0; i < cfg.N; i++ {
 			id := types.NodeID(i)
 			feps[i] = fnet.Wrap(net.Endpoint(id), net.Clock(id))
 			endpoints[i] = feps[i]
-			stores[i] = store.NewMem()
+			dirs[i] = filepath.Join(tmp, fmt.Sprintf("node%d", i))
+			if stores[i], err = store.Open(dirs[i], store.Options{}); err != nil {
+				return Result{Err: err}
+			}
 			samples[i].seen = make(map[types.Position]bool)
 		}
 	} else {
@@ -310,6 +374,13 @@ func Run(cfg Config) Result {
 	// in handler context.
 	measure := func(i int, cv core.CommittedVertex) {
 		v := cv.Vertex
+		if nodeRes != nil {
+			nr := &nodeRes[i]
+			nr.Order = append(nr.Order, v.Pos())
+			if cv.OrderedAt <= cfg.Warmup {
+				nr.OrderedAtWarmup = len(nr.Order)
+			}
+		}
 		if i == 0 {
 			pos := v.Pos()
 			if orderSeen == nil {
@@ -379,7 +450,7 @@ func Run(cfg Config) Result {
 			RoundTimeout:     cfg.RoundTimeout,
 			Members:          cfg.Members,
 			ReconfigDelay:    cfg.ReconfigDelay,
-			GCDepth:          16,
+			GCDepth:          cfg.GCDepth,
 			Store:            st,
 			ExecQueue:        ExecQueue,
 			Metrics:          regs[i],
@@ -411,14 +482,24 @@ func Run(cfg Config) Result {
 		faults.Drive(*cfg.Faults, net.Clock(0), fnet, faults.Hooks{
 			Crash: func(id types.NodeID) {
 				nodes[id].Stop()
+				storeErr = errors.Join(storeErr, stores[id].Close())
 			},
 			Restart: func(id types.NodeID, ev faults.Event) {
-				// The Mem store survives the crash (torn-tail modes need a
-				// Disk store and belong to the chaos runner); rebuild the
-				// node through the normal store-recovery path on the same
-				// wrapped endpoint.
+				// Damage the WAL as scripted, then rebuild the node through
+				// store recovery on the same wrapped endpoint. A node whose
+				// store fails stays down.
+				err := faults.DamageWALTail(store.WALPath(dirs[id]), ev.Torn, ev.Arg)
+				if err == nil {
+					stores[id], err = store.Open(dirs[id], store.Options{})
+				}
+				if err != nil {
+					storeErr = errors.Join(storeErr, err)
+					return
+				}
+				nodeRes[id].Order, nodeRes[id].OrderedAtWarmup = nil, 0
 				nodes[id] = mkNode(int(id))
 				nodes[id].Start()
+				fnet.Trace().Logf(net.Now(), "node %d recovered at round %d", id, nodes[id].Round())
 			},
 		})
 	}
@@ -492,8 +573,38 @@ func Run(cfg Config) Result {
 	}
 	res.Order = order
 	res.Epochs = nodes[0].EpochTable()
-	for _, nd := range nodes {
-		res.ReputationOffenses += nd.MetricsSnapshot().ReputationOffenses
+	for i, nd := range nodes {
+		m := nd.MetricsSnapshot()
+		res.ReputationOffenses += m.ReputationOffenses
+		if nodeRes != nil {
+			nodeRes[i].Epoch = nd.CurrentEpoch()
+			nodeRes[i].Timeouts = m.Timeouts
+			nodeRes[i].Offenses = m.ReputationOffenses
+		}
 	}
+	res.Nodes = nodeRes
+	res.Err = storeErr
 	return res
+}
+
+// equivocationTap returns the fault layer's VAL observer: every VAL a node
+// sends must carry one vertex digest per position, across crashes and
+// restarts, because the write-ahead proposal record keeps a recovered node
+// from proposing again in a round it already proposed in. A position seen
+// with a second digest is recorded once, against its source.
+func equivocationTap(nodes []NodeResult) func(from, to types.NodeID, m types.Message) {
+	seen := map[types.Position]types.Hash{}
+	return func(from, _ types.NodeID, m types.Message) {
+		val, ok := m.(*types.ValMsg)
+		if !ok || val.Vertex == nil || val.Vertex.Source != from {
+			return // relayed and pulled vertices are judged at their source
+		}
+		pos, d := val.Vertex.Pos(), val.Vertex.DigestCached()
+		eq := &nodes[from].Equivocations
+		if prev, ok := seen[pos]; !ok {
+			seen[pos] = d
+		} else if prev != d && !slices.Contains(*eq, pos) {
+			*eq = append(*eq, pos)
+		}
+	}
 }
