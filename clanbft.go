@@ -88,13 +88,8 @@ type Options struct {
 	MaxTxPerBlock int
 	// RoundTimeout bounds the wait for a round leader (default 3 s).
 	RoundTimeout time.Duration
-	// ExecQueue decouples commit delivery from the consensus handler:
-	// when > 0, OnCommit callbacks run on a dedicated execution goroutine
-	// behind a bounded queue of this capacity, so an expensive callback
-	// (block execution) never stalls vote handling. The handoff never
-	// blocks and preserves commit order exactly. 0 (default) runs
-	// callbacks inline on the handler goroutine, where they must not
-	// block.
+	// Deprecated: ignored; OnCommit always runs on the node's execution
+	// goroutine.
 	ExecQueue int
 	// StoreDir persists consensus state under this directory (one
 	// subdirectory per node); empty keeps everything in memory.
@@ -196,7 +191,6 @@ func (o *Options) nodeConfig(self NodeID, key *crypto.KeyPair, reg *crypto.Regis
 		Reg:              reg,
 		Costs:            crypto.ZeroCosts(),
 		RoundTimeout:     o.RoundTimeout,
-		ExecQueue:        o.ExecQueue,
 		Members:          o.Members,
 		ReconfigDelay:    o.ReconfigDelay,
 		LeaderReputation: o.LeaderReputation,
@@ -268,9 +262,10 @@ func NewCluster(o Options) (*Cluster, error) {
 }
 
 // OnCommit registers a callback receiving node i's total order. Must be
-// called before Start. With Options.ExecQueue == 0 callbacks run on the
-// node's handler goroutine and must not block; with ExecQueue > 0 they run
-// on the node's execution goroutine and may block freely.
+// called before Start. Callbacks run on the node's execution goroutine,
+// behind a queue that never blocks the consensus handler, so they may block
+// freely: an expensive callback (block execution) never stalls vote
+// handling, and commit order is preserved exactly.
 func (c *Cluster) OnCommit(i int, fn func(Commit)) {
 	if c.started {
 		panic("clanbft: OnCommit after Start")
@@ -403,9 +398,9 @@ func (c *Cluster) PipelineMetrics(i int) metrics.Snapshot {
 // Round returns node i's current round.
 func (c *Cluster) Round(i int) types.Round { return c.nodes[i].Round() }
 
-// Stop shuts the cluster down: drains pending commit deliveries (when
-// ExecQueue > 0), stops every node (cancelling timers and retiring the
-// execution goroutines), then closes the network, verify pool, and stores.
+// Stop shuts the cluster down: drains pending commit deliveries, stops
+// every node (cancelling timers and retiring the execution goroutines),
+// then closes the network, verify pool, and stores.
 func (c *Cluster) Stop() {
 	for _, n := range c.nodes {
 		n.Flush()

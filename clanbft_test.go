@@ -57,6 +57,45 @@ func TestClusterCommitsSubmittedTxs(t *testing.T) {
 	})
 }
 
+// TestBlockingOnCommitDoesNotStallConsensus: node 0's OnCommit blocks on its
+// first call, and node 0 still goes on through ten more rounds — commit
+// delivery runs on the node's execution goroutine, never on its consensus
+// handler.
+func TestBlockingOnCommitDoesNotStallConsensus(t *testing.T) {
+	c, err := NewCluster(Options{N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	c.OnCommit(0, func(Commit) {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+	})
+	c.Start()
+	defer c.Stop()
+	defer close(release) // before Stop, which waits for the callback
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("node 0 committed nothing")
+	}
+	advanced := make(chan struct{})
+	go func() {
+		for from := c.Round(0); c.Round(0) < from+10; {
+			time.Sleep(5 * time.Millisecond)
+		}
+		close(advanced)
+	}()
+	select {
+	case <-advanced:
+	case <-time.After(10 * time.Second):
+		t.Fatal("node 0 advanced fewer than 10 rounds while its OnCommit blocked")
+	}
+}
+
 func TestClusterTotalOrderAcrossNodes(t *testing.T) {
 	c, err := NewCluster(Options{N: 4, Seed: 2})
 	if err != nil {

@@ -39,7 +39,7 @@ func runGateway(seed int64, quick bool) error {
 	if quick {
 		warmup, window = time.Second, 4*time.Second
 	}
-	c, err := clanbft.NewCluster(clanbft.Options{N: 4, MaxTxPerBlock: gwMaxTxPerBlock, ExecQueue: 256, Seed: seed})
+	c, err := clanbft.NewCluster(clanbft.Options{N: 4, MaxTxPerBlock: gwMaxTxPerBlock, Seed: seed})
 	if err != nil {
 		return err
 	}

@@ -40,7 +40,6 @@ func runReconfig(seed int64) error {
 		Members:       []clanbft.NodeID{0, 1, 2, 3},
 		ReconfigDelay: delay,
 		MaxTxPerBlock: 64,
-		ExecQueue:     256,
 		Seed:          seed,
 	}
 	placeholder := map[clanbft.NodeID]string{}

@@ -60,13 +60,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// OnCommit callbacks run on each node's execution goroutine behind a
-	// 256-deep queue, as in cmd/loadgen and the benchmark, never inline on
-	// the consensus handler.
 	opts := clanbft.Options{
 		N: *n, Mode: mode, ClanSize: *clanSize, NumClans: *numClans,
 		Seed: *seed, StoreDir: *storeDir, RoundTimeout: 3 * time.Second,
-		ExecQueue: 256,
 	}
 
 	if *local {

@@ -81,6 +81,7 @@ func main() {
 	}
 	// ~2 message delays per round at 30 ms one-way.
 	net.Run(time.Duration(*rounds) * 150 * time.Millisecond)
+	observer.Flush() // ordered is written on node 0's execution goroutine
 
 	d := observer.DAG()
 	fmt.Println("digraph dag {")

@@ -170,7 +170,6 @@ func bootSelfhost() (*clanbft.Gateway, func(), error) {
 			Options: clanbft.Options{
 				N:             n,
 				MaxTxPerBlock: 512,
-				ExecQueue:     256,
 				Seed:          0,
 			},
 		})

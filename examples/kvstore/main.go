@@ -5,8 +5,9 @@
 // executors return matching signed responses — enough to guarantee at least
 // one honest executor stands behind the answer.
 //
-// Each clan member executes the committed order serially on its async exec
-// stage (ExecQueue), one committed vertex per OnCommit call.
+// Each clan member executes the committed order serially on its execution
+// goroutine, off the consensus handler, one committed vertex per OnCommit
+// call.
 package main
 
 import (
@@ -19,11 +20,10 @@ import (
 
 func main() {
 	cluster, err := clanbft.NewCluster(clanbft.Options{
-		N:         10,
-		Mode:      clanbft.ModeSingleClan,
-		ClanSize:  6,
-		Seed:      7,
-		ExecQueue: 64, // execution runs off the consensus handler
+		N:        10,
+		Mode:     clanbft.ModeSingleClan,
+		ClanSize: 6,
+		Seed:     7,
 	})
 	if err != nil {
 		panic(err)

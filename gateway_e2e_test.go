@@ -17,7 +17,7 @@ import (
 // three executors (f_c = 1 for n = 4 → quorum of 2).
 func buildGatewayCluster(t *testing.T, o GatewayOptions) (*Cluster, *Gateway) {
 	t.Helper()
-	c, err := NewCluster(Options{N: 4, ExecQueue: 64, MaxTxPerBlock: 256})
+	c, err := NewCluster(Options{N: 4, MaxTxPerBlock: 256})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestGatewayLoadGeneratorSmoke(t *testing.T) {
 func TestTCPTxPathPoolBalanced(t *testing.T) {
 	const writes = 400
 	pc := types.StartPoolCheck()
-	nodes := bootTCP(t, Options{N: 4, Seed: 5, ExecQueue: 64, RoundTimeout: 2 * time.Second})
+	nodes := bootTCP(t, Options{N: 4, Seed: 5, RoundTimeout: 2 * time.Second})
 	execs := make([]*execution.Executor, len(nodes))
 	for i, nd := range nodes {
 		ex := execution.NewExecutor(NodeID(i), nil)

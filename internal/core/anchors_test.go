@@ -171,8 +171,12 @@ func latencyCluster(t *testing.T, n, leaders int, delta, run time.Duration, warm
 		if !mute[id] {
 			nodes[i].Start()
 		}
+		t.Cleanup(nodes[i].Stop)
 	}
 	net.Run(run)
+	for _, nd := range nodes {
+		nd.Flush() // before the test reads lat
+	}
 	return lat, nodes
 }
 
@@ -297,7 +301,7 @@ func TestShrunkenEligibleSetOrders(t *testing.T) {
 			})
 			done := make(chan struct{})
 			go func() {
-				c.net.Run(20 * time.Second)
+				c.run(20 * time.Second)
 				close(done)
 			}()
 			select {
@@ -348,7 +352,7 @@ func TestShrunkenEligibleSetOrders(t *testing.T) {
 func TestOrderedVerticesEmitBehindOpenFate(t *testing.T) {
 	n := 10
 	c := newTCluster(t, n, topt{mode: ModeBaseline, txCount: 1}) // five regions
-	c.net.Run(8 * time.Second)
+	c.run(8 * time.Second)
 	for i, nd := range c.nodes {
 		if nd.Metrics.SlotsIndirect == 0 && i == 0 {
 			t.Log("no slot went indirect: the geography no longer exercises the hold path")
@@ -378,11 +382,11 @@ func TestAnchorFenceFloor(t *testing.T) {
 		for _, nd := range c.nodes {
 			nd.cfg.ReconfigDelay = d // below the floor fill enforces, on purpose
 		}
-		c.net.Run(onset)
+		c.run(onset)
 		for _, m := range crash {
 			c.nodes[m].Stop()
 		}
-		c.net.Run(20 * time.Second)
+		c.run(20 * time.Second)
 		return c.nodes[0].Round()
 	}
 	for _, tc := range []struct {
@@ -463,7 +467,7 @@ func TestAnchorHoldOff(t *testing.T) {
 	}
 	run := func(wait time.Duration) (Metrics, uint64) {
 		c := newTCluster(t, 7, topt{timeout: 700 * time.Millisecond, anchor: wait, uniform: true, jitter: 0.05})
-		c.net.Run(window)
+		c.run(window)
 		c.checkConsistentOrder(nil)
 		if got := c.minOrdered(nil); got < 100 {
 			t.Fatalf("AnchorWait %v: ordered only %d vertices", wait, got)

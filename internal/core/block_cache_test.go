@@ -110,12 +110,12 @@ func TestBlockCacheMemoryOnlyLiveness(t *testing.T) {
 			if step > 800 {
 				t.Fatalf("never happened: %s", what)
 			}
-			c.net.Run(25 * time.Millisecond)
+			c.run(25 * time.Millisecond)
 		}
 	}
 
 	runUntil("member 3 references the vertex whose block it lacks", func() bool { return edgeTo(true) != nil })
-	c.net.Run(3 * time.Second) // some twenty rounds with the block still held back
+	c.run(3 * time.Second) // some twenty rounds with the block still held back
 	for _, h := range holders {
 		node := c.nodes[h]
 		if in := node.instIfAny(lost); in == nil || !in.emitted {
@@ -197,7 +197,7 @@ func TestBlockCacheBound(t *testing.T) {
 					if c.net.Now() > 10*time.Minute {
 						t.Fatalf("round %d after %v", c.nodes[0].Round(), c.net.Now())
 					}
-					c.net.Run(20 * time.Millisecond)
+					c.run(20 * time.Millisecond)
 					for _, id := range live {
 						node := c.nodes[id]
 						k := len(node.rbc.blocks)
@@ -348,7 +348,7 @@ func TestBlockCacheNotRefilled(t *testing.T) {
 	})
 	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, fnet: fnet})
 	for c.nodes[0].Round() < 40 {
-		c.net.Run(20 * time.Millisecond)
+		c.run(20 * time.Millisecond)
 		for _, node := range c.nodes {
 			if k := len(node.rbc.blocks); k > 4*n {
 				t.Fatalf("node %d caches %d blocks on duplicating links", node.cfg.Self, k)
@@ -389,7 +389,7 @@ func TestBlockReqAnsweredInsideTheClanOnly(t *testing.T) {
 			}
 		})
 		c := newTCluster(t, n, topt{mode: ModeSingleClan, clans: [][]types.NodeID{{0, 1, 2}}, uniform: true, fnet: fnet, store: withStore})
-		c.net.Run(4 * time.Second)
+		c.run(4 * time.Second)
 		node := c.nodes[0]
 		var cached, evicted *types.Vertex
 		for _, cv := range c.orders[0] {
@@ -449,7 +449,7 @@ func (e *countEndpoint) Send(types.NodeID, types.Message) { e.frames++ }
 // scratch, so one batch allocates at most the frames it sends.
 func TestAncestorBatchAllocs(t *testing.T) {
 	c := newTCluster(t, 4, topt{mode: ModeBaseline, uniform: true})
-	c.net.Run(4 * time.Second)
+	c.run(4 * time.Second)
 	node := c.nodes[0]
 	ep := &countEndpoint{}
 	node.ep = ep

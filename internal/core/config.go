@@ -31,9 +31,9 @@
 //
 // Stages intake–order run in the endpoint's serialized handler context under
 // one mutex (the protocol state machine stays lock-free internally). The
-// exec stage optionally runs on its own goroutine behind a bounded channel
-// (Config.ExecQueue), so executing a multi-megabyte clan block never stalls
-// vote handling — the backpressure contract is documented on ExecQueue.
+// exec stage runs on its own goroutine behind a bounded channel, so
+// executing a multi-megabyte clan block never stalls vote handling — the
+// backpressure contract is documented in stage_exec.go.
 package core
 
 import (
@@ -95,11 +95,10 @@ type CommittedVertex struct {
 	// rather than via a strong path from a later leader.
 	Direct bool
 	// OrderedAt is the node's clock reading when the ordering stage handed
-	// this vertex to the execution stage. With an async exec stage the
-	// Deliver callback runs later on another goroutine; OrderedAt is the
-	// deterministic commit timestamp (virtual time under simulation), so
-	// measurement code must use it instead of reading the clock from the
-	// callback.
+	// this vertex to the execution stage. The Deliver callback runs later on
+	// the execution goroutine; OrderedAt is the deterministic commit
+	// timestamp (virtual time under simulation), so measurement code must
+	// use it instead of reading the clock from the callback.
 	OrderedAt time.Duration
 	// ProposedAt is the proposer's clock reading when the vertex was built
 	// (Vertex.CreatedAt); OrderedAt-ProposedAt is the vertex's end-to-end
@@ -152,29 +151,10 @@ type Config struct {
 
 	// Blocks supplies proposal payloads (nil proposes empty vertices).
 	Blocks BlockSource
-	// Deliver receives the total order, one committed vertex at a time.
+	// Deliver receives the total order, one committed vertex at a time, on
+	// the node's execution goroutine (stage_exec.go). Call Node.Flush before
+	// reading what it produced.
 	Deliver func(CommittedVertex)
-
-	// ExecQueue selects the execution/commit stage's handoff:
-	//
-	//	0 (default): Deliver runs inline on the serialized handler, as a
-	//	  synchronous fourth stage (legacy behavior — required for
-	//	  single-threaded discrete-event tests that read results without a
-	//	  flush barrier).
-	//	>0: Deliver runs on a dedicated goroutine fed through a bounded
-	//	  channel of this capacity. The backpressure contract: the
-	//	  ordering stage NEVER blocks — when the channel is full,
-	//	  committed vertices spill to an unbounded staging list (counted
-	//	  in exec.backpressure and visible in exec.queue_depth) and are
-	//	  refilled into the channel as the executor drains, preserving
-	//	  commit order exactly. Consensus timing is therefore independent
-	//	  of execution cost; a persistently growing exec.queue_depth is
-	//	  the signal for the application to throttle its BlockSource.
-	//
-	// Call Node.Flush to wait for the stage to drain before reading
-	// execution-side state; Node.Stop abandons undelivered entries (crash
-	// semantics — recovery re-emits the order from the store).
-	ExecQueue int
 
 	// Metrics, when non-nil, is the registry all four pipeline stages
 	// record into; nil gives the node a private registry. Either way
@@ -303,7 +283,7 @@ type Node struct {
 	// Start) with external accessors (Round, Metrics). Under the
 	// simulator all entries already run on one goroutine; under real
 	// transports the mailbox serializes handler calls but Start and the
-	// monitoring accessors run on caller goroutines. The async exec stage
+	// monitoring accessors run on caller goroutines. The exec stage
 	// runs outside mu entirely (it only consumes immutable committed
 	// vertices).
 	mu sync.Mutex
@@ -311,9 +291,6 @@ type Node struct {
 	cfg Config
 	ep  transport.Endpoint
 	clk transport.Clock
-	// drainHook records that ep calls endDrain (see Start); without it
-	// handle flushes the echo queue itself on every return.
-	drainHook bool
 
 	// epochs is the membership/clan topology table, oldest first. Entry 0
 	// covers the oldest retained round; every quorum, leader, and clan
@@ -333,8 +310,8 @@ type Node struct {
 	dag *dag.DAG
 
 	// The pipeline stages. rbc owns the per-position RBC instance state
-	// (the vinst map); ord owns DAG ordering and commit state; exec is nil
-	// in synchronous mode (Deliver inline on the handler).
+	// (the vinst map); ord owns DAG ordering and commit state; exec runs
+	// Deliver on its own goroutine.
 	rbc  rbcState
 	ord  orderState
 	exec *execStage
@@ -399,9 +376,6 @@ type Node struct {
 	mSlotsDirect  *metrics.Counter
 	mSlotsIndir   *metrics.Counter
 	mSlotsSkipped *metrics.Counter
-	mExecDone     *metrics.Counter
-	mExecTxs      *metrics.Counter
-	mExecDeliver  *metrics.Histogram
 	mDagVerts     *metrics.Counter
 	mDagEdges     *metrics.Counter
 	// Block cache exits: evicted once executed here and held by the whole
@@ -486,9 +460,7 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 	}
 	n.epochs = []*epochState{n.buildEpochState(0, 0, 0, n.cfg.Members, clans)}
 	n.initMetrics()
-	if cfg.ExecQueue > 0 {
-		n.exec = newExecStage(cfg.Deliver, cfg.ExecQueue, n.reg)
-	}
+	n.exec = newExecStage(cfg.Deliver, execQueue, n.reg)
 	return n
 }
 
@@ -527,18 +499,7 @@ func (n *Node) initMetrics() {
 	n.mSlotsSkipped = reg.Counter("order.slots_skipped")
 	n.mAnchorHold = reg.Histogram("order.anchor_hold")
 	reg.Counter("order.work")
-	// The full exec metric schema is registered here, once, for BOTH
-	// wirings — the synchronous inline path and the async execStage share
-	// one set of names, so snapshots are comparable across modes.
-	// exec.queue_wait (push→dequeue) and exec.deliver (callback wall time)
-	// replace the old exec.latency, which conflated the two.
-	n.mExecDone = reg.Counter(types.StageExec.Metric("committed"))
-	n.mExecTxs = reg.Counter(types.StageExec.Metric("txs"))
-	reg.Histogram(types.StageExec.Metric("queue_wait"))
-	n.mExecDeliver = reg.Histogram(types.StageExec.Metric("deliver"))
-	reg.Counter(types.StageExec.Metric("backpressure"))
-	// Queue-depth gauges exist even before the first snapshot samples them.
-	reg.Gauge(types.StageExec.Metric("queue_depth"))
+	// The exec stage's instruments are registered by newExecStage.
 	// DAG shape: exact edge/vertex counters incremented on insert, plus two
 	// snapshot-derived ratio gauges. parents_per_vertex is scaled x100
 	// (integer gauge; 5012 means 50.12 parents on average) so fractions
@@ -703,9 +664,7 @@ func (n *Node) PipelineMetrics() *metrics.Registry { return n.reg }
 
 // PipelineSnapshot reports the unified per-stage metrics view: queue depths,
 // latency histograms, and throughput counters for intake, rbc, order, and
-// exec, plus the transport and store compatibility counters. Do not call it
-// from inside a Deliver callback running in synchronous mode (it takes the
-// node's lock to sample queue depths).
+// exec, plus the transport and store compatibility counters.
 func (n *Node) PipelineSnapshot() metrics.Snapshot { return n.reg.Snapshot() }
 
 // DAG exposes the node's DAG (read-only use by tests and tools; callers

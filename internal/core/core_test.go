@@ -126,7 +126,24 @@ func newTCluster(t *testing.T, n int, o topt) *tcluster {
 			node.Start()
 		}
 	}
+	t.Cleanup(c.stop)
 	return c
+}
+
+// run advances virtual time by d, then waits until every node has executed
+// what it ordered, so the test may read c.orders.
+func (c *tcluster) run(d time.Duration) {
+	c.net.Run(d)
+	for _, nd := range c.nodes {
+		nd.Flush()
+	}
+}
+
+// stop stops every node and its execution goroutine.
+func (c *tcluster) stop() {
+	for _, nd := range c.nodes {
+		nd.Stop()
+	}
 }
 
 // checkConsistentOrder verifies BAB total order: every pair of honest nodes'
@@ -162,6 +179,17 @@ func (c *tcluster) checkConsistentOrder(mute map[types.NodeID]bool) {
 	}
 }
 
+// isolate is the partition "isolate" of node id against the rest of n.
+func isolate(n int, id types.NodeID) faults.Event {
+	var rest []types.NodeID
+	for i := types.NodeID(0); int(i) < n; i++ {
+		if i != id {
+			rest = append(rest, i)
+		}
+	}
+	return faults.Event{Kind: faults.KindPartition, Name: "isolate", Groups: [][]types.NodeID{{id}, rest}}
+}
+
 // minOrdered returns the smallest number of ordered vertices among live
 // nodes.
 func (c *tcluster) minOrdered(mute map[types.NodeID]bool) int {
@@ -181,7 +209,7 @@ func TestBaselineLiveness(t *testing.T) {
 	for _, n := range []int{4, 7, 10} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			c := newTCluster(t, n, topt{mode: ModeBaseline})
-			c.net.Run(8 * time.Second)
+			c.run(8 * time.Second)
 			if got := c.minOrdered(nil); got < 3*n {
 				t.Fatalf("ordered only %d vertices", got)
 			}
@@ -207,7 +235,7 @@ func TestSingleClanLivenessAndBlockConfinement(t *testing.T) {
 		inClan[id] = true
 	}
 	c := newTCluster(t, n, topt{mode: ModeSingleClan, clans: [][]types.NodeID{clan}})
-	c.net.Run(8 * time.Second)
+	c.run(8 * time.Second)
 	if got := c.minOrdered(nil); got < 3*n {
 		t.Fatalf("ordered only %d vertices", got)
 	}
@@ -248,7 +276,7 @@ func TestMultiClanLivenessAndBlockConfinement(t *testing.T) {
 		}
 	}
 	c := newTCluster(t, n, topt{mode: ModeMultiClan, clans: clans})
-	c.net.Run(8 * time.Second)
+	c.run(8 * time.Second)
 	if got := c.minOrdered(nil); got < 3*n {
 		t.Fatalf("ordered only %d vertices", got)
 	}
@@ -285,7 +313,7 @@ func TestCrashFaultTolerance(t *testing.T) {
 	n := 7 // f = 2
 	mute := map[types.NodeID]bool{5: true, 6: true}
 	c := newTCluster(t, n, topt{mode: ModeBaseline, mute: mute, timeout: 700 * time.Millisecond})
-	c.net.Run(25 * time.Second)
+	c.run(25 * time.Second)
 	if got := c.minOrdered(mute); got < 2*n {
 		t.Fatalf("ordered only %d vertices with %d crashed", got, len(mute))
 	}
@@ -310,7 +338,7 @@ func TestSingleClanWithCrashes(t *testing.T) {
 		mode: ModeSingleClan, clans: [][]types.NodeID{clan},
 		mute: mute, timeout: 700 * time.Millisecond,
 	})
-	c.net.Run(30 * time.Second)
+	c.run(30 * time.Second)
 	if got := c.minOrdered(mute); got < n {
 		t.Fatalf("ordered only %d vertices", got)
 	}
@@ -325,7 +353,7 @@ func TestSingleClanWithCrashes(t *testing.T) {
 func TestCommitLatencyThreeDelta(t *testing.T) {
 	n := 7
 	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1})
-	c.net.Run(10 * time.Second)
+	c.run(10 * time.Second)
 	if c.minOrdered(nil) == 0 {
 		t.Fatal("nothing ordered")
 	}
@@ -368,7 +396,7 @@ func TestEquivocatingProposerSafety(t *testing.T) {
 			ep.Send(types.NodeID(i), &types.ValMsg{Vertex: vb, Block: blkB, Sig: sb})
 		}
 	}
-	c.net.Run(20 * time.Second)
+	c.run(20 * time.Second)
 	if got := c.minOrdered(mute); got < n {
 		t.Fatalf("ordered only %d vertices", got)
 	}
@@ -408,7 +436,7 @@ func TestNonClanBlockProposalRejected(t *testing.T) {
 	bad := &types.Vertex{Round: 0, Source: outsider, BlockDigest: types.HashBytes([]byte("illegal"))}
 	sig := crypto.Sign(&c.keys[outsider], vertexCtx(new(ctxBuf), bad.DigestCached()))
 	c.net.Endpoint(outsider).Broadcast(&types.ValMsg{Vertex: bad, Sig: sig})
-	c.net.Run(15 * time.Second)
+	c.run(15 * time.Second)
 	if got := c.minOrdered(mute); got < n {
 		t.Fatalf("ordered only %d", got)
 	}
@@ -432,7 +460,7 @@ func TestGCBoundsState(t *testing.T) {
 	}
 	n := 4
 	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1})
-	c.net.Run(60 * time.Second) // hundreds of rounds at 100ms each
+	c.run(60 * time.Second) // hundreds of rounds at 100ms each
 	node := c.nodes[0]
 	if node.Round() < 100 {
 		t.Fatalf("only reached round %d", node.Round())
@@ -455,7 +483,7 @@ func TestGCBoundsState(t *testing.T) {
 func TestVotesAreObservedOnFirstMessage(t *testing.T) {
 	n := 4
 	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1})
-	c.net.Run(10 * time.Second)
+	c.run(10 * time.Second)
 	m := c.nodes[0].Metrics
 	if m.DirectCommits == 0 {
 		t.Fatal("no direct commits")
@@ -471,7 +499,7 @@ func TestVotesAreObservedOnFirstMessage(t *testing.T) {
 func TestDeliverOrderWithinNode(t *testing.T) {
 	n := 7
 	c := newTCluster(t, n, topt{mode: ModeBaseline})
-	c.net.Run(6 * time.Second)
+	c.run(6 * time.Second)
 	for i := 0; i < n; i++ {
 		var lastLeader types.Round
 		for _, cv := range c.orders[i] {
@@ -492,7 +520,7 @@ func TestDeliverOrderWithinNode(t *testing.T) {
 func TestAllProposersEventuallyOrdered(t *testing.T) {
 	n := 7
 	c := newTCluster(t, n, topt{mode: ModeBaseline})
-	c.net.Run(10 * time.Second)
+	c.run(10 * time.Second)
 	sources := map[types.NodeID]bool{}
 	for _, cv := range c.orders[0] {
 		if cv.Vertex.Round <= 2 {
@@ -509,11 +537,12 @@ func TestAllProposersEventuallyOrdered(t *testing.T) {
 // missed round.
 func TestRoundJumpCatchUp(t *testing.T) {
 	n := 4
-	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, timeout: 400 * time.Millisecond})
-	c.net.Run(2 * time.Second)
+	fnet := faults.NewNet(n, 1, nil)
+	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, timeout: 400 * time.Millisecond, fnet: fnet})
+	c.run(2 * time.Second)
 	// Partition node 3 (it stays running but hears nothing).
-	c.net.Isolate(3, true)
-	c.net.Run(5 * time.Second)
+	fnet.Apply(c.net.Now(), isolate(n, 3))
+	c.run(5 * time.Second)
 	behind := c.nodes[3].Round()
 	ahead := c.nodes[0].Round()
 	if ahead < behind+8 {
@@ -521,8 +550,8 @@ func TestRoundJumpCatchUp(t *testing.T) {
 	}
 	// Reconnect: node 3 must catch up to the cluster's round, not replay
 	// every missed round one by one.
-	c.net.Isolate(3, false)
-	c.net.Run(3 * time.Second)
+	fnet.Apply(c.net.Now(), faults.Event{Kind: faults.KindHeal, Name: "isolate"})
+	c.run(3 * time.Second)
 	if got := c.nodes[3].Round(); got < c.nodes[0].Round()-5 {
 		t.Fatalf("node 3 stuck at round %d, cluster at %d", got, c.nodes[0].Round())
 	}
@@ -534,7 +563,7 @@ func TestRoundJumpCatchUp(t *testing.T) {
 func TestFloodFarFutureIgnored(t *testing.T) {
 	n := 4
 	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1})
-	c.net.Run(500 * time.Millisecond)
+	c.run(500 * time.Millisecond)
 	before := 0
 	for _, row := range c.nodes[0].rbc.insts {
 		for i := range row.at {
@@ -549,7 +578,7 @@ func TestFloodFarFutureIgnored(t *testing.T) {
 			{Pos: types.Position{Round: 1 << 40, Source: 1}, Digest: d},
 		}})
 	}
-	c.net.Run(500 * time.Millisecond)
+	c.run(500 * time.Millisecond)
 	after := 0
 	for _, row := range c.nodes[0].rbc.insts {
 		for i := range row.at {
@@ -572,7 +601,7 @@ func TestFloodFarFutureIgnored(t *testing.T) {
 func TestFloodFarFutureViewStateBounded(t *testing.T) {
 	n := 4
 	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1})
-	c.net.Run(500 * time.Millisecond)
+	c.run(500 * time.Millisecond)
 	ep := c.net.Endpoint(1)
 	for i := 0; i < 200; i++ {
 		r := types.Round(10000 + i*37)
@@ -584,7 +613,7 @@ func TestFloodFarFutureViewStateBounded(t *testing.T) {
 		}})
 		ep.Send(0, &types.TCMsg{TC: types.TimeoutCert{Round: r}})
 	}
-	c.net.Run(500 * time.Millisecond)
+	c.run(500 * time.Millisecond)
 	node := c.nodes[0]
 	bound := 4*node.cfg.GCDepth + 8 // the tracking window, with slack
 	if got := len(node.timeoutAggs); got > bound {
@@ -629,7 +658,7 @@ func TestReputationScheduleCrossNodeAgreement(t *testing.T) {
 		timeout: 700 * time.Millisecond,
 		rep:     true, repWin: 16, rdelay: 4,
 	})
-	c.net.Run(15 * time.Second)
+	c.run(15 * time.Second)
 	if got := c.minOrdered(mute); got < n {
 		t.Fatalf("ordered only %d vertices", got)
 	}
@@ -688,7 +717,7 @@ func TestFloodFarFutureMultiLeaderStateBounded(t *testing.T) {
 		timeout: 700 * time.Millisecond,
 		rep:     true, repWin: 16, rdelay: 4,
 	})
-	c.net.Run(12 * time.Second)
+	c.run(12 * time.Second)
 	ep := c.net.Endpoint(1)
 	for i := 0; i < 200; i++ {
 		r := types.Round(10000 + i*37)
@@ -700,7 +729,7 @@ func TestFloodFarFutureMultiLeaderStateBounded(t *testing.T) {
 		}})
 		ep.Send(0, &types.TCMsg{TC: types.TimeoutCert{Round: r}})
 	}
-	c.net.Run(500 * time.Millisecond)
+	c.run(500 * time.Millisecond)
 	node := c.nodes[0]
 	window := 4*node.cfg.GCDepth + 8
 	if got := len(node.timeoutAggs); got > window {
@@ -743,7 +772,7 @@ func TestFloodFarFutureMultiLeaderStateBounded(t *testing.T) {
 func TestEchoDigestFloodBounded(t *testing.T) {
 	n := 4
 	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1})
-	c.net.Run(500 * time.Millisecond)
+	c.run(500 * time.Millisecond)
 	node := c.nodes[0]
 	pos := types.Position{Round: node.Round() + 2, Source: 3}
 	ep := c.net.Endpoint(1)
@@ -752,7 +781,7 @@ func TestEchoDigestFloodBounded(t *testing.T) {
 		d[0], d[1] = byte(i), byte(i>>8)
 		ep.Send(0, signedEchoes(&c.keys[1], 1, types.EchoEntry{Pos: pos, Digest: d}))
 	}
-	c.net.Run(200 * time.Millisecond)
+	c.run(200 * time.Millisecond)
 	in := c.nodes[0].instIfAny(pos)
 	if in == nil {
 		t.Fatal("flooded position has no instance")
@@ -766,51 +795,25 @@ func TestEchoDigestFloodBounded(t *testing.T) {
 
 // TestPartialSynchronyGST: heavy random pre-GST delays must not break
 // safety, and after GST the protocol commits normally (the DWOK partial
-// synchrony model of Section 2).
+// synchrony model of Section 2). Before GST, at 4 s, every message waits up
+// to 2 s extra.
 func TestPartialSynchronyGST(t *testing.T) {
 	n := 7
-	keys := crypto.GenerateKeys(n, 21)
-	reg := crypto.NewRegistry(keys, true)
-	net := simnet.New(simnet.Config{
-		N: n, Regions: simnet.EvenRegions(n, 5), Seed: 77,
-		GST: 4 * time.Second, AsyncExtraMax: 2 * time.Second,
-	})
-	orders := make([][]types.Position, n)
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
-		i := i
-		id := types.NodeID(i)
-		nodes[i] = New(Config{
-			Self: id, N: n, Key: &keys[i], Reg: reg,
-			Blocks:       &testSource{id: id, txCount: 1, txSize: 64},
-			RoundTimeout: 900 * time.Millisecond,
-			Deliver: func(cv CommittedVertex) {
-				orders[i] = append(orders[i], cv.Vertex.Pos())
-			},
-		}, net.Endpoint(id), net.Clock(id))
-		nodes[i].Start()
-	}
-	net.Run(4 * time.Second) // asynchronous period
-	preGST := len(orders[0])
-	net.Run(8 * time.Second) // stable period
+	fnet := faults.NewNet(n, 77, nil)
+	c := newTCluster(t, n, topt{mode: ModeBaseline, txCount: 1, timeout: 900 * time.Millisecond, fnet: fnet, seed: 66})
+	faults.Drive(faults.Schedule{Events: []faults.Event{
+		{Kind: faults.KindReorder, From: faults.All, To: faults.All, Delay: 2 * time.Second},
+		{At: 4 * time.Second, Kind: faults.KindHeal},
+	}}, c.net.Clock(0), fnet, faults.Hooks{})
+	c.run(4 * time.Second) // asynchronous period
+	preGST := len(c.orders[0])
+	c.run(8 * time.Second) // stable period
 	// Liveness after GST.
-	if got := len(orders[0]) - preGST; got < 3*n {
+	if got := len(c.orders[0]) - preGST; got < 3*n {
 		t.Fatalf("ordered only %d vertices after GST", got)
 	}
 	// Safety throughout.
-	min := len(orders[0])
-	for i := 1; i < n; i++ {
-		if len(orders[i]) < min {
-			min = len(orders[i])
-		}
-	}
-	for i := 1; i < n; i++ {
-		for j := 0; j < min; j++ {
-			if orders[i][j] != orders[0][j] {
-				t.Fatalf("divergence at %d between nodes 0 and %d", j, i)
-			}
-		}
-	}
+	c.checkConsistentOrder(nil)
 }
 
 // TestRandomCrashPatterns property-checks BAB safety across random crash
@@ -862,7 +865,7 @@ func TestRandomCrashPatterns(t *testing.T) {
 				mode: mode, clans: clans, mute: mute,
 				timeout: 600 * time.Millisecond, seed: seed,
 			})
-			c.net.Run(20 * time.Second)
+			c.run(20 * time.Second)
 			if got := c.minOrdered(mute); got < n {
 				t.Fatalf("mode=%v seed=%d mute=%v: ordered only %d", mode, seed, mute, got)
 			}
@@ -912,6 +915,7 @@ func newTClusterML(t *testing.T, n, leaders int, o topt) *tcluster {
 			node.Start()
 		}
 	}
+	t.Cleanup(c.stop)
 	return c
 }
 
@@ -921,7 +925,7 @@ func newTClusterML(t *testing.T, n, leaders int, o topt) *tcluster {
 func TestMultiLeaderLivenessAndSafety(t *testing.T) {
 	for _, leaders := range []int{2, 3} {
 		c := newTClusterML(t, 7, leaders, topt{mode: ModeBaseline})
-		c.net.Run(8 * time.Second)
+		c.run(8 * time.Second)
 		if got := c.minOrdered(nil); got < 3*7 {
 			t.Fatalf("L=%d: ordered only %d", leaders, got)
 		}
@@ -950,23 +954,27 @@ func TestMultiLeaderLowersNonPrimaryLatency(t *testing.T) {
 		reg := crypto.NewRegistry(keys, true)
 		var latSum time.Duration
 		var latN int
-		for i := 0; i < n; i++ {
+		nodes := make([]*Node, n)
+		for i := range nodes {
 			id := types.NodeID(i)
-			clk := net.Clock(id)
-			nd := New(Config{
+			nodes[i] = New(Config{
 				Self: id, N: n, Key: &keys[i], Reg: reg,
 				LeadersPerRound: leaders,
 				Blocks:          &testSource{id: id, txCount: 1, txSize: 32},
 				Deliver: func(cv CommittedVertex) {
 					if cv.Block != nil && id == 0 {
-						latSum += clk.Now() - time.Duration(cv.Block.CreatedAt)
+						latSum += cv.OrderedAt - time.Duration(cv.Block.CreatedAt)
 						latN++
 					}
 				},
-			}, net.Endpoint(id), clk)
-			nd.Start()
+			}, net.Endpoint(id), net.Clock(id))
+			nodes[i].Start()
 		}
 		net.Run(15 * time.Second)
+		nodes[0].Flush()
+		for _, nd := range nodes {
+			nd.Stop()
+		}
 		if latN == 0 {
 			t.Fatal("nothing committed")
 		}
@@ -992,7 +1000,7 @@ func TestMultiLeaderWithClanModes(t *testing.T) {
 	}
 	clan := []types.NodeID{0, 1, 2, 3, 4, 5}
 	c := newTClusterML(t, 10, 2, topt{mode: ModeSingleClan, clans: [][]types.NodeID{clan}})
-	c.net.Run(8 * time.Second)
+	c.run(8 * time.Second)
 	if got := c.minOrdered(nil); got < 20 {
 		t.Fatalf("ordered only %d", got)
 	}
@@ -1007,7 +1015,7 @@ func TestMultiLeaderCrashedSecondary(t *testing.T) {
 	// some rounds. Crash nodes 5,6 (f=2) and verify liveness.
 	mute := map[types.NodeID]bool{5: true, 6: true}
 	c := newTClusterML(t, n, 2, topt{mode: ModeBaseline, mute: mute, timeout: 700 * time.Millisecond})
-	c.net.Run(25 * time.Second)
+	c.run(25 * time.Second)
 	if got := c.minOrdered(mute); got < n {
 		t.Fatalf("ordered only %d", got)
 	}
@@ -1023,7 +1031,7 @@ func TestPhantomEdgeVertexNeverCertified(t *testing.T) {
 	n := 7
 	mute := map[types.NodeID]bool{6: true}
 	c := newTCluster(t, n, topt{mode: ModeBaseline, mute: mute, timeout: 700 * time.Millisecond})
-	c.net.Run(1 * time.Second)
+	c.run(1 * time.Second)
 
 	// Node 6 crafts a round-0 vertex... round 0 must have no edges, so use
 	// a round-1 vertex with valid strong edges plus a phantom weak edge.
@@ -1059,7 +1067,7 @@ func TestPhantomEdgeVertexNeverCertified(t *testing.T) {
 	bad.NormalizeEdges()
 	sig := crypto.Sign(&c.keys[6], vertexCtx(new(ctxBuf), bad.DigestCached()))
 	c.net.Endpoint(6).Broadcast(&types.ValMsg{Vertex: bad, Sig: sig})
-	c.net.Run(15 * time.Second)
+	c.run(15 * time.Second)
 
 	// Liveness preserved.
 	if got := c.minOrdered(mute); got < 2*n {
@@ -1088,32 +1096,22 @@ func TestPhantomEdgeVertexNeverCertified(t *testing.T) {
 // one-shot message protocols deadlock here.
 func TestFullPartitionHeals(t *testing.T) {
 	n := 4
-	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, timeout: 400 * time.Millisecond})
-	c.net.Run(1 * time.Second)
+	fnet := faults.NewNet(n, 1, nil)
+	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, timeout: 400 * time.Millisecond, fnet: fnet})
+	c.run(1 * time.Second)
 	before := c.nodes[0].Round()
 	if before < 3 {
 		t.Fatalf("slow start: round %d", before)
 	}
-	// Partition {0,1} | {2,3}.
-	for _, a := range []types.NodeID{0, 1} {
-		for _, b := range []types.NodeID{2, 3} {
-			c.net.Block(a, b, true)
-			c.net.Block(b, a, true)
-		}
-	}
-	c.net.Run(3 * time.Second) // several timeout periods of pure loss
+	fnet.Apply(c.net.Now(), faults.Event{Kind: faults.KindPartition, Name: "halves", Groups: [][]types.NodeID{{0, 1}, {2, 3}}})
+	c.run(3 * time.Second) // several timeout periods of pure loss
 	stalled := c.nodes[0].Round()
 	if stalled > before+2 {
 		t.Fatalf("impossible progress during total partition: %d -> %d", before, stalled)
 	}
 	// Heal and verify recovery.
-	for _, a := range []types.NodeID{0, 1} {
-		for _, b := range []types.NodeID{2, 3} {
-			c.net.Block(a, b, false)
-			c.net.Block(b, a, false)
-		}
-	}
-	c.net.Run(6 * time.Second)
+	fnet.Apply(c.net.Now(), faults.Event{Kind: faults.KindHeal, Name: "halves"})
+	c.run(6 * time.Second)
 	after := c.nodes[0].Round()
 	if after < stalled+10 {
 		t.Fatalf("no recovery after heal: %d -> %d", stalled, after)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"clanbft/internal/crypto"
+	"clanbft/internal/simnet"
 	"clanbft/internal/transport"
 	"clanbft/internal/types"
 )
@@ -43,7 +44,7 @@ type recEndpoint struct {
 func (e *recEndpoint) Send(_ types.NodeID, m types.Message)        { e.out = append(e.out, m) }
 func (e *recEndpoint) Multicast(_ []types.NodeID, m types.Message) { e.out = append(e.out, m) }
 func (e *recEndpoint) Broadcast(m types.Message)                   { e.out = append(e.out, m) }
-func (e *recEndpoint) SetDrainHook(fn func()) bool                 { e.drained = fn; return true }
+func (e *recEndpoint) SetDrainHook(fn func())                      { e.drained = fn }
 
 // echoFrames returns the ECHO frames among the recorded ones.
 func (e *recEndpoint) echoFrames() (fs []*types.EchoMsg) {
@@ -331,6 +332,58 @@ func TestOneEchoFramePerDrain(t *testing.T) {
 			}
 		}
 	})
+}
+
+// echoRecorder keeps the ECHO frames its node broadcasts.
+type echoRecorder struct {
+	transport.Endpoint
+	frames []*types.EchoMsg
+}
+
+func (e *echoRecorder) Broadcast(m types.Message) {
+	if f, ok := m.(*types.EchoMsg); ok {
+		e.frames = append(e.frames, f)
+	}
+	e.Endpoint.Broadcast(m)
+}
+
+// TestOneEchoFramePerBatchedArrival: on the simulator with batching on, k
+// messages that each let a node echo and that reach it in one batched
+// arrival leave as one ECHO frame of k entries — the drain is the arrival,
+// not the handler call. A VAL comes only from its proposer, so the k
+// messages are the blocks of k round-0 vertices whose VALs came without
+// them, relayed by one peer.
+func TestOneEchoFramePerBatchedArrival(t *testing.T) {
+	const n, k = 4, 3
+	keys := crypto.GenerateKeys(n, 5)
+	net := simnet.New(simnet.Config{N: n, Seed: 1, LatencyRTTms: [][]float64{{2}}, JitterPct: -1, BatchWindow: time.Millisecond})
+	ep := &echoRecorder{Endpoint: net.Endpoint(0)}
+	node := New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &keys[0], Reg: crypto.NewRegistry(keys, true),
+		RoundTimeout: time.Hour}, ep, net.Clock(0))
+	node.Start()
+	t.Cleanup(node.Stop)
+	var blocks []*types.Block
+	for src := types.NodeID(1); src <= k; src++ {
+		blk := &types.Block{Round: 0, Source: src, Txs: [][]byte{{byte(src)}}}
+		v := &types.Vertex{Round: 0, Source: src, BlockDigest: blk.Digest(), CreatedAt: 1}
+		net.Endpoint(src).Send(0, &types.ValMsg{Vertex: v, Sig: crypto.Sign(&keys[src], vertexCtx(new(ctxBuf), v.DigestCached()))})
+		blocks = append(blocks, blk)
+	}
+	net.Run(10 * time.Millisecond)
+	if len(ep.frames) != 0 {
+		t.Fatalf("%d ECHO frames before any block arrived", len(ep.frames))
+	}
+	for _, blk := range blocks {
+		net.Endpoint(1).Send(0, &types.BlockRspMsg{Block: blk})
+	}
+	net.Run(10 * time.Millisecond)
+	if len(ep.frames) != 1 || len(ep.frames[0].Entries) != k {
+		var sizes []int
+		for _, f := range ep.frames {
+			sizes = append(sizes, len(f.Entries))
+		}
+		t.Fatalf("%d blocks in one batched arrival left ECHO frames of %v entries, want one frame of %d", k, sizes, k)
+	}
 }
 
 // TestEchoNotHeldWhileIdle: a queued echo leaves before the mailbox blocks on

@@ -317,7 +317,7 @@ func TestEchoHoldOff(t *testing.T) {
 		fnet := faults.NewNet(n, 1, nil)
 		tp := newEchoTap(fnet)
 		c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, fnet: fnet, anchor: -1})
-		c.net.Run(2 * time.Second)
+		c.run(2 * time.Second)
 		for r := 0; r+2 < int(c.nodes[0].Round()); r++ {
 			if k := [2]int{0, r}; tp.frames[k] != (n-1)*(n-1) || tp.entries[k] != (n-1)*(n-1) {
 				t.Fatalf("n=%d round %d: node 0 sent %d echo entries in %d frames, want %d one-entry frames",
@@ -370,7 +370,7 @@ func TestEchoFramePerRound(t *testing.T) {
 	tp := newEchoTap(fnet)
 	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, jitter: 0.02, txCount: 1, fnet: fnet})
 	for c.minRound() < rounds+2 {
-		c.net.Run(time.Second)
+		c.run(time.Second)
 	}
 	if len(tp.other) != 0 {
 		t.Fatalf("fault-free run sent messages outside VAL/ECHO: %v", tp.other)
@@ -410,13 +410,14 @@ func (c *tcluster) minRound() types.Round {
 func TestEchoHoldWaitsOnlyForExpected(t *testing.T) {
 	t.Run("crashed member", func(t *testing.T) {
 		const n, down = 7, 6
-		c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, timeout: 300 * time.Millisecond})
-		c.net.Run(time.Second)
-		c.net.Isolate(down, true)
+		fnet := faults.NewNet(n, 1, nil)
+		c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, timeout: 300 * time.Millisecond, fnet: fnet})
+		c.run(time.Second)
+		fnet.Apply(c.net.Now(), isolate(n, down))
 		nd, from := c.nodes[0], c.nodes[0].Round()
 		waited := map[types.Round]bool{} // rounds node 0 held echoes for node 6 alone
 		for end := c.net.Now() + 3*time.Second; c.net.Now() < end; {
-			c.net.Run(250 * time.Microsecond)
+			c.run(250 * time.Microsecond)
 			r := nd.round
 			if nd.echoTimer == nil || waited[r] {
 				continue
@@ -473,7 +474,7 @@ func TestEchoHoldWaitsOnlyForExpected(t *testing.T) {
 		}
 		var in, out [n][2]time.Duration
 		for c.minRound() <= late {
-			c.net.Run(250 * time.Microsecond)
+			c.run(250 * time.Microsecond)
 			for i, nd := range c.nodes {
 				if nd.round < late {
 					in[i] = held(nd)

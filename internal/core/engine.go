@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"time"
 
-	"clanbft/internal/transport"
 	"clanbft/internal/types"
 )
 
@@ -76,13 +75,9 @@ func (n *Node) Start() {
 		panic("core: Start called twice")
 	}
 	n.started = true
-	// An endpoint that says where its mailbox drains end lets the echoes of
-	// one drain share a frame; on one that does not (the simulator calls the
-	// handler straight from its event loop) every handler call is a drain.
-	// Settled before the handler is installed, so no handler call sees it
-	// change.
-	d, ok := n.ep.(transport.DrainNotifier)
-	n.drainHook = ok && d.SetDrainHook(n.endDrain)
+	// The echoes of one drain share a frame: installed before the handler,
+	// so no handler call runs without the hook.
+	n.ep.SetDrainHook(n.endDrain)
 	n.ep.SetHandler(n.handle)
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -103,9 +98,9 @@ func (n *Node) Start() {
 // Stop tears the engine down mid-run (crash simulation, harness shutdown):
 // it cancels the round timer and every pending pull timer and marks the node
 // stopped, so late timer fires and inbound messages become no-ops; then it
-// terminates the async execution stage (if any), waiting for an in-flight
-// Deliver to return but abandoning queued-undelivered vertices (crash
-// semantics — recovery re-emits the order from the store). The endpoint and
+// terminates the execution stage, waiting for an in-flight Deliver to
+// return but abandoning queued-undelivered vertices (crash semantics —
+// recovery re-emits the order from the store). The endpoint and
 // store stay open — they belong to the caller, who typically closes the
 // store next and later rebuilds a fresh Node (recovery) on the same
 // endpoint. Safe to call more than once.
@@ -126,12 +121,10 @@ func (n *Node) Stop() {
 	n.mu.Unlock()
 	// Outside mu: the executor goroutine's Deliver callback may call node
 	// accessors that take the lock.
-	if n.exec != nil {
-		n.exec.stop()
-	}
+	n.exec.stop()
 }
 
-// endDrain is the endpoint's drain hook (transport.DrainNotifier): the handler
+// endDrain is the endpoint's drain hook (Endpoint.SetDrainHook): the handler
 // is about to idle, so what the drain queued leaves now, unless the echo hold
 // keeps it for the round's last VALs.
 func (n *Node) endDrain() {
@@ -148,9 +141,6 @@ func (n *Node) handle(from types.NodeID, m types.Message) {
 	start := time.Now()
 	n.mu.Lock()
 	defer func() {
-		if !n.drainHook {
-			n.drainEchoes()
-		}
 		n.mu.Unlock()
 		n.mIntakeMsgs.Inc()
 		n.mIntakeLat.Observe(time.Since(start))

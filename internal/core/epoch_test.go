@@ -35,12 +35,12 @@ func TestEpochFenceJoin(t *testing.T) {
 		mode: ModeBaseline, uniform: true, txCount: 1,
 		timeout: 700 * time.Millisecond, members: members, rdelay: 8,
 	})
-	c.net.Run(2 * time.Second)
+	c.run(2 * time.Second)
 	if got := c.nodes[4].Round(); got == 0 {
 		t.Fatalf("observer never advanced (round %d) before the fence", got)
 	}
 	submitReconfig(c, members, signedReconfig(c, types.ReconfigJoin, 4, "sim://4"))
-	c.net.Run(8 * time.Second)
+	c.run(8 * time.Second)
 
 	var fence types.Round
 	for i := 0; i < n; i++ {
@@ -83,10 +83,10 @@ func TestEpochFenceLeave(t *testing.T) {
 		mode: ModeBaseline, uniform: true, txCount: 1,
 		timeout: 700 * time.Millisecond, rdelay: 8,
 	})
-	c.net.Run(2 * time.Second)
+	c.run(2 * time.Second)
 	all := []types.NodeID{0, 1, 2, 3, 4}
 	submitReconfig(c, all, signedReconfig(c, types.ReconfigLeave, 4, ""))
-	c.net.Run(8 * time.Second)
+	c.run(8 * time.Second)
 
 	tbl := c.nodes[0].EpochTable()
 	last := tbl[len(tbl)-1]
@@ -121,9 +121,9 @@ func TestEpochClanResample(t *testing.T) {
 		mode: ModeMultiClan, clans: clans, uniform: true, txCount: 1,
 		timeout: 700 * time.Millisecond, members: members, rdelay: 8,
 	})
-	c.net.Run(2 * time.Second)
+	c.run(2 * time.Second)
 	submitReconfig(c, members, signedReconfig(c, types.ReconfigJoin, 8, "sim://8"))
-	c.net.Run(10 * time.Second)
+	c.run(10 * time.Second)
 
 	ref := c.nodes[0].EpochTable()
 	refLast := ref[len(ref)-1]
@@ -180,9 +180,9 @@ func TestEpochFloodViewStateBounded(t *testing.T) {
 		mode: ModeBaseline, uniform: true, txCount: 1,
 		timeout: 700 * time.Millisecond, members: members, rdelay: 8,
 	})
-	c.net.Run(2 * time.Second)
+	c.run(2 * time.Second)
 	submitReconfig(c, members, signedReconfig(c, types.ReconfigJoin, 4, "sim://4"))
-	c.net.Run(8 * time.Second)
+	c.run(8 * time.Second)
 	node := c.nodes[0]
 	if node.CurrentEpoch() != 1 {
 		t.Fatalf("fence not crossed: epoch %d", node.CurrentEpoch())
@@ -207,7 +207,7 @@ func TestEpochFloodViewStateBounded(t *testing.T) {
 			Round: fr, Source: 1, Epoch: 7,
 		}})
 	}
-	c.net.Run(500 * time.Millisecond)
+	c.run(500 * time.Millisecond)
 
 	bound := 4*node.cfg.GCDepth + 8
 	if got := len(node.timeoutAggs); got > bound {

@@ -69,7 +69,7 @@ func checkFullInclusion(t *testing.T, c *tcluster) {
 func TestLateVertexInclusionDenseAndSparse(t *testing.T) {
 	t.Run("sparse=false", func(t *testing.T) {
 		c := newTCluster(t, 10, topt{mode: ModeBaseline, seed: 3})
-		c.net.Run(8 * time.Second)
+		c.run(8 * time.Second)
 		if got := c.minOrdered(nil); got < 30 {
 			t.Fatalf("ordered only %d vertices", got)
 		}
@@ -88,7 +88,7 @@ func TestMultiClanInclusion(t *testing.T) {
 	}
 	n := 12
 	c := newTCluster(t, n, topt{mode: ModeMultiClan, clans: committee.PartitionClans(n, 2, 9), seed: 5})
-	c.net.Run(8 * time.Second)
+	c.run(8 * time.Second)
 	c.checkConsistentOrder(nil)
 	checkCausalCoverage(t, c)
 	checkFullInclusion(t, c)

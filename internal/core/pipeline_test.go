@@ -10,23 +10,23 @@ import (
 	"clanbft/internal/types"
 )
 
-// Pipeline-stage tests: the async execution stage (stage_exec.go) must keep
-// the serialized handler fast without perturbing the committed sequence, and
-// the metrics spine must report every stage.
+// Pipeline-stage tests: the execution stage (stage_exec.go) must keep the
+// serialized handler fast without perturbing the committed sequence, and the
+// metrics spine must report every stage.
 
 type pcluster struct {
 	net    *simnet.Net
 	nodes  []*Node
-	orders [][]types.Position // written by Deliver (exec goroutine when async)
+	orders [][]types.Position // written by Deliver, on the exec goroutine
 	regs   []*metrics.Registry
 	n      int
 }
 
-// newPipelineCluster builds a uniform-latency baseline cluster. execQueue
-// selects the exec-stage wiring (0 = inline sync); execCost is simulated
-// application work per committed vertex, spent in real wall time inside
-// Deliver — exactly the load the async stage exists to keep off the handler.
-func newPipelineCluster(tb testing.TB, n, execQueue int, execCost time.Duration, seed int64) *pcluster {
+// newPipelineCluster builds a uniform-latency baseline cluster. execCost is
+// simulated application work per committed vertex, spent in real wall time
+// inside Deliver — exactly the load the exec stage exists to keep off the
+// handler.
+func newPipelineCluster(tb testing.TB, n int, execCost time.Duration, seed int64) *pcluster {
 	tb.Helper()
 	c := &pcluster{
 		net: simnet.New(simnet.Config{
@@ -51,7 +51,6 @@ func newPipelineCluster(tb testing.TB, n, execQueue int, execCost time.Duration,
 			Reg:          reg,
 			Blocks:       &testSource{id: types.NodeID(i), txCount: 3, txSize: 64},
 			RoundTimeout: 3 * time.Second,
-			ExecQueue:    execQueue,
 			Metrics:      c.regs[i],
 			Deliver: func(cv CommittedVertex) {
 				if execCost > 0 {
@@ -82,114 +81,62 @@ func (c *pcluster) stop() {
 }
 
 // TestAsyncExecPreservesCommitOrder: the committed sequence must be
-// byte-identical between synchronous and asynchronous exec wiring — the
+// identical whether Deliver returns at once or takes a millisecond — the
 // backpressure contract promises that only timing decouples, never order or
 // content. Same seed, same virtual duration, so the simulated schedules are
 // directly comparable.
 func TestAsyncExecPreservesCommitOrder(t *testing.T) {
 	const seed, dur = 7, 5 * time.Second
-	sync := newPipelineCluster(t, 4, 0, 0, seed)
-	sync.run(dur)
-	sync.stop()
-	async := newPipelineCluster(t, 4, 64, 0, seed)
-	async.run(dur)
-	async.stop()
+	fast := newPipelineCluster(t, 4, 0, seed)
+	fast.run(dur)
+	fast.stop()
+	slow := newPipelineCluster(t, 4, time.Millisecond, seed)
+	slow.run(dur)
+	slow.stop()
 	for i := 0; i < 4; i++ {
-		if len(sync.orders[i]) == 0 {
+		if len(fast.orders[i]) == 0 {
 			t.Fatalf("node %d ordered nothing", i)
 		}
-		if len(sync.orders[i]) != len(async.orders[i]) {
-			t.Fatalf("node %d: sync ordered %d, async ordered %d",
-				i, len(sync.orders[i]), len(async.orders[i]))
+		if len(fast.orders[i]) != len(slow.orders[i]) {
+			t.Fatalf("node %d: fast Deliver ordered %d, slow ordered %d",
+				i, len(fast.orders[i]), len(slow.orders[i]))
 		}
-		for j := range sync.orders[i] {
-			if sync.orders[i][j] != async.orders[i][j] {
-				t.Fatalf("node %d position %d: sync %v != async %v",
-					i, j, sync.orders[i][j], async.orders[i][j])
+		for j := range fast.orders[i] {
+			if fast.orders[i][j] != slow.orders[i][j] {
+				t.Fatalf("node %d position %d: fast %v != slow %v",
+					i, j, fast.orders[i][j], slow.orders[i][j])
 			}
 		}
 	}
 }
 
-// TestVoteHandlingLatencyIndependentOfExecCost is the acceptance benchmark
-// for the exec stage: with Deliver costing tens of milliseconds per block,
-// the synchronous wiring necessarily stalls the serialized handler for at
-// least that long (the intake.latency histogram observes handler occupancy
-// wall time), while the asynchronous wiring keeps worst-case handler
-// occupancy strictly below the execution cost — vote handling is independent
-// of block execution cost.
+// TestVoteHandlingLatencyIndependentOfExecCost is the acceptance test for
+// the exec stage: with Deliver costing tens of milliseconds per block, the
+// worst-case handler occupancy (the intake.latency histogram observes it in
+// wall time) stays strictly below the execution cost — vote handling is
+// independent of block execution cost.
 func TestVoteHandlingLatencyIndependentOfExecCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time sleeps in Deliver")
 	}
 	const execCost = 20 * time.Millisecond
-	const dur = 1500 * time.Millisecond
-
-	sync := newPipelineCluster(t, 4, 0, execCost, 7)
-	sync.run(dur)
-	sync.stop()
-	async := newPipelineCluster(t, 4, 64, execCost, 7)
-	async.run(dur)
-	async.stop()
-
-	syncMax := sync.regs[0].Snapshot().Hist(types.StageIntake.Metric("latency")).Max
-	asyncMax := async.regs[0].Snapshot().Hist(types.StageIntake.Metric("latency")).Max
-	if len(sync.orders[0]) == 0 || len(async.orders[0]) == 0 {
+	c := newPipelineCluster(t, 4, execCost, 7)
+	c.run(1500 * time.Millisecond)
+	c.stop()
+	if len(c.orders[0]) == 0 {
 		t.Fatal("no commits")
 	}
-	if syncMax < execCost {
-		t.Fatalf("sync handler max latency %v < exec cost %v — exec did not run inline?", syncMax, execCost)
+	handlerMax := c.regs[0].Snapshot().Hist(types.StageIntake.Metric("latency")).Max
+	if handlerMax >= execCost {
+		t.Fatalf("handler max latency %v >= exec cost %v — execution stalled vote handling", handlerMax, execCost)
 	}
-	if asyncMax >= execCost {
-		t.Fatalf("async handler max latency %v >= exec cost %v — execution stalled vote handling", asyncMax, execCost)
-	}
-	t.Logf("handler occupancy max: sync=%v async=%v (exec cost %v, %d commits)",
-		syncMax, asyncMax, execCost, len(async.orders[0]))
-}
-
-// TestExecBackpressureSpill: a tiny exec queue plus slow delivery must spill
-// to the overflow list (counted by exec.backpressure) without blocking the
-// handler, and the spill must drain in FIFO order — every ordered vertex
-// delivered exactly once, queue empty after Flush.
-func TestExecBackpressureSpill(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-time sleeps in Deliver")
-	}
-	c := newPipelineCluster(t, 4, 1, 2*time.Millisecond, 3)
-	c.run(4 * time.Second)
-	defer c.stop()
-
-	s := c.regs[0].Snapshot()
-	spill := s.Counter(types.StageExec.Metric("backpressure"))
-	committed := s.Counter(types.StageExec.Metric("committed"))
-	if spill == 0 {
-		t.Fatal("queue of 1 with slow delivery never spilled")
-	}
-	if committed != uint64(len(c.orders[0])) {
-		t.Fatalf("exec.committed=%d but Deliver ran %d times", committed, len(c.orders[0]))
-	}
-	if depth := s.Gauge(types.StageExec.Metric("queue_depth")); depth != 0 {
-		t.Fatalf("exec.queue_depth=%d after Flush", depth)
-	}
-	// Order must survive the spill/refill path: rounds non-decreasing per
-	// leader batch is checked elsewhere; here compare against a sync run.
-	ref := newPipelineCluster(t, 4, 0, 0, 3)
-	ref.run(4 * time.Second)
-	ref.stop()
-	if len(ref.orders[0]) != len(c.orders[0]) {
-		t.Fatalf("spill run ordered %d, sync ordered %d", len(c.orders[0]), len(ref.orders[0]))
-	}
-	for j := range ref.orders[0] {
-		if ref.orders[0][j] != c.orders[0][j] {
-			t.Fatalf("position %d: spill run %v != sync %v", j, c.orders[0][j], ref.orders[0][j])
-		}
-	}
+	t.Logf("handler occupancy max %v (exec cost %v, %d commits)", handlerMax, execCost, len(c.orders[0]))
 }
 
 // TestPipelineSnapshotCoversAllStages: the acceptance criterion requires
 // queue depth and latency for all four stages in one Snapshot.
 func TestPipelineSnapshotCoversAllStages(t *testing.T) {
-	c := newPipelineCluster(t, 4, 16, 0, 5)
+	c := newPipelineCluster(t, 4, 0, 5)
 	c.run(3 * time.Second)
 	defer c.stop()
 
@@ -229,27 +176,17 @@ func TestPipelineSnapshotCoversAllStages(t *testing.T) {
 }
 
 // BenchmarkVoteHandlingUnderExecCost measures mean handler occupancy with a
-// 5ms per-vertex execution cost, sync vs async — the number CI watches to
-// keep vote handling independent of block execution cost.
+// 5ms per-vertex execution cost — the number CI watches to keep vote
+// handling independent of block execution cost.
 func BenchmarkVoteHandlingUnderExecCost(b *testing.B) {
-	for _, bc := range []struct {
-		name  string
-		queue int
-	}{{"sync", 0}, {"async", 64}} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				c := newPipelineCluster(b, 4, bc.queue, 5*time.Millisecond, 11)
-				b.StartTimer()
-				c.net.Run(2 * time.Second)
-				for _, n := range c.nodes {
-					n.Flush()
-				}
-				b.StopTimer()
-				h := c.regs[0].Snapshot().Hist(types.StageIntake.Metric("latency"))
-				b.ReportMetric(float64(h.Mean().Nanoseconds()), "ns/handler-msg")
-				c.stop()
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := newPipelineCluster(b, 4, 5*time.Millisecond, 11)
+		b.StartTimer()
+		c.run(2 * time.Second)
+		b.StopTimer()
+		h := c.regs[0].Snapshot().Hist(types.StageIntake.Metric("latency"))
+		b.ReportMetric(float64(h.Mean().Nanoseconds()), "ns/handler-msg")
+		c.stop()
 	}
 }

@@ -18,6 +18,7 @@ func (nullEndpoint) Send(types.NodeID, types.Message)        {}
 func (nullEndpoint) Multicast([]types.NodeID, types.Message) {}
 func (nullEndpoint) Broadcast(types.Message)                 {}
 func (nullEndpoint) SetHandler(transport.Handler)            {}
+func (nullEndpoint) SetDrainHook(func())                     {}
 func (nullEndpoint) Stats() transport.Stats                  { return transport.Stats{} }
 func (nullEndpoint) Close() error                            { return nil }
 

@@ -31,7 +31,7 @@ func TestRBCMessageComplexity(t *testing.T) {
 			fnet := faults.NewNet(n, 1, nil)
 			tp := newEchoTap(fnet)
 			c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, fnet: fnet})
-			c.net.Run(3 * time.Second)
+			c.run(3 * time.Second)
 			if len(tp.other) != 0 {
 				t.Fatalf("fault-free run sent messages outside VAL/ECHO: %v", tp.other)
 			}
@@ -86,7 +86,7 @@ func TestDenseTotalityWithoutCertRelay(t *testing.T) {
 		}
 	})
 	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, fnet: fnet})
-	c.net.Run(3 * time.Second)
+	c.run(3 * time.Second)
 	if pulled == 0 || certified == 0 {
 		t.Fatalf("victim sent %d pulls for the position whose echoes it lost and got %d certified replies", pulled, certified)
 	}
@@ -167,7 +167,7 @@ func TestImplicitEchoUnderEquivocation(t *testing.T) {
 	// Once the honest echoes cross, node 1 alone holds {source, 1, 2} for B
 	// and certifies it; A tops out at {source, 0} everywhere. Nodes 0 and 2
 	// adopt B's certificate through the pull their round-1 children start.
-	c.net.Run(10 * time.Second)
+	c.run(10 * time.Second)
 	if got := c.minOrdered(mute); got < 3*n {
 		t.Fatalf("ordered only %d vertices", got)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"clanbft/internal/crypto"
+	"clanbft/internal/faults"
 	"clanbft/internal/simnet"
 	"clanbft/internal/store"
 	"clanbft/internal/types"
@@ -18,6 +19,7 @@ import (
 func TestCrashRecoveryResumesAndNeverEquivocates(t *testing.T) {
 	const n = 4
 	net := simnet.New(simnet.Config{N: n, Seed: 31, LatencyRTTms: [][]float64{{20}}, JitterPct: -1})
+	fnet := faults.NewNet(n, 1, nil)
 	keys := crypto.GenerateKeys(n, 17)
 	reg := crypto.NewRegistry(keys, true)
 	stores := make([]store.Store, n)
@@ -36,25 +38,32 @@ func TestCrashRecoveryResumesAndNeverEquivocates(t *testing.T) {
 			Deliver: func(cv CommittedVertex) {
 				orders[i] = append(orders[i], cv.Vertex.Pos())
 			},
-		}, net.Endpoint(id), net.Clock(id))
+		}, fnet.Wrap(net.Endpoint(id), net.Clock(id)), net.Clock(id))
 	}
 
 	nodes := make([]*Node, n)
+	run := func(d time.Duration) {
+		net.Run(d)
+		for _, nd := range nodes {
+			nd.Flush()
+		}
+	}
 	for i := 0; i < n; i++ {
 		stores[i] = store.NewMem() // shared across "restarts" of node i
 		nodes[i] = mkNode(i)
 		nodes[i].Start()
+		t.Cleanup(nodes[i].Stop)
 	}
-	net.Run(3 * time.Second)
+	run(3 * time.Second)
 	preCrashRound := nodes[3].Round()
 	if preCrashRound < 5 {
 		t.Fatalf("cluster too slow pre-crash: round %d", preCrashRound)
 	}
 
 	// Crash node 3: cut it off and silence its handler. Its store survives.
-	net.Isolate(3, true)
+	fnet.Apply(net.Now(), isolate(n, 3))
 	net.Endpoint(3).SetHandler(func(types.NodeID, types.Message) {})
-	net.Run(3 * time.Second)
+	run(3 * time.Second)
 	aliveRound := nodes[0].Round()
 	if aliveRound <= preCrashRound+2 {
 		t.Fatalf("survivors stalled at round %d after crash", aliveRound)
@@ -63,12 +72,14 @@ func TestCrashRecoveryResumesAndNeverEquivocates(t *testing.T) {
 	// Restart node 3 from its store.
 	pre3 := len(orders[3])
 	restarted := mkNode(3)
-	net.Isolate(3, false)
+	fnet.Apply(net.Now(), faults.Event{Kind: faults.KindHeal, Name: "isolate"})
 	restarted.Start()
+	t.Cleanup(restarted.Stop)
+	nodes[3] = restarted
 	if got := restarted.Round(); got < preCrashRound-1 {
 		t.Fatalf("recovered round %d, had reached %d before crash", got, preCrashRound)
 	}
-	net.Run(5 * time.Second)
+	run(5 * time.Second)
 
 	// (b) It catches up and proposes new rounds.
 	if restarted.Round() <= aliveRound {
@@ -143,9 +154,12 @@ func TestRecoveryReplaysOrderFromScratch(t *testing.T) {
 			RoundTimeout: 700 * time.Millisecond,
 		}, net.Endpoint(types.NodeID(i)), net.Clock(types.NodeID(i)))
 		nd.Start()
+		t.Cleanup(nd.Stop)
 	}
 	node.Start()
+	t.Cleanup(node.Stop)
 	net.Run(2 * time.Second)
+	node.Flush()
 	if len(firstRun) < 8 {
 		t.Fatalf("first run ordered only %d", len(firstRun))
 	}
@@ -154,7 +168,9 @@ func TestRecoveryReplaysOrderFromScratch(t *testing.T) {
 	net.Endpoint(0).SetHandler(func(types.NodeID, types.Message) {})
 	node2 := build(&secondRun)
 	node2.Start()
+	t.Cleanup(node2.Stop)
 	net.Run(2 * time.Second)
+	node2.Flush()
 	if len(secondRun) < len(firstRun) {
 		t.Fatalf("replay shorter than original: %d < %d", len(secondRun), len(firstRun))
 	}

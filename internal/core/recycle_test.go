@@ -269,7 +269,7 @@ func TestHorizonReleasesBufferedVertex(t *testing.T) {
 	nd := c.nodes[x]
 	var buffered, swept, emitted types.Round
 	for c.net.Now() < 4*time.Second {
-		c.net.Run(time.Millisecond)
+		c.run(time.Millisecond)
 		for pos := range refs {
 			if _, ok := nd.ord.pendingInsert[pos]; ok && buffered == 0 {
 				buffered = nd.round
@@ -337,7 +337,7 @@ func TestHorizonWaitsForEmission(t *testing.T) {
 				}
 			}
 			c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, fnet: fnet, gcDepth: gcDepth})
-			c.net.Run(4 * time.Second)
+			c.run(4 * time.Second)
 			for i, nd := range c.nodes {
 				if types.NodeID(i) == x {
 					continue

@@ -12,21 +12,20 @@ import (
 // a deterministic sequence of CommittedVertex values; this stage runs the
 // application's Deliver callback over them, one vertex at a time.
 //
-// Two wirings, selected by Config.ExecQueue:
-//
-//   - ExecQueue == 0: emitCommitted invokes the callback inline on the
-//     serialized handler (the node's exec field is nil). Single-threaded
-//     tests and the discrete-event simulator default to this — results are
-//     visible the moment the handler returns.
-//   - ExecQueue > 0: emitCommitted hands the vertex to execStage, which runs
-//     the callback on its own goroutine. The handoff NEVER blocks the
-//     handler: a bounded channel provides the fast path, and when it is full
-//     the vertex spills to an unbounded staging ring (counted by
-//     exec.backpressure) that refills the channel as the executor drains.
-//     Commit order is preserved exactly; only timing decouples. Crucially
-//     the producer side takes no clock-dependent action, so under the
-//     discrete-event simulator the message schedule — and therefore the
-//     committed sequence — is identical whether the stage is sync or async.
+// emitCommitted hands each vertex to execStage, which runs the callback on
+// its own goroutine. The backpressure contract: the handoff NEVER blocks the
+// handler — a bounded channel of execQueue entries is the fast path, and
+// when it is full the vertex spills to an unbounded staging ring (counted by
+// exec.backpressure and visible in exec.queue_depth) that refills the
+// channel as the executor drains. Commit order is preserved exactly; only
+// timing decouples, so consensus timing is independent of execution cost,
+// and a persistently growing exec.queue_depth is the signal for the
+// application to throttle its BlockSource. The producer side takes no
+// clock-dependent action, so under the discrete-event simulator the message
+// schedule — and therefore the committed sequence — does not depend on how
+// long Deliver takes. Whoever reads what Deliver produced calls Node.Flush
+// first; Node.Stop abandons undelivered entries (crash semantics — recovery
+// re-emits the order from the store).
 //
 // The stage is the only part of the node that runs application code, so it
 // measures with real wall time (time.Now), never the node's virtual clock —
@@ -37,6 +36,12 @@ import (
 // execution lags ordering); exec.deliver is callback wall time (application
 // cost). The two were previously conflated in one exec.latency histogram,
 // which made a slow application indistinguishable from a backed-up queue.
+
+// execQueue is the capacity of the stage's channel: how many committed
+// vertices wait for the executor before the rest spill (exec.backpressure).
+// At 256 a round's commits fit at every n the benchmark and the simulated
+// experiments run, so the spill ring stays a backlog path.
+const execQueue = 256
 
 type execItem struct {
 	cv  CommittedVertex
@@ -238,27 +243,9 @@ func (e *execStage) stop() {
 
 // emitCommitted is the ordering stage's handoff into execution. It runs in
 // the serialized handler context.
-func (n *Node) emitCommitted(cv CommittedVertex) {
-	if n.exec != nil {
-		n.exec.push(cv)
-		return
-	}
-	start := time.Now()
-	if n.cfg.Deliver != nil {
-		n.cfg.Deliver(cv)
-	}
-	n.mExecDeliver.Observe(time.Since(start))
-	n.mExecDone.Inc()
-	if cv.Block != nil {
-		n.mExecTxs.Add(uint64(cv.Block.TxCount()))
-	}
-}
+func (n *Node) emitCommitted(cv CommittedVertex) { n.exec.push(cv) }
 
 // Flush blocks until the execution stage has delivered every vertex ordered
-// so far (no-op in synchronous mode or after Stop). Call it before reading
-// state produced by Deliver callbacks when ExecQueue > 0.
-func (n *Node) Flush() {
-	if n.exec != nil {
-		n.exec.flush()
-	}
-}
+// so far (returns at once after Stop). Call it before reading state produced
+// by Deliver callbacks.
+func (n *Node) Flush() { n.exec.flush() }

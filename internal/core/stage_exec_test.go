@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"clanbft/internal/metrics"
 	"clanbft/internal/types"
@@ -168,5 +169,42 @@ func TestBatchDrainPreservesOrder(t *testing.T) {
 		if r != types.Round(i) {
 			t.Fatalf("position %d delivered round %d: the drain broke FIFO", i, r)
 		}
+	}
+}
+
+// TestExecBackpressureSpill: a queue of one in front of a slow Deliver must
+// spill (counted by exec.backpressure) without blocking the pushes, and the
+// spill must drain in FIFO order — every pushed vertex delivered exactly
+// once, in push order, and the queue empty after flush.
+func TestExecBackpressureSpill(t *testing.T) {
+	const total = 1000
+	var got []types.Round // written by deliver; read after flush
+	reg := metrics.New()
+	e := newExecStage(func(cv CommittedVertex) {
+		time.Sleep(20 * time.Microsecond)
+		got = append(got, cv.Vertex.Round)
+	}, 1, reg)
+	defer e.stop()
+	for i := 0; i < total; i++ {
+		e.push(CommittedVertex{Vertex: vertexAt(types.Round(i), 0)})
+	}
+	e.flush()
+	if len(got) != total {
+		t.Fatalf("delivered %d of %d", len(got), total)
+	}
+	for i, r := range got {
+		if r != types.Round(i) {
+			t.Fatalf("position %d delivered round %d: the spill broke FIFO", i, r)
+		}
+	}
+	s := reg.Snapshot()
+	if s.Counter(types.StageExec.Metric("backpressure")) == 0 {
+		t.Fatal("a queue of 1 in front of a slow Deliver never spilled")
+	}
+	if n := s.Counter(types.StageExec.Metric("committed")); n != total {
+		t.Fatalf("exec.committed=%d, want %d", n, total)
+	}
+	if depth := s.Gauge(types.StageExec.Metric("queue_depth")); depth != 0 {
+		t.Fatalf("exec.queue_depth=%d after flush", depth)
 	}
 }

@@ -802,8 +802,7 @@ func (n *Node) orderPending() bool {
 // drainOut emits ordered vertices in sequence, holding at any vertex whose
 // block this party needs but has not yet received (commit runs ahead of
 // block download; execution order is preserved). Each emitted vertex is
-// stamped with OrderedAt and handed to the execution stage — inline when
-// ExecQueue is 0, via the bounded async handoff otherwise.
+// stamped with OrderedAt and handed to the execution stage.
 func (n *Node) drainOut() {
 	for n.ord.out.len() > 0 {
 		ent := &n.ord.out.items[n.ord.out.head]

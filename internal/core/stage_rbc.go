@@ -520,9 +520,8 @@ func (n *Node) maybeEcho(pos types.Position, in *vinst) {
 const echoBlockMin = 64
 
 // queueEcho queues this party's ECHO for digest d at pos. It leaves with the
-// rest of the queue in one signed frame when a mailbox drain ends (endDrain;
-// without a drain hook, when the handler returns) and the echo hold does not
-// keep it (drainEchoes), ahead of any other frame this party sends (send,
+// rest of the queue in one signed frame when a drain of the endpoint ends
+// (endDrain) and the echo hold does not keep it (drainEchoes), ahead of any other frame this party sends (send,
 // multicast, broadcast), and at once when the queue holds N entries — the
 // most a receiver accepts in one frame.
 func (n *Node) queueEcho(pos types.Position, d types.Hash) {

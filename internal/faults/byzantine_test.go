@@ -48,8 +48,12 @@ func runAttack(t *testing.T, n, bad int, mode core.Mode, clans [][]types.NodeID,
 		}, fnet.Wrap(c.net.Endpoint(id), c.net.Clock(id)), c.net.Clock(id))
 		c.nodes = append(c.nodes, node)
 		node.Start()
+		t.Cleanup(node.Stop)
 	}
 	c.net.Run(dur)
+	for _, nd := range c.nodes {
+		nd.Flush() // before the test reads c.orders
+	}
 	return c
 }
 
@@ -138,6 +142,7 @@ func TestChaosWithholdBlocksSingleClan(t *testing.T) {
 	fnet.SetByzantine(9, WithholdBlocks())
 	blocksSeen := make([]int, n)
 	orders := make([][]types.Position, n)
+	nodes := make([]*core.Node, n)
 	for i := 0; i < n; i++ {
 		i := i
 		id := types.NodeID(i)
@@ -155,8 +160,13 @@ func TestChaosWithholdBlocksSingleClan(t *testing.T) {
 			},
 		}, fnet.Wrap(net.Endpoint(id), net.Clock(id)), net.Clock(id))
 		node.Start()
+		t.Cleanup(node.Stop)
+		nodes[i] = node
 	}
 	net.Run(20 * time.Second)
+	for _, nd := range nodes {
+		nd.Flush() // before the test reads orders and blocksSeen
+	}
 	// Every honest clan member must have executed the adversary's blocks
 	// too (pulled when withheld): block counts must match across the clan.
 	ref := -1

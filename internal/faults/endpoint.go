@@ -365,12 +365,9 @@ func (e *Endpoint) SetHandler(h transport.Handler) {
 	})
 }
 
-// SetDrainHook forwards to the wrapped endpoint (transport.DrainNotifier):
-// the wrapper adds no queue of its own between the mailbox and the handler.
-func (e *Endpoint) SetDrainHook(fn func()) bool {
-	d, ok := e.inner.(transport.DrainNotifier)
-	return ok && d.SetDrainHook(fn)
-}
+// SetDrainHook installs fn on the wrapped endpoint: the wrapper adds no
+// queue of its own between the mailbox and the handler.
+func (e *Endpoint) SetDrainHook(fn func()) { e.inner.SetDrainHook(fn) }
 
 // Stats folds the wrapper's drops into the inner endpoint's counters.
 func (e *Endpoint) Stats() transport.Stats {

@@ -9,10 +9,10 @@ import (
 )
 
 // TestCommitOrderDeterminism: the same seeded scenario run twice must
-// commit a byte-identical sequence. The harness always enables the async
-// execution stage (ExecQueue > 0), so this doubles as the proof that
-// decoupling execution from the handler does not perturb the simulated
-// schedule — the exec handoff takes no clock-dependent action. Both
+// commit a byte-identical sequence. Execution runs on each node's own
+// goroutine, so this doubles as the proof that decoupling execution from
+// the handler does not perturb the simulated schedule — the exec handoff
+// takes no clock-dependent action. Both
 // clan-confined dissemination modes are covered.
 //
 // The frame reader and sender-side coalescing are TCP-only machinery:

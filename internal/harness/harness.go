@@ -28,14 +28,6 @@ import (
 	"clanbft/internal/types"
 )
 
-// ExecQueue is the execution stage's bounded-channel capacity for harness
-// nodes. The harness always exercises the async exec boundary — the
-// production configuration — which is safe under the discrete-event
-// simulator because measurement uses CommittedVertex.OrderedAt (stamped in
-// handler context on virtual time) and the run flushes every node's
-// executor before reading samples.
-const ExecQueue = 256
-
 // The simulated deployment's fixed parameters. Every transaction is txSize
 // bytes. Each node sustains bandwidthBps of goodput: the e2-standard-32 line
 // rate is 16 Gbps, but sustained cross-region TCP goodput (window scaling,
@@ -176,7 +168,7 @@ type Result struct {
 	// Order is node 0's committed sequence over the full run (vertex
 	// positions in delivery order, deduplicated across restarts). It is
 	// the determinism witness: an identical Config must reproduce it
-	// byte for byte, async execution included.
+	// byte for byte, whatever Deliver costs.
 	Order []types.Position
 
 	// Epochs is node 0's final epoch table (oldest retained first): the
@@ -452,7 +444,6 @@ func Run(cfg Config) Result {
 			ReconfigDelay:    cfg.ReconfigDelay,
 			GCDepth:          cfg.GCDepth,
 			Store:            st,
-			ExecQueue:        ExecQueue,
 			Metrics:          regs[i],
 			LeaderReputation: cfg.LeaderReputation,
 			ReputationWindow: cfg.ReputationWindow,
@@ -504,7 +495,7 @@ func Run(cfg Config) Result {
 		})
 	}
 	net.RunUntil(measureEnd)
-	// Drain the async execution stages before reading anything Deliver
+	// Drain the execution stages before reading anything Deliver
 	// wrote, then retire the executor goroutines.
 	for _, n := range nodes {
 		n.Flush()

@@ -25,7 +25,7 @@ type drainEndpoint struct {
 func (e *drainEndpoint) Self() types.NodeID               { return e.self }
 func (e *drainEndpoint) Send(types.NodeID, types.Message) {}
 func (e *drainEndpoint) SetHandler(h transport.Handler)   { e.handler = h }
-func (e *drainEndpoint) SetDrainHook(fn func()) bool      { e.drained = fn; return true }
+func (e *drainEndpoint) SetDrainHook(fn func())           { e.drained = fn }
 func (e *drainEndpoint) Stats() transport.Stats           { return transport.Stats{} }
 func (e *drainEndpoint) Close() error                     { return nil }
 
@@ -81,11 +81,13 @@ func EchoDrain(b *testing.B, n int) {
 		d := v.DigestCached()
 		vals = append(vals, &types.ValMsg{Vertex: v, Sig: crypto.Sign(&keys[src], append([]byte{'V'}, d[:]...))})
 	}
+	var nodes []*core.Node // stopped after each op, outside the timer
 	node := func(self types.NodeID) (*core.Node, *drainEndpoint, *stillClock) {
 		ep, clk := &drainEndpoint{self: self}, &stillClock{}
 		nd := core.New(core.Config{Self: self, N: n, Mode: core.ModeBaseline, Key: &keys[self], Reg: reg,
 			Costs: crypto.Costs{EdSign: echoDrainSign}}, ep, clk)
 		nd.Start()
+		nodes = append(nodes, nd)
 		clk.signs = 0 // the round-0 proposal's
 		return nd, ep, clk
 	}
@@ -156,6 +158,12 @@ func EchoDrain(b *testing.B, n int) {
 			counts["frames/"+key] = float64(len(ep.echoes))
 			counts["signs/"+key] = float64(clk.signs)
 			counts["verify_jobs/"+key] = float64(jobs)
+			b.StopTimer()
+			for _, nd := range nodes {
+				nd.Stop()
+			}
+			nodes = nodes[:0]
+			b.StartTimer()
 		}
 	}
 	for k, v := range counts {

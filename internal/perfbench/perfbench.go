@@ -267,7 +267,7 @@ func DiskGroupCommit(b *testing.B, writers int) {
 }
 
 // PipelineE2E drives the full staged commit pipeline — intake → rbc →
-// order → async exec — through the harness simulator and reports
+// order → exec — through the harness simulator and reports
 // commits/sec: committed vertices per simulated second at node 0. Virtual
 // time and a fixed seed make the number a deterministic property of the
 // protocol code path (unlike ns/op, which measures the runner), so it gates

@@ -3,9 +3,9 @@
 // the substitute for the paper's geo-distributed GCP deployment: nodes are
 // assigned to regions connected by the paper's own Table 1 ping matrix, each
 // node has a finite-bandwidth NIC in both directions (e2-standard-32: up to
-// 16 Gbps), handler CPU time can be charged to the virtual clock, and the
-// partial-synchrony adversary (pre-GST delays, link drops/partitions) is
-// scriptable.
+// 16 Gbps), and handler CPU time can be charged to the virtual clock. It
+// models links, NICs and CPU and nothing else: faults (drops, delays,
+// partitions, crashes) are internal/faults' wrapping endpoint.
 //
 // The simulator is single-threaded and fully deterministic for a given seed:
 // every experiment is exactly reproducible.
@@ -24,6 +24,11 @@
 //     delays its subsequent event processing accordingly (this models the
 //     BLS verification and store-read costs the paper blames for latency
 //     growth at n=150).
+//   - Drains: after every event that ran a node's code — one message, all
+//     messages of a batched arrival, one timer callback — and before a
+//     batched arrival pauses for a busy CPU, the endpoint calls its drain
+//     hook (transport.Endpoint.SetDrainHook), as a mailbox does when it
+//     idles. The hook's sends leave after the CPU the drain charged.
 //
 // Events within `quantum` (default 250 microseconds) of each other may be
 // processed in bucket order rather than exact order; all experiment-scale
@@ -78,22 +83,18 @@ type Config struct {
 	// JitterPct randomizes each one-way latency by +-pct (default 0.02).
 	// Zero jitter can be forced with JitterPct = -1.
 	JitterPct float64
-	// GST is the global stabilization time. Before it, AsyncExtraMax of
-	// additional random delay is applied per message (0 disables).
-	GST           time.Duration
-	AsyncExtraMax time.Duration
 	// Quantum is the event-ordering resolution (default 250us).
 	Quantum time.Duration
 	// BatchWindow coalesces small messages to the same destination into
 	// one wire frame flushed after this delay, as production BFT
 	// implementations do. Zero disables batching (every message is its
-	// own frame). Messages of BatchBypass bytes or more always flush
+	// own frame). Messages of batchBypass bytes or more always flush
 	// immediately.
 	BatchWindow time.Duration
-	// BatchBypass is the size at which a message skips batching
-	// (default 16 KiB).
-	BatchBypass int
 }
+
+// batchBypass is the size at which a message skips batching.
+const batchBypass = 16 << 10
 
 // EvenRegions spreads n nodes round-robin across r regions, mirroring the
 // paper's "distributed nodes evenly across five GCP regions".
@@ -148,8 +149,6 @@ type Net struct {
 	freeBufs [][]*event        // recycled bucket slices
 	freeMsgs [][]types.Message // recycled batch slices
 
-	blocked map[[2]types.NodeID]bool
-
 	// totalBytes/totalMsgs count wire traffic by message kind for the
 	// communication-complexity experiments (dense array: kinds are small).
 	totalBytes [64]uint64
@@ -180,9 +179,6 @@ func New(cfg Config) *Net {
 	if cfg.Quantum == 0 {
 		cfg.Quantum = 250 * time.Microsecond
 	}
-	if cfg.BatchBypass == 0 {
-		cfg.BatchBypass = 16 << 10
-	}
 	var lat [][]float64
 	if cfg.LatencyRTTms == nil {
 		lat = make([][]float64, 5)
@@ -204,7 +200,6 @@ func New(cfg Config) *Net {
 		byteRate: cfg.BandwidthBps / 8 / 1e9, // bytes per ns
 		quantum:  int64(cfg.Quantum),
 		wheel:    make([][]*event, wheelSlots),
-		blocked:  map[[2]types.NodeID]bool{},
 	}
 	n.owlNS = make([][]int64, nRegions)
 	n.flowNSPerByte = make([][]float64, nRegions)
@@ -263,28 +258,6 @@ func (n *Net) Clock(id types.NodeID) transport.Clock { return n.eps[id] }
 
 // Now returns the current virtual time.
 func (n *Net) Now() time.Duration { return time.Duration(n.nowNS) }
-
-// Block drops all traffic from src to dst while set (network partition
-// scripting). Self-delivery is unaffected.
-func (n *Net) Block(src, dst types.NodeID, drop bool) {
-	if drop {
-		n.blocked[[2]types.NodeID{src, dst}] = true
-	} else {
-		delete(n.blocked, [2]types.NodeID{src, dst})
-	}
-}
-
-// Isolate blocks (or unblocks) all traffic to and from a node.
-func (n *Net) Isolate(id types.NodeID, drop bool) {
-	for i := 0; i < n.cfg.N; i++ {
-		other := types.NodeID(i)
-		if other == id {
-			continue
-		}
-		n.Block(id, other, drop)
-		n.Block(other, id, drop)
-	}
-}
 
 // alloc pops a pooled event or makes a new one. Pooled events have msg/dst
 // cleared by recycle; remaining fields are overwritten by the caller.
@@ -465,11 +438,13 @@ func (n *Net) fire(ev *event) {
 		}
 		e.cpuFree = start + e.charged
 		e.charged = 0
+		e.endDrain()
 	}
 }
 
 // deliverEvent runs the handler for a single or batched message event,
-// resuming after CPU-busy pauses. Recycles the event when done.
+// resuming after CPU-busy pauses, and ends the drain after the last message
+// it ran and before it pauses. Recycles the event when done.
 func (n *Net) deliverEvent(ev *event) {
 	dst := ev.dst
 	if ev.msgs == nil {
@@ -478,17 +453,22 @@ func (n *Net) deliverEvent(ev *event) {
 			n.schedule(dst.cpuFree, ev)
 			return
 		}
+		dst.endDrain()
 		n.recycle(ev)
 		return
 	}
-	for ev.idx < len(ev.msgs) {
+	for ran := false; ev.idx < len(ev.msgs); ran = true {
 		if !dst.deliver(n.nowNS, ev.from, ev.msgs[ev.idx]) {
+			if ran {
+				dst.endDrain()
+			}
 			ev.kind = evDeliver
 			n.schedule(dst.cpuFree, ev)
 			return
 		}
 		ev.idx++
 	}
+	dst.endDrain()
 	n.recycle(ev)
 }
 
@@ -523,9 +503,6 @@ func (n *Net) owl(i, j types.NodeID) int64 {
 		f := 1 + (n.rng.Float64()*2-1)*n.cfg.JitterPct
 		base = int64(float64(base) * f)
 	}
-	if extra := n.cfg.AsyncExtraMax; extra > 0 && n.nowNS < int64(n.cfg.GST) {
-		base += n.rng.Int63n(int64(extra))
-	}
 	return base
 }
 
@@ -550,6 +527,7 @@ type simEndpoint struct {
 	id      types.NodeID
 	region  int
 	handler transport.Handler
+	drained func()     // the drain hook; nil until an owner installs one
 	batches []outBatch // per destination; nil when batching is off
 
 	txFree   int64   // outbound NIC busy-until
@@ -565,6 +543,8 @@ func (e *simEndpoint) Self() types.NodeID { return e.id }
 
 func (e *simEndpoint) SetHandler(h transport.Handler) { e.handler = h }
 
+func (e *simEndpoint) SetDrainHook(fn func()) { e.drained = fn }
+
 func (e *simEndpoint) Stats() transport.Stats { return e.stats }
 
 func (e *simEndpoint) Close() error { return nil }
@@ -577,13 +557,6 @@ func (e *simEndpoint) Send(to types.NodeID, m types.Message) {
 		n.scheduleMsg(now, evDeliver, e, e.id, m, 0)
 		return
 	}
-	if len(n.blocked) > 0 && n.blocked[[2]types.NodeID{e.id, to}] {
-		// A blocked link loses the frame before the wire: count it so drop
-		// accounting stays exact under scripted partitions (a peer retrying
-		// an unreachable node shows up as drops, not sends).
-		e.stats.MsgsDropped++
-		return
-	}
 	size := m.WireSize()
 	e.stats.MsgsSent++
 	e.stats.BytesSent += uint64(size)
@@ -592,7 +565,7 @@ func (e *simEndpoint) Send(to types.NodeID, m types.Message) {
 		n.totalMsgs[k]++
 	}
 
-	if e.batches != nil && size < n.cfg.BatchBypass {
+	if e.batches != nil && size < batchBypass {
 		b := &e.batches[to]
 		if b.msgs == nil {
 			b.msgs = n.allocMsgs()
@@ -606,7 +579,7 @@ func (e *simEndpoint) Send(to types.NodeID, m types.Message) {
 			ev.dst = e
 			ev.from = to
 			n.schedule(now+int64(n.cfg.BatchWindow), ev)
-		} else if b.size >= 4*n.cfg.BatchBypass {
+		} else if b.size >= 4*batchBypass {
 			e.flush(to, now)
 		}
 		return
@@ -698,6 +671,19 @@ func (e *simEndpoint) deliver(at int64, from types.NodeID, m types.Message) bool
 	e.cpuFree = start + e.charged
 	e.charged = 0
 	return true
+}
+
+// endDrain calls the drain hook like a handler: its CPU is charged, and its
+// sends are stamped after the CPU the drain charged before it.
+func (e *simEndpoint) endDrain() {
+	if e.drained == nil {
+		return
+	}
+	now := e.net.nowNS
+	e.charged = max(e.cpuFree-now, 0)
+	e.drained()
+	e.cpuFree = now + e.charged
+	e.charged = 0
 }
 
 func (e *simEndpoint) Multicast(tos []types.NodeID, m types.Message) {

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -240,83 +241,80 @@ func TestChargeDelaysEmission(t *testing.T) {
 	}
 }
 
-func TestPartition(t *testing.T) {
-	n := New(Config{N: 2, Seed: 1})
-	got := record(n, 1)
-	n.Block(0, 1, true)
-	n.Endpoint(0).Send(1, msg(10))
-	n.Run(100 * time.Millisecond)
-	if len(*got) != 0 {
-		t.Fatal("blocked link delivered")
+// TestSimnetDrainHook: the drain hook runs once after a single message, once
+// after the last message of a batched arrival (not before), once after a
+// timer, and before a batched arrival pauses for a busy CPU; what it sends
+// leaves after the CPU its drain charged.
+func TestSimnetDrainHook(t *testing.T) {
+	// log records node 1's handler calls ("m"), timer callbacks ("t") and
+	// drain ends ("d") in order.
+	setup := func(cfg Config) (*Net, *[]string) {
+		cfg.N, cfg.Seed, cfg.JitterPct, cfg.LatencyRTTms = 3, 1, -1, [][]float64{{1}}
+		n := New(cfg)
+		var log []string
+		n.Endpoint(1).SetHandler(func(types.NodeID, types.Message) { log = append(log, "m") })
+		n.Endpoint(1).SetDrainHook(func() { log = append(log, "d") })
+		return n, &log
 	}
-	// A frame lost to a blocked link counts as dropped, not sent, so peers
-	// retrying an unreachable node keep transport accounting exact.
-	if st := n.Endpoint(0).Stats(); st.MsgsDropped != 1 || st.MsgsSent != 0 {
-		t.Fatalf("blocked send accounting: dropped=%d sent=%d, want 1/0", st.MsgsDropped, st.MsgsSent)
-	}
-	n.Block(0, 1, false)
-	n.Endpoint(0).Send(1, msg(10))
-	n.Run(100 * time.Millisecond)
-	if len(*got) != 1 {
-		t.Fatal("unblocked link did not deliver")
-	}
-	if st := n.Endpoint(0).Stats(); st.MsgsDropped != 1 || st.MsgsSent != 1 {
-		t.Fatalf("unblocked send accounting: dropped=%d sent=%d, want 1/1", st.MsgsDropped, st.MsgsSent)
-	}
-}
-
-func TestIsolate(t *testing.T) {
-	n := New(Config{N: 3, Seed: 1})
-	got0 := record(n, 0)
-	got1 := record(n, 1)
-	got2 := record(n, 2)
-	n.Isolate(2, true)
-	n.Endpoint(2).Broadcast(msg(10))
-	n.Endpoint(0).Send(2, msg(10))
-	n.Endpoint(0).Send(1, msg(10))
-	n.Run(100 * time.Millisecond)
-	if len(*got0) != 0 {
-		t.Fatal("isolated node's traffic leaked out")
-	}
-	if len(*got2) != 1 { // only its own self-broadcast
-		t.Fatalf("isolated node received %d", len(*got2))
-	}
-	if len(*got1) != 1 {
-		t.Fatal("healthy link broken by isolation")
-	}
-}
-
-func TestPreGSTDelays(t *testing.T) {
-	// Before GST messages suffer up to 500 ms extra; after GST they are
-	// prompt.
-	n := New(Config{N: 2, Seed: 3, GST: time.Second, AsyncExtraMax: 500 * time.Millisecond, JitterPct: -1})
-	got := record(n, 1)
-	for i := 0; i < 20; i++ {
-		n.Endpoint(0).Send(1, msg(10))
-	}
-	n.Run(2 * time.Second)
-	if len(*got) != 20 {
-		t.Fatalf("delivered %d", len(*got))
-	}
-	slow := 0
-	for _, r := range *got {
-		if r.at > 5*time.Millisecond {
-			slow++
+	check := func(name string, log *[]string, want string) {
+		t.Helper()
+		if got := strings.Join(*log, ""); got != want {
+			t.Fatalf("%s: handler/timer/drain sequence %q, want %q", name, got, want)
 		}
 	}
-	if slow == 0 {
-		t.Fatal("pre-GST messages were not delayed")
-	}
-	// Post-GST message is prompt.
-	before := len(*got)
+
+	n, log := setup(Config{})
 	n.Endpoint(0).Send(1, msg(10))
-	n.Run(100 * time.Millisecond)
-	if len(*got) != before+1 {
-		t.Fatal("post-GST message lost")
+	n.Run(10 * time.Millisecond)
+	check("single message", log, "md")
+
+	const k = 5
+	n, log = setup(Config{BatchWindow: time.Millisecond})
+	for i := 0; i < k; i++ {
+		n.Endpoint(0).Send(1, numbered(uint64(i), 0))
 	}
-	last := (*got)[len(*got)-1]
-	if last.at-2*time.Second > 5*time.Millisecond {
-		t.Fatalf("post-GST delivery took %v", last.at-2*time.Second)
+	n.Run(10 * time.Millisecond)
+	check("batched arrival", log, strings.Repeat("m", k)+"d")
+
+	n, log = setup(Config{})
+	n.Clock(1).After(time.Millisecond, func() { *log = append(*log, "t") })
+	n.Run(10 * time.Millisecond)
+	check("timer", log, "td")
+
+	// The first message of a batch keeps the CPU busy for 5 ms: the drain
+	// ends before the pause, and again after the rest.
+	n, log = setup(Config{BatchWindow: time.Millisecond})
+	n.Endpoint(1).SetHandler(func(types.NodeID, types.Message) {
+		if len(*log) == 0 {
+			n.Clock(1).Charge(5 * time.Millisecond)
+		}
+		*log = append(*log, "m")
+	})
+	for i := 0; i < 3; i++ {
+		n.Endpoint(0).Send(1, numbered(uint64(i), 0))
+	}
+	n.Run(20 * time.Millisecond)
+	check("busy CPU", log, "mdmmd")
+
+	// A 10 ms handler call and a 1 ms hook: the hook's send leaves 11 ms
+	// after the message arrived.
+	n, _ = setup(Config{})
+	var handled, heard time.Duration
+	n.Endpoint(1).SetHandler(func(types.NodeID, types.Message) {
+		handled = n.Now()
+		n.Clock(1).Charge(10 * time.Millisecond)
+	})
+	n.Endpoint(1).SetDrainHook(func() {
+		n.Clock(1).Charge(time.Millisecond)
+		n.Endpoint(1).Send(2, msg(10))
+	})
+	n.Endpoint(2).SetHandler(func(types.NodeID, types.Message) { heard = n.Now() })
+	n.Endpoint(0).Send(1, msg(10))
+	n.Run(50 * time.Millisecond)
+	owl := 500 * time.Microsecond
+	if want := handled + 11*time.Millisecond + owl; heard < want || heard > want+100*time.Microsecond {
+		t.Fatalf("the hook's send arrived at %v, want %v: the message arrived at %v, its handler charged 10 ms and the hook 1 ms",
+			heard, want, handled)
 	}
 }
 

@@ -43,21 +43,6 @@ type VerifyingEndpoint interface {
 	SetVerifier(v Verifier, pool *crypto.VerifyPool)
 }
 
-// DrainNotifier is implemented by endpoints that run the handler off a
-// mailbox and can tell its owner where one drain of that mailbox ends.
-type DrainNotifier interface {
-	// SetDrainHook installs fn and reports whether the endpoint will call it
-	// (a wrapper forwards the question to what it wraps). fn runs in the
-	// handler's serialized context whenever the handler is about to go idle:
-	// after the last task of the batch the mailbox loop took in one swap, and
-	// before the loop blocks on a verify verdict that is not in yet. What the
-	// handler's owner holds back across the calls of one drain — to sign and
-	// frame it once — is therefore never held while the handler waits. Call
-	// it before SetHandler installs the handler the hook serves; a later call
-	// replaces the hook.
-	SetDrainHook(fn func()) bool
-}
-
 // Endpoint is one node's handle on the network.
 type Endpoint interface {
 	// Self returns the node's own ID.
@@ -74,6 +59,16 @@ type Endpoint interface {
 	// SetHandler installs the inbound handler. Must be called before any
 	// traffic arrives.
 	SetHandler(h Handler)
+	// SetDrainHook installs fn, which runs in the handler's serialized
+	// context whenever the handler is about to go idle: after the last task
+	// of a batch the endpoint ran back to back (a mailbox swap; under the
+	// simulator, one message, one batched arrival or one timer), and before
+	// it waits for anything that is not in yet (a verify verdict; a busy
+	// CPU). What the handler's owner holds back across the calls of one
+	// drain — to sign and frame it once — is therefore never held while the
+	// handler waits. Call it before SetHandler installs the handler the hook
+	// serves; a later call replaces the hook.
+	SetDrainHook(fn func())
 	// Stats reports cumulative traffic counters for this endpoint.
 	Stats() Stats
 	// Close tears the endpoint down.
@@ -167,7 +162,7 @@ type mailbox struct {
 	closed  bool
 	started bool
 	handler func(types.NodeID, types.Message)
-	drained func() // see DrainNotifier; nil until an owner asks
+	drained func() // see Endpoint.SetDrainHook; nil until an owner asks
 	// pending counts tasks pushed and not yet run, including the batch the
 	// loop is working through outside the lock.
 	pending atomic.Int64
@@ -517,8 +512,7 @@ func (e *chanEndpoint) SetVerifier(v Verifier, pool *crypto.VerifyPool) {
 	e.verify.Store(&verifyStage{verifier: v, pool: pool})
 }
 
-// SetDrainHook implements DrainNotifier.
-func (e *chanEndpoint) SetDrainHook(fn func()) bool { e.mb.setDrainHook(fn); return true }
+func (e *chanEndpoint) SetDrainHook(fn func()) { e.mb.setDrainHook(fn) }
 
 func (e *chanEndpoint) Send(to types.NodeID, m types.Message) {
 	if to == e.id {

@@ -98,7 +98,9 @@ func NewTCPNode(o TCPNodeOptions) (*TCPNode, error) {
 // Addr returns the bound listen address.
 func (n *TCPNode) Addr() string { return n.ep.Addr() }
 
-// OnCommit registers a total-order callback. Must precede Start.
+// OnCommit registers a total-order callback. Must precede Start. Callbacks
+// run on the node's execution goroutine, as with Cluster.OnCommit, and may
+// block.
 func (n *TCPNode) OnCommit(fn func(Commit)) {
 	if n.started {
 		panic("clanbft: OnCommit after Start")
@@ -153,8 +155,8 @@ func (n *TCPNode) Round() types.Round { return n.node.Round() }
 // Stats returns transport-level traffic counters.
 func (n *TCPNode) Stats() transport.Stats { return n.ep.Stats() }
 
-// Close shuts the node down: drains pending commit deliveries (ExecQueue
-// > 0), stops the consensus engine, then closes the endpoint, verify pool,
+// Close shuts the node down: drains pending commit deliveries, stops the
+// consensus engine, then closes the endpoint, verify pool,
 // and store.
 func (n *TCPNode) Close() error {
 	n.node.Flush()
