@@ -1,6 +1,7 @@
 // dagviz runs a short simulated cluster and dumps one node's DAG as Graphviz
-// DOT, with leader vertices and commit paths highlighted — a debugging and
-// teaching aid for the round structure described in docs/PROTOCOL.md.
+// DOT — a debugging and teaching aid for the round structure described in
+// docs/PROTOCOL.md. Each anchor is coloured by the fate internal/order decides
+// for it over that DAG: direct, indirect, skipped or not live.
 //
 //	go run ./cmd/dagviz -n 4 -rounds 8 | dot -Tsvg > dag.svg
 package main
@@ -11,9 +12,12 @@ import (
 	"os"
 	"time"
 
+	"clanbft/internal/committee"
 	"clanbft/internal/core"
 	"clanbft/internal/crypto"
+	"clanbft/internal/dag"
 	"clanbft/internal/mempool"
+	"clanbft/internal/order"
 	"clanbft/internal/simnet"
 	"clanbft/internal/types"
 )
@@ -59,20 +63,12 @@ func main() {
 	keys := crypto.GenerateKeys(*n, 1)
 	reg := crypto.NewRegistry(keys, false)
 	var observer *core.Node
-	ordered := map[types.Position]bool{}
-	leaders := map[types.Position]bool{}
 	for i := 0; i < *n; i++ {
 		id := types.NodeID(i)
 		nd := core.New(core.Config{
 			Self: id, N: *n, Mode: m, Clans: clans,
 			Key: &keys[i], Reg: reg,
 			Blocks: mempool.NewGenerator(id, 2, 64, false),
-			Deliver: func(cv core.CommittedVertex) {
-				if id == 0 {
-					ordered[cv.Vertex.Pos()] = true
-					leaders[types.Position{Round: cv.LeaderRound, Source: cv.Vertex.Source}] = false
-				}
-			},
 		}, net.Endpoint(id), net.Clock(id))
 		if i == 0 {
 			observer = nd
@@ -81,9 +77,9 @@ func main() {
 	}
 	// ~2 message delays per round at 30 ms one-way.
 	net.Run(time.Duration(*rounds) * 150 * time.Millisecond)
-	observer.Flush() // ordered is written on node 0's execution goroutine
 
 	d := observer.DAG()
+	fates := replay(d, *n)
 	fmt.Println("digraph dag {")
 	fmt.Println("  rankdir=RL; node [shape=box, fontname=monospace];")
 	for r := types.Round(0); r <= d.MaxRound() && r <= types.Round(*rounds); r++ {
@@ -95,10 +91,8 @@ func main() {
 		for _, v := range d.RoundVertices(r) {
 			name := fmt.Sprintf("%d/%d", v.Round, v.Source)
 			style := ""
-			if uint64(v.Source) == uint64(v.Round)%uint64(*n) {
-				style = ", style=filled, fillcolor=gold" // leader slot
-			} else if ordered[v.Pos()] {
-				style = ", style=filled, fillcolor=lightgrey"
+			if f, ok := fates[v.Pos()]; ok {
+				style = ", style=filled, fillcolor=" + fateColour[f]
 			}
 			fmt.Printf("  \"%s\" [label=\"r%d p%d\"%s];\n", name, v.Round, v.Source, style)
 			for _, e := range v.StrongEdges {
@@ -110,4 +104,35 @@ func main() {
 		}
 	}
 	fmt.Println("}")
+}
+
+var fateColour = map[order.Fate]string{
+	order.Direct: "gold", order.Indirect: "orange", order.Skipped: "tomato", order.NotLive: "lightblue",
+}
+
+// replay orders the vertices of src afresh, round by round, with every member
+// an anchor (the nodes' default), and returns each anchor slot's fate. Each
+// vertex is voted before it is inserted, as a node sees a proposal before
+// its RBC delivers; slots still open at the top of the DAG get no fate.
+func replay(src *dag.DAG, n int) map[types.Position]order.Fate {
+	ep := &order.Epoch{F: committee.MaxFaulty(n)}
+	for i := 0; i < n; i++ {
+		ep.Members = append(ep.Members, types.NodeID(i))
+	}
+	d := dag.New(n)
+	o := order.New(order.Config{N: n, LeadersPerRound: n,
+		EpochOf: func(types.Round) *order.Epoch { return ep }}, d)
+	fates := map[types.Position]order.Fate{}
+	emit := func(s order.Step) { fates[s.Slot] = s.Fate }
+	advance := func() { o.Advance(emit) }
+	for r := src.MinRound(); r <= src.MaxRound(); r++ {
+		for _, v := range src.RoundVertices(r) {
+			o.Vote(v, advance)
+			d.Insert(v)
+			if o.Inserted(v.Pos()) {
+				advance()
+			}
+		}
+	}
+	return fates
 }

@@ -27,56 +27,43 @@ func scheduleNode(n, leaders int, members []types.NodeID, rep bool) *Node {
 }
 
 // checkSchedule asserts, for every round in [lo, hi): the round's slots name
-// distinct eligible members and number min(L, M); leaderIdx, slotSeq, slotPos
-// and nextSlot agree with leaderAt; the primary is the member the L=1
-// rotation would pick; and over any M consecutive rounds every eligible
-// member is primary exactly once.
+// distinct eligible members and number min(L, M); SlotIndex agrees with
+// LeaderAt; the primary is the member the L=1 rotation would pick; and over
+// any M consecutive rounds every eligible member is primary exactly once.
+// (internal/order's TestSlotSequence checks the slot numbering behind it.)
 func checkSchedule(t *testing.T, nd *Node, lo, hi types.Round) {
 	t.Helper()
 	for r := lo; r < hi; r++ {
-		ms := nd.eligibleAt(r)
+		ms := nd.order.Eligible(r)
 		M := len(ms)
 		want := min(nd.cfg.LeadersPerRound, M)
-		if got := nd.anchorsAt(r); got != want {
+		if got := nd.order.Anchors(r); got != want {
 			t.Fatalf("round %d: %d anchors, want min(L=%d, M=%d)", r, got, nd.cfg.LeadersPerRound, M)
 		}
-		if got, single := nd.leader(r), ms[uint64(r)%uint64(M)]; got != single {
+		if got, single := nd.order.Leader(r), ms[uint64(r)%uint64(M)]; got != single {
 			t.Fatalf("round %d: primary %d, the single-leader rotation picks %d", r, got, single)
 		}
 		seen := map[types.NodeID]bool{}
 		for k := 0; k < want; k++ {
-			src := nd.leaderAt(r, k)
+			src := nd.order.LeaderAt(r, k)
 			if seen[src] {
 				t.Fatalf("round %d: slots %v name member %d twice", r, seen, src)
 			}
 			seen[src] = true
 			pos := types.Position{Round: r, Source: src}
-			if idx := nd.leaderIdx(pos); idx != k {
-				t.Fatalf("round %d slot %d: leaderIdx(%v) = %d", r, k, pos, idx)
-			}
-			seq := nd.slotSeq(pos, k)
-			if back := nd.slotPos(seq); back != pos {
-				t.Fatalf("round %d slot %d: slotPos(slotSeq) = %v, want %v", r, k, back, pos)
-			}
-			if nd.nextSlot(seq) != seq {
-				t.Fatalf("round %d slot %d: nextSlot moved an existing slot", r, k)
+			if idx := nd.order.SlotIndex(pos); idx != k {
+				t.Fatalf("round %d slot %d: SlotIndex(%v) = %d", r, k, pos, idx)
 			}
 		}
 		for _, m := range ms {
-			if !seen[m] && nd.leaderIdx(types.Position{Round: r, Source: m}) >= 0 {
+			if !seen[m] && nd.order.SlotIndex(types.Position{Round: r, Source: m}) >= 0 {
 				t.Fatalf("round %d: member %d has a slot index but no slot", r, m)
 			}
-		}
-		// The first index past the round's anchors does not exist: the next
-		// slot is slot 0 of the following round.
-		past := uint64(r)*uint64(nd.cfg.N) + uint64(want)
-		if want < nd.cfg.N && nd.nextSlot(past) != uint64(r+1)*uint64(nd.cfg.N) {
-			t.Fatalf("round %d: nextSlot(%d) = %d, want slot 0 of round %d", r, past, nd.nextSlot(past), r+1)
 		}
 		if r+types.Round(M) <= hi && sameEligible(nd, r, r+types.Round(M)) {
 			prim := map[types.NodeID]int{}
 			for q := r; q < r+types.Round(M); q++ {
-				prim[nd.leader(q)]++
+				prim[nd.order.Leader(q)]++
 			}
 			for _, m := range ms {
 				if prim[m] != 1 {
@@ -89,9 +76,9 @@ func checkSchedule(t *testing.T, nd *Node, lo, hi types.Round) {
 
 // sameEligible reports whether the eligible set is constant over [lo, hi).
 func sameEligible(nd *Node, lo, hi types.Round) bool {
-	ref := nd.eligibleAt(lo)
+	ref := nd.order.Eligible(lo)
 	for r := lo + 1; r < hi; r++ {
-		ms := nd.eligibleAt(r)
+		ms := nd.order.Eligible(r)
 		if len(ms) != len(ref) || ms[0] != ref[0] || ms[len(ms)-1] != ref[len(ref)-1] {
 			return false
 		}
@@ -121,14 +108,18 @@ func TestPrimaryRotationVisitsEveryMember(t *testing.T) {
 	t.Run("demoted", func(t *testing.T) {
 		for _, leaders := range []int{1, 2, 0} {
 			nd := scheduleNode(7, leaders, nil, true)
-			// Member 2 sits out rounds [10, 30): the eligible set is six
-			// members there and seven on either side.
-			nd.rep.events = append(nd.rep.events, repEvent{offender: 2, apply: 10, expire: 30})
-			checkSchedule(t, nd, 0, 60)
-			if got := len(nd.eligibleAt(15)); got != 6 {
-				t.Fatalf("L=%d: %d eligible at round 15, want 6", leaders, got)
+			// Round 2's primary, member 2, timed out, and the evidence was
+			// ordered under the anchor of round 0: member 2 sits out rounds
+			// [33, 97) — ReconfigDelay 32, ReputationWindow 64. The eligible
+			// set is six members there and seven on either side.
+			if !nd.order.Offense(2, 0) {
+				t.Fatal("offense not charged")
 			}
-			if nd.leaderIdx(types.Position{Round: 15, Source: 2}) >= 0 {
+			checkSchedule(t, nd, 0, 130)
+			if got := len(nd.order.Eligible(40)); got != 6 {
+				t.Fatalf("L=%d: %d eligible at round 40, want 6", leaders, got)
+			}
+			if nd.order.SlotIndex(types.Position{Round: 40, Source: 2}) >= 0 {
 				t.Fatalf("L=%d: the demoted member holds a slot", leaders)
 			}
 		}
@@ -137,7 +128,7 @@ func TestPrimaryRotationVisitsEveryMember(t *testing.T) {
 		for _, leaders := range []int{1, 2, 0} {
 			nd := scheduleNode(7, leaders, []types.NodeID{0, 2, 3, 5, 6}, false)
 			checkSchedule(t, nd, 0, 40)
-			if got, want := nd.anchorsAt(3), min(nd.cfg.LeadersPerRound, 5); got != want {
+			if got, want := nd.order.Anchors(3), min(nd.cfg.LeadersPerRound, 5); got != want {
 				t.Fatalf("L=%d: %d anchors in a five-member epoch, want %d", leaders, got, want)
 			}
 		}
@@ -322,9 +313,9 @@ func TestShrunkenEligibleSetOrders(t *testing.T) {
 			// many slots, all distinct.
 			demoted := false
 			for r := types.Round(0); r < nd.Metrics.LastOrderedRound; r++ {
-				if len(nd.eligibleAt(r)) == len(tc.members)-1 {
+				if len(nd.order.Eligible(r)) == len(tc.members)-1 {
 					demoted = true
-					if got := nd.anchorsAt(r); got != len(tc.members)-1 {
+					if got := nd.order.Anchors(r); got != len(tc.members)-1 {
 						t.Fatalf("round %d: %d anchors with %d eligible", r, got, len(tc.members)-1)
 					}
 				}

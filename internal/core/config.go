@@ -26,7 +26,7 @@
 //
 //	intake  (transport)      wire → verify pool → serialized mailbox
 //	rbc     (stage_rbc.go)   merged vertex+block RBC: VAL/ECHO/cert/deliver
-//	order   (stage_order.go) DAG insertion, leader commit rule, total order
+//	order   (stage_order.go) DAG insertion; internal/order's commit rule and total order
 //	exec    (stage_exec.go)  ordered vertices → the application's Deliver
 //
 // Stages intake–order run in the endpoint's serialized handler context under
@@ -38,7 +38,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -46,6 +45,7 @@ import (
 	"clanbft/internal/crypto"
 	"clanbft/internal/dag"
 	"clanbft/internal/metrics"
+	"clanbft/internal/order"
 	"clanbft/internal/store"
 	"clanbft/internal/transport"
 	"clanbft/internal/types"
@@ -170,7 +170,7 @@ type Config struct {
 	// primary, rotates one member per round and alone gates round
 	// advancement (timeouts / no-vote certificates); the other slots commit
 	// opportunistically under the same 2f+1-votes rule and are ordered
-	// fate-driven (stage_order.go). An explicit 1 is single-leader Sailfish
+	// fate-driven (internal/order). An explicit 1 is single-leader Sailfish
 	// with its certificate-backed chain walk — the configuration the paper's
 	// figures use.
 	LeadersPerRound int
@@ -178,7 +178,7 @@ type Config struct {
 	// LeaderReputation enables the Shoal++-style reputation schedule:
 	// committed timeout/no-vote certificates ordered through the DAG
 	// demote the offending leader from the rotation for ReputationWindow
-	// rounds (see reputation.go). Off by default: the static round-robin
+	// rounds (see internal/order). Off by default: the static round-robin
 	// schedule is preserved byte-for-byte.
 	LeaderReputation bool
 	// ReputationWindow is the demotion length in rounds (default 64).
@@ -243,8 +243,8 @@ func (c *Config) fill() {
 		c.GCDepth = 64
 	}
 	if c.LeadersPerRound <= 0 {
-		// Every eligible member anchors (anchorsAt clamps N to the round's
-		// eligible set).
+		// Every eligible member anchors (order.Anchors clamps N to the
+		// round's eligible set).
 		c.LeadersPerRound = c.N
 	}
 	floor := types.Round(1)
@@ -296,9 +296,9 @@ type Node struct {
 	// covers the oldest retained round; every quorum, leader, and clan
 	// lookup resolves through epochOf(round). Trimmed by gcEpochs.
 	epochs []*epochState
-	// lastCommitRound is the round of the last leader commit this party
-	// processed in drainCommits. It drives the propose throttle (see
-	// Config.ReconfigDelay) and is re-derived during recovery replay.
+	// lastCommitRound is the round of the last anchor this party ordered.
+	// It drives the propose throttle (see Config.ReconfigDelay) and is
+	// re-derived during recovery replay.
 	lastCommitRound types.Round
 	// pendingReconfig holds submitted membership transactions awaiting
 	// inclusion in this party's next proposal.
@@ -310,11 +310,13 @@ type Node struct {
 	dag *dag.DAG
 
 	// The pipeline stages. rbc owns the per-position RBC instance state
-	// (the vinst map); ord owns DAG ordering and commit state; exec runs
+	// (the vinst map); ord owns DAG insertion and the out queue, order the
+	// commit rule, its slot cursor and the leader schedule; exec runs
 	// Deliver on its own goroutine.
-	rbc  rbcState
-	ord  orderState
-	exec *execStage
+	rbc   rbcState
+	ord   orderState
+	order *order.Orderer
+	exec  *execStage
 
 	// Round progression (view state shared by the rbc and order stages).
 	round          types.Round // highest round proposed
@@ -333,9 +335,6 @@ type Node struct {
 	tcs         map[types.Round]*types.TimeoutCert
 	novoteAggs  map[types.Round]*crypto.Aggregator
 	nvcs        map[types.Round]*types.NoVoteCert
-
-	// rep is the committed-evidence reputation table (reputation.go).
-	rep repState
 
 	// Pipelined-anchor pacing state (AnchorWait > 0): anchorWaived is 1 +
 	// the round whose pacing timer expired (advance without the missing
@@ -388,12 +387,6 @@ type Node struct {
 	Metrics Metrics
 }
 
-type leaderCommit struct {
-	pos    types.Position
-	direct bool
-	seq    uint64 // slot sequence: round*N + slot index (see slotSeq)
-}
-
 // Metrics exposes counters the harness reads after a run.
 type Metrics struct {
 	VerticesProposed  int
@@ -434,14 +427,9 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 			batchSeen: map[types.Position]bool{},
 		},
 		ord: orderState{
-			anchors:       map[types.Round]*anchorRound{},
-			memo:          map[uint64]slotDecision{},
-			late:          make([]types.Round, cfg.N),
 			pendingInsert: map[types.Position]pendingVertex{},
 			waitingChild:  map[types.Position][]types.Position{},
-			commitWait:    map[types.Position]bool{},
 			lateVertices:  map[types.Position]*types.Vertex{},
-			pulls:         map[types.Position]bool{},
 		},
 		timedOutRound: map[types.Round]bool{},
 		timeoutAggs:   map[types.Round]*crypto.Aggregator{},
@@ -449,7 +437,6 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 		novoteAggs:    map[types.Round]*crypto.Aggregator{},
 		nvcs:          map[types.Round]*types.NoVoteCert{},
 	}
-	n.rep.offenseSeen = map[types.Round]bool{}
 	n.roundFired, n.anchorFired, n.echoFired = n.roundTimerFired, n.anchorTimerFired, n.echoTimerFired
 	// Epoch 0: the configured clans over the configured member set
 	// (ModeBaseline gets one implicit clan containing every member). Later
@@ -459,6 +446,11 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 		clans = [][]types.NodeID{n.cfg.Members}
 	}
 	n.epochs = []*epochState{n.buildEpochState(0, 0, 0, n.cfg.Members, clans)}
+	n.order = order.New(order.Config{
+		N: cfg.N, LeadersPerRound: cfg.LeadersPerRound,
+		Reputation: cfg.LeaderReputation, ReconfigDelay: cfg.ReconfigDelay, ReputationWindow: cfg.ReputationWindow,
+		EpochOf: func(r types.Round) *order.Epoch { return &n.epochOf(r).Epoch },
+	}, n.dag)
 	n.initMetrics()
 	n.exec = newExecStage(cfg.Deliver, execQueue, n.reg)
 	return n
@@ -488,8 +480,8 @@ func (n *Node) initMetrics() {
 	n.mOrderLat = reg.Histogram(types.StageOrder.Metric("latency"))
 	// The latency spine: commit_latency is proposal stamp → ordered (the
 	// end-to-end consensus latency of each vertex); anchor_gap is the time
-	// between consecutive leader-anchor resolutions in drainCommits (small
-	// gaps = pipelined anchors, RoundTimeout-sized gaps = stalls).
+	// between consecutive ordered anchors (small gaps = pipelined anchors,
+	// RoundTimeout-sized gaps = stalls).
 	n.mCommitLat = reg.Histogram("order.commit_latency")
 	n.mAnchorGap = reg.Histogram("order.anchor_gap")
 	// Slot outcomes (see Metrics.SlotsDirect) and how long tryAdvance
@@ -543,11 +535,10 @@ func (n *Node) initMetrics() {
 		s.SetGauge(types.StageRBC.Metric("queue_depth"), int64(live))
 		s.SetGauge(types.StageRBC.Metric("blocks_cached"), int64(len(n.rbc.blocks)))
 		s.SetGauge(types.StageRBC.Metric("block_bytes_cached"), int64(n.rbc.blockBytes))
-		s.SetGauge(types.StageOrder.Metric("queue_depth"),
-			int64(n.ord.out.len()+len(n.ord.pendingInsert)+len(n.ord.pendingLeaders)))
+		s.SetGauge(types.StageOrder.Metric("queue_depth"), int64(n.ord.out.len()+len(n.ord.pendingInsert)))
 		// Structural ordering work: edges tallied, fates evaluated, DAG
 		// edges walked. Machine-independent, so perfbench can gate it.
-		s.SetCounter("order.work", n.ord.work+n.dag.Steps)
+		s.SetCounter("order.work", n.order.Work()+n.dag.Steps)
 		n.mu.Unlock()
 		if n.cfg.Store != nil {
 			if d, ok := n.cfg.Store.(*store.Disk); ok {
@@ -579,69 +570,6 @@ func (n *Node) blockClanAt(r types.Round, proposer types.NodeID) types.ClanID {
 	default: // ModeMultiClan
 		return ep.clanOf[proposer]
 	}
-}
-
-// anchorsAt returns how many anchor slots round r has: LeadersPerRound,
-// clamped to the round's leader-eligible set (the epoch member list minus
-// parties demoted by committed reputation evidence). It is a function of the
-// round, not a constant: a demotion or a smaller epoch shrinks it, and slots
-// at or past it do not exist.
-func (n *Node) anchorsAt(r types.Round) int {
-	return min(n.cfg.LeadersPerRound, len(n.eligibleAt(r)))
-}
-
-// leaderAt returns the member in slot k of round r (k < anchorsAt(r)). Slot
-// k of round r is eligible member (r+k) mod M: the primary advances one
-// member per round whatever the slot count — so a crashed member is primary
-// once per M rounds, never pinned there — and the round's slots are M-distinct
-// members. Every member proposes vertices in every mode, so every eligible
-// member can anchor.
-func (n *Node) leaderAt(r types.Round, k int) types.NodeID {
-	ms := n.eligibleAt(r)
-	return ms[(uint64(r)+uint64(k))%uint64(len(ms))]
-}
-
-// leader returns round r's primary leader — the one gating round
-// advancement, timeouts, and no-vote certificates.
-func (n *Node) leader(r types.Round) types.NodeID { return n.leaderAt(r, 0) }
-
-// leaderIdx returns which anchor slot of its round the position occupies, or
-// -1 if it is not an anchor.
-func (n *Node) leaderIdx(pos types.Position) int {
-	ms := n.eligibleAt(pos.Round)
-	mi, ok := slices.BinarySearch(ms, pos.Source)
-	if !ok {
-		return -1
-	}
-	M := uint64(len(ms))
-	k := (uint64(mi) + M - uint64(pos.Round)%M) % M
-	if k < uint64(n.anchorsAt(pos.Round)) {
-		return int(k)
-	}
-	return -1
-}
-
-// slotSeq linearizes anchor slots round-major, slot-minor, with the fixed
-// stride N: a round never has more than N slots, so sequence numbers stay
-// comparable across rounds whose slot counts differ.
-func (n *Node) slotSeq(pos types.Position, idx int) uint64 {
-	return uint64(pos.Round)*uint64(n.cfg.N) + uint64(idx)
-}
-
-// slotPos inverts slotSeq for an existing slot.
-func (n *Node) slotPos(seq uint64) types.Position {
-	r := types.Round(seq / uint64(n.cfg.N))
-	return types.Position{Round: r, Source: n.leaderAt(r, int(seq%uint64(n.cfg.N)))}
-}
-
-// nextSlot returns the first existing slot at or after seq: seq itself, or
-// slot 0 of the following round when seq's index is past its round's anchors.
-func (n *Node) nextSlot(seq uint64) uint64 {
-	N := uint64(n.cfg.N)
-	if r := seq / N; seq%N >= uint64(n.anchorsAt(types.Round(r))) {
-		return (r + 1) * N
-	}
-	return seq
 }
 
 // Round returns the highest round this party has proposed in.

@@ -42,7 +42,7 @@ import (
 // valid history.
 func (n *Node) validateVertex(v *types.Vertex, certified bool) bool {
 	ep := n.epochOf(v.Round)
-	if !ep.isMember[v.Source] || v.Epoch != ep.num {
+	if !ep.isMember[v.Source] || v.Epoch != ep.Num {
 		return false
 	}
 	if n.cfg.Mode == ModeSingleClan && n.blockClanAt(v.Round, v.Source) == types.NoClan && !v.BlockDigest.IsZero() {
@@ -52,7 +52,7 @@ func (n *Node) validateVertex(v *types.Vertex, certified bool) bool {
 		return len(v.StrongEdges) == 0
 	}
 	pep := n.epochOf(v.Round - 1)
-	if len(v.StrongEdges) < 2*pep.f+1 {
+	if len(v.StrongEdges) < 2*pep.F+1 {
 		return false
 	}
 	for i, e := range v.StrongEdges {
@@ -71,11 +71,11 @@ func (n *Node) validateVertex(v *types.Vertex, certified bool) bool {
 	}
 	if !certified {
 		prev := v.Round - 1
-		if !v.HasStrongEdgeTo(types.Position{Round: prev, Source: n.leader(prev)}) {
+		if !v.HasStrongEdgeTo(types.Position{Round: prev, Source: n.order.Leader(prev)}) {
 			if v.TC == nil || v.TC.Round != prev || !n.validTC(v.TC, false) {
 				return false
 			}
-			if v.Source == n.leader(v.Round) {
+			if v.Source == n.order.Leader(v.Round) {
 				if v.NVC == nil || v.NVC.Round != prev || !n.validNVC(v.NVC) {
 					return false
 				}
@@ -149,7 +149,7 @@ func (n *Node) tryAdvance() {
 				return
 			}
 			if !ok && n.tcs[r] != nil {
-				ok = n.leader(r+1) != n.cfg.Self || n.nvcs[r] != nil
+				ok = n.order.Leader(r+1) != n.cfg.Self || n.nvcs[r] != nil
 			}
 			if ok {
 				if r+1 > limit {
@@ -183,8 +183,8 @@ func (n *Node) tryAdvance() {
 func (n *Node) allAnchorsIn(r types.Round) bool {
 	in := func(row *rbcRow, src types.NodeID) bool { v := row.get(src); return v != nil && v.delivered }
 	cur, prev := n.rbc.insts[r], n.rbc.insts[r-1] // no round -1: a nil row
-	for k := n.anchorsAt(r) - 1; k > 0; k-- {
-		src := n.leaderAt(r, k)
+	for k := n.order.Anchors(r) - 1; k > 0; k-- {
+		src := n.order.LeaderAt(r, k)
 		if !in(cur, src) && (r == 0 || in(prev, src)) {
 			return false
 		}
@@ -293,7 +293,7 @@ func (n *Node) propose(r types.Round) {
 	n.round = r
 	// The proposal stamp rides inside the signed vertex: OrderedAt minus
 	// this is the vertex's end-to-end consensus latency (the latency spine).
-	v := &types.Vertex{Round: r, Source: n.cfg.Self, Epoch: n.epochOf(r).num,
+	v := &types.Vertex{Round: r, Source: n.cfg.Self, Epoch: n.epochOf(r).Num,
 		CreatedAt: int64(n.clk.Now())}
 	// Membership transactions ride in the vertex: vertices replicate
 	// tribe-wide, so the committed ReconfigTx reaches every party —
@@ -316,7 +316,7 @@ func (n *Node) propose(r types.Round) {
 				panic("core: propose without leader or TC")
 			}
 			v.TC = tc
-			if n.cfg.Self == n.leader(r) {
+			if n.cfg.Self == n.order.Leader(r) {
 				nvc := n.nvcs[prev]
 				if nvc == nil {
 					panic("core: leader propose without NVC")
@@ -414,7 +414,7 @@ func (n *Node) onRoundTimeout() {
 			n.broadcast(&types.TimeoutMsg{TO: types.Timeout{Round: r, Voter: n.cfg.Self, Sig: tsig}})
 			nsig := n.cfg.Reg.SignFor(n.cfg.Key, novoteCtx(r))
 			n.clk.Charge(n.cfg.Costs.EdSign)
-			n.send(n.leader(r+1), &types.NoVoteMsg{NV: types.NoVote{Round: r, Voter: n.cfg.Self, Sig: nsig}})
+			n.send(n.order.Leader(r+1), &types.NoVoteMsg{NV: types.NoVote{Round: r, Voter: n.cfg.Self, Sig: nsig}})
 		}
 	}
 	// Re-drive the stuck round's RBCs. Under message loss the one-shot
@@ -496,7 +496,7 @@ func (n *Node) onNoVote(from types.NodeID, m *types.NoVoteMsg) {
 	if !n.epochOf(r).isMember[m.NV.Voter] {
 		return // only round r's members vote in its view change
 	}
-	if n.leader(r+1) != n.cfg.Self {
+	if n.order.Leader(r+1) != n.cfg.Self {
 		return // no-votes are addressed to the next round's leader
 	}
 	ctx := novoteCtx(r)

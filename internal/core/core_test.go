@@ -645,10 +645,20 @@ func TestFloodFarFutureViewStateBounded(t *testing.T) {
 //
 // TestReputationScheduleCrossNodeAgreement: the reputation-driven leader
 // schedule is a pure function of the committed prefix, so every live party
-// must derive a byte-identical LeaderSchedule for any round range below the
+// must derive a byte-identical leader schedule for any round range below the
 // common commit horizon — and with a rotation member crashed, that schedule
 // must actually diverge from the static round-robin (the offender demoted
 // for ReputationWindow rounds while its evidence is active).
+// leaderSchedule returns nd's primary for every round below hi, under its
+// committed evidence; call it once nd is idle.
+func leaderSchedule(nd *Node, hi types.Round) []types.NodeID {
+	out := make([]types.NodeID, 0, hi)
+	for r := types.Round(0); r < hi; r++ {
+		out = append(out, nd.order.Leader(r))
+	}
+	return out
+}
+
 func TestReputationScheduleCrossNodeAgreement(t *testing.T) {
 	n, leaders := 5, 2 // the primary rotates one member per round, so the mute
 	// node is periodically the slot-0 primary: rounds time out and TCs commit.
@@ -679,12 +689,12 @@ func TestReputationScheduleCrossNodeAgreement(t *testing.T) {
 	if horizon < 10 {
 		t.Fatalf("commit horizon too low for a meaningful range: %d", horizon)
 	}
-	ref := c.nodes[0].LeaderSchedule(0, horizon)
+	ref := leaderSchedule(c.nodes[0], horizon)
 	for i := 1; i < n; i++ {
 		if mute[types.NodeID(i)] {
 			continue
 		}
-		got := c.nodes[i].LeaderSchedule(0, horizon)
+		got := leaderSchedule(c.nodes[i], horizon)
 		for j := range ref {
 			if got[j] != ref[j] {
 				t.Fatalf("schedule diverged: node %d has %d as round-%d primary, node 0 has %d",
@@ -746,21 +756,22 @@ func TestFloodFarFutureMultiLeaderStateBounded(t *testing.T) {
 	}
 	// One anchor ledger per retained round, whatever the slot count, and the
 	// recycle list only ever holds ledgers gc retired from that set.
-	if got := len(node.ord.anchors); got > window {
-		t.Fatalf("anchor ledgers grew to %d (bound %d = window)", got, window)
+	ledgers, retired, events, charged := node.order.Footprint()
+	if ledgers > window {
+		t.Fatalf("anchor ledgers grew to %d (bound %d = window)", ledgers, window)
 	}
-	if got := len(node.ord.anchorFree); got > window {
-		t.Fatalf("retired anchor ledgers grew to %d (bound %d = window)", got, window)
+	if retired > window {
+		t.Fatalf("retired anchor ledgers grew to %d (bound %d = window)", retired, window)
 	}
 	if node.Metrics.ReputationOffenses == 0 {
 		t.Fatal("muted leader produced no committed timeout evidence")
 	}
 	repBound := int(node.cfg.ReputationWindow) + int(node.cfg.ReconfigDelay) + node.cfg.GCDepth + 8
-	if got := len(node.rep.events); got > repBound {
-		t.Fatalf("reputation events grew to %d (bound %d)", got, repBound)
+	if events > repBound {
+		t.Fatalf("reputation events grew to %d (bound %d)", events, repBound)
 	}
-	if got := len(node.rep.offenseSeen); got > window {
-		t.Fatalf("offenseSeen grew to %d (bound %d)", got, window)
+	if charged > window {
+		t.Fatalf("charged offense rounds grew to %d (bound %d)", charged, window)
 	}
 	c.checkConsistentOrder(mute)
 }

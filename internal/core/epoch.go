@@ -5,6 +5,7 @@ import (
 
 	"clanbft/internal/committee"
 	"clanbft/internal/crypto"
+	"clanbft/internal/order"
 	"clanbft/internal/types"
 )
 
@@ -31,16 +32,14 @@ import (
 // epochState is the membership and clan topology for one epoch's round
 // segment. All derived arrays are sized to the universe (cfg.N).
 type epochState struct {
-	num        uint64
-	startRound types.Round
+	// Epoch is what the commit rule reads: number, first round, members
+	// (ascending) and f = (len(Members)-1)/3.
+	order.Epoch
 	// schedRound is the leader-commit round that scheduled this epoch
-	// (meaningful for num > 0). It dedupes re-scheduling during recovery
+	// (meaningful for Num > 0). It dedupes re-scheduling during recovery
 	// replay: the same commit deterministically maps to the same epoch.
 	schedRound types.Round
-	members    []types.NodeID
 	isMember   []bool // universe-indexed
-	memberIdx  []int  // universe-indexed position in members, -1 if absent
-	f          int    // (len(members)-1)/3
 
 	clanOf   []types.ClanID
 	clans    [][]types.NodeID
@@ -55,7 +54,7 @@ type epochState struct {
 // epochOf returns the epoch owning round r (the last fence at or below r).
 func (n *Node) epochOf(r types.Round) *epochState {
 	for i := len(n.epochs) - 1; i > 0; i-- {
-		if r >= n.epochs[i].startRound {
+		if r >= n.epochs[i].Start {
 			return n.epochs[i]
 		}
 	}
@@ -67,7 +66,7 @@ func (n *Node) epochOf(r types.Round) *epochState {
 func (n *Node) epochHead() *epochState { return n.epochs[len(n.epochs)-1] }
 
 // quorum returns the 2f+1 threshold for artifacts counted at round r.
-func (n *Node) quorum(r types.Round) int { return 2*n.epochOf(r).f + 1 }
+func (n *Node) quorum(r types.Round) int { return 2*n.epochOf(r).F + 1 }
 
 // activeAt reports whether this party is a member during round r. Non-members
 // run as observers: they track the DAG, deliver and order vertices, but never
@@ -122,24 +121,18 @@ func (n *Node) newEpochState(num uint64, start, sched types.Round, members []typ
 // buildEpochState fills the derived membership/clan arrays.
 func (n *Node) buildEpochState(num uint64, start, sched types.Round, members []types.NodeID, clans [][]types.NodeID) *epochState {
 	es := &epochState{
-		num:        num,
-		startRound: start,
+		Epoch:      order.Epoch{Num: num, Start: start, Members: members, F: committee.MaxFaulty(len(members))},
 		schedRound: sched,
-		members:    members,
 		isMember:   make([]bool, n.cfg.N),
-		memberIdx:  make([]int, n.cfg.N),
-		f:          committee.MaxFaulty(len(members)),
 		clanOf:     make([]types.ClanID, n.cfg.N),
 		clans:      clans,
 		selfClan:   types.NoClan,
 	}
-	for i := range es.memberIdx {
-		es.memberIdx[i] = -1
+	for i := range es.clanOf {
 		es.clanOf[i] = types.NoClan
 	}
-	for i, id := range members {
+	for _, id := range members {
 		es.isMember[id] = true
-		es.memberIdx[id] = i
 	}
 	for ci, clan := range clans {
 		in := map[types.NodeID]bool{}
@@ -221,12 +214,12 @@ func (n *Node) SubmitReconfig(tx types.ReconfigTx) {
 // clan assignment) is identical everywhere without extra agreement.
 func (n *Node) scheduleEpoch(commitRound types.Round, txs []types.ReconfigTx) {
 	for _, e := range n.epochs {
-		if e.num > 0 && e.schedRound == commitRound {
+		if e.Num > 0 && e.schedRound == commitRound {
 			return // recovery replay: this commit already scheduled its epoch
 		}
 	}
 	head := n.epochHead()
-	members := append([]types.NodeID(nil), head.members...)
+	members := append([]types.NodeID(nil), head.Members...)
 	joins := map[types.NodeID]string{}
 	changed := false
 	for i := range txs {
@@ -251,10 +244,10 @@ func (n *Node) scheduleEpoch(commitRound types.Round, txs []types.ReconfigTx) {
 		return
 	}
 	start := commitRound + n.cfg.ReconfigDelay + 1
-	if start <= head.startRound {
-		start = head.startRound + 1
+	if start <= head.Start {
+		start = head.Start + 1
 	}
-	es := n.newEpochState(head.num+1, start, commitRound, members)
+	es := n.newEpochState(head.Num+1, start, commitRound, members)
 	es.joins = joins
 	n.installEpoch(es, true)
 }
@@ -269,18 +262,14 @@ func sortNodeIDs(ids []types.NodeID) {
 func (n *Node) installEpoch(es *epochState, persist bool) {
 	n.epochs = append(n.epochs, es)
 	if persist && n.cfg.Store != nil {
-		n.putOwned(epochKey(es.num), marshalEpochRecord(es))
+		n.putOwned(epochKey(es.Num), marshalEpochRecord(es))
 	}
-	// The epoch table changed shape: reputation segments are epoch-scoped,
-	// so any cached eligible set may now span a fence.
-	n.rep.cacheValid = false
-
 	// Drain in-flight view state at or past the fence that was built under
 	// the old epoch's rules: RBC instances sourced by non-members, delivered
 	// counts including them, and timeout/no-vote aggregation whose quorum
 	// threshold just changed.
 	for r, row := range n.rbc.insts {
-		if r < es.startRound {
+		if r < es.Start {
 			continue
 		}
 		for src := range row.at {
@@ -298,24 +287,24 @@ func (n *Node) installEpoch(es *epochState, persist bool) {
 		clear(row.delivered[len(kept):])
 		row.delivered = kept
 	}
-	n.recountVotes(es.startRound)
+	n.recountVotes(es.Start)
 	for r := range n.timeoutAggs {
-		if r >= es.startRound {
+		if r >= es.Start {
 			delete(n.timeoutAggs, r)
 		}
 	}
 	for r := range n.novoteAggs {
-		if r >= es.startRound {
+		if r >= es.Start {
 			delete(n.novoteAggs, r)
 		}
 	}
 	for r := range n.tcs {
-		if r >= es.startRound {
+		if r >= es.Start {
 			delete(n.tcs, r)
 		}
 	}
 	for r := range n.nvcs {
-		if r >= es.startRound {
+		if r >= es.Start {
 			delete(n.nvcs, r)
 		}
 	}
@@ -330,7 +319,7 @@ func (n *Node) installEpoch(es *epochState, persist bool) {
 // retained round; the table is therefore bounded by the number of fences
 // inside the retention window, independent of run length.
 func (n *Node) gcEpochs(horizon types.Round) {
-	for len(n.epochs) > 1 && n.epochs[1].startRound <= horizon {
+	for len(n.epochs) > 1 && n.epochs[1].Start <= horizon {
 		n.epochs = n.epochs[1:]
 	}
 }
@@ -352,10 +341,10 @@ func epochKey(num uint64) []byte {
 // set, and join addresses. Clans are NOT stored: they re-derive from
 // (mode, members, epoch number) on any replica.
 func marshalEpochRecord(es *epochState) []byte {
-	b := types.PutUvarint(nil, uint64(es.startRound))
+	b := types.PutUvarint(nil, uint64(es.Start))
 	b = types.PutUvarint(b, uint64(es.schedRound))
-	b = types.PutUvarint(b, uint64(len(es.members)))
-	for _, id := range es.members {
+	b = types.PutUvarint(b, uint64(len(es.Members)))
+	for _, id := range es.Members {
 		b = types.PutUvarint(b, uint64(id))
 	}
 	b = types.PutUvarint(b, uint64(len(es.joins)))
@@ -432,9 +421,9 @@ type EpochInfo struct {
 
 func (n *Node) epochInfo(es *epochState) EpochInfo {
 	info := EpochInfo{
-		Epoch:      es.num,
-		StartRound: es.startRound,
-		Members:    append([]types.NodeID(nil), es.members...),
+		Epoch:      es.Num,
+		StartRound: es.Start,
+		Members:    append([]types.NodeID(nil), es.Members...),
 	}
 	for _, clan := range es.clans {
 		info.Clans = append(info.Clans, append([]types.NodeID(nil), clan...))
@@ -463,5 +452,5 @@ func (n *Node) EpochTable() []EpochInfo {
 func (n *Node) CurrentEpoch() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.epochOf(n.round).num
+	return n.epochOf(n.round).Num
 }

@@ -86,7 +86,7 @@ func (n *Node) recoverFromStore() bool {
 	})
 	sort.Slice(recs, func(i, j int) bool { return recs[i].num < recs[j].num })
 	for _, rec := range recs {
-		if rec.num != n.epochHead().num+1 {
+		if rec.num != n.epochHead().Num+1 {
 			continue // epoch 0 comes from the config; gaps cannot install
 		}
 		start, sched, members, joins, ok := unmarshalEpochRecord(rec.value)
@@ -154,11 +154,11 @@ func (n *Node) recoverFromStore() bool {
 	if proposed && highwater >= n.round {
 		n.round = highwater
 	}
-	// Commit checks ran against a partially rebuilt DAG (countVote fires
-	// as vertices are replayed) and may have parked ancestors in
-	// commitWait; those inserts bypassed insertNow, so reset the wait set
-	// and let Start's drainCommits re-derive it against the full DAG.
-	clear(n.ord.commitWait)
+	// Ordering ran against a partially rebuilt DAG (countVote fires as
+	// vertices are replayed) and may wait on ancestors whose inserts
+	// bypassed insertNow, so forget the wait and let Start's drainCommits
+	// re-derive it against the full DAG.
+	n.order.ClearWait()
 	return proposed || len(verts) > 0 || len(n.epochs) > 1
 }
 

@@ -564,7 +564,7 @@ func (n *Node) echoHeld(r types.Round) bool {
 		}
 	}
 	cur, prev := n.rbc.insts[r], n.rbc.insts[r-1]
-	for _, src := range n.epochOf(r).members {
+	for _, src := range n.epochOf(r).Members {
 		if p := prev.get(src); src != n.cfg.Self && p != nil && p.delivered {
 			if v := cur.get(src); v == nil || !v.valFrom {
 				return true
@@ -771,7 +771,7 @@ func (n *Node) countEcho(pos types.Position, in *vinst, voter types.NodeID, dige
 		tally.clanVotes++
 	}
 
-	if tally.total < 2*ep.f+1 {
+	if tally.total < 2*ep.F+1 {
 		return
 	}
 	if clan != types.NoClan && tally.clanVotes < ep.fcOf[clan]+1 {
@@ -825,7 +825,7 @@ func (n *Node) validCert(m *types.EchoCertMsg) bool {
 		}
 		return true
 	})
-	if !inRange || cnt < 2*ep.f+1 {
+	if !inRange || cnt < 2*ep.F+1 {
 		return false
 	}
 	if clan != types.NoClan && clanCnt < ep.fcOf[clan]+1 {
