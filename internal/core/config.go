@@ -329,6 +329,12 @@ type Node struct {
 	roundFired, anchorFired, echoFired func()
 	valTo                              []types.NodeID
 	timedOutRound                      map[types.Round]bool
+	// ownVertices and ownEdges are the slabs propose carves this party's
+	// vertices and their strong edges from, as a connection's decoder
+	// carves received ones: the vertex and its edges cost no allocation of
+	// their own.
+	ownVertices []types.Vertex
+	ownEdges    types.RefArena
 
 	// Timeout/no-vote certificate assembly.
 	timeoutAggs map[types.Round]*crypto.Aggregator

@@ -2,6 +2,7 @@ package core
 
 import (
 	"clanbft/internal/crypto"
+	"clanbft/internal/transport"
 	"clanbft/internal/types"
 )
 
@@ -195,7 +196,7 @@ func (n *Node) allAnchorsIn(r types.Round) bool {
 // armAnchorTimer bounds the pipelined-anchor wait for round r: when it fires
 // the round is waived and advancement proceeds without the missing anchors.
 func (n *Node) armAnchorTimer(r types.Round) {
-	if n.anchorTimer != nil {
+	if !n.anchorTimer.IsZero() {
 		if n.anchorTimerRound == r {
 			return
 		}
@@ -211,10 +212,10 @@ func (n *Node) armAnchorTimer(r types.Round) {
 func (n *Node) anchorTimerFired() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.stopped || n.anchorTimer == nil {
+	if n.stopped || n.anchorTimer.IsZero() {
 		return
 	}
-	n.anchorTimer = nil
+	n.anchorTimer = transport.Timer{}
 	n.endAnchorHold()
 	n.anchorWaived = n.anchorTimerRound + 1
 	n.tryAdvance()
@@ -223,10 +224,8 @@ func (n *Node) anchorTimerFired() {
 // stopAnchorTimer disarms any pending pipelined-anchor wait (the round is
 // advancing or the node is shutting down).
 func (n *Node) stopAnchorTimer() {
-	if n.anchorTimer != nil {
-		n.anchorTimer.Stop()
-		n.anchorTimer = nil
-	}
+	n.anchorTimer.Stop()
+	n.anchorTimer = transport.Timer{}
 	n.endAnchorHold()
 }
 
@@ -254,10 +253,8 @@ func (n *Node) advanceTo(r types.Round) {
 // enterRound is the observer's propose(): advance the round and re-arm the
 // stuck-round probe without emitting a proposal or signing anything.
 func (n *Node) enterRound(r types.Round) {
-	if n.roundTimer != nil {
-		n.roundTimer.Stop()
-		n.roundTimer = nil
-	}
+	n.roundTimer.Stop()
+	n.roundTimer = transport.Timer{}
 	n.stopAnchorTimer()
 	n.round = r
 	n.armRoundTimer()
@@ -274,26 +271,33 @@ func (n *Node) armRoundTimer() {
 func (n *Node) roundTimerFired() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.stopped || n.roundTimer == nil {
+	if n.stopped || n.roundTimer.IsZero() {
 		return
 	}
-	n.roundTimer = nil
+	n.roundTimer = transport.Timer{}
 	n.onRoundTimeout()
 }
+
+// ownVertexSlab is how many of its own vertices a party carves from one
+// allocation: 8 × 216 B fill the 1792 B size class.
+const ownVertexSlab = 8
 
 // propose emits this party's vertex for round r: strong edges to every
 // delivered round r-1 vertex, weak edges to late vertices, the block to the
 // party's clan, the vertex to everyone.
 func (n *Node) propose(r types.Round) {
-	if n.roundTimer != nil {
-		n.roundTimer.Stop()
-		n.roundTimer = nil
-	}
+	n.roundTimer.Stop()
+	n.roundTimer = transport.Timer{}
 	n.stopAnchorTimer()
 	n.round = r
+	if len(n.ownVertices) == 0 {
+		n.ownVertices = make([]types.Vertex, ownVertexSlab)
+	}
+	v := &n.ownVertices[0]
+	n.ownVertices = n.ownVertices[1:]
 	// The proposal stamp rides inside the signed vertex: OrderedAt minus
 	// this is the vertex's end-to-end consensus latency (the latency spine).
-	v := &types.Vertex{Round: r, Source: n.cfg.Self, Epoch: n.epochOf(r).Num,
+	*v = types.Vertex{Round: r, Source: n.cfg.Self, Epoch: n.epochOf(r).Num,
 		CreatedAt: int64(n.clk.Now())}
 	// Membership transactions ride in the vertex: vertices replicate
 	// tribe-wide, so the committed ReconfigTx reaches every party —
@@ -306,7 +310,7 @@ func (n *Node) propose(r types.Round) {
 	if r > 0 {
 		prev := r - 1
 		parents := n.deliveredIn(prev)
-		v.StrongEdges = make([]types.VertexRef, 0, len(parents))
+		v.StrongEdges = n.ownEdges.Take(len(parents))
 		for _, pv := range parents {
 			v.StrongEdges = append(v.StrongEdges, pv.Ref())
 		}

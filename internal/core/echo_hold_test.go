@@ -35,7 +35,7 @@ type stepTimer struct {
 	dead bool
 }
 
-func (t *stepTimer) Stop() bool { live := !t.dead; t.dead = true; return live }
+func (t *stepTimer) StopArm(uint64) bool { live := !t.dead; t.dead = true; return live }
 
 func (c *stepClock) Now() time.Duration   { return c.now }
 func (c *stepClock) Charge(time.Duration) {}
@@ -43,7 +43,7 @@ func (c *stepClock) Charge(time.Duration) {}
 func (c *stepClock) After(d time.Duration, fn func()) transport.Timer {
 	t := &stepTimer{at: c.now + d, fn: fn}
 	c.timers = append(c.timers, t)
-	return t
+	return transport.MakeTimer(t, 0)
 }
 
 func (c *stepClock) advance(d time.Duration) {
@@ -163,13 +163,13 @@ func TestEchoNotHeldBelowFrontier(t *testing.T) {
 
 	f = newFrontierNode(t, 4, 0, 3)
 	f.deliver(1, f.val1(1))
-	if got := f.echoes(); len(got) != 0 || f.node.echoTimer == nil {
+	if got := f.echoes(); len(got) != 0 || f.node.echoTimer.IsZero() {
 		t.Fatalf("node 1's round-1 echo left as %v while node 2's VAL is out, want it held", got)
 	}
 	f.deliver(3, late)
-	if got := f.echoes(); fmt.Sprint(got) != fmt.Sprint([][]types.Position{{at(1, 1), at(0, 3)}}) || f.node.echoTimer != nil {
+	if got := f.echoes(); fmt.Sprint(got) != fmt.Sprint([][]types.Position{{at(1, 1), at(0, 3)}}) || !f.node.echoTimer.IsZero() {
 		t.Fatalf("a round-0 echo joining a held round-1 one left as %v (hold running: %v), want both in one frame at once",
-			got, f.node.echoTimer != nil)
+			got, !f.node.echoTimer.IsZero())
 	}
 }
 
@@ -304,9 +304,9 @@ func TestEchoHoldOff(t *testing.T) {
 		m, ok := f.ep.out[len(f.ep.out)-1].(*types.EchoMsg)
 		d := val.Vertex.DigestCached()
 		wire := binary.AppendUvarint(binary.AppendUvarint(nil, 1), uint64(src))
-		if !ok || f.node.echoTimer != nil || !bytes.Equal(m.Marshal(nil), append(binary.AppendUvarint(append(wire, d[:]...), 0), m.Sig[:]...)) {
+		if !ok || !f.node.echoTimer.IsZero() || !bytes.Equal(m.Marshal(nil), append(binary.AppendUvarint(append(wire, d[:]...), 0), m.Sig[:]...)) {
 			t.Fatalf("node %d's VAL: last frame %T, hold running %v; want the single-position ECHO at its drain's end",
-				src, f.ep.out[len(f.ep.out)-1], f.node.echoTimer != nil)
+				src, f.ep.out[len(f.ep.out)-1], !f.node.echoTimer.IsZero())
 		}
 	}
 	if got := len(f.echoes()); got != 3 {
@@ -419,7 +419,7 @@ func TestEchoHoldWaitsOnlyForExpected(t *testing.T) {
 		for end := c.net.Now() + 3*time.Second; c.net.Now() < end; {
 			c.run(250 * time.Microsecond)
 			r := nd.round
-			if nd.echoTimer == nil || waited[r] {
+			if nd.echoTimer.IsZero() || waited[r] {
 				continue
 			}
 			for src := types.NodeID(0); src < down; src++ {

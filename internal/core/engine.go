@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"time"
 
+	"clanbft/internal/transport"
 	"clanbft/internal/types"
 )
 
@@ -107,10 +108,8 @@ func (n *Node) Start() {
 func (n *Node) Stop() {
 	n.mu.Lock()
 	n.stopped = true
-	if n.roundTimer != nil {
-		n.roundTimer.Stop()
-		n.roundTimer = nil
-	}
+	n.roundTimer.Stop()
+	n.roundTimer = transport.Timer{}
 	n.stopAnchorTimer()
 	n.flushEchoes() // stopped: ends the echo hold, sends nothing
 	for _, row := range n.rbc.insts {

@@ -27,11 +27,13 @@ type frozenClock struct{}
 
 type deadTimer struct{}
 
-func (deadTimer) Stop() bool { return true }
+func (deadTimer) StopArm(uint64) bool { return true }
 
-func (frozenClock) Now() time.Duration                          { return 0 }
-func (frozenClock) After(time.Duration, func()) transport.Timer { return deadTimer{} }
-func (frozenClock) Charge(time.Duration)                        {}
+func (frozenClock) Now() time.Duration { return 0 }
+func (frozenClock) After(time.Duration, func()) transport.Timer {
+	return transport.MakeTimer(deadTimer{}, 0)
+}
+func (frozenClock) Charge(time.Duration) {}
 
 // rbcInstanceMallocs drives one merged-RBC instance at n=7 — the VAL (its
 // proposer's echo), four more echoes that complete the 2f+1 quorum,

@@ -150,14 +150,10 @@ func (in *vinst) certMsg(pos types.Position) *types.EchoCertMsg {
 
 // stopPulls cancels the instance's pull timers.
 func (in *vinst) stopPulls() {
-	if in.blockPull != nil {
-		in.blockPull.Stop()
-		in.blockPull = nil
-	}
-	if in.vtxPull != nil {
-		in.vtxPull.Stop()
-		in.vtxPull = nil
-	}
+	in.blockPull.Stop()
+	in.blockPull = transport.Timer{}
+	in.vtxPull.Stop()
+	in.vtxPull = transport.Timer{}
 }
 
 // echoTally folds echo votes for one candidate digest incrementally: the
@@ -267,6 +263,10 @@ func (n *Node) gcdRound(r types.Round) bool {
 // VAL: the merged RBC's first message.
 
 func (n *Node) onVal(from types.NodeID, m *types.ValMsg) {
+	// A decoded message shares a slab with other VALs' vertices, which stay
+	// in the DAG, so the block leaves the message first, whether or not this
+	// VAL is kept: the cache alone decides its life.
+	blk := m.TakeBlock()
 	v := m.Vertex
 	if v == nil || from != v.Source || int(v.Source) >= n.cfg.N {
 		return
@@ -299,9 +299,6 @@ func (n *Node) onVal(from types.NodeID, m *types.ValMsg) {
 	}
 	in.valFrom = true
 	in.vertex = v
-	// The vertex stays; a decoded message shares its allocation, so the
-	// block must leave the message for the cache alone to decide its life.
-	blk := m.TakeBlock()
 
 	// The proposal is the implicit vote for the previous round's leader
 	// (Sailfish's 1RBC+1delta commit path: votes are observed on the
@@ -354,10 +351,8 @@ func (n *Node) acceptBlock(v *types.Vertex, blk *types.Block) {
 	}
 	n.clk.Charge(n.cfg.Costs.StoreWrite)
 	if in != nil {
-		if in.blockPull != nil {
-			in.blockPull.Stop()
-			in.blockPull = nil
-		}
+		in.blockPull.Stop()
+		in.blockPull = transport.Timer{}
 		if in.lacked {
 			in.lacked = false
 			n.rbc.owed = append(n.rbc.owed, v.Ref())
@@ -542,7 +537,7 @@ func (n *Node) drainEchoes() {
 	switch {
 	case !n.echoHeld(n.round):
 		n.flushEchoes()
-	case n.echoTimer == nil:
+	case n.echoTimer.IsZero():
 		n.echoHeldAt = n.clk.Now()
 		n.echoTimer = n.clk.After(n.cfg.AnchorWait, n.echoFired)
 	}
@@ -579,7 +574,7 @@ func (n *Node) echoHeld(r types.Round) bool {
 func (n *Node) echoTimerFired() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.stopped && n.echoTimer != nil {
+	if !n.stopped && !n.echoTimer.IsZero() {
 		n.flushEchoes()
 	}
 }
@@ -587,9 +582,9 @@ func (n *Node) echoTimerFired() {
 // flushEchoes ends the echo hold, if one runs, then signs the queued echoes
 // once and broadcasts them as one frame.
 func (n *Node) flushEchoes() {
-	if n.echoTimer != nil {
+	if !n.echoTimer.IsZero() {
 		n.echoTimer.Stop()
-		n.echoTimer = nil
+		n.echoTimer = transport.Timer{}
 		n.mEchoHold.Observe(n.clk.Now() - n.echoHeldAt)
 	}
 	q := n.rbc.echoQ
@@ -871,10 +866,8 @@ func (n *Node) maybeDeliver(pos types.Position, in *vinst) {
 		return
 	}
 	in.delivered = true
-	if in.vtxPull != nil {
-		in.vtxPull.Stop()
-		in.vtxPull = nil
-	}
+	in.vtxPull.Stop()
+	in.vtxPull = transport.Timer{}
 	n.Metrics.VerticesDelivered++
 	n.mRBCDelivered.Inc()
 	n.mRBCLat.Observe(n.clk.Now() - in.born)
@@ -933,7 +926,7 @@ const pullRetry = 200 * time.Millisecond
 // maybeStartBlockPull requests the block for pos's vertex if this party
 // needs it and lacks it.
 func (n *Node) maybeStartBlockPull(pos types.Position, in *vinst) {
-	if in.blockPull != nil || in.vertex == nil {
+	if !in.blockPull.IsZero() || in.vertex == nil {
 		return
 	}
 	if v := in.vertex; !n.wantsBlock(v) || n.holdsBlock(v) {
@@ -945,16 +938,16 @@ func (n *Node) maybeStartBlockPull(pos types.Position, in *vinst) {
 func (n *Node) sendBlockPull(pos types.Position, in *vinst) {
 	v := in.vertex
 	if v == nil {
-		in.blockPull = nil
+		in.blockPull = transport.Timer{}
 		return
 	}
 	if n.holdsBlock(v) {
-		in.blockPull = nil
+		in.blockPull = transport.Timer{}
 		return
 	}
 	ep := n.epochOf(v.Round)
 	if ep.selfClan == types.NoClan {
-		in.blockPull = nil
+		in.blockPull = transport.Timer{}
 		return
 	}
 	clan := ep.clans[ep.selfClan]
@@ -978,7 +971,7 @@ func (n *Node) sendBlockPull(pos types.Position, in *vinst) {
 		if n.stopped || n.instIfAny(pos) != in {
 			return // the row was retired (and maybe reused) while this fired
 		}
-		in.blockPull = nil
+		in.blockPull = transport.Timer{}
 		n.sendBlockPull(pos, in)
 	})
 }
@@ -1016,7 +1009,7 @@ func (n *Node) onBlockRsp(from types.NodeID, m *types.BlockRspMsg) {
 // maybeStartVtxPull fetches a missing (or equivocation-replaced) vertex once
 // its certificate is known.
 func (n *Node) maybeStartVtxPull(pos types.Position, in *vinst) {
-	if in.vtxPull != nil || in.delivered {
+	if !in.vtxPull.IsZero() || in.delivered {
 		return
 	}
 	n.sendVtxPull(pos, in)
@@ -1024,7 +1017,7 @@ func (n *Node) maybeStartVtxPull(pos types.Position, in *vinst) {
 
 func (n *Node) sendVtxPull(pos types.Position, in *vinst) {
 	if in.delivered {
-		in.vtxPull = nil
+		in.vtxPull = transport.Timer{}
 		return
 	}
 	// Rotate over the whole tribe (anyone who echoed may hold it).
@@ -1049,7 +1042,7 @@ func (n *Node) sendVtxPull(pos types.Position, in *vinst) {
 		if n.stopped || n.instIfAny(pos) != in {
 			return // as in sendBlockPull
 		}
-		in.vtxPull = nil
+		in.vtxPull = transport.Timer{}
 		n.sendVtxPull(pos, in)
 	})
 }

@@ -3,7 +3,9 @@ package execution
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"clanbft/internal/types"
@@ -37,14 +39,14 @@ func TestApplyOverwriteAllocs(t *testing.T) {
 	}
 }
 
-// TestApplyFreshKeyAllocs: a first write of a small entry costs one
-// allocation holding its key and value — its entry comes out of a slab — and
-// nothing else; a 2 KiB value keeps its map key and value apart.
+// TestApplyFreshKeyAllocs: a first write of a small entry costs no
+// allocation of its own — its entry comes out of a slab, its key and value
+// out of shared chunks — and a 2 KiB value costs its own array only.
 func TestApplyFreshKeyAllocs(t *testing.T) {
 	for _, c := range []struct {
 		size int
 		want float64
-	}{{128, 1}, {2048, 2}} {
+	}{{128, 0}, {2048, 1}} {
 		t.Run(fmt.Sprintf("value=%dB", c.size), func(t *testing.T) {
 			const txs = 1000
 			e := NewExecutor(0, nil)
@@ -58,8 +60,8 @@ func TestApplyFreshKeyAllocs(t *testing.T) {
 				e.Apply(cv(blocks[i]))
 				i++
 			})
-			// Map growth and entry slabs are amortized on top; a tenth
-			// covers them.
+			// Map growth, entry slabs and chunks are amortized on top; a
+			// tenth covers them.
 			perTx := perBlock / txs
 			t.Logf("%.3f allocations per fresh key", perTx)
 			if perTx > c.want+0.1 {
@@ -69,8 +71,8 @@ func TestApplyFreshKeyAllocs(t *testing.T) {
 	}
 }
 
-// TestFreshKeyAliasing: a small entry's map key and value share one array.
-// Overwriting the value — same size, larger, smaller — deleting the key and
+// TestFreshKeyAliasing: a small entry's map key and value are neighbouring
+// regions of one chunk, and regions are recycled. Overwriting the value — same size, larger, smaller — deleting the key and
 // inserting it again never touch a neighbour's key, value or the snapshot.
 // Run under -race with a reader, so a write that reached a map key races.
 // Snapshots are compared after their root and count, which history moves.
@@ -141,6 +143,115 @@ func TestFreshKeyAliasing(t *testing.T) {
 	}
 }
 
+// churnValue is key i's value of size bytes: i in the first two bytes (when
+// they fit), then fill, so a reader can tell a value from its neighbour's.
+func churnValue(i, size int, fill byte) []byte {
+	v := bytes.Repeat([]byte{fill}, size)
+	if size >= 2 {
+		v[0], v[1] = byte(i), byte(i>>8)
+	}
+	return v
+}
+
+// TestStateChurnBounded: random puts, deletes, growths and shrinks over a
+// fixed key set, with a reader running alongside (run under -race). Recycled
+// regions keep the chunks the state retains within twice the bytes its live
+// keys and carved values hold, and no write ever reaches a neighbour: every
+// value read back is its own key's, whole, and at the end the state holds
+// exactly the model's keys and values.
+func TestStateChurnBounded(t *testing.T) {
+	const keys, ops = 1500, 30000
+	s := newKVState()
+	key := func(i int) []byte { return []byte(fmt.Sprintf("churn-key-%04d", i)) }
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	var bad atomic.Value
+	go func() {
+		defer close(done)
+		rng := rand.New(rand.NewSource(2))
+		var buf []byte
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			i := rng.Intn(keys)
+			v, _, ok := s.read(buf[:0], key(i))
+			buf = v
+			if !ok || len(v) == 0 {
+				continue
+			}
+			body := v
+			if len(v) >= 2 {
+				if int(v[0])|int(v[1])<<8 != i {
+					bad.Store(fmt.Sprintf("key %d read a value tagged %d", i, int(v[0])|int(v[1])<<8))
+				}
+				body = v[2:]
+			}
+			for _, b := range body {
+				if b != body[0] {
+					bad.Store(fmt.Sprintf("key %d read a torn value", i))
+					break
+				}
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+
+	rng := rand.New(rand.NewSource(1))
+	model := make(map[int][]byte, keys)
+	carved := func(n int) int { // the bytes of n that live in chunks
+		if n <= slotMax {
+			return n
+		}
+		return 0
+	}
+	live := func() (n int) {
+		for i, v := range model {
+			n += carved(len(key(i))) + carved(len(v))
+		}
+		return n
+	}
+	for op := 1; op <= ops; op++ {
+		i := rng.Intn(keys)
+		cur, ok := model[i]
+		size := rng.Intn(600)
+		switch c := rng.Intn(4); {
+		case !ok: // put
+		case c == 0: // delete
+			s.del(key(i))
+			delete(model, i)
+			continue
+		case c == 1: // grow
+			size = len(cur) + 1 + rng.Intn(300)
+		case c == 2: // shrink out of the slot
+			size = len(cur) / 3
+		}
+		v := churnValue(i, size, byte(op))
+		s.put(key(i), v, uint64(op))
+		model[i] = v
+		if op%1000 == 0 && op > ops/4 {
+			if l := live(); s.chunkBytes > 2*l {
+				t.Fatalf("after %d ops the state retains %d chunk bytes for %d live bytes (> 2x)", op, s.chunkBytes, l)
+			}
+		}
+	}
+	if msg := bad.Load(); msg != nil {
+		t.Fatal(msg)
+	}
+	t.Logf("%d chunk bytes retained for %d live bytes over %d keys", s.chunkBytes, live(), len(model))
+	if n := s.length(); n != len(model) {
+		t.Fatalf("state holds %d keys, model %d", n, len(model))
+	}
+	for i := 0; i < keys; i++ {
+		v, _, ok := s.read(nil, key(i))
+		if want, in := model[i]; ok != in || !bytes.Equal(v, want) {
+			t.Fatalf("key %d: state %v/%d bytes, model %v/%d bytes", i, ok, len(v), in, len(want))
+		}
+	}
+}
+
 // TestReadsDoNotAliasState: bytes handed out by Get and GetVersioned are the
 // caller's — a later SET of the same key, which overwrites the stored array
 // in place, must not change them.
@@ -202,13 +313,13 @@ func TestOverwriteReusesOrReplacesValueArray(t *testing.T) {
 	s := newKVState()
 	k := []byte("k")
 	s.put(k, make([]byte, 100), 1)
-	base := &s.shardOf(k).m["k"].val[0]
+	base := &s.shardOf(k).m["k"].value()[0]
 	for _, c := range []struct {
 		size  int
 		reuse bool
 	}{{100, true}, {60, true}, {100, true}, {40, false}, {41, false}, {0, false}} {
 		s.put(k, bytes.Repeat([]byte{byte(c.size)}, c.size), 2)
-		val := s.shardOf(k).m["k"].val
+		val := s.shardOf(k).m["k"].value()
 		if len(val) != c.size {
 			t.Fatalf("stored %d bytes, want %d", len(val), c.size)
 		}

@@ -1,6 +1,7 @@
 package execution
 
 import (
+	"strings"
 	"sync"
 	"unsafe"
 )
@@ -17,31 +18,51 @@ import (
 // Versions never influence results or the state root.
 //
 // Ownership: the state owns every byte it stores and nothing else does. put
-// copies the value in — into the key's existing array when it fits, so an
+// copies the value in — into the key's existing storage when it fits, so an
 // overwrite allocates nothing — and read copies it out under the shard lock,
 // so no caller ever holds memory a later write will change, and the state
 // never aliases a block's or a pooled buffer's memory.
 //
-// A fresh key whose key and value together are at most inlineEntryMax bytes
-// is one allocation: the key's bytes, then the value's. The shard map's key
-// is a string over that prefix, which nothing writes again; the value starts
-// after it, so overwriting the value in place cannot reach the key. Larger
-// entries keep the key and the value in separate objects: one array would
-// spill a 2 KiB value into the next size class. Either way, a key's memory
-// is freed exactly when the key is deleted.
+// Memory: a fresh key costs no allocation of its own. Entries come from
+// slabs, and a key or a value of at most slotMax bytes is carved from a
+// shared stateChunk-byte chunk, in a region rounded up to slotAlign bytes; a
+// larger value gets an array of its own (one array for a 2 KiB value and its
+// key would round up into the 2304 B size class). The shard map's key is a
+// string over the key's region, which nothing writes while the key lives.
+// State memory is recycled on delete, not freed: del, and a value that
+// outgrows its region or fills less than half of it, return the region to a
+// free list of its size class, and the next key or value of that class takes
+// it. Chunks are never given back, so what the state retains is bounded by
+// the most it ever held of each class, not by its history
+// (TestStateChurnBounded).
+//
+// put and del run on the executor's goroutine only, so the allocator takes
+// no lock of its own: a region is released under the lock of the shard whose
+// key let it go, after the map and the entry stopped pointing at it, and only
+// a later put on the same goroutine reuses it.
 const (
-	stateShards    = 64
-	inlineEntryMax = 512
+	stateShards = 64
+	slotMax     = 512
+	slotAlign   = 16
+	stateChunk  = 32 << 10
 )
 
 // versioned is one key's entry. Shards hold pointers so that an overwrite
 // updates the entry without a map assignment, which would allocate the key.
 // Entries are carved from slabs (newEntry) and die only in del, which keeps
-// them for the next fresh key.
+// them for the next fresh key. The value is a pointer and two lengths rather
+// than a slice, so the key's region fits in the 32 bytes a slice and a
+// version took.
 type versioned struct {
-	val []byte
+	val *byte  // the value's storage; nil when it has none
+	key *byte  // the map key's region; nil when the key is not carved
+	n   uint32 // the value's length
+	c   uint32 // its storage's capacity: carved iff 0 < c <= slotMax
 	ver uint64 // sequence of the writing transaction (1-based)
 }
+
+// value is the stored value, aliasing the state's storage.
+func (e *versioned) value() []byte { return unsafe.Slice(e.val, e.c)[:e.n] }
 
 type kvShard struct {
 	mu sync.Mutex
@@ -51,18 +72,20 @@ type kvShard struct {
 type kvState struct {
 	shards [stateShards]kvShard
 
-	entryMu sync.Mutex
 	// slab is the unused tail of the newest entry slab: 255 entries, which
 	// with the allocator's header fill the 8 KiB size class exactly.
-	slab []versioned
-	free []*versioned // entries del retired
+	slab        []versioned
+	freeEntries []*versioned // entries del retired
+	chunk       []byte       // the unused tail of the newest chunk
+	// free holds released regions by size class: free[k] regions are
+	// k*slotAlign bytes.
+	free       [slotMax/slotAlign + 1][]*byte
+	chunkBytes int // bytes of chunks allocated: all carved storage retains
 }
 
 func (s *kvState) newEntry() (e *versioned) {
-	s.entryMu.Lock()
-	defer s.entryMu.Unlock()
-	if k := len(s.free); k > 0 {
-		e, s.free = s.free[k-1], s.free[:k-1]
+	if k := len(s.freeEntries); k > 0 {
+		e, s.freeEntries = s.freeEntries[k-1], s.freeEntries[:k-1]
 		return e
 	}
 	if len(s.slab) == 0 {
@@ -70,6 +93,29 @@ func (s *kvState) newEntry() (e *versioned) {
 	}
 	e, s.slab = &s.slab[0], s.slab[1:]
 	return e
+}
+
+// carve returns a region for size (1..slotMax) bytes: a released one of its
+// size class, or the next bytes of the current chunk.
+func (s *kvState) carve(size int) *byte {
+	k := (size + slotAlign - 1) / slotAlign
+	if l := s.free[k]; len(l) > 0 {
+		s.free[k] = l[:len(l)-1]
+		return l[len(l)-1]
+	}
+	if len(s.chunk) < k*slotAlign {
+		s.chunk = make([]byte, stateChunk)
+		s.chunkBytes += stateChunk
+	}
+	p := &s.chunk[0]
+	s.chunk = s.chunk[k*slotAlign:]
+	return p
+}
+
+// release returns a region carve handed out for size bytes.
+func (s *kvState) release(p *byte, size int) {
+	k := (size + slotAlign - 1) / slotAlign
+	s.free[k] = append(s.free[k], p)
 }
 
 func newKVState() *kvState {
@@ -99,51 +145,79 @@ func (s *kvState) read(dst, key []byte) (val []byte, ver uint64, ok bool) {
 	sh.mu.Lock()
 	e := sh.m[string(key)]
 	if e != nil {
-		dst, ver, ok = append(dst, e.val...), e.ver, true
+		dst, ver, ok = append(dst, e.value()...), e.ver, true
 	}
 	sh.mu.Unlock()
 	return dst, ver, ok
 }
 
-// put copies val into the state stamped with ver. The key's old array is
-// reused when the new value fits and fills at least half of it; a fresh key
-// costs one allocation holding key and value, or, past inlineEntryMax, its
-// map key and its value.
+// put copies val into the state stamped with ver.
 func (s *kvState) put(key, val []byte, ver uint64) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
 	e := sh.m[string(key)]
-	switch {
-	case e == nil && len(key)+len(val) <= inlineEntryMax:
+	if e == nil {
 		e = s.newEntry()
-		kv := make([]byte, len(key)+len(val))
-		copy(kv, key)
-		sh.m[unsafe.String(unsafe.SliceData(kv), len(key))] = e
-		e.val = kv[len(key):]
-	case e == nil:
-		e = s.newEntry()
-		sh.m[string(key)] = e
-		e.val = make([]byte, len(val))
-	case len(val) <= cap(e.val) && cap(e.val) <= 2*len(val):
-		e.val = e.val[:len(val)]
-	default:
-		e.val = make([]byte, len(val))
+		sh.m[s.mapKey(e, key)] = e
 	}
-	copy(e.val, val)
+	s.store(e, val)
 	e.ver = ver
 	sh.mu.Unlock()
 }
 
-// del removes the key.
+// mapKey returns a fresh key's map key: a string over a carved copy, or past
+// slotMax a copy of its own.
+func (s *kvState) mapKey(e *versioned, key []byte) string {
+	if len(key) == 0 || len(key) > slotMax {
+		return string(key)
+	}
+	e.key = s.carve(len(key))
+	copy(unsafe.Slice(e.key, len(key)), key)
+	return unsafe.String(e.key, len(key))
+}
+
+// store copies val into e: in place when it fits e's storage and fills at
+// least half of it; otherwise val gets new storage of its exact size and the
+// old goes back, so one large write does not pin its capacity under a small
+// value forever.
+func (s *kvState) store(e *versioned, val []byte) {
+	n := len(val)
+	if n > int(e.c) || int(e.c) > 2*n {
+		old, oldCap := e.val, e.c
+		switch {
+		case n == 0:
+			e.val = nil
+		case n <= slotMax:
+			e.val = s.carve(n)
+		default:
+			e.val = unsafe.SliceData(make([]byte, n))
+		}
+		e.c = uint32(n)
+		s.releaseValue(old, oldCap)
+	}
+	e.n = uint32(n)
+	copy(e.value(), val)
+}
+
+// releaseValue returns value storage p of capacity c if it was carved.
+func (s *kvState) releaseValue(p *byte, c uint32) {
+	if c > 0 && c <= slotMax {
+		s.release(p, int(c))
+	}
+}
+
+// del removes the key and recycles its memory.
 func (s *kvState) del(key []byte) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
 	if e := sh.m[string(key)]; e != nil {
 		delete(sh.m, string(key))
+		if e.key != nil {
+			s.release(e.key, len(key))
+		}
+		s.releaseValue(e.val, e.c)
 		*e = versioned{}
-		s.entryMu.Lock()
-		s.free = append(s.free, e)
-		s.entryMu.Unlock()
+		s.freeEntries = append(s.freeEntries, e)
 	}
 	sh.mu.Unlock()
 }
@@ -159,13 +233,14 @@ func (s *kvState) length() int {
 	return n
 }
 
-// keys lists every live key (unsorted; Snapshot sorts).
+// keys lists copies of every live key (unsorted; Snapshot sorts): a map key's
+// region is reused once its key is deleted.
 func (s *kvState) keys() []string {
 	out := make([]string, 0, s.length())
 	for i := range s.shards {
 		s.shards[i].mu.Lock()
 		for k := range s.shards[i].m {
-			out = append(out, k)
+			out = append(out, strings.Clone(k))
 		}
 		s.shards[i].mu.Unlock()
 	}

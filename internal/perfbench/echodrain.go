@@ -50,10 +50,12 @@ type stillClock struct{ signs int }
 
 type noTimer struct{}
 
-func (noTimer) Stop() bool { return true }
+func (noTimer) StopArm(uint64) bool { return true }
 
-func (*stillClock) Now() time.Duration                          { return 0 }
-func (*stillClock) After(time.Duration, func()) transport.Timer { return noTimer{} }
+func (*stillClock) Now() time.Duration { return 0 }
+func (*stillClock) After(time.Duration, func()) transport.Timer {
+	return transport.MakeTimer(noTimer{}, 0)
+}
 func (c *stillClock) Charge(d time.Duration) {
 	if d == echoDrainSign {
 		c.signs++

@@ -481,8 +481,9 @@ func Split(rows []Row) Artifact {
 // admit_share must hold its deterministic value) and client end-to-end
 // latency through the gateway protocol (wall clock,
 // recorded only), and the transaction path's allocation counts layer by layer
-// (TxPath/*: allocs/op must stay at zero, or at one per transaction through
-// the gateway), and what one round's VALs cost in ECHO frames, signatures and
+// (TxPath/*: allocs/op must stay at zero, or for fresh keys and the gateway
+// at a few per thousand transactions), and what one round's VALs cost in
+// ECHO frames, signatures and
 // verify jobs by the number of mailbox drains they arrive in (EchoDrain:
 // each must stay equal to the number of drains at round 0, and at one for a
 // frontier round's VALs in n-1 drains).
@@ -501,6 +502,7 @@ func Suite(verbose io.Writer) []Row {
 		Run("GatewayAdmitRate/clients=1024", func(b *testing.B) { GatewayAdmitRate(b, 1024) }),
 		Run("ClientE2ELatency/stub-consensus", ClientE2ELatency),
 		Run("TxPath/apply/overwrites=1000", TxPathApply),
+		Run("TxPath/apply/fresh=1000", TxPathApplyFresh),
 		Run("TxPath/digest/txs=1000", TxPathDigest),
 		Run("TxPath/gateway/batch=256", TxPathGateway),
 		Run("TxPath/bufpool/roundtrip", TxPathBufpool),

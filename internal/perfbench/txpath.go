@@ -17,8 +17,9 @@ import (
 // layer by layer. Their gated figures are allocs/op and bytes/op: counts that
 // repeat exactly on any machine.
 
-// txPathBlock is n SET transactions over keys 0..n-1 with size-byte values.
-func txPathBlock(n, size int, fill byte) *types.Block {
+// txPathBlock is n SET transactions over keys base..base+n-1 with size-byte
+// values.
+func txPathBlock(base, n, size int, fill byte) *types.Block {
 	blk := &types.Block{Round: 1, Source: 1}
 	val := make([]byte, size)
 	for i := range val {
@@ -26,7 +27,7 @@ func txPathBlock(n, size int, fill byte) *types.Block {
 	}
 	for i := 0; i < n; i++ {
 		blk.Txs = append(blk.Txs, execution.EncodeTx(execution.Tx{
-			Op: execution.OpSet, Key: []byte(fmt.Sprintf("w%08x", i)), Value: val}))
+			Op: execution.OpSet, Key: []byte(fmt.Sprintf("w%08x", base+i)), Value: val}))
 	}
 	return blk
 }
@@ -36,8 +37,8 @@ func txPathBlock(n, size int, fill byte) *types.Block {
 // the state update, the result and the root fold allocate nothing.
 func TxPathApply(b *testing.B) {
 	ex := execution.NewExecutor(0, nil)
-	ex.Apply(core.CommittedVertex{Block: txPathBlock(1000, 128, 1)})
-	cv := core.CommittedVertex{Block: txPathBlock(1000, 128, 2)}
+	ex.Apply(core.CommittedVertex{Block: txPathBlock(0, 1000, 128, 1)})
+	cv := core.CommittedVertex{Block: txPathBlock(0, 1000, 128, 2)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,10 +46,39 @@ func TxPathApply(b *testing.B) {
 	}
 }
 
+// txPathFreshBlocks is how many 1 000-key blocks one TxPathApplyFresh
+// executor takes before the next starts empty, which bounds the state the
+// row builds.
+const txPathFreshBlocks = 32
+
+// TxPathApplyFresh executes one 1 000-write block per op over keys the
+// executor has never seen, with 128-byte values — the state's growth. Keys
+// and values are carved from the state's shared chunks and entries from its
+// slabs, so what an op allocates is its share of chunks, slabs and map
+// growth, none of it any one key's own. Replacing the full executor is not
+// counted.
+func TxPathApplyFresh(b *testing.B) {
+	blocks := make([]core.CommittedVertex, txPathFreshBlocks)
+	for i := range blocks {
+		blocks[i] = core.CommittedVertex{Block: txPathBlock(i*1000, 1000, 128, 1)}
+	}
+	var ex *execution.Executor
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%txPathFreshBlocks == 0 {
+			b.StopTimer()
+			ex = execution.NewExecutor(0, nil)
+			b.StartTimer()
+		}
+		ex.Apply(blocks[i%txPathFreshBlocks])
+	}
+}
+
 // TxPathDigest hashes one 1 000-transaction block per op: streamed through a
 // pooled hasher, never marshalled.
 func TxPathDigest(b *testing.B) {
-	blk := txPathBlock(1000, 128, 1)
+	blk := txPathBlock(0, 1000, 128, 1)
 	var sink types.Hash
 	b.ReportAllocs()
 	b.ResetTimer()

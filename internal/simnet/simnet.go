@@ -127,6 +127,7 @@ type event struct {
 	size int
 	fn   func() // evTimer only
 	dead bool   // cancelled timer or already-fired marker
+	gen  uint64 // counts the event's reuses, so a stale Timer matches nothing
 }
 
 // Net is the simulated network.
@@ -271,21 +272,24 @@ func (n *Net) alloc() *event {
 	return &event{}
 }
 
-// recycle returns a fired message event to the pool. Timer events are never
-// recycled (user code may hold a Timer referencing them). Batch slices are
-// recycled separately: once delivered, nothing else references them.
+// recycle returns a fired or cancelled event to the pool. A Timer may still
+// name a timer event, so the event's generation moves on: the handle stops
+// nothing from here. Batch slices are recycled separately: once delivered,
+// nothing else references them.
 func (n *Net) recycle(ev *event) {
+	ev.gen++
 	if ev.msgs != nil && len(n.freeMsgs) < 4096 {
 		for i := range ev.msgs {
 			ev.msgs[i] = nil
 		}
 		n.freeMsgs = append(n.freeMsgs, ev.msgs[:0])
 	}
-	if ev.kind != evTimer && len(n.free) < 1<<16 {
+	if len(n.free) < 1<<16 {
 		ev.msg = nil
 		ev.msgs = nil
 		ev.idx = 0
 		ev.dst = nil
+		ev.fn = nil
 		n.free = append(n.free, ev)
 	}
 }
@@ -439,6 +443,7 @@ func (n *Net) fire(ev *event) {
 		e.cpuFree = start + e.charged
 		e.charged = 0
 		e.endDrain()
+		n.recycle(ev)
 	}
 }
 
@@ -708,20 +713,22 @@ func (e *simEndpoint) Charge(d time.Duration) {
 	}
 }
 
-// After implements transport.Clock.
+// After implements transport.Clock. The timer is a pooled event, so an arm
+// allocates nothing.
 func (e *simEndpoint) After(d time.Duration, fn func()) transport.Timer {
-	ev := &event{kind: evTimer, dst: e, fn: fn}
+	ev := e.net.alloc()
+	ev.kind, ev.dst, ev.fn = evTimer, e, fn
 	e.net.schedule(e.net.nowNS+int64(d), ev)
-	return &simTimer{ev: ev}
+	return transport.MakeTimer(ev, ev.gen)
 }
 
-type simTimer struct{ ev *event }
-
-func (t *simTimer) Stop() bool {
-	if t.ev.dead {
+// StopArm implements transport.Rearmable: a cancelled timer stays scheduled,
+// dead, until its time comes and it is recycled.
+func (ev *event) StopArm(gen uint64) bool {
+	if ev.gen != gen || ev.dead {
 		return false
 	}
-	t.ev.dead = true
+	ev.dead = true
 	return true
 }
 

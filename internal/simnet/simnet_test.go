@@ -373,3 +373,37 @@ func BenchmarkEventThroughput(b *testing.B) {
 		n.Run(100 * time.Millisecond)
 	}
 }
+
+// TestTimerEventRecycled: a timer is a pooled event, so an arm allocates
+// nothing once the pool is warm, and a handle kept past its arm — the event
+// fired and was re-armed since — stops nothing: its successor still fires.
+func TestTimerEventRecycled(t *testing.T) {
+	n := New(Config{N: 1, Seed: 1})
+	n.Endpoint(0).SetHandler(func(types.NodeID, types.Message) {})
+	clk := n.Clock(0)
+	fired := 0
+	fn := func() { fired++ }
+	first := clk.After(time.Millisecond, fn)
+	n.Run(2 * time.Millisecond)
+	second := clk.After(time.Millisecond, fn)
+	if first.Stop() {
+		t.Fatal("a fired timer's handle stopped its successor")
+	}
+	n.Run(2 * time.Millisecond)
+	if fired != 2 {
+		t.Fatalf("%d callbacks ran, want 2", fired)
+	}
+	if second.Stop() {
+		t.Fatal("Stop after fire must return false")
+	}
+	arm := func() {
+		clk.After(time.Millisecond, fn)
+		n.Run(2 * time.Millisecond)
+	}
+	for i := 0; i < 2100; i++ {
+		arm() // one turn of the wheel: every bucket an arm lands in has its buffer
+	}
+	if allocs := testing.AllocsPerRun(100, arm); allocs > 0 {
+		t.Fatalf("an arm allocates %.1f, want 0", allocs)
+	}
+}

@@ -12,7 +12,7 @@ import (
 // own arm only. A Stop handle kept across a re-arm cannot cancel the new arm,
 // a fired and recycled timer fires once per arm, a Stop that comes after the
 // expiry but before the callback's turn on the mailbox still cancels it, and
-// in steady state an arm allocates its handle and nothing else.
+// in steady state an arm allocates nothing: the handle is a value.
 func TestTimerRearm(t *testing.T) {
 	net := NewChanNet(1, 0)
 	defer net.Close()
@@ -40,7 +40,7 @@ func TestTimerRearm(t *testing.T) {
 		t.Fatal("Stop of a pending arm reported false")
 	}
 	second := clk.After(20*time.Millisecond, func() { b.Add(1) })
-	if first.(*timerArm).t != second.(*timerArm).t {
+	if first.t != second.t {
 		t.Fatal("the stopped timer was not re-armed")
 	}
 	if first.Stop() {
@@ -55,7 +55,7 @@ func TestTimerRearm(t *testing.T) {
 	wait("the fired timer to go idle", func() bool { return idle() == 1 })
 	var c atomic.Int32
 	third := clk.After(5*time.Millisecond, func() { c.Add(1) })
-	if third.(*timerArm).t != second.(*timerArm).t {
+	if third.t != second.t {
 		t.Fatal("the fired timer was not re-armed")
 	}
 	wait("the third arm", func() bool { return c.Load() == 1 })
@@ -84,10 +84,18 @@ func TestTimerRearm(t *testing.T) {
 		t.Fatal("a callback stopped while queued ran anyway")
 	}
 
-	// One allocation per arm: the handle.
+	// No allocation per arm, and a stale handle still stops nothing.
 	fn := func() {}
 	allocs := testing.AllocsPerRun(200, func() { clk.After(time.Hour, fn).Stop() })
-	if allocs > 1 && !raceEnabled {
-		t.Fatalf("an arm allocates %.1f, want 1 (its handle)", allocs)
+	if allocs > 0 && !raceEnabled {
+		t.Fatalf("an arm allocates %.1f, want 0", allocs)
 	}
+	stale := clk.After(time.Hour, fn)
+	stale.Stop()
+	var last atomic.Int32
+	live := clk.After(5*time.Millisecond, func() { last.Add(1) })
+	if live.t != stale.t || stale.Stop() {
+		t.Fatal("a stale handle stopped its successor")
+	}
+	wait("the successor", func() bool { return last.Load() == 1 })
 }

@@ -131,12 +131,31 @@ type Clock interface {
 	Charge(d time.Duration)
 }
 
-// Timer cancels a pending After callback.
-type Timer interface {
-	// Stop cancels the timer if it has not fired; it reports whether the
-	// cancellation happened before the callback ran.
-	Stop() bool
+// Timer is the handle of one After arm: the clock's timer and the arm's
+// generation. Clocks recycle their timers, so a handle is a value and an arm
+// allocates none; a handle kept past its arm — fired, stopped, the timer
+// re-armed since — stops nothing. The zero Timer is no arm.
+type Timer struct {
+	t   Rearmable
+	gen uint64
 }
+
+// Rearmable is a clock's timer as its handles see it.
+type Rearmable interface {
+	// StopArm cancels arm gen if it is still the timer's pending arm; it
+	// reports whether the cancellation happened before the callback ran.
+	StopArm(gen uint64) bool
+}
+
+// MakeTimer returns the handle of t's arm gen.
+func MakeTimer(t Rearmable, gen uint64) Timer { return Timer{t, gen} }
+
+// Stop cancels the arm if it has not fired; it reports whether the
+// cancellation happened before the callback ran.
+func (t Timer) Stop() bool { return t.t != nil && t.t.StopArm(t.gen) }
+
+// IsZero reports whether t is the zero Timer.
+func (t Timer) IsZero() bool { return t.t == nil }
 
 // ---------------------------------------------------------------------------
 // Serial executor: the per-node mailbox that serializes handler invocations
@@ -370,7 +389,7 @@ func dispatchInbound(mb *mailbox, vs *verifyStage, vc *verifyCounters, from type
 
 // realClock implements Clock over the wall clock for one endpoint. Its timers
 // are recycled: a timer object, its time.Timer and its callbacks are made
-// once, and what an arm allocates is its handle.
+// once, and an arm allocates nothing.
 type realClock struct {
 	epoch time.Time
 	mb    *mailbox
@@ -395,23 +414,18 @@ func (c *realClock) After(d time.Duration, fn func()) Timer {
 	}
 	t.gen++
 	t.fn = fn
-	return &timerArm{t, t.gen}
+	return MakeTimer(t, t.gen)
 }
 
 func (c *realClock) Charge(time.Duration) {}
 
 // realTimer is one recycled timer. gen counts its arms and their ends (Stop,
-// or the callback taken to run), so a stale handle (timerArm) matches nothing.
+// or the callback taken to run), so a stale handle matches nothing.
 type realTimer struct {
 	c   *realClock
 	t   *time.Timer
 	gen uint64
 	fn  func() // the armed callback; nil once stopped or taken
-}
-
-type timerArm struct {
-	t   *realTimer
-	gen uint64
 }
 
 // run is the expired timer's mailbox task: Stop works until it begins.
@@ -428,11 +442,11 @@ func (t *realTimer) run() {
 	}
 }
 
-func (a *timerArm) Stop() bool {
-	t, c := a.t, a.t.c
+func (t *realTimer) StopArm(gen uint64) bool {
+	c := t.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t.gen != a.gen {
+	if t.gen != gen {
 		return false // fired, stopped or re-armed since
 	}
 	t.gen++

@@ -3,6 +3,7 @@ package types
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 )
 
@@ -143,5 +144,81 @@ func TestRxDecodeZeroCopyAllocs(t *testing.T) {
 	if arena > plain*0.2 {
 		t.Fatalf("arena decode allocates %.0f/op vs plain %.0f/op: less than 80%% reduction",
 			arena, plain)
+	}
+}
+
+// TestDecoderValArena: a VAL the decoder rejects after filling most of its
+// slot — certificates, reconfiguration, lacked blocks and edges decoded, the
+// signature one byte short — leaves nothing behind: the next VAL takes the
+// same slot and decodes exactly as the package Decode does. And consecutive
+// VALs' edge lists, carved from one block, share no writable capacity.
+func TestDecoderValArena(t *testing.T) {
+	var sig SigBytes
+	digest := HashBytes([]byte("arena"))
+	agg := AggSig{Tag: digest, Bitmap: []byte{0x0f}}
+	full := &Vertex{Round: 7, Source: 2, BlockDigest: digest, Epoch: 3, CreatedAt: 99,
+		StrongEdges: []VertexRef{{Round: 6, Source: 0}, {Round: 6, Source: 1}, {Round: 6, Source: 3}},
+		WeakEdges:   []VertexRef{{Round: 4, Source: 1}},
+		NVC:         &NoVoteCert{Round: 6, Agg: agg},
+		TC:          &TimeoutCert{Round: 6, Agg: agg},
+		Lacks:       []uint32{1, 3},
+		Reconfig:    []ReconfigTx{{Action: ReconfigJoin, Node: 9, Addr: "10.0.0.9:7000", PubKey: digest, Sig: sig}}}
+	plain := func(r Round) *Vertex {
+		return &Vertex{Round: r, Source: 1, BlockDigest: digest,
+			StrongEdges: []VertexRef{{Round: r - 1, Source: 0}, {Round: r - 1, Source: 2}},
+			WeakEdges:   []VertexRef{{Round: r - 3, Source: 3}}}
+	}
+	bad := Encode(&ValMsg{Vertex: full, Block: &Block{Round: 7, Source: 2, Txs: [][]byte{{1}}}, Sig: sig}, nil)
+	bad = bad[:len(bad)-1]
+	if _, err := Decode(bad); err == nil {
+		t.Fatal("the truncated frame decodes")
+	}
+
+	var dec Decoder
+	decode := func(frame []byte) *ValMsg {
+		t.Helper()
+		m, err := dec.Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.(*ValMsg)
+	}
+	first := decode(Encode(&ValMsg{Vertex: plain(5), Sig: sig}, nil))
+	slot := &dec.vals[0].m
+	if _, err := dec.Decode(bad); err == nil {
+		t.Fatal("the decoder accepts the truncated frame")
+	}
+	want := plain(6)
+	frame := Encode(&ValMsg{Vertex: want, Sig: sig}, nil)
+	got := decode(frame)
+	if got != slot {
+		t.Fatal("the rejected frame's slot was not handed out again")
+	}
+	v := got.Vertex
+	if v.NVC != nil || v.TC != nil || v.Lacks != nil || v.Reconfig != nil || got.Block != nil || v.Epoch != 0 {
+		t.Fatalf("the rejected frame left fields behind: %+v", v)
+	}
+	if v.DigestCached() != want.Digest() || !bytes.Equal(Encode(got, nil), frame) {
+		t.Fatal("the VAL after a rejected one decodes differently")
+	}
+
+	// Edge lists: capped, so growing one moves it rather than writing into
+	// the next vertex's edges.
+	for _, m := range []*ValMsg{first, got} {
+		if s, w := m.Vertex.StrongEdges, m.Vertex.WeakEdges; cap(s) != len(s) || cap(w) != len(w) {
+			t.Fatalf("edge lists have spare capacity: strong %d/%d, weak %d/%d", len(s), cap(s), len(w), cap(w))
+		}
+	}
+	next := decode(Encode(&ValMsg{Vertex: plain(8), Sig: sig}, nil))
+	before := append([]VertexRef(nil), next.Vertex.StrongEdges...)
+	before = append(before, next.Vertex.WeakEdges...)
+	_ = append(got.Vertex.StrongEdges, VertexRef{Round: 99, Source: 9})
+	_ = append(got.Vertex.WeakEdges, VertexRef{Round: 99, Source: 9})
+	after := append(append([]VertexRef(nil), next.Vertex.StrongEdges...), next.Vertex.WeakEdges...)
+	if fmt.Sprint(before) != fmt.Sprint(after) {
+		t.Fatal("growing one VAL's edges changed the next VAL's")
+	}
+	if !got.Vertex.Equal(want) || !first.Vertex.Equal(plain(5)) {
+		t.Fatal("decoded vertices changed")
 	}
 }

@@ -91,9 +91,9 @@ type ValMsg struct {
 }
 
 // TakeBlock returns the block and, on a decoded message, forgets it: the
-// decoder puts the message and its vertex in one allocation, so a block left
-// in the message would stay reachable for as long as the vertex sits in the
-// receiver's DAG, whatever the receiver's block cache does.
+// decoder carves the message and its vertex from one slab, so a block left
+// in the message would stay reachable for as long as any vertex of the slab
+// sits in the receiver's DAG, whatever the receiver's block cache does.
 func (m *ValMsg) TakeBlock() *Block {
 	blk := m.Block
 	if m.decoded {
@@ -123,35 +123,46 @@ func (m *ValMsg) WireSize() int {
 	return n
 }
 
+// valPair is a decoded VAL: the message and the vertex it always carries, in
+// one object. The vertex outlives the message (DAG), keeping the message's
+// ~100 bytes with it: cheaper than a second object per proposal.
+type valPair struct {
+	m ValMsg
+	v Vertex
+}
+
 func unmarshalVal(b []byte) (*ValMsg, error) {
-	// One allocation for the message and the vertex it always carries. The
-	// vertex outlives the message (DAG), keeping the message's ~100 bytes
-	// with it: cheaper than a second object per proposal.
-	d := &struct {
-		m ValMsg
-		v Vertex
-	}{}
-	m := &d.m
-	m.Vertex, m.decoded = &d.v, true
-	b, err := unmarshalVertexInto(m.Vertex, b)
-	if err != nil {
+	p := &valPair{}
+	if err := unmarshalValInto(p, nil, b); err != nil {
 		return nil, err
 	}
+	return &p.m, nil
+}
+
+// unmarshalValInto decodes a VAL into zeroed p, with the edge lists from
+// edges (the heap when nil).
+func unmarshalValInto(p *valPair, edges *RefArena, b []byte) error {
+	m := &p.m
+	m.Vertex, m.decoded = &p.v, true
+	b, err := unmarshalVertexInto(m.Vertex, edges, b)
+	if err != nil {
+		return err
+	}
 	if len(b) < 1 {
-		return nil, fmt.Errorf("types: short val flag")
+		return fmt.Errorf("types: short val flag")
 	}
 	hasBlock := b[0] == 1
 	b = b[1:]
 	if hasBlock {
 		if m.Block, b, err = UnmarshalBlock(b); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if len(b) != 64 {
-		return nil, fmt.Errorf("types: val sig length %d", len(b))
+		return fmt.Errorf("types: val sig length %d", len(b))
 	}
 	copy(m.Sig[:], b)
-	return m, nil
+	return nil
 }
 
 // EchoEntry is one ECHO vote: the digest of the vertex echoed at Pos.

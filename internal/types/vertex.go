@@ -261,7 +261,7 @@ func (v *Vertex) Marshal(b []byte) []byte {
 // UnmarshalVertex decodes a vertex and returns the remaining bytes.
 func UnmarshalVertex(b []byte) (*Vertex, []byte, error) {
 	v := &Vertex{}
-	b, err := unmarshalVertexInto(v, b)
+	b, err := unmarshalVertexInto(v, nil, b)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -269,8 +269,9 @@ func UnmarshalVertex(b []byte) (*Vertex, []byte, error) {
 }
 
 // unmarshalVertexInto decodes into caller-provided zeroed storage, so a
-// message that always carries a vertex can hold it in its own allocation.
-func unmarshalVertexInto(v *Vertex, b []byte) ([]byte, error) {
+// message that always carries a vertex can hold it in its own allocation,
+// with the edge lists from edges (the heap when nil).
+func unmarshalVertexInto(v *Vertex, edges *RefArena, b []byte) ([]byte, error) {
 	var u uint64
 	var err error
 	if u, b, err = Uvarint(b); err != nil {
@@ -286,7 +287,7 @@ func unmarshalVertexInto(v *Vertex, b []byte) ([]byte, error) {
 	}
 	copy(v.BlockDigest[:], b[:32])
 	b = b[32:]
-	if v.StrongEdges, v.WeakEdges, b, err = unmarshalEdges(b, v.Round); err != nil {
+	if v.StrongEdges, v.WeakEdges, b, err = unmarshalEdges(b, v.Round, edges); err != nil {
 		return nil, err
 	}
 	if len(b) < 1 || b[0] > vtxHasNVC|vtxHasLacks {
@@ -413,11 +414,12 @@ func (v *Vertex) Equal(o *Vertex) bool {
 // honest encoder ever emits more than 2^16/8 bytes.
 const maxBitmapBytes = 8192
 
-// unmarshalEdges decodes both edge lists into one backing array. Strong
-// edges are a signer bitmap whose every bit targets round-1 (the only round
-// validateVertex accepts); weak edges are (round delta, source) varint pairs.
-// Digests are not on the wire — RBC pins the vertex behind each position.
-func unmarshalEdges(b []byte, round Round) (strong, weak []VertexRef, rest []byte, err error) {
+// unmarshalEdges decodes both edge lists into one backing array, taken from
+// arena. Strong edges are a signer bitmap whose every bit targets round-1
+// (the only round validateVertex accepts); weak edges are (round delta,
+// source) varint pairs. Digests are not on the wire — RBC pins the vertex
+// behind each position.
+func unmarshalEdges(b []byte, round Round, arena *RefArena) (strong, weak []VertexRef, rest []byte, err error) {
 	width, b, err := Uvarint(b)
 	if err != nil {
 		return nil, nil, nil, err
@@ -435,7 +437,7 @@ func unmarshalEdges(b []byte, round Round) (strong, weak []VertexRef, rest []byt
 		return nil, nil, nil, fmt.Errorf("types: weak-edge count %d exceeds buffer", cnt)
 	}
 	ns := BitmapCount(bm)
-	refs := make([]VertexRef, 0, ns+int(cnt))
+	refs := arena.Take(ns + int(cnt))
 	prev := Round(uint64(round) - 1)
 	BitmapForEach(bm, func(id NodeID) bool {
 		refs = append(refs, VertexRef{Round: prev, Source: id})
