@@ -17,8 +17,9 @@ type Gateway = gateway.Gateway
 type GatewayLimits = gateway.Limits
 
 // GatewayStateReader answers versioned point reads for the gateway's f_c+1
-// read aggregation (execution.Executor.GetVersioned satisfies it via
-// GatewayReaderFunc).
+// read aggregation by appending the value to a buffer the gateway recycles
+// from read to read (execution.Executor.GetVersioned satisfies it via
+// GatewayReaderFunc). It never returns memory it keeps.
 type GatewayStateReader = gateway.StateReader
 
 // GatewayReaderFunc adapts a closure to GatewayStateReader.

@@ -37,10 +37,10 @@ func buildGatewayCluster(t *testing.T, o GatewayOptions) (*Cluster, *Gateway) {
 	if o.Responders == nil {
 		for i := 0; i < 3; i++ {
 			ex := execs[i]
-			o.Responders = append(o.Responders, GatewayReaderFunc(func(key []byte) ([]byte, uint64, bool) {
+			o.Responders = append(o.Responders, GatewayReaderFunc(func(dst, key []byte) ([]byte, uint64, bool) {
 				execMu.Lock()
 				defer execMu.Unlock()
-				return ex.GetVersioned(key)
+				return ex.GetVersioned(dst, key)
 			}))
 		}
 	}

@@ -39,14 +39,14 @@ func TestApplyOverwriteAllocs(t *testing.T) {
 	}
 }
 
-// TestApplyFreshKeyAllocs: a first write of a small entry costs no
-// allocation of its own — its entry comes out of a slab, its key and value
-// out of shared chunks — and a 2 KiB value costs its own array only.
+// TestApplyFreshKeyAllocs: a first write costs no allocation of its own —
+// its entry comes out of a slab, its key and value out of shared chunks. A
+// 32 KiB chunk holds sixteen 2 KiB values, so those cost a sixteenth each.
 func TestApplyFreshKeyAllocs(t *testing.T) {
 	for _, c := range []struct {
 		size int
-		want float64
-	}{{128, 0}, {2048, 1}} {
+		max  float64 // allocations per transaction
+	}{{128, 0.1}, {2048, 0.2}} {
 		t.Run(fmt.Sprintf("value=%dB", c.size), func(t *testing.T) {
 			const txs = 1000
 			e := NewExecutor(0, nil)
@@ -60,12 +60,11 @@ func TestApplyFreshKeyAllocs(t *testing.T) {
 				e.Apply(cv(blocks[i]))
 				i++
 			})
-			// Map growth, entry slabs and chunks are amortized on top; a
-			// tenth covers them.
+			// Map growth, entry slabs and chunks are amortized.
 			perTx := perBlock / txs
 			t.Logf("%.3f allocations per fresh key", perTx)
-			if perTx > c.want+0.1 {
-				t.Fatalf("Apply of fresh keys allocates %.2f per transaction, want <= %.0f", perTx, c.want)
+			if perTx > c.max {
+				t.Fatalf("Apply of fresh keys allocates %.2f per transaction, want <= %.1f", perTx, c.max)
 			}
 		})
 	}
@@ -158,8 +157,17 @@ func churnValue(i, size int, fill byte) []byte {
 // regions keep the chunks the state retains within twice the bytes its live
 // keys and carved values hold, and no write ever reaches a neighbour: every
 // value read back is its own key's, whole, and at the end the state holds
-// exactly the model's keys and values.
+// exactly the model's keys and values. One size mix stays near the small
+// classes; the other reaches past bigMax, through the large ones.
 func TestStateChurnBounded(t *testing.T) {
+	for _, mix := range []struct{ size, grow int }{{600, 300}, {4500, 1500}} {
+		t.Run(fmt.Sprintf("values<%dB", mix.size), func(t *testing.T) { churn(t, mix.size, mix.grow) })
+	}
+}
+
+// churn is TestStateChurnBounded over fresh values of up to size bytes that
+// grow by up to grow bytes.
+func churn(t *testing.T, size, grow int) {
 	const keys, ops = 1500, 30000
 	s := newKVState()
 	key := func(i int) []byte { return []byte(fmt.Sprintf("churn-key-%04d", i)) }
@@ -202,7 +210,7 @@ func TestStateChurnBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	model := make(map[int][]byte, keys)
 	carved := func(n int) int { // the bytes of n that live in chunks
-		if n <= slotMax {
+		if n <= bigMax {
 			return n
 		}
 		return 0
@@ -216,7 +224,7 @@ func TestStateChurnBounded(t *testing.T) {
 	for op := 1; op <= ops; op++ {
 		i := rng.Intn(keys)
 		cur, ok := model[i]
-		size := rng.Intn(600)
+		n := rng.Intn(size)
 		switch c := rng.Intn(4); {
 		case !ok: // put
 		case c == 0: // delete
@@ -224,11 +232,11 @@ func TestStateChurnBounded(t *testing.T) {
 			delete(model, i)
 			continue
 		case c == 1: // grow
-			size = len(cur) + 1 + rng.Intn(300)
+			n = len(cur) + 1 + rng.Intn(grow)
 		case c == 2: // shrink out of the slot
-			size = len(cur) / 3
+			n = len(cur) / 3
 		}
-		v := churnValue(i, size, byte(op))
+		v := churnValue(i, n, byte(op))
 		s.put(key(i), v, uint64(op))
 		model[i] = v
 		if op%1000 == 0 && op > ops/4 {
@@ -254,20 +262,30 @@ func TestStateChurnBounded(t *testing.T) {
 
 // TestReadsDoNotAliasState: bytes handed out by Get and GetVersioned are the
 // caller's — a later SET of the same key, which overwrites the stored array
-// in place, must not change them.
+// in place, must not change them. GetVersioned appends into the caller's
+// buffer: a recycled one is reused, not replaced, and only the caller
+// writes it.
 func TestReadsDoNotAliasState(t *testing.T) {
 	e := NewExecutor(0, nil)
 	key := []byte("key-000000")
 	e.Apply(cv(setBlock(0, 1, 64, 7)))
 	got, ok := e.Get(key)
-	gotV, ver, okV := e.GetVersioned(key)
-	if !ok || !okV || ver != 1 {
-		t.Fatalf("Get ok=%v GetVersioned ok=%v ver=%d", ok, okV, ver)
+	gotV, ver, okV := e.GetVersioned(nil, key)
+	buf := make([]byte, 8, 128)
+	gotB, verB, okB := e.GetVersioned(buf[:0], key)
+	if !ok || !okV || !okB || ver != 1 || verB != 1 {
+		t.Fatalf("Get ok=%v GetVersioned ok=%v/%v ver=%d/%d", ok, okV, okB, ver, verB)
+	}
+	if &gotB[0] != &buf[0] {
+		t.Fatal("GetVersioned did not append into the buffer it was given")
 	}
 	e.Apply(cv(setBlock(0, 1, 64, 9)))
 	want := bytes.Repeat([]byte{7}, 64)
-	if !bytes.Equal(got, want) || !bytes.Equal(gotV, want) {
+	if !bytes.Equal(got, want) || !bytes.Equal(gotV, want) || !bytes.Equal(gotB, want) {
 		t.Fatal("a later SET changed bytes an earlier read returned")
+	}
+	if again, _, _ := e.GetVersioned(gotB[:0], key); !bytes.Equal(again, bytes.Repeat([]byte{9}, 64)) || &again[0] != &buf[0] {
+		t.Fatal("a read into a recycled buffer did not see the later SET in place")
 	}
 	if now, _ := e.Get(key); !bytes.Equal(now, bytes.Repeat([]byte{9}, 64)) {
 		t.Fatal("the later SET is not visible")

@@ -143,13 +143,16 @@ func (e *Executor) Get(key []byte) ([]byte, bool) {
 	return value, ok
 }
 
-// GetVersioned reads a key plus the version of the write that produced its
-// value — the gateway's f_c+1 read aggregation matches responders on
-// (version, value), so a stale replica holding byte-equal data from an older
-// write still cannot masquerade as current. The value is a copy; ok=false
-// means the key is absent (version 0).
-func (e *Executor) GetVersioned(key []byte) (value []byte, version uint64, ok bool) {
-	return e.state.read(nil, key)
+// GetVersioned appends a key's value to dst and returns it with the version
+// of the write that produced it — the gateway's f_c+1 read aggregation
+// matches responders on (version, value), so a stale replica holding
+// byte-equal data from an older write still cannot masquerade as current.
+// The bytes are copied under the shard lock into dst's array (a new one when
+// dst lacks the room), so a caller that passes the same buffer read after
+// read allocates nothing, and the result never aliases the state. ok=false
+// means the key is absent (version 0); dst comes back unchanged.
+func (e *Executor) GetVersioned(dst, key []byte) (value []byte, version uint64, ok bool) {
+	return e.state.read(dst, key)
 }
 
 // Len returns the number of live keys.

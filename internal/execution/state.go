@@ -1,6 +1,7 @@
 package execution
 
 import (
+	"math/bits"
 	"strings"
 	"sync"
 	"unsafe"
@@ -24,11 +25,15 @@ import (
 // never aliases a block's or a pooled buffer's memory.
 //
 // Memory: a fresh key costs no allocation of its own. Entries come from
-// slabs, and a key or a value of at most slotMax bytes is carved from a
-// shared stateChunk-byte chunk, in a region rounded up to slotAlign bytes; a
-// larger value gets an array of its own (one array for a 2 KiB value and its
-// key would round up into the 2304 B size class). The shard map's key is a
-// string over the key's region, which nothing writes while the key lives.
+// slabs, and keys and values are carved from stateChunk-byte chunks in two
+// streams. A key or a value of at most slotMax bytes takes a region rounded
+// up to slotAlign bytes of the small stream's chunks. A value of up to bigMax
+// bytes takes one of the large stream's, so 2 KiB values do not share chunks
+// with 16-byte keys, in coarse classes: quarter-power-of-two steps (640, 768,
+// 896, 1024, 1280, ... 2048, 2560, ... 4096), so a 2 KiB value fits exactly
+// and the classes, each with a peak of its own, stay few. A larger value gets
+// an array of its own. The shard map's key is a string over the key's region,
+// which nothing writes while the key lives.
 // State memory is recycled on delete, not freed: del, and a value that
 // outgrows its region or fills less than half of it, return the region to a
 // free list of its size class, and the next key or value of that class takes
@@ -44,6 +49,7 @@ const (
 	stateShards = 64
 	slotMax     = 512
 	slotAlign   = 16
+	bigMax      = 4 << 10
 	stateChunk  = 32 << 10
 )
 
@@ -57,7 +63,7 @@ type versioned struct {
 	val *byte  // the value's storage; nil when it has none
 	key *byte  // the map key's region; nil when the key is not carved
 	n   uint32 // the value's length
-	c   uint32 // its storage's capacity: carved iff 0 < c <= slotMax
+	c   uint32 // its storage's capacity: carved iff 0 < c <= bigMax
 	ver uint64 // sequence of the writing transaction (1-based)
 }
 
@@ -76,11 +82,15 @@ type kvState struct {
 	// with the allocator's header fill the 8 KiB size class exactly.
 	slab        []versioned
 	freeEntries []*versioned // entries del retired
-	chunk       []byte       // the unused tail of the newest chunk
-	// free holds released regions by size class: free[k] regions are
-	// k*slotAlign bytes.
-	free       [slotMax/slotAlign + 1][]*byte
-	chunkBytes int // bytes of chunks allocated: all carved storage retains
+	small       chunkStream  // regions of at most slotMax bytes
+	large       chunkStream  // regions of slotMax+1 to bigMax bytes
+	chunkBytes  int          // bytes of chunks allocated: all carved storage retains
+}
+
+// chunkStream carves regions from its own chunks.
+type chunkStream struct {
+	chunk []byte    // the unused tail of the newest chunk
+	free  [][]*byte // released regions by size class
 }
 
 func (s *kvState) newEntry() (e *versioned) {
@@ -95,31 +105,48 @@ func (s *kvState) newEntry() (e *versioned) {
 	return e
 }
 
-// carve returns a region for size (1..slotMax) bytes: a released one of its
-// size class, or the next bytes of the current chunk.
+// classOf returns the stream a region for size (1..bigMax) bytes comes from,
+// its size class there and the class's region size. Small classes step by
+// slotAlign; a large one rounds size up to a quarter of the power of two
+// below it.
+func (s *kvState) classOf(size int) (st *chunkStream, k, region int) {
+	if size <= slotMax {
+		k = (size + slotAlign - 1) / slotAlign
+		return &s.small, k, k * slotAlign
+	}
+	p := bits.Len(uint(size-1)) - 1 // 1<<p < size <= 2<<p
+	step := 1 << p / 4
+	q := (size - 1<<p + step - 1) / step // 1..4
+	return &s.large, 4*(p-bits.Len(slotMax)+1) + q - 1, 1<<p + q*step
+}
+
+// carve returns a region for size (1..bigMax) bytes: a released one of its
+// size class, or the next bytes of its stream's current chunk.
 func (s *kvState) carve(size int) *byte {
-	k := (size + slotAlign - 1) / slotAlign
-	if l := s.free[k]; len(l) > 0 {
-		s.free[k] = l[:len(l)-1]
+	st, k, region := s.classOf(size)
+	if l := st.free[k]; len(l) > 0 {
+		st.free[k] = l[:len(l)-1]
 		return l[len(l)-1]
 	}
-	if len(s.chunk) < k*slotAlign {
-		s.chunk = make([]byte, stateChunk)
+	if len(st.chunk) < region {
+		st.chunk = make([]byte, stateChunk)
 		s.chunkBytes += stateChunk
 	}
-	p := &s.chunk[0]
-	s.chunk = s.chunk[k*slotAlign:]
+	p := &st.chunk[0]
+	st.chunk = st.chunk[region:]
 	return p
 }
 
 // release returns a region carve handed out for size bytes.
 func (s *kvState) release(p *byte, size int) {
-	k := (size + slotAlign - 1) / slotAlign
-	s.free[k] = append(s.free[k], p)
+	st, k, _ := s.classOf(size)
+	st.free[k] = append(st.free[k], p)
 }
 
 func newKVState() *kvState {
 	s := &kvState{}
+	s.small.free = make([][]*byte, slotMax/slotAlign+1)
+	s.large.free = make([][]*byte, 4*(bits.Len(bigMax)-bits.Len(slotMax)))
 	for i := range s.shards {
 		s.shards[i].m = map[string]*versioned{}
 	}
@@ -187,7 +214,7 @@ func (s *kvState) store(e *versioned, val []byte) {
 		switch {
 		case n == 0:
 			e.val = nil
-		case n <= slotMax:
+		case n <= bigMax:
 			e.val = s.carve(n)
 		default:
 			e.val = unsafe.SliceData(make([]byte, n))
@@ -201,7 +228,7 @@ func (s *kvState) store(e *versioned, val []byte) {
 
 // releaseValue returns value storage p of capacity c if it was carved.
 func (s *kvState) releaseValue(p *byte, c uint32) {
-	if c > 0 && c <= slotMax {
+	if c > 0 && c <= bigMax {
 		s.release(p, int(c))
 	}
 }

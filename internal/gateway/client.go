@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -18,6 +19,7 @@ type Client struct {
 	wbuf []byte
 
 	onEvent func(ServerEvent)
+	chunk   []byte // the unused tail of the reader's newest value chunk
 
 	helloCh chan ServerEvent
 	done    chan struct{}
@@ -95,9 +97,39 @@ func (cl *Client) writeFrame(body []byte) error {
 	return err
 }
 
-// readLoop decodes server frames with a plain bufio-free loop (client side
-// has no pooling needs; frames are small and the Value payload is copied by
-// parseServerEvent).
+// Values of at most chunkedValueMax bytes are copied into shared chunks of
+// valueChunk bytes.
+const (
+	valueChunk      = 32 << 10
+	chunkedValueMax = 4 << 10
+)
+
+// ownValue copies a VALUE's payload out of the frame buffer: into the next
+// bytes of the current chunk, capacity cut to the length so an append to one
+// value can never reach its neighbour, or past chunkedValueMax into an array
+// of its own. Nothing writes a chunk's carved bytes again, so a value stays
+// its receiver's for as long as it is kept, and a chunk lives while any of
+// its values does.
+func (cl *Client) ownValue(v []byte) []byte {
+	n := len(v)
+	switch {
+	case n == 0:
+		return nil
+	case n > chunkedValueMax:
+		return bytes.Clone(v)
+	}
+	if len(cl.chunk) < n {
+		cl.chunk = make([]byte, valueChunk)
+	}
+	out := cl.chunk[:n:n]
+	copy(out, v)
+	cl.chunk = cl.chunk[n:]
+	return out
+}
+
+// readLoop decodes server frames with a plain bufio-free loop into one
+// reused body buffer. A VALUE's payload is copied out of it (ownValue), so
+// OnEvent owns what it is handed.
 func (cl *Client) readLoop() {
 	defer close(cl.done)
 	var hdr [4]byte
@@ -124,6 +156,9 @@ func (cl *Client) readLoop() {
 		if err != nil {
 			cl.readErr = err
 			return
+		}
+		if ev.Kind == MsgValue {
+			ev.Value = cl.ownValue(ev.Value)
 		}
 		if ev.Kind == MsgHelloAck {
 			select {

@@ -127,6 +127,8 @@ const (
 	// COMMIT frames (~15 B each) fits. A buffer a burst grew past it goes
 	// back to the pool once written, so an idle connection holds 8 KiB.
 	connBufSize = 4 << 10
+	// frameMax bounds a server frame's bytes besides its value.
+	frameMax = 64
 )
 
 // gwConn is one client connection. Frames for the client are appended to
@@ -181,6 +183,13 @@ func (c *gwConn) sendLocked(ev *ServerEvent) bool {
 		return false
 	}
 	n := len(c.wbuf)
+	if need := n + frameMax + len(ev.Value); need > cap(c.wbuf) {
+		// A backlog that outgrows its buffer moves to a pooled one of twice
+		// the size, so a burst of VALUEs reuses what earlier bursts grew.
+		old := c.wbuf
+		c.wbuf = append(types.GetBuf(2*need), old...)
+		types.PutBuf(old)
+	}
 	c.wbuf = appendEvent(c.wbuf, ev)
 	if len(c.wbuf) > c.limit {
 		c.wbuf = c.wbuf[:n]

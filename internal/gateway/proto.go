@@ -130,7 +130,7 @@ type ServerEvent struct {
 	Latency uint64 // MsgCommit: gateway submit→commit latency, nanoseconds
 	Reason  byte   // MsgReject / MsgReadErr
 	Quorum  byte   // MsgValue
-	Value   []byte // MsgValue; copied, caller-owned
+	Value   []byte // MsgValue; the receiver's own copy, which nothing writes again
 	Version byte   // MsgHelloAck
 	Fc      uint64 // MsgHelloAck
 	MaxTx   uint64 // MsgHelloAck
@@ -169,7 +169,9 @@ func appendEvent(b []byte, ev *ServerEvent) []byte {
 	return b
 }
 
-// parseServerEvent decodes one gateway→client frame body (client side).
+// parseServerEvent decodes one gateway→client frame body (client side). A
+// VALUE's payload aliases body; the Client copies it out before the next
+// frame overwrites the buffer.
 func parseServerEvent(body []byte) (ServerEvent, error) {
 	if len(body) == 0 {
 		return ServerEvent{}, errProto("empty frame body")
@@ -225,7 +227,7 @@ func parseServerEvent(body []byte) (ServerEvent, error) {
 				return ServerEvent{}, errProto("short VALUE")
 			}
 			ev.Quorum = rest[0]
-			ev.Value = append([]byte(nil), rest[1:]...)
+			ev.Value = rest[1:]
 		}
 		return ev, nil
 	default:

@@ -11,15 +11,21 @@ import (
 // deterministic executor), which lets the aggregator distinguish "same value
 // at the same height" from a stale replica that happens to hold equal bytes
 // from an older write. ok=false means the key is absent on that replica.
+//
+// A reader appends the value to dst and returns the extended slice (dst
+// itself when the key is absent). It never returns memory it keeps: the
+// gateway hands every poll of a responder one of that responder's two
+// recycled buffers and reads the answer after the call returns, so a reader
+// that copies into dst makes a read cost no allocation of its own.
 type StateReader interface {
-	ReadKey(key []byte) (value []byte, version uint64, ok bool)
+	ReadKey(dst, key []byte) (value []byte, version uint64, ok bool)
 }
 
 // StateReaderFunc adapts a closure to StateReader.
-type StateReaderFunc func(key []byte) ([]byte, uint64, bool)
+type StateReaderFunc func(dst, key []byte) ([]byte, uint64, bool)
 
 // ReadKey implements StateReader.
-func (f StateReaderFunc) ReadKey(key []byte) ([]byte, uint64, bool) { return f(key) }
+func (f StateReaderFunc) ReadKey(dst, key []byte) ([]byte, uint64, bool) { return f(dst, key) }
 
 // ReadConfig wires the gateway's read path. Reads bypass consensus entirely:
 // the paper's clan model answers them with f_c+1 matching responses from clan
@@ -66,6 +72,12 @@ const repollEvery = 2 * time.Millisecond
 // and every poll in flight hold a reference, and it goes back to its
 // connection when the last lets go: a quorum reached on two answers must not
 // hand the third responder's late answer to the next read.
+//
+// Each responder has two answer buffers, kept across recycles: the one its
+// latest answer holds, which the aggregator compares, and a spare, which its
+// next poll appends to. An answer swaps them. So a re-polled responder's
+// previous answer still counts while the poll writes elsewhere, and a
+// buffer being written is never compared.
 type readOp struct {
 	g           *Gateway // nil under a bare aggregateRead
 	conn        *gwConn
@@ -74,6 +86,7 @@ type readOp struct {
 	key         []byte
 	ch          chan readAnswer // a responder has at most one call in flight, so sends never block
 	latest      []readResp      // each responder's most recent answer
+	spare       [][]byte        // each responder's other buffer: its next poll's dst
 	answered    []bool
 	asks        []func() // asks[i] polls responder i
 	serve       func()   // op.handle
@@ -84,10 +97,10 @@ type readOp struct {
 func newReadOp(cfg ReadConfig) *readOp {
 	n := len(cfg.Responders)
 	op := &readOp{cfg: cfg, ch: make(chan readAnswer, n), latest: make([]readResp, n),
-		answered: make([]bool, n), asks: make([]func(), n)}
+		spare: make([][]byte, n), answered: make([]bool, n), asks: make([]func(), n)}
 	for i := range op.asks {
 		op.asks[i] = func() {
-			v, ver, ok := cfg.Responders[i].ReadKey(op.key)
+			v, ver, ok := cfg.Responders[i].ReadKey(op.spare[i][:0], op.key)
 			op.ch <- readAnswer{i, readResp{value: v, version: ver, ok: ok}}
 			op.unref()
 		}
@@ -96,16 +109,24 @@ func newReadOp(cfg ReadConfig) *readOp {
 	return op
 }
 
+// take records responder a.from's answer and makes the buffer its previous
+// answer held the spare.
+func (op *readOp) take(a readAnswer) {
+	op.spare[a.from], op.latest[a.from] = op.latest[a.from].value, a.readResp
+}
+
 // unref drops one reference; the last one empties the operation, answers that
-// came after the quorum included, and recycles it.
+// came after the quorum included, and recycles it with its buffers.
 func (op *readOp) unref() {
 	if op.refs.Add(-1) != 0 {
 		return
 	}
 	for len(op.ch) > 0 {
-		<-op.ch
+		op.take(<-op.ch)
 	}
-	clear(op.latest)
+	for i := range op.latest {
+		op.latest[i] = readResp{value: op.latest[i].value}
+	}
 	clear(op.answered)
 	if c := op.conn; c != nil {
 		c.mu.Lock()
@@ -168,7 +189,8 @@ func (op *readOp) aggregate() readResult {
 		select {
 		case a := <-op.ch:
 			inflight--
-			latest[a.from], answered[a.from] = a.readResp, true
+			op.take(a)
+			answered[a.from] = true
 			if res, ok := readQuorum(latest, answered, need); ok {
 				return res
 			}

@@ -15,16 +15,16 @@ type mapReader struct {
 	calls atomic.Int64
 }
 
-func (m *mapReader) ReadKey(key []byte) ([]byte, uint64, bool) {
+func (m *mapReader) ReadKey(dst, key []byte) ([]byte, uint64, bool) {
 	m.calls.Add(1)
 	if m.delay > 0 {
 		time.Sleep(m.delay)
 	}
 	v, ok := m.vals[string(key)]
 	if !ok {
-		return nil, 0, false
+		return dst, 0, false
 	}
-	return []byte(v), m.vers[string(key)], true
+	return append(dst, v...), m.vers[string(key)], true
 }
 
 func fresh(val string, ver uint64) *mapReader {

@@ -180,7 +180,7 @@ type scriptReader struct {
 	calls  atomic.Int64
 }
 
-func (s *scriptReader) ReadKey([]byte) ([]byte, uint64, bool) {
+func (s *scriptReader) ReadKey(dst, _ []byte) ([]byte, uint64, bool) {
 	i := int(s.calls.Add(1)) - 1
 	if s.after != nil && i == 0 {
 		for s.after.calls.Load() == 0 {
@@ -192,7 +192,7 @@ func (s *scriptReader) ReadKey([]byte) ([]byte, uint64, bool) {
 		i = len(s.script) - 1
 	}
 	r := s.script[i]
-	return r.value, r.version, r.ok
+	return append(dst, r.value...), r.version, r.ok
 }
 
 func present(val string, ver uint64) readResp {

@@ -505,6 +505,7 @@ func Suite(verbose io.Writer) []Row {
 		Run("TxPath/apply/fresh=1000", TxPathApplyFresh),
 		Run("TxPath/digest/txs=1000", TxPathDigest),
 		Run("TxPath/gateway/batch=256", TxPathGateway),
+		Run("TxPath/read/responders=3", TxPathRead),
 		Run("TxPath/bufpool/roundtrip", TxPathBufpool),
 		Run("EchoDrain/n=7", func(b *testing.B) { EchoDrain(b, 7) }),
 	}

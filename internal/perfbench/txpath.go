@@ -167,3 +167,68 @@ func TxPathGateway(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(txPathGatewayBatch, "txs/op")
 }
+
+// TxPathRead is one READ → VALUE round trip per op over real sockets with
+// consensus stubbed out: the gateway polls three executors holding the key's
+// 2 KiB value, each appending it into the read's recycled buffers, compares
+// the answers and frames the VALUE, and the client copies it into a shared
+// 32 KiB chunk. What an op allocates is its sixteenth of that chunk. The
+// quorum is all three, so a read's operation is idle again once its VALUE
+// is out: with two, the third poll of back-to-back reads can wait behind
+// them on a busy box until the connection's reads are all out and it sheds.
+func TxPathRead(b *testing.B) {
+	key := []byte("k")
+	set := core.CommittedVertex{Block: &types.Block{Round: 1, Source: 1, Txs: [][]byte{execution.EncodeTx(
+		execution.Tx{Op: execution.OpSet, Key: key, Value: make([]byte, 2048)})}}}
+	var responders []gateway.StateReader
+	for i := 0; i < 3; i++ {
+		ex := execution.NewExecutor(types.NodeID(i), nil)
+		ex.Apply(set)
+		responders = append(responders, gateway.StateReaderFunc(ex.GetVersioned))
+	}
+	pool := mempool.NewPool(math.MaxInt)
+	gw, err := gateway.New(gateway.Config{
+		Addr:   "127.0.0.1:0",
+		Submit: pool.Submit,
+		Depth:  pool.Depth,
+		Limits: gateway.Limits{ClientRate: 1e9},
+		Read:   gateway.ReadConfig{Responders: responders, FaultBound: 2},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer gw.Close()
+	var wrong atomic.Int64
+	answered := make(chan struct{}, 1)
+	cl, err := gateway.Dial(gw.Addr(), func(ev gateway.ServerEvent) {
+		switch ev.Kind {
+		case gateway.MsgValue, gateway.MsgReadErr:
+			if ev.Kind != gateway.MsgValue || len(ev.Value) != 2048 {
+				wrong.Add(1)
+			}
+			answered <- struct{}{}
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	read := func(seq uint64) {
+		if err := cl.Read(seq%64, seq, key); err != nil {
+			b.Fatal(err)
+		}
+		<-answered
+	}
+	for i := 0; i < 100; i++ {
+		read(uint64(i)) // the operation, buckets and write buffer made
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read(uint64(i))
+	}
+	b.StopTimer()
+	if n := wrong.Load(); n > 0 {
+		b.Fatalf("%d reads answered without the 2 KiB value", n)
+	}
+}
