@@ -118,7 +118,7 @@ func TestBlockCacheMemoryOnlyLiveness(t *testing.T) {
 	c.run(3 * time.Second) // some twenty rounds with the block still held back
 	for _, h := range holders {
 		node := c.nodes[h]
-		if in := node.instIfAny(lost); in == nil || !in.emitted {
+		if in := node.rbc.Get(lost); in == nil || !in.X.emitted {
 			t.Fatalf("holder %d has not executed %v", h, lost)
 		}
 		if !cachedAt(node, lost) {
@@ -263,7 +263,7 @@ func newCacheFixture(t *testing.T) *cacheFixture {
 		if err := node.dag.Insert(v); err != nil {
 			t.Fatal(err)
 		}
-		node.inst(v.Pos()).vertex = v
+		node.inst(v.Pos()).Val(v)
 	}
 	node.cacheBlock(pv.BlockDigest, blk)
 	f := &cacheFixture{node: node, pos: pv.Pos(), d: pv.BlockDigest}
@@ -357,8 +357,8 @@ func TestBlockCacheNotRefilled(t *testing.T) {
 	}
 	node := c.nodes[0]
 	for pos, val := range vals {
-		if in := node.instIfAny(pos); in != nil && in.emitted && !cachedAt(node, pos) {
-			rsps[pos] = &types.VtxRspMsg{Vertex: val.Vertex, Cert: in.certMsg(pos), Block: val.Block}
+		if in := node.rbc.Get(pos); in != nil && in.X.emitted && !cachedAt(node, pos) {
+			rsps[pos] = &types.VtxRspMsg{Vertex: val.Vertex, Cert: in.CertMsg(pos), Block: val.Block}
 		}
 	}
 	if len(rsps) < 10 {
@@ -495,11 +495,11 @@ func TestBlockCacheUnpinsDecodedVal(t *testing.T) {
 	if val.Block != nil {
 		t.Fatal("the handled message still references its block")
 	}
-	in := node.instIfAny(v.Pos())
-	if in == nil || in.vertex != val.Vertex || !cachedAt(node, v.Pos()) {
+	in := node.rbc.Get(v.Pos())
+	if in == nil || in.Vertex() != val.Vertex || !cachedAt(node, v.Pos()) {
 		t.Fatal("vertex or block not taken in")
 	}
-	node.blockEmitted(in.vertex)
+	node.blockEmitted(in.Vertex())
 	if cachedAt(node, v.Pos()) {
 		t.Fatal("block not evicted")
 	}

@@ -25,7 +25,7 @@
 // file, and metrics namespace (see internal/metrics and types.Stage):
 //
 //	intake  (transport)      wire → verify pool → serialized mailbox
-//	rbc     (stage_rbc.go)   merged vertex+block RBC: VAL/ECHO/cert/deliver
+//	rbc     (stage_rbc.go)   merged vertex+block RBC: internal/rbc's rule; echo frames, block cache, pulls
 //	order   (stage_order.go) DAG insertion; internal/order's commit rule and total order
 //	exec    (stage_exec.go)  ordered vertices → the application's Deliver
 //
@@ -46,6 +46,7 @@ import (
 	"clanbft/internal/dag"
 	"clanbft/internal/metrics"
 	"clanbft/internal/order"
+	"clanbft/internal/rbc"
 	"clanbft/internal/store"
 	"clanbft/internal/transport"
 	"clanbft/internal/types"
@@ -309,8 +310,9 @@ type Node struct {
 
 	dag *dag.DAG
 
-	// The pipeline stages. rbc owns the per-position RBC instance state
-	// (the vinst map); ord owns DAG insertion and the out queue, order the
+	// The pipeline stages. rbc owns the per-position RBC instances (the
+	// rule's table), the block cache and the echo queue; ord owns DAG
+	// insertion and the out queue, order the
 	// commit rule, its slot cursor and the leader schedule; exec runs
 	// Deliver on its own goroutine.
 	rbc   rbcState
@@ -427,9 +429,7 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 		clk: clk,
 		dag: dag.New(cfg.N),
 		rbc: rbcState{
-			insts:     map[types.Round]*rbcRow{},
 			blocks:    map[types.Hash]cachedBlock{},
-			echoWait:  map[types.Position][]types.Position{},
 			batchSeen: map[types.Position]bool{},
 		},
 		ord: orderState{
@@ -452,6 +452,7 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 		clans = [][]types.NodeID{n.cfg.Members}
 	}
 	n.epochs = []*epochState{n.buildEpochState(0, 0, 0, n.cfg.Members, clans)}
+	n.rbc.Table = rbc.New(rbc.Config{N: cfg.N, Self: cfg.Self, Reg: cfg.Reg, EpochOf: n.ruleEpoch}, (*slot).stop)
 	n.order = order.New(order.Config{
 		N: cfg.N, LeadersPerRound: cfg.LeadersPerRound,
 		Reputation: cfg.LeaderReputation, ReconfigDelay: cfg.ReconfigDelay, ReputationWindow: cfg.ReputationWindow,
@@ -531,13 +532,7 @@ func (n *Node) initMetrics() {
 		}
 		n.mu.Lock()
 		live := 0
-		for _, row := range n.rbc.insts {
-			for i := range row.at {
-				if row.at[i].live {
-					live++
-				}
-			}
-		}
+		n.rbc.Range(func(types.Position, *inst) { live++ })
 		s.SetGauge(types.StageRBC.Metric("queue_depth"), int64(live))
 		s.SetGauge(types.StageRBC.Metric("blocks_cached"), int64(len(n.rbc.blocks)))
 		s.SetGauge(types.StageRBC.Metric("block_bytes_cached"), int64(n.rbc.blockBytes))
@@ -556,26 +551,6 @@ func (n *Node) initMetrics() {
 			}
 		}
 	})
-}
-
-// blockClanAt returns the clan that receives proposer's round-r blocks, or
-// NoClan if that proposer carries no payload in round r's epoch.
-func (n *Node) blockClanAt(r types.Round, proposer types.NodeID) types.ClanID {
-	ep := n.epochOf(r)
-	switch n.cfg.Mode {
-	case ModeBaseline:
-		if !ep.isMember[proposer] {
-			return types.NoClan
-		}
-		return 0
-	case ModeSingleClan:
-		if ep.clanOf[proposer] == 0 {
-			return 0
-		}
-		return types.NoClan // non-clan parties propose empty vertices
-	default: // ModeMultiClan
-		return ep.clanOf[proposer]
-	}
 }
 
 // Round returns the highest round this party has proposed in.

@@ -46,7 +46,7 @@ func (n *Node) validateVertex(v *types.Vertex, certified bool) bool {
 	if !ep.isMember[v.Source] || v.Epoch != ep.Num {
 		return false
 	}
-	if n.cfg.Mode == ModeSingleClan && n.blockClanAt(v.Round, v.Source) == types.NoClan && !v.BlockDigest.IsZero() {
+	if n.cfg.Mode == ModeSingleClan && ep.clanOf[v.Source] == types.NoClan && !v.BlockDigest.IsZero() {
 		return false
 	}
 	if v.Round == 0 {
@@ -90,7 +90,7 @@ func (n *Node) validateVertex(v *types.Vertex, certified bool) bool {
 // check when the transport's verify pool already ran it (TCMsg traffic);
 // certificates embedded in vertices always verify inline.
 func (n *Node) validTC(tc *types.TimeoutCert, preVerified bool) bool {
-	cnt, inRange := memberCount(n.epochOf(tc.Round), n.cfg.N, tc.Agg.Bitmap)
+	cnt, _, inRange := n.ruleEpoch(tc.Round).Signers(n.cfg.N, tc.Agg.Bitmap, types.NoClan)
 	if !inRange || cnt < n.quorum(tc.Round) {
 		return false
 	}
@@ -100,7 +100,7 @@ func (n *Node) validTC(tc *types.TimeoutCert, preVerified bool) bool {
 }
 
 func (n *Node) validNVC(nvc *types.NoVoteCert) bool {
-	cnt, inRange := memberCount(n.epochOf(nvc.Round), n.cfg.N, nvc.Agg.Bitmap)
+	cnt, _, inRange := n.ruleEpoch(nvc.Round).Signers(n.cfg.N, nvc.Agg.Bitmap, types.NoClan)
 	if !inRange || cnt < n.quorum(nvc.Round) {
 		return false
 	}
@@ -134,7 +134,7 @@ func (n *Node) tryAdvance() {
 	}
 	for {
 		r := n.round
-		if len(n.deliveredIn(r)) >= n.quorum(r) {
+		if len(n.rbc.Delivered(r)) >= n.quorum(r) {
 			ok := n.primaryIn(r)
 			// Pipelined-anchor pacing: with the quorum and the primary in,
 			// hold the next proposal for the remaining anchors — a vote for
@@ -182,11 +182,9 @@ func (n *Node) tryAdvance() {
 // every round for it would tax the whole run. This is pacing only — each
 // party may judge it differently.
 func (n *Node) allAnchorsIn(r types.Round) bool {
-	in := func(row *rbcRow, src types.NodeID) bool { v := row.get(src); return v != nil && v.delivered }
-	cur, prev := n.rbc.insts[r], n.rbc.insts[r-1] // no round -1: a nil row
 	for k := n.order.Anchors(r) - 1; k > 0; k-- {
 		src := n.order.LeaderAt(r, k)
-		if !in(cur, src) && (r == 0 || in(prev, src)) {
+		if !n.delivered(types.Position{Round: r, Source: src}) && (r == 0 || n.delivered(types.Position{Round: r - 1, Source: src})) {
 			return false
 		}
 	}
@@ -309,7 +307,7 @@ func (n *Node) propose(r types.Round) {
 
 	if r > 0 {
 		prev := r - 1
-		parents := n.deliveredIn(prev)
+		parents := n.rbc.Delivered(prev)
 		v.StrongEdges = n.ownEdges.Take(len(parents))
 		for _, pv := range parents {
 			v.StrongEdges = append(v.StrongEdges, pv.Ref())
@@ -353,7 +351,7 @@ func (n *Node) propose(r types.Round) {
 
 	// Attach the payload if this party proposes blocks in round r's epoch.
 	var blk *types.Block
-	if n.blockClanAt(r, n.cfg.Self) != types.NoClan && n.cfg.Blocks != nil {
+	if n.epochOf(r).clanOf[n.cfg.Self] != types.NoClan && n.cfg.Blocks != nil {
 		blk = n.cfg.Blocks.NextBlock(r)
 		if blk != nil {
 			blk.Round, blk.Source = r, n.cfg.Self
@@ -378,10 +376,10 @@ func (n *Node) propose(r types.Round) {
 	// The clan reads this vertex as "I hold the block of every vertex of ours
 	// I reference"; name the ones that would make it untrue.
 	for i, k := 0, v.NumEdges(); i < k; i++ {
-		if in := n.instIfAny(v.Edge(i).Pos()); in != nil && in.vertex != nil &&
-			n.wantsBlock(in.vertex) && !n.holdsBlock(in.vertex) {
+		if in := n.rbc.Get(v.Edge(i).Pos()); in != nil && in.Vertex() != nil &&
+			n.wantsBlock(in.Vertex()) && !n.holdsBlock(in.Vertex()) {
 			v.Lacks = append(v.Lacks, uint32(i))
-			in.lacked = true
+			in.X.lacked = true
 		}
 	}
 	d := v.DigestCached()
@@ -432,16 +430,17 @@ func (n *Node) onRoundTimeout() {
 		}
 		pos := types.Position{Round: r, Source: types.NodeID(src)}
 		in := n.inst(pos)
-		if in.delivered {
+		v := in.Vertex()
+		if in.Delivered() {
 			continue
 		}
-		if pos.Source == n.cfg.Self && in.vertex != nil {
-			n.sendVal(in.vertex, n.blockFor(in.vertex.BlockDigest))
+		if pos.Source == n.cfg.Self && v != nil {
+			n.sendVal(v, n.blockFor(v.BlockDigest))
 		}
-		if in.echoSent && in.vertex != nil {
-			n.queueEcho(pos, in.vertex.DigestCached())
+		if in.Echoed() && v != nil {
+			n.queueEcho(pos, v.DigestCached())
 		}
-		n.maybeStartVtxPull(pos, in)
+		n.pull(pos, in, false)
 	}
 	n.flushEchoes()   // a timer is not always part of a drain
 	n.armRoundTimer() // still stuck
@@ -539,19 +538,19 @@ func (n *Node) sendVal(v *types.Vertex, blk *types.Block) {
 		n.clk.Charge(n.cfg.Costs.EdSign)
 	}
 	// One backing array, two ascending runs: block recipients, then the rest.
-	var inClan map[types.NodeID]bool
-	if clan := n.blockClanAt(v.Round, n.cfg.Self); blk != nil && clan != types.NoClan {
-		inClan = n.epochOf(v.Round).inClan[clan]
+	clanOf := n.epochOf(v.Round).clanOf
+	inClan := func(id int) bool {
+		return blk != nil && clanOf[n.cfg.Self] != types.NoClan && clanOf[id] == clanOf[n.cfg.Self]
 	}
 	ids := n.valTo[:0]
 	for i := 0; i < n.cfg.N; i++ {
-		if inClan[types.NodeID(i)] {
+		if inClan(i) {
 			ids = append(ids, types.NodeID(i))
 		}
 	}
 	full := len(ids)
 	for i := 0; i < n.cfg.N; i++ {
-		if !inClan[types.NodeID(i)] {
+		if !inClan(i) {
 			ids = append(ids, types.NodeID(i))
 		}
 	}

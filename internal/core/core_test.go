@@ -469,8 +469,8 @@ func TestGCBoundsState(t *testing.T) {
 		t.Fatal("GC never advanced")
 	}
 	maxState := (node.cfg.GCDepth + int(node.Round()-node.dag.MinRound()) + 8) * n
-	if len(node.rbc.insts) > maxState {
-		t.Fatalf("instance state grew to %d (bound %d)", len(node.rbc.insts), maxState)
+	if node.rbc.Rounds() > maxState {
+		t.Fatalf("instance state grew to %d (bound %d)", node.rbc.Rounds(), maxState)
 	}
 	if len(node.rbc.blocks) > maxState {
 		t.Fatalf("block cache grew to %d", len(node.rbc.blocks))
@@ -565,13 +565,7 @@ func TestFloodFarFutureIgnored(t *testing.T) {
 	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1})
 	c.run(500 * time.Millisecond)
 	before := 0
-	for _, row := range c.nodes[0].rbc.insts {
-		for i := range row.at {
-			if row.at[i].live {
-				before++
-			}
-		}
-	}
+	c.nodes[0].rbc.Range(func(types.Position, *inst) { before++ })
 	var d types.Hash
 	for i := 0; i < 100; i++ {
 		c.net.Endpoint(1).Send(0, &types.EchoMsg{Voter: 1, Entries: []types.EchoEntry{
@@ -580,20 +574,14 @@ func TestFloodFarFutureIgnored(t *testing.T) {
 	}
 	c.run(500 * time.Millisecond)
 	after := 0
-	for _, row := range c.nodes[0].rbc.insts {
-		for i := range row.at {
-			if row.at[i].live {
-				after++
-			}
-		}
-	}
+	c.nodes[0].rbc.Range(func(types.Position, *inst) { after++ })
 	// Growth bounded by legitimate round progress, not the flood.
 	if after > before+8*n {
 		t.Fatalf("instance state grew %d -> %d under far-future flood", before, after)
 	}
 }
 
-// TestFloodFarFutureViewStateBounded: satellite check for the vinst/view map
+// TestFloodFarFutureViewStateBounded: check for the RBC table and view map
 // retention audit. Validly signed timeouts and no-votes (and garbage TCs)
 // for rounds far beyond the tracking window must not grow the round-keyed
 // view maps — without the gcdRound upper bound one Byzantine voter could
@@ -793,14 +781,14 @@ func TestEchoDigestFloodBounded(t *testing.T) {
 		ep.Send(0, signedEchoes(&c.keys[1], 1, types.EchoEntry{Pos: pos, Digest: d}))
 	}
 	c.run(200 * time.Millisecond)
-	in := c.nodes[0].instIfAny(pos)
+	in := c.nodes[0].rbc.Get(pos)
 	if in == nil {
 		t.Fatal("flooded position has no instance")
 	}
 	// Voter 1's flood contributes at most one tally; honest echoes for the
 	// real digest may add one more.
-	if got := len(in.others); got > 1 {
-		t.Fatalf("echo tally map grew to %d digests under one-voter flood", got)
+	if got := in.Digests(); got > 2 {
+		t.Fatalf("echo tallies grew to %d digests under one-voter flood", got)
 	}
 }
 
@@ -1049,8 +1037,8 @@ func TestPhantomEdgeVertexNeverCertified(t *testing.T) {
 	var strong []types.VertexRef
 	for _, cv := range []types.NodeID{0, 1, 2, 3, 4} {
 		pos := types.Position{Round: 0, Source: cv}
-		if in := c.nodes[0].instIfAny(pos); in != nil && in.vertex != nil {
-			strong = append(strong, in.vertex.Ref())
+		if in := c.nodes[0].rbc.Get(pos); in != nil && in.Vertex() != nil {
+			strong = append(strong, in.Vertex().Ref())
 		}
 	}
 	if len(strong) < 5 {
@@ -1067,8 +1055,8 @@ func TestPhantomEdgeVertexNeverCertified(t *testing.T) {
 	var strong1 []types.VertexRef
 	for src := types.NodeID(0); src < 6; src++ {
 		pos := types.Position{Round: 1, Source: src}
-		if in := c.nodes[0].instIfAny(pos); in != nil && in.vertex != nil {
-			strong1 = append(strong1, in.vertex.Ref())
+		if in := c.nodes[0].rbc.Get(pos); in != nil && in.Vertex() != nil {
+			strong1 = append(strong1, in.Vertex().Ref())
 		}
 	}
 	if len(strong1) < 5 {
@@ -1087,8 +1075,8 @@ func TestPhantomEdgeVertexNeverCertified(t *testing.T) {
 	c.checkConsistentOrder(mute)
 	// The poisoned vertex was never certified or ordered anywhere.
 	for i := 0; i < 6; i++ {
-		if in := c.nodes[i].instIfAny(bad.Pos()); in != nil {
-			if in.delivered || in.hasCert {
+		if in := c.nodes[i].rbc.Get(bad.Pos()); in != nil {
+			if in.Delivered() || in.Certified() {
 				t.Fatalf("node %d certified the phantom-edge vertex", i)
 			}
 		}

@@ -122,15 +122,15 @@ func TestEchoFramingEquivalence(t *testing.T) {
 			}
 		}
 		o := outcome{aggs: map[types.Position]types.AggSig{}, totals: map[types.Position]int{}}
-		for _, v := range node.deliveredIn(0) {
+		for _, v := range node.rbc.Delivered(0) {
 			o.delivered = append(o.delivered, v.Pos())
 		}
 		for _, e := range all {
-			in := node.instIfAny(e.Pos)
-			if in == nil || in.certAgg.Bitmap == nil {
+			in := node.rbc.Get(e.Pos)
+			if in == nil || in.Cert().Bitmap == nil {
 				t.Fatalf("%v not certified", e.Pos)
 			}
-			o.aggs[e.Pos], o.totals[e.Pos] = in.certAgg, in.first.total
+			o.aggs[e.Pos], o.totals[e.Pos] = in.Cert(), types.BitmapCount(in.Tally(e.Digest))
 		}
 		return o
 	}
@@ -482,8 +482,8 @@ func TestEchoFrameCap(t *testing.T) {
 		t.Fatalf("%d echoes queued, %d left in %d frames (%d ECHO), or out of order", len(want), len(got), len(ep.out), len(ep.echoFrames()))
 	}
 	for _, e := range want {
-		in := receiver.instIfAny(e.Pos)
-		if in == nil || !types.BitmapHas(in.echoVoted, 1) || in.tallyOf(e.Digest) == nil {
+		in := receiver.rbc.Get(e.Pos)
+		if in == nil || !types.BitmapHas(in.Tally(e.Digest), 1) {
 			t.Fatalf("the receiver did not count the echo for %v", e.Pos)
 		}
 	}
@@ -491,14 +491,14 @@ func TestEchoFrameCap(t *testing.T) {
 	long := signedEchoes(&keys[1], 1, append(want[:n:n], types.EchoEntry{Pos: types.Position{Round: 9, Source: 0}})...)
 	fresh := handNode(keys, reg, 0, nullEndpoint{})
 	fresh.handle(1, long)
-	if len(fresh.rbc.insts) != 0 {
-		t.Fatalf("a frame of %d entries created state in %d rounds", len(long.Entries), len(fresh.rbc.insts))
+	if fresh.rbc.Rounds() != 0 {
+		t.Fatalf("a frame of %d entries created state in %d rounds", len(long.Entries), fresh.rbc.Rounds())
 	}
 	if fresh.Verifier()(1, long) {
 		t.Fatal("the verifier passed a frame longer than the handler accepts")
 	}
 	fresh.handle(1, signedEchoes(&keys[1], 1, long.Entries[:n]...))
-	if fresh.instIfAny(want[0].Pos) == nil {
+	if fresh.rbc.Get(want[0].Pos) == nil {
 		t.Fatal("a frame of exactly n entries was refused")
 	}
 }
@@ -514,11 +514,11 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 	at := func(r types.Round, src types.NodeID) types.Position { return types.Position{Round: r, Source: src} }
 	da, db := types.HashBytes([]byte("a")), types.HashBytes([]byte("b"))
 	counted := func(node *Node, pos types.Position, d types.Hash) int {
-		in := node.instIfAny(pos)
-		if in == nil || in.tallyOf(d) == nil {
+		in := node.rbc.Get(pos)
+		if in == nil {
 			return 0
 		}
-		return in.tallyOf(d).total
+		return types.BitmapCount(in.Tally(d))
 	}
 
 	node := handNode(keys, reg, 0, nullEndpoint{})
@@ -553,8 +553,8 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 			t.Fatalf("the echo for round %d, between two bad entries, was not counted", r)
 		}
 	}
-	if len(node.rbc.insts) != 3 {
-		t.Fatalf("state in %d rounds after three countable entries", len(node.rbc.insts))
+	if node.rbc.Rounds() != 3 {
+		t.Fatalf("state in %d rounds after three countable entries", node.rbc.Rounds())
 	}
 
 	// A non-member source or voter: membership is per epoch.
@@ -564,7 +564,7 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 		types.EchoEntry{Pos: at(0, 2), Digest: da}, // node 2 is not a member
 		types.EchoEntry{Pos: at(0, 1), Digest: da},
 	))
-	if node.instIfAny(at(0, 2)) != nil || counted(node, at(0, 1), da) != 1 {
+	if node.rbc.Get(at(0, 2)) != nil || counted(node, at(0, 1), da) != 1 {
 		t.Fatal("an entry for a non-member source was counted, or took its neighbour along")
 	}
 
@@ -576,7 +576,7 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 	forged := *good
 	forged.Sig[5] ^= 1
 	node.handle(byz, &forged)
-	if len(node.rbc.insts) != 0 || node.Verifier()(byz, &forged) {
+	if node.rbc.Rounds() != 0 || node.Verifier()(byz, &forged) {
 		t.Fatal("a frame with a bad signature touched instance state or passed the verifier")
 	}
 
@@ -591,7 +591,7 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 	} {
 		m := &types.EchoMsg{Entries: list, Voter: byz, Sig: good.Sig}
 		node.handle(byz, m)
-		if node.Verifier()(byz, m) || len(node.rbc.insts) != 0 {
+		if node.Verifier()(byz, m) || node.rbc.Rounds() != 0 {
 			t.Fatalf("a %d-entry signature verified for its %s", len(e), name)
 		}
 	}
@@ -600,7 +600,7 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 	}
 	// A frame signed by someone else than its sender counts for neither.
 	node.handle(1, good)
-	if len(node.rbc.insts) != 0 {
+	if node.rbc.Rounds() != 0 {
 		t.Fatal("a frame relayed under another sender's name was counted")
 	}
 	node.handle(byz, good)

@@ -258,7 +258,7 @@ func (d *drainNode) echoesOf(peer int, r types.Round, want int) []*types.EchoMsg
 func (d *drainNode) toRound1() []*types.ValMsg {
 	n := len(d.keys)
 	d.node.mu.Lock()
-	vs := []*types.Vertex{d.node.instIfAny(at(0, 0)).vertex}
+	vs := []*types.Vertex{d.node.rbc.Get(at(0, 0)).Vertex()}
 	d.node.mu.Unlock()
 	for src := types.NodeID(1); int(src) < n; src++ {
 		v, val := round0(d.keys, src)
@@ -423,14 +423,14 @@ func TestEchoHoldWaitsOnlyForExpected(t *testing.T) {
 				continue
 			}
 			for src := types.NodeID(0); src < down; src++ {
-				if v := nd.instIfAny(at(r, src)); v == nil || !v.valFrom {
+				if v := nd.rbc.Get(at(r, src)); v == nil || !v.HasVal() {
 					r = 0
 				}
 			}
 			if r == 0 {
 				continue
 			}
-			if p := nd.instIfAny(at(r-1, down)); p == nil || !p.delivered {
+			if p := nd.rbc.Get(at(r-1, down)); p == nil || !p.Delivered() {
 				t.Fatalf("round %d: node 0 held its echoes for node 6, which delivered nothing in round %d", r, r-1)
 			}
 			waited[r] = true
@@ -499,8 +499,8 @@ func TestEchoHoldWaitsOnlyForExpected(t *testing.T) {
 		// Node 0's echo hold ended with node 3's VAL; its anchor hold then
 		// waits for node 3's vertex, which nodes 1 and 2 echoed 4.5 ms after
 		// the cap, and catches it.
-		own := c.nodes[0].instIfAny(at(late+1, 0))
-		if e0 != time.Millisecond || a0 <= 0 || a0 >= wait || own == nil || !own.vertex.HasStrongEdgeTo(at(late, 3)) {
+		own := c.nodes[0].rbc.Get(at(late+1, 0))
+		if e0 != time.Millisecond || a0 <= 0 || a0 >= wait || own == nil || !own.Vertex().HasStrongEdgeTo(at(late, 3)) {
 			t.Fatalf("node 0 held its echoes %v and its proposal %v (AnchorWait %v); want 1ms, then a proposal that waited for node 3's vertex and votes for it",
 				e0, a0, wait)
 		}

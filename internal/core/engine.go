@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"time"
 
+	"clanbft/internal/rbc"
 	"clanbft/internal/transport"
 	"clanbft/internal/types"
 )
@@ -16,24 +17,13 @@ import (
 // Signing contexts. Every signed artifact binds a domain tag so signatures
 // cannot be replayed across message types.
 
-// ctxBuf backs a vertex or echo context: a tag byte, two uvarints and a
-// digest at most. Callers declare one on their stack and pass its address,
-// so building a context allocates nothing.
-type ctxBuf [1 + 2*binary.MaxVarintLen64 + len(types.Hash{})]byte
+// ctxBuf backs a vertex or echo context, an echo's being the longer.
+// Callers declare one on their stack and pass its address, so building a
+// context allocates nothing.
+type ctxBuf [rbc.CtxLen]byte
 
 func vertexCtx(buf *ctxBuf, d types.Hash) []byte {
 	return append(append(buf[:0], 'V'), d[:]...)
-}
-
-func echoCtx(buf *ctxBuf, pos types.Position, d types.Hash) []byte {
-	return appendEchoCtx(buf[:0], pos, d)
-}
-
-func appendEchoCtx(b []byte, pos types.Position, d types.Hash) []byte {
-	b = append(b, 'E')
-	b = types.PutUvarint(b, uint64(pos.Round))
-	b = types.PutUvarint(b, uint64(pos.Source))
-	return append(b, d[:]...)
 }
 
 // echoFrameBuf backs the signing context of an ECHO frame of up to eight
@@ -44,11 +34,11 @@ type echoFrameBuf [8 * len(ctxBuf{})]byte
 // contexts back to back. Each is self-delimiting (a tag, two uvarints, a
 // fixed-size digest), so the concatenation parses one way only and a
 // signature over k entries verifies for no other list; over one entry it is
-// that entry's echoCtx.
+// that entry's echo context (rbc.AppendEchoCtx).
 func echoFrameCtx(buf *echoFrameBuf, entries []types.EchoEntry) []byte {
 	b := buf[:0]
 	for i := range entries {
-		b = appendEchoCtx(b, entries[i].Pos, entries[i].Digest)
+		b = rbc.AppendEchoCtx(b, entries[i].Pos, entries[i].Digest)
 	}
 	return b
 }
@@ -112,11 +102,7 @@ func (n *Node) Stop() {
 	n.roundTimer = transport.Timer{}
 	n.stopAnchorTimer()
 	n.flushEchoes() // stopped: ends the echo hold, sends nothing
-	for _, row := range n.rbc.insts {
-		for i := range row.at {
-			row.at[i].stopPulls()
-		}
-	}
+	n.rbc.Range(func(_ types.Position, in *inst) { in.X.stop() })
 	n.mu.Unlock()
 	// Outside mu: the executor goroutine's Deliver callback may call node
 	// accessors that take the lock.
@@ -147,7 +133,7 @@ func (n *Node) handle(from types.NodeID, m types.Message) {
 	if n.stopped {
 		return
 	}
-	n.reclaimRows()
+	n.rbc.Reclaim()
 	switch msg := m.(type) {
 	case *types.ValMsg:
 		n.onVal(from, msg)

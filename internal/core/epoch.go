@@ -45,7 +45,6 @@ type epochState struct {
 	clans    [][]types.NodeID
 	fcOf     []int
 	selfClan types.ClanID
-	inClan   []map[types.NodeID]bool
 	// joins records the dial addresses of members that joined at this
 	// fence, for the OnReconfig callback and the persisted epoch record.
 	joins map[types.NodeID]string
@@ -73,24 +72,6 @@ func (n *Node) quorum(r types.Round) int { return 2*n.epochOf(r).F + 1 }
 // propose, echo, or sign view-change artifacts.
 func (n *Node) activeAt(r types.Round) bool {
 	return n.epochOf(r).isMember[n.cfg.Self]
-}
-
-// memberCount counts bitmap signers that are members of ep, and reports
-// whether every set bit is inside the universe. Partials from non-members
-// still verify against the universe registry (VerifyAgg runs over the full
-// bitmap); they simply do not count toward the quorum.
-func memberCount(ep *epochState, n int, bm []byte) (int, bool) {
-	cnt := 0
-	inRange := types.BitmapForEach(bm, func(id types.NodeID) bool {
-		if int(id) >= n {
-			return false
-		}
-		if ep.isMember[id] {
-			cnt++
-		}
-		return true
-	})
-	return cnt, inRange
 }
 
 // newEpochState derives the full topology for a post-genesis epoch: the
@@ -135,15 +116,12 @@ func (n *Node) buildEpochState(num uint64, start, sched types.Round, members []t
 		es.isMember[id] = true
 	}
 	for ci, clan := range clans {
-		in := map[types.NodeID]bool{}
 		for _, id := range clan {
-			in[id] = true
 			es.clanOf[id] = types.ClanID(ci)
 			if id == n.cfg.Self {
 				es.selfClan = types.ClanID(ci)
 			}
 		}
-		es.inClan = append(es.inClan, in)
 		es.fcOf = append(es.fcOf, committee.ClanMaxFaulty(len(clan)))
 	}
 	return es
@@ -268,25 +246,7 @@ func (n *Node) installEpoch(es *epochState, persist bool) {
 	// the old epoch's rules: RBC instances sourced by non-members, delivered
 	// counts including them, and timeout/no-vote aggregation whose quorum
 	// threshold just changed.
-	for r, row := range n.rbc.insts {
-		if r < es.Start {
-			continue
-		}
-		for src := range row.at {
-			if in := &row.at[src]; in.live && !es.isMember[src] {
-				in.stopPulls()
-				*in = vinst{}
-			}
-		}
-		kept := row.delivered[:0]
-		for _, v := range row.delivered {
-			if es.isMember[v.Source] {
-				kept = append(kept, v)
-			}
-		}
-		clear(row.delivered[len(kept):])
-		row.delivered = kept
-	}
+	n.rbc.Fence(es.Start)
 	n.recountVotes(es.Start)
 	for r := range n.timeoutAggs {
 		if r >= es.Start {

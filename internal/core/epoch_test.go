@@ -170,7 +170,7 @@ func TestEpochClanResample(t *testing.T) {
 // family with the epoch dimension: after crossing a fence, a Byzantine party
 // floods (a) validly signed far-future view-change traffic and (b) vertices
 // declaring a bogus epoch for in-window future rounds. Neither may grow the
-// round-keyed view maps, the vinst table, or the epoch table — pre-fence
+// round-keyed view maps, the RBC table, or the epoch table — pre-fence
 // state must not pin memory either (the epochs table stays trimmed to the
 // retention window).
 func TestEpochFloodViewStateBounded(t *testing.T) {
@@ -220,7 +220,7 @@ func TestEpochFloodViewStateBounded(t *testing.T) {
 		t.Fatalf("epoch table grew to %d entries (want <= 2: old epoch trimmed at the horizon, or retained while in-window)", got)
 	}
 	for _, pos := range floodPos {
-		if pos.Round > node.Round() && node.instIfAny(pos) != nil {
+		if pos.Round > node.Round() && node.rbc.Get(pos) != nil {
 			t.Fatalf("wrong-epoch vertex at %v allocated instance state", pos)
 		}
 	}

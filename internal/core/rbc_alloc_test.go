@@ -65,8 +65,8 @@ func rbcInstanceMallocs(t *testing.T) uint64 {
 			node.handle(m.Voter, m)
 		}
 		runtime.ReadMemStats(&after)
-		in := node.instIfAny(pos)
-		if in == nil || !in.delivered || in.certAgg.Bitmap == nil {
+		in := node.rbc.Get(pos)
+		if in == nil || !in.Delivered() || in.Cert().Bitmap == nil {
 			t.Fatalf("instance %v did not deliver: %+v", pos, in)
 		}
 		return after.Mallocs - before.Mallocs

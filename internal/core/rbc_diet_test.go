@@ -8,6 +8,7 @@ import (
 
 	"clanbft/internal/crypto"
 	"clanbft/internal/faults"
+	"clanbft/internal/rbc"
 	"clanbft/internal/simnet"
 	"clanbft/internal/transport"
 	"clanbft/internal/types"
@@ -90,8 +91,8 @@ func TestDenseTotalityWithoutCertRelay(t *testing.T) {
 	if pulled == 0 || certified == 0 {
 		t.Fatalf("victim sent %d pulls for the position whose echoes it lost and got %d certified replies", pulled, certified)
 	}
-	in := c.nodes[victim].instIfAny(lost)
-	if in == nil || !in.delivered || in.certAgg.Bitmap == nil {
+	in := c.nodes[victim].rbc.Get(lost)
+	if in == nil || !in.Delivered() || in.Cert().Bitmap == nil {
 		t.Fatalf("victim did not deliver %v by certified pull: %+v", lost, in)
 	}
 	c.checkConsistentOrder(nil)
@@ -124,11 +125,8 @@ func TestImplicitEchoUnderEquivocation(t *testing.T) {
 	// votes reports how many echoes node i has counted for digest d at pos,
 	// and whether the source is among them.
 	votes := func(i int, d types.Hash) (int, bool) {
-		tally := c.nodes[i].inst(pos).tallyOf(d)
-		if tally == nil {
-			return 0, false
-		}
-		return tally.total, types.BitmapHas(tally.agg.Bitmap(), byz)
+		tally := c.nodes[i].inst(pos).Tally(d)
+		return types.BitmapCount(tally), types.BitmapHas(tally, byz)
 	}
 
 	// Split audience, delivered straight into the serialized handlers. At
@@ -144,7 +142,7 @@ func TestImplicitEchoUnderEquivocation(t *testing.T) {
 			t.Fatalf("node %d counted %d echoes for the source's first digest (source among them: %v), want exactly the source's", i, got, src)
 		}
 	}
-	if got, _ := votes(2, db); got != 0 || c.nodes[2].inst(pos).vertex != vb {
+	if got, _ := votes(2, db); got != 0 || c.nodes[2].inst(pos).Vertex() != vb {
 		t.Fatalf("node 2 counted %d echoes for B from a source already counted for A, or dropped its proposal", got)
 	}
 
@@ -160,7 +158,7 @@ func TestImplicitEchoUnderEquivocation(t *testing.T) {
 	if got, _ := votes(0, db); got != 0 {
 		t.Fatalf("node 0 counts %d echoes for digest B from a proposer it already counted, want 0", got)
 	}
-	if v := c.nodes[0].inst(pos).vertex; v != va {
+	if v := c.nodes[0].inst(pos).Vertex(); v != va {
 		t.Fatal("node 0 replaced its first VAL's vertex without a certificate")
 	}
 
@@ -209,7 +207,7 @@ func TestPulledCertRules(t *testing.T) {
 	agg := func(digest types.Hash, signers ...types.NodeID) types.AggSig {
 		a := crypto.NewAggregator(n)
 		for _, id := range signers {
-			a.Add(id, crypto.PartialTag(&keys[id], echoCtx(new(ctxBuf), pos, digest)))
+			a.Add(id, crypto.PartialTag(&keys[id], rbc.AppendEchoCtx(nil, pos, digest)))
 		}
 		return a.Sig()
 	}
@@ -229,11 +227,54 @@ func TestPulledCertRules(t *testing.T) {
 			recv := New(Config{Self: 6, N: n, Mode: ModeSingleClan, Clans: [][]types.NodeID{clan},
 				Key: &keys[6], Reg: reg, AnchorWait: -1}, &recEndpoint{}, frozenClock{})
 			recv.handle(3, &types.VtxRspMsg{Vertex: v, Cert: &types.EchoCertMsg{Pos: pos, Digest: d, Agg: tc.agg}})
-			if in, has := recv.instIfAny(pos), recv.dag.Has(pos); tc.valid != has || !tc.valid && in != nil {
+			if in, has := recv.rbc.Get(pos), recv.dag.Has(pos); tc.valid != has || !tc.valid && in != nil {
 				t.Fatalf("instance %v, in the DAG %v; want the vertex inserted: %v", in != nil, has, tc.valid)
 			}
 		})
 	}
+}
+
+// TestLateValAfterCertificate drives an equivocating source by hand: its VAL
+// for B reaches an honest node that already holds the certificate for A. The
+// late VAL must not take the position's vertex. (a) Certified from echoes,
+// with A still being pulled: the pulled A is taken and delivers. (b) A
+// delivered by pull: replies keep shipping A with A's certificate.
+func TestLateValAfterCertificate(t *testing.T) {
+	const n, byz = 4, 3
+	keys := crypto.GenerateKeys(n, 5)
+	reg := crypto.NewRegistry(keys, true)
+	va := &types.Vertex{Round: 0, Source: byz, CreatedAt: 1}
+	vb := &types.Vertex{Round: 0, Source: byz, CreatedAt: 2}
+	pos, da := va.Pos(), va.DigestCached()
+	valB := &types.ValMsg{Vertex: vb, Sig: crypto.Sign(&keys[byz], vertexCtx(new(ctxBuf), vb.DigestCached()))}
+	agg := crypto.NewAggregator(n)
+	for _, id := range []types.NodeID{1, 2, byz} {
+		agg.Add(id, crypto.PartialTag(&keys[id], rbc.AppendEchoCtx(nil, pos, da)))
+	}
+	certA := &types.EchoCertMsg{Pos: pos, Digest: da, Agg: agg.Sig()}
+
+	t.Run("certified from echoes", func(t *testing.T) {
+		node := handNode(keys, reg, 0, &recEndpoint{})
+		for _, id := range []types.NodeID{1, 2, byz} {
+			node.handle(id, signedEchoes(&keys[id], id, types.EchoEntry{Pos: pos, Digest: da}))
+		}
+		node.handle(byz, valB)
+		node.handle(1, &types.VtxRspMsg{Vertex: va, Cert: certA})
+		if in := node.rbc.Get(pos); in == nil || !in.Delivered() || in.Vertex() != va || !node.dag.Has(pos) {
+			t.Fatal("the late VAL for B kept the certified A from delivering")
+		}
+	})
+	t.Run("delivered by pull", func(t *testing.T) {
+		ep := &recEndpoint{}
+		node := handNode(keys, reg, 0, ep)
+		node.handle(1, &types.VtxRspMsg{Vertex: va, Cert: certA})
+		node.handle(byz, valB)
+		node.handle(2, &types.VtxReqMsg{Pos: pos})
+		rsp, _ := ep.out[len(ep.out)-1].(*types.VtxRspMsg)
+		if rsp == nil || rsp.Vertex != va || rsp.Cert.Digest != da {
+			t.Fatalf("a pull reply ships %v under the certificate for A", rsp)
+		}
+	})
 }
 
 // TestSigningContextsStayOnStack: building a vertex or echo context and
@@ -243,15 +284,15 @@ func TestSigningContextsStayOnStack(t *testing.T) {
 	reg := crypto.NewRegistry(keys, true)
 	pos := types.Position{Round: 900, Source: 2}
 	d := types.HashBytes([]byte("v"))
-	esig := crypto.Sign(&keys[1], echoCtx(new(ctxBuf), pos, d))
+	esig := crypto.Sign(&keys[1], rbc.AppendEchoCtx(nil, pos, d))
 	vsig := crypto.Sign(&keys[1], vertexCtx(new(ctxBuf), d))
 	if a := testing.AllocsPerRun(50, func() {
 		var buf ctxBuf
-		if !reg.Verify(1, echoCtx(&buf, pos, d), esig) || !reg.Verify(1, vertexCtx(&buf, d), vsig) {
+		if !reg.Verify(1, rbc.AppendEchoCtx(buf[:0], pos, d), esig) || !reg.Verify(1, vertexCtx(&buf, d), vsig) {
 			t.Fatal("signature rejected")
 		}
-		_ = reg.PartialFor(1, echoCtx(&buf, pos, d))
-		_ = reg.SignFor(&keys[1], echoCtx(&buf, pos, d))
+		_ = reg.PartialFor(1, rbc.AppendEchoCtx(buf[:0], pos, d))
+		_ = reg.SignFor(&keys[1], rbc.AppendEchoCtx(buf[:0], pos, d))
 	}); a != 0 {
 		t.Fatalf("%v allocations per verify+verify+partial+sign, want 0", a)
 	}
@@ -316,12 +357,4 @@ func TestProposalEncodesAtMostTwoFrames(t *testing.T) {
 			}
 		}
 	}
-}
-
-// tallyOf returns the instance's tally for digest, or nil.
-func (in *vinst) tallyOf(digest types.Hash) *echoTally {
-	if in.hasFirst && in.firstDigest == digest {
-		return &in.first
-	}
-	return in.others[digest]
 }

@@ -133,18 +133,9 @@ func (n *Node) recoverFromStore() bool {
 		return verts[i].Source < verts[j].Source
 	})
 	for _, v := range verts {
-		pos := v.Pos()
-		in := n.inst(pos)
-		if in.delivered {
+		if !n.rbc.Restore(v) { // persisted only after RBC delivery
 			continue
 		}
-		in.vertex = v
-		in.valFrom = true
-		in.hasCert = true // persisted only after RBC delivery
-		in.certDigest = v.DigestCached()
-		in.delivered = true
-		row := n.rbc.insts[v.Round]
-		row.delivered = append(row.delivered, v)
 		n.dag.Insert(v)
 		// Votes re-derived from recovered proposals keep the commit rule
 		// working across the restart boundary.

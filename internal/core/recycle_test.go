@@ -29,11 +29,11 @@ func TestCertSurvivesRowRecycle(t *testing.T) {
 	for voter := types.NodeID(2); voter <= 5; voter++ {
 		sender.handle(voter, signedEchoes(&keys[voter], voter, types.EchoEntry{Pos: pos, Digest: d}))
 	}
-	in := sender.instIfAny(pos)
-	if in == nil || !in.delivered {
+	in := sender.rbc.Get(pos)
+	if in == nil || !in.Delivered() {
 		t.Fatalf("%v not delivered at the sender", pos)
 	}
-	rowBits := &in.certAgg.Bitmap[0]
+	rowBits := &in.Cert().Bitmap[0]
 	sender.handle(6, &types.VtxReqMsg{Pos: pos})
 	rsp, _ := ep.out[len(ep.out)-1].(*types.VtxRspMsg)
 	if rsp == nil || rsp.Cert == nil {
@@ -47,14 +47,14 @@ func TestCertSurvivesRowRecycle(t *testing.T) {
 	// Retire round 0's row; round 1 takes it over and tallies voters 2, 3
 	// and 6 for source 1 where voters 1..5 were.
 	sender.mu.Lock()
-	sender.gcRBC(1)
+	sender.rbc.GC(1)
 	sender.mu.Unlock()
 	up := types.EchoEntry{Pos: types.Position{Round: 1, Source: 1}, Digest: types.Hash{9}}
 	for _, voter := range []types.NodeID{2, 3, 6} {
 		sender.handle(voter, signedEchoes(&keys[voter], voter, up))
 	}
-	reused := sender.instIfAny(up.Pos)
-	if reused == nil || &reused.first.agg.Bitmap()[0] != rowBits {
+	reused := sender.rbc.Get(up.Pos)
+	if reused == nil || &reused.Tally(up.Digest)[0] != rowBits {
 		t.Fatal("round 1 did not reuse round 0's row")
 	}
 	if rsp.Cert.Agg.Tag != want.Tag || !bytes.Equal(rsp.Cert.Agg.Bitmap, want.Bitmap) {
@@ -62,7 +62,7 @@ func TestCertSurvivesRowRecycle(t *testing.T) {
 	}
 	recv := handNode(keys, reg, 6, &recEndpoint{})
 	recv.handle(0, rsp)
-	if got := recv.instIfAny(pos); got == nil || !got.delivered {
+	if got := recv.rbc.Get(pos); got == nil || !got.Delivered() {
 		t.Fatal("the receiver did not accept the pulled vertex on the reply's certificate")
 	}
 }

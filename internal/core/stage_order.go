@@ -91,7 +91,7 @@ type pendingVertex struct {
 // buffers v until the last of them lands.
 func (n *Node) tryInsert(v *types.Vertex) {
 	pos := v.Pos()
-	if _, pending := n.ord.pendingInsert[pos]; pending || n.dag.Has(pos) || n.gcd(pos) {
+	if _, pending := n.ord.pendingInsert[pos]; pending || n.dag.Has(pos) || n.gcdRound(pos.Round) {
 		return // pending: a repeat must not wait on its parents twice
 	}
 	missing := 0
@@ -106,9 +106,7 @@ func (n *Node) tryInsert(v *types.Vertex) {
 		// have completed at others while our VAL was lost pre-GST. The
 		// instance's pull timer is the one in-flight mark — other children
 		// waiting on the same parent ride along.
-		if in := n.inst(p); !in.delivered {
-			n.maybeStartVtxPull(p, in)
-		}
+		n.pull(p, n.inst(p), false)
 	}
 	if missing == 0 {
 		n.insertNow(v)
@@ -186,16 +184,11 @@ func (n *Node) countVote(v *types.Vertex) { n.order.Vote(v, n.drainCommits) }
 // epoch were just dropped, and their votes must go with them.
 func (n *Node) recountVotes(from types.Round) {
 	n.order.Unvote(from)
-	for r, row := range n.rbc.insts {
-		if r < from {
-			continue
+	n.rbc.Range(func(pos types.Position, in *inst) {
+		if v := in.Vertex(); v != nil && pos.Round >= from {
+			n.countVote(v)
 		}
-		for i := range row.at {
-			if v := row.at[i].vertex; v != nil {
-				n.countVote(v)
-			}
-		}
-	}
+	})
 }
 
 // drainCommits moves the commit rule's cursor as far as it goes (onStep acts
@@ -300,8 +293,8 @@ func (n *Node) drainOut() {
 		var blk *types.Block
 		if n.wantsBlock(v) {
 			if blk = n.blockFor(v.BlockDigest); blk == nil {
-				if in := n.instIfAny(v.Pos()); in != nil {
-					n.maybeStartBlockPull(v.Pos(), in)
+				if in := n.rbc.Get(v.Pos()); in != nil {
+					n.pull(v.Pos(), in, true)
 				}
 				return
 			}
@@ -330,8 +323,8 @@ func (n *Node) drainOut() {
 
 // gc advances the garbage-collection horizon behind the last ordered leader,
 // pruning every stage's per-round state: the DAG, the RBC stage (instances,
-// block cache, echo waiters — see gcRBC), the commit rule's ledgers and
-// reputation state, and view-layer certificates/aggregators.
+// echo waiters, block cache), the commit rule's ledgers and reputation
+// state, and view-layer certificates/aggregators.
 //
 // The horizon never passes a vertex still waiting in the out queue: its block
 // and the RBC instance that would pull it must outlive its emission. That
@@ -350,7 +343,15 @@ func (n *Node) gc() {
 		return
 	}
 	n.dag.GC(horizon)
-	n.gcRBC(horizon)
+	n.rbc.GC(horizon)
+	for d, e := range n.rbc.blocks {
+		// acceptBlock keeps a block only with its vertex's round, so none
+		// below the horizon survives, even a vertex the certificate replaced.
+		if e.blk.Round < horizon {
+			n.uncacheBlock(d, e)
+			n.mBlocksExpired.Inc()
+		}
+	}
 	n.gcEpochs(horizon)
 	n.order.GC(horizon)
 	for r := range n.tcs {

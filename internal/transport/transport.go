@@ -462,7 +462,7 @@ func (t *realTimer) StopArm(gen uint64) bool {
 
 // ChanNet is an in-process network. It delivers messages reliably and in
 // per-sender order, optionally with a fixed artificial latency, and models
-// nothing else — it exists for functional tests and the quickstart example.
+// nothing else — it exists for functional tests and ExampleNewCluster.
 type ChanNet struct {
 	epoch   time.Time
 	latency time.Duration
