@@ -293,7 +293,7 @@ func (f *cacheFixture) child(src types.NodeID, lacks ...uint32) *types.Vertex {
 func TestBlockCacheAdversary(t *testing.T) {
 	f := newCacheFixture(t)
 	node := f.node
-	slab := len(node.rbc.heldBits)
+	slab := node.rbc.heldBits.Left()
 	silent := f.child(2)
 	silent.StrongEdges = append(silent.StrongEdges[:1:1], silent.StrongEdges[2:]...) // no edge to (5, 1)
 	for name, v := range map[string]*types.Vertex{
@@ -310,8 +310,8 @@ func TestBlockCacheAdversary(t *testing.T) {
 			t.Fatalf("%s: block evicted", name)
 		}
 	}
-	if len(node.rbc.blocks) != 1 || len(node.rbc.heldBits) != slab || len(node.rbc.owed) != 0 || node.mBlocksEvicted.Load() != 0 {
-		t.Fatalf("state moved: %d entries, slab %d -> %d, %d owed", len(node.rbc.blocks), slab, len(node.rbc.heldBits), len(node.rbc.owed))
+	if len(node.rbc.blocks) != 1 || node.rbc.heldBits.Left() != slab || len(node.rbc.owed) != 0 || node.mBlocksEvicted.Load() != 0 {
+		t.Fatalf("state moved: %d entries, slab %d -> %d, %d owed", len(node.rbc.blocks), slab, node.rbc.heldBits.Left(), len(node.rbc.owed))
 	}
 
 	good, bad := f.child(2), f.child(2, 4)

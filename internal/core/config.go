@@ -331,12 +331,13 @@ type Node struct {
 	roundFired, anchorFired, echoFired func()
 	valTo                              []types.NodeID
 	timedOutRound                      map[types.Round]bool
-	// ownVertices and ownEdges are the slabs propose carves this party's
-	// vertices and their strong edges from, as a connection's decoder
-	// carves received ones: the vertex and its edges cost no allocation of
-	// their own.
-	ownVertices []types.Vertex
-	ownEdges    types.RefArena
+	// ownVertices, ownEdges, vals and blockVals are the slabs propose and
+	// sendVal carve this party's vertices, their strong edges and its VALs
+	// from (a VAL with a block from blockVals), as a connection's decoder
+	// carves received ones: none costs an allocation of its own.
+	ownVertices     types.Slab[types.Vertex]
+	ownEdges        types.Slab[types.VertexRef]
+	vals, blockVals types.Slab[types.ValMsg]
 
 	// Timeout/no-vote certificate assembly.
 	timeoutAggs map[types.Round]*crypto.Aggregator
@@ -430,6 +431,7 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 		dag: dag.New(cfg.N),
 		rbc: rbcState{
 			blocks:    map[types.Hash]cachedBlock{},
+			echoQ:     make([]types.EchoEntry, 0, cfg.N),
 			batchSeen: map[types.Position]bool{},
 		},
 		ord: orderState{

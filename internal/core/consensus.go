@@ -276,9 +276,17 @@ func (n *Node) roundTimerFired() {
 	n.onRoundTimeout()
 }
 
-// ownVertexSlab is how many of its own vertices a party carves from one
-// allocation: 8 × 216 B fill the 1792 B size class.
-const ownVertexSlab = 8
+// A party carves its own vertices 8 to an allocation (8 × 216 B fill the
+// 1792 B size class), their strong edges 64 references at a time, and its
+// VALs 32 at a time — but those that carry a block 4 at a time: such a VAL
+// keeps its block reachable until the VALs carved with it are dropped, so
+// for no more than 4 of this party's rounds.
+const (
+	ownVertexSlab = 8
+	ownEdgeSlab   = 64
+	valSlab       = 32
+	blockValSlab  = 4
+)
 
 // propose emits this party's vertex for round r: strong edges to every
 // delivered round r-1 vertex, weak edges to late vertices, the block to the
@@ -288,11 +296,7 @@ func (n *Node) propose(r types.Round) {
 	n.roundTimer = transport.Timer{}
 	n.stopAnchorTimer()
 	n.round = r
-	if len(n.ownVertices) == 0 {
-		n.ownVertices = make([]types.Vertex, ownVertexSlab)
-	}
-	v := &n.ownVertices[0]
-	n.ownVertices = n.ownVertices[1:]
+	v := n.ownVertices.New(ownVertexSlab)
 	// The proposal stamp rides inside the signed vertex: OrderedAt minus
 	// this is the vertex's end-to-end consensus latency (the latency spine).
 	*v = types.Vertex{Round: r, Source: n.cfg.Self, Epoch: n.epochOf(r).Num,
@@ -308,7 +312,7 @@ func (n *Node) propose(r types.Round) {
 	if r > 0 {
 		prev := r - 1
 		parents := n.rbc.Delivered(prev)
-		v.StrongEdges = n.ownEdges.Take(len(parents))
+		v.StrongEdges = n.ownEdges.Take(len(parents), ownEdgeSlab)
 		for _, pv := range parents {
 			v.StrongEdges = append(v.StrongEdges, pv.Ref())
 		}
@@ -555,10 +559,14 @@ func (n *Node) sendVal(v *types.Vertex, blk *types.Block) {
 		}
 	}
 	if full > 0 {
-		n.multicast(ids[:full], &types.ValMsg{Vertex: v, Block: blk, Sig: sig})
+		m := n.blockVals.New(blockValSlab) // full > 0: blk is not nil
+		m.Vertex, m.Block, m.Sig = v, blk, sig
+		n.multicast(ids[:full], m)
 	}
 	if full < len(ids) {
-		n.multicast(ids[full:], &types.ValMsg{Vertex: v, Sig: sig})
+		m := n.vals.New(valSlab)
+		m.Vertex, m.Sig = v, sig
+		n.multicast(ids[full:], m)
 	}
 	n.valTo = ids
 }

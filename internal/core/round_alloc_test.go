@@ -6,16 +6,19 @@ import (
 	"time"
 
 	"clanbft/internal/crypto"
+	"clanbft/internal/mempool"
 	"clanbft/internal/transport"
 	"clanbft/internal/types"
 )
 
-// roundPathMallocs runs an n=7 single-clan cluster over ChanNet with no
-// payload, lets it pass the GC horizon so that every recycled structure has
-// been around once, and returns the heap allocations per node per round over
-// the next 200 rounds — the whole process's, so the clocks' timers and the
-// mailboxes are counted with the nodes.
-func roundPathMallocs(t *testing.T) float64 {
+// roundPathMallocs runs an n=7 single-clan cluster over ChanNet, lets it
+// pass the GC horizon so that every recycled structure has been around once,
+// and returns the heap allocations per node per round over the next 200
+// rounds — the whole process's, so the clocks' timers and the mailboxes are
+// counted with the nodes. With txs > 0 each clan member proposes a real
+// mempool.Pool block of that many 128 B transactions every round, submitted
+// just before it is drained; without, rounds carry no payload.
+func roundPathMallocs(t *testing.T, txs int) float64 {
 	const n, warm, rounds = 7, 100, 200
 	net := transport.NewChanNet(n, 0)
 	t.Cleanup(net.Close)
@@ -24,8 +27,12 @@ func roundPathMallocs(t *testing.T) float64 {
 	nodes := make([]*Node, n)
 	for i := range nodes {
 		id := types.NodeID(i)
-		nodes[i] = New(Config{Self: id, N: n, Mode: ModeSingleClan, Clans: [][]types.NodeID{{0, 1, 2}},
-			Key: &keys[i], Reg: reg, Deliver: func(CommittedVertex) {}}, net.Endpoint(id), net.Clock(id))
+		cfg := Config{Self: id, N: n, Mode: ModeSingleClan, Clans: [][]types.NodeID{{0, 1, 2}},
+			Key: &keys[i], Reg: reg, Deliver: func(CommittedVertex) {}}
+		if txs > 0 {
+			cfg.Blocks = &feed{Pool: mempool.NewPool(0), txs: txs, tx: make([]byte, 128)}
+		}
+		nodes[i] = New(cfg, net.Endpoint(id), net.Clock(id))
 		nodes[i].Start()
 		t.Cleanup(nodes[i].Stop)
 	}
@@ -45,16 +52,46 @@ func roundPathMallocs(t *testing.T) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(n) / float64(nodes[0].Round()-from)
 }
 
+// feed is a Pool that is handed txs fresh transactions just before each
+// drain, so every proposal carries a real Pool block.
+type feed struct {
+	*mempool.Pool
+	txs int
+	tx  []byte
+}
+
+func (f *feed) NextBlock(r types.Round) *types.Block {
+	for i := 0; i < f.txs; i++ {
+		f.Submit(f.tx)
+	}
+	return f.Pool.NextBlock(r)
+}
+
 // TestRoundPathAllocs: a round with nothing in it costs a node at most half
 // the allocations it did before certificates, DAG rows and timers were
 // recycled. The parent commit (PR 21) measured 56 with this same function, 23
 // of them ChanNet's closure per send, which went in the same change; with
 // only that closure removed the parent measured parentRoundPathMallocs.
+//
+// A round whose clan members each propose a Pool block of 8 transactions
+// costs a node at most one allocation more than an empty one: the block and
+// its index (Pool.NextBlock), the VALs (sendVal) and the ECHO frame
+// (flushEchoes) are carved, and what is left is the 8 transactions' share of
+// the pool's chunks and the block cache's entries. Before they were carved
+// the same round cost 6.2, 3.7 more than an empty one.
 func TestRoundPathAllocs(t *testing.T) {
 	const parentRoundPathMallocs = 33
-	got := roundPathMallocs(t)
+	got := roundPathMallocs(t, 0)
 	t.Logf("one empty n=7 round: %.1f allocations per node (parent %d)", got, parentRoundPathMallocs)
 	if 2*got > parentRoundPathMallocs && !raceEnabled {
 		t.Fatalf("a round allocates %.1f per node, want at most half the parent's %d", got, parentRoundPathMallocs)
+	}
+	if raceEnabled {
+		return // uncounted there, and ~30 s; TestTCPTxPathPoolBalanced race-checks Pool blocks end to end
+	}
+	full := roundPathMallocs(t, 8)
+	t.Logf("one n=7 round with Pool blocks: %.1f allocations per node", full)
+	if full > got+1 {
+		t.Fatalf("a round with Pool blocks allocates %.1f per node, an empty one %.1f: want at most 1 more", full, got)
 	}
 }

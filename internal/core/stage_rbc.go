@@ -23,18 +23,20 @@ type rbcState struct {
 	blocks map[types.Hash]cachedBlock
 	// blockBytes is the payload the cache holds (rbc.block_bytes_cached).
 	blockBytes int
-	// heldBits is the unused tail of the slab the entries' held bitmaps are
-	// carved from, N at a time: about a round's blocks per allocation.
-	heldBits []byte
+	// heldBits is the slab the entries' held bitmaps are carved from, N and
+	// at least heldSlabMin bytes at a time: a few rounds' blocks per
+	// allocation.
+	heldBits types.Slab[byte]
 	// owed lists vertices this party referenced while lacking their block
 	// (Vertex.Lacks) and whose block it has obtained since: its next proposal
 	// weak-edges them, which is how it takes the exception back.
 	owed []types.VertexRef
-	// echoQ holds this party's echoes since the last flush, at most N. It
-	// is the used head of a block whose unused tail is its capacity: a
-	// flushed frame keeps its slice of the block and the queue restarts
-	// behind it, so queueing allocates once per block, not per frame.
-	echoQ []types.EchoEntry
+	// echoQ holds this party's echoes since the last flush, at most N; it is
+	// reused. A flushed frame's message and entries are carved from echoes
+	// and entries, so a frame allocates once per block of them.
+	echoQ   []types.EchoEntry
+	echoes  types.Slab[types.EchoMsg]
+	entries types.Slab[types.EchoEntry]
 	// batchSeen and batchQueue are sendAncestorBatch's scratch.
 	batchSeen  map[types.Position]bool
 	batchQueue []types.Position
@@ -262,11 +264,7 @@ func (n *Node) blockFor(d types.Hash) *types.Block {
 // cacheBlock starts blk's cache entry. Its proposer holds it by construction.
 func (n *Node) cacheBlock(d types.Hash, blk *types.Block) {
 	bm := (n.cfg.N + 7) / 8
-	if len(n.rbc.heldBits) < bm {
-		n.rbc.heldBits = make([]byte, n.cfg.N*bm)
-	}
-	held := n.rbc.heldBits[:bm:bm]
-	n.rbc.heldBits = n.rbc.heldBits[bm:]
+	held := n.rbc.heldBits.Take(bm, max(n.cfg.N*bm, heldSlabMin))[:bm]
 	if blk.Source != n.cfg.Self {
 		types.BitmapSet(held, blk.Source)
 	}
@@ -349,20 +347,21 @@ func (n *Node) holdsBlock(v *types.Vertex) bool {
 // ---------------------------------------------------------------------------
 // ECHO: queueing, the echo hold, framing and counting.
 
-// echoBlockMin is the least number of entries an echo block is made for.
-const echoBlockMin = 64
+// A flushed frame's message is carved from blocks of echoSlab, its entries
+// from blocks of at least echoBlockMin entries; a cache entry's held bitmap
+// from blocks of at least heldSlabMin bytes.
+const (
+	echoSlab     = 32
+	echoBlockMin = 128
+	heldSlabMin  = 64
+)
 
 // queueEcho queues this party's ECHO for digest d at pos. It leaves with the
 // rest of the queue in one signed frame when a drain ends (endDrain) and the
 // echo hold does not keep it (drainEchoes), ahead of any other frame this
 // party sends, and at once when the queue holds N entries, a frame's most.
 func (n *Node) queueEcho(pos types.Position, d types.Hash) {
-	q := n.rbc.echoQ
-	if len(q) == cap(q) {
-		q = make([]types.EchoEntry, len(q), max(n.cfg.N, echoBlockMin))
-		copy(q, n.rbc.echoQ)
-	}
-	n.rbc.echoQ = append(q, types.EchoEntry{Pos: pos, Digest: d})
+	n.rbc.echoQ = append(n.rbc.echoQ, types.EchoEntry{Pos: pos, Digest: d})
 	if len(n.rbc.echoQ) >= n.cfg.N {
 		n.flushEchoes()
 	}
@@ -426,11 +425,13 @@ func (n *Node) flushEchoes() {
 	if len(q) == 0 {
 		return
 	}
-	n.rbc.echoQ = q[len(q):]
+	n.rbc.echoQ = q[:0]
 	if n.stopped {
 		return
 	}
-	m := &types.EchoMsg{Entries: q[:len(q):len(q)], Voter: n.cfg.Self}
+	m := n.rbc.echoes.New(echoSlab)
+	m.Entries = append(n.rbc.entries.Take(len(q), max(2*n.cfg.N, echoBlockMin)), q...)
+	m.Voter = n.cfg.Self
 	if n.cfg.Key != nil {
 		var buf echoFrameBuf
 		m.Sig = n.cfg.Reg.SignFor(n.cfg.Key, echoFrameCtx(&buf, m.Entries))

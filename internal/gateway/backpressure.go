@@ -22,14 +22,16 @@ import (
 // The split matters: queue-wait is a trailing indicator that needs smoothing
 // (hence the window), depth is a leading indicator that needs immediacy.
 type overloadMonitor struct {
-	reg     *metrics.Registry
-	prev    metrics.HistSnapshot // the previous sample; the sampler's alone
-	high    time.Duration
-	period  time.Duration
-	loaded  atomic.Bool
-	lastP95 atomic.Int64 // ns; exported via gateway.exec_wait_p95 gauge
-	stop    chan struct{}
-	done    chan struct{}
+	reg *metrics.Registry
+	// prev is the previous sample and cur the window's buffer, both the
+	// sampler's alone: a sample writes into their buckets, never new ones.
+	prev, cur metrics.HistSnapshot
+	high      time.Duration
+	period    time.Duration
+	loaded    atomic.Bool
+	lastP95   atomic.Int64 // ns; exported via gateway.exec_wait_p95 gauge
+	stop      chan struct{}
+	done      chan struct{}
 }
 
 // execWaitHist is the pipeline histogram the monitor watches. The exec stage
@@ -60,7 +62,7 @@ func (m *overloadMonitor) run() {
 	defer close(m.done)
 	t := time.NewTicker(m.period)
 	defer t.Stop()
-	m.prev = m.reg.HistSnapshot(execWaitHist)
+	m.reg.HistSnapshotInto(execWaitHist, &m.prev)
 	for {
 		select {
 		case <-m.stop:
@@ -72,10 +74,13 @@ func (m *overloadMonitor) run() {
 }
 
 // sample closes one window: the histogram's growth since the last sample.
+// The window is computed in the previous sample's buckets, and the two
+// buffers swap: the sample just read is the next one's previous.
 func (m *overloadMonitor) sample() {
-	cur := m.reg.HistSnapshot(execWaitHist)
-	win := cur.Since(m.prev)
-	m.prev = cur
+	m.reg.HistSnapshotInto(execWaitHist, &m.cur)
+	m.cur.SinceInto(m.prev, &m.prev)
+	m.prev, m.cur = m.cur, m.prev
+	win := &m.cur
 	if win.Count == 0 {
 		// No executions this window. An idle node is not overloaded; a
 		// node that stopped executing while submissions continue is

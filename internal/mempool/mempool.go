@@ -5,7 +5,6 @@
 package mempool
 
 import (
-	"bytes"
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
@@ -67,14 +66,6 @@ func (g *Generator) NextBlock(r types.Round) *types.Block {
 // pin megabytes of dead capacity for the pool's lifetime.
 const queueRetainCap = 1024
 
-// Submit copies transactions of at most chunkedTxMax bytes into shared
-// chunkSize-byte arrays, so admission allocates once per chunk rather than
-// once per transaction; a larger transaction gets an array of its own.
-const (
-	chunkSize    = 32 << 10
-	chunkedTxMax = 4 << 10
-)
-
 // Pool is a thread-safe transaction queue for applications: clients Submit
 // transactions, the proposer drains up to MaxPerBlock of them per round.
 // Pool implements core.BlockSource.
@@ -85,14 +76,16 @@ const (
 // the true post-mutation depth without taking the queue lock — not a stale
 // snapshot that lags a concurrent submit or drain.
 //
-// The pool owns the bytes it queues: Submit copies each transaction, and the
+// The pool owns the bytes it queues: Submit copies each transaction into
+// the pool's BlockSlab, shared 32 KiB chunks for all but the largest, so
+// admission allocates once per chunk rather than once per transaction. The
 // copy is read-only from then on — shared by the block, the block cache and
 // the DAG. A chunk lives until the last block referring to it is dropped.
 type Pool struct {
 	mu          sync.Mutex
 	queue       [][]byte // live region is queue[head:]
 	head        int
-	chunk       []byte // the current chunk; its unused capacity takes the next copies
+	blocks      types.BlockSlab // copies, and the blocks NextBlock drains into
 	MaxPerBlock int
 
 	depth     atomic.Int64
@@ -118,20 +111,11 @@ func (p *Pool) Submit(tx []byte) {
 	p.submitted.Add(1)
 }
 
-// copyIn returns the pool's copy of tx: the next bytes of the current chunk,
-// capacity cut to the length so an append to one transaction can never reach
-// its neighbour. Called with mu held.
+// copyIn returns the pool's copy of tx, capacity cut to the length so an
+// append to one transaction can never reach its neighbour. Called with mu
+// held.
 func (p *Pool) copyIn(tx []byte) []byte {
-	n := len(tx)
-	if n > chunkedTxMax {
-		return bytes.Clone(tx)
-	}
-	if cap(p.chunk)-len(p.chunk) < n {
-		p.chunk = make([]byte, 0, chunkSize)
-	}
-	start := len(p.chunk)
-	p.chunk = append(p.chunk, tx...)
-	return p.chunk[start : start+n : start+n]
+	return append(p.blocks.Bytes(len(tx)), tx...)
 }
 
 // Depth returns the number of queued transactions. It is lock-free and
@@ -150,7 +134,8 @@ func (p *Pool) Submitted() uint64 { return p.submitted.Load() }
 // Drained slots are zeroed and the backing array is released after a full
 // drain (beyond a small retained capacity) — the previous implementation
 // re-sliced the queue forward, leaving every drained transaction pinned by
-// the backing array until the next reallocation.
+// the backing array until the next reallocation. The block and its index
+// are carved from the pool's BlockSlab.
 func (p *Pool) NextBlock(r types.Round) *types.Block {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -162,8 +147,13 @@ func (p *Pool) NextBlock(r types.Round) *types.Block {
 	if n > p.MaxPerBlock {
 		n = p.MaxPerBlock
 	}
-	txs := make([][]byte, n)
-	copy(txs, p.queue[p.head:p.head+n])
+	txs := p.queue[p.head : p.head+n]
+	chunked := true
+	for _, tx := range txs {
+		chunked = chunked && len(tx) <= types.TxChunkSize/2
+	}
+	b := p.blocks.New(n, chunked)
+	b.Txs = append(b.Txs, txs...)
 	for i := p.head; i < p.head+n; i++ {
 		p.queue[i] = nil // unpin drained transactions immediately
 	}
@@ -177,5 +167,5 @@ func (p *Pool) NextBlock(r types.Round) *types.Block {
 		p.head = 0
 	}
 	p.depth.Store(int64(len(p.queue) - p.head))
-	return &types.Block{Txs: txs}
+	return b
 }

@@ -210,14 +210,14 @@ func TestPoolConcurrent(t *testing.T) {
 }
 
 // TestSubmitAllocs: admission costs only its chunks — 1 000 submits of 128 B
-// fill four 32 KiB chunks — and a transaction too large to share one costs
-// exactly its own array.
+// fill four 32 KiB chunks — and a transaction too large to share one (over
+// half a chunk) costs exactly its own array.
 func TestSubmitAllocs(t *testing.T) {
 	p := NewPool(0)
 	queue := make([][]byte, 0, 1000) // the queue's growth is not admission's
 	tx := make([]byte, 128)
 	small := testing.AllocsPerRun(3, func() {
-		p.queue, p.chunk = queue, nil
+		p.queue, p.blocks = queue, types.BlockSlab{}
 		for i := 0; i < 1000; i++ {
 			p.Submit(tx)
 		}
@@ -226,13 +226,13 @@ func TestSubmitAllocs(t *testing.T) {
 	if small > 5 {
 		t.Fatalf("1000 submits of 128 B allocate %.0f, want <= 5 (their chunks)", small)
 	}
-	big := make([]byte, 8<<10)
+	big := make([]byte, types.TxChunkSize/2+1)
 	large := testing.AllocsPerRun(20, func() {
 		p.queue = queue
 		p.Submit(big)
 	})
 	if large != 1 {
-		t.Fatalf("an 8 KiB submit allocates %.0f, want 1", large)
+		t.Fatalf("a submit of over half a chunk allocates %.0f, want 1", large)
 	}
 }
 
@@ -267,7 +267,7 @@ func TestSubmitCopies(t *testing.T) {
 	if string(b.Txs[1]) != "secnd" || string(grown) != "first-appended" {
 		t.Fatalf("append to the first transaction left its neighbour %q", b.Txs[1])
 	}
-	big := make([]byte, chunkedTxMax+1)
+	big := make([]byte, types.TxChunkSize/2+1)
 	p.Submit(big)
 	big[0] = 1
 	if b := p.NextBlock(1); len(b.Txs) != 1 || b.Txs[0][0] != 0 {

@@ -165,13 +165,27 @@ func (s HistSnapshot) Quantile(q float64) time.Duration {
 // exec.queue_wait over the last sampling period, not over the node's whole
 // lifetime. Max cannot be differenced and reports the cumulative maximum.
 func (s HistSnapshot) Since(prev HistSnapshot) HistSnapshot {
-	out := HistSnapshot{Max: s.Max, Buckets: make([]uint64, len(s.Buckets))}
+	var out HistSnapshot
+	s.SinceInto(prev, &out)
+	return out
+}
+
+// SinceInto is Since writing into out, reusing its buckets when they are
+// long enough. out may hold prev itself: each bucket is read before it is
+// written.
+func (s HistSnapshot) SinceInto(prev HistSnapshot, out *HistSnapshot) {
+	var count uint64
+	var sum time.Duration
 	if s.Count >= prev.Count {
-		out.Count = s.Count - prev.Count
+		count = s.Count - prev.Count
 	}
 	if s.Sum >= prev.Sum {
-		out.Sum = s.Sum - prev.Sum
+		sum = s.Sum - prev.Sum
 	}
+	if cap(out.Buckets) < len(s.Buckets) {
+		out.Buckets = make([]uint64, len(s.Buckets))
+	}
+	out.Buckets = out.Buckets[:len(s.Buckets)]
 	for i := range s.Buckets {
 		b := s.Buckets[i]
 		if i < len(prev.Buckets) && prev.Buckets[i] <= b {
@@ -179,7 +193,7 @@ func (s HistSnapshot) Since(prev HistSnapshot) HistSnapshot {
 		}
 		out.Buckets[i] = b
 	}
-	return out
+	out.Count, out.Sum, out.Max = count, sum, s.Max
 }
 
 // merge folds other into s.
@@ -201,16 +215,24 @@ func (s *HistSnapshot) merge(other HistSnapshot) {
 
 // snapshot copies the histogram's current state.
 func (h *Histogram) snapshot() HistSnapshot {
-	hs := HistSnapshot{
-		Count:   h.count.Load(),
-		Sum:     time.Duration(h.sumNs.Load()),
-		Max:     time.Duration(h.maxNs.Load()),
-		Buckets: make([]uint64, numBuckets),
-	}
-	for i := range h.buckets {
-		hs.Buckets[i] = h.buckets[i].Load()
-	}
+	var hs HistSnapshot
+	h.snapshotInto(&hs)
 	return hs
+}
+
+// snapshotInto copies the histogram's current state into dst, reusing its
+// buckets when they are long enough.
+func (h *Histogram) snapshotInto(dst *HistSnapshot) {
+	dst.Count = h.count.Load()
+	dst.Sum = time.Duration(h.sumNs.Load())
+	dst.Max = time.Duration(h.maxNs.Load())
+	if cap(dst.Buckets) < numBuckets {
+		dst.Buckets = make([]uint64, numBuckets)
+	}
+	dst.Buckets = dst.Buckets[:numBuckets]
+	for i := range h.buckets {
+		dst.Buckets[i] = h.buckets[i].Load()
+	}
 }
 
 // Snapshot is a consistent copy of a registry's instruments. Counters and
@@ -374,13 +396,23 @@ func (r *Registry) OnSnapshot(fn func(*Snapshot)) {
 // when there is none. It is for a poller that watches a single distribution:
 // Snapshot copies every instrument and runs every collector.
 func (r *Registry) HistSnapshot(name string) HistSnapshot {
+	var hs HistSnapshot
+	r.HistSnapshotInto(name, &hs)
+	return hs
+}
+
+// HistSnapshotInto is HistSnapshot writing into dst, reusing its buckets:
+// a poller on a timer samples without allocating. With no such histogram
+// dst reads as empty.
+func (r *Registry) HistSnapshotInto(name string, dst *HistSnapshot) {
 	r.mu.Lock()
 	h := r.hists[name]
 	r.mu.Unlock()
 	if h == nil {
-		return HistSnapshot{}
+		*dst = HistSnapshot{Buckets: dst.Buckets[:0]}
+		return
 	}
-	return h.snapshot()
+	h.snapshotInto(dst)
 }
 
 // Snapshot copies every instrument and runs the registered collectors.

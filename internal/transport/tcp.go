@@ -281,8 +281,9 @@ func (e *TCPEndpoint) peer(id types.NodeID) *peerConn {
 	return p
 }
 
-// reconnectBackoff is the initial (and post-success reset) reconnect delay;
-// maxReconnectBackoff caps the exponential growth.
+// reconnectBackoff is the initial reconnect delay, and the one a connection
+// that proved itself resets it to; maxReconnectBackoff caps the exponential
+// growth.
 const (
 	reconnectBackoff    = 50 * time.Millisecond
 	maxReconnectBackoff = 2 * time.Second
@@ -317,7 +318,13 @@ func (e *TCPEndpoint) writeLoop(id types.NodeID, p *peerConn) {
 			}
 		}
 	}()
+	// A connection resets the backoff once it has carried a flush and
+	// stayed up at least as long as the backoff it replaces. A dial that
+	// merely succeeds proves nothing: a peer that accepts and then drops
+	// the connection — a proxy in front of a dead node, a peer refusing
+	// this party — would otherwise be redialed on every batch.
 	backoff := reconnectBackoff
+	var dialedAt time.Time
 	// Batch state lives outside the loop so steady-state flushes allocate
 	// nothing: hdrs holds every frame's 4-byte length prefix, scratch backs
 	// the net.Buffers gather list (header and shared frame bytes alternate),
@@ -339,7 +346,8 @@ func (e *TCPEndpoint) writeLoop(id types.NodeID, p *peerConn) {
 		batch = batch[:0]
 	}
 	// sleepBackoff waits out the current (jittered) backoff, doubling it
-	// for next time; it returns false when the peer entry was closed.
+	// for next time; it returns false when the peer entry was closed. A
+	// connection that fails takes it as a failed dial does.
 	sleepBackoff := func() bool {
 		select {
 		case <-p.closed:
@@ -406,8 +414,7 @@ func (e *TCPEndpoint) writeLoop(id types.NodeID, p *peerConn) {
 					}
 					continue
 				}
-				conn = c
-				backoff = reconnectBackoff
+				conn, dialedAt = c, time.Now()
 			}
 			// A peer that stops reading must not wedge the writer
 			// forever: bound each flush.
@@ -417,6 +424,9 @@ func (e *TCPEndpoint) writeLoop(id types.NodeID, p *peerConn) {
 				conn.Close()
 				conn = nil
 				releaseBatch()
+				if !sleepBackoff() {
+					return
+				}
 				continue
 			}
 			// Headers first (appends may grow hdrs), then the gather list
@@ -433,13 +443,21 @@ func (e *TCPEndpoint) writeLoop(id types.NodeID, p *peerConn) {
 			}
 			scratch = bufs[:0]
 			if _, err := bufs.WriteTo(conn); err != nil {
-				// Flush failed: drop the whole batch, reconnect on next send.
+				// Flush failed: drop the whole batch, reconnect on a later
+				// send once the backoff has passed.
 				e.msgsDropped.Add(uint64(len(batch)))
 				conn.Close()
 				conn = nil
-			} else {
-				e.flushes.Add(1)
-				e.coalescedFrames.Add(uint64(len(batch) - 1))
+				releaseBatch()
+				if !sleepBackoff() {
+					return
+				}
+				continue
+			}
+			e.flushes.Add(1)
+			e.coalescedFrames.Add(uint64(len(batch) - 1))
+			if backoff > reconnectBackoff && time.Since(dialedAt) >= backoff {
+				backoff = reconnectBackoff
 			}
 			releaseBatch()
 		}

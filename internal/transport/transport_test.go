@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -505,5 +506,45 @@ func TestTCPRejectsOwnIDFromSocket(t *testing.T) {
 	defer mu.Unlock()
 	if len(froms) != 1 || froms[0] != 1 {
 		t.Fatalf("handler saw senders %v, want only peer 1", froms)
+	}
+}
+
+// TestRedialBacksOffWhenPeerDropsConnections: a peer that accepts a
+// connection, reads the hello and closes it — a proxy in front of a dead
+// node, a peer refusing this party — is redialed on the writer's backoff,
+// not on every batch. Frames go out every 10 ms for 2 s: a writer that
+// resets its backoff on each successful dial redials about every other one.
+func TestRedialBacksOffWhenPeerDropsConnections(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var dials atomic.Int64
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dials.Add(1)
+			var hello [2]byte
+			io.ReadFull(c, hello[:])
+			c.Close()
+		}
+	}()
+	a, err := NewTCPEndpoint(0, map[types.NodeID]string{0: "127.0.0.1:0", 1: ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	a.SetHandler(func(types.NodeID, types.Message) {})
+	for end := time.Now().Add(2 * time.Second); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		a.Send(1, ping(1))
+	}
+	if got := dials.Load(); got > 10 {
+		t.Fatalf("%d dials in 2 s to a peer that drops every connection, want <= 10", got)
+	} else {
+		t.Logf("%d dials in 2 s", got)
 	}
 }

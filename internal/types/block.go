@@ -129,36 +129,104 @@ func (b *Block) Marshal(buf []byte) []byte {
 	return buf
 }
 
+// A BlockSlab carves block structs blockSlabSize to an allocation,
+// transaction indexes from slabs of indexSlabSize entries and transactions'
+// bytes from chunks of TxChunkSize; a payload over half a chunk gets an
+// array of its own.
+const (
+	blockSlabSize = 4
+	indexSlabSize = 256
+	TxChunkSize   = 32 << 10
+)
+
+// BlockSlab carves blocks for one proposer's stream of them — a
+// connection's decoder, a proposer's pool: the transactions' bytes from
+// chunks, the indexes from slabs that only blocks whose bytes went into one
+// chunk share, and the structs four to a slab. So a block its holders have
+// dropped, and its bytes, stay reachable through one they keep only while
+// they share its chunk, or for at most blockSlabSize-1 of the proposer's
+// later blocks: a block cache drops a block once its clan holds it, and the
+// slabs must not hold it much longer. The zero BlockSlab is ready to use; a
+// nil one allocates each block, index and payload on its own.
+type BlockSlab struct {
+	blocks Slab[Block]
+	index  Slab[[]byte]
+	bytes  Slab[byte]
+}
+
+// Bytes returns an empty slice with room for exactly n bytes of
+// transactions: from the current chunk, or an array of its own when n is
+// over half a chunk. A new chunk starts a new index slab.
+func (s *BlockSlab) Bytes(n int) []byte {
+	if s == nil {
+		return make([]byte, 0, n)
+	}
+	if n <= TxChunkSize/2 && s.bytes.Left() < n {
+		s.index = Slab[[]byte]{}
+	}
+	return s.bytes.Take(n, TxChunkSize)
+}
+
+// New returns a zero block whose Txs has room for exactly cnt transactions.
+// Chunked says whether all of their bytes came from Bytes' chunks: only then
+// is the index carved, since a shared index slab would keep a payload of its
+// own reachable for as long as any block beside it.
+func (s *BlockSlab) New(cnt int, chunked bool) *Block {
+	if s == nil {
+		b := &Block{}
+		if cnt > 0 {
+			b.Txs = make([][]byte, 0, cnt)
+		}
+		return b
+	}
+	b := s.blocks.New(blockSlabSize)
+	switch {
+	case cnt == 0:
+	case chunked:
+		b.Txs = s.index.Take(cnt, indexSlabSize)
+	default:
+		b.Txs = make([][]byte, 0, cnt)
+	}
+	return b
+}
+
 // UnmarshalBlock decodes a block and returns the remaining bytes. The block
 // owns its memory: its transactions are copied out of buf into one backing
 // array.
 func UnmarshalBlock(buf []byte) (*Block, []byte, error) {
-	b := &Block{}
+	return (*BlockSlab)(nil).unmarshal(buf)
+}
+
+// unmarshal decodes a block into s, copying its transactions into s's
+// chunks. A nil s decodes onto the heap. A block that does not decode
+// carves nothing.
+func (s *BlockSlab) unmarshal(buf []byte) (*Block, []byte, error) {
+	var h Block
 	var u uint64
 	var err error
 	if u, buf, err = Uvarint(buf); err != nil {
 		return nil, nil, err
 	}
-	b.Round = Round(u)
+	h.Round = Round(u)
 	if u, buf, err = Uvarint(buf); err != nil {
 		return nil, nil, err
 	}
-	b.Source = NodeID(u)
+	h.Source = NodeID(u)
 	if u, buf, err = Uvarint(buf); err != nil {
 		return nil, nil, err
 	}
-	b.SynthCount = uint32(u)
+	h.SynthCount = uint32(u)
 	if u, buf, err = Uvarint(buf); err != nil {
 		return nil, nil, err
 	}
-	b.SynthSize = uint32(u)
-	if b.SynthSeed, buf, err = Uvarint(buf); err != nil {
+	h.SynthSize = uint32(u)
+	if h.SynthSeed, buf, err = Uvarint(buf); err != nil {
 		return nil, nil, err
 	}
 	if len(buf) < 8 {
 		return nil, nil, fmt.Errorf("types: short block createdAt")
 	}
-	b.CreatedAt = int64(binary.LittleEndian.Uint64(buf))
+	h.CreatedAt = int64(binary.LittleEndian.Uint64(buf))
 	buf = buf[8:]
 	var cnt uint64
 	if cnt, buf, err = Uvarint(buf); err != nil {
@@ -167,30 +235,40 @@ func UnmarshalBlock(buf []byte) (*Block, []byte, error) {
 	if cnt > uint64(len(buf)+1) {
 		return nil, nil, fmt.Errorf("types: tx count %d exceeds buffer", cnt)
 	}
-	if cnt > 0 {
-		b.Txs = make([][]byte, 0, cnt)
-	}
-	// The transactions alias buf until every length is checked, then move
-	// into one backing array together.
-	total := 0
+	// Every length is checked, and the total summed, before anything is
+	// carved; then the transactions are copied in one pass.
+	total, rest := 0, buf
 	for i := uint64(0); i < cnt; i++ {
 		var n uint64
-		if n, buf, err = Uvarint(buf); err != nil {
+		if n, rest, err = Uvarint(rest); err != nil {
 			return nil, nil, err
 		}
-		if n > uint64(len(buf)) {
+		if n > uint64(len(rest)) {
 			return nil, nil, fmt.Errorf("types: tx length %d exceeds buffer", n)
 		}
-		b.Txs = append(b.Txs, buf[:n:n])
 		total += int(n)
-		buf = buf[n:]
+		rest = rest[n:]
 	}
-	backing := make([]byte, total)
-	off := 0
-	for i, tx := range b.Txs {
-		n := copy(backing[off:], tx)
-		b.Txs[i] = backing[off : off+n : off+n]
-		off += n
+	// A payload over half a chunk is one array of its own; a smaller one is
+	// carved a transaction at a time, so it fills a chunk's tail.
+	var backing []byte
+	chunked := total <= TxChunkSize/2
+	if !chunked {
+		backing = s.Bytes(total)
+	}
+	b := s.New(int(cnt), chunked)
+	h.Txs = b.Txs
+	*b = h
+	for i := uint64(0); i < cnt; i++ {
+		n, k := binary.Uvarint(buf)
+		buf = buf[k:]
+		if chunked {
+			backing = s.Bytes(int(n))
+		}
+		start := len(backing)
+		backing = append(backing, buf[:n]...)
+		b.Txs = append(b.Txs, backing[start:len(backing):len(backing)])
+		buf = buf[n:]
 	}
 	return b, buf, nil
 }

@@ -1,5 +1,42 @@
 package types
 
+// Slab carves values from shared blocks: one allocation per block of values
+// instead of one per value or list. What it hands out is the taker's for
+// good — a Slab never takes anything back — so a block lives until the last
+// value carved from it is dropped. That is its one cost: a kept value keeps
+// its neighbours' memory, and whatever they point to, reachable. Each user
+// sizes its blocks after how long their values live together. The zero Slab
+// is ready to use; a nil one hands out heap arrays only.
+type Slab[T any] struct {
+	free []T // the unused tail of the current block
+}
+
+// Take returns an empty list with room for exactly k values, carved from a
+// block of size values. The room is the caller's: the next Take starts past
+// it, and an append beyond k moves the list rather than reaching a
+// neighbour's. A list over half a block gets an array of its own, so no
+// block is sized after a peer's bytes and none loses more than half of
+// itself to a list that did not fit.
+func (s *Slab[T]) Take(k, size int) []T {
+	if s == nil || k > size/2 {
+		return make([]T, 0, k)
+	}
+	if len(s.free) < k {
+		s.free = make([]T, size)
+	}
+	l := s.free[:0:k]
+	s.free = s.free[k:]
+	return l
+}
+
+// Left reports how many values the current block has left.
+func (s *Slab[T]) Left() int { return len(s.free) }
+
+// New returns one zero value carved from a block of size values.
+func (s *Slab[T]) New(size int) *T {
+	return &s.Take(1, size)[:1][0]
+}
+
 // Echoes are the highest-volume message class ((n-1)^2 entries per vertex per
 // round), so the decoder hands out their structs and entry lists from blocks
 // of this many: one allocation amortized over a block instead of two per
@@ -12,100 +49,63 @@ package types
 // A block lives until the last of its vertices leaves the DAG, holding the
 // others a little longer than one object per vertex would, so the blocks are
 // small: 11 pairs fill the 3456 B size class, and 32 references hold the
-// edges of 8 vertices at n=4 and of 4 at n=7 (a vertex with more than 32
+// edges of 8 vertices at n=4 and of 4 at n=7 (a vertex with more than 16
 // edges gets an array of its own).
 const (
-	echoArenaSize  = 32
-	entryArenaSize = 96
-	valArenaSize   = 11 // 11 × 312 B
-	refArenaSize   = 32 // 32 × 48 B
+	echoSlabSize  = 32
+	entrySlabSize = 96
+	valSlabSize   = 11 // 11 × 312 B
+	refSlabSize   = 32 // 32 × 48 B
 )
 
-// RefArena hands out edge lists from shared blocks of refArenaSize
-// references: one allocation per block instead of one per vertex. A list
-// longer than a block gets an array of its own, so a block is never sized
-// after a peer's bytes. The zero RefArena is ready to use; a nil one hands
-// out heap arrays only.
-type RefArena struct {
-	tail []VertexRef // the unused tail of the current block
-}
-
-// Take returns an empty list with room for exactly k references. The room is
-// the caller's: the next Take starts past it, and an append beyond k moves
-// the list rather than reaching a neighbour's.
-func (a *RefArena) Take(k int) []VertexRef {
-	if a == nil || k == 0 || k > refArenaSize {
-		return make([]VertexRef, 0, k)
-	}
-	if len(a.tail) < k {
-		a.tail = make([]VertexRef, refArenaSize)
-	}
-	refs := a.tail[:0:k]
-	a.tail = a.tail[k:]
-	return refs
-}
-
 // Decoder parses framed messages like Decode, handing out ECHO messages and
-// VALs from arenas. A Decoder belongs to a single read loop (it is not safe
-// for concurrent use). What it returns owns its bytes: the caller may
-// overwrite the frame as soon as Decode returns.
+// VALs, with a VAL's block, from slabs. A Decoder belongs to a single read
+// loop (it is not safe for concurrent use), so everything it carves comes
+// from one peer. What it returns owns its bytes: the caller may overwrite the
+// frame as soon as Decode returns. A frame it rejects hands out no message:
+// the next one takes the slot it would have had.
 type Decoder struct {
-	echoes  []EchoMsg   // unused tail of the current message block
-	entries []EchoEntry // zero length; its capacity is the current entry block's unused tail
-	vals    []valPair   // unused tail of the current VAL block
-	edges   RefArena
+	echoes  Slab[EchoMsg]
+	entries Slab[EchoEntry]
+	vals    Slab[valPair]
+	edges   Slab[VertexRef]
+	blocks  BlockSlab // a VAL's block, its index and its bytes
 }
 
-// decodeEcho parses an ECHO frame into arena storage: the message from the
-// message block, its entries carved off the entry block. A frame that could
-// hold more entries than a whole block lets append find it room on the heap
-// instead: the arena is never sized after a peer's bytes.
+// decodeEcho parses an ECHO frame: the message onto the stack, then into the
+// message slab, its entries into room carved off the entry slab. The room is
+// sized by the bytes present — every entry takes at least echoEntryMin of
+// them, the tail at least echoTailMin — so it overshoots by at most one
+// entry on frames of up to 16, whatever the round.
 func (d *Decoder) decodeEcho(body []byte) (*EchoMsg, error) {
-	if len(d.echoes) == 0 {
-		d.echoes = make([]EchoMsg, echoArenaSize)
-	}
-	m := &d.echoes[0] // a rejected frame leaves it untouched, to be handed out again
-	most := len(body) / echoEntryMin
-	arena := most <= entryArenaSize
-	var buf []EchoEntry
-	if arena {
-		if cap(d.entries) < most {
-			d.entries = make([]EchoEntry, 0, entryArenaSize)
-		}
-		buf = d.entries
-	}
-	if err := unmarshalEchoInto(m, buf, body); err != nil {
+	var m EchoMsg
+	most := (len(body) - echoTailMin) / echoEntryMin
+	if err := unmarshalEchoInto(&m, d.entries.Take(max(most, 0), entrySlabSize), body); err != nil {
 		return nil, err
 	}
-	d.echoes = d.echoes[1:]
-	if arena {
-		k := len(m.Entries)
-		m.Entries = m.Entries[:k:k] // a holder's append must not reach the next frame's entries
-		d.entries = d.entries[k:k]
-	}
-	return m, nil
+	k := len(m.Entries)
+	m.Entries = m.Entries[:k:k] // a holder's append must not reach the next frame's entries
+	p := d.echoes.New(echoSlabSize)
+	*p = m
+	return p, nil
 }
 
-// decodeVal parses a VAL frame into arena storage: the message and its
-// vertex from the VAL block, both edge lists from the edge arena. A carried
-// block still decodes onto the heap, since a carved one would outlive its
-// eviction from the block cache; TakeBlock keeps the VAL block from pinning
-// it.
+// decodeVal parses a VAL frame: the message and its vertex onto the stack,
+// then into one pair from the VAL slab; both edge lists from the edge slab,
+// and the block from the block slab.
 func (d *Decoder) decodeVal(body []byte) (*ValMsg, error) {
-	if len(d.vals) == 0 {
-		d.vals = make([]valPair, valArenaSize)
-	}
-	p := &d.vals[0]
-	if err := unmarshalValInto(p, &d.edges, body); err != nil {
-		*p = valPair{} // a rejected frame may have filled part of it; hand it out again clean
+	var p valPair
+	if err := unmarshalValInto(&p.m, &p.v, d, body); err != nil {
 		return nil, err
 	}
-	d.vals = d.vals[1:]
-	return &p.m, nil
+	s := d.vals.New(valSlabSize)
+	*s = p
+	s.m.Vertex, s.m.decoded = &s.v, true
+	return &s.m, nil
 }
 
 // Decode parses the framed message in b: ECHO frames and VALs into the
-// arenas, every other kind through the package Decode.
+// slabs, every other kind through the package Decode.
 func (d *Decoder) Decode(b []byte) (Message, error) {
 	if len(b) > 0 {
 		switch MsgKind(b[0]) {

@@ -44,7 +44,7 @@ func TestEchoOneEntryIsTheSinglePositionFrame(t *testing.T) {
 func TestEchoRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	dec := Decoder{}
-	for _, k := range []int{1, 2, 7, 200, entryArenaSize + 1} {
+	for _, k := range []int{1, 2, 7, 200, entrySlabSize + 1} {
 		for _, voter := range []NodeID{0, 127, 128, 16383, 16384, 65535} {
 			m := testEcho(rng, k, voter)
 			enc := Encode(m, nil)

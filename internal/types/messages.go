@@ -93,7 +93,8 @@ type ValMsg struct {
 // TakeBlock returns the block and, on a decoded message, forgets it: the
 // decoder carves the message and its vertex from one slab, so a block left
 // in the message would stay reachable for as long as any vertex of the slab
-// sits in the receiver's DAG, whatever the receiver's block cache does.
+// sits in the receiver's DAG, whatever the receiver's block cache does. The
+// block's own storage is carved to a bound (BlockSlab).
 func (m *ValMsg) TakeBlock() *Block {
 	blk := m.Block
 	if m.decoded {
@@ -133,18 +134,23 @@ type valPair struct {
 
 func unmarshalVal(b []byte) (*ValMsg, error) {
 	p := &valPair{}
-	if err := unmarshalValInto(p, nil, b); err != nil {
+	if err := unmarshalValInto(&p.m, &p.v, nil, b); err != nil {
 		return nil, err
 	}
+	p.m.Vertex, p.m.decoded = &p.v, true
 	return &p.m, nil
 }
 
-// unmarshalValInto decodes a VAL into zeroed p, with the edge lists from
-// edges (the heap when nil).
-func unmarshalValInto(p *valPair, edges *RefArena, b []byte) error {
-	m := &p.m
-	m.Vertex, m.decoded = &p.v, true
-	b, err := unmarshalVertexInto(m.Vertex, edges, b)
+// unmarshalValInto decodes a VAL into zeroed m and v, carving the edge lists
+// and the block from d (the heap when nil). It leaves m.Vertex to the
+// caller, who knows where v will live.
+func unmarshalValInto(m *ValMsg, v *Vertex, d *Decoder, b []byte) error {
+	var edges *Slab[VertexRef]
+	var blocks *BlockSlab
+	if d != nil {
+		edges, blocks = &d.edges, &d.blocks
+	}
+	b, err := unmarshalVertexInto(v, edges, b)
 	if err != nil {
 		return err
 	}
@@ -154,7 +160,7 @@ func unmarshalValInto(p *valPair, edges *RefArena, b []byte) error {
 	hasBlock := b[0] == 1
 	b = b[1:]
 	if hasBlock {
-		if m.Block, b, err = UnmarshalBlock(b); err != nil {
+		if m.Block, b, err = blocks.unmarshal(b); err != nil {
 			return err
 		}
 	}
@@ -186,11 +192,13 @@ type EchoMsg struct {
 	Sig     SigBytes
 }
 
-// echoTailMax bounds the tail after the last entry: the voter's uvarint (a
-// NodeID takes at most three bytes) and the signature. An entry is at least
-// echoEntryMin bytes, so a frame that runs past the bound holds another one.
+// echoTailMax and echoTailMin bound the tail after the last entry: the
+// voter's uvarint (a NodeID takes one to three bytes) and the signature. An
+// entry is at least echoEntryMin bytes, so a frame that runs past the bound
+// holds another one.
 const (
 	echoTailMax  = 3 + 64
+	echoTailMin  = 1 + 64
 	echoEntryMin = 1 + 1 + 32
 )
 
@@ -217,7 +225,7 @@ func (m *EchoMsg) WireSize() int {
 }
 
 // unmarshalEchoInto decodes an ECHO frame into caller-provided storage — m,
-// and entries appended to buf — letting the Decoder carve both from its arena
+// and entries appended to buf — letting the Decoder carve both from its slabs
 // (echoes are the highest-volume message class). The entry count is bounded
 // by the bytes actually present, never by a declared length.
 func unmarshalEchoInto(m *EchoMsg, buf []EchoEntry, b []byte) error {

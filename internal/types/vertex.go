@@ -271,7 +271,7 @@ func UnmarshalVertex(b []byte) (*Vertex, []byte, error) {
 // unmarshalVertexInto decodes into caller-provided zeroed storage, so a
 // message that always carries a vertex can hold it in its own allocation,
 // with the edge lists from edges (the heap when nil).
-func unmarshalVertexInto(v *Vertex, edges *RefArena, b []byte) ([]byte, error) {
+func unmarshalVertexInto(v *Vertex, edges *Slab[VertexRef], b []byte) ([]byte, error) {
 	var u uint64
 	var err error
 	if u, b, err = Uvarint(b); err != nil {
@@ -414,12 +414,12 @@ func (v *Vertex) Equal(o *Vertex) bool {
 // honest encoder ever emits more than 2^16/8 bytes.
 const maxBitmapBytes = 8192
 
-// unmarshalEdges decodes both edge lists into one backing array, taken from
-// arena. Strong edges are a signer bitmap whose every bit targets round-1
+// unmarshalEdges decodes both edge lists into one backing array, carved from
+// slab (the heap when nil). Strong edges are a signer bitmap whose every bit targets round-1
 // (the only round validateVertex accepts); weak edges are (round delta,
 // source) varint pairs. Digests are not on the wire — RBC pins the vertex
 // behind each position.
-func unmarshalEdges(b []byte, round Round, arena *RefArena) (strong, weak []VertexRef, rest []byte, err error) {
+func unmarshalEdges(b []byte, round Round, slab *Slab[VertexRef]) (strong, weak []VertexRef, rest []byte, err error) {
 	width, b, err := Uvarint(b)
 	if err != nil {
 		return nil, nil, nil, err
@@ -437,7 +437,7 @@ func unmarshalEdges(b []byte, round Round, arena *RefArena) (strong, weak []Vert
 		return nil, nil, nil, fmt.Errorf("types: weak-edge count %d exceeds buffer", cnt)
 	}
 	ns := BitmapCount(bm)
-	refs := arena.Take(ns + int(cnt))
+	refs := slab.Take(ns+int(cnt), refSlabSize)
 	prev := Round(uint64(round) - 1)
 	BitmapForEach(bm, func(id NodeID) bool {
 		refs = append(refs, VertexRef{Round: prev, Source: id})
