@@ -431,7 +431,7 @@ func TestAnchorFenceFloor(t *testing.T) {
 	mustPanic("n=10 L=2 D=7", Config{N: 10, LeadersPerRound: 2, ReconfigDelay: 7})
 	for _, ok := range []Config{
 		{N: 7, ReconfigDelay: 6},
-		{N: 10, LeadersPerRound: 1, ReconfigDelay: 2}, // the single-leader walk has no such lag
+		{N: 10, LeadersPerRound: 1, ReconfigDelay: 2}, // the one-round reach has no such lag
 	} {
 		ok.fill()
 	}

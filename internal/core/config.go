@@ -170,10 +170,12 @@ type Config struct {
 	// The count is clamped per round to the eligible set. Slot 0, the
 	// primary, rotates one member per round and alone gates round
 	// advancement (timeouts / no-vote certificates); the other slots commit
-	// opportunistically under the same 2f+1-votes rule and are ordered
-	// fate-driven (internal/order). An explicit 1 is single-leader Sailfish
-	// with its certificate-backed chain walk — the configuration the paper's
-	// figures use.
+	// opportunistically under the same 2f+1-votes rule. It sets only the
+	// slot count: every count is ordered by one rule (internal/order). An
+	// explicit 1 is single-leader Sailfish — the configuration the paper's
+	// figures use — whose leaders without a quorum that rule decides from
+	// the next committed leader (decideSlot's one-round reach), as the
+	// paper's chain walk does.
 	LeadersPerRound int
 
 	// LeaderReputation enables the Shoal++-style reputation schedule:
@@ -216,7 +218,10 @@ type Config struct {
 // rounds whose proposals would move the frontier, for good.
 // TestAnchorFenceFloor measures it: f members crashing mid-run, two apart in
 // the rotation, stall n=5 at a ReconfigDelay of 2, n=7 at 4 and n=10 at 5;
-// each runs on at its floor (4, 6, 8).
+// each runs on at its floor (4, 6, 8). With one anchor a round there is no
+// such lag: every slot is a primary's, and decideSlot's one-round reach
+// decides a slot without a quorum from the next round's primary, so fill
+// asks only for a ReconfigDelay of 1.
 func anchorFenceFloor(n int) types.Round { return types.Round(2*((n-1)/3) + 2) }
 
 func (c *Config) fill() {
@@ -255,7 +260,7 @@ func (c *Config) fill() {
 	if c.ReconfigDelay == 0 {
 		c.ReconfigDelay = max(32, floor)
 	} else if c.ReconfigDelay < floor {
-		panic(fmt.Sprintf("core: ReconfigDelay %d is below %d, the least that %d anchors a round order under with N=%d (see anchorFenceFloor); raise it or set LeadersPerRound to 1",
+		panic(fmt.Sprintf("core: ReconfigDelay %d is below %d, the least that %d anchors a round order under with N=%d (see anchorFenceFloor); raise it, or set LeadersPerRound to 1 so that each slot is decided from the next round",
 			c.ReconfigDelay, floor, c.LeadersPerRound, c.N))
 	}
 	if c.AnchorWait == 0 {

@@ -192,9 +192,9 @@ func (n *Node) recountVotes(from types.Round) {
 }
 
 // drainCommits moves the commit rule's cursor as far as it goes (onStep acts
-// on each slot it leaves), then emits what was ordered. When the next anchor
-// waits for ancestors, emission waits with it: the insertion that completes
-// the history runs the next pass.
+// on each slot it leaves), then emits what was ordered. When the cursor waits
+// for a vertex — the next anchor's ancestor or the one deciding its slot —
+// emission waits with it: the insertion that brings it runs the next pass.
 func (n *Node) drainCommits() {
 	if n.ord.draining {
 		return
@@ -273,12 +273,7 @@ func (n *Node) onStep(s order.Step) {
 	if len(rtxs) > 0 {
 		n.scheduleEpoch(lp.Round, rtxs)
 	}
-	// The single-leader walk orders a chain of indirect commits below the
-	// leader that committed directly; the horizon moves once that leader is
-	// in, with the whole chain.
-	if s.Fate == order.Direct || n.cfg.LeadersPerRound > 1 {
-		n.gc()
-	}
+	n.gc()
 }
 
 // drainOut emits ordered vertices in sequence, holding at any vertex whose

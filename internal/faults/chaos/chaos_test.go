@@ -80,7 +80,8 @@ func chaosSeedBase(t *testing.T) int64 {
 // runs the default ordering path, every eligible member an anchor: seed 10 in
 // single-clan mode is the schedule on which PR 10's skip threshold let two
 // partitioned nodes skip a slot the others committed by path. A shorter sweep
-// pins LeadersPerRound to 1 so the single-leader chain walk stays covered.
+// pins LeadersPerRound to 1 so the commit rule's one-round reach, which only
+// a single anchor a round takes, stays covered.
 func TestChaosMixedFaults(t *testing.T) {
 	seeds := 10
 	if testing.Short() {
@@ -242,7 +243,8 @@ func churnSchedule() *faults.Schedule {
 // included — must make post-heal progress, and every node must finish in
 // the final epoch. Covered on the default (every eligible member an anchor:
 // the slot count of a round follows the membership across each fence) and
-// with LeadersPerRound pinned to 1, under the identical schedule.
+// with LeadersPerRound pinned to 1 (the one-round reach), under the identical
+// schedule.
 func TestChaosMembershipChurn(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -299,7 +301,7 @@ func reputationSchedule() *faults.Schedule {
 // certificate the crashed leaders are demoted out of the rotation instead of
 // stalling every pass. Run with every eligible member an anchor (the
 // default: the demotion shrinks the round's slot count), with two anchors a
-// round, and with the single leader pinned.
+// round, and with the single leader pinned (the one-round reach).
 func TestChaosMultiLeaderReputation(t *testing.T) {
 	for _, leaders := range []int{0, 2, 1} {
 		t.Run(fmt.Sprintf("L=%d", leaders), func(t *testing.T) {

@@ -23,8 +23,8 @@ import (
 // batches, encode scratch) must be returned by shutdown.
 //
 // Each mode runs on the default ordering path (every eligible member an
-// anchor) and with LeadersPerRound pinned to 1, the single-leader chain walk
-// the paper-figure experiments keep.
+// anchor) and with LeadersPerRound pinned to 1, the paper-figure experiments'
+// single leader, whose slots the commit rule decides with its one-round reach.
 func TestCommitOrderDeterminism(t *testing.T) {
 	type tcase struct {
 		name string

@@ -15,7 +15,7 @@ import (
 // assignments. Reconfiguration is ordered state-machine input, so it
 // inherits the determinism of the order itself. Covered on the default
 // ordering path (every eligible member an anchor) and once more with
-// LeadersPerRound pinned to 1.
+// LeadersPerRound pinned to 1, which covers the commit rule's one-round reach.
 func TestEpochFenceDeterminism(t *testing.T) {
 	members := []types.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	for _, tc := range []struct {

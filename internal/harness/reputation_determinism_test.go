@@ -18,7 +18,8 @@ import (
 // node performs, and the epoch-fence reputation reset all replay exactly.
 // Covered with two anchors a round, on the default (every eligible member an
 // anchor, so a demotion changes the slot count of a round, not only who fills
-// the slots) and with LeadersPerRound pinned to 1.
+// the slots) and with LeadersPerRound pinned to 1, which covers the commit
+// rule's one-round reach.
 func TestReputationScheduleDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

@@ -36,8 +36,8 @@ type Config struct {
 	// N is the universe size: the slot stride and the width of the tallies.
 	N int
 	// LeadersPerRound caps a round's anchor slots (see Anchors). 1 is
-	// single-leader Sailfish, whose skipped leaders are resolved by the
-	// certificate-backed chain walk instead of slot by slot.
+	// single-leader Sailfish; every count is ordered by the same rule
+	// (decideSlot).
 	LeadersPerRound int
 	// Reputation turns committed offenses (Offense) into demotions; off,
 	// the rotation is static.
@@ -228,9 +228,10 @@ func (o *Orderer) Vote(v *types.Vertex, moved func()) {
 			o.end = max(o.end, seq+1)
 		}
 		if len(o.wait) > 0 {
-			// Under the single-leader walk, the anchor waited for is the
-			// lowest quorate leader at or past the cursor; a new one below
-			// it takes its place. Otherwise the wait stands.
+			// The vertex waited for is the next anchor to order or the one
+			// deciding the cursor's slot; a new quorum between the cursor
+			// and it may decide the cursor's slot first, so the wait is
+			// derived afresh. Otherwise it stands.
 			if seq < o.cursor || seq >= o.waitSeq {
 				continue
 			}
@@ -276,9 +277,9 @@ func (o *Orderer) ClearWait() { clear(o.wait) }
 // every slot it leaves, in sequence. It stops on a slot whose fate is open,
 // when no slot at or past the cursor is known to hold a quorum (nothing can
 // be decided there before one does), or — reported as true — when the next
-// anchor's causal history is not all in the DAG yet (Inserted tells when it
-// is). emit may call Offense, Unvote, Vote and GC; the cursor re-reads
-// whatever they change.
+// anchor's causal history, or the vertex deciding the cursor's slot, is not
+// all in the DAG yet (Inserted tells when it is). emit may call Offense,
+// Unvote, Vote and GC; the cursor re-reads whatever they change.
 func (o *Orderer) Advance(emit func(Step)) (waiting bool) {
 	if len(o.wait) > 0 {
 		return true
@@ -287,39 +288,24 @@ func (o *Orderer) Advance(emit func(Step)) (waiting bool) {
 	for {
 		ss := o.nextSlot(o.cursor)
 		p := o.slotPos(ss)
+		if o.quorumEnd() <= ss {
+			return false
+		}
+		o.judgeLate(p.Round)
 		var fate Fate
-		if o.cfg.LeadersPerRound == 1 {
-			var ok bool
-			if fate, ok = o.memo[ss]; !ok {
-				h, found := o.head(p.Round)
-				if !found {
-					return false
-				}
-				if o.missing(h) {
-					return true
-				}
-				o.walkChain(p.Round, h)
-				fate = o.memo[ss]
-			}
-		} else {
-			if o.quorumEnd() <= ss {
-				return false
-			}
-			o.judgeLate(p.Round)
-			switch {
-			case !o.slotLive(p.Round, int(ss%uint64(o.cfg.N)), p.Source):
-				fate = NotLive
-			case o.quorate(p):
-				fate = Direct
-			default:
-				fate = o.decideSlot(ss)
-			}
-			if (fate == Direct || fate == Indirect) && o.missing(ss) {
-				return true
-			}
+		switch {
+		case !o.slotLive(p.Round, int(ss%uint64(o.cfg.N)), p.Source):
+			fate = NotLive
+		case o.quorate(p):
+			fate = Direct
+		default:
+			fate = o.decideSlot(ss)
 		}
 		if fate == Open {
-			return false
+			return len(o.wait) > 0
+		}
+		if (fate == Direct || fate == Indirect) && o.missing(ss) {
+			return true
 		}
 		o.cursor = ss + 1
 		var hist []*types.Vertex
@@ -336,7 +322,8 @@ func (o *Orderer) Advance(emit func(Step)) (waiting bool) {
 // missing records, as the wait set, the ancestors of the anchor at slot seq
 // that are not in the DAG, and reports whether there are any. A vertex is
 // inserted only over its complete ancestry, so this is usually the anchor
-// itself, not delivered yet although its quorum was seen.
+// itself, not delivered yet although its quorum was seen. seq is the next
+// anchor to order, or the one deciding the cursor's slot (decideSlot).
 func (o *Orderer) missing(seq uint64) bool {
 	for _, p := range o.dag.MissingAncestors(o.slotPos(seq)) {
 		if p.Round >= o.dag.MinRound() {
@@ -393,14 +380,28 @@ func (o *Orderer) quorumEnd() uint64 {
 // deciding slots disagree on the fate of the lower one, a strictly higher slot
 // than ss, and fates bottom out in direct commits.
 //
+// One-round reach: a primary's slot (r, 0) is searched from slot 0 of round
+// r+1 when that round has a single anchor. Its only slot is its primary, and
+// a round r+1 primary either strong-edges round r's or carries a no-vote
+// certificate, 2f+1 parties' word that they never voted for it
+// (validateVertex): no party can commit (r, 0) directly then, so a committed
+// round r+1 primary decides it by its edge alone. With more anchors in round
+// r+1 the slots after its primary carry no such certificate, and the search
+// keeps the two-round gap. With one anchor a round this is single-leader
+// Sailfish's rule: each skipped leader is resolved by the next committed one
+// that links down to it.
+//
 // Every input is a stable, eventually-global fact: a quorum once seen stays,
 // and the path is evaluated over the deciding vertex's complete causal
 // history. A party missing an input returns Open and holds; arrivals trigger
-// Advance again. No slot above the highest quorate one can commit, so the
-// search stops there. The cost of having no early skip: a slot whose vertex
-// never comes (a crashed member's) holds the slots behind it until slot 0 of
-// round r+2 commits — two rounds — which is why such a member's slots stop
-// being live (slotLive) a few rounds after its vertices stop coming.
+// Advance again. A deciding vertex whose quorum was seen before it entered
+// the DAG becomes the wait set (missing), as the next anchor to order does.
+// No slot above the highest quorate one can commit, so the search stops
+// there. The cost of having no early skip: a slot whose vertex never comes (a
+// crashed member's) holds the slots behind it until the slot that decides it
+// commits — slot 0 of round r+2, two rounds, or of round r+1 under the
+// one-round reach — which is why such a member's slots stop being live
+// (slotLive) a few rounds after its vertices stop coming.
 func (o *Orderer) decideSlot(ss uint64) Fate {
 	if f, ok := o.memo[ss]; ok {
 		return f
@@ -411,7 +412,11 @@ func (o *Orderer) decideSlot(ss uint64) Fate {
 	if o.quorate(p) {
 		f = Direct
 	} else {
-		for s2 := uint64(p.Round+2) * uint64(o.cfg.N); s2 < o.quorumEnd(); s2 = o.nextSlot(s2 + 1) {
+		from := p.Round + 2
+		if ss%uint64(o.cfg.N) == 0 && o.Anchors(p.Round+1) == 1 {
+			from = p.Round + 1
+		}
+		for s2 := uint64(from) * uint64(o.cfg.N); s2 < o.quorumEnd(); s2 = o.nextSlot(s2 + 1) {
 			f2 := o.decideSlot(s2)
 			if f2 == Open {
 				break // an open fate below the deciding slot: hold
@@ -421,10 +426,11 @@ func (o *Orderer) decideSlot(ss uint64) Fate {
 			}
 			fp := o.slotPos(s2)
 			if !o.dag.Has(fp) {
-				// Path not yet evaluable: hold until the deciding vertex is
-				// in the DAG. That is all it takes — a vertex is inserted
-				// only over its complete ancestry, so its causal history
-				// needs no second walk.
+				// Path not yet evaluable: wait for the deciding vertex. That
+				// is all it takes — a vertex is inserted only over its
+				// complete ancestry, so its causal history needs no second
+				// walk.
+				o.missing(s2)
 				break
 			}
 			if o.dag.StrongPath(fp, p) {
@@ -437,42 +443,6 @@ func (o *Orderer) decideSlot(ss uint64) Fate {
 	}
 	o.memo[ss] = f
 	return f
-}
-
-// head returns the single-leader walk's next anchor to order directly: the
-// lowest round at or past r whose leader holds a direct quorum.
-func (o *Orderer) head(r types.Round) (uint64, bool) {
-	for ; r <= o.hi; r++ {
-		if o.quorate(types.Position{Round: r, Source: o.Leader(r)}) {
-			return uint64(r) * uint64(o.cfg.N), true
-		}
-	}
-	return 0, false
-}
-
-// walkChain decides, for single-leader rounds, every slot from round c up to
-// the directly committed leader at slot h. Those rounds carry certificates:
-// a leader of round r+1 either strong-edges round r's leader or carries a
-// no-vote certificate proving 2f+1 parties never voted for it, so the chain
-// of strong paths down from h is exactly the set of leaders that commit
-// anywhere, and every other leader in between is skipped for good. The walk
-// goes newest first, each link from the last leader on the chain.
-func (o *Orderer) walkChain(c types.Round, h uint64) {
-	N := uint64(o.cfg.N)
-	top := types.Round(h / N)
-	for r := c; r < top; r++ {
-		o.memo[uint64(r)*N] = Skipped
-	}
-	o.memo[h] = Direct
-	cur := o.slotPos(h)
-	for r := top; r > c; {
-		r--
-		prev := types.Position{Round: r, Source: o.Leader(r)}
-		if o.dag.Has(prev) && o.dag.StrongPath(cur, prev) {
-			o.memo[uint64(r)*N] = Indirect
-			cur = prev
-		}
-	}
 }
 
 // Slot liveness. When the cursor enters round r it judges round r-liveLag:
@@ -537,8 +507,8 @@ func (o *Orderer) slotLive(r types.Round, idx int, src types.NodeID) bool {
 }
 
 // tallyOrdered folds a vertex just appended to the total order into the
-// ordered vote tally of the round below it (see slotLive). The single-leader
-// walk never asks.
+// ordered vote tally of the round below it (see slotLive). With one anchor a
+// round every slot is a primary's, always live, so the tally decides nothing.
 func (o *Orderer) tallyOrdered(v *types.Vertex) {
 	if o.cfg.LeadersPerRound == 1 || v.Round == 0 || v.Round-1 < o.dag.MinRound() {
 		return

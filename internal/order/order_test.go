@@ -197,7 +197,7 @@ func orderView(leaders int, view, seenOnly []*types.Vertex) outcome {
 }
 
 // TestModelPartialViewsAgree is the small-scope model test of the commit
-// rule. For seeded n=4 DAGs of four and five rounds, it orders every
+// rule. For seeded n=4 DAGs of five and six rounds, it orders every
 // ancestor-closed view of each DAG — delivered alone, with every other
 // vertex seen as a proposal, and with a seeded half of them seen — and
 // checks each against the full DAG: its sequence must be a prefix of the
@@ -211,7 +211,7 @@ func TestModelPartialViewsAgree(t *testing.T) {
 	checked, empty := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		rounds := genDAG(rng, 4+int(seed%2))
+		rounds := genDAG(rng, 5+int(seed%2))
 		var all []*types.Vertex
 		for _, rv := range rounds {
 			all = append(all, rv...)
@@ -256,4 +256,84 @@ func TestModelPartialViewsAgree(t *testing.T) {
 		t.Fatalf("%d of 120 full DAGs ordered nothing: the shapes no longer exercise the rule", empty)
 	}
 	t.Logf("%d views ordered; %d of 120 full DAGs ordered nothing", checked, empty)
+}
+
+// TestAdvanceWaitsForDecidingVertex: with four anchors a round, the cursor's
+// slot, round 0's primary (0,0), has no quorum of its own and is decided by
+// round 2's primary (2,2), quorate on seen proposals but not yet in the DAG.
+// The cursor waits for that vertex as it would for an anchor's history:
+// other insertions do not wake it, its insertion does and orders (0,0)
+// through it, and a quorum on a slot between the two replaces the wait, since
+// such a slot may decide first.
+func TestAdvanceWaitsForDecidingVertex(t *testing.T) {
+	const n = 4
+	vx := func(r types.Round, s types.NodeID, below ...types.NodeID) *types.Vertex {
+		v := &types.Vertex{Round: r, Source: s}
+		for _, b := range below {
+			v.StrongEdges = append(v.StrongEdges, types.VertexRef{Round: r - 1, Source: b})
+		}
+		return v
+	}
+	d := dag.New(n)
+	o := New(Config{N: n, LeadersPerRound: n, EpochOf: static(n)}, d)
+	var steps []Step
+	emit := func(s Step) { steps = append(steps, s) }
+	nop := func() {}
+	insert := func(v *types.Vertex) bool {
+		o.Vote(v, nop)
+		if err := d.Insert(v); err != nil {
+			t.Fatal(err)
+		}
+		return o.Inserted(v.Pos())
+	}
+	for s := types.NodeID(0); s < n; s++ {
+		insert(vx(0, s))
+	}
+	// Only (1,1) votes for (0,0); the path (2,2) → (1,1) → (0,0) orders it.
+	insert(vx(1, 0, 1, 2, 3))
+	insert(vx(1, 1, 0, 1, 2))
+	insert(vx(1, 2, 1, 2, 3))
+	insert(vx(1, 3, 1, 2, 3))
+	if o.Advance(emit) || len(steps) != 0 {
+		t.Fatalf("before any round 2 quorum: waiting or ordered %v", steps)
+	}
+	// Round 2's proposals are seen before they are delivered, all but (2,3).
+	decider := vx(2, 2, 0, 1, 2)
+	r2 := []*types.Vertex{decider, vx(2, 0, 0, 1, 3), vx(2, 1, 0, 2, 3), vx(2, 3, 1, 2, 3)}
+	for _, v := range r2[:3] {
+		o.Vote(v, nop)
+	}
+	for _, s := range []types.NodeID{0, 2, 3} {
+		o.Vote(vx(3, s, 0, 1, 2), nop)
+	}
+	if !o.Advance(emit) {
+		t.Fatal("Advance does not wait for the deciding vertex (2,2)")
+	}
+	if insert(r2[1]) {
+		t.Fatal("inserting (2,0) woke a cursor waiting for (2,2)")
+	}
+	// (2,3) brings (1,1), (1,2) and (1,3) to their quorums: slots between
+	// the cursor and the decider, so each replaces the wait.
+	moved := 0
+	o.Vote(r2[3], func() { moved++ })
+	if moved != 3 || len(o.wait) != 0 {
+		t.Fatalf("quorums between cursor and decider: moved %d times (want 3), wait %v left", moved, o.wait)
+	}
+	if !o.Advance(emit) {
+		t.Fatal("Advance does not derive the wait for (2,2) afresh")
+	}
+	for _, v := range r2[2:] {
+		if insert(v) {
+			t.Fatalf("inserting %v woke a cursor waiting for (2,2)", v.Pos())
+		}
+	}
+	if !insert(decider) {
+		t.Fatal("inserting the deciding vertex (2,2) does not wake the cursor")
+	}
+	if o.Advance(emit) {
+		t.Fatal("still waiting with (2,2) in the DAG")
+	}
+	if len(steps) == 0 || steps[0].Slot != (types.Position{Round: 0, Source: 0}) || steps[0].Fate != Indirect {
+		t.Fatalf("first step %v, want slot (0,0) ordered indirectly", steps)
+	}
 }
