@@ -395,6 +395,8 @@ type Node struct {
 	// clan, expired at the GC horizon.
 	mBlocksEvicted *metrics.Counter
 	mBlocksExpired *metrics.Counter
+	// mPulls counts the vertex and block pulls sent, retries included.
+	mPulls *metrics.Counter
 
 	// Metrics is the legacy counter struct, retained as a compatibility
 	// view; PipelineSnapshot is the unified interface.
@@ -486,6 +488,7 @@ func (n *Node) initMetrics() {
 	n.mRBCLat = reg.Histogram(types.StageRBC.Metric("latency"))
 	n.mBlocksEvicted = reg.Counter(types.StageRBC.Metric("blocks_evicted"))
 	n.mBlocksExpired = reg.Counter(types.StageRBC.Metric("blocks_expired"))
+	n.mPulls = reg.Counter(types.StageRBC.Metric("pulls"))
 	n.mEchoHold = reg.Histogram(types.StageRBC.Metric("echo_hold"))
 	reg.Gauge(types.StageRBC.Metric("blocks_cached"))
 	reg.Gauge(types.StageRBC.Metric("block_bytes_cached"))

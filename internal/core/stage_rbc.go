@@ -48,8 +48,8 @@ type inst = rbc.Inst[slot]
 type slot struct {
 	// born is when the instance was made (rbc.latency: born -> delivered).
 	born time.Duration
-	// blockPull and vtxPull re-send a pull until it is answered; cursor
-	// rotates its target.
+	// blockPull and vtxPull re-send a pull with evidence until it is
+	// answered (pull); cursor rotates its target.
 	blockPull, vtxPull transport.Timer
 	cursor             int
 	// emitted: this party's execution stage has the vertex, and its block
@@ -518,7 +518,10 @@ const pullRetry = 200 * time.Millisecond
 
 // pull asks for what pos lacks — its vertex from anyone in the tribe, its
 // block from this party's clan — one peer at a time in rotation, every
-// pullRetry until it arrives. A pull already running is left to run.
+// pullRetry until it arrives while the rule has evidence that the vertex
+// exists (rbc.Table.Evidenced). Without it the pull is one probe: the round
+// timer's re-drive repeats it, at the next target. A pull already running is
+// left to run.
 func (n *Node) pull(pos types.Position, in *inst, block bool) {
 	timer := &in.X.vtxPull
 	if block {
@@ -557,6 +560,10 @@ func (n *Node) pull(pos types.Position, in *inst, block bool) {
 		return
 	}
 	n.send(target, m)
+	n.mPulls.Inc()
+	if !n.rbc.Evidenced(pos) {
+		return
+	}
 	*timer = n.clk.After(pullRetry, func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()

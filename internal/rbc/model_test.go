@@ -49,6 +49,7 @@ type model struct {
 	clan map[types.NodeID]bool
 	ps   []*party // nil: Byzantine
 	pool []msg
+	bad  []string // what an act broke as it was made
 }
 
 type modelConfig struct {
@@ -176,11 +177,16 @@ func (m *model) deliver(mm msg) {
 }
 
 // act carries out id's acts: an echo goes to everyone, a delivery makes the
-// pull replies. The pulls themselves are those replies.
+// pull replies. The pulls themselves are those replies; each must have
+// evidence, or core would not retry it.
 func (m *model) act(id types.NodeID, acts []Act) {
 	p := m.ps[id]
 	for _, a := range acts {
 		switch a.Kind {
+		case NeedVertex, NeedBlock:
+			if !p.tab.Evidenced(a.Pos) {
+				m.bad = append(m.bad, fmt.Sprintf("pull without evidence at %v", a.Pos))
+			}
 		case Echo:
 			for to := 0; to < m.n; to++ {
 				m.pool = append(m.pool, msg{kind: mEcho, from: id, to: types.NodeID(to), pos: a.Pos, d: a.V.DigestCached()})
@@ -199,7 +205,8 @@ func (m *model) act(id types.NodeID, acts []Act) {
 }
 
 // check returns the properties the finished schedule broke, at P and C.
-func (c modelConfig) check(m *model, positions ...types.Position) (bad []string) {
+func (c modelConfig) check(m *model, positions ...types.Position) []string {
+	bad := m.bad
 	for _, pos := range positions {
 		var got *types.Vertex
 		some, all := false, true

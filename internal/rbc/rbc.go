@@ -291,6 +291,15 @@ func (t *Table[X]) Range(fn func(pos types.Position, in *Inst[X])) {
 	}
 }
 
+// Evidenced reports whether something proves a vertex exists at pos: the
+// instance holds a vertex, a certificate or an echo tally (the proposer's VAL
+// is its echo), or a child's echo waits on it. Every NeedVertex and NeedBlock
+// has evidence; a pull without it may be for a vertex nobody proposed.
+func (t *Table[X]) Evidenced(pos types.Position) bool {
+	in := t.Get(pos)
+	return in != nil && (in.vertex != nil || in.hasCert || in.first.agg.Count() > 0) || len(t.wait[pos]) > 0
+}
+
 // Check runs the echo rule at pos; block, when not zero, is the digest of a
 // block this party now holds.
 func (t *Table[X]) Check(pos types.Position, block types.Hash) []Act {
