@@ -28,7 +28,6 @@ package clanbft
 
 import (
 	"fmt"
-	"time"
 
 	"clanbft/internal/committee"
 	"clanbft/internal/core"
@@ -71,6 +70,11 @@ const (
 // EpochInfo describes one epoch: its fence round, member set, and clans.
 type EpochInfo = core.EpochInfo
 
+// Params are the protocol settings the library, the simulator and every
+// node share: epoch-0 Members, ReconfigDelay, the reputation schedule and
+// RoundTimeout. See core.Params for each one's meaning and default.
+type Params = core.Params
+
 // Options configures a cluster.
 type Options struct {
 	// N is the number of parties (minimum 4).
@@ -86,8 +90,6 @@ type Options struct {
 	// MaxTxPerBlock bounds how many queued transactions one proposal
 	// drains (default 1000).
 	MaxTxPerBlock int
-	// RoundTimeout bounds the wait for a round leader (default 3 s).
-	RoundTimeout time.Duration
 	// Deprecated: ignored; OnCommit always runs on the node's execution
 	// goroutine.
 	ExecQueue int
@@ -96,25 +98,13 @@ type Options struct {
 	StoreDir string
 	// Seed drives deterministic key generation and clan sampling.
 	Seed int64
-	// Members lists the parties active in epoch 0 (nil = all N). N stays
-	// the universe capacity: every party holds a key and may join later
-	// through a committed ReconfigTx; non-members run as observers that
-	// track the DAG until a fence admits them.
-	Members []NodeID
-	// ReconfigDelay is the round gap between a committed ReconfigTx and
-	// its epoch fence (default 32, or 2f+2 where that is more; tests use
-	// smaller values to cross fences quickly). A value below 2f+2,
-	// f = (N-1)/3, is rejected at construction: see
-	// core.Config.ReconfigDelay.
-	ReconfigDelay types.Round
-	// LeaderReputation enables the reputation-driven leader schedule:
-	// committed timeout/no-vote evidence demotes repeat offenders from
-	// the rotation for ReputationWindow rounds (default 64), keeping the
-	// anchor path away from crashed or slow parties. Deterministic:
-	// every node derives the identical schedule from the total order.
-	LeaderReputation bool
-	// ReputationWindow is the demotion length in rounds (default 64).
-	ReputationWindow types.Round
+	// Params are the settings every node is given as they are. Members
+	// (nil = all N) is the epoch-0 member set; N stays the universe
+	// capacity: every party holds a key and may join later through a
+	// committed ReconfigTx, and non-members run as observers that track the
+	// DAG until a fence admits them. A ReconfigDelay below 2f+2,
+	// f = (N-1)/3, is rejected at construction.
+	Params
 }
 
 // clanFailureProb bounds the probability that a sampled single clan has a
@@ -128,10 +118,10 @@ func (o *Options) fill() error {
 	if o.MaxTxPerBlock == 0 {
 		o.MaxTxPerBlock = 1000
 	}
-	if o.RoundTimeout == 0 {
-		o.RoundTimeout = 3 * time.Second
+	if o.ClanSize == 0 {
+		o.ClanSize = PlanClanSize(o.N, clanFailureProb)
 	}
-	if o.Mode == ModeMultiClan && o.NumClans == 0 {
+	if o.NumClans == 0 {
 		o.NumClans = 2
 	}
 	return nil
@@ -152,49 +142,28 @@ func PlanMultiClanFailure(n, q int) float64 {
 	return committee.Float(committee.MultiClanFailureProb(n, f, committee.EqualPartitionSizes(n, q)))
 }
 
-// sampleClans draws the epoch-0 clan composition the options describe (nil
-// for ModeSailfish): a pure function of the options, so every party of a
-// deployment lands on the same clans.
-func (o *Options) sampleClans() [][]types.NodeID {
-	switch o.Mode {
-	case ModeSingleClan:
-		size := o.ClanSize
-		if size == 0 {
-			size = PlanClanSize(o.N, clanFailureProb)
-		}
-		if o.Members != nil {
-			return [][]types.NodeID{committee.SampleClanMembers(o.Members, min(size, len(o.Members)), o.Seed+2)}
-		}
-		return [][]types.NodeID{committee.SampleClan(o.N, size, o.Seed+2)}
-	case ModeMultiClan:
-		if o.Members != nil {
-			return committee.PartitionMembers(o.Members, o.NumClans, o.Seed+2)
-		}
-		return committee.PartitionClans(o.N, o.NumClans, o.Seed+2)
-	}
-	return nil
+// genesis is the deployment's epoch 0, a pure function of the options, so
+// every party of a deployment derives the same keys and clans.
+func (o *Options) genesis() core.Genesis {
+	return core.NewGenesis(uint64(o.Seed)+1, o.Seed+2, o.N, o.Mode, o.Members, o.ClanSize, o.NumClans, nil)
 }
 
 // nodeConfig is the core.Config NewCluster and NewTCPNode both start from:
-// every protocol option is passed in this one place, so neither constructor
+// every protocol setting is passed in this one place, so neither constructor
 // can drop one. Anchors, holds and pull pacing are core's defaults. Deliver
 // fans each committed vertex out to the callbacks registered in *onCommit, in
 // registration order. Callers add what is theirs: block source, store and
 // reconfiguration hook.
-func (o *Options) nodeConfig(self NodeID, key *crypto.KeyPair, reg *crypto.Registry, clans [][]types.NodeID, onCommit *[]func(Commit)) core.Config {
+func (o *Options) nodeConfig(self NodeID, g *core.Genesis, onCommit *[]func(Commit)) core.Config {
 	return core.Config{
-		Self:             self,
-		N:                o.N,
-		Mode:             o.Mode,
-		Clans:            clans,
-		Key:              key,
-		Reg:              reg,
-		Costs:            crypto.ZeroCosts(),
-		RoundTimeout:     o.RoundTimeout,
-		Members:          o.Members,
-		ReconfigDelay:    o.ReconfigDelay,
-		LeaderReputation: o.LeaderReputation,
-		ReputationWindow: o.ReputationWindow,
+		Self:   self,
+		N:      o.N,
+		Mode:   o.Mode,
+		Clans:  g.Clans,
+		Params: o.Params,
+		Key:    &g.Keys[self],
+		Reg:    g.Reg,
+		Costs:  crypto.ZeroCosts(),
 		Deliver: func(cv core.CommittedVertex) {
 			for _, fn := range *onCommit {
 				fn(cv)
@@ -212,9 +181,7 @@ type Cluster struct {
 	net          *transport.ChanNet
 	nodes        []*core.Node
 	pools        []*mempool.Pool
-	clans        [][]types.NodeID
-	keys         []crypto.KeyPair
-	reg          *crypto.Registry
+	genesis      core.Genesis
 	stores       []store.Store
 	vpool        *crypto.VerifyPool
 	onCommit     [][]func(Commit)
@@ -230,12 +197,10 @@ func NewCluster(o Options) (*Cluster, error) {
 	c := &Cluster{
 		opts:     o,
 		net:      transport.NewChanNet(o.N, 0),
-		keys:     crypto.GenerateKeys(o.N, uint64(o.Seed)+1),
+		genesis:  o.genesis(),
 		onCommit: make([][]func(Commit), o.N),
 		pools:    make([]*mempool.Pool, o.N),
 	}
-	c.reg = crypto.NewRegistry(c.keys, true)
-	c.clans = o.sampleClans()
 	// One GOMAXPROCS-wide pool fronts every node's mailbox: signatures
 	// verify in parallel across cores, handlers apply already-verified
 	// messages in order.
@@ -244,7 +209,7 @@ func NewCluster(o Options) (*Cluster, error) {
 	for i := 0; i < o.N; i++ {
 		id := types.NodeID(i)
 		c.pools[i] = mempool.NewPool(o.MaxTxPerBlock)
-		cfg := o.nodeConfig(id, &c.keys[i], c.reg, c.clans, &c.onCommit[i])
+		cfg := o.nodeConfig(id, &c.genesis, &c.onCommit[i])
 		cfg.Blocks = c.pools[i]
 		if o.StoreDir != "" {
 			disk, err := store.Open(fmt.Sprintf("%s/node%03d", o.StoreDir, i), store.Options{})
@@ -304,16 +269,9 @@ func (c *Cluster) SubmitTo(id NodeID, tx []byte) {
 // configured mode (epoch 0; later epochs re-sample, see EpochTable).
 func (c *Cluster) Proposers() []NodeID {
 	if c.opts.Mode == ModeSingleClan {
-		return append([]NodeID(nil), c.clans[0]...)
+		return append([]NodeID(nil), c.genesis.Clans[0]...)
 	}
-	if c.opts.Members != nil {
-		return append([]NodeID(nil), c.opts.Members...)
-	}
-	out := make([]NodeID, c.opts.N)
-	for i := range out {
-		out[i] = NodeID(i)
-	}
-	return out
+	return append([]NodeID(nil), c.opts.MemberSet(c.opts.N)...)
 }
 
 // SubmitReconfig signs a membership transaction with the affected party's
@@ -322,7 +280,7 @@ func (c *Cluster) Proposers() []NodeID {
 // commits; EpochTable shows the resulting membership and clans.
 func (c *Cluster) SubmitReconfig(action types.ReconfigAction, id NodeID, addr string) {
 	tx := ReconfigTx{Action: action, Node: id, Addr: addr}
-	core.SignReconfig(c.reg, &c.keys[id], &tx)
+	core.SignReconfig(c.genesis.Reg, &c.genesis.Keys[id], &tx)
 	for _, n := range c.nodes {
 		n.SubmitReconfig(tx)
 	}
@@ -347,8 +305,8 @@ func (c *Cluster) CurrentEpoch(i int) uint64 { return c.nodes[i].CurrentEpoch() 
 
 // Clans returns the clan composition (nil for ModeSailfish).
 func (c *Cluster) Clans() [][]NodeID {
-	out := make([][]NodeID, len(c.clans))
-	for i, cl := range c.clans {
+	out := make([][]NodeID, len(c.genesis.Clans))
+	for i, cl := range c.genesis.Clans {
 		out[i] = append([]NodeID(nil), cl...)
 	}
 	return out
@@ -356,7 +314,7 @@ func (c *Cluster) Clans() [][]NodeID {
 
 // ClanOf returns the clan index executing id's payloads, or -1.
 func (c *Cluster) ClanOf(id NodeID) int {
-	for ci, cl := range c.clans {
+	for ci, cl := range c.genesis.Clans {
 		for _, m := range cl {
 			if m == id {
 				return ci
@@ -375,15 +333,15 @@ func (c *Cluster) ClanFaultBound(ci int) int {
 	if c.opts.Mode == ModeSailfish {
 		return committee.ClanMaxFaulty(c.opts.N)
 	}
-	return committee.ClanMaxFaulty(len(c.clans[ci]))
+	return committee.ClanMaxFaulty(len(c.genesis.Clans[ci]))
 }
 
 // Registry exposes the cluster's public-key registry (for verifying
 // execution responses with the execution package).
-func (c *Cluster) Registry() *crypto.Registry { return c.reg }
+func (c *Cluster) Registry() *crypto.Registry { return c.genesis.Reg }
 
 // Keys returns node i's key pair (examples wire executors with it).
-func (c *Cluster) Keys(i int) *crypto.KeyPair { return &c.keys[i] }
+func (c *Cluster) Keys(i int) *crypto.KeyPair { return &c.genesis.Keys[i] }
 
 // Metrics returns node i's consensus counters.
 func (c *Cluster) Metrics(i int) core.Metrics { return c.nodes[i].MetricsSnapshot() }

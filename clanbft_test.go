@@ -216,7 +216,7 @@ func TestClusterPersistence(t *testing.T) {
 
 func TestTCPNodesReachConsensus(t *testing.T) {
 	const n = 4
-	nodes := bootTCP(t, Options{N: n, Seed: 5, RoundTimeout: 2 * time.Second})
+	nodes := bootTCP(t, Options{N: n, Seed: 5, Params: Params{RoundTimeout: 2 * time.Second}})
 	var mu sync.Mutex
 	seen := map[string]bool{}
 	nodes[0].OnCommit(func(cv Commit) {

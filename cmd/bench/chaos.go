@@ -29,7 +29,7 @@ func runChaos(base int64, perMode int, showMetrics bool) error {
 			sched := chaos.GenSchedule(seed, 7, 2)
 			r := harness.Run(harness.Config{
 				Mode: mode, N: 7, Seed: seed, TxPerProposal: 3,
-				RoundTimeout: 700 * time.Millisecond,
+				Params: core.Params{RoundTimeout: 700 * time.Millisecond},
 				// The generated schedule heals at 7 s.
 				Warmup: 8500 * time.Millisecond, Measure: 4500 * time.Millisecond,
 				Faults: &sched,

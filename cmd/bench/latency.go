@@ -39,13 +39,12 @@ func runLatency(seed int64, quick bool) error {
 	base := harness.Config{
 		Mode: core.ModeBaseline, N: 9, TxPerProposal: 30,
 		Warmup: 2 * time.Second, Measure: measure, Seed: seed,
-		RoundTimeout: 1200 * time.Millisecond,
 		// The default 32-round fence was tuned for membership changes; at
 		// the stalled static cadence it is ~10 simulated seconds, which
 		// would push every schedule change past the end of the run. Both
 		// configurations share a short fence (multi-anchor ordering takes
 		// no less than 6 at n=9) so the comparison isolates the schedule.
-		ReconfigDelay: 8,
+		Params: core.Params{RoundTimeout: 1200 * time.Millisecond, ReconfigDelay: 8},
 		Faults: &faults.Schedule{Seed: seed, Events: []faults.Event{
 			// Crash before the measurement window opens: the static run
 			// measures the steady dead-primary cadence, the compressed run

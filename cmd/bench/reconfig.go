@@ -37,8 +37,7 @@ func runReconfig(seed int64) error {
 
 	base := clanbft.Options{
 		N:             universe,
-		Members:       []clanbft.NodeID{0, 1, 2, 3},
-		ReconfigDelay: delay,
+		Params:        clanbft.Params{Members: []clanbft.NodeID{0, 1, 2, 3}, ReconfigDelay: delay},
 		MaxTxPerBlock: 64,
 		Seed:          seed,
 	}

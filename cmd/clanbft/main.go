@@ -62,7 +62,7 @@ func main() {
 	}
 	opts := clanbft.Options{
 		N: *n, Mode: mode, ClanSize: *clanSize, NumClans: *numClans,
-		Seed: *seed, StoreDir: *storeDir, RoundTimeout: 3 * time.Second,
+		Seed: *seed, StoreDir: *storeDir,
 	}
 
 	if *local {

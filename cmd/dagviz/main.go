@@ -14,7 +14,6 @@ import (
 
 	"clanbft/internal/committee"
 	"clanbft/internal/core"
-	"clanbft/internal/crypto"
 	"clanbft/internal/dag"
 	"clanbft/internal/mempool"
 	"clanbft/internal/order"
@@ -27,47 +26,28 @@ func main() {
 		n      = flag.Int("n", 4, "cluster size")
 		rounds = flag.Int("rounds", 8, "rounds to draw")
 		mode   = flag.String("mode", "sailfish", "sailfish | single-clan | multi-clan")
-		clan   = flag.Int("clan", 0, "single-clan size (0 = solve)")
+		clan   = flag.Int("clan", 0, "single-clan size (0 = 2n/3+1); multi-clan runs 2 clans")
 	)
 	flag.Parse()
 
-	m := core.ModeBaseline
-	var clans [][]types.NodeID
-	switch *mode {
-	case "sailfish":
-	case "single-clan":
-		m = core.ModeSingleClan
-		size := *clan
-		if size == 0 {
-			size = (*n)*2/3 + 1
-		}
-		for i := 0; i < size; i++ {
-			if len(clans) == 0 {
-				clans = [][]types.NodeID{{}}
-			}
-			clans[0] = append(clans[0], types.NodeID(i))
-		}
-	case "multi-clan":
-		m = core.ModeMultiClan
-		half := *n / 2
-		clans = [][]types.NodeID{{}, {}}
-		for i := 0; i < *n; i++ {
-			clans[i/half%2] = append(clans[i/half%2], types.NodeID(i))
-		}
-	default:
+	modes := map[string]core.Mode{"sailfish": core.ModeBaseline, "single-clan": core.ModeSingleClan, "multi-clan": core.ModeMultiClan}
+	m, ok := modes[*mode]
+	if !ok {
 		fmt.Fprintln(os.Stderr, "unknown mode")
 		os.Exit(2)
 	}
+	if *clan == 0 {
+		*clan = (*n)*2/3 + 1
+	}
 
 	net := simnet.New(simnet.Config{N: *n, LatencyRTTms: [][]float64{{60}}, JitterPct: -1, Seed: 1})
-	keys := crypto.GenerateKeys(*n, 1)
-	reg := crypto.NewRegistry(keys, false)
+	g := core.NewGenesis(1, 2, *n, m, nil, *clan, 2, nil)
 	var observer *core.Node
 	for i := 0; i < *n; i++ {
 		id := types.NodeID(i)
 		nd := core.New(core.Config{
-			Self: id, N: *n, Mode: m, Clans: clans,
-			Key: &keys[i], Reg: reg,
+			Self: id, N: *n, Mode: m, Clans: g.Clans,
+			Key: &g.Keys[i], Reg: g.Reg,
 			Blocks: mempool.NewGenerator(id, 2, 64, false),
 		}, net.Endpoint(id), net.Clock(id))
 		if i == 0 {

@@ -30,7 +30,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	base := clanbft.Options{N: n, Seed: 7, RoundTimeout: time.Second}
+	base := clanbft.Options{N: n, Seed: 7, Params: clanbft.Params{RoundTimeout: time.Second}}
 	addrs := map[clanbft.NodeID]string{}
 	books := make([]map[clanbft.NodeID]string, n)
 	nodes := make([]*clanbft.TCPNode, n)

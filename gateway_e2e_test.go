@@ -167,7 +167,7 @@ func TestGatewayLoadGeneratorSmoke(t *testing.T) {
 func TestTCPTxPathPoolBalanced(t *testing.T) {
 	const writes = 400
 	pc := types.StartPoolCheck()
-	nodes := bootTCP(t, Options{N: 4, Seed: 5, RoundTimeout: 2 * time.Second})
+	nodes := bootTCP(t, Options{N: 4, Seed: 5, Params: Params{RoundTimeout: 2 * time.Second}})
 	execs := make([]*execution.Executor, len(nodes))
 	for i, nd := range nodes {
 		ex := execution.NewExecutor(NodeID(i), nil)

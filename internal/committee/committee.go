@@ -216,24 +216,9 @@ func Float(r *big.Rat) float64 {
 	return f
 }
 
-// SampleClan draws a uniformly random clan of size nc from n parties using
-// the seeded generator, returning sorted member IDs. Deterministic per seed.
-func SampleClan(n, nc int, seed int64) []types.NodeID {
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(n)
-	members := make([]types.NodeID, nc)
-	for i := 0; i < nc; i++ {
-		members[i] = types.NodeID(perm[i])
-	}
-	sortNodeIDs(members)
-	return members
-}
-
-// SampleClanMembers is SampleClan over an explicit member list (an epoch's
-// active subset of the node universe): it draws a uniformly random clan of
-// size nc from members, deterministic per seed. Used at epoch fences, where
-// the clan sampler re-runs over the reconfigured tribe seeded by the epoch
-// number.
+// SampleClanMembers draws a uniformly random clan of size nc from members
+// (an epoch's active subset of the node universe, or all of it), returning
+// sorted member IDs. Deterministic per seed.
 func SampleClanMembers(members []types.NodeID, nc int, seed int64) []types.NodeID {
 	if nc > len(members) {
 		panic(fmt.Sprintf("committee: clan size %d exceeds %d members", nc, len(members)))
@@ -248,9 +233,8 @@ func SampleClanMembers(members []types.NodeID, nc int, seed int64) []types.NodeI
 	return out
 }
 
-// PartitionMembers is PartitionClans over an explicit member list: all
-// members are split into q clans with EqualPartitionSizes, uniformly at
-// random, deterministic per seed.
+// PartitionMembers splits all members into q clans with
+// EqualPartitionSizes, uniformly at random, deterministic per seed.
 func PartitionMembers(members []types.NodeID, q int, seed int64) [][]types.NodeID {
 	rng := rand.New(rand.NewSource(seed))
 	perm := rng.Perm(len(members))
@@ -265,26 +249,6 @@ func PartitionMembers(members []types.NodeID, q int, seed int64) [][]types.NodeI
 		}
 		sortNodeIDs(clan)
 		out[c] = clan
-	}
-	return out
-}
-
-// PartitionClans partitions all n parties into q clans with
-// EqualPartitionSizes, uniformly at random, deterministic per seed.
-func PartitionClans(n, q int, seed int64) [][]types.NodeID {
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(n)
-	sizes := EqualPartitionSizes(n, q)
-	out := make([][]types.NodeID, q)
-	idx := 0
-	for c, s := range sizes {
-		members := make([]types.NodeID, s)
-		for i := 0; i < s; i++ {
-			members[i] = types.NodeID(perm[idx])
-			idx++
-		}
-		sortNodeIDs(members)
-		out[c] = members
 	}
 	return out
 }

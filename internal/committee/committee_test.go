@@ -166,7 +166,7 @@ func TestMultiClanDegeneratesToSingle(t *testing.T) {
 }
 
 func TestSampleClan(t *testing.T) {
-	members := SampleClan(100, 40, 42)
+	members := SampleClanMembers(parties(100), 40, 42)
 	if len(members) != 40 {
 		t.Fatalf("got %d members", len(members))
 	}
@@ -183,13 +183,13 @@ func TestSampleClan(t *testing.T) {
 			t.Fatalf("members not sorted")
 		}
 	}
-	again := SampleClan(100, 40, 42)
+	again := SampleClanMembers(parties(100), 40, 42)
 	for i := range members {
 		if members[i] != again[i] {
 			t.Fatal("sampling not deterministic per seed")
 		}
 	}
-	other := SampleClan(100, 40, 43)
+	other := SampleClanMembers(parties(100), 40, 43)
 	same := true
 	for i := range members {
 		if members[i] != other[i] {
@@ -202,7 +202,7 @@ func TestSampleClan(t *testing.T) {
 }
 
 func TestPartitionClans(t *testing.T) {
-	clans := PartitionClans(151, 3, 9)
+	clans := PartitionMembers(parties(151), 3, 9)
 	if len(clans) != 3 {
 		t.Fatalf("got %d clans", len(clans))
 	}
@@ -343,4 +343,13 @@ func TestMaxFaulty(t *testing.T) {
 			t.Errorf("n=%d violates n > 3f", n)
 		}
 	}
+}
+
+// parties lists the n parties of a universe, ascending.
+func parties(n int) []types.NodeID {
+	ids := make([]types.NodeID, n)
+	for i := range ids {
+		ids[i] = types.NodeID(i)
+	}
+	return ids
 }

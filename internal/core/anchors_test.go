@@ -22,7 +22,7 @@ func scheduleNode(n, leaders int, members []types.NodeID, rep bool) *Node {
 	keys := crypto.GenerateKeys(n, 21)
 	return New(Config{
 		Self: 0, N: n, Key: &keys[0], Reg: crypto.NewRegistry(keys, false),
-		LeadersPerRound: leaders, Members: members, LeaderReputation: rep,
+		LeadersPerRound: leaders, Params: Params{Members: members, LeaderReputation: rep},
 	}, net.Endpoint(0), net.Clock(0))
 }
 
@@ -151,7 +151,7 @@ func latencyCluster(t *testing.T, n, leaders int, delta, run time.Duration, warm
 		nodes[i] = New(Config{
 			Self: id, N: n, Key: &keys[i], Reg: reg,
 			LeadersPerRound: leaders,
-			RoundTimeout:    700 * time.Millisecond,
+			Params:          Params{RoundTimeout: 700 * time.Millisecond},
 			Blocks:          &testSource{id: id, txCount: 1, txSize: 32},
 			Deliver: func(cv CommittedVertex) {
 				if cv.Vertex.Source == id && cv.Vertex.Round >= warm {
@@ -427,11 +427,11 @@ func TestAnchorFenceFloor(t *testing.T) {
 		}()
 		cfg.fill()
 	}
-	mustPanic("n=7 D=5", Config{N: 7, ReconfigDelay: 5})
-	mustPanic("n=10 L=2 D=7", Config{N: 10, LeadersPerRound: 2, ReconfigDelay: 7})
+	mustPanic("n=7 D=5", Config{N: 7, Params: Params{ReconfigDelay: 5}})
+	mustPanic("n=10 L=2 D=7", Config{N: 10, LeadersPerRound: 2, Params: Params{ReconfigDelay: 7}})
 	for _, ok := range []Config{
-		{N: 7, ReconfigDelay: 6},
-		{N: 10, LeadersPerRound: 1, ReconfigDelay: 2}, // the one-round reach has no such lag
+		{N: 7, Params: Params{ReconfigDelay: 6}},
+		{N: 10, LeadersPerRound: 1, Params: Params{ReconfigDelay: 2}}, // the one-round reach has no such lag
 	} {
 		ok.fill()
 	}

@@ -37,8 +37,6 @@
 package core
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -119,23 +117,11 @@ type Config struct {
 	// from the member set (see internal/core/epoch.go).
 	Clans [][]types.NodeID
 
-	// Members lists the parties active in epoch 0; nil means all N. N is
-	// the universe capacity (every party, active or not, holds a registry
-	// key and a slot in bitmaps); non-members run as observers until a
-	// committed ReconfigTx admits them at an epoch fence.
-	Members []types.NodeID
-	// ReconfigDelay is the gap D between a committed reconfiguration and
-	// its fence: an epoch scheduled by the leader commit at round L starts
-	// at round L+D+1. It doubles as the propose throttle — no party
-	// proposes round r before processing a leader commit at round >= r-D —
-	// which is what guarantees every proposer past a fence has already
-	// installed the fence's epoch. Default 32, or 2f+2 where that is more.
-	// With more than one anchor a round a value below 2f+2 is rejected
-	// (anchorFenceFloor): a slot without a vote quorum is decided by an
-	// anchor two rounds above it, so the commit frontier trails the
-	// proposals it needs, and a tighter throttle stops the rounds that
-	// would move it.
-	ReconfigDelay types.Round
+	// Params are the settings the library and the simulator pass through
+	// unchanged: epoch-0 members, ReconfigDelay, the reputation schedule and
+	// RoundTimeout.
+	Params
+
 	// OnReconfig, when non-nil, is invoked each time an epoch is installed
 	// (freshly scheduled or recovered from the store). It runs on the
 	// serialized handler with the node lock held: implementations must not
@@ -178,14 +164,6 @@ type Config struct {
 	// paper's chain walk does.
 	LeadersPerRound int
 
-	// LeaderReputation enables the Shoal++-style reputation schedule:
-	// committed timeout/no-vote certificates ordered through the DAG
-	// demote the offending leader from the rotation for ReputationWindow
-	// rounds (see internal/order). Off by default: the static round-robin
-	// schedule is preserved byte-for-byte.
-	LeaderReputation bool
-	// ReputationWindow is the demotion length in rounds (default 64).
-	ReputationWindow types.Round
 	// AnchorWait caps the two holds that wait out a round's stragglers;
 	// members that delivered nothing the round before are waited for by
 	// neither. The echo hold keeps this party's echoes for its frontier
@@ -198,9 +176,6 @@ type Config struct {
 	// round advances on quorum+primary).
 	AnchorWait time.Duration
 
-	// RoundTimeout bounds the wait for a round's leader vertex
-	// (default 3 s).
-	RoundTimeout time.Duration
 	// GCDepth is how many rounds behind the last ordered leader round the
 	// DAG retains (default 64).
 	GCDepth int
@@ -228,23 +203,6 @@ func (c *Config) fill() {
 	if c.N <= 0 {
 		panic("core: N must be positive")
 	}
-	if c.Members == nil {
-		c.Members = make([]types.NodeID, c.N)
-		for i := range c.Members {
-			c.Members[i] = types.NodeID(i)
-		}
-	} else {
-		c.Members = append([]types.NodeID(nil), c.Members...)
-		sort.Slice(c.Members, func(i, j int) bool { return c.Members[i] < c.Members[j] })
-		for i, id := range c.Members {
-			if int(id) >= c.N || (i > 0 && id == c.Members[i-1]) {
-				panic("core: Members must be unique and within [0,N)")
-			}
-		}
-	}
-	if c.RoundTimeout == 0 {
-		c.RoundTimeout = 3 * time.Second
-	}
 	if c.GCDepth == 0 {
 		c.GCDepth = 64
 	}
@@ -253,23 +211,13 @@ func (c *Config) fill() {
 		// round's eligible set).
 		c.LeadersPerRound = c.N
 	}
-	floor := types.Round(1)
-	if c.LeadersPerRound > 1 {
-		floor = anchorFenceFloor(c.N)
-	}
-	if c.ReconfigDelay == 0 {
-		c.ReconfigDelay = max(32, floor)
-	} else if c.ReconfigDelay < floor {
-		panic(fmt.Sprintf("core: ReconfigDelay %d is below %d, the least that %d anchors a round order under with N=%d (see anchorFenceFloor); raise it, or set LeadersPerRound to 1 so that each slot is decided from the next round",
-			c.ReconfigDelay, floor, c.LeadersPerRound, c.N))
-	}
+	c.Params.fill(c.N, c.LeadersPerRound)
 	if c.AnchorWait == 0 {
 		c.AnchorWait = 5 * time.Millisecond
 	}
-	if c.ReputationWindow == 0 {
-		c.ReputationWindow = 64
-	}
 	switch c.Mode {
+	case ModeBaseline:
+		c.Clans = nil // the member set is the one clan
 	case ModeSingleClan:
 		if len(c.Clans) != 1 || len(c.Clans[0]) == 0 {
 			panic("core: ModeSingleClan requires exactly one non-empty clan")
@@ -395,8 +343,9 @@ type Node struct {
 	// clan, expired at the GC horizon.
 	mBlocksEvicted *metrics.Counter
 	mBlocksExpired *metrics.Counter
-	// mPulls counts the vertex and block pulls sent, retries included.
-	mPulls *metrics.Counter
+	// mPulls counts the vertex and block pulls sent, retries included;
+	// mEchoFrames the ECHO frames this party sent.
+	mPulls, mEchoFrames *metrics.Counter
 
 	// Metrics is the legacy counter struct, retained as a compatibility
 	// view; PipelineSnapshot is the unified interface.
@@ -453,14 +402,9 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 		nvcs:          map[types.Round]*types.NoVoteCert{},
 	}
 	n.roundFired, n.anchorFired, n.echoFired = n.roundTimerFired, n.anchorTimerFired, n.echoTimerFired
-	// Epoch 0: the configured clans over the configured member set
-	// (ModeBaseline gets one implicit clan containing every member). Later
+	// Epoch 0: the configured clans over the configured member set. Later
 	// epochs re-sample clans from the committed member set.
-	clans := n.cfg.Clans
-	if cfg.Mode == ModeBaseline {
-		clans = [][]types.NodeID{n.cfg.Members}
-	}
-	n.epochs = []*epochState{n.buildEpochState(0, 0, 0, n.cfg.Members, clans)}
+	n.epochs = []*epochState{n.buildEpochState(0, 0, 0, n.cfg.Members, n.cfg.Clans)}
 	n.rbc.Table = rbc.New(rbc.Config{N: cfg.N, Self: cfg.Self, Reg: cfg.Reg, EpochOf: n.ruleEpoch}, (*slot).stop)
 	n.order = order.New(order.Config{
 		N: cfg.N, LeadersPerRound: cfg.LeadersPerRound,
@@ -489,6 +433,7 @@ func (n *Node) initMetrics() {
 	n.mBlocksEvicted = reg.Counter(types.StageRBC.Metric("blocks_evicted"))
 	n.mBlocksExpired = reg.Counter(types.StageRBC.Metric("blocks_expired"))
 	n.mPulls = reg.Counter(types.StageRBC.Metric("pulls"))
+	n.mEchoFrames = reg.Counter(types.StageRBC.Metric("echo_frames"))
 	n.mEchoHold = reg.Histogram(types.StageRBC.Metric("echo_hold"))
 	reg.Gauge(types.StageRBC.Metric("blocks_cached"))
 	reg.Gauge(types.StageRBC.Metric("block_bytes_cached"))

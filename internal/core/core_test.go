@@ -102,21 +102,18 @@ func newTCluster(t *testing.T, n int, o topt) *tcluster {
 			st = store.NewMem()
 		}
 		node := New(Config{
-			Store:            st,
-			Self:             id,
-			N:                n,
-			Mode:             o.mode,
-			Clans:            o.clans,
-			Key:              &c.keys[i],
-			Reg:              c.reg,
-			Blocks:           &testSource{id: id, txCount: o.txCount, txSize: 64},
-			RoundTimeout:     o.timeout,
-			Members:          o.members,
-			ReconfigDelay:    o.rdelay,
-			LeaderReputation: o.rep,
-			ReputationWindow: o.repWin,
-			AnchorWait:       o.anchor,
-			GCDepth:          o.gcDepth,
+			Store:  st,
+			Self:   id,
+			N:      n,
+			Mode:   o.mode,
+			Clans:  o.clans,
+			Key:    &c.keys[i],
+			Reg:    c.reg,
+			Blocks: &testSource{id: id, txCount: o.txCount, txSize: 64},
+			Params: Params{RoundTimeout: o.timeout, Members: o.members, ReconfigDelay: o.rdelay,
+				LeaderReputation: o.rep, ReputationWindow: o.repWin},
+			AnchorWait: o.anchor,
+			GCDepth:    o.gcDepth,
 			Deliver: func(cv CommittedVertex) {
 				c.orders[i] = append(c.orders[i], cv)
 			},
@@ -229,7 +226,7 @@ func TestBaselineLiveness(t *testing.T) {
 
 func TestSingleClanLivenessAndBlockConfinement(t *testing.T) {
 	n := 10
-	clan := committee.SampleClan(n, 6, 5)
+	clan := SampleClans(ModeSingleClan, (&Params{}).MemberSet(n), 6, 0, 5, nil)[0]
 	inClan := map[types.NodeID]bool{}
 	for _, id := range clan {
 		inClan[id] = true
@@ -268,7 +265,7 @@ func TestMultiClanLivenessAndBlockConfinement(t *testing.T) {
 		t.Skip("long simulation")
 	}
 	n := 12
-	clans := committee.PartitionClans(n, 2, 9)
+	clans := SampleClans(ModeMultiClan, (&Params{}).MemberSet(n), 0, 2, 9, nil)
 	clanOf := map[types.NodeID]int{}
 	for ci, cl := range clans {
 		for _, id := range cl {
@@ -898,13 +895,11 @@ func newTClusterML(t *testing.T, n, leaders int, o topt) *tcluster {
 		node := New(Config{
 			Self: id, N: n, Mode: o.mode, Clans: o.clans,
 			Key: &c.keys[i], Reg: c.reg,
-			LeadersPerRound:  leaders,
-			Blocks:           &testSource{id: id, txCount: 2, txSize: 64},
-			RoundTimeout:     o.timeout,
-			ReconfigDelay:    o.rdelay,
-			LeaderReputation: o.rep,
-			ReputationWindow: o.repWin,
-			AnchorWait:       o.anchor,
+			LeadersPerRound: leaders,
+			Blocks:          &testSource{id: id, txCount: 2, txSize: 64},
+			Params: Params{RoundTimeout: o.timeout, ReconfigDelay: o.rdelay,
+				LeaderReputation: o.rep, ReputationWindow: o.repWin},
+			AnchorWait: o.anchor,
 			Deliver: func(cv CommittedVertex) {
 				c.orders[i] = append(c.orders[i], cv)
 			},

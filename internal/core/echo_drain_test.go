@@ -191,7 +191,7 @@ func newDrainNodeWait(t *testing.T, n int, wait time.Duration) *drainNode {
 	}
 	d.clk = &signClock{Clock: d.net.Clock(0)}
 	d.node = New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &d.keys[0], Reg: d.reg, AnchorWait: wait,
-		RoundTimeout: time.Hour, Costs: crypto.Costs{EdSign: signCost}}, d.net.Endpoint(0), d.clk)
+		Params: Params{RoundTimeout: time.Hour}, Costs: crypto.Costs{EdSign: signCost}}, d.net.Endpoint(0), d.clk)
 	d.node.Start()
 	t.Cleanup(d.node.Stop)
 	d.settle()
@@ -359,7 +359,7 @@ func TestOneEchoFramePerBatchedArrival(t *testing.T) {
 	net := simnet.New(simnet.Config{N: n, Seed: 1, LatencyRTTms: [][]float64{{2}}, JitterPct: -1, BatchWindow: time.Millisecond})
 	ep := &echoRecorder{Endpoint: net.Endpoint(0)}
 	node := New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &keys[0], Reg: crypto.NewRegistry(keys, true),
-		RoundTimeout: time.Hour}, ep, net.Clock(0))
+		Params: Params{RoundTimeout: time.Hour}}, ep, net.Clock(0))
 	node.Start()
 	t.Cleanup(node.Stop)
 	var blocks []*types.Block
@@ -558,7 +558,7 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 	}
 
 	// A non-member source or voter: membership is per epoch.
-	node = New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &keys[0], Reg: reg, Members: []types.NodeID{0, 1, 3, 4, 5}},
+	node = New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &keys[0], Reg: reg, Params: Params{Members: []types.NodeID{0, 1, 3, 4, 5}}},
 		nullEndpoint{}, frozenClock{})
 	node.handle(byz, signedEchoes(&keys[byz], byz,
 		types.EchoEntry{Pos: at(0, 2), Digest: da}, // node 2 is not a member

@@ -81,7 +81,7 @@ func newFrontierNode(t *testing.T, n int, wait time.Duration, late ...types.Node
 	keys := crypto.GenerateKeys(n, 5)
 	f := &frontierNode{t: t, keys: keys, ep: &recEndpoint{}, clk: &stepClock{}}
 	f.node = New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &keys[0], Reg: crypto.NewRegistry(keys, true),
-		AnchorWait: wait, RoundTimeout: time.Hour}, f.ep, f.clk)
+		AnchorWait: wait, Params: Params{RoundTimeout: time.Hour}}, f.ep, f.clk)
 	f.node.Start()
 	own := f.ep.out[0].(*types.ValMsg)
 	f.deliver(0, own) // an endpoint delivers a broadcast to its sender too
@@ -335,6 +335,7 @@ func TestEchoHoldOff(t *testing.T) {
 type echoTap struct {
 	vals, entries, frames map[[2]int]int
 	other                 map[types.MsgKind]int
+	sent                  int // ECHO frames, once per recipient
 }
 
 func newEchoTap(fnet *faults.Net) *echoTap {
@@ -345,6 +346,7 @@ func newEchoTap(fnet *faults.Net) *echoTap {
 		case *types.ValMsg:
 			tp.vals[[2]int{int(from), int(msg.Vertex.Round)}]++
 		case *types.EchoMsg:
+			tp.sent++
 			clear(seen)
 			for _, e := range msg.Entries {
 				k := [2]int{int(from), int(e.Pos.Round)}
@@ -363,7 +365,8 @@ func newEchoTap(fnet *faults.Net) *echoTap {
 
 // TestEchoFramePerRound: n=7, fault-free, 200 rounds on 50 ms links that vary
 // by 1 ms either way: every node echoes each round's n−1 positions to n−1
-// peers, exactly, in at most 1.1 frames a round on average.
+// peers, exactly, in at most 1.1 frames a round on average. Each node's
+// rbc.echo_frames counter reads the frames it sent.
 func TestEchoFramePerRound(t *testing.T) {
 	const n, rounds = 7, 200
 	fnet := faults.NewNet(n, 1, nil)
@@ -387,6 +390,13 @@ func TestEchoFramePerRound(t *testing.T) {
 	}
 	perRound := float64(frames) / float64((n-1)*n*rounds)
 	t.Logf("%.3f ECHO frames per node per round over %d rounds (parent: %d)", perRound, rounds, n-1)
+	counted := 0
+	for _, nd := range c.nodes {
+		counted += int(nd.PipelineSnapshot().Counters["rbc.echo_frames"])
+	}
+	if counted*(n-1) != tp.sent {
+		t.Errorf("rbc.echo_frames sums to %d frames, the wire carried %d to %d peers each", counted, tp.sent, n-1)
+	}
 	if perRound > 1.1 {
 		t.Fatalf("%.3f ECHO frames per node per round, want at most 1.1", perRound)
 	}

@@ -74,33 +74,22 @@ func (n *Node) activeAt(r types.Round) bool {
 	return n.epochOf(r).isMember[n.cfg.Self]
 }
 
-// newEpochState derives the full topology for a post-genesis epoch: the
-// hypergeometric clan sampler re-runs over the new member set, seeded by the
-// epoch number, so every party lands on identical clans without exchanging a
-// single extra message.
+// newEpochState derives the full topology for a post-genesis epoch: the clan
+// sampler re-runs over the new member set with epoch 0's clan size and count,
+// seeded by the epoch number, so every party lands on identical clans without
+// exchanging a single extra message.
 func (n *Node) newEpochState(num uint64, start, sched types.Round, members []types.NodeID) *epochState {
-	var clans [][]types.NodeID
-	switch n.cfg.Mode {
-	case ModeBaseline:
-		clans = [][]types.NodeID{members}
-	case ModeSingleClan:
-		nc := len(n.epochs[0].clans[0])
-		if nc > len(members) {
-			nc = len(members)
-		}
-		clans = [][]types.NodeID{committee.SampleClanMembers(members, nc, int64(num))}
-	default: // ModeMultiClan
-		q := len(n.epochs[0].clans)
-		if q > len(members) {
-			q = len(members)
-		}
-		clans = committee.PartitionMembers(members, q, int64(num))
-	}
+	g := n.epochs[0].clans
+	clans := SampleClans(n.cfg.Mode, members, len(g[0]), len(g), int64(num), nil)
 	return n.buildEpochState(num, start, sched, members, clans)
 }
 
-// buildEpochState fills the derived membership/clan arrays.
+// buildEpochState fills the derived membership/clan arrays. Nil clans make
+// the member set the one clan (ModeBaseline).
 func (n *Node) buildEpochState(num uint64, start, sched types.Round, members []types.NodeID, clans [][]types.NodeID) *epochState {
+	if clans == nil {
+		clans = [][]types.NodeID{members}
+	}
 	es := &epochState{
 		Epoch:      order.Epoch{Num: num, Start: start, Members: members, F: committee.MaxFaulty(len(members))},
 		schedRound: sched,

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"clanbft/internal/committee"
 	"clanbft/internal/types"
 )
 
@@ -87,7 +86,7 @@ func TestMultiClanInclusion(t *testing.T) {
 		t.Skip("long simulation")
 	}
 	n := 12
-	c := newTCluster(t, n, topt{mode: ModeMultiClan, clans: committee.PartitionClans(n, 2, 9), seed: 5})
+	c := newTCluster(t, n, topt{mode: ModeMultiClan, clans: SampleClans(ModeMultiClan, (&Params{}).MemberSet(n), 0, 2, 9, nil), seed: 5})
 	c.run(8 * time.Second)
 	c.checkConsistentOrder(nil)
 	checkCausalCoverage(t, c)

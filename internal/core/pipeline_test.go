@@ -44,14 +44,14 @@ func newPipelineCluster(tb testing.TB, n int, execCost time.Duration, seed int64
 		i := i
 		c.regs[i] = metrics.New()
 		node := New(Config{
-			Self:         types.NodeID(i),
-			N:            n,
-			Mode:         ModeBaseline,
-			Key:          &keys[i],
-			Reg:          reg,
-			Blocks:       &testSource{id: types.NodeID(i), txCount: 3, txSize: 64},
-			RoundTimeout: 3 * time.Second,
-			Metrics:      c.regs[i],
+			Self:    types.NodeID(i),
+			N:       n,
+			Mode:    ModeBaseline,
+			Key:     &keys[i],
+			Reg:     reg,
+			Blocks:  &testSource{id: types.NodeID(i), txCount: 3, txSize: 64},
+			Params:  Params{RoundTimeout: 3 * time.Second},
+			Metrics: c.regs[i],
 			Deliver: func(cv CommittedVertex) {
 				if execCost > 0 {
 					time.Sleep(execCost)

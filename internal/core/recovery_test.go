@@ -28,13 +28,13 @@ func TestCrashRecoveryResumesAndNeverEquivocates(t *testing.T) {
 	mkNode := func(i int) *Node {
 		id := types.NodeID(i)
 		return New(Config{
-			Self:         id,
-			N:            n,
-			Key:          &keys[i],
-			Reg:          reg,
-			Store:        stores[i],
-			Blocks:       &testSource{id: id, txCount: 2, txSize: 32},
-			RoundTimeout: 700 * time.Millisecond,
+			Self:   id,
+			N:      n,
+			Key:    &keys[i],
+			Reg:    reg,
+			Store:  stores[i],
+			Blocks: &testSource{id: id, txCount: 2, txSize: 32},
+			Params: Params{RoundTimeout: 700 * time.Millisecond},
 			Deliver: func(cv CommittedVertex) {
 				orders[i] = append(orders[i], cv.Vertex.Pos())
 			},
@@ -138,8 +138,8 @@ func TestRecoveryReplaysOrderFromScratch(t *testing.T) {
 	build := func(sink *[]types.Position) *Node {
 		return New(Config{
 			Self: 0, N: n, Key: &keys[0], Reg: reg, Store: st,
-			Blocks:       &testSource{id: 0, txCount: 1, txSize: 16},
-			RoundTimeout: 700 * time.Millisecond,
+			Blocks: &testSource{id: 0, txCount: 1, txSize: 16},
+			Params: Params{RoundTimeout: 700 * time.Millisecond},
 			Deliver: func(cv CommittedVertex) {
 				*sink = append(*sink, cv.Vertex.Pos())
 			},
@@ -150,8 +150,8 @@ func TestRecoveryReplaysOrderFromScratch(t *testing.T) {
 		i := i
 		nd := New(Config{
 			Self: types.NodeID(i), N: n, Key: &keys[i], Reg: reg,
-			Blocks:       &testSource{id: types.NodeID(i), txCount: 1, txSize: 16},
-			RoundTimeout: 700 * time.Millisecond,
+			Blocks: &testSource{id: types.NodeID(i), txCount: 1, txSize: 16},
+			Params: Params{RoundTimeout: 700 * time.Millisecond},
 		}, net.Endpoint(types.NodeID(i)), net.Clock(types.NodeID(i)))
 		nd.Start()
 		t.Cleanup(nd.Stop)

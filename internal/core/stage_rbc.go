@@ -437,6 +437,7 @@ func (n *Node) flushEchoes() {
 		m.Sig = n.cfg.Reg.SignFor(n.cfg.Key, echoFrameCtx(&buf, m.Entries))
 		n.clk.Charge(n.cfg.Costs.EdSign)
 	}
+	n.mEchoFrames.Inc()
 	n.ep.Broadcast(m)
 }
 

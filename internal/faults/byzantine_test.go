@@ -40,8 +40,8 @@ func runAttack(t *testing.T, n, bad int, mode core.Mode, clans [][]types.NodeID,
 		node := core.New(core.Config{
 			Self: id, N: n, Mode: mode, Clans: clans,
 			Key: &keys[i], Reg: reg,
-			Blocks:       &fixedSource{id: id},
-			RoundTimeout: 700 * time.Millisecond,
+			Blocks: &fixedSource{id: id},
+			Params: core.Params{RoundTimeout: 700 * time.Millisecond},
 			Deliver: func(cv core.CommittedVertex) {
 				c.orders[i] = append(c.orders[i], cv.Vertex.Pos())
 			},
@@ -150,8 +150,8 @@ func TestChaosWithholdBlocksSingleClan(t *testing.T) {
 			Self: id, N: n, Mode: core.ModeSingleClan,
 			Clans: [][]types.NodeID{clan},
 			Key:   &keys[i], Reg: reg,
-			Blocks:       &fixedSource{id: id},
-			RoundTimeout: 700 * time.Millisecond,
+			Blocks: &fixedSource{id: id},
+			Params: core.Params{RoundTimeout: 700 * time.Millisecond},
 			Deliver: func(cv core.CommittedVertex) {
 				orders[i] = append(orders[i], cv.Vertex.Pos())
 				if cv.Block != nil {

@@ -28,10 +28,10 @@ func scenario(seed int64, mode core.Mode, sched *faults.Schedule) harness.Config
 	}
 	return harness.Config{
 		Mode: mode, N: 7, Seed: seed, TxPerProposal: 3,
-		RoundTimeout: 700 * time.Millisecond,
-		Warmup:       last + 1500*time.Millisecond,
-		Measure:      4500 * time.Millisecond,
-		Faults:       sched,
+		Params:  core.Params{RoundTimeout: 700 * time.Millisecond},
+		Warmup:  last + 1500*time.Millisecond,
+		Measure: 4500 * time.Millisecond,
+		Faults:  sched,
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"clanbft/internal/transport"
 )
 
 // Client is a minimal gateway client: one TCP connection multiplexing any
@@ -127,28 +129,22 @@ func (cl *Client) ownValue(v []byte) []byte {
 	return out
 }
 
-// readLoop decodes server frames with a plain bufio-free loop into one
-// reused body buffer. A VALUE's payload is copied out of it (ownValue), so
-// OnEvent owns what it is handed.
+// maxServerFrame bounds one server frame: a length prefix of zero or above it
+// ends the event stream.
+const maxServerFrame = 1 << 20
+
+// readLoop slices server frames out of one read buffer with the transport's
+// FrameReader, so a burst of small frames costs one read syscall, not two per
+// frame. A VALUE's payload is copied out of the buffer (ownValue), so OnEvent
+// owns what it is handed.
 func (cl *Client) readLoop() {
 	defer close(cl.done)
-	var hdr [4]byte
-	body := make([]byte, 0, 4096)
+	fr := transport.NewFrameReader(cl.c, nil)
+	fr.SetMaxFrame(maxServerFrame)
+	defer fr.Close()
 	for {
-		if _, err := readFull(cl.c, hdr[:]); err != nil {
-			cl.readErr = err
-			return
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n == 0 || n > 1<<20 {
-			cl.readErr = fmt.Errorf("gateway client: frame length %d out of range", n)
-			return
-		}
-		if cap(body) < int(n) {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := readFull(cl.c, body); err != nil {
+		body, err := fr.Next()
+		if err != nil {
 			cl.readErr = err
 			return
 		}
@@ -170,18 +166,6 @@ func (cl *Client) readLoop() {
 			cl.onEvent(ev)
 		}
 	}
-}
-
-func readFull(c net.Conn, b []byte) (int, error) {
-	n := 0
-	for n < len(b) {
-		m, err := c.Read(b[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }
 
 // Close tears the connection down; the reader goroutine exits on its own.

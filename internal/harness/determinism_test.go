@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"time"
 
@@ -25,10 +28,20 @@ import (
 // Each mode runs on the default ordering path (every eligible member an
 // anchor) and with LeadersPerRound pinned to 1, the paper-figure experiments'
 // single leader, whose slots the commit rule decides with its one-round reach.
+//
+// Each case also pins a hash of node 0's order: a change that claims to leave
+// the simulated schedule alone must leave these hashes alone, and one that
+// moves it re-records them.
 func TestCommitOrderDeterminism(t *testing.T) {
 	type tcase struct {
 		name string
 		cfg  Config
+	}
+	pinned := map[string]string{
+		"single-clan":               "225fb9bc082b53df",
+		"multi-clan":                "34a19c644e6a85fd",
+		"single-clan/single-leader": "8b47024d7e137ae6",
+		"multi-clan/single-leader":  "f0d823ebfafe76ec",
 	}
 	var cases []tcase
 	for _, leaders := range []int{0, 1} {
@@ -66,7 +79,23 @@ func TestCommitOrderDeterminism(t *testing.T) {
 			if a.OrderedTxs != b.OrderedTxs {
 				t.Fatalf("tx counts diverged: %d vs %d", a.OrderedTxs, b.OrderedTxs)
 			}
+			if got := orderHash(a.Order); got != pinned[tc.name] {
+				t.Errorf("order hash %s, pinned %s", got, pinned[tc.name])
+			}
 			t.Logf("%s: %d commits reproduced identically", tc.name, len(a.Order))
 		})
 	}
+}
+
+// orderHash is the first 16 hex digits of the SHA-256 of an order's
+// positions, each as round then source, big-endian.
+func orderHash(order []types.Position) string {
+	h := sha256.New()
+	var b [12]byte
+	for _, p := range order {
+		binary.BigEndian.PutUint64(b[:8], uint64(p.Round))
+		binary.BigEndian.PutUint32(b[8:], uint32(p.Source))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
 }

@@ -27,8 +27,7 @@ func TestEpochFenceDeterminism(t *testing.T) {
 				Mode: core.ModeMultiClan, N: 12, NumClans: 2, TxPerProposal: 20,
 				Warmup: 2 * time.Second, Measure: 5 * time.Second, Seed: 33,
 				LeadersPerRound: tc.leaders,
-				Members:         members,
-				ReconfigDelay:   8,
+				Params:          core.Params{Members: members, ReconfigDelay: 8},
 				Reconfigs: []Reconfig{
 					{At: 1 * time.Second, Action: types.ReconfigJoin, Node: 10, Addr: "sim://10"},
 					{At: 3 * time.Second, Action: types.ReconfigLeave, Node: 9},

@@ -30,8 +30,8 @@ func TestHarnessFaultRecovery(t *testing.T) {
 	r := Run(Config{
 		Mode: core.ModeBaseline, N: 8, TxPerProposal: 50,
 		Warmup: 3 * time.Second, Measure: 6 * time.Second, Seed: 4,
-		RoundTimeout: 2 * time.Second,
-		Faults:       faultSchedule(),
+		Params: core.Params{RoundTimeout: 2 * time.Second},
+		Faults: faultSchedule(),
 	})
 	t.Logf("faulty run: tps=%.0f rounds=%d dropped=%d\ntrace:\n%s",
 		r.TPS, r.Rounds, r.FaultsDropped, r.FaultTrace)
@@ -53,8 +53,8 @@ func TestHarnessFaultTraceDeterminism(t *testing.T) {
 	cfg := Config{
 		Mode: core.ModeBaseline, N: 8, TxPerProposal: 50,
 		Warmup: 3 * time.Second, Measure: 5 * time.Second, Seed: 4,
-		RoundTimeout: 2 * time.Second,
-		Faults:       faultSchedule(),
+		Params: core.Params{RoundTimeout: 2 * time.Second},
+		Faults: faultSchedule(),
 	}
 	a, b := Run(cfg), Run(cfg)
 	if a.FaultTrace != b.FaultTrace {

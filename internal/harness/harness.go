@@ -63,17 +63,16 @@ type Config struct {
 	Warmup  time.Duration // default 5 s
 	Measure time.Duration // default 15 s
 
-	Seed         int64
-	RoundTimeout time.Duration // default 10 s (never fires failure-free)
+	Seed int64
 	// Regions overrides the even 5-region split.
 	Regions []int
 
-	// LeaderReputation enables the reputation-driven leader schedule
-	// (core.Config.LeaderReputation): committed timeout evidence demotes
-	// offenders from the anchor rotation for ReputationWindow rounds.
-	LeaderReputation bool
-	// ReputationWindow overrides the demotion window (default 64 rounds).
-	ReputationWindow types.Round
+	// Params are core's shared settings, passed to every node as they are:
+	// epoch-0 Members (nil = all N; parties outside run as observers until a
+	// committed join admits them at an epoch fence), ReconfigDelay, the
+	// reputation schedule, and RoundTimeout, which defaults here to 10 s
+	// (never fires failure-free).
+	core.Params
 
 	// Faults, when non-nil, wraps every endpoint in the deterministic
 	// fault layer and drives the schedule over the run: link drop/dup/
@@ -95,13 +94,6 @@ type Config struct {
 	// CheckSigs verifies signatures for real, on top of the modelled costs.
 	CheckSigs bool
 
-	// Members is the epoch-0 active member set (nil = all N parties).
-	// Parties outside it run as observers — tracking the DAG without
-	// proposing — until a committed join admits them at an epoch fence.
-	Members []types.NodeID
-	// ReconfigDelay overrides the fence distance (core.Config.ReconfigDelay;
-	// at least 2f+2 with more than one anchor a round).
-	ReconfigDelay types.Round
 	// Reconfigs schedules signed membership transactions over the run:
 	// each is built under the deployment key universe and submitted to
 	// every node's pending queue at its virtual time (relative to run
@@ -237,6 +229,19 @@ func (c *Config) fill() {
 	}
 }
 
+// genesis is the run's epoch 0. Clans are spread evenly across the
+// simulated regions, as in the paper's evaluation, unless Members restricts
+// the universe: region balance presumes all of it, so a member subset is
+// sampled uniformly.
+func genesis(cfg Config, regions []int) core.Genesis {
+	if cfg.Members != nil {
+		regions = nil
+	}
+	g := core.NewGenesis(uint64(cfg.Seed)+99, cfg.Seed+7, cfg.N, cfg.Mode, cfg.Members, cfg.ClanSize, cfg.NumClans, regions)
+	g.Reg.CheckSigs = cfg.CheckSigs
+	return g
+}
+
 // Run executes one experiment and returns its measurements.
 func Run(cfg Config) Result {
 	cfg.fill()
@@ -252,35 +257,13 @@ func Run(cfg Config) Result {
 		Seed:          cfg.Seed + 1,
 		BatchWindow:   2 * time.Millisecond,
 	})
-	keys := crypto.GenerateKeys(cfg.N, uint64(cfg.Seed)+99)
-	reg := crypto.NewRegistry(keys, cfg.CheckSigs)
+	g := genesis(cfg, regions)
 	// e2-standard-32: 32 vCPUs; parallelizable verification work scales
 	// across ~16 physical cores (paper Section 7 implementation notes).
 	costs := crypto.DefaultCosts().Parallel(16)
-
-	var clans [][]types.NodeID
 	clanSize := 0
-	switch cfg.Mode {
-	case core.ModeSingleClan:
-		if cfg.Members != nil {
-			// Membership-restricted deployments sample over the member
-			// list (region balance presumes the full universe).
-			size := cfg.ClanSize
-			if size > len(cfg.Members) {
-				size = len(cfg.Members)
-			}
-			clans = [][]types.NodeID{committee.SampleClanMembers(cfg.Members, size, cfg.Seed+7)}
-		} else {
-			clans = [][]types.NodeID{committee.BalancedClan(regions, cfg.ClanSize, cfg.Seed+7)}
-		}
-		clanSize = cfg.ClanSize
-	case core.ModeMultiClan:
-		if cfg.Members != nil {
-			clans = committee.PartitionMembers(cfg.Members, cfg.NumClans, cfg.Seed+7)
-		} else {
-			clans = committee.BalancedPartition(regions, cfg.NumClans, cfg.Seed+7)
-		}
-		clanSize = len(clans[0])
+	if g.Clans != nil {
+		clanSize = len(g.Clans[0])
 	}
 
 	type sample struct {
@@ -430,24 +413,20 @@ func Run(cfg Config) Result {
 			st = stores[i]
 		}
 		return core.New(core.Config{
-			Self:             id,
-			N:                cfg.N,
-			Mode:             cfg.Mode,
-			Clans:            clans,
-			Key:              &keys[i],
-			Reg:              reg,
-			Costs:            costs,
-			Blocks:           mempool.NewGenerator(id, cfg.TxPerProposal, txSize, true),
-			LeadersPerRound:  cfg.LeadersPerRound,
-			RoundTimeout:     cfg.RoundTimeout,
-			Members:          cfg.Members,
-			ReconfigDelay:    cfg.ReconfigDelay,
-			GCDepth:          cfg.GCDepth,
-			Store:            st,
-			Metrics:          regs[i],
-			LeaderReputation: cfg.LeaderReputation,
-			ReputationWindow: cfg.ReputationWindow,
-			Deliver:          func(cv core.CommittedVertex) { measure(i, cv) },
+			Self:            id,
+			N:               cfg.N,
+			Mode:            cfg.Mode,
+			Clans:           g.Clans,
+			Params:          cfg.Params,
+			Key:             &g.Keys[i],
+			Reg:             g.Reg,
+			Costs:           costs,
+			Blocks:          mempool.NewGenerator(id, cfg.TxPerProposal, txSize, true),
+			LeadersPerRound: cfg.LeadersPerRound,
+			GCDepth:         cfg.GCDepth,
+			Store:           st,
+			Metrics:         regs[i],
+			Deliver:         func(cv core.CommittedVertex) { measure(i, cv) },
 		}, endpoints[i], clk)
 	}
 	for i := 0; i < cfg.N; i++ {
@@ -463,7 +442,7 @@ func Run(cfg Config) Result {
 		rc := rc
 		net.Clock(0).After(rc.At, func() {
 			tx := types.ReconfigTx{Action: rc.Action, Node: rc.Node, Addr: rc.Addr}
-			core.SignReconfig(reg, &keys[rc.Node], &tx)
+			core.SignReconfig(g.Reg, &g.Keys[rc.Node], &tx)
 			for i := range nodes {
 				nodes[i].SubmitReconfig(tx)
 			}

@@ -29,12 +29,11 @@ func TestReputationScheduleDeterminism(t *testing.T) {
 			cfg := Config{
 				Mode: core.ModeSingleClan, N: 12, TxPerProposal: 30,
 				Warmup: 2 * time.Second, Measure: 5 * time.Second, Seed: 29,
-				RoundTimeout:     700 * time.Millisecond,
-				LeadersPerRound:  tc.leaders,
-				LeaderReputation: true,
-				ReputationWindow: 24,
-				Members:          []types.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
-				ReconfigDelay:    8,
+				LeadersPerRound: tc.leaders,
+				Params: core.Params{RoundTimeout: 700 * time.Millisecond,
+					LeaderReputation: true, ReputationWindow: 24,
+					Members:       []types.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+					ReconfigDelay: 8},
 				Reconfigs: []Reconfig{
 					// A join fences a new epoch mid-run: reputation events
 					// reset at the fence and the rotation re-derives over

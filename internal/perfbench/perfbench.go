@@ -306,10 +306,8 @@ func CommitLatencyUnderFaults(b *testing.B) {
 		res = harness.Run(harness.Config{
 			Mode: core.ModeBaseline, N: 9, TxPerProposal: 30,
 			Warmup: 2 * time.Second, Measure: 4 * time.Second, Seed: 42,
-			RoundTimeout:     1200 * time.Millisecond,
-			ReconfigDelay:    8,
-			LeaderReputation: true,
-			ReputationWindow: 256,
+			Params: core.Params{RoundTimeout: 1200 * time.Millisecond, ReconfigDelay: 8,
+				LeaderReputation: true, ReputationWindow: 256},
 			Faults: &faults.Schedule{Seed: 42, Events: []faults.Event{
 				{At: 500 * time.Millisecond, Kind: faults.KindCrash, Node: 3},
 			}},

@@ -51,25 +51,17 @@ func NewTCPNode(o TCPNodeOptions) (*TCPNode, error) {
 	if _, ok := o.Addrs[o.Self]; !ok {
 		return nil, fmt.Errorf("clanbft: address book missing self %d", o.Self)
 	}
-	members := o.Members
-	if members == nil {
-		members = make([]NodeID, o.N)
-		for i := range members {
-			members[i] = NodeID(i)
-		}
-	}
-	for _, id := range members {
+	for _, id := range o.MemberSet(o.N) {
 		if _, ok := o.Addrs[id]; !ok {
 			return nil, fmt.Errorf("clanbft: address book missing epoch-0 member %d", id)
 		}
 	}
-	keys := crypto.GenerateKeys(o.N, uint64(o.Seed)+1)
-	reg := crypto.NewRegistry(keys, true)
 	ep, err := transport.NewTCPEndpoint(o.Self, o.Addrs)
 	if err != nil {
 		return nil, err
 	}
-	n := &TCPNode{ep: ep, clans: o.sampleClans(), opts: o, pool: mempool.NewPool(o.MaxTxPerBlock)}
+	g := o.genesis()
+	n := &TCPNode{ep: ep, clans: g.Clans, opts: o, pool: mempool.NewPool(o.MaxTxPerBlock)}
 	if o.StoreDir != "" {
 		disk, err := store.Open(o.StoreDir, store.Options{})
 		if err != nil {
@@ -79,7 +71,7 @@ func NewTCPNode(o TCPNodeOptions) (*TCPNode, error) {
 		n.st = disk
 	}
 	n.vpool = crypto.NewVerifyPool(0, 0)
-	cfg := o.nodeConfig(o.Self, &keys[o.Self], reg, n.clans, &n.onCommit)
+	cfg := o.nodeConfig(o.Self, &g, &n.onCommit)
 	cfg.Blocks, cfg.Store = n.pool, n.st
 	// Installed epochs admit joined peers to the transport layer so
 	// Broadcast reaches them and their handshakes are accepted.
@@ -201,10 +193,9 @@ func (n *TCPNode) CurrentEpoch() uint64 { return n.node.CurrentEpoch() }
 // The affected party's own key signs: a join is a self-attestation carrying
 // the dial address the new party will listen on.
 func SignReconfigTx(n int, seed int64, action types.ReconfigAction, id NodeID, addr string) ReconfigTx {
-	keys := crypto.GenerateKeys(n, uint64(seed)+1)
-	reg := crypto.NewRegistry(keys, true)
+	g := (&Options{N: n, Seed: seed}).genesis()
 	tx := ReconfigTx{Action: action, Node: id, Addr: addr}
-	core.SignReconfig(reg, &keys[id], &tx)
+	core.SignReconfig(g.Reg, &g.Keys[id], &tx)
 	return tx
 }
 

@@ -14,7 +14,7 @@ import (
 func runTCPCluster(t *testing.T, seed int64, minCommits int) [][]string {
 	t.Helper()
 	const n = 4
-	nodes := bootTCP(t, Options{N: n, Seed: seed, RoundTimeout: 2 * time.Second})
+	nodes := bootTCP(t, Options{N: n, Seed: seed, Params: Params{RoundTimeout: 2 * time.Second}})
 	var mu sync.Mutex
 	orders := make([][]string, n)
 	txSeen := map[string]bool{}

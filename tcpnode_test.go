@@ -36,8 +36,8 @@ func bootTCP(t *testing.T, o Options) []*TCPNode {
 // rotation it would keep paying one every n rounds.
 func TestTCPNodeReputationSchedule(t *testing.T) {
 	nodes := bootTCP(t, Options{
-		N: 4, Seed: 11, RoundTimeout: 300 * time.Millisecond,
-		LeaderReputation: true, ReputationWindow: 1 << 20, ReconfigDelay: 4,
+		N: 4, Seed: 11, Params: Params{RoundTimeout: 300 * time.Millisecond,
+			LeaderReputation: true, ReputationWindow: 1 << 20, ReconfigDelay: 4},
 	})
 	for _, nd := range nodes {
 		nd.Start()
