@@ -145,7 +145,7 @@ func PlanMultiClanFailure(n, q int) float64 {
 // genesis is the deployment's epoch 0, a pure function of the options, so
 // every party of a deployment derives the same keys and clans.
 func (o *Options) genesis() core.Genesis {
-	return core.NewGenesis(uint64(o.Seed)+1, o.Seed+2, o.N, o.Mode, o.Members, o.ClanSize, o.NumClans, nil)
+	return core.NewGenesis(o.Seed, o.N, o.Mode, o.Members, o.ClanSize, o.NumClans, nil)
 }
 
 // nodeConfig is the core.Config NewCluster and NewTCPNode both start from:

@@ -41,7 +41,7 @@ func main() {
 	}
 
 	net := simnet.New(simnet.Config{N: *n, LatencyRTTms: [][]float64{{60}}, JitterPct: -1, Seed: 1})
-	g := core.NewGenesis(1, 2, *n, m, nil, *clan, 2, nil)
+	g := core.NewGenesis(0, *n, m, nil, *clan, 2, nil)
 	var observer *core.Node
 	for i := 0; i < *n; i++ {
 		id := types.NodeID(i)

@@ -87,9 +87,9 @@ func (p *Params) fill(n, leadersPerRound int) {
 
 // SampleClans is the one clan sampler: genesis and every epoch fence draw
 // clans through it, so all parties land on the same clans from the same
-// inputs. ModeSingleClan draws one clan of size members; ModeMultiClan
-// splits all members into count clans of equal size; both are clamped to
-// the member count. ModeBaseline has no clans (nil): the whole member set
+// inputs. ModeSingleClan draws one clan of size parties from members;
+// ModeMultiClan splits all members into count clans of equal size; size and
+// count are clamped to the member count. ModeBaseline has no clans (nil): the whole member set
 // is its one clan. Regions, when non-nil, gives each party's region, indexed
 // by NodeID over the whole universe (so members must be all of it), and
 // spreads each clan evenly across regions instead of sampling it uniformly.
@@ -119,15 +119,17 @@ type Genesis struct {
 	Clans [][]types.NodeID
 }
 
-// NewGenesis derives the epoch 0 of a universe of n parties: keys from
-// keySeed, and clans from clanSeed through SampleClans over members (nil:
-// all n).
-func NewGenesis(keySeed uint64, clanSeed int64, n int, mode Mode, members []types.NodeID, clanSize, numClans int, regions []int) Genesis {
-	keys := crypto.GenerateKeys(n, keySeed)
+// NewGenesis derives the epoch 0 of a universe of n parties from one seed:
+// the keys from seed+1, and the clans from seed+2 through SampleClans over
+// members (nil: all n). The library and the simulator both call it, so the
+// same seed gives a socket deployment and a simulated one the same keys, and
+// the same clans unless the simulator spreads them across regions.
+func NewGenesis(seed int64, n int, mode Mode, members []types.NodeID, clanSize, numClans int, regions []int) Genesis {
+	keys := crypto.GenerateKeys(n, uint64(seed)+1)
 	p := Params{Members: members}
 	return Genesis{
 		Keys:  keys,
 		Reg:   crypto.NewRegistry(keys, true),
-		Clans: SampleClans(mode, p.MemberSet(n), clanSize, numClans, clanSeed, regions),
+		Clans: SampleClans(mode, p.MemberSet(n), clanSize, numClans, seed+2, regions),
 	}
 }

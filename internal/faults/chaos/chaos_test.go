@@ -361,7 +361,7 @@ func testChaosReputation(t *testing.T, leaders int) {
 // the victim's execution halts for good — the liveness property's violation.
 // On the Table 1 matrix round 20 lands at about 4 s, so Warmup ends at 6 s.
 func TestChaosBlockPulledPastHorizon(t *testing.T) {
-	const victim = types.NodeID(1)
+	const victim = types.NodeID(3)
 	late := types.Position{Round: 20, Source: 2}
 	carriesBlock := func(m types.Message) bool {
 		switch msg := m.(type) {

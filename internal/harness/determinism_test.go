@@ -38,10 +38,10 @@ func TestCommitOrderDeterminism(t *testing.T) {
 		cfg  Config
 	}
 	pinned := map[string]string{
-		"single-clan":               "225fb9bc082b53df",
-		"multi-clan":                "34a19c644e6a85fd",
-		"single-clan/single-leader": "8b47024d7e137ae6",
-		"multi-clan/single-leader":  "f0d823ebfafe76ec",
+		"single-clan":               "f3aa0fab51b9191a",
+		"multi-clan":                "931ff61d864d1e0a",
+		"single-clan/single-leader": "b63cbcdbf3703233",
+		"multi-clan/single-leader":  "c0a1fa61d3b2c4f4",
 	}
 	var cases []tcase
 	for _, leaders := range []int{0, 1} {

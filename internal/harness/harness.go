@@ -227,17 +227,23 @@ func (c *Config) fill() {
 	if c.Mode == core.ModeMultiClan && c.NumClans == 0 {
 		c.NumClans = 2
 	}
+	if c.Regions == nil {
+		c.Regions = simnet.EvenRegions(c.N, 5)
+	}
 }
 
-// genesis is the run's epoch 0. Clans are spread evenly across the
-// simulated regions, as in the paper's evaluation, unless Members restricts
-// the universe: region balance presumes all of it, so a member subset is
-// sampled uniformly.
-func genesis(cfg Config, regions []int) core.Genesis {
+// Genesis is the epoch 0 Run derives for cfg, from cfg.Seed as the library
+// derives it from Options.Seed. Clans are spread evenly across the simulated
+// regions, as in the paper's evaluation, unless Members restricts the
+// universe: region balance presumes all of it, so a member subset is sampled
+// uniformly, as the library samples it.
+func Genesis(cfg Config) core.Genesis {
+	cfg.fill()
+	regions := cfg.Regions
 	if cfg.Members != nil {
 		regions = nil
 	}
-	g := core.NewGenesis(uint64(cfg.Seed)+99, cfg.Seed+7, cfg.N, cfg.Mode, cfg.Members, cfg.ClanSize, cfg.NumClans, regions)
+	g := core.NewGenesis(cfg.Seed, cfg.N, cfg.Mode, cfg.Members, cfg.ClanSize, cfg.NumClans, regions)
 	g.Reg.CheckSigs = cfg.CheckSigs
 	return g
 }
@@ -245,19 +251,15 @@ func genesis(cfg Config, regions []int) core.Genesis {
 // Run executes one experiment and returns its measurements.
 func Run(cfg Config) Result {
 	cfg.fill()
-	regions := cfg.Regions
-	if regions == nil {
-		regions = simnet.EvenRegions(cfg.N, 5)
-	}
 	net := simnet.New(simnet.Config{
 		N:             cfg.N,
-		Regions:       regions,
+		Regions:       cfg.Regions,
 		BandwidthBps:  bandwidthBps,
 		PerFlowWindow: perFlowWindow,
 		Seed:          cfg.Seed + 1,
 		BatchWindow:   2 * time.Millisecond,
 	})
-	g := genesis(cfg, regions)
+	g := Genesis(cfg)
 	// e2-standard-32: 32 vCPUs; parallelizable verification work scales
 	// across ~16 physical cores (paper Section 7 implementation notes).
 	costs := crypto.DefaultCosts().Parallel(16)

@@ -75,7 +75,7 @@ func (c *stillClock) Charge(d time.Duration) {
 // construction, the VALs' signatures and the round 0 that brings the fourth
 // node to round 1 are outside the timer).
 func EchoDrain(b *testing.B, n int) {
-	g := core.NewGenesis(3, 0, n, core.ModeBaseline, nil, 0, 0, nil)
+	g := core.NewGenesis(2, n, core.ModeBaseline, nil, 0, 0, nil)
 	keys, reg := g.Keys, g.Reg
 	vals := make([]*types.ValMsg, 0, n-1)
 	for src := types.NodeID(1); int(src) < n; src++ {

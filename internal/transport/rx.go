@@ -16,8 +16,8 @@ const rxChunk = 64 << 10
 // FrameReader slices `uint32 length | body` frames out of one pooled read
 // buffer per connection, reused in place. A frame is valid until the next
 // call to Next: its caller decodes it, copying what it keeps, before asking
-// for another. The peer transport's read loops and the client gateway both
-// read through it.
+// for another. The peer transport's read loops, the client gateway and the
+// gateway's Client all read through it.
 //
 //   - A frame that straddles the buffer's end has its tail moved to the
 //     front. The moved bytes are charged to allocBytes

@@ -33,7 +33,7 @@ type TCPNode struct {
 	pool     *mempool.Pool
 	vpool    *crypto.VerifyPool
 	st       store.Store
-	clans    [][]types.NodeID
+	genesis  core.Genesis
 	opts     TCPNodeOptions
 	onCommit []func(Commit)
 	started  bool
@@ -60,8 +60,7 @@ func NewTCPNode(o TCPNodeOptions) (*TCPNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := o.genesis()
-	n := &TCPNode{ep: ep, clans: g.Clans, opts: o, pool: mempool.NewPool(o.MaxTxPerBlock)}
+	n := &TCPNode{ep: ep, genesis: o.genesis(), opts: o, pool: mempool.NewPool(o.MaxTxPerBlock)}
 	if o.StoreDir != "" {
 		disk, err := store.Open(o.StoreDir, store.Options{})
 		if err != nil {
@@ -71,7 +70,7 @@ func NewTCPNode(o TCPNodeOptions) (*TCPNode, error) {
 		n.st = disk
 	}
 	n.vpool = crypto.NewVerifyPool(0, 0)
-	cfg := o.nodeConfig(o.Self, &g, &n.onCommit)
+	cfg := o.nodeConfig(o.Self, &n.genesis, &n.onCommit)
 	cfg.Blocks, cfg.Store = n.pool, n.st
 	// Installed epochs admit joined peers to the transport layer so
 	// Broadcast reaches them and their handshakes are accepted.
@@ -113,12 +112,12 @@ func (n *TCPNode) Start() {
 func (n *TCPNode) Submit(tx []byte) { n.pool.Submit(tx) }
 
 // Clans returns the deployment's clan composition.
-func (n *TCPNode) Clans() [][]NodeID { return n.clans }
+func (n *TCPNode) Clans() [][]NodeID { return n.genesis.Clans }
 
 // FaultBound returns f_c for this node's clan — the number of clan members
 // that may fail while clients still obtain f_c+1 matching read responses.
 func (n *TCPNode) FaultBound() int {
-	for _, cl := range n.clans {
+	for _, cl := range n.genesis.Clans {
 		for _, m := range cl {
 			if m == n.opts.Self {
 				return committee.ClanMaxFaulty(len(cl))
