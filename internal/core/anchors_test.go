@@ -193,11 +193,11 @@ func TestEveryVertexCommitsInThreeDelta(t *testing.T) {
 				}
 			}
 			m := nodes[0].Metrics
-			if m.SlotsIndirect != 0 || m.SlotsSkipped != 0 {
-				t.Fatalf("fault-free run resolved slots off the direct path: %d indirect, %d skipped", m.SlotsIndirect, m.SlotsSkipped)
+			if m.IndirectCommits != 0 || m.SlotsSkipped != 0 {
+				t.Fatalf("fault-free run resolved slots off the direct path: %d indirect, %d skipped", m.IndirectCommits, m.SlotsSkipped)
 			}
-			if rounds := int(nodes[0].Round()); m.SlotsDirect < (rounds-3)*n {
-				t.Fatalf("%d direct slots over %d rounds, want about %d a round", m.SlotsDirect, rounds, n)
+			if rounds := int(nodes[0].Round()); m.DirectCommits < (rounds-3)*n {
+				t.Fatalf("%d direct slots over %d rounds, want about %d a round", m.DirectCommits, rounds, n)
 			}
 			// The kept single-leader path, for contrast: non-leader vertices
 			// wait for the next round's leader.
@@ -239,8 +239,8 @@ func TestCrashedMemberSlotsGoQuiet(t *testing.T) {
 	if m.SlotsSkipped < rounds/2 {
 		t.Fatalf("%d slots passed over %d rounds, want about one a round", m.SlotsSkipped, rounds)
 	}
-	if m.SlotsIndirect > rounds/4 {
-		t.Fatalf("%d indirect resolutions over %d rounds: the muted member's slots are still being waited for", m.SlotsIndirect, rounds)
+	if m.IndirectCommits > rounds/4 {
+		t.Fatalf("%d indirect resolutions over %d rounds: the muted member's slots are still being waited for", m.IndirectCommits, rounds)
 	}
 	// Holds do begin — the sixth live vertex is handled an instant after the
 	// quorum forms — but they do not last: round 0 waits out AnchorWait for
@@ -345,7 +345,7 @@ func TestOrderedVerticesEmitBehindOpenFate(t *testing.T) {
 	c := newTCluster(t, n, topt{mode: ModeBaseline, txCount: 1}) // five regions
 	c.run(8 * time.Second)
 	for i, nd := range c.nodes {
-		if nd.Metrics.SlotsIndirect == 0 && i == 0 {
+		if nd.Metrics.IndirectCommits == 0 && i == 0 {
 			t.Log("no slot went indirect: the geography no longer exercises the hold path")
 		}
 		if got := nd.ord.out.len(); got != 0 {
@@ -468,7 +468,7 @@ func TestAnchorHoldOff(t *testing.T) {
 	on, held := run(0)
 	off, heldOff := run(-1)
 	t.Logf("default cap: %d holds, slots %d direct / %d indirect / %d skipped; off: %d holds, %d / %d / %d",
-		held, on.SlotsDirect, on.SlotsIndirect, on.SlotsSkipped, heldOff, off.SlotsDirect, off.SlotsIndirect, off.SlotsSkipped)
+		held, on.DirectCommits, on.IndirectCommits, on.SlotsSkipped, heldOff, off.DirectCommits, off.IndirectCommits, off.SlotsSkipped)
 	if held == 0 {
 		t.Fatal("the default never held a proposal on a five-region network")
 	}
@@ -477,7 +477,7 @@ func TestAnchorHoldOff(t *testing.T) {
 	}
 	// What the hold is for: with it every slot stays on the direct path; without
 	// it most members are found late and sit out (slotLive).
-	if missOn, missOff := on.SlotsIndirect+on.SlotsSkipped, off.SlotsIndirect+off.SlotsSkipped; missOn*4 > missOff || on.SlotsDirect <= off.SlotsDirect {
+	if missOn, missOff := on.IndirectCommits+on.SlotsSkipped, off.IndirectCommits+off.SlotsSkipped; missOn*4 > missOff || on.DirectCommits <= off.DirectCommits {
 		t.Fatalf("the hold kept %d slots off the direct path against %d without it", missOn, missOff)
 	}
 }

@@ -366,9 +366,9 @@ func TestBlockCacheNotRefilled(t *testing.T) {
 	}
 	before, received := len(node.rbc.blocks), node.Metrics.BlocksReceived
 	for pos, rsp := range rsps {
-		node.handle(pos.Source, vals[pos])
-		node.handle(pos.Source, &types.BlockRspMsg{Block: rsp.Block})
-		node.handle(pos.Source, rsp)
+		node.step(msgIn(pos.Source, vals[pos]))
+		node.step(msgIn(pos.Source, &types.BlockRspMsg{Block: rsp.Block}))
+		node.step(msgIn(pos.Source, rsp))
 	}
 	if len(node.rbc.blocks) != before || node.Metrics.BlocksReceived != received {
 		t.Fatalf("replayed frames refilled the cache: %d -> %d blocks", before, len(node.rbc.blocks))
@@ -406,7 +406,7 @@ func TestBlockReqAnsweredInsideTheClanOnly(t *testing.T) {
 		}
 		ask := func(from types.NodeID, v *types.Vertex, pos types.Position) int {
 			sent = sent[:0]
-			node.handle(from, &types.BlockReqMsg{Pos: pos, Digest: v.BlockDigest})
+			node.step(msgIn(from, &types.BlockReqMsg{Pos: pos, Digest: v.BlockDigest}))
 			return len(sent)
 		}
 		if k := ask(3, cached, cached.Pos()); k != 0 {
@@ -491,7 +491,7 @@ func TestBlockCacheUnpinsDecodedVal(t *testing.T) {
 	val := m.(*types.ValMsg)
 	freed := make(chan struct{})
 	runtime.SetFinalizer(val.Block, func(*types.Block) { close(freed) })
-	node.handle(1, val)
+	node.step(msgIn(1, val))
 	if val.Block != nil {
 		t.Fatal("the handled message still references its block")
 	}

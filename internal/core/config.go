@@ -29,9 +29,14 @@
 //	order   (stage_order.go) DAG insertion; internal/order's commit rule and total order
 //	exec    (stage_exec.go)  ordered vertices → the application's Deliver
 //
-// Stages intake–order run in the endpoint's serialized handler context under
-// one mutex (the protocol state machine stays lock-free internally). The
-// exec stage runs on its own goroutine behind a bounded channel, so
+// Stages intake–order run under one mutex, which every input takes in one
+// place: step, the node's one entry point (only Start, Stop and the
+// read-only accessors take it elsewhere). Every input is one step — a
+// verified message from the endpoint's serialized mailbox, a drain end, a
+// round, anchor-hold or echo-hold timer fire, a pull retry, a reconfig
+// submission — run against one clock reading (the protocol state machine
+// stays lock-free internally).
+// The exec stage runs on its own goroutine behind a bounded channel, so
 // executing a multi-megabyte clan block never stalls vote handling — the
 // backpressure contract is documented in stage_exec.go.
 package core
@@ -229,18 +234,20 @@ func (c *Config) fill() {
 	}
 }
 
-// Node is one consensus party. All entry points (message handling, timers,
-// Start) must run in the endpoint's serialized context; the engine installs
-// itself as the endpoint handler via Start.
+// Node is one consensus party. Its inputs (messages, drain ends, timers,
+// reconfig submissions) all enter through step; the engine installs itself as
+// the endpoint handler via Start.
 type Node struct {
-	// mu serializes every entry point (message handler, timer callbacks,
-	// Start) with external accessors (Round, Metrics). Under the
-	// simulator all entries already run on one goroutine; under real
-	// transports the mailbox serializes handler calls but Start and the
-	// monitoring accessors run on caller goroutines. The exec stage
-	// runs outside mu entirely (it only consumes immutable committed
-	// vertices).
+	// mu serializes step, Start and Stop with external accessors (Round,
+	// Metrics). Under the simulator all inputs already run on one goroutine;
+	// under real transports the mailbox serializes handler calls and timer
+	// fires but Start, SubmitReconfig and the monitoring accessors run on
+	// caller goroutines. The exec stage runs outside mu entirely (it only
+	// consumes immutable committed vertices).
 	mu sync.Mutex
+	// now is the clock reading of the running step (or Start, Stop): one
+	// step sees one time.
+	now time.Duration
 
 	cfg Config
 	ep  transport.Endpoint
@@ -277,10 +284,10 @@ type Node struct {
 	round          types.Round // highest round proposed
 	maxQuorumRound types.Round // highest round with 2f+1 delivered incl. leader
 	started        bool
-	stopped        bool // Stop called: ignore handlers and late timer fires
+	stopped        bool // Stop called: step drops every input
 	roundTimer     transport.Timer
 	// roundFired, anchorFired and echoFired are the three timers' callbacks,
-	// bound once; valTo is sendVal's recipient scratch.
+	// bound to step once; valTo is sendVal's recipient scratch.
 	roundFired, anchorFired, echoFired func()
 	valTo                              []types.NodeID
 	timedOutRound                      map[types.Round]bool
@@ -360,17 +367,15 @@ type Metrics struct {
 	BlocksProposed    int
 	BlocksReceived    int
 	TxsOrdered        int
-	DirectCommits     int
-	IndirectCommits   int
-	// SlotsDirect/SlotsIndirect/SlotsSkipped classify every anchor slot the
-	// total order has passed, exactly once each: ordered on its own vote
-	// quorum, ordered by the indirect rule (a strong path from a later
+	// DirectCommits, IndirectCommits and SlotsSkipped classify every anchor
+	// slot the total order has passed, exactly once each: ordered on its own
+	// vote quorum, ordered by the indirect rule (a strong path from a later
 	// anchor), or passed over. A skipped slot and a late one look the same
 	// in the latency tail; these tell them apart.
-	SlotsDirect   int
-	SlotsIndirect int
-	SlotsSkipped  int
-	Timeouts      int
+	DirectCommits   int
+	IndirectCommits int
+	SlotsSkipped    int
+	Timeouts        int
 	// ReputationOffenses counts committed timeout/no-vote evidence folded
 	// into the leader schedule (0 unless LeaderReputation is on).
 	ReputationOffenses int
@@ -401,7 +406,9 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 		novoteAggs:    map[types.Round]*crypto.Aggregator{},
 		nvcs:          map[types.Round]*types.NoVoteCert{},
 	}
-	n.roundFired, n.anchorFired, n.echoFired = n.roundTimerFired, n.anchorTimerFired, n.echoTimerFired
+	n.roundFired = func() { n.step(input{kind: inRoundTimer}) }
+	n.anchorFired = func() { n.step(input{kind: inAnchorTimer}) }
+	n.echoFired = func() { n.step(input{kind: inEchoTimer}) }
 	// Epoch 0: the configured clans over the configured member set. Later
 	// epochs re-sample clans from the committed member set.
 	n.epochs = []*epochState{n.buildEpochState(0, 0, 0, n.cfg.Members, n.cfg.Clans)}
@@ -446,7 +453,7 @@ func (n *Node) initMetrics() {
 	// RoundTimeout-sized gaps = stalls).
 	n.mCommitLat = reg.Histogram("order.commit_latency")
 	n.mAnchorGap = reg.Histogram("order.anchor_gap")
-	// Slot outcomes (see Metrics.SlotsDirect) and how long tryAdvance
+	// Slot outcomes (see Metrics.DirectCommits) and how long tryAdvance
 	// actually held proposals for late anchors.
 	n.mSlotsDirect = reg.Counter("order.slots_direct")
 	n.mSlotsIndir = reg.Counter("order.slots_indirect")

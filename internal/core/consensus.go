@@ -73,11 +73,11 @@ func (n *Node) validateVertex(v *types.Vertex, certified bool) bool {
 	if !certified {
 		prev := v.Round - 1
 		if !v.HasStrongEdgeTo(types.Position{Round: prev, Source: n.order.Leader(prev)}) {
-			if v.TC == nil || v.TC.Round != prev || !n.validTC(v.TC, false) {
+			if v.TC == nil || v.TC.Round != prev || !n.validViewCert(prev, v.TC.Agg, true, false) {
 				return false
 			}
 			if v.Source == n.order.Leader(v.Round) {
-				if v.NVC == nil || v.NVC.Round != prev || !n.validNVC(v.NVC) {
+				if v.NVC == nil || v.NVC.Round != prev || !n.validViewCert(prev, v.NVC.Agg, false, false) {
 					return false
 				}
 			}
@@ -86,25 +86,16 @@ func (n *Node) validateVertex(v *types.Vertex, certified bool) bool {
 	return true
 }
 
-// validTC checks a timeout certificate. preVerified skips the aggregate
+// validViewCert checks a timeout (timeout) or no-vote certificate for round
+// r: a quorum of round r's members signed it. preVerified skips the aggregate
 // check when the transport's verify pool already ran it (TCMsg traffic);
 // certificates embedded in vertices always verify inline.
-func (n *Node) validTC(tc *types.TimeoutCert, preVerified bool) bool {
-	cnt, _, inRange := n.ruleEpoch(tc.Round).Signers(n.cfg.N, tc.Agg.Bitmap, types.NoClan)
-	if !inRange || cnt < n.quorum(tc.Round) {
+func (n *Node) validViewCert(r types.Round, agg types.AggSig, timeout, preVerified bool) bool {
+	cnt, _, inRange := n.ruleEpoch(r).Signers(n.cfg.N, agg.Bitmap, types.NoClan)
+	if !inRange || cnt < n.quorum(r) {
 		return false
 	}
-	ok := preVerified || n.cfg.Reg.VerifyAgg(timeoutCtx(tc.Round), tc.Agg)
-	n.clk.Charge(n.cfg.Costs.AggVerify)
-	return ok
-}
-
-func (n *Node) validNVC(nvc *types.NoVoteCert) bool {
-	cnt, _, inRange := n.ruleEpoch(nvc.Round).Signers(n.cfg.N, nvc.Agg.Bitmap, types.NoClan)
-	if !inRange || cnt < n.quorum(nvc.Round) {
-		return false
-	}
-	ok := n.cfg.Reg.VerifyAgg(novoteCtx(nvc.Round), nvc.Agg)
+	ok := preVerified || n.cfg.Reg.VerifyAgg(viewCtx(r, timeout), agg)
 	n.clk.Charge(n.cfg.Costs.AggVerify)
 	return ok
 }
@@ -201,22 +192,8 @@ func (n *Node) armAnchorTimer(r types.Round) {
 		n.anchorTimer.Stop()
 	}
 	n.anchorTimerRound = r
-	n.anchorHolding, n.anchorHeldAt = true, n.clk.Now()
+	n.anchorHolding, n.anchorHeldAt = true, n.now
 	n.anchorTimer = n.clk.After(n.cfg.AnchorWait, n.anchorFired)
-}
-
-// anchorTimerFired is the anchor timer's one callback (n.anchorFired): the
-// round it waives is the one the timer was last armed for.
-func (n *Node) anchorTimerFired() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.stopped || n.anchorTimer.IsZero() {
-		return
-	}
-	n.anchorTimer = transport.Timer{}
-	n.endAnchorHold()
-	n.anchorWaived = n.anchorTimerRound + 1
-	n.tryAdvance()
 }
 
 // stopAnchorTimer disarms any pending pipelined-anchor wait (the round is
@@ -232,7 +209,7 @@ func (n *Node) stopAnchorTimer() {
 func (n *Node) endAnchorHold() {
 	if n.anchorHolding {
 		n.anchorHolding = false
-		n.mAnchorHold.Observe(n.clk.Now() - n.anchorHeldAt)
+		n.mAnchorHold.Observe(n.now - n.anchorHeldAt)
 	}
 }
 
@@ -264,18 +241,6 @@ func (n *Node) armRoundTimer() {
 	n.roundTimer = n.clk.After(n.cfg.RoundTimeout, n.roundFired)
 }
 
-// roundTimerFired is the round timer's one callback (n.roundFired). The timer
-// is stopped before the round moves, so the round it fires for is n.round.
-func (n *Node) roundTimerFired() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.stopped || n.roundTimer.IsZero() {
-		return
-	}
-	n.roundTimer = transport.Timer{}
-	n.onRoundTimeout()
-}
-
 // A party carves its own vertices 8 to an allocation (8 × 216 B fill the
 // 1792 B size class), their strong edges 64 references at a time, and its
 // VALs 32 at a time — but those that carry a block 4 at a time: such a VAL
@@ -300,7 +265,7 @@ func (n *Node) propose(r types.Round) {
 	// The proposal stamp rides inside the signed vertex: OrderedAt minus
 	// this is the vertex's end-to-end consensus latency (the latency spine).
 	*v = types.Vertex{Round: r, Source: n.cfg.Self, Epoch: n.epochOf(r).Num,
-		CreatedAt: int64(n.clk.Now())}
+		CreatedAt: int64(n.now)}
 	// Membership transactions ride in the vertex: vertices replicate
 	// tribe-wide, so the committed ReconfigTx reaches every party —
 	// observers included — as ordered state-machine input.
@@ -360,7 +325,7 @@ func (n *Node) propose(r types.Round) {
 		if blk != nil {
 			blk.Round, blk.Source = r, n.cfg.Self
 			if blk.CreatedAt == 0 {
-				blk.CreatedAt = int64(n.clk.Now())
+				blk.CreatedAt = int64(n.now)
 			}
 			n.clk.Charge(n.cfg.Costs.HashCost(blk.PayloadBytes()))
 			v.BlockDigest = blk.DigestCached()
@@ -415,10 +380,10 @@ func (n *Node) onRoundTimeout() {
 		if tc := n.tcs[r]; tc != nil {
 			n.broadcast(&types.TCMsg{TC: *tc})
 		} else {
-			tsig := n.cfg.Reg.SignFor(n.cfg.Key, timeoutCtx(r))
+			tsig := n.cfg.Reg.SignFor(n.cfg.Key, viewCtx(r, true))
 			n.clk.Charge(n.cfg.Costs.EdSign)
 			n.broadcast(&types.TimeoutMsg{TO: types.Timeout{Round: r, Voter: n.cfg.Self, Sig: tsig}})
-			nsig := n.cfg.Reg.SignFor(n.cfg.Key, novoteCtx(r))
+			nsig := n.cfg.Reg.SignFor(n.cfg.Key, viewCtx(r, false))
 			n.clk.Charge(n.cfg.Costs.EdSign)
 			n.send(n.order.Leader(r+1), &types.NoVoteMsg{NV: types.NoVote{Round: r, Voter: n.cfg.Self, Sig: nsig}})
 		}
@@ -450,82 +415,66 @@ func (n *Node) onRoundTimeout() {
 	n.armRoundTimer() // still stuck
 }
 
-func (n *Node) onTimeout(from types.NodeID, m *types.TimeoutMsg) {
-	r := m.TO.Round
-	if from != m.TO.Voter || n.tcs[r] != nil || n.gcdRound(r) {
+// onViewVote folds a member's signed timeout (timeout) or no-vote for its
+// round r into r's aggregate, and makes the certificate once the aggregate
+// reaches r's quorum. The two kinds differ twice: a no-vote counts only at
+// round r+1's leader, to whom it is addressed, and only a timeout
+// certificate is broadcast. A no-vote has a timeout's fields.
+func (n *Node) onViewVote(from types.NodeID, vote types.Timeout, timeout, preVerified bool) {
+	r := vote.Round
+	aggs, done := n.novoteAggs, n.nvcs[r] != nil
+	if timeout {
+		aggs, done = n.timeoutAggs, n.tcs[r] != nil
+	}
+	if from != vote.Voter || done || n.gcdRound(r) {
 		return
 	}
-	if !n.epochOf(r).isMember[m.TO.Voter] {
+	if !n.epochOf(r).isMember[vote.Voter] {
 		return // only round r's members vote in its view change
 	}
-	ctx := timeoutCtx(r)
-	if !m.PreVerified() && !n.cfg.Reg.Verify(m.TO.Voter, ctx, m.TO.Sig) {
+	if !timeout && n.order.Leader(r+1) != n.cfg.Self {
+		return // no-votes are addressed to the next round's leader
+	}
+	ctx := viewCtx(r, timeout)
+	if !preVerified && !n.cfg.Reg.Verify(vote.Voter, ctx, vote.Sig) {
 		return
 	}
 	n.clk.Charge(n.cfg.Costs.EdVerify)
-	agg, ok := n.timeoutAggs[r]
+	agg, ok := aggs[r]
 	if !ok {
 		agg = crypto.NewAggregator(n.cfg.N)
-		n.timeoutAggs[r] = agg
+		aggs[r] = agg
 	}
-	if types.BitmapHas(agg.Bitmap(), m.TO.Voter) {
+	if types.BitmapHas(agg.Bitmap(), vote.Voter) {
 		return
 	}
-	agg.Add(m.TO.Voter, n.cfg.Reg.PartialFor(m.TO.Voter, ctx))
+	agg.Add(vote.Voter, n.cfg.Reg.PartialFor(vote.Voter, ctx))
 	n.clk.Charge(n.cfg.Costs.AggFold)
-	if agg.Count() >= n.quorum(r) {
+	if agg.Count() < n.quorum(r) {
+		return
+	}
+	delete(aggs, r)
+	if timeout {
 		tc := &types.TimeoutCert{Round: r, Agg: agg.Sig()}
 		n.tcs[r] = tc
-		delete(n.timeoutAggs, r)
 		n.broadcast(&types.TCMsg{TC: *tc})
-		n.tryAdvance()
+	} else {
+		n.nvcs[r] = &types.NoVoteCert{Round: r, Agg: agg.Sig()}
 	}
+	n.tryAdvance()
 }
 
-func (n *Node) onTCMsg(from types.NodeID, m *types.TCMsg) {
+func (n *Node) onTCMsg(m *types.TCMsg) {
 	r := m.TC.Round
 	if n.tcs[r] != nil || n.gcdRound(r) {
 		return
 	}
-	if !n.validTC(&m.TC, m.PreVerified()) {
+	if !n.validViewCert(r, m.TC.Agg, true, m.PreVerified()) {
 		return
 	}
 	tc := m.TC
 	n.tcs[r] = &tc
 	n.tryAdvance()
-}
-
-func (n *Node) onNoVote(from types.NodeID, m *types.NoVoteMsg) {
-	r := m.NV.Round
-	if from != m.NV.Voter || n.nvcs[r] != nil || n.gcdRound(r) {
-		return
-	}
-	if !n.epochOf(r).isMember[m.NV.Voter] {
-		return // only round r's members vote in its view change
-	}
-	if n.order.Leader(r+1) != n.cfg.Self {
-		return // no-votes are addressed to the next round's leader
-	}
-	ctx := novoteCtx(r)
-	if !m.PreVerified() && !n.cfg.Reg.Verify(m.NV.Voter, ctx, m.NV.Sig) {
-		return
-	}
-	n.clk.Charge(n.cfg.Costs.EdVerify)
-	agg, ok := n.novoteAggs[r]
-	if !ok {
-		agg = crypto.NewAggregator(n.cfg.N)
-		n.novoteAggs[r] = agg
-	}
-	if types.BitmapHas(agg.Bitmap(), m.NV.Voter) {
-		return
-	}
-	agg.Add(m.NV.Voter, n.cfg.Reg.PartialFor(m.NV.Voter, ctx))
-	n.clk.Charge(n.cfg.Costs.AggFold)
-	if agg.Count() >= n.quorum(r) {
-		n.nvcs[r] = &types.NoVoteCert{Round: r, Agg: agg.Sig()}
-		delete(n.novoteAggs, r)
-		n.tryAdvance()
-	}
 }
 
 // sendVal signs v and sends this party's VAL: the vertex to the whole

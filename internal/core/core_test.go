@@ -591,10 +591,10 @@ func TestFloodFarFutureViewStateBounded(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		r := types.Round(10000 + i*37)
 		ep.Send(0, &types.TimeoutMsg{TO: types.Timeout{
-			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], timeoutCtx(r)),
+			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], viewCtx(r, true)),
 		}})
 		ep.Send(0, &types.NoVoteMsg{NV: types.NoVote{
-			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], novoteCtx(r)),
+			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], viewCtx(r, false)),
 		}})
 		ep.Send(0, &types.TCMsg{TC: types.TimeoutCert{Round: r}})
 	}
@@ -717,10 +717,10 @@ func TestFloodFarFutureMultiLeaderStateBounded(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		r := types.Round(10000 + i*37)
 		ep.Send(0, &types.TimeoutMsg{TO: types.Timeout{
-			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], timeoutCtx(r)),
+			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], viewCtx(r, true)),
 		}})
 		ep.Send(0, &types.NoVoteMsg{NV: types.NoVote{
-			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], novoteCtx(r)),
+			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], viewCtx(r, false)),
 		}})
 		ep.Send(0, &types.TCMsg{TC: types.TimeoutCert{Round: r}})
 	}

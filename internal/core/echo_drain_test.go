@@ -72,7 +72,7 @@ func (c *signClock) Charge(d time.Duration) {
 	}
 }
 
-// handNode is a node driven by hand: messages go straight into handle.
+// handNode is a node driven by hand: messages go straight into step.
 func handNode(keys []crypto.KeyPair, reg *crypto.Registry, self types.NodeID, ep transport.Endpoint) *Node {
 	return New(Config{Self: self, N: len(keys), Mode: ModeBaseline, Key: &keys[self], Reg: reg, AnchorWait: -1},
 		ep, frozenClock{})
@@ -103,7 +103,7 @@ func TestEchoFramingEquivalence(t *testing.T) {
 	run := func(rng *rand.Rand, cut func(k int) []int) outcome {
 		node := handNode(keys, reg, 0, nullEndpoint{})
 		for _, val := range vals {
-			node.handle(val.Vertex.Source, val)
+			node.step(msgIn(val.Vertex.Source, val))
 		}
 		for voter := types.NodeID(1); voter < n; voter++ {
 			var mine []types.EchoEntry
@@ -116,7 +116,7 @@ func TestEchoFramingEquivalence(t *testing.T) {
 			from := 0
 			for _, to := range append(cut(len(mine)), len(mine)) {
 				if to > from {
-					node.handle(voter, signedEchoes(&keys[voter], voter, mine[from:to]...))
+					node.step(msgIn(voter, signedEchoes(&keys[voter], voter, mine[from:to]...)))
 					from = to
 				}
 			}
@@ -476,7 +476,7 @@ func TestEchoFrameCap(t *testing.T) {
 		if !node.Verifier()(1, f) {
 			t.Fatal("frame fails the verifier")
 		}
-		receiver.handle(1, f)
+		receiver.step(msgIn(1, f))
 	}
 	if len(ep.out) != len(ep.echoFrames()) || fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("%d echoes queued, %d left in %d frames (%d ECHO), or out of order", len(want), len(got), len(ep.out), len(ep.echoFrames()))
@@ -490,14 +490,14 @@ func TestEchoFrameCap(t *testing.T) {
 
 	long := signedEchoes(&keys[1], 1, append(want[:n:n], types.EchoEntry{Pos: types.Position{Round: 9, Source: 0}})...)
 	fresh := handNode(keys, reg, 0, nullEndpoint{})
-	fresh.handle(1, long)
+	fresh.step(msgIn(1, long))
 	if fresh.rbc.Rounds() != 0 {
 		t.Fatalf("a frame of %d entries created state in %d rounds", len(long.Entries), fresh.rbc.Rounds())
 	}
 	if fresh.Verifier()(1, long) {
 		t.Fatal("the verifier passed a frame longer than the handler accepts")
 	}
-	fresh.handle(1, signedEchoes(&keys[1], 1, long.Entries[:n]...))
+	fresh.step(msgIn(1, signedEchoes(&keys[1], 1, long.Entries[:n]...)))
 	if fresh.rbc.Get(want[0].Pos) == nil {
 		t.Fatal("a frame of exactly n entries was refused")
 	}
@@ -522,12 +522,12 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 	}
 
 	node := handNode(keys, reg, 0, nullEndpoint{})
-	node.handle(byz, signedEchoes(&keys[byz], byz,
+	node.step(msgIn(byz, signedEchoes(&keys[byz], byz,
 		types.EchoEntry{Pos: at(0, 1), Digest: da},
 		types.EchoEntry{Pos: at(0, 1), Digest: da}, // the same echo again
 		types.EchoEntry{Pos: at(0, 2), Digest: da},
 		types.EchoEntry{Pos: at(0, 2), Digest: db}, // a second digest at one position
-	))
+	)))
 	if counted(node, at(0, 1), da) != 1 || counted(node, at(0, 2), da) != 1 || counted(node, at(0, 2), db) != 0 {
 		t.Fatalf("a frame listing positions twice counted %d, %d and %d echoes, want 1, 1, 0",
 			counted(node, at(0, 1), da), counted(node, at(0, 2), da), counted(node, at(0, 2), db))
@@ -540,14 +540,14 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 	node.round = 500 // rounds below the horizon need one
 	node.dag.GC(400)
 	node.mu.Unlock()
-	node.handle(byz, signedEchoes(&keys[byz], byz,
+	node.step(msgIn(byz, signedEchoes(&keys[byz], byz,
 		types.EchoEntry{Pos: at(500, n+3), Digest: da}, // no such source
 		types.EchoEntry{Pos: at(500, 1), Digest: da},
 		types.EchoEntry{Pos: at(10, 1), Digest: da}, // below the GC horizon
 		types.EchoEntry{Pos: at(501, 1), Digest: da},
 		types.EchoEntry{Pos: at(1<<40, 1), Digest: da}, // far future
 		types.EchoEntry{Pos: at(502, 1), Digest: da},
-	))
+	)))
 	for r := types.Round(500); r <= 502; r++ {
 		if counted(node, at(r, 1), da) != 1 {
 			t.Fatalf("the echo for round %d, between two bad entries, was not counted", r)
@@ -560,10 +560,10 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 	// A non-member source or voter: membership is per epoch.
 	node = New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &keys[0], Reg: reg, Params: Params{Members: []types.NodeID{0, 1, 3, 4, 5}}},
 		nullEndpoint{}, frozenClock{})
-	node.handle(byz, signedEchoes(&keys[byz], byz,
+	node.step(msgIn(byz, signedEchoes(&keys[byz], byz,
 		types.EchoEntry{Pos: at(0, 2), Digest: da}, // node 2 is not a member
 		types.EchoEntry{Pos: at(0, 1), Digest: da},
-	))
+	)))
 	if node.rbc.Get(at(0, 2)) != nil || counted(node, at(0, 1), da) != 1 {
 		t.Fatal("an entry for a non-member source was counted, or took its neighbour along")
 	}
@@ -575,7 +575,7 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 		types.EchoEntry{Pos: at(0, 1), Digest: da}, types.EchoEntry{Pos: at(0, 2), Digest: db}, types.EchoEntry{Pos: at(1, 1), Digest: da})
 	forged := *good
 	forged.Sig[5] ^= 1
-	node.handle(byz, &forged)
+	node.step(msgIn(byz, &forged))
 	if node.rbc.Rounds() != 0 || node.Verifier()(byz, &forged) {
 		t.Fatal("a frame with a bad signature touched instance state or passed the verifier")
 	}
@@ -590,7 +590,7 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 		"other digest": {e[0], {Pos: e[1].Pos, Digest: da}, e[2]},
 	} {
 		m := &types.EchoMsg{Entries: list, Voter: byz, Sig: good.Sig}
-		node.handle(byz, m)
+		node.step(msgIn(byz, m))
 		if node.Verifier()(byz, m) || node.rbc.Rounds() != 0 {
 			t.Fatalf("a %d-entry signature verified for its %s", len(e), name)
 		}
@@ -599,11 +599,11 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 		t.Fatal("the genuine frame fails the verifier")
 	}
 	// A frame signed by someone else than its sender counts for neither.
-	node.handle(1, good)
+	node.step(msgIn(1, good))
 	if node.rbc.Rounds() != 0 {
 		t.Fatal("a frame relayed under another sender's name was counted")
 	}
-	node.handle(byz, good)
+	node.step(msgIn(byz, good))
 	if counted(node, at(0, 1), da) != 1 || counted(node, at(0, 2), db) != 1 || counted(node, at(1, 1), da) != 1 {
 		t.Fatal("the genuine frame's entries were not all counted")
 	}
@@ -617,13 +617,13 @@ func TestEchoLeavesBeforeLaterFrames(t *testing.T) {
 	reg := crypto.NewRegistry(keys, true)
 	ep := &recEndpoint{}
 	node := handNode(keys, reg, 0, ep)
-	node.Start()              // proposes round 0
-	node.handle(0, ep.out[0]) // an endpoint delivers a broadcast to its sender too
+	node.Start()                   // proposes round 0
+	node.step(msgIn(0, ep.out[0])) // an endpoint delivers a broadcast to its sender too
 	own := ep.out[0].(*types.ValMsg).Vertex
 	entries := []types.EchoEntry{{Pos: own.Pos(), Digest: own.DigestCached()}}
 	for src := types.NodeID(1); src <= 2; src++ {
 		v, val := round0(keys, src)
-		node.handle(src, val)
+		node.step(msgIn(src, val))
 		entries = append(entries, types.EchoEntry{Pos: v.Pos(), Digest: v.DigestCached()})
 	}
 	if len(ep.out) != 1 {
@@ -631,11 +631,11 @@ func TestEchoLeavesBeforeLaterFrames(t *testing.T) {
 	}
 	// The others' echoes deliver round 0's quorum, and the node proposes
 	// round 1 in the same drain.
-	node.handle(1, signedEchoes(&keys[1], 1, entries[0], entries[2]))
-	node.handle(2, signedEchoes(&keys[2], 2, entries[0], entries[1]))
-	node.handle(3, signedEchoes(&keys[3], 3, entries...))
+	node.step(msgIn(1, signedEchoes(&keys[1], 1, entries[0], entries[2])))
+	node.step(msgIn(2, signedEchoes(&keys[2], 2, entries[0], entries[1])))
+	node.step(msgIn(3, signedEchoes(&keys[3], 3, entries...)))
 	_, val3 := round0(keys, 3)
-	node.handle(3, val3)
+	node.step(msgIn(3, val3))
 	ep.drained()
 	if len(ep.out) != 4 {
 		t.Fatalf("%d frames on the wire, want VAL(0), ECHO, VAL(1), ECHO", len(ep.out))

@@ -122,7 +122,7 @@ func newFrontierNode(t *testing.T, n int, wait time.Duration, late ...types.Node
 
 // deliver hands m to the node as a drain of its own.
 func (f *frontierNode) deliver(from types.NodeID, m types.Message) {
-	f.node.handle(from, m)
+	f.node.step(msgIn(from, m))
 	f.ep.drained()
 }
 

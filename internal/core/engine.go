@@ -10,9 +10,10 @@ import (
 )
 
 // This file is the pipeline's front door: signing domain contexts, engine
-// lifecycle (Start/Stop), and the intake dispatcher that routes verified
-// messages from the transport's serialized mailbox into the RBC stage
-// (stage_rbc.go) and the view layer (consensus.go).
+// lifecycle (Start/Stop), and step, the one entry point, which routes each
+// input — a verified message from the transport's serialized mailbox, a
+// drain end, a timer fire, a reconfig submission — into the RBC stage
+// (stage_rbc.go), the view layer (consensus.go) and the epoch table.
 
 // Signing contexts. Every signed artifact binds a domain tag so signatures
 // cannot be replayed across message types.
@@ -43,18 +44,39 @@ func echoFrameCtx(buf *echoFrameBuf, entries []types.EchoEntry) []byte {
 	return b
 }
 
-func timeoutCtx(r types.Round) []byte {
+// viewCtx is what a member signs to time out round r (timeout), or to refuse
+// round r's leader its vote.
+func viewCtx(r types.Round, timeout bool) []byte {
 	var b [9]byte
-	b[0] = 'T'
+	b[0] = 'N'
+	if timeout {
+		b[0] = 'T'
+	}
 	binary.LittleEndian.PutUint64(b[1:], uint64(r))
 	return b[:]
 }
 
-func novoteCtx(r types.Round) []byte {
-	var b [9]byte
-	b[0] = 'N'
-	binary.LittleEndian.PutUint64(b[1:], uint64(r))
-	return b[:]
+// inputKind names one kind of input to the node. Each input is one step.
+type inputKind uint8
+
+const (
+	inMessage     inputKind = iota // msg from `from`, past the transport's checks
+	inDrainEnd                     // the endpoint's mailbox is about to idle
+	inRoundTimer                   // the round timer fired (roundFired)
+	inAnchorTimer                  // the anchor-hold timer fired (anchorFired)
+	inEchoTimer                    // the echo-hold timer fired (echoFired)
+	inPullRetry                    // pos's pull timer fired: its block's if block, else its vertex's
+	inReconfig                     // tx submitted for this party's next proposal
+)
+
+// input is one input to the node: the kind and what that kind carries.
+type input struct {
+	kind  inputKind
+	from  types.NodeID
+	msg   types.Message
+	pos   types.Position
+	block bool
+	tx    *types.ReconfigTx
 }
 
 // Start installs the node as the endpoint handler and proposes its round-0
@@ -68,10 +90,11 @@ func (n *Node) Start() {
 	n.started = true
 	// The echoes of one drain share a frame: installed before the handler,
 	// so no handler call runs without the hook.
-	n.ep.SetDrainHook(n.endDrain)
-	n.ep.SetHandler(n.handle)
+	n.ep.SetDrainHook(func() { n.step(input{kind: inDrainEnd}) })
+	n.ep.SetHandler(func(from types.NodeID, m types.Message) { n.step(input{kind: inMessage, from: from, msg: m}) })
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.now = n.clk.Now()
 	if n.recoverFromStore() {
 		// Resume: advance if the recovered state already holds the next
 		// quorum; otherwise catch up from peers (vertex pulls + the
@@ -98,6 +121,7 @@ func (n *Node) Start() {
 func (n *Node) Stop() {
 	n.mu.Lock()
 	n.stopped = true
+	n.now = n.clk.Now()
 	n.roundTimer.Stop()
 	n.roundTimer = transport.Timer{}
 	n.stopAnchorTimer()
@@ -109,51 +133,83 @@ func (n *Node) Stop() {
 	n.exec.stop()
 }
 
-// endDrain is the endpoint's drain hook (Endpoint.SetDrainHook): the handler
-// is about to idle, so what the drain queued leaves now, unless the echo hold
-// keeps it for the round's last VALs.
-func (n *Node) endDrain() {
-	n.mu.Lock()
-	n.drainEchoes()
-	n.mu.Unlock()
-}
-
-// handle dispatches inbound messages. It runs in the endpoint's serialized
-// context. The intake.latency histogram observes per-message handler
-// occupancy — wall time, including the wait for the node lock — which is
-// the serialized path the exec stage exists to keep short.
-func (n *Node) handle(from types.NodeID, m types.Message) {
+// step is the node's one way in: every input takes the node lock here, is
+// dropped once the node has stopped, and runs against one clock reading,
+// n.now. A timer input acts only while its timer is armed. The
+// intake.latency histogram observes each message's handler occupancy — wall
+// time, including the wait for the lock — which is the serialized path the
+// exec stage exists to keep short.
+func (n *Node) step(in input) {
 	start := time.Now()
 	n.mu.Lock()
 	defer func() {
 		n.mu.Unlock()
-		n.mIntakeMsgs.Inc()
-		n.mIntakeLat.Observe(time.Since(start))
+		if in.kind == inMessage {
+			n.mIntakeMsgs.Inc()
+			n.mIntakeLat.Observe(time.Since(start))
+		}
 	}()
 	if n.stopped {
 		return
 	}
-	n.rbc.Reclaim()
-	switch msg := m.(type) {
-	case *types.ValMsg:
-		n.onVal(from, msg)
-	case *types.EchoMsg:
-		n.onEcho(from, msg)
-	case *types.BlockReqMsg:
-		n.onBlockReq(from, msg)
-	case *types.BlockRspMsg:
-		n.onBlockRsp(from, msg)
-	case *types.VtxReqMsg:
-		n.onVtxReq(from, msg)
-	case *types.VtxRspMsg:
-		n.onVtxRsp(from, msg)
-	case *types.NoVoteMsg:
-		n.onNoVote(from, msg)
-	case *types.TimeoutMsg:
-		n.onTimeout(from, msg)
-	case *types.TCMsg:
-		n.onTCMsg(from, msg)
-	case *types.SnapReqMsg:
-		n.onSnapReq(from, msg)
+	n.now = n.clk.Now()
+	switch in.kind {
+	case inMessage:
+		n.rbc.Reclaim()
+		switch msg := in.msg.(type) {
+		case *types.ValMsg:
+			n.onVal(in.from, msg)
+		case *types.EchoMsg:
+			n.onEcho(in.from, msg)
+		case *types.BlockReqMsg:
+			n.onBlockReq(in.from, msg)
+		case *types.BlockRspMsg:
+			n.onBlockRsp(in.from, msg)
+		case *types.VtxReqMsg:
+			n.onVtxReq(in.from, msg)
+		case *types.VtxRspMsg:
+			n.onVtxRsp(in.from, msg)
+		case *types.NoVoteMsg:
+			n.onViewVote(in.from, types.Timeout(msg.NV), false, msg.PreVerified())
+		case *types.TimeoutMsg:
+			n.onViewVote(in.from, msg.TO, true, msg.PreVerified())
+		case *types.TCMsg:
+			n.onTCMsg(msg)
+		case *types.SnapReqMsg:
+			n.onSnapReq(in.from, msg)
+		}
+	case inDrainEnd:
+		// What the drain queued leaves now, unless the echo hold keeps it for
+		// the round's last VALs.
+		n.drainEchoes()
+	case inRoundTimer:
+		// Stopped before the round moves: the round it fires for is n.round.
+		if !n.roundTimer.IsZero() {
+			n.roundTimer = transport.Timer{}
+			n.onRoundTimeout()
+		}
+	case inAnchorTimer:
+		// It waives the round it was last armed for.
+		if !n.anchorTimer.IsZero() {
+			n.anchorTimer = transport.Timer{}
+			n.endAnchorHold()
+			n.anchorWaived = n.anchorTimerRound + 1
+			n.tryAdvance()
+		}
+	case inEchoTimer:
+		if !n.echoTimer.IsZero() {
+			n.flushEchoes()
+		}
+	case inPullRetry:
+		if r := n.rbc.Get(in.pos); r != nil {
+			if t := r.X.pullTimer(in.block); !t.IsZero() {
+				*t = transport.Timer{}
+				n.pull(in.pos, r, in.block)
+			}
+		}
+	case inReconfig:
+		if len(n.pendingReconfig) < types.MaxReconfigPerVertex { // bounded; the client retries after the next fence
+			n.pendingReconfig = append(n.pendingReconfig, *in.tx)
+		}
 	}
 }

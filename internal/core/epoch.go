@@ -163,14 +163,7 @@ func (n *Node) validReconfigTx(tx *types.ReconfigTx, base *epochState, members [
 
 // SubmitReconfig queues a signed membership transaction for inclusion in this
 // party's next proposal. Safe from any goroutine.
-func (n *Node) SubmitReconfig(tx types.ReconfigTx) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.pendingReconfig) >= types.MaxReconfigPerVertex {
-		return // bounded; the client retries after the next fence
-	}
-	n.pendingReconfig = append(n.pendingReconfig, tx)
-}
+func (n *Node) SubmitReconfig(tx types.ReconfigTx) { n.step(input{kind: inReconfig, tx: &tx}) }
 
 // ---------------------------------------------------------------------------
 // Scheduling and installing epochs.

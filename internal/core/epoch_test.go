@@ -194,10 +194,10 @@ func TestEpochFloodViewStateBounded(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		r := types.Round(10000 + i*37)
 		ep.Send(0, &types.TimeoutMsg{TO: types.Timeout{
-			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], timeoutCtx(r)),
+			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], viewCtx(r, true)),
 		}})
 		ep.Send(0, &types.NoVoteMsg{NV: types.NoVote{
-			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], novoteCtx(r)),
+			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], viewCtx(r, false)),
 		}})
 		// Wrong-epoch vertices for in-window rounds: rejected before any
 		// instance state is allocated.

@@ -60,9 +60,9 @@ func rbcInstanceMallocs(t *testing.T) uint64 {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		node.handle(src, val)
+		node.step(msgIn(src, val))
 		for _, m := range echoes {
-			node.handle(m.Voter, m)
+			node.step(msgIn(m.Voter, m))
 		}
 		runtime.ReadMemStats(&after)
 		in := node.rbc.Get(pos)

@@ -133,10 +133,10 @@ func TestImplicitEchoUnderEquivocation(t *testing.T) {
 	// node 2 an explicit ECHO for A lands first and takes the source's one
 	// vote: the VAL for B that follows is accepted as the proposal but adds
 	// no second echo.
-	c.nodes[0].handle(byz, val(va))
-	c.nodes[1].handle(byz, val(vb))
-	c.nodes[2].handle(byz, echo(da))
-	c.nodes[2].handle(byz, val(vb))
+	c.nodes[0].step(msgIn(byz, val(va)))
+	c.nodes[1].step(msgIn(byz, val(vb)))
+	c.nodes[2].step(msgIn(byz, echo(da)))
+	c.nodes[2].step(msgIn(byz, val(vb)))
 	for i, d := range []types.Hash{da, db, da} {
 		if got, src := votes(i, d); got != 1 || !src {
 			t.Fatalf("node %d counted %d echoes for the source's first digest (source among them: %v), want exactly the source's", i, got, src)
@@ -148,10 +148,10 @@ func TestImplicitEchoUnderEquivocation(t *testing.T) {
 
 	// A second VAL, an explicit ECHO for either digest, and a pulled copy
 	// of the other vertex are all no-ops at node 0.
-	c.nodes[0].handle(byz, val(vb))
-	c.nodes[0].handle(byz, echo(db))
-	c.nodes[0].handle(byz, echo(da))
-	c.nodes[0].handle(1, &types.VtxRspMsg{Vertex: vb})
+	c.nodes[0].step(msgIn(byz, val(vb)))
+	c.nodes[0].step(msgIn(byz, echo(db)))
+	c.nodes[0].step(msgIn(byz, echo(da)))
+	c.nodes[0].step(msgIn(1, &types.VtxRspMsg{Vertex: vb}))
 	if got, _ := votes(0, da); got != 1 {
 		t.Fatalf("node 0 counts %d echoes for digest A after replays, want 1", got)
 	}
@@ -226,7 +226,7 @@ func TestPulledCertRules(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			recv := New(Config{Self: 6, N: n, Mode: ModeSingleClan, Clans: [][]types.NodeID{clan},
 				Key: &keys[6], Reg: reg, AnchorWait: -1}, &recEndpoint{}, frozenClock{})
-			recv.handle(3, &types.VtxRspMsg{Vertex: v, Cert: &types.EchoCertMsg{Pos: pos, Digest: d, Agg: tc.agg}})
+			recv.step(msgIn(3, &types.VtxRspMsg{Vertex: v, Cert: &types.EchoCertMsg{Pos: pos, Digest: d, Agg: tc.agg}}))
 			if in, has := recv.rbc.Get(pos), recv.dag.Has(pos); tc.valid != has || !tc.valid && in != nil {
 				t.Fatalf("instance %v, in the DAG %v; want the vertex inserted: %v", in != nil, has, tc.valid)
 			}
@@ -256,10 +256,10 @@ func TestLateValAfterCertificate(t *testing.T) {
 	t.Run("certified from echoes", func(t *testing.T) {
 		node := handNode(keys, reg, 0, &recEndpoint{})
 		for _, id := range []types.NodeID{1, 2, byz} {
-			node.handle(id, signedEchoes(&keys[id], id, types.EchoEntry{Pos: pos, Digest: da}))
+			node.step(msgIn(id, signedEchoes(&keys[id], id, types.EchoEntry{Pos: pos, Digest: da})))
 		}
-		node.handle(byz, valB)
-		node.handle(1, &types.VtxRspMsg{Vertex: va, Cert: certA})
+		node.step(msgIn(byz, valB))
+		node.step(msgIn(1, &types.VtxRspMsg{Vertex: va, Cert: certA}))
 		if in := node.rbc.Get(pos); in == nil || !in.Delivered() || in.Vertex() != va || !node.dag.Has(pos) {
 			t.Fatal("the late VAL for B kept the certified A from delivering")
 		}
@@ -267,9 +267,9 @@ func TestLateValAfterCertificate(t *testing.T) {
 	t.Run("delivered by pull", func(t *testing.T) {
 		ep := &recEndpoint{}
 		node := handNode(keys, reg, 0, ep)
-		node.handle(1, &types.VtxRspMsg{Vertex: va, Cert: certA})
-		node.handle(byz, valB)
-		node.handle(2, &types.VtxReqMsg{Pos: pos})
+		node.step(msgIn(1, &types.VtxRspMsg{Vertex: va, Cert: certA}))
+		node.step(msgIn(byz, valB))
+		node.step(msgIn(2, &types.VtxReqMsg{Pos: pos}))
 		rsp, _ := ep.out[len(ep.out)-1].(*types.VtxRspMsg)
 		if rsp == nil || rsp.Vertex != va || rsp.Cert.Digest != da {
 			t.Fatalf("a pull reply ships %v under the certificate for A", rsp)

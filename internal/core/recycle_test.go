@@ -25,16 +25,16 @@ func TestCertSurvivesRowRecycle(t *testing.T) {
 	sender := handNode(keys, reg, 0, ep)
 	v, val := round0(keys, 1)
 	pos, d := v.Pos(), v.DigestCached()
-	sender.handle(1, val)
+	sender.step(msgIn(1, val))
 	for voter := types.NodeID(2); voter <= 5; voter++ {
-		sender.handle(voter, signedEchoes(&keys[voter], voter, types.EchoEntry{Pos: pos, Digest: d}))
+		sender.step(msgIn(voter, signedEchoes(&keys[voter], voter, types.EchoEntry{Pos: pos, Digest: d})))
 	}
 	in := sender.rbc.Get(pos)
 	if in == nil || !in.Delivered() {
 		t.Fatalf("%v not delivered at the sender", pos)
 	}
 	rowBits := &in.Cert().Bitmap[0]
-	sender.handle(6, &types.VtxReqMsg{Pos: pos})
+	sender.step(msgIn(6, &types.VtxReqMsg{Pos: pos}))
 	rsp, _ := ep.out[len(ep.out)-1].(*types.VtxRspMsg)
 	if rsp == nil || rsp.Cert == nil {
 		t.Fatalf("no certified pull reply: %v", ep.out)
@@ -51,7 +51,7 @@ func TestCertSurvivesRowRecycle(t *testing.T) {
 	sender.mu.Unlock()
 	up := types.EchoEntry{Pos: types.Position{Round: 1, Source: 1}, Digest: types.Hash{9}}
 	for _, voter := range []types.NodeID{2, 3, 6} {
-		sender.handle(voter, signedEchoes(&keys[voter], voter, up))
+		sender.step(msgIn(voter, signedEchoes(&keys[voter], voter, up)))
 	}
 	reused := sender.rbc.Get(up.Pos)
 	if reused == nil || &reused.Tally(up.Digest)[0] != rowBits {
@@ -61,7 +61,7 @@ func TestCertSurvivesRowRecycle(t *testing.T) {
 		t.Fatalf("the reply's certificate changed with the row: bitmap %08b, was %08b", rsp.Cert.Agg.Bitmap, want.Bitmap)
 	}
 	recv := handNode(keys, reg, 6, &recEndpoint{})
-	recv.handle(0, rsp)
+	recv.step(msgIn(0, rsp))
 	if got := recv.rbc.Get(pos); got == nil || !got.Delivered() {
 		t.Fatal("the receiver did not accept the pulled vertex on the reply's certificate")
 	}

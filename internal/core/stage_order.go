@@ -231,15 +231,13 @@ func (n *Node) onStep(s order.Step) {
 		return
 	case order.Direct:
 		n.Metrics.DirectCommits++
-		n.Metrics.SlotsDirect++
 		n.mSlotsDirect.Inc()
 	default:
 		n.Metrics.IndirectCommits++
-		n.Metrics.SlotsIndirect++
 		n.mSlotsIndir.Inc()
 	}
 	lp := s.Slot
-	now := n.clk.Now()
+	now := n.now
 	n.mOrderCommits.Inc()
 	if n.ord.haveAnchorGap {
 		n.mAnchorGap.Observe(now - n.ord.lastAnchorAt)
@@ -296,7 +294,7 @@ func (n *Node) drainOut() {
 			n.Metrics.TxsOrdered += blk.TxCount()
 		}
 		cv.Block = blk
-		now := n.clk.Now()
+		now := n.now
 		cv.OrderedAt = now
 		if v.CreatedAt > 0 {
 			cv.ProposedAt = time.Duration(v.CreatedAt)

@@ -66,6 +66,14 @@ func (s *slot) stop() {
 	stopTimer(&s.vtxPull)
 }
 
+// pullTimer is the block pull's timer if block, else the vertex pull's.
+func (s *slot) pullTimer(block bool) *transport.Timer {
+	if block {
+		return &s.blockPull
+	}
+	return &s.vtxPull
+}
+
 func stopTimer(t *transport.Timer) {
 	t.Stop()
 	*t = transport.Timer{}
@@ -93,7 +101,7 @@ func (n *Node) ruleEpoch(r types.Round) rbc.Epoch {
 func (n *Node) inst(pos types.Position) *inst {
 	in, fresh := n.rbc.Inst(pos)
 	if fresh {
-		in.X.born = n.clk.Now()
+		in.X.born = n.now
 	}
 	return in
 }
@@ -130,7 +138,7 @@ func (n *Node) act(acts []rbc.Act) {
 			stopTimer(&in.X.vtxPull)
 			n.Metrics.VerticesDelivered++
 			n.mRBCDelivered.Inc()
-			n.mRBCLat.Observe(n.clk.Now() - in.X.born)
+			n.mRBCLat.Observe(n.now - in.X.born)
 			if r := a.Pos.Round; r > n.maxQuorumRound && n.primaryIn(r) && len(n.rbc.Delivered(r)) >= n.quorum(r) {
 				n.maxQuorumRound = r
 			}
@@ -357,7 +365,7 @@ const (
 )
 
 // queueEcho queues this party's ECHO for digest d at pos. It leaves with the
-// rest of the queue in one signed frame when a drain ends (endDrain) and the
+// rest of the queue in one signed frame when a drain ends (inDrainEnd) and the
 // echo hold does not keep it (drainEchoes), ahead of any other frame this
 // party sends, and at once when the queue holds N entries, a frame's most.
 func (n *Node) queueEcho(pos types.Position, d types.Hash) {
@@ -374,7 +382,7 @@ func (n *Node) drainEchoes() {
 	case !n.echoHeld(n.round):
 		n.flushEchoes()
 	case n.echoTimer.IsZero():
-		n.echoHeldAt = n.clk.Now()
+		n.echoHeldAt = n.now
 		n.echoTimer = n.clk.After(n.cfg.AnchorWait, n.echoFired)
 	}
 }
@@ -404,22 +412,12 @@ func (n *Node) echoHeld(r types.Round) bool {
 	return false
 }
 
-// echoTimerFired is the echo timer's one callback (n.echoFired): the hold is
-// over, and the queue leaves.
-func (n *Node) echoTimerFired() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.stopped && !n.echoTimer.IsZero() {
-		n.flushEchoes()
-	}
-}
-
 // flushEchoes ends the echo hold, if one runs, then signs the queued echoes
 // once and broadcasts them as one frame.
 func (n *Node) flushEchoes() {
 	if !n.echoTimer.IsZero() {
 		stopTimer(&n.echoTimer)
-		n.mEchoHold.Observe(n.clk.Now() - n.echoHeldAt)
+		n.mEchoHold.Observe(n.now - n.echoHeldAt)
 	}
 	q := n.rbc.echoQ
 	if len(q) == 0 {
@@ -524,10 +522,7 @@ const pullRetry = 200 * time.Millisecond
 // timer's re-drive repeats it, at the next target. A pull already running is
 // left to run.
 func (n *Node) pull(pos types.Position, in *inst, block bool) {
-	timer := &in.X.vtxPull
-	if block {
-		timer = &in.X.blockPull
-	}
+	timer := in.X.pullTimer(block)
 	if !timer.IsZero() {
 		return
 	}
@@ -565,14 +560,7 @@ func (n *Node) pull(pos types.Position, in *inst, block bool) {
 	if !n.rbc.Evidenced(pos) {
 		return
 	}
-	*timer = n.clk.After(pullRetry, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if !n.stopped && n.rbc.Get(pos) == in { // the row may be retired, or reused
-			*timer = transport.Timer{}
-			n.pull(pos, in, block)
-		}
-	})
+	*timer = n.clk.After(pullRetry, func() { n.step(input{kind: inPullRetry, pos: pos, block: block}) })
 }
 
 func (n *Node) onBlockReq(from types.NodeID, m *types.BlockReqMsg) {

@@ -54,17 +54,17 @@ func (n *Node) Verifier() transport.Verifier {
 			}
 			msg.MarkVerified()
 		case *types.TimeoutMsg:
-			if !reg.Verify(msg.TO.Voter, timeoutCtx(msg.TO.Round), msg.TO.Sig) {
+			if !reg.Verify(msg.TO.Voter, viewCtx(msg.TO.Round, true), msg.TO.Sig) {
 				return false
 			}
 			msg.MarkVerified()
 		case *types.NoVoteMsg:
-			if !reg.Verify(msg.NV.Voter, novoteCtx(msg.NV.Round), msg.NV.Sig) {
+			if !reg.Verify(msg.NV.Voter, viewCtx(msg.NV.Round, false), msg.NV.Sig) {
 				return false
 			}
 			msg.MarkVerified()
 		case *types.TCMsg:
-			if !reg.VerifyAgg(timeoutCtx(msg.TC.Round), msg.TC.Agg) {
+			if !reg.VerifyAgg(viewCtx(msg.TC.Round, true), msg.TC.Agg) {
 				return false
 			}
 			msg.MarkVerified()
