@@ -196,7 +196,7 @@ func NewCluster(o Options) (*Cluster, error) {
 	}
 	c := &Cluster{
 		opts:     o,
-		net:      transport.NewChanNet(o.N, 0),
+		net:      transport.NewChanNet(o.N),
 		genesis:  o.genesis(),
 		onCommit: make([][]func(Commit), o.N),
 		pools:    make([]*mempool.Pool, o.N),

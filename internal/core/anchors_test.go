@@ -348,7 +348,7 @@ func TestOrderedVerticesEmitBehindOpenFate(t *testing.T) {
 		if nd.Metrics.IndirectCommits == 0 && i == 0 {
 			t.Log("no slot went indirect: the geography no longer exercises the hold path")
 		}
-		if got := nd.ord.out.len(); got != 0 {
+		if got := nd.ord.out.Len(); got != 0 {
 			t.Fatalf("node %d holds %d ordered vertices back", i, got)
 		}
 		if len(c.orders[i]) != nd.Metrics.VerticesOrdered {

@@ -522,7 +522,7 @@ func TestBlockCacheUnpinsDecodedVal(t *testing.T) {
 // receiving each proposal, all of them still get every block.
 func TestBlockCacheSharedValUntouched(t *testing.T) {
 	const n, want = 4, 40
-	net := transport.NewChanNet(n, 0)
+	net := transport.NewChanNet(n)
 	t.Cleanup(net.Close)
 	keys := crypto.GenerateKeys(n, 7)
 	reg := crypto.NewRegistry(keys, true)

@@ -36,9 +36,9 @@
 // round, anchor-hold or echo-hold timer fire, a pull retry, a reconfig
 // submission — run against one clock reading (the protocol state machine
 // stays lock-free internally).
-// The exec stage runs on its own goroutine behind a bounded channel, so
-// executing a multi-megabyte clan block never stalls vote handling — the
-// backpressure contract is documented in stage_exec.go.
+// The exec stage runs on its own goroutine behind one queue that never
+// blocks the handler, so executing a multi-megabyte clan block never stalls
+// vote handling — the handoff is documented in stage_exec.go.
 package core
 
 import (
@@ -419,7 +419,7 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 		EpochOf: func(r types.Round) *order.Epoch { return &n.epochOf(r).Epoch },
 	}, n.dag)
 	n.initMetrics()
-	n.exec = newExecStage(cfg.Deliver, execQueue, n.reg)
+	n.exec = newExecStage(cfg.Deliver, n.reg)
 	return n
 }
 
@@ -498,7 +498,7 @@ func (n *Node) initMetrics() {
 		s.SetGauge(types.StageRBC.Metric("queue_depth"), int64(live))
 		s.SetGauge(types.StageRBC.Metric("blocks_cached"), int64(len(n.rbc.blocks)))
 		s.SetGauge(types.StageRBC.Metric("block_bytes_cached"), int64(n.rbc.blockBytes))
-		s.SetGauge(types.StageOrder.Metric("queue_depth"), int64(n.ord.out.len()+len(n.ord.pendingInsert)))
+		s.SetGauge(types.StageOrder.Metric("queue_depth"), int64(n.ord.out.Len()+len(n.ord.pendingInsert)))
 		// Structural ordering work: edges tallied, fates evaluated, DAG
 		// edges walked. Machine-independent, so perfbench can gate it.
 		s.SetCounter("order.work", n.order.Work()+n.dag.Steps)

@@ -178,7 +178,7 @@ func newDrainNode(t *testing.T, n int) *drainNode { return newDrainNodeWait(t, n
 
 // newDrainNodeWait is newDrainNode with the given AnchorWait.
 func newDrainNodeWait(t *testing.T, n int, wait time.Duration) *drainNode {
-	d := &drainNode{t: t, net: transport.NewChanNet(n, 0), keys: crypto.GenerateKeys(n, 9), heard: make([][]types.Message, n)}
+	d := &drainNode{t: t, net: transport.NewChanNet(n), keys: crypto.GenerateKeys(n, 9), heard: make([][]types.Message, n)}
 	t.Cleanup(d.net.Close)
 	d.reg = crypto.NewRegistry(d.keys, true)
 	for i := 1; i < n; i++ {

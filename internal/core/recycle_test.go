@@ -344,7 +344,7 @@ func TestHorizonWaitsForEmission(t *testing.T) {
 				}
 				if ordered := nd.Metrics.VerticesOrdered; ordered < 100 || len(c.orders[i]) != ordered {
 					t.Fatalf("node %d ordered %d vertices and emitted %d; %d wait in its out queue",
-						i, ordered, len(c.orders[i]), nd.ord.out.len())
+						i, ordered, len(c.orders[i]), nd.ord.out.Len())
 				}
 			}
 			c.checkConsistentOrder(nil)

@@ -20,7 +20,7 @@ import (
 // just before it is drained; without, rounds carry no payload.
 func roundPathMallocs(t *testing.T, txs int) float64 {
 	const n, warm, rounds = 7, 100, 200
-	net := transport.NewChanNet(n, 0)
+	net := transport.NewChanNet(n)
 	t.Cleanup(net.Close)
 	keys := crypto.GenerateKeys(n, 13)
 	reg := crypto.NewRegistry(keys, true)

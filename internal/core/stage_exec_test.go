@@ -9,20 +9,19 @@ import (
 	"clanbft/internal/types"
 )
 
-// Unit tests for execStage's spill ring and drain, exercised directly
-// (no cluster) so the capacity accounting is observable.
+// Unit tests for execStage's queue, drain and stop, exercised directly (no
+// cluster).
 
 func vertexAt(r types.Round, src types.NodeID) *types.Vertex {
 	return &types.Vertex{Round: r, Source: src}
 }
 
-// gate blocks Deliver until released, letting a test pile up a spill burst.
+// gate blocks Deliver until released, letting a test pile up a backlog.
 type gate struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	open     bool
-	rounds   []types.Round
-	delivers int
+	mu     sync.Mutex
+	cond   *sync.Cond
+	open   bool
+	rounds []types.Round
 }
 
 func newGate() *gate {
@@ -37,7 +36,6 @@ func (g *gate) deliver(cv CommittedVertex) {
 		g.cond.Wait()
 	}
 	g.rounds = append(g.rounds, cv.Vertex.Round)
-	g.delivers++
 	g.mu.Unlock()
 }
 
@@ -48,110 +46,12 @@ func (g *gate) release() {
 	g.mu.Unlock()
 }
 
-// TestSpillReleasesCapacityAfterDrain is the regression test for the spill
-// leak: the old implementation advanced the ring with overflow = overflow[1:],
-// which keeps the entire burst-sized backing array reachable for the node's
-// lifetime. After a burst spills and fully drains, the stage must retain at
-// most spillRetainCap capacity.
-func TestSpillReleasesCapacityAfterDrain(t *testing.T) {
-	const burst = 5000
-	g := newGate()
-	e := newExecStage(g.deliver, 1, metrics.New())
-	defer e.stop()
-
-	for i := 0; i < burst; i++ {
-		e.push(CommittedVertex{Vertex: vertexAt(types.Round(i), 0)})
-	}
-	e.mu.Lock()
-	spilled := e.spillLen()
-	grown := cap(e.overflow)
-	e.mu.Unlock()
-	if spilled < burst-2 {
-		t.Fatalf("expected ~%d spilled items behind a blocked queue of 1, got %d", burst, spilled)
-	}
-	if grown < burst-2 {
-		t.Fatalf("spill backing array cap %d, expected >= burst", grown)
-	}
-
-	g.release()
-	e.flush()
-
-	e.mu.Lock()
-	live, retained, head := e.spillLen(), cap(e.overflow), e.spillHead
-	e.mu.Unlock()
-	if live != 0 {
-		t.Fatalf("%d items still spilled after flush", live)
-	}
-	if retained > spillRetainCap {
-		t.Fatalf("drained spill retains cap %d (> %d): burst backing array leaked", retained, spillRetainCap)
-	}
-	if head != 0 {
-		t.Fatalf("spillHead %d after full drain, want 0", head)
-	}
-	g.mu.Lock()
-	n := g.delivers
-	g.mu.Unlock()
-	if n != burst {
-		t.Fatalf("delivered %d of %d", n, burst)
-	}
-}
-
-// TestSpillPopZeroesSlots: every popped slot must be cleared so delivered
-// blocks become collectable even while the ring is partially drained.
-func TestSpillPopZeroesSlots(t *testing.T) {
-	e := &execStage{overflow: make([]execItem, 0, 8)}
-	for i := 0; i < 6; i++ {
-		e.overflow = append(e.overflow, execItem{cv: CommittedVertex{Vertex: vertexAt(types.Round(i), 0)}})
-	}
-	for i := 0; i < 3; i++ {
-		it := e.popSpill()
-		if it.cv.Vertex.Round != types.Round(i) {
-			t.Fatalf("pop %d returned round %d", i, it.cv.Vertex.Round)
-		}
-	}
-	for i := 0; i < e.spillHead; i++ {
-		if e.overflow[i].cv.Vertex != nil {
-			t.Fatalf("dead slot %d still references its vertex", i)
-		}
-	}
-	if e.spillLen() != 3 {
-		t.Fatalf("spillLen %d, want 3", e.spillLen())
-	}
-}
-
-// TestSpillCompactionSlidesLiveRegion: a long-lived backlog whose dead prefix
-// dominates must compact in place rather than growing without bound.
-func TestSpillCompactionSlidesLiveRegion(t *testing.T) {
-	e := &execStage{}
-	total := spillCompactAt*2 + 10
-	for i := 0; i < total; i++ {
-		e.overflow = append(e.overflow, execItem{cv: CommittedVertex{Vertex: vertexAt(types.Round(i), 0)}})
-	}
-	// Pop until the dead prefix both passes spillCompactAt and dominates
-	// the slice (head*2 >= len) — the point where the live region must
-	// slide down.
-	pops := total / 2
-	for i := 0; i < pops; i++ {
-		e.popSpill()
-	}
-	if e.spillHead != 0 {
-		t.Fatalf("spillHead %d after compaction, want 0", e.spillHead)
-	}
-	if e.spillLen() != total-pops {
-		t.Fatalf("spillLen %d after compaction, want %d", e.spillLen(), total-pops)
-	}
-	// FIFO must survive the slide.
-	if it := e.popSpill(); it.cv.Vertex.Round != types.Round(pops) {
-		t.Fatalf("post-compaction pop returned round %d, want %d", it.cv.Vertex.Round, pops)
-	}
-}
-
-// TestBatchDrainPreservesOrder: a spilled burst is delivered one vertex per
-// Deliver call, in push order.
+// TestBatchDrainPreservesOrder: a backlog is delivered one vertex per Deliver
+// call, in push order.
 func TestBatchDrainPreservesOrder(t *testing.T) {
 	const total = 2000
 	g := newGate() // holds the first delivery so the rest piles up
-	e := newExecStage(g.deliver, 4, metrics.New())
+	e := newExecStage(g.deliver, metrics.New())
 	defer e.stop()
 
 	for i := 0; i < total; i++ {
@@ -162,8 +62,8 @@ func TestBatchDrainPreservesOrder(t *testing.T) {
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.delivers != total || len(g.rounds) != total {
-		t.Fatalf("%d Deliver calls carried %d vertices, want %d of each", g.delivers, len(g.rounds), total)
+	if len(g.rounds) != total {
+		t.Fatalf("%d Deliver calls, want %d", len(g.rounds), total)
 	}
 	for i, r := range g.rounds {
 		if r != types.Round(i) {
@@ -172,10 +72,9 @@ func TestBatchDrainPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestExecBackpressureSpill: a queue of one in front of a slow Deliver must
-// spill (counted by exec.backpressure) without blocking the pushes, and the
-// spill must drain in FIFO order — every pushed vertex delivered exactly
-// once, in push order, and the queue empty after flush.
+// TestExecBackpressureSpill: pushes in front of a slow Deliver must not
+// block, and the backlog must drain in FIFO order — every pushed vertex
+// delivered exactly once, in push order, and the queue empty after flush.
 func TestExecBackpressureSpill(t *testing.T) {
 	const total = 1000
 	var got []types.Round // written by deliver; read after flush
@@ -183,7 +82,7 @@ func TestExecBackpressureSpill(t *testing.T) {
 	e := newExecStage(func(cv CommittedVertex) {
 		time.Sleep(20 * time.Microsecond)
 		got = append(got, cv.Vertex.Round)
-	}, 1, reg)
+	}, reg)
 	defer e.stop()
 	for i := 0; i < total; i++ {
 		e.push(CommittedVertex{Vertex: vertexAt(types.Round(i), 0)})
@@ -194,17 +93,60 @@ func TestExecBackpressureSpill(t *testing.T) {
 	}
 	for i, r := range got {
 		if r != types.Round(i) {
-			t.Fatalf("position %d delivered round %d: the spill broke FIFO", i, r)
+			t.Fatalf("position %d delivered round %d: the queue broke FIFO", i, r)
 		}
 	}
 	s := reg.Snapshot()
-	if s.Counter(types.StageExec.Metric("backpressure")) == 0 {
-		t.Fatal("a queue of 1 in front of a slow Deliver never spilled")
-	}
 	if n := s.Counter(types.StageExec.Metric("committed")); n != total {
 		t.Fatalf("exec.committed=%d, want %d", n, total)
 	}
 	if depth := s.Gauge(types.StageExec.Metric("queue_depth")); depth != 0 {
 		t.Fatalf("exec.queue_depth=%d after flush", depth)
+	}
+}
+
+// TestExecStopAbandonsQueue: stop returns only once the in-flight Deliver
+// has, nothing queued behind it is delivered, and flush and push return at
+// once afterwards.
+func TestExecStopAbandonsQueue(t *testing.T) {
+	g := newGate()
+	e := newExecStage(g.deliver, metrics.New())
+	for i := 0; i <= 100; i++ {
+		e.push(CommittedVertex{Vertex: vertexAt(types.Round(i), 0)})
+	}
+	within := func(what string, fn func()) {
+		done := make(chan struct{})
+		go func() { fn(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s blocked", what)
+		}
+	}
+	stopped := make(chan struct{})
+	for taken := false; !taken; time.Sleep(time.Millisecond) {
+		e.mu.Lock()
+		taken = e.queue.Len() == 100 // vertex 0 is in Deliver
+		e.mu.Unlock()
+	}
+	go func() { e.stop(); close(stopped) }()
+	for halted := false; !halted; time.Sleep(time.Millisecond) {
+		e.mu.Lock()
+		halted = e.stopped
+		e.mu.Unlock()
+	}
+	select {
+	case <-stopped:
+		t.Fatal("stop returned while Deliver was still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	g.release()
+	within("stop", func() { <-stopped })
+	within("flush after stop", e.flush)
+	within("push after stop", func() { e.push(CommittedVertex{Vertex: vertexAt(101, 0)}) })
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.rounds) != 1 || g.rounds[0] != 0 {
+		t.Fatalf("delivered rounds %v after stop, want only [0]", g.rounds)
 	}
 }

@@ -20,7 +20,7 @@ import (
 type orderState struct {
 	pendingInsert map[types.Position]pendingVertex // delivered, awaiting parents
 	waitingChild  map[types.Position][]types.Position
-	out           outFIFO // ordered, awaiting blocks
+	out           types.Queue[outEntry] // ordered, awaiting blocks
 	// lateVertices collects vertices that missed strong-edge inclusion and
 	// must be weak-edged by the next proposal (guarantees BAB validity).
 	lateVertices map[types.Position]*types.Vertex
@@ -33,29 +33,9 @@ type orderState struct {
 	haveAnchorGap bool
 }
 
-// outFIFO is the queue of ordered vertices awaiting emission. Pops advance a
-// head index and the slice rewinds once it drains, so the backing array is
-// reused instead of creeping forward with every commit.
-type outFIFO struct {
-	items []outEntry
-	head  int
-}
-
 type outEntry struct {
 	cv       CommittedVertex
 	queuedAt time.Duration // clock reading at push
-}
-
-func (q *outFIFO) len() int { return len(q.items) - q.head }
-
-func (q *outFIFO) push(e outEntry) { q.items = append(q.items, e) }
-
-func (q *outFIFO) pop() {
-	q.items[q.head] = outEntry{} // release the vertex and block
-	q.head++
-	if q.head == len(q.items) {
-		q.items, q.head = q.items[:0], 0
-	}
 }
 
 // primaryIn reports whether round r's primary vertex has delivered — under
@@ -246,7 +226,7 @@ func (n *Node) onStep(s order.Step) {
 	n.ord.haveAnchorGap = true
 	var rtxs []types.ReconfigTx
 	for _, v := range s.History {
-		n.ord.out.push(outEntry{CommittedVertex{
+		n.ord.out.Push(outEntry{CommittedVertex{
 			Vertex:      v,
 			LeaderRound: lp.Round,
 			Direct:      s.Fate == order.Direct,
@@ -279,8 +259,8 @@ func (n *Node) onStep(s order.Step) {
 // block download; execution order is preserved). Each emitted vertex is
 // stamped with OrderedAt and handed to the execution stage.
 func (n *Node) drainOut() {
-	for n.ord.out.len() > 0 {
-		ent := &n.ord.out.items[n.ord.out.head]
+	for n.ord.out.Len() > 0 {
+		ent := &n.ord.out.Front(1)[0]
 		cv := ent.cv
 		v := cv.Vertex
 		var blk *types.Block
@@ -306,7 +286,7 @@ func (n *Node) drainOut() {
 			}
 		}
 		n.mOrderLat.Observe(now - ent.queuedAt)
-		n.ord.out.pop()
+		n.ord.out.Drop(1)
 		n.emitCommitted(cv)
 		if blk != nil {
 			n.blockEmitted(v)
@@ -329,7 +309,7 @@ func (n *Node) gc() {
 		return
 	}
 	horizon := lastRound - types.Round(n.cfg.GCDepth)
-	for _, ent := range n.ord.out.items[n.ord.out.head:] {
+	for _, ent := range n.ord.out.Front(n.ord.out.Len()) {
 		horizon = min(horizon, ent.cv.Vertex.Round)
 	}
 	if horizon <= n.dag.MinRound() {

@@ -39,7 +39,7 @@ type rbcState struct {
 	entries types.Slab[types.EchoEntry]
 	// batchSeen and batchQueue are sendAncestorBatch's scratch.
 	batchSeen  map[types.Position]bool
-	batchQueue []types.Position
+	batchQueue types.Queue[types.Position]
 }
 
 type inst = rbc.Inst[slot]
@@ -634,18 +634,19 @@ func (n *Node) sendAncestorBatch(to types.NodeID, v *types.Vertex, have types.Ro
 	// serialized, and a pull should cost the frames it sends, no more.
 	seen := n.rbc.batchSeen
 	clear(seen)
-	queue := n.rbc.batchQueue[:0]
+	queue := &n.rbc.batchQueue
 	push := func(v *types.Vertex) {
 		for i, k := 0, v.NumEdges(); i < k; i++ {
 			if p := v.Edge(i).Pos(); p.Round > have && !seen[p] {
 				seen[p] = true
-				queue = append(queue, p)
+				queue.Push(p)
 			}
 		}
 	}
 	push(v)
-	for head, sent := 0, 0; head < len(queue) && sent < catchupBatchMax; head++ {
-		pin := n.rbc.Get(queue[head])
+	for sent := 0; queue.Len() > 0 && sent < catchupBatchMax; {
+		pin := n.rbc.Get(queue.Front(1)[0])
+		queue.Drop(1)
 		if pin == nil || !pin.Delivered() {
 			continue
 		}
@@ -653,7 +654,7 @@ func (n *Node) sendAncestorBatch(to types.NodeID, v *types.Vertex, have types.Ro
 		sent++
 		push(pin.Vertex())
 	}
-	n.rbc.batchQueue = queue
+	queue.Drop(queue.Len())
 }
 
 func (n *Node) onVtxRsp(from types.NodeID, m *types.VtxRspMsg) {

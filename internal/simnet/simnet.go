@@ -30,7 +30,7 @@
 //     hook (transport.Endpoint.SetDrainHook), as a mailbox does when it
 //     idles. The hook's sends leave after the CPU the drain charged.
 //
-// Events within `quantum` (default 250 microseconds) of each other may be
+// Events within `quantum` (250 microseconds) of each other may be
 // processed in bucket order rather than exact order; all experiment-scale
 // effects are orders of magnitude above this resolution.
 package simnet
@@ -83,8 +83,6 @@ type Config struct {
 	// JitterPct randomizes each one-way latency by +-pct (default 0.02).
 	// Zero jitter can be forced with JitterPct = -1.
 	JitterPct float64
-	// Quantum is the event-ordering resolution (default 250us).
-	Quantum time.Duration
 	// BatchWindow coalesces small messages to the same destination into
 	// one wire frame flushed after this delay, as production BFT
 	// implementations do. Zero disables batching (every message is its
@@ -140,7 +138,6 @@ type Net struct {
 	owlNS         [][]int64   // one-way latency ns by region pair
 	flowNSPerByte [][]float64 // per-flow pacing (ns/byte) by region pair
 	byteRate      float64     // bytes per ns
-	quantum       int64
 
 	wheel    [][]*event
 	wheelPos int64 // bucket index corresponding to wheel slot 0's time base
@@ -156,7 +153,10 @@ type Net struct {
 	totalMsgs  [64]uint64
 }
 
-const wheelSlots = 1 << 14 // horizon = slots * quantum (4.1 s at 250 us)
+const (
+	quantum    = int64(250 * time.Microsecond) // event-ordering resolution, ns
+	wheelSlots = 1 << 14                       // horizon = slots * quantum (4.1 s)
+)
 
 // New builds a simulated network.
 func New(cfg Config) *Net {
@@ -177,9 +177,6 @@ func New(cfg Config) *Net {
 	} else if cfg.JitterPct < 0 {
 		cfg.JitterPct = 0
 	}
-	if cfg.Quantum == 0 {
-		cfg.Quantum = 250 * time.Microsecond
-	}
 	var lat [][]float64
 	if cfg.LatencyRTTms == nil {
 		lat = make([][]float64, 5)
@@ -199,7 +196,6 @@ func New(cfg Config) *Net {
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		byteRate: cfg.BandwidthBps / 8 / 1e9, // bytes per ns
-		quantum:  int64(cfg.Quantum),
 		wheel:    make([][]*event, wheelSlots),
 	}
 	n.owlNS = make([][]int64, nRegions)
@@ -312,7 +308,7 @@ func (n *Net) schedule(at int64, ev *event) *event {
 	n.seq++
 	ev.at = at
 	ev.seq = n.seq
-	slot := at / n.quantum
+	slot := at / quantum
 	if slot-n.wheelPos < wheelSlots {
 		idx := slot % wheelSlots
 		n.wheel[idx] = append(n.wheel[idx], ev)
@@ -344,7 +340,7 @@ func (n *Net) RunUntil(t time.Duration) {
 	deadline := int64(t)
 	for n.pending > 0 {
 		slot := n.wheelPos % wheelSlots
-		bucketEnd := (n.wheelPos + 1) * n.quantum
+		bucketEnd := (n.wheelPos + 1) * quantum
 		// Drain the slot until no handler schedules anything further into
 		// it: an event fired here may enqueue a near-immediate follow-up
 		// (self-delivery, zero-delay callbacks) that belongs to this same
@@ -395,7 +391,7 @@ func (n *Net) RunUntil(t time.Duration) {
 		}
 		n.wheelPos++
 		// Refill this wheel revolution's horizon from the overflow heap.
-		horizon := (n.wheelPos + wheelSlots) * n.quantum
+		horizon := (n.wheelPos + wheelSlots) * quantum
 		for n.overflow.len() > 0 && n.overflow.min().at < horizon {
 			ev := n.overflow.pop()
 			n.pending--
@@ -419,7 +415,7 @@ func (n *Net) fire(ev *event) {
 		}
 		done := start + n.txDelay(ev.size)
 		dst.rxFree = done
-		if done-n.nowNS > n.quantum {
+		if done-n.nowNS > quantum {
 			ev.kind = evDeliver
 			n.schedule(done, ev)
 			return
@@ -481,7 +477,7 @@ func (n *Net) deliverEvent(ev *event) {
 // use with recurring timers).
 func (n *Net) RunUntilIdle() {
 	for n.pending > 0 {
-		n.RunUntil(time.Duration((n.wheelPos+wheelSlots)*n.quantum - 1))
+		n.RunUntil(time.Duration((n.wheelPos+wheelSlots)*quantum - 1))
 	}
 }
 
@@ -489,7 +485,7 @@ func (n *Net) RunUntilIdle() {
 func (n *Net) Pending() int { return n.pending }
 
 func (n *Net) requeue(ev *event) {
-	slot := ev.at / n.quantum
+	slot := ev.at / quantum
 	if slot < n.wheelPos {
 		slot = n.wheelPos
 	}
@@ -657,7 +653,7 @@ func (e *simEndpoint) transmit(to types.NodeID, m types.Message, msgs []types.Me
 // deliver runs the handler at the current time, unless the node's CPU is
 // still busy (returns false: the caller reschedules at cpuFree).
 func (e *simEndpoint) deliver(at int64, from types.NodeID, m types.Message) bool {
-	if e.cpuFree-at > e.net.quantum {
+	if e.cpuFree-at > quantum {
 		return false // still busy computing: process once free
 	}
 	if e.handler == nil {

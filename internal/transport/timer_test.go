@@ -14,7 +14,7 @@ import (
 // expiry but before the callback's turn on the mailbox still cancels it, and
 // in steady state an arm allocates nothing: the handle is a value.
 func TestTimerRearm(t *testing.T) {
-	net := NewChanNet(1, 0)
+	net := NewChanNet(1)
 	defer net.Close()
 	ep := net.Endpoint(0)
 	ep.SetHandler(func(types.NodeID, types.Message) {})

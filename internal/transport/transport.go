@@ -460,18 +460,17 @@ func (t *realTimer) StopArm(gen uint64) bool {
 // ---------------------------------------------------------------------------
 // Chan: in-process network connecting n endpoints through Go channels.
 
-// ChanNet is an in-process network. It delivers messages reliably and in
-// per-sender order, optionally with a fixed artificial latency, and models
-// nothing else — it exists for functional tests and ExampleNewCluster.
+// ChanNet is an in-process network. It delivers messages reliably, at once
+// and in per-sender order, and models nothing else — it exists for
+// functional tests and ExampleNewCluster.
 type ChanNet struct {
-	epoch   time.Time
-	latency time.Duration
-	eps     []*chanEndpoint
+	epoch time.Time
+	eps   []*chanEndpoint
 }
 
 // NewChanNet creates an in-process network with n endpoints.
-func NewChanNet(n int, latency time.Duration) *ChanNet {
-	net := &ChanNet{epoch: time.Now(), latency: latency}
+func NewChanNet(n int) *ChanNet {
+	net := &ChanNet{epoch: time.Now()}
 	for i := 0; i < n; i++ {
 		ep := &chanEndpoint{
 			id:  types.NodeID(i),
@@ -543,12 +542,7 @@ func (e *chanEndpoint) Send(to types.NodeID, m types.Message) {
 func (e *chanEndpoint) sendSized(to types.NodeID, m types.Message, size uint64) {
 	e.msgsSent.Add(1)
 	e.bytesSent.Add(size)
-	dst := e.net.eps[to]
-	if e.net.latency > 0 {
-		time.AfterFunc(e.net.latency, func() { dst.receive(e.id, m, size) })
-		return
-	}
-	dst.receive(e.id, m, size) // no closure: an undelayed send allocates nothing
+	e.net.eps[to].receive(e.id, m, size)
 }
 
 func (e *chanEndpoint) receive(from types.NodeID, m types.Message, size uint64) {

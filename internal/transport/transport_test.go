@@ -46,7 +46,7 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 func TestChanNetDelivery(t *testing.T) {
-	net := NewChanNet(3, 0)
+	net := NewChanNet(3)
 	defer net.Close()
 	mu, got := collect(net.Endpoint(1))
 	net.Endpoint(2).SetHandler(func(types.NodeID, types.Message) {})
@@ -68,7 +68,7 @@ func TestChanNetDelivery(t *testing.T) {
 }
 
 func TestChanNetSelfSend(t *testing.T) {
-	net := NewChanNet(2, 0)
+	net := NewChanNet(2)
 	defer net.Close()
 	mu, got := collect(net.Endpoint(0))
 	net.Endpoint(0).Send(0, ping(7))
@@ -79,7 +79,7 @@ func TestChanNetSelfSend(t *testing.T) {
 }
 
 func TestChanNetHandlerSerialized(t *testing.T) {
-	net := NewChanNet(2, 0)
+	net := NewChanNet(2)
 	defer net.Close()
 	var inHandler atomic.Int32
 	var violations atomic.Int32
@@ -105,7 +105,7 @@ func TestChanNetHandlerSerialized(t *testing.T) {
 }
 
 func TestRealClockTimer(t *testing.T) {
-	net := NewChanNet(1, 0)
+	net := NewChanNet(1)
 	defer net.Close()
 	ep := net.Endpoint(0)
 	ep.SetHandler(func(types.NodeID, types.Message) {})
@@ -278,7 +278,7 @@ func TestTCPUnknownPeerIgnored(t *testing.T) {
 }
 
 func TestMailboxCloseUnblocks(t *testing.T) {
-	net := NewChanNet(1, 0)
+	net := NewChanNet(1)
 	ep := net.Endpoint(0)
 	ep.SetHandler(func(types.NodeID, types.Message) {})
 	done := make(chan struct{})
@@ -295,7 +295,7 @@ func TestMailboxCloseUnblocks(t *testing.T) {
 
 func TestChanNetManyNodesStress(t *testing.T) {
 	const n = 20
-	net := NewChanNet(n, 0)
+	net := NewChanNet(n)
 	defer net.Close()
 	var recvd atomic.Int64
 	for i := 0; i < n; i++ {
@@ -317,7 +317,7 @@ func TestChanNetManyNodesStress(t *testing.T) {
 }
 
 func BenchmarkChanNetSend(b *testing.B) {
-	net := NewChanNet(2, 0)
+	net := NewChanNet(2)
 	defer net.Close()
 	var count atomic.Int64
 	net.Endpoint(1).SetHandler(func(types.NodeID, types.Message) { count.Add(1) })

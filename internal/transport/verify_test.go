@@ -45,7 +45,7 @@ func signedVote(keys []crypto.KeyPair, voter, seq int) *types.EchoMsg {
 func TestVerifyPipelineFiltersAndPreservesOrder(t *testing.T) {
 	keys := crypto.GenerateKeys(8, 1)
 	reg := crypto.NewRegistry(keys, true)
-	net := NewChanNet(2, 0)
+	net := NewChanNet(2)
 	defer net.Close()
 	pool := crypto.NewVerifyPool(0, 0)
 	defer pool.Close()
@@ -108,7 +108,7 @@ func TestVerifyPipelineConcurrentSubmission(t *testing.T) {
 	const perSender = 200
 	keys := crypto.GenerateKeys(senders+1, 2)
 	reg := crypto.NewRegistry(keys, true)
-	net := NewChanNet(senders+1, 0)
+	net := NewChanNet(senders + 1)
 	defer net.Close()
 	pool := crypto.NewVerifyPool(0, 0)
 	defer pool.Close()
@@ -245,7 +245,7 @@ func benchVerifyPath(b *testing.B, pooled bool) {
 		msgs[i] = &types.EchoMsg{Entries: []types.EchoEntry{{Digest: digest}}, Voter: types.NodeID(v), Sig: sigs[v]}
 	}
 
-	net := NewChanNet(2, 0)
+	net := NewChanNet(2)
 	defer net.Close()
 	var done atomic.Int64
 	net.Endpoint(1).SetHandler(func(from types.NodeID, m types.Message) {
@@ -282,7 +282,7 @@ func BenchmarkVerifyPooled(b *testing.B)       { benchVerifyPath(b, true) }
 func TestVerifyStageSkipsSelfSendsAndUnsignedKinds(t *testing.T) {
 	keys := crypto.GenerateKeys(2, 4)
 	reg := crypto.NewRegistry(keys, true)
-	net := NewChanNet(2, 0)
+	net := NewChanNet(2)
 	defer net.Close()
 	pool := crypto.NewVerifyPool(0, 0)
 	defer pool.Close()
