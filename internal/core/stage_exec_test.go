@@ -46,6 +46,48 @@ func (g *gate) release() {
 	g.mu.Unlock()
 }
 
+// TestSpillReleasesCapacityAfterDrain: a burst that piles up behind a slow
+// Deliver grows the stage's queue to the burst's size; once it drains, that
+// array is released rather than pinned for the node's lifetime.
+func TestSpillReleasesCapacityAfterDrain(t *testing.T) {
+	const burst = 5000
+	g := newGate()
+	e := newExecStage(g.deliver, metrics.New())
+	defer e.stop()
+
+	for i := 0; i < burst; i++ {
+		e.push(CommittedVertex{Vertex: vertexAt(types.Round(i), 0)})
+	}
+	e.mu.Lock()
+	queued, grown := e.queue.Len(), e.queue.Cap()
+	e.mu.Unlock()
+	if queued < burst-1 {
+		t.Fatalf("expected ~%d queued behind a blocked Deliver, got %d", burst, queued)
+	}
+	if grown < burst-1 {
+		t.Fatalf("queue array cap %d, expected >= burst", grown)
+	}
+
+	g.release()
+	e.flush()
+
+	e.mu.Lock()
+	live, retained := e.queue.Len(), e.queue.Cap()
+	e.mu.Unlock()
+	if live != 0 {
+		t.Fatalf("%d items still queued after flush", live)
+	}
+	if retained != 0 {
+		t.Fatalf("drained queue retains cap %d: the burst's array leaked", retained)
+	}
+	g.mu.Lock()
+	n := len(g.rounds)
+	g.mu.Unlock()
+	if n != burst {
+		t.Fatalf("delivered %d of %d", n, burst)
+	}
+}
+
 // TestBatchDrainPreservesOrder: a backlog is delivered one vertex per Deliver
 // call, in push order.
 func TestBatchDrainPreservesOrder(t *testing.T) {

@@ -163,6 +163,23 @@ func TestPoolDepthConcurrent(t *testing.T) {
 	}
 }
 
+// TestPoolReleasesDrainedPrefix checks that a fully drained pool does not
+// keep a burst-sized backing array (and every drained transaction in it)
+// pinned: slots are zeroed as they drain and the burst's array is dropped.
+func TestPoolReleasesDrainedPrefix(t *testing.T) {
+	p := NewPool(64)
+	for i := 0; i < 5000; i++ {
+		p.Submit(make([]byte, 64))
+	}
+	for p.NextBlock(0) != nil {
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.queue.Len() != 0 || p.queue.Cap() != 0 {
+		t.Fatalf("drained pool holds len %d, cap %d", p.queue.Len(), p.queue.Cap())
+	}
+}
+
 func TestPoolConcurrent(t *testing.T) {
 	p := NewPool(100)
 	var wg sync.WaitGroup

@@ -26,6 +26,9 @@ func (q *Queue[T]) Push(v T) { q.items = append(q.items, v) }
 // Len returns the number of live values.
 func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 
+// Cap returns the capacity of the array the queue holds (0 once released).
+func (q *Queue[T]) Cap() int { return cap(q.items) }
+
 // Front returns the oldest n live values, oldest first. The slice aliases the
 // queue: it is valid until the next Push or Drop.
 func (q *Queue[T]) Front(n int) []T { return q.items[q.head : q.head+n] }
