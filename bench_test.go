@@ -129,7 +129,7 @@ func BenchmarkInProcCluster(b *testing.B) {
 	}
 	defer c.Stop()
 	done := make(chan int, 1024)
-	c.OnCommit(0, func(cv Commit) {
+	c.Node(0).OnCommit(func(cv Commit) {
 		if cv.Block != nil {
 			for range cv.Block.Txs {
 				select {

@@ -12,10 +12,10 @@
 //   - ModeMultiClan: the tribe is partitioned into disjoint clans, each
 //     disseminating and executing its own proposers' payloads.
 //
-// Quick start (in-process cluster):
+// Quick start (n nodes in one process, on loopback sockets):
 //
 //	cluster, _ := clanbft.NewCluster(clanbft.Options{N: 4})
-//	cluster.OnCommit(0, func(c clanbft.Commit) { fmt.Println(c.Vertex.Round) })
+//	cluster.Node(0).OnCommit(func(c clanbft.Commit) { fmt.Println(c.Vertex.Round) })
 //	cluster.Start()
 //	cluster.Submit([]byte("tx"))
 //	...
@@ -28,14 +28,11 @@ package clanbft
 
 import (
 	"fmt"
+	"slices"
 
 	"clanbft/internal/committee"
 	"clanbft/internal/core"
 	"clanbft/internal/crypto"
-	"clanbft/internal/mempool"
-	"clanbft/internal/metrics"
-	"clanbft/internal/store"
-	"clanbft/internal/transport"
 	"clanbft/internal/types"
 )
 
@@ -148,103 +145,62 @@ func (o *Options) genesis() core.Genesis {
 	return core.NewGenesis(o.Seed, o.N, o.Mode, o.Members, o.ClanSize, o.NumClans, nil)
 }
 
-// nodeConfig is the core.Config NewCluster and NewTCPNode both start from:
-// every protocol setting is passed in this one place, so neither constructor
-// can drop one. Anchors, holds and pull pacing are core's defaults. Deliver
-// fans each committed vertex out to the callbacks registered in *onCommit, in
-// registration order. Callers add what is theirs: block source, store and
-// reconfiguration hook.
-func (o *Options) nodeConfig(self NodeID, g *core.Genesis, onCommit *[]func(Commit)) core.Config {
-	return core.Config{
-		Self:   self,
-		N:      o.N,
-		Mode:   o.Mode,
-		Clans:  g.Clans,
-		Params: o.Params,
-		Key:    &g.Keys[self],
-		Reg:    g.Reg,
-		Costs:  crypto.ZeroCosts(),
-		Deliver: func(cv core.CommittedVertex) {
-			for _, fn := range *onCommit {
-				fn(cv)
-			}
-		},
-	}
-}
-
-// Cluster is an in-process cluster of consensus nodes connected by
-// channels, running on the wall clock. It is intended for applications that
-// embed replicated state machines, for tests, and for the examples; use
-// NewTCPNode for multi-process deployments.
+// Cluster is n TCPNodes of one deployment in one process, each listening on
+// its own loopback port, running on the wall clock. It is intended for
+// applications that embed replicated state machines, for tests, and for the
+// examples. It holds what is about the deployment as a whole — epoch 0,
+// routing submissions to proposers, clan bounds — and Node(i) is everything
+// about one party; use NewTCPNode directly for multi-process deployments.
 type Cluster struct {
-	opts         Options
-	net          *transport.ChanNet
-	nodes        []*core.Node
-	pools        []*mempool.Pool
+	nodes        []*TCPNode
 	genesis      core.Genesis
-	stores       []store.Store
-	vpool        *crypto.VerifyPool
-	onCommit     [][]func(Commit)
-	started      bool
 	submitCursor int
 }
 
-// NewCluster builds (but does not start) an in-process cluster.
+// NewCluster builds (but does not start) a cluster: n TCPNodes bound to
+// 127.0.0.1:0, each told the others' bound addresses before any of them
+// starts. With StoreDir set, node i persists under StoreDir/node%03d.
 func NewCluster(o Options) (*Cluster, error) {
 	if err := o.fill(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{
-		opts:     o,
-		net:      transport.NewChanNet(o.N),
-		genesis:  o.genesis(),
-		onCommit: make([][]func(Commit), o.N),
-		pools:    make([]*mempool.Pool, o.N),
-	}
-	// One GOMAXPROCS-wide pool fronts every node's mailbox: signatures
-	// verify in parallel across cores, handlers apply already-verified
-	// messages in order.
-	c.vpool = crypto.NewVerifyPool(0, 0)
-
+	c := &Cluster{genesis: o.genesis()}
+	book := map[NodeID]string{}
 	for i := 0; i < o.N; i++ {
-		id := types.NodeID(i)
-		c.pools[i] = mempool.NewPool(o.MaxTxPerBlock)
-		cfg := o.nodeConfig(id, &c.genesis, &c.onCommit[i])
-		cfg.Blocks = c.pools[i]
+		book[NodeID(i)] = "127.0.0.1:0"
+	}
+	for i := 0; i < o.N; i++ {
+		no := TCPNodeOptions{Self: NodeID(i), Addrs: book, Options: o}
 		if o.StoreDir != "" {
-			disk, err := store.Open(fmt.Sprintf("%s/node%03d", o.StoreDir, i), store.Options{})
-			if err != nil {
-				return nil, fmt.Errorf("clanbft: open store: %w", err)
-			}
-			cfg.Store = disk
-			c.stores = append(c.stores, disk)
+			no.StoreDir = fmt.Sprintf("%s/node%03d", o.StoreDir, i)
 		}
-		node := core.New(cfg, c.net.Endpoint(id), c.net.Clock(id))
-		c.nodes = append(c.nodes, node)
-		c.net.Endpoint(id).(transport.VerifyingEndpoint).SetVerifier(node.Verifier(), c.vpool)
+		nd, err := newTCPNode(no, c.genesis)
+		if err != nil {
+			c.Stop()
+			return nil, err
+		}
+		c.nodes = append(c.nodes, nd)
+	}
+	for _, nd := range c.nodes {
+		for j, peer := range c.nodes {
+			nd.SetPeerAddr(NodeID(j), peer.Addr())
+		}
 	}
 	return c, nil
 }
 
-// OnCommit registers a callback receiving node i's total order. Must be
-// called before Start. Callbacks run on the node's execution goroutine,
-// behind a queue that never blocks the consensus handler, so they may block
-// freely: an expensive callback (block execution) never stalls vote
-// handling, and commit order is preserved exactly.
-func (c *Cluster) OnCommit(i int, fn func(Commit)) {
-	if c.started {
-		panic("clanbft: OnCommit after Start")
-	}
-	c.onCommit[i] = append(c.onCommit[i], fn)
-}
+// Node returns party i.
+func (c *Cluster) Node(i int) *TCPNode { return c.nodes[i] }
 
 // Start launches every node.
 func (c *Cluster) Start() {
-	c.started = true
 	for _, n := range c.nodes {
 		n.Start()
 	}
 }
+
+// opts returns the options every node was built with.
+func (c *Cluster) opts() *Options { return &c.nodes[0].opts.Options }
 
 // Submit queues a transaction at a block-proposing party (round-robin over
 // proposers). Returns the party it was routed to. Clients in clan-based
@@ -255,29 +211,24 @@ func (c *Cluster) Submit(tx []byte) NodeID {
 	proposers := c.Proposers()
 	id := proposers[c.submitCursor%len(proposers)]
 	c.submitCursor++
-	c.pools[id].Submit(tx)
+	c.nodes[id].Submit(tx)
 	return id
 }
 
-// SubmitTo queues a transaction at a specific party's pool. Like Submit, it
-// copies tx, which is valid only for the call.
-func (c *Cluster) SubmitTo(id NodeID, tx []byte) {
-	c.pools[id].Submit(tx)
-}
-
 // Proposers lists the parties allowed to propose transaction blocks in the
-// configured mode (epoch 0; later epochs re-sample, see EpochTable).
+// configured mode (epoch 0; later epochs re-sample, see TCPNode.EpochTable).
 func (c *Cluster) Proposers() []NodeID {
-	if c.opts.Mode == ModeSingleClan {
+	o := c.opts()
+	if o.Mode == ModeSingleClan {
 		return append([]NodeID(nil), c.genesis.Clans[0]...)
 	}
-	return append([]NodeID(nil), c.opts.MemberSet(c.opts.N)...)
+	return append([]NodeID(nil), o.MemberSet(o.N)...)
 }
 
 // SubmitReconfig signs a membership transaction with the affected party's
 // key and queues it at every node for inclusion in the next proposals. The
 // change takes effect at the epoch fence scheduled when the transaction
-// commits; EpochTable shows the resulting membership and clans.
+// commits; TCPNode.EpochTable shows the resulting membership and clans.
 func (c *Cluster) SubmitReconfig(action types.ReconfigAction, id NodeID, addr string) {
 	tx := ReconfigTx{Action: action, Node: id, Addr: addr}
 	core.SignReconfig(c.genesis.Reg, &c.genesis.Keys[id], &tx)
@@ -286,22 +237,15 @@ func (c *Cluster) SubmitReconfig(action types.ReconfigAction, id NodeID, addr st
 	}
 }
 
-// SubmitJoin admits party id at the next epoch fence. In-process clusters
-// have no dial addresses; a synthetic one satisfies the wire format.
+// SubmitJoin admits party id, at its bound address, at the next epoch fence.
 func (c *Cluster) SubmitJoin(id NodeID) {
-	c.SubmitReconfig(ReconfigJoin, id, fmt.Sprintf("mem://%d", id))
+	c.SubmitReconfig(ReconfigJoin, id, c.nodes[id].Addr())
 }
 
 // SubmitLeave retires party id at the next epoch fence.
 func (c *Cluster) SubmitLeave(id NodeID) {
 	c.SubmitReconfig(ReconfigLeave, id, "")
 }
-
-// EpochTable returns node i's retained epochs, oldest first.
-func (c *Cluster) EpochTable(i int) []EpochInfo { return c.nodes[i].EpochTable() }
-
-// CurrentEpoch returns the epoch governing node i's current round.
-func (c *Cluster) CurrentEpoch(i int) uint64 { return c.nodes[i].CurrentEpoch() }
 
 // Clans returns the clan composition (nil for ModeSailfish).
 func (c *Cluster) Clans() [][]NodeID {
@@ -315,13 +259,11 @@ func (c *Cluster) Clans() [][]NodeID {
 // ClanOf returns the clan index executing id's payloads, or -1.
 func (c *Cluster) ClanOf(id NodeID) int {
 	for ci, cl := range c.genesis.Clans {
-		for _, m := range cl {
-			if m == id {
-				return ci
-			}
+		if slices.Contains(cl, id) {
+			return ci
 		}
 	}
-	if c.opts.Mode == ModeSailfish {
+	if c.opts().Mode == ModeSailfish {
 		return 0
 	}
 	return -1
@@ -330,10 +272,16 @@ func (c *Cluster) ClanOf(id NodeID) int {
 // ClanFaultBound returns f_c for clan ci (how many clan members may fail
 // while clients still get f_c+1 matching responses).
 func (c *Cluster) ClanFaultBound(ci int) int {
-	if c.opts.Mode == ModeSailfish {
-		return committee.ClanMaxFaulty(c.opts.N)
+	return clanFaultBound(c.genesis.Clans, ci, c.opts().N)
+}
+
+// clanFaultBound is f_c of clans[ci], or of the whole tribe of n parties
+// when there are no clans (ModeSailfish).
+func clanFaultBound(clans [][]NodeID, ci, n int) int {
+	if len(clans) == 0 {
+		return committee.ClanMaxFaulty(n)
 	}
-	return committee.ClanMaxFaulty(len(c.genesis.Clans[ci]))
+	return committee.ClanMaxFaulty(len(clans[ci]))
 }
 
 // Registry exposes the cluster's public-key registry (for verifying
@@ -343,32 +291,13 @@ func (c *Cluster) Registry() *crypto.Registry { return c.genesis.Reg }
 // Keys returns node i's key pair (examples wire executors with it).
 func (c *Cluster) Keys(i int) *crypto.KeyPair { return &c.genesis.Keys[i] }
 
-// Metrics returns node i's consensus counters.
-func (c *Cluster) Metrics(i int) core.Metrics { return c.nodes[i].MetricsSnapshot() }
-
-// PipelineMetrics returns node i's unified pipeline metrics snapshot:
-// per-stage queue depths, occupancy, and latency histograms for
-// intake/rbc/order/exec, plus transport and store counters.
-func (c *Cluster) PipelineMetrics(i int) metrics.Snapshot {
-	return c.nodes[i].PipelineSnapshot()
-}
-
-// Round returns node i's current round.
-func (c *Cluster) Round(i int) types.Round { return c.nodes[i].Round() }
-
-// Stop shuts the cluster down: drains pending commit deliveries, stops
-// every node (cancelling timers and retiring the execution goroutines),
-// then closes the network, verify pool, and stores.
+// Stop shuts the cluster down: drains every node's pending commit
+// deliveries, then closes every node (engine, endpoint, verify pool, store).
 func (c *Cluster) Stop() {
 	for _, n := range c.nodes {
-		n.Flush()
+		n.node.Flush()
 	}
 	for _, n := range c.nodes {
-		n.Stop()
-	}
-	c.net.Close()
-	c.vpool.Close()
-	for _, st := range c.stores {
-		st.Close()
+		n.Close()
 	}
 }

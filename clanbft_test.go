@@ -3,6 +3,7 @@ package clanbft
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -28,7 +29,7 @@ func TestClusterCommitsSubmittedTxs(t *testing.T) {
 
 	var mu sync.Mutex
 	committed := map[string]bool{}
-	c.OnCommit(0, func(cv Commit) {
+	c.Node(0).OnCommit(func(cv Commit) {
 		if cv.Block == nil {
 			return
 		}
@@ -68,7 +69,7 @@ func TestBlockingOnCommitDoesNotStallConsensus(t *testing.T) {
 	}
 	entered, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	c.OnCommit(0, func(Commit) {
+	c.Node(0).OnCommit(func(Commit) {
 		once.Do(func() {
 			close(entered)
 			<-release
@@ -84,7 +85,7 @@ func TestBlockingOnCommitDoesNotStallConsensus(t *testing.T) {
 	}
 	advanced := make(chan struct{})
 	go func() {
-		for from := c.Round(0); c.Round(0) < from+10; {
+		for from := c.Node(0).Round(); c.Node(0).Round() < from+10; {
 			time.Sleep(5 * time.Millisecond)
 		}
 		close(advanced)
@@ -106,7 +107,7 @@ func TestClusterTotalOrderAcrossNodes(t *testing.T) {
 	orders := make([][]string, 4)
 	for i := 0; i < 4; i++ {
 		i := i
-		c.OnCommit(i, func(cv Commit) {
+		c.Node(i).OnCommit(func(cv Commit) {
 			mu.Lock()
 			orders[i] = append(orders[i], fmt.Sprintf("%d/%d", cv.Vertex.Round, cv.Vertex.Source))
 			mu.Unlock()
@@ -201,7 +202,7 @@ func TestClusterPersistence(t *testing.T) {
 	}
 	var mu sync.Mutex
 	count := 0
-	c.OnCommit(0, func(cv Commit) { mu.Lock(); count++; mu.Unlock() })
+	c.Node(0).OnCommit(func(cv Commit) { mu.Lock(); count++; mu.Unlock() })
 	c.Start()
 	c.Submit([]byte("persist me"))
 	waitFor(t, 15*time.Second, func() bool { mu.Lock(); defer mu.Unlock(); return count > 4 })
@@ -216,10 +217,13 @@ func TestClusterPersistence(t *testing.T) {
 
 func TestTCPNodesReachConsensus(t *testing.T) {
 	const n = 4
-	nodes := bootTCP(t, Options{N: n, Seed: 5, Params: Params{RoundTimeout: 2 * time.Second}})
+	c, err := NewCluster(Options{N: n, Seed: 5, Params: Params{RoundTimeout: 2 * time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var mu sync.Mutex
 	seen := map[string]bool{}
-	nodes[0].OnCommit(func(cv Commit) {
+	c.Node(0).OnCommit(func(cv Commit) {
 		if cv.Block == nil {
 			return
 		}
@@ -229,23 +233,57 @@ func TestTCPNodesReachConsensus(t *testing.T) {
 		}
 		mu.Unlock()
 	})
-	for _, nd := range nodes {
-		nd.Start()
-		defer nd.Close()
-	}
-	for i, nd := range nodes {
-		nd.Submit([]byte(fmt.Sprintf("tcp-tx-%d", i)))
+	c.Start()
+	defer c.Stop()
+	for i := 0; i < n; i++ {
+		c.Node(i).Submit([]byte(fmt.Sprintf("tcp-tx-%d", i)))
 	}
 	waitFor(t, 20*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		return len(seen) == n
 	})
-	if !nodes[2].WaitRound(3, 10*time.Second) {
-		t.Fatalf("node 2 stuck at round %d", nodes[2].Round())
+	if !c.Node(2).WaitRound(3, 10*time.Second) {
+		t.Fatalf("node 2 stuck at round %d", c.Node(2).Round())
 	}
-	if nodes[1].Stats().MsgsSent == 0 {
+	if c.Node(1).Stats().MsgsSent == 0 {
 		t.Fatal("no wire traffic counted")
+	}
+}
+
+// TestClusterTrafficCrossesSockets: a cluster's nodes talk over loopback
+// sockets, so once the cluster commits every node has flushed frames.
+func TestClusterTrafficCrossesSockets(t *testing.T) {
+	c, err := NewCluster(Options{N: 4, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var commits atomic.Int64
+	c.Node(0).OnCommit(func(Commit) { commits.Add(1) })
+	c.Start()
+	defer c.Stop()
+	waitFor(t, 15*time.Second, func() bool { return commits.Load() >= 8 })
+	for i := 0; i < 4; i++ {
+		if f := c.Node(i).PipelineMetrics().Counter("transport.flushes"); f == 0 {
+			t.Fatalf("node %d flushed no frame", i)
+		}
+	}
+}
+
+// TestFaultBoundOutsideTheClan: in single-clan mode the clan's executors
+// answer every read, so a node outside the clan waits for the clan's f_c+1
+// matching answers, as a member does — not the tribe's, which the clan
+// cannot supply.
+func TestFaultBoundOutsideTheClan(t *testing.T) {
+	c, err := NewCluster(Options{N: 7, Mode: ModeSingleClan, ClanSize: 3, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	for i := 0; i < 7; i++ {
+		if got, want := c.Node(i).FaultBound(), c.ClanFaultBound(0); got != want {
+			t.Fatalf("node %d (clan %v) reads at f_c = %d, want the clan's %d", i, c.Clans()[0], got, want)
+		}
 	}
 }
 
@@ -259,11 +297,11 @@ func TestClusterAnchorsEveryMember(t *testing.T) {
 	defer c.Stop()
 	var mu sync.Mutex
 	count := 0
-	c.OnCommit(0, func(cv Commit) { mu.Lock(); count++; mu.Unlock() })
+	c.Node(0).OnCommit(func(cv Commit) { mu.Lock(); count++; mu.Unlock() })
 	c.Start()
 	c.Submit([]byte("ml"))
 	waitFor(t, 15*time.Second, func() bool { mu.Lock(); defer mu.Unlock(); return count > 8 })
-	if m := c.Metrics(0); m.DirectCommits < 2 {
+	if m := c.Node(0).Metrics(); m.DirectCommits < 2 {
 		t.Fatalf("direct commits = %d", m.DirectCommits)
 	}
 }
@@ -283,7 +321,7 @@ func TestClusterExecutorIntegration(t *testing.T) {
 		execs[i].Emit = func(r Response) {
 			collector.Add(r) // mu held by the Apply caller below
 		}
-		c.OnCommit(i, func(cv Commit) {
+		c.Node(i).OnCommit(func(cv Commit) {
 			mu.Lock()
 			execs[i].Apply(cv)
 			mu.Unlock()

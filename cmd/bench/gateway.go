@@ -27,7 +27,7 @@ type gatewayPhase struct {
 }
 
 // runGateway executes the serving-front-door overload experiment: a 4-node
-// wall-clock cluster over ChanNet fronted by a real TCP gateway on node 0,
+// NewCluster on loopback sockets fronted by a real TCP gateway on node 0,
 // driven by the open-loop generator through an unreported 0.2× warm-up and
 // then at 1× and 2× the exec-bound sustainable rate. The table lands in
 // results/gateway.txt (plus stdout), and the full e2e latency histograms in
@@ -47,12 +47,12 @@ func runGateway(seed int64, quick bool) error {
 	// execution. Offered load beyond 1/gwExecCost piles up behind the sleep
 	// and surfaces as exec.queue_wait, the signal the gateway's overload
 	// monitor watches.
-	c.OnCommit(0, func(cv clanbft.Commit) {
+	c.Node(0).OnCommit(func(cv clanbft.Commit) {
 		if cv.Block != nil && !cv.Block.IsSynthetic() {
 			time.Sleep(time.Duration(len(cv.Block.Txs)) * gwExecCost)
 		}
 	})
-	gw, err := c.ServeGateway(0, clanbft.GatewayOptions{
+	gw, err := c.Node(0).ServeGateway(clanbft.GatewayOptions{
 		Addr: "127.0.0.1:0",
 		Limits: clanbft.GatewayLimits{
 			// Per-client buckets out of the way: this experiment measures

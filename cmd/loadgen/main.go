@@ -6,13 +6,14 @@
 // Two modes:
 //
 //	loadgen -addr host:port ...      # drive an existing gateway
-//	loadgen -selfhost ...            # boot a 4-node TCP cluster + gateway
+//	loadgen -selfhost ...            # boot an -n node cluster + gateway
 //	                                 # in-process, then drive it
 //
 // -selfhost exists for CI: the load-smoke job runs one binary that brings up
-// real consensus over real sockets (nodes listen on :0 and exchange
-// addresses via SetPeerAddr before starting), fronts node 0 with the
-// gateway, applies load, and gates on the result:
+// real consensus over real sockets (clanbft.NewCluster, -mode, -clan and
+// -clans as for cmd/clanbft), fronts the first proposer with the gateway —
+// reads answered by the executors of its clan, its own first — applies load,
+// and gates on the result:
 //
 //	-max-rejects N   fail if the admission layer rejected more than N
 //	                 submissions (use 0 when offering below capacity)
@@ -26,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -37,7 +39,11 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", "", "gateway address to drive (omit with -selfhost)")
-		selfhost = flag.Bool("selfhost", false, "boot a 4-node TCP cluster + gateway in-process and drive it")
+		selfhost = flag.Bool("selfhost", false, "boot a cluster + gateway in-process and drive it")
+		n        = flag.Int("n", 4, "selfhost cluster size")
+		modeStr  = flag.String("mode", "sailfish", "selfhost mode: sailfish | single-clan | multi-clan")
+		clanSize = flag.Int("clan", 0, "selfhost single-clan size (0 = solve at 1e-6)")
+		numClans = flag.Int("clans", 2, "selfhost number of clans (multi-clan)")
 		rate     = flag.Float64("rate", 1000, "aggregate offered load, tx/s (open loop)")
 		duration = flag.Duration("duration", 5*time.Second, "submission window")
 		drain    = flag.Duration("drain", 10*time.Second, "max wait for outstanding commits after the window")
@@ -60,11 +66,43 @@ func main() {
 
 	target := *addr
 	if *selfhost {
-		gw, shutdown, err := bootSelfhost()
+		modes := map[string]clanbft.Mode{"sailfish": clanbft.ModeSailfish, "single-clan": clanbft.ModeSingleClan, "multi-clan": clanbft.ModeMultiClan}
+		mode, ok := modes[*modeStr]
+		if !ok {
+			fatal("unknown mode %q", *modeStr)
+		}
+		c, err := clanbft.NewCluster(clanbft.Options{N: *n, Mode: mode, ClanSize: *clanSize, NumClans: *numClans, MaxTxPerBlock: 512})
 		if err != nil {
 			fatal("selfhost: %v", err)
 		}
-		defer shutdown()
+		host := c.Proposers()[0]
+		clan := c.Proposers()
+		if clans := c.Clans(); len(clans) > 0 {
+			clan = clans[c.ClanOf(host)]
+		}
+		// Executors apply before the gateway's commit hook (registration
+		// order), so a notified client's next read sees its write. A nil key:
+		// reads match on version and value, not on signed responses.
+		var responders []clanbft.GatewayStateReader
+		for _, id := range append([]clanbft.NodeID{host}, slices.DeleteFunc(clan, func(m clanbft.NodeID) bool { return m == host })...) {
+			ex := execution.NewExecutor(id, nil)
+			c.Node(int(id)).OnCommit(ex.Apply)
+			responders = append(responders, clanbft.GatewayReaderFunc(ex.GetVersioned))
+		}
+		gw, err := c.Node(int(host)).ServeGateway(clanbft.GatewayOptions{
+			Addr:       "127.0.0.1:0",
+			Responders: responders,
+			Limits:     clanbft.GatewayLimits{ClientRate: 1e6},
+		})
+		if err != nil {
+			c.Stop()
+			fatal("selfhost: %v", err)
+		}
+		c.Start()
+		defer func() {
+			gw.Close()
+			c.Stop()
+		}()
 		target = gw.Addr()
 		fmt.Printf("selfhost cluster up; gateway at %s\n", target)
 	} else if target == "" {
@@ -148,76 +186,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("gates passed")
-}
-
-// bootSelfhost brings up a 4-node TCP consensus cluster in-process using the
-// ":0" bootstrap: every node listens on an ephemeral port with placeholder
-// peer addresses, the real addresses are exchanged via SetPeerAddr, and only
-// then do the nodes start. Node 0 gets the gateway; all nodes run executors,
-// three of which serve the f_c+1 read path.
-func bootSelfhost() (*clanbft.Gateway, func(), error) {
-	const n = 4
-	placeholder := map[clanbft.NodeID]string{}
-	for i := 0; i < n; i++ {
-		placeholder[clanbft.NodeID(i)] = "127.0.0.1:0"
-	}
-	nodes := make([]*clanbft.TCPNode, n)
-	execs := make([]*execution.Executor, n)
-	for i := 0; i < n; i++ {
-		nd, err := clanbft.NewTCPNode(clanbft.TCPNodeOptions{
-			Self:  clanbft.NodeID(i),
-			Addrs: placeholder,
-			Options: clanbft.Options{
-				N:             n,
-				MaxTxPerBlock: 512,
-				Seed:          0,
-			},
-		})
-		if err != nil {
-			for _, p := range nodes[:i] {
-				p.Close()
-			}
-			return nil, nil, err
-		}
-		nodes[i] = nd
-		// nil key: executors here apply state without emitting signed
-		// responses (the gateway's read path matches on version+value).
-		ex := execution.NewExecutor(clanbft.NodeID(i), nil)
-		execs[i] = ex
-		nd.OnCommit(func(cv clanbft.Commit) { ex.Apply(cv) })
-	}
-	// Exchange the real listen addresses before any node starts.
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				nodes[i].SetPeerAddr(clanbft.NodeID(j), nodes[j].Addr())
-			}
-		}
-	}
-	var responders []clanbft.GatewayStateReader
-	for i := 0; i < 3; i++ {
-		ex := execs[i]
-		responders = append(responders, clanbft.GatewayReaderFunc(ex.GetVersioned))
-	}
-	gw, err := nodes[0].ServeGateway(clanbft.GatewayOptions{
-		Addr:       "127.0.0.1:0",
-		Responders: responders,
-		Limits:     clanbft.GatewayLimits{ClientRate: 1e6},
-	})
-	if err != nil {
-		for _, p := range nodes {
-			p.Close()
-		}
-		return nil, nil, err
-	}
-	for _, nd := range nodes {
-		nd.Start()
-	}
-	shutdown := func() {
-		gw.Close()
-		for _, nd := range nodes {
-			nd.Close()
-		}
-	}
-	return gw, shutdown, nil
 }

@@ -24,7 +24,7 @@ func ExampleNewCluster() {
 	var mu sync.Mutex
 	done := make(chan struct{})
 	closed := false
-	cluster.OnCommit(0, func(c clanbft.Commit) {
+	cluster.Node(0).OnCommit(func(c clanbft.Commit) {
 		if c.Block == nil {
 			return
 		}
@@ -82,7 +82,7 @@ func Example_kvstore() {
 			collector.Add(r)
 			mu.Unlock()
 		}
-		cluster.OnCommit(int(id), ex.Apply)
+		cluster.Node(int(id)).OnCommit(ex.Apply)
 	}
 	cluster.Start()
 
@@ -101,7 +101,7 @@ func Example_kvstore() {
 	for _, op := range ops {
 		raw := clanbft.EncodeTx(op.tx)
 		ids = append(ids, clanbft.TxIDOf(raw))
-		cluster.SubmitTo(clan[0], raw)
+		cluster.Node(int(clan[0])).Submit(raw)
 	}
 	results := make([][]byte, len(ops))
 	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
@@ -150,7 +150,7 @@ func Example_sharedSequencer() {
 	seqs := make([][]clanbft.Commit, 2)
 	held := []map[string]bool{{}, {}}
 	for ci, clan := range clans {
-		cluster.OnCommit(int(clan[0]), func(c clanbft.Commit) {
+		cluster.Node(int(clan[0])).OnCommit(func(c clanbft.Commit) {
 			if c.Vertex.BlockDigest.IsZero() {
 				return
 			}
@@ -167,7 +167,7 @@ func Example_sharedSequencer() {
 	cluster.Start()
 	for i := 0; i < 12; i++ {
 		for ci, app := range apps {
-			cluster.SubmitTo(clans[ci][i%len(clans[ci])], []byte(fmt.Sprintf("%s tx %03d", app, i)))
+			cluster.Node(int(clans[ci][i%len(clans[ci])])).Submit([]byte(fmt.Sprintf("%s tx %03d", app, i)))
 		}
 	}
 	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {

@@ -1,9 +1,6 @@
 package clanbft
 
-import (
-	"clanbft/internal/gateway"
-	"clanbft/internal/metrics"
-)
+import "clanbft/internal/gateway"
 
 // Gateway is the client-facing serving front door (see internal/gateway):
 // a TCP listener accepting framed client submissions, applying two-layer
@@ -42,65 +39,33 @@ type GatewayOptions struct {
 	WriteQueue int
 }
 
-func buildGateway(o GatewayOptions, submit func([]byte), depth func() int,
-	reg *metrics.Registry, faultBound int) (*Gateway, error) {
-	return gateway.New(gateway.Config{
-		Addr:    o.Addr,
-		Submit:  submit,
-		Depth:   depth,
-		Metrics: reg,
-		Limits:  o.Limits,
-		Read: gateway.ReadConfig{
-			Responders: o.Responders,
-			FaultBound: faultBound,
-		},
-		WriteQueue: o.WriteQueue,
-	})
-}
-
-// ServeGateway attaches a client gateway to node i: admitted transactions
-// feed the node's mempool, commit notifications stream from its total order,
-// and the gateway's instruments land in the node's pipeline registry (so
-// PipelineMetrics(i) includes the gateway.* namespace). Must be called
-// before Start (it registers an OnCommit hook). Close the returned Gateway
-// before stopping the cluster.
+// ServeGateway attaches a client gateway to this node: admitted
+// transactions feed the node's mempool, commit notifications stream from its
+// total order, and the gateway's instruments land in the node's pipeline
+// registry (so PipelineMetrics includes the gateway.* namespace). Reads
+// aggregate over o.Responders to FaultBound+1 matching answers. Must be
+// called before Start (it registers an OnCommit hook). Close the returned
+// Gateway before closing the node.
 //
-// In clan modes, i should be a proposer (clan member) — the paper's client
-// interaction model: clients talk to clan members only.
-func (c *Cluster) ServeGateway(i int, o GatewayOptions) (*Gateway, error) {
-	ci := c.ClanOf(NodeID(i))
-	fb := 0
-	if ci >= 0 && len(o.Responders) > 0 {
-		fb = c.ClanFaultBound(ci)
-	}
-	gw, err := buildGateway(o,
-		func(tx []byte) { c.pools[i].Submit(tx) },
-		c.pools[i].Depth,
-		c.nodes[i].PipelineMetrics(),
-		fb)
-	if err != nil {
-		return nil, err
-	}
-	c.OnCommit(i, func(cv Commit) {
-		if cv.Block != nil && !cv.Block.IsSynthetic() {
-			gw.NotifyCommitted(uint64(cv.Vertex.Round), cv.Block.Txs)
-		}
-	})
-	return gw, nil
-}
-
-// ServeGateway attaches a client gateway to this node; see
-// (*Cluster).ServeGateway. Must be called before Start.
+// In clan modes the node should be a proposer (clan member) — the paper's
+// client interaction model: clients talk to clan members only.
 func (n *TCPNode) ServeGateway(o GatewayOptions) (*Gateway, error) {
 	fb := 0
 	if len(o.Responders) > 0 {
 		fb = n.FaultBound()
 	}
-	gw, err := buildGateway(o,
-		n.pool.Submit,
-		n.pool.Depth,
-		n.node.PipelineMetrics(),
-		fb)
+	gw, err := gateway.New(gateway.Config{
+		Addr:    o.Addr,
+		Submit:  n.pool.Submit,
+		Depth:   n.pool.Depth,
+		Metrics: n.node.PipelineMetrics(),
+		Limits:  o.Limits,
+		Read: gateway.ReadConfig{
+			Responders: o.Responders,
+			FaultBound: fb,
+		},
+		WriteQueue: o.WriteQueue,
+	})
 	if err != nil {
 		return nil, err
 	}

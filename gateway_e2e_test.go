@@ -12,7 +12,7 @@ import (
 	"clanbft/internal/types"
 )
 
-// buildGatewayCluster wires a 4-node in-process cluster with one executor
+// buildGatewayCluster wires a 4-node cluster with one executor
 // per node and a gateway on node 0 whose read path aggregates over the first
 // three executors (f_c = 1 for n = 4 → quorum of 2).
 func buildGatewayCluster(t *testing.T, o GatewayOptions) (*Cluster, *Gateway) {
@@ -28,7 +28,7 @@ func buildGatewayCluster(t *testing.T, o GatewayOptions) (*Cluster, *Gateway) {
 		execs[i] = ex
 		// Executors apply before the gateway's commit hook (registration
 		// order), so a notified client's subsequent read sees its write.
-		c.OnCommit(i, func(cv Commit) {
+		c.Node(i).OnCommit(func(cv Commit) {
 			execMu.Lock()
 			ex.Apply(cv)
 			execMu.Unlock()
@@ -47,7 +47,7 @@ func buildGatewayCluster(t *testing.T, o GatewayOptions) (*Cluster, *Gateway) {
 	if o.Addr == "" {
 		o.Addr = "127.0.0.1:0"
 	}
-	gw, err := c.ServeGateway(0, o)
+	gw, err := c.Node(0).ServeGateway(o)
 	if err != nil {
 		t.Fatalf("ServeGateway: %v", err)
 	}
@@ -110,7 +110,7 @@ func TestGatewayMetricsInPipelineSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 20*time.Second, func() bool { return commits.Load() == 1 })
-	snap := c.PipelineMetrics(0)
+	snap := c.Node(0).PipelineMetrics()
 	if snap.Counter("gateway.admitted") != 1 {
 		t.Fatalf("gateway.admitted = %d, want 1\n%s", snap.Counter("gateway.admitted"), snap)
 	}
@@ -167,20 +167,20 @@ func TestGatewayLoadGeneratorSmoke(t *testing.T) {
 func TestTCPTxPathPoolBalanced(t *testing.T) {
 	const writes = 400
 	pc := types.StartPoolCheck()
-	nodes := bootTCP(t, Options{N: 4, Seed: 5, Params: Params{RoundTimeout: 2 * time.Second}})
-	execs := make([]*execution.Executor, len(nodes))
-	for i, nd := range nodes {
-		ex := execution.NewExecutor(NodeID(i), nil)
-		execs[i] = ex
-		nd.OnCommit(ex.Apply)
+	c, err := NewCluster(Options{N: 4, Seed: 5, Params: Params{RoundTimeout: 2 * time.Second}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	gw, err := nodes[0].ServeGateway(GatewayOptions{Addr: "127.0.0.1:0", Limits: GatewayLimits{ClientRate: 1e6}})
+	execs := make([]*execution.Executor, 4)
+	for i := range execs {
+		execs[i] = execution.NewExecutor(NodeID(i), nil)
+		c.Node(i).OnCommit(execs[i].Apply)
+	}
+	gw, err := c.Node(0).ServeGateway(GatewayOptions{Addr: "127.0.0.1:0", Limits: GatewayLimits{ClientRate: 1e6}})
 	if err != nil {
 		t.Fatalf("ServeGateway: %v", err)
 	}
-	for _, nd := range nodes {
-		nd.Start()
-	}
+	c.Start()
 	var commits atomic.Int64
 	cl, err := gateway.Dial(gw.Addr(), func(ev gateway.ServerEvent) {
 		if ev.Kind == gateway.MsgCommit {
@@ -201,14 +201,12 @@ func TestTCPTxPathPoolBalanced(t *testing.T) {
 		}
 	}
 	waitFor(t, 30*time.Second, func() bool { return commits.Load() == writes })
-	if !nodes[0].WaitRound(50, 30*time.Second) {
-		t.Fatalf("only %d rounds", nodes[0].Round())
+	if !c.Node(0).WaitRound(50, 30*time.Second) {
+		t.Fatalf("only %d rounds", c.Node(0).Round())
 	}
 	cl.Close()
 	gw.Close()
-	for _, nd := range nodes {
-		nd.Close()
-	}
+	c.Stop()
 	if got := execs[0].Executed; got < writes {
 		t.Fatalf("node 0 executed %d of %d writes", got, writes)
 	}

@@ -10,7 +10,7 @@ import (
 
 	"clanbft/internal/crypto"
 	"clanbft/internal/faults"
-	"clanbft/internal/transport"
+	"clanbft/internal/simnet"
 	"clanbft/internal/types"
 )
 
@@ -517,13 +517,12 @@ func TestBlockCacheUnpinsDecodedVal(t *testing.T) {
 	}
 }
 
-// TestBlockCacheSharedValUntouched: an in-process transport hands one ValMsg
-// to every receiver, so no receiver may write to it: with three clan members
+// TestBlockCacheSharedValUntouched: the simulator hands one ValMsg to every
+// receiver, so no receiver may write to it: with three clan members
 // receiving each proposal, all of them still get every block.
 func TestBlockCacheSharedValUntouched(t *testing.T) {
 	const n, want = 4, 40
-	net := transport.NewChanNet(n)
-	t.Cleanup(net.Close)
+	net := simnet.New(simnet.Config{N: n, Seed: 1, LatencyRTTms: [][]float64{{2}}, JitterPct: -1})
 	keys := crypto.GenerateKeys(n, 7)
 	reg := crypto.NewRegistry(keys, true)
 	var mu sync.Mutex
@@ -559,11 +558,16 @@ func TestBlockCacheSharedValUntouched(t *testing.T) {
 		node.Start()
 		t.Cleanup(node.Stop)
 	}
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		mu.Lock()
-		defer mu.Unlock()
-		t.Fatalf("blocks executed per node: %v, want %d each", withBlock, want)
+	for deadline := time.Now().Add(30 * time.Second); ; net.Run(10 * time.Millisecond) {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		if time.Now().After(deadline) {
+			mu.Lock()
+			defer mu.Unlock()
+			t.Fatalf("blocks executed per node: %v, want %d each", withBlock, want)
+		}
 	}
 }

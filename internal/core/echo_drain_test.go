@@ -161,11 +161,12 @@ func TestEchoFramingEquivalence(t *testing.T) {
 	}
 }
 
-// drainNode is node 0 of an n-party ChanNet: the only engine, with a sign
-// counter on its clock; the other endpoints just record what reaches them.
+// drainNode is node 0 of n parties on loopback sockets: the only engine,
+// with a sign counter on its clock; the other endpoints just record what
+// reaches them.
 type drainNode struct {
 	t     *testing.T
-	net   *transport.ChanNet
+	eps   []*transport.TCPEndpoint
 	keys  []crypto.KeyPair
 	reg   *crypto.Registry
 	node  *Node
@@ -178,31 +179,58 @@ func newDrainNode(t *testing.T, n int) *drainNode { return newDrainNodeWait(t, n
 
 // newDrainNodeWait is newDrainNode with the given AnchorWait.
 func newDrainNodeWait(t *testing.T, n int, wait time.Duration) *drainNode {
-	d := &drainNode{t: t, net: transport.NewChanNet(n), keys: crypto.GenerateKeys(n, 9), heard: make([][]types.Message, n)}
-	t.Cleanup(d.net.Close)
+	d := &drainNode{t: t, keys: crypto.GenerateKeys(n, 9), heard: make([][]types.Message, n)}
+	book := map[types.NodeID]string{}
+	for i := 0; i < n; i++ {
+		book[types.NodeID(i)] = "127.0.0.1:0"
+	}
+	for i := 0; i < n; i++ {
+		ep, err := transport.NewTCPEndpoint(types.NodeID(i), book)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ep.Close() })
+		d.eps = append(d.eps, ep)
+	}
+	for _, ep := range d.eps {
+		for j, peer := range d.eps {
+			ep.SetPeerAddr(types.NodeID(j), peer.Addr())
+		}
+	}
 	d.reg = crypto.NewRegistry(d.keys, true)
 	for i := 1; i < n; i++ {
 		i := i
-		d.net.Endpoint(types.NodeID(i)).SetHandler(func(_ types.NodeID, m types.Message) {
+		d.eps[i].SetHandler(func(_ types.NodeID, m types.Message) {
 			d.mu.Lock()
 			d.heard[i] = append(d.heard[i], m)
 			d.mu.Unlock()
 		})
 	}
-	d.clk = &signClock{Clock: d.net.Clock(0)}
+	d.clk = &signClock{Clock: d.eps[0].Clock()}
 	d.node = New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &d.keys[0], Reg: d.reg, AnchorWait: wait,
-		Params: Params{RoundTimeout: time.Hour}, Costs: crypto.Costs{EdSign: signCost}}, d.net.Endpoint(0), d.clk)
+		Params: Params{RoundTimeout: time.Hour}, Costs: crypto.Costs{EdSign: signCost}}, d.eps[0], d.clk)
 	d.node.Start()
 	t.Cleanup(d.node.Stop)
 	d.settle()
 	return d
 }
 
+// deliver hands m from src to node 0 in a drain of its own and returns once
+// that drain has ended: a socket delivers later than Send returns, so the
+// held mailbox waits for m to arrive.
+func (d *drainNode) deliver(src types.NodeID, m types.Message) {
+	release := d.hold()
+	d.eps[src].Send(0, m)
+	d.queued(2)
+	release()
+	d.settle()
+}
+
 // hold parks the node's mailbox loop inside a task until the returned
 // function is called: what arrives meanwhile is taken in one swap, one drain.
 func (d *drainNode) hold() (release func()) {
 	running, gate := make(chan struct{}), make(chan struct{})
-	d.net.Clock(0).After(0, func() { close(running); <-gate })
+	d.eps[0].Clock().After(0, func() { close(running); <-gate })
 	<-running
 	return func() { close(gate) }
 }
@@ -213,7 +241,7 @@ func (d *drainNode) hold() (release func()) {
 func (d *drainNode) settle() {
 	for i := 0; i < 2; i++ {
 		ran := make(chan struct{})
-		d.net.Clock(0).After(0, func() { close(ran) })
+		d.eps[0].Clock().After(0, func() { close(ran) })
 		select {
 		case <-ran:
 		case <-time.After(10 * time.Second):
@@ -224,15 +252,15 @@ func (d *drainNode) settle() {
 
 // queued waits until the node's mailbox holds k tasks.
 func (d *drainNode) queued(k uint64) {
-	for deadline := time.Now().Add(10 * time.Second); d.net.Endpoint(0).Stats().HandlerQueue < k; {
+	for deadline := time.Now().Add(10 * time.Second); d.eps[0].Stats().HandlerQueue < k; {
 		if time.Now().After(deadline) {
-			d.t.Fatalf("mailbox depth %d, want %d", d.net.Endpoint(0).Stats().HandlerQueue, k)
+			d.t.Fatalf("mailbox depth %d, want %d", d.eps[0].Stats().HandlerQueue, k)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-func (d *drainNode) sent() uint64 { return d.net.Endpoint(0).Stats().MsgsSent }
+func (d *drainNode) sent() uint64 { return d.eps[0].Stats().MsgsSent }
 
 func (d *drainNode) signs() int {
 	d.node.mu.Lock()
@@ -272,9 +300,9 @@ func TestOneEchoFramePerDrain(t *testing.T) {
 		release := d.hold()
 		for src := types.NodeID(1); src < n; src++ {
 			_, val := round0(d.keys, src)
-			d.net.Endpoint(src).Send(0, val)
+			d.eps[src].Send(0, val)
+			d.queued(uint64(src) + 1) // the holding task and the VALs so far
 		}
-		d.queued(n) // the holding task and n-1 VALs
 		release()
 		d.settle()
 		if got := d.sent() - sent; got != n-1 {
@@ -289,8 +317,8 @@ func TestOneEchoFramePerDrain(t *testing.T) {
 			if first == nil {
 				first = f
 			}
-			if f != first || len(f.Entries) != n-1 {
-				t.Fatalf("peer %d got a frame of %d entries (the same as peer 1's: %v), want the one frame of %d", peer, len(f.Entries), f == first, n-1)
+			if same := bytes.Equal(f.Marshal(nil), first.Marshal(nil)); !same || len(f.Entries) != n-1 {
+				t.Fatalf("peer %d got a frame of %d entries (the same as peer 1's: %v), want the one frame of %d", peer, len(f.Entries), same, n-1)
 			}
 		}
 		if !d.reg.Verify(0, echoFrameCtx(new(echoFrameBuf), first.Entries), first.Sig) {
@@ -307,8 +335,7 @@ func TestOneEchoFramePerDrain(t *testing.T) {
 		sent, signs := d.sent(), d.signs()
 		for src := types.NodeID(1); src < n; src++ {
 			_, val := round0(d.keys, src)
-			d.net.Endpoint(src).Send(0, val)
-			d.settle()
+			d.deliver(src, val)
 		}
 		if got := d.sent() - sent; got != (n-1)*(n-1) {
 			t.Fatalf("%d frames left, want %d one-entry ECHO frames to each of %d peers", got, n-1, n-1)
@@ -397,7 +424,7 @@ func TestEchoNotHeldWhileIdle(t *testing.T) {
 		defer pool.Close()
 		stall := make(chan struct{})
 		verify := d.node.Verifier()
-		d.net.Endpoint(0).(transport.VerifyingEndpoint).SetVerifier(func(from types.NodeID, m types.Message) bool {
+		d.eps[0].SetVerifier(func(from types.NodeID, m types.Message) bool {
 			if from == 2 {
 				<-stall
 			}
@@ -407,8 +434,9 @@ func TestEchoNotHeldWhileIdle(t *testing.T) {
 		release := d.hold()
 		_, val1 := round0(d.keys, 1)
 		_, val2 := round0(d.keys, 2)
-		d.net.Endpoint(1).Send(0, val1)
-		d.net.Endpoint(2).Send(0, val2)
+		d.eps[1].Send(0, val1)
+		d.queued(2)
+		d.eps[2].Send(0, val2)
 		d.queued(3)
 		release()
 		// Node 2's VAL is stuck in the pool; node 1's echo must not wait.
@@ -429,9 +457,9 @@ func TestEchoNotHeldWhileIdle(t *testing.T) {
 		sent := d.sent()
 		release := d.hold()
 		_, val := round0(d.keys, 1)
-		d.net.Endpoint(1).Send(0, val)
+		d.eps[1].Send(0, val)
 		d.queued(2)
-		d.net.Clock(0).After(0, d.node.Stop)
+		d.eps[0].Clock().After(0, d.node.Stop)
 		d.queued(3)
 		release()
 		d.settle()

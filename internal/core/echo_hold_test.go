@@ -174,7 +174,7 @@ func TestEchoNotHeldBelowFrontier(t *testing.T) {
 }
 
 // TestEchoHeldAtFrontierBoundedByAnchorWait is TestEchoNotHeldWhileIdle at the
-// frontier round, over ChanNet mailboxes and the real clock: echoes queued
+// frontier round, over sockets and the real clock: echoes queued
 // while a round-1 VAL is missing stay queued across drain ends, and leave by
 // themselves AnchorWait after the first held drain; a missing VAL that is in
 // the verify pool is waited for.
@@ -184,8 +184,8 @@ func TestEchoHeldAtFrontierBoundedByAnchorWait(t *testing.T) {
 		d := newDrainNodeWait(t, n, wait)
 		vals := d.toRound1()
 		start := time.Now()
-		d.net.Endpoint(1).Send(0, vals[1])
-		d.net.Endpoint(2).Send(0, vals[2])
+		d.deliver(1, vals[1])
+		d.deliver(2, vals[2])
 		fs := d.echoesOf(1, 1, 1)
 		if held := time.Since(start); held < wait || held > wait+5*time.Second {
 			t.Fatalf("held %v, want AnchorWait (%v) and no longer than the slack", held, wait)
@@ -207,7 +207,7 @@ func TestEchoHeldAtFrontierBoundedByAnchorWait(t *testing.T) {
 			}
 		}()
 		verify := d.node.Verifier()
-		d.net.Endpoint(0).(transport.VerifyingEndpoint).SetVerifier(func(from types.NodeID, m types.Message) bool {
+		d.eps[0].SetVerifier(func(from types.NodeID, m types.Message) bool {
 			if from == 3 {
 				<-stall
 			}
@@ -215,9 +215,9 @@ func TestEchoHeldAtFrontierBoundedByAnchorWait(t *testing.T) {
 		}, pool)
 		release := d.hold()
 		for src := types.NodeID(1); src < n; src++ {
-			d.net.Endpoint(src).Send(0, vals[src])
+			d.eps[src].Send(0, vals[src])
+			d.queued(uint64(src) + 1)
 		}
-		d.queued(n)
 		release()
 		time.Sleep(wait / 10)
 		if got := d.echoesOf(1, 1, 0); len(got) != 0 {
@@ -263,7 +263,7 @@ func (d *drainNode) toRound1() []*types.ValMsg {
 	for src := types.NodeID(1); int(src) < n; src++ {
 		v, val := round0(d.keys, src)
 		vs = append(vs, v)
-		d.net.Endpoint(src).Send(0, val)
+		d.deliver(src, val)
 	}
 	for voter := types.NodeID(1); int(voter) < n; voter++ {
 		var es []types.EchoEntry
@@ -272,9 +272,8 @@ func (d *drainNode) toRound1() []*types.ValMsg {
 				es = append(es, types.EchoEntry{Pos: v.Pos(), Digest: v.DigestCached()})
 			}
 		}
-		d.net.Endpoint(voter).Send(0, signedEchoes(&d.keys[voter], voter, es...))
+		d.deliver(voter, signedEchoes(&d.keys[voter], voter, es...))
 	}
-	d.settle()
 	if r := d.node.Round(); r != 1 {
 		d.t.Fatalf("node 0 at round %d, want 1", r)
 	}

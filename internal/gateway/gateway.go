@@ -15,8 +15,8 @@ import (
 // Config wires a Gateway to its host node. The gateway deliberately knows
 // nothing about mempool, core, or execution types — the host adapts them into
 // three closures — so the package has no dependency edge back into the
-// pipeline and can front any node flavor (in-process ChanNet clusters, TCP
-// nodes, the harness's wall-clock rigs).
+// pipeline: the library's TCPNode.ServeGateway is its one host, and the
+// micro benchmarks (internal/perfbench) drive it over stub closures.
 type Config struct {
 	// Addr is the TCP listen address (use "127.0.0.1:0" for tests).
 	Addr string

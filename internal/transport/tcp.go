@@ -113,7 +113,7 @@ func (e *TCPEndpoint) Addr() string { return e.ln.Addr().String() }
 
 // SetPeerAddr rebinds one peer's dial address. It exists for bootstrap
 // choreography where every node listens on ":0" first and the real ports are
-// exchanged afterwards (cmd/loadgen's self-hosted cluster, the TCP tests).
+// exchanged afterwards (NewCluster in the root package).
 // A rebind takes effect on the peer's next (re)dial; established connections
 // are not torn down.
 func (e *TCPEndpoint) SetPeerAddr(id types.NodeID, addr string) {
@@ -162,9 +162,10 @@ func (e *TCPEndpoint) SetHandler(h Handler) {
 	e.mb.start()
 }
 
-// SetVerifier installs a pre-verification stage (see VerifyingEndpoint):
-// inbound frames are signature-checked on pool workers before their turn in
-// the serialized mailbox. Call before traffic arrives.
+// SetVerifier installs a pre-verification stage: inbound frames are
+// signature-checked on pool workers before their turn in the serialized
+// mailbox. Call before traffic arrives (alongside SetHandler). The endpoint
+// does not own the pool; callers close it after the endpoint.
 func (e *TCPEndpoint) SetVerifier(v Verifier, pool *crypto.VerifyPool) {
 	e.verify.Store(&verifyStage{verifier: v, pool: pool})
 }

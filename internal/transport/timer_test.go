@@ -14,11 +14,9 @@ import (
 // expiry but before the callback's turn on the mailbox still cancels it, and
 // in steady state an arm allocates nothing: the handle is a value.
 func TestTimerRearm(t *testing.T) {
-	net := NewChanNet(1)
-	defer net.Close()
-	ep := net.Endpoint(0)
+	ep := loopback(t, 1)[0]
 	ep.SetHandler(func(types.NodeID, types.Message) {})
-	clk := net.Clock(0).(*realClock)
+	clk := ep.Clock().(*realClock)
 	wait := func(what string, cond func() bool) {
 		t.Helper()
 		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
@@ -69,7 +67,7 @@ func TestTimerRearm(t *testing.T) {
 	wait("the timer to go idle again", func() bool { return idle() == 1 })
 	var late atomic.Int32
 	release, stopped := make(chan struct{}), make(chan bool)
-	ep.(*chanEndpoint).mb.push(task{fn: func() {
+	ep.mb.push(task{fn: func() {
 		h := clk.After(time.Millisecond, func() { late.Add(1) })
 		<-release // the timer expires and queues behind this task
 		stopped <- h.Stop()

@@ -1,7 +1,7 @@
 // Package transport defines how clanbft nodes exchange messages and observe
-// time, plus two real implementations: an in-process channel network and a
-// TCP network with length-prefixed framing. The discrete-event simulator in
-// internal/simnet provides a third implementation with virtual time.
+// time, and implements them on the wall clock with TCPEndpoint: real sockets
+// and length-prefixed framing. The discrete-event simulator in
+// internal/simnet is the other implementation, with virtual time.
 //
 // Protocol code is written against Endpoint + Clock only, so the same node
 // logic runs unmodified under real sockets and under simulation. All inbound
@@ -32,16 +32,6 @@ type Handler func(from types.NodeID, m types.Message)
 // calls, so it must only read immutable state (the key registry and the
 // message itself).
 type Verifier func(from types.NodeID, m types.Message) bool
-
-// VerifyingEndpoint is implemented by endpoints that support a parallel
-// pre-verification stage between the wire and the serialized handler.
-type VerifyingEndpoint interface {
-	Endpoint
-	// SetVerifier installs the pre-verification stage. Must be called
-	// before traffic arrives (alongside SetHandler). The endpoint does not
-	// own the pool; callers close it after the endpoint.
-	SetVerifier(v Verifier, pool *crypto.VerifyPool)
-}
 
 // Endpoint is one node's handle on the network.
 type Endpoint interface {
@@ -89,8 +79,8 @@ type Stats struct {
 	// failed socket write.
 	MsgsDropped uint64
 
-	// Framing counters (TCP endpoints only; the channel and simulated
-	// networks never touch wire bytes).
+	// Framing counters (zero on simulated endpoints, which never touch
+	// wire bytes).
 	//
 	// RxAllocBytes counts receive-side bytes the frame reader handled outside
 	// a connection's read buffer's steady flow: tail bytes moved to the
@@ -101,8 +91,7 @@ type Stats struct {
 	// CoalescedFrames counts outbound frames that shared another frame's
 	// flush instead of costing their own syscall.
 	CoalescedFrames uint64
-	// Flushes counts writev syscalls issued by writer goroutines; with
-	// coalescing off it equals frames written.
+	// Flushes counts writev syscalls issued by writer goroutines.
 	Flushes uint64
 
 	// Verification-pipeline counters (zero unless a Verifier is installed).
@@ -159,7 +148,7 @@ func (t Timer) IsZero() bool { return t.t == nil }
 
 // ---------------------------------------------------------------------------
 // Serial executor: the per-node mailbox that serializes handler invocations
-// for the real (non-simulated) transports.
+// for the wall-clock transport.
 
 type task struct {
 	from types.NodeID
@@ -455,139 +444,4 @@ func (t *realTimer) StopArm(gen uint64) bool {
 		c.idle = append(c.idle, t)
 	} // else run is queued, or about to be, and does it
 	return true
-}
-
-// ---------------------------------------------------------------------------
-// Chan: in-process network connecting n endpoints through Go channels.
-
-// ChanNet is an in-process network. It delivers messages reliably, at once
-// and in per-sender order, and models nothing else — it exists for
-// functional tests and ExampleNewCluster.
-type ChanNet struct {
-	epoch time.Time
-	eps   []*chanEndpoint
-}
-
-// NewChanNet creates an in-process network with n endpoints.
-func NewChanNet(n int) *ChanNet {
-	net := &ChanNet{epoch: time.Now()}
-	for i := 0; i < n; i++ {
-		ep := &chanEndpoint{
-			id:  types.NodeID(i),
-			net: net,
-			mb:  newMailbox(),
-		}
-		ep.clock = &realClock{epoch: net.epoch, mb: ep.mb}
-		net.eps = append(net.eps, ep)
-	}
-	return net
-}
-
-// Endpoint returns node id's endpoint.
-func (n *ChanNet) Endpoint(id types.NodeID) Endpoint { return n.eps[id] }
-
-// Clock returns node id's clock.
-func (n *ChanNet) Clock(id types.NodeID) Clock { return n.eps[id].clock }
-
-// N returns the number of endpoints.
-func (n *ChanNet) N() int { return len(n.eps) }
-
-// Close closes every endpoint.
-func (n *ChanNet) Close() {
-	for _, ep := range n.eps {
-		ep.Close()
-	}
-}
-
-type chanEndpoint struct {
-	id     types.NodeID
-	net    *ChanNet
-	mb     *mailbox
-	clock  *realClock
-	verify atomic.Pointer[verifyStage]
-
-	msgsSent  atomic.Uint64
-	bytesSent atomic.Uint64
-	msgsRecv  atomic.Uint64
-	bytesRecv atomic.Uint64
-	vc        verifyCounters
-}
-
-func (e *chanEndpoint) Self() types.NodeID { return e.id }
-
-func (e *chanEndpoint) SetHandler(h Handler) {
-	e.mb.setHandler(h)
-	e.mb.start()
-}
-
-// SetVerifier installs a pre-verification stage (see VerifyingEndpoint).
-func (e *chanEndpoint) SetVerifier(v Verifier, pool *crypto.VerifyPool) {
-	e.verify.Store(&verifyStage{verifier: v, pool: pool})
-}
-
-func (e *chanEndpoint) SetDrainHook(fn func()) { e.mb.setDrainHook(fn) }
-
-func (e *chanEndpoint) Send(to types.NodeID, m types.Message) {
-	if to == e.id {
-		e.mb.push(task{from: e.id, msg: m})
-		return
-	}
-	e.sendSized(to, m, uint64(m.WireSize()))
-}
-
-// sendSized transmits m with a pre-computed wire size, mirroring the TCP
-// endpoint's encode-once discipline: Multicast/Broadcast size the message a
-// single time and share the result across every copy, while self-delivery
-// stays off the accounting entirely.
-func (e *chanEndpoint) sendSized(to types.NodeID, m types.Message, size uint64) {
-	e.msgsSent.Add(1)
-	e.bytesSent.Add(size)
-	e.net.eps[to].receive(e.id, m, size)
-}
-
-func (e *chanEndpoint) receive(from types.NodeID, m types.Message, size uint64) {
-	e.msgsRecv.Add(1)
-	e.bytesRecv.Add(size)
-	dispatchInbound(e.mb, e.verify.Load(), &e.vc, from, m)
-}
-
-func (e *chanEndpoint) Multicast(tos []types.NodeID, m types.Message) {
-	size := uint64(m.WireSize())
-	for _, to := range tos {
-		if to == e.id {
-			e.mb.push(task{from: e.id, msg: m})
-			continue
-		}
-		e.sendSized(to, m, size)
-	}
-}
-
-// Broadcast delivers to endpoints in ascending NodeID order (the slice is
-// index-ordered), matching TCPEndpoint.Broadcast's deterministic order.
-func (e *chanEndpoint) Broadcast(m types.Message) {
-	size := uint64(m.WireSize())
-	for i := range e.net.eps {
-		if types.NodeID(i) == e.id {
-			e.mb.push(task{from: e.id, msg: m})
-			continue
-		}
-		e.sendSized(types.NodeID(i), m, size)
-	}
-}
-
-func (e *chanEndpoint) Stats() Stats {
-	s := Stats{
-		MsgsSent:  e.msgsSent.Load(),
-		BytesSent: e.bytesSent.Load(),
-		MsgsRecv:  e.msgsRecv.Load(),
-		BytesRecv: e.bytesRecv.Load(),
-	}
-	e.vc.fill(&s)
-	s.HandlerQueue = uint64(e.mb.depth())
-	return s
-}
-
-func (e *chanEndpoint) Close() error {
-	e.mb.close()
-	return nil
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"strings"
 	"sync"
@@ -45,47 +46,34 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition not met within 5s")
 }
 
-func TestChanNetDelivery(t *testing.T) {
-	net := NewChanNet(3)
-	defer net.Close()
-	mu, got := collect(net.Endpoint(1))
-	net.Endpoint(2).SetHandler(func(types.NodeID, types.Message) {})
-
-	net.Endpoint(0).Send(1, ping(1))
-	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(*got) == 1 })
-
-	net.Endpoint(0).Broadcast(ping(2))
-	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(*got) == 2 })
-
-	st := net.Endpoint(0).Stats()
-	// Broadcast to 3 (one is self, not counted) + 1 direct = 3 wire sends.
-	if st.MsgsSent != 3 {
-		t.Fatalf("sent %d, want 3", st.MsgsSent)
+// loopback binds n endpoints to loopback ports the kernel picks and gives
+// each the others' bound addresses; the test's cleanup closes them.
+func loopback(t testing.TB, n int) []*TCPEndpoint {
+	t.Helper()
+	addrs := map[types.NodeID]string{}
+	eps := make([]*TCPEndpoint, n)
+	for i := range eps {
+		id := types.NodeID(i)
+		ep, err := NewTCPEndpoint(id, map[types.NodeID]string{id: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ep.Close() })
+		eps[i], addrs[id] = ep, ep.Addr()
 	}
-	if st.BytesSent == 0 {
-		t.Fatal("no bytes accounted")
+	for _, ep := range eps {
+		ep.addrs = maps.Clone(addrs)
 	}
+	return eps
 }
 
-func TestChanNetSelfSend(t *testing.T) {
-	net := NewChanNet(2)
-	defer net.Close()
-	mu, got := collect(net.Endpoint(0))
-	net.Endpoint(0).Send(0, ping(7))
-	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(*got) == 1 })
-	if st := net.Endpoint(0).Stats(); st.MsgsSent != 0 {
-		t.Fatal("self-send must not count as wire traffic")
-	}
-}
-
-func TestChanNetHandlerSerialized(t *testing.T) {
-	net := NewChanNet(2)
-	defer net.Close()
+func TestHandlerSerialized(t *testing.T) {
+	eps := loopback(t, 2)
 	var inHandler atomic.Int32
 	var violations atomic.Int32
 	done := make(chan struct{})
 	var count atomic.Int32
-	net.Endpoint(1).SetHandler(func(types.NodeID, types.Message) {
+	eps[1].SetHandler(func(types.NodeID, types.Message) {
 		if inHandler.Add(1) != 1 {
 			violations.Add(1)
 		}
@@ -96,7 +84,7 @@ func TestChanNetHandlerSerialized(t *testing.T) {
 		}
 	})
 	for i := 0; i < 50; i++ {
-		net.Endpoint(0).Send(1, ping(uint64(i)))
+		eps[0].Send(1, ping(uint64(i)))
 	}
 	<-done
 	if violations.Load() != 0 {
@@ -105,11 +93,9 @@ func TestChanNetHandlerSerialized(t *testing.T) {
 }
 
 func TestRealClockTimer(t *testing.T) {
-	net := NewChanNet(1)
-	defer net.Close()
-	ep := net.Endpoint(0)
+	ep := loopback(t, 1)[0]
 	ep.SetHandler(func(types.NodeID, types.Message) {})
-	clk := net.Clock(0)
+	clk := ep.Clock()
 
 	fired := make(chan struct{})
 	clk.After(10*time.Millisecond, func() { close(fired) })
@@ -135,26 +121,7 @@ func TestRealClockTimer(t *testing.T) {
 }
 
 func TestTCPEndpointRoundTrip(t *testing.T) {
-	// Start 3 endpoints on loopback with dynamic ports.
-	addrs := map[types.NodeID]string{}
-	var eps []*TCPEndpoint
-	for i := 0; i < 3; i++ {
-		addrs[types.NodeID(i)] = "127.0.0.1:0"
-	}
-	// Two-phase: bind with :0, then share real addresses.
-	for i := 0; i < 3; i++ {
-		ep, err := NewTCPEndpoint(types.NodeID(i), map[types.NodeID]string{types.NodeID(i): "127.0.0.1:0"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[types.NodeID(i)] = ep.Addr()
-		eps = append(eps, ep)
-	}
-	for _, ep := range eps {
-		ep.addrs = addrs
-		defer ep.Close()
-	}
-
+	eps := loopback(t, 3)
 	mus := make([]*sync.Mutex, 3)
 	gots := make([]*[]types.Message, 3)
 	for i, ep := range eps {
@@ -188,19 +155,8 @@ func TestTCPEndpointRoundTrip(t *testing.T) {
 }
 
 func TestTCPLargeMessage(t *testing.T) {
-	a, err := NewTCPEndpoint(0, map[types.NodeID]string{0: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewTCPEndpoint(1, map[types.NodeID]string{1: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := map[types.NodeID]string{0: a.Addr(), 1: b.Addr()}
-	a.addrs, b.addrs = addrs, addrs
-	defer a.Close()
-	defer b.Close()
-
+	eps := loopback(t, 2)
+	a, b := eps[0], eps[1]
 	mu, got := collect(b)
 	a.SetHandler(func(types.NodeID, types.Message) {})
 
@@ -278,12 +234,11 @@ func TestTCPUnknownPeerIgnored(t *testing.T) {
 }
 
 func TestMailboxCloseUnblocks(t *testing.T) {
-	net := NewChanNet(1)
-	ep := net.Endpoint(0)
+	ep := loopback(t, 1)[0]
 	ep.SetHandler(func(types.NodeID, types.Message) {})
 	done := make(chan struct{})
 	go func() {
-		net.Close()
+		ep.Close()
 		close(done)
 	}()
 	select {
@@ -293,51 +248,9 @@ func TestMailboxCloseUnblocks(t *testing.T) {
 	}
 }
 
-func TestChanNetManyNodesStress(t *testing.T) {
-	const n = 20
-	net := NewChanNet(n)
-	defer net.Close()
-	var recvd atomic.Int64
-	for i := 0; i < n; i++ {
-		net.Endpoint(types.NodeID(i)).SetHandler(func(types.NodeID, types.Message) {
-			recvd.Add(1)
-		})
-	}
-	for i := 0; i < n; i++ {
-		net.Endpoint(types.NodeID(i)).Broadcast(ping(uint64(i)))
-	}
-	waitFor(t, func() bool { return recvd.Load() == n*n })
-	total := uint64(0)
-	for i := 0; i < n; i++ {
-		total += net.Endpoint(types.NodeID(i)).Stats().MsgsSent
-	}
-	if total != n*(n-1) {
-		t.Fatalf("wire sends %d, want %d", total, n*(n-1))
-	}
-}
-
-func BenchmarkChanNetSend(b *testing.B) {
-	net := NewChanNet(2)
-	defer net.Close()
-	var count atomic.Int64
-	net.Endpoint(1).SetHandler(func(types.NodeID, types.Message) { count.Add(1) })
-	m := ping(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Endpoint(0).Send(1, m)
-	}
-	for int(count.Load()) < b.N {
-		time.Sleep(time.Microsecond)
-	}
-}
-
 func BenchmarkTCPSend(b *testing.B) {
-	a, _ := NewTCPEndpoint(0, map[types.NodeID]string{0: "127.0.0.1:0"})
-	c, _ := NewTCPEndpoint(1, map[types.NodeID]string{1: "127.0.0.1:0"})
-	addrs := map[types.NodeID]string{0: a.Addr(), 1: c.Addr()}
-	a.addrs, c.addrs = addrs, addrs
-	defer a.Close()
-	defer c.Close()
+	eps := loopback(b, 2)
+	a, c := eps[0], eps[1]
 	var count atomic.Int64
 	c.SetHandler(func(types.NodeID, types.Message) { count.Add(1) })
 	a.SetHandler(func(types.NodeID, types.Message) {})
@@ -354,7 +267,6 @@ func BenchmarkTCPSend(b *testing.B) {
 	if int(count.Load()) != b.N {
 		b.Logf("delivered %d of %d (drops allowed under overload)", count.Load(), b.N)
 	}
-	_ = fmt.Sprintf
 }
 
 // TestMailboxBatchDrain: tasks queued behind a slow one are taken in one swap

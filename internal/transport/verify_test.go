@@ -45,15 +45,14 @@ func signedVote(keys []crypto.KeyPair, voter, seq int) *types.EchoMsg {
 func TestVerifyPipelineFiltersAndPreservesOrder(t *testing.T) {
 	keys := crypto.GenerateKeys(8, 1)
 	reg := crypto.NewRegistry(keys, true)
-	net := NewChanNet(2)
-	defer net.Close()
+	eps := loopback(t, 2)
 	pool := crypto.NewVerifyPool(0, 0)
 	defer pool.Close()
 
 	var mu sync.Mutex
 	var got []types.Round
 	unmarked := 0
-	net.Endpoint(1).SetHandler(func(from types.NodeID, m types.Message) {
+	eps[1].SetHandler(func(from types.NodeID, m types.Message) {
 		vm := m.(*types.EchoMsg)
 		mu.Lock()
 		got = append(got, vm.Entries[0].Pos.Round)
@@ -62,7 +61,7 @@ func TestVerifyPipelineFiltersAndPreservesOrder(t *testing.T) {
 		}
 		mu.Unlock()
 	})
-	net.Endpoint(1).(VerifyingEndpoint).SetVerifier(voteVerifier(reg), pool)
+	eps[1].SetVerifier(voteVerifier(reg), pool)
 
 	const total = 200
 	var want []types.Round
@@ -73,7 +72,7 @@ func TestVerifyPipelineFiltersAndPreservesOrder(t *testing.T) {
 		} else {
 			want = append(want, m.Entries[0].Pos.Round)
 		}
-		net.Endpoint(0).Send(1, m)
+		eps[0].Send(1, m)
 	}
 
 	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(got) >= len(want) })
@@ -91,7 +90,7 @@ func TestVerifyPipelineFiltersAndPreservesOrder(t *testing.T) {
 			t.Fatalf("order violated at %d: got round %d, want %d", i, got[i], want[i])
 		}
 	}
-	st := net.Endpoint(1).Stats()
+	st := eps[1].Stats()
 	if st.VerifyQueued != total {
 		t.Fatalf("VerifyQueued = %d, want %d", st.VerifyQueued, total)
 	}
@@ -108,15 +107,14 @@ func TestVerifyPipelineConcurrentSubmission(t *testing.T) {
 	const perSender = 200
 	keys := crypto.GenerateKeys(senders+1, 2)
 	reg := crypto.NewRegistry(keys, true)
-	net := NewChanNet(senders + 1)
-	defer net.Close()
+	eps := loopback(t, senders+1)
 	pool := crypto.NewVerifyPool(0, 0)
 	defer pool.Close()
 
 	var delivered atomic.Int64
 	var inHandler atomic.Int32
 	var overlap atomic.Int32
-	rx := net.Endpoint(senders)
+	rx := eps[senders]
 	rx.SetHandler(func(from types.NodeID, m types.Message) {
 		if inHandler.Add(1) != 1 {
 			overlap.Add(1)
@@ -127,7 +125,7 @@ func TestVerifyPipelineConcurrentSubmission(t *testing.T) {
 		inHandler.Add(-1)
 		delivered.Add(1)
 	})
-	rx.(VerifyingEndpoint).SetVerifier(voteVerifier(reg), pool)
+	rx.SetVerifier(voteVerifier(reg), pool)
 
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
@@ -135,7 +133,7 @@ func TestVerifyPipelineConcurrentSubmission(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
-				net.Endpoint(types.NodeID(s)).Send(types.NodeID(senders), signedVote(keys, s, i))
+				eps[s].Send(types.NodeID(senders), signedVote(keys, s, i))
 			}
 		}(s)
 	}
@@ -166,18 +164,8 @@ func TestVerifyPipelineConcurrentSubmission(t *testing.T) {
 func TestTCPVerifyPipeline(t *testing.T) {
 	keys := crypto.GenerateKeys(4, 3)
 	reg := crypto.NewRegistry(keys, true)
-	a, err := NewTCPEndpoint(0, map[types.NodeID]string{0: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewTCPEndpoint(1, map[types.NodeID]string{1: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := map[types.NodeID]string{0: a.Addr(), 1: b.Addr()}
-	a.addrs, b.addrs = addrs, addrs
-	defer a.Close()
-	defer b.Close()
+	eps := loopback(t, 2)
+	a, b := eps[0], eps[1]
 	pool := crypto.NewVerifyPool(0, 0)
 	defer pool.Close()
 
@@ -245,10 +233,9 @@ func benchVerifyPath(b *testing.B, pooled bool) {
 		msgs[i] = &types.EchoMsg{Entries: []types.EchoEntry{{Digest: digest}}, Voter: types.NodeID(v), Sig: sigs[v]}
 	}
 
-	net := NewChanNet(2)
-	defer net.Close()
+	eps := loopback(b, 2)
 	var done atomic.Int64
-	net.Endpoint(1).SetHandler(func(from types.NodeID, m types.Message) {
+	eps[1].SetHandler(func(from types.NodeID, m types.Message) {
 		vm := m.(*types.EchoMsg)
 		if !vm.PreVerified() && !reg.Verify(vm.Voter, vm.Entries[0].Digest[:], vm.Sig) {
 			b.Error("signature rejected")
@@ -258,12 +245,12 @@ func benchVerifyPath(b *testing.B, pooled bool) {
 	if pooled {
 		pool := crypto.NewVerifyPool(0, 0)
 		defer pool.Close()
-		net.Endpoint(1).(VerifyingEndpoint).SetVerifier(voteVerifier(reg), pool)
+		eps[1].SetVerifier(voteVerifier(reg), pool)
 	}
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Endpoint(0).Send(1, msgs[i])
+		eps[0].Send(1, msgs[i])
 	}
 	for int(done.Load()) < b.N {
 		time.Sleep(10 * time.Microsecond)
@@ -282,15 +269,14 @@ func BenchmarkVerifyPooled(b *testing.B)       { benchVerifyPath(b, true) }
 func TestVerifyStageSkipsSelfSendsAndUnsignedKinds(t *testing.T) {
 	keys := crypto.GenerateKeys(2, 4)
 	reg := crypto.NewRegistry(keys, true)
-	net := NewChanNet(2)
-	defer net.Close()
+	eps := loopback(t, 2)
 	pool := crypto.NewVerifyPool(0, 0)
 	defer pool.Close()
 
 	var mu sync.Mutex
 	var kinds []types.MsgKind
 	var marked int
-	rx := net.Endpoint(1)
+	rx := eps[1]
 	rx.SetHandler(func(from types.NodeID, m types.Message) {
 		mu.Lock()
 		kinds = append(kinds, m.Kind())
@@ -299,20 +285,20 @@ func TestVerifyStageSkipsSelfSendsAndUnsignedKinds(t *testing.T) {
 		}
 		mu.Unlock()
 	})
-	rx.(VerifyingEndpoint).SetVerifier(voteVerifier(reg), pool)
+	rx.SetVerifier(voteVerifier(reg), pool)
 
 	forged := signedVote(keys, 1, 1)
 	forged.Sig[0] ^= 0xff // a self-send is trusted, not checked
 	rx.Send(1, forged)
 	rx.Broadcast(signedVote(keys, 1, 2))
-	net.Endpoint(0).Send(1, &types.VtxReqMsg{Pos: types.Position{Round: 3}})
-	net.Endpoint(0).Send(1, &types.BlockReqMsg{Pos: types.Position{Round: 3}})
-	net.Endpoint(0).Send(1, &types.SnapReqMsg{})
+	eps[0].Send(1, &types.VtxReqMsg{Pos: types.Position{Round: 3}})
+	eps[0].Send(1, &types.BlockReqMsg{Pos: types.Position{Round: 3}})
+	eps[0].Send(1, &types.SnapReqMsg{})
 	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(kinds) == 5 })
 	if st := rx.Stats(); st.VerifyQueued != 0 {
 		t.Fatalf("VerifyQueued = %d after self-sends and pull kinds, want 0", st.VerifyQueued)
 	}
-	net.Endpoint(0).Send(1, signedVote(keys, 0, 3))
+	eps[0].Send(1, signedVote(keys, 0, 3))
 	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(kinds) == 6 })
 	mu.Lock()
 	defer mu.Unlock()

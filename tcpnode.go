@@ -3,6 +3,7 @@ package clanbft
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"time"
 
 	"clanbft/internal/committee"
@@ -45,6 +46,14 @@ func NewTCPNode(o TCPNodeOptions) (*TCPNode, error) {
 	if err := o.fill(); err != nil {
 		return nil, err
 	}
+	return newTCPNode(o, o.genesis())
+}
+
+// newTCPNode is NewTCPNode over filled options and the deployment's epoch 0,
+// which NewCluster derives once for all of its nodes. Every protocol setting
+// reaches core.Config here and nowhere else; anchors, holds and pull pacing
+// are core's defaults.
+func newTCPNode(o TCPNodeOptions, g core.Genesis) (*TCPNode, error) {
 	// The address book needs this party and every epoch-0 member; parties
 	// that join later are dialed once their committed ReconfigTx advertises
 	// an address (core's OnReconfig feeds transport.AddPeer).
@@ -60,7 +69,7 @@ func NewTCPNode(o TCPNodeOptions) (*TCPNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &TCPNode{ep: ep, genesis: o.genesis(), opts: o, pool: mempool.NewPool(o.MaxTxPerBlock)}
+	n := &TCPNode{ep: ep, genesis: g, opts: o, pool: mempool.NewPool(o.MaxTxPerBlock)}
 	if o.StoreDir != "" {
 		disk, err := store.Open(o.StoreDir, store.Options{})
 		if err != nil {
@@ -70,16 +79,33 @@ func NewTCPNode(o TCPNodeOptions) (*TCPNode, error) {
 		n.st = disk
 	}
 	n.vpool = crypto.NewVerifyPool(0, 0)
-	cfg := o.nodeConfig(o.Self, &n.genesis, &n.onCommit)
-	cfg.Blocks, cfg.Store = n.pool, n.st
-	// Installed epochs admit joined peers to the transport layer so
-	// Broadcast reaches them and their handshakes are accepted.
-	cfg.OnReconfig = func(info core.EpochInfo) {
-		for id, addr := range info.Joins {
-			if id != o.Self {
-				ep.AddPeer(id, addr)
+	cfg := core.Config{
+		Self:   o.Self,
+		N:      o.N,
+		Mode:   o.Mode,
+		Clans:  g.Clans,
+		Params: o.Params,
+		Key:    &g.Keys[o.Self],
+		Reg:    g.Reg,
+		Costs:  crypto.ZeroCosts(),
+		Blocks: n.pool,
+		Store:  n.st,
+		// Deliver fans each committed vertex out to the OnCommit
+		// callbacks, in registration order.
+		Deliver: func(cv core.CommittedVertex) {
+			for _, fn := range n.onCommit {
+				fn(cv)
 			}
-		}
+		},
+		// Installed epochs admit joined peers to the transport layer so
+		// Broadcast reaches them and their handshakes are accepted.
+		OnReconfig: func(info core.EpochInfo) {
+			for id, addr := range info.Joins {
+				if id != o.Self {
+					ep.AddPeer(id, addr)
+				}
+			}
+		},
 	}
 	n.node = core.New(cfg, ep, ep.Clock())
 	ep.SetVerifier(n.node.Verifier(), n.vpool)
@@ -90,8 +116,10 @@ func NewTCPNode(o TCPNodeOptions) (*TCPNode, error) {
 func (n *TCPNode) Addr() string { return n.ep.Addr() }
 
 // OnCommit registers a total-order callback. Must precede Start. Callbacks
-// run on the node's execution goroutine, as with Cluster.OnCommit, and may
-// block.
+// run on the node's execution goroutine, behind a queue that never blocks
+// the consensus handler, so they may block freely: an expensive callback
+// (block execution) never stalls vote handling, and commit order is
+// preserved exactly.
 func (n *TCPNode) OnCommit(fn func(Commit)) {
 	if n.started {
 		panic("clanbft: OnCommit after Start")
@@ -114,23 +142,27 @@ func (n *TCPNode) Submit(tx []byte) { n.pool.Submit(tx) }
 // Clans returns the deployment's clan composition.
 func (n *TCPNode) Clans() [][]NodeID { return n.genesis.Clans }
 
-// FaultBound returns f_c for this node's clan — the number of clan members
-// that may fail while clients still obtain f_c+1 matching read responses.
+// FaultBound returns f_c for the clan whose executors answer reads at this
+// node — the number of them that may fail while clients still obtain f_c+1
+// matching read responses: the node's own clan, the one clan in
+// ModeSingleClan when the node is outside it, and the tribe in ModeSailfish.
 func (n *TCPNode) FaultBound() int {
-	for _, cl := range n.genesis.Clans {
-		for _, m := range cl {
-			if m == n.opts.Self {
-				return committee.ClanMaxFaulty(len(cl))
-			}
+	clans := n.genesis.Clans
+	for ci, cl := range clans {
+		if slices.Contains(cl, n.opts.Self) {
+			return clanFaultBound(clans, ci, n.opts.N)
 		}
+	}
+	if n.opts.Mode == ModeSingleClan {
+		return clanFaultBound(clans, 0, n.opts.N)
 	}
 	return committee.ClanMaxFaulty(n.opts.N)
 }
 
 // SetPeerAddr updates one peer's dial address before traffic flows to it.
-// This is the ":0" bootstrap choreography: create every node with
-// placeholder addresses, read the real ones off Addr(), exchange them, fix
-// the books with SetPeerAddr, then Start.
+// This is the ":0" bootstrap choreography NewCluster runs: create every node
+// with placeholder addresses, read the real ones off Addr(), exchange them,
+// fix the books with SetPeerAddr, then Start.
 func (n *TCPNode) SetPeerAddr(id NodeID, addr string) { n.ep.SetPeerAddr(id, addr) }
 
 // Metrics returns the node's consensus counters.

@@ -14,13 +14,16 @@ import (
 func runTCPCluster(t *testing.T, seed int64, minCommits int) [][]string {
 	t.Helper()
 	const n = 4
-	nodes := bootTCP(t, Options{N: n, Seed: seed, Params: Params{RoundTimeout: 2 * time.Second}})
+	c, err := NewCluster(Options{N: n, Seed: seed, Params: Params{RoundTimeout: 2 * time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var mu sync.Mutex
 	orders := make([][]string, n)
 	txSeen := map[string]bool{}
 	for i := 0; i < n; i++ {
 		i := i
-		nodes[i].OnCommit(func(cv Commit) {
+		c.Node(i).OnCommit(func(cv Commit) {
 			mu.Lock()
 			orders[i] = append(orders[i], fmt.Sprintf("%d/%d", cv.Vertex.Round, cv.Vertex.Source))
 			if i == 0 && cv.Block != nil {
@@ -31,11 +34,9 @@ func runTCPCluster(t *testing.T, seed int64, minCommits int) [][]string {
 			mu.Unlock()
 		})
 	}
-	for _, nd := range nodes {
-		nd.Start()
-	}
-	for i, nd := range nodes {
-		nd.Submit([]byte(fmt.Sprintf("ab-tx-%d", i)))
+	c.Start()
+	for i := 0; i < n; i++ {
+		c.Node(i).Submit([]byte(fmt.Sprintf("ab-tx-%d", i)))
 	}
 	waitFor(t, 20*time.Second, func() bool {
 		mu.Lock()
@@ -50,12 +51,10 @@ func runTCPCluster(t *testing.T, seed int64, minCommits int) [][]string {
 		}
 		return true
 	})
-	if nodes[1].Stats().Flushes == 0 {
+	if c.Node(1).Stats().Flushes == 0 {
 		t.Fatal("the run recorded no flushes")
 	}
-	for _, nd := range nodes {
-		nd.Close()
-	}
+	c.Stop()
 	mu.Lock()
 	defer mu.Unlock()
 	return orders
