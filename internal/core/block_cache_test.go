@@ -73,10 +73,8 @@ func TestBlockCacheMemoryOnlyLiveness(t *testing.T) {
 		switch x := msg.(type) {
 		case *types.ValMsg:
 			return x.Vertex.Pos() == lost
-		case *types.VtxRspMsg: // a holder's reply would carry the block
-			return x.Vertex.Pos() == lost
-		case *types.BlockRspMsg:
-			return holdBlock && x.Block.Round == lost.Round && x.Block.Source == lost.Source
+		case *types.VtxRspMsg: // a holder's reply carries the block
+			return holdBlock && x.Vertex.Pos() == lost
 		}
 		return false
 	}
@@ -332,9 +330,9 @@ func TestBlockCacheAdversary(t *testing.T) {
 }
 
 // TestBlockCacheNotRefilled: once a block has been executed and evicted,
-// nothing that still carries it — a duplicate VAL, a late BLOCKRSP, a pull
-// reply — puts it back; and on links that duplicate every frame the cache
-// stays within the bound it has without them.
+// nothing that still carries it — a duplicate VAL, a late pull reply for the
+// delivered vertex — puts it back; and on links that duplicate every frame
+// the cache stays within the bound it has without them.
 func TestBlockCacheNotRefilled(t *testing.T) {
 	const n = 4
 	fnet := faults.NewNet(n, 3, nil)
@@ -367,7 +365,6 @@ func TestBlockCacheNotRefilled(t *testing.T) {
 	before, received := len(node.rbc.blocks), node.Metrics.BlocksReceived
 	for pos, rsp := range rsps {
 		node.step(msgIn(pos.Source, vals[pos]))
-		node.step(msgIn(pos.Source, &types.BlockRspMsg{Block: rsp.Block}))
 		node.step(msgIn(pos.Source, rsp))
 	}
 	if len(node.rbc.blocks) != before || node.Metrics.BlocksReceived != received {
@@ -375,17 +372,17 @@ func TestBlockCacheNotRefilled(t *testing.T) {
 	}
 }
 
-// TestBlockReqAnsweredInsideTheClanOnly: a block request is answered only to a
-// member of the block's clan, and only with the block of the position it
-// names — also after the responder evicted the block, when it has a store.
-func TestBlockReqAnsweredInsideTheClanOnly(t *testing.T) {
+// TestVtxReqBlockInsideTheClanOnly: a pull reply carries the vertex and its
+// certificate to anyone, and the block only to a member of the block's clan —
+// also after the responder evicted the block, when it has a store.
+func TestVtxReqBlockInsideTheClanOnly(t *testing.T) {
 	const n = 4
 	for _, withStore := range []bool{false, true} {
 		fnet := faults.NewNet(n, 1, nil)
-		var sent []types.NodeID // BLOCKRSP recipients
+		var sent []*types.VtxRspMsg
 		fnet.SetTap(func(_, to types.NodeID, m types.Message) {
-			if _, ok := m.(*types.BlockRspMsg); ok {
-				sent = append(sent, to)
+			if rsp, ok := m.(*types.VtxRspMsg); ok {
+				sent = append(sent, rsp)
 			}
 		})
 		c := newTCluster(t, n, topt{mode: ModeSingleClan, clans: [][]types.NodeID{{0, 1, 2}}, uniform: true, fnet: fnet, store: withStore})
@@ -404,35 +401,36 @@ func TestBlockReqAnsweredInsideTheClanOnly(t *testing.T) {
 		if cached == nil || evicted == nil {
 			t.Fatalf("store=%v: need a cached and an evicted block (%v, %v)", withStore, cached, evicted)
 		}
-		ask := func(from types.NodeID, v *types.Vertex, pos types.Position) int {
+		// ask returns the one reply to from's pull of pos; Have at pos's
+		// round keeps ancestors out of it.
+		ask := func(from types.NodeID, pos types.Position) *types.VtxRspMsg {
+			t.Helper()
 			sent = sent[:0]
-			node.step(msgIn(from, &types.BlockReqMsg{Pos: pos, Digest: v.BlockDigest}))
-			return len(sent)
+			node.step(msgIn(from, &types.VtxReqMsg{Pos: pos, Have: pos.Round}))
+			if len(sent) != 1 || sent[0].Vertex.Pos() != pos || sent[0].Cert == nil {
+				t.Fatalf("store=%v: %d replies to a pull of %v, want its vertex and certificate", withStore, len(sent), pos)
+			}
+			return sent[0]
 		}
-		if k := ask(3, cached, cached.Pos()); k != 0 {
+		if ask(3, cached.Pos()).Block != nil {
 			t.Fatalf("store=%v: a party outside the clan got the block", withStore)
 		}
-		if k := ask(1, cached, types.Position{Round: cached.Round, Source: 2}); k != 0 {
-			t.Fatalf("store=%v: a request naming another position got the block", withStore)
+		if blk := ask(1, cached.Pos()).Block; blk == nil || blk.DigestCached() != cached.BlockDigest {
+			t.Fatalf("store=%v: a clan member did not get the block", withStore)
 		}
-		if k := ask(1, cached, types.Position{Round: cached.Round, Source: 60000}); k != 0 {
-			t.Fatalf("store=%v: a request naming no party got the block", withStore)
-		}
-		if k := ask(1, cached, cached.Pos()); k != 1 || sent[0] != 1 {
-			t.Fatalf("store=%v: clan member got %d replies", withStore, k)
-		}
-		if k := ask(3, evicted, evicted.Pos()); k != 0 {
+		if ask(3, evicted.Pos()).Block != nil {
 			t.Fatalf("store=%v: a party outside the clan got an evicted block", withStore)
 		}
-		want := 0
-		if withStore {
-			want = 1 // read through
-		}
-		if k := ask(1, evicted, evicted.Pos()); k != want {
-			t.Fatalf("store=%v: clan member got %d replies for an evicted block, want %d", withStore, k, want)
+		if blk := ask(1, evicted.Pos()).Block; (blk != nil) != withStore {
+			t.Fatalf("store=%v: a clan member got block %v for an evicted block", withStore, blk)
 		}
 		if cachedAt(node, evicted.Pos()) {
 			t.Fatalf("store=%v: serving an evicted block cached it again", withStore)
+		}
+		sent = sent[:0]
+		node.step(msgIn(1, &types.VtxReqMsg{Pos: types.Position{Round: cached.Round, Source: 60000}}))
+		if len(sent) != 0 {
+			t.Fatalf("store=%v: a pull naming no party got %d replies", withStore, len(sent))
 		}
 	}
 }

@@ -350,7 +350,7 @@ type Node struct {
 	// clan, expired at the GC horizon.
 	mBlocksEvicted *metrics.Counter
 	mBlocksExpired *metrics.Counter
-	// mPulls counts the vertex and block pulls sent, retries included;
+	// mPulls counts the pulls sent, retries included;
 	// mEchoFrames the ECHO frames this party sent.
 	mPulls, mEchoFrames *metrics.Counter
 

@@ -345,8 +345,7 @@ func (n *Node) propose(r types.Round) {
 	// The clan reads this vertex as "I hold the block of every vertex of ours
 	// I reference"; name the ones that would make it untrue.
 	for i, k := 0, v.NumEdges(); i < k; i++ {
-		if in := n.rbc.Get(v.Edge(i).Pos()); in != nil && in.Vertex() != nil &&
-			n.wantsBlock(in.Vertex()) && !n.holdsBlock(in.Vertex()) {
+		if in := n.rbc.Get(v.Edge(i).Pos()); in != nil && in.Vertex() != nil && n.lacksBlock(in.Vertex()) {
 			v.Lacks = append(v.Lacks, uint32(i))
 			in.X.lacked = true
 		}
@@ -409,7 +408,7 @@ func (n *Node) onRoundTimeout() {
 		if in.Echoed() && v != nil {
 			n.queueEcho(pos, v.DigestCached())
 		}
-		n.pull(pos, in, false)
+		n.pull(pos, in)
 	}
 	n.flushEchoes()   // a timer is not always part of a drain
 	n.armRoundTimer() // still stuck

@@ -378,8 +378,8 @@ func (e *echoRecorder) Broadcast(m types.Message) {
 // messages that each let a node echo and that reach it in one batched
 // arrival leave as one ECHO frame of k entries — the drain is the arrival,
 // not the handler call. A VAL comes only from its proposer, so the k
-// messages are the blocks of k round-0 vertices whose VALs came without
-// them, relayed by one peer.
+// messages are one peer's pull replies carrying the blocks of k round-0
+// vertices whose VALs came without them.
 func TestOneEchoFramePerBatchedArrival(t *testing.T) {
 	const n, k = 4, 3
 	keys := crypto.GenerateKeys(n, 5)
@@ -389,19 +389,19 @@ func TestOneEchoFramePerBatchedArrival(t *testing.T) {
 		Params: Params{RoundTimeout: time.Hour}}, ep, net.Clock(0))
 	node.Start()
 	t.Cleanup(node.Stop)
-	var blocks []*types.Block
+	var rsps []*types.VtxRspMsg
 	for src := types.NodeID(1); src <= k; src++ {
 		blk := &types.Block{Round: 0, Source: src, Txs: [][]byte{{byte(src)}}}
 		v := &types.Vertex{Round: 0, Source: src, BlockDigest: blk.Digest(), CreatedAt: 1}
 		net.Endpoint(src).Send(0, &types.ValMsg{Vertex: v, Sig: crypto.Sign(&keys[src], vertexCtx(new(ctxBuf), v.DigestCached()))})
-		blocks = append(blocks, blk)
+		rsps = append(rsps, &types.VtxRspMsg{Vertex: v, Block: blk})
 	}
 	net.Run(10 * time.Millisecond)
 	if len(ep.frames) != 0 {
 		t.Fatalf("%d ECHO frames before any block arrived", len(ep.frames))
 	}
-	for _, blk := range blocks {
-		net.Endpoint(1).Send(0, &types.BlockRspMsg{Block: blk})
+	for _, rsp := range rsps {
+		net.Endpoint(1).Send(0, rsp)
 	}
 	net.Run(10 * time.Millisecond)
 	if len(ep.frames) != 1 || len(ep.frames[0].Entries) != k {

@@ -65,18 +65,17 @@ const (
 	inRoundTimer                   // the round timer fired (roundFired)
 	inAnchorTimer                  // the anchor-hold timer fired (anchorFired)
 	inEchoTimer                    // the echo-hold timer fired (echoFired)
-	inPullRetry                    // pos's pull timer fired: its block's if block, else its vertex's
+	inPullRetry                    // pos's pull timer fired
 	inReconfig                     // tx submitted for this party's next proposal
 )
 
 // input is one input to the node: the kind and what that kind carries.
 type input struct {
-	kind  inputKind
-	from  types.NodeID
-	msg   types.Message
-	pos   types.Position
-	block bool
-	tx    *types.ReconfigTx
+	kind inputKind
+	from types.NodeID
+	msg  types.Message
+	pos  types.Position
+	tx   *types.ReconfigTx
 }
 
 // Start installs the node as the endpoint handler and proposes its round-0
@@ -161,10 +160,6 @@ func (n *Node) step(in input) {
 			n.onVal(in.from, msg)
 		case *types.EchoMsg:
 			n.onEcho(in.from, msg)
-		case *types.BlockReqMsg:
-			n.onBlockReq(in.from, msg)
-		case *types.BlockRspMsg:
-			n.onBlockRsp(in.from, msg)
 		case *types.VtxReqMsg:
 			n.onVtxReq(in.from, msg)
 		case *types.VtxRspMsg:
@@ -201,11 +196,9 @@ func (n *Node) step(in input) {
 			n.flushEchoes()
 		}
 	case inPullRetry:
-		if r := n.rbc.Get(in.pos); r != nil {
-			if t := r.X.pullTimer(in.block); !t.IsZero() {
-				*t = transport.Timer{}
-				n.pull(in.pos, r, in.block)
-			}
+		if r := n.rbc.Get(in.pos); r != nil && !r.X.pull.IsZero() {
+			r.X.pull = transport.Timer{}
+			n.pull(in.pos, r)
 		}
 	case inReconfig:
 		if len(n.pendingReconfig) < types.MaxReconfigPerVertex { // bounded; the client retries after the next fence

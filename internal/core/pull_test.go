@@ -27,8 +27,6 @@ func TestDeadMemberProbedOncePerTimeout(t *testing.T) {
 			if crashed > 0 && msg.Pos.Source == dead && msg.Pos.Round > crashed {
 				probes[from]++
 			}
-		case *types.BlockReqMsg:
-			pulls[from]++
 		}
 	})
 	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, timeout: time.Second, fnet: fnet})
@@ -117,6 +115,143 @@ func TestLostPositionPulledUntilDelivered(t *testing.T) {
 	}
 	if c.nodes[victim].Metrics.Timeouts != 0 {
 		t.Fatal("recovery went through a round timeout, not the retried pull")
+	}
+	c.checkConsistentOrder(nil)
+}
+
+// TestDeliveredVertexTakesPulledBlock: on a stepped cluster, member 3 gets
+// the VAL of one position without its block, delivers the vertex on the other
+// members' echoes, and so lacks a block it is to hold. Its pull is the same
+// VtxReq as for a vertex, sent to a clan peer, and the reply's block is taken
+// for the vertex already delivered: cached at once, then executed in order.
+// Every other pull reply for the position toward member 3 is dropped, so the
+// block comes in the reply the test hands it, or not at all.
+func TestDeliveredVertexTakesPulledBlock(t *testing.T) {
+	const victim, rounds = types.NodeID(3), 10
+	lost := types.Position{Round: 2, Source: 1}
+	for _, seed := range []int64{1, 2} {
+		var asked []types.NodeID // clan peers the victim pulled lost from
+		handed := false
+		c := steppedCluster(t, seed, rounds, func(c *tcluster, p *packet) bool {
+			if in := c.nodes[victim].rbc.Get(lost); !handed && in != nil && in.Delivered() {
+				handed = true
+				if cachedAt(c.nodes[victim], lost) {
+					t.Fatalf("seed %d: the victim holds the block it never received", seed)
+				}
+				holder := c.nodes[lost.Source]
+				hin := holder.rbc.Get(lost)
+				c.nodes[victim].step(msgIn(lost.Source, &types.VtxRspMsg{Vertex: hin.Vertex(),
+					Cert: hin.CertMsg(lost), Block: holder.blockFor(hin.Vertex().BlockDigest)}))
+				if !cachedAt(c.nodes[victim], lost) {
+					t.Fatalf("seed %d: a pull reply's block for a delivered vertex was dropped", seed)
+				}
+			}
+			if p.to != victim {
+				if req, ok := p.m.(*types.VtxReqMsg); ok && p.from == victim && req.Pos == lost {
+					asked = append(asked, p.to)
+				}
+				return true
+			}
+			switch m := p.m.(type) {
+			case *types.ValMsg:
+				if m.Vertex.Pos() == lost {
+					p.m = &types.ValMsg{Vertex: m.Vertex, Sig: m.Sig}
+				}
+			case *types.VtxRspMsg:
+				return m.Vertex.Pos() != lost
+			}
+			return true
+		})
+		if !handed {
+			t.Fatalf("seed %d: the victim never delivered %v", seed, lost)
+		}
+		if len(asked) == 0 {
+			t.Fatalf("seed %d: the victim never pulled the block of %v", seed, lost)
+		}
+		executed := false
+		for _, cv := range c.orders[victim] {
+			if cv.Vertex.Pos() == lost {
+				executed = true
+				if cv.Block == nil || cv.Block.DigestCached() != cv.Vertex.BlockDigest {
+					t.Fatalf("seed %d: the victim executed %v without its block", seed, lost)
+				}
+			}
+		}
+		if !executed {
+			t.Fatalf("seed %d: the victim never executed %v", seed, lost)
+		}
+		c.checkConsistentOrder(nil)
+	}
+}
+
+// TestBlockPulledPastPeersHorizon: in a single clan of 3 out of 7, member 2
+// loses the VAL of a clan position, and every reply carrying that position's
+// block toward it is dropped. It delivers the vertex from outside the clan,
+// without the block, and keeps pulling the block from its clan peers while
+// their horizon passes the position and collects its instance. Its own
+// horizon waits for the block; once replies get through, the peers answer
+// from their stores and member 2 executes the position with its block. The
+// store answers a party outside the clan with nothing.
+func TestBlockPulledPastPeersHorizon(t *testing.T) {
+	const n, victim = 7, 2
+	lost := types.Position{Round: 5, Source: 1}
+	clan := []types.NodeID{0, 1, 2}
+	answered := false // replies carrying lost's block get through
+	fnet := faults.NewNet(n, 1, nil)
+	fnet.Apply(0, faults.Event{Kind: faults.KindDrop, From: faults.All, To: victim, P: 1,
+		Match: func(m types.Message) bool {
+			switch msg := m.(type) {
+			case *types.ValMsg:
+				return msg.Vertex.Pos() == lost
+			case *types.VtxRspMsg:
+				return !answered && msg.Block != nil && msg.Vertex.Pos() == lost
+			}
+			return false
+		}})
+	var replies []*types.VtxRspMsg // from member 0, while the test asks it
+	asking := false
+	fnet.SetTap(func(from, _ types.NodeID, m types.Message) {
+		if rsp, ok := m.(*types.VtxRspMsg); ok && asking && from == 0 {
+			replies = append(replies, rsp)
+		}
+	})
+	c := newTCluster(t, n, topt{mode: ModeSingleClan, clans: [][]types.NodeID{clan}, uniform: true,
+		fnet: fnet, store: true, gcDepth: 4})
+	c.run(3 * time.Second)
+	if in := c.nodes[victim].rbc.Get(lost); in == nil || !in.Delivered() || cachedAt(c.nodes[victim], lost) {
+		t.Fatalf("member %d should have delivered %v without its block", victim, lost)
+	}
+	for _, id := range clan {
+		if id != victim && c.nodes[id].rbc.Get(lost) != nil {
+			t.Fatalf("member %d's horizon did not pass %v (at %d)", id, lost, c.nodes[id].dag.MinRound())
+		}
+	}
+	// Past the horizon the store answers a clan member with the vertex and
+	// the block, and a party outside the clan with nothing.
+	asking = true
+	c.nodes[0].step(msgIn(3, &types.VtxReqMsg{Pos: lost, Have: lost.Round}))
+	if len(replies) != 0 {
+		t.Fatalf("a party outside the clan got %d replies for collected %v", len(replies), lost)
+	}
+	c.nodes[0].step(msgIn(1, &types.VtxReqMsg{Pos: lost, Have: lost.Round}))
+	if len(replies) != 1 || replies[0].Vertex.Pos() != lost || replies[0].Block == nil ||
+		replies[0].Block.DigestCached() != replies[0].Vertex.BlockDigest {
+		t.Fatalf("a clan member's pull of collected %v got %v, want its vertex and block", lost, replies)
+	}
+	asking = false
+	answered = true
+	c.run(time.Second)
+	executed := false
+	for _, cv := range c.orders[victim] {
+		if cv.Vertex.Pos() == lost {
+			executed = cv.Block != nil && cv.Block.DigestCached() == cv.Vertex.BlockDigest
+		}
+	}
+	if !executed {
+		t.Fatalf("member %d did not execute %v with its block once replies got through", victim, lost)
+	}
+	if c.nodes[victim].dag.MinRound() <= lost.Round {
+		t.Fatalf("member %d's horizon stayed at %d", victim, c.nodes[victim].dag.MinRound())
 	}
 	c.checkConsistentOrder(nil)
 }

@@ -35,6 +35,16 @@ func proposalKey(r types.Round) []byte {
 	return key[:]
 }
 
+// vertexKey is the v/<pos> key.
+func vertexKey(pos types.Position) [2 + 8 + 2]byte {
+	key := [2 + 8 + 2]byte{'v', '/'}
+	for i := 0; i < 8; i++ {
+		key[2+i] = byte(pos.Round >> (8 * (7 - i)))
+	}
+	key[10], key[11] = byte(pos.Source>>8), byte(pos.Source)
+	return key
+}
+
 // blockKey is the b/<digest> key.
 func blockKey(d types.Hash) []byte {
 	return append([]byte("b/"), d[:]...)

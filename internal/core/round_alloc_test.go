@@ -67,15 +67,15 @@ func (f *feed) NextBlock(r types.Round) *types.Block {
 	return f.Pool.NextBlock(r)
 }
 
-// TestRoundPathAllocs: a round with nothing in it costs a node at most half
-// the allocations it did before certificates, DAG rows and timers were
-// recycled. The parent commit (PR 21) measured 56 with this same function
-// over a channel network, 23 of them that network's closure per send, which
-// went in the same change; with only that closure removed the parent
-// measured parentRoundPathMallocs. On the simulator most of what an empty
-// round still costs is the simulator's: its timing wheel allocates for the
-// first event into each slot it has not drained before (3.9 per node here,
-// 0.4 over the channel network).
+// TestRoundPathAllocs: a round with nothing in it costs a node at most
+// emptyRoundMallocs allocations. Before certificates, DAG rows and timers
+// were recycled it cost 56 with this same function over a channel network,
+// 23 of them that network's closure per send, which went in the same change;
+// with only that closure removed it cost parentRoundPathMallocs. Most of what
+// an empty round still costs is the simulator's events and timers (2.0 per
+// node here): its timing wheel hands each slot it fills a recycled bucket.
+// It read 3.9 while a drained slot kept a bucket idle for a whole wheel turn
+// and each fresh slot allocated its own.
 //
 // A round whose clan members each propose a Pool block of 8 transactions
 // costs a node at most one allocation more than an empty one: the block and
@@ -84,11 +84,11 @@ func (f *feed) NextBlock(r types.Round) *types.Block {
 // the pool's chunks and the block cache's entries. Before they were carved
 // the same round cost 6.2, 3.7 more than an empty one.
 func TestRoundPathAllocs(t *testing.T) {
-	const parentRoundPathMallocs = 33
+	const parentRoundPathMallocs, emptyRoundMallocs = 33, 3
 	got := roundPathMallocs(t, 0)
 	t.Logf("one empty n=7 round: %.1f allocations per node (parent %d)", got, parentRoundPathMallocs)
-	if 2*got > parentRoundPathMallocs && !raceEnabled {
-		t.Fatalf("a round allocates %.1f per node, want at most half the parent's %d", got, parentRoundPathMallocs)
+	if got > emptyRoundMallocs && !raceEnabled {
+		t.Fatalf("a round allocates %.1f per node, want at most %d", got, emptyRoundMallocs)
 	}
 	if raceEnabled {
 		return // uncounted there, and ~30 s; TestTCPTxPathPoolBalanced race-checks Pool blocks end to end

@@ -86,7 +86,7 @@ func (n *Node) tryInsert(v *types.Vertex) {
 		// have completed at others while our VAL was lost pre-GST. The
 		// instance's pull timer is the one in-flight mark — other children
 		// waiting on the same parent ride along.
-		n.pull(p, n.inst(p), false)
+		n.pull(p, n.inst(p))
 	}
 	if missing == 0 {
 		n.insertNow(v)
@@ -123,9 +123,7 @@ func (n *Node) insertNow(v *types.Vertex) {
 		return // equivocation cannot reach here through RBC; drop defensively
 	}
 	if n.cfg.Store != nil {
-		var key [2 + 8 + 2]byte
-		key[0], key[1] = 'v', '/'
-		binaryPutPos(key[2:], pos)
+		key := vertexKey(pos)
 		n.putOwned(key[:], v.Marshal(nil))
 	}
 	n.clk.Charge(n.cfg.Costs.StoreWrite)
@@ -144,14 +142,6 @@ func (n *Node) insertNow(v *types.Vertex) {
 	if n.order.Inserted(pos) {
 		n.drainCommits()
 	}
-}
-
-func binaryPutPos(b []byte, pos types.Position) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(pos.Round >> (8 * (7 - i)))
-	}
-	b[8] = byte(pos.Source >> 8)
-	b[9] = byte(pos.Source)
 }
 
 // countVote hands a seen proposal's implicit votes to the commit rule, which
@@ -267,7 +257,7 @@ func (n *Node) drainOut() {
 		if n.wantsBlock(v) {
 			if blk = n.blockFor(v.BlockDigest); blk == nil {
 				if in := n.rbc.Get(v.Pos()); in != nil {
-					n.pull(v.Pos(), in, true)
+					n.pull(v.Pos(), in)
 				}
 				return
 			}

@@ -48,10 +48,10 @@ type inst = rbc.Inst[slot]
 type slot struct {
 	// born is when the instance was made (rbc.latency: born -> delivered).
 	born time.Duration
-	// blockPull and vtxPull re-send a pull with evidence until it is
-	// answered (pull); cursor rotates its target.
-	blockPull, vtxPull transport.Timer
-	cursor             int
+	// pull re-sends a pull with evidence until it is answered (pull);
+	// cursor rotates its target.
+	pull   transport.Timer
+	cursor int
 	// emitted: this party's execution stage has the vertex, and its block
 	// with it — the cache is free to drop it and must not take it back.
 	emitted bool
@@ -59,20 +59,9 @@ type slot struct {
 	lacked bool
 }
 
-// stop cancels the slot's pull timers (the table calls it on every instance
+// stop cancels the slot's pull timer (the table calls it on every instance
 // it drops).
-func (s *slot) stop() {
-	stopTimer(&s.blockPull)
-	stopTimer(&s.vtxPull)
-}
-
-// pullTimer is the block pull's timer if block, else the vertex pull's.
-func (s *slot) pullTimer(block bool) *transport.Timer {
-	if block {
-		return &s.blockPull
-	}
-	return &s.vtxPull
-}
+func (s *slot) stop() { stopTimer(&s.pull) }
 
 func stopTimer(t *transport.Timer) {
 	t.Stop()
@@ -130,12 +119,14 @@ func (n *Node) act(acts []rbc.Act) {
 		case rbc.Echo:
 			n.queueEcho(a.Pos, a.V.DigestCached())
 		case rbc.NeedVertex:
-			n.pull(a.Pos, n.inst(a.Pos), false)
-		case rbc.NeedBlock:
-			n.pull(a.Pos, n.rbc.Get(a.Pos), true)
+			n.pull(a.Pos, n.inst(a.Pos))
 		case rbc.Deliver:
+			// The vertex is in; a block it lacks is pulled now, off the
+			// critical path: the certificate proves f_c+1 honest clan members
+			// hold it.
 			in := n.rbc.Get(a.Pos)
-			stopTimer(&in.X.vtxPull)
+			stopTimer(&in.X.pull)
+			n.pull(a.Pos, in)
 			n.Metrics.VerticesDelivered++
 			n.mRBCDelivered.Inc()
 			n.mRBCLat.Observe(n.now - in.X.born)
@@ -209,8 +200,8 @@ func (n *Node) acceptBlock(v *types.Vertex, blk *types.Block) {
 	}
 	in := n.rbc.Get(pos)
 	if _, ok := n.rbc.blocks[v.BlockDigest]; ok || (in != nil && in.X.emitted) {
-		// Held, or executed and let go: a duplicate VAL, a late BLOCKRSP or
-		// a pull reply must not bring an evicted block back.
+		// Held, or executed and let go: a duplicate VAL or a late pull reply
+		// must not bring an evicted block back.
 		return
 	}
 	n.clk.Charge(n.cfg.Costs.HashCost(blk.PayloadBytes()))
@@ -224,7 +215,9 @@ func (n *Node) acceptBlock(v *types.Vertex, blk *types.Block) {
 	}
 	n.clk.Charge(n.cfg.Costs.StoreWrite)
 	if in != nil {
-		stopTimer(&in.X.blockPull)
+		if in.Delivered() {
+			stopTimer(&in.X.pull) // what it pulled is in
+		}
 		if in.X.lacked {
 			in.X.lacked = false
 			n.rbc.owed = append(n.rbc.owed, v.Ref())
@@ -350,6 +343,12 @@ func (n *Node) holdsBlock(v *types.Vertex) bool {
 	}
 	in := n.rbc.Get(v.Pos())
 	return in != nil && in.X.emitted
+}
+
+// lacksBlock reports whether v carries a block this party is to hold and
+// does not.
+func (n *Node) lacksBlock(v *types.Vertex) bool {
+	return n.wantsBlock(v) && !n.holdsBlock(v)
 }
 
 // ---------------------------------------------------------------------------
@@ -515,35 +514,27 @@ func (n *Node) echo(pos types.Position, voter types.NodeID, d types.Hash) {
 // pullRetry is the re-request interval for a missing block or vertex.
 const pullRetry = 200 * time.Millisecond
 
-// pull asks for what pos lacks — its vertex from anyone in the tribe, its
-// block from this party's clan — one peer at a time in rotation, every
-// pullRetry until it arrives while the rule has evidence that the vertex
-// exists (rbc.Table.Evidenced). Without it the pull is one probe: the round
-// timer's re-drive repeats it, at the next target. A pull already running is
-// left to run.
-func (n *Node) pull(pos types.Position, in *inst, block bool) {
-	timer := in.X.pullTimer(block)
-	if !timer.IsZero() {
+// pull asks for what pos lacks with a VtxReq, whose reply carries the
+// vertex, its certificate and, to a member of the block's clan, its block:
+// an undelivered position from anyone in the tribe, the block of a delivered
+// one from this party's clan. It asks one peer at a time in rotation, every
+// pullRetry until what it lacks arrives while the rule has evidence that the
+// vertex exists (rbc.Table.Evidenced). Without it the pull is one probe: the
+// round timer's re-drive repeats it, at the next target. A pull already
+// running is left to run.
+func (n *Node) pull(pos types.Position, in *inst) {
+	if !in.X.pull.IsZero() {
 		return
 	}
-	var m types.Message
 	var peers []types.NodeID // nil: every party, 0..N-1
 	k := n.cfg.N
-	switch v := in.Vertex(); {
-	case block:
-		ep := n.epochOf(pos.Round)
-		if v == nil || !n.wantsBlock(v) || n.holdsBlock(v) {
+	if in.Delivered() {
+		if !n.lacksBlock(in.Vertex()) {
 			return
 		}
+		ep := n.epochOf(pos.Round)
 		peers = ep.clans[ep.selfClan]
 		k = len(peers)
-		m = &types.BlockReqMsg{Pos: pos, Digest: v.BlockDigest}
-	case in.Delivered():
-		return
-	default:
-		// Have, the top of what this party holds connected, keeps a reply
-		// from streaming ancestors this party has.
-		m = &types.VtxReqMsg{Pos: pos, Have: max(n.lastCommitRound, n.dag.MaxRound())}
 	}
 	target := n.cfg.Self
 	for i := 0; i < k && target == n.cfg.Self; i++ {
@@ -555,44 +546,22 @@ func (n *Node) pull(pos types.Position, in *inst, block bool) {
 	if target == n.cfg.Self {
 		return
 	}
-	n.send(target, m)
+	// Have, the top of what this party holds connected, keeps a reply from
+	// streaming ancestors this party has.
+	n.send(target, &types.VtxReqMsg{Pos: pos, Have: max(n.lastCommitRound, n.dag.MaxRound())})
 	n.mPulls.Inc()
 	if !n.rbc.Evidenced(pos) {
 		return
 	}
-	*timer = n.clk.After(pullRetry, func() { n.step(input{kind: inPullRetry, pos: pos, block: block}) })
-}
-
-func (n *Node) onBlockReq(from types.NodeID, m *types.BlockReqMsg) {
-	// Payload stays inside its clan: only a member of the clan of the
-	// position the request names is answered, and only with that position's
-	// block.
-	if int(m.Pos.Source) >= n.cfg.N || !n.inBlockClan(from, m.Pos) {
-		return
-	}
-	blk := n.blockFor(m.Digest)
-	if blk == nil || blk.Round != m.Pos.Round || blk.Source != m.Pos.Source {
-		return
-	}
-	n.clk.Charge(n.cfg.Costs.StoreRead)
-	n.send(from, &types.BlockRspMsg{Block: blk})
-}
-
-func (n *Node) onBlockRsp(from types.NodeID, m *types.BlockRspMsg) {
-	if m.Block == nil {
-		return
-	}
-	pos := types.Position{Round: m.Block.Round, Source: m.Block.Source}
-	if n.gcdRound(pos.Round) {
-		return
-	}
-	if in := n.rbc.Get(pos); in != nil && in.Vertex() != nil {
-		n.acceptBlock(in.Vertex(), m.Block)
-	}
+	in.X.pull = n.clk.After(pullRetry, func() { n.step(input{kind: inPullRetry, pos: pos}) })
 }
 
 func (n *Node) onVtxReq(from types.NodeID, m *types.VtxReqMsg) {
 	in := n.rbc.Get(m.Pos)
+	if in == nil && m.Pos.Round < n.dag.MinRound() {
+		n.sendStoredBlock(from, m.Pos)
+		return
+	}
 	if in == nil || in.Vertex() == nil {
 		return
 	}
@@ -619,6 +588,32 @@ func (n *Node) sendVtxRsp(from types.NodeID, in *inst) {
 		}
 	}
 	n.send(from, rsp)
+}
+
+// sendStoredBlock answers a pull for a position below the horizon from the
+// store: its vertex and block, to a member of the block's clan. The requester
+// delivered that vertex and lacks the block (its own horizon waits for it);
+// the instance that held the certificate is gone, so none rides along, and a
+// requester still missing the vertex gets nothing here.
+func (n *Node) sendStoredBlock(from types.NodeID, pos types.Position) {
+	if n.cfg.Store == nil || int(pos.Source) >= n.cfg.N || !n.inBlockClan(from, pos) {
+		return
+	}
+	key := vertexKey(pos)
+	val, ok, err := n.cfg.Store.Get(key[:])
+	if err != nil || !ok {
+		return
+	}
+	v, _, err := types.UnmarshalVertex(val)
+	if err != nil || v.Pos() != pos || v.BlockDigest.IsZero() {
+		return
+	}
+	blk := n.blockFor(v.BlockDigest)
+	if blk == nil {
+		return
+	}
+	n.clk.Charge(2 * n.cfg.Costs.StoreRead)
+	n.send(from, &types.VtxRspMsg{Vertex: v, Block: blk})
 }
 
 // catchupBatchMax bounds the ancestors streamed alongside one pull reply.
@@ -674,16 +669,18 @@ func (n *Node) onVtxRsp(from types.NodeID, m *types.VtxRspMsg) {
 		n.act(n.rbc.Adopt(c))
 	}
 	in := n.rbc.Get(pos)
-	if in == nil || in.Delivered() {
+	if in == nil {
 		return
 	}
-	if in.Vertex() == nil {
+	if !in.Delivered() && in.Vertex() == nil {
 		// The certificate pins it (no signature needed); its structure counts.
 		if !n.validateVertex(v, true) || !in.Pulled(v) {
 			return
 		}
 		n.countVote(v)
 	}
+	// A delivered vertex may still lack its block: this is the reply that
+	// brings it.
 	if m.Block != nil {
 		n.acceptBlock(in.Vertex(), m.Block)
 	}

@@ -50,12 +50,14 @@ func (e *wireEndpoint) Broadcast(m types.Message) {
 // delivers one picked at random (seeded), then ends the recipient's drain;
 // when none is, it moves every node's clock to the earliest timer deadline,
 // which fires the timers due. It stops once every node has reached round
-// `rounds` and returns each node's order, executed.
-func steppedCluster(t *testing.T, seed int64, rounds types.Round) *tcluster {
+// `rounds` and returns each node's order, executed. A non-nil wire sees each
+// packet before it is delivered: it may rewrite it, or drop it by returning
+// false.
+func steppedCluster(t *testing.T, seed int64, rounds types.Round, wire func(c *tcluster, p *packet) bool) *tcluster {
 	const n = 4
 	keys := crypto.GenerateKeys(n, 21)
 	c := &tcluster{t: t, n: n, reg: crypto.NewRegistry(keys, true), orders: make([][]CommittedVertex, n)}
-	var wire []packet
+	var inFlight []packet
 	clks := make([]*stepClock, n)
 	for i := range clks {
 		id := types.NodeID(i)
@@ -63,7 +65,7 @@ func steppedCluster(t *testing.T, seed int64, rounds types.Round) *tcluster {
 		c.nodes = append(c.nodes, New(Config{Self: id, N: n, Mode: ModeBaseline, Key: &keys[i], Reg: c.reg,
 			Blocks:  &testSource{id: id, txCount: 1, txSize: 64},
 			Deliver: func(cv CommittedVertex) { c.orders[i] = append(c.orders[i], cv) },
-		}, &wireEndpoint{nullEndpoint: nullEndpoint{self: id}, n: n, wire: &wire}, clks[i]))
+		}, &wireEndpoint{nullEndpoint: nullEndpoint{self: id}, n: n, wire: &inFlight}, clks[i]))
 	}
 	t.Cleanup(c.stop)
 	for _, nd := range c.nodes {
@@ -81,11 +83,14 @@ func steppedCluster(t *testing.T, seed int64, rounds types.Round) *tcluster {
 		if steps == 100_000 {
 			t.Fatalf("seed %d: no node past round %d after %d steps", seed, rounds, steps)
 		}
-		if k := len(wire); k > 0 {
+		if k := len(inFlight); k > 0 {
 			i := rng.Intn(k)
-			p := wire[i]
-			wire[i] = wire[k-1]
-			wire = wire[:k-1]
+			p := inFlight[i]
+			inFlight[i] = inFlight[k-1]
+			inFlight = inFlight[:k-1]
+			if wire != nil && !wire(c, &p) {
+				continue
+			}
 			c.nodes[p.to].step(msgIn(p.from, p.m))
 			c.nodes[p.to].step(input{kind: inDrainEnd})
 			continue
@@ -118,7 +123,7 @@ func steppedCluster(t *testing.T, seed int64, rounds types.Round) *tcluster {
 func TestSteppedClusterAgrees(t *testing.T) {
 	const rounds = 8
 	for _, seed := range []int64{1, 2} {
-		c := steppedCluster(t, seed, rounds)
+		c := steppedCluster(t, seed, rounds, nil)
 		c.checkConsistentOrder(nil)
 		for i, order := range c.orders {
 			ordered := map[types.Position]bool{}
@@ -133,7 +138,7 @@ func TestSteppedClusterAgrees(t *testing.T) {
 				}
 			}
 		}
-		again := steppedCluster(t, seed, rounds)
+		again := steppedCluster(t, seed, rounds, nil)
 		for i := range c.orders {
 			if got, want := positions(again.orders[i]), positions(c.orders[i]); got != want {
 				t.Fatalf("seed %d: node %d ordered\n%s\nin one run and\n%s\nin the next", seed, i, want, got)

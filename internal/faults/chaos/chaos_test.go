@@ -367,8 +367,6 @@ func TestChaosBlockPulledPastHorizon(t *testing.T) {
 		switch msg := m.(type) {
 		case *types.ValMsg:
 			return msg.Vertex.Pos() == late
-		case *types.BlockRspMsg:
-			return msg.Block != nil && msg.Block.Round == late.Round && msg.Block.Source == late.Source
 		case *types.VtxRspMsg:
 			return msg.Block != nil && msg.Vertex.Pos() == late
 		}

@@ -11,7 +11,7 @@ import (
 
 // msg is a small test message numbered by its position's round.
 func msg(seq uint64) types.Message {
-	return &types.BlockReqMsg{Pos: types.Position{Round: types.Round(seq)}}
+	return &types.VtxReqMsg{Pos: types.Position{Round: types.Round(seq)}}
 }
 
 // wrapAll wraps every simnet endpoint and returns the wrappers plus per-node
@@ -58,7 +58,7 @@ func TestDropRuleAndAccounting(t *testing.T) {
 
 	// A Match narrows the rule to the messages it accepts.
 	f.Apply(0, Event{Kind: KindDrop, From: 0, To: 1, P: 1, Match: func(m types.Message) bool {
-		return m.(*types.BlockReqMsg).Pos.Round%2 == 0
+		return m.(*types.VtxReqMsg).Pos.Round%2 == 0
 	}})
 	for i := 0; i < 10; i++ {
 		eps[0].Send(1, msg(uint64(i)))

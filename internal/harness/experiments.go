@@ -172,7 +172,7 @@ func CommComplexity(n, load int, seed int64) []CommRow {
 		for k, v := range r.BytesByKind {
 			row.TotalBytes += v
 			switch k {
-			case types.KindVal, types.KindBlockRsp, types.KindVtxRsp:
+			case types.KindVal, types.KindVtxRsp:
 				row.PayloadBytes += v
 			default:
 				row.ControlBytes += v

@@ -79,7 +79,7 @@ func MulticastEncodeOnce(b *testing.B, peers, payloadBytes int) {
 	defer ep.Close()
 
 	payload := make([]byte, payloadBytes)
-	msg := &types.BlockRspMsg{Block: &types.Block{Txs: [][]byte{payload}}}
+	msg := &types.VtxRspMsg{Vertex: &types.Vertex{}, Block: &types.Block{Txs: [][]byte{payload}}}
 
 	// Prime every connection (dial + handshake) and the frame buffer pool
 	// before the timer starts, so per-connection setup does not get billed to

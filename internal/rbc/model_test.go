@@ -183,7 +183,7 @@ func (m *model) act(id types.NodeID, acts []Act) {
 	p := m.ps[id]
 	for _, a := range acts {
 		switch a.Kind {
-		case NeedVertex, NeedBlock:
+		case NeedVertex:
 			if !p.tab.Evidenced(a.Pos) {
 				m.bad = append(m.bad, fmt.Sprintf("pull without evidence at %v", a.Pos))
 			}

@@ -62,7 +62,6 @@ const (
 	Echo       Kind = iota // queue this party's echo for V at Pos
 	Deliver                // V is delivered at Pos, under the instance's certificate
 	NeedVertex             // Pos is certified without its vertex, or an echo waits on it: pull it
-	NeedBlock              // Pos is certified and its block, this party's to hold, is missing: pull it
 )
 
 // Act is one thing an input asks of the caller, in the order it must happen.
@@ -293,8 +292,8 @@ func (t *Table[X]) Range(fn func(pos types.Position, in *Inst[X])) {
 
 // Evidenced reports whether something proves a vertex exists at pos: the
 // instance holds a vertex, a certificate or an echo tally (the proposer's VAL
-// is its echo), or a child's echo waits on it. Every NeedVertex and NeedBlock
-// has evidence; a pull without it may be for a vertex nobody proposed.
+// is its echo), or a child's echo waits on it. Every NeedVertex and every
+// Deliver has evidence; a pull without it may be for a vertex nobody proposed.
 func (t *Table[X]) Evidenced(pos types.Position) bool {
 	in := t.Get(pos)
 	return in != nil && (in.vertex != nil || in.hasCert || in.first.agg.Count() > 0) || len(t.wait[pos]) > 0
@@ -416,17 +415,12 @@ func (t *Table[X]) wants(ep Epoch, v *types.Vertex) bool {
 }
 
 // certify settles the instance's digest. A vertex for another digest goes:
-// the proposer equivocated and the quorum certified the other proposal. The
-// certificate proves f_c+1 honest clan members hold the block, so a missing
-// one is pulled now, ahead of delivery.
+// the proposer equivocated and the quorum certified the other proposal.
 func (t *Table[X]) certify(pos types.Position, in *Inst[X], d types.Hash) {
 	in.hasCert, in.certDigest = true, d
 	in.others = nil
 	if in.vertex != nil && in.vertex.DigestCached() != d {
 		in.vertex, in.held = nil, false
-	}
-	if in.vertex != nil && !in.held && t.wants(t.cfg.EpochOf(pos.Round), in.vertex) {
-		t.acts = append(t.acts, Act{Kind: NeedBlock, Pos: pos})
 	}
 	t.settle(pos, in)
 }

@@ -308,15 +308,24 @@ func (n *Net) schedule(at int64, ev *event) *event {
 	n.seq++
 	ev.at = at
 	ev.seq = n.seq
-	slot := at / quantum
+	n.place(at/quantum, ev)
+	return ev
+}
+
+// place puts ev into the wheel's slot for bucket index slot, or into the
+// overflow heap past the wheel's horizon. A nil slot takes a recycled bucket.
+func (n *Net) place(slot int64, ev *event) {
 	if slot-n.wheelPos < wheelSlots {
 		idx := slot % wheelSlots
+		if nb := len(n.freeBufs) - 1; n.wheel[idx] == nil && nb >= 0 {
+			n.wheel[idx] = n.freeBufs[nb]
+			n.freeBufs = n.freeBufs[:nb]
+		}
 		n.wheel[idx] = append(n.wheel[idx], ev)
 	} else {
 		n.overflow.push(ev)
 	}
 	n.pending++
-	return ev
 }
 
 // scheduleMsg enqueues a pooled message event.
@@ -346,13 +355,11 @@ func (n *Net) RunUntil(t time.Duration) {
 		// (self-delivery, zero-delay callbacks) that belongs to this same
 		// quantum and must run before the wheel advances.
 		for len(n.wheel[slot]) > 0 {
+			// The slot is left nil: the next event into it, a wheel turn
+			// away or a follow-up in this quantum, takes a recycled bucket
+			// then (place).
 			bucket := n.wheel[slot]
-			if nb := len(n.freeBufs) - 1; nb >= 0 {
-				n.wheel[slot] = n.freeBufs[nb]
-				n.freeBufs = n.freeBufs[:nb]
-			} else {
-				n.wheel[slot] = nil
-			}
+			n.wheel[slot] = nil
 			n.pending -= len(bucket)
 			// Events within one quantum run in scheduling (seq) order:
 			// deterministic, causally consistent (an event created by
@@ -485,16 +492,7 @@ func (n *Net) RunUntilIdle() {
 func (n *Net) Pending() int { return n.pending }
 
 func (n *Net) requeue(ev *event) {
-	slot := ev.at / quantum
-	if slot < n.wheelPos {
-		slot = n.wheelPos
-	}
-	if slot-n.wheelPos < wheelSlots {
-		n.wheel[slot%wheelSlots] = append(n.wheel[slot%wheelSlots], ev)
-	} else {
-		n.overflow.push(ev)
-	}
-	n.pending++
+	n.place(max(ev.at/quantum, n.wheelPos), ev)
 }
 
 // owl returns the one-way latency from i to j with jitter.

@@ -11,18 +11,18 @@ import (
 // msg is a test message carrying size payload bytes.
 func msg(size int) types.Message { return numbered(0, size) }
 
-// numbered is a block response numbered by its block's round, carrying size
-// payload bytes.
-func numbered(seq uint64, size int) *types.BlockRspMsg {
+// numbered is a pull reply numbered by its block's round, whose block
+// carries size payload bytes.
+func numbered(seq uint64, size int) *types.VtxRspMsg {
 	blk := &types.Block{Round: types.Round(seq)}
 	if size > 0 {
 		blk.Txs = [][]byte{make([]byte, size)}
 	}
-	return &types.BlockRspMsg{Block: blk}
+	return &types.VtxRspMsg{Vertex: &types.Vertex{Round: blk.Round}, Block: blk}
 }
 
 // seqOf is the number a numbered message carries.
-func seqOf(m types.Message) uint64 { return uint64(m.(*types.BlockRspMsg).Block.Round) }
+func seqOf(m types.Message) uint64 { return uint64(m.(*types.VtxRspMsg).Block.Round) }
 
 type rcv struct {
 	at   time.Duration
@@ -326,12 +326,12 @@ func TestByteAccounting(t *testing.T) {
 	m := msg(1000)
 	n.Endpoint(0).Multicast([]types.NodeID{1, 2}, m)
 	n.Run(100 * time.Millisecond)
-	if n.TotalMsgs()[types.KindBlockRsp] != 2 {
-		t.Fatalf("msgs = %d", n.TotalMsgs()[types.KindBlockRsp])
+	if n.TotalMsgs()[types.KindVtxRsp] != 2 {
+		t.Fatalf("msgs = %d", n.TotalMsgs()[types.KindVtxRsp])
 	}
 	want := uint64(2 * m.WireSize())
-	if n.TotalBytes()[types.KindBlockRsp] != want {
-		t.Fatalf("bytes = %d, want %d", n.TotalBytes()[types.KindBlockRsp], want)
+	if n.TotalBytes()[types.KindVtxRsp] != want {
+		t.Fatalf("bytes = %d, want %d", n.TotalBytes()[types.KindVtxRsp], want)
 	}
 	st := n.Endpoint(1).Stats()
 	if st.MsgsRecv != 1 || st.BytesRecv != uint64(m.WireSize()) {

@@ -83,7 +83,7 @@ func TestTCPMulticastSharedFrame(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	m := &types.BlockRspMsg{Block: &types.Block{Round: 9, Txs: [][]byte{payload}}}
+	m := blockMsg(9, payload)
 	wire := uint64(len(types.Encode(m, nil)))
 
 	eps[0].Broadcast(m)
@@ -91,7 +91,7 @@ func TestTCPMulticastSharedFrame(t *testing.T) {
 		i := i
 		waitFor(t, func() bool { mus[i].Lock(); defer mus[i].Unlock(); return len(*gots[i]) == 1 })
 		mus[i].Lock()
-		got, ok := (*gots[i])[0].(*types.BlockRspMsg)
+		got, ok := (*gots[i])[0].(*types.VtxRspMsg)
 		mus[i].Unlock()
 		if !ok || seqOf(got) != 9 || len(got.Block.Txs[0]) != len(payload) {
 			t.Fatalf("peer %d: wrong delivery %T", i, (*gots[i])[0])
@@ -155,7 +155,7 @@ func TestMulticastSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	tos := []types.NodeID{1, 2}
-	msg := &types.BlockRspMsg{Block: &types.Block{Round: 1, Txs: [][]byte{make([]byte, 1500)}}}
+	msg := blockMsg(1, make([]byte, 1500))
 	// What the listeners should have read: per peer, the two-byte handshake,
 	// then a four-byte length prefix and the frame for every message sent.
 	wire := func() int64 {

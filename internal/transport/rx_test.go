@@ -99,7 +99,7 @@ func TestFrameReaderChunkStraddle(t *testing.T) {
 			for j := range big {
 				big[j] = byte(j)
 			}
-			msgs = append(msgs, &types.BlockRspMsg{Block: &types.Block{Round: types.Round(i), Txs: [][]byte{big}}})
+			msgs = append(msgs, blockMsg(types.Round(i), big))
 		}
 		msgs = append(msgs, &types.EchoMsg{Voter: 2, Entries: []types.EchoEntry{
 			{Pos: types.Position{Round: types.Round(i), Source: 1}, Digest: types.HashBytes([]byte{byte(i)})},
@@ -251,7 +251,7 @@ func TestCoalesceByteIdentity(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		if i%5 == 0 {
 			tx := bytes.Repeat([]byte{byte(i)}, 100+i*7)
-			burst = append(burst, &types.BlockRspMsg{Block: &types.Block{Round: types.Round(i), Txs: [][]byte{tx}}})
+			burst = append(burst, blockMsg(types.Round(i), tx))
 		} else {
 			burst = append(burst, &types.EchoMsg{Voter: 1, Entries: []types.EchoEntry{
 				{Pos: types.Position{Round: types.Round(i), Source: 0}, Digest: types.HashBytes([]byte{byte(i)})},

@@ -14,14 +14,18 @@ import (
 	"clanbft/internal/types"
 )
 
-// ping is a small payload-carrying message: a block response whose one
-// transaction reads "ping", numbered by its block's round.
-func ping(seq uint64) types.Message {
-	return &types.BlockRspMsg{Block: &types.Block{Round: types.Round(seq), Txs: [][]byte{[]byte("ping")}}}
+// blockMsg is a payload-carrying message: a pull reply for round r whose
+// block holds the one transaction tx.
+func blockMsg(r types.Round, tx []byte) *types.VtxRspMsg {
+	return &types.VtxRspMsg{Vertex: &types.Vertex{Round: r}, Block: &types.Block{Round: r, Txs: [][]byte{tx}}}
 }
 
+// ping is a small payload-carrying message whose one transaction reads
+// "ping", numbered by its block's round.
+func ping(seq uint64) types.Message { return blockMsg(types.Round(seq), []byte("ping")) }
+
 // seqOf is the number a ping carries.
-func seqOf(m types.Message) uint64 { return uint64(m.(*types.BlockRspMsg).Block.Round) }
+func seqOf(m types.Message) uint64 { return uint64(m.(*types.VtxRspMsg).Block.Round) }
 
 func collect(ep Endpoint) (*sync.Mutex, *[]types.Message) {
 	var mu sync.Mutex
@@ -131,7 +135,7 @@ func TestTCPEndpointRoundTrip(t *testing.T) {
 	eps[0].Send(1, ping(1))
 	waitFor(t, func() bool { mus[1].Lock(); defer mus[1].Unlock(); return len(*gots[1]) == 1 })
 	mus[1].Lock()
-	if m := (*gots[1])[0].(*types.BlockRspMsg); string(m.Block.Txs[0]) != "ping" || seqOf(m) != 1 {
+	if m := (*gots[1])[0].(*types.VtxRspMsg); string(m.Block.Txs[0]) != "ping" || seqOf(m) != 1 {
 		t.Fatalf("payload corrupted: %+v", m)
 	}
 	mus[1].Unlock()
@@ -165,10 +169,10 @@ func TestTCPLargeMessage(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	a.Send(1, &types.BlockRspMsg{Block: &types.Block{Round: 9, Txs: [][]byte{data}}})
+	a.Send(1, blockMsg(9, data))
 	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(*got) == 1 })
 	mu.Lock()
-	m := (*got)[0].(*types.BlockRspMsg).Block.Txs[0]
+	m := (*got)[0].(*types.VtxRspMsg).Block.Txs[0]
 	mu.Unlock()
 	if len(m) != len(data) || m[12345] != data[12345] {
 		t.Fatal("large payload corrupted")

@@ -292,17 +292,16 @@ func TestVerifyStageSkipsSelfSendsAndUnsignedKinds(t *testing.T) {
 	rx.Send(1, forged)
 	rx.Broadcast(signedVote(keys, 1, 2))
 	eps[0].Send(1, &types.VtxReqMsg{Pos: types.Position{Round: 3}})
-	eps[0].Send(1, &types.BlockReqMsg{Pos: types.Position{Round: 3}})
 	eps[0].Send(1, &types.SnapReqMsg{})
-	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(kinds) == 5 })
+	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(kinds) == 4 })
 	if st := rx.Stats(); st.VerifyQueued != 0 {
 		t.Fatalf("VerifyQueued = %d after self-sends and pull kinds, want 0", st.VerifyQueued)
 	}
 	eps[0].Send(1, signedVote(keys, 0, 3))
-	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(kinds) == 6 })
+	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(kinds) == 5 })
 	mu.Lock()
 	defer mu.Unlock()
-	want := []types.MsgKind{types.KindEcho, types.KindEcho, types.KindVtxReq, types.KindBlockReq, types.KindSnapReq, types.KindEcho}
+	want := []types.MsgKind{types.KindEcho, types.KindEcho, types.KindVtxReq, types.KindSnapReq, types.KindEcho}
 	for i := range want {
 		if kinds[i] != want[i] {
 			t.Fatalf("handler saw kinds %v, want %v", kinds, want)

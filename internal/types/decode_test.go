@@ -45,7 +45,6 @@ func TestDecodedMessagesOwnTheirBytes(t *testing.T) {
 	agg := AggSig{Tag: digest, Bitmap: []byte{0x0b}}
 	msgs := []Message{
 		&ValMsg{Vertex: v, Block: blk, Sig: sig},
-		&BlockRspMsg{Block: blk},
 		&VtxRspMsg{Vertex: v, Cert: &EchoCertMsg{Pos: Position{3, 1}, Digest: digest, Agg: agg}, Block: blk},
 		&EchoMsg{Entries: []EchoEntry{{Position{3, 1}, digest}, {Position{3, 2}, digest}}, Voter: 2, Sig: sig},
 		&TimeoutMsg{TO: Timeout{Round: 5, Voter: 1, Sig: sig}},
@@ -86,8 +85,6 @@ func TestDecoderMatchesDecode(t *testing.T) {
 		&ValMsg{Vertex: v, Block: &Block{Round: 3, Source: 1, Txs: [][]byte{{1, 2}}}, Sig: sig},
 		&EchoMsg{Entries: []EchoEntry{{Position{3, 1}, digest}}, Voter: 2, Sig: sig},
 		&EchoMsg{Entries: []EchoEntry{{Position{3, 1}, digest}, {Position{3, 2}, digest}, {Position{4, 0}, digest}}, Voter: 300, Sig: sig},
-		&BlockReqMsg{Pos: Position{3, 1}, Digest: digest},
-		&BlockRspMsg{Block: &Block{Round: 3, Source: 1, Txs: [][]byte{{9, 9}}}},
 		&NoVoteMsg{NV: NoVote{Round: 5, Voter: 1, Sig: sig}},
 		&TimeoutMsg{TO: Timeout{Round: 5, Voter: 1, Sig: sig}},
 		&TCMsg{TC: TimeoutCert{Round: 5, Agg: AggSig{Bitmap: []byte{7}}}},
@@ -220,5 +217,28 @@ func TestDecoderValArena(t *testing.T) {
 	}
 	if !got.Vertex.Equal(want) || !first.Vertex.Equal(plain(5)) {
 		t.Fatal("decoded vertices changed")
+	}
+}
+
+// retiredFrames are frames of kinds 5 and 6, a block-only pull and its reply,
+// as they were encoded before a block came back in its vertex's pull reply.
+func retiredFrames() [][]byte {
+	digest := HashBytes([]byte("retired"))
+	req := append([]byte{5, 3, 1}, digest[:]...)
+	rsp := (&Block{Round: 3, Source: 1, Txs: [][]byte{{1, 2}}}).Marshal([]byte{6})
+	return [][]byte{req, rsp}
+}
+
+// TestRetiredKindsRefused: no decoder accepts a frame of a retired kind, so a
+// peer that still sends one gets nothing handled.
+func TestRetiredKindsRefused(t *testing.T) {
+	var dec Decoder
+	for _, frame := range retiredFrames() {
+		if m, err := Decode(frame); err == nil {
+			t.Errorf("Decode accepted a frame of kind %d as %T", frame[0], m)
+		}
+		if m, err := dec.Decode(frame); err == nil {
+			t.Errorf("Decoder.Decode accepted a frame of kind %d as %T", frame[0], m)
+		}
 	}
 }

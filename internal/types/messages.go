@@ -7,15 +7,15 @@ type MsgKind uint8
 
 const (
 	// Consensus-path messages (merged vertex+block RBC, Section 5).
-	KindVal      MsgKind = 1 // vertex proposal, optionally with block
-	KindEcho     MsgKind = 2 // one voter's echoes for 1..n positions
-	KindBlockReq MsgKind = 5
-	KindBlockRsp MsgKind = 6
-	KindNoVote   MsgKind = 7
-	KindTimeout  MsgKind = 8
-	KindTC       MsgKind = 9
-	KindVtxReq   MsgKind = 10
-	KindVtxRsp   MsgKind = 11
+	KindVal  MsgKind = 1 // vertex proposal, optionally with block
+	KindEcho MsgKind = 2 // one voter's echoes for 1..n positions
+	// 5 and 6, a block-only pull and its reply, are retired: a block comes
+	// back in its vertex's pull reply (KindVtxRsp). The decoder refuses them.
+	KindNoVote  MsgKind = 7
+	KindTimeout MsgKind = 8
+	KindTC      MsgKind = 9
+	KindVtxReq  MsgKind = 10
+	KindVtxRsp  MsgKind = 11
 	// Snapshot state-sync (join / catch-up bootstrap, epoch reconfig).
 	KindSnapReq MsgKind = 12
 	KindSnapRsp MsgKind = 13
@@ -52,10 +52,6 @@ func Decode(b []byte) (Message, error) {
 	case KindEcho:
 		e := &EchoMsg{}
 		m, err = e, unmarshalEchoInto(e, nil, body)
-	case KindBlockReq:
-		m, err = unmarshalBlockReq(body)
-	case KindBlockRsp:
-		m, err = unmarshalBlockRsp(body)
 	case KindNoVote:
 		m, err = unmarshalNoVote(body)
 	case KindTimeout:
@@ -302,62 +298,6 @@ func unmarshalEchoCert(b []byte) (*EchoCertMsg, []byte, error) {
 		return nil, nil, err
 	}
 	return m, b, nil
-}
-
-// BlockReqMsg asks a clan peer for the block with the given digest (the pull
-// path used when a Byzantine sender withheld the block).
-type BlockReqMsg struct {
-	Pos    Position
-	Digest Hash
-}
-
-func (m *BlockReqMsg) Kind() MsgKind { return KindBlockReq }
-
-func (m *BlockReqMsg) Marshal(b []byte) []byte {
-	b = PutUvarint(b, uint64(m.Pos.Round))
-	b = PutUvarint(b, uint64(m.Pos.Source))
-	return append(b, m.Digest[:]...)
-}
-
-func (m *BlockReqMsg) WireSize() int {
-	return uvarintLen(uint64(m.Pos.Round)) + uvarintLen(uint64(m.Pos.Source)) + 32
-}
-
-func unmarshalBlockReq(b []byte) (*BlockReqMsg, error) {
-	m := &BlockReqMsg{}
-	u, b, err := Uvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Pos.Round = Round(u)
-	if u, b, err = Uvarint(b); err != nil {
-		return nil, err
-	}
-	m.Pos.Source = NodeID(u)
-	if len(b) != 32 {
-		return nil, fmt.Errorf("types: blockreq digest length %d", len(b))
-	}
-	copy(m.Digest[:], b)
-	return m, nil
-}
-
-// BlockRspMsg answers a BlockReqMsg.
-type BlockRspMsg struct {
-	Block *Block
-}
-
-func (m *BlockRspMsg) Kind() MsgKind { return KindBlockRsp }
-
-func (m *BlockRspMsg) Marshal(b []byte) []byte { return m.Block.Marshal(b) }
-
-func (m *BlockRspMsg) WireSize() int { return m.Block.WireSize() }
-
-func unmarshalBlockRsp(b []byte) (*BlockRspMsg, error) {
-	blk, _, err := UnmarshalBlock(b)
-	if err != nil {
-		return nil, err
-	}
-	return &BlockRspMsg{Block: blk}, nil
 }
 
 // NoVoteMsg tells the next round's leader that the voter timed out waiting

@@ -218,8 +218,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		&EchoMsg{Entries: []EchoEntry{{Position{3, 7}, digest}, {Position{1 << 40, 300}, digest}}, Voter: 9, Sig: sig},
 		&VtxRspMsg{Vertex: vert, Cert: &EchoCertMsg{Pos: Position{4, 1}, Digest: digest, Agg: agg}},
 		&VtxRspMsg{Vertex: vert, Cert: &EchoCertMsg{Pos: Position{4, 1}, Digest: digest, Agg: agg}, Block: blk},
-		&BlockReqMsg{Pos: Position{8, 2}, Digest: digest},
-		&BlockRspMsg{Block: blk},
+		&VtxRspMsg{Vertex: vert, Block: blk},
 		&NoVoteMsg{NV: NoVote{Round: 11, Voter: 4, Sig: sig}},
 		&TimeoutMsg{TO: Timeout{Round: 12, Voter: 5, Sig: sig}},
 		&TCMsg{TC: TimeoutCert{Round: 13, Agg: agg}},
