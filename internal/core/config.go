@@ -290,7 +290,6 @@ type Node struct {
 	// bound to step once; valTo is sendVal's recipient scratch.
 	roundFired, anchorFired, echoFired func()
 	valTo                              []types.NodeID
-	timedOutRound                      map[types.Round]bool
 	// ownVertices, ownEdges, vals and blockVals are the slabs propose and
 	// sendVal carve this party's vertices, their strong edges and its VALs
 	// from (a VAL with a block from blockVals), as a connection's decoder
@@ -299,11 +298,8 @@ type Node struct {
 	ownEdges        types.Slab[types.VertexRef]
 	vals, blockVals types.Slab[types.ValMsg]
 
-	// Timeout/no-vote certificate assembly.
-	timeoutAggs map[types.Round]*crypto.Aggregator
-	tcs         map[types.Round]*types.TimeoutCert
-	novoteAggs  map[types.Round]*crypto.Aggregator
-	nvcs        map[types.Round]*types.NoVoteCert
+	// views holds each round's view-change record (consensus.go).
+	views map[types.Round]*view
 
 	// Pipelined-anchor pacing state (AnchorWait > 0): anchorWaived is 1 +
 	// the round whose pacing timer expired (advance without the missing
@@ -400,11 +396,7 @@ func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 			waitingChild:  map[types.Position][]types.Position{},
 			lateVertices:  map[types.Position]*types.Vertex{},
 		},
-		timedOutRound: map[types.Round]bool{},
-		timeoutAggs:   map[types.Round]*crypto.Aggregator{},
-		tcs:           map[types.Round]*types.TimeoutCert{},
-		novoteAggs:    map[types.Round]*crypto.Aggregator{},
-		nvcs:          map[types.Round]*types.NoVoteCert{},
+		views: map[types.Round]*view{},
 	}
 	n.roundFired = func() { n.step(input{kind: inRoundTimer}) }
 	n.anchorFired = func() { n.step(input{kind: inAnchorTimer}) }

@@ -73,11 +73,11 @@ func (n *Node) validateVertex(v *types.Vertex, certified bool) bool {
 	if !certified {
 		prev := v.Round - 1
 		if !v.HasStrongEdgeTo(types.Position{Round: prev, Source: n.order.Leader(prev)}) {
-			if v.TC == nil || v.TC.Round != prev || !n.validViewCert(prev, v.TC.Agg, true, false) {
+			if v.TC == nil || v.TC.Round != prev || !n.validViewCert(prev, v.TC.Agg, false, false) {
 				return false
 			}
 			if v.Source == n.order.Leader(v.Round) {
-				if v.NVC == nil || v.NVC.Round != prev || !n.validViewCert(prev, v.NVC.Agg, false, false) {
+				if v.NVC == nil || v.NVC.Round != prev || !n.validViewCert(prev, v.NVC.Agg, true, false) {
 					return false
 				}
 			}
@@ -86,16 +86,16 @@ func (n *Node) validateVertex(v *types.Vertex, certified bool) bool {
 	return true
 }
 
-// validViewCert checks a timeout (timeout) or no-vote certificate for round
+// validViewCert checks a timeout or (noVote) no-vote certificate for round
 // r: a quorum of round r's members signed it. preVerified skips the aggregate
 // check when the transport's verify pool already ran it (TCMsg traffic);
 // certificates embedded in vertices always verify inline.
-func (n *Node) validViewCert(r types.Round, agg types.AggSig, timeout, preVerified bool) bool {
+func (n *Node) validViewCert(r types.Round, agg types.AggSig, noVote, preVerified bool) bool {
 	cnt, _, inRange := n.ruleEpoch(r).Signers(n.cfg.N, agg.Bitmap, types.NoClan)
 	if !inRange || cnt < n.quorum(r) {
 		return false
 	}
-	ok := preVerified || n.cfg.Reg.VerifyAgg(viewCtx(r, timeout), agg)
+	ok := preVerified || n.cfg.Reg.VerifyAgg(viewCtx(r, noVote), agg)
 	n.clk.Charge(n.cfg.Costs.AggVerify)
 	return ok
 }
@@ -140,8 +140,8 @@ func (n *Node) tryAdvance() {
 				n.armAnchorTimer(r)
 				return
 			}
-			if !ok && n.tcs[r] != nil {
-				ok = n.order.Leader(r+1) != n.cfg.Self || n.nvcs[r] != nil
+			if !ok && n.viewCert(r, false) != nil {
+				ok = n.order.Leader(r+1) != n.cfg.Self || n.viewCert(r, true) != nil
 			}
 			if ok {
 				if r+1 > limit {
@@ -282,13 +282,13 @@ func (n *Node) propose(r types.Round) {
 			v.StrongEdges = append(v.StrongEdges, pv.Ref())
 		}
 		if !n.primaryIn(prev) {
-			tc := n.tcs[prev]
+			tc := n.viewCert(prev, false)
 			if tc == nil {
 				panic("core: propose without leader or TC")
 			}
 			v.TC = tc
 			if n.cfg.Self == n.order.Leader(r) {
-				nvc := n.nvcs[prev]
+				nvc := n.viewCert(prev, true)
 				if nvc == nil {
 					panic("core: leader propose without NVC")
 				}
@@ -363,11 +363,50 @@ func (n *Node) propose(r types.Round) {
 // ---------------------------------------------------------------------------
 // Timeouts, no-votes, certificates.
 
+// view is a round's view-change record: whether this party timed the round
+// out, and for each kind of vote (voteKind) the aggregate being assembled
+// and, once that reaches the round's quorum, the certificate — the TC of
+// timeouts, the NVC of no-votes. gc drops it with the round.
+type view struct {
+	timedOut bool
+	aggs     [2]*crypto.Aggregator
+	certs    [2]*types.ViewCert
+}
+
+// voteKind indexes a view's aggregates and certificates: timeouts at 0,
+// no-votes at 1.
+func voteKind(noVote bool) int {
+	if noVote {
+		return 1
+	}
+	return 0
+}
+
+// viewAt returns round r's view-change record, making it on first use.
+func (n *Node) viewAt(r types.Round) *view {
+	v := n.views[r]
+	if v == nil {
+		v = &view{}
+		n.views[r] = v
+	}
+	return v
+}
+
+// viewCert returns round r's TC, or (noVote) its NVC: nil while there is none.
+func (n *Node) viewCert(r types.Round, noVote bool) *types.ViewCert {
+	if v := n.views[r]; v != nil {
+		return v.certs[voteKind(noVote)]
+	}
+	return nil
+}
+
 func (n *Node) onRoundTimeout() {
 	r := n.round
-	if !n.timedOutRound[r] && !n.primaryIn(r) {
-		n.timedOutRound[r] = true
-		n.Metrics.Timeouts++
+	if !n.primaryIn(r) {
+		if v := n.viewAt(r); !v.timedOut {
+			v.timedOut = true
+			n.Metrics.Timeouts++
+		}
 	}
 	// Retransmit the stall-breaking state: one-shot sends are not enough
 	// under message loss (pre-GST drops, partitions) — a healed network
@@ -376,15 +415,11 @@ func (n *Node) onRoundTimeout() {
 	// Observers never sign view-change artifacts (their partials would not
 	// count toward any quorum); they still run the pull re-drive below.
 	if n.cfg.Key != nil && n.activeAt(r) && !n.primaryIn(r) {
-		if tc := n.tcs[r]; tc != nil {
+		if tc := n.viewCert(r, false); tc != nil {
 			n.broadcast(&types.TCMsg{TC: *tc})
 		} else {
-			tsig := n.cfg.Reg.SignFor(n.cfg.Key, viewCtx(r, true))
-			n.clk.Charge(n.cfg.Costs.EdSign)
-			n.broadcast(&types.TimeoutMsg{TO: types.Timeout{Round: r, Voter: n.cfg.Self, Sig: tsig}})
-			nsig := n.cfg.Reg.SignFor(n.cfg.Key, viewCtx(r, false))
-			n.clk.Charge(n.cfg.Costs.EdSign)
-			n.send(n.order.Leader(r+1), &types.NoVoteMsg{NV: types.NoVote{Round: r, Voter: n.cfg.Self, Sig: nsig}})
+			n.broadcast(n.signViewVote(r, false))
+			n.send(n.order.Leader(r+1), n.signViewVote(r, true))
 		}
 	}
 	// Re-drive the stuck round's RBCs. Under message loss the one-shot
@@ -414,35 +449,40 @@ func (n *Node) onRoundTimeout() {
 	n.armRoundTimer() // still stuck
 }
 
-// onViewVote folds a member's signed timeout (timeout) or no-vote for its
-// round r into r's aggregate, and makes the certificate once the aggregate
+// signViewVote signs this party's timeout, or (noVote) no-vote, for round r.
+func (n *Node) signViewVote(r types.Round, noVote bool) *types.ViewVoteMsg {
+	sig := n.cfg.Reg.SignFor(n.cfg.Key, viewCtx(r, noVote))
+	n.clk.Charge(n.cfg.Costs.EdSign)
+	return &types.ViewVoteMsg{NoVote: noVote, Vote: types.ViewVote{Round: r, Voter: n.cfg.Self, Sig: sig}}
+}
+
+// onViewVote folds a member's signed timeout or no-vote for its round r into
+// r's aggregate of that kind, and makes the certificate once the aggregate
 // reaches r's quorum. The two kinds differ twice: a no-vote counts only at
 // round r+1's leader, to whom it is addressed, and only a timeout
-// certificate is broadcast. A no-vote has a timeout's fields.
-func (n *Node) onViewVote(from types.NodeID, vote types.Timeout, timeout, preVerified bool) {
+// certificate is broadcast.
+func (n *Node) onViewVote(from types.NodeID, m *types.ViewVoteMsg) {
+	vote, k := m.Vote, voteKind(m.NoVote)
 	r := vote.Round
-	aggs, done := n.novoteAggs, n.nvcs[r] != nil
-	if timeout {
-		aggs, done = n.timeoutAggs, n.tcs[r] != nil
-	}
-	if from != vote.Voter || done || n.gcdRound(r) {
+	if from != vote.Voter || n.viewCert(r, m.NoVote) != nil || n.gcdRound(r) {
 		return
 	}
 	if !n.epochOf(r).isMember[vote.Voter] {
 		return // only round r's members vote in its view change
 	}
-	if !timeout && n.order.Leader(r+1) != n.cfg.Self {
+	if m.NoVote && n.order.Leader(r+1) != n.cfg.Self {
 		return // no-votes are addressed to the next round's leader
 	}
-	ctx := viewCtx(r, timeout)
-	if !preVerified && !n.cfg.Reg.Verify(vote.Voter, ctx, vote.Sig) {
+	ctx := viewCtx(r, m.NoVote)
+	if !m.PreVerified() && !n.cfg.Reg.Verify(vote.Voter, ctx, vote.Sig) {
 		return
 	}
 	n.clk.Charge(n.cfg.Costs.EdVerify)
-	agg, ok := aggs[r]
-	if !ok {
+	v := n.viewAt(r)
+	agg := v.aggs[k]
+	if agg == nil {
 		agg = crypto.NewAggregator(n.cfg.N)
-		aggs[r] = agg
+		v.aggs[k] = agg
 	}
 	if types.BitmapHas(agg.Bitmap(), vote.Voter) {
 		return
@@ -452,27 +492,24 @@ func (n *Node) onViewVote(from types.NodeID, vote types.Timeout, timeout, preVer
 	if agg.Count() < n.quorum(r) {
 		return
 	}
-	delete(aggs, r)
-	if timeout {
-		tc := &types.TimeoutCert{Round: r, Agg: agg.Sig()}
-		n.tcs[r] = tc
-		n.broadcast(&types.TCMsg{TC: *tc})
-	} else {
-		n.nvcs[r] = &types.NoVoteCert{Round: r, Agg: agg.Sig()}
+	cert := &types.ViewCert{Round: r, Agg: agg.Sig()}
+	v.aggs[k], v.certs[k] = nil, cert
+	if !m.NoVote {
+		n.broadcast(&types.TCMsg{TC: *cert})
 	}
 	n.tryAdvance()
 }
 
 func (n *Node) onTCMsg(m *types.TCMsg) {
 	r := m.TC.Round
-	if n.tcs[r] != nil || n.gcdRound(r) {
+	if n.viewCert(r, false) != nil || n.gcdRound(r) {
 		return
 	}
-	if !n.validViewCert(r, m.TC.Agg, true, m.PreVerified()) {
+	if !n.validViewCert(r, m.TC.Agg, false, m.PreVerified()) {
 		return
 	}
 	tc := m.TC
-	n.tcs[r] = &tc
+	n.viewAt(r).certs[voteKind(false)] = &tc
 	n.tryAdvance()
 }
 

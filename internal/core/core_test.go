@@ -581,7 +581,7 @@ func TestFloodFarFutureIgnored(t *testing.T) {
 // TestFloodFarFutureViewStateBounded: check for the RBC table and view map
 // retention audit. Validly signed timeouts and no-votes (and garbage TCs)
 // for rounds far beyond the tracking window must not grow the round-keyed
-// view maps — without the gcdRound upper bound one Byzantine voter could
+// view records — without the gcdRound upper bound one Byzantine voter could
 // allocate an N-sized aggregator per flooded round.
 func TestFloodFarFutureViewStateBounded(t *testing.T) {
 	n := 4
@@ -590,28 +590,19 @@ func TestFloodFarFutureViewStateBounded(t *testing.T) {
 	ep := c.net.Endpoint(1)
 	for i := 0; i < 200; i++ {
 		r := types.Round(10000 + i*37)
-		ep.Send(0, &types.TimeoutMsg{TO: types.Timeout{
-			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], viewCtx(r, true)),
-		}})
-		ep.Send(0, &types.NoVoteMsg{NV: types.NoVote{
+		ep.Send(0, &types.ViewVoteMsg{Vote: types.ViewVote{
 			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], viewCtx(r, false)),
 		}})
-		ep.Send(0, &types.TCMsg{TC: types.TimeoutCert{Round: r}})
+		ep.Send(0, &types.ViewVoteMsg{NoVote: true, Vote: types.ViewVote{
+			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], viewCtx(r, true)),
+		}})
+		ep.Send(0, &types.TCMsg{TC: types.ViewCert{Round: r}})
 	}
 	c.run(500 * time.Millisecond)
 	node := c.nodes[0]
 	bound := 4*node.cfg.GCDepth + 8 // the tracking window, with slack
-	if got := len(node.timeoutAggs); got > bound {
-		t.Fatalf("timeoutAggs grew to %d (bound %d) under far-future flood", got, bound)
-	}
-	if got := len(node.novoteAggs); got > bound {
-		t.Fatalf("novoteAggs grew to %d (bound %d) under far-future flood", got, bound)
-	}
-	if got := len(node.tcs); got > bound {
-		t.Fatalf("tcs grew to %d (bound %d) under far-future flood", got, bound)
-	}
-	if got := len(node.nvcs); got > bound {
-		t.Fatalf("nvcs grew to %d (bound %d) under far-future flood", got, bound)
+	if got := len(node.views); got > bound {
+		t.Fatalf("views grew to %d (bound %d) under far-future flood", got, bound)
 	}
 }
 
@@ -716,28 +707,19 @@ func TestFloodFarFutureMultiLeaderStateBounded(t *testing.T) {
 	ep := c.net.Endpoint(1)
 	for i := 0; i < 200; i++ {
 		r := types.Round(10000 + i*37)
-		ep.Send(0, &types.TimeoutMsg{TO: types.Timeout{
-			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], viewCtx(r, true)),
-		}})
-		ep.Send(0, &types.NoVoteMsg{NV: types.NoVote{
+		ep.Send(0, &types.ViewVoteMsg{Vote: types.ViewVote{
 			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], viewCtx(r, false)),
 		}})
-		ep.Send(0, &types.TCMsg{TC: types.TimeoutCert{Round: r}})
+		ep.Send(0, &types.ViewVoteMsg{NoVote: true, Vote: types.ViewVote{
+			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], viewCtx(r, true)),
+		}})
+		ep.Send(0, &types.TCMsg{TC: types.ViewCert{Round: r}})
 	}
 	c.run(500 * time.Millisecond)
 	node := c.nodes[0]
 	window := 4*node.cfg.GCDepth + 8
-	if got := len(node.timeoutAggs); got > window {
-		t.Fatalf("timeoutAggs grew to %d (bound %d)", got, window)
-	}
-	if got := len(node.novoteAggs); got > window {
-		t.Fatalf("novoteAggs grew to %d (bound %d)", got, window)
-	}
-	if got := len(node.tcs); got > window {
-		t.Fatalf("tcs grew to %d (bound %d)", got, window)
-	}
-	if got := len(node.nvcs); got > window {
-		t.Fatalf("nvcs grew to %d (bound %d)", got, window)
+	if got := len(node.views); got > window {
+		t.Fatalf("views grew to %d (bound %d)", got, window)
 	}
 	// One anchor ledger per retained round, whatever the slot count, and the
 	// recycle list only ever holds ledgers gc retired from that set.

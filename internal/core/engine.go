@@ -44,13 +44,13 @@ func echoFrameCtx(buf *echoFrameBuf, entries []types.EchoEntry) []byte {
 	return b
 }
 
-// viewCtx is what a member signs to time out round r (timeout), or to refuse
+// viewCtx is what a member signs to time out round r, or (noVote) to refuse
 // round r's leader its vote.
-func viewCtx(r types.Round, timeout bool) []byte {
+func viewCtx(r types.Round, noVote bool) []byte {
 	var b [9]byte
-	b[0] = 'N'
-	if timeout {
-		b[0] = 'T'
+	b[0] = 'T'
+	if noVote {
+		b[0] = 'N'
 	}
 	binary.LittleEndian.PutUint64(b[1:], uint64(r))
 	return b[:]
@@ -164,10 +164,8 @@ func (n *Node) step(in input) {
 			n.onVtxReq(in.from, msg)
 		case *types.VtxRspMsg:
 			n.onVtxRsp(in.from, msg)
-		case *types.NoVoteMsg:
-			n.onViewVote(in.from, types.Timeout(msg.NV), false, msg.PreVerified())
-		case *types.TimeoutMsg:
-			n.onViewVote(in.from, msg.TO, true, msg.PreVerified())
+		case *types.ViewVoteMsg:
+			n.onViewVote(in.from, msg)
 		case *types.TCMsg:
 			n.onTCMsg(msg)
 		case *types.SnapReqMsg:

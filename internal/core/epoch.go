@@ -226,28 +226,14 @@ func (n *Node) installEpoch(es *epochState, persist bool) {
 	}
 	// Drain in-flight view state at or past the fence that was built under
 	// the old epoch's rules: RBC instances sourced by non-members, delivered
-	// counts including them, and timeout/no-vote aggregation whose quorum
-	// threshold just changed.
+	// counts including them, and timeout/no-vote aggregates and certificates
+	// whose quorum threshold just changed. A round's timed-out mark stays, so
+	// Metrics.Timeouts still counts the round once.
 	n.rbc.Fence(es.Start)
 	n.recountVotes(es.Start)
-	for r := range n.timeoutAggs {
+	for r, v := range n.views {
 		if r >= es.Start {
-			delete(n.timeoutAggs, r)
-		}
-	}
-	for r := range n.novoteAggs {
-		if r >= es.Start {
-			delete(n.novoteAggs, r)
-		}
-	}
-	for r := range n.tcs {
-		if r >= es.Start {
-			delete(n.tcs, r)
-		}
-	}
-	for r := range n.nvcs {
-		if r >= es.Start {
-			delete(n.nvcs, r)
+			*v = view{timedOut: v.timedOut}
 		}
 	}
 

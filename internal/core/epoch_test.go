@@ -170,7 +170,7 @@ func TestEpochClanResample(t *testing.T) {
 // family with the epoch dimension: after crossing a fence, a Byzantine party
 // floods (a) validly signed far-future view-change traffic and (b) vertices
 // declaring a bogus epoch for in-window future rounds. Neither may grow the
-// round-keyed view maps, the RBC table, or the epoch table — pre-fence
+// round-keyed view records, the RBC table, or the epoch table — pre-fence
 // state must not pin memory either (the epochs table stays trimmed to the
 // retention window).
 func TestEpochFloodViewStateBounded(t *testing.T) {
@@ -193,11 +193,11 @@ func TestEpochFloodViewStateBounded(t *testing.T) {
 	var floodPos []types.Position
 	for i := 0; i < 200; i++ {
 		r := types.Round(10000 + i*37)
-		ep.Send(0, &types.TimeoutMsg{TO: types.Timeout{
-			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], viewCtx(r, true)),
-		}})
-		ep.Send(0, &types.NoVoteMsg{NV: types.NoVote{
+		ep.Send(0, &types.ViewVoteMsg{Vote: types.ViewVote{
 			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], viewCtx(r, false)),
+		}})
+		ep.Send(0, &types.ViewVoteMsg{NoVote: true, Vote: types.ViewVote{
+			Round: r, Voter: 1, Sig: crypto.Sign(&c.keys[1], viewCtx(r, true)),
 		}})
 		// Wrong-epoch vertices for in-window rounds: rejected before any
 		// instance state is allocated.
@@ -210,11 +210,8 @@ func TestEpochFloodViewStateBounded(t *testing.T) {
 	c.run(500 * time.Millisecond)
 
 	bound := 4*node.cfg.GCDepth + 8
-	if got := len(node.timeoutAggs); got > bound {
-		t.Fatalf("timeoutAggs grew to %d (bound %d) under post-fence flood", got, bound)
-	}
-	if got := len(node.novoteAggs); got > bound {
-		t.Fatalf("novoteAggs grew to %d (bound %d) under post-fence flood", got, bound)
+	if got := len(node.views); got > bound {
+		t.Fatalf("views grew to %d (bound %d) under post-fence flood", got, bound)
 	}
 	if got := len(node.epochs); got > 2 {
 		t.Fatalf("epoch table grew to %d entries (want <= 2: old epoch trimmed at the horizon, or retained while in-window)", got)

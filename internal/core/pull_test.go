@@ -255,3 +255,59 @@ func TestBlockPulledPastPeersHorizon(t *testing.T) {
 	}
 	c.checkConsistentOrder(nil)
 }
+
+// TestObserverRetriesParentOfDeliveredChild: an observer echoes nothing, so
+// no child's echo ever waits on a position in its RBC rule, and the rule has
+// no evidence of a position whose VAL, ECHO frames and pull replies toward
+// the observer are all dropped for a while. The children it delivers do
+// reference the position, and a delivered child is certified, which proves
+// its parent exists: the pull for the parent must be retried every
+// pullRetry while they wait, not sent once, so the observer orders what the
+// members order once replies get through.
+func TestObserverRetriesParentOfDeliveredChild(t *testing.T) {
+	const n, observer = 5, 4
+	lost := types.Position{Round: 3, Source: 1}
+	answered := false // the position reaches the observer again
+	fnet := faults.NewNet(n, 7, nil)
+	fnet.Apply(0, faults.Event{Kind: faults.KindDrop, From: faults.All, To: observer, P: 1,
+		Match: func(m types.Message) bool {
+			if answered {
+				return false
+			}
+			switch msg := m.(type) {
+			case *types.ValMsg:
+				return msg.Vertex.Pos() == lost
+			case *types.EchoMsg:
+				return slices.ContainsFunc(msg.Entries, func(e types.EchoEntry) bool { return e.Pos == lost })
+			case *types.VtxRspMsg:
+				return msg.Vertex.Pos() == lost
+			}
+			return false
+		}})
+	pulls := 0
+	fnet.SetTap(func(from, _ types.NodeID, m types.Message) {
+		if req, ok := m.(*types.VtxReqMsg); ok && from == observer && req.Pos == lost {
+			pulls++
+		}
+	})
+	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, fnet: fnet,
+		members: []types.NodeID{0, 1, 2, 3}})
+	const blocked = 2 * time.Second
+	c.run(blocked)
+	during := pulls
+	answered = true
+	c.run(3 * time.Second)
+	t.Logf("observer pulled %v %d times while blocked, %d in all; ordered %d, member 0 %d",
+		lost, during, pulls, len(c.orders[observer]), len(c.orders[0]))
+	if want := int(blocked/pullRetry) / 2; during < want {
+		t.Fatalf("observer pulled %v %d times in the %v its replies were dropped, want at least %d",
+			lost, during, blocked, want)
+	}
+	if !c.nodes[observer].dag.Has(lost) {
+		t.Fatalf("observer never inserted %v", lost)
+	}
+	if got, want := len(c.orders[observer]), len(c.orders[0]); got < want*9/10 {
+		t.Fatalf("observer ordered %d vertices, member 0 %d", got, want)
+	}
+	c.checkConsistentOrder(nil)
+}

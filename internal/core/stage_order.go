@@ -317,29 +317,9 @@ func (n *Node) gc() {
 	}
 	n.gcEpochs(horizon)
 	n.order.GC(horizon)
-	for r := range n.tcs {
+	for r := range n.views {
 		if r < horizon {
-			delete(n.tcs, r)
-		}
-	}
-	for r := range n.nvcs {
-		if r < horizon {
-			delete(n.nvcs, r)
-		}
-	}
-	for r := range n.timeoutAggs {
-		if r < horizon {
-			delete(n.timeoutAggs, r)
-		}
-	}
-	for r := range n.novoteAggs {
-		if r < horizon {
-			delete(n.novoteAggs, r)
-		}
-	}
-	for r := range n.timedOutRound {
-		if r < horizon {
-			delete(n.timedOutRound, r)
+			delete(n.views, r)
 		}
 	}
 	for pos := range n.ord.pendingInsert {

@@ -518,10 +518,13 @@ const pullRetry = 200 * time.Millisecond
 // vertex, its certificate and, to a member of the block's clan, its block:
 // an undelivered position from anyone in the tribe, the block of a delivered
 // one from this party's clan. It asks one peer at a time in rotation, every
-// pullRetry until what it lacks arrives while the rule has evidence that the
-// vertex exists (rbc.Table.Evidenced). Without it the pull is one probe: the
-// round timer's re-drive repeats it, at the next target. A pull already
-// running is left to run.
+// pullRetry until what it lacks arrives while something proves the vertex
+// exists: the rule's evidence (rbc.Table.Evidenced), or a delivered child
+// waiting on it to enter the DAG — a delivered vertex is certified, so its
+// parents exist, and an observer, which echoes nothing, or a child that came
+// by pull leaves no echo in the rule to say so. Without either the pull is
+// one probe: the round timer's re-drive repeats it, at the next target. A
+// pull already running is left to run.
 func (n *Node) pull(pos types.Position, in *inst) {
 	if !in.X.pull.IsZero() {
 		return
@@ -550,7 +553,7 @@ func (n *Node) pull(pos types.Position, in *inst) {
 	// streaming ancestors this party has.
 	n.send(target, &types.VtxReqMsg{Pos: pos, Have: max(n.lastCommitRound, n.dag.MaxRound())})
 	n.mPulls.Inc()
-	if !n.rbc.Evidenced(pos) {
+	if !n.rbc.Evidenced(pos) && len(n.ord.waitingChild[pos]) == 0 {
 		return
 	}
 	in.X.pull = n.clk.After(pullRetry, func() { n.step(input{kind: inPullRetry, pos: pos}) })

@@ -53,18 +53,13 @@ func (n *Node) Verifier() transport.Verifier {
 				return false
 			}
 			msg.MarkVerified()
-		case *types.TimeoutMsg:
-			if !reg.Verify(msg.TO.Voter, viewCtx(msg.TO.Round, true), msg.TO.Sig) {
-				return false
-			}
-			msg.MarkVerified()
-		case *types.NoVoteMsg:
-			if !reg.Verify(msg.NV.Voter, viewCtx(msg.NV.Round, false), msg.NV.Sig) {
+		case *types.ViewVoteMsg:
+			if !reg.Verify(msg.Vote.Voter, viewCtx(msg.Vote.Round, msg.NoVote), msg.Vote.Sig) {
 				return false
 			}
 			msg.MarkVerified()
 		case *types.TCMsg:
-			if !reg.VerifyAgg(viewCtx(msg.TC.Round, true), msg.TC.Agg) {
+			if !reg.VerifyAgg(viewCtx(msg.TC.Round, false), msg.TC.Agg) {
 				return false
 			}
 			msg.MarkVerified()

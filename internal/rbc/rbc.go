@@ -294,6 +294,9 @@ func (t *Table[X]) Range(fn func(pos types.Position, in *Inst[X])) {
 // instance holds a vertex, a certificate or an echo tally (the proposer's VAL
 // is its echo), or a child's echo waits on it. Every NeedVertex and every
 // Deliver has evidence; a pull without it may be for a vertex nobody proposed.
+// It does not see a delivered child waiting in the DAG for pos: a child echoes
+// nothing here at a non-member, and one that came by pull never echoed at all.
+// The caller counts such a child as evidence too (core's pull).
 func (t *Table[X]) Evidenced(pos types.Position) bool {
 	in := t.Get(pos)
 	return in != nil && (in.vertex != nil || in.hasCert || in.first.agg.Count() > 0) || len(t.wait[pos]) > 0

@@ -47,9 +47,9 @@ func TestDecodedMessagesOwnTheirBytes(t *testing.T) {
 		&ValMsg{Vertex: v, Block: blk, Sig: sig},
 		&VtxRspMsg{Vertex: v, Cert: &EchoCertMsg{Pos: Position{3, 1}, Digest: digest, Agg: agg}, Block: blk},
 		&EchoMsg{Entries: []EchoEntry{{Position{3, 1}, digest}, {Position{3, 2}, digest}}, Voter: 2, Sig: sig},
-		&TimeoutMsg{TO: Timeout{Round: 5, Voter: 1, Sig: sig}},
-		&TCMsg{TC: TimeoutCert{Round: 5, Agg: agg}},
-		&NoVoteMsg{NV: NoVote{Round: 5, Voter: 1, Sig: sig}},
+		&ViewVoteMsg{Vote: ViewVote{Round: 5, Voter: 1, Sig: sig}},
+		&TCMsg{TC: ViewCert{Round: 5, Agg: agg}},
+		&ViewVoteMsg{NoVote: true, Vote: ViewVote{Round: 5, Voter: 1, Sig: sig}},
 		&VtxReqMsg{Pos: Position{3, 1}, Have: 2},
 		&SnapRspMsg{Data: []byte("snapshot-bytes")},
 	}
@@ -85,9 +85,9 @@ func TestDecoderMatchesDecode(t *testing.T) {
 		&ValMsg{Vertex: v, Block: &Block{Round: 3, Source: 1, Txs: [][]byte{{1, 2}}}, Sig: sig},
 		&EchoMsg{Entries: []EchoEntry{{Position{3, 1}, digest}}, Voter: 2, Sig: sig},
 		&EchoMsg{Entries: []EchoEntry{{Position{3, 1}, digest}, {Position{3, 2}, digest}, {Position{4, 0}, digest}}, Voter: 300, Sig: sig},
-		&NoVoteMsg{NV: NoVote{Round: 5, Voter: 1, Sig: sig}},
-		&TimeoutMsg{TO: Timeout{Round: 5, Voter: 1, Sig: sig}},
-		&TCMsg{TC: TimeoutCert{Round: 5, Agg: AggSig{Bitmap: []byte{7}}}},
+		&ViewVoteMsg{NoVote: true, Vote: ViewVote{Round: 5, Voter: 1, Sig: sig}},
+		&ViewVoteMsg{Vote: ViewVote{Round: 5, Voter: 1, Sig: sig}},
+		&TCMsg{TC: ViewCert{Round: 5, Agg: AggSig{Bitmap: []byte{7}}}},
 		&VtxReqMsg{Pos: Position{3, 1}},
 		&VtxRspMsg{Vertex: v, Block: &Block{Round: 3, Source: 1, Txs: [][]byte{{8}}}},
 		&VtxRspMsg{Vertex: v, Cert: &EchoCertMsg{Pos: Position{3, 1}, Digest: digest, Agg: AggSig{Bitmap: []byte{7}}},
@@ -156,8 +156,8 @@ func TestDecoderValArena(t *testing.T) {
 	full := &Vertex{Round: 7, Source: 2, BlockDigest: digest, Epoch: 3, CreatedAt: 99,
 		StrongEdges: []VertexRef{{Round: 6, Source: 0}, {Round: 6, Source: 1}, {Round: 6, Source: 3}},
 		WeakEdges:   []VertexRef{{Round: 4, Source: 1}},
-		NVC:         &NoVoteCert{Round: 6, Agg: agg},
-		TC:          &TimeoutCert{Round: 6, Agg: agg},
+		NVC:         &ViewCert{Round: 6, Agg: agg},
+		TC:          &ViewCert{Round: 6, Agg: agg},
 		Lacks:       []uint32{1, 3},
 		Reconfig:    []ReconfigTx{{Action: ReconfigJoin, Node: 9, Addr: "10.0.0.9:7000", PubKey: digest, Sig: sig}}}
 	plain := func(r Round) *Vertex {

@@ -19,7 +19,7 @@ func FuzzDecode(f *testing.F) {
 	vWide := &Vertex{Round: 9, Source: 11, BlockDigest: digest,
 		StrongEdges: []VertexRef{{Round: 8, Source: 0}, {Round: 8, Source: 7}, {Round: 8, Source: 13}},
 		WeakEdges:   []VertexRef{{Round: 5, Source: 2}, {Round: 7, Source: 40}},
-		TC:          &TimeoutCert{Round: 8, Agg: AggSig{Bitmap: []byte{0x55}}}}
+		TC:          &ViewCert{Round: 8, Agg: AggSig{Bitmap: []byte{0x55}}}}
 	// Exercise the epoch/reconfig tail: a post-fence vertex carrying both a
 	// join (with address + pubkey) and a leave.
 	vEpoch := &Vertex{Round: 40, Source: 2, BlockDigest: digest, Epoch: 3,
@@ -35,9 +35,9 @@ func FuzzDecode(f *testing.F) {
 		&ValMsg{Vertex: v, Block: &Block{Round: 3, Source: 1, Txs: [][]byte{{1, 2}}}, Sig: sig},
 		&EchoMsg{Entries: []EchoEntry{{Position{3, 1}, digest}}, Voter: 2, Sig: sig},
 		&EchoMsg{Entries: []EchoEntry{{Position{3, 1}, digest}, {Position{3, 2}, digest}}, Voter: 2, Sig: sig},
-		&NoVoteMsg{NV: NoVote{Round: 5, Voter: 1, Sig: sig}},
-		&TimeoutMsg{TO: Timeout{Round: 5, Voter: 1, Sig: sig}},
-		&TCMsg{TC: TimeoutCert{Round: 5, Agg: AggSig{Bitmap: []byte{7}}}},
+		&ViewVoteMsg{NoVote: true, Vote: ViewVote{Round: 5, Voter: 1, Sig: sig}},
+		&ViewVoteMsg{Vote: ViewVote{Round: 5, Voter: 1, Sig: sig}},
+		&TCMsg{TC: ViewCert{Round: 5, Agg: AggSig{Bitmap: []byte{7}}}},
 		&VtxReqMsg{Pos: Position{3, 1}},
 		&VtxRspMsg{Vertex: v},
 		&ValMsg{Vertex: vEpoch, Sig: sig},
@@ -151,11 +151,11 @@ func TestWireSizeMatchesMarshal(t *testing.T) {
 			})
 		}
 		if rng.Intn(2) == 0 {
-			tc := &TimeoutCert{Round: v.Round - 1, Agg: randAgg()}
+			tc := &ViewCert{Round: v.Round - 1, Agg: randAgg()}
 			v.TC = tc
 		}
 		if rng.Intn(2) == 0 {
-			v.NVC = &NoVoteCert{Round: v.Round - 1, Agg: randAgg()}
+			v.NVC = &ViewCert{Round: v.Round - 1, Agg: randAgg()}
 		}
 		if rng.Intn(2) == 0 {
 			v.Epoch = rng.Uint64() >> rng.Intn(60)
@@ -222,9 +222,9 @@ func TestWireSizeMatchesMarshal(t *testing.T) {
 			randEcho(2),
 			randEcho(1 + rng.Intn(200)),
 			&VtxRspMsg{Vertex: randVertex(), Cert: &EchoCertMsg{Pos: randPos(), Digest: randHash(), Agg: randAgg()}, Block: valBlock},
-			&NoVoteMsg{NV: NoVote{Round: Round(rng.Intn(1 << 20)), Voter: NodeID(rng.Intn(256)), Sig: randSig()}},
-			&TimeoutMsg{TO: Timeout{Round: Round(rng.Intn(1 << 20)), Voter: NodeID(rng.Intn(256)), Sig: randSig()}},
-			&TCMsg{TC: TimeoutCert{Round: Round(rng.Intn(1 << 20)), Agg: randAgg()}},
+			&ViewVoteMsg{NoVote: true, Vote: ViewVote{Round: Round(rng.Intn(1 << 20)), Voter: NodeID(rng.Intn(256)), Sig: randSig()}},
+			&ViewVoteMsg{Vote: ViewVote{Round: Round(rng.Intn(1 << 20)), Voter: NodeID(rng.Intn(256)), Sig: randSig()}},
+			&TCMsg{TC: ViewCert{Round: Round(rng.Intn(1 << 20)), Agg: randAgg()}},
 			&VtxReqMsg{Pos: randPos()},
 			&VtxRspMsg{Vertex: randVertex(), Block: valBlock},
 			&SnapReqMsg{},

@@ -24,8 +24,8 @@ func lacksVertex() *Vertex {
 func TestVertexEncodingWithoutLacksIsUnchanged(t *testing.T) {
 	withCerts := lacksVertex()
 	withCerts.WeakEdges, withCerts.Epoch, withCerts.CreatedAt = nil, 0, 1
-	withCerts.NVC = &NoVoteCert{Round: 8, Agg: AggSig{Bitmap: []byte{0x0b}}}
-	withCerts.TC = &TimeoutCert{Round: 8, Agg: AggSig{Bitmap: []byte{0x55}}}
+	withCerts.NVC = &ViewCert{Round: 8, Agg: AggSig{Bitmap: []byte{0x0b}}}
+	withCerts.TC = &ViewCert{Round: 8, Agg: AggSig{Bitmap: []byte{0x55}}}
 	for _, c := range []struct {
 		v    *Vertex
 		want string
@@ -59,7 +59,7 @@ func TestVertexLacksRoundTrip(t *testing.T) {
 			t.Fatalf("Lacks %v came back as %v", lacks, got.Lacks)
 		}
 		// With a no-vote certificate in front of it.
-		v.NVC = &NoVoteCert{Round: 8, Agg: AggSig{Bitmap: []byte{7}}}
+		v.NVC = &ViewCert{Round: 8, Agg: AggSig{Bitmap: []byte{7}}}
 		if got, _, err = UnmarshalVertex(v.Marshal(nil)); err != nil || !got.Equal(v) {
 			t.Fatalf("Lacks %v behind an NVC: %v", lacks, err)
 		}

@@ -52,10 +52,8 @@ func Decode(b []byte) (Message, error) {
 	case KindEcho:
 		e := &EchoMsg{}
 		m, err = e, unmarshalEchoInto(e, nil, body)
-	case KindNoVote:
-		m, err = unmarshalNoVote(body)
-	case KindTimeout:
-		m, err = unmarshalTimeout(body)
+	case KindNoVote, KindTimeout:
+		m, err = unmarshalViewVote(body, kind == KindNoVote)
 	case KindTC:
 		m, err = unmarshalTCMsg(body)
 	case KindVtxReq:
@@ -300,104 +298,66 @@ func unmarshalEchoCert(b []byte) (*EchoCertMsg, []byte, error) {
 	return m, b, nil
 }
 
-// NoVoteMsg tells the next round's leader that the voter timed out waiting
-// for the current round's leader vertex.
-type NoVoteMsg struct {
+// ViewVoteMsg carries one view vote: a no-vote (kind 7), addressed to
+// round Round+1's leader, or a timeout (kind 8), sent to everyone. The two
+// kinds share one body; only the kind byte and the context the voter signed
+// tell them apart.
+type ViewVoteMsg struct {
 	VerifyMark
-	NV NoVote
+	NoVote bool
+	Vote   ViewVote
 }
 
-func (m *NoVoteMsg) Kind() MsgKind { return KindNoVote }
-
-func (m *NoVoteMsg) Marshal(b []byte) []byte {
-	b = PutUvarint(b, uint64(m.NV.Round))
-	b = PutUvarint(b, uint64(m.NV.Voter))
-	return append(b, m.NV.Sig[:]...)
+func (m *ViewVoteMsg) Kind() MsgKind {
+	if m.NoVote {
+		return KindNoVote
+	}
+	return KindTimeout
 }
 
-func (m *NoVoteMsg) WireSize() int {
-	return uvarintLen(uint64(m.NV.Round)) + uvarintLen(uint64(m.NV.Voter)) + 64
+func (m *ViewVoteMsg) Marshal(b []byte) []byte {
+	b = PutUvarint(b, uint64(m.Vote.Round))
+	b = PutUvarint(b, uint64(m.Vote.Voter))
+	return append(b, m.Vote.Sig[:]...)
 }
 
-func unmarshalNoVote(b []byte) (*NoVoteMsg, error) {
-	m := &NoVoteMsg{}
+func (m *ViewVoteMsg) WireSize() int {
+	return uvarintLen(uint64(m.Vote.Round)) + uvarintLen(uint64(m.Vote.Voter)) + 64
+}
+
+func unmarshalViewVote(b []byte, noVote bool) (*ViewVoteMsg, error) {
+	m := &ViewVoteMsg{NoVote: noVote}
 	u, b, err := Uvarint(b)
 	if err != nil {
 		return nil, err
 	}
-	m.NV.Round = Round(u)
+	m.Vote.Round = Round(u)
 	if u, b, err = Uvarint(b); err != nil {
 		return nil, err
 	}
-	m.NV.Voter = NodeID(u)
+	m.Vote.Voter = NodeID(u)
 	if len(b) != 64 {
-		return nil, fmt.Errorf("types: novote sig length %d", len(b))
+		return nil, fmt.Errorf("types: view vote sig length %d", len(b))
 	}
-	copy(m.NV.Sig[:], b)
-	return m, nil
-}
-
-// TimeoutMsg announces that the voter's timer for Round expired.
-type TimeoutMsg struct {
-	VerifyMark
-	TO Timeout
-}
-
-func (m *TimeoutMsg) Kind() MsgKind { return KindTimeout }
-
-func (m *TimeoutMsg) Marshal(b []byte) []byte {
-	b = PutUvarint(b, uint64(m.TO.Round))
-	b = PutUvarint(b, uint64(m.TO.Voter))
-	return append(b, m.TO.Sig[:]...)
-}
-
-func (m *TimeoutMsg) WireSize() int {
-	return uvarintLen(uint64(m.TO.Round)) + uvarintLen(uint64(m.TO.Voter)) + 64
-}
-
-func unmarshalTimeout(b []byte) (*TimeoutMsg, error) {
-	m := &TimeoutMsg{}
-	u, b, err := Uvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	m.TO.Round = Round(u)
-	if u, b, err = Uvarint(b); err != nil {
-		return nil, err
-	}
-	m.TO.Voter = NodeID(u)
-	if len(b) != 64 {
-		return nil, fmt.Errorf("types: timeout sig length %d", len(b))
-	}
-	copy(m.TO.Sig[:], b)
+	copy(m.Vote.Sig[:], b)
 	return m, nil
 }
 
 // TCMsg broadcasts an assembled timeout certificate.
 type TCMsg struct {
 	VerifyMark
-	TC TimeoutCert
+	TC ViewCert
 }
 
 func (m *TCMsg) Kind() MsgKind { return KindTC }
 
-func (m *TCMsg) Marshal(b []byte) []byte {
-	b = PutUvarint(b, uint64(m.TC.Round))
-	return marshalAgg(b, m.TC.Agg)
-}
+func (m *TCMsg) Marshal(b []byte) []byte { return m.TC.marshal(b) }
 
-func (m *TCMsg) WireSize() int {
-	return uvarintLen(uint64(m.TC.Round)) + m.TC.Agg.WireSize()
-}
+func (m *TCMsg) WireSize() int { return m.TC.wireSize() }
 
 func unmarshalTCMsg(b []byte) (*TCMsg, error) {
 	m := &TCMsg{}
-	u, b, err := Uvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	m.TC.Round = Round(u)
-	if m.TC.Agg, _, err = unmarshalAgg(b); err != nil {
+	if _, err := unmarshalViewCert(&m.TC, b); err != nil {
 		return nil, err
 	}
 	return m, nil

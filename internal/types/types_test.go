@@ -82,14 +82,14 @@ func randVertex(rng *rand.Rand) *Vertex {
 		v.WeakEdges = append(v.WeakEdges, r)
 	}
 	if rng.Intn(2) == 0 {
-		nvc := &NoVoteCert{Round: v.Round - 1}
+		nvc := &ViewCert{Round: v.Round - 1}
 		rng.Read(nvc.Agg.Tag[:])
 		nvc.Agg.Bitmap = make([]byte, rng.Intn(20)+1)
 		rng.Read(nvc.Agg.Bitmap)
 		v.NVC = nvc
 	}
 	if rng.Intn(3) == 0 {
-		tc := &TimeoutCert{Round: v.Round - 1}
+		tc := &ViewCert{Round: v.Round - 1}
 		rng.Read(tc.Agg.Tag[:])
 		tc.Agg.Bitmap = make([]byte, rng.Intn(20)+1)
 		rng.Read(tc.Agg.Bitmap)
@@ -219,9 +219,9 @@ func TestMessageRoundTrips(t *testing.T) {
 		&VtxRspMsg{Vertex: vert, Cert: &EchoCertMsg{Pos: Position{4, 1}, Digest: digest, Agg: agg}},
 		&VtxRspMsg{Vertex: vert, Cert: &EchoCertMsg{Pos: Position{4, 1}, Digest: digest, Agg: agg}, Block: blk},
 		&VtxRspMsg{Vertex: vert, Block: blk},
-		&NoVoteMsg{NV: NoVote{Round: 11, Voter: 4, Sig: sig}},
-		&TimeoutMsg{TO: Timeout{Round: 12, Voter: 5, Sig: sig}},
-		&TCMsg{TC: TimeoutCert{Round: 13, Agg: agg}},
+		&ViewVoteMsg{NoVote: true, Vote: ViewVote{Round: 11, Voter: 4, Sig: sig}},
+		&ViewVoteMsg{Vote: ViewVote{Round: 12, Voter: 5, Sig: sig}},
+		&TCMsg{TC: ViewCert{Round: 13, Agg: agg}},
 	}
 	for i, m := range msgs {
 		enc := Encode(m, nil)

@@ -38,33 +38,44 @@ type Position struct {
 // Pos returns the reference's position.
 func (r VertexRef) Pos() Position { return Position{r.Round, r.Source} }
 
-// NoVote is one party's signed statement that it will not vote for the
-// leader vertex of the given round (it timed out waiting for it).
-type NoVote struct {
+// ViewVote is one member's signed statement that round Round's leader
+// vertex did not come in time. It travels as one of two votes, the same
+// fields under two signing contexts: a timeout (round Round timed out, sent
+// to everyone) and a no-vote (the voter will not vote for round Round's
+// leader, sent to round Round+1's leader).
+type ViewVote struct {
 	Round Round
 	Voter NodeID
 	Sig   SigBytes
 }
 
-// NoVoteCert proves that 2f+1 parties refused to vote for round Round's
-// leader, authorizing the next leader to omit a strong edge to it.
-type NoVoteCert struct {
+// ViewCert aggregates 2f+1 view votes of one kind for round Round. Of
+// timeouts it is a timeout certificate (TC), which lets parties advance past
+// the stalled round; of no-votes a no-vote certificate (NVC), which lets
+// round Round+1's leader omit its strong edge to round Round's leader.
+type ViewCert struct {
 	Round Round
 	Agg   AggSig
 }
 
-// Timeout is one party's signed statement that round Round timed out.
-type Timeout struct {
-	Round Round
-	Voter NodeID
-	Sig   SigBytes
+// marshal appends the one encoding of a certificate, in a vertex and in a
+// TC frame alike: the round, then the aggregate.
+func (c *ViewCert) marshal(b []byte) []byte {
+	b = PutUvarint(b, uint64(c.Round))
+	return marshalAgg(b, c.Agg)
 }
 
-// TimeoutCert aggregates 2f+1 timeouts for a round and lets parties advance
-// without waiting for the round's full quorum of vertices.
-type TimeoutCert struct {
-	Round Round
-	Agg   AggSig
+func (c *ViewCert) wireSize() int { return uvarintLen(uint64(c.Round)) + c.Agg.WireSize() }
+
+// unmarshalViewCert decodes a certificate into c and returns the rest of b.
+func unmarshalViewCert(c *ViewCert, b []byte) ([]byte, error) {
+	u, b, err := Uvarint(b)
+	if err != nil {
+		return nil, err
+	}
+	c.Round = Round(u)
+	c.Agg, b, err = unmarshalAgg(b)
+	return b, err
 }
 
 // Vertex is the metadata unit of the DAG (Figure 4 of the paper). It carries
@@ -80,10 +91,10 @@ type Vertex struct {
 	WeakEdges []VertexRef
 	// NVC authorizes a leader vertex that lacks a strong edge to the
 	// previous round's leader. Nil otherwise.
-	NVC *NoVoteCert
+	NVC *ViewCert
 	// TC justifies entering this round past a stalled previous round.
 	// Nil otherwise.
-	TC *TimeoutCert
+	TC *ViewCert
 	// Epoch is the configuration epoch Round belongs to. Parties reject
 	// vertices whose epoch disagrees with their own epoch table for that
 	// round, so the whole tribe crosses every reconfiguration fence on the
@@ -232,8 +243,7 @@ func (v *Vertex) Marshal(b []byte) []byte {
 	b = append(b, 0)
 	if v.NVC != nil {
 		b[flags] |= vtxHasNVC
-		b = PutUvarint(b, uint64(v.NVC.Round))
-		b = marshalAgg(b, v.NVC.Agg)
+		b = v.NVC.marshal(b)
 	}
 	if len(v.Lacks) > 0 {
 		b[flags] |= vtxHasLacks
@@ -244,8 +254,7 @@ func (v *Vertex) Marshal(b []byte) []byte {
 	}
 	if v.TC != nil {
 		b = append(b, 1)
-		b = PutUvarint(b, uint64(v.TC.Round))
-		b = marshalAgg(b, v.TC.Agg)
+		b = v.TC.marshal(b)
 	} else {
 		b = append(b, 0)
 	}
@@ -295,15 +304,10 @@ func unmarshalVertexInto(v *Vertex, edges *Slab[VertexRef], b []byte) ([]byte, e
 	}
 	flags, b := b[0], b[1:]
 	if flags&vtxHasNVC != 0 {
-		nvc := &NoVoteCert{}
-		if u, b, err = Uvarint(b); err != nil {
+		v.NVC = &ViewCert{}
+		if b, err = unmarshalViewCert(v.NVC, b); err != nil {
 			return nil, err
 		}
-		nvc.Round = Round(u)
-		if nvc.Agg, b, err = unmarshalAgg(b); err != nil {
-			return nil, err
-		}
-		v.NVC = nvc
 	}
 	if flags&vtxHasLacks != 0 {
 		if u, b, err = Uvarint(b); err != nil {
@@ -330,19 +334,13 @@ func unmarshalVertexInto(v *Vertex, edges *Slab[VertexRef], b []byte) ([]byte, e
 	if len(b) < 1 {
 		return nil, fmt.Errorf("types: short vertex tc flag")
 	}
-	if b[0] == 1 {
-		b = b[1:]
-		tc := &TimeoutCert{}
-		if u, b, err = Uvarint(b); err != nil {
+	hasTC := b[0] == 1
+	b = b[1:]
+	if hasTC {
+		v.TC = &ViewCert{}
+		if b, err = unmarshalViewCert(v.TC, b); err != nil {
 			return nil, err
 		}
-		tc.Round = Round(u)
-		if tc.Agg, b, err = unmarshalAgg(b); err != nil {
-			return nil, err
-		}
-		v.TC = tc
-	} else {
-		b = b[1:]
 	}
 	if v.Epoch, b, err = Uvarint(b); err != nil {
 		return nil, err
@@ -383,7 +381,7 @@ func (v *Vertex) WireSize() int {
 	}
 	n += 2 // nvc/lacks + tc flags
 	if v.NVC != nil {
-		n += uvarintLen(uint64(v.NVC.Round)) + v.NVC.Agg.WireSize()
+		n += v.NVC.wireSize()
 	}
 	if len(v.Lacks) > 0 {
 		n += uvarintLen(uint64(len(v.Lacks)))
@@ -392,7 +390,7 @@ func (v *Vertex) WireSize() int {
 		}
 	}
 	if v.TC != nil {
-		n += uvarintLen(uint64(v.TC.Round)) + v.TC.Agg.WireSize()
+		n += v.TC.wireSize()
 	}
 	n += uvarintLen(v.Epoch) + uvarintLen(uint64(len(v.Reconfig)))
 	for i := range v.Reconfig {
