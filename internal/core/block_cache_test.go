@@ -319,7 +319,7 @@ func TestBlockCacheAdversary(t *testing.T) {
 	if node.validateVertex(bad, true) {
 		t.Fatal("a vertex listing a position outside its edges validated")
 	}
-	if _, _, err := types.UnmarshalVertex(bad.Marshal(nil)); err == nil {
+	if _, err := types.UnmarshalVertex(bad.Marshal(nil)); err == nil {
 		t.Fatal("a vertex listing a position outside its edges decoded")
 	}
 

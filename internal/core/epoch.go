@@ -290,47 +290,21 @@ func marshalEpochRecord(es *epochState) []byte {
 	return b
 }
 
-// unmarshalEpochRecord decodes marshalEpochRecord's output.
+// unmarshalEpochRecord decodes marshalEpochRecord's output. A record reaches
+// a joiner inside a donor's snapshot, so its counts are bounded by its bytes.
 func unmarshalEpochRecord(b []byte) (start, sched types.Round, members []types.NodeID, joins map[types.NodeID]string, ok bool) {
-	u, b, err := types.Uvarint(b)
-	if err != nil {
-		return
-	}
-	start = types.Round(u)
-	u, b, err = types.Uvarint(b)
-	if err != nil {
-		return
-	}
-	sched = types.Round(u)
-	cnt, b, err := types.Uvarint(b)
-	if err != nil {
-		return
-	}
-	members = make([]types.NodeID, 0, cnt)
-	for i := uint64(0); i < cnt; i++ {
-		if u, b, err = types.Uvarint(b); err != nil {
-			return
-		}
-		members = append(members, types.NodeID(u))
-	}
-	cnt, b, err = types.Uvarint(b)
-	if err != nil {
-		return
+	r := types.NewReader(b)
+	start, sched = types.Round(r.Uvarint()), types.Round(r.Uvarint())
+	members = make([]types.NodeID, r.Count(1))
+	for i := range members {
+		members[i] = r.Node()
 	}
 	joins = map[types.NodeID]string{}
-	for i := uint64(0); i < cnt; i++ {
-		var id, alen uint64
-		if id, b, err = types.Uvarint(b); err != nil {
-			return
-		}
-		if alen, b, err = types.Uvarint(b); err != nil || alen > uint64(len(b)) {
-			return
-		}
-		joins[types.NodeID(id)] = string(b[:alen])
-		b = b[alen:]
+	for range r.Count(2) {
+		id := r.Node()
+		joins[id] = string(r.Bytes(r.Count(1)))
 	}
-	ok = true
-	return
+	return start, sched, members, joins, r.End() == nil
 }
 
 // ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ func (n *Node) recoverFromStore() bool {
 	// Vertices, inserted parents-first (ascending round).
 	var verts []*types.Vertex
 	st.Scan([]byte("v/"), func(key, value []byte) bool {
-		v, _, err := types.UnmarshalVertex(value)
+		v, err := types.UnmarshalVertex(value)
 		if err != nil {
 			return true
 		}

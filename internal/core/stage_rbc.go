@@ -255,7 +255,7 @@ func (n *Node) blockFor(d types.Hash) *types.Block {
 	if err != nil || !ok {
 		return nil
 	}
-	blk, _, err := types.UnmarshalBlock(val)
+	blk, err := types.UnmarshalBlock(val)
 	if err != nil {
 		return nil
 	}
@@ -607,7 +607,7 @@ func (n *Node) sendStoredBlock(from types.NodeID, pos types.Position) {
 	if err != nil || !ok {
 		return
 	}
-	v, _, err := types.UnmarshalVertex(val)
+	v, err := types.UnmarshalVertex(val)
 	if err != nil || v.Pos() != pos || v.BlockDigest.IsZero() {
 		return
 	}

@@ -489,8 +489,8 @@ func Suite(verbose io.Writer) []Row {
 	rows := []Row{
 		Run("MulticastEncodeOnce/peers=4/payload=1MiB", func(b *testing.B) { MulticastEncodeOnce(b, 4, 1<<20) }),
 		Run("MulticastEncodeOnce/peers=40/payload=1MiB", func(b *testing.B) { MulticastEncodeOnce(b, 40, 1<<20) }),
-		Run("RxDecodeZeroCopy/mode=zerocopy", func(b *testing.B) { RxDecodeZeroCopy(b, true) }),
-		Run("SmallMsgCoalesce/coalesce=on", func(b *testing.B) { SmallMsgCoalesce(b, true) }),
+		Run("RxDecode", func(b *testing.B) { RxDecodeZeroCopy(b, true) }),
+		Run("SmallMsgCoalesce", func(b *testing.B) { SmallMsgCoalesce(b, true) }),
 		Run("DiskGroupCommit/writers=8", func(b *testing.B) { DiskGroupCommit(b, 8) }),
 		Run("DiskGroupCommit/writers=16", func(b *testing.B) { DiskGroupCommit(b, 16) }),
 		Run("PipelineE2E/n=12/single-clan", PipelineE2E),

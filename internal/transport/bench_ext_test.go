@@ -19,10 +19,10 @@ func BenchmarkMulticastEncodeOnce(b *testing.B) {
 	}
 }
 
-// BenchmarkRxDecodeZeroCopy measures the receive path's decode: the echo
+// BenchmarkRxDecode measures the receive path's decode: the echo
 // arena amortizes allocations across a batch of votes
-// (TestRxDecodeZeroCopyAllocs in internal/types gates the count).
-func BenchmarkRxDecodeZeroCopy(b *testing.B) {
+// (TestRxDecodeAllocs in internal/types gates the count).
+func BenchmarkRxDecode(b *testing.B) {
 	perfbench.RxDecodeZeroCopy(b, true)
 }
 

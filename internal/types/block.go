@@ -3,7 +3,6 @@ package types
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"hash"
 	"sync"
 )
@@ -190,64 +189,35 @@ func (s *BlockSlab) New(cnt int, chunked bool) *Block {
 	return b
 }
 
-// UnmarshalBlock decodes a block and returns the remaining bytes. The block
-// owns its memory: its transactions are copied out of buf into one backing
-// array.
-func UnmarshalBlock(buf []byte) (*Block, []byte, error) {
-	return (*BlockSlab)(nil).unmarshal(buf)
+// UnmarshalBlock decodes a stored block: buf holds it and nothing else. The
+// block owns its memory: its transactions are copied out of buf.
+func UnmarshalBlock(buf []byte) (*Block, error) {
+	r := Reader{b: buf}
+	b := (*BlockSlab)(nil).unmarshal(&r)
+	if err := r.End(); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // unmarshal decodes a block into s, copying its transactions into s's
 // chunks. A nil s decodes onto the heap. A block that does not decode
 // carves nothing.
-func (s *BlockSlab) unmarshal(buf []byte) (*Block, []byte, error) {
-	var h Block
-	var u uint64
-	var err error
-	if u, buf, err = Uvarint(buf); err != nil {
-		return nil, nil, err
+func (s *BlockSlab) unmarshal(r *Reader) *Block {
+	h := Block{Round: Round(r.Uvarint()), Source: r.Node(),
+		SynthCount: uint32(r.below(1 << 32)), SynthSize: uint32(r.below(1 << 32)),
+		SynthSeed: r.Uvarint(), CreatedAt: int64(r.fixed64())}
+	cnt := r.Count(1)
+	// Every length is checked, and the total summed, on a copy of the
+	// cursor before anything is carved; then the transactions are copied in
+	// one pass.
+	look, total := *r, 0
+	for range cnt {
+		total += len(look.Bytes(look.Count(1)))
 	}
-	h.Round = Round(u)
-	if u, buf, err = Uvarint(buf); err != nil {
-		return nil, nil, err
-	}
-	h.Source = NodeID(u)
-	if u, buf, err = Uvarint(buf); err != nil {
-		return nil, nil, err
-	}
-	h.SynthCount = uint32(u)
-	if u, buf, err = Uvarint(buf); err != nil {
-		return nil, nil, err
-	}
-	h.SynthSize = uint32(u)
-	if h.SynthSeed, buf, err = Uvarint(buf); err != nil {
-		return nil, nil, err
-	}
-	if len(buf) < 8 {
-		return nil, nil, fmt.Errorf("types: short block createdAt")
-	}
-	h.CreatedAt = int64(binary.LittleEndian.Uint64(buf))
-	buf = buf[8:]
-	var cnt uint64
-	if cnt, buf, err = Uvarint(buf); err != nil {
-		return nil, nil, err
-	}
-	if cnt > uint64(len(buf)+1) {
-		return nil, nil, fmt.Errorf("types: tx count %d exceeds buffer", cnt)
-	}
-	// Every length is checked, and the total summed, before anything is
-	// carved; then the transactions are copied in one pass.
-	total, rest := 0, buf
-	for i := uint64(0); i < cnt; i++ {
-		var n uint64
-		if n, rest, err = Uvarint(rest); err != nil {
-			return nil, nil, err
-		}
-		if n > uint64(len(rest)) {
-			return nil, nil, fmt.Errorf("types: tx length %d exceeds buffer", n)
-		}
-		total += int(n)
-		rest = rest[n:]
+	if look.err != nil {
+		*r = look
+		return nil
 	}
 	// A payload over half a chunk is one array of its own; a smaller one is
 	// carved a transaction at a time, so it fills a chunk's tail.
@@ -256,21 +226,19 @@ func (s *BlockSlab) unmarshal(buf []byte) (*Block, []byte, error) {
 	if !chunked {
 		backing = s.Bytes(total)
 	}
-	b := s.New(int(cnt), chunked)
+	b := s.New(cnt, chunked)
 	h.Txs = b.Txs
 	*b = h
-	for i := uint64(0); i < cnt; i++ {
-		n, k := binary.Uvarint(buf)
-		buf = buf[k:]
+	for range cnt {
+		tx := r.Bytes(r.Count(1))
 		if chunked {
-			backing = s.Bytes(int(n))
+			backing = s.Bytes(len(tx))
 		}
 		start := len(backing)
-		backing = append(backing, buf[:n]...)
+		backing = append(backing, tx...)
 		b.Txs = append(b.Txs, backing[start:len(backing):len(backing)])
-		buf = buf[n:]
 	}
-	return b, buf, nil
+	return b
 }
 
 // WireSize reports the bytes the block occupies on the wire. For synthetic

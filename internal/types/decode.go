@@ -1,5 +1,7 @@
 package types
 
+import "fmt"
+
 // Slab carves values from shared blocks: one allocation per block of values
 // instead of one per value or list. What it hands out is the taker's for
 // good — a Slab never takes anything back — so a block lives until the last
@@ -58,12 +60,13 @@ const (
 	refSlabSize   = 32 // 32 × 48 B
 )
 
-// Decoder parses framed messages like Decode, handing out ECHO messages and
-// VALs, with a VAL's block, from slabs. A Decoder belongs to a single read
-// loop (it is not safe for concurrent use), so everything it carves comes
-// from one peer. What it returns owns its bytes: the caller may overwrite the
-// frame as soon as Decode returns. A frame it rejects hands out no message:
-// the next one takes the slot it would have had.
+// Decoder parses framed messages, handing out ECHO messages and VALs, with a
+// VAL's block, from slabs. A Decoder belongs to a single read loop (it is not
+// safe for concurrent use), so everything it carves comes from one peer. What
+// it returns owns its bytes: the caller may overwrite the frame as soon as
+// Decode returns. A frame it rejects hands out no message: the next one takes
+// the slot it would have had. A nil Decoder takes every message from the
+// heap, as a nil Slab does.
 type Decoder struct {
 	echoes  Slab[EchoMsg]
 	entries Slab[EchoEntry]
@@ -72,56 +75,69 @@ type Decoder struct {
 	blocks  BlockSlab // a VAL's block, its index and its bytes
 }
 
-// decodeEcho parses an ECHO frame: the message onto the stack, then into the
-// message slab, its entries into room carved off the entry slab. The room is
-// sized by the bytes present — every entry takes at least echoEntryMin of
-// them, the tail at least echoTailMin — so it overshoots by at most one
-// entry on frames of up to 16, whatever the round.
-func (d *Decoder) decodeEcho(body []byte) (*EchoMsg, error) {
-	var m EchoMsg
-	most := (len(body) - echoTailMin) / echoEntryMin
-	if err := unmarshalEchoInto(&m, d.entries.Take(max(most, 0), entrySlabSize), body); err != nil {
-		return nil, err
-	}
-	k := len(m.Entries)
-	m.Entries = m.Entries[:k:k] // a holder's append must not reach the next frame's entries
-	p := d.echoes.New(echoSlabSize)
-	*p = m
-	return p, nil
-}
-
-// decodeVal parses a VAL frame: the message and its vertex onto the stack,
-// then into one pair from the VAL slab; both edge lists from the edge slab,
-// and the block from the block slab.
-func (d *Decoder) decodeVal(body []byte) (*ValMsg, error) {
-	var p valPair
-	if err := unmarshalValInto(&p.m, &p.v, d, body); err != nil {
-		return nil, err
-	}
-	s := d.vals.New(valSlabSize)
-	*s = p
-	s.m.Vertex, s.m.decoded = &s.v, true
-	return &s.m, nil
-}
-
-// Decode parses the framed message in b: ECHO frames and VALs into the
-// slabs, every other kind through the package Decode.
+// Decode parses the framed message in b through one Reader, which owns
+// canonical form: a frame decodes only if the message it yields encodes back
+// to b. A VAL and an ECHO are read onto the stack and move into the slabs
+// once the whole frame has been read: the VAL as one pair, its edge lists
+// and block carved as they are read; the ECHO's entries into room carved off
+// the entry slab, sized by the bytes present — every entry takes at least
+// echoEntryMin of them, the tail at least echoTailMin — so it overshoots by
+// at most one entry on frames of up to 16, whatever the round.
 func (d *Decoder) Decode(b []byte) (Message, error) {
-	if len(b) > 0 {
-		switch MsgKind(b[0]) {
-		case KindEcho:
-			m, err := d.decodeEcho(b[1:])
-			if err != nil {
-				return nil, err
-			}
-			return m, nil
-		case KindVal:
-			m, err := d.decodeVal(b[1:])
-			if err != nil {
-				return nil, err
-			}
-			return m, nil
-		}
+	if len(b) == 0 {
+		return nil, fmt.Errorf("types: empty message")
 	}
-	return Decode(b)
+	kind, r := MsgKind(b[0]), Reader{b: b[1:]}
+	var (
+		m    Message
+		val  valPair
+		echo EchoMsg
+		// d's slabs, or nil ones — the heap — for a nil Decoder.
+		echoes  *Slab[EchoMsg]
+		entries *Slab[EchoEntry]
+		vals    *Slab[valPair]
+		edges   *Slab[VertexRef]
+		blocks  *BlockSlab
+	)
+	if d != nil {
+		echoes, entries, vals, edges, blocks = &d.echoes, &d.entries, &d.vals, &d.edges, &d.blocks
+	}
+	switch kind {
+	case KindVal:
+		val.unmarshal(&r, edges, blocks)
+	case KindEcho:
+		most := (r.left() - echoTailMin) / echoEntryMin
+		echo.unmarshal(&r, entries.Take(max(most, 0), entrySlabSize))
+	case KindNoVote, KindTimeout:
+		m = &ViewVoteMsg{NoVote: kind == KindNoVote, Vote: ViewVote{Round(r.Uvarint()), r.Node(), r.sig()}}
+	case KindTC:
+		tc := &TCMsg{}
+		tc.TC.unmarshal(&r)
+		m = tc
+	case KindVtxReq:
+		m = &VtxReqMsg{Pos: r.pos(), Have: Round(r.Uvarint())}
+	case KindVtxRsp:
+		m = unmarshalVtxRsp(&r)
+	case KindSnapReq:
+		m = &SnapReqMsg{}
+	case KindSnapRsp:
+		m = &SnapRspMsg{Data: append([]byte(nil), r.Bytes(r.Count(1))...)}
+	default:
+		return nil, fmt.Errorf("types: unknown message kind %d", kind)
+	}
+	if err := r.End(); err != nil {
+		return nil, err
+	}
+	switch kind {
+	case KindVal:
+		p := vals.New(valSlabSize)
+		*p = val
+		p.m.Vertex, p.m.decoded = &p.v, true
+		m = &p.m
+	case KindEcho:
+		p := echoes.New(echoSlabSize)
+		*p = echo
+		m = p
+	}
+	return m, nil
 }

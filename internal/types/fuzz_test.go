@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzDecode drives the wire-message decoder with arbitrary bytes: it must
-// never panic, and anything it accepts must re-encode canonically.
+// never panic, and anything it accepts must encode back to exactly the bytes
+// it was decoded from.
 func FuzzDecode(f *testing.F) {
 	// Seed corpus: one valid encoding per message kind.
 	var sig SigBytes
@@ -77,25 +78,28 @@ func FuzzDecode(f *testing.F) {
 	vLacks.Lacks = []uint32{0, 1, 2, 3, 4}
 	f.Add(Encode(&ValMsg{Vertex: &vLacks, Sig: sig}, nil))
 
+	// Every golden frame, and every non-canonical frame the decoder refuses.
+	for _, c := range goldenFrameMsgs() {
+		f.Add(Encode(c.m, nil))
+	}
+	for _, c := range nonCanonicalFrames() {
+		f.Add(c.frame)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if err != nil {
 			return
 		}
-		// Round-trip stability: decode(encode(decode(x))) == decode(x).
-		re := Encode(m, nil)
-		m2, err := Decode(re)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !bytes.Equal(re, Encode(m2, nil)) {
-			t.Fatal("encoding not canonical")
+		// One encoding per message: whatever decodes is what encodes.
+		if re := Encode(m, nil); !bytes.Equal(re, data) {
+			t.Fatalf("%T decodes from % x but encodes to % x", m, data, re)
 		}
 		// Analytic sizing must track the real encoding for anything the
 		// decoder accepts (synthetic payloads are the documented exception:
 		// they describe bytes that are never marshaled).
-		if !syntheticMsg(m2) && m2.WireSize() != len(m2.Marshal(nil)) {
-			t.Fatalf("WireSize %d != marshal length %d", m2.WireSize(), len(m2.Marshal(nil)))
+		if !syntheticMsg(m) && m.WireSize() != len(data)-1 {
+			t.Fatalf("WireSize %d != body length %d", m.WireSize(), len(data)-1)
 		}
 	})
 }
@@ -240,35 +244,35 @@ func TestWireSizeMatchesMarshal(t *testing.T) {
 	}
 }
 
-// FuzzUnmarshalVertex checks the vertex decoder in isolation.
+// FuzzUnmarshalVertex checks the vertex decoder in isolation: whatever it
+// accepts encodes back to the same bytes.
 func FuzzUnmarshalVertex(f *testing.F) {
 	v := &Vertex{Round: 9, Source: 4}
 	v.NormalizeEdges()
 	f.Add(v.Marshal(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, _, err := UnmarshalVertex(data)
+		got, err := UnmarshalVertex(data)
 		if err != nil {
 			return
 		}
-		enc := got.Marshal(nil)
-		got2, rest, err := UnmarshalVertex(enc)
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("re-unmarshal: %v", err)
-		}
-		if !got2.Equal(got) {
-			t.Fatal("vertex roundtrip unstable")
+		if enc := got.Marshal(nil); !bytes.Equal(enc, data) {
+			t.Fatalf("vertex decodes from % x but encodes to % x", data, enc)
 		}
 	})
 }
 
-// FuzzUnmarshalBlock checks the block decoder in isolation.
+// FuzzUnmarshalBlock checks the block decoder in isolation: whatever it
+// accepts encodes back to the same bytes.
 func FuzzUnmarshalBlock(f *testing.F) {
 	b := &Block{Round: 1, Source: 2, Txs: [][]byte{{1}, {2, 3}}}
 	f.Add(b.Marshal(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, _, err := UnmarshalBlock(data)
+		got, err := UnmarshalBlock(data)
 		if err != nil {
 			return
+		}
+		if enc := got.Marshal(nil); !bytes.Equal(enc, data) {
+			t.Fatalf("block decodes from % x but encodes to % x", data, enc)
 		}
 		if got.PayloadBytes() < 0 || got.TxCount() < 0 {
 			t.Fatal("negative accounting")

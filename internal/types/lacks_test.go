@@ -51,16 +51,16 @@ func TestVertexLacksRoundTrip(t *testing.T) {
 		if len(enc) != v.WireSize() {
 			t.Fatalf("WireSize %d, marshalled %d", v.WireSize(), len(enc))
 		}
-		got, rest, err := UnmarshalVertex(enc)
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("Lacks %v: %v, %d bytes left", lacks, err, len(rest))
+		got, err := UnmarshalVertex(enc)
+		if err != nil {
+			t.Fatalf("Lacks %v: %v", lacks, err)
 		}
 		if !got.Equal(v) || len(got.Lacks) != len(lacks) {
 			t.Fatalf("Lacks %v came back as %v", lacks, got.Lacks)
 		}
 		// With a no-vote certificate in front of it.
 		v.NVC = &ViewCert{Round: 8, Agg: AggSig{Bitmap: []byte{7}}}
-		if got, _, err = UnmarshalVertex(v.Marshal(nil)); err != nil || !got.Equal(v) {
+		if got, err = UnmarshalVertex(v.Marshal(nil)); err != nil || !got.Equal(v) {
 			t.Fatalf("Lacks %v behind an NVC: %v", lacks, err)
 		}
 	}
@@ -93,11 +93,11 @@ func TestVertexLacksDecodeBounds(t *testing.T) {
 		"count past the bytes": splice(200, 1),
 		"huge index":           splice(1, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
 	} {
-		if _, _, err := UnmarshalVertex(enc); err == nil {
+		if _, err := UnmarshalVertex(enc); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
 	}
-	if _, _, err := UnmarshalVertex(splice(2, 1, 3)); err != nil {
+	if _, err := UnmarshalVertex(splice(2, 1, 3)); err != nil {
 		t.Fatalf("splice helper broken: %v", err)
 	}
 }

@@ -1,7 +1,5 @@
 package types
 
-import "fmt"
-
 // MsgKind discriminates wire messages.
 type MsgKind uint8
 
@@ -36,39 +34,9 @@ func Encode(m Message, b []byte) []byte {
 	return m.Marshal(b)
 }
 
-// Decode parses a framed message.
-func Decode(b []byte) (Message, error) {
-	if len(b) == 0 {
-		return nil, fmt.Errorf("types: empty message")
-	}
-	kind, body := MsgKind(b[0]), b[1:]
-	var (
-		m   Message
-		err error
-	)
-	switch kind {
-	case KindVal:
-		m, err = unmarshalVal(body)
-	case KindEcho:
-		e := &EchoMsg{}
-		m, err = e, unmarshalEchoInto(e, nil, body)
-	case KindNoVote, KindTimeout:
-		m, err = unmarshalViewVote(body, kind == KindNoVote)
-	case KindTC:
-		m, err = unmarshalTCMsg(body)
-	case KindVtxReq:
-		m, err = unmarshalVtxReq(body)
-	case KindVtxRsp:
-		m, err = unmarshalVtxRsp(body)
-	case KindSnapReq:
-		m, err = unmarshalSnapReq(body)
-	case KindSnapRsp:
-		m, err = unmarshalSnapRsp(body)
-	default:
-		return nil, fmt.Errorf("types: unknown message kind %d", kind)
-	}
-	return m, err
-}
+// Decode parses a framed message onto the heap: it is the nil Decoder's
+// Decode.
+func Decode(b []byte) (Message, error) { return (*Decoder)(nil).Decode(b) }
 
 // ValMsg is the first message of the merged RBC: the vertex goes to the whole
 // tribe, the block only to the proposer's clan (Block == nil elsewhere). Sig
@@ -126,43 +94,15 @@ type valPair struct {
 	v Vertex
 }
 
-func unmarshalVal(b []byte) (*ValMsg, error) {
-	p := &valPair{}
-	if err := unmarshalValInto(&p.m, &p.v, nil, b); err != nil {
-		return nil, err
-	}
-	p.m.Vertex, p.m.decoded = &p.v, true
-	return &p.m, nil
-}
-
-// unmarshalValInto decodes a VAL into zeroed m and v, carving the edge lists
-// and the block from d (the heap when nil). It leaves m.Vertex to the
+// unmarshal decodes a VAL into the zeroed pair, its edge lists from edges
+// and its block from blocks (the heap when nil). It leaves m.Vertex to the
 // caller, who knows where v will live.
-func unmarshalValInto(m *ValMsg, v *Vertex, d *Decoder, b []byte) error {
-	var edges *Slab[VertexRef]
-	var blocks *BlockSlab
-	if d != nil {
-		edges, blocks = &d.edges, &d.blocks
+func (p *valPair) unmarshal(r *Reader, edges *Slab[VertexRef], blocks *BlockSlab) {
+	p.v.unmarshal(r, edges)
+	if r.flag() {
+		p.m.Block = blocks.unmarshal(r)
 	}
-	b, err := unmarshalVertexInto(v, edges, b)
-	if err != nil {
-		return err
-	}
-	if len(b) < 1 {
-		return fmt.Errorf("types: short val flag")
-	}
-	hasBlock := b[0] == 1
-	b = b[1:]
-	if hasBlock {
-		if m.Block, b, err = blocks.unmarshal(b); err != nil {
-			return err
-		}
-	}
-	if len(b) != 64 {
-		return fmt.Errorf("types: val sig length %d", len(b))
-	}
-	copy(m.Sig[:], b)
-	return nil
+	p.m.Sig = r.sig()
 }
 
 // EchoEntry is one ECHO vote: the digest of the vertex echoed at Pos.
@@ -218,42 +158,19 @@ func (m *EchoMsg) WireSize() int {
 	return n
 }
 
-// unmarshalEchoInto decodes an ECHO frame into caller-provided storage — m,
-// and entries appended to buf — letting the Decoder carve both from its slabs
-// (echoes are the highest-volume message class). The entry count is bounded
-// by the bytes actually present, never by a declared length.
-func unmarshalEchoInto(m *EchoMsg, buf []EchoEntry, b []byte) error {
-	if len(b) <= echoTailMax {
-		return fmt.Errorf("types: echo frame without an entry")
+// unmarshal decodes an ECHO frame into the zeroed m, its entries appended
+// to entries: the entries run up to the tail, so their number is bounded by
+// the bytes actually present, never by a declared length.
+func (m *EchoMsg) unmarshal(r *Reader, entries []EchoEntry) {
+	if r.left() <= echoTailMax {
+		r.fail("echo frame without an entry")
 	}
-	for len(b) > echoTailMax {
-		var e EchoEntry
-		u, rest, err := Uvarint(b)
-		if err != nil {
-			return err
-		}
-		e.Pos.Round = Round(u)
-		if u, rest, err = Uvarint(rest); err != nil {
-			return err
-		}
-		e.Pos.Source = NodeID(u)
-		if len(rest) < 32 {
-			return fmt.Errorf("types: short echo digest")
-		}
-		copy(e.Digest[:], rest[:32])
-		b = rest[32:]
-		buf = append(buf, e)
+	for r.left() > echoTailMax {
+		entries = append(entries, EchoEntry{r.pos(), r.hash()})
 	}
-	u, b, err := Uvarint(b)
-	if err != nil {
-		return err
-	}
-	if len(b) != 64 {
-		return fmt.Errorf("types: echo sig length %d", len(b))
-	}
-	m.Entries, m.Voter = buf, NodeID(u)
-	copy(m.Sig[:], b)
-	return nil
+	k := len(entries)
+	m.Entries = entries[:k:k] // a holder's append must not reach the next frame's entries
+	m.Voter, m.Sig = r.Node(), r.sig()
 }
 
 // EchoCertMsg is EC_r(m): an aggregate over 2f+1 ECHO votes with at least
@@ -277,25 +194,8 @@ func (m *EchoCertMsg) wireSize() int {
 	return uvarintLen(uint64(m.Pos.Round)) + uvarintLen(uint64(m.Pos.Source)) + 32 + m.Agg.WireSize()
 }
 
-func unmarshalEchoCert(b []byte) (*EchoCertMsg, []byte, error) {
-	m := &EchoCertMsg{}
-	u, b, err := Uvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	m.Pos.Round = Round(u)
-	if u, b, err = Uvarint(b); err != nil {
-		return nil, nil, err
-	}
-	m.Pos.Source = NodeID(u)
-	if len(b) < 32 {
-		return nil, nil, fmt.Errorf("types: short cert digest")
-	}
-	copy(m.Digest[:], b[:32])
-	if m.Agg, b, err = unmarshalAgg(b[32:]); err != nil {
-		return nil, nil, err
-	}
-	return m, b, nil
+func unmarshalEchoCert(r *Reader) *EchoCertMsg {
+	return &EchoCertMsg{Pos: r.pos(), Digest: r.hash(), Agg: unmarshalAgg(r)}
 }
 
 // ViewVoteMsg carries one view vote: a no-vote (kind 7), addressed to
@@ -325,24 +225,6 @@ func (m *ViewVoteMsg) WireSize() int {
 	return uvarintLen(uint64(m.Vote.Round)) + uvarintLen(uint64(m.Vote.Voter)) + 64
 }
 
-func unmarshalViewVote(b []byte, noVote bool) (*ViewVoteMsg, error) {
-	m := &ViewVoteMsg{NoVote: noVote}
-	u, b, err := Uvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Vote.Round = Round(u)
-	if u, b, err = Uvarint(b); err != nil {
-		return nil, err
-	}
-	m.Vote.Voter = NodeID(u)
-	if len(b) != 64 {
-		return nil, fmt.Errorf("types: view vote sig length %d", len(b))
-	}
-	copy(m.Vote.Sig[:], b)
-	return m, nil
-}
-
 // TCMsg broadcasts an assembled timeout certificate.
 type TCMsg struct {
 	VerifyMark
@@ -354,14 +236,6 @@ func (m *TCMsg) Kind() MsgKind { return KindTC }
 func (m *TCMsg) Marshal(b []byte) []byte { return m.TC.marshal(b) }
 
 func (m *TCMsg) WireSize() int { return m.TC.wireSize() }
-
-func unmarshalTCMsg(b []byte) (*TCMsg, error) {
-	m := &TCMsg{}
-	if _, err := unmarshalViewCert(&m.TC, b); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
 
 // VtxReqMsg asks a peer for a missing vertex (proposals are downloaded off
 // the critical path instead of being forwarded, per the paper's Section 7
@@ -386,24 +260,6 @@ func (m *VtxReqMsg) Marshal(b []byte) []byte {
 func (m *VtxReqMsg) WireSize() int {
 	return uvarintLen(uint64(m.Pos.Round)) + uvarintLen(uint64(m.Pos.Source)) +
 		uvarintLen(uint64(m.Have))
-}
-
-func unmarshalVtxReq(b []byte) (*VtxReqMsg, error) {
-	m := &VtxReqMsg{}
-	u, b, err := Uvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Pos.Round = Round(u)
-	if u, b, err = Uvarint(b); err != nil {
-		return nil, err
-	}
-	m.Pos.Source = NodeID(u)
-	if u, _, err = Uvarint(b); err != nil {
-		return nil, err
-	}
-	m.Have = Round(u)
-	return m, nil
 }
 
 // VtxRspMsg answers a VtxReqMsg with the vertex, the echo certificate that
@@ -450,25 +306,15 @@ func (m *VtxRspMsg) WireSize() int {
 	return n
 }
 
-func unmarshalVtxRsp(b []byte) (*VtxRspMsg, error) {
-	v, b, err := UnmarshalVertex(b)
-	if err != nil {
-		return nil, err
-	}
-	m := &VtxRspMsg{Vertex: v}
-	if len(b) < 1 || b[0] > vtxRspBlock|vtxRspCert {
-		return nil, fmt.Errorf("types: bad vtxrsp flags")
-	}
-	flags, b := b[0], b[1:]
+func unmarshalVtxRsp(r *Reader) *VtxRspMsg {
+	m := &VtxRspMsg{Vertex: &Vertex{}}
+	m.Vertex.unmarshal(r, nil)
+	flags := r.bits(vtxRspBlock | vtxRspCert)
 	if flags&vtxRspCert != 0 {
-		if m.Cert, b, err = unmarshalEchoCert(b); err != nil {
-			return nil, err
-		}
+		m.Cert = unmarshalEchoCert(r)
 	}
 	if flags&vtxRspBlock != 0 {
-		if m.Block, _, err = UnmarshalBlock(b); err != nil {
-			return nil, err
-		}
+		m.Block = (*BlockSlab)(nil).unmarshal(r)
 	}
-	return m, nil
+	return m
 }

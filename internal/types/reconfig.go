@@ -1,7 +1,5 @@
 package types
 
-import "fmt"
-
 // ReconfigAction discriminates membership changes.
 type ReconfigAction uint8
 
@@ -59,40 +57,23 @@ func (tx *ReconfigTx) WireSize() int {
 	return 1 + uvarintLen(uint64(tx.Node)) + uvarintLen(uint64(len(tx.Addr))) + len(tx.Addr) + 32 + 64
 }
 
-// UnmarshalReconfigTx decodes one transaction and returns the remaining
-// bytes.
-func UnmarshalReconfigTx(b []byte) (ReconfigTx, []byte, error) {
-	var tx ReconfigTx
-	if len(b) < 1 {
-		return tx, nil, fmt.Errorf("types: short reconfig action")
-	}
-	tx.Action = ReconfigAction(b[0])
-	b = b[1:]
+// reconfigTxMin is the fewest bytes a ReconfigTx encodes to: the action, a
+// one-byte node and address length, the key and the signature.
+const reconfigTxMin = 1 + 1 + 1 + 32 + 64
+
+func unmarshalReconfigTx(r *Reader) (tx ReconfigTx) {
+	tx.Action = ReconfigAction(r.bits(byte(ReconfigJoin | ReconfigLeave)))
 	if tx.Action != ReconfigJoin && tx.Action != ReconfigLeave {
-		return tx, nil, fmt.Errorf("types: bad reconfig action %d", tx.Action)
+		r.fail("bad reconfig action %d", tx.Action)
 	}
-	u, b, err := Uvarint(b)
-	if err != nil {
-		return tx, nil, err
+	tx.Node = r.Node()
+	n := r.Count(1)
+	if n > MaxReconfigAddr {
+		r.fail("reconfig addr length %d exceeds bound", n)
 	}
-	if u > 0xFFFF {
-		return tx, nil, fmt.Errorf("types: reconfig node %d out of range", u)
-	}
-	tx.Node = NodeID(u)
-	if u, b, err = Uvarint(b); err != nil {
-		return tx, nil, err
-	}
-	if u > MaxReconfigAddr || u > uint64(len(b)) {
-		return tx, nil, fmt.Errorf("types: reconfig addr length %d exceeds bound", u)
-	}
-	tx.Addr = string(b[:u])
-	b = b[u:]
-	if len(b) < 32+64 {
-		return tx, nil, fmt.Errorf("types: short reconfig key/sig")
-	}
-	copy(tx.PubKey[:], b[:32])
-	copy(tx.Sig[:], b[32:96])
-	return tx, b[96:], nil
+	tx.Addr = string(r.Bytes(n))
+	tx.PubKey, tx.Sig = r.hash(), r.sig()
+	return tx
 }
 
 // SnapReqMsg asks a peer for a point-in-time store snapshot (the join /
@@ -105,13 +86,6 @@ func (m *SnapReqMsg) Kind() MsgKind { return KindSnapReq }
 func (m *SnapReqMsg) Marshal(b []byte) []byte { return b }
 
 func (m *SnapReqMsg) WireSize() int { return 0 }
-
-func unmarshalSnapReq(b []byte) (*SnapReqMsg, error) {
-	if len(b) != 0 {
-		return nil, fmt.Errorf("types: snapreq trailing bytes")
-	}
-	return &SnapReqMsg{}, nil
-}
 
 // SnapRspMsg carries a store snapshot: a self-delimiting stream of WAL
 // records (CRC-framed puts in sorted key order, see store.Snapshot). A torn
@@ -130,20 +104,4 @@ func (m *SnapRspMsg) Marshal(b []byte) []byte {
 
 func (m *SnapRspMsg) WireSize() int {
 	return uvarintLen(uint64(len(m.Data))) + len(m.Data)
-}
-
-func unmarshalSnapRsp(b []byte) (*SnapRspMsg, error) {
-	n, b, err := Uvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	if n != uint64(len(b)) {
-		return nil, fmt.Errorf("types: snaprsp data length %d != %d", n, len(b))
-	}
-	m := &SnapRspMsg{}
-	if n > 0 {
-		m.Data = make([]byte, n)
-		copy(m.Data, b)
-	}
-	return m, nil
 }

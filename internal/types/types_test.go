@@ -106,12 +106,9 @@ func TestVertexRoundTrip(t *testing.T) {
 		if len(enc) != v.WireSize() {
 			t.Fatalf("WireSize %d != len(Marshal) %d", v.WireSize(), len(enc))
 		}
-		got, rest, err := UnmarshalVertex(enc)
+		got, err := UnmarshalVertex(enc)
 		if err != nil {
 			t.Fatalf("unmarshal: %v", err)
-		}
-		if len(rest) != 0 {
-			t.Fatalf("%d trailing bytes", len(rest))
 		}
 		if !got.Equal(v) {
 			t.Fatalf("roundtrip mismatch:\n%+v\n%+v", v, got)
@@ -156,12 +153,9 @@ func TestBlockRoundTrip(t *testing.T) {
 		if len(enc) != b.WireSize() {
 			t.Fatalf("WireSize %d != len(Marshal) %d", b.WireSize(), len(enc))
 		}
-		got, rest, err := UnmarshalBlock(enc)
+		got, err := UnmarshalBlock(enc)
 		if err != nil {
 			t.Fatalf("unmarshal: %v", err)
-		}
-		if len(rest) != 0 {
-			t.Fatal("trailing bytes")
 		}
 		if got.Digest() != b.Digest() {
 			t.Fatal("digest mismatch")
@@ -290,11 +284,23 @@ func TestNormalizeEdgesDeterminism(t *testing.T) {
 	}
 }
 
+// TestUvarint: Uvarint and the Reader read back every varint PutUvarint
+// writes, and the Reader refuses the same value padded with a continuation
+// byte.
 func TestUvarint(t *testing.T) {
 	f := func(v uint64) bool {
 		b := PutUvarint(nil, v)
-		got, rest, err := Uvarint(b)
-		return err == nil && got == v && len(rest) == 0
+		if got, rest, err := Uvarint(b); err != nil || got != v || len(rest) != 0 {
+			return false
+		}
+		r := NewReader(b)
+		if got := r.Uvarint(); r.End() != nil || got != v {
+			return false
+		}
+		padded := append(append(b[:len(b)-1:len(b)-1], b[len(b)-1]|0x80), 0)
+		r = NewReader(padded)
+		r.Uvarint()
+		return r.End() != nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

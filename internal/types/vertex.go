@@ -67,15 +67,9 @@ func (c *ViewCert) marshal(b []byte) []byte {
 
 func (c *ViewCert) wireSize() int { return uvarintLen(uint64(c.Round)) + c.Agg.WireSize() }
 
-// unmarshalViewCert decodes a certificate into c and returns the rest of b.
-func unmarshalViewCert(c *ViewCert, b []byte) ([]byte, error) {
-	u, b, err := Uvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	c.Round = Round(u)
-	c.Agg, b, err = unmarshalAgg(b)
-	return b, err
+func (c *ViewCert) unmarshal(r *Reader) {
+	c.Round = Round(r.Uvarint())
+	c.Agg = unmarshalAgg(r)
 }
 
 // Vertex is the metadata unit of the DAG (Figure 4 of the paper). It carries
@@ -267,102 +261,54 @@ func (v *Vertex) Marshal(b []byte) []byte {
 	return b
 }
 
-// UnmarshalVertex decodes a vertex and returns the remaining bytes.
-func UnmarshalVertex(b []byte) (*Vertex, []byte, error) {
-	v := &Vertex{}
-	b, err := unmarshalVertexInto(v, nil, b)
-	if err != nil {
-		return nil, nil, err
+// UnmarshalVertex decodes a stored vertex: b holds it and nothing else.
+func UnmarshalVertex(b []byte) (*Vertex, error) {
+	v, r := &Vertex{}, Reader{b: b}
+	v.unmarshal(&r, nil)
+	if err := r.End(); err != nil {
+		return nil, err
 	}
-	return v, b, nil
+	return v, nil
 }
 
-// unmarshalVertexInto decodes into caller-provided zeroed storage, so a
-// message that always carries a vertex can hold it in its own allocation,
-// with the edge lists from edges (the heap when nil).
-func unmarshalVertexInto(v *Vertex, edges *Slab[VertexRef], b []byte) ([]byte, error) {
-	var u uint64
-	var err error
-	if u, b, err = Uvarint(b); err != nil {
-		return nil, err
-	}
-	v.Round = Round(u)
-	if u, b, err = Uvarint(b); err != nil {
-		return nil, err
-	}
-	v.Source = NodeID(u)
-	if len(b) < 32 {
-		return nil, fmt.Errorf("types: short vertex digest")
-	}
-	copy(v.BlockDigest[:], b[:32])
-	b = b[32:]
-	if v.StrongEdges, v.WeakEdges, b, err = unmarshalEdges(b, v.Round, edges); err != nil {
-		return nil, err
-	}
-	if len(b) < 1 || b[0] > vtxHasNVC|vtxHasLacks {
-		return nil, fmt.Errorf("types: bad vertex nvc flags")
-	}
-	flags, b := b[0], b[1:]
+// unmarshal decodes into the zeroed v, so a message that always carries a
+// vertex can hold it in its own allocation, with the edge lists from edges
+// (the heap when nil).
+func (v *Vertex) unmarshal(r *Reader, edges *Slab[VertexRef]) {
+	v.Round, v.Source, v.BlockDigest = Round(r.Uvarint()), r.Node(), r.hash()
+	v.StrongEdges, v.WeakEdges = unmarshalEdges(r, v.Round, edges)
+	flags := r.bits(vtxHasNVC | vtxHasLacks)
 	if flags&vtxHasNVC != 0 {
 		v.NVC = &ViewCert{}
-		if b, err = unmarshalViewCert(v.NVC, b); err != nil {
-			return nil, err
-		}
+		v.NVC.unmarshal(r)
 	}
 	if flags&vtxHasLacks != 0 {
-		if u, b, err = Uvarint(b); err != nil {
-			return nil, err
-		}
 		// Bounded by the edges just decoded, never by the declared count.
-		if u == 0 || u > uint64(v.NumEdges()) {
-			return nil, fmt.Errorf("types: %d lacked blocks for %d edges", u, v.NumEdges())
+		n := r.Count(1)
+		if n == 0 || n > v.NumEdges() {
+			r.fail("%d lacked blocks for %d edges", n, v.NumEdges())
 		}
-		v.Lacks = make([]uint32, u)
+		v.Lacks = make([]uint32, n)
 		for i := range v.Lacks {
-			if u, b, err = Uvarint(b); err != nil {
-				return nil, err
-			}
-			if u >= uint64(v.NumEdges()) {
-				return nil, fmt.Errorf("types: lacked block at edge %d of %d", u, v.NumEdges())
-			}
-			v.Lacks[i] = uint32(u)
+			v.Lacks[i] = uint32(r.below(uint64(v.NumEdges())))
 		}
 		if !v.LacksValid() {
-			return nil, fmt.Errorf("types: lacked-block list not ascending")
+			r.fail("lacked-block list not ascending")
 		}
 	}
-	if len(b) < 1 {
-		return nil, fmt.Errorf("types: short vertex tc flag")
-	}
-	hasTC := b[0] == 1
-	b = b[1:]
-	if hasTC {
+	if r.flag() {
 		v.TC = &ViewCert{}
-		if b, err = unmarshalViewCert(v.TC, b); err != nil {
-			return nil, err
-		}
+		v.TC.unmarshal(r)
 	}
-	if v.Epoch, b, err = Uvarint(b); err != nil {
-		return nil, err
+	v.Epoch = r.Uvarint()
+	n := r.Count(reconfigTxMin)
+	if n > MaxReconfigPerVertex {
+		r.fail("%d reconfig txs exceed per-vertex bound", n)
 	}
-	if u, b, err = Uvarint(b); err != nil {
-		return nil, err
+	for range n {
+		v.Reconfig = append(v.Reconfig, unmarshalReconfigTx(r))
 	}
-	if u > MaxReconfigPerVertex {
-		return nil, fmt.Errorf("types: %d reconfig txs exceed per-vertex bound", u)
-	}
-	for i := uint64(0); i < u; i++ {
-		var tx ReconfigTx
-		if tx, b, err = UnmarshalReconfigTx(b); err != nil {
-			return nil, err
-		}
-		v.Reconfig = append(v.Reconfig, tx)
-	}
-	if u, b, err = Uvarint(b); err != nil {
-		return nil, err
-	}
-	v.CreatedAt = int64(u)
-	return b, nil
+	v.CreatedAt = int64(r.Uvarint())
 }
 
 // WireSize returns the exact encoded size of v.
@@ -413,49 +359,37 @@ func (v *Vertex) Equal(o *Vertex) bool {
 const maxBitmapBytes = 8192
 
 // unmarshalEdges decodes both edge lists into one backing array, carved from
-// slab (the heap when nil). Strong edges are a signer bitmap whose every bit targets round-1
-// (the only round validateVertex accepts); weak edges are (round delta,
+// slab (the heap when nil). Strong edges are a signer bitmap whose every bit
+// targets round-1 (the only round validateVertex accepts) and whose last
+// byte is not zero, as Marshal writes it; weak edges are (round delta,
 // source) varint pairs. Digests are not on the wire — RBC pins the vertex
 // behind each position.
-func unmarshalEdges(b []byte, round Round, slab *Slab[VertexRef]) (strong, weak []VertexRef, rest []byte, err error) {
-	width, b, err := Uvarint(b)
-	if err != nil {
-		return nil, nil, nil, err
+func unmarshalEdges(r *Reader, round Round, slab *Slab[VertexRef]) (strong, weak []VertexRef) {
+	width := r.Count(1)
+	if width > maxBitmapBytes {
+		r.fail("strong-edge bitmap width %d exceeds bound", width)
 	}
-	if width > maxBitmapBytes || width > uint64(len(b)) {
-		return nil, nil, nil, fmt.Errorf("types: strong-edge bitmap width %d exceeds buffer", width)
+	bm := r.Bytes(width)
+	if len(bm) > 0 && bm[len(bm)-1] == 0 {
+		r.fail("strong-edge bitmap ends in a zero byte")
 	}
-	bm := b[:width]
-	b = b[width:]
-	cnt, b, err := Uvarint(b)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if cnt > uint64(len(b)) {
-		return nil, nil, nil, fmt.Errorf("types: weak-edge count %d exceeds buffer", cnt)
+	cnt := r.Count(2)
+	if r.err != nil {
+		return nil, nil
 	}
 	ns := BitmapCount(bm)
-	refs := slab.Take(ns+int(cnt), refSlabSize)
-	prev := Round(uint64(round) - 1)
+	refs := slab.Take(ns+cnt, refSlabSize)
+	prev := round - 1
 	BitmapForEach(bm, func(id NodeID) bool {
 		refs = append(refs, VertexRef{Round: prev, Source: id})
 		return true
 	})
-	for i := uint64(0); i < cnt; i++ {
-		var delta, src uint64
-		if delta, b, err = Uvarint(b); err != nil {
-			return nil, nil, nil, err
-		}
-		if src, b, err = Uvarint(b); err != nil {
-			return nil, nil, nil, err
-		}
-		if src > 0xFFFF {
-			return nil, nil, nil, fmt.Errorf("types: weak-edge source %d out of range", src)
-		}
-		refs = append(refs, VertexRef{Round: Round(uint64(round) - delta), Source: NodeID(src)})
+	for range cnt {
+		delta := Round(r.Uvarint())
+		refs = append(refs, VertexRef{Round: round - delta, Source: r.Node()})
 	}
 	// Capped, so growing either list later never writes into the other.
-	return refs[:ns:ns], refs[ns:], b, nil
+	return refs[:ns:ns], refs[ns:]
 }
 
 func marshalAgg(b []byte, a AggSig) []byte {
@@ -464,21 +398,10 @@ func marshalAgg(b []byte, a AggSig) []byte {
 	return append(b, a.Bitmap...)
 }
 
-func unmarshalAgg(b []byte) (AggSig, []byte, error) {
-	var a AggSig
-	if len(b) < 32 {
-		return a, nil, fmt.Errorf("types: short agg tag")
-	}
-	copy(a.Tag[:], b[:32])
-	b = b[32:]
-	n, b, err := Uvarint(b)
-	if err != nil {
-		return a, nil, err
-	}
-	if n > uint64(len(b)) {
-		return a, nil, fmt.Errorf("types: bitmap length %d exceeds buffer", n)
-	}
-	a.Bitmap = make([]byte, n)
-	copy(a.Bitmap, b[:n])
-	return a, b[n:], nil
+func unmarshalAgg(r *Reader) AggSig {
+	a := AggSig{Tag: r.hash()}
+	bm := r.Bytes(r.Count(1))
+	a.Bitmap = make([]byte, len(bm))
+	copy(a.Bitmap, bm)
+	return a
 }
