@@ -250,7 +250,7 @@ type cacheFixture struct {
 func newCacheFixture(t *testing.T) *cacheFixture {
 	keys := crypto.GenerateKeys(4, 5)
 	node := New(Config{Self: 0, N: 4, Mode: ModeSingleClan, Clans: [][]types.NodeID{{0, 1, 2}},
-		Key: &keys[0], Reg: crypto.NewRegistry(keys, true), AnchorWait: -1}, nullEndpoint{}, frozenClock{})
+		Key: &keys[0], Reg: crypto.NewRegistry(keys, true)}, nullEndpoint{}, frozenClock{})
 	blk := &types.Block{Round: 5, Source: 1, Txs: [][]byte{[]byte("payload")}}
 	pv := &types.Vertex{Round: 5, Source: 1, BlockDigest: blk.DigestCached()}
 	for src := types.NodeID(0); src < 4; src++ {
@@ -477,7 +477,7 @@ func TestBlockCacheUnpinsDecodedVal(t *testing.T) {
 	// A clan of two: the proposer is the only other member, so executing the
 	// block is all that eviction waits for.
 	node := New(Config{Self: 0, N: 4, Mode: ModeSingleClan, Clans: [][]types.NodeID{{0, 1}},
-		Key: &keys[0], Reg: reg, AnchorWait: -1}, nullEndpoint{}, frozenClock{})
+		Key: &keys[0], Reg: reg}, nullEndpoint{}, frozenClock{})
 	blk := &types.Block{Round: 0, Source: 1, Txs: [][]byte{make([]byte, 1<<16)}}
 	v := &types.Vertex{Round: 0, Source: 1, BlockDigest: blk.DigestCached(), CreatedAt: 1}
 	wire := types.Encode(&types.ValMsg{Vertex: v, Block: blk,

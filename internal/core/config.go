@@ -169,18 +169,6 @@ type Config struct {
 	// paper's chain walk does.
 	LeadersPerRound int
 
-	// AnchorWait caps the two holds that wait out a round's stragglers;
-	// members that delivered nothing the round before are waited for by
-	// neither. The echo hold keeps this party's echoes for its frontier
-	// round queued until the round's last expected VAL is in, so that they
-	// leave as one frame; the anchor hold keeps the next proposal back, once
-	// the 2f+1 quorum (including the primary) is in, for the round's
-	// remaining anchors, so that they too collect a vote from every proposer.
-	// Each ends as soon as what it waits for is in. Zero means the default
-	// of 5 ms; negative disables both (echoes leave at every drain end, the
-	// round advances on quorum+primary).
-	AnchorWait time.Duration
-
 	// GCDepth is how many rounds behind the last ordered leader round the
 	// DAG retains (default 64).
 	GCDepth int
@@ -204,6 +192,16 @@ type Config struct {
 // asks only for a ReconfigDelay of 1.
 func anchorFenceFloor(n int) types.Round { return types.Round(2*((n-1)/3) + 2) }
 
+// anchorWait caps the two holds that wait out a round's stragglers; members
+// that delivered nothing the round before are waited for by neither. The
+// echo hold keeps this party's echoes for its frontier round queued until
+// the round's last expected VAL is in, so that they leave as one frame; the
+// anchor hold keeps the next proposal back, once the 2f+1 quorum (including
+// the primary) is in, for the round's remaining anchors, so that they too
+// collect a vote from every proposer. Each ends as soon as what it waits for
+// is in.
+const anchorWait = 5 * time.Millisecond
+
 func (c *Config) fill() {
 	if c.N <= 0 {
 		panic("core: N must be positive")
@@ -217,9 +215,6 @@ func (c *Config) fill() {
 		c.LeadersPerRound = c.N
 	}
 	c.Params.fill(c.N, c.LeadersPerRound)
-	if c.AnchorWait == 0 {
-		c.AnchorWait = 5 * time.Millisecond
-	}
 	switch c.Mode {
 	case ModeBaseline:
 		c.Clans = nil // the member set is the one clan
@@ -301,11 +296,11 @@ type Node struct {
 	// views holds each round's view-change record (consensus.go).
 	views map[types.Round]*view
 
-	// Pipelined-anchor pacing state (AnchorWait > 0): anchorWaived is 1 +
-	// the round whose pacing timer expired (advance without the missing
-	// anchors; only the frontier round is ever held, so one suffices);
-	// anchorHeldAt is when the running hold began (order.anchor_hold
-	// observes it when the hold ends).
+	// Pipelined-anchor pacing state: anchorWaived is 1 + the round whose
+	// pacing timer expired (advance without the missing anchors; only the
+	// frontier round is ever held, so one suffices); anchorHeldAt is when
+	// the running hold began (order.anchor_hold observes it when the hold
+	// ends).
 	anchorWaived     types.Round
 	anchorTimer      transport.Timer
 	anchorTimerRound types.Round

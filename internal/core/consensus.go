@@ -95,7 +95,7 @@ func (n *Node) validViewCert(r types.Round, agg types.AggSig, noVote, preVerifie
 	if !inRange || cnt < n.quorum(r) {
 		return false
 	}
-	ok := preVerified || n.cfg.Reg.VerifyAgg(viewCtx(r, noVote), agg)
+	ok := preVerified || viewCertSigOK(n.cfg.Reg, r, noVote, agg)
 	n.clk.Charge(n.cfg.Costs.AggVerify)
 	return ok
 }
@@ -132,10 +132,10 @@ func (n *Node) tryAdvance() {
 			// every anchor keeps them all on the 3-delta direct-commit path,
 			// and an anchor that misses its quorum holds up the slots behind
 			// it for two rounds (decideSlot). The hold ends the moment they
-			// are all in, AnchorWait at the latest, and applies only at the
+			// are all in, anchorWait at the latest, and applies only at the
 			// frontier: during catch-up the missing anchors are not coming,
 			// and after a waiver or timeout the round advances as before.
-			if ok && n.cfg.AnchorWait > 0 && r >= n.maxQuorumRound &&
+			if ok && r >= n.maxQuorumRound &&
 				n.anchorWaived != r+1 && !n.allAnchorsIn(r) {
 				n.armAnchorTimer(r)
 				return
@@ -193,7 +193,7 @@ func (n *Node) armAnchorTimer(r types.Round) {
 	}
 	n.anchorTimerRound = r
 	n.anchorHolding, n.anchorHeldAt = true, n.now
-	n.anchorTimer = n.clk.After(n.cfg.AnchorWait, n.anchorFired)
+	n.anchorTimer = n.clk.After(anchorWait, n.anchorFired)
 }
 
 // stopAnchorTimer disarms any pending pipelined-anchor wait (the round is
@@ -473,8 +473,7 @@ func (n *Node) onViewVote(from types.NodeID, m *types.ViewVoteMsg) {
 	if m.NoVote && n.order.Leader(r+1) != n.cfg.Self {
 		return // no-votes are addressed to the next round's leader
 	}
-	ctx := viewCtx(r, m.NoVote)
-	if !m.PreVerified() && !n.cfg.Reg.Verify(vote.Voter, ctx, vote.Sig) {
+	if !m.PreVerified() && !viewVoteSigOK(n.cfg.Reg, m) {
 		return
 	}
 	n.clk.Charge(n.cfg.Costs.EdVerify)
@@ -487,7 +486,7 @@ func (n *Node) onViewVote(from types.NodeID, m *types.ViewVoteMsg) {
 	if types.BitmapHas(agg.Bitmap(), vote.Voter) {
 		return
 	}
-	agg.Add(vote.Voter, n.cfg.Reg.PartialFor(vote.Voter, ctx))
+	agg.Add(vote.Voter, n.cfg.Reg.PartialFor(vote.Voter, viewCtx(r, m.NoVote)))
 	n.clk.Charge(n.cfg.Costs.AggFold)
 	if agg.Count() < n.quorum(r) {
 		return

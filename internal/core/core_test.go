@@ -58,7 +58,6 @@ type topt struct {
 	rdelay  types.Round    // ReconfigDelay override
 	rep     bool           // reputation-driven leader schedule
 	repWin  types.Round    // ReputationWindow override
-	anchor  time.Duration  // AnchorWait (pipelined-anchor pause cap)
 	fnet    *faults.Net    // wraps every endpoint (fault rules, message tap)
 	store   bool           // every node persists to its own in-memory store
 	gcDepth int            // GCDepth (0: the default)
@@ -112,8 +111,7 @@ func newTCluster(t *testing.T, n int, o topt) *tcluster {
 			Blocks: &testSource{id: id, txCount: o.txCount, txSize: 64},
 			Params: Params{RoundTimeout: o.timeout, Members: o.members, ReconfigDelay: o.rdelay,
 				LeaderReputation: o.rep, ReputationWindow: o.repWin},
-			AnchorWait: o.anchor,
-			GCDepth:    o.gcDepth,
+			GCDepth: o.gcDepth,
 			Deliver: func(cv CommittedVertex) {
 				c.orders[i] = append(c.orders[i], cv)
 			},
@@ -881,7 +879,6 @@ func newTClusterML(t *testing.T, n, leaders int, o topt) *tcluster {
 			Blocks:          &testSource{id: id, txCount: 2, txSize: 64},
 			Params: Params{RoundTimeout: o.timeout, ReconfigDelay: o.rdelay,
 				LeaderReputation: o.rep, ReputationWindow: o.repWin},
-			AnchorWait: o.anchor,
 			Deliver: func(cv CommittedVertex) {
 				c.orders[i] = append(c.orders[i], cv)
 			},

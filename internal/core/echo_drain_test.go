@@ -60,10 +60,20 @@ func (e *recEndpoint) echoFrames() (fs []*types.EchoMsg) {
 // clock can count signatures.
 const signCost = 7 * time.Nanosecond
 
-// signClock counts EdSign charges on top of another clock.
+// signClock counts EdSign charges on top of another clock, and stretches
+// every timer the node arms by stretch (when set), so that a test on the real
+// clock can tell a hold of anchorWait from scheduling delay.
 type signClock struct {
 	transport.Clock
-	signs int // guarded by the node's lock, like every Charge call
+	signs   int // guarded by the node's lock, like every Charge call
+	stretch int
+}
+
+func (c *signClock) After(d time.Duration, fn func()) transport.Timer {
+	if c.stretch > 0 {
+		d *= time.Duration(c.stretch)
+	}
+	return c.Clock.After(d, fn)
 }
 
 func (c *signClock) Charge(d time.Duration) {
@@ -74,7 +84,7 @@ func (c *signClock) Charge(d time.Duration) {
 
 // handNode is a node driven by hand: messages go straight into step.
 func handNode(keys []crypto.KeyPair, reg *crypto.Registry, self types.NodeID, ep transport.Endpoint) *Node {
-	return New(Config{Self: self, N: len(keys), Mode: ModeBaseline, Key: &keys[self], Reg: reg, AnchorWait: -1},
+	return New(Config{Self: self, N: len(keys), Mode: ModeBaseline, Key: &keys[self], Reg: reg},
 		ep, frozenClock{})
 }
 
@@ -175,10 +185,11 @@ type drainNode struct {
 	heard [][]types.Message // per peer, in arrival order
 }
 
-func newDrainNode(t *testing.T, n int) *drainNode { return newDrainNodeWait(t, n, -1) }
+func newDrainNode(t *testing.T, n int) *drainNode { return newSlowDrainNode(t, n, 0) }
 
-// newDrainNodeWait is newDrainNode with the given AnchorWait.
-func newDrainNodeWait(t *testing.T, n int, wait time.Duration) *drainNode {
+// newSlowDrainNode is newDrainNode with every timer the node arms stretched
+// by stretch.
+func newSlowDrainNode(t *testing.T, n, stretch int) *drainNode {
 	d := &drainNode{t: t, keys: crypto.GenerateKeys(n, 9), heard: make([][]types.Message, n)}
 	book := map[types.NodeID]string{}
 	for i := 0; i < n; i++ {
@@ -206,8 +217,8 @@ func newDrainNodeWait(t *testing.T, n int, wait time.Duration) *drainNode {
 			d.mu.Unlock()
 		})
 	}
-	d.clk = &signClock{Clock: d.eps[0].Clock()}
-	d.node = New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &d.keys[0], Reg: d.reg, AnchorWait: wait,
+	d.clk = &signClock{Clock: d.eps[0].Clock(), stretch: stretch}
+	d.node = New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &d.keys[0], Reg: d.reg,
 		Params: Params{RoundTimeout: time.Hour}, Costs: crypto.Costs{EdSign: signCost}}, d.eps[0], d.clk)
 	d.node.Start()
 	t.Cleanup(d.node.Stop)
@@ -638,7 +649,8 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 }
 
 // TestEchoLeavesBeforeLaterFrames: an echo queued before a proposal in the
-// same drain is on the wire before it, as it was when each echo left at once.
+// same drain is on the wire before it, as it was when each echo left at once,
+// and one queued after it leaves behind it.
 func TestEchoLeavesBeforeLaterFrames(t *testing.T) {
 	const n = 4
 	keys := crypto.GenerateKeys(n, 5)
@@ -649,21 +661,33 @@ func TestEchoLeavesBeforeLaterFrames(t *testing.T) {
 	node.step(msgIn(0, ep.out[0])) // an endpoint delivers a broadcast to its sender too
 	own := ep.out[0].(*types.ValMsg).Vertex
 	entries := []types.EchoEntry{{Pos: own.Pos(), Digest: own.DigestCached()}}
-	for src := types.NodeID(1); src <= 2; src++ {
+	refs := []types.VertexRef{own.Ref()}
+	for src := types.NodeID(1); src < n; src++ {
 		v, val := round0(keys, src)
 		node.step(msgIn(src, val))
 		entries = append(entries, types.EchoEntry{Pos: v.Pos(), Digest: v.DigestCached()})
+		refs = append(refs, v.Ref())
 	}
 	if len(ep.out) != 1 {
 		t.Fatalf("%d frames left before the drain ended, want the echoes held", len(ep.out)-1)
 	}
-	// The others' echoes deliver round 0's quorum, and the node proposes
-	// round 1 in the same drain.
-	node.step(msgIn(1, signedEchoes(&keys[1], 1, entries[0], entries[2])))
-	node.step(msgIn(2, signedEchoes(&keys[2], 2, entries[0], entries[1])))
-	node.step(msgIn(3, signedEchoes(&keys[3], 3, entries...)))
-	_, val3 := round0(keys, 3)
-	node.step(msgIn(3, val3))
+	// The others' echoes deliver all of round 0, so the anchor hold has
+	// nothing to wait for and the node proposes round 1 in the same drain;
+	// the others' round-1 VALs follow, and nothing holds their echoes past
+	// the drain's end.
+	for voter := types.NodeID(1); voter < n; voter++ {
+		var es []types.EchoEntry
+		for _, e := range entries {
+			if e.Pos.Source != voter {
+				es = append(es, e)
+			}
+		}
+		node.step(msgIn(voter, signedEchoes(&keys[voter], voter, es...)))
+	}
+	for src := types.NodeID(1); src < n; src++ {
+		v := &types.Vertex{Round: 1, Source: src, CreatedAt: 1 + int64(src), StrongEdges: refs}
+		node.step(msgIn(src, &types.ValMsg{Vertex: v, Sig: crypto.Sign(&keys[src], vertexCtx(new(ctxBuf), v.DigestCached()))}))
+	}
 	ep.drained()
 	if len(ep.out) != 4 {
 		t.Fatalf("%d frames on the wire, want VAL(0), ECHO, VAL(1), ECHO", len(ep.out))
@@ -674,8 +698,7 @@ func TestEchoLeavesBeforeLaterFrames(t *testing.T) {
 	if !ok1 || !ok2 || !ok3 || prop.Vertex.Round != 1 {
 		t.Fatalf("wire order %T %T %T, want ECHO, the round-1 VAL, ECHO", ep.out[1], ep.out[2], ep.out[3])
 	}
-	if len(first.Entries) != 2 || first.Entries[0] != entries[1] || first.Entries[1] != entries[2] ||
-		len(last.Entries) != 1 || last.Entries[0].Pos.Source != 3 {
+	if fmt.Sprint(first.Entries) != fmt.Sprint(entries[1:]) || len(last.Entries) != n-1 || last.Entries[0].Pos.Round != 1 {
 		t.Fatalf("echoes before the proposal %v, after it %v", first.Entries, last.Entries)
 	}
 }

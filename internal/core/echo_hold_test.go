@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"testing"
@@ -16,11 +14,10 @@ import (
 
 // The echo hold: at its frontier round a node keeps its queued echoes until
 // the round's last expected VAL is in — a member is expected when its vertex
-// of the round before delivered here — and AnchorWait after the round's first
+// of the round before delivered here — and anchorWait after the round's first
 // held drain at the latest; what it holds after the round's 2f+1-th VAL comes
 // out of that round's anchor hold. These tests pin when it holds, for whom,
-// for how long, what it leaves the anchor hold, and that AnchorWait < 0 turns
-// it off.
+// for how long, and what it leaves the anchor hold.
 
 // stepClock is a virtual clock a test moves by hand: advance fires the timers
 // it passes, in deadline order.
@@ -77,11 +74,11 @@ type frontierNode struct {
 	sent int               // frames on the wire when it reached round 1
 }
 
-func newFrontierNode(t *testing.T, n int, wait time.Duration, late ...types.NodeID) *frontierNode {
+func newFrontierNode(t *testing.T, n int, late ...types.NodeID) *frontierNode {
 	keys := crypto.GenerateKeys(n, 5)
 	f := &frontierNode{t: t, keys: keys, ep: &recEndpoint{}, clk: &stepClock{}}
 	f.node = New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &keys[0], Reg: crypto.NewRegistry(keys, true),
-		AnchorWait: wait, Params: Params{RoundTimeout: time.Hour}}, f.ep, f.clk)
+		Params: Params{RoundTimeout: time.Hour}}, f.ep, f.clk)
 	f.node.Start()
 	own := f.ep.out[0].(*types.ValMsg)
 	f.deliver(0, own) // an endpoint delivers a broadcast to its sender too
@@ -102,8 +99,8 @@ func newFrontierNode(t *testing.T, n int, wait time.Duration, late ...types.Node
 		}
 		f.deliver(voter, signedEchoes(&keys[voter], voter, es...))
 	}
-	if f.node.round == 0 && f.node.cfg.AnchorWait > 0 {
-		f.clk.advance(f.node.cfg.AnchorWait) // round 0's anchor hold waits for the late
+	if f.node.round == 0 {
+		f.clk.advance(anchorWait) // round 0's anchor hold waits for the late
 	}
 	if f.node.round != 1 {
 		t.Fatalf("node 0 at round %d, want 1", f.node.round)
@@ -154,14 +151,14 @@ func at(r types.Round, src types.NodeID) types.Position { return types.Position{
 // leaves at the end of its drain, and takes a held frontier echo along.
 func TestEchoNotHeldBelowFrontier(t *testing.T) {
 	// Node 3's round-0 VAL is late: round 1 does not wait for node 3.
-	f := newFrontierNode(t, 4, 0, 3)
+	f := newFrontierNode(t, 4, 3)
 	_, late := round0(f.keys, 3)
 	f.deliver(3, late)
 	if got := f.echoes(); fmt.Sprint(got) != fmt.Sprint([][]types.Position{{at(0, 3)}}) {
 		t.Fatalf("a round-0 echo at round 1 left as %v, want one frame at its drain's end", got)
 	}
 
-	f = newFrontierNode(t, 4, 0, 3)
+	f = newFrontierNode(t, 4, 3)
 	f.deliver(1, f.val1(1))
 	if got := f.echoes(); len(got) != 0 || f.node.echoTimer.IsZero() {
 		t.Fatalf("node 1's round-1 echo left as %v while node 2's VAL is out, want it held", got)
@@ -176,26 +173,28 @@ func TestEchoNotHeldBelowFrontier(t *testing.T) {
 // TestEchoHeldAtFrontierBoundedByAnchorWait is TestEchoNotHeldWhileIdle at the
 // frontier round, over sockets and the real clock: echoes queued
 // while a round-1 VAL is missing stay queued across drain ends, and leave by
-// themselves AnchorWait after the first held drain; a missing VAL that is in
-// the verify pool is waited for.
+// themselves anchorWait after the first held drain; a missing VAL that is in
+// the verify pool is waited for. The node's timers run 60 times slow, so the
+// hold lasts 300 ms.
 func TestEchoHeldAtFrontierBoundedByAnchorWait(t *testing.T) {
-	const n, wait = 4, 300 * time.Millisecond
+	const n, stretch = 4, 60
+	const wait = stretch * anchorWait
 	t.Run("missing VAL", func(t *testing.T) {
-		d := newDrainNodeWait(t, n, wait)
+		d := newSlowDrainNode(t, n, stretch)
 		vals := d.toRound1()
 		start := time.Now()
 		d.deliver(1, vals[1])
 		d.deliver(2, vals[2])
 		fs := d.echoesOf(1, 1, 1)
 		if held := time.Since(start); held < wait || held > wait+5*time.Second {
-			t.Fatalf("held %v, want AnchorWait (%v) and no longer than the slack", held, wait)
+			t.Fatalf("held %v, want the stretched anchorWait (%v) and no longer than the slack", held, wait)
 		}
 		if got := fs[0].Entries; len(got) != 2 || got[0].Pos != at(1, 1) || got[1].Pos != at(1, 2) {
 			t.Fatalf("the held frame is %+v, want the echoes of nodes 1 and 2", got)
 		}
 	})
 	t.Run("VAL in the verify pool", func(t *testing.T) {
-		d := newDrainNodeWait(t, n, wait)
+		d := newSlowDrainNode(t, n, stretch)
 		vals := d.toRound1()
 		pool := crypto.NewVerifyPool(2, 0)
 		defer pool.Close()
@@ -287,46 +286,6 @@ func (d *drainNode) toRound1() []*types.ValMsg {
 		vals[src] = &types.ValMsg{Vertex: v, Sig: crypto.Sign(&d.keys[src], vertexCtx(new(ctxBuf), v.DigestCached()))}
 	}
 	return vals
-}
-
-// TestEchoHoldOff: with AnchorWait < 0 nothing is held. By hand, round-1 VALs
-// a drain apart leave as one single-position frame each, byte for byte the
-// frame the parent sent; on the simulator every node sends (n−1)² one-entry
-// frames a round, the parent's count. (A 5 s n=7 simulator run with AnchorWait
-// < 0 was also checked against PR 22 once: the same frames, bytes and send
-// times, and the same time, sender, receiver and kind for every message.)
-func TestEchoHoldOff(t *testing.T) {
-	f := newFrontierNode(t, 4, -1)
-	for src := types.NodeID(1); src < 4; src++ {
-		val := f.val1(src)
-		f.deliver(src, val)
-		m, ok := f.ep.out[len(f.ep.out)-1].(*types.EchoMsg)
-		d := val.Vertex.DigestCached()
-		wire := binary.AppendUvarint(binary.AppendUvarint(nil, 1), uint64(src))
-		if !ok || !f.node.echoTimer.IsZero() || !bytes.Equal(m.Marshal(nil), append(binary.AppendUvarint(append(wire, d[:]...), 0), m.Sig[:]...)) {
-			t.Fatalf("node %d's VAL: last frame %T, hold running %v; want the single-position ECHO at its drain's end",
-				src, f.ep.out[len(f.ep.out)-1], !f.node.echoTimer.IsZero())
-		}
-	}
-	if got := len(f.echoes()); got != 3 {
-		t.Fatalf("%d ECHO frames for three VALs a drain apart, want 3", got)
-	}
-
-	for _, n := range []int{4, 7} {
-		fnet := faults.NewNet(n, 1, nil)
-		tp := newEchoTap(fnet)
-		c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, fnet: fnet, anchor: -1})
-		c.run(2 * time.Second)
-		for r := 0; r+2 < int(c.nodes[0].Round()); r++ {
-			if k := [2]int{0, r}; tp.frames[k] != (n-1)*(n-1) || tp.entries[k] != (n-1)*(n-1) {
-				t.Fatalf("n=%d round %d: node 0 sent %d echo entries in %d frames, want %d one-entry frames",
-					n, r, tp.entries[k], tp.frames[k], (n-1)*(n-1))
-			}
-		}
-		if held := c.nodes[0].PipelineSnapshot().Hist("rbc.echo_hold").Count; held != 0 {
-			t.Fatalf("n=%d: %d echo holds with AnchorWait < 0", n, held)
-		}
-	}
 }
 
 // echoTap counts, per sender and round, the ECHO entries and frames on the
@@ -499,7 +458,7 @@ func TestEchoHoldWaitsOnlyForExpected(t *testing.T) {
 			}
 		}
 		e0, a0, e1 := out[0][0]-in[0][0], out[0][1]-in[0][1], out[1][0]-in[1][0]
-		wait := c.nodes[0].cfg.AnchorWait
+		wait := anchorWait
 		t.Logf("round %d: node 1 held its echoes %v; node 0 held its echoes %v, then its proposal %v", late, e1, e0, a0)
 		if fmt.Sprint(sent) != fmt.Sprint([][]types.Position{{at(late, 0), at(late, 2)}, {at(late, 3)}}) || e1 != wait {
 			t.Fatalf("node 1 held %v and sent round %d as %v, want nodes 0 and 2 at the cap (%v), node 3 behind them",

@@ -225,7 +225,7 @@ func TestPulledCertRules(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			recv := New(Config{Self: 6, N: n, Mode: ModeSingleClan, Clans: [][]types.NodeID{clan},
-				Key: &keys[6], Reg: reg, AnchorWait: -1}, &recEndpoint{}, frozenClock{})
+				Key: &keys[6], Reg: reg}, &recEndpoint{}, frozenClock{})
 			recv.step(msgIn(3, &types.VtxRspMsg{Vertex: v, Cert: &types.EchoCertMsg{Pos: pos, Digest: d, Agg: tc.agg}}))
 			if in, has := recv.rbc.Get(pos), recv.dag.Has(pos); tc.valid != has || !tc.valid && in != nil {
 				t.Fatalf("instance %v, in the DAG %v; want the vertex inserted: %v", in != nil, has, tc.valid)

@@ -164,8 +164,7 @@ func (n *Node) onVal(from types.NodeID, m *types.ValMsg) {
 	if from != n.cfg.Self {
 		// The verify pool may have checked this exact context already; a
 		// party's own proposal needs no check at all.
-		var buf ctxBuf
-		if n.cfg.Reg.CheckSigs && !m.PreVerified() && !n.cfg.Reg.Verify(v.Source, vertexCtx(&buf, d), m.Sig) {
+		if !m.PreVerified() && !valSigOK(n.cfg.Reg, m) {
 			return
 		}
 		n.clk.Charge(n.cfg.Costs.EdVerify)
@@ -375,14 +374,14 @@ func (n *Node) queueEcho(pos types.Position, d types.Hash) {
 }
 
 // drainEchoes ends a drain: the queue leaves unless the echo hold keeps it
-// (echoHeld), AnchorWait at the longest.
+// (echoHeld), anchorWait at the longest.
 func (n *Node) drainEchoes() {
 	switch {
 	case !n.echoHeld(n.round):
 		n.flushEchoes()
 	case n.echoTimer.IsZero():
 		n.echoHeldAt = n.now
-		n.echoTimer = n.clk.After(n.cfg.AnchorWait, n.echoFired)
+		n.echoTimer = n.clk.After(anchorWait, n.echoFired)
 	}
 }
 
@@ -393,7 +392,7 @@ func (n *Node) drainEchoes() {
 // before its anchors deliver, so an echo sent ahead of the round's last VAL
 // only costs a frame, a signature and n−1 verifications.
 func (n *Node) echoHeld(r types.Round) bool {
-	if len(n.rbc.echoQ) == 0 || r == 0 || n.cfg.AnchorWait < 0 {
+	if len(n.rbc.echoQ) == 0 || r == 0 {
 		return false
 	}
 	for _, e := range n.rbc.echoQ {
@@ -476,8 +475,7 @@ func (n *Node) onEcho(from types.NodeID, m *types.EchoMsg) {
 		return
 	}
 	if from != n.cfg.Self {
-		var buf echoFrameBuf
-		if n.cfg.Reg.CheckSigs && !m.PreVerified() && !n.cfg.Reg.Verify(m.Voter, echoFrameCtx(&buf, m.Entries), m.Sig) {
+		if !m.PreVerified() && !echoSigOK(n.cfg.Reg, n.cfg.N, m) {
 			return
 		}
 		n.clk.Charge(n.cfg.Costs.EdVerify)

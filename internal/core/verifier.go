@@ -1,69 +1,71 @@
 package core
 
 import (
+	"clanbft/internal/crypto"
 	"clanbft/internal/transport"
 	"clanbft/internal/types"
 )
 
-// Verifier returns a transport.Verifier that pre-verifies inbound message
-// signatures on crypto.VerifyPool workers, before messages enter this node's
-// serialized mailbox. Verified messages carry the types.VerifyMark, letting
-// the handler skip its inline Reg.Verify / Reg.VerifyAgg call — the
-// single-goroutine bottleneck that otherwise serializes all Ed25519 and
-// aggregate verification with CheckSigs on.
-//
-// The returned function runs concurrently with the node's handler, so it
-// touches only immutable state: the key registry and the message itself.
-// It performs pure signature checks — every structural, clan, and quorum
-// rule stays in the handler. Returning false drops the message (the handler
-// would have rejected it for the same bad signature). Pull requests/responses
-// and snapshots never get here (the transport routes unsigned kinds and
-// self-sends around the pool), and the handlers skip the check for a message
-// this party sent to itself.
-//
-// Certificates embedded inside other messages (TC/NVC justifications in
-// vertices, the echo certificate in a pull reply) are still verified inline:
-// they appear only on timeout and catch-up paths, far off the throughput hot
-// path.
+// Each signed kind's signature is checked by one function below, run by a
+// crypto.VerifyPool worker (Verifier) or by the handler for a frame that
+// reached it unmarked. They read only the key registry and the message, so
+// they are safe on any goroutine; structural, clan and quorum rules stay in
+// the handlers.
+
+// valSigOK checks a VAL's vertex signature. DigestCached is safe on a worker:
+// each TCP receiver decodes a private copy.
+func valSigOK(reg *crypto.Registry, m *types.ValMsg) bool {
+	var buf ctxBuf
+	return m.Vertex != nil && reg.Verify(m.Vertex.Source, vertexCtx(&buf, m.Vertex.DigestCached()), m.Sig)
+}
+
+// echoSigOK checks an ECHO frame's one signature over all its entries; a
+// frame of more than n entries, which flushEchoes never sends, is refused
+// unhashed.
+func echoSigOK(reg *crypto.Registry, n int, m *types.EchoMsg) bool {
+	if len(m.Entries) > n {
+		return false
+	}
+	var buf echoFrameBuf
+	return !reg.CheckSigs || reg.Verify(m.Voter, echoFrameCtx(&buf, m.Entries), m.Sig)
+}
+
+func viewVoteSigOK(reg *crypto.Registry, m *types.ViewVoteMsg) bool {
+	return reg.Verify(m.Vote.Voter, viewCtx(m.Vote.Round, m.NoVote), m.Vote.Sig)
+}
+
+// viewCertSigOK checks a timeout or (noVote) no-vote certificate's aggregate
+// for round r, broadcast as a TC or embedded in a vertex.
+func viewCertSigOK(reg *crypto.Registry, r types.Round, noVote bool, agg types.AggSig) bool {
+	return reg.VerifyAgg(viewCtx(r, noVote), agg)
+}
+
+// Verifier returns a transport.Verifier that checks inbound signatures on the
+// verify pool, before messages enter this node's serialized mailbox, and
+// marks what passes (types.VerifyMark) so the handler skips its own check.
+// Returning false drops the message. Unsigned kinds and self-sends never get
+// here. Certificates embedded in other messages (a vertex's TC and NVC, a
+// pull reply's echo certificate) are checked by the handler: they appear
+// only on timeout and catch-up paths.
 func (n *Node) Verifier() transport.Verifier {
 	reg, maxEchoes := n.cfg.Reg, n.cfg.N
 	return func(from types.NodeID, m types.Message) bool {
-		if !reg.CheckSigs {
-			return true
-		}
-		var buf ctxBuf
+		var ok bool
 		switch msg := m.(type) {
 		case *types.ValMsg:
-			v := msg.Vertex
-			if v == nil {
-				return false
-			}
-			// DigestCached is safe here: under TCP each receiver decodes
-			// a private copy, and in-process transports share vertices
-			// whose digest the proposer already cached before sending.
-			if !reg.Verify(v.Source, vertexCtx(&buf, v.DigestCached()), msg.Sig) {
-				return false
-			}
-			msg.MarkVerified()
+			ok = valSigOK(reg, msg)
 		case *types.EchoMsg:
-			// One signature covers every entry. A frame longer than the
-			// handler accepts is not worth hashing.
-			var fbuf echoFrameBuf
-			if len(msg.Entries) > maxEchoes || !reg.Verify(msg.Voter, echoFrameCtx(&fbuf, msg.Entries), msg.Sig) {
-				return false
-			}
-			msg.MarkVerified()
+			ok = echoSigOK(reg, maxEchoes, msg)
 		case *types.ViewVoteMsg:
-			if !reg.Verify(msg.Vote.Voter, viewCtx(msg.Vote.Round, msg.NoVote), msg.Vote.Sig) {
-				return false
-			}
-			msg.MarkVerified()
+			ok = viewVoteSigOK(reg, msg)
 		case *types.TCMsg:
-			if !reg.VerifyAgg(viewCtx(msg.TC.Round, false), msg.TC.Agg) {
-				return false
-			}
-			msg.MarkVerified()
+			ok = viewCertSigOK(reg, msg.TC.Round, false, msg.TC.Agg)
+		default:
+			return true
 		}
-		return true
+		if ok {
+			m.(types.PreVerifiable).MarkVerified()
+		}
+		return ok
 	}
 }

@@ -146,7 +146,6 @@ func TestVerifyPipelineConcurrentSubmission(t *testing.T) {
 				return
 			default:
 				_ = rx.Stats()
-				_ = pool.Stats()
 			}
 		}
 	}()

@@ -89,9 +89,7 @@ func (d *Decoder) Decode(b []byte) (Message, error) {
 	}
 	kind, r := MsgKind(b[0]), Reader{b: b[1:]}
 	var (
-		m    Message
-		val  valPair
-		echo EchoMsg
+		m Message
 		// d's slabs, or nil ones — the heap — for a nil Decoder.
 		echoes  *Slab[EchoMsg]
 		entries *Slab[EchoEntry]
@@ -104,10 +102,25 @@ func (d *Decoder) Decode(b []byte) (Message, error) {
 	}
 	switch kind {
 	case KindVal:
+		var val valPair
 		val.unmarshal(&r, edges, blocks)
+		if err := r.End(); err != nil {
+			return nil, err
+		}
+		p := vals.New(valSlabSize)
+		*p = val
+		p.m.Vertex, p.m.decoded = &p.v, true
+		return &p.m, nil
 	case KindEcho:
+		var echo EchoMsg
 		most := (r.left() - echoTailMin) / echoEntryMin
 		echo.unmarshal(&r, entries.Take(max(most, 0), entrySlabSize))
+		if err := r.End(); err != nil {
+			return nil, err
+		}
+		p := echoes.New(echoSlabSize)
+		*p = echo
+		return p, nil
 	case KindNoVote, KindTimeout:
 		m = &ViewVoteMsg{NoVote: kind == KindNoVote, Vote: ViewVote{Round(r.Uvarint()), r.Node(), r.sig()}}
 	case KindTC:
@@ -127,17 +140,6 @@ func (d *Decoder) Decode(b []byte) (Message, error) {
 	}
 	if err := r.End(); err != nil {
 		return nil, err
-	}
-	switch kind {
-	case KindVal:
-		p := vals.New(valSlabSize)
-		*p = val
-		p.m.Vertex, p.m.decoded = &p.v, true
-		m = &p.m
-	case KindEcho:
-		p := echoes.New(echoSlabSize)
-		*p = echo
-		m = p
 	}
 	return m, nil
 }
