@@ -5,8 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"clanbft/internal/crypto"
-	"clanbft/internal/simnet"
 	"clanbft/internal/types"
 )
 
@@ -18,12 +16,8 @@ import (
 // scheduleNode builds an unstarted node whose schedule helpers can be called
 // directly.
 func scheduleNode(n, leaders int, members []types.NodeID, rep bool) *Node {
-	net := simnet.New(simnet.Config{N: n, Seed: 1, LatencyRTTms: [][]float64{{20}}, JitterPct: -1})
-	keys := crypto.GenerateKeys(n, 21)
-	return New(Config{
-		Self: 0, N: n, Key: &keys[0], Reg: crypto.NewRegistry(keys, false),
-		LeadersPerRound: leaders, Params: Params{Members: members, LeaderReputation: rep},
-	}, net.Endpoint(0), net.Clock(0))
+	return newNode(testKeys(n), nil, Config{LeadersPerRound: leaders, Params: Params{Members: members, LeaderReputation: rep}},
+		nullEndpoint{}, frozenClock{})
 }
 
 // checkSchedule asserts, for every round in [lo, hi): the round's slots name
@@ -140,35 +134,18 @@ func TestPrimaryRotationVisitsEveryMember(t *testing.T) {
 // its OWN vertices from round warm on, plus the nodes for inspection.
 func latencyCluster(t *testing.T, n, leaders int, delta, run time.Duration, warm types.Round, mute map[types.NodeID]bool) ([][]time.Duration, []*Node) {
 	t.Helper()
-	net := simnet.New(simnet.Config{N: n, Seed: 3, LatencyRTTms: [][]float64{{2 * float64(delta) / float64(time.Millisecond)}}, JitterPct: -1})
-	keys := crypto.GenerateKeys(n, 21)
-	reg := crypto.NewRegistry(keys, true)
+	c := newTCluster(t, n, topt{leaders: leaders, uniform: true, delta: delta, mute: mute,
+		timeout: 700 * time.Millisecond, txCount: 1, txSize: 32})
+	c.run(run)
 	lat := make([][]time.Duration, n)
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
-		i := i
-		id := types.NodeID(i)
-		nodes[i] = New(Config{
-			Self: id, N: n, Key: &keys[i], Reg: reg,
-			LeadersPerRound: leaders,
-			Params:          Params{RoundTimeout: 700 * time.Millisecond},
-			Blocks:          &testSource{id: id, txCount: 1, txSize: 32},
-			Deliver: func(cv CommittedVertex) {
-				if cv.Vertex.Source == id && cv.Vertex.Round >= warm {
-					lat[i] = append(lat[i], cv.OrderedAt-cv.ProposedAt)
-				}
-			},
-		}, net.Endpoint(id), net.Clock(id))
-		if !mute[id] {
-			nodes[i].Start()
+	for i, order := range c.orders {
+		for _, cv := range order {
+			if cv.Vertex.Source == types.NodeID(i) && cv.Vertex.Round >= warm {
+				lat[i] = append(lat[i], cv.OrderedAt-cv.ProposedAt)
+			}
 		}
-		t.Cleanup(nodes[i].Stop)
 	}
-	net.Run(run)
-	for _, nd := range nodes {
-		nd.Flush() // before the test reads lat
-	}
-	return lat, nodes
+	return lat, c.nodes
 }
 
 // TestEveryVertexCommitsInThreeDelta is the simnet latency gate: with every
@@ -192,7 +169,7 @@ func TestEveryVertexCommitsInThreeDelta(t *testing.T) {
 					}
 				}
 			}
-			m := nodes[0].Metrics
+			m := nodes[0].MetricsSnapshot()
 			if m.IndirectCommits != 0 || m.SlotsSkipped != 0 {
 				t.Fatalf("fault-free run resolved slots off the direct path: %d indirect, %d skipped", m.IndirectCommits, m.SlotsSkipped)
 			}
@@ -227,7 +204,7 @@ func TestCrashedMemberSlotsGoQuiet(t *testing.T) {
 	n := 7
 	mute := map[types.NodeID]bool{6: true}
 	lat, nodes := latencyCluster(t, n, 0, delta, 12*time.Second, 20, mute)
-	m := nodes[0].Metrics
+	m := nodes[0].MetricsSnapshot()
 	if m.Timeouts == 0 {
 		t.Fatal("the muted member's primary rounds never timed out")
 	}
@@ -305,14 +282,14 @@ func TestShrunkenEligibleSetOrders(t *testing.T) {
 			}
 			c.checkConsistentOrder(mute)
 			nd := c.nodes[0]
-			if nd.Metrics.ReputationOffenses == 0 {
+			if nd.MetricsSnapshot().ReputationOffenses == 0 {
 				t.Fatal("the muted member was never demoted")
 			}
 			// Somewhere below the commit horizon the eligible set is the
 			// member list minus the offender, and the round has exactly that
 			// many slots, all distinct.
 			demoted := false
-			for r := types.Round(0); r < nd.Metrics.LastOrderedRound; r++ {
+			for r := types.Round(0); r < nd.MetricsSnapshot().LastOrderedRound; r++ {
 				if len(nd.order.Eligible(r)) == len(tc.members)-1 {
 					demoted = true
 					if got := nd.order.Anchors(r); got != len(tc.members)-1 {
@@ -323,7 +300,7 @@ func TestShrunkenEligibleSetOrders(t *testing.T) {
 			if !demoted {
 				t.Fatal("no round ran on the shrunken eligible set")
 			}
-			checkSchedule(t, nd, 0, nd.Metrics.LastOrderedRound)
+			checkSchedule(t, nd, 0, nd.MetricsSnapshot().LastOrderedRound)
 			// Observers (universe parties outside the epoch) follow the same
 			// order.
 			for i := 0; i < tc.n; i++ {
@@ -345,14 +322,14 @@ func TestOrderedVerticesEmitBehindOpenFate(t *testing.T) {
 	c := newTCluster(t, n, topt{mode: ModeBaseline, txCount: 1}) // five regions
 	c.run(8 * time.Second)
 	for i, nd := range c.nodes {
-		if nd.Metrics.IndirectCommits == 0 && i == 0 {
+		if nd.MetricsSnapshot().IndirectCommits == 0 && i == 0 {
 			t.Log("no slot went indirect: the geography no longer exercises the hold path")
 		}
 		if got := nd.ord.out.Len(); got != 0 {
 			t.Fatalf("node %d holds %d ordered vertices back", i, got)
 		}
-		if len(c.orders[i]) != nd.Metrics.VerticesOrdered {
-			t.Fatalf("node %d delivered %d of %d ordered vertices", i, len(c.orders[i]), nd.Metrics.VerticesOrdered)
+		if len(c.orders[i]) != nd.MetricsSnapshot().VerticesOrdered {
+			t.Fatalf("node %d delivered %d of %d ordered vertices", i, len(c.orders[i]), nd.MetricsSnapshot().VerticesOrdered)
 		}
 		if len(c.orders[i]) < 20*n {
 			t.Fatalf("node %d delivered only %d vertices", i, len(c.orders[i]))
@@ -463,7 +440,7 @@ func TestAnchorHoldKeepsSlotsDirect(t *testing.T) {
 	if got := c.minOrdered(nil); got < 100 {
 		t.Fatalf("ordered only %d vertices", got)
 	}
-	m, held := c.nodes[0].Metrics, c.nodes[0].PipelineSnapshot().Hist("order.anchor_hold").Count
+	m, held := c.nodes[0].MetricsSnapshot(), c.nodes[0].PipelineSnapshot().Hist("order.anchor_hold").Count
 	t.Logf("%d holds, slots %d direct / %d indirect / %d skipped", held, m.DirectCommits, m.IndirectCommits, m.SlotsSkipped)
 	if held == 0 {
 		t.Fatal("the hold never engaged on a jittered network")

@@ -4,13 +4,11 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"clanbft/internal/crypto"
 	"clanbft/internal/faults"
-	"clanbft/internal/simnet"
 	"clanbft/internal/types"
 )
 
@@ -201,7 +199,7 @@ func TestBlockCacheBound(t *testing.T) {
 						k := len(node.rbc.blocks)
 						most = max(most, k)
 						evicted, expired := int(node.mBlocksEvicted.Load()), int(node.mBlocksExpired.Load())
-						if accepted := node.Metrics.BlocksProposed + node.Metrics.BlocksReceived; k != accepted-evicted-expired {
+						if accepted := node.MetricsSnapshot().BlocksProposed + node.MetricsSnapshot().BlocksReceived; k != accepted-evicted-expired {
 							t.Fatalf("node %d caches %d blocks: accepted %d, evicted %d, expired %d", id, k, accepted, evicted, expired)
 						}
 						if !down {
@@ -248,9 +246,8 @@ type cacheFixture struct {
 }
 
 func newCacheFixture(t *testing.T) *cacheFixture {
-	keys := crypto.GenerateKeys(4, 5)
-	node := New(Config{Self: 0, N: 4, Mode: ModeSingleClan, Clans: [][]types.NodeID{{0, 1, 2}},
-		Key: &keys[0], Reg: crypto.NewRegistry(keys, true)}, nullEndpoint{}, frozenClock{})
+	keys := testKeys(4)
+	node := newNode(keys, nil, Config{Mode: ModeSingleClan, Clans: [][]types.NodeID{{0, 1, 2}}}, nullEndpoint{}, frozenClock{})
 	blk := &types.Block{Round: 5, Source: 1, Txs: [][]byte{[]byte("payload")}}
 	pv := &types.Vertex{Round: 5, Source: 1, BlockDigest: blk.DigestCached()}
 	for src := types.NodeID(0); src < 4; src++ {
@@ -362,12 +359,12 @@ func TestBlockCacheNotRefilled(t *testing.T) {
 	if len(rsps) < 10 {
 		t.Fatalf("only %d evicted blocks to replay", len(rsps))
 	}
-	before, received := len(node.rbc.blocks), node.Metrics.BlocksReceived
+	before, received := len(node.rbc.blocks), node.MetricsSnapshot().BlocksReceived
 	for pos, rsp := range rsps {
 		node.step(msgIn(pos.Source, vals[pos]))
 		node.step(msgIn(pos.Source, rsp))
 	}
-	if len(node.rbc.blocks) != before || node.Metrics.BlocksReceived != received {
+	if len(node.rbc.blocks) != before || node.MetricsSnapshot().BlocksReceived != received {
 		t.Fatalf("replayed frames refilled the cache: %d -> %d blocks", before, len(node.rbc.blocks))
 	}
 }
@@ -472,12 +469,10 @@ func TestAncestorBatchAllocs(t *testing.T) {
 // message's field is clear, and a finalizer on the block runs while the
 // vertex is still held.
 func TestBlockCacheUnpinsDecodedVal(t *testing.T) {
-	keys := crypto.GenerateKeys(4, 5)
-	reg := crypto.NewRegistry(keys, true)
+	keys := testKeys(4)
 	// A clan of two: the proposer is the only other member, so executing the
 	// block is all that eviction waits for.
-	node := New(Config{Self: 0, N: 4, Mode: ModeSingleClan, Clans: [][]types.NodeID{{0, 1}},
-		Key: &keys[0], Reg: reg}, nullEndpoint{}, frozenClock{})
+	node := newNode(keys, nil, Config{Mode: ModeSingleClan, Clans: [][]types.NodeID{{0, 1}}}, nullEndpoint{}, frozenClock{})
 	blk := &types.Block{Round: 0, Source: 1, Txs: [][]byte{make([]byte, 1<<16)}}
 	v := &types.Vertex{Round: 0, Source: 1, BlockDigest: blk.DigestCached(), CreatedAt: 1}
 	wire := types.Encode(&types.ValMsg{Vertex: v, Block: blk,
@@ -520,52 +515,31 @@ func TestBlockCacheUnpinsDecodedVal(t *testing.T) {
 // receiving each proposal, all of them still get every block.
 func TestBlockCacheSharedValUntouched(t *testing.T) {
 	const n, want = 4, 40
-	net := simnet.New(simnet.Config{N: n, Seed: 1, LatencyRTTms: [][]float64{{2}}, JitterPct: -1})
-	keys := crypto.GenerateKeys(n, 7)
-	reg := crypto.NewRegistry(keys, true)
-	var mu sync.Mutex
-	withBlock := make([]int, n)
-	done := make(chan struct{})
-	for i := 0; i < n; i++ {
-		i := i
-		id := types.NodeID(i)
-		node := New(Config{Self: id, N: n, Mode: ModeBaseline, Key: &keys[i], Reg: reg,
-			Blocks: &testSource{id: id, txCount: 2, txSize: 64},
-			Deliver: func(cv CommittedVertex) {
-				if cv.Vertex.BlockDigest.IsZero() {
-					return
-				}
-				if cv.Block == nil || cv.Block.DigestCached() != cv.Vertex.BlockDigest {
-					t.Errorf("node %d executed %v without its block", i, cv.Vertex.Pos())
-					return
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				withBlock[i]++
-				for _, k := range withBlock {
-					if k < want {
-						return
-					}
-				}
-				select {
-				case <-done:
-				default:
-					close(done)
-				}
-			}}, net.Endpoint(id), net.Clock(id))
-		node.Start()
-		t.Cleanup(node.Stop)
+	c := newTCluster(t, n, topt{uniform: true, delta: time.Millisecond, txCount: 2})
+	withBlock := func(i int) (k int) {
+		for _, cv := range c.orders[i] {
+			if cv.Vertex.BlockDigest.IsZero() {
+				continue
+			}
+			if cv.Block == nil || cv.Block.DigestCached() != cv.Vertex.BlockDigest {
+				t.Fatalf("node %d executed %v without its block", i, cv.Vertex.Pos())
+			}
+			k++
+		}
+		return k
 	}
-	for deadline := time.Now().Add(30 * time.Second); ; net.Run(10 * time.Millisecond) {
-		select {
-		case <-done:
+	for deadline := time.Now().Add(30 * time.Second); ; c.run(10 * time.Millisecond) {
+		var got []int
+		done := true
+		for i := range c.nodes {
+			got = append(got, withBlock(i))
+			done = done && got[i] >= want
+		}
+		if done {
 			return
-		default:
 		}
 		if time.Now().After(deadline) {
-			mu.Lock()
-			defer mu.Unlock()
-			t.Fatalf("blocks executed per node: %v, want %d each", withBlock, want)
+			t.Fatalf("blocks executed per node: %v, want %d each", got, want)
 		}
 	}
 }

@@ -134,6 +134,8 @@ type Config struct {
 	// addresses for joined peers).
 	OnReconfig func(EpochInfo)
 
+	// Key is this party's signing key: every node holds one, observers too
+	// (they sign nothing a quorum counts). Reg holds everyone's public keys.
 	Key *crypto.KeyPair
 	Reg *crypto.Registry
 	// Costs models CPU; use crypto.ZeroCosts() for pure logic tests.
@@ -346,7 +348,8 @@ type Node struct {
 	mPulls, mEchoFrames *metrics.Counter
 
 	// Metrics is the legacy counter struct, retained as a compatibility
-	// view; PipelineSnapshot is the unified interface.
+	// view; PipelineSnapshot is the unified interface. Read it through
+	// MetricsSnapshot, which fills in the fields the registry counts.
 	Metrics Metrics
 }
 
@@ -375,6 +378,9 @@ type Metrics struct {
 
 // New creates a consensus node bound to an endpoint and clock.
 func New(cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
+	if cfg.Key == nil {
+		panic("core: Config.Key must be set")
+	}
 	cfg.fill()
 	n := &Node{
 		cfg: cfg,
@@ -510,10 +516,18 @@ func (n *Node) Round() types.Round {
 }
 
 // MetricsSnapshot returns a consistent copy of the node's legacy counters.
+// The five that count what a registry counter already counts are read from
+// it: rbc.delivered, order.vertices and the order.slots_* outcomes.
 func (n *Node) MetricsSnapshot() Metrics {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.Metrics
+	m := n.Metrics
+	m.VerticesDelivered = int(n.mRBCDelivered.Load())
+	m.VerticesOrdered = int(n.mOrderVerts.Load())
+	m.DirectCommits = int(n.mSlotsDirect.Load())
+	m.IndirectCommits = int(n.mSlotsIndir.Load())
+	m.SlotsSkipped = int(n.mSlotsSkipped.Load())
+	return m
 }
 
 // PipelineMetrics returns the node's metrics registry (shared with the

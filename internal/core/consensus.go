@@ -414,7 +414,7 @@ func (n *Node) onRoundTimeout() {
 	// round's vertices, so re-broadcast until the round advances.
 	// Observers never sign view-change artifacts (their partials would not
 	// count toward any quorum); they still run the pull re-drive below.
-	if n.cfg.Key != nil && n.activeAt(r) && !n.primaryIn(r) {
+	if n.activeAt(r) && !n.primaryIn(r) {
 		if tc := n.viewCert(r, false); tc != nil {
 			n.broadcast(&types.TCMsg{TC: *tc})
 		} else {
@@ -519,12 +519,9 @@ func (n *Node) onTCMsg(m *types.TCMsg) {
 // peers receive it. The timeout re-drive calls it again for a stuck round;
 // receivers treat the repeat as idempotent.
 func (n *Node) sendVal(v *types.Vertex, blk *types.Block) {
-	var sig types.SigBytes
-	if n.cfg.Key != nil {
-		var buf ctxBuf
-		sig = n.cfg.Reg.SignFor(n.cfg.Key, vertexCtx(&buf, v.DigestCached()))
-		n.clk.Charge(n.cfg.Costs.EdSign)
-	}
+	var buf ctxBuf
+	sig := n.cfg.Reg.SignFor(n.cfg.Key, vertexCtx(&buf, v.DigestCached()))
+	n.clk.Charge(n.cfg.Costs.EdSign)
 	// One backing array, two ascending runs: block recipients, then the rest.
 	clanOf := n.epochOf(v.Round).clanOf
 	inClan := func(id int) bool {

@@ -82,20 +82,13 @@ func (c *signClock) Charge(d time.Duration) {
 	}
 }
 
-// handNode is a node driven by hand: messages go straight into step.
-func handNode(keys []crypto.KeyPair, reg *crypto.Registry, self types.NodeID, ep transport.Endpoint) *Node {
-	return New(Config{Self: self, N: len(keys), Mode: ModeBaseline, Key: &keys[self], Reg: reg},
-		ep, frozenClock{})
-}
-
 // TestEchoFramingEquivalence: the same echoes, in the same order, applied as
 // one-entry frames, as one frame per voter, or in a random split between the
 // two leave identical tallies, identical certificates (the aggregate byte for
 // byte) and the same delivery order.
 func TestEchoFramingEquivalence(t *testing.T) {
 	const n = 7
-	keys := crypto.GenerateKeys(n, 5)
-	reg := crypto.NewRegistry(keys, true)
+	keys := testKeys(n)
 	var vals []*types.ValMsg
 	var all []types.EchoEntry
 	for src := types.NodeID(1); src < n; src++ {
@@ -111,7 +104,7 @@ func TestEchoFramingEquivalence(t *testing.T) {
 	// run applies every voter's echoes (its own position left out), each
 	// voter's list cut into frames at the offsets cut(k) returns.
 	run := func(rng *rand.Rand, cut func(k int) []int) outcome {
-		node := handNode(keys, reg, 0, nullEndpoint{})
+		node := handNode(keys, 0, nullEndpoint{})
 		for _, val := range vals {
 			node.step(msgIn(val.Vertex.Source, val))
 		}
@@ -190,7 +183,7 @@ func newDrainNode(t *testing.T, n int) *drainNode { return newSlowDrainNode(t, n
 // newSlowDrainNode is newDrainNode with every timer the node arms stretched
 // by stretch.
 func newSlowDrainNode(t *testing.T, n, stretch int) *drainNode {
-	d := &drainNode{t: t, keys: crypto.GenerateKeys(n, 9), heard: make([][]types.Message, n)}
+	d := &drainNode{t: t, keys: testKeys(n), heard: make([][]types.Message, n)}
 	book := map[types.NodeID]string{}
 	for i := 0; i < n; i++ {
 		book[types.NodeID(i)] = "127.0.0.1:0"
@@ -218,8 +211,7 @@ func newSlowDrainNode(t *testing.T, n, stretch int) *drainNode {
 		})
 	}
 	d.clk = &signClock{Clock: d.eps[0].Clock(), stretch: stretch}
-	d.node = New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &d.keys[0], Reg: d.reg,
-		Params: Params{RoundTimeout: time.Hour}, Costs: crypto.Costs{EdSign: signCost}}, d.eps[0], d.clk)
+	d.node = newNode(d.keys, d.reg, Config{Params: Params{RoundTimeout: time.Hour}, Costs: crypto.Costs{EdSign: signCost}}, d.eps[0], d.clk)
 	d.node.Start()
 	t.Cleanup(d.node.Stop)
 	d.settle()
@@ -393,11 +385,10 @@ func (e *echoRecorder) Broadcast(m types.Message) {
 // vertices whose VALs came without them.
 func TestOneEchoFramePerBatchedArrival(t *testing.T) {
 	const n, k = 4, 3
-	keys := crypto.GenerateKeys(n, 5)
+	keys := testKeys(n)
 	net := simnet.New(simnet.Config{N: n, Seed: 1, LatencyRTTms: [][]float64{{2}}, JitterPct: -1, BatchWindow: time.Millisecond})
 	ep := &echoRecorder{Endpoint: net.Endpoint(0)}
-	node := New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &keys[0], Reg: crypto.NewRegistry(keys, true),
-		Params: Params{RoundTimeout: time.Hour}}, ep, net.Clock(0))
+	node := newNode(keys, nil, Config{Params: Params{RoundTimeout: time.Hour}}, ep, net.Clock(0))
 	node.Start()
 	t.Cleanup(node.Stop)
 	var rsps []*types.VtxRspMsg
@@ -485,10 +476,9 @@ func TestEchoNotHeldWhileIdle(t *testing.T) {
 // frame with n+1 entries is refused whole without creating instance state.
 func TestEchoFrameCap(t *testing.T) {
 	const n = 4
-	keys := crypto.GenerateKeys(n, 5)
-	reg := crypto.NewRegistry(keys, true)
+	keys := testKeys(n)
 	ep := &recEndpoint{}
-	node := handNode(keys, reg, 1, ep)
+	node := handNode(keys, 1, ep)
 	node.Start()
 	ep.out = nil // the round-0 proposal
 	// A node catching up several rounds at once: 3n echoes in one drain.
@@ -506,7 +496,7 @@ func TestEchoFrameCap(t *testing.T) {
 	node.mu.Unlock()
 	ep.drained()
 	var got []types.EchoEntry
-	receiver := handNode(keys, reg, 0, nullEndpoint{})
+	receiver := handNode(keys, 0, nullEndpoint{})
 	for _, f := range ep.echoFrames() {
 		if len(f.Entries) > n || len(f.Entries) == 0 {
 			t.Fatalf("a frame of %d entries left, cap is %d", len(f.Entries), n)
@@ -528,7 +518,7 @@ func TestEchoFrameCap(t *testing.T) {
 	}
 
 	long := signedEchoes(&keys[1], 1, append(want[:n:n], types.EchoEntry{Pos: types.Position{Round: 9, Source: 0}})...)
-	fresh := handNode(keys, reg, 0, nullEndpoint{})
+	fresh := handNode(keys, 0, nullEndpoint{})
 	fresh.step(msgIn(1, long))
 	if fresh.rbc.Rounds() != 0 {
 		t.Fatalf("a frame of %d entries created state in %d rounds", len(long.Entries), fresh.rbc.Rounds())
@@ -548,8 +538,7 @@ func TestEchoFrameCap(t *testing.T) {
 // and no second reading of a signature it made.
 func TestEchoFrameByzantineVoter(t *testing.T) {
 	const n, byz = 7, 3
-	keys := crypto.GenerateKeys(n, 5)
-	reg := crypto.NewRegistry(keys, true)
+	keys := testKeys(n)
 	at := func(r types.Round, src types.NodeID) types.Position { return types.Position{Round: r, Source: src} }
 	da, db := types.HashBytes([]byte("a")), types.HashBytes([]byte("b"))
 	counted := func(node *Node, pos types.Position, d types.Hash) int {
@@ -560,7 +549,7 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 		return types.BitmapCount(in.Tally(d))
 	}
 
-	node := handNode(keys, reg, 0, nullEndpoint{})
+	node := handNode(keys, 0, nullEndpoint{})
 	node.step(msgIn(byz, signedEchoes(&keys[byz], byz,
 		types.EchoEntry{Pos: at(0, 1), Digest: da},
 		types.EchoEntry{Pos: at(0, 1), Digest: da}, // the same echo again
@@ -574,7 +563,7 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 
 	// Entries no single-position ECHO would have been counted for are
 	// skipped; the ones between them count.
-	node = handNode(keys, reg, 0, nullEndpoint{})
+	node = handNode(keys, 0, nullEndpoint{})
 	node.mu.Lock()
 	node.round = 500 // rounds below the horizon need one
 	node.dag.GC(400)
@@ -597,8 +586,7 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 	}
 
 	// A non-member source or voter: membership is per epoch.
-	node = New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &keys[0], Reg: reg, Params: Params{Members: []types.NodeID{0, 1, 3, 4, 5}}},
-		nullEndpoint{}, frozenClock{})
+	node = newNode(keys, nil, Config{Params: Params{Members: []types.NodeID{0, 1, 3, 4, 5}}}, nullEndpoint{}, frozenClock{})
 	node.step(msgIn(byz, signedEchoes(&keys[byz], byz,
 		types.EchoEntry{Pos: at(0, 2), Digest: da}, // node 2 is not a member
 		types.EchoEntry{Pos: at(0, 1), Digest: da},
@@ -609,7 +597,7 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 
 	// A bad signature: nothing counts, no instance appears, and the pool's
 	// verifier rejects the frame.
-	node = handNode(keys, reg, 0, nullEndpoint{})
+	node = handNode(keys, 0, nullEndpoint{})
 	good := signedEchoes(&keys[byz], byz,
 		types.EchoEntry{Pos: at(0, 1), Digest: da}, types.EchoEntry{Pos: at(0, 2), Digest: db}, types.EchoEntry{Pos: at(1, 1), Digest: da})
 	forged := *good
@@ -653,10 +641,9 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 // and one queued after it leaves behind it.
 func TestEchoLeavesBeforeLaterFrames(t *testing.T) {
 	const n = 4
-	keys := crypto.GenerateKeys(n, 5)
-	reg := crypto.NewRegistry(keys, true)
+	keys := testKeys(n)
 	ep := &recEndpoint{}
-	node := handNode(keys, reg, 0, ep)
+	node := handNode(keys, 0, ep)
 	node.Start()                   // proposes round 0
 	node.step(msgIn(0, ep.out[0])) // an endpoint delivers a broadcast to its sender too
 	own := ep.out[0].(*types.ValMsg).Vertex

@@ -75,10 +75,9 @@ type frontierNode struct {
 }
 
 func newFrontierNode(t *testing.T, n int, late ...types.NodeID) *frontierNode {
-	keys := crypto.GenerateKeys(n, 5)
+	keys := testKeys(n)
 	f := &frontierNode{t: t, keys: keys, ep: &recEndpoint{}, clk: &stepClock{}}
-	f.node = New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &keys[0], Reg: crypto.NewRegistry(keys, true),
-		Params: Params{RoundTimeout: time.Hour}}, f.ep, f.clk)
+	f.node = newNode(keys, nil, Config{Params: Params{RoundTimeout: time.Hour}}, f.ep, f.clk)
 	f.node.Start()
 	own := f.ep.out[0].(*types.ValMsg)
 	f.deliver(0, own) // an endpoint delivers a broadcast to its sender too

@@ -4,9 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"clanbft/internal/crypto"
-	"clanbft/internal/metrics"
-	"clanbft/internal/simnet"
 	"clanbft/internal/types"
 )
 
@@ -14,83 +11,17 @@ import (
 // serialized handler fast without perturbing the committed sequence, and the
 // metrics spine must report every stage.
 
-type pcluster struct {
-	net    *simnet.Net
-	nodes  []*Node
-	orders [][]types.Position // written by Deliver, on the exec goroutine
-	regs   []*metrics.Registry
-	n      int
-}
-
-// newPipelineCluster builds a uniform-latency baseline cluster. execCost is
-// simulated application work per committed vertex, spent in real wall time
-// inside Deliver — exactly the load the exec stage exists to keep off the
-// handler.
-func newPipelineCluster(tb testing.TB, n int, execCost time.Duration, seed int64) *pcluster {
-	tb.Helper()
-	c := &pcluster{
-		net: simnet.New(simnet.Config{
-			N: n, Seed: seed,
-			LatencyRTTms: [][]float64{{100}},
-			JitterPct:    -1,
-		}),
-		orders: make([][]types.Position, n),
-		regs:   make([]*metrics.Registry, n),
-		n:      n,
-	}
-	keys := crypto.GenerateKeys(n, 21)
-	reg := crypto.NewRegistry(keys, true)
-	for i := 0; i < n; i++ {
-		i := i
-		c.regs[i] = metrics.New()
-		node := New(Config{
-			Self:    types.NodeID(i),
-			N:       n,
-			Mode:    ModeBaseline,
-			Key:     &keys[i],
-			Reg:     reg,
-			Blocks:  &testSource{id: types.NodeID(i), txCount: 3, txSize: 64},
-			Params:  Params{RoundTimeout: 3 * time.Second},
-			Metrics: c.regs[i],
-			Deliver: func(cv CommittedVertex) {
-				if execCost > 0 {
-					time.Sleep(execCost)
-				}
-				c.orders[i] = append(c.orders[i], cv.Vertex.Pos())
-			},
-		}, c.net.Endpoint(types.NodeID(i)), c.net.Clock(types.NodeID(i)))
-		c.nodes = append(c.nodes, node)
-		node.Start()
-	}
-	return c
-}
-
-// run drives virtual time, then flushes the exec stages so every ordered
-// vertex has been delivered (and the orders slices are safe to read).
-func (c *pcluster) run(d time.Duration) {
-	c.net.Run(d)
-	for _, n := range c.nodes {
-		n.Flush()
-	}
-}
-
-func (c *pcluster) stop() {
-	for _, n := range c.nodes {
-		n.Stop()
-	}
-}
-
 // TestAsyncExecPreservesCommitOrder: the committed sequence must be
 // identical whether Deliver returns at once or takes a millisecond — the
 // backpressure contract promises that only timing decouples, never order or
 // content. Same seed, same virtual duration, so the simulated schedules are
 // directly comparable.
 func TestAsyncExecPreservesCommitOrder(t *testing.T) {
-	const seed, dur = 7, 5 * time.Second
-	fast := newPipelineCluster(t, 4, 0, seed)
+	const dur = 5 * time.Second
+	fast := newTCluster(t, 4, topt{uniform: true})
 	fast.run(dur)
 	fast.stop()
-	slow := newPipelineCluster(t, 4, time.Millisecond, seed)
+	slow := newTCluster(t, 4, topt{uniform: true, execCost: time.Millisecond})
 	slow.run(dur)
 	slow.stop()
 	for i := 0; i < 4; i++ {
@@ -102,9 +33,8 @@ func TestAsyncExecPreservesCommitOrder(t *testing.T) {
 				i, len(fast.orders[i]), len(slow.orders[i]))
 		}
 		for j := range fast.orders[i] {
-			if fast.orders[i][j] != slow.orders[i][j] {
-				t.Fatalf("node %d position %d: fast %v != slow %v",
-					i, j, fast.orders[i][j], slow.orders[i][j])
+			if f, s := fast.orders[i][j].Vertex.Pos(), slow.orders[i][j].Vertex.Pos(); f != s {
+				t.Fatalf("node %d position %d: fast %v != slow %v", i, j, f, s)
 			}
 		}
 	}
@@ -120,13 +50,13 @@ func TestVoteHandlingLatencyIndependentOfExecCost(t *testing.T) {
 		t.Skip("real-time sleeps in Deliver")
 	}
 	const execCost = 20 * time.Millisecond
-	c := newPipelineCluster(t, 4, execCost, 7)
+	c := newTCluster(t, 4, topt{uniform: true, execCost: execCost})
 	c.run(1500 * time.Millisecond)
 	c.stop()
 	if len(c.orders[0]) == 0 {
 		t.Fatal("no commits")
 	}
-	handlerMax := c.regs[0].Snapshot().Hist(types.StageIntake.Metric("latency")).Max
+	handlerMax := c.nodes[0].PipelineSnapshot().Hist(types.StageIntake.Metric("latency")).Max
 	if handlerMax >= execCost {
 		t.Fatalf("handler max latency %v >= exec cost %v — execution stalled vote handling", handlerMax, execCost)
 	}
@@ -136,9 +66,8 @@ func TestVoteHandlingLatencyIndependentOfExecCost(t *testing.T) {
 // TestPipelineSnapshotCoversAllStages: the acceptance criterion requires
 // queue depth and latency for all four stages in one Snapshot.
 func TestPipelineSnapshotCoversAllStages(t *testing.T) {
-	c := newPipelineCluster(t, 4, 0, 5)
+	c := newTCluster(t, 4, topt{uniform: true})
 	c.run(3 * time.Second)
-	defer c.stop()
 
 	s := c.nodes[0].PipelineSnapshot()
 	for _, st := range types.Stages() {
@@ -181,11 +110,11 @@ func TestPipelineSnapshotCoversAllStages(t *testing.T) {
 func BenchmarkVoteHandlingUnderExecCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c := newPipelineCluster(b, 4, 5*time.Millisecond, 11)
+		c := newTCluster(b, 4, topt{uniform: true, execCost: 5 * time.Millisecond})
 		b.StartTimer()
 		c.run(2 * time.Second)
 		b.StopTimer()
-		h := c.regs[0].Snapshot().Hist(types.StageIntake.Metric("latency"))
+		h := c.nodes[0].PipelineSnapshot().Hist(types.StageIntake.Metric("latency"))
 		b.ReportMetric(float64(h.Mean().Nanoseconds()), "ns/handler-msg")
 		c.stop()
 	}

@@ -113,7 +113,7 @@ func TestLostPositionPulledUntilDelivered(t *testing.T) {
 	if in == nil || !in.Delivered() || in.Cert().Bitmap == nil {
 		t.Fatalf("victim did not deliver %v by certified pull", lost)
 	}
-	if c.nodes[victim].Metrics.Timeouts != 0 {
+	if c.nodes[victim].MetricsSnapshot().Timeouts != 0 {
 		t.Fatal("recovery went through a round timeout, not the retried pull")
 	}
 	c.checkConsistentOrder(nil)

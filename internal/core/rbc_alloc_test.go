@@ -43,10 +43,8 @@ func (frozenClock) Charge(time.Duration) {}
 // buckets, the round's rows) are paid.
 func rbcInstanceMallocs(t *testing.T) uint64 {
 	const n = 7
-	keys := crypto.GenerateKeys(n, 5)
-	reg := crypto.NewRegistry(keys, true)
-	node := New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &keys[0], Reg: reg},
-		nullEndpoint{}, frozenClock{})
+	keys := testKeys(n)
+	node := handNode(keys, 0, nullEndpoint{})
 	drive := func(src types.NodeID) uint64 {
 		pos := types.Position{Round: 0, Source: src}
 		v := &types.Vertex{Round: 0, Source: src, CreatedAt: 1}

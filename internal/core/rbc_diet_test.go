@@ -97,7 +97,7 @@ func TestDenseTotalityWithoutCertRelay(t *testing.T) {
 	}
 	c.checkConsistentOrder(nil)
 	checkFullInclusion(t, c)
-	if c.nodes[victim].Metrics.Timeouts != 0 {
+	if c.nodes[victim].MetricsSnapshot().Timeouts != 0 {
 		t.Fatal("recovery went through a round timeout, not the pull path")
 	}
 }
@@ -111,7 +111,7 @@ func TestDenseTotalityWithoutCertRelay(t *testing.T) {
 func TestImplicitEchoUnderEquivocation(t *testing.T) {
 	const n, byz = 4, 3
 	mute := map[types.NodeID]bool{byz: true}
-	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, mute: mute, timeout: 700 * time.Millisecond})
+	c := newTCluster(t, n, topt{mode: ModeBaseline, uniform: true, txCount: 1, mute: mute, timeout: 700 * time.Millisecond, sigs: true})
 	pos := types.Position{Round: 0, Source: byz}
 	va := &types.Vertex{Round: 0, Source: byz, CreatedAt: 1}
 	vb := &types.Vertex{Round: 0, Source: byz, CreatedAt: 2}
@@ -200,8 +200,7 @@ func TestPulledCertRules(t *testing.T) {
 	// the clan.
 	const n = 7
 	clan := []types.NodeID{0, 1, 2}
-	keys := crypto.GenerateKeys(n, 5)
-	reg := crypto.NewRegistry(keys, true)
+	keys := testKeys(n)
 	v := &types.Vertex{Round: 0, Source: 1, BlockDigest: types.HashBytes([]byte("block")), CreatedAt: 1}
 	pos, d := v.Pos(), v.DigestCached()
 	agg := func(digest types.Hash, signers ...types.NodeID) types.AggSig {
@@ -224,8 +223,7 @@ func TestPulledCertRules(t *testing.T) {
 		{"valid", agg(d, 0, 1, 3, 4, 5), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			recv := New(Config{Self: 6, N: n, Mode: ModeSingleClan, Clans: [][]types.NodeID{clan},
-				Key: &keys[6], Reg: reg}, &recEndpoint{}, frozenClock{})
+			recv := newNode(keys, nil, Config{Self: 6, Mode: ModeSingleClan, Clans: [][]types.NodeID{clan}}, &recEndpoint{}, frozenClock{})
 			recv.step(msgIn(3, &types.VtxRspMsg{Vertex: v, Cert: &types.EchoCertMsg{Pos: pos, Digest: d, Agg: tc.agg}}))
 			if in, has := recv.rbc.Get(pos), recv.dag.Has(pos); tc.valid != has || !tc.valid && in != nil {
 				t.Fatalf("instance %v, in the DAG %v; want the vertex inserted: %v", in != nil, has, tc.valid)
@@ -241,8 +239,7 @@ func TestPulledCertRules(t *testing.T) {
 // delivered by pull: replies keep shipping A with A's certificate.
 func TestLateValAfterCertificate(t *testing.T) {
 	const n, byz = 4, 3
-	keys := crypto.GenerateKeys(n, 5)
-	reg := crypto.NewRegistry(keys, true)
+	keys := testKeys(n)
 	va := &types.Vertex{Round: 0, Source: byz, CreatedAt: 1}
 	vb := &types.Vertex{Round: 0, Source: byz, CreatedAt: 2}
 	pos, da := va.Pos(), va.DigestCached()
@@ -254,7 +251,7 @@ func TestLateValAfterCertificate(t *testing.T) {
 	certA := &types.EchoCertMsg{Pos: pos, Digest: da, Agg: agg.Sig()}
 
 	t.Run("certified from echoes", func(t *testing.T) {
-		node := handNode(keys, reg, 0, &recEndpoint{})
+		node := handNode(keys, 0, &recEndpoint{})
 		for _, id := range []types.NodeID{1, 2, byz} {
 			node.step(msgIn(id, signedEchoes(&keys[id], id, types.EchoEntry{Pos: pos, Digest: da})))
 		}
@@ -266,7 +263,7 @@ func TestLateValAfterCertificate(t *testing.T) {
 	})
 	t.Run("delivered by pull", func(t *testing.T) {
 		ep := &recEndpoint{}
-		node := handNode(keys, reg, 0, ep)
+		node := handNode(keys, 0, ep)
 		node.step(msgIn(1, &types.VtxRspMsg{Vertex: va, Cert: certA}))
 		node.step(msgIn(byz, valB))
 		node.step(msgIn(2, &types.VtxReqMsg{Pos: pos}))
@@ -280,7 +277,7 @@ func TestLateValAfterCertificate(t *testing.T) {
 // TestSigningContextsStayOnStack: building a vertex or echo context and
 // signing, verifying or folding over it allocates nothing.
 func TestSigningContextsStayOnStack(t *testing.T) {
-	keys := crypto.GenerateKeys(4, 1)
+	keys := testKeys(4)
 	reg := crypto.NewRegistry(keys, true)
 	pos := types.Position{Round: 900, Source: 2}
 	d := types.HashBytes([]byte("v"))
@@ -330,16 +327,14 @@ func TestProposalEncodesAtMostTwoFrames(t *testing.T) {
 	const n = 7
 	clan := []types.NodeID{1, 3, 5}
 	net := simnet.New(simnet.Config{N: n, Seed: 3, LatencyRTTms: [][]float64{{20}}, JitterPct: -1})
-	keys := crypto.GenerateKeys(n, 21)
-	reg := crypto.NewRegistry(keys, true)
+	keys := testKeys(n)
+	reg := crypto.NewRegistry(keys, false)
 	eps := make([]*valFrames, n)
 	for i := range eps {
 		id := types.NodeID(i)
 		eps[i] = &valFrames{Endpoint: net.Endpoint(id), frames: map[types.Round]int{}, recipients: map[types.Round]int{}}
-		New(Config{
-			Self: id, N: n, Mode: ModeSingleClan, Clans: [][]types.NodeID{clan},
-			Key: &keys[i], Reg: reg, Blocks: &testSource{id: id, txCount: 2, txSize: 64},
-		}, eps[i], net.Clock(id)).Start()
+		newNode(keys, reg, Config{Self: id, Mode: ModeSingleClan, Clans: [][]types.NodeID{clan},
+			Blocks: &testSource{id: id, txCount: 2, txSize: 64}}, eps[i], net.Clock(id)).Start()
 	}
 	net.Run(time.Second)
 	for i, ep := range eps {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"clanbft/internal/crypto"
 	"clanbft/internal/faults"
 	"clanbft/internal/store"
 	"clanbft/internal/types"
@@ -19,10 +18,9 @@ import (
 // round has tallied different voters in the same bytes.
 func TestCertSurvivesRowRecycle(t *testing.T) {
 	const n = 7
-	keys := crypto.GenerateKeys(n, 5)
-	reg := crypto.NewRegistry(keys, true)
+	keys := testKeys(n)
 	ep := &recEndpoint{}
-	sender := handNode(keys, reg, 0, ep)
+	sender := handNode(keys, 0, ep)
 	v, val := round0(keys, 1)
 	pos, d := v.Pos(), v.DigestCached()
 	sender.step(msgIn(1, val))
@@ -60,7 +58,7 @@ func TestCertSurvivesRowRecycle(t *testing.T) {
 	if rsp.Cert.Agg.Tag != want.Tag || !bytes.Equal(rsp.Cert.Agg.Bitmap, want.Bitmap) {
 		t.Fatalf("the reply's certificate changed with the row: bitmap %08b, was %08b", rsp.Cert.Agg.Bitmap, want.Bitmap)
 	}
-	recv := handNode(keys, reg, 6, &recEndpoint{})
+	recv := handNode(keys, 6, &recEndpoint{})
 	recv.step(msgIn(0, rsp))
 	if got := recv.rbc.Get(pos); got == nil || !got.Delivered() {
 		t.Fatal("the receiver did not accept the pulled vertex on the reply's certificate")
@@ -148,8 +146,7 @@ func (r *rescanInserter) insert(v *types.Vertex) {
 // rule gives, and nothing is left buffered.
 func TestPendingInsertCounts(t *testing.T) {
 	const n, base = 4, types.Round(10)
-	keys := crypto.GenerateKeys(n, 5)
-	reg := crypto.NewRegistry(keys, true)
+	keys := testKeys(n)
 	var rounds [3][]*types.Vertex
 	for r := range rounds {
 		for src := types.NodeID(0); src < n; src++ {
@@ -172,8 +169,7 @@ func TestPendingInsertCounts(t *testing.T) {
 	run := func() {
 		orders++
 		st := &orderStore{Store: store.NewMem(), seen: map[string]bool{}}
-		node := New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &keys[0], Reg: reg, Store: st},
-			nullEndpoint{}, frozenClock{})
+		node := newNode(keys, nil, Config{Store: st}, nullEndpoint{}, frozenClock{})
 		node.dag.GC(base)
 		ref := &rescanInserter{min: base, has: map[types.Position]bool{},
 			pending: map[types.Position]*types.Vertex{}, waiting: map[types.Position][]types.Position{}}
@@ -209,7 +205,7 @@ func TestPendingInsertCounts(t *testing.T) {
 
 	// A parent the horizon passes counts as present: gc takes it off the
 	// count, and the child it was the last for goes in.
-	node := New(Config{Self: 0, N: n, Mode: ModeBaseline, Key: &keys[0], Reg: reg}, nullEndpoint{}, frozenClock{})
+	node := handNode(keys, 0, nullEndpoint{})
 	node.dag.GC(base)
 	for _, v := range rounds[0][1:] {
 		node.tryInsert(v)
@@ -342,7 +338,7 @@ func TestHorizonWaitsForEmission(t *testing.T) {
 				if types.NodeID(i) == x {
 					continue
 				}
-				if ordered := nd.Metrics.VerticesOrdered; ordered < 100 || len(c.orders[i]) != ordered {
+				if ordered := nd.MetricsSnapshot().VerticesOrdered; ordered < 100 || len(c.orders[i]) != ordered {
 					t.Fatalf("node %d ordered %d vertices and emitted %d; %d wait in its out queue",
 						i, ordered, len(c.orders[i]), nd.ord.out.Len())
 				}

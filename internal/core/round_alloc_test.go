@@ -22,17 +22,16 @@ import (
 func roundPathMallocs(t *testing.T, txs int) float64 {
 	const n, warm, rounds = 7, 100, 200
 	net := simnet.New(simnet.Config{N: n, Seed: 1, LatencyRTTms: [][]float64{{2}}, JitterPct: -1})
-	keys := crypto.GenerateKeys(n, 13)
+	keys := testKeys(n)
 	reg := crypto.NewRegistry(keys, true)
 	nodes := make([]*Node, n)
 	for i := range nodes {
 		id := types.NodeID(i)
-		cfg := Config{Self: id, N: n, Mode: ModeSingleClan, Clans: [][]types.NodeID{{0, 1, 2}},
-			Key: &keys[i], Reg: reg, Deliver: func(CommittedVertex) {}}
+		cfg := Config{Self: id, Mode: ModeSingleClan, Clans: [][]types.NodeID{{0, 1, 2}}, Deliver: func(CommittedVertex) {}}
 		if txs > 0 {
 			cfg.Blocks = &feed{Pool: mempool.NewPool(0), txs: txs, tx: make([]byte, 128)}
 		}
-		nodes[i] = New(cfg, net.Endpoint(id), net.Clock(id))
+		nodes[i] = newNode(keys, reg, cfg, net.Endpoint(id), net.Clock(id))
 		nodes[i].Start()
 		t.Cleanup(nodes[i].Stop)
 	}

@@ -196,14 +196,11 @@ func (n *Node) drainCommits() {
 func (n *Node) onStep(s order.Step) {
 	switch s.Fate {
 	case order.Skipped, order.NotLive:
-		n.Metrics.SlotsSkipped++
 		n.mSlotsSkipped.Inc()
 		return
 	case order.Direct:
-		n.Metrics.DirectCommits++
 		n.mSlotsDirect.Inc()
 	default:
-		n.Metrics.IndirectCommits++
 		n.mSlotsIndir.Inc()
 	}
 	lp := s.Slot
@@ -221,7 +218,6 @@ func (n *Node) onStep(s order.Step) {
 			LeaderRound: lp.Round,
 			Direct:      s.Fate == order.Direct,
 		}, now})
-		n.Metrics.VerticesOrdered++
 		n.mOrderVerts.Inc()
 		rtxs = append(rtxs, v.Reconfig...)
 		// Committed view-change evidence feeds the reputation schedule: a

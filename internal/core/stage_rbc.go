@@ -127,7 +127,6 @@ func (n *Node) act(acts []rbc.Act) {
 			in := n.rbc.Get(a.Pos)
 			stopTimer(&in.X.pull)
 			n.pull(a.Pos, in)
-			n.Metrics.VerticesDelivered++
 			n.mRBCDelivered.Inc()
 			n.mRBCLat.Observe(n.now - in.X.born)
 			if r := a.Pos.Round; r > n.maxQuorumRound && n.primaryIn(r) && len(n.rbc.Delivered(r)) >= n.quorum(r) {
@@ -428,11 +427,9 @@ func (n *Node) flushEchoes() {
 	m := n.rbc.echoes.New(echoSlab)
 	m.Entries = append(n.rbc.entries.Take(len(q), max(2*n.cfg.N, echoBlockMin)), q...)
 	m.Voter = n.cfg.Self
-	if n.cfg.Key != nil {
-		var buf echoFrameBuf
-		m.Sig = n.cfg.Reg.SignFor(n.cfg.Key, echoFrameCtx(&buf, m.Entries))
-		n.clk.Charge(n.cfg.Costs.EdSign)
-	}
+	var buf echoFrameBuf
+	m.Sig = n.cfg.Reg.SignFor(n.cfg.Key, echoFrameCtx(&buf, m.Entries))
+	n.clk.Charge(n.cfg.Costs.EdSign)
 	n.mEchoFrames.Inc()
 	n.ep.Broadcast(m)
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"clanbft/internal/crypto"
 	"clanbft/internal/types"
 )
 
@@ -54,23 +53,7 @@ func (e *wireEndpoint) Broadcast(m types.Message) {
 // packet before it is delivered: it may rewrite it, or drop it by returning
 // false.
 func steppedCluster(t *testing.T, seed int64, rounds types.Round, wire func(c *tcluster, p *packet) bool) *tcluster {
-	const n = 4
-	keys := crypto.GenerateKeys(n, 21)
-	c := &tcluster{t: t, n: n, reg: crypto.NewRegistry(keys, true), orders: make([][]CommittedVertex, n)}
-	var inFlight []packet
-	clks := make([]*stepClock, n)
-	for i := range clks {
-		id := types.NodeID(i)
-		clks[i] = &stepClock{}
-		c.nodes = append(c.nodes, New(Config{Self: id, N: n, Mode: ModeBaseline, Key: &keys[i], Reg: c.reg,
-			Blocks:  &testSource{id: id, txCount: 1, txSize: 64},
-			Deliver: func(cv CommittedVertex) { c.orders[i] = append(c.orders[i], cv) },
-		}, &wireEndpoint{nullEndpoint: nullEndpoint{self: id}, n: n, wire: &inFlight}, clks[i]))
-	}
-	t.Cleanup(c.stop)
-	for _, nd := range c.nodes {
-		nd.Start()
-	}
+	c := newTCluster(t, 4, topt{stepped: true, txCount: 1})
 	rng := rand.New(rand.NewSource(seed))
 	for steps := 0; ; steps++ {
 		done := true
@@ -83,11 +66,11 @@ func steppedCluster(t *testing.T, seed int64, rounds types.Round, wire func(c *t
 		if steps == 100_000 {
 			t.Fatalf("seed %d: no node past round %d after %d steps", seed, rounds, steps)
 		}
-		if k := len(inFlight); k > 0 {
+		if k := len(c.inFlight); k > 0 {
 			i := rng.Intn(k)
-			p := inFlight[i]
-			inFlight[i] = inFlight[k-1]
-			inFlight = inFlight[:k-1]
+			p := c.inFlight[i]
+			c.inFlight[i] = c.inFlight[k-1]
+			c.inFlight = c.inFlight[:k-1]
 			if wire != nil && !wire(c, &p) {
 				continue
 			}
@@ -96,7 +79,7 @@ func steppedCluster(t *testing.T, seed int64, rounds types.Round, wire func(c *t
 			continue
 		}
 		next := time.Duration(-1)
-		for _, clk := range clks {
+		for _, clk := range c.clks {
 			for _, tm := range clk.timers {
 				if !tm.dead && (next < 0 || tm.at < next) {
 					next = tm.at
@@ -106,7 +89,7 @@ func steppedCluster(t *testing.T, seed int64, rounds types.Round, wire func(c *t
 		if next < 0 {
 			t.Fatalf("seed %d: nothing in flight and no timer armed", seed)
 		}
-		for _, clk := range clks {
+		for _, clk := range c.clks {
 			clk.advance(next - clk.now)
 		}
 	}

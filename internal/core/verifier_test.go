@@ -15,8 +15,7 @@ import (
 // nothing.
 func TestSignedKindsCheckedOnce(t *testing.T) {
 	const n = 4
-	keys := crypto.GenerateKeys(n, 5)
-	reg := crypto.NewRegistry(keys, true)
+	keys := testKeys(n)
 	v2, _ := round0(keys, 2)
 	echo := types.EchoEntry{Pos: v2.Pos(), Digest: v2.DigestCached()}
 	tc := crypto.NewAggregator(n)
@@ -60,7 +59,7 @@ func TestSignedKindsCheckedOnce(t *testing.T) {
 	} {
 		for _, flip := range []bool{false, true} {
 			m := c.frame(flip)
-			node := handNode(keys, reg, 0, &recEndpoint{})
+			node := handNode(keys, 0, &recEndpoint{})
 			node.step(msgIn(1, m))
 			if got := c.counted(node); got == flip {
 				t.Errorf("%s, signature byte flipped %v: the handler counted it: %v", c.kind, flip, got)

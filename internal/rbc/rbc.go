@@ -126,7 +126,6 @@ func (in *Inst[X]) Vertex() *types.Vertex { return in.vertex }
 func (in *Inst[X]) HasVal() bool          { return in.val }
 func (in *Inst[X]) Echoed() bool          { return in.echoed }
 func (in *Inst[X]) Delivered() bool       { return in.delivered }
-func (in *Inst[X]) Certified() bool       { return in.hasCert }
 func (in *Inst[X]) Cert() types.AggSig    { return in.certAgg }
 
 func (in *Inst[X]) counts(voter types.NodeID) bool {

@@ -4,13 +4,15 @@ import "fmt"
 
 // Slab carves values from shared blocks: one allocation per block of values
 // instead of one per value or list. What it hands out is the taker's for
-// good — a Slab never takes anything back — so a block lives until the last
-// value carved from it is dropped. That is its one cost: a kept value keeps
-// its neighbours' memory, and whatever they point to, reachable. Each user
-// sizes its blocks after how long their values live together. The zero Slab
-// is ready to use; a nil one hands out heap arrays only.
+// good — only the value New handed out last can be given back, before anyone
+// else has seen it (Return) — so a block lives until the last value carved
+// from it is dropped. That is its one cost: a kept value keeps its
+// neighbours' memory, and whatever they point to, reachable. Each user sizes
+// its blocks after how long their values live together. The zero Slab is
+// ready to use; a nil one hands out heap arrays only.
 type Slab[T any] struct {
-	free []T // the unused tail of the current block
+	block []T // the current block
+	next  int // the first value of block not handed out
 }
 
 // Take returns an empty list with room for exactly k values, carved from a
@@ -23,20 +25,30 @@ func (s *Slab[T]) Take(k, size int) []T {
 	if s == nil || k > size/2 {
 		return make([]T, 0, k)
 	}
-	if len(s.free) < k {
-		s.free = make([]T, size)
+	if len(s.block)-s.next < k {
+		s.block, s.next = make([]T, size), 0
 	}
-	l := s.free[:0:k]
-	s.free = s.free[k:]
+	l := s.block[s.next : s.next : s.next+k]
+	s.next += k
 	return l
 }
 
 // Left reports how many values the current block has left.
-func (s *Slab[T]) Left() int { return len(s.free) }
+func (s *Slab[T]) Left() int { return len(s.block) - s.next }
 
 // New returns one zero value carved from a block of size values.
 func (s *Slab[T]) New(size int) *T {
 	return &s.Take(1, size)[:1][0]
+}
+
+// Return zeroes p, the value New handed out last, and gives it back: the next
+// New hands it out again.
+func (s *Slab[T]) Return(p *T) {
+	var zero T
+	*p = zero
+	if s != nil && s.next > 0 && &s.block[s.next-1] == p {
+		s.next--
+	}
 }
 
 // Echoes are the highest-volume message class ((n-1)^2 entries per vertex per
@@ -77,12 +89,12 @@ type Decoder struct {
 
 // Decode parses the framed message in b through one Reader, which owns
 // canonical form: a frame decodes only if the message it yields encodes back
-// to b. A VAL and an ECHO are read onto the stack and move into the slabs
-// once the whole frame has been read: the VAL as one pair, its edge lists
-// and block carved as they are read; the ECHO's entries into room carved off
-// the entry slab, sized by the bytes present — every entry takes at least
-// echoEntryMin of them, the tail at least echoTailMin — so it overshoots by
-// at most one entry on frames of up to 16, whatever the round.
+// to b. A VAL and an ECHO are read in place, into the slot their slab hands
+// out first, which a rejected frame gives back: the VAL as one pair, its
+// edge lists and block carved as they are read; the ECHO's entries into room
+// carved off the entry slab, sized by the bytes present — every entry takes
+// at least echoEntryMin of them, the tail at least echoTailMin — so it
+// overshoots by at most one entry on frames of up to 16, whatever the round.
 func (d *Decoder) Decode(b []byte) (Message, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("types: empty message")
@@ -102,24 +114,22 @@ func (d *Decoder) Decode(b []byte) (Message, error) {
 	}
 	switch kind {
 	case KindVal:
-		var val valPair
-		val.unmarshal(&r, edges, blocks)
+		p := vals.New(valSlabSize)
+		p.unmarshal(&r, edges, blocks)
 		if err := r.End(); err != nil {
+			vals.Return(p)
 			return nil, err
 		}
-		p := vals.New(valSlabSize)
-		*p = val
 		p.m.Vertex, p.m.decoded = &p.v, true
 		return &p.m, nil
 	case KindEcho:
-		var echo EchoMsg
+		p := echoes.New(echoSlabSize)
 		most := (r.left() - echoTailMin) / echoEntryMin
-		echo.unmarshal(&r, entries.Take(max(most, 0), entrySlabSize))
+		p.unmarshal(&r, entries.Take(max(most, 0), entrySlabSize))
 		if err := r.End(); err != nil {
+			echoes.Return(p)
 			return nil, err
 		}
-		p := echoes.New(echoSlabSize)
-		*p = echo
 		return p, nil
 	case KindNoVote, KindTimeout:
 		m = &ViewVoteMsg{NoVote: kind == KindNoVote, Vote: ViewVote{Round(r.Uvarint()), r.Node(), r.sig()}}

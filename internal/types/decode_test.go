@@ -181,7 +181,7 @@ func TestDecoderValArena(t *testing.T) {
 		return m.(*ValMsg)
 	}
 	first := decode(Encode(&ValMsg{Vertex: plain(5), Sig: sig}, nil))
-	slot := &dec.vals.free[0].m
+	slot := &dec.vals.block[dec.vals.next].m
 	if _, err := dec.Decode(bad); err == nil {
 		t.Fatal("the decoder accepts the truncated frame")
 	}
