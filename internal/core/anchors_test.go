@@ -13,13 +13,6 @@ import (
 // that keep it cheap when a member is down or late (slot liveness, the hold
 // that does not wait for absentees).
 
-// scheduleNode builds an unstarted node whose schedule helpers can be called
-// directly.
-func scheduleNode(n, leaders int, members []types.NodeID, rep bool) *Node {
-	return newNode(testKeys(n), nil, Config{LeadersPerRound: leaders, Params: Params{Members: members, LeaderReputation: rep}},
-		nullEndpoint{}, frozenClock{})
-}
-
 // checkSchedule asserts, for every round in [lo, hi): the round's slots name
 // distinct eligible members and number min(L, M); SlotIndex agrees with
 // LeaderAt; the primary is the member the L=1 rotation would pick; and over
@@ -91,7 +84,7 @@ func TestPrimaryRotationVisitsEveryMember(t *testing.T) {
 	for _, n := range []int{4, 9} {
 		for _, leaders := range []int{1, 2, 3, 0} { // 0 = every eligible member
 			t.Run(fmt.Sprintf("n=%d/L=%d", n, leaders), func(t *testing.T) {
-				nd := scheduleNode(n, leaders, nil, false)
+				_, nd := oneNode(t, n, 0, topt{leaders: leaders})
 				if leaders == 0 && nd.cfg.LeadersPerRound != n {
 					t.Fatalf("zero LeadersPerRound resolved to %d, want all %d", nd.cfg.LeadersPerRound, n)
 				}
@@ -101,7 +94,7 @@ func TestPrimaryRotationVisitsEveryMember(t *testing.T) {
 	}
 	t.Run("demoted", func(t *testing.T) {
 		for _, leaders := range []int{1, 2, 0} {
-			nd := scheduleNode(7, leaders, nil, true)
+			_, nd := oneNode(t, 7, 0, topt{leaders: leaders, rep: true})
 			// Round 2's primary, member 2, timed out, and the evidence was
 			// ordered under the anchor of round 0: member 2 sits out rounds
 			// [33, 97) — ReconfigDelay 32, ReputationWindow 64. The eligible
@@ -120,7 +113,7 @@ func TestPrimaryRotationVisitsEveryMember(t *testing.T) {
 	})
 	t.Run("epoch smaller than N", func(t *testing.T) {
 		for _, leaders := range []int{1, 2, 0} {
-			nd := scheduleNode(7, leaders, []types.NodeID{0, 2, 3, 5, 6}, false)
+			_, nd := oneNode(t, 7, 0, topt{leaders: leaders, members: []types.NodeID{0, 2, 3, 5, 6}})
 			checkSchedule(t, nd, 0, 40)
 			if got, want := nd.order.Anchors(3), min(nd.cfg.LeadersPerRound, 5); got != want {
 				t.Fatalf("L=%d: %d anchors in a five-member epoch, want %d", leaders, got, want)

@@ -237,17 +237,17 @@ func TestBlockCacheBound(t *testing.T) {
 	}
 }
 
-// cacheFixture is node 0 of a clan {0, 1, 2} among four, holding and having
-// executed the block of vertex (5, 1): member 2's word is all that is missing.
-type cacheFixture struct {
-	node *Node
-	pos  types.Position
-	d    types.Hash
-}
-
-func newCacheFixture(t *testing.T) *cacheFixture {
-	keys := testKeys(4)
-	node := newNode(keys, nil, Config{Mode: ModeSingleClan, Clans: [][]types.NodeID{{0, 1, 2}}}, nullEndpoint{}, frozenClock{})
+// TestBlockCacheAdversary: a member can keep a block in its clan's caches
+// until the horizon — by never referencing, or by listing everything — and
+// that is all it can do. Nobody speaks for anybody else, nobody outside the
+// clan is heard, a member heard twice counts once, none of it grows any
+// state, and a list that points outside the vertex's edges gets the vertex
+// rejected (at decode, and by validateVertex for transports that do not
+// decode).
+func TestBlockCacheAdversary(t *testing.T) {
+	// Node 0 of a clan {0, 1, 2} among four holds and has executed the block
+	// of vertex (5, 1): member 2's word is all that is missing.
+	_, node := oneNode(t, 4, 0, topt{mode: ModeSingleClan, clans: [][]types.NodeID{{0, 1, 2}}})
 	blk := &types.Block{Round: 5, Source: 1, Txs: [][]byte{[]byte("payload")}}
 	pv := &types.Vertex{Round: 5, Source: 1, BlockDigest: blk.DigestCached()}
 	for src := types.NodeID(0); src < 4; src++ {
@@ -261,47 +261,35 @@ func newCacheFixture(t *testing.T) *cacheFixture {
 		node.inst(v.Pos()).Val(v)
 	}
 	node.cacheBlock(pv.BlockDigest, blk)
-	f := &cacheFixture{node: node, pos: pv.Pos(), d: pv.BlockDigest}
+	pos := pv.Pos()
 	node.blockEmitted(pv)
-	if !cachedAt(node, f.pos) {
+	if !cachedAt(node, pos) {
 		t.Fatal("evicted before member 2 said anything")
 	}
-	return f
-}
-
-// child builds src's round-6 vertex over all of round 5, its Lacks as given.
-func (f *cacheFixture) child(src types.NodeID, lacks ...uint32) *types.Vertex {
-	v := &types.Vertex{Round: 6, Source: src, Lacks: lacks}
-	for s := types.NodeID(0); s < 4; s++ {
-		v.StrongEdges = append(v.StrongEdges, types.VertexRef{Round: 5, Source: s})
+	// child builds src's round-6 vertex over all of round 5, its Lacks as
+	// given.
+	child := func(src types.NodeID, lacks ...uint32) *types.Vertex {
+		v := &types.Vertex{Round: 6, Source: src, Lacks: lacks}
+		for s := types.NodeID(0); s < 4; s++ {
+			v.StrongEdges = append(v.StrongEdges, types.VertexRef{Round: 5, Source: s})
+		}
+		return v
 	}
-	return v
-}
 
-// TestBlockCacheAdversary: a member can keep a block in its clan's caches
-// until the horizon — by never referencing, or by listing everything — and
-// that is all it can do. Nobody speaks for anybody else, nobody outside the
-// clan is heard, a member heard twice counts once, none of it grows any
-// state, and a list that points outside the vertex's edges gets the vertex
-// rejected (at decode, and by validateVertex for transports that do not
-// decode).
-func TestBlockCacheAdversary(t *testing.T) {
-	f := newCacheFixture(t)
-	node := f.node
 	slab := node.rbc.heldBits.Left()
-	silent := f.child(2)
+	silent := child(2)
 	silent.StrongEdges = append(silent.StrongEdges[:1:1], silent.StrongEdges[2:]...) // no edge to (5, 1)
 	for name, v := range map[string]*types.Vertex{
-		"member 2 lists the block":          f.child(2, 1),
-		"member 2 lists everything":         f.child(2, 0, 1, 2, 3),
+		"member 2 lists the block":          child(2, 1),
+		"member 2 lists everything":         child(2, 0, 1, 2, 3),
 		"member 2 does not reference":       silent,
-		"the proposer, heard already":       f.child(1),
+		"the proposer, heard already":       child(1),
 		"the proposer again, a round later": {Round: 8, Source: 1, WeakEdges: []types.VertexRef{{Round: 5, Source: 1}}},
-		"a party outside the clan":          f.child(3),
-		"this party itself":                 f.child(0),
+		"a party outside the clan":          child(3),
+		"this party itself":                 child(0),
 	} {
 		node.noteHeld(v)
-		if !cachedAt(node, f.pos) {
+		if !cachedAt(node, pos) {
 			t.Fatalf("%s: block evicted", name)
 		}
 	}
@@ -309,7 +297,7 @@ func TestBlockCacheAdversary(t *testing.T) {
 		t.Fatalf("state moved: %d entries, slab %d -> %d, %d owed", len(node.rbc.blocks), slab, node.rbc.heldBits.Left(), len(node.rbc.owed))
 	}
 
-	good, bad := f.child(2), f.child(2, 4)
+	good, bad := child(2), child(2, 4)
 	if !node.validateVertex(good, true) {
 		t.Fatal("fixture vertex does not validate")
 	}
@@ -321,7 +309,7 @@ func TestBlockCacheAdversary(t *testing.T) {
 	}
 
 	node.noteHeld(good)
-	if cachedAt(node, f.pos) || node.mBlocksEvicted.Load() != 1 || node.rbc.blockBytes != 0 {
+	if cachedAt(node, pos) || node.mBlocksEvicted.Load() != 1 || node.rbc.blockBytes != 0 {
 		t.Fatalf("not evicted once the whole clan holds it: %d evicted, %d bytes", node.mBlocksEvicted.Load(), node.rbc.blockBytes)
 	}
 }
@@ -432,21 +420,13 @@ func TestVtxReqBlockInsideTheClanOnly(t *testing.T) {
 	}
 }
 
-// countEndpoint counts frames and allocates nothing.
-type countEndpoint struct {
-	nullEndpoint
-	frames int
-}
-
-func (e *countEndpoint) Send(types.NodeID, types.Message) { e.frames++ }
-
 // TestAncestorBatchAllocs: a pull reply's ancestor walk runs in the node's
 // scratch, so one batch allocates at most the frames it sends.
 func TestAncestorBatchAllocs(t *testing.T) {
 	c := newTCluster(t, 4, topt{mode: ModeBaseline, uniform: true})
 	c.run(4 * time.Second)
 	node := c.nodes[0]
-	ep := &countEndpoint{}
+	ep := &wireEndpoint{self: 0, n: 4} // counts and discards
 	node.ep = ep
 	top, ok := node.dag.Get(types.Position{Round: node.dag.MaxRound() - 1, Source: 1})
 	if !ok {
@@ -472,7 +452,7 @@ func TestBlockCacheUnpinsDecodedVal(t *testing.T) {
 	keys := testKeys(4)
 	// A clan of two: the proposer is the only other member, so executing the
 	// block is all that eviction waits for.
-	node := newNode(keys, nil, Config{Mode: ModeSingleClan, Clans: [][]types.NodeID{{0, 1}}}, nullEndpoint{}, frozenClock{})
+	_, node := oneNode(t, 4, 0, topt{mode: ModeSingleClan, clans: [][]types.NodeID{{0, 1}}})
 	blk := &types.Block{Round: 0, Source: 1, Txs: [][]byte{make([]byte, 1<<16)}}
 	v := &types.Vertex{Round: 0, Source: 1, BlockDigest: blk.DigestCached(), CreatedAt: 1}
 	wire := types.Encode(&types.ValMsg{Vertex: v, Block: blk,

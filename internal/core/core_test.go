@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -40,8 +41,7 @@ func testKeys(n int) []crypto.KeyPair { return crypto.GenerateKeys(n, 21) }
 
 // newNode assembles party cfg.Self of the universe keys describes on ep and
 // clk, unstarted: every node a core test runs is built here. It fills in N,
-// Key and Reg; a nil reg checks real Ed25519 signatures, which a test that
-// drives one node by hand signs with crypto.Sign.
+// Key and Reg; a nil reg checks real Ed25519 signatures.
 func newNode(keys []crypto.KeyPair, reg *crypto.Registry, cfg Config, ep transport.Endpoint, clk transport.Clock) *Node {
 	if reg == nil {
 		reg = crypto.NewRegistry(keys, true)
@@ -50,14 +50,8 @@ func newNode(keys []crypto.KeyPair, reg *crypto.Registry, cfg Config, ep transpo
 	return New(cfg, ep, clk)
 }
 
-// handNode is party self driven by hand on a clock that never fires:
-// messages go straight into step.
-func handNode(keys []crypto.KeyPair, self types.NodeID, ep transport.Endpoint) *Node {
-	return newNode(keys, nil, Config{Self: self}, ep, frozenClock{})
-}
-
-// tcluster is n nodes on the simulator, or, stepped, on a wire and clocks the
-// test moves itself (step_test.go).
+// tcluster is n nodes on the simulator, or, stepped, on the wire and the
+// clock the test moves itself (step_test.go).
 type tcluster struct {
 	t      testing.TB
 	o      topt
@@ -68,8 +62,8 @@ type tcluster struct {
 	reg    *crypto.Registry
 	stores []store.Store
 	n      int
-	// A stepped cluster's clocks and the packets in flight on its wire.
-	clks     []*stepClock
+	// A stepped cluster's clock and the packets in flight on its wire.
+	clk      *stepClock
 	inFlight []packet
 }
 
@@ -95,16 +89,20 @@ type topt struct {
 	// execCost is wall-clock time Deliver spends on each committed vertex:
 	// the application work the exec stage keeps off the handler.
 	execCost time.Duration
-	// sigs makes and checks real Ed25519 signatures. By default the cluster
-	// builds its registry as harness.Run does, crypto.NewRegistry(keys,
+	// sigs makes and checks real Ed25519 signatures. By default a simulated
+	// cluster builds its registry as harness.Run does, crypto.NewRegistry(keys,
 	// false): signatures are zero and every check passes, so a test of
 	// ordering, liveness or caching checks the same rules without spending
 	// most of its wall clock in Ed25519. Costs stay zero, as they always were
-	// here, so virtual time is what it was with real signatures.
+	// here, so virtual time is what it was with real signatures. A stepped
+	// cluster always checks real ones: its tests sign what they play.
 	sigs bool
-	// stepped runs the nodes on wireEndpoints and stepClocks instead of the
-	// simulator (steppedCluster).
+	// stepped runs the nodes on one wireEndpoint each and one stepClock
+	// instead of the simulator (step_test.go).
 	stepped bool
+	// live, when stepped, lists the nodes the bed builds (nil: all n); the
+	// test plays the others. Their c.nodes entries are nil.
+	live []types.NodeID
 }
 
 func newTCluster(t testing.TB, n int, o topt) *tcluster {
@@ -122,8 +120,10 @@ func newTCluster(t testing.TB, n int, o topt) *tcluster {
 		o.delta = 50 * time.Millisecond
 	}
 	c := &tcluster{t: t, o: o, orders: make([][]CommittedVertex, n), keys: testKeys(n), n: n}
-	c.reg = crypto.NewRegistry(c.keys, o.sigs)
-	if !o.stepped {
+	c.reg = crypto.NewRegistry(c.keys, o.sigs || o.stepped)
+	if o.stepped {
+		c.clk = &stepClock{}
+	} else {
 		cfg := simnet.Config{N: n, Seed: o.seed + 11}
 		if o.uniform {
 			cfg.LatencyRTTms = [][]float64{{2 * float64(o.delta) / float64(time.Millisecond)}}
@@ -139,6 +139,10 @@ func newTCluster(t testing.TB, n int, o topt) *tcluster {
 	for i := 0; i < n; i++ {
 		if o.store {
 			c.stores = append(c.stores, store.NewMem())
+		}
+		if o.live != nil && !slices.Contains(o.live, types.NodeID(i)) {
+			c.nodes = append(c.nodes, nil)
+			continue
 		}
 		node := c.build(i)
 		c.nodes = append(c.nodes, node)
@@ -156,11 +160,10 @@ func (c *tcluster) build(i int) *Node {
 	o, id := c.o, types.NodeID(i)
 	var ep transport.Endpoint
 	var clk transport.Clock
+	var costs crypto.Costs
 	if o.stepped {
-		if len(c.clks) <= i {
-			c.clks = append(c.clks, &stepClock{})
-		}
-		ep, clk = &wireEndpoint{nullEndpoint: nullEndpoint{self: id}, n: c.n, wire: &c.inFlight}, c.clks[i]
+		ep, clk = &wireEndpoint{self: id, n: c.n, wire: &c.inFlight}, c.clk
+		costs.EdSign = signCost
 	} else {
 		ep, clk = c.net.Endpoint(id), c.net.Clock(id)
 		if o.fnet != nil {
@@ -178,6 +181,7 @@ func (c *tcluster) build(i int) *Node {
 		Params: Params{RoundTimeout: o.timeout, Members: o.members, ReconfigDelay: o.rdelay,
 			LeaderReputation: o.rep, ReputationWindow: o.repWin},
 		GCDepth: o.gcDepth,
+		Costs:   costs,
 		Deliver: func(cv CommittedVertex) {
 			if o.execCost > 0 {
 				time.Sleep(o.execCost)
@@ -199,7 +203,9 @@ func (c *tcluster) run(d time.Duration) {
 // stop stops every node and its execution goroutine.
 func (c *tcluster) stop() {
 	for _, nd := range c.nodes {
-		nd.Stop()
+		if nd != nil {
+			nd.Stop()
+		}
 	}
 }
 

@@ -5,13 +5,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
 	"clanbft/internal/crypto"
+	"clanbft/internal/faults"
 	"clanbft/internal/simnet"
-	"clanbft/internal/transport"
 	"clanbft/internal/types"
 )
 
@@ -33,53 +32,35 @@ func round0(keys []crypto.KeyPair, src types.NodeID) (*types.Vertex, *types.ValM
 	return v, &types.ValMsg{Vertex: v, Sig: crypto.Sign(&keys[src], vertexCtx(new(ctxBuf), v.DigestCached()))}
 }
 
-// recEndpoint records every frame its node hands to the wire, one entry per
-// call, and holds the drain hook for the test to fire.
-type recEndpoint struct {
-	nullEndpoint
-	out     []types.Message
-	drained func()
-}
-
-func (e *recEndpoint) Send(_ types.NodeID, m types.Message)        { e.out = append(e.out, m) }
-func (e *recEndpoint) Multicast(_ []types.NodeID, m types.Message) { e.out = append(e.out, m) }
-func (e *recEndpoint) Broadcast(m types.Message)                   { e.out = append(e.out, m) }
-func (e *recEndpoint) SetDrainHook(fn func())                      { e.drained = fn }
-
-// echoFrames returns the ECHO frames among the recorded ones.
-func (e *recEndpoint) echoFrames() (fs []*types.EchoMsg) {
-	for _, m := range e.out {
-		if f, ok := m.(*types.EchoMsg); ok {
+// echoFrames returns the ECHO frames among ps.
+func echoFrames(ps []packet) (fs []*types.EchoMsg) {
+	for _, p := range ps {
+		if f, ok := p.m.(*types.EchoMsg); ok {
 			fs = append(fs, f)
 		}
 	}
 	return fs
 }
 
-// signCost is an EdSign charge no other operation is configured with, so a
-// clock can count signatures.
-const signCost = 7 * time.Nanosecond
-
-// signClock counts EdSign charges on top of another clock, and stretches
-// every timer the node arms by stretch (when set), so that a test on the real
-// clock can tell a hold of anchorWait from scheduling delay.
-type signClock struct {
-	transport.Clock
-	signs   int // guarded by the node's lock, like every Charge call
-	stretch int
+// startedNode is node 0 of n alone on the bed, started, its round-0 VAL
+// handled and off the wire.
+func startedNode(t *testing.T, n int) *tcluster {
+	c, node := oneNode(t, n, 0, topt{})
+	node.Start()
+	c.drain(0) // its own VAL: an endpoint delivers a broadcast to its sender too
+	c.inFlight = nil
+	return c
 }
 
-func (c *signClock) After(d time.Duration, fn func()) transport.Timer {
-	if c.stretch > 0 {
-		d *= time.Duration(c.stretch)
+// heard takes what node 0 put on the wire for each of its peers off it, by
+// peer, and returns it with the number of frames to peers.
+func heard(c *tcluster) (frames int, by [][]packet) {
+	by = make([][]packet, c.n)
+	for peer := types.NodeID(1); int(peer) < c.n; peer++ {
+		by[peer] = c.take(peer)
+		frames += len(by[peer])
 	}
-	return c.Clock.After(d, fn)
-}
-
-func (c *signClock) Charge(d time.Duration) {
-	if d == signCost {
-		c.signs++
-	}
+	return frames, by
 }
 
 // TestEchoFramingEquivalence: the same echoes, in the same order, applied as
@@ -104,7 +85,7 @@ func TestEchoFramingEquivalence(t *testing.T) {
 	// run applies every voter's echoes (its own position left out), each
 	// voter's list cut into frames at the offsets cut(k) returns.
 	run := func(rng *rand.Rand, cut func(k int) []int) outcome {
-		node := handNode(keys, 0, nullEndpoint{})
+		_, node := oneNode(t, n, 0, topt{})
 		for _, val := range vals {
 			node.step(msgIn(val.Vertex.Source, val))
 		}
@@ -164,159 +145,34 @@ func TestEchoFramingEquivalence(t *testing.T) {
 	}
 }
 
-// drainNode is node 0 of n parties on loopback sockets: the only engine,
-// with a sign counter on its clock; the other endpoints just record what
-// reaches them.
-type drainNode struct {
-	t     *testing.T
-	eps   []*transport.TCPEndpoint
-	keys  []crypto.KeyPair
-	reg   *crypto.Registry
-	node  *Node
-	clk   *signClock
-	mu    sync.Mutex
-	heard [][]types.Message // per peer, in arrival order
-}
-
-func newDrainNode(t *testing.T, n int) *drainNode { return newSlowDrainNode(t, n, 0) }
-
-// newSlowDrainNode is newDrainNode with every timer the node arms stretched
-// by stretch.
-func newSlowDrainNode(t *testing.T, n, stretch int) *drainNode {
-	d := &drainNode{t: t, keys: testKeys(n), heard: make([][]types.Message, n)}
-	book := map[types.NodeID]string{}
-	for i := 0; i < n; i++ {
-		book[types.NodeID(i)] = "127.0.0.1:0"
-	}
-	for i := 0; i < n; i++ {
-		ep, err := transport.NewTCPEndpoint(types.NodeID(i), book)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ep.Close() })
-		d.eps = append(d.eps, ep)
-	}
-	for _, ep := range d.eps {
-		for j, peer := range d.eps {
-			ep.SetPeerAddr(types.NodeID(j), peer.Addr())
-		}
-	}
-	d.reg = crypto.NewRegistry(d.keys, true)
-	for i := 1; i < n; i++ {
-		i := i
-		d.eps[i].SetHandler(func(_ types.NodeID, m types.Message) {
-			d.mu.Lock()
-			d.heard[i] = append(d.heard[i], m)
-			d.mu.Unlock()
-		})
-	}
-	d.clk = &signClock{Clock: d.eps[0].Clock(), stretch: stretch}
-	d.node = newNode(d.keys, d.reg, Config{Params: Params{RoundTimeout: time.Hour}, Costs: crypto.Costs{EdSign: signCost}}, d.eps[0], d.clk)
-	d.node.Start()
-	t.Cleanup(d.node.Stop)
-	d.settle()
-	return d
-}
-
-// deliver hands m from src to node 0 in a drain of its own and returns once
-// that drain has ended: a socket delivers later than Send returns, so the
-// held mailbox waits for m to arrive.
-func (d *drainNode) deliver(src types.NodeID, m types.Message) {
-	release := d.hold()
-	d.eps[src].Send(0, m)
-	d.queued(2)
-	release()
-	d.settle()
-}
-
-// hold parks the node's mailbox loop inside a task until the returned
-// function is called: what arrives meanwhile is taken in one swap, one drain.
-func (d *drainNode) hold() (release func()) {
-	running, gate := make(chan struct{}), make(chan struct{})
-	d.eps[0].Clock().After(0, func() { close(running); <-gate })
-	<-running
-	return func() { close(gate) }
-}
-
-// settle returns once everything pushed to the node's mailbox so far has run
-// and the drain it ran in has ended: the second marker runs in a later batch
-// than the first, so the first's drain hook has returned.
-func (d *drainNode) settle() {
-	for i := 0; i < 2; i++ {
-		ran := make(chan struct{})
-		d.eps[0].Clock().After(0, func() { close(ran) })
-		select {
-		case <-ran:
-		case <-time.After(10 * time.Second):
-			d.t.Fatal("mailbox did not drain")
-		}
-	}
-}
-
-// queued waits until the node's mailbox holds k tasks.
-func (d *drainNode) queued(k uint64) {
-	for deadline := time.Now().Add(10 * time.Second); d.eps[0].Stats().HandlerQueue < k; {
-		if time.Now().After(deadline) {
-			d.t.Fatalf("mailbox depth %d, want %d", d.eps[0].Stats().HandlerQueue, k)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func (d *drainNode) sent() uint64 { return d.eps[0].Stats().MsgsSent }
-
-func (d *drainNode) signs() int {
-	d.node.mu.Lock()
-	defer d.node.mu.Unlock()
-	return d.clk.signs
-}
-
-// echoesAt returns the ECHO frames peer has heard, once it has heard want.
-func (d *drainNode) echoesAt(peer, want int) []*types.EchoMsg {
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		var fs []*types.EchoMsg
-		d.mu.Lock()
-		for _, m := range d.heard[peer] {
-			if f, ok := m.(*types.EchoMsg); ok {
-				fs = append(fs, f)
-			}
-		}
-		d.mu.Unlock()
-		if len(fs) >= want || time.Now().After(deadline) {
-			if len(fs) != want {
-				d.t.Fatalf("peer %d heard %d ECHO frames, want %d", peer, len(fs), want)
-			}
-			return fs
-		}
-	}
-}
-
-// TestOneEchoFramePerDrain: n-1 VALs inside one mailbox drain cost one ECHO
-// frame per peer and one signature; a drain apart they cost n-1 frames, each
-// the single-position frame the protocol used to send — same length, same
-// signed context.
+// TestOneEchoFramePerDrain: n-1 VALs inside one drain cost one ECHO frame
+// per peer and one signature; a drain apart they cost n-1 frames, each the
+// single-position frame the protocol used to send — same length, same signed
+// context.
 func TestOneEchoFramePerDrain(t *testing.T) {
 	const n = 4
 	t.Run("one drain", func(t *testing.T) {
-		d := newDrainNode(t, n)
-		sent, signs := d.sent(), d.signs()
-		release := d.hold()
+		c := startedNode(t, n)
+		signs := c.clk.signs
 		for src := types.NodeID(1); src < n; src++ {
-			_, val := round0(d.keys, src)
-			d.eps[src].Send(0, val)
-			d.queued(uint64(src) + 1) // the holding task and the VALs so far
+			_, val := round0(c.keys, src)
+			c.inject(src, 0, val)
 		}
-		release()
-		d.settle()
-		if got := d.sent() - sent; got != n-1 {
-			t.Fatalf("%d frames left for %d VALs in one drain, want one ECHO frame to each of %d peers", got, n-1, n-1)
+		c.drain(0)
+		frames, by := heard(c)
+		if frames != n-1 {
+			t.Fatalf("%d frames left for %d VALs in one drain, want one ECHO frame to each of %d peers", frames, n-1, n-1)
 		}
-		if got := d.signs() - signs; got != 1 {
+		if got := c.clk.signs - signs; got != 1 {
 			t.Fatalf("signed %d times in one drain, want 1", got)
 		}
 		var first *types.EchoMsg
 		for peer := 1; peer < n; peer++ {
-			f := d.echoesAt(peer, 1)[0]
+			fs := echoFrames(by[peer])
+			if len(fs) != 1 {
+				t.Fatalf("peer %d heard %d ECHO frames, want 1", peer, len(fs))
+			}
+			f := fs[0]
 			if first == nil {
 				first = f
 			}
@@ -324,30 +180,36 @@ func TestOneEchoFramePerDrain(t *testing.T) {
 				t.Fatalf("peer %d got a frame of %d entries (the same as peer 1's: %v), want the one frame of %d", peer, len(f.Entries), same, n-1)
 			}
 		}
-		if !d.reg.Verify(0, echoFrameCtx(new(echoFrameBuf), first.Entries), first.Sig) {
+		if !c.reg.Verify(0, echoFrameCtx(new(echoFrameBuf), first.Entries), first.Sig) {
 			t.Fatal("the frame's signature does not cover its entries")
 		}
 		for i, e := range first.Entries {
-			if v, _ := round0(d.keys, types.NodeID(i+1)); e.Pos != v.Pos() || e.Digest != v.DigestCached() {
+			if v, _ := round0(c.keys, types.NodeID(i+1)); e.Pos != v.Pos() || e.Digest != v.DigestCached() {
 				t.Fatalf("entry %d is %v, want the echo of %v in arrival order", i, e.Pos, v.Pos())
 			}
 		}
 	})
 	t.Run("a drain apart", func(t *testing.T) {
-		d := newDrainNode(t, n)
-		sent, signs := d.sent(), d.signs()
+		c := startedNode(t, n)
+		signs := c.clk.signs
 		for src := types.NodeID(1); src < n; src++ {
-			_, val := round0(d.keys, src)
-			d.deliver(src, val)
+			_, val := round0(c.keys, src)
+			c.inject(src, 0, val)
+			c.drain(0)
 		}
-		if got := d.sent() - sent; got != (n-1)*(n-1) {
-			t.Fatalf("%d frames left, want %d one-entry ECHO frames to each of %d peers", got, n-1, n-1)
+		frames, by := heard(c)
+		if frames != (n-1)*(n-1) {
+			t.Fatalf("%d frames left, want %d one-entry ECHO frames to each of %d peers", frames, n-1, n-1)
 		}
-		if got := d.signs() - signs; got != n-1 {
+		if got := c.clk.signs - signs; got != n-1 {
 			t.Fatalf("signed %d times, want %d", got, n-1)
 		}
-		for i, f := range d.echoesAt(1, n-1) {
-			v, _ := round0(d.keys, types.NodeID(i+1))
+		fs := echoFrames(by[1])
+		if len(fs) != n-1 {
+			t.Fatalf("peer 1 heard %d ECHO frames, want %d", len(fs), n-1)
+		}
+		for i, f := range fs {
+			v, _ := round0(c.keys, types.NodeID(i+1))
 			dg := v.DigestCached()
 			// The single-position frame: round, source, digest, voter,
 			// signature; signed over 'E', round, source, digest.
@@ -357,24 +219,11 @@ func TestOneEchoFramePerDrain(t *testing.T) {
 			if len(f.Entries) != 1 || !bytes.Equal(f.Marshal(nil), wire) || f.WireSize() != len(wire) {
 				t.Fatalf("frame %d is %d entries in %d bytes, want the %d-byte single-position frame", i, len(f.Entries), f.WireSize(), len(wire))
 			}
-			if !d.reg.Verify(0, ctx, f.Sig) {
+			if !c.reg.Verify(0, ctx, f.Sig) {
 				t.Fatalf("frame %d is not signed over the single-position context", i)
 			}
 		}
 	})
-}
-
-// echoRecorder keeps the ECHO frames its node broadcasts.
-type echoRecorder struct {
-	transport.Endpoint
-	frames []*types.EchoMsg
-}
-
-func (e *echoRecorder) Broadcast(m types.Message) {
-	if f, ok := m.(*types.EchoMsg); ok {
-		e.frames = append(e.frames, f)
-	}
-	e.Endpoint.Broadcast(m)
 }
 
 // TestOneEchoFramePerBatchedArrival: on the simulator with batching on, k
@@ -387,8 +236,14 @@ func TestOneEchoFramePerBatchedArrival(t *testing.T) {
 	const n, k = 4, 3
 	keys := testKeys(n)
 	net := simnet.New(simnet.Config{N: n, Seed: 1, LatencyRTTms: [][]float64{{2}}, JitterPct: -1, BatchWindow: time.Millisecond})
-	ep := &echoRecorder{Endpoint: net.Endpoint(0)}
-	node := newNode(keys, nil, Config{Params: Params{RoundTimeout: time.Hour}}, ep, net.Clock(0))
+	fnet := faults.NewNet(n, 1, nil)
+	var frames []*types.EchoMsg // node 0's ECHO frames, as node 1 hears them
+	fnet.SetTap(func(_, to types.NodeID, m types.Message) {
+		if f, ok := m.(*types.EchoMsg); ok && to == 1 {
+			frames = append(frames, f)
+		}
+	})
+	node := newNode(keys, nil, Config{Params: Params{RoundTimeout: time.Hour}}, fnet.Wrap(net.Endpoint(0), net.Clock(0)), net.Clock(0))
 	node.Start()
 	t.Cleanup(node.Stop)
 	var rsps []*types.VtxRspMsg
@@ -399,73 +254,36 @@ func TestOneEchoFramePerBatchedArrival(t *testing.T) {
 		rsps = append(rsps, &types.VtxRspMsg{Vertex: v, Block: blk})
 	}
 	net.Run(10 * time.Millisecond)
-	if len(ep.frames) != 0 {
-		t.Fatalf("%d ECHO frames before any block arrived", len(ep.frames))
+	if len(frames) != 0 {
+		t.Fatalf("%d ECHO frames before any block arrived", len(frames))
 	}
 	for _, rsp := range rsps {
 		net.Endpoint(1).Send(0, rsp)
 	}
 	net.Run(10 * time.Millisecond)
-	if len(ep.frames) != 1 || len(ep.frames[0].Entries) != k {
+	if len(frames) != 1 || len(frames[0].Entries) != k {
 		var sizes []int
-		for _, f := range ep.frames {
+		for _, f := range frames {
 			sizes = append(sizes, len(f.Entries))
 		}
 		t.Fatalf("%d blocks in one batched arrival left ECHO frames of %v entries, want one frame of %d", k, sizes, k)
 	}
 }
 
-// TestEchoNotHeldWhileIdle: a queued echo leaves before the mailbox blocks on
-// a verify verdict that is not in yet, and a node stopped mid-drain sends
-// nothing afterwards.
+// TestEchoNotHeldWhileIdle: a node stopped mid-drain sends nothing
+// afterwards. (That a queued echo leaves before the mailbox waits on a verify
+// verdict not yet in is the transport's rule: TestMailboxDrainHook runs the
+// drain hook before the wait.)
 func TestEchoNotHeldWhileIdle(t *testing.T) {
 	const n = 4
-	t.Run("stalled verdict", func(t *testing.T) {
-		d := newDrainNode(t, n)
-		pool := crypto.NewVerifyPool(2, 0)
-		defer pool.Close()
-		stall := make(chan struct{})
-		verify := d.node.Verifier()
-		d.eps[0].SetVerifier(func(from types.NodeID, m types.Message) bool {
-			if from == 2 {
-				<-stall
-			}
-			return verify(from, m)
-		}, pool)
-		sent := d.sent()
-		release := d.hold()
-		_, val1 := round0(d.keys, 1)
-		_, val2 := round0(d.keys, 2)
-		d.eps[1].Send(0, val1)
-		d.queued(2)
-		d.eps[2].Send(0, val2)
-		d.queued(3)
-		release()
-		// Node 2's VAL is stuck in the pool; node 1's echo must not wait.
-		if f := d.echoesAt(1, 1)[0]; len(f.Entries) != 1 || f.Entries[0].Pos.Source != 1 {
-			t.Fatalf("while the next verdict is out, peer 1 heard %+v, want the echo of node 1's vertex", f.Entries)
-		}
-		if got := d.sent() - sent; got != n-1 {
-			t.Fatalf("%d frames left before the stalled verdict, want %d", got, n-1)
-		}
-		close(stall)
-		d.settle()
-		if f := d.echoesAt(1, 2)[1]; len(f.Entries) != 1 || f.Entries[0].Pos.Source != 2 {
-			t.Fatalf("after the verdict, peer 1 heard %+v, want the echo of node 2's vertex", f.Entries)
-		}
-	})
 	t.Run("stop mid-drain", func(t *testing.T) {
-		d := newDrainNode(t, n)
-		sent := d.sent()
-		release := d.hold()
-		_, val := round0(d.keys, 1)
-		d.eps[1].Send(0, val)
-		d.queued(2)
-		d.eps[0].Clock().After(0, d.node.Stop)
-		d.queued(3)
-		release()
-		d.settle()
-		if got := d.sent() - sent; got != 0 {
+		c := startedNode(t, n)
+		_, val := round0(c.keys, 1)
+		c.inject(1, 0, val)
+		c.deliver(c.take(0)...)
+		c.nodes[0].Stop()
+		c.drainEnd(0)
+		if got := len(c.inFlight); got != 0 {
 			t.Fatalf("a node stopped mid-drain sent %d frames afterwards", got)
 		}
 	})
@@ -477,10 +295,9 @@ func TestEchoNotHeldWhileIdle(t *testing.T) {
 func TestEchoFrameCap(t *testing.T) {
 	const n = 4
 	keys := testKeys(n)
-	ep := &recEndpoint{}
-	node := handNode(keys, 1, ep)
+	c, node := oneNode(t, n, 1, topt{})
 	node.Start()
-	ep.out = nil // the round-0 proposal
+	c.inFlight = nil // the round-0 proposal
 	// A node catching up several rounds at once: 3n echoes in one drain.
 	var want []types.EchoEntry
 	node.mu.Lock()
@@ -494,10 +311,11 @@ func TestEchoFrameCap(t *testing.T) {
 		}
 	}
 	node.mu.Unlock()
-	ep.drained()
+	c.drainEnd(1)
 	var got []types.EchoEntry
-	receiver := handNode(keys, 0, nullEndpoint{})
-	for _, f := range ep.echoFrames() {
+	_, receiver := oneNode(t, n, 0, topt{})
+	out := c.take(0) // one packet a frame
+	for _, f := range echoFrames(out) {
 		if len(f.Entries) > n || len(f.Entries) == 0 {
 			t.Fatalf("a frame of %d entries left, cap is %d", len(f.Entries), n)
 		}
@@ -507,8 +325,8 @@ func TestEchoFrameCap(t *testing.T) {
 		}
 		receiver.step(msgIn(1, f))
 	}
-	if len(ep.out) != len(ep.echoFrames()) || fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("%d echoes queued, %d left in %d frames (%d ECHO), or out of order", len(want), len(got), len(ep.out), len(ep.echoFrames()))
+	if len(out) != len(echoFrames(out)) || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%d echoes queued, %d left in %d frames (%d ECHO), or out of order", len(want), len(got), len(out), len(echoFrames(out)))
 	}
 	for _, e := range want {
 		in := receiver.rbc.Get(e.Pos)
@@ -518,7 +336,7 @@ func TestEchoFrameCap(t *testing.T) {
 	}
 
 	long := signedEchoes(&keys[1], 1, append(want[:n:n], types.EchoEntry{Pos: types.Position{Round: 9, Source: 0}})...)
-	fresh := handNode(keys, 0, nullEndpoint{})
+	_, fresh := oneNode(t, n, 0, topt{})
 	fresh.step(msgIn(1, long))
 	if fresh.rbc.Rounds() != 0 {
 		t.Fatalf("a frame of %d entries created state in %d rounds", len(long.Entries), fresh.rbc.Rounds())
@@ -549,7 +367,7 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 		return types.BitmapCount(in.Tally(d))
 	}
 
-	node := handNode(keys, 0, nullEndpoint{})
+	_, node := oneNode(t, n, 0, topt{})
 	node.step(msgIn(byz, signedEchoes(&keys[byz], byz,
 		types.EchoEntry{Pos: at(0, 1), Digest: da},
 		types.EchoEntry{Pos: at(0, 1), Digest: da}, // the same echo again
@@ -563,7 +381,7 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 
 	// Entries no single-position ECHO would have been counted for are
 	// skipped; the ones between them count.
-	node = handNode(keys, 0, nullEndpoint{})
+	_, node = oneNode(t, n, 0, topt{})
 	node.mu.Lock()
 	node.round = 500 // rounds below the horizon need one
 	node.dag.GC(400)
@@ -586,7 +404,7 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 	}
 
 	// A non-member source or voter: membership is per epoch.
-	node = newNode(keys, nil, Config{Params: Params{Members: []types.NodeID{0, 1, 3, 4, 5}}}, nullEndpoint{}, frozenClock{})
+	_, node = oneNode(t, n, 0, topt{members: []types.NodeID{0, 1, 3, 4, 5}})
 	node.step(msgIn(byz, signedEchoes(&keys[byz], byz,
 		types.EchoEntry{Pos: at(0, 2), Digest: da}, // node 2 is not a member
 		types.EchoEntry{Pos: at(0, 1), Digest: da},
@@ -597,7 +415,7 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 
 	// A bad signature: nothing counts, no instance appears, and the pool's
 	// verifier rejects the frame.
-	node = handNode(keys, 0, nullEndpoint{})
+	_, node = oneNode(t, n, 0, topt{})
 	good := signedEchoes(&keys[byz], byz,
 		types.EchoEntry{Pos: at(0, 1), Digest: da}, types.EchoEntry{Pos: at(0, 2), Digest: db}, types.EchoEntry{Pos: at(1, 1), Digest: da})
 	forged := *good
@@ -642,11 +460,11 @@ func TestEchoFrameByzantineVoter(t *testing.T) {
 func TestEchoLeavesBeforeLaterFrames(t *testing.T) {
 	const n = 4
 	keys := testKeys(n)
-	ep := &recEndpoint{}
-	node := handNode(keys, 0, ep)
-	node.Start()                   // proposes round 0
-	node.step(msgIn(0, ep.out[0])) // an endpoint delivers a broadcast to its sender too
-	own := ep.out[0].(*types.ValMsg).Vertex
+	c, node := oneNode(t, n, 0, topt{})
+	node.Start() // proposes round 0
+	self := c.take(0)
+	c.deliver(self...) // an endpoint delivers a broadcast to its sender too
+	own := self[0].m.(*types.ValMsg).Vertex
 	entries := []types.EchoEntry{{Pos: own.Pos(), Digest: own.DigestCached()}}
 	refs := []types.VertexRef{own.Ref()}
 	for src := types.NodeID(1); src < n; src++ {
@@ -655,8 +473,9 @@ func TestEchoLeavesBeforeLaterFrames(t *testing.T) {
 		entries = append(entries, types.EchoEntry{Pos: v.Pos(), Digest: v.DigestCached()})
 		refs = append(refs, v.Ref())
 	}
-	if len(ep.out) != 1 {
-		t.Fatalf("%d frames left before the drain ended, want the echoes held", len(ep.out)-1)
+	wire := c.take(1) // what node 1 hears, in order
+	if len(wire) != 1 {
+		t.Fatalf("%d frames left before the drain ended, want the echoes held", len(wire)-1)
 	}
 	// The others' echoes deliver all of round 0, so the anchor hold has
 	// nothing to wait for and the node proposes round 1 in the same drain;
@@ -675,15 +494,15 @@ func TestEchoLeavesBeforeLaterFrames(t *testing.T) {
 		v := &types.Vertex{Round: 1, Source: src, CreatedAt: 1 + int64(src), StrongEdges: refs}
 		node.step(msgIn(src, &types.ValMsg{Vertex: v, Sig: crypto.Sign(&keys[src], vertexCtx(new(ctxBuf), v.DigestCached()))}))
 	}
-	ep.drained()
-	if len(ep.out) != 4 {
-		t.Fatalf("%d frames on the wire, want VAL(0), ECHO, VAL(1), ECHO", len(ep.out))
+	c.drainEnd(0)
+	if wire = append(wire, c.take(1)...); len(wire) != 4 {
+		t.Fatalf("%d frames on the wire, want VAL(0), ECHO, VAL(1), ECHO", len(wire))
 	}
-	first, ok1 := ep.out[1].(*types.EchoMsg)
-	prop, ok2 := ep.out[2].(*types.ValMsg)
-	last, ok3 := ep.out[3].(*types.EchoMsg)
+	first, ok1 := wire[1].m.(*types.EchoMsg)
+	prop, ok2 := wire[2].m.(*types.ValMsg)
+	last, ok3 := wire[3].m.(*types.EchoMsg)
 	if !ok1 || !ok2 || !ok3 || prop.Vertex.Round != 1 {
-		t.Fatalf("wire order %T %T %T, want ECHO, the round-1 VAL, ECHO", ep.out[1], ep.out[2], ep.out[3])
+		t.Fatalf("wire order %T %T %T, want ECHO, the round-1 VAL, ECHO", wire[1].m, wire[2].m, wire[3].m)
 	}
 	if fmt.Sprint(first.Entries) != fmt.Sprint(entries[1:]) || len(last.Entries) != n-1 || last.Entries[0].Pos.Round != 1 {
 		t.Fatalf("echoes before the proposal %v, after it %v", first.Entries, last.Entries)

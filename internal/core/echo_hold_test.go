@@ -8,7 +8,6 @@ import (
 
 	"clanbft/internal/crypto"
 	"clanbft/internal/faults"
-	"clanbft/internal/transport"
 	"clanbft/internal/types"
 )
 
@@ -19,74 +18,20 @@ import (
 // out of that round's anchor hold. These tests pin when it holds, for whom,
 // for how long, and what it leaves the anchor hold.
 
-// stepClock is a virtual clock a test moves by hand: advance fires the timers
-// it passes, in deadline order.
-type stepClock struct {
-	now    time.Duration
-	timers []*stepTimer
-}
-
-type stepTimer struct {
-	at   time.Duration
-	fn   func()
-	dead bool
-}
-
-func (t *stepTimer) StopArm(uint64) bool { live := !t.dead; t.dead = true; return live }
-
-func (c *stepClock) Now() time.Duration   { return c.now }
-func (c *stepClock) Charge(time.Duration) {}
-
-func (c *stepClock) After(d time.Duration, fn func()) transport.Timer {
-	t := &stepTimer{at: c.now + d, fn: fn}
-	c.timers = append(c.timers, t)
-	return transport.MakeTimer(t, 0)
-}
-
-func (c *stepClock) advance(d time.Duration) {
-	end := c.now + d
-	for {
-		var next *stepTimer
-		for _, t := range c.timers {
-			if !t.dead && t.at <= end && (next == nil || t.at < next.at) {
-				next = t
-			}
-		}
-		if next == nil {
-			break
-		}
-		next.dead, c.now = true, next.at
-		next.fn()
-	}
-	c.now = end
-}
-
-// frontierNode is node 0 of n driven by hand on a step clock, one message per
-// drain, brought to round 1 with every round-0 vertex delivered but those of
-// the late sources.
-type frontierNode struct {
-	t    *testing.T
-	keys []crypto.KeyPair
-	node *Node
-	ep   *recEndpoint
-	clk  *stepClock
-	r0   []types.VertexRef // the round-0 vertices node 0 delivered
-	sent int               // frames on the wire when it reached round 1
-}
-
-func newFrontierNode(t *testing.T, n int, late ...types.NodeID) *frontierNode {
-	keys := testKeys(n)
-	f := &frontierNode{t: t, keys: keys, ep: &recEndpoint{}, clk: &stepClock{}}
-	f.node = newNode(keys, nil, Config{Params: Params{RoundTimeout: time.Hour}}, f.ep, f.clk)
-	f.node.Start()
-	own := f.ep.out[0].(*types.ValMsg)
-	f.deliver(0, own) // an endpoint delivers a broadcast to its sender too
-	vs := []*types.Vertex{own.Vertex}
+// frontier is node 0 of n alone on the bed, started and brought to round 1
+// one message per drain, with every round-0 vertex delivered but those of the
+// late sources. It returns the bed with nothing on the wire, and the round-0
+// vertices node 0 delivered.
+func frontier(t *testing.T, n int, late ...types.NodeID) (*tcluster, []types.VertexRef) {
+	c := startedNode(t, n)
+	node := c.nodes[0]
+	vs := []*types.Vertex{node.rbc.Get(at(0, 0)).Vertex()}
 	for src := types.NodeID(1); int(src) < n; src++ {
 		if !slices.Contains(late, src) {
-			v, val := round0(keys, src)
+			v, val := round0(c.keys, src)
 			vs = append(vs, v)
-			f.deliver(src, val)
+			c.inject(src, 0, val)
+			c.drain(0)
 		}
 	}
 	for voter := types.NodeID(1); int(voter) < n; voter++ {
@@ -96,50 +41,39 @@ func newFrontierNode(t *testing.T, n int, late ...types.NodeID) *frontierNode {
 				es = append(es, types.EchoEntry{Pos: v.Pos(), Digest: v.DigestCached()})
 			}
 		}
-		f.deliver(voter, signedEchoes(&keys[voter], voter, es...))
+		c.inject(voter, 0, signedEchoes(&c.keys[voter], voter, es...))
+		c.drain(0)
 	}
-	if f.node.round == 0 {
-		f.clk.advance(anchorWait) // round 0's anchor hold waits for the late
+	if node.round == 0 {
+		c.advance(anchorWait) // round 0's anchor hold waits for the late
 	}
-	if f.node.round != 1 {
-		t.Fatalf("node 0 at round %d, want 1", f.node.round)
+	if node.round != 1 {
+		t.Fatalf("node 0 at round %d, want 1", node.round)
 	}
-	for _, m := range f.ep.out {
-		if val, ok := m.(*types.ValMsg); ok && val.Vertex.Round == 1 {
-			f.deliver(0, val)
-		}
-	}
+	c.drain(0) // its round-1 VAL
+	c.inFlight = nil
+	var r0 []types.VertexRef
 	for _, v := range vs {
-		f.r0 = append(f.r0, v.Ref())
+		r0 = append(r0, v.Ref())
 	}
-	f.sent = len(f.ep.out)
-	return f
+	return c, r0
 }
 
-// deliver hands m to the node as a drain of its own.
-func (f *frontierNode) deliver(from types.NodeID, m types.Message) {
-	f.node.step(msgIn(from, m))
-	f.ep.drained()
+// val1 returns src's signed round-1 VAL, strong-edged to r0.
+func val1(c *tcluster, r0 []types.VertexRef, src types.NodeID) *types.ValMsg {
+	v := &types.Vertex{Round: 1, Source: src, CreatedAt: 1 + int64(src), StrongEdges: r0}
+	return &types.ValMsg{Vertex: v, Sig: crypto.Sign(&c.keys[src], vertexCtx(new(ctxBuf), v.DigestCached()))}
 }
 
-// val1 returns src's signed round-1 VAL, strong-edged to every round-0
-// vertex node 0 delivered.
-func (f *frontierNode) val1(src types.NodeID) *types.ValMsg {
-	v := &types.Vertex{Round: 1, Source: src, CreatedAt: 1 + int64(src), StrongEdges: f.r0}
-	return &types.ValMsg{Vertex: v, Sig: crypto.Sign(&f.keys[src], vertexCtx(new(ctxBuf), v.DigestCached()))}
-}
-
-// echoes returns the ECHO frames node 0 sent since it reached round 1, as
-// lists of positions.
-func (f *frontierNode) echoes() (fs [][]types.Position) {
-	for _, m := range f.ep.out[f.sent:] {
-		if e, ok := m.(*types.EchoMsg); ok {
-			var ps []types.Position
-			for _, en := range e.Entries {
-				ps = append(ps, en.Pos)
-			}
-			fs = append(fs, ps)
+// echoes takes the ECHO frames node 0 sent node 1 off the wire, as lists of
+// positions.
+func echoes(c *tcluster) (fs [][]types.Position) {
+	for _, e := range echoFrames(c.take(1)) {
+		var ps []types.Position
+		for _, en := range e.Entries {
+			ps = append(ps, en.Pos)
 		}
+		fs = append(fs, ps)
 	}
 	return fs
 }
@@ -150,141 +84,66 @@ func at(r types.Round, src types.NodeID) types.Position { return types.Position{
 // leaves at the end of its drain, and takes a held frontier echo along.
 func TestEchoNotHeldBelowFrontier(t *testing.T) {
 	// Node 3's round-0 VAL is late: round 1 does not wait for node 3.
-	f := newFrontierNode(t, 4, 3)
-	_, late := round0(f.keys, 3)
-	f.deliver(3, late)
-	if got := f.echoes(); fmt.Sprint(got) != fmt.Sprint([][]types.Position{{at(0, 3)}}) {
+	c, _ := frontier(t, 4, 3)
+	_, late := round0(c.keys, 3)
+	c.inject(3, 0, late)
+	c.drain(0)
+	if got := echoes(c); fmt.Sprint(got) != fmt.Sprint([][]types.Position{{at(0, 3)}}) {
 		t.Fatalf("a round-0 echo at round 1 left as %v, want one frame at its drain's end", got)
 	}
 
-	f = newFrontierNode(t, 4, 3)
-	f.deliver(1, f.val1(1))
-	if got := f.echoes(); len(got) != 0 || f.node.echoTimer.IsZero() {
+	c, r0 := frontier(t, 4, 3)
+	node := c.nodes[0]
+	c.inject(1, 0, val1(c, r0, 1))
+	c.drain(0)
+	if got := echoes(c); len(got) != 0 || node.echoTimer.IsZero() {
 		t.Fatalf("node 1's round-1 echo left as %v while node 2's VAL is out, want it held", got)
 	}
-	f.deliver(3, late)
-	if got := f.echoes(); fmt.Sprint(got) != fmt.Sprint([][]types.Position{{at(1, 1), at(0, 3)}}) || !f.node.echoTimer.IsZero() {
+	c.inject(3, 0, late)
+	c.drain(0)
+	if got := echoes(c); fmt.Sprint(got) != fmt.Sprint([][]types.Position{{at(1, 1), at(0, 3)}}) || !node.echoTimer.IsZero() {
 		t.Fatalf("a round-0 echo joining a held round-1 one left as %v (hold running: %v), want both in one frame at once",
-			got, !f.node.echoTimer.IsZero())
+			got, !node.echoTimer.IsZero())
 	}
 }
 
 // TestEchoHeldAtFrontierBoundedByAnchorWait is TestEchoNotHeldWhileIdle at the
-// frontier round, over sockets and the real clock: echoes queued
-// while a round-1 VAL is missing stay queued across drain ends, and leave by
-// themselves anchorWait after the first held drain; a missing VAL that is in
-// the verify pool is waited for. The node's timers run 60 times slow, so the
-// hold lasts 300 ms.
+// frontier round: echoes queued while a round-1 VAL is missing stay queued
+// across drain ends and leave by themselves anchorWait after the first held
+// drain; a missing VAL that arrives meanwhile — one the verify pool was still
+// checking when the drain ended — is waited for.
 func TestEchoHeldAtFrontierBoundedByAnchorWait(t *testing.T) {
-	const n, stretch = 4, 60
-	const wait = stretch * anchorWait
+	const n = 4
 	t.Run("missing VAL", func(t *testing.T) {
-		d := newSlowDrainNode(t, n, stretch)
-		vals := d.toRound1()
-		start := time.Now()
-		d.deliver(1, vals[1])
-		d.deliver(2, vals[2])
-		fs := d.echoesOf(1, 1, 1)
-		if held := time.Since(start); held < wait || held > wait+5*time.Second {
-			t.Fatalf("held %v, want the stretched anchorWait (%v) and no longer than the slack", held, wait)
+		c, r0 := frontier(t, n)
+		for src := types.NodeID(1); src <= 2; src++ {
+			c.inject(src, 0, val1(c, r0, src))
+			c.drain(0)
 		}
-		if got := fs[0].Entries; len(got) != 2 || got[0].Pos != at(1, 1) || got[1].Pos != at(1, 2) {
-			t.Fatalf("the held frame is %+v, want the echoes of nodes 1 and 2", got)
+		c.advance(anchorWait - 1)
+		if got := echoes(c); len(got) != 0 {
+			t.Fatalf("round-1 echoes left as %v before anchorWait (%v) was up, want them held", got, anchorWait)
+		}
+		c.advance(1)
+		if got := echoes(c); fmt.Sprint(got) != fmt.Sprint([][]types.Position{{at(1, 1), at(1, 2)}}) {
+			t.Fatalf("after anchorWait the held echoes left as %v, want one frame with the echoes of nodes 1 and 2", got)
 		}
 	})
 	t.Run("VAL in the verify pool", func(t *testing.T) {
-		d := newSlowDrainNode(t, n, stretch)
-		vals := d.toRound1()
-		pool := crypto.NewVerifyPool(2, 0)
-		defer pool.Close()
-		stall := make(chan struct{})
-		stalled := true
-		defer func() {
-			if stalled {
-				close(stall)
-			}
-		}()
-		verify := d.node.Verifier()
-		d.eps[0].SetVerifier(func(from types.NodeID, m types.Message) bool {
-			if from == 3 {
-				<-stall
-			}
-			return verify(from, m)
-		}, pool)
-		release := d.hold()
-		for src := types.NodeID(1); src < n; src++ {
-			d.eps[src].Send(0, vals[src])
-			d.queued(uint64(src) + 1)
+		c, r0 := frontier(t, n)
+		c.inject(1, 0, val1(c, r0, 1))
+		c.inject(2, 0, val1(c, r0, 2))
+		c.drain(0) // node 3's VAL is still being verified
+		c.advance(anchorWait / 10)
+		if got := echoes(c); len(got) != 0 {
+			t.Fatalf("round-1 echoes left as %v while node 3's VAL was being verified, want them held", got)
 		}
-		release()
-		time.Sleep(wait / 10)
-		if got := d.echoesOf(1, 1, 0); len(got) != 0 {
-			t.Fatalf("%d round-1 ECHO frames left while node 3's VAL was being verified, want the echoes held", len(got))
-		}
-		close(stall)
-		stalled = false
-		if got := d.echoesOf(1, 1, 1)[0].Entries; len(got) != n-1 {
-			t.Fatalf("the frame after the verdict has %d entries, want all %d", len(got), n-1)
+		c.inject(3, 0, val1(c, r0, 3))
+		c.drain(0)
+		if got := echoes(c); len(got) != 1 || len(got[0]) != n-1 {
+			t.Fatalf("after the verdict the echoes left as %v, want one frame of all %d", got, n-1)
 		}
 	})
-}
-
-// echoesOf returns the ECHO frames for round r that peer has heard, once it
-// has heard want of them (at once when want is 0).
-func (d *drainNode) echoesOf(peer int, r types.Round, want int) []*types.EchoMsg {
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		var fs []*types.EchoMsg
-		d.mu.Lock()
-		for _, m := range d.heard[peer] {
-			if f, ok := m.(*types.EchoMsg); ok && f.Entries[0].Pos.Round == r {
-				fs = append(fs, f)
-			}
-		}
-		d.mu.Unlock()
-		if len(fs) >= want || time.Now().After(deadline) {
-			if len(fs) < want {
-				d.t.Fatalf("peer %d heard %d round-%d ECHO frames, want %d", peer, len(fs), r, want)
-			}
-			return fs
-		}
-	}
-}
-
-// toRound1 hands node 0 every other node's round-0 VAL and enough echoes to
-// deliver all of round 0, waits for its round-1 proposal, and returns the
-// round-1 VALs of nodes 1..n-1, by source.
-func (d *drainNode) toRound1() []*types.ValMsg {
-	n := len(d.keys)
-	d.node.mu.Lock()
-	vs := []*types.Vertex{d.node.rbc.Get(at(0, 0)).Vertex()}
-	d.node.mu.Unlock()
-	for src := types.NodeID(1); int(src) < n; src++ {
-		v, val := round0(d.keys, src)
-		vs = append(vs, v)
-		d.deliver(src, val)
-	}
-	for voter := types.NodeID(1); int(voter) < n; voter++ {
-		var es []types.EchoEntry
-		for _, v := range vs {
-			if v.Source != voter {
-				es = append(es, types.EchoEntry{Pos: v.Pos(), Digest: v.DigestCached()})
-			}
-		}
-		d.deliver(voter, signedEchoes(&d.keys[voter], voter, es...))
-	}
-	if r := d.node.Round(); r != 1 {
-		d.t.Fatalf("node 0 at round %d, want 1", r)
-	}
-	var refs []types.VertexRef
-	for _, v := range vs {
-		refs = append(refs, v.Ref())
-	}
-	vals := make([]*types.ValMsg, n)
-	for src := types.NodeID(1); int(src) < n; src++ {
-		v := &types.Vertex{Round: 1, Source: src, CreatedAt: 1 + int64(src), StrongEdges: refs}
-		vals[src] = &types.ValMsg{Vertex: v, Sig: crypto.Sign(&d.keys[src], vertexCtx(new(ctxBuf), v.DigestCached()))}
-	}
-	return vals
 }
 
 // echoTap counts, per sender and round, the ECHO entries and frames on the
@@ -375,6 +234,18 @@ func (c *tcluster) minRound() types.Round {
 // hold takes nothing from the round's anchor hold, which still catches that
 // VAL's vertex.
 func TestEchoHoldWaitsOnlyForExpected(t *testing.T) {
+	t.Run("undelivered member", func(t *testing.T) {
+		// Node 3's round-0 vertex never delivered at node 0, so its round-1
+		// VAL is not waited for: the others' echoes leave with their drain.
+		c, r0 := frontier(t, 4, 3)
+		c.inject(1, 0, val1(c, r0, 1))
+		c.inject(2, 0, val1(c, r0, 2))
+		c.drain(0)
+		if got := echoes(c); fmt.Sprint(got) != fmt.Sprint([][]types.Position{{at(1, 1), at(1, 2)}}) || !c.nodes[0].echoTimer.IsZero() {
+			t.Fatalf("with node 3 undelivered in round 0, round-1 echoes left as %v (hold running: %v), want one frame at the drain's end",
+				got, !c.nodes[0].echoTimer.IsZero())
+		}
+	})
 	t.Run("crashed member", func(t *testing.T) {
 		const n, down = 7, 6
 		fnet := faults.NewNet(n, 1, nil)

@@ -132,7 +132,8 @@ func TestDeliveredVertexTakesPulledBlock(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		var asked []types.NodeID // clan peers the victim pulled lost from
 		handed := false
-		c := steppedCluster(t, seed, rounds, func(c *tcluster, p *packet) bool {
+		c := newTCluster(t, 4, topt{stepped: true, txCount: 1})
+		c.runTo(seed, rounds, func(p *packet) bool {
 			if in := c.nodes[victim].rbc.Get(lost); !handed && in != nil && in.Delivered() {
 				handed = true
 				if cachedAt(c.nodes[victim], lost) {

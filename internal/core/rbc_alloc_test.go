@@ -3,37 +3,10 @@ package core
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"clanbft/internal/crypto"
-	"clanbft/internal/transport"
 	"clanbft/internal/types"
 )
-
-// nullEndpoint discards everything sent, so a test measures the node alone.
-type nullEndpoint struct{ self types.NodeID }
-
-func (e nullEndpoint) Self() types.NodeID                    { return e.self }
-func (nullEndpoint) Send(types.NodeID, types.Message)        {}
-func (nullEndpoint) Multicast([]types.NodeID, types.Message) {}
-func (nullEndpoint) Broadcast(types.Message)                 {}
-func (nullEndpoint) SetHandler(transport.Handler)            {}
-func (nullEndpoint) SetDrainHook(func())                     {}
-func (nullEndpoint) Stats() transport.Stats                  { return transport.Stats{} }
-func (nullEndpoint) Close() error                            { return nil }
-
-// frozenClock never moves and never fires.
-type frozenClock struct{}
-
-type deadTimer struct{}
-
-func (deadTimer) StopArm(uint64) bool { return true }
-
-func (frozenClock) Now() time.Duration { return 0 }
-func (frozenClock) After(time.Duration, func()) transport.Timer {
-	return transport.MakeTimer(deadTimer{}, 0)
-}
-func (frozenClock) Charge(time.Duration) {}
 
 // rbcInstanceMallocs drives one merged-RBC instance at n=7 — the VAL (its
 // proposer's echo), four more echoes that complete the 2f+1 quorum,
@@ -44,7 +17,8 @@ func (frozenClock) Charge(time.Duration) {}
 func rbcInstanceMallocs(t *testing.T) uint64 {
 	const n = 7
 	keys := testKeys(n)
-	node := handNode(keys, 0, nullEndpoint{})
+	_, node := oneNode(t, n, 0, topt{})
+	node.ep = &wireEndpoint{self: 0, n: n} // counts and discards
 	drive := func(src types.NodeID) uint64 {
 		pos := types.Position{Round: 0, Source: src}
 		v := &types.Vertex{Round: 0, Source: src, CreatedAt: 1}

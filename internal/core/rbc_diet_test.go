@@ -9,8 +9,6 @@ import (
 	"clanbft/internal/crypto"
 	"clanbft/internal/faults"
 	"clanbft/internal/rbc"
-	"clanbft/internal/simnet"
-	"clanbft/internal/transport"
 	"clanbft/internal/types"
 )
 
@@ -223,7 +221,7 @@ func TestPulledCertRules(t *testing.T) {
 		{"valid", agg(d, 0, 1, 3, 4, 5), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			recv := newNode(keys, nil, Config{Self: 6, Mode: ModeSingleClan, Clans: [][]types.NodeID{clan}}, &recEndpoint{}, frozenClock{})
+			_, recv := oneNode(t, n, 6, topt{mode: ModeSingleClan, clans: [][]types.NodeID{clan}})
 			recv.step(msgIn(3, &types.VtxRspMsg{Vertex: v, Cert: &types.EchoCertMsg{Pos: pos, Digest: d, Agg: tc.agg}}))
 			if in, has := recv.rbc.Get(pos), recv.dag.Has(pos); tc.valid != has || !tc.valid && in != nil {
 				t.Fatalf("instance %v, in the DAG %v; want the vertex inserted: %v", in != nil, has, tc.valid)
@@ -251,7 +249,7 @@ func TestLateValAfterCertificate(t *testing.T) {
 	certA := &types.EchoCertMsg{Pos: pos, Digest: da, Agg: agg.Sig()}
 
 	t.Run("certified from echoes", func(t *testing.T) {
-		node := handNode(keys, 0, &recEndpoint{})
+		_, node := oneNode(t, n, 0, topt{})
 		for _, id := range []types.NodeID{1, 2, byz} {
 			node.step(msgIn(id, signedEchoes(&keys[id], id, types.EchoEntry{Pos: pos, Digest: da})))
 		}
@@ -262,12 +260,14 @@ func TestLateValAfterCertificate(t *testing.T) {
 		}
 	})
 	t.Run("delivered by pull", func(t *testing.T) {
-		ep := &recEndpoint{}
-		node := handNode(keys, 0, ep)
+		c, node := oneNode(t, n, 0, topt{})
 		node.step(msgIn(1, &types.VtxRspMsg{Vertex: va, Cert: certA}))
 		node.step(msgIn(byz, valB))
 		node.step(msgIn(2, &types.VtxReqMsg{Pos: pos}))
-		rsp, _ := ep.out[len(ep.out)-1].(*types.VtxRspMsg)
+		var rsp *types.VtxRspMsg
+		if out := c.take(2); len(out) > 0 {
+			rsp, _ = out[len(out)-1].m.(*types.VtxRspMsg)
+		}
 		if rsp == nil || rsp.Vertex != va || rsp.Cert.Digest != da {
 			t.Fatalf("a pull reply ships %v under the certificate for A", rsp)
 		}
@@ -295,61 +295,52 @@ func TestSigningContextsStayOnStack(t *testing.T) {
 	}
 }
 
-// valFrames wraps an endpoint and counts, per proposed round, how many wire
-// frames its VALs cost under the transports' encode-once contract: one per
-// Multicast call, one per Send.
-type valFrames struct {
-	transport.Endpoint
-	frames, recipients map[types.Round]int
-}
-
-func (e *valFrames) Send(to types.NodeID, m types.Message) {
-	e.count(m, 1)
-	e.Endpoint.Send(to, m)
-}
-
-func (e *valFrames) Multicast(tos []types.NodeID, m types.Message) {
-	e.count(m, len(tos))
-	e.Endpoint.Multicast(tos, m)
-}
-
-func (e *valFrames) count(m types.Message, tos int) {
-	if val, ok := m.(*types.ValMsg); ok {
-		e.frames[val.Vertex.Round]++
-		e.recipients[val.Vertex.Round] += tos
-	}
-}
-
 // TestProposalEncodesAtMostTwoFrames: a proposal goes out as one frame with
 // the block (to the proposer's clan) and one without (to the rest), however
 // many peers there are — never one marshal per peer.
 func TestProposalEncodesAtMostTwoFrames(t *testing.T) {
 	const n = 7
 	clan := []types.NodeID{1, 3, 5}
-	net := simnet.New(simnet.Config{N: n, Seed: 3, LatencyRTTms: [][]float64{{20}}, JitterPct: -1})
-	keys := testKeys(n)
-	reg := crypto.NewRegistry(keys, false)
-	eps := make([]*valFrames, n)
-	for i := range eps {
-		id := types.NodeID(i)
-		eps[i] = &valFrames{Endpoint: net.Endpoint(id), frames: map[types.Round]int{}, recipients: map[types.Round]int{}}
-		newNode(keys, reg, Config{Self: id, Mode: ModeSingleClan, Clans: [][]types.NodeID{clan},
-			Blocks: &testSource{id: id, txCount: 2, txSize: 64}}, eps[i], net.Clock(id)).Start()
+	c := newTCluster(t, n, topt{stepped: true, mode: ModeSingleClan, clans: [][]types.NodeID{clan}, txCount: 2})
+	// Per proposer and round: the frames its VALs took, and their recipients.
+	type key struct {
+		src types.NodeID
+		r   types.Round
 	}
-	net.Run(time.Second)
-	for i, ep := range eps {
+	frames, recipients := map[key]map[int]bool{}, map[key]int{}
+	count := func(p *packet) bool {
+		if val, ok := p.m.(*types.ValMsg); ok {
+			k := key{p.from, val.Vertex.Round}
+			if frames[k] == nil {
+				frames[k] = map[int]bool{}
+			}
+			frames[k][p.frame] = true
+			recipients[k]++
+		}
+		return true
+	}
+	c.runTo(3, 6, count)
+	for i := range c.inFlight {
+		count(&c.inFlight[i])
+	}
+	for i := types.NodeID(0); i < n; i++ {
 		want := 1 // outside the clan: the vertex alone, to everyone
 		if i%2 == 1 {
 			want = 2 // a clan member: block to the clan, vertex to the rest
 		}
-		if len(ep.frames) < 5 {
-			t.Fatalf("node %d proposed only %d rounds", i, len(ep.frames))
-		}
-		for r, got := range ep.frames {
-			if got != want || ep.recipients[r] != n {
-				t.Fatalf("node %d round %d: VAL cost %d frames to %d recipients, want %d to %d",
-					i, r, got, ep.recipients[r], want, n)
+		proposed := 0
+		for k, fs := range frames {
+			if k.src != i {
+				continue
 			}
+			proposed++
+			if len(fs) != want || recipients[k] != n {
+				t.Fatalf("node %d round %d: VAL cost %d frames to %d recipients, want %d to %d",
+					i, k.r, len(fs), recipients[k], want, n)
+			}
+		}
+		if proposed < 5 {
+			t.Fatalf("node %d proposed only %d rounds", i, proposed)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"clanbft/internal/dag"
 	"clanbft/internal/faults"
 	"clanbft/internal/store"
 	"clanbft/internal/types"
@@ -19,8 +20,7 @@ import (
 func TestCertSurvivesRowRecycle(t *testing.T) {
 	const n = 7
 	keys := testKeys(n)
-	ep := &recEndpoint{}
-	sender := handNode(keys, 0, ep)
+	c, sender := oneNode(t, n, 0, topt{})
 	v, val := round0(keys, 1)
 	pos, d := v.Pos(), v.DigestCached()
 	sender.step(msgIn(1, val))
@@ -33,9 +33,13 @@ func TestCertSurvivesRowRecycle(t *testing.T) {
 	}
 	rowBits := &in.Cert().Bitmap[0]
 	sender.step(msgIn(6, &types.VtxReqMsg{Pos: pos}))
-	rsp, _ := ep.out[len(ep.out)-1].(*types.VtxRspMsg)
+	out := c.take(6)
+	var rsp *types.VtxRspMsg
+	if len(out) > 0 {
+		rsp, _ = out[len(out)-1].m.(*types.VtxRspMsg)
+	}
 	if rsp == nil || rsp.Cert == nil {
-		t.Fatalf("no certified pull reply: %v", ep.out)
+		t.Fatalf("no certified pull reply: %v", out)
 	}
 	if &rsp.Cert.Agg.Bitmap[0] == rowBits {
 		t.Fatal("the reply's certificate aliases the row")
@@ -58,7 +62,7 @@ func TestCertSurvivesRowRecycle(t *testing.T) {
 	if rsp.Cert.Agg.Tag != want.Tag || !bytes.Equal(rsp.Cert.Agg.Bitmap, want.Bitmap) {
 		t.Fatalf("the reply's certificate changed with the row: bitmap %08b, was %08b", rsp.Cert.Agg.Bitmap, want.Bitmap)
 	}
-	recv := handNode(keys, 6, &recEndpoint{})
+	_, recv := oneNode(t, n, 6, topt{})
 	recv.step(msgIn(0, rsp))
 	if got := recv.rbc.Get(pos); got == nil || !got.Delivered() {
 		t.Fatal("the receiver did not accept the pulled vertex on the reply's certificate")
@@ -66,7 +70,8 @@ func TestCertSurvivesRowRecycle(t *testing.T) {
 }
 
 // orderStore records the order in which vertices are persisted — insertNow
-// writes each one as it enters the DAG.
+// writes each one as it enters the DAG. It keeps no value: each batch is
+// read back and cleared, so the store holds one batch at a time.
 type orderStore struct {
 	store.Store
 	seen  map[string]bool
@@ -75,7 +80,9 @@ type orderStore struct {
 
 func (s *orderStore) Apply(b *store.Batch) error {
 	err := s.Store.Apply(b)
+	var keys []string
 	s.Store.Scan([]byte("v/"), func(k, _ []byte) bool {
+		keys = append(keys, string(k))
 		if !s.seen[string(k)] {
 			s.seen[string(k)] = true
 			var p types.Position
@@ -87,6 +94,9 @@ func (s *orderStore) Apply(b *store.Batch) error {
 		}
 		return true
 	})
+	for _, k := range keys {
+		s.Store.Delete([]byte(k))
+	}
 	return err
 }
 
@@ -146,7 +156,6 @@ func (r *rescanInserter) insert(v *types.Vertex) {
 // rule gives, and nothing is left buffered.
 func TestPendingInsertCounts(t *testing.T) {
 	const n, base = 4, types.Round(10)
-	keys := testKeys(n)
 	var rounds [3][]*types.Vertex
 	for r := range rounds {
 		for src := types.NodeID(0); src < n; src++ {
@@ -164,17 +173,25 @@ func TestPendingInsertCounts(t *testing.T) {
 	top := append(append([]*types.Vertex{}, rounds[2]...), rounds[2][1])
 	below := append(append([]*types.Vertex{}, rounds[0]...), rounds[1]...)
 
+	// One node takes every order: between two, its DAG and its store start
+	// over, and the buffers are empty when the order passes.
+	_, node := oneNode(t, n, 0, topt{})
+	st := &orderStore{Store: store.NewMem(), seen: map[string]bool{}}
+	node.cfg.Store = st
+	ref := &rescanInserter{min: base, has: map[types.Position]bool{},
+		pending: map[types.Position]*types.Vertex{}, waiting: map[types.Position][]types.Position{}}
+	var arrivals []*types.Vertex
 	orders := 0
 	var permute func(k int)
 	run := func() {
 		orders++
-		st := &orderStore{Store: store.NewMem(), seen: map[string]bool{}}
-		node := newNode(keys, nil, Config{Store: st}, nullEndpoint{}, frozenClock{})
+		clear(st.seen)
+		st.order = st.order[:0]
+		*node.dag = *dag.New(n)
 		node.dag.GC(base)
-		ref := &rescanInserter{min: base, has: map[types.Position]bool{},
-			pending: map[types.Position]*types.Vertex{}, waiting: map[types.Position][]types.Position{}}
-		arrivals := append(append([]*types.Vertex{}, top...), below...)
-		arrivals = append(arrivals, below[0]) // a parent arrives twice
+		clear(ref.has)
+		ref.order = ref.order[:0]
+		arrivals = append(append(append(arrivals[:0], top...), below...), below[0]) // a parent arrives twice
 		for _, v := range arrivals {
 			node.tryInsert(v)
 			ref.try(v)
@@ -205,7 +222,7 @@ func TestPendingInsertCounts(t *testing.T) {
 
 	// A parent the horizon passes counts as present: gc takes it off the
 	// count, and the child it was the last for goes in.
-	node := handNode(keys, 0, nullEndpoint{})
+	_, node = oneNode(t, n, 0, topt{})
 	node.dag.GC(base)
 	for _, v := range rounds[0][1:] {
 		node.tryInsert(v)

@@ -59,7 +59,7 @@ func TestSignedKindsCheckedOnce(t *testing.T) {
 	} {
 		for _, flip := range []bool{false, true} {
 			m := c.frame(flip)
-			node := handNode(keys, 0, &recEndpoint{})
+			_, node := oneNode(t, n, 0, topt{})
 			node.step(msgIn(1, m))
 			if got := c.counted(node); got == flip {
 				t.Errorf("%s, signature byte flipped %v: the handler counted it: %v", c.kind, flip, got)

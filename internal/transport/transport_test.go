@@ -319,7 +319,10 @@ func TestMailboxBatchDrain(t *testing.T) {
 
 // TestMailboxDrainHook: the drain hook runs after the last task of each batch
 // the loop took in one swap — never between two tasks of a batch whose
-// verdicts are in — and before the loop blocks on a verdict that is not.
+// verdicts are in — and before the loop blocks on a verdict that is not. The
+// last is what lets a node's queued echo leave while the next VAL is still
+// in the verify pool: the node ends its drain there and never waits on the
+// pool itself.
 func TestMailboxDrainHook(t *testing.T) {
 	mb := newMailbox()
 	defer mb.close()

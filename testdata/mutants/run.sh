@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the mutant catalogue: each testdata/mutants/*.patch reinstates one
-# historical bug, or makes one of verifier.go's signature checks accept
-# everything. For each patch (all of them, or those named on the command
+# historical bug, makes one of verifier.go's signature checks accept
+# everything, or breaks one rule of the echo hold, the anchor hold or the
+# block cache. For each patch (all of them, or those named on the command
 # line) the script copies the working tree to a scratch directory, applies
 # the patch there, runs tier-1 (go build ./... && go test ./...) and prints
 # the tests that fail — the mutant's killers. The checkout itself is never
