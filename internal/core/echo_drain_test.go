@@ -270,12 +270,37 @@ func TestOneEchoFramePerBatchedArrival(t *testing.T) {
 	}
 }
 
-// TestEchoNotHeldWhileIdle: a node stopped mid-drain sends nothing
-// afterwards. (That a queued echo leaves before the mailbox waits on a verify
-// verdict not yet in is the transport's rule: TestMailboxDrainHook runs the
-// drain hook before the wait.)
+// TestEchoNotHeldWhileIdle: a queued echo leaves at the drain end the mailbox
+// gives before it waits on a verify verdict not yet in, and a node stopped
+// mid-drain sends nothing afterwards. (That the mailbox ends the drain before
+// that wait is the transport's rule: TestMailboxDrainHook checks it.)
 func TestEchoNotHeldWhileIdle(t *testing.T) {
 	const n = 4
+	t.Run("stalled verdict", func(t *testing.T) {
+		c := startedNode(t, n)
+		_, val1 := round0(c.keys, 1)
+		_, val2 := round0(c.keys, 2)
+		c.inject(1, 0, val1)
+		c.inject(2, 0, val2)
+		in := c.take(0)
+		// Node 2's VAL waits on its verdict; the drain ends before that wait,
+		// and node 1's echo must not wait with it.
+		c.deliver(in[0])
+		c.drainEnd(0)
+		frames, by := heard(c)
+		if f := echoFrames(by[1]); len(f) != 1 || len(f[0].Entries) != 1 || f[0].Entries[0].Pos.Source != 1 {
+			t.Fatalf("while the next verdict is out, peer 1 heard %d ECHO frames, want one with the echo of node 1's vertex", len(f))
+		}
+		if frames != n-1 {
+			t.Fatalf("%d frames left before the stalled verdict, want %d", frames, n-1)
+		}
+		c.deliver(in[1])
+		c.drainEnd(0)
+		_, by = heard(c)
+		if f := echoFrames(by[1]); len(f) != 1 || len(f[0].Entries) != 1 || f[0].Entries[0].Pos.Source != 2 {
+			t.Fatalf("after the verdict, peer 1 heard %d ECHO frames, want one with the echo of node 2's vertex", len(f))
+		}
+	})
 	t.Run("stop mid-drain", func(t *testing.T) {
 		c := startedNode(t, n)
 		_, val := round0(c.keys, 1)
